@@ -34,14 +34,14 @@ miss cost low:
   cycle moves by the shift.  The ladder is dense (a rung per golden
   cycle, up to :data:`~.golden.MAX_CHECKPOINTS`) precisely so that a
   check at any faulty cycle can match whatever the shift is.
-* Each checkpoint also probes a *masked* digest with the injected cell
-  flipped back (the flip is an involution).  A masked match means the
-  state differs from the golden state in exactly the injected bit —
-  and when def/use analysis shows that cell's next golden access is
-  not a read, the corrupt value can never be observed again, so the
-  suffix is provably golden and the early exit is equally exact.
-  This catches the large "benign but still dirty" population whose
-  flipped bit simply dies in place.
+* A probe costs what it is worth on its engine.  The first gap is the
+  engine's probe cost in cycles
+  (:attr:`~repro.engine.ExecutionEngine.probe_gap`: 1 interpreted,
+  128 under the JIT, where a digest buys that many cycles), and
+  :meth:`~repro.isa.cpu.Machine.run_to_boundary` lets a compiled
+  machine stop on the basic-block boundary after the target instead
+  of single-stepping a budget tail — a match classifies identically
+  at whichever instruction boundary it is found.
 * Check gaps double after every miss, so a run that never converges
   (a real failure) pays O(log tail) digests instead of a fixed
   per-stride toll, while a converging run is still caught within ~2×
@@ -54,10 +54,7 @@ injection point, whether a corrupt value there can ever reach an
 observable sink (serial output, control flow, a memory address, a
 trapping divisor).  When it cannot, the experiment's outcome *is* the
 golden outcome and the executor classifies it before running a single
-post-injection cycle.  The same map strengthens the masked probe: a
-masked match is sound not only when the injected cell is def/use-dead
-at the matched cycle but whenever it is non-critical there — dead
-cells are a strict subset of non-critical ones.
+post-injection cycle.
 """
 
 from __future__ import annotations
@@ -227,9 +224,8 @@ class ExperimentExecutor:
                                                    oracle=oracle)
         self._pristine = self.engine.create_machine(golden.program)
         self._snapshot: MachineState | None = None
-        # Criticality map for the pre-run skip and the masked-probe
-        # observability proofs; built lazily on the first experiment
-        # (never needed when convergence is off).
+        # Criticality map for the pre-run skip; built lazily on the
+        # first experiment (never needed when convergence is off).
         self._criticality = None
         self._golden_record_cache: ExperimentRecord | None = None
         #: Number of pre-injection rewinds (diagnostics for the ablation
@@ -296,7 +292,7 @@ class ExperimentExecutor:
         matched_cycle = None
         try:
             if self._stride:
-                matched_cycle = self._seek_convergence(machine, coordinate)
+                matched_cycle = self._seek_convergence(machine)
             if matched_cycle is None:
                 machine.run(self.timeout_cycles)
         except CPUException as exc:
@@ -340,53 +336,52 @@ class ExperimentExecutor:
 
     # -- convergence early-exit ------------------------------------------------
 
-    def _seek_convergence(self, machine: Machine,
-                          coordinate) -> int | None:
-        """Advance checkpoint-to-checkpoint until a digest matches.
+    def _probe_after(self, cycle: int, gap: int) -> int | None:
+        """The probe position ``gap`` cycles past ``cycle``, if any.
+
+        The schedule arithmetic both executors share: gaps start at
+        the engine's :attr:`~repro.engine.ExecutionEngine.probe_gap`
+        and double after every miss; positions are aligned up to the
+        ladder stride (off-stride cycles have no rung to match under a
+        zero shift).  ``None`` once past the cycle budget: no probe
+        carries a machine to ``timeout_cycles``, so timeouts end there.
+        """
+        target = cycle + gap
+        target += -target % self._stride
+        return target if target < self.timeout_cycles else None
+
+    def _seek_convergence(self, machine: Machine) -> int | None:
+        """Advance probe-to-probe until a digest matches.
 
         Returns the *golden* cycle the faulty machine's state matched
-        at (exactly, or up to the provably-dead injected cell), or
-        ``None`` when the run ended (halt, divergence; traps propagate
-        to the caller) or exhausted the cycle budget without re-joining
-        the golden trajectory.  On ``None`` the caller's
+        at, or ``None`` when the run ended (halt, divergence; traps
+        propagate to the caller) or exhausted the cycle budget without
+        re-joining the golden trajectory.  On ``None`` the caller's
         ``machine.run(timeout_cycles)`` finishes the remaining tail, so
         the classification path stays byte-identical to the
         non-convergent executor.
-
-        Check positions stay aligned to the ladder stride (off-stride
-        cycles have no rung to match under a zero shift) and the gap
-        between checks doubles after every miss.
         """
-        stride = self._stride
         table = self._golden_cycle_of
         limit = self.timeout_cycles
-        inject = self.domain.inject
-        gap = stride
-        target = machine.cycle + gap
-        target += -target % stride
-        while target < limit:
-            machine.run_to_cycle(target)
+        gap = self.engine.probe_gap
+        target = self._probe_after(machine.cycle, gap)
+        while target is not None:
+            machine.run_to_boundary(target, limit)
+            if machine.cycle % self._stride and not machine.halted:
+                # A boundary stop between rungs (never at stride 1):
+                # step on to the next rung.
+                target = self._probe_after(machine.cycle, 0)
+                if target is None:
+                    return None
+                machine.run_to_cycle(target)
             if machine.halted:
                 return None
             self.convergence_checks += 1
             matched = table.get(machine.state_digest())
             if matched is not None:
                 return matched
-            if self.domain.involutive:
-                # Masked probe: re-flipping the injected cell is the
-                # inverse of the injection, so this digest asks "is the
-                # state golden except for exactly the injected bit?".
-                # Non-involutive domains (stuck-at) skip it: a second
-                # inject would not undo the first.
-                inject(machine, coordinate)
-                masked = table.get(machine.state_digest())
-                inject(machine, coordinate)
-                if masked is not None and self._cell_unobservable_after(
-                        coordinate, masked):
-                    return masked
             gap *= 2
-            target += gap
-            target += -target % stride
+            target = self._probe_after(machine.cycle, gap)
         return None
 
     def _cell_critical(self, coordinate) -> bool:
@@ -394,22 +389,6 @@ class ExperimentExecutor:
         if self._criticality is None:
             self._criticality = backward_slice(self.golden)
         return self.domain.cell_critical(self._criticality, coordinate)
-
-    def _cell_unobservable_after(self, coordinate,
-                                 golden_cycle: int) -> bool:
-        """Is the injected cell's value irrelevant past ``golden_cycle``?
-
-        True when the backward slice shows the cell is non-critical at
-        the matched golden cycle: even if the golden suffix still reads
-        it, the corrupt value provably never reaches an observable
-        sink, so execution after a masked match classifies exactly like
-        the golden suffix.  (Def/use-dead cells — overwritten first, or
-        never touched again — are a strict subset of this.)
-        """
-        probe = self.domain.coordinate(
-            golden_cycle + 1, self.domain.coordinate_axis(coordinate),
-            coordinate.bit)
-        return not self._cell_critical(probe)
 
     def _golden_record(self, coordinate) -> ExperimentRecord:
         """The record of an experiment proven to reproduce the golden run."""
@@ -436,8 +415,7 @@ class ExperimentExecutor:
         """Classify a converged experiment from golden facts alone.
 
         The faulty run at cycle ``c' = cycle`` holds the golden state of
-        cycle ``c = matched_cycle`` (exactly, or up to the injected
-        cell whose value is proven dead); determinism makes its
+        cycle ``c = matched_cycle``; determinism makes its
         remaining execution the golden suffix after ``c``: it emits the
         golden output's remaining bytes, records no further detections
         (the golden run has none), and halts cleanly when the suffix
@@ -521,13 +499,14 @@ class BatchExperimentExecutor(ExperimentExecutor):
       into lockstep, otherwise it finishes scalar via
       :meth:`~ExperimentExecutor._finish` (counted in
       :attr:`~ExperimentExecutor.scalar_tail_experiments`);
-    * the convergence ladder is probed per live lane at the same
-      stride-aligned, exponentially backed-off checkpoints the scalar
-      executor uses.  Admitted lanes join whatever schedule the pack is
-      on — sound because a digest match at *any* checkpoint classifies
-      identically (see :meth:`_converged_record`: the end cycle is
-      shift-invariant and the emitted prefix is completed from golden
-      output), so the checkpoint schedule never affects records.
+    * the convergence ladder is probed per live lane on the scalar
+      executor's schedule (:meth:`~ExperimentExecutor._probe_after`),
+      at exact lock-step cycles.  Admitted lanes join whatever schedule
+      the pack is on — sound because a digest match at *any*
+      checkpoint classifies identically (see
+      :meth:`_converged_record`: the end cycle is shift-invariant and
+      the emitted prefix is completed from golden output), so the
+      checkpoint schedule never affects records.
 
     Single experiments (:meth:`run`) and thin stretches with no
     adjacent stretches to pack with fall back to the inherited scalar
@@ -728,16 +707,12 @@ class BatchExperimentExecutor(ExperimentExecutor):
             return True
 
         admitting = admit_groups()
-        stride = self._stride
         table = self._golden_cycle_of
-        gap = stride
-        target = lanes.cycle + gap
-        if stride:
-            target += -target % stride
+        gap = self.engine.probe_gap
+        target = (self._probe_after(lanes.cycle, gap) if self._stride
+                  else None)
         while lanes.n and lanes.cycle < limit:
-            bound = limit
-            if stride and target < bound:
-                bound = target
+            bound = limit if target is None else target
             if admitting and groups:
                 next_admit = groups[0][0] - 1
                 if next_admit < bound:
@@ -748,33 +723,22 @@ class BatchExperimentExecutor(ExperimentExecutor):
                 break
             if admitting:
                 admitting = admit_groups()
-            if stride and lanes.cycle == target and target < limit:
+            if lanes.cycle == target:
                 drop = []
                 for pos in range(lanes.n):
                     lane = lanes.ids[pos]
-                    coordinate = lane_coords[lane]
                     self.convergence_checks += 1
                     matched = table.get(lanes.digest(pos))
-                    if matched is None and self.domain.involutive:
-                        view = lanes.lane_view(pos)
-                        inject(view, coordinate)
-                        masked = table.get(lanes.digest(pos))
-                        inject(view, coordinate)
-                        if masked is not None and \
-                                self._cell_unobservable_after(coordinate,
-                                                              masked):
-                            matched = masked
                     if matched is not None:
                         records[lane_idx[lane]] = self._converged_record(
-                            coordinate, matched, cycle=lanes.cycle,
+                            lane_coords[lane], matched, cycle=lanes.cycle,
                             serial=bytes(lanes.serial[pos]),
                             detections=tuple(lanes.detections[pos]))
                         drop.append(pos)
                 if drop:
                     lanes.remove(drop)
                 gap *= 2
-                target += gap
-                target += -target % stride
+                target = self._probe_after(target, gap)
         for pos in range(lanes.n):
             # Budget exhausted without halting: timeout, like the
             # scalar path's un-halted machine at ``timeout_cycles``.

@@ -63,6 +63,10 @@ class ExecutionEngine:
     name: str = ""
     #: Whether the campaign layer should batch same-slot experiments.
     batch: bool = False
+    #: Cost of one convergence probe (a state digest) in cycles of
+    #: execution on this engine: the first gap of the executor's probe
+    #: schedule.  A constant, not a timing, so all workers agree.
+    probe_gap: int = 1
 
     def create_machine(self, program, *, tracer=None,
                        oracle=None) -> Machine:
@@ -105,6 +109,9 @@ class CompiledEngine(ExecutionEngine):
     """Tier 1: template-JIT superblocks generated at machine build."""
 
     name = "compiled"
+    #: A digest is ~2.5 µs = 40-130 JIT cycles; 64-256 measured
+    #: within 3 % of each other on the kernel workloads.
+    probe_gap = 128
 
     def create_machine(self, program, *, tracer=None,
                        oracle=None) -> Machine:

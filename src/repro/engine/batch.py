@@ -100,8 +100,7 @@ class _LaneView:
     Fault domains inject through ``machine.flip_bit`` /
     ``machine.flip_register_bit``; this exposes those two methods (with
     the scalar machine's exact validation) against a single lane's row
-    of the batch arrays, so ``FaultDomain.inject`` works unchanged for
-    both the initial injection and the convergence masked probe.
+    of the batch arrays, so ``FaultDomain.inject`` works unchanged.
     """
 
     __slots__ = ("_lanes", "_pos")

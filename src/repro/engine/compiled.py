@@ -28,6 +28,8 @@ results must be bit-for-bit those of the interpreter:
   whole blocks that fit the remaining budget; budget tails and mid-block
   entry points (snapshot restores, ``jalr`` into a block body) fall back
   to the interpreter's own pre-bound handlers one instruction at a time.
+  :meth:`~repro.isa.cpu.Machine.run_to_boundary` (convergence probes)
+  skips that tail: the last block may overshoot, up to a hard ceiling.
 * Traps raise the exact :class:`~repro.isa.errors.CPUException`
   subclasses with the interpreter's messages, ``pc``/``cycle``
   attributes, and its halted/pc/cycle post-state.
@@ -90,8 +92,9 @@ def _div_trap(pc, cycle, rem):
 class CompiledCode:
     """The JIT artifact for one program."""
 
-    #: ``fn(machine, limit)`` — run whole blocks until the budget, a
-    #: halt, a trap, or a pc outside every block leader.
+    #: ``fn(machine, limit, ceiling)`` — run whole blocks until the
+    #: budget, a halt, a trap, or a pc outside every block leader.  With
+    #: ``ceiling > limit`` the last block may overshoot ``limit``.
     run_fn: object
     #: Block-leader pcs the generated dispatch tree accepts.
     leaders: frozenset
@@ -425,7 +428,8 @@ class _Codegen:
         body = instrs[:-1] if terminal else instrs
 
         if block.self_loop:
-            self._emit(depth, f"while cycle + {length} <= limit:")
+            self._emit(depth, f"while cycle + {length} <= limit or ("
+                              f"cycle < limit and cycle + {length} <= ceiling):")
             for k, (pc, ins) in enumerate(body):
                 self._emit_lines(depth + 1, self._body_instr(ins, pc, k))
             self._emit(depth + 1, f"cycle += {length}")
@@ -439,7 +443,9 @@ class _Codegen:
             self._emit(depth, "continue")
             return
 
-        self._emit(depth, f"if cycle + {length} > limit:")
+        # (The second clause only runs for a block past ``limit``.)
+        self._emit(depth, f"if cycle + {length} > limit and ("
+                          f"cycle >= limit or cycle + {length} > ceiling):")
         self._emit(depth + 1, "break")
         for k, (pc, ins) in enumerate(body):
             self._emit_lines(depth, self._body_instr(ins, pc, k))
@@ -512,7 +518,7 @@ class _Codegen:
             self._emit(3, "break")
         tree = self.lines
 
-        head = ["def _jit(M, limit):"]
+        head = ["def _jit(M, limit, ceiling):"]
         head.append("    regs = M.regs")
         if "ram" in self.uses:
             head.append("    ram = M.ram")
@@ -562,7 +568,11 @@ class _Codegen:
 
 
 def compile_program(program: Program) -> CompiledCode | None:
-    """Generate the superblock function for ``program``.
+    """The superblock function for ``program``, generated once.
+
+    Cached on the program object — an executor builds two machines of
+    one program — outside its fields, so outside ``==``, fingerprints
+    and pickles (:meth:`Program.__getstate__`).
 
     Returns ``None`` on big-endian hosts, where the ``memoryview`` casts
     would read the wrong byte order; the machine then runs entirely on
@@ -570,7 +580,10 @@ def compile_program(program: Program) -> CompiledCode | None:
     """
     if sys.byteorder != "little":  # pragma: no cover - exotic hosts
         return None
-    return _Codegen(program).generate()
+    code = program.__dict__.get("_compiled")
+    if code is None:
+        code = program.__dict__["_compiled"] = _Codegen(program).generate()
+    return code
 
 
 class CompiledMachine(Machine):
@@ -608,13 +621,15 @@ class CompiledMachine(Machine):
 
     # -- execution -----------------------------------------------------------
 
-    def _run_until(self, limit: int) -> None:
+    def _run_until(self, limit: int, ceiling: int | None = None) -> None:
         jit = getattr(self, "_jit", None)
         if jit is None or self.tracer is not None:
             # Golden recording wants the traced per-access hooks; exotic
             # hosts have no JIT artifact at all.
             super()._run_until(limit)
             return
+        if ceiling is None or self._stuck is not None:
+            ceiling = limit  # exact; an armed latch is interpreted
         run_fn = jit.run_fn
         leaders = jit.leaders
         exec_rom = self._exec
@@ -631,12 +646,12 @@ class CompiledMachine(Machine):
                     # hook in ``_store_raw`` — so an armed latch pins
                     # execution to the interpreter path until the
                     # releasing store clears it.
-                    run_fn(self, limit)
+                    run_fn(self, limit, ceiling)
                     if self.halted or self.cycle != cycle:
                         continue
                 # Mid-block pc (snapshot restore, jalr into a block
-                # body) or a block that does not fit the remaining
-                # budget: one interpreter step, then try again.
+                # body) or a block that fits neither budget nor
+                # ceiling: one interpreter step, then try again.
                 handler, instr = exec_rom[pc]
                 self.pc = pc + 1
                 try:

@@ -72,14 +72,10 @@ class FaultDomain:
     implement every method below.  Instances must be stateless: the
     parallel engine ships them to worker processes by name.
 
-    Four capability flags tell the engines what a model is allowed to
+    Three capability flags tell the engines what a model is allowed to
     do; the conservative default is chosen so that *forgetting* to set
     a flag yields a slower-but-correct campaign, never a wrong one:
 
-    ``involutive``
-        Injecting the same coordinate twice restores the pre-injection
-        state.  Required for the convergence machinery's masked
-        double-injection probes; stuck-at faults are not involutive.
     ``batchable``
         The lockstep batch tier can host the model's faults in lanes.
         PC faults cannot — lanes share one program counter.
@@ -98,8 +94,6 @@ class FaultDomain:
     name: str = ""
     #: Bits per spatial unit == experiments per live class.
     bits: int = 0
-    #: Double injection restores the pre-injection state.
-    involutive: bool = True
     #: The lockstep batch tier may host this model's faults.
     batchable: bool = True
     #: Injection arms state that outlives the injection instant.
@@ -342,8 +336,6 @@ class StuckAtDomain(FaultDomain):
 
     name = "stuck"
     bits = STUCK_BITS
-    #: Arming the latch twice does not cancel it.
-    involutive = False
     #: The latch outlives the injection instant.
     persistent = True
 

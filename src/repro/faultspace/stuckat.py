@@ -28,10 +28,6 @@ Def/use pruning — soundness per model (Pitfall 1):
 * **Read-terminated gaps are live** with the representative injection
   right before the activating read (``injection_slot = last_slot``),
   one experiment per (bit position, forced value) pair.
-
-Unlike a bit flip, arming a stuck-at twice does not cancel it, so the
-domain is *non-involutive*: the convergence machinery must not use
-double-injection masked probes (gated by ``FaultDomain.involutive``).
 """
 
 from __future__ import annotations

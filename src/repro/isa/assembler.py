@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import AssemblyError
 from .isa import (
@@ -101,6 +101,11 @@ class Program:
             raise AssemblyError(
                 f"data segment ({len(self.data)} bytes) exceeds RAM size "
                 f"({self.ram_size} bytes)")
+
+    def __getstate__(self) -> dict:
+        # Engines cache per-process artifacts derived from the program
+        # (generated code) in its ``__dict__``; only the fields travel.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def rom_size(self) -> int:

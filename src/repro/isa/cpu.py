@@ -286,14 +286,16 @@ class Machine:
             raise
         self.cycle += 1
 
-    def _run_until(self, limit: int) -> None:
-        """Shared loop of :meth:`run` and :meth:`run_to_cycle`.
+    def _run_until(self, limit: int, ceiling: int | None = None) -> None:
+        """Shared loop of :meth:`run`, :meth:`run_to_cycle` and
+        :meth:`run_to_boundary`.
 
         Runs until ``halt``, a trap, or ``cycle >= limit``.  Semantics
         are identical to calling :meth:`step` in a loop; the dispatch is
         kept deliberately simple — this class is the differential-testing
         *oracle* for the compiled engines in :mod:`repro.engine`, so it
-        optimizes for obviousness, not speed.
+        optimizes for obviousness, not speed.  ``ceiling`` (how far a
+        block-granular engine may overshoot ``limit``) is ignored here.
         """
         exec_rom = self._exec
         rom_len = len(exec_rom)
@@ -340,6 +342,22 @@ class Machine:
                 f"cannot run backwards: at cycle {self.cycle}, "
                 f"target {target_cycle}")
         self._run_until(target_cycle)
+
+    def run_to_boundary(self, target_cycle: int, ceiling: int) -> None:
+        """Run to the engine's first cheap stop at or after ``target_cycle``.
+
+        For callers that need *an* instruction boundary near a cycle,
+        not that one (convergence probes).  The machine ends at a cycle
+        ``c`` with ``target_cycle <= c <= ceiling`` — or its run ended
+        by then — in the very state ``run_to_cycle(c)`` produces.  The
+        interpreter stops at ``target_cycle``; the compiled engine
+        finishes the basic block it is in.
+        """
+        if not self.cycle <= target_cycle <= ceiling:
+            raise ValueError(
+                f"need cycle {self.cycle} <= target {target_cycle} "
+                f"<= ceiling {ceiling}")
+        self._run_until(target_cycle, ceiling)
 
     # -- memory --------------------------------------------------------------
 

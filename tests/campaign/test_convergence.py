@@ -21,10 +21,12 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.experiment import ExperimentExecutor
 from repro.campaign.golden import MAX_CHECKPOINTS
+from repro.campaign.outcomes import Outcome
+from repro.engine import AUTO, CompiledEngine, ExecutionEngine
 from repro.isa import Machine, assemble
-from repro.programs import hi, micro
+from repro.kernel.builder import KernelBuilder
+from repro.programs import bin_sem2, guarded, hi, micro
 
 ON = ExecutorConfig(use_convergence=True)
 OFF = ExecutorConfig(use_convergence=False)
@@ -80,13 +82,133 @@ class TestOutcomeInvariance:
     def test_the_early_exits_actually_fire(self):
         """Guard against silently disabled machinery.  The pruned scan
         only visits live-class representatives, so ladder hits show up
-        there; the criticality pre-skip pays off on the coordinates a
-        brute-force campaign injects blindly."""
-        golden = record_golden(hi.baseline())
-        scan = run_full_scan(golden, domain="register", config=ON)
-        assert scan.execution.convergence_hits > 0
-        brute = run_brute_force(golden, domain="register", config=ON)
+        there — on either engine ``auto`` resolves to: the interpreter
+        (tiny campaign, a probe every cycle at first) and the JIT
+        (first probe 128 cycles past the injection).  The criticality
+        pre-skip pays off on the coordinates a brute-force campaign
+        injects blindly."""
+        for program, engine in ((guarded.sumdmr_variant(), "interp"),
+                                (bin_sem2.baseline(), "compiled")):
+            golden = record_golden(program)
+            assert AUTO.resolve(golden, "memory").name == engine
+            scan = run_full_scan(golden, config=ON)
+            assert scan.execution.convergence_hits > 0, engine
+        brute = run_brute_force(record_golden(hi.baseline()),
+                                domain="register", config=ON)
         assert brute.execution.slice_hits > 0
+
+
+def _first_gap(monkeypatch, gap):
+    """Force every engine's probe schedule to start at ``gap``."""
+    monkeypatch.setattr(ExecutionEngine, "probe_gap", gap)
+    monkeypatch.setattr(CompiledEngine, "probe_gap", gap)
+
+
+def _hardened_kernel():
+    """A SUM+DMR-protected two-thread kernel workload, 231 cycles.
+
+    Small enough to scan under every engine × domain × schedule, long
+    enough that a first gap of 128 still probes inside most tails.
+    """
+    kb = KernelBuilder(n_threads=2, protect=True)
+    kb.add_semaphore("s", initial=0)
+    kb.add_word("token", init=0, protected=True)
+    kb.set_thread_body(0, [
+        "addi r1, zero, 7", "call token_store",
+        "call s_post", "call s_post",
+        "call token_load", "out r1",
+        "call token_load", "addi r1, r1, 1", "call token_store",
+        "call token_load", "out r1",
+        "halt"])
+    kb.set_thread_body(1, [
+        "t1_loop:", "call s_wait", "call token_load",
+        "addi r1, r1, 1", "call token_store", "j t1_loop"])
+    return kb.build("pingpong-sumdmr")
+
+
+class TestScheduleInvariance:
+    """Where the executor probes can never change a record.
+
+    The docstrings argue it (a match classifies identically at any
+    instruction boundary); this holds every engine and fault model to
+    it, with the first gap forced dense, odd, to the JIT's default and
+    beyond the cycle budget (no probe at all).
+    """
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return record_golden(_hardened_kernel())
+
+    @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
+                                        "burst4", "stuck", "pc"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    def test_first_gap_never_affects_records(self, kernel, engine,
+                                             domain, monkeypatch,
+                                             tmp_path):
+        config = ExecutorConfig(engine=engine)
+        reference = run_full_scan(
+            kernel, domain=domain, keep_records=True,
+            config=dataclasses.replace(config, use_convergence=False))
+        reference_csv = tmp_path / "off.csv"
+        export_class_results_csv(reference, reference_csv)
+        hits = {}
+        for gap in (1, 3, 128, 4 * kernel.cycles):
+            _first_gap(monkeypatch, gap)
+            result = run_full_scan(kernel, domain=domain, config=config,
+                                   keep_records=True)
+            assert result == reference, gap  # records included
+            csv = tmp_path / f"gap{gap}.csv"
+            export_class_results_csv(result, csv)
+            assert csv.read_bytes() == reference_csv.read_bytes(), gap
+            hits[gap] = result.execution.convergence_hits
+        # The forced constant really drove the schedule.
+        assert hits[1] > 0 and hits[128] > 0
+        assert hits[4 * kernel.cycles] == 0
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    def test_timeouts_end_exactly_at_the_budget(self, engine,
+                                                monkeypatch):
+        """A probe must never carry a run past ``timeout_cycles``: a
+        boundary stop beyond it would move a TIMEOUT record's
+        ``end_cycle``.  Flips in the loop counter's upper bits make
+        most of this register scan spin until the budget, in a
+        ten-instruction block wide enough for targets to land inside
+        its last iteration before the budget."""
+        program = assemble("""\
+        .data
+v:      .word 0
+        .text
+start:  li   r3, 16
+loop:   lw   r1, v(zero)
+        addi r1, r1, 1
+        sw   r1, v(zero)
+        add  r2, r2, r1
+        xor  r4, r4, r2
+        add  r2, r2, r4
+        xor  r4, r4, r1
+        add  r2, r2, r4
+        addi r3, r3, -1
+        bnez r3, loop
+        out  r1
+        halt
+""", name="spin", ram_size=4)
+        golden = record_golden(program)
+        config = ExecutorConfig(engine=engine)
+        budget = config.timeout_cycles(golden.cycles)
+        reference = run_full_scan(
+            golden, domain="register", keep_records=True,
+            config=dataclasses.replace(config, use_convergence=False))
+        timeouts = [record for record in reference.records
+                    if record.outcome is Outcome.TIMEOUT]
+        assert len(timeouts) > len(reference.records) // 10
+        for gap in (1, 3, 128):
+            _first_gap(monkeypatch, gap)
+            result = run_full_scan(golden, domain="register",
+                                   config=config, keep_records=True)
+            assert result.records == reference.records, gap
+            assert all(record.end_cycle == budget
+                       for record in result.records
+                       if record.outcome is Outcome.TIMEOUT)
 
 
 class TestJournalCompatibility:
@@ -203,23 +325,3 @@ loop:   lw   r1, v(zero)
         golden = record_golden(micro.memcopy(4))
         ladder = golden.checkpoints
         assert len(ladder.lookup()) == len(ladder.digests)
-
-
-class TestMaskedProbe:
-    def test_unobservable_probe_agrees_with_criticality(self):
-        """The masked-probe helper is exactly a criticality query one
-        cycle past convergence — spot-check it against the slice."""
-        from repro.faultspace import backward_slice, get_domain
-        golden = record_golden(hi.baseline())
-        domain = get_domain("memory")
-        executor = ExperimentExecutor(golden, domain=domain)
-        crit = backward_slice(golden)
-        space = domain.fault_space(golden)
-        for slot in (1, golden.cycles // 2):
-            for coordinate in domain.slot_coordinates(space, slot):
-                expected = not domain.cell_critical(
-                    crit, domain.coordinate(
-                        slot + 1, domain.coordinate_axis(coordinate),
-                        coordinate.bit))
-                assert executor._cell_unobservable_after(
-                    coordinate, slot) == expected

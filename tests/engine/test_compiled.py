@@ -298,6 +298,121 @@ class TestOracleDivergence:
         assert interp.tracer.events == jit.tracer.events
 
 
+class TestRunToBoundary:
+    """``run_to_boundary`` chooses the stop cycle, never the state."""
+
+    LOOP = """\
+        .data
+v:      .word 0
+        .text
+start:  li   r3, 50
+loop:   lw   r1, v(zero)
+        addi r1, r1, 1
+        sw   r1, v(zero)
+        addi r3, r3, -1
+        bnez r3, loop
+        out  r1
+        halt
+"""
+
+    @staticmethod
+    def stop(program, target, ceiling, *, oracle=None, mutate=None,
+             start=0):
+        """Boundary-stop a JIT machine; hold it against the interpreter
+        run to exactly the cycle it stopped at."""
+        jit = CompiledMachine(program, oracle=oracle)
+        ref = Machine(program, oracle=oracle)
+        for machine in (jit, ref):
+            machine.run_to_cycle(start)
+            if mutate is not None:
+                mutate(machine)
+        jit.run_to_boundary(target, ceiling)
+        ref.run_to_cycle(jit.cycle)
+        assert final_state(jit) == final_state(ref)
+        assert jit.cycle <= ceiling
+        assert jit.halted or jit.cycle >= target
+        return jit
+
+    def test_interpreter_stops_at_the_target(self):
+        machine = Machine(assemble(self.LOOP, name="loop", ram_size=4))
+        machine.run_to_boundary(13, 200)
+        assert machine.cycle == 13
+
+    def test_self_loop_block_stops_on_an_iteration_boundary(self):
+        program = assemble(self.LOOP, name="loop", ram_size=4)
+        assert "while cycle + 5 <= limit" in compile_program(
+            program).source
+        for target in range(2, 40):
+            jit = self.stop(program, target, 1000)
+            # Entry block is one instruction, iterations are five.
+            assert jit.cycle == target + -(target - 1) % 5
+
+    def test_overshoot_is_capped_by_the_ceiling(self):
+        program = assemble(self.LOOP, name="loop", ram_size=4)
+        # Cycle 13 is mid-iteration (iterations end at 11, 16, ...).
+        assert self.stop(program, 13, 16).cycle == 16
+        # The iteration does not fit under the ceiling: exact stop.
+        assert self.stop(program, 13, 15).cycle == 13
+        assert self.stop(program, 13, 13).cycle == 13
+        # From a mid-block start the rest of the block is interpreted
+        # one instruction at a time (every cycle a stop); whole blocks
+        # take over at the next leader.
+        assert self.stop(program, 15, 30, start=13).cycle == 15
+        assert self.stop(program, 17, 30, start=13).cycle == 21
+
+    def test_out_divergence_inside_a_block(self):
+        program = assemble("""\
+        li   r1, 65
+        out  r1
+        addi r1, r1, 1
+        out  r1
+        addi r1, r1, 1
+        out  r1
+        halt
+""", name="abc", ram_size=4)
+        # The second byte deviates: the run ends there, mid-block, on
+        # both engines — well short of the target.
+        jit = self.stop(program, 6, 100, oracle=b"AXC")
+        assert jit.diverged and jit.cycle == 4 and jit.serial == b"AB"
+
+    def test_armed_latch_stops_exactly(self):
+        # The latch sits on a byte the loop never stores to, so it
+        # stays armed: the primitive is run_to_cycle.
+        program = assemble(self.LOOP, name="loop", ram_size=8)
+        jit = self.stop(program, 13, 1000,
+                        mutate=lambda m: m.stuck_at(6, 0, 1))
+        assert jit.cycle == 13 and jit._stuck is not None
+
+    def test_trap_is_the_interpreters(self):
+        """A block that traps past the target raises what the
+        interpreter raises when it gets there."""
+        program = assemble("""\
+        li   r2, 2
+        addi r1, r1, 1
+        lw   r3, 0(r2)
+        halt
+""", name="trap", ram_size=8)
+        traps = []
+        for cls, run in ((Machine, lambda m: m.run_to_cycle(3)),
+                         (CompiledMachine,
+                          lambda m: m.run_to_boundary(1, 50))):
+            machine = cls(program)
+            with pytest.raises(CPUException) as info:
+                run(machine)
+            traps.append((type(info.value).__name__, str(info.value),
+                          info.value.pc, info.value.cycle,
+                          final_state(machine)))
+        assert traps[0] == traps[1]
+
+    def test_rejects_backwards_and_inverted_bounds(self):
+        machine = CompiledMachine(micro.counter(2))
+        machine.run_to_cycle(5)
+        with pytest.raises(ValueError):
+            machine.run_to_boundary(4, 10)
+        with pytest.raises(ValueError):
+            machine.run_to_boundary(8, 7)
+
+
 class TestEngineRegistry:
     def test_get_engine_by_name(self):
         assert get_engine("interp") is INTERP
@@ -329,4 +444,21 @@ class TestEngineRegistry:
         code = compile_program(PROGRAMS["sync2"]())
         if code is not None:  # None only on big-endian hosts
             assert 0 in code.leaders
-            assert "def _jit(M, limit):" in code.source
+            assert "def _jit(M, limit, ceiling):" in code.source
+
+    def test_compiled_code_is_cached_on_the_program_only(self):
+        """One codegen per program object — and the artifact is not
+        part of the program: not compared, not pickled."""
+        import pickle
+
+        program = micro.counter(2)
+        twin = micro.counter(2)
+        code = compile_program(program)
+        if code is None:  # big-endian hosts never compile
+            return
+        assert compile_program(program) is code
+        assert CompiledMachine(program)._jit is code
+        assert program == twin  # twin holds no artifact
+        shipped = pickle.loads(pickle.dumps(program))
+        assert shipped == program
+        assert compile_program(shipped) is not code

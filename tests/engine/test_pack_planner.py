@@ -22,7 +22,7 @@ from repro.campaign.experiment import (
     BatchExperimentExecutor,
     ExperimentExecutor,
 )
-from repro.engine import AUTO, ENGINES
+from repro.engine import AUTO, ENGINES, CompiledEngine
 from repro.engine.plan import SlotRange, _ranges, plan_tiers
 from repro.faultspace import get_domain
 from repro.programs import all_programs, hi, micro, sync2
@@ -159,10 +159,24 @@ class TestPackPlanning:
         mean_width = batch.packed_lanes / batch.packs_opened
         assert mean_width >= batch.MIN_LANES
 
-    def test_admission_respects_pack_target(self, sync2_golden):
+    def test_admission_respects_pack_target(self, sync2_golden,
+                                            monkeypatch):
         # Cross-slot admission stops growing a pack once PACK_TARGET is
         # reached; groups are admitted whole, so a pack can overshoot
-        # by at most the last group's width (here capped at 4).
+        # by at most the last group's width (here capped at 4).  The
+        # bound is on lanes alive at once: lanes that left make room,
+        # so the lanes a pack hosts over its lifetime may exceed it.
+        from repro.engine.batch import LockstepLanes
+
+        widths = []
+        admit = LockstepLanes.admit
+
+        def recording_admit(lanes, state):
+            lane = admit(lanes, state)
+            widths.append(lanes.n)
+            return lane
+
+        monkeypatch.setattr(LockstepLanes, "admit", recording_admit)
         domain = get_domain("memory")
         coords = []
         taken: dict[int, int] = {}
@@ -175,8 +189,7 @@ class TestPackPlanning:
         batch = BatchExperimentExecutor(sync2_golden)
         batch.run_many(coords)
         assert batch.packs_opened > 0
-        mean_width = batch.packed_lanes / batch.packs_opened
-        assert mean_width <= batch.PACK_TARGET + 4
+        assert widths and max(widths) <= batch.PACK_TARGET + 4
 
 
 class TestReadmissionDifferential:
@@ -187,10 +200,14 @@ class TestReadmissionDifferential:
         batch = BatchExperimentExecutor(hi_golden, domain=domain)
         assert batch.run_many(coords) == [scalar.run(c) for c in coords]
 
-    def test_readmission_fires_and_stays_exact(self):
+    def test_readmission_fires_and_stays_exact(self, monkeypatch):
         # Pinned combination known to re-admit lanes: stuck-at faults
         # evict armed lanes before stores, the latch releases on the
         # scalar continuation, and the lane rejoins the pack in phase.
+        # Evicted lanes settle where the pack stops to probe, and this
+        # 12-cycle program ends before the JIT's first probe — so pin
+        # the dense schedule that stops inside it.
+        monkeypatch.setattr(CompiledEngine, "probe_gap", 1)
         golden = record_golden(all_programs()["hi-dftprime4"]())
         coords = experiment_coords(golden, "stuck")
         scalar = ExperimentExecutor(golden, domain="stuck")

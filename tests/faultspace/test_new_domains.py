@@ -153,7 +153,6 @@ class TestStuckAtGeometry:
 
     def test_domain_flags(self):
         assert STUCK.persistent
-        assert not STUCK.involutive
         assert STUCK.batchable
 
 
@@ -192,7 +191,6 @@ class TestPCGeometry:
     def test_domain_flags(self):
         assert not PC.batchable
         assert PC.control_hazard
-        assert PC.involutive
 
 
 class TestDomainRegistryHooks:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.campaign import ExecutorConfig, record_golden
-from repro.engine.compiled import CompiledMachine
+from repro.engine.compiled import CompiledMachine, _find_blocks
 from repro.faultspace import FaultCoordinate
 from repro.faultspace.registers import RegisterFaultCoordinate
 from repro.isa import CPUException, Machine, assemble
@@ -153,6 +153,77 @@ def test_jit_matches_interpreter_under_injection(program, data):
             fault(machine)
         observations.append(_observe(machine, limit))
     assert observations[0] == observations[1]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=fuzz_programs(), data=st.data())
+def test_boundary_stop_is_an_interpreter_state(program, data):
+    """``run_to_boundary`` may pick the cycle, never the state.
+
+    From a random (possibly mid-block, possibly faulty) start, a
+    compiled machine asked for a boundary at ``target`` under
+    ``ceiling`` stops at a cycle ``c`` with ``target <= c <= ceiling``
+    and ``c < target + longest block`` — or ended earlier — and
+    everything observable equals an interpreter run to exactly ``c``,
+    raised trap included.
+    """
+    golden = Machine(program)
+    golden.run(100_000)
+    assert golden.halted, "generated program must halt fault-free"
+    total, serial = golden.cycle, bytes(golden.serial)
+    longest = max(len(block.instrs)
+                  for block in _find_blocks(program.rom, program.entry))
+
+    start = data.draw(st.integers(0, total - 1), label="start")
+    if data.draw(st.booleans(), label="memory_fault"):
+        addr = data.draw(st.integers(0, RAM_SIZE - 1), label="addr")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        fault = lambda m: m.flip_bit(addr, bit)  # noqa: E731
+    else:
+        reg = data.draw(st.integers(1, 15), label="reg")
+        bit = data.draw(st.integers(0, 31), label="regbit")
+        fault = lambda m: m.flip_register_bit(reg, bit)  # noqa: E731
+    # Short hops and tight ceilings, so that targets fall inside blocks
+    # and the ceiling, not the block end, is what often binds.
+    hops = data.draw(
+        st.lists(st.tuples(st.integers(0, longest + 2),
+                           st.integers(0, longest)),
+                 min_size=1, max_size=6), label="hops")
+
+    def boot(cls):
+        machine = cls(program, oracle=serial)
+        machine.run_to_cycle(start)
+        fault(machine)
+        return machine
+
+    def state(machine, trap):
+        return (machine.cycle, machine.pc, machine.halted,
+                machine.diverged, machine.state_digest(),
+                bytes(machine.serial), list(machine.detections), trap)
+
+    def guarded(run, *args):
+        try:
+            run(*args)
+        except CPUException as exc:
+            return (type(exc).__name__, str(exc), exc.pc, exc.cycle)
+        return None
+
+    jit, ref = boot(CompiledMachine), boot(Machine)
+    for gap, slack in hops:
+        if jit.halted:
+            break
+        target = jit.cycle + gap
+        trap = guarded(jit.run_to_boundary, target, target + slack)
+        # The ceiling binds even a run that ends: a halt one cycle past
+        # the cycle budget would be a timeout misread as a halt.
+        assert jit.cycle <= target + slack
+        assert jit.cycle < target + longest
+        assert jit.halted or jit.cycle >= target
+        # A trapping instruction does not complete: the interpreter
+        # must attempt the cycle after the one the machine stopped at.
+        assert state(jit, trap) == state(
+            ref, guarded(ref.run_to_cycle, jit.cycle + bool(trap)))
 
 
 @settings(max_examples=12, deadline=None,

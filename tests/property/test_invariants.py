@@ -160,7 +160,7 @@ class TestConvergenceInvariant:
     @SETTINGS
     @given(golden=programs(), domain=domains)
     def test_early_exit_changes_no_outcome(self, golden, domain):
-        """Convergence detection (ladder + masked probes + criticality
+        """Convergence detection (ladder probes + criticality
         pre-skip) is pure speed: with it on or off, the full scan is
         identical — results, records, CSV bytes."""
         on = run_full_scan(golden, domain=domain, keep_records=True,
