@@ -10,13 +10,22 @@ work units.
 Also reports the resume-time saving to ``output/journal_resume.txt``:
 the fraction of experiments replayed from the journal is the fraction
 of campaign wall-clock a crash no longer costs.
+
+The last test is the journal's price tag: a journaled serial scan
+against the same scan un-journaled, as a ratio inside one process.
 """
 
 import os
 import time
 
-from repro.campaign import RetryPolicy, record_golden, run_full_scan
+from repro.campaign import (RetryPolicy, export_class_results_csv,
+                            record_golden, run_full_scan)
 from repro.programs import hi, sync2
+
+#: Journaled / un-journaled wall-clock a serial scan may cost.  With a
+#: commit (an fsync) per class the ratio was ≈ 2.3; group commit leaves
+#: the row inserts themselves, ≈ 1.2 on this program.
+JOURNAL_OVERHEAD_CEILING = 1.3
 
 
 def _program():
@@ -87,3 +96,37 @@ def test_killed_worker_is_retried_and_result_unchanged(tmp_path):
     assert survived == baseline
     assert survived.execution.shard_retries >= 1
     assert survived.execution.complete
+
+
+def test_journaling_costs_a_fraction_not_a_multiple(tmp_path):
+    """Journaled serial scan ≤ 1.3× the un-journaled one, CSV equal.
+
+    A ratio of two times taken back to back in one process, best of
+    three alternating pairs, so the host's speed cancels.  The program
+    is the smallest registered one whose classes cost enough (~0.45 ms)
+    for a ratio to say anything: ``hi`` has two classes and measures
+    only the price of creating a database file.
+    """
+    golden = record_golden(sync2.baseline())
+    partition = golden.partition()
+    best = {False: float("inf"), True: float("inf")}
+    scans = {}
+    for attempt in range(3):
+        for journaled in (False, True):
+            journal = tmp_path / f"ab{attempt}.sqlite" if journaled else None
+            start = time.perf_counter()
+            scans[journaled] = run_full_scan(golden, partition=partition,
+                                             journal=journal)
+            best[journaled] = min(best[journaled],
+                                  time.perf_counter() - start)
+    assert scans[True] == scans[False]
+    assert scans[True].execution.executed \
+        == scans[True].execution.total_units
+    for journaled, scan in scans.items():
+        export_class_results_csv(scan, tmp_path / f"{journaled}.csv")
+    assert (tmp_path / "True.csv").read_bytes() \
+        == (tmp_path / "False.csv").read_bytes()
+    ratio = best[True] / best[False]
+    assert ratio <= JOURNAL_OVERHEAD_CEILING, (
+        f"journaled scan {best[True]:.3f}s is {ratio:.2f}x the "
+        f"un-journaled {best[False]:.3f}s")

@@ -65,6 +65,7 @@ class SectionComposer:
                 last_slot=section.last_slot, detail=detail)
             self._ids[section.index] = section_id
             handle.link_section(section_id)
+        handle.flush()  # one commit for the interned and linked sections
         self._rows: dict[int, dict] = {}
 
     # -- store access ---------------------------------------------------------
@@ -170,7 +171,6 @@ def compose_into_completed(composer, live, completed, handle,
                       [(bit, outcome.value, end_cycle, trap)
                        for bit, outcome, end_cycle, trap in rows]))
         report.composed_hits += len(rows)
-    # One transaction for the whole composition: composing dozens of
-    # classes must not pay dozens of fsyncs.
+    # One journal unit (one executemany) for the whole composition.
     handle.record_classes(batch)
     return len(batch)

@@ -28,8 +28,10 @@ expired or orphaned leases are re-queued with exponential backoff and a
 retry budget; shards that exhaust it degrade into
 ``ExecutionReport.missing`` instead of hanging the campaign.  The
 coordinator itself is restartable: results and lease retry state are
-journaled as they arrive, so a new coordinator pointed at the same
-journal resumes with only in-flight work lost.
+journaled as they arrive and committed at the latest by the next
+watchdog tick, so a new coordinator pointed at the same journal resumes
+with only in-flight work lost (a SIGKILLed one: the journal's last
+commit window as well).
 
 **Supervision and integrity** sit on top of the lease board:
 
@@ -253,18 +255,18 @@ class DistCoordinator:
         journal = self.journal
         if journal is None:
             journal = owned = ExperimentJournal(":memory:")
-        handle = open_campaign(journal, golden, domain, "full-scan",
-                               self._journal_params())
         try:
-            if not self.resume:
-                handle.clear()
-            return await self._serve(handle, partition)
+            # Leaving the handle commits every accepted class, however
+            # the serve loop ended, and closes a path-opened file
+            # (closing checkpoints the WAL into the main file, so the
+            # journal on disk is whole, copyable and salvage-friendly
+            # afterwards).
+            with open_campaign(journal, golden, domain, "full-scan",
+                               self._journal_params()) as handle:
+                if not self.resume:
+                    handle.clear()
+                return await self._serve(handle, partition)
         finally:
-            # Close whichever journal this coordinator opened itself —
-            # the in-memory fallback or a path-opened file (closing
-            # checkpoints the WAL into the main file, so the journal on
-            # disk is whole, copyable and salvage-friendly afterwards).
-            handle.close()
             if owned is not None:
                 owned.close()
 
@@ -395,6 +397,10 @@ class DistCoordinator:
                 self._journal_leases()
             self._drain_crosschecks(now)
             self._maybe_finish()
+            # Results arrive in bursts; whatever the last burst left in
+            # the journal's commit window is committed before the loop
+            # idles.
+            self.handle.flush()
 
     # -- per-connection protocol ------------------------------------------------
 

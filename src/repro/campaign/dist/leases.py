@@ -77,6 +77,9 @@ class _Shard:
     keys: tuple[Key, ...]
     #: Keys not yet accounted, in execution order.
     remaining: list[Key]
+    #: Summed estimated cost of ``remaining``, kept current by the board
+    #: (re-summing per accepted class is quadratic in the shard size).
+    remaining_cost: int = 0
     attempts: int = 0
     available_at: float = 0.0
     status: str = PENDING
@@ -110,13 +113,25 @@ class LeaseBoard:
     _shards: list[_Shard] = field(default_factory=list)
     _next_lease_id: int = 0
 
-    def add_shard(self, index: int, keys: list[Key],
-                  remaining: list[Key]) -> None:
-        shard = _Shard(index=index, keys=tuple(keys),
-                       remaining=list(remaining))
+    def _append_shard(self, keys, remaining, index=None,
+                      **state) -> _Shard:
+        """Append a shard (at the next index unless given one); born
+        done when empty."""
+        shard = _Shard(
+            index=len(self._shards) if index is None else index,
+            keys=tuple(keys),
+            remaining=list(remaining),
+            remaining_cost=sum(self.key_costs.get(key, 1)
+                               for key in remaining),
+            **state)
         if not shard.remaining:
             shard.status = DONE
         self._shards.append(shard)
+        return shard
+
+    def add_shard(self, index: int, keys: list[Key],
+                  remaining: list[Key]) -> None:
+        self._append_shard(keys, remaining, index=index)
 
     def restore(self, index: int, *, attempts: int, status: str) -> None:
         """Re-apply journaled retry state after a coordinator restart."""
@@ -161,9 +176,6 @@ class LeaseBoard:
                 if shard.status == PENDING
                 and len(shard.failed_workers) >= workers]
 
-    def _remaining_cost(self, shard: _Shard) -> int:
-        return sum(self.key_costs.get(key, 1) for key in shard.remaining)
-
     # -- transitions -----------------------------------------------------------
 
     def acquire(self, worker: str, now: float) \
@@ -199,8 +211,7 @@ class LeaseBoard:
         lease = ShardLease(
             lease_id=self._next_lease_id, shard=shard.index,
             worker=worker, keys=tuple(shard.remaining), granted_at=now,
-            deadline=now + self.policy.deadline_for(
-                self._remaining_cost(shard)))
+            deadline=now + self.policy.deadline_for(shard.remaining_cost))
         shard.status = LEASED
         shard.lease = lease
         return lease
@@ -221,6 +232,7 @@ class LeaseBoard:
             shard.remaining.remove(key)
         except ValueError:
             return False
+        shard.remaining_cost -= self.key_costs.get(key, 1)
         if shard.lease is not None \
                 and (worker is None or shard.lease.worker == worker):
             shard.lease.progressed = True
@@ -229,7 +241,7 @@ class LeaseBoard:
             shard.lease = None
         elif shard.lease is not None:
             shard.lease.deadline = now + self.policy.deadline_for(
-                self._remaining_cost(shard))
+                shard.remaining_cost)
         return True
 
     def finish(self, shard_index: int, lease_id: int, now: float) -> None:
@@ -305,14 +317,12 @@ class LeaseBoard:
         if shard.status != PENDING or len(shard.remaining) < 2:
             return []
         half = len(shard.remaining) // 2
-        children = []
-        for part in (shard.remaining[:half], shard.remaining[half:]):
-            child = _Shard(index=len(self._shards), keys=tuple(part),
-                           remaining=list(part))
-            self._shards.append(child)
-            children.append(child.index)
+        children = [self._append_shard(part, part).index
+                    for part in (shard.remaining[:half],
+                                 shard.remaining[half:])]
         shard.status = SPLIT
         shard.remaining = []
+        shard.remaining_cost = 0
         shard.lease = None
         self.splits += 1
         return children
@@ -335,11 +345,6 @@ class LeaseBoard:
         shard refuses until ``now + exclusion_seconds``.  The shard
         gets a full fresh retry budget.
         """
-        child = _Shard(index=len(self._shards), keys=tuple(keys),
-                       remaining=list(keys),
-                       excluded=frozenset(excluded),
-                       excluded_until=now + exclusion_seconds)
-        if not child.remaining:
-            child.status = DONE
-        self._shards.append(child)
-        return child.index
+        return self._append_shard(
+            keys, keys, excluded=frozenset(excluded),
+            excluded_until=now + exclusion_seconds).index

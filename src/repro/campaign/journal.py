@@ -32,12 +32,26 @@ result granularities match the three campaign styles:
   experiments belong to (a changed seed or sample count raises
   :class:`JournalMismatchError` instead of silently mixing campaigns).
 
-Writes are transactional at the unit the campaign treats as atomic (one
-class, one slot, one shard): a crash between units loses at most the
-unit in flight, and a resumed campaign re-runs exactly the units the
-journal does not contain.  The contract — enforced by the differential
-tests in ``tests/campaign/test_resume.py`` — is that a resumed campaign
-produces a result *bit-for-bit identical* to an uninterrupted one.
+Writes are group-committed.  Every unit the campaign treats as atomic
+(one class, one slot, one batch of sampled experiments, one class's
+section rows) is buffered whole on the journal object — a unit's rows
+never straddle two commits, so a resume never sees half a class — and
+the buffered window is executed and committed as one short transaction
+(default ``synchronous``, one fsync) by the first write that finds it
+older than :data:`COMMIT_WINDOW_S`, by every bookkeeping write
+(``mark_complete``, ``clear``, ``discard_classes``, ``record_lease``,
+``record_event``), by ``close``, by :meth:`CampaignJournal.flush`,
+which the drivers call whenever they are about to go idle, and by any
+read through the same journal object (so a writer always reads its own
+writes).  The SQLite write lock is held only for that transaction,
+never across the window: several campaigns — processes, even — may
+write one journal file concurrently.  All three drivers hold the handle
+in a ``with`` block, so an exception or ^C still loses nothing; only a
+SIGKILL or power cut loses at most the last window plus the unit in
+flight.  A resumed campaign re-runs exactly the units the journal does
+not contain, and the contract — enforced by the differential tests in
+``tests/campaign/test_resume.py`` — is that it produces a result
+*bit-for-bit identical* to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -45,6 +59,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -59,6 +74,16 @@ from .outcomes import Outcome
 #: open.  Journals written by a *newer* build than this one are
 #: rejected instead of silently misread.
 SCHEMA_VERSION = 3
+
+#: Longest a unit write may sit uncommitted while the campaign keeps
+#: writing: the write that finds the buffered window this old commits
+#: it.  Bounds what a SIGKILL or power cut can lose, and amortizes the
+#: commit's fsync over every unit written in between.
+COMMIT_WINDOW_S = 0.25
+
+#: The commit window's clock (module-level so tests can substitute a
+#: virtual one).
+_clock = time.monotonic
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -312,6 +337,14 @@ class ExperimentJournal:
 
     def __init__(self, path: str | Path, *, salvage: bool = False):
         self.path = str(path)
+        #: The commit window: ``(sql, rows, class keys)`` units not yet
+        #: executed, the clock reading of the first one (``None`` while
+        #: empty), and the ``(campaign, axis, first_slot)`` keys among
+        #: them for :meth:`CampaignJournal.merge_class`'s dedup.
+        self._pending: list[tuple[str, list[tuple], tuple]] = []
+        self._pending_since: float | None = None
+        self._pending_classes: set[tuple[int, int, int]] = set()
+        self._closed = False
         #: Set when opening salvaged a corrupt file (``salvage=True``).
         self.salvage_report: SalvageReport | None = None
         try:
@@ -332,10 +365,9 @@ class ExperimentJournal:
             "SELECT value FROM meta WHERE key = 'schema_version'") \
             .fetchone()
         if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)))
-            self._conn.commit()
+            self._write("INSERT INTO meta (key, value) VALUES (?, ?)",
+                        [("schema_version", str(SCHEMA_VERSION))])
+            self.flush()
             return
         try:
             stored = int(row[0])
@@ -352,10 +384,10 @@ class ExperimentJournal:
             # Versions 1 → 2 differ only by additive tables, which the
             # executescript above already created; migration is just the
             # version stamp.  Existing rows are untouched — no data loss.
-            self._conn.execute(
+            self._write(
                 "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(SCHEMA_VERSION),))
-            self._conn.commit()
+                [(str(SCHEMA_VERSION),)])
+            self.flush()
 
     def _connect(self) -> sqlite3.Connection:
         """Open, integrity-check and schema-initialize the database."""
@@ -387,8 +419,67 @@ class ExperimentJournal:
 
     # -- lifecycle ------------------------------------------------------------
 
+    def _write(self, sql: str, rows: list[tuple],
+               class_keys: tuple = ()) -> None:
+        """The one write path: buffer ``rows`` as one unit of the window.
+
+        The rows of one call commit together or not at all.  The call
+        that finds the window older than :data:`COMMIT_WINDOW_S`
+        commits it, its own rows included.  Nothing touches the
+        database — or takes its write lock — before that commit.
+        """
+        if not rows:
+            return
+        self._pending.append((sql, rows, class_keys))
+        self._pending_classes.update(class_keys)
+        now = _clock()
+        if self._pending_since is None:
+            self._pending_since = now
+        elif now - self._pending_since >= COMMIT_WINDOW_S:
+            self.flush()
+
+    def flush(self) -> None:
+        """Execute and commit the window in one transaction (one fsync);
+        a no-op when clean or closed.
+
+        A failed commit leaves the database as it was and the window
+        buffered, so the next flush retries it: a busy or full disk
+        loses nothing.  Only a unit the database itself rejects (a
+        constraint or binding error) is dropped, whole, before the
+        error is re-raised.
+        """
+        if self._closed or not self._pending:
+            return
+        unit = 0
+        try:
+            with self._conn:
+                self._conn.execute("BEGIN IMMEDIATE")
+                for unit, (sql, rows, _) in enumerate(self._pending):
+                    self._conn.executemany(sql, rows)
+        except sqlite3.Error as exc:
+            if not isinstance(exc, sqlite3.OperationalError):
+                self._pending_classes.difference_update(
+                    self._pending.pop(unit)[2])
+            raise
+        self._pending.clear()
+        self._pending_classes.clear()
+        self._pending_since = None
+
+    def _query(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
+        """The one read path: commit the window, then SELECT — a journal
+        object always reads its own writes."""
+        self.flush()
+        return self._conn.execute(sql, params)
+
     def close(self) -> None:
-        self._conn.close()
+        """Commit and close; safe to call more than once."""
+        if self._closed:
+            return
+        try:
+            self.flush()
+        finally:
+            self._conn.close()
+            self._closed = True
 
     def __enter__(self) -> "ExperimentJournal":
         return self
@@ -408,24 +499,25 @@ class ExperimentJournal:
         or program changed under the journal.
         """
         encoded = canonical_params(params)
-        row = self._conn.execute(
-            "SELECT id, cycles FROM campaigns WHERE fingerprint = ? AND "
-            "domain = ? AND kind = ? AND params = ?",
-            (fingerprint, domain, kind, encoded)).fetchone()
-        if row is not None:
-            campaign_id, stored_cycles = row
-            if stored_cycles != cycles:
-                raise JournalMismatchError(
-                    f"journaled campaign {kind!r} for {fingerprint} was "
-                    f"recorded at Δt={stored_cycles} cycles, but the "
-                    f"golden run now spans Δt={cycles}")
-            return CampaignJournal(self, campaign_id)
-        cursor = self._conn.execute(
-            "INSERT INTO campaigns (fingerprint, domain, kind, params, "
-            "cycles) VALUES (?, ?, ?, ?, ?)",
-            (fingerprint, domain, kind, encoded, cycles))
-        self._conn.commit()
-        return CampaignJournal(self, cursor.lastrowid)
+        select = ("SELECT id, cycles FROM campaigns WHERE fingerprint = ? "
+                  "AND domain = ? AND kind = ? AND params = ?",
+                  (fingerprint, domain, kind, encoded))
+        row = self._query(*select).fetchone()
+        if row is None:
+            # OR IGNORE: another process may be creating the same
+            # campaign on this file right now.
+            self._write(
+                "INSERT OR IGNORE INTO campaigns (fingerprint, domain, "
+                "kind, params, cycles) VALUES (?, ?, ?, ?, ?)",
+                [(fingerprint, domain, kind, encoded, cycles)])
+            row = self._query(*select).fetchone()
+        campaign_id, stored_cycles = row
+        if stored_cycles != cycles:
+            raise JournalMismatchError(
+                f"journaled campaign {kind!r} for {fingerprint} was "
+                f"recorded at Δt={stored_cycles} cycles, but the "
+                f"golden run now spans Δt={cycles}")
+        return CampaignJournal(self, campaign_id)
 
     def fabric_report(self) -> list[dict]:
         """Per-campaign distributed-fabric state for ``repro fabric``.
@@ -440,14 +532,14 @@ class ExperimentJournal:
             entry["leases"] = [
                 {"shard": shard, "worker": worker,
                  "attempts": attempts, "status": status}
-                for shard, worker, attempts, status in self._conn.execute(
+                for shard, worker, attempts, status in self._query(
                     "SELECT shard, worker, attempts, status FROM leases "
                     "WHERE campaign_id = ? ORDER BY shard",
                     (campaign_id,))]
             entry["events"] = [
                 {"at": at, "worker": worker, "kind": kind,
                  "detail": detail}
-                for at, worker, kind, detail in self._conn.execute(
+                for at, worker, kind, detail in self._query(
                     "SELECT at, worker, kind, detail FROM fabric_events "
                     "WHERE campaign_id = ? ORDER BY id",
                     (campaign_id,))]
@@ -457,14 +549,14 @@ class ExperimentJournal:
     def campaigns(self) -> list[dict]:
         """All journaled campaigns with their progress counts."""
         out = []
-        for row in self._conn.execute(
+        for row in self._query(
                 "SELECT id, fingerprint, domain, kind, params, cycles, "
                 "status FROM campaigns ORDER BY id"):
             campaign_id = row[0]
-            classes = self._conn.execute(
+            classes = self._query(
                 "SELECT COUNT(*) FROM class_results WHERE campaign_id "
                 "= ?", (campaign_id,)).fetchone()[0]
-            coords = self._conn.execute(
+            coords = self._query(
                 "SELECT COUNT(*) FROM coordinate_results WHERE "
                 "campaign_id = ?", (campaign_id,)).fetchone()[0]
             out.append({
@@ -490,17 +582,18 @@ class ExperimentJournal:
         fingerprint is the identity, everything else is bookkeeping for
         ``repro journal`` listings.
         """
-        row = self._conn.execute(
-            "SELECT id FROM sections WHERE fingerprint = ?",
-            (fingerprint,)).fetchone()
-        if row is not None:
-            return row[0]
-        cursor = self._conn.execute(
-            "INSERT INTO sections (fingerprint, program, domain, "
-            "first_slot, last_slot, detail) VALUES (?, ?, ?, ?, ?, ?)",
-            (fingerprint, program, domain, first_slot, last_slot, detail))
-        self._conn.commit()
-        return cursor.lastrowid
+        select = ("SELECT id FROM sections WHERE fingerprint = ?",
+                  (fingerprint,))
+        row = self._query(*select).fetchone()
+        if row is None:
+            self._write(
+                "INSERT OR IGNORE INTO sections (fingerprint, program, "
+                "domain, first_slot, last_slot, detail) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                [(fingerprint, program, domain, first_slot, last_slot,
+                  detail)])
+            row = self._query(*select).fetchone()
+        return row[0]
 
     def merge_section_rows(
             self, section_id: int,
@@ -513,13 +606,12 @@ class ExperimentJournal:
         are deterministic, so a duplicate necessarily carries identical
         values and dropping it is sound.
         """
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO section_results (section_id, "
-                "slot, axis, bit, outcome, end_cycle, trap) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(section_id, slot, axis, bit, outcome, end_cycle, trap)
-                 for slot, axis, bit, outcome, end_cycle, trap in rows])
+        self._write(
+            "INSERT OR IGNORE INTO section_results (section_id, "
+            "slot, axis, bit, outcome, end_cycle, trap) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            [(section_id, slot, axis, bit, outcome, end_cycle, trap)
+             for slot, axis, bit, outcome, end_cycle, trap in rows])
 
     def section_rows(self, section_id: int) \
             -> dict[tuple[int, int, int], tuple[Outcome, int, str]]:
@@ -527,7 +619,7 @@ class ExperimentJournal:
         return {
             (slot, axis, bit): (Outcome(outcome), end_cycle, trap)
             for slot, axis, bit, outcome, end_cycle, trap in
-            self._conn.execute(
+            self._query(
                 "SELECT slot, axis, bit, outcome, end_cycle, trap "
                 "FROM section_results WHERE section_id = ?",
                 (section_id,))
@@ -536,14 +628,14 @@ class ExperimentJournal:
     def sections(self) -> list[dict]:
         """All stored sections with their result and reference counts."""
         out = []
-        for row in self._conn.execute(
+        for row in self._query(
                 "SELECT id, fingerprint, program, domain, first_slot, "
                 "last_slot, detail FROM sections ORDER BY id"):
             section_id = row[0]
-            results = self._conn.execute(
+            results = self._query(
                 "SELECT COUNT(*) FROM section_results WHERE "
                 "section_id = ?", (section_id,)).fetchone()[0]
-            referenced = self._conn.execute(
+            referenced = self._query(
                 "SELECT COUNT(*) FROM campaign_sections WHERE "
                 "section_id = ?", (section_id,)).fetchone()[0]
             out.append({
@@ -561,21 +653,18 @@ class ExperimentJournal:
 
     def gc_sections(self) -> int:
         """Drop sections no campaign references; returns sections freed."""
-        orphans = [row[0] for row in self._conn.execute(
+        orphans = [row[0] for row in self._query(
             "SELECT id FROM sections WHERE id NOT IN "
             "(SELECT section_id FROM campaign_sections)")]
-        with self._conn:
-            for section_id in orphans:
-                self._conn.execute(
-                    "DELETE FROM section_results WHERE section_id = ?",
-                    (section_id,))
-                self._conn.execute(
-                    "DELETE FROM sections WHERE id = ?", (section_id,))
+        ids = [(section_id,) for section_id in orphans]
+        self._write("DELETE FROM section_results WHERE section_id = ?", ids)
+        self._write("DELETE FROM sections WHERE id = ?", ids)
+        self.flush()
         return len(orphans)
 
     def schema_version(self) -> int:
         """The schema version stamped in this journal file."""
-        row = self._conn.execute(
+        row = self._query(
             "SELECT value FROM meta WHERE key = 'schema_version'") \
             .fetchone()
         return int(row[0])
@@ -587,7 +676,7 @@ class ExperimentJournal:
                   "section_results", "campaign_sections", "summaries",
                   "fabric_events")
         report = {
-            table: self._conn.execute(
+            table: self._query(
                 f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in tables
         }
@@ -602,15 +691,15 @@ class ExperimentJournal:
     def store_summary(self, fingerprint: str, domain: str, name: str,
                       summary: str) -> None:
         """Store one campaign summary (JSON text) keyed by identity."""
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO summaries (fingerprint, domain, "
-                "name, summary) VALUES (?, ?, ?, ?)",
-                (fingerprint, domain, name, summary))
+        self._write(
+            "INSERT OR REPLACE INTO summaries (fingerprint, domain, "
+            "name, summary) VALUES (?, ?, ?, ?)",
+            [(fingerprint, domain, name, summary)])
+        self.flush()
 
     def load_summary(self, fingerprint: str, domain: str) -> str | None:
         """The stored summary JSON for this identity, or None."""
-        row = self._conn.execute(
+        row = self._query(
             "SELECT summary FROM summaries WHERE fingerprint = ? AND "
             "domain = ?", (fingerprint, domain)).fetchone()
         return None if row is None else row[0]
@@ -630,29 +719,47 @@ class CampaignJournal:
         #: connection leaves every result in the ``-wal`` sidecar).
         self.owned_journal: ExperimentJournal | None = None
 
-    def close(self) -> None:
-        """Release the journal connection if this handle owns it.
+    def flush(self) -> None:
+        """Commit everything written so far.
 
-        A no-op for handles over caller-provided journals; safe to call
+        Drivers call this whenever they are about to go idle (the pool
+        parent after merging a shard, the coordinator on its watchdog
+        tick), so rows never wait for a next write that may be minutes
+        away.
+        """
+        self.journal.flush()
+
+    def close(self) -> None:
+        """Commit, and release the journal connection if owned.
+
+        Handles over caller-provided journals only commit; safe to call
         more than once.
         """
-        if self.owned_journal is not None:
-            self.owned_journal.close()
-            self.owned_journal = None
+        owned, self.owned_journal = self.owned_journal, None
+        if owned is not None:
+            owned.close()
+        else:
+            self.journal.flush()
+
+    def __enter__(self) -> "CampaignJournal":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- status ---------------------------------------------------------------
 
     @property
     def status(self) -> str:
-        return self._conn.execute(
+        return self.journal._query(
             "SELECT status FROM campaigns WHERE id = ?",
             (self.campaign_id,)).fetchone()[0]
 
     def mark_complete(self) -> None:
-        self._conn.execute(
+        self.journal._write(
             "UPDATE campaigns SET status = 'complete' WHERE id = ?",
-            (self.campaign_id,))
-        self._conn.commit()
+            [(self.campaign_id,)])
+        self.journal.flush()
 
     def clear(self) -> None:
         """Discard every journaled result of this campaign (fresh start).
@@ -663,24 +770,23 @@ class CampaignJournal:
         re-running this campaign fresh will re-derive (and compose
         from) them.
         """
-        with self._conn:
-            for table in ("class_results", "coordinate_results",
-                          "sampler_state", "leases", "campaign_sections",
-                          "fabric_events"):
-                self._conn.execute(
-                    f"DELETE FROM {table} WHERE campaign_id = ?",
-                    (self.campaign_id,))
-            self._conn.execute(
-                "UPDATE campaigns SET status = 'running' WHERE id = ?",
-                (self.campaign_id,))
+        for table in ("class_results", "coordinate_results",
+                      "sampler_state", "leases", "campaign_sections",
+                      "fabric_events"):
+            self.journal._write(
+                f"DELETE FROM {table} WHERE campaign_id = ?",
+                [(self.campaign_id,)])
+        self.journal._write(
+            "UPDATE campaigns SET status = 'running' WHERE id = ?",
+            [(self.campaign_id,)])
+        self.journal.flush()
 
     def link_section(self, section_id: int) -> None:
         """Mark this campaign as referencing a stored section."""
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO campaign_sections (campaign_id, "
-                "section_id) VALUES (?, ?)",
-                (self.campaign_id, section_id))
+        self.journal._write(
+            "INSERT OR IGNORE INTO campaign_sections (campaign_id, "
+            "section_id) VALUES (?, ?)",
+            [(self.campaign_id, section_id)])
 
     # -- full-scan classes ----------------------------------------------------
 
@@ -689,46 +795,48 @@ class CampaignJournal:
         """Journal one live class atomically.
 
         ``rows`` holds ``(bit, outcome_value, end_cycle, trap)`` for each
-        of the class's representative experiments.  The transaction is
-        the crash-tolerance unit: a class is journaled entirely or not
-        at all, so resumes never see half a class.
+        of the class's representative experiments.  The class is the
+        crash-tolerance unit: its rows join the commit window
+        together, so a class is journaled entirely or not at all and
+        resumes never see half a class.
         """
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO class_results (campaign_id, "
-                "axis, first_slot, bit, outcome, end_cycle, trap) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(self.campaign_id, axis, first_slot, bit, outcome,
-                  end_cycle, trap)
-                 for bit, outcome, end_cycle, trap in rows])
+        self.journal._write(
+            "INSERT OR REPLACE INTO class_results (campaign_id, "
+            "axis, first_slot, bit, outcome, end_cycle, trap) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            [(self.campaign_id, axis, first_slot, bit, outcome,
+              end_cycle, trap)
+             for bit, outcome, end_cycle, trap in rows],
+            class_keys=((self.campaign_id, axis, first_slot),))
 
     def record_classes(
             self,
             classes: Iterable[tuple[int, int, Iterable]]) -> None:
-        """Journal many live classes in one transaction.
+        """Journal many live classes as one unit.
 
         ``classes`` holds ``(axis, first_slot, rows)`` triples in
         :meth:`record_class` form.  Used when composing from the
-        section store, where dozens of classes arrive at once and
-        per-class transactions would pay one fsync each; atomicity per
-        class still holds because the whole batch commits together.
+        section store, where dozens of classes arrive at once; the
+        whole batch joins the commit window together.
         """
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO class_results (campaign_id, "
-                "axis, first_slot, bit, outcome, end_cycle, trap) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(self.campaign_id, axis, first_slot, bit, outcome,
-                  end_cycle, trap)
-                 for axis, first_slot, rows in classes
-                 for bit, outcome, end_cycle, trap in rows])
+        classes = list(classes)
+        self.journal._write(
+            "INSERT OR REPLACE INTO class_results (campaign_id, "
+            "axis, first_slot, bit, outcome, end_cycle, trap) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            [(self.campaign_id, axis, first_slot, bit, outcome,
+              end_cycle, trap)
+             for axis, first_slot, rows in classes
+             for bit, outcome, end_cycle, trap in rows],
+            class_keys=tuple((self.campaign_id, axis, first_slot)
+                             for axis, first_slot, _ in classes))
 
     def completed_classes(self) \
             -> dict[tuple[int, int], list[tuple[int, Outcome, int, str]]]:
         """Journaled classes: ``(axis, first_slot)`` → per-bit rows."""
         out: dict[tuple[int, int], list] = {}
         for axis, first_slot, bit, outcome, end_cycle, trap in \
-                self._conn.execute(
+                self.journal._query(
                     "SELECT axis, first_slot, bit, outcome, end_cycle, "
                     "trap FROM class_results WHERE campaign_id = ? "
                     "ORDER BY axis, first_slot, bit",
@@ -749,11 +857,14 @@ class CampaignJournal:
         too.  Experiments are deterministic, so a duplicate submission
         necessarily carries the same rows; the first one wins.
         """
-        row = self._conn.execute(
-            "SELECT 1 FROM class_results WHERE campaign_id = ? AND "
-            "axis = ? AND first_slot = ? LIMIT 1",
-            (self.campaign_id, axis, first_slot)).fetchone()
-        if row is not None:
+        # The window is consulted in memory — reading it back through
+        # ``_query`` would commit per class.
+        journal = self.journal
+        if (self.campaign_id, axis, first_slot) in journal._pending_classes \
+                or journal._conn.execute(
+                    "SELECT 1 FROM class_results WHERE campaign_id = ? "
+                    "AND axis = ? AND first_slot = ? LIMIT 1",
+                    (self.campaign_id, axis, first_slot)).fetchone():
             return False
         self.record_class(axis, first_slot, rows)
         return True
@@ -773,14 +884,15 @@ class CampaignJournal:
         keys = list(keys)
         if not keys:
             return 0
-        with self._conn:
-            before = self._conn.total_changes
-            self._conn.executemany(
-                "DELETE FROM class_results WHERE campaign_id = ? AND "
-                "axis = ? AND first_slot = ?",
-                [(self.campaign_id, axis, first_slot)
-                 for axis, first_slot in keys])
-            return self._conn.total_changes - before
+        self.journal.flush()
+        before = self._conn.total_changes
+        self.journal._write(
+            "DELETE FROM class_results WHERE campaign_id = ? AND "
+            "axis = ? AND first_slot = ?",
+            [(self.campaign_id, axis, first_slot)
+             for axis, first_slot in keys])
+        self.journal.flush()
+        return self._conn.total_changes - before
 
     # -- fabric event log -----------------------------------------------------
 
@@ -795,17 +907,17 @@ class CampaignJournal:
         never depend on it — but it is what ``repro fabric`` renders
         and what the chaos-soak telemetry uploads.
         """
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO fabric_events (campaign_id, at, worker, "
-                "kind, detail) VALUES (?, ?, ?, ?, ?)",
-                (self.campaign_id, at, worker, kind, detail))
+        self.journal._write(
+            "INSERT INTO fabric_events (campaign_id, at, worker, "
+            "kind, detail) VALUES (?, ?, ?, ?, ?)",
+            [(self.campaign_id, at, worker, kind, detail)])
+        self.journal.flush()
 
     def events(self) -> list[dict]:
         """Journaled fabric events of this campaign, oldest first."""
         return [
             {"at": at, "worker": worker, "kind": kind, "detail": detail}
-            for at, worker, kind, detail in self._conn.execute(
+            for at, worker, kind, detail in self.journal._query(
                 "SELECT at, worker, kind, detail FROM fabric_events "
                 "WHERE campaign_id = ? ORDER BY id",
                 (self.campaign_id,))
@@ -822,13 +934,12 @@ class CampaignJournal:
         shard plan changed (different ``--shards``) and discard stale
         attempt counts instead of mis-applying them.
         """
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO leases (campaign_id, shard, "
-                "keys, worker, attempts, status) VALUES (?, ?, ?, ?, "
-                "?, ?)",
-                (self.campaign_id, shard, keys, worker, attempts,
-                 status))
+        self.journal._write(
+            "INSERT OR REPLACE INTO leases (campaign_id, shard, "
+            "keys, worker, attempts, status) VALUES (?, ?, ?, ?, "
+            "?, ?)",
+            [(self.campaign_id, shard, keys, worker, attempts, status)])
+        self.journal.flush()
 
     def lease_states(self) -> dict[int, dict]:
         """Journaled lease state per shard index."""
@@ -836,7 +947,7 @@ class CampaignJournal:
             shard: {"keys": keys, "worker": worker,
                     "attempts": attempts, "status": status}
             for shard, keys, worker, attempts, status in
-            self._conn.execute(
+            self.journal._query(
                 "SELECT shard, keys, worker, attempts, status FROM "
                 "leases WHERE campaign_id = ?", (self.campaign_id,))
         }
@@ -846,20 +957,19 @@ class CampaignJournal:
     def record_experiments(self, rows: Iterable[tuple[int, int, int,
                                                       str]]) -> None:
         """Journal distinct sampled experiments ``(axis, first_slot,
-        bit, outcome_value)`` in one transaction."""
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO class_results (campaign_id, "
-                "axis, first_slot, bit, outcome) VALUES (?, ?, ?, ?, ?)",
-                [(self.campaign_id, axis, first_slot, bit, outcome)
-                 for axis, first_slot, bit, outcome in rows])
+        bit, outcome_value)`` as one unit."""
+        self.journal._write(
+            "INSERT OR REPLACE INTO class_results (campaign_id, "
+            "axis, first_slot, bit, outcome) VALUES (?, ?, ?, ?, ?)",
+            [(self.campaign_id, axis, first_slot, bit, outcome)
+             for axis, first_slot, bit, outcome in rows])
 
     def completed_experiments(self) \
             -> dict[tuple[int, int, int], Outcome]:
         """Journaled sampled experiments keyed ``(axis, first_slot, bit)``."""
         return {
             (axis, first_slot, bit): Outcome(outcome)
-            for axis, first_slot, bit, outcome in self._conn.execute(
+            for axis, first_slot, bit, outcome in self.journal._query(
                 "SELECT axis, first_slot, bit, outcome FROM "
                 "class_results WHERE campaign_id = ?",
                 (self.campaign_id,))
@@ -874,17 +984,16 @@ class CampaignJournal:
         ``rows`` holds ``(axis, bit, outcome_value)`` for every raw
         coordinate of the slot.
         """
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO coordinate_results (campaign_id, "
-                "slot, axis, bit, outcome) VALUES (?, ?, ?, ?, ?)",
-                [(self.campaign_id, slot, axis, bit, outcome)
-                 for axis, bit, outcome in rows])
+        self.journal._write(
+            "INSERT OR REPLACE INTO coordinate_results (campaign_id, "
+            "slot, axis, bit, outcome) VALUES (?, ?, ?, ?, ?)",
+            [(self.campaign_id, slot, axis, bit, outcome)
+             for axis, bit, outcome in rows])
 
     def completed_slots(self) -> dict[int, list[tuple[int, int, Outcome]]]:
         """Journaled slots: slot → ``(axis, bit, outcome)`` in scan order."""
         out: dict[int, list] = {}
-        for slot, axis, bit, outcome in self._conn.execute(
+        for slot, axis, bit, outcome in self.journal._query(
                 "SELECT slot, axis, bit, outcome FROM coordinate_results "
                 "WHERE campaign_id = ? ORDER BY slot, axis, bit",
                 (self.campaign_id,)):
@@ -895,15 +1004,15 @@ class CampaignJournal:
 
     def record_sampler_state(self, draws: int, rng_state: str) -> None:
         """Journal the sampler's post-draw RNG position."""
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO sampler_state (campaign_id, "
-                "draws, rng_state) VALUES (?, ?, ?)",
-                (self.campaign_id, draws, rng_state))
+        self.journal._write(
+            "INSERT OR REPLACE INTO sampler_state (campaign_id, "
+            "draws, rng_state) VALUES (?, ?, ?)",
+            [(self.campaign_id, draws, rng_state)])
+        self.journal.flush()
 
     def sampler_state(self) -> tuple[int, str] | None:
         """The journaled ``(draws, rng_state)``, or None if unrecorded."""
-        row = self._conn.execute(
+        row = self.journal._query(
             "SELECT draws, rng_state FROM sampler_state WHERE "
             "campaign_id = ?", (self.campaign_id,)).fetchone()
         return None if row is None else (row[0], row[1])
@@ -981,10 +1090,9 @@ def salvage_journal(path: str | Path) -> SalvageReport:
                 if rows:
                     cols = ", ".join(columns)
                     marks = ", ".join("?" * len(columns))
-                    with fresh._conn:
-                        fresh._conn.executemany(
-                            f"INSERT OR IGNORE INTO {table} ({cols}) "
-                            f"VALUES ({marks})", rows)
+                    fresh._write(
+                        f"INSERT OR IGNORE INTO {table} ({cols}) "
+                        f"VALUES ({marks})", rows)
                 recovered[table] = len(rows)
         finally:
             source.close()

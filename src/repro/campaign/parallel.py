@@ -59,8 +59,8 @@ Robustness (campaigns are long; machines are not reliable):
   campaign from a dead one.
 * **Journaling.**  ``journal=`` / ``resume=`` work exactly as in the
   serial runner (see :mod:`repro.campaign.journal`): the parent journals
-  each shard's results as it arrives, so a crash of the *driver* loses
-  at most the shards in flight.
+  and commits each shard's results as it arrives, so a crash of the
+  *driver* loses at most the shards in flight.
 
 Failure injection into the engine itself — needed to test the above
 deterministically — is provided by the ``REPRO_CHAOS`` environment
@@ -79,6 +79,7 @@ instances never cross the boundary; they are rebuilt per worker.
 from __future__ import annotations
 
 import concurrent.futures as cfutures
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -568,116 +569,117 @@ class ParallelCampaign:
             partition = domain.build_partition(golden)
         handle = open_campaign(journal, golden, domain, "full-scan",
                                self._journal_params())
-        completed = {}
-        if handle is not None:
-            if not resume:
-                handle.clear()
-            completed = handle.completed_classes()
-        live = partition.live_classes()  # sorted by injection slot
-        report = ExecutionReport(total_units=len(live))
-        # Compose store-known classes into ``completed`` before planning:
-        # composed classes never reach a shard, exactly like resumed ones.
-        composer = build_composer(handle, golden, domain,
-                                  self._journal_params())
-        compose_into_completed(composer, live, completed, handle, report)
-        todo = [interval for interval in live
-                if domain.class_key(interval) not in completed]
-        report.resumed = len(live) - len(todo)
-        by_key = {domain.class_key(interval): interval for interval in todo}
-        synthesized_keys: set[tuple[int, int]] = set()
-        # Journaling needs end_cycle/trap, so workers must ship records
-        # back even when the caller does not keep them.
-        want_records = keep_records or handle is not None
-        shards, shard_costs = plan_class_shards(
-            todo, golden.cycles, bits=domain.bits, parts=self.jobs)
-        costs = dict(enumerate(shard_costs))
-        tasks = [(index, (tuple(shard), want_records))
-                 for index, shard in enumerate(shards)]
-        timeout_cycles = self.config.timeout_cycles(golden.cycles)
-        fresh: dict[tuple[int, int], tuple] = {}
-        done = report.resumed
+        with handle or contextlib.nullcontext():
+            completed = {}
+            if handle is not None:
+                if not resume:
+                    handle.clear()
+                completed = handle.completed_classes()
+            live = partition.live_classes()  # sorted by injection slot
+            report = ExecutionReport(total_units=len(live))
+            # Compose store-known classes into ``completed`` before planning:
+            # composed classes never reach a shard, exactly like resumed ones.
+            composer = build_composer(handle, golden, domain,
+                                      self._journal_params())
+            compose_into_completed(composer, live, completed, handle, report)
+            todo = [interval for interval in live
+                    if domain.class_key(interval) not in completed]
+            report.resumed = len(live) - len(todo)
+            by_key = {domain.class_key(interval): interval for interval in todo}
+            synthesized_keys: set[tuple[int, int]] = set()
+            # Journaling needs end_cycle/trap, so workers must ship records
+            # back even when the caller does not keep them.
+            want_records = keep_records or handle is not None
+            shards, shard_costs = plan_class_shards(
+                todo, golden.cycles, bits=domain.bits, parts=self.jobs)
+            costs = dict(enumerate(shard_costs))
+            tasks = [(index, (tuple(shard), want_records))
+                     for index, shard in enumerate(shards)]
+            timeout_cycles = self.config.timeout_cycles(golden.cycles)
+            fresh: dict[tuple[int, int], tuple] = {}
+            done = report.resumed
 
-        def on_result(index, result):
-            nonlocal done
-            pairs, shard_records, hits, skips, tails = result
-            report.convergence_hits += hits
-            report.slice_hits += skips
-            report.scalar_tail_experiments += tails
-            record_iter = iter(shard_records)
-            for key, outcomes in pairs:
-                class_records = ([next(record_iter) for _ in outcomes]
-                                 if shard_records else [])
-                fresh[key] = (outcomes, class_records)
-                if handle is not None:
-                    handle.record_class(key[0], key[1], [
-                        (bit, record.outcome.value, record.end_cycle,
-                         record.trap)
-                        for bit, record in enumerate(class_records)])
-                    if key not in synthesized_keys:
-                        # Wall-clock-synthesized timeouts are scheduling
-                        # artifacts of this run; only simulator-produced
-                        # results enter the cross-campaign store.
-                        composer.store_class(by_key[key], [
-                            (bit, record.outcome, record.end_cycle,
+            def on_result(index, result):
+                nonlocal done
+                pairs, shard_records, hits, skips, tails = result
+                report.convergence_hits += hits
+                report.slice_hits += skips
+                report.scalar_tail_experiments += tails
+                record_iter = iter(shard_records)
+                for key, outcomes in pairs:
+                    class_records = ([next(record_iter) for _ in outcomes]
+                                     if shard_records else [])
+                    fresh[key] = (outcomes, class_records)
+                    if handle is not None:
+                        handle.record_class(key[0], key[1], [
+                            (bit, record.outcome.value, record.end_cycle,
                              record.trap)
                             for bit, record in enumerate(class_records)])
-            report.executed += len(pairs)
-            done += len(pairs)
-            if progress is not None:
-                progress(done, len(live))
+                        if key not in synthesized_keys:
+                            # Wall-clock-synthesized timeouts are scheduling
+                            # artifacts of this run; only simulator-produced
+                            # results enter the cross-campaign store.
+                            composer.store_class(by_key[key], [
+                                (bit, record.outcome, record.end_cycle,
+                                 record.trap)
+                                for bit, record in enumerate(class_records)])
+                if handle is not None:
+                    handle.flush()  # the parent now idles until a shard ends
+                report.executed += len(pairs)
+                done += len(pairs)
+                if progress is not None:
+                    progress(done, len(live))
 
-        def timeout_result(payload):
-            intervals, _ = payload
-            pairs = []
-            records: list[ExperimentRecord] = []
-            for interval in intervals:
-                synthesized_keys.add(domain.class_key(interval))
-                coords = interval.experiments()
-                pairs.append((domain.class_key(interval),
-                              tuple([Outcome.TIMEOUT] * len(coords))))
-                if want_records:
-                    records.extend(
-                        ExperimentRecord(coordinate=coord,
-                                         outcome=Outcome.TIMEOUT,
-                                         end_cycle=timeout_cycles)
-                        for coord in coords)
-                report.synthesized_timeouts += len(coords)
-            return pairs, records, 0, 0, 0
-
-        self._run_shards(
-            _scan_shard, tasks, costs=costs, report=report,
-            on_result=on_result, timeout_result=timeout_result,
-            heartbeat=(lambda: progress(done, len(live)))
-            if progress is not None else None)
-
-        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
-        records: list[ExperimentRecord] = []
-        missing = []
-        for interval in live:
-            key = domain.class_key(interval)
-            if key in fresh:
-                outcomes, class_records = fresh[key]
-                class_outcomes[key] = outcomes
-                if keep_records:
-                    records.extend(class_records)
-            elif key in completed:
-                rows = completed[key]
-                class_outcomes[key] = tuple(outcome for _, outcome, _, _
-                                            in rows)
-                if keep_records:
+            def timeout_result(payload):
+                intervals, _ = payload
+                pairs = []
+                records: list[ExperimentRecord] = []
+                for interval in intervals:
+                    synthesized_keys.add(domain.class_key(interval))
                     coords = interval.experiments()
-                    records.extend(
-                        ExperimentRecord(coordinate=coords[bit],
-                                         outcome=outcome,
-                                         end_cycle=end_cycle, trap=trap)
-                        for bit, outcome, end_cycle, trap in rows)
-            else:
-                missing.append(key)
-        report.missing = tuple(missing)
-        if handle is not None:
-            if report.complete:
+                    pairs.append((domain.class_key(interval),
+                                  tuple([Outcome.TIMEOUT] * len(coords))))
+                    if want_records:
+                        records.extend(
+                            ExperimentRecord(coordinate=coord,
+                                             outcome=Outcome.TIMEOUT,
+                                             end_cycle=timeout_cycles)
+                            for coord in coords)
+                    report.synthesized_timeouts += len(coords)
+                return pairs, records, 0, 0, 0
+
+            self._run_shards(
+                _scan_shard, tasks, costs=costs, report=report,
+                on_result=on_result, timeout_result=timeout_result,
+                heartbeat=(lambda: progress(done, len(live)))
+                if progress is not None else None)
+
+            class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
+            records: list[ExperimentRecord] = []
+            missing = []
+            for interval in live:
+                key = domain.class_key(interval)
+                if key in fresh:
+                    outcomes, class_records = fresh[key]
+                    class_outcomes[key] = outcomes
+                    if keep_records:
+                        records.extend(class_records)
+                elif key in completed:
+                    rows = completed[key]
+                    class_outcomes[key] = tuple(outcome for _, outcome, _, _
+                                                in rows)
+                    if keep_records:
+                        coords = interval.experiments()
+                        records.extend(
+                            ExperimentRecord(coordinate=coords[bit],
+                                             outcome=outcome,
+                                             end_cycle=end_cycle, trap=trap)
+                            for bit, outcome, end_cycle, trap in rows)
+                else:
+                    missing.append(key)
+            report.missing = tuple(missing)
+            if handle is not None and report.complete:
                 handle.mark_complete()
-            handle.close()
         return CampaignResult(golden=golden, partition=partition,
                               class_outcomes=class_outcomes, records=records,
                               domain=domain, execution=report)
@@ -691,73 +693,74 @@ class ParallelCampaign:
         domain = self.domain
         handle = open_campaign(journal, golden, domain, "brute-force",
                                self._journal_params())
-        completed = {}
-        if handle is not None:
-            if not resume:
-                handle.clear()
-            completed = handle.completed_slots()
-        all_slots = list(range(1, golden.cycles + 1))
-        todo = [slot for slot in all_slots if slot not in completed]
-        report = ExecutionReport(total_units=golden.cycles,
-                                 resumed=golden.cycles - len(todo))
-        slot_costs = [golden.cycles - slot + 1 or 1 for slot in todo]
-        shards = shard_by_cost(todo, slot_costs, self.jobs)
-        costs = {index: sum(golden.cycles - slot + 1 or 1 for slot in shard)
-                 for index, shard in enumerate(shards)}
-        tasks = [(index, tuple(shard)) for index, shard in enumerate(shards)]
-        space = domain.fault_space(golden)
-        fresh: dict[int, list] = {}
-        done = report.resumed
+        with handle or contextlib.nullcontext():
+            completed = {}
+            if handle is not None:
+                if not resume:
+                    handle.clear()
+                completed = handle.completed_slots()
+            all_slots = list(range(1, golden.cycles + 1))
+            todo = [slot for slot in all_slots if slot not in completed]
+            report = ExecutionReport(total_units=golden.cycles,
+                                     resumed=golden.cycles - len(todo))
+            slot_costs = [golden.cycles - slot + 1 or 1 for slot in todo]
+            shards = shard_by_cost(todo, slot_costs, self.jobs)
+            costs = {index: sum(golden.cycles - slot + 1 or 1 for slot in shard)
+                     for index, shard in enumerate(shards)}
+            tasks = [(index, tuple(shard)) for index, shard in enumerate(shards)]
+            space = domain.fault_space(golden)
+            fresh: dict[int, list] = {}
+            done = report.resumed
 
-        def on_result(index, result):
-            nonlocal done
-            slot_rows, hits, skips, tails = result
-            report.convergence_hits += hits
-            report.slice_hits += skips
-            report.scalar_tail_experiments += tails
-            for slot, rows in slot_rows:
-                fresh[slot] = rows
+            def on_result(index, result):
+                nonlocal done
+                slot_rows, hits, skips, tails = result
+                report.convergence_hits += hits
+                report.slice_hits += skips
+                report.scalar_tail_experiments += tails
+                for slot, rows in slot_rows:
+                    fresh[slot] = rows
+                    if handle is not None:
+                        handle.record_slot(slot, [(axis, bit, outcome.value)
+                                                  for axis, bit, outcome in rows])
                 if handle is not None:
-                    handle.record_slot(slot, [(axis, bit, outcome.value)
-                                              for axis, bit, outcome in rows])
-            report.executed += len(slot_rows)
-            done += len(slot_rows)
-            if progress is not None:
-                progress(done, golden.cycles)
+                    handle.flush()
+                report.executed += len(slot_rows)
+                done += len(slot_rows)
+                if progress is not None:
+                    progress(done, golden.cycles)
 
-        def timeout_result(slots):
-            out = []
-            for slot in slots:
-                rows = [(domain.coordinate_axis(coord), coord.bit,
-                         Outcome.TIMEOUT)
-                        for coord in domain.slot_coordinates(space, slot)]
-                report.synthesized_timeouts += len(rows)
-                out.append((slot, rows))
-            return out, 0, 0, 0
+            def timeout_result(slots):
+                out = []
+                for slot in slots:
+                    rows = [(domain.coordinate_axis(coord), coord.bit,
+                             Outcome.TIMEOUT)
+                            for coord in domain.slot_coordinates(space, slot)]
+                    report.synthesized_timeouts += len(rows)
+                    out.append((slot, rows))
+                return out, 0, 0, 0
 
-        self._run_shards(
-            _brute_shard, tasks, costs=costs, report=report,
-            on_result=on_result, timeout_result=timeout_result,
-            heartbeat=(lambda: progress(done, golden.cycles))
-            if progress is not None else None)
+            self._run_shards(
+                _brute_shard, tasks, costs=costs, report=report,
+                on_result=on_result, timeout_result=timeout_result,
+                heartbeat=(lambda: progress(done, golden.cycles))
+                if progress is not None else None)
 
-        outcomes: dict = {}
-        missing = []
-        for slot in all_slots:
-            if slot in fresh:
-                rows = fresh[slot]
-            elif slot in completed:
-                rows = completed[slot]
-            else:
-                missing.append(slot)
-                continue
-            for axis, bit, outcome in rows:
-                outcomes[domain.coordinate(slot, axis, bit)] = outcome
-        report.missing = tuple(missing)
-        if handle is not None:
-            if report.complete:
+            outcomes: dict = {}
+            missing = []
+            for slot in all_slots:
+                if slot in fresh:
+                    rows = fresh[slot]
+                elif slot in completed:
+                    rows = completed[slot]
+                else:
+                    missing.append(slot)
+                    continue
+                for axis, bit, outcome in rows:
+                    outcomes[domain.coordinate(slot, axis, bit)] = outcome
+            report.missing = tuple(missing)
+            if handle is not None and report.complete:
                 handle.mark_complete()
-            handle.close()
         return BruteForceResult(golden=golden, outcomes=outcomes,
                                 domain=domain, execution=report)
 
@@ -785,115 +788,115 @@ class ParallelCampaign:
             journal, golden, domain, "sampling",
             dict(self._journal_params(), seed=seed, sampler=sampler,
                  n_samples=n_samples))
-        if handle is not None and not resume:
-            handle.clear()
-        drawn, population, rng_state = _draw_classified(
-            golden, n_samples, seed, sampler, partition, domain)
-        journaled: dict[tuple[int, int, int], Outcome] = {}
-        if handle is not None:
-            handle.verify_sampler_state(len(drawn), rng_state)
-            journaled = handle.completed_experiments()
-        keyed: dict[tuple[int, int, int], object] = {}
-        for sample in drawn:
-            if sample.class_kind != LIVE:
-                continue
-            interval = partition.locate(sample.coordinate)
-            key = (domain.class_key(interval)
-                   + (domain.experiment_index(interval, sample.coordinate),))
-            if key not in keyed:
-                keyed[key] = domain.experiment_coordinate(interval, key[2])
-        items = sorted(keyed.items(),
-                       key=lambda kv: (kv[1].slot,
-                                       domain.coordinate_axis(kv[1]),
-                                       kv[1].bit))
-        cache: dict[tuple[int, int, int], Outcome] = {
-            key: journaled[key] for key, _ in items if key in journaled}
-        report = ExecutionReport(total_units=len(items), resumed=len(cache))
-        # Sections are keyed by executor parameters alone, so sampled
-        # campaigns compose from (and feed) the same store full scans use.
-        composer = build_composer(handle, golden, domain,
-                                  self._journal_params())
-        if composer is not None:
-            for key, coord in items:
-                if key in cache:
-                    continue
-                hit = composer.compose_experiment(coord.slot, key[0],
-                                                  key[2])
-                if hit is None:
-                    continue
-                cache[key] = hit[0]
-                handle.record_experiments(
-                    [(key[0], key[1], key[2], hit[0].value)])
-                report.resumed += 1
-                report.composed_hits += 1
-        todo = [(key, coord) for key, coord in items if key not in cache]
-        synthesized_keys: set = set()
-        item_costs = [max(1, golden.cycles - coord.slot + 1)
-                      for _, coord in todo]
-        shards = shard_by_cost(todo, item_costs, self.jobs)
-        costs = {index: sum(max(1, golden.cycles - coord.slot + 1)
-                            for _, coord in shard)
-                 for index, shard in enumerate(shards)}
-        tasks = [(index, tuple(shard)) for index, shard in enumerate(shards)]
-        done = len(cache)
-
-        def on_result(index, result):
-            nonlocal done
-            rows, hits, skips, tails = result
-            report.convergence_hits += hits
-            report.slice_hits += skips
-            report.scalar_tail_experiments += tails
+        with handle or contextlib.nullcontext():
+            if handle is not None and not resume:
+                handle.clear()
+            drawn, population, rng_state = _draw_classified(
+                golden, n_samples, seed, sampler, partition, domain)
+            journaled: dict[tuple[int, int, int], Outcome] = {}
             if handle is not None:
-                handle.record_experiments(
-                    [(key[0], key[1], key[2], outcome.value)
-                     for key, outcome, _, _ in rows])
-                for key, outcome, end_cycle, trap in rows:
-                    if key not in synthesized_keys:
-                        composer.store_experiment(
-                            keyed[key].slot, key[0], key[2], outcome,
-                            end_cycle, trap)
-            for key, outcome, _, _ in rows:
-                cache[key] = outcome
-            report.executed += len(rows)
-            done += len(rows)
-            if progress is not None:
-                progress(done, len(items))
+                handle.verify_sampler_state(len(drawn), rng_state)
+                journaled = handle.completed_experiments()
+            keyed: dict[tuple[int, int, int], object] = {}
+            for sample in drawn:
+                if sample.class_kind != LIVE:
+                    continue
+                interval = partition.locate(sample.coordinate)
+                key = (domain.class_key(interval)
+                       + (domain.experiment_index(interval, sample.coordinate),))
+                if key not in keyed:
+                    keyed[key] = domain.experiment_coordinate(interval, key[2])
+            items = sorted(keyed.items(),
+                           key=lambda kv: (kv[1].slot,
+                                           domain.coordinate_axis(kv[1]),
+                                           kv[1].bit))
+            cache: dict[tuple[int, int, int], Outcome] = {
+                key: journaled[key] for key, _ in items if key in journaled}
+            report = ExecutionReport(total_units=len(items), resumed=len(cache))
+            # Sections are keyed by executor parameters alone, so sampled
+            # campaigns compose from (and feed) the same store full scans use.
+            composer = build_composer(handle, golden, domain,
+                                      self._journal_params())
+            if composer is not None:
+                for key, coord in items:
+                    if key in cache:
+                        continue
+                    hit = composer.compose_experiment(coord.slot, key[0],
+                                                      key[2])
+                    if hit is None:
+                        continue
+                    cache[key] = hit[0]
+                    handle.record_experiments(
+                        [(key[0], key[1], key[2], hit[0].value)])
+                    report.resumed += 1
+                    report.composed_hits += 1
+            todo = [(key, coord) for key, coord in items if key not in cache]
+            synthesized_keys: set = set()
+            item_costs = [max(1, golden.cycles - coord.slot + 1)
+                          for _, coord in todo]
+            shards = shard_by_cost(todo, item_costs, self.jobs)
+            costs = {index: sum(max(1, golden.cycles - coord.slot + 1)
+                                for _, coord in shard)
+                     for index, shard in enumerate(shards)}
+            tasks = [(index, tuple(shard)) for index, shard in enumerate(shards)]
+            done = len(cache)
 
-        def timeout_result(shard):
-            report.synthesized_timeouts += len(shard)
-            synthesized_keys.update(key for key, _ in shard)
-            return ([(key, Outcome.TIMEOUT, 0, "") for key, _ in shard],
-                    0, 0, 0)
+            def on_result(index, result):
+                nonlocal done
+                rows, hits, skips, tails = result
+                report.convergence_hits += hits
+                report.slice_hits += skips
+                report.scalar_tail_experiments += tails
+                if handle is not None:
+                    handle.record_experiments(
+                        [(key[0], key[1], key[2], outcome.value)
+                         for key, outcome, _, _ in rows])
+                    for key, outcome, end_cycle, trap in rows:
+                        if key not in synthesized_keys:
+                            composer.store_experiment(
+                                keyed[key].slot, key[0], key[2], outcome,
+                                end_cycle, trap)
+                    handle.flush()
+                for key, outcome, _, _ in rows:
+                    cache[key] = outcome
+                report.executed += len(rows)
+                done += len(rows)
+                if progress is not None:
+                    progress(done, len(items))
 
-        self._run_shards(
-            _sampling_shard, tasks, costs=costs, report=report,
-            on_result=on_result, timeout_result=timeout_result,
-            heartbeat=(lambda: progress(done, len(items)))
-            if progress is not None else None)
+            def timeout_result(shard):
+                report.synthesized_timeouts += len(shard)
+                synthesized_keys.update(key for key, _ in shard)
+                return ([(key, Outcome.TIMEOUT, 0, "") for key, _ in shard],
+                        0, 0, 0)
 
-        samples: list[tuple] = []
-        missing: list = []
-        missing_seen: set = set()
-        for sample in drawn:
-            if sample.class_kind != LIVE:
-                samples.append((sample, Outcome.NO_EFFECT))
-                continue
-            interval = partition.locate(sample.coordinate)
-            key = (domain.class_key(interval)
-                   + (domain.experiment_index(interval, sample.coordinate),))
-            if key in cache:
-                samples.append((sample, cache[key]))
-            elif key not in missing_seen:
-                # Degraded campaign: the shard owning this experiment was
-                # abandoned, so its samples cannot be classified and are
-                # omitted from the (partial) result.
-                missing_seen.add(key)
-                missing.append(key)
-        report.missing = tuple(missing)
-        if handle is not None:
-            if report.complete:
+            self._run_shards(
+                _sampling_shard, tasks, costs=costs, report=report,
+                on_result=on_result, timeout_result=timeout_result,
+                heartbeat=(lambda: progress(done, len(items)))
+                if progress is not None else None)
+
+            samples: list[tuple] = []
+            missing: list = []
+            missing_seen: set = set()
+            for sample in drawn:
+                if sample.class_kind != LIVE:
+                    samples.append((sample, Outcome.NO_EFFECT))
+                    continue
+                interval = partition.locate(sample.coordinate)
+                key = (domain.class_key(interval)
+                       + (domain.experiment_index(interval, sample.coordinate),))
+                if key in cache:
+                    samples.append((sample, cache[key]))
+                elif key not in missing_seen:
+                    # Degraded campaign: the shard owning this experiment was
+                    # abandoned, so its samples cannot be classified and are
+                    # omitted from the (partial) result.
+                    missing_seen.add(key)
+                    missing.append(key)
+            report.missing = tuple(missing)
+            if handle is not None and report.complete:
                 handle.mark_complete()
-            handle.close()
         return SamplingResult(golden=golden, partition=partition,
                               samples=samples, population=population,
                               experiments_conducted=len(cache),

@@ -33,6 +33,7 @@ wall-clock timeouts, completeness).
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -267,87 +268,89 @@ def run_full_scan(golden: GoldenRun, *,
     tail_base = executor.scalar_tail_experiments
     handle = open_campaign(journal, golden, domain, "full-scan",
                            _executor_params(executor))
-    completed = {}
-    if handle is not None:
-        if not resume:
-            handle.clear()
-        completed = handle.completed_classes()
-    live = partition.live_classes()  # sorted by injection slot
-    report = ExecutionReport(total_units=len(live))
-    # Compose classes another campaign already executed for an identical
-    # program section: injecting them into ``completed`` up front routes
-    # them through the exact resume machinery below.
-    composer = build_composer(handle, golden, domain,
-                              _executor_params(executor))
-    compose_into_completed(composer, live, completed, handle, report)
-    class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
-    records: list[ExperimentRecord] = []
-    done = 0
-    index = 0
-    while index < len(live):
-        interval = live[index]
-        key = domain.class_key(interval)
-        if key in completed:
-            rows = completed[key]
-            class_outcomes[key] = tuple(outcome for _, outcome, _, _
-                                        in rows)
-            if keep_records:
-                coords = interval.experiments()
-                records.extend(
-                    ExperimentRecord(coordinate=coords[bit],
-                                     outcome=outcome, end_cycle=end_cycle,
-                                     trap=trap)
-                    for bit, outcome, end_cycle, trap in rows)
-            report.resumed += 1
-            index += 1
-            done += 1
-            if progress is not None:
-                progress(done, len(live))
-            continue
-        # Gather the run of fresh classes sharing this injection slot
-        # and submit their experiments together: live classes are
-        # slot-sorted, and a batch executor turns one same-slot group
-        # into lockstep lanes (a scalar executor just iterates).
-        group = [interval]
-        while index + len(group) < len(live):
-            nxt = live[index + len(group)]
-            if (nxt.injection_slot != interval.injection_slot
-                    or domain.class_key(nxt) in completed):
-                break
-            group.append(nxt)
-        results = executor.run_many(
-            [coord for member in group for coord in member.experiments()])
-        consumed = 0
-        for member in group:
-            member_key = domain.class_key(member)
-            width = len(member.experiments())
-            member_records = results[consumed:consumed + width]
-            consumed += width
-            class_outcomes[member_key] = tuple(
-                record.outcome for record in member_records)
-            if keep_records:
-                records.extend(member_records)
-            if handle is not None:
-                handle.record_class(
-                    member_key[0], member_key[1],
-                    [(bit, record.outcome.value, record.end_cycle,
-                      record.trap)
-                     for bit, record in enumerate(member_records)])
-                composer.store_class(member, [
-                    (bit, record.outcome, record.end_cycle, record.trap)
-                    for bit, record in enumerate(member_records)])
-            report.executed += 1
-            done += 1
-            if progress is not None:
-                progress(done, len(live))
-        index += len(group)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
+    # The handle commits (and closes a journal it owns) on every way
+    # out, so an exception or ^C keeps every class journaled so far.
+    with handle or nullcontext():
+        completed = {}
+        if handle is not None:
+            if not resume:
+                handle.clear()
+            completed = handle.completed_classes()
+        live = partition.live_classes()  # sorted by injection slot
+        report = ExecutionReport(total_units=len(live))
+        # Compose classes another campaign already executed for an identical
+        # program section: injecting them into ``completed`` up front routes
+        # them through the exact resume machinery below.
+        composer = build_composer(handle, golden, domain,
+                                  _executor_params(executor))
+        compose_into_completed(composer, live, completed, handle, report)
+        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
+        records: list[ExperimentRecord] = []
+        done = 0
+        index = 0
+        while index < len(live):
+            interval = live[index]
+            key = domain.class_key(interval)
+            if key in completed:
+                rows = completed[key]
+                class_outcomes[key] = tuple(outcome for _, outcome, _, _
+                                            in rows)
+                if keep_records:
+                    coords = interval.experiments()
+                    records.extend(
+                        ExperimentRecord(coordinate=coords[bit],
+                                         outcome=outcome, end_cycle=end_cycle,
+                                         trap=trap)
+                        for bit, outcome, end_cycle, trap in rows)
+                report.resumed += 1
+                index += 1
+                done += 1
+                if progress is not None:
+                    progress(done, len(live))
+                continue
+            # Gather the run of fresh classes sharing this injection slot
+            # and submit their experiments together: live classes are
+            # slot-sorted, and a batch executor turns one same-slot group
+            # into lockstep lanes (a scalar executor just iterates).
+            group = [interval]
+            while index + len(group) < len(live):
+                nxt = live[index + len(group)]
+                if (nxt.injection_slot != interval.injection_slot
+                        or domain.class_key(nxt) in completed):
+                    break
+                group.append(nxt)
+            results = executor.run_many(
+                [coord for member in group for coord in member.experiments()])
+            consumed = 0
+            for member in group:
+                member_key = domain.class_key(member)
+                width = len(member.experiments())
+                member_records = results[consumed:consumed + width]
+                consumed += width
+                class_outcomes[member_key] = tuple(
+                    record.outcome for record in member_records)
+                if keep_records:
+                    records.extend(member_records)
+                if handle is not None:
+                    handle.record_class(
+                        member_key[0], member_key[1],
+                        [(bit, record.outcome.value, record.end_cycle,
+                          record.trap)
+                         for bit, record in enumerate(member_records)])
+                    composer.store_class(member, [
+                        (bit, record.outcome, record.end_cycle, record.trap)
+                        for bit, record in enumerate(member_records)])
+                report.executed += 1
+                done += 1
+                if progress is not None:
+                    progress(done, len(live))
+            index += len(group)
+        report.convergence_hits = executor.convergence_hits - hits_base
+        report.slice_hits = executor.slice_hits - slice_base
+        report.scalar_tail_experiments = (executor.scalar_tail_experiments
+                                          - tail_base)
+        if handle is not None:
+            handle.mark_complete()
     return CampaignResult(golden=golden, partition=partition,
                           class_outcomes=class_outcomes, records=records,
                           domain=domain, execution=report)
@@ -399,39 +402,39 @@ def run_brute_force(golden: GoldenRun, *,
     tail_base = executor.scalar_tail_experiments
     handle = open_campaign(journal, golden, domain, "brute-force",
                            _executor_params(executor))
-    completed = {}
-    if handle is not None:
-        if not resume:
-            handle.clear()
-        completed = handle.completed_slots()
-    space = domain.fault_space(golden)
-    report = ExecutionReport(total_units=golden.cycles)
-    outcomes: dict = {}
-    # Iterate slot-major so the executor's fast-forward engages.
-    for slot in range(1, golden.cycles + 1):
-        if slot in completed:
-            for axis, bit, outcome in completed[slot]:
-                outcomes[domain.coordinate(slot, axis, bit)] = outcome
-            report.resumed += 1
-        else:
-            coords = list(domain.slot_coordinates(space, slot))
-            rows = []
-            for coord, record in zip(coords, executor.run_many(coords)):
-                outcomes[coord] = record.outcome
-                rows.append((domain.coordinate_axis(coord), coord.bit,
-                             record.outcome.value))
-            if handle is not None:
-                handle.record_slot(slot, rows)
-            report.executed += 1
-        if progress is not None:
-            progress(slot, golden.cycles)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
+    with handle or nullcontext():
+        completed = {}
+        if handle is not None:
+            if not resume:
+                handle.clear()
+            completed = handle.completed_slots()
+        space = domain.fault_space(golden)
+        report = ExecutionReport(total_units=golden.cycles)
+        outcomes: dict = {}
+        # Iterate slot-major so the executor's fast-forward engages.
+        for slot in range(1, golden.cycles + 1):
+            if slot in completed:
+                for axis, bit, outcome in completed[slot]:
+                    outcomes[domain.coordinate(slot, axis, bit)] = outcome
+                report.resumed += 1
+            else:
+                coords = list(domain.slot_coordinates(space, slot))
+                rows = []
+                for coord, record in zip(coords, executor.run_many(coords)):
+                    outcomes[coord] = record.outcome
+                    rows.append((domain.coordinate_axis(coord), coord.bit,
+                                 record.outcome.value))
+                if handle is not None:
+                    handle.record_slot(slot, rows)
+                report.executed += 1
+            if progress is not None:
+                progress(slot, golden.cycles)
+        report.convergence_hits = executor.convergence_hits - hits_base
+        report.slice_hits = executor.slice_hits - slice_base
+        report.scalar_tail_experiments = (executor.scalar_tail_experiments
+                                          - tail_base)
+        if handle is not None:
+            handle.mark_complete()
     return BruteForceResult(golden=golden, outcomes=outcomes,
                             domain=domain, execution=report)
 
@@ -548,83 +551,83 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
         journal, golden, domain, "sampling",
         dict(_executor_params(executor), seed=seed, sampler=sampler,
              n_samples=n_samples))
-    if handle is not None and not resume:
-        handle.clear()
+    with handle or nullcontext():
+        if handle is not None and not resume:
+            handle.clear()
 
-    drawn, population, rng_state = _draw_classified(
-        golden, n_samples, seed, sampler, partition, domain)
-    journaled: dict[tuple[int, int, int], Outcome] = {}
-    if handle is not None:
-        handle.verify_sampler_state(len(drawn), rng_state)
-        journaled = handle.completed_experiments()
-    # Section fingerprints use the executor parameters alone (no seed or
-    # sample count), so sampled and full-scan campaigns share the store.
-    composer = build_composer(handle, golden, domain,
-                              _executor_params(executor))
+        drawn, population, rng_state = _draw_classified(
+            golden, n_samples, seed, sampler, partition, domain)
+        journaled: dict[tuple[int, int, int], Outcome] = {}
+        if handle is not None:
+            handle.verify_sampler_state(len(drawn), rng_state)
+            journaled = handle.completed_experiments()
+        # Section fingerprints use the executor parameters alone (no seed or
+        # sample count), so sampled and full-scan campaigns share the store.
+        composer = build_composer(handle, golden, domain,
+                                  _executor_params(executor))
 
-    # One experiment per distinct (class, bit); dead classes need none.
-    total_experiments = 0
-    if progress is not None:
-        total_experiments = len({
-            domain.class_key(interval)
-            + (domain.experiment_index(interval, sample.coordinate),)
-            for sample, interval in (
-                (s, partition.locate(s.coordinate)) for s in drawn
-                if s.class_kind == LIVE)})
-    cache: dict[tuple[int, int, int], Outcome] = {}
-    report = ExecutionReport()
-    results: list[tuple[Sample, Outcome]] = []
-    # Execute in ascending slot order for snapshot reuse, then restore the
-    # original sample order (it is irrelevant for counting, but callers
-    # may inspect per-sample sequences).
-    order = sorted(range(len(drawn)),
-                   key=lambda i: drawn[i].coordinate.slot)
-    outcome_by_index: dict[int, Outcome] = {}
-    for i in order:
-        sample = drawn[i]
-        if sample.class_kind != LIVE:
-            outcome_by_index[i] = Outcome.NO_EFFECT
-            continue
-        interval = partition.locate(sample.coordinate)
-        key = (domain.class_key(interval)
-               + (domain.experiment_index(interval, sample.coordinate),))
-        if key not in cache:
-            if key in journaled:
-                cache[key] = journaled[key]
-                report.resumed += 1
-            else:
-                composed = (composer.compose_experiment(
-                    interval.injection_slot, key[0], key[2])
-                    if composer is not None else None)
-                if composed is not None:
-                    cache[key] = composed[0]
-                    handle.record_experiments(
-                        [(key[0], key[1], key[2], composed[0].value)])
+        # One experiment per distinct (class, bit); dead classes need none.
+        total_experiments = 0
+        if progress is not None:
+            total_experiments = len({
+                domain.class_key(interval)
+                + (domain.experiment_index(interval, sample.coordinate),)
+                for sample, interval in (
+                    (s, partition.locate(s.coordinate)) for s in drawn
+                    if s.class_kind == LIVE)})
+        cache: dict[tuple[int, int, int], Outcome] = {}
+        report = ExecutionReport()
+        results: list[tuple[Sample, Outcome]] = []
+        # Execute in ascending slot order for snapshot reuse, then restore the
+        # original sample order (it is irrelevant for counting, but callers
+        # may inspect per-sample sequences).
+        order = sorted(range(len(drawn)),
+                       key=lambda i: drawn[i].coordinate.slot)
+        outcome_by_index: dict[int, Outcome] = {}
+        for i in order:
+            sample = drawn[i]
+            if sample.class_kind != LIVE:
+                outcome_by_index[i] = Outcome.NO_EFFECT
+                continue
+            interval = partition.locate(sample.coordinate)
+            key = (domain.class_key(interval)
+                   + (domain.experiment_index(interval, sample.coordinate),))
+            if key not in cache:
+                if key in journaled:
+                    cache[key] = journaled[key]
                     report.resumed += 1
-                    report.composed_hits += 1
                 else:
-                    representative = domain.experiment_coordinate(
-                        interval, key[2])
-                    record = executor.run(representative)
-                    cache[key] = record.outcome
-                    if handle is not None:
+                    composed = (composer.compose_experiment(
+                        interval.injection_slot, key[0], key[2])
+                        if composer is not None else None)
+                    if composed is not None:
+                        cache[key] = composed[0]
                         handle.record_experiments(
-                            [(key[0], key[1], key[2], cache[key].value)])
-                        composer.store_experiment(
-                            interval.injection_slot, key[0], key[2],
-                            record.outcome, record.end_cycle, record.trap)
-                    report.executed += 1
-            if progress is not None:
-                progress(len(cache), total_experiments)
-        outcome_by_index[i] = cache[key]
-    report.total_units = len(cache)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
+                            [(key[0], key[1], key[2], composed[0].value)])
+                        report.resumed += 1
+                        report.composed_hits += 1
+                    else:
+                        representative = domain.experiment_coordinate(
+                            interval, key[2])
+                        record = executor.run(representative)
+                        cache[key] = record.outcome
+                        if handle is not None:
+                            handle.record_experiments(
+                                [(key[0], key[1], key[2], cache[key].value)])
+                            composer.store_experiment(
+                                interval.injection_slot, key[0], key[2],
+                                record.outcome, record.end_cycle, record.trap)
+                        report.executed += 1
+                if progress is not None:
+                    progress(len(cache), total_experiments)
+            outcome_by_index[i] = cache[key]
+        report.total_units = len(cache)
+        report.convergence_hits = executor.convergence_hits - hits_base
+        report.slice_hits = executor.slice_hits - slice_base
+        report.scalar_tail_experiments = (executor.scalar_tail_experiments
+                                          - tail_base)
+        if handle is not None:
+            handle.mark_complete()
     results = [(drawn[i], outcome_by_index[i]) for i in range(len(drawn))]
     return SamplingResult(golden=golden, partition=partition,
                           samples=results, population=population,

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats
+from statistics import NormalDist
 
 from ..campaign.runner import SamplingResult
 
@@ -47,6 +46,12 @@ class Interval:
                         confidence=self.confidence)
 
 
+def _normal_quantile(confidence: float) -> float:
+    """z for a two-sided interval (stdlib: every ``import repro`` loads
+    this module, and scipy costs a second of start-up)."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def _check(failures: int, samples: int) -> None:
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -64,7 +69,7 @@ def wald_interval(failures: int, samples: int,
     """
     _check(failures, samples)
     p = failures / samples
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _normal_quantile(confidence)
     half = z * math.sqrt(p * (1.0 - p) / samples)
     return Interval(low=max(0.0, p - half), high=min(1.0, p + half),
                     confidence=confidence)
@@ -75,7 +80,7 @@ def wilson_interval(failures: int, samples: int,
     """Wilson score interval — good coverage even for rare failures."""
     _check(failures, samples)
     p = failures / samples
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _normal_quantile(confidence)
     z2 = z * z
     denom = 1.0 + z2 / samples
     center = (p + z2 / (2.0 * samples)) / denom
@@ -88,6 +93,8 @@ def wilson_interval(failures: int, samples: int,
 def clopper_pearson_interval(failures: int, samples: int,
                              confidence: float = 0.95) -> Interval:
     """Exact (conservative) binomial interval via beta quantiles."""
+    from scipy import stats  # the only user; kept off the import path
+
     _check(failures, samples)
     alpha = 1.0 - confidence
     low = (0.0 if failures == 0
@@ -138,7 +145,7 @@ def required_samples(expected_proportion: float, *, half_width: float,
         raise ValueError("expected_proportion must be in [0, 1]")
     if half_width <= 0:
         raise ValueError("half_width must be positive")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _normal_quantile(confidence)
     p = expected_proportion
     n = (z * z * p * (1.0 - p)) / (half_width * half_width)
     return max(1, math.ceil(n))

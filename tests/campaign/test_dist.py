@@ -39,6 +39,7 @@ from repro.campaign.dist import (
     encode_frame,
 )
 from repro.campaign.dist.coordinator import serve_in_thread
+from repro.campaign.dist.leases import PENDING
 from repro.programs import hi, micro, sync2
 
 #: Snappy failure detection for loopback tests.
@@ -233,6 +234,59 @@ class TestLeaseBoard:
         board.finish(0, lease.lease_id, now=2.0)
         assert board.retries == 1  # (0, 2) was never submitted
 
+    def test_running_remaining_cost_equals_a_fresh_sum(self):
+        """Deadlines derive from the cost of the keys still remaining.
+        The board keeps that as a running total; after every transition
+        it must equal what re-summing the remaining keys gives — on a
+        partly resumed, a restored, a split, a re-queued and a poisoned
+        shard alike."""
+        policy = RetryPolicy(min_shard_timeout=0.0, cycles_per_second=1.0,
+                             backoff=0.0, max_retries=5)
+        keys = [(0, slot) for slot in range(1, 11)]
+        costs = {key: 3 ** key[1] for key in keys}
+        board = LeaseBoard(policy=policy, key_costs=costs)
+
+        def fresh(shard):
+            return sum(costs.get(key, 1) for key in shard.remaining)
+
+        def consistent():
+            return all(shard.remaining_cost == fresh(shard)
+                       for shard in board.shards())
+
+        def deliver(index, worker, now, count):
+            lease = board.acquire(worker, now)
+            shard = board.shards()[index]
+            assert lease.shard == index
+            assert lease.deadline == now + fresh(shard)
+            for key in lease.keys[:count]:
+                now += 1.0
+                assert board.progress(index, key, now, worker=worker)
+                assert consistent()
+                if shard.lease is not None:
+                    assert shard.lease.deadline == now + fresh(shard)
+            return now
+
+        board.add_shard(0, keys, keys[2:])  # two keys resumed
+        board.restore(0, attempts=1, status=PENDING)
+        assert consistent()
+        now = deliver(0, "a", 10.0, 3)
+        assert board.release_worker("a", now) == [0]
+        first, second = board.split_shard(0, now)
+        assert consistent() and board.shards()[0].remaining_cost == 0
+        now = deliver(first, "b", now, 99)
+        now = deliver(second, "b", now, 1)
+        board.release_worker("b", now)
+        # Discarded results come back as a fresh shard; (9, 9) has no
+        # planned cost and counts 1.
+        requeued = board.requeue([keys[0], (9, 9)], now=now)
+        assert consistent()
+        now = deliver(second, "c", now, 99)
+        now = deliver(requeued, "c", now, 1)
+        board.release_worker("c", now)
+        assert board.mark_poison(requeued) == [(9, 9)]
+        assert consistent() and board.shards()[requeued].remaining_cost == 1
+        assert board.done()
+
 
 class TestDistEquality:
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -325,6 +379,32 @@ class TestDistChaos:
         assert result.execution.resumed == 4
         assert result.execution.executed \
             == result.execution.total_units - 4
+
+    def test_crashed_coordinator_leaves_exactly_the_accepted_classes(
+            self, tmp_path, memory_golden):
+        """The crash hook returns through the same exit an exception
+        would: every accepted class is committed, whole, and nothing
+        else is."""
+        import sqlite3
+
+        journal = tmp_path / "dist.sqlite"
+        sock = _server_socket()
+        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+                                      policy=POLICY, journal=journal,
+                                      stop_after_results=5)
+        thread = serve_in_thread(coordinator)
+        _, worker_thread, _ = _start_worker(
+            sock.getsockname()[1], "w0", max_reconnects=0)
+        assert thread.join_result(60) is None
+        worker_thread.join(10)
+        conn = sqlite3.connect(journal)
+        try:
+            counts = conn.execute(
+                "SELECT COUNT(*) FROM class_results "
+                "GROUP BY axis, first_slot").fetchall()
+        finally:
+            conn.close()
+        assert counts == [(8,)] * 5
 
     def test_lost_forever_shard_degrades_not_hangs(self, memory_golden,
                                                    memory_baseline):

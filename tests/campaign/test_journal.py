@@ -12,7 +12,9 @@ from repro.campaign import (
     Outcome,
     record_golden,
 )
-from repro.campaign.journal import canonical_params, open_campaign
+from repro.campaign import journal as journal_module
+from repro.campaign.journal import (COMMIT_WINDOW_S, canonical_params,
+                                    open_campaign)
 from repro.faultspace import MEMORY, REGISTER
 from repro.programs import micro
 
@@ -235,3 +237,182 @@ class TestJournalDurability:
         assert campaign.lease_states()[0]["attempts"] == 3
         campaign.clear()
         assert campaign.lease_states() == {}
+
+
+ROWS = [(bit, "sdc", 30, "") for bit in range(8)]
+
+
+def _committed(path) -> dict:
+    """What a second connection — a crash survivor — sees: rows per
+    class, plus row totals of the other unit tables."""
+    conn = sqlite3.connect(path)
+    try:
+        seen = {(axis, slot): count for axis, slot, count in conn.execute(
+            "SELECT axis, first_slot, COUNT(*) FROM class_results "
+            "GROUP BY axis, first_slot")}
+        for table in ("coordinate_results", "section_results"):
+            seen[table] = conn.execute(
+                f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        return seen
+    finally:
+        conn.close()
+
+
+NOTHING = {"coordinate_results": 0, "section_results": 0}
+
+
+class TestGroupCommit:
+    """The crash contract: unit writes are buffered in one window that
+    commits when older than COMMIT_WINDOW_S, at every bookkeeping
+    write, on flush(), on a read through the writer and on close — and
+    a unit is committed whole or not at all.  No database lock is held
+    while the window is open.  The clock is virtual; nothing here
+    sleeps."""
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        now = [1000.0]
+        monkeypatch.setattr(journal_module, "_clock", lambda: now[0])
+        return now
+
+    def test_window_semantics(self, tmp_path, clock):
+        path = tmp_path / "journal.sqlite"
+        journal = ExperimentJournal(path)
+        campaign = _campaign(journal)
+        section = journal.section(fingerprint="s", program="p",
+                                  domain="memory", first_slot=1,
+                                  last_slot=9)
+        campaign.record_class(1, 1, ROWS)
+        campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, "sdc")])
+        journal.merge_section_rows(section, [(1, 1, 0, "sdc", 30, "")])
+        clock[0] += COMMIT_WINDOW_S * 0.9
+        campaign.record_experiments([(2, 1, 0, "sdc")])
+        # The merge dedup sees the writer's own pending class without
+        # committing it.
+        assert campaign.merge_class(1, 1, ROWS) is False
+        assert _committed(path) == NOTHING  # all inside the window
+        clock[0] += COMMIT_WINDOW_S * 0.1
+        campaign.record_class(4, 1, ROWS)  # finds the window expired
+        everything = {(1, 1): 8, (2, 1): 1, (4, 1): 8,
+                      "coordinate_results": 2, "section_results": 1}
+        assert _committed(path) == everything
+        campaign.record_class(5, 1, ROWS)  # opens the next window
+        clock[0] += COMMIT_WINDOW_S * 0.5
+        campaign.record_class(6, 1, ROWS)
+        assert _committed(path) == everything
+        journal.close()
+        assert _committed(path) == everything | {(5, 1): 8, (6, 1): 8}
+
+    @pytest.mark.parametrize("flush_point", [
+        lambda campaign, other: campaign.mark_complete(),
+        lambda campaign, other: other.clear(),
+        lambda campaign, other: campaign.discard_classes([(9, 9)]),
+        lambda campaign, other: campaign.record_lease(
+            0, "[]", attempts=0, status="pending"),
+        lambda campaign, other: campaign.record_event("probation"),
+        lambda campaign, other: campaign.flush(),
+        lambda campaign, other: campaign.close(),
+        lambda campaign, other: campaign.journal.close(),
+    ], ids=["mark_complete", "clear", "discard_classes", "record_lease",
+            "record_event", "flush", "handle-close", "journal-close"])
+    def test_every_flush_point_commits_the_pending_rows(
+            self, tmp_path, clock, flush_point):
+        path = tmp_path / "journal.sqlite"
+        with ExperimentJournal(path) as journal:
+            campaign = _campaign(journal)
+            other = _campaign(journal, fingerprint="other")
+            campaign.record_class(1, 1, ROWS)
+            campaign.record_class(2, 1, ROWS)
+            assert _committed(path) == NOTHING
+            flush_point(campaign, other)
+            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
+
+    def test_exception_and_interrupt_exits_commit(self, tmp_path, clock):
+        path = tmp_path / "journal.sqlite"
+        for axis, exc in enumerate((RuntimeError, KeyboardInterrupt)):
+            with pytest.raises(exc):
+                with ExperimentJournal(path) as journal:
+                    with _campaign(journal) as campaign:
+                        campaign.record_class(axis, 1, ROWS)
+                        raise exc
+            assert _committed(path)[(axis, 1)] == 8
+
+    def test_owned_handle_closes_twice(self, tmp_path, golden):
+        path = tmp_path / "journal.sqlite"
+        handle = open_campaign(path, golden, MEMORY, "full-scan", {})
+        handle.record_class(1, 1, ROWS)
+        handle.close()
+        handle.close()  # a runner's ``with`` after an explicit close
+        assert _committed(path)[(1, 1)] == 8
+
+    def test_a_writer_reads_its_own_pending_rows(self, tmp_path, clock):
+        path = tmp_path / "journal.sqlite"
+        with ExperimentJournal(path) as journal:
+            campaign = _campaign(journal)
+            campaign.record_classes([(1, 1, ROWS), (2, 1, ROWS)])
+            assert campaign.merge_class(2, 1, ROWS) is False
+            assert _committed(path) == NOTHING
+            assert sorted(campaign.completed_classes()) == [(1, 1), (2, 1)]
+            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
+            # A discarded class merges again, even within one window.
+            campaign.record_class(3, 1, ROWS)
+            assert campaign.discard_classes([(3, 1)]) == 8
+            assert campaign.merge_class(3, 1, ROWS) is True
+
+    def test_an_open_window_locks_nobody_out(self, tmp_path, clock):
+        """Two campaigns — two processes in real life — share one file.
+        A writer with a pending window must not hold the write lock: the
+        other one commits at once (busy_timeout 0, so waiting is a
+        failure), and both windows land."""
+        path = tmp_path / "journal.sqlite"
+        with ExperimentJournal(path) as first, \
+                ExperimentJournal(path) as second:
+            second._conn.execute("PRAGMA busy_timeout = 0")
+            ours = _campaign(first)
+            theirs = _campaign(second, fingerprint="other")
+            ours.record_class(1, 1, ROWS)
+            theirs.record_class(2, 1, ROWS)
+            theirs.flush()
+            assert _committed(path) == NOTHING | {(2, 1): 8}
+            first._conn.execute("PRAGMA busy_timeout = 0")
+            ours.flush()
+            theirs.record_class(3, 1, ROWS)
+            theirs.mark_complete()
+        assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8,
+                                              (3, 1): 8}
+
+    def test_a_rejected_unit_is_dropped_whole_and_alone(self, tmp_path,
+                                                        clock):
+        path = tmp_path / "journal.sqlite"
+        torn = ROWS[:3] + [(3, None, 30, "")] + ROWS[4:]  # NOT NULL
+        with ExperimentJournal(path) as journal:
+            campaign = _campaign(journal)
+            campaign.record_class(6, 1, ROWS)
+            campaign.record_class(7, 1, torn)
+            campaign.record_class(8, 1, ROWS)
+            with pytest.raises(sqlite3.IntegrityError):
+                campaign.flush()
+            # Nothing of the failed transaction is visible; the classes
+            # around the torn one are still pending, not lost.
+            assert _committed(path) == NOTHING
+            assert campaign.merge_class(6, 1, ROWS) is False
+            assert campaign.merge_class(7, 1, ROWS) is True
+        assert _committed(path) == NOTHING | {(6, 1): 8, (7, 1): 8,
+                                              (8, 1): 8}
+
+    def test_a_busy_database_keeps_the_window(self, tmp_path, clock):
+        path = tmp_path / "journal.sqlite"
+        with ExperimentJournal(path) as journal:
+            journal._conn.execute("PRAGMA busy_timeout = 0")
+            campaign = _campaign(journal)
+            campaign.record_class(1, 1, ROWS)
+            blocker = sqlite3.connect(path)
+            blocker.execute("BEGIN IMMEDIATE")
+            try:
+                with pytest.raises(sqlite3.OperationalError):
+                    campaign.flush()
+            finally:
+                blocker.rollback()
+                blocker.close()
+            campaign.record_class(2, 1, ROWS)
+        assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}

@@ -10,6 +10,9 @@ interrupt campaigns at every layer the real world does:
 * worker processes killed outright (via the ``REPRO_CHAOS`` hook, which
   makes a worker ``os._exit`` mid-shard like the OOM killer would),
 * wedged workers that never return (classified as wall-clock timeouts),
+* the campaign *driver* itself SIGKILLed (a real ``repro scan
+  --journal`` subprocess, serial and pooled), which loses the journal's
+  last commit window and nothing else,
 
 and then assert the resumed result equals the uninterrupted baseline,
 for both fault domains and across serial and parallel (jobs ∈ {1, 2, 4})
@@ -17,6 +20,12 @@ engines.
 """
 
 import json
+import os
+import signal
+import sqlite3
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -30,7 +39,9 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.programs import hi, micro
+from repro.campaign.journal import invalid_classes
+from repro.faultspace.domain import get_domain
+from repro.programs import all_programs, hi, micro
 
 JOBS = [1, 2, 4]
 
@@ -359,6 +370,148 @@ class TestSigintMidClass:
         assert resumed.records == baseline.records
         assert resumed.execution.resumed == 2
         assert resumed.execution.complete
+
+
+def _repro_cli(*args):
+    """``(command, env)`` of a ``python -m repro`` child on this tree."""
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_root] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    return [sys.executable, "-m", "repro", *map(str, args)], env
+
+
+class TestDriverSigkill:
+    """``kill -9`` of the campaign driver — no ``finally`` runs, the
+    buffered commit window is gone.  The crash contract: the file is sound,
+    it holds whole classes only, and the resumed scan equals the
+    uninterrupted one bit for bit.  The interpreter engine keeps the
+    victim running long after its first commit; results do not depend
+    on the engine, so baseline and resume use the default one."""
+
+    PROGRAMS = {"memory": "chain", "register": "prio"}
+
+    @pytest.fixture(scope="class")
+    def baselines(self):
+        out = {}
+        for domain, name in self.PROGRAMS.items():
+            golden = record_golden(all_programs()[name]())
+            out[domain] = (golden, run_full_scan(
+                golden, domain=domain, keep_records=True))
+        return out
+
+    @staticmethod
+    def _journaled_classes(path) -> int:
+        if not path.exists():  # never create the victim's file for it
+            return 0
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute(
+                "SELECT COUNT(*) FROM (SELECT DISTINCT axis, first_slot "
+                "FROM class_results)").fetchone()[0]
+        except sqlite3.OperationalError:
+            return 0  # schema not committed yet
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("domain", ["memory", "register"])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_killed_driver_resumes_bit_for_bit(self, jobs, domain,
+                                               baselines, tmp_path):
+        golden, baseline = baselines[domain]
+        journal = tmp_path / "journal.sqlite"
+        command, env = _repro_cli(
+            "scan", self.PROGRAMS[domain], "--domain", domain,
+            "--engine", "interp", "--journal", journal,
+            *([] if jobs is None else ["--jobs", jobs]))
+        # Its own process group, so the pool workers the kill orphans
+        # can be reaped afterwards.
+        victim = subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120.0
+            while (victim.poll() is None and time.monotonic() < deadline
+                   and not self._journaled_classes(journal)):
+                time.sleep(0.01)
+            victim.kill()
+            victim.wait(30.0)
+        finally:
+            try:
+                os.killpg(victim.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert victim.returncode == -signal.SIGKILL  # died mid-campaign
+
+        dom = get_domain(domain)
+        expected = {dom.class_key(interval): dom.experiment_count(interval)
+                    for interval in baseline.partition.live_classes()}
+        # Opening runs quick_check and raises on a damaged file.
+        with ExperimentJournal(journal) as handle:
+            (listed,) = handle.campaigns()
+            assert listed["status"] == "running"
+            survived = handle.campaign(
+                fingerprint=listed["fingerprint"], domain=listed["domain"],
+                kind=listed["kind"], params=listed["params"],
+                cycles=listed["cycles"]).completed_classes()
+        assert 0 < len(survived) < len(expected)
+        assert set(survived) <= set(expected)
+        assert invalid_classes(survived, expected) == []
+
+        resumed = run_full_scan(golden, domain=domain, journal=journal,
+                                keep_records=True)
+        assert resumed == baseline
+        assert resumed.records == baseline.records
+        assert resumed.execution.resumed == len(survived)
+        assert resumed.execution.complete
+        export_class_results_csv(baseline, tmp_path / "baseline.csv")
+        export_class_results_csv(resumed, tmp_path / "resumed.csv")
+        assert (tmp_path / "resumed.csv").read_bytes() \
+            == (tmp_path / "baseline.csv").read_bytes()
+
+
+class TestTwoDriversOneJournal:
+    """One journal file holds many campaigns, and nothing says they
+    run one after the other: two ``repro scan --journal`` processes
+    write the same file at the same time.  Neither may hold the
+    database's write lock across its commit window — the other one
+    would die of ``database is locked``."""
+
+    def test_concurrent_scans_both_finish_and_agree(self, tmp_path):
+        journal = tmp_path / "journal.sqlite"
+        drivers = {}
+        for domain in ("memory", "register"):
+            command, env = _repro_cli("scan", "sync2", "--domain", domain,
+                                      "--journal", journal)
+            drivers[domain] = subprocess.Popen(
+                command, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True)
+        try:
+            for domain, driver in drivers.items():
+                _, stderr = driver.communicate(timeout=300.0)
+                assert driver.returncode == 0, stderr[-2000:]
+        finally:
+            for driver in drivers.values():
+                if driver.poll() is None:
+                    driver.kill()
+                    driver.wait(30.0)
+
+        with ExperimentJournal(journal) as handle:
+            assert [entry["status"] for entry in handle.campaigns()] \
+                == ["complete", "complete"]
+        golden = record_golden(all_programs()["sync2"]())
+        for domain in drivers:
+            baseline = run_full_scan(golden, domain=domain,
+                                     keep_records=True)
+            replayed = run_full_scan(golden, domain=domain,
+                                     journal=journal, keep_records=True)
+            assert replayed == baseline
+            assert replayed.records == baseline.records
+            assert replayed.execution.executed == 0
+            assert replayed.execution.complete
 
 
 class TestHeartbeat:

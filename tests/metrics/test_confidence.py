@@ -1,5 +1,10 @@
 """Tests for confidence-interval estimators."""
 
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,3 +110,55 @@ class TestSamplePlanning:
             required_samples(1.5, half_width=0.1)
         with pytest.raises(ValueError):
             required_samples(0.5, half_width=0)
+
+
+class TestScipyFreeStartup:
+    """scipy (and numpy with it) costs a second of start-up that every
+    CLI command and every fabric worker spawn used to pay."""
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99,
+                                            0.999999])
+    @pytest.mark.parametrize("failures, samples", [(0, 50), (1, 1000),
+                                                   (20, 100), (50, 50)])
+    def test_intervals_equal_the_scipy_formulas(self, confidence, failures,
+                                                samples):
+        from scipy import stats
+
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        p = failures / samples
+        half = z * math.sqrt(p * (1.0 - p) / samples)
+        wald = wald_interval(failures, samples, confidence)
+        assert wald.low == pytest.approx(max(0.0, p - half), abs=1e-12)
+        assert wald.high == pytest.approx(min(1.0, p + half), abs=1e-12)
+        denom = 1.0 + z * z / samples
+        center = (p + z * z / (2.0 * samples)) / denom
+        half = (z / denom) * math.sqrt(
+            p * (1.0 - p) / samples + z * z / (4.0 * samples * samples))
+        wilson = wilson_interval(failures, samples, confidence)
+        assert wilson.low == pytest.approx(max(0.0, center - half),
+                                           abs=1e-12)
+        assert wilson.high == pytest.approx(min(1.0, center + half),
+                                            abs=1e-12)
+        n = z * z * 0.3 * 0.7 / (0.01 * 0.01)
+        assert required_samples(0.3, half_width=0.01,
+                                confidence=confidence) \
+            == max(1, math.ceil(n))
+
+    def test_import_and_list_load_neither_scipy_nor_numpy(self):
+        import repro
+
+        probe = (
+            "import sys, repro\n"
+            "from repro.cli import main\n"
+            "loaded = lambda: sorted({'scipy', 'numpy'} & set(sys.modules))\n"
+            "assert not loaded(), ('import repro', loaded())\n"
+            "assert main(['list']) in (0, None)\n"
+            "assert not loaded(), ('repro list', loaded())\n")
+        src_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src_root] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
