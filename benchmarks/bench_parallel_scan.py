@@ -1,6 +1,6 @@
 """Campaign-engine wall-clock: parallel scaling and convergence A/B.
 
-Two experiments over def/use-pruned full scans of the Figure 2
+Three experiments over def/use-pruned full scans of the Figure 2
 benchmarks, with a human-readable report in
 ``output/parallel_scan.txt`` and a machine-readable perf trajectory in
 repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
@@ -15,6 +15,10 @@ repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
   at least 2× (compiled: 1.2×) faster *and* bit-for-bit identical:
   same ``CampaignResult``, same exported CSV bytes — speed must never
   buy back exactness.
+* **State memo A/B** — a compiled ``chain-sumdmr`` scan with the
+  faulty-state memo's probe grid at its constant and forced past the
+  cycle budget: records identical, on at least 1.3× faster.  Asserts
+  only.
 
 Scale knobs (environment):
 
@@ -41,11 +45,12 @@ from _bench_json import write_bench_json
 
 from repro.campaign import (
     ExecutorConfig,
+    experiment,
     export_class_results_csv,
     record_golden,
     run_full_scan,
 )
-from repro.programs import sync2
+from repro.programs import chain, sync2
 
 
 def _usable_cpus() -> int:
@@ -261,3 +266,41 @@ def test_convergence_ab(output_dir, tmp_path):
     assert t_off_jit / t_on_jit >= 1.2, (
         f"expected the convergence early-exit to cut the compiled scan "
         f"at least 1.2x, measured {t_off_jit / t_on_jit:.2f}x")
+
+
+def test_state_memo_ab(monkeypatch):
+    """State memo on/off under the JIT: >= 1.3x, records identical.
+
+    Convergence on both times; "off" forces the memo's probe grid past
+    the cycle budget, so the ladder alone cuts tails.  The memo pays
+    for the cycles between a grid stop and a run's end, so its ratio
+    grows with Δt: 1.2-1.3× on the quick-scale ``sync2`` scan above
+    (Δt 2 068), too close to carry a floor; this is the e2e
+    benchmark's ``scan_serial_mem`` campaign (Δt 6 998, measured
+    1.8×, ~20 s for both sides).  A ratio gate only: asserts, writes
+    no ``BENCH_*.json`` (the trajectory lives in ``benchmarks/e2e``).
+    """
+    program = chain.hardened()
+    golden = record_golden(program)
+    partition = golden.partition()
+    config = ExecutorConfig(engine="compiled")
+
+    def timed():
+        executor = config.build(golden)
+        start = time.perf_counter()
+        result = run_full_scan(golden, partition=partition,
+                               executor=executor, keep_records=True)
+        return time.perf_counter() - start, result, executor.memo_hits
+
+    t_on, on, memo_hits = timed()
+    monkeypatch.setattr(experiment, "MEMO_GRID",
+                        config.timeout_cycles(golden.cycles))
+    t_off, off, no_hits = timed()
+    assert on == off, "state memo changed campaign records"
+    assert memo_hits > 0 and no_hits == 0
+    print(f"\nstate memo A/B on {program.name}: on {t_on:.3f}s / "
+          f"off {t_off:.3f}s ({t_off / t_on:.2f}x), "
+          f"{memo_hits} memo hits")
+    assert t_off / t_on >= 1.3, (
+        f"expected the state memo to cut the compiled scan at least "
+        f"1.3x, measured {t_off / t_on:.2f}x")

@@ -119,8 +119,9 @@ def completeness_report(report: ExecutionReport) -> str:
         lines.append(f"  worker retries: {report.shard_retries}")
     if report.convergence_hits:
         lines.append(
-            f"  convergence early-exits: {report.convergence_hits} "
-            f"experiment(s) classified at a golden checkpoint")
+            f"  early exits (ladder + state memo): "
+            f"{report.convergence_hits} experiment(s) classified at a "
+            f"known state")
     if report.slice_hits:
         lines.append(
             f"  criticality pre-skips: {report.slice_hits} "

@@ -55,11 +55,20 @@ observable sink (serial output, control flow, a memory address, a
 trapping divisor).  When it cannot, the experiment's outcome *is* the
 golden outcome and the executor classifies it before running a single
 post-injection cycle.
+
+Runs that never re-join the golden trajectory (a consistent wrong
+value survives to the end) are cut by the **state memo**: most of
+them are, some cycles on, in exactly the state an earlier experiment
+passed through *at the same cycle*.  The seek therefore also stops on
+an absolute cycle grid (:data:`MEMO_GRID`), where such runs meet, and
+a digest found in the memo of earlier faulty states inherits how that
+run ended (:meth:`ExperimentExecutor._seek_convergence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..engine import ExecutionEngine, get_engine
 from ..faultspace.domain import FaultDomain, MEMORY, get_domain
@@ -78,6 +87,12 @@ def _classify_diverged(detections: tuple[tuple[int, int], ...]) -> Outcome:
     if detections:
         return Outcome.DETECTED_UNCORRECTED
     return Outcome.SDC
+
+#: State-memo probe grid in ladder strides: the convergence seek also
+#: stops at the first block boundary at/after every absolute multiple.
+#: Measured (``chain-sumdmr`` × memory: 5.9 / 6.3 / 7.2 s at 256 / 512 /
+#: 1024), not configurable; tests move it by monkeypatch.
+MEMO_GRID = 256
 
 #: Default multiple of the golden runtime before declaring a timeout.
 DEFAULT_TIMEOUT_FACTOR = 3.0
@@ -172,6 +187,21 @@ class ExecutorConfig:
                    engine=engine)
 
 
+class EndFacts(NamedTuple):
+    """How a run ended (observed, or inferred at an early exit).
+
+    As a state-memo *suffix*: ``serial`` and ``detections`` hold only
+    what followed the memoised state.
+    """
+
+    trap: str
+    diverged: bool
+    halted: bool
+    serial: bytes
+    detections: tuple
+    cycle: int
+
+
 @dataclass(frozen=True)
 class ExperimentRecord:
     """The result of one fault-injection experiment."""
@@ -228,11 +258,19 @@ class ExperimentExecutor:
         # first experiment (never needed when convergence is off).
         self._criticality = None
         self._golden_record_cache: ExperimentRecord | None = None
+        #: State memo, a bucket per grid mark (ascending while slots
+        #: ascend): ``digest ‖ cycle`` of an earlier experiment's state
+        #: -> how that run went on from there.
+        self._memo: dict[int, dict[bytes, EndFacts]] = {}
+        self._suffixes: dict[EndFacts, EndFacts] = {}  # interned: few
         #: Number of pre-injection rewinds (diagnostics for the ablation
         #: benchmark; stays 0 when experiments arrive slot-sorted).
         self.rewinds = 0
-        #: Experiments classified early at a golden checkpoint digest.
+        #: Experiments classified early: their state digest matched a
+        #: golden checkpoint or a state in the memo.
         self.convergence_hits = 0
+        #: The :attr:`convergence_hits` that were state-memo hits.
+        self.memo_hits = 0
         #: Experiments classified without running at all because the
         #: backward slice proved the injected cell non-critical.
         self.slice_hits = 0
@@ -288,32 +326,42 @@ class ExperimentExecutor:
     def _finish(self, machine: Machine,
                 coordinate) -> ExperimentRecord:
         """Run an injected machine to its end and classify the outcome."""
+        memo = self._memo
+        while memo and (mark := next(iter(memo))) < coordinate.slot:
+            # Drop behind the scan: no later slot stops at this mark
+            # (and the intern table restarts, so it stays bounded too).
+            del memo[mark]
+            self._suffixes.clear()
         trap = ""
-        matched_cycle = None
+        end = None
+        pending: list = []
         try:
             if self._stride:
-                matched_cycle = self._seek_convergence(machine)
-            if matched_cycle is None:
+                end = self._seek_convergence(machine, pending)
+            if end is None:
                 machine.run(self.timeout_cycles)
         except CPUException as exc:
             trap = exc.trap_name
-        if matched_cycle is not None:
-            return self._converged_record(
-                coordinate, matched_cycle, cycle=machine.cycle,
-                serial=bytes(machine.serial),
-                detections=tuple(machine.detections))
-        return self._classify_end(
-            coordinate, trap=trap, diverged=machine.diverged,
-            halted=machine.halted, serial=bytes(machine.serial),
-            detections=tuple(machine.detections), cycle=machine.cycle)
+        if end is None:
+            end = EndFacts(trap, machine.diverged, machine.halted,
+                           bytes(machine.serial),
+                           tuple(machine.detections), machine.cycle)
+        for bucket, key, n_serial, n_detections in pending:
+            # What this run did after each memo miss is now a fact.
+            suffix = end._replace(serial=end.serial[n_serial:],
+                                  detections=end.detections[n_detections:])
+            bucket[key] = self._suffixes.setdefault(suffix, suffix)
+        return self._classify_end(coordinate, *end)
 
-    def _classify_end(self, coordinate, *, trap: str, diverged: bool,
+    def _classify_end(self, coordinate, trap: str, diverged: bool,
                       halted: bool, serial: bytes, detections: tuple,
                       cycle: int) -> ExperimentRecord:
         """Classify a run that ended (halt, trap, divergence, timeout).
 
-        Takes plain values rather than a machine so the batch executor
-        can classify lane exits through the exact same code path.
+        Takes plain values (the fields of :class:`EndFacts`) rather
+        than a machine, so lane exits of the batch executor and early
+        exits, whose facts are inferred, classify through the exact
+        same code path as a run executed to its end.
         """
         trapped = bool(trap)
         timed_out = not halted and not trapped
@@ -350,38 +398,70 @@ class ExperimentExecutor:
         target += -target % self._stride
         return target if target < self.timeout_cycles else None
 
-    def _seek_convergence(self, machine: Machine) -> int | None:
-        """Advance probe-to-probe until a digest matches.
+    def _seek_convergence(self, machine: Machine,
+                          pending: list) -> EndFacts | None:
+        """Advance probe-to-probe until a digest is recognised.
 
-        Returns the *golden* cycle the faulty machine's state matched
-        at, or ``None`` when the run ended (halt, divergence; traps
-        propagate to the caller) or exhausted the cycle budget without
-        re-joining the golden trajectory.  On ``None`` the caller's
-        ``machine.run(timeout_cycles)`` finishes the remaining tail, so
-        the classification path stays byte-identical to the
-        non-convergent executor.
+        Returns the run's :class:`EndFacts` when its state matched a
+        golden checkpoint or a memoised faulty state, or ``None`` when
+        the run ended (halt, divergence; traps propagate to the
+        caller) or exhausted the cycle budget first.  On ``None`` the
+        caller's ``machine.run(timeout_cycles)`` finishes the tail, so
+        classification stays byte-identical to the non-convergent
+        executor.
+
+        Stops follow the relative doubling schedule and, while that
+        lasts, the absolute :data:`MEMO_GRID`; one digest per stop.  A
+        grid stop that misses both tables joins ``pending``;
+        :meth:`_finish` stores under its key what the run went on to
+        do, and a later run in that state *at that cycle* ends as its
+        own serial and detections so far plus that suffix (why this is
+        sound: DESIGN.md §3c, "State memo").
         """
         table = self._golden_cycle_of
         limit = self.timeout_cycles
+        stride = self._stride
+        grid = MEMO_GRID * stride
         gap = self.engine.probe_gap
         target = self._probe_after(machine.cycle, gap)
+        mark = machine.cycle - machine.cycle % grid + grid
         while target is not None:
-            machine.run_to_boundary(target, limit)
-            if machine.cycle % self._stride and not machine.halted:
+            machine.run_to_boundary(min(target, mark), limit)
+            if machine.cycle % stride and not machine.halted:
                 # A boundary stop between rungs (never at stride 1):
                 # step on to the next rung.
-                target = self._probe_after(machine.cycle, 0)
-                if target is None:
+                rung = self._probe_after(machine.cycle, 0)
+                if rung is None:
                     return None
-                machine.run_to_cycle(target)
+                machine.run_to_cycle(rung)
             if machine.halted:
                 return None
             self.convergence_checks += 1
-            matched = table.get(machine.state_digest())
+            digest = machine.state_digest()
+            cycle = machine.cycle
+            matched = table.get(digest)
             if matched is not None:
-                return matched
-            gap *= 2
-            target = self._probe_after(machine.cycle, gap)
+                return self._rejoin_facts(matched, cycle,
+                                          bytes(machine.serial),
+                                          tuple(machine.detections))
+            if cycle >= mark:
+                mark = cycle - cycle % grid
+                bucket = self._memo.setdefault(mark, {})
+                key = digest + cycle.to_bytes(8, "little")
+                suffix = bucket.get(key)
+                if suffix is not None:
+                    self.convergence_hits += 1
+                    self.memo_hits += 1
+                    return suffix._replace(
+                        serial=bytes(machine.serial) + suffix.serial,
+                        detections=(tuple(machine.detections)
+                                    + suffix.detections))
+                pending.append((bucket, key, len(machine.serial),
+                                len(machine.detections)))
+                mark += grid
+            if cycle >= target:
+                gap *= 2
+                target = self._probe_after(cycle, gap)
         return None
 
     def _cell_critical(self, coordinate) -> bool:
@@ -409,10 +489,9 @@ class ExperimentExecutor:
                                 outcome=cached.outcome,
                                 end_cycle=cached.end_cycle)
 
-    def _converged_record(self, coordinate, matched_cycle: int, *,
-                          cycle: int, serial: bytes,
-                          detections: tuple) -> ExperimentRecord:
-        """Classify a converged experiment from golden facts alone.
+    def _rejoin_facts(self, matched_cycle: int, cycle: int, serial: bytes,
+                      detections: tuple) -> EndFacts:
+        """End facts of a run that re-joined the golden trajectory.
 
         The faulty run at cycle ``c' = cycle`` holds the golden state of
         cycle ``c = matched_cycle``; determinism makes its
@@ -420,30 +499,19 @@ class ExperimentExecutor:
         golden output's remaining bytes, records no further detections
         (the golden run has none), and halts cleanly when the suffix
         ends at cycle ``c' + (Δt - c)`` — unless that end lies beyond
-        the cycle budget, in which case the run is a timeout, exactly
-        as if it had been executed.
+        the cycle budget: the golden suffix cannot halt, trap or
+        diverge early, so the real run would hit the budget mid-suffix
+        and time out, exactly as if it had been executed.
         """
         self.convergence_hits += 1
         golden = self.golden
         end_cycle = cycle - matched_cycle + golden.cycles
         if end_cycle > self.timeout_cycles:
-            # The golden suffix cannot finish inside the budget, and it
-            # cannot halt, trap or diverge early — the golden run did
-            # not: the real run would hit the budget mid-suffix.
-            return ExperimentRecord(coordinate=coordinate,
-                                    outcome=Outcome.TIMEOUT,
-                                    end_cycle=self.timeout_cycles)
-        output = serial + golden.output[len(serial):]
-        outcome = classify(
-            golden_output=golden.output,
-            output=output,
-            halted_cleanly=True,
-            trapped=False,
-            timed_out=False,
-            detections=detections,
-        )
-        return ExperimentRecord(coordinate=coordinate, outcome=outcome,
-                                end_cycle=end_cycle)
+            return EndFacts("", False, False, serial, detections,
+                            self.timeout_cycles)
+        return EndFacts("", False, True,
+                        serial + golden.output[len(serial):],
+                        detections, end_cycle)
 
     def _inject(self, machine: Machine, coordinate) -> None:
         """Apply the fault at the current pause point.
@@ -463,6 +531,10 @@ class ExperimentExecutor:
         if cycle < self._pristine.cycle:
             self.rewinds += 1
             self._pristine.reset()
+            # Keeps buckets ascending for the drop rule in _finish;
+            # entries are facts, so forgetting them only costs hits.
+            self._memo.clear()
+            self._suffixes.clear()
         self._pristine.run_to_cycle(cycle)
         if self._pristine.cycle != cycle:
             raise AssertionError(
@@ -504,9 +576,10 @@ class BatchExperimentExecutor(ExperimentExecutor):
       at exact lock-step cycles.  Admitted lanes join whatever schedule
       the pack is on — sound because a digest match at *any*
       checkpoint classifies identically (see
-      :meth:`_converged_record`: the end cycle is shift-invariant and
+      :meth:`_rejoin_facts`: the end cycle is shift-invariant and
       the emitted prefix is completed from golden output), so the
-      checkpoint schedule never affects records.
+      checkpoint schedule never affects records.  The state memo is
+      scalar-only: evicted tails reach it through ``_finish``.
 
     Single experiments (:meth:`run`) and thin stretches with no
     adjacent stretches to pack with fall back to the inherited scalar
@@ -730,10 +803,11 @@ class BatchExperimentExecutor(ExperimentExecutor):
                     self.convergence_checks += 1
                     matched = table.get(lanes.digest(pos))
                     if matched is not None:
-                        records[lane_idx[lane]] = self._converged_record(
-                            lane_coords[lane], matched, cycle=lanes.cycle,
-                            serial=bytes(lanes.serial[pos]),
-                            detections=tuple(lanes.detections[pos]))
+                        records[lane_idx[lane]] = self._classify_end(
+                            lane_coords[lane], *self._rejoin_facts(
+                                matched, lanes.cycle,
+                                bytes(lanes.serial[pos]),
+                                tuple(lanes.detections[pos])))
                         drop.append(pos)
                 if drop:
                     lanes.remove(drop)

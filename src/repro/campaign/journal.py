@@ -258,9 +258,9 @@ class ExecutionReport:
     #: their shard was abandoned; empty for a complete campaign.
     missing: tuple = field(default_factory=tuple)
     #: Experiments classified early because the faulty machine's state
-    #: digest re-joined the golden checkpoint ladder (the convergence
-    #: early-exit).  Purely a performance diagnostic — outcomes are
-    #: identical with the optimization off.
+    #: digest re-joined the golden checkpoint ladder or matched a state
+    #: an earlier experiment ran on from (the state memo).  Purely a
+    #: performance diagnostic — outcomes are identical with both off.
     convergence_hits: int = 0
     #: Experiments classified without executing a single post-injection
     #: cycle because the backward slice proved the injected cell

@@ -17,8 +17,9 @@ Commands:
     journaled campaign first).  ``--shard-timeout`` / ``--max-retries``
     tune the parallel engine's robustness policy.
     ``--no-convergence`` / ``--checkpoint-stride`` control the
-    convergence early-exit (a pure optimization; outcomes are identical
-    either way).
+    early exits (golden checkpoint ladder + state memo; a pure
+    optimization, outcomes are identical either way), which the
+    summary counts as "early exits (ladder + state memo)".
 ``resume --journal PATH [<program>]``
     Without a program: list the campaigns the journal holds and their
     progress.  With a program: continue its journaled campaign — the
@@ -594,10 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "death before degrading to a partial "
                               "result (default: 2)")
         cmd.add_argument("--no-convergence", action="store_true",
-                         help="disable the convergence early-exit "
-                              "(classify every post-injection tail by "
-                              "running it to completion; outcomes are "
-                              "identical either way)")
+                         help="disable the early exits (ladder + "
+                              "state memo): classify every "
+                              "post-injection tail by running it to "
+                              "completion; outcomes are identical "
+                              "either way")
         cmd.add_argument("--engine", choices=sorted(ENGINES),
                          default="auto",
                          help="execution engine: 'auto' (default) plans "

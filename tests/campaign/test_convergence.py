@@ -10,11 +10,13 @@ benchmarks check it again at figure scale.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.campaign import (
     ExecutorConfig,
+    experiment,
     export_class_results_csv,
     record_golden,
     run_brute_force,
@@ -26,7 +28,7 @@ from repro.campaign.outcomes import Outcome
 from repro.engine import AUTO, CompiledEngine, ExecutionEngine
 from repro.isa import Machine, assemble
 from repro.kernel.builder import KernelBuilder
-from repro.programs import bin_sem2, guarded, hi, micro
+from repro.programs import bin_sem2, chain, guarded, hi, micro
 
 ON = ExecutorConfig(use_convergence=True)
 OFF = ExecutorConfig(use_convergence=False)
@@ -209,6 +211,204 @@ loop:   lw   r1, v(zero)
             assert all(record.end_cycle == budget
                        for record in result.records
                        if record.outcome is Outcome.TIMEOUT)
+
+
+def _memo_grid(monkeypatch, grid):
+    """Force the state memo's probe grid to ``grid`` ladder strides."""
+    monkeypatch.setattr(experiment, "MEMO_GRID", grid)
+
+
+class TestStateMemo:
+    """Inheriting an earlier faulty run's ending can never change a
+    record — wherever the grid puts the stops, whatever the engine,
+    fault model, campaign style or submission order."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return record_golden(_hardened_kernel())
+
+    @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
+                                        "burst4", "stuck", "pc"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    def test_grid_never_affects_records(self, kernel, engine, domain,
+                                        monkeypatch, tmp_path):
+        config = ExecutorConfig(engine=engine, domain=domain)
+        off = dataclasses.replace(config, use_convergence=False)
+        unconverged = off.build(kernel)
+        reference = run_full_scan(kernel, domain=domain, keep_records=True,
+                                  executor=unconverged)
+        assert unconverged.memo_hits == 0
+        reference_csv = tmp_path / "off.csv"
+        export_class_results_csv(reference, reference_csv)
+        budget = config.timeout_cycles(kernel.cycles)
+        hits = {}
+        for grid in (1, 3, 256, budget):
+            _memo_grid(monkeypatch, grid)
+            executor = config.build(kernel)
+            result = run_full_scan(kernel, domain=domain,
+                                   executor=executor, keep_records=True)
+            assert result == reference, grid  # records included
+            csv = tmp_path / f"grid{grid}.csv"
+            export_class_results_csv(result, csv)
+            assert csv.read_bytes() == reference_csv.read_bytes(), grid
+            assert (result.execution.convergence_hits
+                    == executor.convergence_hits >= executor.memo_hits)
+            hits[grid] = executor.memo_hits
+        # The forced constant really drove the stops.  The memo is
+        # scalar-only (a batch lane reaches it when evicted, which
+        # byte-granular RAM faults here never are), and only pc faults
+        # send enough runs of this 231-cycle kernel past cycle 256 for
+        # two of them to meet there.
+        assert hits[budget] == 0
+        if engine != "batch":
+            assert hits[1] > 0 and hits[3] > 0
+        if domain == "pc":
+            assert hits[256] > 0
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_grid_counts_ladder_strides(self, engine, monkeypatch):
+        """On a sparse ladder (stride 3 here; auto-tuned only past
+        16 384 cycles) grid marks are multiples of ``grid × stride``,
+        so every memo stop is a rung like every other probe."""
+        kernel = record_golden(_hardened_kernel(), checkpoint_stride=3)
+        config = ExecutorConfig(engine=engine)
+        reference = run_full_scan(
+            kernel, keep_records=True,
+            config=dataclasses.replace(config, use_convergence=False))
+        for grid in (1, 2):
+            _memo_grid(monkeypatch, grid)
+            executor = config.build(kernel)
+            assert run_full_scan(kernel, executor=executor,
+                                 keep_records=True) == reference
+            assert executor.memo_hits > 0
+            assert all(mark % (3 * grid) == 0 for mark in executor._memo)
+
+    @pytest.mark.parametrize("domain", ["memory", "register"])
+    def test_brute_force_agrees_with_pruned_scan(self, domain,
+                                                 monkeypatch):
+        """Brute force is where same-state faults are densest: every
+        coordinate def/use pruning would merge runs for real, one slot
+        after the other."""
+        golden = record_golden(guarded.sumdmr_variant())
+        _memo_grid(monkeypatch, 2)
+        executor = ExecutorConfig(engine="compiled",
+                                  domain=domain).build(golden)
+        brute = run_brute_force(golden, domain=domain, executor=executor)
+        assert executor.memo_hits > 0
+        assert brute == run_brute_force(golden, domain=domain, config=OFF)
+        scan = run_full_scan(golden, domain=domain, config=OFF)
+        for coordinate, outcome in brute.outcomes.items():
+            assert scan.outcome_of(coordinate) == outcome
+        assert brute.counts() == scan.weighted_counts()
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_serial_prefix_stays_with_the_inheriting_run(self, engine,
+                                                         monkeypatch):
+        """Without ``early_stop`` there is no oracle, so the run that
+        stored a state and the run that inherits its ending may have
+        emitted different bytes before they met.  Here a flip of
+        ``r1`` bit 3 just before ``out r1`` corrupts that byte and the
+        copy saved to ``v``; the same flip just after it only corrupts
+        the copy.  From the store on both runs are in one state (``v``
+        stays wrong to the end, so neither re-joins the golden ladder)
+        and the second inherits the first's ending — but keeps its own,
+        correct, first byte, and the corrupt bit never reaches the
+        second ``out``."""
+        program = assemble("""\
+        .data
+u:      .word 0x4142
+v:      .word 0
+        .text
+start:  lw   r1, u(zero)
+        out  r1
+        sw   r1, v(zero)
+        li   r3, 12
+loop:   addi r3, r3, -1
+        bnez r3, loop
+        lbu  r2, v+1(zero)
+        out  r2
+        halt
+""", name="echo", ram_size=8)
+        golden = record_golden(program)
+        config = ExecutorConfig(engine=engine, domain="register",
+                                early_stop=False)
+        reference = run_full_scan(
+            golden, domain="register", keep_records=True,
+            config=dataclasses.replace(config, use_convergence=False))
+        outcome_at = {(record.coordinate.slot, record.coordinate.reg,
+                       record.coordinate.bit): record.outcome
+                      for record in reference.records}
+        assert outcome_at[2, 1, 3] is Outcome.SDC
+        assert outcome_at[3, 1, 3] is Outcome.NO_EFFECT
+        _memo_grid(monkeypatch, 1)
+        executor = config.build(golden)
+        result = run_full_scan(golden, domain="register",
+                               executor=executor, keep_records=True)
+        assert result == reference
+        assert executor.memo_hits > 0
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_slot_order_never_affects_records(self, kernel, engine,
+                                              monkeypatch):
+        """A pool or fabric worker reuses one executor across shards,
+        so slots can step backwards between batches; a rewind forgets
+        the memo and costs hits, never a record."""
+        _memo_grid(monkeypatch, 1)
+        classes = kernel.partition().live_classes()
+
+        def records(order):
+            executor = ExecutorConfig(engine=engine).build(kernel)
+            done = {index: executor.run_many(classes[index].experiments())
+                    for index in order}
+            return [done[index] for index in range(len(classes))], executor
+
+        ascending, executor = records(range(len(classes)))
+        assert executor.memo_hits > 0 and executor.rewinds == 0
+        shuffled = list(range(len(classes)))
+        random.Random(16).shuffle(shuffled)
+        for order in (reversed(range(len(classes))), shuffled):
+            reordered, executor = records(order)
+            assert reordered == ascending
+            assert executor.rewinds > 0
+
+    def test_memo_drops_buckets_behind_the_scan(self):
+        """Memory stays bounded because a bucket dies as soon as the
+        scan's injection slot has passed its grid mark: checked after
+        every experiment, and in the live-entry peak of a whole
+        ``chain-sumdmr`` × memory scan (the benchmark's serial
+        workload at reduced size) against everything it stored.
+        Entries rather than ``tracemalloc`` bytes: tracing every
+        allocation slows this compiled scan from 2 s to 8 min."""
+        golden = record_golden(chain.hardened(2))
+        executor = ExecutorConfig(engine="compiled").build(golden)
+
+        class Counting(dict):
+            dropped = 0
+
+            def __delitem__(self, mark):
+                self.dropped += len(self[mark])
+                super().__delitem__(mark)
+
+        memo = executor._memo = Counting()
+        finish = executor._finish
+        peak = 0
+
+        def checked(machine, coordinate):
+            nonlocal peak
+            record = finish(machine, coordinate)
+            assert not memo or min(memo) >= coordinate.slot
+            peak = max(peak, sum(map(len, memo.values())))
+            return record
+
+        executor._finish = checked
+        scan = run_full_scan(golden, executor=executor)
+        assert scan == run_full_scan(golden, config=OFF)
+        assert executor.memo_hits > 0 and memo.dropped > 0
+        last_slot = max(interval.last_slot for interval
+                        in scan.partition.live_classes())
+        assert all(mark >= last_slot for mark in memo)
+        stored = memo.dropped + sum(map(len, memo.values()))
+        assert peak <= 2 * stored // 3
 
 
 class TestJournalCompatibility:

@@ -20,11 +20,13 @@ Injected faults are unconstrained — they may trap, diverge, hang or
 vanish; the engines must merely tell the same story.
 """
 
+from unittest import mock
+
 import pytest
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.campaign import ExecutorConfig, record_golden
+from repro.campaign import ExecutorConfig, experiment, record_golden
 from repro.engine.compiled import CompiledMachine, _find_blocks
 from repro.faultspace import FaultCoordinate
 from repro.faultspace.registers import RegisterFaultCoordinate
@@ -264,6 +266,58 @@ def test_executors_agree_on_records(domain, program, data):
         records[engine] = executor.run_many(coords)
     assert records["compiled"] == records["interp"]
     assert records["batch"] == records["interp"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=fuzz_programs(detect=False), data=st.data())
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_state_memo_matches_unconverged_execution(early_stop, program,
+                                                  data):
+    """Executor-level: memo on ≡ convergence off.
+
+    Faults come in pairs — one cell and bit hit at two slots, the
+    shape of neighbouring def/use classes, which is where a later run
+    meets the state an earlier one stored — and the grid is forced
+    dense so that runs of these short programs stop on it.  Without
+    ``early_stop`` the two runs of a pair may have printed different
+    bytes before they meet.
+    """
+    golden = record_golden(program)
+    coords = []
+    for _ in range(data.draw(st.integers(1, 4), label="pairs")):
+        first = data.draw(st.integers(1, golden.cycles), label="slot")
+        slots = (first, min(first + data.draw(st.integers(1, 3)),
+                            golden.cycles))
+        if data.draw(st.booleans(), label="memory_fault"):
+            addr = data.draw(st.integers(0, RAM_SIZE - 1))
+            bit = data.draw(st.integers(0, 7))
+            coords += [FaultCoordinate(slot, addr, bit) for slot in slots]
+        else:
+            # The registers the generated programs use; r5 (read by
+            # every division, never written) holds a fault for good.
+            reg = data.draw(st.sampled_from([1, 2, 3, 4, 5, 5, 7]))
+            bit = data.draw(st.integers(0, 31))
+            coords += [RegisterFaultCoordinate(slot, reg, bit)
+                       for slot in slots]
+    coords.sort(key=lambda c: c.slot)
+
+    def records(engine, **config):
+        by_domain = []
+        for domain, kind in (("memory", FaultCoordinate),
+                             ("register", RegisterFaultCoordinate)):
+            executor = ExecutorConfig(
+                engine=engine, domain=domain, early_stop=early_stop,
+                **config).build(golden)
+            by_domain.append(executor.run_many(
+                [c for c in coords if type(c) is kind]))
+        return by_domain
+
+    reference = records("interp", use_convergence=False)
+    grid = data.draw(st.integers(1, 4), label="grid")
+    with mock.patch.object(experiment, "MEMO_GRID", grid):
+        assert records("interp") == reference
+        assert records("compiled") == reference
 
 
 @settings(max_examples=15, deadline=None,
