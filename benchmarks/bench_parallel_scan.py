@@ -19,6 +19,9 @@ repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
   faulty-state memo's probe grid at its constant and forced past the
   cycle budget: records identical, on at least 1.3× faster.  Asserts
   only.
+* **Mid-block entry gate** — counts, instead of timing, the
+  instructions the compiled scan's faulty machine still interprets:
+  fewer than one per executed experiment.  Asserts only.
 
 Scale knobs (environment):
 
@@ -304,3 +307,42 @@ def test_state_memo_ab(monkeypatch):
     assert t_off / t_on >= 1.3, (
         f"expected the state memo to cut the compiled scan at least "
         f"1.3x, measured {t_off / t_on:.2f}x")
+
+
+def test_midblock_entry_gate():
+    """Restored machines enter the JIT where they land: < 1 interpreted
+    instruction per executed experiment, records identical to ``interp``.
+
+    Every experiment resumes from a snapshot at slot − 1, almost never
+    a block leader.  Without the entrant twins the rest of that block
+    goes through the interpreter's handlers (≈ 24 instructions an
+    experiment on ``chain-sumdmr``, ≈ 0.05 with them); what remains is
+    budget tails of timed-out runs.  A count, so it repeats exactly
+    and needs no ratio floor; writes no ``BENCH_*.json``.
+    """
+    program = sync2.hardened() if _full_scale() else sync2.hardened(2)
+    golden = record_golden(program)
+    partition = golden.partition()
+    executor = ExecutorConfig(engine="compiled").build(golden)
+    interpreted = []
+
+    def counted(handler):
+        def call(instr):
+            interpreted.append(instr)
+            handler(instr)
+        return call
+
+    faulty = executor._machine
+    faulty._exec = [(counted(handler), instr)
+                    for handler, instr in faulty._exec]
+    compiled = run_full_scan(golden, partition=partition,
+                             executor=executor, keep_records=True)
+    interp = run_full_scan(golden, partition=partition,
+                           config=ExecutorConfig(engine="interp"),
+                           keep_records=True)
+    assert compiled == interp, "entrant twins changed campaign records"
+    executed = partition.experiment_count - executor.slice_hits
+    print(f"\nmid-block entry on {program.name}: {len(interpreted)} "
+          f"interpreted instructions over {executed} executed "
+          f"experiments ({len(interpreted) / executed:.3f} each)")
+    assert len(interpreted) < executed

@@ -20,13 +20,22 @@ every campaign.  This module removes that per-instruction toll by
 * All blocks are stitched into **one** generated function behind a
   binary dispatch tree on ``pc``; the driver calls it once per entry,
   not once per instruction.
+* A machine that lands *inside* a block (every experiment's snapshot
+  restore, a ``jalr`` into a block body) runs the rest of it in the
+  block's **entrant twin**: the same emitted body, each instruction
+  behind an ``if k_ <= j:`` guard on the entry offset (one int compare
+  per skipped instruction), one small function per block, compiled on
+  the first entry into that block — one whole-program twin costs
+  8 % of a campaign's peak RSS — and found through the per-pc table
+  :attr:`CompiledCode.enter`.
 
 Exactness is the design constraint, not an afterthought — campaign
 results must be bit-for-bit those of the interpreter:
 
 * Cycle accounting is block-granular (``cycle += LEN``) but only commits
-  whole blocks that fit the remaining budget; budget tails and mid-block
-  entry points (snapshot restores, ``jalr`` into a block body) fall back
+  blocks whose end fits the remaining budget (a twin counts from the
+  *virtual* block-entry cycle, so every number it reports is the
+  interpreter's); budget tails and an armed stuck-at latch fall back
   to the interpreter's own pre-bound handlers one instruction at a time.
   :meth:`~repro.isa.cpu.Machine.run_to_boundary` (convergence probes)
   skips that tail: the last block may overshoot, up to a hard ceiling.
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from ..isa.assembler import Program
 from ..isa.cpu import Machine
@@ -96,6 +106,10 @@ class CompiledCode:
     #: budget, a halt, a trap, or a pc outside every block leader.  With
     #: ``ceiling > limit`` the last block may overshoot ``limit``.
     run_fn: object
+    #: Per-pc entry table, ``enter[pc](machine, limit, ceiling)``:
+    #: ``run_fn`` at block leaders; inside a block its entrant twin,
+    #: compiled on the first entry (until then a stand-in that does so).
+    enter: list
     #: Block-leader pcs the generated dispatch tree accepts.
     leaders: frozenset
     #: Generated source, kept for debugging and tests.
@@ -420,14 +434,23 @@ class _Codegen:
         for line in lines:
             self._emit(depth, line)
 
-    def _emit_block(self, block: _Block, depth: int) -> None:
+    def _emit_block(self, block: _Block, depth: int,
+                    entrant: bool = False) -> None:
+        """One block inside the dispatch loop — or, with ``entrant``,
+        its twin for a machine already ``k_`` instructions in: the same
+        body behind one ``k_ <= j`` guard per instruction, ``cycle``
+        being the *virtual* block-entry count (real cycle − ``k_``) so
+        that every ``cycle + j`` is the interpreter's number.  A twin
+        runs one pass; the driver re-dispatches on the leader it ends at.
+        """
         instrs = block.instrs
         length = len(instrs)
         last_pc, last = instrs[-1]
         terminal = last.op in _CONTROL
         body = instrs[:-1] if terminal else instrs
+        again = "break" if entrant else "continue"
 
-        if block.self_loop:
+        if block.self_loop and not entrant:
             self._emit(depth, f"while cycle + {length} <= limit or ("
                               f"cycle < limit and cycle + {length} <= ceiling):")
             for k, (pc, ins) in enumerate(body):
@@ -443,12 +466,18 @@ class _Codegen:
             self._emit(depth, "continue")
             return
 
-        # (The second clause only runs for a block past ``limit``.)
-        self._emit(depth, f"if cycle + {length} > limit and ("
-                          f"cycle >= limit or cycle + {length} > ceiling):")
-        self._emit(depth + 1, "break")
+        if not entrant:  # (a twin checks in its prologue)
+            # (The second clause only runs for a block past ``limit``.)
+            self._emit(depth, f"if cycle + {length} > limit and ("
+                              f"cycle >= limit or cycle + {length} > ceiling):")
+            self._emit(depth + 1, "break")
         for k, (pc, ins) in enumerate(body):
-            self._emit_lines(depth, self._body_instr(ins, pc, k))
+            if not entrant or k == length - 1:
+                self._emit_lines(depth, self._body_instr(ins, pc, k))
+            elif k and (lines := self._body_instr(ins, pc, k)):
+                # (Entry is at 1 <= k_ <= length - 1.)
+                self._emit(depth, f"if k_ <= {k}:")
+                self._emit_lines(depth + 1, lines)
         op = last.op if terminal else None
         if op in _BRANCHES:
             cond = self._branch_cond(last)
@@ -458,13 +487,13 @@ class _Codegen:
                 self._emit(depth, f"pc = {target}")
             else:
                 self._emit(depth, f"pc = {target} if {cond} else {fall}")
-            self._emit(depth, "continue")
+            self._emit(depth, again)
         elif op is Op.JAL:
             self._emit(depth, f"cycle += {length}")
             self._emit_lines(depth, self._set(last.rd, str(last_pc + 1),
                                               False))
             self._emit(depth, f"pc = {last.imm}")
-            self._emit(depth, "continue")
+            self._emit(depth, again)
         elif op is Op.JALR:
             base = self._reg(last.rs1)
             if base == "0":
@@ -475,7 +504,7 @@ class _Codegen:
                                               False))
             self._emit(depth, f"cycle += {length}")
             self._emit(depth, "pc = t_")
-            self._emit(depth, "continue")
+            self._emit(depth, again)
         elif op is Op.HALT:
             self._emit(depth, f"cycle += {length}")
             self._emit(depth, f"pc = {last_pc + 1}")
@@ -487,7 +516,7 @@ class _Codegen:
             self._emit(depth, f"cycle += {length}")
             self._emit(depth, f"pc = {last_pc + 1}")
             if last_pc + 1 < len(self.program.rom):
-                self._emit(depth, "continue")
+                self._emit(depth, again)
             else:
                 self._emit(depth, "break")
 
@@ -509,16 +538,10 @@ class _Codegen:
 
     # -- whole-function emission ---------------------------------------------
 
-    def generate(self) -> CompiledCode:
-        blocks = _find_blocks(self.program.rom, self.program.entry)
-        self.lines = []
-        if blocks:
-            self._emit_tree(blocks, 3)
-        else:
-            self._emit(3, "break")
-        tree = self.lines
-
-        head = ["def _jit(M, limit, ceiling):"]
+    def _source(self, name: str, prologue: list[str]) -> str:
+        """``def name(M, limit, ceiling)`` around ``self.lines`` (a
+        dispatch-loop body at depth 3); ``prologue`` sets ``pc``/``cycle``."""
+        head = [f"def {name}(M, limit, ceiling):"] + prologue
         head.append("    regs = M.regs")
         if "ram" in self.uses:
             head.append("    ram = M.ram")
@@ -535,8 +558,6 @@ class _Codegen:
         regs = sorted(self.used_regs)
         for r in regs:
             head.append(f"    r{r} = regs[{r}]")
-        head.append("    cycle = M.cycle")
-        head.append("    pc = M.pc")
         head.append("    try:")
         head.append("        while True:")
         tail = [
@@ -546,6 +567,8 @@ class _Codegen:
             "        M.halted = True",
             "        raise",
             "    except BaseException:",
+            # A host error inside a twin must not publish its virtual cycle.
+            "        cycle = max(cycle, M.cycle)",
             "        M.halted = True",
             "        raise",
             "    finally:",
@@ -554,17 +577,60 @@ class _Codegen:
             tail.append(f"        regs[{r}] = r{r}")
         tail.append("        M.pc = pc")
         tail.append("        M.cycle = cycle")
-        source = "\n".join(head + tree + tail) + "\n"
-        namespace = {
-            "_CPUError": CPUException,
-            "_mem_trap": _mem_trap,
-            "_div_trap": _div_trap,
-        }
-        code = compile(source, "<repro-jit>", "exec")
-        exec(code, namespace)
-        return CompiledCode(run_fn=namespace["_jit"],
+        return "\n".join(head + self.lines + tail) + "\n"
+
+    def generate(self) -> CompiledCode:
+        program = self.program
+        blocks = _find_blocks(program.rom, program.entry)
+        if blocks:
+            self._emit_tree(blocks, 3)
+        else:
+            self._emit(3, "break")
+        source = self._source("_jit", ["    cycle = M.cycle",
+                                       "    pc = M.pc"])
+        run_fn = _load(source, "_jit")
+        enter = [run_fn] * len(program.rom)
+        for block in blocks:
+            body = slice(block.start + 1, block.start + len(block.instrs))
+            enter[body] = [partial(_first_entry, block)] * (
+                len(block.instrs) - 1)
+        return CompiledCode(run_fn=run_fn, enter=enter,
                             leaders=frozenset(b.start for b in blocks),
                             source=source)
+
+    def twin(self, block: _Block) -> object:
+        """The entrant form of ``block``: run its rest from ``M.pc``."""
+        self._emit_block(block, 3, entrant=True)
+        name = f"_enter_{block.start}"
+        return _load(self._source(name, [
+            "    pc = M.pc",
+            f"    k_ = pc - {block.start}",
+            "    cycle = M.cycle - k_",  # the virtual block-entry cycle
+            # The driver only enters below ``limit``, and ``ceiling >=
+            # limit``: the rest of the block fits iff its end does.
+            f"    if cycle + {len(block.instrs)} > ceiling:",
+            "        return",
+        ]), name)
+
+
+def _load(source: str, name: str):
+    """Compile generated ``source`` and return its function ``name``."""
+    namespace = {
+        "_CPUError": CPUException,
+        "_mem_trap": _mem_trap,
+        "_div_trap": _div_trap,
+    }
+    exec(compile(source, "<repro-jit>", "exec"), namespace)
+    return namespace[name]
+
+
+def _first_entry(block: _Block, M, limit, ceiling) -> None:
+    """Stand-in for ``block``'s twin: compile it, take its place, run it.
+    (Program and table come from ``M``: no cycle through the artifact.)"""
+    fn = _Codegen(M.program).twin(block)
+    body = slice(block.start + 1, block.start + len(block.instrs))
+    M._jit.enter[body] = [fn] * (len(block.instrs) - 1)
+    fn(M, limit, ceiling)
 
 
 def compile_program(program: Program) -> CompiledCode | None:
@@ -592,7 +658,9 @@ class CompiledMachine(Machine):
     Everything observable — state, digests, traps, snapshots, serial,
     detections, cycle counts — is bit-identical to the interpreter; the
     per-instruction handlers remain available and are used for golden
-    recording (``tracer``), mid-block entry points and budget tails.
+    recording (``tracer``), an armed stuck-at latch and budget tails.
+    Any other pc enters generated code: the superblock function at a
+    block leader, the block's entrant twin inside it.
     """
 
     def __init__(self, program: Program, *, tracer=None, oracle=None):
@@ -603,16 +671,9 @@ class CompiledMachine(Machine):
 
     def reset(self) -> None:
         super().reset()
-        self._rebuild_views()
-
-    def restore(self, state) -> None:
-        super().restore(state)
-        self._rebuild_views()
-
-    def _rebuild_views(self) -> None:
-        # ``cast`` needs a length divisible by the item size; RAM never
-        # resizes, so slicing to the aligned prefix once per (re)build
-        # is safe.  Aligned in-bounds accesses never reach past it.
+        # Only ``reset`` replaces the RAM buffer (``restore`` copies into
+        # it).  ``cast`` needs a length divisible by the item size;
+        # aligned in-bounds accesses never reach past the aligned prefix.
         ram = self.ram
         self._mv4 = memoryview(ram)[:len(ram) & ~3].cast("I")
         self._mv2 = memoryview(ram)[:len(ram) & ~1].cast("H")
@@ -630,8 +691,7 @@ class CompiledMachine(Machine):
             return
         if ceiling is None or self._stuck is not None:
             ceiling = limit  # exact; an armed latch is interpreted
-        run_fn = jit.run_fn
-        leaders = jit.leaders
+        enter = jit.enter
         exec_rom = self._exec
         rom_len = len(exec_rom)
         while not self.halted:
@@ -640,18 +700,17 @@ class CompiledMachine(Machine):
                 break
             pc = self.pc
             if 0 <= pc < rom_len:
-                if pc in leaders and self._stuck is None:
-                    # Generated blocks inline their stores (memoryview
+                if self._stuck is None:
+                    # Generated code inlines its stores (memoryview
                     # writes), which would bypass the stuck-at release
                     # hook in ``_store_raw`` — so an armed latch pins
                     # execution to the interpreter path until the
                     # releasing store clears it.
-                    run_fn(self, limit, ceiling)
+                    enter[pc](self, limit, ceiling)
                     if self.halted or self.cycle != cycle:
                         continue
-                # Mid-block pc (snapshot restore, jalr into a block
-                # body) or a block that fits neither budget nor
-                # ceiling: one interpreter step, then try again.
+                # The block (or what is left of it) fits neither budget
+                # nor ceiling: one interpreter step, then try again.
                 handler, instr = exec_rom[pc]
                 self.pc = pc + 1
                 try:

@@ -180,15 +180,25 @@ class Machine:
         )
 
     def restore(self, state: MachineState) -> None:
-        """Restore a snapshot previously taken from this program."""
-        self.ram = bytearray(state.ram)
-        self.regs = list(state.regs)
+        """Restore a snapshot previously taken from this program.
+
+        In place — campaigns restore once per experiment, and the
+        compiled engine holds ``memoryview`` casts of ``ram`` — so a
+        snapshot of another RAM size is refused, not adopted.
+        """
+        ram = self.ram
+        if len(state.ram) != len(ram):
+            raise ValueError(
+                f"snapshot holds {len(state.ram)} bytes of RAM, "
+                f"this machine {len(ram)}")
+        ram[:] = state.ram
+        self.regs[:] = state.regs
         self.pc = state.pc
         self.cycle = state.cycle
         self.halted = state.halted
         self.diverged = state.diverged
-        self.serial = bytearray(state.serial)
-        self.detections = list(state.detections)
+        self.serial[:] = state.serial
+        self.detections[:] = state.detections
         self._stuck = state.stuck
 
     def state_digest(self) -> bytes:

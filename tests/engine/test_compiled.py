@@ -9,6 +9,7 @@ early-exit keys on.  The interpreter is deliberately simple; the JIT
 is only allowed to be faster, never different.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -20,9 +21,13 @@ from repro.engine import (
     INTERP,
     get_engine,
 )
-from repro.engine.compiled import CompiledMachine, compile_program
+from repro.engine.compiled import (
+    CompiledMachine,
+    _find_blocks,
+    compile_program,
+)
 from repro.isa import CPUException, Machine, assemble
-from repro.programs import all_programs, micro
+from repro.programs import all_programs, bin_sem2, micro
 
 
 def final_state(machine):
@@ -40,6 +45,15 @@ def final_state(machine):
     }
 
 
+def raised_trap(run, *args):
+    """Trap identity (type, message, pc, cycle) of ``run(*args)``."""
+    try:
+        run(*args)
+    except CPUException as exc:
+        return type(exc).__name__, str(exc), exc.pc, exc.cycle
+    return None
+
+
 def run_pair(program, limit, *, oracle=None, mutate=None):
     """Run interpreter and JIT side by side; return both observations.
 
@@ -52,11 +66,7 @@ def run_pair(program, limit, *, oracle=None, mutate=None):
         machine = cls(program, oracle=oracle)
         if mutate is not None:
             mutate(machine)
-        trap = None
-        try:
-            machine.run(limit)
-        except CPUException as exc:
-            trap = (type(exc).__name__, str(exc), exc.pc, exc.cycle)
+        trap = raised_trap(machine.run, limit)
         state = final_state(machine)
         state["trap"] = trap
         results.append(state)
@@ -241,14 +251,18 @@ class TestSnapshotInterop:
         jit.run(10_000_000)
         assert final_state(interp) == final_state(jit)
 
-    def test_restore_rebuilds_ram_views(self):
-        """restore() swaps the RAM buffer; the JIT's views must follow."""
+    def test_restore_keeps_ram_views(self):
+        """restore() copies into the RAM buffer the JIT's views cast."""
         program = PROGRAMS["memcopy"]()
         jit = CompiledMachine(program)
+        buffers = jit.ram, jit.regs, jit.serial, jit.detections
         jit.run(10)
         state = jit.snapshot()
         jit.run(10_000_000)
         jit.restore(state)
+        assert all(a is b for a, b in zip(
+            buffers, (jit.ram, jit.regs, jit.serial, jit.detections)))
+        assert jit._mv4.obj is jit.ram and jit._mv2.obj is jit.ram
         jit.flip_bit(0, 0)
         ref = Machine(program)
         ref.restore(state)
@@ -256,6 +270,18 @@ class TestSnapshotInterop:
         jit.run(10_000_000)
         ref.run(10_000_000)
         assert final_state(jit) == final_state(ref)
+
+    @pytest.mark.parametrize("cls", [Machine, CompiledMachine])
+    def test_restore_rejects_a_foreign_ram_size(self, cls):
+        """In place, a snapshot of another RAM size would resize the
+        buffer (``BufferError`` under the JIT's exported views)."""
+        small = cls(assemble("halt", name="small", ram_size=8))
+        state = Machine(assemble("halt", name="big", ram_size=16)).snapshot()
+        with pytest.raises(ValueError, match="16 bytes of RAM"):
+            small.restore(state)
+        assert len(small.ram) == 8
+        small.run(10)
+        assert small.halted
 
     def test_reset_rebuilds_ram_views(self):
         program = PROGRAMS["hi"]()
@@ -354,11 +380,13 @@ loop:   lw   r1, v(zero)
         # The iteration does not fit under the ceiling: exact stop.
         assert self.stop(program, 13, 15).cycle == 13
         assert self.stop(program, 13, 13).cycle == 13
-        # From a mid-block start the rest of the block is interpreted
-        # one instruction at a time (every cycle a stop); whole blocks
+        # From a mid-block start the block's entrant twin finishes the
+        # iteration (a stop at its end, like any block); whole blocks
         # take over at the next leader.
-        assert self.stop(program, 15, 30, start=13).cycle == 15
+        assert self.stop(program, 15, 30, start=13).cycle == 16
         assert self.stop(program, 17, 30, start=13).cycle == 21
+        # The rest of the iteration does not fit: exact stop again.
+        assert self.stop(program, 14, 15, start=13).cycle == 14
 
     def test_out_divergence_inside_a_block(self):
         program = assemble("""\
@@ -411,6 +439,202 @@ loop:   lw   r1, v(zero)
             machine.run_to_boundary(4, 10)
         with pytest.raises(ValueError):
             machine.run_to_boundary(8, 7)
+
+
+def count_interpreted(machine):
+    """Route ``machine``'s per-instruction handlers through a counter;
+    returns the list every interpreted instruction is appended to."""
+    calls = []
+
+    def counted(handler):
+        def call(instr):
+            calls.append(instr)
+            handler(instr)
+        return call
+
+    machine._exec = [(counted(handler), instr)
+                     for handler, instr in machine._exec]
+    return calls
+
+
+class TestMidBlockEntry:
+    """A machine that lands inside a block (snapshot restore, ``jalr``)
+    runs the rest of it in the block's entrant twin, not interpreted."""
+
+    def test_every_golden_cycle_of_a_hardened_program(self):
+        program = bin_sem2.hardened()
+        ref = Machine(program)
+        states = [ref.snapshot()]
+        while not ref.halted:
+            ref.step()
+            states.append(ref.snapshot())
+        total = ref.cycle
+        assert len(states) == total + 1
+        end_of = {}  # pc -> one past its block's last pc
+        for block in _find_blocks(program.rom, program.entry):
+            for pc, _ in block.instrs:
+                end_of[pc] = block.start + len(block.instrs)
+        assert max(end - pc for pc, end in end_of.items()) > 50
+        jit = CompiledMachine(program)
+        calls = count_interpreted(jit)
+        for cycle in range(total):
+            state = states[cycle]
+            rest = end_of[state.pc] - state.pc
+            # A boundary stop finishes the block ...
+            jit.restore(state)
+            jit.run_to_boundary(cycle + 1, total)
+            assert jit.snapshot() == states[cycle + rest]
+            # ... and so does an exact limit at the block's end,
+            jit.restore(state)
+            jit.run_to_cycle(cycle + rest)
+            assert jit.snapshot() == states[cycle + rest]
+            # as does a run to the program's end,
+            jit.restore(state)
+            jit.run(10_000_000)
+            assert jit.snapshot() == states[total]
+            assert not calls
+            # while a limit inside the block is interpreted up to.
+            jit.restore(state)
+            jit.run_to_cycle(cycle + rest - 1)
+            assert jit.snapshot() == states[cycle + rest - 1]
+            assert len(calls) == rest - 1
+            calls.clear()
+
+    BLOCK = """\
+        li   r2, 2
+        addi r1, r1, 65
+        detect 3
+        out  r1
+        addi r1, r1, 1
+        detect 4
+        out  r1
+        sw   r1, 4(zero)
+        lw   r3, 0(r2)
+        halt
+"""
+
+    @pytest.mark.parametrize("oracle, end_cycle, trapped", [
+        (None, 8, True),       # the unaligned load at offset 8
+        (b"AB", 8, True),
+        (b"AX", 7, False),     # out divergence at offset 6
+        (b"X", 4, False),      # out divergence at offset 3
+    ])
+    def test_side_effects_after_entering_at_every_offset(
+            self, oracle, end_cycle, trapped):
+        program = assemble(self.BLOCK, name="block", ram_size=8)
+        assert len(_find_blocks(program.rom, program.entry)) == 1
+        for k in range(1, end_cycle):
+            ref = Machine(program, oracle=oracle)
+            ref.run_to_cycle(k)
+            jit = CompiledMachine(program, oracle=oracle)
+            jit.restore(ref.snapshot())
+            calls = count_interpreted(jit)
+            traps = raised_trap(jit.run, 1000), raised_trap(ref.run, 1000)
+            assert traps[0] == traps[1] and bool(traps[0]) == trapped
+            assert final_state(jit) == final_state(ref)
+            assert jit.cycle == end_cycle and not calls
+            assert jit.detections[-1] == (
+                (6, 4) if end_cycle > 5 else (3, 3))
+
+    def test_self_loop_body_then_native_loop(self):
+        program = assemble(TestRunToBoundary.LOOP, name="loop", ram_size=4)
+        ref = Machine(program)
+        ref.run_to_cycle(13)  # mid-iteration
+        jit = CompiledMachine(program)
+        jit.restore(ref.snapshot())
+        calls = count_interpreted(jit)
+        jit.run(10_000)
+        ref.run(10_000)
+        assert final_state(jit) == final_state(ref)
+        assert jit.halted and not calls
+
+    def test_jalr_into_a_block_body(self):
+        program = assemble("""\
+        li   r1, 4
+        jalr r0, 0(r1)
+        addi r2, r2, 1
+        addi r2, r2, 2
+        addi r2, r2, 4
+        out  r2
+        halt
+""", name="jalr-mid", ram_size=4)
+        assert 4 not in compile_program(program).leaders
+        jit, ref = CompiledMachine(program), Machine(program)
+        calls = count_interpreted(jit)
+        jit.run(100)
+        ref.run(100)
+        assert final_state(jit) == final_state(ref)
+        assert jit.serial == b"\x04" and not calls
+
+    def test_armed_latch_is_interpreted_until_its_releasing_store(self):
+        program = assemble(self.BLOCK, name="block", ram_size=8)
+        ref = Machine(program, oracle=b"AB")
+        ref.run_to_cycle(2)
+        jit = CompiledMachine(program, oracle=b"AB")
+        jit.restore(ref.snapshot())
+        calls = count_interpreted(jit)
+        for machine in (jit, ref):
+            machine.stuck_at(5, 0, 1)
+        traps = raised_trap(jit.run, 1000), raised_trap(ref.run, 1000)
+        assert traps[0] == traps[1] and traps[0][0] == "AlignmentFault"
+        assert final_state(jit) == final_state(ref)
+        # Offsets 2..7 are interpreted (7 is the ``sw`` over byte 5);
+        # the twin runs the trapping load.
+        assert [i.op.name for i in calls][-1] == "SW" and len(calls) == 6
+        assert jit._stuck is None
+
+    def test_host_error_never_shows_the_virtual_cycle(self):
+        """A negative shift count (no assembler emits one) is a host
+        ``ValueError``: the machine halts at or past its entry cycle."""
+        program = assemble("""\
+        li   r1, 5
+        addi r1, r1, 1
+        addi r1, r1, 1
+        slli r2, r1, 1
+        halt
+""", name="neg-shift", ram_size=4)
+        program.rom[3] = dataclasses.replace(program.rom[3], imm=-1)
+        for k in (1, 2, 3):
+            ref = Machine(program)
+            ref.run_to_cycle(k)
+            jit = CompiledMachine(program)
+            jit.restore(ref.snapshot())
+            with pytest.raises(ValueError, match="negative shift count"):
+                jit.run(100)
+            assert jit.halted and jit.cycle >= k and jit.regs[1] == 7
+
+    def test_views_survive_restore_reset_restore(self):
+        program = PROGRAMS["memcopy"]()
+        ref = Machine(program)
+        ref.run_to_cycle(10)
+        early = ref.snapshot()
+        ref.run_to_cycle(25)
+        late = ref.snapshot()
+        ref.run(10_000_000)
+        jit = CompiledMachine(program)
+        jit.restore(late)
+        jit.reset()
+        assert jit._mv4.obj is jit.ram
+        jit.restore(early)
+        jit.run(10_000_000)
+        assert final_state(jit) == final_state(ref)
+
+    def test_snapshot_of_the_executors_other_machine(self):
+        """What every experiment does: the faulty machine restores a
+        snapshot taken from the pristine one."""
+        from repro.campaign import ExecutorConfig, record_golden
+
+        golden = record_golden(PROGRAMS["bin_sem2"]())
+        executor = ExecutorConfig(engine="compiled").build(golden)
+        pristine, faulty = executor._pristine, executor._machine
+        calls = count_interpreted(faulty)
+        for cycle in (7, 8, 40, golden.cycles - 3):
+            pristine.run_to_cycle(cycle)
+            faulty.restore(pristine.snapshot())
+            faulty.run(10_000_000)
+            assert faulty.cycle == golden.cycles
+            assert bytes(faulty.serial) == golden.output
+        assert not calls
 
 
 class TestEngineRegistry:

@@ -99,7 +99,10 @@ def fuzz_programs(draw, detect=True):
     for reg in range(1, 5):
         lines.append(f"li r{reg}, {draw(st.integers(-100, 70000))}")
     lines.append(f"li r5, {draw(st.integers(1, 1000))}")
-    lines.extend(draw(_body_ops(2, 8, detect=detect)))
+    # Sometimes one long straight-line block, so that entrant-twin
+    # guards far from either end of a block are fuzzed too.
+    n_min, n_max = (40, 56) if draw(st.booleans()) else (2, 8)
+    lines.extend(draw(_body_ops(n_min, n_max, detect=detect)))
     if draw(st.booleans()):
         lines.append(f"li r7, {draw(st.integers(2, 5))}")
         lines.append("loop:")
@@ -146,13 +149,19 @@ def test_jit_matches_interpreter_under_injection(program, data):
         reg = data.draw(st.integers(1, 15), label="reg")
         bit = data.draw(st.integers(0, 31), label="regbit")
         fault = lambda m: m.flip_register_bit(reg, bit)  # noqa: E731
-    limit = 4 * total + 100
+    # The campaign's own sequence: restore a pristine snapshot (mostly
+    # mid-block), inject, run to an exact limit — the cycle budget, or
+    # one that falls inside a block.
+    limit = data.draw(st.just(4 * total + 100)
+                      | st.integers(slot - 1, total + 8), label="limit")
+    golden.reset()
+    golden.run_to_cycle(slot - 1)
+    state = golden.snapshot()
     observations = []
     for cls in (Machine, CompiledMachine):
         machine = cls(program, oracle=serial)
-        machine.run_to_cycle(slot - 1)
-        if not machine.halted:
-            fault(machine)
+        machine.restore(state)
+        fault(machine)
         observations.append(_observe(machine, limit))
     assert observations[0] == observations[1]
 
