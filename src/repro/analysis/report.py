@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ..campaign.database import CampaignSummary
-from ..campaign.journal import ExecutionReport
+from ..campaign.pipeline import ExecutionReport
 from ..campaign.runner import CampaignResult
 from .figures import Fig2Series, fig2_verdicts, fig3_data, table1_data
 
@@ -100,7 +100,7 @@ def outcome_histogram(result: CampaignResult) -> str:
 
 
 def completeness_report(report: ExecutionReport) -> str:
-    """Render an :class:`~repro.campaign.journal.ExecutionReport` as text.
+    """Render an :class:`~repro.campaign.pipeline.ExecutionReport` as text.
 
     Summarizes how the campaign actually ran: fresh vs. journal-resumed
     work units, wall-clock shard timeouts, worker retries and — for a

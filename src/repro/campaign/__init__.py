@@ -1,6 +1,6 @@
 """Fault-injection campaign engine (the FAIL*-equivalent substrate)."""
 
-from .compose import SectionComposer, build_composer, compose_into_completed
+from .compose import SectionComposer
 from .database import (
     CampaignCache,
     CampaignSummary,
@@ -18,7 +18,6 @@ from .experiment import (
     ExperimentRecord,
 )
 from .journal import (
-    ExecutionReport,
     ExperimentJournal,
     JournalError,
     JournalMismatchError,
@@ -41,14 +40,7 @@ from .outcomes import (
     PANIC_CODE,
     classify,
 )
-from .registers import (
-    RegisterCampaignResult,
-    RegisterExperimentExecutor,
-    collect_pc_trace,
-    register_partition,
-    run_register_brute_force,
-    run_register_scan,
-)
+from .pipeline import ExecutionReport
 from .runner import (
     BruteForceResult,
     CampaignResult,
@@ -81,8 +73,6 @@ __all__ = [
     "JournalError",
     "JournalMismatchError",
     "SectionComposer",
-    "build_composer",
-    "compose_into_completed",
     "ParallelCampaign",
     "RetryPolicy",
     "resolve_jobs",
@@ -92,13 +82,7 @@ __all__ = [
     "MAX_CHECKPOINTS",
     "Outcome",
     "PANIC_CODE",
-    "RegisterCampaignResult",
-    "RegisterExperimentExecutor",
     "SAMPLERS",
-    "collect_pc_trace",
-    "register_partition",
-    "run_register_brute_force",
-    "run_register_scan",
     "SamplingResult",
     "classify",
     "export_class_results_csv",

@@ -129,48 +129,3 @@ class SectionComposer:
             (slot, axis, bit,
              outcome.value if isinstance(outcome, Outcome) else outcome,
              end_cycle, trap)])
-
-
-def build_composer(handle, golden, domain, params):
-    """A :class:`SectionComposer` when journaled, else ``None``.
-
-    Composition is inseparable from journaling: without a journal there
-    is no store to compose from, and the returned ``None`` makes every
-    call site degrade to exactly the pre-section behaviour.
-    """
-    if handle is None:
-        return None
-    return SectionComposer(handle, golden, domain, params)
-
-
-def compose_into_completed(composer, live, completed, handle,
-                           report) -> int:
-    """Inject store-composable classes into a ``completed`` mapping.
-
-    The serial, parallel and distributed full-scan runners all consult
-    a ``(axis, first_slot) → rows`` mapping of journaled classes before
-    executing; extending that mapping here means composed classes flow
-    through the exact resume machinery those runners already have —
-    same ordering, same record reconstruction, same accounting — which
-    is what makes the bit-for-bit invariant cheap to keep.  Composed
-    experiments are counted in ``report.composed_hits`` (and, by
-    virtue of living in the mapping, in ``resumed``).
-    """
-    if composer is None:
-        return 0
-    batch = []
-    for interval in live:
-        key = composer.domain.class_key(interval)
-        if key in completed:
-            continue
-        rows = composer.compose_class(interval)
-        if rows is None:
-            continue
-        completed[key] = rows
-        batch.append((key[0], key[1],
-                      [(bit, outcome.value, end_cycle, trap)
-                       for bit, outcome, end_cycle, trap in rows]))
-        report.composed_hits += len(rows)
-    # One journal unit (one executemany) for the whole composition.
-    handle.record_classes(batch)
-    return len(batch)

@@ -8,7 +8,7 @@ pollute results), stream per-class results back, and heartbeat; the
 coordinator reassigns expired leases with exponential backoff and a
 retry budget, merges duplicate submissions idempotently through the
 journal keys, and degrades permanently lost shards into
-:class:`~repro.campaign.journal.ExecutionReport` completeness
+:class:`~repro.campaign.pipeline.ExecutionReport` completeness
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.
 

@@ -1,10 +1,13 @@
 """Campaign coordinator: owns the journal, leases shards to workers.
 
-One coordinator process runs the distributed campaign.  It records the
-golden run, plans the same contiguous cost-balanced shards the
-in-process pool would (:func:`~repro.campaign.parallel.plan_class_shards`
-over the *full* live-class list, so shard indices are stable across
-coordinator restarts), and serves a TCP endpoint where workers pull
+One coordinator process runs the distributed campaign: the lease/frame
+transport of :mod:`repro.campaign.pipeline`.  Prologue (journal, resume,
+validation of resumed classes, composition), cost table and
+canonical-order assembly are the pipeline's; the coordinator plans the
+same contiguous cost-balanced shards the process pool would
+(:func:`~repro.campaign.pipeline.plan_class_shards` over the *full*
+live-class list, so shard indices are stable across coordinator
+restarts), and serves a TCP endpoint where workers pull
 :class:`~.leases.ShardLease` grants and stream per-class results back.
 
 **Why the result is bit-for-bit identical to a serial run.**  Every
@@ -71,30 +74,21 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Callable
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
-from ..compose import build_composer, compose_into_completed
 from ..database import program_fingerprint
-from ..experiment import ExecutorConfig, ExperimentRecord
+from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
-from ..journal import (
-    CampaignJournal,
-    ExecutionReport,
-    ExperimentJournal,
-    invalid_classes,
-    open_campaign,
-)
 from ..outcomes import Outcome
-from ..parallel import (RetryPolicy, class_cost, plan_class_shards,
-                        tune_shard_count)
+from ..parallel import RetryPolicy
+from ..pipeline import (CampaignRun, ProgressCallback, campaign_params,
+                        open_run, plan_class_shards)
+from ..runner import ScanStyle
 from .chaos import PLAN_ENV, ChaosPlan, plan_from_spec
 from .leases import FAILED, LEASED, LeaseBoard
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
                        result_digest, write_frame)
 from .supervision import QUARANTINED, SupervisionPolicy, WorkerSupervisor
-
-ProgressCallback = Callable[[int, int], None]
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
@@ -121,7 +115,7 @@ class DistCoordinator:
     better after node loss; coarser ones amortize more snapshot
     fast-forwarding).  ``expected_workers`` is an optional planning
     hint: when set and the campaign's estimated cycle cost is small
-    (:data:`~repro.campaign.parallel.SMALL_CAMPAIGN_CYCLES`), the
+    (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`), the
     granularity collapses to one shard per worker so lease round-trips
     stop dominating tiny scans.  ``journal`` is where results and lease state
     persist — pass a real path to make the coordinator restartable;
@@ -189,7 +183,6 @@ class DistCoordinator:
         #: ``(host, port)`` actually bound, set once serving.
         self.address: tuple[str, int] | None = None
         self.stopped = False
-        self.report = ExecutionReport()
         self._worker_units: Counter = Counter()
         self._accepted = 0
         self._writers: dict[str, asyncio.StreamWriter] = {}
@@ -205,19 +198,10 @@ class DistCoordinator:
         #: Per worker: merged-but-not-yet-verified keys (what a
         #: byzantine conviction discards).
         self._delivered: dict[str, set] = {}
-        self._expected_rows: dict[tuple, int] = {}
         self._next_verify_id = 0
         self._drain_deadline: float | None = None
 
     # -- identity shipped to workers -------------------------------------------
-
-    def _journal_params(self) -> dict:
-        """Same campaign key as the serial and pool engines, so one
-        journal resumes under any of the three."""
-        return {
-            "timeout_cycles": self.config.timeout_cycles(self.golden.cycles),
-            "early_stop": self.config.early_stop,
-        }
 
     def _campaign_message(self) -> dict:
         program = self.golden.program
@@ -246,75 +230,43 @@ class DistCoordinator:
         return asyncio.run(self._main())
 
     async def _main(self):
-        golden = self.golden
-        domain = self.domain
-        partition = domain.build_partition(golden)
-        # The journal connection must be created in the serving thread
-        # (sqlite3 objects are thread-affine) — hence here, not __init__.
-        owned = None
-        journal = self.journal
-        if journal is None:
-            journal = owned = ExperimentJournal(":memory:")
-        try:
-            # Leaving the handle commits every accepted class, however
-            # the serve loop ended, and closes a path-opened file
-            # (closing checkpoints the WAL into the main file, so the
-            # journal on disk is whole, copyable and salvage-friendly
-            # afterwards).
-            with open_campaign(journal, golden, domain, "full-scan",
-                               self._journal_params()) as handle:
-                if not self.resume:
-                    handle.clear()
-                return await self._serve(handle, partition)
-        finally:
-            if owned is not None:
-                owned.close()
-
-    async def _serve(self, handle: CampaignJournal, partition):
         golden, domain = self.golden, self.domain
-        completed = handle.completed_classes()
-        live = partition.live_classes()  # sorted by injection slot
-        self.report = ExecutionReport(total_units=len(live))
-        self._by_key = {domain.class_key(interval): interval
-                        for interval in live}
-        # Never trust resumed classes blindly: a salvaged journal can
-        # hold partial classes (page loss truncates committed rows), so
-        # validate every resumed class against the domain's expected
-        # experiment count and re-execute the bad ones.
-        pruned = invalid_classes(
-            completed,
-            {key: self._expected_count(key) for key in completed
-             if key in self._by_key})
-        pruned.extend(key for key in completed if key not in self._by_key)
-        if pruned:
-            handle.discard_classes(pruned)
-            for key in pruned:
-                completed.pop(key, None)
-            self.report.discarded_results += len(pruned)
-            handle.record_event(
-                "salvage-prune", at=time.time(),
-                detail=f"{len(pruned)} resumed classes failed "
-                       f"validation and were discarded")
-        # Compose store-known classes before planning leases: composed
-        # classes join ``completed`` and are never leased to any worker.
-        self._composer = build_composer(handle, golden, domain,
-                                        self._journal_params())
-        compose_into_completed(self._composer, live, completed, handle,
-                               self.report)
-        key_costs = {domain.class_key(interval):
-                     class_cost(interval, golden.cycles, bits=domain.bits)
-                     for interval in live}
+        style = ScanStyle(golden, domain,
+                          campaign_params(golden, self.config),
+                          keep_records=self.keep_records)
+        # The journal connection must be created in the serving thread
+        # (sqlite3 objects are thread-affine) — hence here, not
+        # __init__.  Leaving the block commits every accepted class,
+        # however the serve loop ended, and closes a path-opened file
+        # (closing checkpoints the WAL into the main file, so the
+        # journal on disk is whole, copyable and salvage-friendly
+        # afterwards).  Without a journal the merge funnel still needs
+        # one: a private in-memory database, gone with the handle.
+        with open_run(style, ":memory:" if self.journal is None
+                          else self.journal, self.resume,
+                          self.progress) as run:
+            return await self._serve(run)
+
+    async def _serve(self, run: CampaignRun):
+        golden, domain = self.golden, self.domain
+        # The pipeline's prologue has loaded, validated and composed:
+        # ``run.completed`` classes are never leased to any worker.
+        self.run = run
+        self.handle = handle = run.handle
+        self.report = run.report
+        self._by_key = run.style.units
+        completed = run.completed
         # Plan over the FULL live list: indices and key lists are then a
         # pure function of the campaign, stable across restarts, and the
         # journaled per-shard retry state stays meaningful.  Small
         # campaigns collapse the lease granularity to one shard per
         # expected worker first (also a pure function of the arguments,
         # so restarts with the same worker count re-derive it).
-        parts = tune_shard_count(sum(key_costs.values()), self.shards,
-                                 self.expected_workers)
-        planned, _ = plan_class_shards(live, golden.cycles,
-                                       bits=domain.bits, parts=parts)
-        board = LeaseBoard(policy=self.policy, key_costs=key_costs)
+        planned, _, costs = plan_class_shards(
+            list(self._by_key.values()), golden.cycles, bits=domain.bits,
+            parts=self.shards, workers=self.expected_workers)
+        board = LeaseBoard(policy=self.policy,
+                           key_costs=dict(zip(self._by_key, costs)))
         journaled_leases = handle.lease_states()
         for index, shard in enumerate(planned):
             keys = [domain.class_key(interval) for interval in shard]
@@ -328,13 +280,6 @@ class DistCoordinator:
                 board.restore(index, attempts=stored["attempts"],
                               status=stored["status"])
         self.board = board
-        self.handle = handle
-        #: Classes trusted before any worker connected (resumed or
-        #: composed) — assembly must not re-store these.
-        self._initial_completed = frozenset(completed)
-        self.report.resumed = len(completed)
-        self._done_total = len(live)
-        self._done_count = self.report.resumed
         self._done = asyncio.Event()
         self._journal_leases()
         self._maybe_finish()
@@ -377,7 +322,7 @@ class DistCoordinator:
                 await asyncio.wait(self._conn_tasks, timeout=2.0)
         if self.stopped:
             return None
-        return self._assemble(partition, live)
+        return self._assemble()
 
     async def _watchdog(self):
         while True:
@@ -400,7 +345,7 @@ class DistCoordinator:
             # Results arrive in bursts; whatever the last burst left in
             # the journal's commit window is committed before the loop
             # idles.
-            self.handle.flush()
+            self.run.idle()
 
     # -- per-connection protocol ------------------------------------------------
 
@@ -620,15 +565,12 @@ class DistCoordinator:
                 self._drain_deadline = None
                 self.report.crosschecked += 1
             self.report.executed += 1
-            self.report.convergence_hits += int(frame.get("hits", 0))
-            self.report.slice_hits += int(frame.get("skips", 0))
-            self.report.scalar_tail_experiments += int(
-                frame.get("tails", 0))
+            self.report.count(int(frame.get(field, 0))
+                              for field in ("hits", "skips", "tails"))
             self._worker_units[name] += 1
-            self._done_count += 1
             self._accepted += 1
-            if self.progress is not None:
-                self.progress(self._done_count, self._done_total)
+            self.run.done += 1
+            self.run.heartbeat()
             if (self.stop_after_results is not None
                     and self._accepted >= self.stop_after_results):
                 self.stopped = True
@@ -662,7 +604,7 @@ class DistCoordinator:
             detail=f"{list(key)}: {crc} vs {digest} (verifier {name})")
         if self.handle.discard_classes([key]):
             self.report.discarded_results += 1
-            self._done_count -= 1
+            self.run.done -= 1
         self._delivered.get(worker, set()).discard(key)
         policy = self.supervisor.policy
         shard_index = self.board.requeue(
@@ -705,7 +647,7 @@ class DistCoordinator:
             return
         self.handle.discard_classes(suspect_keys)
         self.report.discarded_results += len(suspect_keys)
-        self._done_count -= len(suspect_keys)
+        self.run.done -= len(suspect_keys)
         for skey in suspect_keys:
             self._check_pending.pop(skey, None)
             self._inflight_keys.discard(skey)
@@ -799,18 +741,11 @@ class DistCoordinator:
         rng = random.Random(f"crosscheck/{key[0]}/{key[1]}")
         return rng.random() < self.crosscheck
 
-    def _expected_count(self, key: tuple) -> int:
-        count = self._expected_rows.get(key)
-        if count is None:
-            interval = self._by_key.get(key)
-            count = -1 if interval is None \
-                else len(interval.experiments())
-            self._expected_rows[key] = count
-        return count
-
     def _valid_shape(self, key: tuple, rows: list) -> bool:
         """Rows must match the domain's expected experiment weights."""
-        if len(rows) != self._expected_count(key):
+        interval = self._by_key.get(key)
+        if interval is None \
+                or len(rows) != self.domain.experiment_count(interval):
             return False
         for index, row in enumerate(rows):
             if row[0] != index or row[1] not in _OUTCOME_VALUES:
@@ -838,36 +773,18 @@ class DistCoordinator:
             return  # the watchdog's patience timer resolves these
         self._done.set()
 
-    def _assemble(self, partition, live):
+    def _assemble(self):
         """Merge the journal into a serial-identical CampaignResult."""
-        from ..runner import CampaignResult
-
-        domain = self.domain
+        run = self.run
         merged = self.handle.completed_classes()
-        class_outcomes = {}
-        records: list[ExperimentRecord] = []
-        missing = []
-        for interval in live:
-            key = domain.class_key(interval)
-            if key not in merged:
-                missing.append(key)
-                continue
-            rows = merged[key]
-            class_outcomes[key] = tuple(outcome for _, outcome, _, _ in rows)
-            if self._composer is not None \
-                    and key not in self._initial_completed:
-                # Deferred section-store write: only classes that
-                # survived CRC checks, cross-check verification and
-                # byzantine rollback reach the cross-campaign store.
-                self._composer.store_class(interval, rows)
-            if self.keep_records:
-                coords = interval.experiments()
-                records.extend(
-                    ExperimentRecord(coordinate=coords[bit], outcome=outcome,
-                                     end_cycle=end_cycle, trap=trap)
-                    for bit, outcome, end_cycle, trap in rows)
+        # Deferred section-store write: only classes that survived CRC
+        # checks, cross-check verification and byzantine rollback reach
+        # the cross-campaign store (and never the ones trusted before
+        # any worker connected — those came from it or are in it).
+        for key, interval in self._by_key.items():
+            if key in merged and key not in run.completed:
+                run.composer.store_class(interval, merged[key])
         report = self.report
-        report.missing = tuple(missing)
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
         report.workers = tuple(sorted(self._worker_units.items()))
@@ -876,14 +793,11 @@ class DistCoordinator:
         report.quarantined_workers = tuple(
             state["name"] for state in self.supervisor.snapshot()
             if state["offenses"])
-        if report.complete:
-            self.handle.mark_complete()
-        else:
+        result = run.assemble(merged)
+        if not report.complete:
             # Failed shards are final state worth keeping queryable.
             self._journal_leases()
-        return CampaignResult(golden=self.golden, partition=partition,
-                              class_outcomes=class_outcomes, records=records,
-                              domain=domain, execution=report)
+        return result
 
 
 # -- one-shot convenience -------------------------------------------------------

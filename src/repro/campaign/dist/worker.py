@@ -49,6 +49,8 @@ from ...isa.assembler import assemble
 from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import record_golden
+from ..pipeline import ExecutorCounters
+from ..runner import ScanStyle
 from .chaos import WorkerChaos, plan_from_env, plan_from_spec
 from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
                        result_digest)
@@ -157,14 +159,14 @@ class DistWorker:
             if frame.get("type") != "campaign":
                 raise ProtocolError(
                     f"expected campaign spec, got {frame.get('type')!r}")
-            executor, intervals, domain = self._verify(stream, frame)
+            executor, intervals = self._verify(stream, frame)
             self._send(stream, {"type": "ready"})
             beat = threading.Thread(
                 target=self._heartbeat, args=(stream, stop_heartbeat),
                 daemon=True)
             beat.start()
             try:
-                self._work(stream, executor, intervals, domain)
+                self._work(stream, executor, intervals)
             except (ConnectionError, OSError):
                 # The campaign can finish while our next request is
                 # mid-send: the send fails, but the coordinator's done
@@ -207,8 +209,8 @@ class DistWorker:
         """Rebuild the campaign locally; refuse to run if it differs."""
         fingerprint = str(spec["fingerprint"])
         cached = self._campaigns.get(fingerprint)
-        if cached is not None and cached[3] == spec["config"]:
-            return cached[:3]
+        if cached is not None and cached[2] == spec["config"]:
+            return cached[:2]
         try:
             program = assemble(spec["program"]["source"],
                                name=spec["program"]["name"],
@@ -244,14 +246,12 @@ class DistWorker:
         partition = domain.build_partition(golden)
         intervals = {domain.class_key(interval): interval
                      for interval in partition.live_classes()}
-        self._campaigns[fingerprint] = (executor, intervals, domain,
-                                        spec["config"])
-        return executor, intervals, domain
+        self._campaigns[fingerprint] = (executor, intervals, spec["config"])
+        return executor, intervals
 
     # -- lease execution --------------------------------------------------------
 
-    def _work(self, stream: FrameStream, executor, intervals,
-              domain) -> None:
+    def _work(self, stream: FrameStream, executor, intervals) -> None:
         while True:
             self._send(stream, {"type": "request"})
             frame = stream.read(timeout=None)
@@ -266,13 +266,14 @@ class DistWorker:
                 continue
             if kind != "lease":
                 raise ProtocolError(f"expected lease, got {kind!r}")
-            if self._run_lease(stream, frame, executor, intervals, domain):
+            if self._run_lease(stream, frame, executor, intervals):
                 return  # saw "done" mid-lease
 
     def _run_lease(self, stream: FrameStream, lease: dict, executor,
-                   intervals, domain) -> bool:
+                   intervals) -> bool:
         lease_id = int(lease["lease"])
         shard = int(lease["shard"])
+        counters = ExecutorCounters(executor)
         for raw_key in lease["keys"]:
             key = tuple(int(v) for v in raw_key)
             interval = intervals.get(key)
@@ -291,24 +292,21 @@ class DistWorker:
                 return True
             if self._chaos is not None:
                 self._chaos.before_class(key)
-            hits0 = executor.convergence_hits
-            skips0 = executor.slice_hits
-            tails0 = executor.scalar_tail_experiments
-            records = executor.run_many(interval.experiments())
-            self.executed += 1
-            rows = [[bit, record.outcome.value, record.end_cycle,
-                     record.trap]
-                    for bit, record in enumerate(records)]
-            message = {
-                "type": "result", "lease": lease_id, "shard": shard,
-                "key": list(key),
-                "rows": rows,
-                "crc": result_digest(key, rows),
-                "hits": executor.convergence_hits - hits0,
-                "skips": executor.slice_hits - skips0,
-                "tails": executor.scalar_tail_experiments - tails0,
-            }
-            self._send(stream, message)
+            # The pipeline's scan generator, one class at a time: a
+            # result frame per class keeps the loss unit (and every
+            # seeded chaos schedule) at one class.
+            for key, rows in ScanStyle.execute(executor, (interval,)):
+                self.executed += 1
+                rows = [[bit, outcome.value, end_cycle, trap]
+                        for bit, outcome, end_cycle, trap in rows]
+                hits, skips, tails = counters.take()
+                self._send(stream, {
+                    "type": "result", "lease": lease_id, "shard": shard,
+                    "key": list(key),
+                    "rows": rows,
+                    "crc": result_digest(key, rows),
+                    "hits": hits, "skips": skips, "tails": tails,
+                })
         self._send(stream, {"type": "lease_done", "lease": lease_id,
                             "shard": shard})
         return False

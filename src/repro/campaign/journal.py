@@ -41,12 +41,12 @@ the buffered window is executed and committed as one short transaction
 older than :data:`COMMIT_WINDOW_S`, by every bookkeeping write
 (``mark_complete``, ``clear``, ``discard_classes``, ``record_lease``,
 ``record_event``), by ``close``, by :meth:`CampaignJournal.flush`,
-which the drivers call whenever they are about to go idle, and by any
+which a transport calls whenever it is about to wait, and by any
 read through the same journal object (so a writer always reads its own
 writes).  The SQLite write lock is held only for that transaction,
 never across the window: several campaigns — processes, even — may
-write one journal file concurrently.  All three drivers hold the handle
-in a ``with`` block, so an exception or ^C still loses nothing; only a
+write one journal file concurrently.  The pipeline holds the handle in
+a ``with`` block, so an exception or ^C still loses nothing; only a
 SIGKILL or power cut loses at most the last window plus the unit in
 flight.  A resumed campaign re-runs exactly the units the journal does
 not contain, and the contract — enforced by the differential tests in
@@ -226,105 +226,6 @@ def canonical_params(params: Mapping) -> str:
                       separators=(",", ":"))
 
 
-@dataclass
-class ExecutionReport:
-    """How a campaign actually executed: completeness and robustness.
-
-    Attached to campaign results (``result.execution``) so callers can
-    tell an exact, complete sweep from a resumed or degraded one.  The
-    field is excluded from result equality — a resumed campaign with the
-    *same outcomes* as an uninterrupted one compares equal even though
-    it took a different path to them.
-    """
-
-    #: Work units the campaign planned (live classes / distinct sampled
-    #: experiments / injection slots, depending on the style).
-    total_units: int = 0
-    #: Units executed fresh in this invocation.
-    executed: int = 0
-    #: Units loaded from the journal instead of re-executed.
-    resumed: int = 0
-    #: Experiments classified :data:`Outcome.TIMEOUT` by the wall-clock
-    #: shard guard rather than by the simulator's cycle budget.
-    synthesized_timeouts: int = 0
-    #: Shards whose wall-clock deadline expired (their experiments were
-    #: classified as timeouts instead of stalling the pool).
-    timed_out_shards: int = 0
-    #: Shard re-submissions after a worker process died.
-    shard_retries: int = 0
-    #: Shards abandoned after exhausting their retry budget.
-    failed_shards: int = 0
-    #: Class keys (or experiment keys) missing from the result because
-    #: their shard was abandoned; empty for a complete campaign.
-    missing: tuple = field(default_factory=tuple)
-    #: Experiments classified early because the faulty machine's state
-    #: digest re-joined the golden checkpoint ladder or matched a state
-    #: an earlier experiment ran on from (the state memo).  Purely a
-    #: performance diagnostic — outcomes are identical with both off.
-    convergence_hits: int = 0
-    #: Experiments classified without executing a single post-injection
-    #: cycle because the backward slice proved the injected cell
-    #: non-critical (the criticality pre-skip).  Like
-    #: :attr:`convergence_hits`, a performance diagnostic only.
-    slice_hits: int = 0
-    #: Experiments a batch executor finished on the scalar tier after
-    #: their lane was evicted from a lockstep pack (divergence, traps,
-    #: or persistent-fault stores) and could not be re-admitted.  A
-    #: pack-efficiency diagnostic: high counts mean the workload is too
-    #: branchy for the batch tier.  Always 0 for scalar executors.
-    scalar_tail_experiments: int = 0
-    #: Experiments whose outcomes were composed from the cross-campaign
-    #: section store (another campaign already executed an identical
-    #: program section) instead of re-executed.  Composed experiments
-    #: are *also* counted in :attr:`resumed` — they enter the campaign
-    #: through the same journal-merge path a resume uses.
-    composed_hits: int = 0
-    #: Per-worker attribution of executed work units, as sorted
-    #: ``(worker_name, units)`` pairs.  Populated by the distributed
-    #: coordinator (every unit names the worker whose submission was
-    #: accounted); empty for single-host campaigns.
-    workers: tuple = field(default_factory=tuple)
-    #: Result frames rejected before merging: CRC mismatch (payload
-    #: corrupted between the worker's executor and the coordinator) or
-    #: row-shape/digest disagreement with the domain's expected
-    #: experiment weight for the class.  Rejected frames are simply
-    #: re-executed — corruption can delay a campaign, never skew it.
-    integrity_rejected: int = 0
-    #: Classes re-executed on a second worker and byte-compared
-    #: (cross-check sampling).
-    crosschecked: int = 0
-    #: Cross-check comparisons that disagreed (at least one of the two
-    #: workers returned wrong bytes).
-    crosscheck_mismatches: int = 0
-    #: Cross-checks abandoned unverified because no second worker was
-    #: ever available to re-execute them.
-    crosscheck_unverified: int = 0
-    #: Journaled results discarded and re-queued after their worker was
-    #: caught corrupting results (its unverified history is not
-    #: trustworthy, so it is re-executed by honest workers).
-    discarded_results: int = 0
-    #: Bisection rounds performed while isolating poisonous shards.
-    poison_splits: int = 0
-    #: Class keys isolated as poisonous — their execution kills
-    #: workers — and excluded from the result (also in :attr:`missing`).
-    poison_keys: tuple = field(default_factory=tuple)
-    #: Workers quarantined by the supervisor during this run, as sorted
-    #: names (circuit-breaker trips and byzantine convictions alike).
-    quarantined_workers: tuple = field(default_factory=tuple)
-
-    @property
-    def complete(self) -> bool:
-        """True when every planned unit produced a result."""
-        return not self.missing
-
-    @property
-    def completeness(self) -> float:
-        """Fraction of planned units present in the result, in [0, 1]."""
-        if self.total_units <= 0:
-            return 1.0
-        return 1.0 - len(self.missing) / self.total_units
-
-
 class ExperimentJournal:
     """One SQLite journal file holding any number of campaigns.
 
@@ -356,9 +257,10 @@ class ExperimentJournal:
             # Torn-write recovery: move the corrupt file aside, rebuild
             # a fresh journal at the same path from every row that is
             # still readable, then open that.  Partially recovered
-            # classes are the caller's problem — the campaign layers
-            # validate row counts against the domain's expected
-            # experiment weights before trusting resumed classes.
+            # classes are the caller's problem — the pipeline's
+            # prologue validates row counts against the domain's
+            # expected experiment weights before trusting resumed
+            # classes.
             self.salvage_report = salvage_journal(self.path)
             self._conn = self._connect()
         row = self._conn.execute(
@@ -722,10 +624,10 @@ class CampaignJournal:
     def flush(self) -> None:
         """Commit everything written so far.
 
-        Drivers call this whenever they are about to go idle (the pool
-        parent after merging a shard, the coordinator on its watchdog
-        tick), so rows never wait for a next write that may be minutes
-        away.
+        Transports call this (``CampaignRun.idle``) whenever they are
+        about to wait (the pool parent after merging a shard, the
+        coordinator on its watchdog tick), so rows never wait for a
+        next write that may be minutes away.
         """
         self.journal.flush()
 
@@ -1063,9 +965,9 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     by reading each known table row-by-row until the first unreadable
     page.  SQLite's transactionality means every recovered row was
     durably committed; what is *lost* is any row on a damaged page —
-    which can truncate a class mid-way, so resuming layers must
-    validate class row counts (:func:`invalid_classes`) instead of
-    trusting recovered classes blindly.
+    which can truncate a class mid-way, so the pipeline's prologue
+    validates class row counts (:func:`invalid_classes`), under every
+    transport, instead of trusting recovered classes blindly.
     """
     path = str(path)
     corrupt = path + ".corrupt"

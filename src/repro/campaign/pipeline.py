@@ -1,0 +1,548 @@
+"""The campaign pipeline: plan → shard → execute → merge, written once.
+
+Every campaign — full scan, brute force, sampling; in-process, pooled
+or distributed — is the same five steps (DESIGN.md §3b has the long
+form and the transport table):
+
+1. **Prologue** (:class:`CampaignRun`).  Open the journal campaign,
+   clear it (``resume=False``) or load what it holds, *validate* the
+   loaded units (a salvaged journal can hold truncated classes: they
+   are discarded, counted in ``discarded_results`` and re-executed),
+   compose what the cross-campaign section store already knows, and
+   list the units still to do, in canonical order.
+2. **Shard** (:func:`plan_shards` / :func:`plan_class_shards`).  Split
+   the to-do list into contiguous, cost-balanced runs.  The per-unit
+   cost list is computed once; shard costs, pool deadlines and the
+   fabric's lease cost table all derive from it.
+3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
+   generator turns work items into ``(key, rows)`` pairs, rows in the
+   journal's own form; it is the only code that calls an executor.
+4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals each
+   batch, feeds the section store, updates the
+   :class:`ExecutionReport` and reports progress.  A transport calls
+   :meth:`CampaignRun.idle` before it waits, so rows never sit in the
+   journal's commit window while nothing is happening.
+5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
+   canonical order over resumed + fresh rows, so results — dictionary
+   order, record lists and sample sequences included — are bit-for-bit
+   identical however the rows arrived.
+
+A :class:`CampaignStyle` states what differs between full scan, brute
+force and sampling (the three live in :mod:`repro.campaign.runner`).
+A *transport* is only how a shard reaches an executor and how rows come
+back: :class:`InProcess` here (``jobs=None`` and ``jobs=1``), the
+process pool in :mod:`repro.campaign.parallel`, the lease/frame fabric
+in :mod:`repro.campaign.dist`.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
+
+from ..faultspace.domain import FaultDomain
+from .compose import SectionComposer
+from .experiment import ExecutorConfig, ExperimentExecutor
+from .golden import GoldenRun
+from .journal import open_campaign
+
+ProgressCallback = Callable[[int, int], None]
+
+
+@dataclass
+class ExecutionReport:
+    """How a campaign actually executed: completeness and robustness.
+
+    Attached to campaign results (``result.execution``) so callers can
+    tell an exact, complete sweep from a resumed or degraded one.  The
+    field is excluded from result equality — a resumed campaign with the
+    *same outcomes* as an uninterrupted one compares equal even though
+    it took a different path to them.
+    """
+
+    #: Work units the campaign planned (live classes / distinct sampled
+    #: experiments / injection slots, depending on the style).
+    total_units: int = 0
+    #: Units executed fresh in this invocation.
+    executed: int = 0
+    #: Units loaded from the journal instead of re-executed.
+    resumed: int = 0
+    #: Experiments classified :data:`Outcome.TIMEOUT` by the wall-clock
+    #: shard guard rather than by the simulator's cycle budget.
+    synthesized_timeouts: int = 0
+    #: Shards whose wall-clock deadline expired (their experiments were
+    #: classified as timeouts instead of stalling the pool).
+    timed_out_shards: int = 0
+    #: Shard re-submissions after a worker process died.
+    shard_retries: int = 0
+    #: Shards abandoned after exhausting their retry budget.
+    failed_shards: int = 0
+    #: Class keys (or experiment keys) missing from the result because
+    #: their shard was abandoned; empty for a complete campaign.
+    missing: tuple = field(default_factory=tuple)
+    #: Experiments classified early because the faulty machine's state
+    #: digest re-joined the golden checkpoint ladder or matched a state
+    #: an earlier experiment ran on from (the state memo).  Purely a
+    #: performance diagnostic — outcomes are identical with both off.
+    convergence_hits: int = 0
+    #: Experiments classified without executing a single post-injection
+    #: cycle because the backward slice proved the injected cell
+    #: non-critical (the criticality pre-skip).  Like
+    #: :attr:`convergence_hits`, a performance diagnostic only.
+    slice_hits: int = 0
+    #: Experiments a batch executor finished on the scalar tier after
+    #: their lane was evicted from a lockstep pack (divergence, traps,
+    #: or persistent-fault stores) and could not be re-admitted.  A
+    #: pack-efficiency diagnostic: high counts mean the workload is too
+    #: branchy for the batch tier.  Always 0 for scalar executors.
+    scalar_tail_experiments: int = 0
+    #: Experiments whose outcomes were composed from the cross-campaign
+    #: section store (another campaign already executed an identical
+    #: program section) instead of re-executed.  Composed experiments
+    #: are *also* counted in :attr:`resumed` — they enter the campaign
+    #: through the same journal-merge path a resume uses.
+    composed_hits: int = 0
+    #: Per-worker attribution of executed work units, as sorted
+    #: ``(worker_name, units)`` pairs.  Populated by the distributed
+    #: coordinator (every unit names the worker whose submission was
+    #: accounted); empty for single-host campaigns.
+    workers: tuple = field(default_factory=tuple)
+    #: Result frames rejected before merging: CRC mismatch (payload
+    #: corrupted between the worker's executor and the coordinator) or
+    #: row-shape/digest disagreement with the domain's expected
+    #: experiment weight for the class.  Rejected frames are simply
+    #: re-executed — corruption can delay a campaign, never skew it.
+    integrity_rejected: int = 0
+    #: Classes re-executed on a second worker and byte-compared
+    #: (cross-check sampling).
+    crosschecked: int = 0
+    #: Cross-check comparisons that disagreed (at least one of the two
+    #: workers returned wrong bytes).
+    crosscheck_mismatches: int = 0
+    #: Cross-checks abandoned unverified because no second worker was
+    #: ever available to re-execute them.
+    crosscheck_unverified: int = 0
+    #: Journaled results discarded and re-executed: resumed classes
+    #: that failed validation (a salvaged journal's truncated classes,
+    #: any transport), and the unverified deliveries of a worker caught
+    #: corrupting results (the fabric's byzantine rollback).
+    discarded_results: int = 0
+    #: Bisection rounds performed while isolating poisonous shards.
+    poison_splits: int = 0
+    #: Class keys isolated as poisonous — their execution kills
+    #: workers — and excluded from the result (also in :attr:`missing`).
+    poison_keys: tuple = field(default_factory=tuple)
+    #: Workers quarantined by the supervisor during this run, as sorted
+    #: names (circuit-breaker trips and byzantine convictions alike).
+    quarantined_workers: tuple = field(default_factory=tuple)
+
+    @property
+    def complete(self) -> bool:
+        """True when every planned unit produced a result."""
+        return not self.missing
+
+    @property
+    def completeness(self) -> float:
+        """Fraction of planned units present in the result, in [0, 1]."""
+        if self.total_units <= 0:
+            return 1.0
+        return 1.0 - len(self.missing) / self.total_units
+
+    def count(self, delta: Sequence[int]) -> None:
+        """Add one :meth:`ExecutorCounters.take` triple."""
+        hits, skips, tails = delta
+        self.convergence_hits += hits
+        self.slice_hits += skips
+        self.scalar_tail_experiments += tails
+
+
+class ExecutorCounters:
+    """Snapshot-and-diff of an executor's diagnostic counter triple.
+
+    Executors outlive shards (a pool worker runs many, a fabric worker
+    many leases), so every transport reports the counters as deltas:
+    ``take()`` returns ``(convergence_hits, slice_hits,
+    scalar_tail_experiments)`` accrued since the previous take.
+    """
+
+    def __init__(self, executor: ExperimentExecutor):
+        self._executor = executor
+        self._last = self._read()
+
+    def _read(self) -> tuple[int, int, int]:
+        executor = self._executor
+        return (executor.convergence_hits, executor.slice_hits,
+                executor.scalar_tail_experiments)
+
+    def take(self) -> tuple[int, ...]:
+        now = self._read()
+        delta = tuple(new - old for new, old in zip(now, self._last))
+        self._last = now
+        return delta
+
+
+def campaign_params(golden: GoldenRun, config: ExecutorConfig,
+                    executor: ExperimentExecutor | None = None) -> dict:
+    """The executor settings that affect outcomes — part of the journal
+    key, so a changed timeout policy opens a fresh campaign instead of
+    mixing incompatible classifications.  Identical whether read from an
+    injected executor or derived from the config every transport ships,
+    so one journal resumes under any of the three.  ``use_convergence``
+    and the engine are deliberately absent: they cannot change any
+    outcome."""
+    if executor is not None:
+        return {"timeout_cycles": executor.timeout_cycles,
+                "early_stop": executor.early_stop}
+    return {"timeout_cycles": config.timeout_cycles(golden.cycles),
+            "early_stop": config.early_stop}
+
+
+# -- shard planning -----------------------------------------------------------
+
+
+def class_cost(interval, total_cycles: int, bits: int = 8) -> int:
+    """Estimated post-injection cycle cost of one live class.
+
+    Each of the class's ``bits`` experiments (the domain's per-class
+    width: 8 for memory bytes, 32 for registers) resumes at the
+    representative injection slot and replays up to the remaining
+    runtime, so the dominant term is ``bits × (Δt − slot + 1)``.  The
+    interval length is added on top for the snapshot fast-forward that
+    walks the pristine machine across the class's slot span.  Balancing
+    shards by this estimate instead of class count keeps workers evenly
+    loaded even though early-slot classes are many times more expensive
+    than late-slot ones.
+    """
+    remaining = total_cycles - interval.injection_slot + 1
+    return bits * max(1, remaining) + interval.length
+
+
+def shard_by_cost(items: Sequence, costs: Sequence[int],
+                  jobs: int) -> list[list]:
+    """Split ``items`` into at most ``jobs`` contiguous cost-balanced runs.
+
+    ``items`` must already be in execution order (ascending injection
+    slot); contiguity is what preserves the per-worker snapshot
+    fast-forward.  The *k*-th cut is placed where the cumulative cost
+    first reaches ``k/jobs`` of the total.
+    """
+    items = list(items)
+    if not items:
+        return []
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return [items]
+    total = sum(costs)
+    if total <= 0:
+        total = len(items)
+        costs = [1] * len(items)
+    shards: list[list] = []
+    current: list = []
+    acc = 0
+    for item, cost in zip(items, costs):
+        current.append(item)
+        acc += cost
+        if len(shards) < jobs - 1 and acc * jobs >= (len(shards) + 1) * total:
+            shards.append(current)
+            current = []
+    if current:
+        shards.append(current)
+    return shards
+
+
+#: Estimated total post-injection cycles below which a campaign counts
+#: as *small*: per-lease protocol round-trips and idle re-poll waits
+#: dominate the simulated work (ROADMAP's 0.18× single-worker dist
+#: overhead), so :func:`plan_class_shards` collapses the lease
+#: granularity instead of optimizing for rebalance-after-node-loss.
+SMALL_CAMPAIGN_CYCLES = 1_000_000
+
+
+def plan_shards(items: Sequence, costs: Sequence[int],
+                parts: int) -> tuple[list[list], list[int]]:
+    """``(shards, shard_costs)``: :func:`shard_by_cost` plus each
+    shard's summed cost (the input to ``RetryPolicy.deadline_for``),
+    read off the same per-item cost list."""
+    shards = shard_by_cost(items, costs, parts)
+    remaining = iter(costs)
+    return shards, [sum(islice(remaining, len(shard))) for shard in shards]
+
+
+def plan_class_shards(intervals: Sequence, total_cycles: int, *,
+                      bits: int, parts: int,
+                      workers: int | None = None) \
+        -> tuple[list[list], list[int], list[int]]:
+    """Plan contiguous, cost-balanced shards of live classes.
+
+    The single shard-planning step shared by every transport that
+    distributes a full scan: the process pool plans the classes still
+    to do, the fabric's coordinator the *full* live list (so shard
+    indices are stable across restarts).  Both split the same
+    slot-sorted class list with the same cost model, so a campaign
+    journaled under one resumes under any other and the fabric inherits
+    the pool's load balance.
+
+    ``workers`` is the fabric's expected worker count (``None`` means
+    unknown — the pool, a hand-started ``repro coordinator`` — and
+    keeps ``parts`` untouched).  Fine shards only pay off when there is
+    enough work to rebalance after a worker is lost; a campaign
+    estimated below :data:`SMALL_CAMPAIGN_CYCLES` collapses to one
+    shard per expected worker, which removes the extra lease
+    round-trips and leaves no pending shards for idle workers to
+    re-poll for.  Deterministic, so a coordinator restart with the same
+    arguments re-derives the same plan and journaled per-shard lease
+    state stays valid.
+
+    Returns ``(shards, shard_costs, class_costs)``; the per-class list
+    is computed here, once, and is what the pool's deadlines and the
+    lease board's cost table are derived from.
+    """
+    costs = [class_cost(interval, total_cycles, bits=bits)
+             for interval in intervals]
+    if workers is not None and sum(costs) < SMALL_CAMPAIGN_CYCLES:
+        parts = max(1, min(parts, workers))
+    return (*plan_shards(intervals, costs, parts), costs)
+
+
+# -- what a campaign style states ---------------------------------------------
+
+
+def run_groups(executor: ExperimentExecutor,
+               groups: Iterable[list[tuple[object, Sequence]]]) \
+        -> Iterator[tuple[object, list]]:
+    """Execute same-slot groups; yield ``(key, records)`` per member.
+
+    Each group is a list of ``(key, coordinates)`` whose coordinates
+    share an injection slot.  A group goes to the executor in one
+    :meth:`~.experiment.ExperimentExecutor.run_many` call, so a batch
+    executor can fuse it into lockstep lanes (a scalar one just
+    iterates), and the records are dealt back out per member.
+    """
+    for group in groups:
+        records = executor.run_many(
+            [coord for _, coords in group for coord in coords])
+        consumed = 0
+        for key, coords in group:
+            yield key, records[consumed:consumed + len(coords)]
+            consumed += len(coords)
+
+
+class CampaignStyle:
+    """What one campaign style states once (see the module docstring).
+
+    A *unit* is the style's atomic piece of work and of journaling (a
+    live class, an injection slot, one distinct sampled experiment),
+    identified by a hashable *key*; its result is a list of *rows* in
+    the journal's own form, one per experiment.  Besides the attributes
+    and the default :meth:`plan` below, a style provides:
+
+    ``load(handle, report)``
+        the resume loader: journaled ``key → rows``, already validated;
+    ``compose(composer, completed, handle, report)``
+        adds store-known units to ``completed`` and the journal
+        (styles with :attr:`composes`);
+    ``cost(item)``
+        estimated post-injection cycles of one work item (styles that
+        keep the default :meth:`plan`);
+    ``execute(executor, items)``
+        the worker-side generator, work items → ``(key, rows)``; a
+        static method, since the pool ships it by import path;
+    ``timed_out(items)``
+        the ``(key, rows)`` batch of a shard the wall-clock guard
+        killed: every experiment :data:`~.outcomes.Outcome.TIMEOUT`;
+    ``journal(handle, composer, batch)``
+        journals a batch, each unit atomically, and stores it in the
+        section store unless ``composer`` is None;
+    ``result(kept, report)``
+        canonical-order assembly of ``key →`` :meth:`keep` values into
+        the style's result type; keys absent from ``kept`` are missing.
+    """
+
+    #: Journal campaign kind.
+    kind: str
+    #: The def/use partition, where the style has one (forwarded to the
+    #: ``auto`` engine's tier planner, which otherwise builds its own).
+    partition = None
+    #: ``key → work item`` in canonical (serial iteration) order; work
+    #: items are what ``execute`` consumes and must pickle.
+    units: dict
+    #: Whether the style reads and feeds the cross-campaign section
+    #: store.
+    composes = True
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
+        self.golden = golden
+        self.domain = domain
+        #: :func:`campaign_params`: the section-store fingerprint input
+        #: and — extended by styles with parameters of their own — the
+        #: journal key.
+        self.params = self.key_params = params
+
+    def plan(self, items: Sequence, parts: int) \
+            -> tuple[list[list], list[int]]:
+        """Contiguous cost-balanced ``(shards, shard_costs)``."""
+        return plan_shards(items, [self.cost(item) for item in items],
+                           parts)
+
+    def keep(self, key, rows: list):
+        """What :meth:`result` needs of one unit's rows.  The driver
+        holds only this once the rows are journaled — a paper-scale
+        scan has 10⁵ rows whose end cycles and traps assembly never
+        reads unless records were asked for."""
+        return rows
+
+
+# -- the driver ---------------------------------------------------------------
+
+
+class CampaignRun:
+    """One campaign between prologue and assembly (module docstring).
+
+    Constructing it *is* the prologue; a transport then shards
+    :attr:`todo` and feeds :meth:`accept`; :meth:`assemble` finishes.  ``handle`` is the open journal campaign
+    or ``None``.
+    """
+
+    def __init__(self, style: CampaignStyle, handle, resume: bool,
+                 progress: ProgressCallback | None):
+        self.style = style
+        self.handle = handle
+        self.progress = progress
+        self.report = report = ExecutionReport()
+        #: Units trusted before any transport ran (resumed or composed),
+        #: as ``key →`` :meth:`CampaignStyle.keep` values.
+        self.completed: dict = {}
+        self.composer = None
+        if handle is not None:
+            if not resume:
+                handle.clear()
+            loaded = style.load(handle, report)
+            if style.composes:
+                # Compose units another campaign already executed for
+                # an identical program section: beside the loaded ones
+                # they take the exact route resumed units do.
+                self.composer = SectionComposer(handle, style.golden,
+                                                style.domain, style.params)
+                style.compose(self.composer, loaded, handle, report)
+            self.completed = {key: style.keep(key, rows)
+                              for key, rows in loaded.items()}
+        #: Work items still to execute, in canonical order.
+        self.todo = [item for key, item in style.units.items()
+                     if key not in self.completed]
+        #: ``key → kept`` of the units accepted from the transport.
+        self.fresh: dict = {}
+        report.total_units = len(style.units)
+        report.resumed = self.done = report.total_units - len(self.todo)
+        if self.done:
+            self.heartbeat()
+
+    def accept(self, batch: Sequence[tuple[object, list]], *,
+               synthesized: bool = False) -> None:
+        """The sink every transport feeds: journal, section store,
+        report, progress.  ``synthesized`` marks wall-clock-timeout
+        rows — scheduling artifacts of this run, which are journaled
+        but never enter the cross-campaign store."""
+        if self.handle is not None:
+            self.style.journal(self.handle,
+                               None if synthesized else self.composer,
+                               batch)
+        keep = self.style.keep
+        for key, rows in batch:
+            self.fresh[key] = keep(key, rows)
+        if synthesized:
+            self.report.synthesized_timeouts += sum(
+                len(rows) for _, rows in batch)
+        self.report.executed += len(batch)
+        self.done += len(batch)
+        self.heartbeat()
+
+    def heartbeat(self) -> None:
+        """Report the current counts (again, if nothing changed — how a
+        caller tells a slow campaign from a dead one)."""
+        if self.progress is not None:
+            self.progress(self.done, self.report.total_units)
+
+    def idle(self) -> None:
+        """The transport is about to wait: commit what was accepted."""
+        if self.handle is not None:
+            self.handle.flush()
+
+    def assemble(self, rows: dict | None = None):
+        """Merge resumed and fresh units in canonical order — or
+        ``rows`` (``key → rows``), for a transport whose journal *is*
+        the merge."""
+        units = self.style.units
+        if rows is None:
+            kept = {**self.completed, **self.fresh}
+        else:
+            kept = {key: self.style.keep(key, unit_rows)
+                    for key, unit_rows in rows.items() if key in units}
+        report = self.report
+        report.missing = tuple(key for key in units if key not in kept)
+        if self.handle is not None and report.complete:
+            self.handle.mark_complete()
+        return self.style.result(kept, report)
+
+
+@contextmanager
+def open_run(style: CampaignStyle, journal, resume: bool,
+                 progress: ProgressCallback | None) -> Iterator[CampaignRun]:
+    """Open the journal campaign and run the prologue.
+
+    The handle commits (and closes a journal it owns) on every way out
+    of the block, so an exception or ^C keeps every unit accepted so
+    far; ``journal=None`` runs the same pipeline with nothing durable.
+    """
+    handle = open_campaign(journal, style.golden, style.domain, style.kind,
+                           style.key_params)
+    with handle or nullcontext():
+        yield CampaignRun(style, handle, resume, progress)
+
+
+def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
+                                                           None],
+                 journal, resume: bool,
+                 progress: ProgressCallback | None):
+    """Prologue → ``transport(run)`` → assembly, for blocking transports
+    (the fabric's coordinator drives the same steps from its event
+    loop)."""
+    with open_run(style, journal, resume, progress) as run:
+        transport(run)
+        return run.assemble()
+
+
+class InProcess:
+    """The in-process transport: one shard, this process, streamed.
+
+    ``jobs=None`` and ``jobs=1`` are both this: the whole to-do list is
+    one shard executed by one executor — injected, or built from
+    ``config`` when there is work — and every unit reaches the sink as
+    soon as the generator yields it, so an interrupt loses only the
+    unit in flight.
+    """
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain,
+                 executor: ExperimentExecutor | None = None,
+                 config: ExecutorConfig | None = None):
+        if executor is not None and config is not None:
+            raise ValueError(
+                "pass either executor= or config=, not both; the config "
+                "exists to build an executor when none is given")
+        self.golden = golden
+        self.executor = executor
+        self.config = replace(config or ExecutorConfig(), domain=domain.name)
+        self.params = campaign_params(golden, self.config, executor)
+
+    def __call__(self, run: CampaignRun) -> None:
+        if not run.todo:
+            return
+        executor = self.executor
+        if executor is None:
+            executor = self.config.build(self.golden,
+                                         partition=run.style.partition)
+        counters = ExecutorCounters(executor)
+        for unit in run.style.execute(executor, run.todo):
+            run.accept((unit,))
+        run.report.count(counters.take())

@@ -14,28 +14,32 @@ Three campaign styles are provided, each generic over a
   (raw-uniform, live-only, or the deliberately biased class sampler for
   Pitfall 2 demonstrations).
 
-All three accept ``jobs=`` for multiprocess sharding and produce results
-bit-for-bit identical to their serial runs; see
-:mod:`repro.campaign.parallel`.
+This module holds each style's result type and what is particular to
+it (:class:`ScanStyle`, :class:`BruteStyle`, :class:`SamplingStyle`);
+everything they share — journal and resume, shard planning, the sink,
+assembly — is :mod:`repro.campaign.pipeline`.  The entry points pick a
+transport from ``jobs=`` and hand both to
+:func:`~repro.campaign.pipeline.run_campaign`; results are bit-for-bit
+identical for every transport.
 
-All three also accept ``journal=`` (an
-:class:`~repro.campaign.journal.ExperimentJournal` or a path): completed
-work units are then appended durably as the campaign runs, and a rerun
-of the same campaign against the same journal *resumes*, skipping every
-journaled unit.  The contract is strict — a resumed campaign returns a
-result bit-for-bit identical to an uninterrupted one, including
-iteration order, record lists and sample sequences.  ``resume=False``
-clears the journaled campaign first.  ``result.execution`` reports how
-the campaign actually ran (units executed vs. resumed, shard retries,
-wall-clock timeouts, completeness).
+With ``journal=`` (an :class:`~repro.campaign.journal.ExperimentJournal`
+or a path) completed work units are appended durably as the campaign
+runs, and a rerun of the same campaign against the same journal
+*resumes*, skipping every journaled unit, to a result bit-for-bit
+identical to an uninterrupted one — iteration order, record lists and
+sample sequences included.  ``resume=False`` clears the journaled
+campaign first.  ``result.execution`` reports how the campaign actually
+ran (units executed vs. resumed, shard retries, wall-clock timeouts,
+completeness).
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from ..faultspace.defuse import LIVE
 from ..faultspace.domain import FaultDomain, MEMORY, get_domain
@@ -45,43 +49,19 @@ from ..faultspace.sampling import (
     Sample,
     UniformSampler,
 )
-from .compose import build_composer, compose_into_completed
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import ExecutionReport, open_campaign
+from .journal import invalid_classes
 from .outcomes import Outcome
-
-ProgressCallback = Callable[[int, int], None]
-
-
-def _executor_params(executor: ExperimentExecutor) -> dict:
-    """The executor settings that affect outcomes — part of the journal
-    key, so a changed timeout policy opens a fresh campaign instead of
-    mixing incompatible classifications.  ``use_convergence`` is
-    deliberately absent: it cannot change any outcome, so a campaign
-    journaled with it on resumes cleanly with it off and vice versa."""
-    return {"timeout_cycles": executor.timeout_cycles,
-            "early_stop": executor.early_stop}
-
-
-def _build_executor(golden: GoldenRun,
-                    executor: ExperimentExecutor | None,
-                    config: ExecutorConfig | None,
-                    domain: FaultDomain,
-                    partition=None) -> ExperimentExecutor:
-    """Resolve the serial path's executor from the caller's arguments.
-
-    ``partition`` forwards an already-built def/use partition to the
-    ``auto`` engine's tier planner so resolving it is free on paths
-    that have one (the planner otherwise builds and caches its own)."""
-    if executor is not None:
-        if config is not None:
-            raise ValueError(
-                "pass either executor= or config=, not both; the config "
-                "exists to build an executor when none is given")
-        return executor
-    return replace(config or ExecutorConfig(),
-                   domain=domain.name).build(golden, partition=partition)
+from .pipeline import (
+    CampaignStyle,
+    ExecutionReport,
+    InProcess,
+    ProgressCallback,
+    plan_class_shards,
+    run_campaign,
+    run_groups,
+)
 
 
 @dataclass
@@ -209,6 +189,115 @@ class CampaignResult:
         return out
 
 
+def _journal_rows(rows) -> list[tuple[int, str, int, str]]:
+    """Class rows as the journal stores them: outcomes by value."""
+    return [(bit, outcome.value, end_cycle, trap)
+            for bit, outcome, end_cycle, trap in rows]
+
+
+class ScanStyle(CampaignStyle):
+    """Def/use-pruned full scan: one unit per live class, keyed
+    ``(axis, first_slot)``, rows ``(bit, outcome, end_cycle, trap)``."""
+
+    kind = "full-scan"
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict,
+                 partition=None, keep_records: bool = False):
+        super().__init__(golden, domain, params)
+        self.partition = (partition if partition is not None
+                          else domain.build_partition(golden))
+        self.keep_records = keep_records
+        # live_classes() is sorted by injection slot: canonical order.
+        self.units = {domain.class_key(interval): interval
+                      for interval in self.partition.live_classes()}
+
+    def load(self, handle, report):
+        completed = handle.completed_classes()
+        # Never trust resumed classes blindly: a salvaged journal can
+        # hold partial classes (page loss truncates committed rows), so
+        # every resumed class is checked against the domain's expected
+        # experiment count — and against the partition — and the bad
+        # ones are discarded and re-executed.
+        bad = invalid_classes(completed, {
+            key: self.domain.experiment_count(self.units[key])
+            for key in completed if key in self.units})
+        bad.extend(key for key in completed if key not in self.units)
+        if bad:
+            handle.discard_classes(bad)
+            for key in bad:
+                del completed[key]
+            report.discarded_results += len(bad)
+            handle.record_event(
+                "salvage-prune", at=time.time(),
+                detail=f"{len(bad)} resumed classes failed validation "
+                       f"and were discarded")
+        return completed
+
+    def compose(self, composer, completed, handle, report):
+        batch = []
+        for key, interval in self.units.items():
+            if key in completed:
+                continue
+            rows = composer.compose_class(interval)
+            if rows is not None:
+                completed[key] = rows
+                batch.append((*key, _journal_rows(rows)))
+                report.composed_hits += len(rows)
+        # One journal unit (one executemany) for the whole composition.
+        handle.record_classes(batch)
+
+    def plan(self, items, parts):
+        return plan_class_shards(items, self.golden.cycles,
+                                 bits=self.domain.bits, parts=parts)[:2]
+
+    @staticmethod
+    def execute(executor, intervals):
+        # Live classes are slot-sorted, so the classes sharing an
+        # injection slot are adjacent and run as one group.
+        class_key = executor.domain.class_key
+        groups = ([(class_key(member), member.experiments())
+                   for member in group]
+                  for _, group in groupby(intervals,
+                                          key=attrgetter("injection_slot")))
+        for key, records in run_groups(executor, groups):
+            yield key, [(bit, record.outcome, record.end_cycle, record.trap)
+                        for bit, record in enumerate(records)]
+
+    def timed_out(self, intervals):
+        end_cycle = self.params["timeout_cycles"]
+        return [(self.domain.class_key(interval),
+                 [(bit, Outcome.TIMEOUT, end_cycle, "") for bit in
+                  range(self.domain.experiment_count(interval))])
+                for interval in intervals]
+
+    def journal(self, handle, composer, batch):
+        for key, rows in batch:
+            handle.record_class(key[0], key[1], _journal_rows(rows))
+            if composer is not None:
+                composer.store_class(self.units[key], rows)
+
+    def keep(self, key, rows):
+        outcomes = tuple(outcome for _, outcome, _, _ in rows)
+        if not self.keep_records:
+            return outcomes, ()
+        coords = self.units[key].experiments()
+        return outcomes, [
+            ExperimentRecord(coordinate=coords[bit], outcome=outcome,
+                             end_cycle=end_cycle, trap=trap)
+            for bit, outcome, end_cycle, trap in rows]
+
+    def result(self, kept, report):
+        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
+        records: list[ExperimentRecord] = []
+        for key in self.units:
+            if key in kept:  # else degraded: listed in report.missing
+                class_outcomes[key], unit_records = kept[key]
+                records.extend(unit_records)
+        return CampaignResult(golden=self.golden, partition=self.partition,
+                              class_outcomes=class_outcomes, records=records,
+                              domain=self.domain, execution=report)
+
+
 def _parallel_campaign(golden: GoldenRun, jobs: int,
                        executor: ExperimentExecutor | None,
                        domain: FaultDomain, policy,
@@ -237,21 +326,23 @@ def run_full_scan(golden: GoldenRun, *,
                   policy=None) -> CampaignResult:
     """Def/use-pruned full fault-space scan (exact, no sampling error).
 
-    ``jobs`` selects the execution engine: ``None`` (default) runs
-    serially in-process, ``0`` uses one worker process per CPU, any
-    positive count that many workers.  ``domain`` selects the fault
-    model (``"memory"`` or ``"register"``).  Results are identical for
-    every engine choice.
+    ``jobs`` selects the transport: ``None`` (default) and ``1`` run
+    in-process, ``0`` uses one worker process per CPU, any larger count
+    that many workers.  ``domain`` selects the fault model (``"memory"``
+    or ``"register"``).  Results are identical for every choice.
 
-    ``config`` is an :class:`~.experiment.ExecutorConfig` applied on
-    both the serial and the parallel path (e.g. to disable the
-    convergence early-exit); ``executor`` injects a prebuilt executor
-    on the serial path only and excludes ``config``.
+    ``config`` is an :class:`~.experiment.ExecutorConfig` applied under
+    every transport (e.g. to disable the convergence early-exit);
+    ``executor`` injects a prebuilt executor, needs ``jobs=None`` and
+    excludes ``config``.
 
-    ``journal`` enables durable per-class result journaling and resume
-    (see the module docstring); ``policy`` is a
-    :class:`~repro.campaign.parallel.RetryPolicy` for the parallel
-    engine's timeout/retry behaviour (ignored when serial).
+    ``progress`` is called with ``(done, total)`` live classes: once
+    after the journal is loaded when it already held some, then as
+    results reach the sink (per class in-process, per shard from the
+    pool).  ``journal`` enables durable per-class result journaling and
+    resume (see the module docstring); ``policy`` is a
+    :class:`~repro.campaign.parallel.RetryPolicy` for the process
+    pool's timeout/retry behaviour (ignored in-process).
     """
     domain = get_domain(domain)
     if jobs is not None:
@@ -259,101 +350,10 @@ def run_full_scan(golden: GoldenRun, *,
                                   policy, config).run_full_scan(
             partition=partition, keep_records=keep_records,
             progress=progress, journal=journal, resume=resume)
-    if partition is None:
-        partition = domain.build_partition(golden)
-    executor = _build_executor(golden, executor, config, domain,
-                               partition=partition)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-    handle = open_campaign(journal, golden, domain, "full-scan",
-                           _executor_params(executor))
-    # The handle commits (and closes a journal it owns) on every way
-    # out, so an exception or ^C keeps every class journaled so far.
-    with handle or nullcontext():
-        completed = {}
-        if handle is not None:
-            if not resume:
-                handle.clear()
-            completed = handle.completed_classes()
-        live = partition.live_classes()  # sorted by injection slot
-        report = ExecutionReport(total_units=len(live))
-        # Compose classes another campaign already executed for an identical
-        # program section: injecting them into ``completed`` up front routes
-        # them through the exact resume machinery below.
-        composer = build_composer(handle, golden, domain,
-                                  _executor_params(executor))
-        compose_into_completed(composer, live, completed, handle, report)
-        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
-        records: list[ExperimentRecord] = []
-        done = 0
-        index = 0
-        while index < len(live):
-            interval = live[index]
-            key = domain.class_key(interval)
-            if key in completed:
-                rows = completed[key]
-                class_outcomes[key] = tuple(outcome for _, outcome, _, _
-                                            in rows)
-                if keep_records:
-                    coords = interval.experiments()
-                    records.extend(
-                        ExperimentRecord(coordinate=coords[bit],
-                                         outcome=outcome, end_cycle=end_cycle,
-                                         trap=trap)
-                        for bit, outcome, end_cycle, trap in rows)
-                report.resumed += 1
-                index += 1
-                done += 1
-                if progress is not None:
-                    progress(done, len(live))
-                continue
-            # Gather the run of fresh classes sharing this injection slot
-            # and submit their experiments together: live classes are
-            # slot-sorted, and a batch executor turns one same-slot group
-            # into lockstep lanes (a scalar executor just iterates).
-            group = [interval]
-            while index + len(group) < len(live):
-                nxt = live[index + len(group)]
-                if (nxt.injection_slot != interval.injection_slot
-                        or domain.class_key(nxt) in completed):
-                    break
-                group.append(nxt)
-            results = executor.run_many(
-                [coord for member in group for coord in member.experiments()])
-            consumed = 0
-            for member in group:
-                member_key = domain.class_key(member)
-                width = len(member.experiments())
-                member_records = results[consumed:consumed + width]
-                consumed += width
-                class_outcomes[member_key] = tuple(
-                    record.outcome for record in member_records)
-                if keep_records:
-                    records.extend(member_records)
-                if handle is not None:
-                    handle.record_class(
-                        member_key[0], member_key[1],
-                        [(bit, record.outcome.value, record.end_cycle,
-                          record.trap)
-                         for bit, record in enumerate(member_records)])
-                    composer.store_class(member, [
-                        (bit, record.outcome, record.end_cycle, record.trap)
-                        for bit, record in enumerate(member_records)])
-                report.executed += 1
-                done += 1
-                if progress is not None:
-                    progress(done, len(live))
-            index += len(group)
-        report.convergence_hits = executor.convergence_hits - hits_base
-        report.slice_hits = executor.slice_hits - slice_base
-        report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                          - tail_base)
-        if handle is not None:
-            handle.mark_complete()
-    return CampaignResult(golden=golden, partition=partition,
-                          class_outcomes=class_outcomes, records=records,
-                          domain=domain, execution=report)
+    local = InProcess(golden, domain, executor, config)
+    return run_campaign(
+        ScanStyle(golden, domain, local.params, partition, keep_records),
+        local, journal, resume, progress)
 
 
 @dataclass
@@ -374,6 +374,62 @@ class BruteForceResult:
         return self.domain.fault_space(self.golden).size
 
 
+class BruteStyle(CampaignStyle):
+    """Ground-truth scan: one unit per injection slot, rows
+    ``(axis, bit, outcome)`` for every raw coordinate of the slot."""
+
+    kind = "brute-force"
+    # Brute force validates the def/use pruning against ground truth;
+    # composing its coordinates from pruned-campaign results would make
+    # that validation circular.
+    composes = False
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
+        super().__init__(golden, domain, params)
+        # Slot-major, so the executor's fast-forward engages.
+        self.units = {slot: slot for slot in range(1, golden.cycles + 1)}
+
+    def load(self, handle, report):
+        return handle.completed_slots()
+
+    def cost(self, slot):
+        return max(1, self.golden.cycles - slot + 1)
+
+    @staticmethod
+    def execute(executor, slots):
+        # The slot list is explicit (not a range) because a resumed
+        # campaign runs only the unjournaled slots, which may have gaps.
+        domain = executor.domain
+        space = domain.fault_space(executor.golden)
+        groups = ([(slot, list(domain.slot_coordinates(space, slot)))]
+                  for slot in slots)
+        for slot, records in run_groups(executor, groups):
+            yield slot, [(domain.coordinate_axis(record.coordinate),
+                          record.coordinate.bit, record.outcome)
+                         for record in records]
+
+    def timed_out(self, slots):
+        domain = self.domain
+        space = domain.fault_space(self.golden)
+        return [(slot, [(domain.coordinate_axis(coord), coord.bit,
+                         Outcome.TIMEOUT)
+                        for coord in domain.slot_coordinates(space, slot)])
+                for slot in slots]
+
+    def journal(self, handle, composer, batch):
+        for slot, rows in batch:
+            handle.record_slot(slot, [(axis, bit, outcome.value)
+                                      for axis, bit, outcome in rows])
+
+    def result(self, kept, report):
+        outcomes: dict = {}
+        for slot in self.units:
+            for axis, bit, outcome in kept.get(slot, ()):
+                outcomes[self.domain.coordinate(slot, axis, bit)] = outcome
+        return BruteForceResult(golden=self.golden, outcomes=outcomes,
+                                domain=self.domain, execution=report)
+
+
 def run_brute_force(golden: GoldenRun, *,
                     executor: ExperimentExecutor | None = None,
                     config: ExecutorConfig | None = None,
@@ -388,55 +444,17 @@ def run_brute_force(golden: GoldenRun, *,
     Only feasible for tiny programs; used by tests and examples to prove
     that def/use pruning plus weighting reproduces these numbers exactly.
     ``jobs``, ``domain``, ``config``, ``journal`` and ``resume`` behave
-    as in :func:`run_full_scan`; ``progress`` is called per completed
-    injection slot.  The journal's atomic unit is one injection slot.
+    as in :func:`run_full_scan`; ``progress`` counts injection slots.
+    The journal's atomic unit is one injection slot.
     """
     domain = get_domain(domain)
     if jobs is not None:
         return _parallel_campaign(golden, jobs, executor, domain,
                                   policy, config).run_brute_force(
             progress=progress, journal=journal, resume=resume)
-    executor = _build_executor(golden, executor, config, domain)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-    handle = open_campaign(journal, golden, domain, "brute-force",
-                           _executor_params(executor))
-    with handle or nullcontext():
-        completed = {}
-        if handle is not None:
-            if not resume:
-                handle.clear()
-            completed = handle.completed_slots()
-        space = domain.fault_space(golden)
-        report = ExecutionReport(total_units=golden.cycles)
-        outcomes: dict = {}
-        # Iterate slot-major so the executor's fast-forward engages.
-        for slot in range(1, golden.cycles + 1):
-            if slot in completed:
-                for axis, bit, outcome in completed[slot]:
-                    outcomes[domain.coordinate(slot, axis, bit)] = outcome
-                report.resumed += 1
-            else:
-                coords = list(domain.slot_coordinates(space, slot))
-                rows = []
-                for coord, record in zip(coords, executor.run_many(coords)):
-                    outcomes[coord] = record.outcome
-                    rows.append((domain.coordinate_axis(coord), coord.bit,
-                                 record.outcome.value))
-                if handle is not None:
-                    handle.record_slot(slot, rows)
-                report.executed += 1
-            if progress is not None:
-                progress(slot, golden.cycles)
-        report.convergence_hits = executor.convergence_hits - hits_base
-        report.slice_hits = executor.slice_hits - slice_base
-        report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                          - tail_base)
-        if handle is not None:
-            handle.mark_complete()
-    return BruteForceResult(golden=golden, outcomes=outcomes,
-                            domain=domain, execution=report)
+    local = InProcess(golden, domain, executor, config)
+    return run_campaign(BruteStyle(golden, domain, local.params), local,
+                        journal, resume, progress)
 
 
 @dataclass
@@ -511,6 +529,115 @@ def _draw_classified(golden: GoldenRun, n_samples: int, seed: int,
     return drawn, population, instance.rng_state()
 
 
+class SamplingStyle(CampaignStyle):
+    """Sampled campaign: one unit per distinct ``(class, bit)``
+    representative experiment the drawn samples need, keyed
+    ``(axis, first_slot, bit)``, one ``(bit, outcome, end_cycle, trap)``
+    row each.
+
+    Samples are drawn (deterministically, from the seed) up front; the
+    units' outcomes are then replayed over the drawn sequence.  On
+    resume the journal's RNG-position check proves the re-drawn
+    sequence is the journaled one before any journaled outcome is
+    reused.
+    """
+
+    kind = "sampling"
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict,
+                 n_samples: int, seed: int, sampler: str, partition=None):
+        # Section fingerprints use ``params`` alone (no seed or sample
+        # count), so sampled and full-scan campaigns share the store.
+        super().__init__(golden, domain, params)
+        self.partition = (partition if partition is not None
+                          else domain.build_partition(golden))
+        self.sampler = sampler
+        self.key_params = dict(params, seed=seed, sampler=sampler,
+                               n_samples=n_samples)
+        self.drawn, self.population, self._rng_state = _draw_classified(
+            golden, n_samples, seed, sampler, self.partition, domain)
+        # One experiment per distinct (class, bit); samples in dead
+        # classes need none (key None).
+        keyed: dict[tuple[int, int, int], object] = {}
+        self.sample_keys: list[tuple[int, int, int] | None] = []
+        for sample in self.drawn:
+            key = None
+            if sample.class_kind == LIVE:
+                interval = self.partition.locate(sample.coordinate)
+                key = (domain.class_key(interval)
+                       + (domain.experiment_index(interval,
+                                                  sample.coordinate),))
+                if key not in keyed:
+                    keyed[key] = domain.experiment_coordinate(interval,
+                                                              key[2])
+            self.sample_keys.append(key)
+        # Ascending slot order, for the snapshot fast-forward.
+        self.units = {key: (key, coord) for key, coord in sorted(
+            keyed.items(),
+            key=lambda kv: (kv[1].slot, domain.coordinate_axis(kv[1]),
+                            kv[1].bit))}
+
+    def load(self, handle, report):
+        handle.verify_sampler_state(len(self.drawn), self._rng_state)
+        # The journal keeps a sampled experiment's outcome only.
+        return {key: [(key[2], outcome, 0, "")]
+                for key, outcome in handle.completed_experiments().items()
+                if key in self.units}
+
+    def compose(self, composer, completed, handle, report):
+        journaled = []
+        for key, (_, coord) in self.units.items():
+            if key in completed:
+                continue
+            hit = composer.compose_experiment(coord.slot, key[0], key[2])
+            if hit is not None:
+                completed[key] = [(key[2], *hit)]
+                journaled.append((*key, hit[0].value))
+        handle.record_experiments(journaled)
+        report.composed_hits += len(journaled)
+
+    def cost(self, item):
+        return max(1, self.golden.cycles - item[1].slot + 1)
+
+    @staticmethod
+    def execute(executor, keyed):
+        for key, coord in keyed:
+            record = executor.run(coord)
+            # The sampling result needs the outcome only, but the
+            # section store composes these rows into full-scan
+            # campaigns later, which need end cycles and traps too.
+            yield key, [(key[2], record.outcome, record.end_cycle,
+                         record.trap)]
+
+    def timed_out(self, keyed):
+        return [(key, [(key[2], Outcome.TIMEOUT, 0, "")])
+                for key, _ in keyed]
+
+    def journal(self, handle, composer, batch):
+        handle.record_experiments([(*key, rows[0][1].value)
+                                   for key, rows in batch])
+        if composer is not None:
+            for key, rows in batch:
+                composer.store_experiment(self.units[key][1].slot, key[0],
+                                          *rows[0])
+
+    def keep(self, key, rows):
+        return rows[0][1]  # the outcome
+
+    def result(self, kept, report):
+        # A sample whose experiment is missing (degraded campaign: its
+        # shard was abandoned) cannot be classified and is omitted from
+        # the partial result.
+        samples = [(sample, Outcome.NO_EFFECT if key is None else kept[key])
+                   for sample, key in zip(self.drawn, self.sample_keys)
+                   if key is None or key in kept]
+        return SamplingResult(
+            golden=self.golden, partition=self.partition, samples=samples,
+            population=self.population,
+            experiments_conducted=sum(key in kept for key in self.units),
+            sampler=self.sampler, domain=self.domain, execution=report)
+
+
 def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
                  sampler: str = "uniform",
                  partition=None,
@@ -524,13 +651,12 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
                  policy=None) -> SamplingResult:
     """Run a sampled campaign with def/use-pruned experiment sharing.
 
-    ``progress`` is called as each distinct (class, bit) experiment key
-    the drawn samples require is resolved — executed fresh or loaded
-    from the journal — with ``(done, total)`` over those keys.  ``jobs``,
-    ``domain``, ``config``, ``journal`` and ``resume`` behave as in
-    :func:`run_full_scan`.  The journal additionally records the
-    sampler's RNG position: resuming with a different seed, sampler or
-    sample count raises
+    ``progress`` counts the distinct (class, bit) experiment keys the
+    drawn samples require — executed fresh, composed or loaded from the
+    journal.  ``jobs``, ``domain``, ``config``, ``journal`` and
+    ``resume`` behave as in :func:`run_full_scan`.  The journal
+    additionally records the sampler's RNG position: resuming with a
+    different seed, sampler or sample count raises
     :class:`~repro.campaign.journal.JournalMismatchError`.
     """
     domain = get_domain(domain)
@@ -539,97 +665,8 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
                                   policy, config).run_sampling(
             n_samples, seed=seed, sampler=sampler, partition=partition,
             progress=progress, journal=journal, resume=resume)
-    if partition is None:
-        partition = domain.build_partition(golden)
-    executor = _build_executor(golden, executor, config, domain,
-                               partition=partition)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-
-    handle = open_campaign(
-        journal, golden, domain, "sampling",
-        dict(_executor_params(executor), seed=seed, sampler=sampler,
-             n_samples=n_samples))
-    with handle or nullcontext():
-        if handle is not None and not resume:
-            handle.clear()
-
-        drawn, population, rng_state = _draw_classified(
-            golden, n_samples, seed, sampler, partition, domain)
-        journaled: dict[tuple[int, int, int], Outcome] = {}
-        if handle is not None:
-            handle.verify_sampler_state(len(drawn), rng_state)
-            journaled = handle.completed_experiments()
-        # Section fingerprints use the executor parameters alone (no seed or
-        # sample count), so sampled and full-scan campaigns share the store.
-        composer = build_composer(handle, golden, domain,
-                                  _executor_params(executor))
-
-        # One experiment per distinct (class, bit); dead classes need none.
-        total_experiments = 0
-        if progress is not None:
-            total_experiments = len({
-                domain.class_key(interval)
-                + (domain.experiment_index(interval, sample.coordinate),)
-                for sample, interval in (
-                    (s, partition.locate(s.coordinate)) for s in drawn
-                    if s.class_kind == LIVE)})
-        cache: dict[tuple[int, int, int], Outcome] = {}
-        report = ExecutionReport()
-        results: list[tuple[Sample, Outcome]] = []
-        # Execute in ascending slot order for snapshot reuse, then restore the
-        # original sample order (it is irrelevant for counting, but callers
-        # may inspect per-sample sequences).
-        order = sorted(range(len(drawn)),
-                       key=lambda i: drawn[i].coordinate.slot)
-        outcome_by_index: dict[int, Outcome] = {}
-        for i in order:
-            sample = drawn[i]
-            if sample.class_kind != LIVE:
-                outcome_by_index[i] = Outcome.NO_EFFECT
-                continue
-            interval = partition.locate(sample.coordinate)
-            key = (domain.class_key(interval)
-                   + (domain.experiment_index(interval, sample.coordinate),))
-            if key not in cache:
-                if key in journaled:
-                    cache[key] = journaled[key]
-                    report.resumed += 1
-                else:
-                    composed = (composer.compose_experiment(
-                        interval.injection_slot, key[0], key[2])
-                        if composer is not None else None)
-                    if composed is not None:
-                        cache[key] = composed[0]
-                        handle.record_experiments(
-                            [(key[0], key[1], key[2], composed[0].value)])
-                        report.resumed += 1
-                        report.composed_hits += 1
-                    else:
-                        representative = domain.experiment_coordinate(
-                            interval, key[2])
-                        record = executor.run(representative)
-                        cache[key] = record.outcome
-                        if handle is not None:
-                            handle.record_experiments(
-                                [(key[0], key[1], key[2], cache[key].value)])
-                            composer.store_experiment(
-                                interval.injection_slot, key[0], key[2],
-                                record.outcome, record.end_cycle, record.trap)
-                        report.executed += 1
-                if progress is not None:
-                    progress(len(cache), total_experiments)
-            outcome_by_index[i] = cache[key]
-        report.total_units = len(cache)
-        report.convergence_hits = executor.convergence_hits - hits_base
-        report.slice_hits = executor.slice_hits - slice_base
-        report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                          - tail_base)
-        if handle is not None:
-            handle.mark_complete()
-    results = [(drawn[i], outcome_by_index[i]) for i in range(len(drawn))]
-    return SamplingResult(golden=golden, partition=partition,
-                          samples=results, population=population,
-                          experiments_conducted=len(cache), sampler=sampler,
-                          domain=domain, execution=report)
+    local = InProcess(golden, domain, executor, config)
+    return run_campaign(
+        SamplingStyle(golden, domain, local.params, n_samples, seed,
+                      sampler, partition),
+        local, journal, resume, progress)

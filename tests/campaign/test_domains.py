@@ -16,7 +16,6 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.registers import run_register_brute_force
 from repro.faultspace import (
     DOMAINS,
     MEMORY,
@@ -120,7 +119,8 @@ class TestDomainGeometry:
 class TestUnifiedEngineParity:
     def test_register_scan_matches_brute_force_ground_truth(self,
                                                             register_serial):
-        brute = run_register_brute_force(register_serial.golden)
+        brute = run_brute_force(register_serial.golden,
+                                domain="register").outcomes
         for coord, outcome in brute.items():
             assert register_serial.outcome_of(coord) == outcome, coord
         assert sum(register_serial.weighted_counts().values()) \

@@ -20,7 +20,11 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.parallel import class_cost, shard_by_cost
+from repro.campaign.parallel import (
+    class_cost,
+    plan_class_shards,
+    shard_by_cost,
+)
 from repro.faultspace.defuse import ByteInterval, LIVE
 from repro.programs import all_programs, bin_sem2, hi, micro
 
@@ -112,6 +116,26 @@ class TestSharding:
         long = self._interval(1, 2, 91)  # same injection slot, longer span
         assert class_cost(long, total) \
             == class_cost(short, total) + long.length - short.length
+
+
+    def test_plan_derives_every_cost_from_one_class_cost_list(self):
+        """Shard costs (pool deadlines) and the per-class list (the
+        fabric's lease cost table) are the numbers the cut was made
+        with."""
+        total = 400
+        intervals = [self._interval(addr, first, first + 3)
+                     for addr, first in enumerate(range(1, 390, 13))]
+        shards, shard_costs, costs = plan_class_shards(
+            intervals, total, bits=8, parts=4)
+        assert sum(shards, []) == intervals
+        assert costs == [class_cost(iv, total, bits=8) for iv in intervals]
+        assert shard_costs == [sum(class_cost(iv, total, bits=8)
+                                   for iv in shard) for shard in shards]
+        # A small campaign collapses to one shard per expected worker;
+        # without the hint the requested granularity stands.
+        assert len(shards) == 4
+        assert len(plan_class_shards(intervals, total, bits=8, parts=4,
+                                     workers=2)[0]) == 2
 
 
 class TestPicklability:

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.campaign import record_golden
-from repro.campaign.registers import (
-    RegisterExperimentExecutor,
-    collect_pc_trace,
-    register_partition,
-    run_register_brute_force,
-    run_register_scan,
+from repro.campaign import (
+    ExperimentExecutor,
+    record_golden,
+    run_brute_force,
+    run_full_scan,
 )
+from repro.faultspace import REGISTER
 from repro.faultspace.registers import (
     DEAD,
     LIVE,
@@ -73,24 +72,24 @@ class TestAccessTables:
 
 class TestPcTrace:
     def test_trace_length_matches_cycles(self, golden):
-        trace = collect_pc_trace(golden)
+        trace = golden.executed_pcs()
         assert len(trace) == golden.cycles
         assert trace[0] == golden.program.entry
 
     def test_trace_of_implicit_halt_program(self):
         golden = record_golden(assemble(".text\nstart: nop\n nop",
                                         ram_size=4))
-        assert collect_pc_trace(golden) == [0, 1]
+        assert golden.executed_pcs() == [0, 1]
 
 
 class TestRegisterPartition:
     def test_intervals_tile_the_space(self, golden):
-        partition = register_partition(golden)
+        partition = REGISTER.build_partition(golden)
         partition.validate()
 
     def test_r1_lifecycle(self, golden):
         # r1: written at slot 1, read at slot 2, then dead.
-        partition = register_partition(golden)
+        partition = REGISTER.build_partition(golden)
         intervals = partition.intervals[1]
         kinds = [(iv.first_slot, iv.last_slot, iv.kind)
                  for iv in intervals]
@@ -98,7 +97,7 @@ class TestRegisterPartition:
                          (3, golden.cycles, DEAD)]
 
     def test_untouched_register_is_dead(self, golden):
-        partition = register_partition(golden)
+        partition = REGISTER.build_partition(golden)
         intervals = partition.intervals[7]
         assert len(intervals) == 1
         assert intervals[0].kind == DEAD
@@ -108,7 +107,7 @@ class TestRegisterPartition:
         golden = record_golden(assemble(
             ".text\nstart: li r1, 1\n addi r1, r1, 1\n out r1\n halt",
             ram_size=4))
-        partition = register_partition(golden)
+        partition = REGISTER.build_partition(golden)
         partition.validate()
         kinds = [(iv.first_slot, iv.last_slot, iv.kind)
                  for iv in partition.intervals[1]]
@@ -119,8 +118,8 @@ class TestRegisterPartition:
 class TestRegisterCampaign:
     def test_scan_matches_brute_force(self, golden):
         """The keystone property, now for the register fault model."""
-        scan = run_register_scan(golden)
-        brute = run_register_brute_force(golden)
+        scan = run_full_scan(golden, domain="register")
+        brute = run_brute_force(golden, domain="register").outcomes
         for coord, outcome in brute.items():
             assert scan.outcome_of(coord) == outcome, coord
         assert sum(scan.weighted_counts().values()) \
@@ -128,32 +127,26 @@ class TestRegisterCampaign:
 
     def test_scan_matches_brute_force_on_memcopy(self):
         golden = record_golden(micro.counter(2))
-        scan = run_register_scan(golden)
-        brute = run_register_brute_force(golden)
+        scan = run_full_scan(golden, domain="register")
+        brute = run_brute_force(golden, domain="register").outcomes
         for coord, outcome in brute.items():
             assert scan.outcome_of(coord) == outcome, coord
 
     def test_flipping_live_register_fails(self, golden):
-        executor = RegisterExperimentExecutor(golden)
+        executor = ExperimentExecutor(golden, domain="register")
         # r1 holds 5 and is read at slot 2: flip bit 1 -> output changes.
         record = executor.run(RegisterFaultCoordinate(slot=2, reg=1,
                                                       bit=1))
         assert record.outcome.is_failure
 
     def test_flipping_dead_register_is_benign(self, golden):
-        executor = RegisterExperimentExecutor(golden)
+        executor = ExperimentExecutor(golden, domain="register")
         record = executor.run(RegisterFaultCoordinate(slot=1, reg=7,
                                                       bit=0))
         assert record.outcome.value == "no-effect"
 
-    def test_executor_rejects_memory_coordinates(self, golden):
-        from repro.faultspace import FaultCoordinate
-        executor = RegisterExperimentExecutor(golden)
-        with pytest.raises(TypeError):
-            executor.run(FaultCoordinate(slot=1, addr=0, bit=0))
-
     def test_coverage_and_failure_count(self, golden):
-        scan = run_register_scan(golden)
+        scan = run_full_scan(golden, domain="register")
         assert 0.0 <= scan.weighted_coverage() <= 1.0
         assert scan.weighted_failure_count() > 0
 

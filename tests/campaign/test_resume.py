@@ -220,6 +220,46 @@ class TestSamplingResume:
         assert resumed.samples == baseline.samples
 
 
+class TestInProcessInterrupt:
+    """``jobs=1`` *is* the in-process transport: it streams unit by unit
+    exactly as ``jobs=None`` does, so an interrupt after *n* units
+    leaves exactly *n* journaled.  (A one-shard inline pool journaled
+    its whole shard before the first progress call.)"""
+
+    def test_full_scan(self, tmp_path, memory_golden, memory_baseline):
+        journal = tmp_path / "journal.sqlite"
+        with pytest.raises(Interrupt):
+            run_full_scan(memory_golden, jobs=1, journal=journal,
+                          progress=interrupt_after(3))
+        resumed = run_full_scan(memory_golden, journal=journal,
+                                keep_records=True)
+        assert resumed == memory_baseline
+        assert resumed.execution.resumed == 3
+        assert resumed.execution.complete
+
+    def test_brute_force(self, tmp_path, register_golden):
+        baseline = run_brute_force(register_golden)
+        journal = tmp_path / "journal.sqlite"
+        with pytest.raises(Interrupt):
+            run_brute_force(register_golden, jobs=1, journal=journal,
+                            progress=interrupt_after(4))
+        resumed = run_brute_force(register_golden, journal=journal)
+        assert resumed == baseline
+        assert resumed.execution.resumed == 4
+        assert resumed.execution.complete
+
+    def test_sampling(self, tmp_path, memory_golden):
+        baseline = run_sampling(memory_golden, 40, seed=7)
+        journal = tmp_path / "journal.sqlite"
+        with pytest.raises(Interrupt):
+            run_sampling(memory_golden, 40, seed=7, jobs=1,
+                         journal=journal, progress=interrupt_after(5))
+        resumed = run_sampling(memory_golden, 40, seed=7, journal=journal)
+        assert resumed == baseline
+        assert resumed.samples == baseline.samples
+        assert resumed.execution.resumed == 5
+
+
 class TestWorkerDeath:
     """Simulated worker kills via the REPRO_CHAOS hook."""
 

@@ -15,7 +15,11 @@ import sqlite3
 
 import pytest
 
-from repro.campaign import record_golden, run_full_scan
+from repro.campaign import (
+    record_golden,
+    run_distributed_scan,
+    run_full_scan,
+)
 from repro.campaign.journal import (
     SALVAGE_TABLES,
     ExperimentJournal,
@@ -149,6 +153,40 @@ class TestInvalidClasses:
     def test_unknown_keys_are_ignored(self):
         completed = {(9, 9): [(0, "none", 1, "")]}
         assert invalid_classes(completed, self.EXPECTED) == []
+
+
+class TestEveryTransportPrunesPartialClasses:
+    """The rule lives in the pipeline's prologue, so it holds however
+    the campaign resumes: in-process, pooled or over the fabric."""
+
+    @pytest.mark.parametrize("transport", [None, 1, 2, "dist"])
+    def test_truncated_class_is_discarded_and_redone(
+            self, transport, tmp_path, memory_golden, memory_baseline):
+        path = journal_with_campaign(tmp_path, memory_golden)
+        # Lose the tail of one journaled class (what losing the page
+        # holding it does) of a campaign that had not finished.
+        conn = sqlite3.connect(path)
+        with conn:
+            (axis, first_slot) = conn.execute(
+                "SELECT axis, first_slot FROM class_results "
+                "ORDER BY axis, first_slot LIMIT 1").fetchone()
+            conn.execute(
+                "DELETE FROM class_results WHERE axis = ? AND "
+                "first_slot = ? AND bit >= 5", (axis, first_slot))
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        if transport == "dist":
+            result = run_distributed_scan(memory_golden, workers=1,
+                                          journal=path, keep_records=True)
+        else:
+            result = run_full_scan(memory_golden, jobs=transport,
+                                   journal=path, keep_records=True)
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.weighted_failure_count() \
+            == memory_baseline.weighted_failure_count()
+        assert result.execution.discarded_results == 1
+        assert result.execution.complete
 
 
 class TestDistPrunesPartialClasses:
