@@ -4,8 +4,8 @@ Not a paper figure — these measure the simulator substrate itself so
 performance regressions in the machine show up independently of the
 campaign-level benchmarks.  The throughput tests write (and
 incrementally merge) ``BENCH_machine.json`` at the repo root (see
-``_bench_json``) so the cycles/second trajectory of every engine tier
-is tracked commit over commit.
+``_bench_json``) so the cycles/second trajectory of both engines is
+tracked commit over commit.
 
 ``test_compiled_throughput`` doubles as the acceptance gate for the
 compiled execution core: the template-JIT must sustain at least 10×
@@ -18,13 +18,10 @@ import time
 
 from _bench_json import write_bench_json
 
-from repro.campaign import ExecutorConfig, record_golden, run_full_scan
-from repro.engine.batch import LockstepLanes
+from repro.campaign import record_golden
 from repro.engine.compiled import CompiledMachine
-from repro.engine.fused import compile_fused
-from repro.faultspace import get_domain
 from repro.isa import Assembler, Machine, assemble
-from repro.programs import chain, hi, micro, msgq, prio, sync2
+from repro.programs import micro, sync2
 
 LOOP_SOURCE = """
         .data
@@ -111,155 +108,6 @@ def test_compiled_throughput():
         f"compiled engine is only {speedup:.1f}x the interpreter "
         f"({compiled_cps:.0f} vs {interp_cps:.0f} cycles/s); the "
         f"acceptance floor is 10x")
-
-
-def test_batch_lane_throughput():
-    """Aggregate lane-cycles/second of the lockstep batch engine."""
-    program = assemble(LOOP_SOURCE, ram_size=4)
-    state = Machine(program).snapshot()
-    lanes_n = 64
-    best = float("inf")
-    for _ in range(3):
-        lanes = LockstepLanes(program, state, lanes_n)
-        start = time.perf_counter()
-        lanes.run_to(100_000)
-        best = min(best, time.perf_counter() - start)
-        exits = lanes.pop_exits()
-        assert len(exits) == lanes_n
-        assert all(e.cycle == LOOP_CYCLES for e in exits)
-    lane_cps = LOOP_CYCLES * lanes_n / best
-    _record("batch", {
-        "benchmark": "batch_lane_throughput",
-        "lanes": lanes_n,
-        "cycles_per_lane": LOOP_CYCLES,
-        "lane_cycles_per_second": round(lane_cps),
-    })
-
-
-def _batch_cps(program, state, n, fused, repeats=3):
-    """Best-of-N aggregate lane-cycles/second of one pack."""
-    best = float("inf")
-    for _ in range(repeats):
-        lanes = LockstepLanes(program, state, n, fused=fused)
-        start = time.perf_counter()
-        lanes.run_to(100_000)
-        best = min(best, time.perf_counter() - start)
-        exits = lanes.pop_exits()
-        assert len(exits) == n
-        assert all(e.cycle == LOOP_CYCLES for e in exits)
-    return LOOP_CYCLES * n / best
-
-
-def test_fused_batch_throughput():
-    """A/B gate: fused dispatch must be >= 2x the per-instruction
-    batch path at the pack-planner's 32-lane target width.
-
-    Both sides run identical packs of the same loop under the same
-    best-of-N protocol, so the ratio isolates the dispatch mechanism
-    (one generated kernel per basic block vs ~7 numpy calls per
-    opcode).  The eviction-rate figures come from a real stuck-at
-    campaign — the domain whose covering stores force lanes off the
-    lockstep path — so pack attrition is tracked alongside raw
-    throughput.
-    """
-    program = assemble(LOOP_SOURCE, ram_size=4)
-    state = Machine(program).snapshot()
-    fused = compile_fused(program)
-    assert fused is not None, "benchmark loop must be fusable"
-    widths = {}
-    for n in (8, 32, 64):
-        plain = _batch_cps(program, state, n, None)
-        fast = _batch_cps(program, state, n, fused)
-        widths[n] = {
-            "lane_cycles_per_second": round(fast),
-            "per_instruction_lane_cycles_per_second": round(plain),
-            "fused_speedup": round(fast / plain, 2),
-        }
-
-    # Pack attrition under the eviction-heavy domain: every armed
-    # stuck-at latch covered by a store retires its lane, and each
-    # eviction either re-admits or finishes on the scalar tier.
-    from repro.campaign.experiment import BatchExperimentExecutor
-    golden = record_golden(hi.dft_prime_variant())
-    domain = get_domain("stuck")
-    coords = []
-    for interval in domain.build_partition(golden).live_classes():
-        for index in range(domain.experiment_count(interval)):
-            coords.append(domain.experiment_coordinate(interval, index))
-    executor = BatchExperimentExecutor(golden, domain=domain)
-    executor.run_many(coords)
-    evictions = (executor.readmitted_lanes
-                 + executor.scalar_tail_experiments)
-
-    _record("batch_fused", {
-        "benchmark": "fused_batch_throughput",
-        "cycles_per_lane": LOOP_CYCLES,
-        "widths": {str(n): payload for n, payload in widths.items()},
-        "stuck_campaign": {
-            "program": golden.program.name,
-            "packed_lanes": executor.packed_lanes,
-            "packs_opened": executor.packs_opened,
-            "evictions": evictions,
-            "readmitted_lanes": executor.readmitted_lanes,
-            "scalar_tail_experiments":
-                executor.scalar_tail_experiments,
-            "eviction_rate":
-                round(evictions / max(1, executor.packed_lanes), 4),
-        },
-    })
-    speedup_32 = widths[32]["fused_speedup"]
-    assert speedup_32 >= 2.0, (
-        f"fused dispatch is only {speedup_32:.2f}x the "
-        f"per-instruction batch path at 32 lanes; the acceptance "
-        f"floor is 2x")
-
-
-def test_auto_engine_kernel_gate():
-    """Planner gate: ``auto`` must not lose to pinned ``compiled`` on
-    any registered kernel benchmark.
-
-    The auto tier's promise is "never worse than the tier you would
-    have pinned": on the scheduler kernels its planner either picks
-    compiled outright or a batch split that beats it, so the wall
-    clock must track pinned-compiled within measurement noise.  The
-    1.25x ceiling is far above planner overhead (one partition build)
-    but below any genuinely wrong tier choice (interp on a kernel
-    would be ~15x; a bad batch split ~2x).  Outcomes must be
-    bit-identical — auto is an optimization, never a semantic knob.
-    """
-    kernels = {}
-    for name, builder in (("chain", chain.baseline),
-                          ("msgq", msgq.baseline),
-                          ("prio", prio.baseline)):
-        golden = record_golden(builder())
-        partition = golden.partition()
-        timings = {}
-        results = {}
-        # Best-of-2 per engine: a single load spike on a shared CI
-        # runner must not read as a planner regression.
-        for engine in ("compiled", "auto"):
-            best = float("inf")
-            for _ in range(2):
-                start = time.perf_counter()
-                results[engine] = run_full_scan(
-                    golden, partition=partition,
-                    config=ExecutorConfig(engine=engine))
-                best = min(best, time.perf_counter() - start)
-            timings[engine] = best
-        assert results["auto"] == results["compiled"], name
-        ratio = timings["auto"] / timings["compiled"]
-        kernels[name] = {
-            "compiled_seconds": round(timings["compiled"], 3),
-            "auto_seconds": round(timings["auto"], 3),
-            "auto_over_compiled": round(ratio, 3),
-        }
-        assert ratio <= 1.25, (
-            f"auto engine took {ratio:.2f}x pinned compiled on "
-            f"{name}; the acceptance ceiling is 1.25x")
-    _record("auto_kernels", {
-        "benchmark": "auto_engine_kernel_gate",
-        "kernels": kernels,
-    })
 
 
 def test_snapshot_restore_cost(benchmark):

@@ -11,7 +11,7 @@ needs:
 * :mod:`repro.campaign` — the FAIL*-style fault-injection campaign
   engine (full scans, brute force, sampling, outcome taxonomy);
 * :mod:`repro.engine` — pluggable execution engines: the interpreter
-  oracle, a template JIT, and lockstep vectorized batch replay;
+  oracle and a template JIT, with ``auto`` choosing per campaign;
 * :mod:`repro.metrics` — fault coverage (and why it is unsound),
   extrapolated absolute failure counts, the comparison ratio r, the
   Poisson fault model, confidence intervals, MWTF;

@@ -126,11 +126,6 @@ def completeness_report(report: ExecutionReport) -> str:
         lines.append(
             f"  criticality pre-skips: {report.slice_hits} "
             f"experiment(s) classified without execution")
-    if report.scalar_tail_experiments:
-        lines.append(
-            f"  batch scalar tails: {report.scalar_tail_experiments} "
-            f"experiment(s) finished on the scalar tier after lane "
-            f"eviction")
     if report.composed_hits:
         lines.append(
             f"  composed from section store: {report.composed_hits} "

@@ -35,12 +35,11 @@ Event taxonomy (all independent per result frame):
 only the named workers ever lie, which is how the byzantine-detection
 tests plant exactly one corrupted worker in an otherwise honest fleet.
 
-The legacy ``REPRO_DIST_CHAOS`` env hooks (``die_after_results``,
-``drop_after_results``, ``duplicate_results``) are kept as counter
-fields on the plan and routed through the same proxy; specifying them
-via the old env variable still works behind :func:`plan_from_env` but
-emits a :class:`DeprecationWarning`.  New code ships a whole plan via
-``REPRO_CHAOS_PLAN`` (JSON) or the ``chaos=`` constructor argument.
+Besides the seeded rates a plan carries three counters
+(``die_after_results``, ``drop_after_results``, ``duplicate_results``)
+that fire once at a fixed result frame, routed through the same proxy.
+A whole plan ships via ``REPRO_CHAOS_PLAN`` (JSON) or the ``chaos=``
+constructor argument.
 """
 
 from __future__ import annotations
@@ -50,18 +49,12 @@ import json
 import os
 import random
 import time
-import warnings
 
 from ..outcomes import Outcome
 from .protocol import FrameStream, result_digest
 
 #: Environment variable carrying a full serialized :class:`ChaosPlan`.
 PLAN_ENV = "REPRO_CHAOS_PLAN"
-#: Legacy environment variable (counter dict); deprecated.
-LEGACY_ENV = "REPRO_DIST_CHAOS"
-
-_LEGACY_KEYS = frozenset(
-    {"die_after_results", "drop_after_results", "duplicate_results"})
 
 
 class ChaosInterrupt(ConnectionError):
@@ -105,7 +98,7 @@ class ChaosPlan:
     liars: tuple[str, ...] = ()
     #: Class keys whose execution kills the worker (poison-shard tests).
     die_on_keys: tuple[tuple[int, int], ...] = ()
-    #: Legacy counters (cumulative across reconnects, firing once).
+    #: Counters (cumulative across reconnects, firing once).
     die_after_results: int | None = None
     drop_after_results: int | None = None
     duplicate_results: int = 0
@@ -156,48 +149,25 @@ class ChaosPlan:
         return cls.from_dict(json.loads(text))
 
 
-def plan_from_spec(spec, *, warn: bool = True) -> ChaosPlan | None:
+def plan_from_spec(spec) -> ChaosPlan | None:
     """Normalize a ``chaos=`` argument into a :class:`ChaosPlan`.
 
-    Accepts ``None``, a plan, a plan-shaped dict, or a legacy
-    ``REPRO_DIST_CHAOS``-style counter dict (deprecation shim: the old
-    counters become plan fields and warn once per call site).
+    Accepts ``None``, a plan, or a plan-shaped dict.
     """
     if spec is None or isinstance(spec, ChaosPlan):
         return spec
     if not isinstance(spec, dict):
         raise TypeError(f"chaos spec must be a dict or ChaosPlan, "
                         f"got {type(spec).__name__}")
-    if spec and set(spec) <= _LEGACY_KEYS:
-        if warn:
-            warnings.warn(
-                "counter-style chaos dicts (die_after_results/"
-                "drop_after_results/duplicate_results) are deprecated; "
-                "pass a ChaosPlan (campaign.dist.chaos) instead",
-                DeprecationWarning, stacklevel=3)
-        return ChaosPlan(**spec)
     return ChaosPlan.from_dict(spec) if spec else None
 
 
 def plan_from_env(environ=None) -> ChaosPlan | None:
-    """The chaos plan a worker process inherits from its environment.
-
-    ``REPRO_CHAOS_PLAN`` (a serialized plan) wins; the legacy
-    ``REPRO_DIST_CHAOS`` counter dict is honored behind a
-    :class:`DeprecationWarning`.
-    """
+    """The chaos plan a worker process inherits from its environment
+    (``REPRO_CHAOS_PLAN``, a serialized plan), if any."""
     environ = os.environ if environ is None else environ
     text = environ.get(PLAN_ENV)
-    if text:
-        return ChaosPlan.from_json(text)
-    legacy = environ.get(LEGACY_ENV)
-    if legacy:
-        warnings.warn(
-            f"{LEGACY_ENV} is deprecated; set {PLAN_ENV} to a "
-            f"serialized ChaosPlan instead", DeprecationWarning,
-            stacklevel=2)
-        return plan_from_spec(json.loads(legacy), warn=False)
-    return None
+    return ChaosPlan.from_json(text) if text else None
 
 
 #: Fixed draw order — part of the reproducibility contract: adding a new
@@ -287,7 +257,7 @@ class ChaosFrameStream:
 
     Non-result frames (hello, request, heartbeat, lease_done) pass
     through untouched — the schedule is defined over *result* frames so
-    it stays aligned with the legacy counters and with what actually
+    it stays aligned with the plan's counters and with what actually
     threatens result integrity.
     """
 
@@ -351,7 +321,6 @@ class ChaosFrameStream:
 
 
 __all__ = [
-    "LEGACY_ENV",
     "PLAN_ENV",
     "ChaosFrameStream",
     "ChaosInterrupt",

@@ -566,7 +566,7 @@ class DistCoordinator:
                 self.report.crosschecked += 1
             self.report.executed += 1
             self.report.count(int(frame.get(field, 0))
-                              for field in ("hits", "skips", "tails"))
+                              for field in ("hits", "skips"))
             self._worker_units[name] += 1
             self._accepted += 1
             self.run.done += 1

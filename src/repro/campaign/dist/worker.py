@@ -27,9 +27,8 @@ transport, so the coordinator can detect any corruption between this
 worker's executor and its own journal.
 
 Chaos injection is delegated to :mod:`repro.campaign.dist.chaos`: a
-:class:`~.chaos.ChaosPlan` (the ``chaos=`` argument, the
-``REPRO_CHAOS_PLAN`` env var, or the deprecated ``REPRO_DIST_CHAOS``
-counter dict) wraps each session's stream in a
+:class:`~.chaos.ChaosPlan` (the ``chaos=`` argument or the
+``REPRO_CHAOS_PLAN`` env var) wraps each session's stream in a
 :class:`~.chaos.ChaosFrameStream` proxy.  Chaos state is cumulative
 across reconnects — the schedule is a pure function of
 ``(seed, worker name, result index)``, unaffected by the failures it
@@ -131,7 +130,7 @@ class DistWorker:
         delay = min(self.max_reconnect_delay,
                     self.reconnect_delay * (2.0 ** (failures - 1)))
         # Full jitter: a fleet of workers orphaned by the same
-        # coordinator crash must not reconnect in lockstep.
+        # coordinator crash must not reconnect in step.
         time.sleep(delay * (0.5 + 0.5 * self._rng.random()))
 
     # -- one connection ---------------------------------------------------------
@@ -299,13 +298,13 @@ class DistWorker:
                 self.executed += 1
                 rows = [[bit, outcome.value, end_cycle, trap]
                         for bit, outcome, end_cycle, trap in rows]
-                hits, skips, tails = counters.take()
+                hits, skips = counters.take()
                 self._send(stream, {
                     "type": "result", "lease": lease_id, "shard": shard,
                     "key": list(key),
                     "rows": rows,
                     "crc": result_digest(key, rows),
-                    "hits": hits, "skips": skips, "tails": tails,
+                    "hits": hits, "skips": skips,
                 })
         self._send(stream, {"type": "lease_done", "lease": lease_id,
                             "shard": shard})

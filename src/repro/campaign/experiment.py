@@ -125,7 +125,7 @@ class ExecutorConfig:
     #: ``use_convergence`` this is outcome-invariant — the equivalence
     #: tests prove bit-for-bit identical campaign results across
     #: engines — so it is not part of the journal campaign key.  The
-    #: default ``auto`` resolves per campaign through the tier planner
+    #: default ``auto`` resolves per campaign through the planner
     #: (:mod:`repro.engine.plan`) when :meth:`build` sees the golden
     #: run; naming a concrete engine pins it.
     engine: str = "auto"
@@ -157,34 +157,26 @@ class ExecutorConfig:
                    golden_cycles + self.timeout_slack)
 
     def build(self, golden: "GoldenRun",
-              executor_class: type | None = None,
               partition=None) -> "ExperimentExecutor":
         """Construct an executor for ``golden`` with these settings.
 
-        The executor class follows the engine unless overridden: batch
-        engines get the lockstep :class:`BatchExperimentExecutor`,
-        scalar engines the plain :class:`ExperimentExecutor`.  The
-        ``auto`` engine resolves here — the first point where the
+        The ``auto`` engine resolves here — the first point where the
         golden run and domain are both known — so serial runners,
         parallel workers and dist workers all plan identically and
-        deterministically.  ``partition`` hands the tier planner a
-        def/use partition the caller already built; without it the
-        planner builds (and caches) its own.
+        deterministically.  ``partition`` hands the planner a def/use
+        partition the caller already built; without it the planner
+        builds (and caches) its own.
         """
         engine = get_engine(self.engine).resolve(golden, self.domain,
                                                  partition=partition)
-        cls = executor_class
-        if cls is None:
-            cls = (BatchExperimentExecutor if engine.batch
-                   else ExperimentExecutor)
-        return cls(golden,
-                   timeout_factor=self.timeout_factor,
-                   timeout_slack=self.timeout_slack,
-                   use_snapshots=self.use_snapshots,
-                   early_stop=self.early_stop,
-                   use_convergence=self.use_convergence,
-                   domain=self.domain,
-                   engine=engine)
+        return ExperimentExecutor(golden,
+                                  timeout_factor=self.timeout_factor,
+                                  timeout_slack=self.timeout_slack,
+                                  use_snapshots=self.use_snapshots,
+                                  early_stop=self.early_stop,
+                                  use_convergence=self.use_convergence,
+                                  domain=self.domain,
+                                  engine=engine)
 
 
 class EndFacts(NamedTuple):
@@ -277,20 +269,6 @@ class ExperimentExecutor:
         #: Checkpoint boundaries at which a digest was computed and
         #: compared (diagnostics: overhead per skipped tail).
         self.convergence_checks = 0
-        #: Lanes that left a lockstep pack by eviction and had to finish
-        #: on the scalar tier (always 0 for the scalar executor).  High
-        #: values mean packs are shredding on divergent control flow and
-        #: the batch tier is paying for lanes it cannot keep.
-        self.scalar_tail_experiments = 0
-        #: Evicted lanes whose scalar continuation rejoined the pack's
-        #: shared pc in phase and re-entered lockstep.
-        self.readmitted_lanes = 0
-        #: Lockstep packs opened, and lanes that entered one (at open
-        #: or by cross-slot/re-entry admission).  Their ratio is the
-        #: achieved mean pack width — the quantity the pack planner
-        #: maximizes (always 0 for the scalar executor).
-        self.packs_opened = 0
-        self.packed_lanes = 0
 
     def run(self, coordinate: FaultCoordinate) -> ExperimentRecord:
         """Run one experiment and classify its outcome."""
@@ -316,10 +294,8 @@ class ExperimentExecutor:
     def run_many(self, coordinates) -> list[ExperimentRecord]:
         """Run a sequence of experiments, preserving input order.
 
-        The scalar executor simply iterates; the batch executor
-        overrides this to run same-slot stretches as lockstep lanes.
         Callers should submit coordinates slot-sorted for the snapshot
-        fast-forward (and, in the batch case, lane grouping) to pay off.
+        fast-forward to pay off.
         """
         return [self.run(coordinate) for coordinate in coordinates]
 
@@ -359,9 +335,9 @@ class ExperimentExecutor:
         """Classify a run that ended (halt, trap, divergence, timeout).
 
         Takes plain values (the fields of :class:`EndFacts`) rather
-        than a machine, so lane exits of the batch executor and early
-        exits, whose facts are inferred, classify through the exact
-        same code path as a run executed to its end.
+        than a machine, so early exits, whose facts are inferred,
+        classify through the exact same code path as a run executed to
+        its end.
         """
         trapped = bool(trap)
         timed_out = not halted and not trapped
@@ -387,12 +363,12 @@ class ExperimentExecutor:
     def _probe_after(self, cycle: int, gap: int) -> int | None:
         """The probe position ``gap`` cycles past ``cycle``, if any.
 
-        The schedule arithmetic both executors share: gaps start at
-        the engine's :attr:`~repro.engine.ExecutionEngine.probe_gap`
-        and double after every miss; positions are aligned up to the
-        ladder stride (off-stride cycles have no rung to match under a
-        zero shift).  ``None`` once past the cycle budget: no probe
-        carries a machine to ``timeout_cycles``, so timeouts end there.
+        Gaps start at the engine's
+        :attr:`~repro.engine.ExecutionEngine.probe_gap` and double
+        after every miss; positions are aligned up to the ladder stride
+        (off-stride cycles have no rung to match under a zero shift).
+        ``None`` once past the cycle budget: no probe carries a machine
+        to ``timeout_cycles``, so timeouts end there.
         """
         target = cycle + gap
         target += -target % self._stride
@@ -544,281 +520,8 @@ class ExperimentExecutor:
         return self._snapshot
 
 
+# Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR that
+# drops that entry deletes this class.
 class BatchExperimentExecutor(ExperimentExecutor):
-    """Executes slot-sorted experiment groups as lockstep vectorized lanes.
-
-    :meth:`run_many` splits its input into consecutive same-slot
-    stretches, then plans **packs** over them: a pack opens at the
-    first stretch's pre-injection snapshot and, whenever its shared
-    trajectory reaches a later stretch's injection cycle *on the golden
-    pc*, admits that stretch's freshly injected lanes in place
-    (:meth:`~repro.engine.batch.LockstepLanes.admit`).  Late slots with
-    a handful of live cells therefore ride along in a wide pack instead
-    of running thin ones — the planner aims for :data:`PACK_TARGET`
-    live lanes across the whole campaign.  Lane execution uses the
-    fused basic-block kernels (:mod:`repro.engine.fused`) with
-    automatic per-instruction fallback, so one dispatch covers a whole
-    block across all live lanes.  Everything an experiment can do maps
-    back onto the scalar executor's own classification code:
-
-    * halt / trap / divergence lane exits go through
-      :meth:`~ExperimentExecutor._classify_end` with exactly the values
-      a scalar machine would hold;
-    * control-flow eviction restores the lane's
-      :class:`~repro.isa.cpu.MachineState` into the scalar (Tier-1)
-      machine, which catches up to the pack's current cycle; if it
-      arrives back on the pack's shared pc the lane is **re-admitted**
-      into lockstep, otherwise it finishes scalar via
-      :meth:`~ExperimentExecutor._finish` (counted in
-      :attr:`~ExperimentExecutor.scalar_tail_experiments`);
-    * the convergence ladder is probed per live lane on the scalar
-      executor's schedule (:meth:`~ExperimentExecutor._probe_after`),
-      at exact lock-step cycles.  Admitted lanes join whatever schedule
-      the pack is on — sound because a digest match at *any*
-      checkpoint classifies identically (see
-      :meth:`_rejoin_facts`: the end cycle is shift-invariant and
-      the emitted prefix is completed from golden output), so the
-      checkpoint schedule never affects records.  The state memo is
-      scalar-only: evicted tails reach it through ``_finish``.
-
-    Single experiments (:meth:`run`) and thin stretches with no
-    adjacent stretches to pack with fall back to the inherited scalar
-    path, which under the ``batch`` engine runs on the compiled Tier-1
-    machine.
-    """
-
-    #: Below this many injectable lanes (summed over an adjacent
-    #: ascending-slot window) a stretch runs scalar: one numpy dispatch
-    #: costs ~100× a compiled-engine instruction, so tiny packs would
-    #: be slower than Tier 1.
-    MIN_LANES = 8
-    #: Packs admit adjacent-slot lanes until they hold this many; wider
-    #: packs amortize the per-block dispatch further but shrink the
-    #: population left to refill later packs.
-    PACK_TARGET = 32
-    #: Lanes per batch chunk; bounds peak memory at
-    #: ``MAX_LANES × ram_size`` bytes and keeps eviction compaction
-    #: copies cheap.
-    MAX_LANES = 1024
-
-    _fused_cache: object = False  # False = not compiled yet
-
-    @property
-    def _fused(self):
-        """The program's fused kernels, compiled once per executor."""
-        if self._fused_cache is False:
-            from ..engine.fused import compile_fused
-
-            self._fused_cache = compile_fused(self.golden.program)
-        return self._fused_cache
-
-    def _golden_pc(self, cycle: int) -> int:
-        """The pristine machine's pc after exactly ``cycle`` cycles."""
-        pcs = self._golden_pcs
-        if pcs is None:
-            pcs = self._golden_pcs = self.golden.executed_pcs()
-        if cycle < len(pcs):
-            return pcs[cycle]
-        return len(self.golden.program.rom)  # at the implicit exit stub
-
-    _golden_pcs: list | None = None
-
-    def run_many(self, coordinates) -> list["ExperimentRecord"]:
-        from collections import deque
-
-        coordinates = list(coordinates)
-        records: list[ExperimentRecord | None] = [None] * len(coordinates)
-        groups: deque[tuple[int, list[int]]] = deque()
-        start = 0
-        while start < len(coordinates):
-            end = start + 1
-            slot = coordinates[start].slot
-            while (end < len(coordinates)
-                   and coordinates[end].slot == slot):
-                end += 1
-            if slot > self.golden.cycles:
-                raise ValueError(
-                    f"slot {slot} beyond golden runtime "
-                    f"{self.golden.cycles}")
-            batchable = []
-            for idx in range(start, end):
-                coordinate = coordinates[idx]
-                if (self.use_convergence
-                        and not self._cell_critical(coordinate)):
-                    self.slice_hits += 1
-                    records[idx] = self._golden_record(coordinate)
-                else:
-                    batchable.append(idx)
-            if batchable:
-                groups.append((slot, batchable))
-            start = end
-        if not self.domain.batchable:
-            # Non-batchable domains (PC faults redirect control flow
-            # immediately, so lanes would never march in lockstep) run
-            # scalar regardless of stretch width.
-            for _, idxs in groups:
-                for idx in idxs:
-                    records[idx] = self.run(coordinates[idx])
-            return records
-        while groups:
-            slot, idxs = groups.popleft()
-            if self._pack_width(len(idxs), slot, groups) < self.MIN_LANES:
-                for idx in idxs:
-                    records[idx] = self.run(coordinates[idx])
-                continue
-            while len(idxs) > self.MAX_LANES:
-                chunk, idxs = (idxs[:self.MAX_LANES],
-                               idxs[self.MAX_LANES:])
-                self._run_pack(slot, chunk, coordinates, records, deque())
-            self._run_pack(slot, idxs, coordinates, records, groups)
-        return records
-
-    def _pack_width(self, width: int, slot: int, groups) -> int:
-        """Prospective pack width: this stretch plus admissible followers.
-
-        Counts lanes over the maximal non-descending-slot window
-        starting here, stopping early once :data:`MIN_LANES` is
-        reached (the only threshold the caller compares against).
-        """
-        prev = slot
-        for nslot, nidxs in groups:
-            if width >= self.MIN_LANES or nslot < prev:
-                break
-            width += len(nidxs)
-            prev = nslot
-        return width
-
-    def _run_pack(self, slot, idxs, coordinates, records, groups) -> None:
-        """Run one pack; admits groups from ``groups`` when reachable.
-
-        Writes results into ``records[idx]`` for every lane it ends up
-        owning (the opening ``idxs`` plus any admitted group's).
-        """
-        from ..engine.batch import DIVERGE, EVICT, LockstepLanes
-
-        oracle = self.golden.output if self.early_stop else None
-        state = self._state_at(slot - 1)
-        lanes = LockstepLanes(self.golden.program, state, len(idxs),
-                              oracle=oracle, fused=self._fused)
-        self.packs_opened += 1
-        self.packed_lanes += len(idxs)
-        inject = self.domain.inject
-        #: Per lane-id coordinate / records index, growing on admission.
-        lane_coords = [coordinates[i] for i in idxs]
-        lane_idx = list(idxs)
-        for pos, coordinate in enumerate(lane_coords):
-            inject(lanes.lane_view(pos), coordinate)
-        limit = self.timeout_cycles
-
-        def settle() -> None:
-            for exit_ in lanes.pop_exits():
-                coordinate = lane_coords[exit_.lane]
-                idx = lane_idx[exit_.lane]
-                if exit_.kind != EVICT:
-                    records[idx] = self._classify_end(
-                        coordinate, trap=exit_.trap,
-                        diverged=exit_.kind == DIVERGE, halted=True,
-                        serial=exit_.serial, detections=exit_.detections,
-                        cycle=exit_.cycle)
-                    continue
-                machine = self._machine
-                exit_.restore_into(machine)
-                if lanes.n:
-                    # Scalar catch-up to the pack's clock; a lane back
-                    # on the shared pc in phase re-enters lockstep.
-                    try:
-                        machine.run_to_cycle(lanes.cycle)
-                    except CPUException as exc:
-                        records[idx] = self._classify_end(
-                            coordinate, trap=exc.trap_name,
-                            diverged=machine.diverged,
-                            halted=machine.halted,
-                            serial=bytes(machine.serial),
-                            detections=tuple(machine.detections),
-                            cycle=machine.cycle)
-                        self.scalar_tail_experiments += 1
-                        continue
-                    if (not machine.halted and not machine.diverged
-                            and machine.cycle == lanes.cycle
-                            and machine.pc == lanes.pc):
-                        lanes.admit(machine.snapshot())
-                        lane_coords.append(coordinate)
-                        lane_idx.append(idx)
-                        self.readmitted_lanes += 1
-                        self.packed_lanes += 1
-                        continue
-                records[idx] = self._finish(machine, coordinate)
-                self.scalar_tail_experiments += 1
-
-        def admit_groups() -> bool:
-            """Admit every group whose injection point is *now*.
-
-            Returns False when admission into this pack must stop for
-            good (pack off the golden pc at a group's slot, pack full,
-            or an out-of-order slot) — remaining groups then open
-            fresh packs in the caller's loop.
-            """
-            while groups:
-                nslot = groups[0][0]
-                if nslot - 1 < lanes.cycle:
-                    return False  # pack already past this slot
-                if nslot - 1 > lanes.cycle:
-                    return True   # not there yet; keep advancing
-                if lanes.n >= self.PACK_TARGET:
-                    return False
-                if lanes.pc != self._golden_pc(lanes.cycle):
-                    return False  # pack diverged from the golden pc
-                _, nidxs = groups.popleft()
-                st = self._state_at(nslot - 1)
-                for idx in nidxs:
-                    coordinate = coordinates[idx]
-                    lanes.admit(st)
-                    inject(lanes.lane_view(lanes.n - 1), coordinate)
-                    lane_coords.append(coordinate)
-                    lane_idx.append(idx)
-                    self.packed_lanes += 1
-            return True
-
-        admitting = admit_groups()
-        table = self._golden_cycle_of
-        gap = self.engine.probe_gap
-        target = (self._probe_after(lanes.cycle, gap) if self._stride
-                  else None)
-        while lanes.n and lanes.cycle < limit:
-            bound = limit if target is None else target
-            if admitting and groups:
-                next_admit = groups[0][0] - 1
-                if next_admit < bound:
-                    bound = next_admit
-            lanes.run_to(bound)
-            settle()
-            if not lanes.n:
-                break
-            if admitting:
-                admitting = admit_groups()
-            if lanes.cycle == target:
-                drop = []
-                for pos in range(lanes.n):
-                    lane = lanes.ids[pos]
-                    self.convergence_checks += 1
-                    matched = table.get(lanes.digest(pos))
-                    if matched is not None:
-                        records[lane_idx[lane]] = self._classify_end(
-                            lane_coords[lane], *self._rejoin_facts(
-                                matched, lanes.cycle,
-                                bytes(lanes.serial[pos]),
-                                tuple(lanes.detections[pos])))
-                        drop.append(pos)
-                if drop:
-                    lanes.remove(drop)
-                gap *= 2
-                target = self._probe_after(target, gap)
-        for pos in range(lanes.n):
-            # Budget exhausted without halting: timeout, like the
-            # scalar path's un-halted machine at ``timeout_cycles``.
-            lane = lanes.ids[pos]
-            records[lane_idx[lane]] = self._classify_end(
-                lane_coords[lane], trap="", diverged=False, halted=False,
-                serial=bytes(lanes.serial[pos]),
-                detections=tuple(lanes.detections[pos]),
-                cycle=lanes.cycle)
+    def run_many(self, coordinates) -> list[ExperimentRecord]:
+        return super().run_many(coordinates)

@@ -124,7 +124,7 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     #: Random jitter fraction added to each retry delay (a delay of
     #: ``d`` sleeps ``d * (1 + U[0, backoff_jitter])``), so campaigns
-    #: sharing a machine do not resubmit in lockstep after a common
+    #: sharing a machine do not resubmit in step after a common
     #: cause (OOM sweep, suspend/resume) broke all their pools at once.
     backoff_jitter: float = 0.25
     #: Fixed per-shard wall-clock deadline in seconds; ``None`` derives

@@ -92,12 +92,6 @@ class ExecutionReport:
     #: non-critical (the criticality pre-skip).  Like
     #: :attr:`convergence_hits`, a performance diagnostic only.
     slice_hits: int = 0
-    #: Experiments a batch executor finished on the scalar tier after
-    #: their lane was evicted from a lockstep pack (divergence, traps,
-    #: or persistent-fault stores) and could not be re-admitted.  A
-    #: pack-efficiency diagnostic: high counts mean the workload is too
-    #: branchy for the batch tier.  Always 0 for scalar executors.
-    scalar_tail_experiments: int = 0
     #: Experiments whose outcomes were composed from the cross-campaign
     #: section store (another campaign already executed an identical
     #: program section) instead of re-executed.  Composed experiments
@@ -151,30 +145,28 @@ class ExecutionReport:
         return 1.0 - len(self.missing) / self.total_units
 
     def count(self, delta: Sequence[int]) -> None:
-        """Add one :meth:`ExecutorCounters.take` triple."""
-        hits, skips, tails = delta
+        """Add one :meth:`ExecutorCounters.take` pair."""
+        hits, skips = delta
         self.convergence_hits += hits
         self.slice_hits += skips
-        self.scalar_tail_experiments += tails
 
 
 class ExecutorCounters:
-    """Snapshot-and-diff of an executor's diagnostic counter triple.
+    """Snapshot-and-diff of an executor's diagnostic counter pair.
 
     Executors outlive shards (a pool worker runs many, a fabric worker
     many leases), so every transport reports the counters as deltas:
-    ``take()`` returns ``(convergence_hits, slice_hits,
-    scalar_tail_experiments)`` accrued since the previous take.
+    ``take()`` returns ``(convergence_hits, slice_hits)`` accrued since
+    the previous take.
     """
 
     def __init__(self, executor: ExperimentExecutor):
         self._executor = executor
         self._last = self._read()
 
-    def _read(self) -> tuple[int, int, int]:
+    def _read(self) -> tuple[int, int]:
         executor = self._executor
-        return (executor.convergence_hits, executor.slice_hits,
-                executor.scalar_tail_experiments)
+        return executor.convergence_hits, executor.slice_hits
 
     def take(self) -> tuple[int, ...]:
         now = self._read()
@@ -316,9 +308,8 @@ def run_groups(executor: ExperimentExecutor,
 
     Each group is a list of ``(key, coordinates)`` whose coordinates
     share an injection slot.  A group goes to the executor in one
-    :meth:`~.experiment.ExperimentExecutor.run_many` call, so a batch
-    executor can fuse it into lockstep lanes (a scalar one just
-    iterates), and the records are dealt back out per member.
+    :meth:`~.experiment.ExperimentExecutor.run_many` call, and the
+    records are dealt back out per member.
     """
     for group in groups:
         records = executor.run_many(
@@ -363,7 +354,7 @@ class CampaignStyle:
     #: Journal campaign kind.
     kind: str
     #: The def/use partition, where the style has one (forwarded to the
-    #: ``auto`` engine's tier planner, which otherwise builds its own).
+    #: ``auto`` engine's planner, which otherwise builds its own).
     partition = None
     #: ``key → work item`` in canonical (serial iteration) order; work
     #: items are what ``execute`` consumes and must pickle.

@@ -203,8 +203,8 @@ def _print_execution(execution) -> None:
         return
     if (execution.resumed or execution.timed_out_shards
             or execution.shard_retries or execution.convergence_hits
-            or execution.slice_hits or execution.scalar_tail_experiments
-            or execution.composed_hits or execution.integrity_rejected
+            or execution.slice_hits or execution.composed_hits
+            or execution.integrity_rejected
             or execution.crosschecked or execution.discarded_results
             or execution.poison_splits or execution.quarantined_workers
             or execution.workers or not execution.complete):
@@ -604,10 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="execution engine: 'auto' (default) plans "
                               "per campaign between the template-JIT "
-                              "'compiled' core, lockstep 'batch' replay "
-                              "of same-slot experiments, and the "
-                              "reference 'interp' interpreter; results "
-                              "are bit-identical for every choice")
+                              "'compiled' core and the reference "
+                              "'interp' interpreter; results are "
+                              "bit-identical for every choice")
         cmd.add_argument("--checkpoint-stride", type=int, default=None,
                          metavar="K",
                          help="golden checkpoint-digest stride in cycles "

@@ -2,8 +2,8 @@
 
 The campaign layer executes hundreds of millions of instructions per
 full scan, so *how* a :class:`~repro.isa.cpu.Machine` steps through ROM
-dominates campaign wall-clock.  This package provides three engines
-behind one interface, selected by name through
+dominates campaign wall-clock.  This package provides two engines
+and a chooser behind one interface, selected by name through
 :class:`~repro.campaign.experiment.ExecutorConfig` (``engine=``) and the
 CLI (``--engine``):
 
@@ -24,21 +24,11 @@ CLI (``--engine``):
     interpreter, so checkpoint ladders, convergence rejoin and
     criticality slicing keep working unchanged.
 
-``batch``
-    Lockstep vectorized replay (:mod:`repro.engine.batch`): N faulty
-    experiments that share an injection slot run as numpy ``(N, cells)``
-    state arrays with one op dispatch per cycle across all live lanes.
-    Lanes whose control flow diverges from the majority PC are evicted
-    to a Tier-1 (compiled) scalar machine; scalar stretches and golden
-    prefixes also use the compiled engine, so ``batch`` is a strict
-    superset of ``compiled``.
-
 ``auto`` (the default)
-    Not a fourth core but a chooser: the tier planner
-    (:mod:`repro.engine.plan`) reads the campaign's def/use slot-width
-    geometry and resolves to one of the three engines above — batch
-    only where packs stay wide enough to beat the scalar JIT, interp
-    only when the campaign is too small to amortize codegen.
+    Not a third core but a chooser: the planner
+    (:mod:`repro.engine.plan`) sizes the campaign from its def/use
+    partition and resolves to ``interp`` when it is too small to
+    amortize codegen, to ``compiled`` otherwise.
 
 Engines are stateless singletons (like fault domains); they resolve by
 name so an :class:`ExecutorConfig` naming one pickles across process
@@ -53,16 +43,12 @@ from ..isa.cpu import Machine
 class ExecutionEngine:
     """One way of executing programs on the machine model.
 
-    ``name`` is the registry key (also the CLI spelling).  ``batch``
-    marks engines whose campaign executor runs same-slot experiments as
-    vectorized lockstep lanes; the campaign layer picks the executor
-    class from this flag.  Engines must be stateless singletons.
+    ``name`` is the registry key (also the CLI spelling).  Engines must
+    be stateless singletons.
     """
 
     #: Registry name, accepted by ``ExecutorConfig(engine=...)``.
     name: str = ""
-    #: Whether the campaign layer should batch same-slot experiments.
-    batch: bool = False
     #: Cost of one convergence probe (a state digest) in cycles of
     #: execution on this engine: the first gap of the executor's probe
     #: schedule.  A constant, not a timing, so all workers agree.
@@ -82,7 +68,7 @@ class ExecutionEngine:
         """The concrete engine to run a campaign over ``golden`` with.
 
         Concrete engines return themselves; the ``auto`` engine
-        overrides this to consult the tier planner
+        overrides this to consult the planner
         (:mod:`repro.engine.plan`) once the golden run and fault domain
         are known — ``partition`` reuses a caller-built def/use
         partition so planning is free where one already exists.  Called
@@ -106,7 +92,7 @@ class InterpreterEngine(ExecutionEngine):
 
 
 class CompiledEngine(ExecutionEngine):
-    """Tier 1: template-JIT superblocks generated at machine build."""
+    """Template-JIT superblocks generated at machine build."""
 
     name = "compiled"
     #: A digest is ~2.5 µs = 40-130 JIT cycles; 64-256 measured
@@ -120,54 +106,34 @@ class CompiledEngine(ExecutionEngine):
         return CompiledMachine(program, tracer=tracer, oracle=oracle)
 
 
-class BatchEngine(CompiledEngine):
-    """Tier 2: lockstep numpy lanes, evicting divergers to Tier 1.
-
-    Scalar machines built by this engine are compiled machines — the
-    batch executor uses them for golden prefixes, evicted lanes and
-    groups too small to vectorize profitably.
-    """
-
-    name = "batch"
-    batch = True
-
-
 class AutoEngine(CompiledEngine):
-    """Tier chooser: plans interp/compiled/batch from campaign geometry.
+    """Chooser: interp or compiled, from the size of the campaign.
 
     Machines built directly under ``auto`` are compiled machines (the
-    safe scalar default); campaign executors instead call
-    :meth:`resolve` with the golden run and domain, which hands the
-    decision to :func:`repro.engine.plan.plan_tiers` — batch only when
-    the def/use slot-width distribution keeps packs above the measured
-    dispatch break-even, the interpreter only when the campaign is too
-    small to amortize JIT codegen, compiled otherwise.
+    safe default); campaign executors instead call :meth:`resolve` with
+    the golden run and domain, which hands the decision to
+    :func:`repro.engine.plan.plan_tiers` — the interpreter only when
+    the campaign is too small to amortize JIT codegen.
     """
 
     name = "auto"
 
     def resolve(self, golden, domain, *, partition=None) -> ExecutionEngine:
-        return ENGINES[self.plan(golden, domain,
-                                 partition=partition).engine]
-
-    def plan(self, golden, domain, *, partition=None):
-        """The :class:`~repro.engine.plan.TierPlan` for a campaign."""
         from .plan import plan_tiers
 
-        return plan_tiers(golden, domain, partition=partition)
+        return ENGINES[plan_tiers(golden, domain,
+                                  partition=partition).engine]
 
 
 #: The built-in engines, as shared stateless singletons.
 INTERP = InterpreterEngine()
 COMPILED = CompiledEngine()
-BATCH = BatchEngine()
 AUTO = AutoEngine()
 
 #: Registry of available engines, keyed by name.
 ENGINES: dict[str, ExecutionEngine] = {
     INTERP.name: INTERP,
     COMPILED.name: COMPILED,
-    BATCH.name: BATCH,
     AUTO.name: AUTO,
 }
 

@@ -1,4 +1,4 @@
-"""Tier-1 execution engine: a template JIT emitting Python superblocks.
+"""Compiled execution engine: a template JIT emitting Python superblocks.
 
 The interpreter in :mod:`repro.isa.cpu` pays, per executed instruction,
 one bound-method call, one tuple unpack, several attribute loads and a

@@ -1,53 +1,21 @@
-"""Auto-tier planner: pick an execution engine from campaign geometry.
+"""The ``auto`` engine's one decision: interpret or compile.
 
-The three engine tiers trade fixed cost against per-lane amortization:
+``compiled`` pays milliseconds of codegen once per machine and then
+retires cycles an order of magnitude faster than ``interp``, so it is
+the right engine unless the whole campaign is smaller than that
+one-time cost — and a campaign's size is known before it starts: the
+def/use partition says how many experiments inject at each slot.
 
-* ``interp`` has no build cost but the slowest cycle loop — it wins only
-  when the whole campaign is smaller than the template JIT's one-time
-  codegen cost.
-* ``compiled`` pays milliseconds of codegen once per machine and then
-  retires cycles an order of magnitude faster — the right default for
-  almost every scalar campaign.
-* ``batch`` retires one *shared* cycle across a whole pack of lanes per
-  dispatch.  Even with fused basic-block kernels the dispatch constant
-  is large (microseconds per shared cycle vs tens of nanoseconds per
-  compiled scalar cycle), so batch only wins when packs stay wide —
-  on the reference host the fused tier crosses the compiled tier at
-  roughly :data:`PACK_BREAKEVEN_WIDTH` live lanes.
-
-Which tier wins is therefore decided by the *pack-width distribution*,
-and that is known before the campaign starts: the def/use partition
-says how many experiments share each injection slot, and the batch
-executor packs exactly those (same-slot groups chunked up to
-``MAX_LANES``, thin adjacent-slot groups merged up to ``PACK_TARGET``).
-:func:`plan_tiers` reads that geometry and returns a :class:`TierPlan`;
-the ``auto`` engine (the default) applies it, so users never pay the
-batch dispatch tax on branchy narrow workloads and never pay the JIT
-tax on trivial ones.
-
-Engine choice is outcome-invariant — the equivalence suites prove
-bit-identical campaign results across all tiers — so the planner only
-affects wall-clock, never results, and its decision is deterministic
-for a given golden run and domain (parallel and dist workers re-plan
-independently and agree).
+Engine choice is outcome-invariant (the equivalence suites prove it),
+so the plan only moves wall-clock; it depends on the golden run and the
+domain alone, so pool and fabric workers re-plan and agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Pack width where fused lockstep lane-throughput crosses the compiled
-#: scalar tier, measured on the reference host with the tier's best-case
-#: scalar workload (``bench_machine.py``: compiled ~29M cycles/s, fused
-#: batch ~4 µs per shared cycle → ~120 lanes).  Deliberately taken from
-#: compiled's *best* case: on branchier code the real crossover is
-#: lower, so planning against this constant errs toward ``compiled``
-#: and keeps ``--engine auto`` no slower than the old default.
-PACK_BREAKEVEN_WIDTH = 128
-
-#: Fraction of estimated post-injection work that must fall in
-#: breakeven-width slots before the whole campaign tips to ``batch``.
-BATCH_WORK_FRACTION = 0.5
+from ..faultspace import get_domain
 
 #: Estimated total campaign cycles below which the template JIT's
 #: one-time codegen cost dominates and the plain interpreter wins.
@@ -55,129 +23,38 @@ INTERP_WORK_CUTOFF = 25_000
 
 
 @dataclass(frozen=True)
-class SlotRange:
-    """A contiguous run of injection slots planned for one tier."""
-
-    #: First and last injection slot of the range (inclusive, 1-based).
-    start: int
-    stop: int
-    #: Engine tier the range is planned for (``compiled`` or ``batch``).
-    tier: str
-    #: Widest same-slot experiment group inside the range.
-    peak_width: int
-
-
-@dataclass(frozen=True)
 class TierPlan:
-    """The planner's decision plus the geometry it was derived from."""
+    """The engine a campaign should run under (registry name), and why."""
 
-    #: Registry name of the engine the campaign should run under.
     engine: str
-    #: Fraction of estimated post-injection work in breakeven-width
-    #: slots (0.0 when the domain cannot batch at all).
-    batched_fraction: float
-    #: Widest same-slot experiment group in the campaign.
-    peak_width: int
-    #: Total experiments the def/use partition calls for.
-    total_experiments: int
-    #: Per-slot-range tier assignments (observability; the batch
-    #: executor re-derives the same boundaries dynamically from its
-    #: own ``MIN_LANES`` pack-width probe).
-    ranges: tuple[SlotRange, ...]
-    #: One-line human-readable justification for ``repro scan -v``.
     reason: str
 
 
-def _slot_widths(golden, domain, partition) -> dict[int, int]:
-    """Experiments per injection slot under the def/use partition."""
-    widths: dict[int, int] = {}
-    for interval in partition.live_classes():
-        slot = interval.injection_slot
-        widths[slot] = widths.get(slot, 0) + domain.experiment_count(interval)
-    return widths
+# benchmarks/e2e/trace.py names this function as its ``engine.plan``
+# target, so the name and signature stay until a [benchmark] PR moves it.
+def plan_tiers(golden, domain, *, partition=None) -> TierPlan:
+    """The engine for a campaign over ``golden`` in ``domain``.
 
-
-def _ranges(widths: dict[int, int], breakeven: int) -> tuple[SlotRange, ...]:
-    """Collapse live slots into contiguous same-tier ranges."""
-    ranges: list[SlotRange] = []
-    for slot in sorted(widths):
-        tier = "batch" if widths[slot] >= breakeven else "compiled"
-        last = ranges[-1] if ranges else None
-        if (last is not None and last.tier == tier
-                and slot == last.stop + 1):
-            ranges[-1] = SlotRange(last.start, slot, tier,
-                                   max(last.peak_width, widths[slot]))
-        else:
-            ranges.append(SlotRange(slot, slot, tier, widths[slot]))
-    return tuple(ranges)
-
-
-def plan_tiers(golden, domain, *, partition=None,
-               breakeven: int = PACK_BREAKEVEN_WIDTH) -> TierPlan:
-    """Plan the execution tier for a campaign over ``golden``.
-
-    ``domain`` is a :class:`~repro.faultspace.domain.FaultDomain` or
-    registry name; ``partition`` reuses a caller-built def/use partition
-    (the planner builds one otherwise — cached per domain on the golden
-    run, so resolving ``auto`` per executor costs one partition build
-    per campaign, not one per shard).  The decision is conservative by
-    construction: ``batch`` is chosen only when the slot-width geometry
-    says packs stay wide enough to clear the measured dispatch
-    constant, so ``auto`` never regresses below ``compiled``.
+    ``partition`` reuses a caller-built def/use partition; otherwise one
+    is built and cached per domain on the golden run, so resolving
+    ``auto`` per executor costs one partition build per campaign.
     """
-    from ..faultspace import get_domain
-
     domain = get_domain(domain)
-    if not domain.batchable:
-        return TierPlan("compiled", 0.0, 0, 0, (),
-                        f"domain '{domain.name}' runs scalar "
-                        "(control-flow injection cannot share lockstep "
-                        "packs)")
+    if domain.control_hazard:
+        # Never sized; doing so would interpret the 12 smallest programs.
+        return TierPlan("compiled", f"domain '{domain.name}' is not sized")
     if partition is None:
-        # GoldenRun is a frozen dataclass; caches go through __dict__
-        # (same pattern as its replayed-pc cache).
+        # GoldenRun is a frozen dataclass; caches go through __dict__.
         cache = golden.__dict__.setdefault("_planner_partitions", {})
         partition = cache.get(domain.name)
         if partition is None:
-            partition = domain.build_partition(golden)
-            cache[domain.name] = partition
-    widths = _slot_widths(golden, domain, partition)
-    total = sum(widths.values())
-    if not total:
-        return TierPlan("compiled", 0.0, 0, 0, (),
-                        "no live classes: nothing to batch")
-    # Work model: each experiment may run its whole post-injection tail
-    # (convergence usually exits earlier, but proportionally so per
-    # tier, which is what the comparison needs).
-    work = {slot: w * (golden.cycles - slot + 1)
-            for slot, w in widths.items()}
-    total_work = sum(work.values())
-    peak = max(widths.values())
-    if total_work + golden.cycles < INTERP_WORK_CUTOFF:
-        return TierPlan("interp", 0.0, peak, total,
-                        _ranges(widths, breakeven),
-                        f"tiny campaign (~{total_work} post-injection "
-                        "cycles): JIT codegen would dominate, "
-                        "interpreting is faster")
-    batched_work = sum(work[slot] for slot, w in widths.items()
-                       if w >= breakeven)
-    fraction = batched_work / total_work
-    if fraction >= BATCH_WORK_FRACTION:
-        from .fused import compile_fused
-
-        if compile_fused(golden.program) is None:
-            return TierPlan("compiled", fraction, peak, total,
-                            _ranges(widths, breakeven),
-                            "wide packs but fused kernels unavailable "
-                            "on this host: batch would not clear its "
-                            "dispatch constant")
-        return TierPlan("batch", fraction, peak, total,
-                        _ranges(widths, breakeven),
-                        f"{fraction:.0%} of post-injection work sits in "
-                        f"slots with >= {breakeven} experiments "
-                        f"(peak {peak}): lockstep packs stay wide")
-    return TierPlan("compiled", fraction, peak, total,
-                    _ranges(widths, breakeven),
-                    f"only {fraction:.0%} of post-injection work reaches "
-                    f"{breakeven}-wide packs (peak width {peak}): "
-                    "scalar JIT wins")
+            partition = cache[domain.name] = domain.build_partition(golden)
+    # Every experiment may run its whole post-injection tail.
+    work = sum(domain.experiment_count(interval)
+               * (golden.cycles - interval.injection_slot + 1)
+               for interval in partition.live_classes())
+    if work + golden.cycles < INTERP_WORK_CUTOFF:
+        return TierPlan("interp", f"~{work} post-injection cycles: JIT "
+                        "codegen would cost more than interpreting them")
+    return TierPlan("compiled", f"~{work} post-injection cycles amortize "
+                    "JIT codegen")

@@ -72,13 +72,10 @@ class FaultDomain:
     implement every method below.  Instances must be stateless: the
     parallel engine ships them to worker processes by name.
 
-    Three capability flags tell the engines what a model is allowed to
-    do; the conservative default is chosen so that *forgetting* to set
-    a flag yields a slower-but-correct campaign, never a wrong one:
+    Two capability flags tell the engines what a model needs; the
+    conservative default is chosen so that *forgetting* to set a flag
+    yields a slower-but-correct campaign, never a wrong one:
 
-    ``batchable``
-        The lockstep batch tier can host the model's faults in lanes.
-        PC faults cannot — lanes share one program counter.
     ``persistent``
         Injection arms state that outlives the injection instant (the
         stuck-at latch); engines must preserve it across snapshot /
@@ -94,8 +91,6 @@ class FaultDomain:
     name: str = ""
     #: Bits per spatial unit == experiments per live class.
     bits: int = 0
-    #: The lockstep batch tier may host this model's faults.
-    batchable: bool = True
     #: Injection arms state that outlives the injection instant.
     persistent: bool = False
     #: Faults redirect control flow directly (PC corruption).
@@ -382,8 +377,6 @@ class PCDomain(FaultDomain):
 
     name = "pc"
     bits = 1  # every PC class has exactly one representative experiment
-    #: Lockstep lanes share one PC; scalar execution only.
-    batchable = False
     #: A flipped PC transfers control anywhere in the ROM.
     control_hazard = True
 

@@ -30,9 +30,7 @@ Class weights per slot therefore sum to 32 and the partition total to
 
 The PC domain is a *control-hazard* domain: a flipped PC can transfer
 control anywhere in the ROM, so section fingerprints must cover the
-whole ROM (``FaultDomain.control_hazard`` forces the escape digest) and
-the lockstep batch tier, whose lanes share one PC, cannot host it
-(``FaultDomain.batchable = False``).
+whole ROM (``FaultDomain.control_hazard`` forces the escape digest).
 """
 
 from __future__ import annotations

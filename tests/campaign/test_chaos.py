@@ -14,7 +14,6 @@ by shard bisection).
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.campaign.dist import (
     result_digest,
 )
 from repro.campaign.dist.chaos import (
-    LEGACY_ENV,
     PLAN_ENV,
     ChaosInterrupt,
     ChaosPlan,
@@ -114,14 +112,6 @@ class TestChaosPlanUnits:
         assert ChaosPlan(die_on_keys=((0, 1),)).active
         assert ChaosPlan(die_after_results=0).active
 
-    def test_legacy_counter_dict_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            plan = plan_from_spec({"die_after_results": 2,
-                                   "duplicate_results": 3})
-        assert plan.die_after_results == 2
-        assert plan.duplicate_results == 3
-        assert plan.active
-
     def test_plan_and_none_pass_through(self):
         plan = ChaosPlan(seed=1, drop_rate=0.5)
         assert plan_from_spec(plan) is plan
@@ -131,18 +121,11 @@ class TestChaosPlanUnits:
             plan_from_spec("drop everything")
 
     def test_plan_env_beats_legacy_env(self):
-        plan = ChaosPlan(seed=3, drop_rate=0.5)
-        environ = {PLAN_ENV: plan.to_json(),
-                   LEGACY_ENV: json.dumps({"die_after_results": 1})}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no deprecation on new path
-            assert plan_from_env(environ) == plan
-
-    def test_legacy_env_warns_but_works(self):
-        environ = {LEGACY_ENV: json.dumps({"drop_after_results": 2})}
-        with pytest.warns(DeprecationWarning, match=LEGACY_ENV):
-            plan = plan_from_env(environ)
-        assert plan.drop_after_results == 2
+        """The retired ``REPRO_DIST_CHAOS`` variable is not read."""
+        plan = ChaosPlan(seed=3, drop_rate=0.5, drop_after_results=2)
+        legacy = {"REPRO_DIST_CHAOS": json.dumps({"die_after_results": 1})}
+        assert plan_from_env({PLAN_ENV: plan.to_json(), **legacy}) == plan
+        assert plan_from_env(legacy) is None
         assert plan_from_env({}) is None
 
 

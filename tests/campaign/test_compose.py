@@ -61,7 +61,7 @@ class TestWarmEqualsCold:
         assert warm.execution.executed == 0
         assert warm.execution.composed_hits == _experiments(cold)
 
-    @pytest.mark.parametrize("engine", ["compiled", "batch", "interp"])
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
     def test_store_is_engine_independent(self, tmp_path, golden,
                                          engine):
         """A store written by the compiled engine composes campaigns run

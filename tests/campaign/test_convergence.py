@@ -143,7 +143,7 @@ class TestScheduleInvariance:
 
     @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
                                         "burst4", "stuck", "pc"])
-    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
     def test_first_gap_never_affects_records(self, kernel, engine,
                                              domain, monkeypatch,
                                              tmp_path):
@@ -167,7 +167,7 @@ class TestScheduleInvariance:
         assert hits[1] > 0 and hits[128] > 0
         assert hits[4 * kernel.cycles] == 0
 
-    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
     def test_timeouts_end_exactly_at_the_budget(self, engine,
                                                 monkeypatch):
         """A probe must never carry a run past ``timeout_cycles``: a
@@ -229,7 +229,7 @@ class TestStateMemo:
 
     @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
                                         "burst4", "stuck", "pc"])
-    @pytest.mark.parametrize("engine", ["interp", "compiled", "batch"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
     def test_grid_never_affects_records(self, kernel, engine, domain,
                                         monkeypatch, tmp_path):
         config = ExecutorConfig(engine=engine, domain=domain)
@@ -254,14 +254,11 @@ class TestStateMemo:
             assert (result.execution.convergence_hits
                     == executor.convergence_hits >= executor.memo_hits)
             hits[grid] = executor.memo_hits
-        # The forced constant really drove the stops.  The memo is
-        # scalar-only (a batch lane reaches it when evicted, which
-        # byte-granular RAM faults here never are), and only pc faults
+        # The forced constant really drove the stops.  Only pc faults
         # send enough runs of this 231-cycle kernel past cycle 256 for
         # two of them to meet there.
         assert hits[budget] == 0
-        if engine != "batch":
-            assert hits[1] > 0 and hits[3] > 0
+        assert hits[1] > 0 and hits[3] > 0
         if domain == "pc":
             assert hits[256] > 0
 

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.engine import (
-    BATCH,
     COMPILED,
     ENGINES,
     INTERP,
@@ -641,7 +640,6 @@ class TestEngineRegistry:
     def test_get_engine_by_name(self):
         assert get_engine("interp") is INTERP
         assert get_engine("compiled") is COMPILED
-        assert get_engine("batch") is BATCH
 
     def test_default_is_compiled(self):
         assert get_engine(None) is COMPILED
@@ -650,8 +648,11 @@ class TestEngineRegistry:
         assert get_engine(INTERP) is INTERP
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            get_engine("turbo")
+        for name in ("turbo", "batch"):
+            with pytest.raises(ValueError, match=(
+                    f"unknown execution engine '{name}'; "
+                    "available: auto, compiled, interp$")):
+                get_engine(name)
 
     def test_registry_names_match(self):
         for name, engine in ENGINES.items():
@@ -662,7 +663,30 @@ class TestEngineRegistry:
         assert type(INTERP.create_machine(program)) is Machine
         assert isinstance(COMPILED.create_machine(program),
                           CompiledMachine)
-        assert BATCH.batch and not COMPILED.batch
+
+    def test_auto_plans_interp_or_compiled(self):
+        """The planner's whole table: every registered program × domain
+        resolves to one of the two cores (the split is the one recorded
+        in DESIGN.md §5), and the executor built under ``auto`` is the
+        plain one on that core."""
+        from collections import Counter
+
+        from repro.campaign import ExecutorConfig, record_golden
+        from repro.campaign.experiment import ExperimentExecutor
+        from repro.engine.plan import plan_tiers
+        from repro.faultspace import DOMAINS
+
+        table = Counter()
+        for name in sorted(PROGRAMS):
+            golden = record_golden(PROGRAMS[name]())
+            for domain in DOMAINS:
+                plan = plan_tiers(golden, domain)
+                table[plan.engine] += 1
+                executor = ExecutorConfig(engine="auto",
+                                          domain=domain).build(golden)
+                assert type(executor) is ExperimentExecutor
+                assert executor.engine is ENGINES[plan.engine]
+        assert table == {"interp": 57, "compiled": 75}
 
     def test_compile_program_covers_rom(self):
         code = compile_program(PROGRAMS["sync2"]())

@@ -3,11 +3,11 @@ compiled execution core.
 
 The same campaign (full scan, brute force, sampling; every registered
 fault domain; convergence and slicing on and off) run under the
-``interp``, ``compiled``, ``batch`` and ``auto`` engines must produce
+``interp``, ``compiled`` and ``auto`` engines must produce
 bit-for-bit identical results: equal outcome maps and records, equal
 journal rows, and byte-identical exported CSV files.  The engine knob
 is a pure optimization — any observable difference is a bug.  ``auto``
-exercises the tier planner on top: whatever tier it picks per
+exercises the planner on top: whichever engine it picks per
 (golden, domain) must land on the same bits as the rest.
 """
 
@@ -25,7 +25,7 @@ from repro.campaign import (
 from repro.campaign.database import export_class_results_csv
 from repro.programs import hi, micro
 
-ENGINE_NAMES = ["interp", "compiled", "batch", "auto"]
+ENGINE_NAMES = ["interp", "compiled", "auto"]
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +85,9 @@ class TestFullScanEquivalence:
 
     def test_parallel_scan_matches_serial(self, hi_golden):
         serial = run_full_scan(
-            hi_golden, config=ExecutorConfig(engine="batch"))
+            hi_golden, config=ExecutorConfig(engine="compiled"))
         parallel = run_full_scan(
-            hi_golden, jobs=2, config=ExecutorConfig(engine="batch"))
+            hi_golden, jobs=2, config=ExecutorConfig(engine="compiled"))
         assert scan_signature(parallel) == scan_signature(serial)
 
     def test_journal_rows_identical(self, counter_golden, tmp_path):
@@ -130,7 +130,7 @@ class TestFullScanEquivalence:
                               config=ExecutorConfig(engine="interp"),
                               journal=path)
         second = run_full_scan(counter_golden,
-                               config=ExecutorConfig(engine="batch"),
+                               config=ExecutorConfig(engine="compiled"),
                                journal=path)
         assert scan_signature(second) == scan_signature(first)
 
@@ -158,61 +158,6 @@ class TestBruteForceEquivalence:
             scan = run_full_scan(counter_golden, config=config)
             brute = run_brute_force(counter_golden, config=config)
             assert scan.weighted_counts() == brute.counts()
-
-
-class TestStuckAtBatchEviction:
-    """The batch engine's persistent-fault path: a store covering a
-    lane's armed stuck-at latch retires that lane *before* the store so
-    the scalar machine re-executes it with exact write-wins semantics,
-    and batched stuck-at campaigns still match the scalar executor."""
-
-    def test_covering_store_evicts_the_latched_lane(self, counter_golden):
-        from repro.engine.batch import EVICT, HALT, LockstepLanes
-        from repro.isa.cpu import Machine
-
-        golden = counter_golden
-        machine = Machine(golden.program)
-        machine.run_to_cycle(1)
-        state = machine.snapshot()
-        # Pick a byte the program provably stores to after the arming
-        # point, straight from the golden memory trace.
-        addr, release = min(
-            (a, e.slot)
-            for a in range(golden.program.ram_size)
-            for e in golden.trace.accesses(a)
-            if e.is_write and e.slot > state.cycle)
-        lanes = LockstepLanes(golden.program, state, 2,
-                              oracle=golden.output)
-        # Arm with the bit's current value: the lane stays on the golden
-        # trajectory, so only the eviction can retire it early.
-        value = int(lanes.ram[0, addr]) & 1
-        lanes.lane_view(0).stuck_at(addr, 0, value)
-        lanes.run_to(golden.cycles + 1)
-        exits = {e.lane: e for e in lanes.pop_exits()}
-        evicted = exits[0]
-        assert evicted.kind == EVICT
-        # The hand-off state still carries the armed latch and stops at
-        # the cycle *before* the covering store executes.
-        assert evicted.state.stuck == (addr, 0, value)
-        assert evicted.state.cycle == release - 1
-        # The unfaulted lane runs to completion inside the batch.
-        assert exits[1].kind == HALT
-
-    def test_batched_stuck_records_match_scalar(self, counter_golden):
-        from repro.campaign.experiment import (
-            BatchExperimentExecutor,
-            ExperimentExecutor,
-        )
-        from repro.faultspace import STUCK
-
-        golden = counter_golden
-        space = STUCK.fault_space(golden)
-        coords = list(STUCK.slot_coordinates(space, 2))
-        assert len(coords) >= BatchExperimentExecutor.MIN_LANES
-        scalar = ExperimentExecutor(golden, domain=STUCK).run_many(coords)
-        batch = BatchExperimentExecutor(golden,
-                                        domain=STUCK).run_many(coords)
-        assert batch == scalar
 
 
 class TestSamplingEquivalence:

@@ -153,7 +153,6 @@ class TestStuckAtGeometry:
 
     def test_domain_flags(self):
         assert STUCK.persistent
-        assert STUCK.batchable
 
 
 class TestPCGeometry:
@@ -189,7 +188,6 @@ class TestPCGeometry:
             assert len(outcomes) == 1, interval
 
     def test_domain_flags(self):
-        assert not PC.batchable
         assert PC.control_hazard
 
 

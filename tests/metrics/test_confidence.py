@@ -152,8 +152,11 @@ class TestScipyFreeStartup:
             "from repro.cli import main\n"
             "loaded = lambda: sorted({'scipy', 'numpy'} & set(sys.modules))\n"
             "assert not loaded(), ('import repro', loaded())\n"
-            "assert main(['list']) in (0, None)\n"
-            "assert not loaded(), ('repro list', loaded())\n")
+            "for argv in (['list'], ['scan', 'hi'],\n"
+            "             ['scan', 'hi', '--domain', 'register',\n"
+            "              '--jobs', '2']):\n"
+            "    assert main(argv) in (0, None)\n"
+            "    assert not loaded(), (argv, loaded())\n")
         src_root = os.path.dirname(os.path.dirname(
             os.path.abspath(repro.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -119,6 +119,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_batch_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["scan", "hi", "--engine", "batch"])
+        assert usage.value.code == 2
+        assert "'auto', 'compiled', 'interp'" in capsys.readouterr().err
+
 
 class TestCliJournal:
     """The scan --journal / resume surface."""
