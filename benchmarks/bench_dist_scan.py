@@ -43,8 +43,9 @@ from repro.campaign import (
     run_full_scan,
 )
 from repro.campaign.dist import run_distributed_scan
+from repro.campaign.dist import DistWorker
 from repro.campaign.dist.coordinator import DistCoordinator, serve_in_thread
-from repro.programs import sync2
+from repro.programs import micro, sync2
 
 #: Snappy failure detection for loopback chaos runs.
 POLICY = RetryPolicy(heartbeat=0.5, poll_interval=0.05, backoff=0.1)
@@ -116,6 +117,46 @@ def test_dist_scan_scaling(output_dir, tmp_path):
             for _, workers, elapsed, speedup in rows[1:]
         ],
     })
+
+
+def test_send_window_gate(monkeypatch):
+    """Result frames are paid per send window, not per class:
+    ``results`` frames ≤ classes / 8 + 2 × leases on a ``memcopy`` ×
+    register scan (66 classes; a frame per class would be 66).
+
+    A count, so it repeats exactly and needs no ratio floor; writes no
+    ``BENCH_*.json``.  The lease term is what flushing before every
+    ``lease_done`` costs — a window never spans two leases.
+    """
+    import repro.campaign.dist.coordinator as coordinator_mod
+
+    golden = record_golden(micro.memcopy(6))
+    serial = run_full_scan(golden, domain="register", keep_records=True)
+    frames = {"results": 0, "lease_done": 0}
+    real_read = coordinator_mod.read_frame
+
+    async def counted(reader):
+        frame = await real_read(reader)
+        if frame is not None and frame.get("type") in frames:
+            frames[frame["type"]] += 1
+        return frame
+
+    monkeypatch.setattr(coordinator_mod, "read_frame", counted)
+    sock = socket.create_server(("127.0.0.1", 0))
+    coordinator = DistCoordinator(golden, sock=sock, domain="register",
+                                  shards=4, policy=POLICY,
+                                  keep_records=True)
+    thread = serve_in_thread(coordinator)
+    worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
+    assert worker.run() == len(serial.class_outcomes)
+    result = thread.join_result(120)
+    assert result == serial
+    assert result.records == serial.records
+    classes, leases = len(serial.class_outcomes), frames["lease_done"]
+    print(f"\nsend window on {golden.program.name} × register: "
+          f"{frames['results']} results frames for {classes} classes "
+          f"over {leases} leases")
+    assert frames["results"] <= classes / 8 + 2 * leases
 
 
 def test_dist_scan_survives_sigkill(output_dir, tmp_path):

@@ -136,7 +136,7 @@ def completeness_report(report: ExecutionReport) -> str:
     if report.integrity_rejected:
         lines.append(
             f"  integrity rejections: {report.integrity_rejected} "
-            f"result frame(s) refused (CRC or shape)")
+            f"class result(s) refused (CRC or shape)")
     if report.crosschecked:
         line = (f"  cross-checked: {report.crosschecked} class(es) "
                 f"re-executed on a second worker")

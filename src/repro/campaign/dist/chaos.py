@@ -9,26 +9,32 @@ corruptions, delays, worker kills and hangs, applied through a proxy
 wrapper around the frame protocol (:class:`ChaosFrameStream`) so that
 every chaos run is **exactly reproducible** from ``(seed, params)``.
 
-Determinism contract: whether chaos fires on a worker's *n*-th result
-frame is a pure function of ``(plan.seed, worker_name, n)`` — never of
-wall-clock time, scheduling or socket buffering.  Counters are
-cumulative across reconnects, so the schedule is unaffected by how the
-failures it injects reshuffle the work.
+Determinism contract: whether chaos fires on a worker's *n*-th class
+result is a pure function of ``(plan.seed, worker_name, n)`` — never of
+wall-clock time, scheduling, socket buffering or how the worker's send
+window happened to group the classes into ``results`` frames.  Counters
+are cumulative across reconnects, so the schedule is unaffected by how
+the failures it injects reshuffle the work.
 
-Event taxonomy (all independent per result frame):
+Event taxonomy (all independent per class result; the proxy walks the
+items of each outgoing window in order):
 
 =============  ===============================================================
-``drop``       close the connection right after sending (in-flight loss)
-``dup``        send the frame twice (at-least-once delivery stress)
-``corrupt``    tamper the result rows but keep the *stale* CRC — models
+``drop``       send the window up to and including this class, then close
+               the connection (in-flight loss of what follows)
+``dup``        put the class in the window twice (at-least-once stress)
+``corrupt``    tamper the class's rows but keep the *stale* CRC — models
                payload corruption in transit; caught by the coordinator's
-               frame CRC check
+               per-class CRC check, its window neighbours merge
 ``lie``        tamper the rows and recompute the CRC — models a byzantine
                or silently-miscomputing worker; only cross-check sampling
                can catch it
-``delay``      sleep before sending (reordering / lease-expiry stress)
-``kill``       ``os._exit(13)`` — only sane for subprocess workers
-``hang``       sleep a long time mid-lease (wedged worker)
+``delay``      sleep before the class joins the outgoing frame
+               (reordering / lease-expiry stress)
+``kill``       ``os._exit(13)`` — only sane for subprocess workers; the
+               whole unsent window dies with the process, as under SIGKILL
+``hang``       send the window up to this class, then sleep a long time
+               mid-lease (wedged worker)
 =============  ===============================================================
 
 ``lie`` additionally honors :attr:`ChaosPlan.liars`: when non-empty,
@@ -37,7 +43,7 @@ tests plant exactly one corrupted worker in an otherwise honest fleet.
 
 Besides the seeded rates a plan carries three counters
 (``die_after_results``, ``drop_after_results``, ``duplicate_results``)
-that fire once at a fixed result frame, routed through the same proxy.
+that fire once at a fixed class result, routed through the same proxy.
 A whole plan ships via ``REPRO_CHAOS_PLAN`` (JSON) or the ``chaos=``
 constructor argument.
 """
@@ -70,17 +76,17 @@ class ChaosInterrupt(ConnectionError):
 class ChaosPlan:
     """One seeded, serializable chaos schedule.
 
-    Rates are per-result-frame probabilities in ``[0, 1]``, drawn from a
-    private deterministic stream per ``(seed, worker, frame index)``.
+    Rates are per-class-result probabilities in ``[0, 1]``, drawn from a
+    private deterministic stream per ``(seed, worker, result index)``.
     The plan is frozen and JSON-serializable (:meth:`to_json` /
     :meth:`from_json`) so a chaos run can be named, shipped to
     subprocess workers via :data:`PLAN_ENV`, and replayed bit-for-bit.
     """
 
     seed: int = 0
-    #: Close the connection right after sending a result frame.
+    #: Close the connection right after sending a class result.
     drop_rate: float = 0.0
-    #: Send a result frame twice.
+    #: Send a class result twice.
     dup_rate: float = 0.0
     #: Tamper rows, keep the stale CRC (CRC-detectable corruption).
     corrupt_rate: float = 0.0
@@ -187,7 +193,7 @@ class WorkerChaos:
     def __init__(self, plan: ChaosPlan, worker: str):
         self.plan = plan
         self.worker = worker
-        #: Result frames sent so far, over the whole worker lifetime.
+        #: Class results sent so far, over the whole worker lifetime.
         self.results_sent = 0
         #: Telemetry: event name → times fired.
         self.fired: dict[str, int] = {}
@@ -199,11 +205,11 @@ class WorkerChaos:
         return random.Random(f"{self.plan.seed}/{self.worker}/{index}")
 
     def events_for(self, index: int) -> tuple[str, ...]:
-        """Chaos events for this worker's ``index``-th result frame.
+        """Chaos events for this worker's ``index``-th class result.
 
         Pure in ``(seed, worker, index)``; at most one payload-tampering
         event (``corrupt`` beats ``lie``) and at most one
-        connection-ending event fire per frame.
+        connection-ending event fire per result.
         """
         plan = self.plan
         rng = self._rng(index)
@@ -223,7 +229,7 @@ class WorkerChaos:
         return tuple(hit)
 
     def tampered(self, message: dict, index: int) -> dict:
-        """A deterministically corrupted copy of a result message.
+        """A deterministically corrupted copy of one class result.
 
         Flips one row's outcome to a different (valid) class and bumps
         its end cycle — the kind of wrong-but-well-formed payload a
@@ -253,12 +259,15 @@ class WorkerChaos:
 
 
 class ChaosFrameStream:
-    """Proxy over :class:`FrameStream` applying the plan to result frames.
+    """Proxy over :class:`FrameStream` applying the plan to class results.
 
-    Non-result frames (hello, request, heartbeat, lease_done) pass
-    through untouched — the schedule is defined over *result* frames so
-    it stays aligned with the plan's counters and with what actually
-    threatens result integrity.
+    Other frames (hello, request, heartbeat, lease_done) pass through
+    untouched, and a ``results`` frame is walked item by item — the
+    schedule is defined over *class results*, not wire frames, so it
+    stays aligned with the plan's counters and with what actually
+    threatens result integrity however the send window grouped them.  An
+    event that ends or stalls the connection first sends the items
+    before it, so one window may leave as several frames.
     """
 
     def __init__(self, stream: FrameStream, chaos: WorkerChaos):
@@ -277,47 +286,58 @@ class ChaosFrameStream:
         return self._stream.poll()
 
     def send(self, message: dict) -> None:
-        if message.get("type") != "result":
+        if message.get("type") != "results":
             self._stream.send(message)
             return
         chaos, plan = self._chaos, self._chaos.plan
-        index = chaos.results_sent
-        if plan.die_after_results is not None \
-                and index == plan.die_after_results:
-            chaos._count("die")
-            os._exit(13)
-        events = chaos.events_for(index)
-        if "kill" in events:
-            chaos._count("kill")
-            os._exit(13)
-        out = message
-        if "corrupt" in events:
-            # Stale CRC: the payload changed after digesting, exactly
-            # what in-flight corruption looks like to the coordinator.
-            chaos._count("corrupt")
-            out = chaos.tampered(message, index)
-        elif "lie" in events:
-            # Fresh CRC over wrong rows: indistinguishable from honest
-            # work without cross-check sampling.
-            chaos._count("lie")
-            out = chaos.tampered(message, index)
-            out["crc"] = result_digest(out["key"], out["rows"])
-        if "delay" in events:
-            chaos._count("delay")
-            time.sleep(plan.delay_seconds)
-        self._stream.send(out)
-        chaos.results_sent += 1
-        if "dup" in events or chaos.results_sent <= plan.duplicate_results:
-            chaos._count("dup")
-            self._stream.send(out)
-        if "drop" in events \
-                or chaos.results_sent == plan.drop_after_results:
-            chaos._count("drop")
-            self._stream.close()
-            raise ChaosInterrupt("chaos: dropped connection")
-        if "hang" in events:
-            chaos._count("hang")
-            time.sleep(plan.hang_seconds)
+        #: Items of the window cleared to leave, in order.
+        out: list[dict] = []
+        for item in message["items"]:
+            index = chaos.results_sent
+            if plan.die_after_results is not None \
+                    and index == plan.die_after_results:
+                chaos._count("die")
+                os._exit(13)
+            events = chaos.events_for(index)
+            if "kill" in events:
+                chaos._count("kill")
+                os._exit(13)
+            if "corrupt" in events:
+                # Stale CRC: the payload changed after digesting, exactly
+                # what in-flight corruption looks like to the coordinator.
+                chaos._count("corrupt")
+                item = chaos.tampered(item, index)
+            elif "lie" in events:
+                # Fresh CRC over wrong rows: indistinguishable from honest
+                # work without cross-check sampling.
+                chaos._count("lie")
+                item = chaos.tampered(item, index)
+                item["crc"] = result_digest(item["key"], item["rows"])
+            if "delay" in events:
+                chaos._count("delay")
+                time.sleep(plan.delay_seconds)
+            out.append(item)
+            chaos.results_sent += 1
+            if "dup" in events \
+                    or chaos.results_sent <= plan.duplicate_results:
+                chaos._count("dup")
+                out.append(item)
+            if "drop" in events \
+                    or chaos.results_sent == plan.drop_after_results:
+                chaos._count("drop")
+                self._send_items(message, out)
+                self._stream.close()
+                raise ChaosInterrupt("chaos: dropped connection")
+            if "hang" in events:
+                chaos._count("hang")
+                self._send_items(message, out)
+                out = []
+                time.sleep(plan.hang_seconds)
+        self._send_items(message, out)
+
+    def _send_items(self, message: dict, items: list[dict]) -> None:
+        if items:
+            self._stream.send({**message, "items": items})
 
 
 __all__ = [

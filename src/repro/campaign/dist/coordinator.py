@@ -8,7 +8,8 @@ same contiguous cost-balanced shards the process pool would
 (:func:`~repro.campaign.pipeline.plan_class_shards` over the *full*
 live-class list, so shard indices are stable across coordinator
 restarts), and serves a TCP endpoint where workers pull
-:class:`~.leases.ShardLease` grants and stream per-class results back.
+:class:`~.leases.ShardLease` grants and stream class results back, a
+send window (one ``results`` frame) at a time.
 
 **Why the result is bit-for-bit identical to a serial run.**  Every
 experiment is a deterministic function of the golden run and its fault
@@ -31,10 +32,10 @@ expired or orphaned leases are re-queued with exponential backoff and a
 retry budget; shards that exhaust it degrade into
 ``ExecutionReport.missing`` instead of hanging the campaign.  The
 coordinator itself is restartable: results and lease retry state are
-journaled as they arrive and committed at the latest by the next
-watchdog tick, so a new coordinator pointed at the same journal resumes
-with only in-flight work lost (a SIGKILLed one: the journal's last
-commit window as well).
+journaled as they arrive and committed by the journal's own commit
+window, or by the first watchdog tick that finds the fabric idle, so a
+new coordinator pointed at the same journal resumes with only in-flight
+work lost (a SIGKILLed one: the journal's last commit window as well).
 
 **Supervision and integrity** sit on top of the lease board:
 
@@ -42,10 +43,11 @@ commit window as well).
   disconnect and integrity rejection; workers that keep failing are
   quarantined (no leases, no accepted results) and re-admitted through
   probation.  Quarantines are journaled as fabric events.
-* Every ``result`` frame's CRC is re-derived from the decoded payload
-  and its rows are validated against the domain's expected experiment
-  count *before* any accounting — a corrupted frame costs the sender
-  failure score but never touches the journal.
+* Every class of a ``results`` frame has its CRC re-derived from the
+  decoded payload and its rows validated against the domain's expected
+  experiment count *before* any accounting — a corrupted class costs
+  the sender failure score but never touches the journal, and the rest
+  of its window merges.
 * ``crosscheck`` samples a deterministic fraction of class keys for
   re-execution on a *second* worker (verify leases: negative lease id,
   ``shard == -1``).  A digest mismatch discards the journaled row and
@@ -325,6 +327,7 @@ class DistCoordinator:
         return self._assemble()
 
     async def _watchdog(self):
+        accepted = self._accepted
         while True:
             await asyncio.sleep(self.policy.poll_interval)
             now = time.monotonic()
@@ -343,9 +346,12 @@ class DistCoordinator:
             self._drain_crosschecks(now)
             self._maybe_finish()
             # Results arrive in bursts; whatever the last burst left in
-            # the journal's commit window is committed before the loop
-            # idles.
-            self.run.idle()
+            # the journal's commit window is committed once the loop
+            # idles — a tick that saw classes accepted is not idle, and
+            # committing on it would undercut the journal's own window.
+            if accepted == self._accepted:
+                self.run.idle()
+            accepted = self._accepted
 
     # -- per-connection protocol ------------------------------------------------
 
@@ -418,8 +424,8 @@ class DistCoordinator:
             if kind == "request":
                 write_frame(writer, self._grant(name, now))
                 await writer.drain()
-            elif kind == "result":
-                self._accept_result(name, frame, now)
+            elif kind == "results":
+                self._accept_results(name, frame, now)
             elif kind == "lease_done":
                 shard = int(frame["shard"])
                 if shard < 0:
@@ -515,27 +521,44 @@ class DistCoordinator:
 
     # -- result acceptance ------------------------------------------------------
 
-    def _accept_result(self, name: str, frame: dict, now: float) -> None:
+    def _accept_results(self, name: str, frame: dict, now: float) -> None:
+        """Take one send window.  Integrity and accounting stay per
+        class — a bad item is rejected and charged, its neighbours
+        merge — while the per-frame work is done once."""
+        items = frame.get("items")
+        if not isinstance(items, list):
+            self._reject(name, None, now, kind="shape-reject",
+                         reason="malformed results frame")
+            return
+        for item in items:
+            if self.stopped:
+                break  # the crash hook fired: nothing after the k-th class
+            self._accept_result(name, item, now)
+        self.run.heartbeat()
+        self._maybe_finish()
+
+    def _accept_result(self, name: str, item, now: float) -> None:
+        """Check and account one class of a window."""
         if not self.supervisor.allowed(name, now):
-            # Rejected outright: a late frame from a quarantined (worst
+            # Rejected outright: a late result from a quarantined (worst
             # case: convicted-byzantine) worker must never win
             # first-merge on a key the campaign just discarded.
             return
         try:
-            axis, first_slot = (int(v) for v in frame["key"])
+            axis, first_slot = (int(v) for v in item["key"])
             rows = [(int(bit), str(outcome), int(end_cycle), str(trap))
-                    for bit, outcome, end_cycle, trap in frame["rows"]]
-            shard = int(frame["shard"])
+                    for bit, outcome, end_cycle, trap in item["rows"]]
+            shard = int(item["shard"])
         except (KeyError, TypeError, ValueError):
             self._reject(name, None, now, kind="shape-reject",
-                         reason="malformed result frame")
+                         reason="malformed class result")
             return
         key = (axis, first_slot)
         digest = result_digest(key, rows)
-        crc = frame.get("crc")
+        crc = item.get("crc")
         if crc is None or int(crc) != digest:
             self._reject(name, key, now, kind="crc-reject",
-                         reason="frame CRC disagrees with payload")
+                         reason="CRC disagrees with payload")
             return
         if not self._valid_shape(key, rows):
             self._reject(name, key, now, kind="shape-reject",
@@ -544,7 +567,6 @@ class DistCoordinator:
             return
         if shard < 0:
             self._accept_verify(name, key, digest, now)
-            self._maybe_finish()
             return
         dispute = self._tiebreaks.get(key)
         if dispute is not None:
@@ -565,18 +587,15 @@ class DistCoordinator:
                 self._drain_deadline = None
                 self.report.crosschecked += 1
             self.report.executed += 1
-            self.report.count(int(frame.get(field, 0))
+            self.report.count(int(item.get(field, 0))
                               for field in ("hits", "skips"))
             self._worker_units[name] += 1
             self._accepted += 1
             self.run.done += 1
-            self.run.heartbeat()
             if (self.stop_after_results is not None
                     and self._accepted >= self.stop_after_results):
                 self.stopped = True
                 self._done.set()
-                return
-        self._maybe_finish()
 
     def _accept_verify(self, name: str, key: tuple, digest: int,
                        now: float) -> None:
@@ -663,7 +682,7 @@ class DistCoordinator:
 
     def _reject(self, name: str, key, now: float, *, kind: str,
                 reason: str) -> None:
-        """Refuse one result frame before it touches any accounting."""
+        """Refuse one class result before it touches any accounting."""
         self.report.integrity_rejected += 1
         detail = reason if key is None else f"{list(key)}: {reason}"
         self.handle.record_event(kind, worker=name, detail=detail,

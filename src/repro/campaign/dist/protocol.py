@@ -23,24 +23,31 @@ type                direction  meaning
 ``lease``           c → w      a shard lease: id, class keys, deadline
 ``wait``            c → w      no assignable work right now; retry in N s
 ``done``            c → w      campaign finished; disconnect
-``result``          w → c      one class's experiment rows (streamed),
-                               carrying a :func:`result_digest` CRC the
-                               coordinator re-derives before merging
+``results``         w → c      one send window of finished classes:
+                               ``items``, each a class's ``shard``,
+                               ``key``, experiment ``rows``, executor
+                               counters and the :func:`result_digest`
+                               ``crc`` the coordinator re-derives before
+                               merging — checked and accounted per item
 ``lease_done``      w → c      every key of the lease was submitted
 ``heartbeat``       w → c      liveness signal (sent from a timer thread)
 ==================  =========  ==============================================
 
-Version 2 added end-to-end result integrity: every ``result`` frame
+Version 2 added end-to-end result integrity: every class result
 carries ``crc`` (:func:`result_digest` over its key and rows), and
 ``lease`` frames may carry ``verify: true`` with a negative lease id —
 a cross-check lease asking the worker to re-execute classes another
 worker already delivered so the coordinator can byte-compare the two
 (workers execute verify leases identically; only the coordinator treats
-the results differently).
+the results differently).  Version 3 replaced the per-class ``result``
+frame with the windowed ``results`` frame (a window of one class is a
+``results`` frame with one item): the integrity unit is still the class,
+the wire unit is the worker's send window, so a frame, a coordinator
+wake-up and a ``done`` poll are paid per window instead of per class.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
-a worker can notice a mid-lease ``done`` between classes), and
+a worker can notice a mid-lease ``done`` between send windows), and
 :func:`read_frame` / :func:`write_frame` bind the same frames to
 ``asyncio`` streams for the coordinator.
 """
@@ -54,8 +61,9 @@ import zlib
 
 #: Bumped on incompatible protocol changes; both sides send it in the
 #: handshake and refuse mismatching peers.  Version 2: result CRCs and
-#: cross-check verify leases.
-PROTOCOL_VERSION = 2
+#: cross-check verify leases.  Version 3: one ``results`` frame per send
+#: window instead of one ``result`` frame per class.
+PROTOCOL_VERSION = 3
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.
@@ -69,13 +77,13 @@ class ProtocolError(RuntimeError):
 
 
 def result_digest(key, rows) -> int:
-    """CRC-32 of a result frame's semantic content.
+    """CRC-32 of one class result's semantic content.
 
     Computed over the canonical JSON of ``[key, rows]`` — the class
     identity plus every ``(bit, outcome, end_cycle, trap)`` row — so it
     is invariant to framing, field order elsewhere in the message, and
-    list-vs-tuple representation.  The worker stamps it on each
-    ``result`` frame; the coordinator re-derives it from the decoded
+    list-vs-tuple representation.  The worker stamps it on each item
+    of a ``results`` frame; the coordinator re-derives it from the decoded
     payload before merging, which catches corruption anywhere between
     the worker's executor and the coordinator's journal (including a
     serialization bug on either side).  It is also the byte-comparison

@@ -198,20 +198,15 @@ def _forward_closure(start: int, successors) -> tuple[frozenset, bool]:
     return frozenset(seen), escape
 
 
-def _code_digest(rom, leaders, blocks_by_start, escape: bool) -> str:
-    """Hash the instruction content of a closure (whole ROM on escape)."""
-    digest = hashlib.sha256()
-    if escape:
-        items = list(enumerate(rom))
+def _code_digest(encoded, leaders, blocks_by_start) -> str:
+    """Hash a closure's instructions, each encoded once per map by pc
+    (``leaders=None``: the whole ROM)."""
+    if leaders is None:
+        chunks = encoded
     else:
-        items = []
-        for start in sorted(leaders):
-            items.extend(blocks_by_start[start].instrs)
-    for pc, ins in items:
-        digest.update(
-            f"{pc}:{int(ins.op)}:{ins.rd}:{ins.rs1}:{ins.rs2}:{ins.imm};"
-            .encode())
-    return digest.hexdigest()
+        chunks = [encoded[pc] for start in sorted(leaders)
+                  for pc, _ in blocks_by_start[start].instrs]
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def build_section_map(golden, domain: FaultDomain | str | None = None,
@@ -258,6 +253,12 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
 
     params_text = canonical_params(params)
     machine = Machine(program)
+    encoded = [
+        f"{pc}:{int(ins.op)}:{ins.rd}:{ins.rs1}:{ins.rs2}:{ins.imm};".encode()
+        for pc, ins in enumerate(rom)]
+    #: closure (``None``: the whole ROM) → code digest.  Sections
+    #: share closures — every escaping one hashes the same ROM.
+    code_digests: dict = {}
     sections: list[Section] = []
     for index, (first, last) in enumerate(windows):
         machine.run_to_cycle(first - 1)
@@ -270,7 +271,11 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
             # forward closure no longer bounds reachable code; hash the
             # whole ROM, exactly like a reachable ``jalr``.
             escape = True
-        code = _code_digest(rom, closure, blocks_by_start, escape)
+        hashed = None if escape else closure
+        code = code_digests.get(hashed)
+        if code is None:
+            code = code_digests[hashed] = _code_digest(
+                encoded, hashed, blocks_by_start)
         payload = json.dumps({
             "v": FINGERPRINT_VERSION,
             "domain": domain.name,

@@ -34,7 +34,8 @@ from repro.campaign.dist.chaos import (
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
 
-from .test_dist import POLICY, _server_socket, _start_worker, run_dist
+from .test_dist import (POLICY, _RecordingStream, _server_socket,
+                        _start_worker, run_dist)
 
 #: Chaos soaks retry far past the default budget: the injector *wants*
 #: to burn attempts, and the invariant under test is correctness, not
@@ -172,6 +173,53 @@ class TestChaosDeterminism:
         assert tampered == chaos.tampered(message, 0)  # deterministic
         assert result_digest((0, 1), tampered["rows"]) \
             != result_digest((0, 1), message["rows"])
+
+    @staticmethod
+    def _items(count):
+        rows = [[0, "none", 10, ""], [1, "sdc", 12, ""]]
+        return [{"shard": 0, "key": [0, slot], "rows": rows,
+                 "crc": result_digest((0, slot), rows)}
+                for slot in range(1, count + 1)]
+
+    def test_schedule_is_over_class_results_not_wire_frames(self):
+        """However the send window groups the classes, the n-th class
+        result meets the n-th draw: same items on the wire, same
+        telemetry."""
+        plan = ChaosPlan(seed=11, dup_rate=0.3, corrupt_rate=0.3,
+                         lie_rate=0.3, delay_rate=0.2, delay_seconds=0.0)
+        items = self._items(40)
+
+        def through(windows):
+            wire, chaos = _RecordingStream(), WorkerChaos(plan, "w0")
+            proxy = chaos.wrap(wire)
+            for window in windows:
+                proxy.send({"type": "results", "items": window})
+            return ([item for frame in wire.windows() for item in frame],
+                    chaos.fired, chaos.results_sent)
+
+        whole = through([items])
+        assert whole == through([[item] for item in items])
+        assert whole == through([items[:7], items[7:33], items[33:]])
+        assert whole[2] == 40 and len(whole[0]) > 40  # dups fired
+        assert {"corrupt", "lie", "dup", "delay"} <= set(whole[1])
+
+    def test_drop_sends_the_window_so_far_then_closes(self):
+        wire = _RecordingStream()
+        chaos = WorkerChaos(ChaosPlan(drop_after_results=3), "w0")
+        items = self._items(5)
+        with pytest.raises(ChaosInterrupt):
+            chaos.wrap(wire).send({"type": "results", "items": items})
+        assert wire.windows() == [items[:3]] and wire.closed
+        assert chaos.results_sent == 3  # the two behind it are unsent
+
+    def test_hang_splits_the_window_where_it_stalls(self):
+        wire = _RecordingStream()
+        chaos = WorkerChaos(ChaosPlan(seed=1, hang_rate=1.0,
+                                      hang_seconds=0.0), "w0")
+        items = self._items(3)
+        chaos.wrap(wire).send({"type": "results", "items": items})
+        assert wire.windows() == [[item] for item in items]
+        assert chaos.fired == {"hang": 3}
 
     def test_die_on_keys_raises_connection_error(self):
         chaos = WorkerChaos(ChaosPlan(die_on_keys=((4, 2),)), "w0")

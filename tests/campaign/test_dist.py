@@ -38,7 +38,9 @@ from repro.campaign.dist import (
     WorkerRejected,
     decode_frame,
     encode_frame,
+    result_digest,
 )
+from repro.campaign.dist.chaos import ChaosInterrupt
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.campaign.dist.leases import PENDING
 from repro.programs import hi, micro, sync2
@@ -320,17 +322,30 @@ class TestDistChaos:
                                        memory_baseline):
         """One worker's socket vanishes mid-shard (exactly what SIGKILL
         looks like from the coordinator) and never comes back; the
-        survivor absorbs the re-leased work."""
-        result, _, spawned = run_dist(
-            memory_golden,
-            worker_chaos=[ChaosPlan(drop_after_results=2), None],
-            worker_kw={"max_reconnects": 0})
-        # The chaos worker died for good...
-        assert any(errors for _, _, errors in spawned)
+        survivor absorbs the re-leased work.  The survivor starts only
+        once the doomed worker is dead, so the outcome does not depend
+        on who wins the first lease."""
+        sock = _server_socket()
+        port = sock.getsockname()[1]
+        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+                                      policy=POLICY, keep_records=True)
+        thread = serve_in_thread(coordinator)
+        _, doomed_thread, doomed_errors = _start_worker(
+            port, "w0", chaos=ChaosPlan(drop_after_results=2),
+            max_reconnects=0)
+        doomed_thread.join(60)
+        # The chaos worker died for good, at its second result...
+        assert not doomed_thread.is_alive()
+        assert [type(exc) for exc in doomed_errors] == [ChaosInterrupt]
+        _, survivor_thread, survivor_errors = _start_worker(port, "w1")
+        result = thread.join_result(120)
+        survivor_thread.join(10)
+        assert not survivor_errors
         # ...and the campaign still matches the serial ground truth.
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.complete
+        assert dict(result.execution.workers)["w0"] == 2
 
     def test_dropped_connection_reconnects_and_finishes(
             self, memory_golden, memory_baseline):
@@ -463,16 +478,270 @@ class TestDistChaos:
         client = socket.create_connection(("127.0.0.1", port), timeout=5)
         stream = FrameStream(client)
         stream.send({"type": "hello", "version": PROTOCOL_VERSION + 1,
-                     "name": "old"})
+                     "name": "new"})
         reply = stream.read(timeout=5.0)
         assert reply["type"] == "reject"
         assert "version" in reply["reason"]
+        client.close()
+        # A protocol-2 worker (one ``result`` frame per class) is
+        # refused at the handshake: no per-class wire path survives.
+        client = socket.create_connection(("127.0.0.1", port), timeout=5)
+        stream = FrameStream(client)
+        stream.send({"type": "hello", "version": 2, "name": "old"})
+        reply = stream.read(timeout=5.0)
+        assert reply["type"] == "reject"
+        assert "version 2 != 3" in reply["reason"]
         client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
         _, worker_thread, _ = _start_worker(port, "w0", max_reconnects=0)
         thread.join_result(60)
         worker_thread.join(10)
+
+
+class _RawWorker:
+    """A hand-driven protocol peer: handshake, then frames by hand."""
+
+    def __init__(self, port: int, name: str = "raw"):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        self.stream = FrameStream(self.sock)
+        self.stream.send({"type": "hello", "version": PROTOCOL_VERSION,
+                          "name": name})
+        self.spec = self.stream.read(timeout=5.0)
+        assert self.spec["type"] == "campaign"
+        self.stream.send({"type": "ready"})
+
+    def lease(self) -> dict:
+        """Ask until a lease is granted (an embargoed shard says wait)."""
+        while True:
+            self.stream.send({"type": "request"})
+            reply = self.stream.read(timeout=5.0)
+            if reply["type"] != "wait":
+                return reply
+            time.sleep(min(float(reply["seconds"]), 0.1))
+
+    def results(self, items) -> None:
+        self.stream.send({"type": "results", "items": list(items)})
+
+    def lease_done(self, lease: dict) -> None:
+        self.stream.send({"type": "lease_done", "lease": lease["lease"],
+                          "shard": lease["shard"]})
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+class _RecordingStream:
+    """The worker-side stream surface, keeping what was sent."""
+
+    def __init__(self):
+        self.sent: list[dict] = []
+        self.closed = False
+
+    def send(self, message: dict) -> None:
+        assert not self.closed
+        self.sent.append(message)
+
+    def poll(self):
+        return None
+
+    def close(self) -> None:
+        self.closed = True
+
+    def windows(self) -> list[list[dict]]:
+        """The items of every ``results`` frame sent, frame by frame."""
+        return [message["items"] for message in self.sent
+                if message["type"] == "results"]
+
+
+def _run_lease(spec: dict, lease: dict | None = None):
+    """Run one lease (default: every class) through a real worker's
+    lease loop against a recording stream."""
+    worker = DistWorker("127.0.0.1", 0, name="w")
+    stream = _RecordingStream()
+    executor, intervals = worker._verify(stream, spec)
+    if lease is None:
+        lease = {"lease": 1, "shard": 0,
+                 "keys": [list(key) for key in intervals]}
+    assert worker._run_lease(stream, lease, executor, intervals) is False
+    assert stream.sent[-1]["type"] == "lease_done"
+    assert len(stream.windows()) == len(stream.sent) - 1
+    return stream.windows()
+
+
+def _class_items(spec: dict, lease: dict) -> list[dict]:
+    """The items an honest worker sends for a lease's keys."""
+    return [item for window in _run_lease(spec, lease) for item in window]
+
+
+class TestSendWindow:
+    """Protocol 3: the wire unit is the worker's send window, the
+    integrity and accounting unit is still the class."""
+
+    def test_results_frame_round_trip(self):
+        rows = [[0, "sdc", 12, ""], [1, "none", 9, ""]]
+        message = {"type": "results", "items": [
+            {"shard": 3, "key": [0, 7], "rows": rows,
+             "crc": result_digest((0, 7), rows), "hits": 1, "skips": 0}]}
+        assert decode_frame(encode_frame(message)[4:]) == message
+
+    def _serve(self, golden, **kw):
+        sock = _server_socket()
+        kw.setdefault("shards", 1)  # one lease holds every class
+        coordinator = DistCoordinator(golden, sock=sock, policy=POLICY,
+                                      keep_records=True, **kw)
+        return coordinator, serve_in_thread(coordinator), \
+            sock.getsockname()[1]
+
+    def test_one_tampered_item_is_rejected_its_neighbours_merge(
+            self, tmp_path, memory_golden, memory_baseline):
+        from repro.campaign.journal import ExperimentJournal
+
+        journal = tmp_path / "window.sqlite"
+        coordinator, thread, port = self._serve(memory_golden,
+                                                journal=journal)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        honest = dict(items[3])
+        # In-flight corruption: the rows change, the CRC does not.
+        tampered = [list(row) for row in honest["rows"]]
+        tampered[0][2] += 1
+        items[3] = {**honest, "rows": tampered}
+        raw.results(items)
+        raw.lease_done(lease)
+        # Only the rejected class is re-leased.
+        again = raw.lease()
+        assert again["keys"] == [honest["key"]]
+        raw.results([{**honest, "shard": again["shard"]}])
+        raw.lease_done(again)
+        result = thread.join_result(60)
+        raw.close()
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.integrity_rejected == 1
+        assert result.execution.workers == (("raw", len(items)),)
+        # Charged exactly once, at the integrity weight.
+        assert 1.9 < coordinator.supervisor.state("raw").score <= 2.0
+        with ExperimentJournal(journal) as log:
+            (entry,) = log.fabric_report()
+        rejects = [event for event in entry["events"]
+                   if event["kind"].endswith("-reject")]
+        assert [event["kind"] for event in rejects] == ["crc-reject"]
+        assert rejects[0]["detail"].startswith(str(honest["key"]))
+
+    def test_duplicates_within_and_across_windows_account_once(
+            self, memory_golden, memory_baseline):
+        coordinator, thread, port = self._serve(memory_golden)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        raw.results([items[0], items[0], items[1]])
+        raw.results([items[1]] + items[2:])
+        raw.lease_done(lease)
+        result = thread.join_result(60)
+        raw.close()
+        assert result == memory_baseline
+        assert result.execution.executed == result.execution.total_units
+        assert result.execution.workers == (("raw", len(items)),)
+
+    def test_stop_lands_mid_window_on_exactly_the_kth_class(
+            self, tmp_path, memory_golden, memory_baseline):
+        import sqlite3
+
+        journal = tmp_path / "stop.sqlite"
+        coordinator, thread, port = self._serve(
+            memory_golden, journal=journal, stop_after_results=5)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        raw.results(_class_items(raw.spec, lease))  # 12 in one frame
+        assert thread.join_result(60) is None
+        raw.close()
+        conn = sqlite3.connect(journal)
+        try:
+            counts = conn.execute(
+                "SELECT COUNT(*) FROM class_results "
+                "GROUP BY axis, first_slot").fetchall()
+        finally:
+            conn.close()
+        assert counts == [(8,)] * 5
+        result, _, _ = run_dist(memory_golden, workers=1, journal=journal)
+        assert result == memory_baseline
+        assert result.execution.resumed == 5
+        assert result.execution.executed \
+            == result.execution.total_units - 5
+
+    def _window_sizes(self, golden, monkeypatch, clock):
+        import repro.campaign.dist.worker as worker_mod
+
+        monkeypatch.setattr(worker_mod, "_clock", clock)
+        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 5)
+        windows = _run_lease(DistCoordinator(golden)._campaign_message())
+        # Whatever the grouping: every class exactly once.
+        keys = [tuple(item["key"]) for window in windows for item in window]
+        assert len(keys) == len(set(keys)) == 12
+        return [len(window) for window in windows]
+
+    def test_fast_classes_leave_in_full_windows(self, monkeypatch,
+                                                memory_golden):
+        """On a clock that stands still no window ever ages, so N
+        classes leave in ⌈N / window⌉ frames."""
+        assert self._window_sizes(memory_golden, monkeypatch,
+                                  lambda: 0.0) == [5, 5, 2]
+
+    def test_a_class_slower_than_the_window_leaves_alone(
+            self, monkeypatch, memory_golden):
+        """On a clock where every class takes a whole window, each is
+        flushed by age as it finishes instead of waiting for company."""
+        import itertools
+
+        from repro.campaign.dist.worker import WINDOW_S
+
+        ticks = itertools.count()
+        assert self._window_sizes(
+            memory_golden, monkeypatch,
+            lambda: next(ticks) * WINDOW_S) == [1] * 12
+
+    def test_watchdog_commits_only_on_idle_ticks(
+            self, tmp_path, monkeypatch, memory_golden, memory_baseline):
+        """A tick that saw classes accepted is not idle and must not
+        commit: with the journal's clock standing still (no window ever
+        ages) every tick commit is an idle tick's.  Counts, not times."""
+        import repro.campaign.journal as journal_mod
+        from repro.campaign.pipeline import CampaignRun
+
+        monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
+        sock = _server_socket()
+        coordinator = DistCoordinator(
+            memory_golden, sock=sock, shards=4,
+            journal=tmp_path / "ticks.sqlite", keep_records=True,
+            policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
+                               backoff=0.05))
+        #: ``_accepted`` as each watchdog tick saw it.
+        ticks: list[int] = []
+        idle_calls: list[int] = []
+        real_drain = coordinator._drain_crosschecks
+
+        def drain(now):
+            ticks.append(coordinator._accepted)
+            real_drain(now)
+
+        monkeypatch.setattr(coordinator, "_drain_crosschecks", drain)
+        real_idle = CampaignRun.idle
+        monkeypatch.setattr(
+            CampaignRun, "idle",
+            lambda run: (idle_calls.append(coordinator._accepted),
+                         real_idle(run))[1])
+        thread = serve_in_thread(coordinator)
+        _, worker_thread, errors = _start_worker(
+            sock.getsockname()[1], "w0")
+        result = thread.join_result(60)
+        worker_thread.join(10)
+        assert not errors
+        assert result == memory_baseline
+        idle_ticks = sum(1 for before, seen in zip([0] + ticks, ticks)
+                         if before == seen)
+        assert len(idle_calls) == idle_ticks < len(ticks)
 
 
 class TestDistJournalInterop:
@@ -534,24 +803,18 @@ class TestDistSubprocess:
         equivalent of SIGKILL); the survivor finishes the campaign."""
         sock = _server_socket()
         port = sock.getsockname()[1]
-        progressed = threading.Event()
-
-        def progress(done, total):
-            if done >= 1:
-                progressed.set()
-
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                      policy=POLICY, keep_records=True,
-                                      progress=progress)
+                                      policy=POLICY, keep_records=True)
         thread = serve_in_thread(coordinator)
         doomed = _spawn_worker_proc(port, "doomed",
                                     chaos=ChaosPlan(die_after_results=2))
         survivor = None
         try:
-            # Let the doomed worker land its first result before the
-            # survivor joins, so it reliably reaches its 2nd (fatal) one
-            # even when interpreter startup is slow under load.
-            assert progressed.wait(60), "doomed worker never made progress"
+            # Alone with the campaign the doomed worker always reaches
+            # its third (fatal) class result — and takes whatever its
+            # send window still held with it.  The survivor joins only
+            # then, so nothing depends on who wins which lease.
+            doomed.wait(timeout=60)
             survivor = _spawn_worker_proc(port, "survivor")
             result = thread.join_result(120)
         finally:

@@ -9,18 +9,24 @@ weighting (section counters aggregate to the whole-program weighted
 counts exactly).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.campaign import record_golden, run_full_scan
+from repro.engine.compiled import _find_blocks
 from repro.faultspace import (
     build_section_map,
     aggregate_section_counts,
     get_domain,
     section_weighted_counts,
 )
-from repro.faultspace.sections import canonical_params
+from repro.faultspace.sections import FINGERPRINT_VERSION, canonical_params
 from repro.isa.assembler import assemble
+from repro.isa.cpu import Machine
 from repro.programs import guarded, micro
+from repro.programs.registry import all_programs
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +139,58 @@ class TestFingerprints:
         assert canonical_params({"b": 2, "a": 1}) \
             == canonical_params({"a": 1, "b": 2})
         assert canonical_params(None) == canonical_params({})
+
+
+def _reference_code_digest(rom, leaders, blocks_by_start, escape):
+    """The code digest as it was before it was memoised per closure:
+    every section re-formats and re-hashes its closure (the whole ROM
+    on escape).  Stored fingerprints were written by this recipe."""
+    digest = hashlib.sha256()
+    if escape:
+        items = list(enumerate(rom))
+    else:
+        items = []
+        for start in sorted(leaders):
+            items.extend(blocks_by_start[start].instrs)
+    for pc, ins in items:
+        digest.update(
+            f"{pc}:{int(ins.op)}:{ins.rd}:{ins.rs1}:{ins.rs2}:{ins.imm};"
+            .encode())
+    return digest.hexdigest()
+
+
+class TestFingerprintRecipeIsFrozen:
+    """A journal's section store is keyed by these bytes: a cheaper way
+    of computing them must compute exactly them."""
+
+    @pytest.mark.parametrize("domain", ["memory", "pc"])
+    @pytest.mark.parametrize("name", sorted(all_programs()))
+    def test_memoised_digest_matches_the_reference(self, name, domain):
+        golden = record_golden(all_programs()[name]())
+        params = {"timeout_cycles": 4 * golden.cycles, "early_stop": True}
+        section_map = build_section_map(golden, domain, params)
+        program = golden.program
+        blocks_by_start = {
+            block.start: block
+            for block in _find_blocks(program.rom, program.entry)}
+        machine = Machine(program)
+        for section in section_map:
+            machine.run_to_cycle(section.first_slot - 1)
+            payload = json.dumps({
+                "v": FINGERPRINT_VERSION,
+                "domain": domain,
+                "params": canonical_params(params),
+                "first_slot": section.first_slot,
+                "last_slot": section.last_slot,
+                "entry": machine.state_digest().hex(),
+                "code": _reference_code_digest(
+                    program.rom, section.leaders, blocks_by_start,
+                    section.escape),
+                "ram_size": program.ram_size,
+                "rom_len": len(program.rom),
+            }, sort_keys=True, separators=(",", ":"))
+            assert section.fingerprint \
+                == hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 class TestSectionWeighting:
