@@ -11,21 +11,18 @@ Also reports the resume-time saving to ``output/journal_resume.txt``:
 the fraction of experiments replayed from the journal is the fraction
 of campaign wall-clock a crash no longer costs.
 
-The last test is the journal's price tag: a journaled serial scan
-against the same scan un-journaled, as a ratio inside one process.
+The last test is the journal's price tag: the commits (an fsync each)
+a journaled serial scan makes, counted on a clock stepped by hand.
 """
 
 import os
 import time
 
 from repro.campaign import (RetryPolicy, export_class_results_csv,
-                            record_golden, run_full_scan)
+                            journal as journal_module, record_golden,
+                            run_full_scan)
+from repro.campaign.journal import COMMIT_WINDOW_S, ExperimentJournal
 from repro.programs import hi, sync2
-
-#: Journaled / un-journaled wall-clock a serial scan may cost.  With a
-#: commit (an fsync) per class the ratio was ≈ 2.3; group commit leaves
-#: the row inserts themselves, ≈ 1.2 on this program.
-JOURNAL_OVERHEAD_CEILING = 1.3
 
 
 def _program():
@@ -98,35 +95,53 @@ def test_killed_worker_is_retried_and_result_unchanged(tmp_path):
     assert survived.execution.complete
 
 
-def test_journaling_costs_a_fraction_not_a_multiple(tmp_path):
-    """Journaled serial scan ≤ 1.3× the un-journaled one, CSV equal.
+def test_journaling_costs_a_fraction_not_a_multiple(tmp_path, monkeypatch):
+    """A journaled serial scan commits per window, not per class; CSV
+    equal to the un-journaled scan's.
 
-    A ratio of two times taken back to back in one process, best of
-    three alternating pairs, so the host's speed cancels.  The program
-    is the smallest registered one whose classes cost enough (~0.45 ms)
-    for a ratio to say anything: ``hi`` has two classes and measures
-    only the price of creating a database file.
+    A count, not a time: the ``BEGIN IMMEDIATE`` statements (each ends
+    in a commit, an fsync) SQLite sees during the scan, with the commit
+    window's clock stepped by hand — frozen, then one window per 50
+    classes.  Frozen, what is left is what the scan commits on its own
+    account (a read through the writer per section, open, close): under
+    a tenth of a commit a class.  Stepped, each elapsed window adds
+    one.  With a commit per class this program made 2 384 more; the
+    ratio of wall times this gate used to take (≈ 1.2–1.4 against a
+    1.3 ceiling) rose whenever the executor got faster.
     """
+    per_window = 50
     golden = record_golden(sync2.baseline())
     partition = golden.partition()
-    best = {False: float("inf"), True: float("inf")}
-    scans = {}
-    for attempt in range(3):
-        for journaled in (False, True):
-            journal = tmp_path / f"ab{attempt}.sqlite" if journaled else None
-            start = time.perf_counter()
-            scans[journaled] = run_full_scan(golden, partition=partition,
-                                             journal=journal)
-            best[journaled] = min(best[journaled],
-                                  time.perf_counter() - start)
-    assert scans[True] == scans[False]
-    assert scans[True].execution.executed \
-        == scans[True].execution.total_units
-    for journaled, scan in scans.items():
-        export_class_results_csv(scan, tmp_path / f"{journaled}.csv")
-    assert (tmp_path / "True.csv").read_bytes() \
-        == (tmp_path / "False.csv").read_bytes()
-    ratio = best[True] / best[False]
-    assert ratio <= JOURNAL_OVERHEAD_CEILING, (
-        f"journaled scan {best[True]:.3f}s is {ratio:.2f}x the "
-        f"un-journaled {best[False]:.3f}s")
+    classes = len(partition.live_classes())
+    plain = run_full_scan(golden, partition=partition)
+    export_class_results_csv(plain, tmp_path / "plain.csv")
+    now = [0.0]
+    monkeypatch.setattr(journal_module, "_clock", lambda: now[0])
+
+    def commits(step):
+        def tick(_done, _total):
+            now[0] += step
+
+        statements = []
+        with ExperimentJournal(tmp_path / f"step{step}.sqlite") as journal:
+            journal._conn.set_trace_callback(statements.append)
+            scan = run_full_scan(golden, partition=partition,
+                                 journal=journal, progress=tick)
+        assert scan == plain
+        assert scan.execution.executed == scan.execution.total_units
+        export_class_results_csv(scan, tmp_path / "journaled.csv")
+        assert (tmp_path / "journaled.csv").read_bytes() \
+            == (tmp_path / "plain.csv").read_bytes()
+        return statements.count("BEGIN IMMEDIATE")
+
+    frozen = commits(0.0)
+    stepped = commits(COMMIT_WINDOW_S / per_window)
+    print(f"\njournal commits over {classes} classes: {frozen} with the "
+          f"window never expiring, {stepped} at {per_window} classes a "
+          f"window")
+    assert frozen <= classes // 10, (
+        f"{frozen} commits with the window never expiring: the scan "
+        f"itself flushes more than once per 10 of its {classes} classes")
+    assert stepped - frozen <= classes // per_window + 1, (
+        f"{stepped - frozen} commits for {classes // per_window} "
+        f"elapsed windows: the window is not batching")

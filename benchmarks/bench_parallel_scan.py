@@ -22,6 +22,10 @@ repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
 * **Mid-block entry gate** — counts, instead of timing, the
   instructions the compiled scan's faulty machine still interprets:
   fewer than one per executed experiment.  Asserts only.
+* **Fast-forward gate** — counts the post-injection cycles the compiled
+  scan's faulty machine executes with the golden fast-forward at its
+  constants and with its jump floor forced past the cycle budget: at
+  most three quarters.  Asserts only.
 
 Scale knobs (environment):
 
@@ -346,3 +350,53 @@ def test_midblock_entry_gate():
           f"interpreted instructions over {executed} executed "
           f"experiments ({len(interpreted) / executed:.3f} each)")
     assert len(interpreted) < executed
+
+
+def test_fast_forward_gate():
+    """Golden fast-forward: <= 0.75 of the post-injection cycles, records
+    identical to ``interp``.
+
+    Cycles the faulty machine really executes — what its cycle counter
+    advanced by, less what the jumps skipped — over the whole scan,
+    against the same scan with the jump floor past the cycle budget
+    (no jump is ever worth it: the PR 21 executor).  A count, so it
+    repeats exactly and needs no ratio floor; writes no
+    ``BENCH_*.json``.
+    """
+    program = sync2.hardened() if _full_scale() else sync2.hardened(2)
+    golden = record_golden(program)
+    partition = golden.partition()
+    config = ExecutorConfig(engine="compiled")
+
+    def scan(jump_floor=None):
+        executor = config.build(golden)
+        if jump_floor is not None:
+            executor._jump_floor = jump_floor
+        finish = executor._finish
+        advanced = 0
+
+        def counted(machine, coordinate):
+            nonlocal advanced
+            start = machine.cycle
+            record = finish(machine, coordinate)
+            advanced += machine.cycle - start
+            return record
+
+        executor._finish = counted
+        result = run_full_scan(golden, partition=partition,
+                               executor=executor, keep_records=True)
+        return advanced - executor.cycles_skipped, executor, result
+
+    jumping, executor, on = scan()
+    plain, unmoved, off = scan(config.timeout_cycles(golden.cycles))
+    interp = run_full_scan(golden, partition=partition,
+                           config=ExecutorConfig(engine="interp"),
+                           keep_records=True)
+    assert on == interp and off == interp, \
+        "the golden fast-forward changed campaign records"
+    assert executor.jumps > 0 and unmoved.jumps == 0
+    print(f"\nfast-forward on {program.name}: {jumping} post-injection "
+          f"cycles executed, {plain} without jumps "
+          f"({jumping / plain:.3f}); {executor.jumps} jumps skipped "
+          f"{executor.cycles_skipped} cycles")
+    assert jumping <= 0.75 * plain

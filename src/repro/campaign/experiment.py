@@ -63,19 +63,34 @@ passed through *at the same cycle*.  The seek therefore also stops on
 an absolute cycle grid (:data:`MEMO_GRID`), where such runs meet, and
 a digest found in the memo of earlier faulty states inherits how that
 run ended (:meth:`ExperimentExecutor._seek_convergence`).
+
+Runs that stay *on* the golden path but carry a difference the golden
+run is not about to touch (a wrong value sealed consistently into data,
+replica and checksum; a stale scratch register) execute, until the
+next touch, exactly the golden instructions on exactly the golden
+operands.  The **golden fast-forward** skips such stretches: a stop
+that recognised nothing diffs the machine against the golden state of
+the same cycle and, when every differing cell is idle for at least a
+probe gap, restores the last golden state before the next touch with
+the differing cells written back
+(:meth:`ExperimentExecutor._fast_forward`; the induction is DESIGN.md
+§3c, "Golden fast-forward").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..engine import ExecutionEngine, get_engine
 from ..faultspace.domain import FaultDomain, MEMORY, get_domain
+from ..faultspace.registers import register_reads, register_writes
 from ..faultspace.slicing import backward_slice
 from ..faultspace.model import FaultCoordinate
 from ..isa.cpu import Machine, MachineState
 from ..isa.errors import CPUException
+from ..isa.isa import NUM_REGS
 from .golden import GoldenRun
 from .outcomes import Outcome, PANIC_CODE, classify
 
@@ -93,6 +108,16 @@ def _classify_diverged(detections: tuple[tuple[int, int], ...]) -> Outcome:
 #: Measured (``chain-sumdmr`` × memory: 5.9 / 6.3 / 7.2 s at 256 / 512 /
 #: 1024), not configurable; tests move it by monkeypatch.
 MEMO_GRID = 256
+
+#: Byte budget of the golden fast-forward's state index (one
+#: :class:`~repro.isa.cpu.MachineState` per stop of a fault-free run,
+#: thinned to every n-th above it): ``chain-sumdmr`` keeps all 613
+#: stops in half of it; a large program cannot blow RSS.
+GOLDEN_INDEX_BYTES = 1 << 20
+#: Most cells a faulty state may differ from the golden one in and
+#: still be fast-forwarded; a wider difference is a run gone astray,
+#: and its next golden touch is never far.
+MAX_DIFFERING_CELLS = 16
 
 #: Default multiple of the golden runtime before declaring a timeout.
 DEFAULT_TIMEOUT_FACTOR = 3.0
@@ -250,11 +275,23 @@ class ExperimentExecutor:
         # first experiment (never needed when convergence is off).
         self._criticality = None
         self._golden_record_cache: ExperimentRecord | None = None
-        #: State memo, a bucket per grid mark (ascending while slots
-        #: ascend): ``digest ‖ cycle`` of an earlier experiment's state
-        #: -> how that run went on from there.
+        #: State memo, a bucket per grid mark: ``digest ‖ cycle`` of an
+        #: earlier experiment's state -> how that run went on from there.
         self._memo: dict[int, dict[bytes, EndFacts]] = {}
         self._suffixes: dict[EndFacts, EndFacts] = {}  # interned: few
+        #: Grid index of the last slot whose passing swept the memo.
+        self._swept = -1
+        # Golden fast-forward: the state index and the per-cell touch
+        # lists are built on first use, like the criticality map.  A
+        # jump must skip at least a probe's worth of cycles to pay for
+        # its restore, and the stop after it leaves the touch a quarter
+        # of that to show what it did to the difference.
+        self._golden_states: dict[int, MachineState] | None = None
+        self._golden_stops: list[int] = []
+        self._touches: dict[int, list[int]] = {}
+        self._carried: list[int] = []  # RAM bytes the last full diff found
+        self._jump_floor = self.engine.probe_gap
+        self._lockstep_lead = self.engine.probe_gap // 4
         #: Number of pre-injection rewinds (diagnostics for the ablation
         #: benchmark; stays 0 when experiments arrive slot-sorted).
         self.rewinds = 0
@@ -269,6 +306,9 @@ class ExperimentExecutor:
         #: Checkpoint boundaries at which a digest was computed and
         #: compared (diagnostics: overhead per skipped tail).
         self.convergence_checks = 0
+        #: Golden fast-forwards taken, and the cycles they skipped.
+        self.jumps = 0
+        self.cycles_skipped = 0
 
     def run(self, coordinate: FaultCoordinate) -> ExperimentRecord:
         """Run one experiment and classify its outcome."""
@@ -303,11 +343,18 @@ class ExperimentExecutor:
                 coordinate) -> ExperimentRecord:
         """Run an injected machine to its end and classify the outcome."""
         memo = self._memo
-        while memo and (mark := next(iter(memo))) < coordinate.slot:
-            # Drop behind the scan: no later slot stops at this mark
-            # (and the intern table restarts, so it stays bounded too).
-            del memo[mark]
-            self._suffixes.clear()
+        slot = coordinate.slot
+        if memo and (passed := (slot - 1) // (MEMO_GRID * self._stride)) \
+                != self._swept:
+            # Drop behind the scan: no later slot stops at a mark below
+            # it (and the intern table restarts, so it stays bounded
+            # too).  A run only opens buckets at marks >= its slot, in
+            # any order, so nothing falls behind until the slot passes
+            # the next mark.
+            self._swept = passed
+            for mark in [mark for mark in memo if mark < slot]:
+                del memo[mark]
+                self._suffixes.clear()
         trap = ""
         end = None
         pending: list = []
@@ -374,9 +421,21 @@ class ExperimentExecutor:
         target += -target % self._stride
         return target if target < self.timeout_cycles else None
 
+    def _step_to_rung(self, machine: Machine) -> bool:
+        """Finish a boundary stop that ended the run or fell between
+        ladder rungs (never at stride 1): step on to the next rung.
+        ``False`` when the run ended or leaves the cycle budget first.
+        """
+        if not machine.halted:
+            rung = self._probe_after(machine.cycle, 0)
+            if rung is None:
+                return False
+            machine.run_to_cycle(rung)
+        return not machine.halted
+
     def _seek_convergence(self, machine: Machine,
                           pending: list) -> EndFacts | None:
-        """Advance probe-to-probe until a digest is recognised.
+        """Advance probe-to-probe until a state is recognised.
 
         Returns the run's :class:`EndFacts` when its state matched a
         golden checkpoint or a memoised faulty state, or ``None`` when
@@ -393,52 +452,234 @@ class ExperimentExecutor:
         do, and a later run in that state *at that cycle* ends as its
         own serial and detections so far plus that suffix (why this is
         sound: DESIGN.md §3c, "State memo").
+
+        A stop that recognised nothing, on the golden path, is diffed
+        against the golden state of its cycle and fast-forwarded over
+        the stretch in which the golden run touches no differing cell
+        (:meth:`_fast_forward`).  The stop after a jump is the first
+        indexed one :attr:`_lockstep_lead` cycles past the touch, with
+        no grid stop in between (jumps pass grid marks), and there the
+        diff *is* the convergence check: empty means re-joined.  No
+        digest is taken — unless a mark was passed on the way: then
+        this stop is the memo's, and runs that jump the same stretch
+        meet on it.
         """
         table = self._golden_cycle_of
-        limit = self.timeout_cycles
-        stride = self._stride
-        grid = MEMO_GRID * stride
+        grid = MEMO_GRID * self._stride
         gap = self.engine.probe_gap
         target = self._probe_after(machine.cycle, gap)
         mark = machine.cycle - machine.cycle % grid + grid
+        limit = self.timeout_cycles
+        stride = self._stride
+        states = self._golden_states
+        if states is None:
+            states = self._index_golden_states()
+        lockstep = False
         while target is not None:
-            machine.run_to_boundary(min(target, mark), limit)
-            if machine.cycle % stride and not machine.halted:
-                # A boundary stop between rungs (never at stride 1):
-                # step on to the next rung.
-                rung = self._probe_after(machine.cycle, 0)
-                if rung is None:
-                    return None
-                machine.run_to_cycle(rung)
-            if machine.halted:
+            machine.run_to_boundary(
+                target if lockstep else min(target, mark), limit)
+            if (machine.halted or machine.cycle % stride) \
+                    and not self._step_to_rung(machine):
                 return None
-            self.convergence_checks += 1
-            digest = machine.state_digest()
             cycle = machine.cycle
-            matched = table.get(digest)
-            if matched is not None:
-                return self._rejoin_facts(matched, cycle,
-                                          bytes(machine.serial),
-                                          tuple(machine.detections))
+            # (Most stops are off the golden path: a dict miss.)
+            state = self._golden_state(machine) if cycle in states else None
+            if state is None or not lockstep or cycle >= mark:
+                self.convergence_checks += 1
+                digest = machine.state_digest()
+                matched = table.get(digest)
+                if matched is not None:
+                    return self._rejoin_facts(matched, cycle,
+                                              bytes(machine.serial),
+                                              tuple(machine.detections))
+                if cycle >= mark:
+                    bucket = self._memo.setdefault(cycle - cycle % grid, {})
+                    key = digest + cycle.to_bytes(8, "little")
+                    suffix = bucket.get(key)
+                    if suffix is not None:
+                        self.convergence_hits += 1
+                        self.memo_hits += 1
+                        return suffix._replace(
+                            serial=bytes(machine.serial) + suffix.serial,
+                            detections=(tuple(machine.detections)
+                                        + suffix.detections))
+                    pending.append((bucket, key, len(machine.serial),
+                                    len(machine.detections)))
+            lockstep = False
+            if state is not None:
+                if (machine.ram == state.ram
+                        and tuple(machine.regs) == state.regs):
+                    return self._rejoin_facts(cycle, cycle,
+                                              bytes(machine.serial),
+                                              tuple(machine.detections))
+                touch = self._fast_forward(machine, state)
+                if touch is not None:
+                    stops = self._golden_stops
+                    ahead = bisect_left(stops, touch + self._lockstep_lead)
+                    lockstep = ahead < len(stops)
+                    cycle = machine.cycle
+                    target = (stops[ahead] if lockstep
+                              else self._probe_after(cycle, gap))
+                    mark = cycle - cycle % grid + grid
+                    continue
             if cycle >= mark:
-                mark = cycle - cycle % grid
-                bucket = self._memo.setdefault(mark, {})
-                key = digest + cycle.to_bytes(8, "little")
-                suffix = bucket.get(key)
-                if suffix is not None:
-                    self.convergence_hits += 1
-                    self.memo_hits += 1
-                    return suffix._replace(
-                        serial=bytes(machine.serial) + suffix.serial,
-                        detections=(tuple(machine.detections)
-                                    + suffix.detections))
-                pending.append((bucket, key, len(machine.serial),
-                                len(machine.detections)))
-                mark += grid
+                mark = cycle - cycle % grid + grid
             if cycle >= target:
                 gap *= 2
                 target = self._probe_after(cycle, gap)
         return None
+
+    # -- golden fast-forward ---------------------------------------------------
+
+    def _golden_state(self, machine: Machine) -> MachineState | None:
+        """The golden state of ``machine``'s cycle, if it stands there
+        on the golden path: the state is indexed (so the cycle is below
+        ``golden.cycles``), the pc is the golden one, the serial bytes
+        are (a restore replaces them), and no stuck-at latch is armed
+        (a restore would disarm it).  RAM and registers may differ.
+        """
+        state = self._golden_states.get(machine.cycle)
+        if (state is None or state.pc != machine.pc
+                or machine._stuck is not None
+                or machine.serial != state.serial):
+            return None
+        return state
+
+    def _index_golden_states(self) -> dict[int, MachineState]:
+        """Snapshot a fault-free run at every stop a seek could make.
+
+        Every n-th stop only, by doubling as the ladder does, once the
+        snapshots would outgrow :data:`GOLDEN_INDEX_BYTES`: a faulty
+        run then finds a state to diff against at fewer of its stops,
+        and lands further before a touch.
+        """
+        golden = self.golden
+        machine = self.engine.create_machine(golden.program)
+        room = max(1, GOLDEN_INDEX_BYTES // (
+            golden.program.ram_size + len(golden.output) + 256))
+        kept: list[MachineState] = []
+        every = 1
+        stop = 0
+        while True:
+            machine.run_to_boundary(machine.cycle + 1, self.timeout_cycles)
+            if (machine.halted or machine.cycle % self._stride) \
+                    and not self._step_to_rung(machine):
+                break
+            if stop % every == 0:
+                kept.append(machine.snapshot())
+                if len(kept) > room:
+                    kept = kept[::2]
+                    every *= 2
+            stop += 1
+        self._golden_stops = [state.cycle for state in kept]
+        self._golden_states = dict(zip(self._golden_stops, kept))
+        return self._golden_states
+
+    def _differing_cells(self, machine: Machine, state: MachineState):
+        """Yield the cells ``machine`` differs from ``state`` in:
+        registers as ``-reg``, then RAM bytes by address."""
+        golden_regs = state.regs
+        if tuple(machine.regs) != golden_regs:
+            for reg, value in enumerate(machine.regs):
+                if value != golden_regs[reg]:
+                    yield -reg
+        ram, golden_ram = machine.ram, state.ram
+        if ram == golden_ram:
+            return
+        # The bytes the last XOR below found first — at this run's
+        # previous stop, or for its sibling in the next bit of the same
+        # cell, the difference is mostly confined to them, and one
+        # patched compare says so at a tenth of the XOR's price.
+        patched = bytearray(golden_ram)
+        found = []
+        for addr in self._carried:
+            if ram[addr] != golden_ram[addr]:
+                patched[addr] = ram[addr]
+                found.append(addr)
+                yield addr
+        if patched == ram:
+            return
+        self._carried = found
+        delta = (int.from_bytes(ram, "little")
+                 ^ int.from_bytes(patched, "little"))
+        addr = -1
+        while delta:
+            skip = ((delta & -delta).bit_length() - 1) >> 3
+            addr += skip + 1
+            found.append(addr)
+            yield addr
+            delta >>= (skip + 1) << 3
+
+    def _touch_slots(self, cell: int) -> list[int]:
+        """Ascending slots whose golden instruction reads or writes
+        ``cell`` — where its def/use classes end (the memory trace for
+        a byte, the opcode tables over the pc trace for registers)."""
+        touches = self._touches
+        if cell not in touches:
+            golden = self.golden
+            if cell >= 0:
+                touches[cell] = [event.slot
+                                 for event in golden.trace.accesses(cell)]
+            else:
+                touches.update((-reg, []) for reg in range(1, NUM_REGS))
+                touched = [{-reg for reg in (register_reads(instruction)
+                                             + register_writes(instruction))}
+                           for instruction in golden.program.rom]
+                for slot, pc in enumerate(golden.executed_pcs(), 1):
+                    for register in touched[pc]:
+                        touches[register].append(slot)
+        return touches[cell]
+
+    def _fast_forward(self, machine: Machine,
+                      state: MachineState) -> int | None:
+        """Jump ``machine`` along the golden path to just before the
+        golden run next touches a cell it differs in.
+
+        ``machine`` stands on the golden path and ``state`` is the
+        golden state of its cycle (:meth:`_golden_state`).  By
+        induction over the golden instructions up to the next touch,
+        none reads or writes a differing cell, so each computes golden
+        values, takes the golden branch, emits golden output and traps
+        nowhere: executing them would produce the golden state of
+        every later cycle before the touch, but for the differing
+        cells, which keep their values, and the run's own detections.
+        That is what this builds, from the last indexed golden state
+        before the touch — if it lies at least :attr:`_jump_floor`
+        cycles ahead, and at most :data:`MAX_DIFFERING_CELLS` differ.
+        Returns the slot of the touch, ``None`` without a jump.
+        """
+        cycle = machine.cycle
+        horizon = cycle + self._jump_floor  # a touch up to here: no room
+        touch = self.golden.cycles  # the last class of a cell ends here
+        touches = self._touches
+        cells = []
+        for cell in self._differing_cells(machine, state):
+            if len(cells) == MAX_DIFFERING_CELLS:
+                return None
+            cells.append(cell)
+            slots = touches.get(cell) or self._touch_slots(cell)
+            ahead = bisect_right(slots, cycle)
+            if ahead < len(slots) and slots[ahead] < touch:
+                touch = slots[ahead]
+                if touch <= horizon:
+                    return None
+        stops = self._golden_stops
+        landing = stops[bisect_left(stops, touch) - 1]
+        if landing - cycle < self._jump_floor:
+            return None
+        ram, regs = machine.ram, machine.regs
+        values = [regs[-cell] if cell < 0 else ram[cell] for cell in cells]
+        detections = machine.detections[:]
+        machine.restore(self._golden_states[landing])
+        for cell, value in zip(cells, values):
+            if cell < 0:
+                regs[-cell] = value
+            else:
+                ram[cell] = value
+        machine.detections[:] = detections
+        self.jumps += 1
+        self.cycles_skipped += landing - cycle
+        return touch
 
     def _cell_critical(self, coordinate) -> bool:
         """Can the fault at ``coordinate`` ever influence the outcome?"""
@@ -507,8 +748,9 @@ class ExperimentExecutor:
         if cycle < self._pristine.cycle:
             self.rewinds += 1
             self._pristine.reset()
-            # Keeps buckets ascending for the drop rule in _finish;
-            # entries are facts, so forgetting them only costs hits.
+            # Entries are facts, so forgetting them only costs hits;
+            # kept, the abandoned pass's buckets would live until the
+            # new pass overtakes their marks.
             self._memo.clear()
             self._suffixes.clear()
         self._pristine.run_to_cycle(cycle)

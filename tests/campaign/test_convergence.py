@@ -26,6 +26,11 @@ from repro.campaign import (
 from repro.campaign.golden import MAX_CHECKPOINTS
 from repro.campaign.outcomes import Outcome
 from repro.engine import AUTO, CompiledEngine, ExecutionEngine
+from repro.faultspace import FaultCoordinate
+from repro.faultspace.registers import (
+    RegisterFaultCoordinate,
+    RegisterPartition,
+)
 from repro.isa import Machine, assemble
 from repro.kernel.builder import KernelBuilder
 from repro.programs import bin_sem2, chain, guarded, hi, micro
@@ -406,6 +411,231 @@ loop:   addi r3, r3, -1
         assert all(mark >= last_slot for mark in memo)
         stored = memo.dropped + sum(map(len, memo.values()))
         assert peak <= 2 * stored // 3
+
+
+def _idle_program():
+    """A wrong value that outlives its last use: ``v`` is read once,
+    copied to ``w`` through ``r1``, and none of the three is touched
+    again while the loop idles.  The two arms between the compare and
+    ``join`` are equally long, so a fault in ``v`` (``detect 1`` on the
+    way) is back on the golden path — same pc, same cycle — at
+    ``join``."""
+    return assemble("""\
+        .data
+v:      .word 0x4142
+copy:   .word 0x4142
+w:      .word 0
+        .text
+start:  lw   r1, v(zero)
+        lw   r2, copy(zero)
+        beq  r1, r2, same
+        detect 1
+        j    join
+same:   nop
+        nop
+join:   sw   r1, w(zero)
+        li   r3, 200
+loop:   addi r3, r3, -1
+        bnez r3, loop
+        out  r3
+        halt
+""", name="idle", ram_size=12)
+
+
+class TestFastForward:
+    """A jump along the golden path builds exactly the state execution
+    would have produced — so no record can tell whether it was taken."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return record_golden(_hardened_kernel())
+
+    @staticmethod
+    def _executor(golden, engine, **config):
+        """An executor that takes every possible jump."""
+        executor = ExecutorConfig(engine=engine, **config).build(golden)
+        executor._jump_floor = 1
+        return executor
+
+    @pytest.mark.parametrize("stride", [None, 3])
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_every_indexed_state_is_an_interpreter_state(
+            self, engine, stride, monkeypatch):
+        golden = record_golden(_hardened_kernel(), checkpoint_stride=stride)
+        executor = ExecutorConfig(engine=engine).build(golden)
+        states = executor._index_golden_states()
+        assert list(states) == executor._golden_stops == sorted(states)
+        assert 0 < max(states) < golden.cycles
+        reference = Machine(golden.program)
+        for cycle, state in states.items():
+            reference.run_to_cycle(cycle)
+            assert state == reference.snapshot(), cycle
+            assert cycle % golden.checkpoints.stride == 0
+        # Under the byte budget only every n-th stop is kept.
+        monkeypatch.setattr(experiment, "GOLDEN_INDEX_BYTES",
+                            8 * (golden.program.ram_size + 256))
+        thinned = ExecutorConfig(engine=engine).build(golden)
+        kept = thinned._index_golden_states()
+        assert 4 <= len(kept) <= 9 < len(states)
+        assert all(states[cycle] == state for cycle, state in kept.items())
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_a_jump_is_what_execution_would_have_produced(self, kernel,
+                                                          engine):
+        """Every indexed stop × a flip in every register and every RAM
+        byte (and a detection on record): wherever the jump is taken
+        it lands strictly before the golden run next touches the cell
+        — the end of its def/use class — on the last indexed stop
+        there, in the state an interpreter reaches from the same
+        faulty state."""
+        executor = self._executor(kernel, engine)
+        states = executor._index_golden_states()
+        stops = executor._golden_stops
+        program = kernel.program
+        bytes_ = kernel.partition()
+        registers = RegisterPartition.from_pc_trace(program.rom,
+                                                    kernel.executed_pcs())
+        faulty = executor._machine
+        reference = Machine(program)
+        flips = ([("reg", reg) for reg in range(1, 16)]
+                 + [("byte", addr) for addr in range(program.ram_size)])
+        jumps = {"reg": 0, "byte": 0}
+        for cycle, state in states.items():
+            for kind, cell in flips:
+                faulty.restore(state)
+                faulty.detections.append((cycle, 1))
+                if kind == "reg":
+                    faulty.flip_register_bit(cell, cycle % 32)
+                    touch = registers.locate(RegisterFaultCoordinate(
+                        cycle + 1, cell, 0)).last_slot
+                else:
+                    faulty.flip_bit(cell, cycle % 8)
+                    touch = bytes_.locate(FaultCoordinate(
+                        cycle + 1, cell, 0)).last_slot
+                before = faulty.snapshot()
+                assert executor._golden_state(faulty) is state
+                jumped = executor._fast_forward(faulty, state)
+                if jumped is None:
+                    assert faulty.snapshot() == before
+                    continue
+                jumps[kind] += 1
+                landing = faulty.cycle
+                assert cycle < landing < touch
+                assert landing == max(stop for stop in stops
+                                      if stop < touch)
+                assert jumped in (touch, kernel.cycles)
+                reference.restore(before)
+                reference.run_to_cycle(landing)
+                assert faulty.snapshot() == reference.snapshot(), (
+                    cycle, kind, cell)
+        assert jumps["reg"] > 100 and jumps["byte"] > 100
+        assert executor.jumps == jumps["reg"] + jumps["byte"]
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_off_the_golden_path_nothing_jumps(self, kernel, engine):
+        """Another pc, other serial bytes, an armed latch or a cycle
+        the golden run never reached: no golden state to diff against,
+        so no jump."""
+        executor = self._executor(kernel, engine)
+        states = executor._index_golden_states()
+        state = states[executor._golden_stops[len(states) // 2]]
+        machine = executor._machine
+
+        def on_path(change):
+            machine.restore(state)
+            machine.flip_bit(0, 0)  # RAM and registers may differ
+            change(machine)
+            return executor._golden_state(machine)
+
+        assert on_path(lambda machine: None) is state
+        assert on_path(lambda machine: machine.flip_pc_bit(0)) is None
+        assert on_path(lambda machine: machine.serial.append(7)) is None
+        assert on_path(lambda machine: machine.stuck_at(4, 0, 1)) is None
+        assert on_path(lambda machine: setattr(
+            machine, "cycle", machine.cycle + 1)) is None
+        assert on_path(lambda machine: setattr(
+            machine, "cycle", kernel.cycles)) is None
+        assert on_path(lambda machine: setattr(
+            machine, "cycle", 2 * kernel.cycles)) is None
+
+    @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
+                                        "burst4", "stuck", "pc"])
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_jumps_never_affect_records(self, kernel, engine, domain,
+                                        monkeypatch, tmp_path):
+        """Every jump taken (floor 1, probes dense enough to stop
+        inside this 231-cycle kernel, no pre-skip) against no jump at
+        all — and every jump starts from a machine on the golden
+        path."""
+        _first_gap(monkeypatch, 2)
+        reference = run_full_scan(
+            kernel, domain=domain, keep_records=True,
+            config=ExecutorConfig(engine=engine, use_convergence=False))
+        reference_csv = tmp_path / "off.csv"
+        export_class_results_csv(reference, reference_csv)
+        for lead in (0, 1, 5):
+            executor = self._executor(kernel, engine, domain=domain)
+            executor._lockstep_lead = lead
+            executor._cell_critical = lambda coordinate: True
+            fast_forward = executor._fast_forward
+
+            def checked(machine, state):
+                assert state is executor._golden_states[machine.cycle]
+                assert machine.cycle < kernel.cycles
+                assert machine.pc == state.pc
+                assert machine.serial == state.serial
+                assert machine._stuck is None and not machine.halted
+                return fast_forward(machine, state)
+
+            executor._fast_forward = checked
+            result = run_full_scan(kernel, domain=domain,
+                                   executor=executor, keep_records=True)
+            assert result == reference, lead  # records included
+            csv = tmp_path / f"lead{lead}.csv"
+            export_class_results_csv(result, csv)
+            assert csv.read_bytes() == reference_csv.read_bytes(), lead
+            # (A flipped pc rarely finds its way back onto the golden
+            # path with a difference left to carry.)
+            assert domain == "pc" or executor.cycles_skipped \
+                >= executor.jumps > 0
+        executor = ExecutorConfig(engine=engine, domain=domain).build(kernel)
+        executor._jump_floor = 4 * kernel.cycles
+        assert run_full_scan(kernel, domain=domain, executor=executor,
+                             keep_records=True) == reference
+        assert executor.jumps == 0
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled"])
+    def test_an_idle_difference_lands_on_the_last_state(self, engine,
+                                                        monkeypatch):
+        """``v``, ``r1`` and ``w`` stay wrong and are never touched
+        again: one jump to the last indexed state, a clean halt at the
+        golden cycle count, and the ``detect`` from before the jump
+        still on record."""
+        _first_gap(monkeypatch, 8)
+        golden = record_golden(_idle_program())
+        fault = FaultCoordinate(slot=1, addr=0, bit=3)
+        reference = ExecutorConfig(
+            engine=engine, use_convergence=False).build(golden).run(fault)
+        assert reference.outcome is Outcome.DETECTED_CORRECTED
+        assert reference.end_cycle == golden.cycles
+        executor = ExecutorConfig(engine=engine).build(golden)
+        executor._cell_critical = lambda coordinate: True  # no pre-skip
+        assert executor.run(fault) == reference
+        assert executor.jumps == 1
+        machine = executor._machine
+        assert machine.halted and machine.cycle == golden.cycles
+        assert machine.detections == [(4, 1)]
+        assert bytes(machine.ram[:4]) == bytes(machine.ram[8:]) \
+            == (0x4142 ^ 8).to_bytes(4, "little")
+        first_stop = min(stop for stop in executor._golden_stops
+                         if stop >= 8)
+        assert executor.cycles_skipped \
+            == executor._golden_stops[-1] - first_stop
+        # The same flip after the last use of ``v`` changes nothing
+        # that is ever looked at again.
+        late = executor.run(FaultCoordinate(slot=9, addr=0, bit=3))
+        assert late.outcome is Outcome.NO_EFFECT
+        assert late.end_cycle == golden.cycles and executor.jumps == 2
 
 
 class TestJournalCompatibility:

@@ -26,7 +26,9 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaign import ExecutorConfig, experiment, record_golden
+from repro.campaign import (ExecutorConfig, experiment, record_golden,
+                            run_full_scan)
+from repro.engine import CompiledEngine
 from repro.engine.compiled import CompiledMachine, _find_blocks
 from repro.faultspace import FaultCoordinate
 from repro.faultspace.registers import RegisterFaultCoordinate
@@ -318,3 +320,34 @@ def test_state_memo_matches_unconverged_execution(early_stop, program,
     with mock.patch.object(experiment, "MEMO_GRID", grid):
         assert records("interp") == reference
         assert records("compiled") == reference
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=fuzz_programs(detect=False), data=st.data())
+@pytest.mark.parametrize("domain", ["memory", "register", "burst2",
+                                    "burst4", "stuck", "pc"])
+def test_fast_forward_matches_unconverged_execution(domain, program, data):
+    """Campaign-level: every possible jump taken ≡ convergence off.
+
+    A whole pruned scan per fault model, with the jump floor at one
+    cycle, the JIT probing as densely as the interpreter (these
+    programs end before its first probe otherwise), a drawn lead
+    between a touch and the stop after it, and no criticality
+    pre-skip, so that the differences nothing ever looks at again —
+    the ones that jump furthest — execute too.
+    """
+    golden = record_golden(program)
+    reference = run_full_scan(
+        golden, domain=domain, keep_records=True,
+        config=ExecutorConfig(engine="interp", use_convergence=False))
+    lead = data.draw(st.integers(0, 3), label="lead")
+    with mock.patch.object(CompiledEngine, "probe_gap", 1):
+        for engine in ("interp", "compiled"):
+            executor = ExecutorConfig(engine=engine,
+                                      domain=domain).build(golden)
+            assert executor._jump_floor == 1
+            executor._lockstep_lead = lead
+            executor._cell_critical = lambda coordinate: True
+            assert run_full_scan(golden, domain=domain, executor=executor,
+                                 keep_records=True) == reference
