@@ -1,11 +1,19 @@
 """Incremental hardening sweep: cold vs. warm variant comparison.
 
-The compositional result store's payoff in one number: running the
-four-variant ``guarded`` family (baseline, detect-only checksum,
-SUM+DMR, TMR) against a warm section store must be at least 3× faster
-than the cold sweep — every class composes from cached sections instead
-of re-simulating — while remaining *bit-for-bit identical*: same
+The compositional result store's payoff: re-sweeping the four-variant
+``guarded`` family (baseline, detect-only checksum, SUM+DMR, TMR)
+against a warm section store executes nothing — every class composes
+from stored sections — while remaining *bit-for-bit identical*: same
 campaign results, same comparison table, byte-identical comparison CSV.
+
+What "composition pays" stands for is asserted as counts, not as a
+ratio of wall times: nothing executed, every experiment composed, at
+most three commits and no ``Outcome(...)`` construction per composed
+variant.  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
+when it was written) fell as the executor got faster — the family's
+whole cold sweep is ≈ 0.13 s now, and what both sides have left is the
+fixed cost of a campaign (open + ``quick_check``, golden bookkeeping,
+commits).  It is still measured and written out, asserting nothing.
 
 Writes ``benchmarks/output/incremental_sweep.txt`` (human-readable) and
 repo-root ``BENCH_incremental_sweep.json`` (machine-readable, uploaded
@@ -16,15 +24,19 @@ import time
 
 from _bench_json import write_bench_json
 
-from repro.campaign import record_golden, run_full_scan
+from repro.campaign import ExperimentJournal, record_golden, run_full_scan
+from repro.campaign import journal as journal_module
+from repro.campaign.outcomes import Outcome
 from repro.metrics import comparison_report, export_comparison_csv
 from repro.programs import guarded
 
 VARIANTS = guarded.VARIANT_NAMES
-#: Loop count for the swept family: large enough that simulation
-#: dominates the cold sweep (the warm one pays only store reads).
+#: Loop count for the swept family: long enough that every variant has
+#: several sections and a few hundred classes to compose.
 ITERATIONS = 10
-MIN_SPEEDUP = 3.0
+#: Commits a composed (``resume=False``) variant may make: the clear,
+#: the section links, and the composed classes with the completion mark.
+MAX_COMMITS = 3
 
 
 def _sweep(goldens, journal, *, resume):
@@ -43,7 +55,37 @@ def _reports(results):
             for name in VARIANTS[1:]]
 
 
-def test_warm_sweep_is_faster_and_bit_identical(tmp_path, output_dir):
+def _counted_sweep(goldens, path, monkeypatch):
+    """A ``resume=False`` sweep under two counters: per variant the
+    ``BEGIN IMMEDIATE`` statements SQLite sees (each ends in a commit,
+    an fsync), with the commit window's clock frozen so that only the
+    sweep's own flushes commit; over the sweep the ``Outcome(value)``
+    calls."""
+    enum_type = type(Outcome)
+    enum_call = enum_type.__call__
+    constructed = []
+
+    def counting_call(cls, *args, **kwargs):
+        if cls is Outcome:
+            constructed.append(args)
+        return enum_call(cls, *args, **kwargs)
+
+    results, commits, statements = {}, {}, []
+    with monkeypatch.context() as patch, \
+            ExperimentJournal(path) as journal:
+        patch.setattr(journal_module, "_clock", lambda: 0.0)
+        patch.setattr(enum_type, "__call__", counting_call)
+        journal._conn.set_trace_callback(statements.append)
+        for name in VARIANTS:
+            statements.clear()
+            results[name] = run_full_scan(goldens[name], journal=journal,
+                                          resume=False, keep_records=True)
+            commits[name] = statements.count("BEGIN IMMEDIATE")
+    return results, commits, len(constructed)
+
+
+def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
+                                                      monkeypatch):
     factories = {
         "guarded": guarded.baseline,
         "guarded-sum": guarded.sum_variant,
@@ -59,13 +101,24 @@ def test_warm_sweep_is_faster_and_bit_identical(tmp_path, output_dir):
     # must rebuild every result purely by composing from the section
     # store — the hardest version of the warm path.
     warm, warm_s = _sweep(goldens, journal, resume=False)
+    counted, commits, constructed = _counted_sweep(goldens, journal,
+                                                   monkeypatch)
 
     composed = {}
     for name in VARIANTS:
         assert warm[name] == cold[name], name
-        assert warm[name].execution.executed == 0, name
-        assert warm[name].execution.composed_hits > 0, name
+        assert counted[name] == cold[name], name
+        for result in (warm[name], counted[name]):
+            assert result.execution.executed == 0, name
+            assert result.execution.composed_hits \
+                == cold[name].experiments_conducted, name
         composed[name] = warm[name].execution.composed_hits
+        assert commits[name] <= MAX_COMMITS, (
+            f"{name}: {commits[name]} commits to compose one variant, "
+            f"expected <= {MAX_COMMITS}")
+    assert constructed == 0, (
+        f"{constructed} Outcome(value) constructions on the warm path: "
+        f"stored values are looked up in OUTCOME_BY_VALUE")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"
@@ -73,10 +126,8 @@ def test_warm_sweep_is_faster_and_bit_identical(tmp_path, output_dir):
     export_comparison_csv(_reports(warm), warm_csv)
     assert warm_csv.read_bytes() == cold_csv.read_bytes()
 
+    # Measured, not asserted (see the module docstring).
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm sweep only {speedup:.1f}x faster than cold "
-        f"({warm_s:.3f}s vs {cold_s:.3f}s), expected >= {MIN_SPEEDUP}x")
 
     lines = [
         "incremental hardening sweep (guarded family, memory domain)",
@@ -84,10 +135,15 @@ def test_warm_sweep_is_faster_and_bit_identical(tmp_path, output_dir):
         f"variants                {', '.join(VARIANTS)}",
         f"cold sweep              {cold_s:.3f} s",
         f"warm sweep              {warm_s:.3f} s "
-        f"({speedup:.1f}x faster)",
+        f"({speedup:.1f}x faster; not asserted)",
         f"experiments composed    "
         f"{sum(composed.values())} "
         f"({', '.join(f'{k}: {v}' for k, v in composed.items())})",
+        f"experiments executed    0",
+        f"commits per variant     "
+        f"{', '.join(f'{k}: {v}' for k, v in commits.items())} "
+        f"(<= {MAX_COMMITS})",
+        f"Outcome(value) calls    {constructed}",
         "comparison CSV          byte-identical cold vs. warm",
     ]
     (output_dir / "incremental_sweep.txt").write_text(
@@ -97,9 +153,12 @@ def test_warm_sweep_is_faster_and_bit_identical(tmp_path, output_dir):
         "variants": list(VARIANTS),
         "cold_seconds": round(cold_s, 6),
         "warm_seconds": round(warm_s, 6),
-        "speedup": round(speedup, 2),
-        "min_speedup_asserted": MIN_SPEEDUP,
+        "speedup_measured_not_asserted": round(speedup, 2),
         "composed_hits": composed,
+        "executed": 0,
+        "commits_per_variant": commits,
+        "max_commits_asserted": MAX_COMMITS,
+        "outcome_constructions": constructed,
         "total_units": {name: cold[name].execution.total_units
                         for name in VARIANTS},
         "comparison_csv_byte_identical": True,

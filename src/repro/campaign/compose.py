@@ -51,21 +51,26 @@ class SectionComposer:
         self.journal = handle.journal
         self.domain = domain
         self.map = build_section_map(golden, domain, params)
-        self._ids: dict[int, int] = {}
-        for section in self.map:
-            detail = json.dumps({
-                "slots": section.slots,
-                "blocks": len(section.leaders),
-                "escape": section.escape,
-            }, sort_keys=True)
-            section_id = self.journal.section(
+        # Intern every section before linking any: interning is a read
+        # (and a write, committed at once, only for a section no
+        # campaign has seen), and a read commits whatever the window
+        # holds — interleaved, each buffered link cost a commit of its
+        # own.
+        self._ids: dict[int, int] = {
+            section.index: self.journal.section(
                 fingerprint=section.fingerprint,
                 program=golden.program.name, domain=domain.name,
                 first_slot=section.first_slot,
-                last_slot=section.last_slot, detail=detail)
-            self._ids[section.index] = section_id
+                last_slot=section.last_slot,
+                detail=json.dumps({
+                    "slots": section.slots,
+                    "blocks": len(section.leaders),
+                    "escape": section.escape,
+                }, sort_keys=True))
+            for section in self.map}
+        for section_id in self._ids.values():
             handle.link_section(section_id)
-        handle.flush()  # one commit for the interned and linked sections
+        handle.flush()  # one commit for all the links
         self._rows: dict[int, dict] = {}
 
     # -- store access ---------------------------------------------------------
@@ -81,23 +86,24 @@ class SectionComposer:
     # -- full-scan classes ----------------------------------------------------
 
     def compose_class(self, interval):
-        """Per-bit rows of one live class from the store, or ``None``.
+        """Per-bit rows of one live class from the store, in stored
+        form (``(bit, outcome_value, end_cycle, trap)``), or ``None``.
 
-        A class composes only when *every* representative bit is
-        stored — partial classes re-execute whole, preserving the
-        class-atomic crash-tolerance unit.
+        A class composes only when the store holds *exactly* its
+        representative bits — partial classes (a sampled campaign
+        stores single bits) re-execute whole, preserving the
+        class-atomic crash-tolerance unit.  The stored bits are
+        distinct integers in ascending order (the table's key), so
+        ``n`` of them running from ``0`` to ``n − 1`` are ``0 … n − 1``.
         """
         slot = interval.injection_slot
-        axis = self.domain.axis_of(interval)
-        rows = self._section_rows(self.map.owner(slot).index)
-        out = []
-        for bit in range(self.domain.experiment_count(interval)):
-            hit = rows.get((slot, axis, bit))
-            if hit is None:
-                return None
-            outcome, end_cycle, trap = hit
-            out.append((bit, outcome, end_cycle, trap))
-        return out
+        rows = self._section_rows(self.map.owner(slot).index).get(
+            (slot, self.domain.axis_of(interval)))
+        count = self.domain.experiment_count(interval)
+        if rows is None or len(rows) != count \
+                or rows[0][0] != 0 or rows[-1][0] != count - 1:
+            return None
+        return rows
 
     def store_class(self, interval, rows) -> None:
         """Write one freshly executed class into the section store.
@@ -117,9 +123,13 @@ class SectionComposer:
     # -- sampled experiments --------------------------------------------------
 
     def compose_experiment(self, slot: int, axis: int, bit: int):
-        """One experiment's ``(outcome, end_cycle, trap)`` or ``None``."""
-        return self._section_rows(self.map.owner(slot).index).get(
-            (slot, axis, bit))
+        """One experiment's stored ``(outcome_value, end_cycle, trap)``
+        or ``None``; its class may be stored in part."""
+        for row in self._section_rows(self.map.owner(slot).index).get(
+                (slot, axis), ()):
+            if row[0] == bit:
+                return row[1:]
+        return None
 
     def store_experiment(self, slot: int, axis: int, bit: int,
                          outcome, end_cycle: int, trap: str) -> None:

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .outcomes import Outcome
+from .outcomes import OUTCOME_BY_VALUE, Outcome
 
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and
@@ -73,6 +73,14 @@ from .outcomes import Outcome
 #: changes are purely additive, so older journals migrate in place on
 #: open.  Journals written by a *newer* build than this one are
 #: rejected instead of silently misread.
+#:
+#: The three result tables are ``WITHOUT ROWID``: clustered on their
+#: four-column key, so a row is stored once (a rowid table keeps it in
+#: the table b-tree *and* in the key's automatic index) and "all rows of
+#: campaign *c* in key order" is one b-tree walk.  That is layout, not
+#: meaning — same columns, same SQL — so it carries no version: ``CREATE
+#: TABLE IF NOT EXISTS`` leaves the rowid tables of an older v3 file as
+#: they are, and both layouts open, resume, compose and salvage.
 SCHEMA_VERSION = 3
 
 #: Longest a unit write may sit uncommitted while the campaign keeps
@@ -109,7 +117,7 @@ CREATE TABLE IF NOT EXISTS class_results (
     end_cycle   INTEGER NOT NULL DEFAULT 0,
     trap        TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (campaign_id, axis, first_slot, bit)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS coordinate_results (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
     slot        INTEGER NOT NULL,
@@ -117,7 +125,7 @@ CREATE TABLE IF NOT EXISTS coordinate_results (
     bit         INTEGER NOT NULL,
     outcome     TEXT NOT NULL,
     PRIMARY KEY (campaign_id, slot, axis, bit)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS sampler_state (
     campaign_id INTEGER PRIMARY KEY REFERENCES campaigns(id),
     draws       INTEGER NOT NULL,
@@ -150,7 +158,7 @@ CREATE TABLE IF NOT EXISTS section_results (
     end_cycle  INTEGER NOT NULL DEFAULT 0,
     trap       TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (section_id, slot, axis, bit)
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS campaign_sections (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
     section_id  INTEGER NOT NULL REFERENCES sections(id),
@@ -516,16 +524,28 @@ class ExperimentJournal:
              for slot, axis, bit, outcome, end_cycle, trap in rows])
 
     def section_rows(self, section_id: int) \
-            -> dict[tuple[int, int, int], tuple[Outcome, int, str]]:
-        """Stored rows of one section: ``(slot, axis, bit)`` → result."""
-        return {
-            (slot, axis, bit): (Outcome(outcome), end_cycle, trap)
-            for slot, axis, bit, outcome, end_cycle, trap in
-            self._query(
+            -> dict[tuple[int, int], list[tuple[int, str, int, str]]]:
+        """Stored rows of one section, grouped the way classes are:
+        ``(slot, axis)`` → ``(bit, outcome_value, end_cycle, trap)`` in
+        bit order.
+
+        The rows stay in stored form — outcomes by value, exactly what
+        :meth:`CampaignJournal.record_classes` takes — because that is
+        where a composed class goes next.
+        """
+        out: dict[tuple[int, int], list] = {}
+        last = None
+        for row in self._query(
                 "SELECT slot, axis, bit, outcome, end_cycle, trap "
-                "FROM section_results WHERE section_id = ?",
-                (section_id,))
-        }
+                "FROM section_results WHERE section_id = ? "
+                "ORDER BY slot, axis, bit", (section_id,)):
+            # The cursor is in key order: a changed key opens a group.
+            key = row[:2]
+            if key != last:
+                last = key
+                rows = out[key] = []
+            rows.append(row[2:])
+        return out
 
     def sections(self) -> list[dict]:
         """All stored sections with their result and reference counts."""
@@ -572,7 +592,10 @@ class ExperimentJournal:
         return int(row[0])
 
     def size_report(self) -> dict:
-        """Row counts per table plus the database file size in bytes."""
+        """Row counts per table, the database file size in bytes, and
+        ``bytes_per_result`` — file bytes per stored experiment row of
+        the three result tables (0.0 while they are empty): the number
+        that says whether the tables are stored once or twice."""
         tables = ("campaigns", "class_results", "coordinate_results",
                   "sampler_state", "leases", "sections",
                   "section_results", "campaign_sections", "summaries",
@@ -586,6 +609,10 @@ class ExperimentJournal:
             report["file_bytes"] = Path(self.path).stat().st_size
         except OSError:
             report["file_bytes"] = 0
+        results = (report["class_results"] + report["section_results"]
+                   + report["coordinate_results"])
+        report["bytes_per_result"] = (report["file_bytes"] / results
+                                      if results else 0.0)
         return report
 
     # -- campaign summaries (successor of the JSON CampaignCache) -------------
@@ -737,14 +764,19 @@ class CampaignJournal:
             -> dict[tuple[int, int], list[tuple[int, Outcome, int, str]]]:
         """Journaled classes: ``(axis, first_slot)`` → per-bit rows."""
         out: dict[tuple[int, int], list] = {}
+        by_value = OUTCOME_BY_VALUE
+        last_axis = last_slot = None
         for axis, first_slot, bit, outcome, end_cycle, trap in \
                 self.journal._query(
                     "SELECT axis, first_slot, bit, outcome, end_cycle, "
                     "trap FROM class_results WHERE campaign_id = ? "
                     "ORDER BY axis, first_slot, bit",
                     (self.campaign_id,)):
-            out.setdefault((axis, first_slot), []).append(
-                (bit, Outcome(outcome), end_cycle, trap))
+            # The cursor is in key order: a changed key opens a class.
+            if first_slot != last_slot or axis != last_axis:
+                last_axis, last_slot = axis, first_slot
+                rows = out[axis, first_slot] = []
+            rows.append((bit, by_value[outcome], end_cycle, trap))
         return out
 
     def merge_class(self, axis: int, first_slot: int,
@@ -869,8 +901,9 @@ class CampaignJournal:
     def completed_experiments(self) \
             -> dict[tuple[int, int, int], Outcome]:
         """Journaled sampled experiments keyed ``(axis, first_slot, bit)``."""
+        by_value = OUTCOME_BY_VALUE
         return {
-            (axis, first_slot, bit): Outcome(outcome)
+            (axis, first_slot, bit): by_value[outcome]
             for axis, first_slot, bit, outcome in self.journal._query(
                 "SELECT axis, first_slot, bit, outcome FROM "
                 "class_results WHERE campaign_id = ?",
@@ -895,11 +928,16 @@ class CampaignJournal:
     def completed_slots(self) -> dict[int, list[tuple[int, int, Outcome]]]:
         """Journaled slots: slot → ``(axis, bit, outcome)`` in scan order."""
         out: dict[int, list] = {}
+        by_value = OUTCOME_BY_VALUE
+        last_slot = None
         for slot, axis, bit, outcome in self.journal._query(
                 "SELECT slot, axis, bit, outcome FROM coordinate_results "
                 "WHERE campaign_id = ? ORDER BY slot, axis, bit",
                 (self.campaign_id,)):
-            out.setdefault(slot, []).append((axis, bit, Outcome(outcome)))
+            if slot != last_slot:
+                last_slot = slot
+                rows = out[slot] = []
+            rows.append((axis, bit, by_value[outcome]))
         return out
 
     # -- sampler RNG position -------------------------------------------------

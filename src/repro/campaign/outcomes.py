@@ -56,6 +56,12 @@ class Outcome(enum.Enum):
 
 _BENIGN = frozenset({Outcome.NO_EFFECT, Outcome.DETECTED_CORRECTED})
 
+#: ``value → Outcome``: how stored text (a journal row) becomes the enum
+#: again.  The read paths convert a row at a time, and a dict lookup by
+#: string costs a fraction of ``Outcome(value)``, a Python-level call
+#: through ``EnumType.__call__`` and ``Enum.__new__``.
+OUTCOME_BY_VALUE = {outcome.value: outcome for outcome in Outcome}
+
 #: The six outcome types coalesced into "Failure" in the paper's analysis.
 FAILURE_OUTCOMES = tuple(o for o in Outcome if o.is_failure)
 #: The two benign outcome types coalesced into "No Effect".

@@ -52,7 +52,7 @@ from ..faultspace.sampling import (
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
 from .journal import invalid_classes
-from .outcomes import Outcome
+from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
     ExecutionReport,
@@ -62,6 +62,12 @@ from .pipeline import (
     run_campaign,
     run_groups,
 )
+
+
+#: The outcomes by position and their positions:
+#: :meth:`CampaignResult.weighted_counts` sums into a list.
+_OUTCOMES = tuple(Outcome)
+_OUTCOME_INDEX = {outcome: n for n, outcome in enumerate(_OUTCOMES)}
 
 
 @dataclass
@@ -124,14 +130,28 @@ class CampaignResult:
         complete campaign; a degraded campaign (``execution.missing``
         non-empty) covers correspondingly less.
         """
-        counts: Counter = Counter()
+        # Summed by outcome index: ``counts[outcome] += …`` per row
+        # hashes the enum twice through the Python-level
+        # ``Enum.__hash__``.  ``seen`` keeps the Counter's key set and
+        # order what that loop gave: outcomes in first-seen order, none
+        # that no class had.
+        index = _OUTCOME_INDEX
+        totals = [0] * len(index)
+        seen = []
+        class_key = self.domain.class_key
+        slot_weights = self.domain.experiment_slot_weights
+        class_outcomes = self.class_outcomes
         for interval in self.partition.live_classes():
-            key = self.domain.class_key(interval)
-            if key not in self.class_outcomes:
+            outcomes = class_outcomes.get(class_key(interval))
+            if outcomes is None:
                 continue  # degraded: shard abandoned, class missing
-            weights = self.domain.experiment_slot_weights(interval)
-            for outcome, weight in zip(self.class_outcomes[key], weights):
-                counts[outcome] += interval.length * weight
+            length = interval.length
+            for outcome, weight in zip(outcomes, slot_weights(interval)):
+                n = index[outcome]
+                if not totals[n]:
+                    seen.append(n)
+                totals[n] += length * weight
+        counts = Counter({_OUTCOMES[n]: totals[n] for n in seen})
         counts[Outcome.NO_EFFECT] += self.partition.known_no_effect_weight
         return counts
 
@@ -195,6 +215,14 @@ def _journal_rows(rows) -> list[tuple[int, str, int, str]]:
             for bit, outcome, end_cycle, trap in rows]
 
 
+def _pipeline_rows(stored) -> list[tuple[int, Outcome, int, str]]:
+    """:func:`_journal_rows` undone: stored class rows as the pipeline
+    carries them, outcomes as the enum."""
+    by_value = OUTCOME_BY_VALUE
+    return [(bit, by_value[value], end_cycle, trap)
+            for bit, value, end_cycle, trap in stored]
+
+
 class ScanStyle(CampaignStyle):
     """Def/use-pruned full scan: one unit per live class, keyed
     ``(axis, first_slot)``, rows ``(bit, outcome, end_cycle, trap)``."""
@@ -238,11 +266,12 @@ class ScanStyle(CampaignStyle):
         for key, interval in self.units.items():
             if key in completed:
                 continue
-            rows = composer.compose_class(interval)
-            if rows is not None:
-                completed[key] = rows
-                batch.append((*key, _journal_rows(rows)))
-                report.composed_hits += len(rows)
+            stored = composer.compose_class(interval)
+            if stored is not None:
+                # Journaled as read; converted once, for the pipeline.
+                batch.append((*key, stored))
+                completed[key] = _pipeline_rows(stored)
+                report.composed_hits += len(stored)
         # One journal unit (one executemany) for the whole composition.
         handle.record_classes(batch)
 
@@ -272,12 +301,13 @@ class ScanStyle(CampaignStyle):
 
     def journal(self, handle, composer, batch):
         for key, rows in batch:
-            handle.record_class(key[0], key[1], _journal_rows(rows))
+            stored = _journal_rows(rows)
+            handle.record_class(key[0], key[1], stored)
             if composer is not None:
-                composer.store_class(self.units[key], rows)
+                composer.store_class(self.units[key], stored)
 
     def keep(self, key, rows):
-        outcomes = tuple(outcome for _, outcome, _, _ in rows)
+        outcomes = tuple([row[1] for row in rows])
         if not self.keep_records:
             return outcomes, ()
         coords = self.units[key].experiments()
@@ -591,8 +621,8 @@ class SamplingStyle(CampaignStyle):
                 continue
             hit = composer.compose_experiment(coord.slot, key[0], key[2])
             if hit is not None:
-                completed[key] = [(key[2], *hit)]
-                journaled.append((*key, hit[0].value))
+                completed[key] = _pipeline_rows([(key[2], *hit)])
+                journaled.append((*key, hit[0]))
         handle.record_experiments(journaled)
         report.composed_hits += len(journaled)
 

@@ -404,10 +404,13 @@ def cmd_journal(args) -> int:
                   f"fingerprint={entry['fingerprint'][:12]}")
         sizes = journal.size_report()
         file_bytes = sizes.pop("file_bytes")
+        per_result = sizes.pop("bytes_per_result")
         rows = ", ".join(f"{table}={count}"
                          for table, count in sorted(sizes.items())
                          if count)
         print(f"size: {file_bytes} bytes on disk ({rows or 'empty'})")
+        if per_result:
+            print(f"      {per_result:.0f} bytes per stored experiment row")
     return 0
 
 

@@ -23,8 +23,11 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.journal import SCHEMA_VERSION
-from repro.faultspace import build_section_map
+from repro.campaign.compose import SectionComposer
+from repro.campaign.journal import SCHEMA_VERSION, salvage_journal
+from repro.campaign.pipeline import InProcess
+from repro.cli import main
+from repro.faultspace import build_section_map, get_domain
 from repro.isa.assembler import assemble
 from repro.programs import micro
 
@@ -244,3 +247,225 @@ class TestStoreMaintenance:
             assert handle.gc_sections() == before
             assert handle.sections() == []
             assert handle.size_report()["section_results"] == 0
+
+
+RESULT_TABLES = ("class_results", "coordinate_results", "section_results")
+
+#: The three result tables as every build before the clustered layout
+#: created them: rowid tables, the key a separate automatic index.
+ROWID_DDL = """
+CREATE TABLE class_results (
+    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
+    axis        INTEGER NOT NULL,
+    first_slot  INTEGER NOT NULL,
+    bit         INTEGER NOT NULL,
+    outcome     TEXT NOT NULL,
+    end_cycle   INTEGER NOT NULL DEFAULT 0,
+    trap        TEXT NOT NULL DEFAULT '',
+    PRIMARY KEY (campaign_id, axis, first_slot, bit)
+);
+CREATE TABLE coordinate_results (
+    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
+    slot        INTEGER NOT NULL,
+    axis        INTEGER NOT NULL,
+    bit         INTEGER NOT NULL,
+    outcome     TEXT NOT NULL,
+    PRIMARY KEY (campaign_id, slot, axis, bit)
+);
+CREATE TABLE section_results (
+    section_id INTEGER NOT NULL REFERENCES sections(id),
+    slot       INTEGER NOT NULL,
+    axis       INTEGER NOT NULL,
+    bit        INTEGER NOT NULL,
+    outcome    TEXT NOT NULL,
+    end_cycle  INTEGER NOT NULL DEFAULT 0,
+    trap       TEXT NOT NULL DEFAULT '',
+    PRIMARY KEY (section_id, slot, axis, bit)
+);
+"""
+
+
+def _old_layout_file(path):
+    """An empty journal-to-be whose result tables are rowid tables:
+    ``CREATE TABLE IF NOT EXISTS`` will leave them as they are."""
+    conn = sqlite3.connect(path)
+    conn.executescript(ROWID_DDL)
+    conn.close()
+    return path
+
+
+def _clustered(path) -> list[str]:
+    """The result tables of a journal file stored ``WITHOUT ROWID``."""
+    conn = sqlite3.connect(path)
+    ddl = dict(conn.execute(
+        "SELECT name, sql FROM sqlite_master WHERE type = 'table'"))
+    conn.close()
+    return [table for table in RESULT_TABLES
+            if "WITHOUT ROWID" in ddl[table]]
+
+
+class TestTableLayout:
+    """Result tables are clustered on their key; a file whose tables an
+    older build created as rowid tables keeps working unchanged."""
+
+    @pytest.fixture()
+    def journals(self, tmp_path, golden):
+        """``(old, new, cold)``: the same journaled scan in a rowid-
+        layout file and in a fresh one, and its result."""
+        old = _old_layout_file(tmp_path / "old.sqlite")
+        new = tmp_path / "new.sqlite"
+        cold = run_full_scan(golden, journal=old, keep_records=True)
+        assert run_full_scan(golden, journal=new, keep_records=True) == cold
+        return old, new, cold
+
+    def test_fresh_file_is_clustered_old_file_left_alone(self, journals):
+        old, new, _ = journals
+        assert _clustered(new) == list(RESULT_TABLES)
+        assert _clustered(old) == []
+
+    def test_both_layouts_hold_the_same_rows(self, journals):
+        old, new, _ = journals
+        for table in ("class_results", "section_results"):
+            rows = []
+            for path in (old, new):
+                conn = sqlite3.connect(path)
+                rows.append(conn.execute(
+                    f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4").fetchall())
+                conn.close()
+            assert rows[0] == rows[1] != []
+
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_old_layout_resumes_and_composes(self, journals, golden,
+                                             resume):
+        old, new, cold = journals
+        results = [run_full_scan(golden, journal=path, resume=resume,
+                                 keep_records=True)
+                   for path in (old, new)]
+        for result in results:
+            assert result == cold
+            assert result.execution.executed == 0
+            assert result.execution.composed_hits \
+                == (0 if resume else _experiments(cold))
+        assert _clustered(old) == []
+
+    def test_old_layout_lists_like_the_new_one(self, journals, capsys):
+        listings = []
+        for path in journals[:2]:
+            assert main(["journal", "--journal", str(path)]) == 0
+            out = capsys.readouterr().out.replace(str(path), "<journal>")
+            sized = [line for line in out.splitlines() if "bytes" in line]
+            assert len(sized) == 2  # file size, bytes per stored row
+            listings.append([line for line in out.splitlines()
+                             if line not in sized])
+        assert listings[0] == listings[1]
+        assert any("stored result(s)" in line for line in listings[0])
+
+    def test_salvage_rebuilds_the_old_layout_clustered(self, journals,
+                                                       golden):
+        old, new, cold = journals
+        reports = [salvage_journal(path) for path in (old, new)]
+        assert reports[0].recovered == reports[1].recovered
+        assert reports[0].truncated == reports[1].truncated == ()
+        for path in (old, new):
+            assert _clustered(path) == list(RESULT_TABLES)
+            resumed = run_full_scan(golden, journal=path,
+                                    keep_records=True)
+            assert resumed == cold
+            assert resumed.execution.executed == 0
+        assert _clustered(str(old) + ".corrupt") \
+            == []
+
+    def test_brute_force_slots_resume_from_the_old_layout(self, tmp_path):
+        """``coordinate_results`` too: the third clustered table."""
+        tiny = record_golden(micro.counter(1))
+        old = _old_layout_file(tmp_path / "old.sqlite")
+        cold = run_brute_force(tiny, journal=old)
+        resumed = run_brute_force(tiny, journal=old)
+        assert resumed == cold
+        assert resumed.execution.executed == 0
+        assert resumed.execution.resumed == resumed.execution.total_units
+
+
+class TestPartialClassesNeverCompose:
+    """A class composes only from exactly its bits ``0 … n − 1``."""
+
+    @staticmethod
+    def _first_class(cold):
+        """``(interval, slot, axis, bits)`` of the first live class."""
+        interval = cold.partition.live_classes()[0]
+        return (interval, interval.injection_slot,
+                cold.domain.axis_of(interval),
+                cold.domain.experiment_count(interval))
+
+    @staticmethod
+    def _stored(journal, slot, axis):
+        conn = sqlite3.connect(journal)
+        rows = conn.execute(
+            "SELECT section_id, bit, outcome, end_cycle, trap FROM "
+            "section_results WHERE slot = ? AND axis = ? ORDER BY bit",
+            (slot, axis)).fetchall()
+        conn.close()
+        return rows
+
+    @pytest.mark.parametrize("domain, bits", [("memory", 8),
+                                              ("register", 32)])
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_missing_bit_re_executes_the_class_whole(
+            self, tmp_path, golden, domain, bits, which):
+        journal = tmp_path / "journal.sqlite"
+        cold = run_full_scan(golden, domain=domain, journal=journal,
+                             keep_records=True)
+        interval, slot, axis, count = self._first_class(cold)
+        assert count == bits
+        missing = {"first": 0, "middle": bits // 2, "last": bits - 1}[which]
+        stored = self._stored(journal, slot, axis)
+        assert [row[1] for row in stored] == list(range(bits))
+        conn = sqlite3.connect(journal)
+        conn.execute("DELETE FROM section_results WHERE slot = ? AND "
+                     "axis = ? AND bit = ?", (slot, axis, missing))
+        conn.commit()
+        conn.close()
+
+        # The sampled style still composes single bits of the partial
+        # class: every stored one, not the missing one.
+        style_params = InProcess(golden, get_domain(domain)).params
+        with ExperimentJournal(journal) as handle:
+            campaign = handle.campaign(
+                fingerprint="probe", domain=domain, kind="sampling",
+                params={}, cycles=golden.cycles)
+            composer = SectionComposer(campaign, golden,
+                                       get_domain(domain), style_params)
+            assert composer.compose_class(interval) is None
+            for _, bit, outcome, end_cycle, trap in stored:
+                assert composer.compose_experiment(slot, axis, bit) \
+                    == (None if bit == missing
+                        else (outcome, end_cycle, trap))
+
+        warm = run_full_scan(golden, domain=domain, journal=journal,
+                             resume=False, keep_records=True)
+        assert warm == cold
+        assert warm.execution.executed == 1
+        assert warm.execution.composed_hits == _experiments(cold) - bits
+        # Re-executing stored the class whole again.
+        assert self._stored(journal, slot, axis) == stored
+
+    def test_shifted_and_superset_bits_do_not_compose(self, tmp_path,
+                                                      golden):
+        """``n`` stored rows with bits ``1 … n`` are not the class, and
+        neither are the ``n + 1`` rows ``0 … n`` its re-execution
+        leaves behind."""
+        journal = tmp_path / "journal.sqlite"
+        cold = run_full_scan(golden, journal=journal, keep_records=True)
+        _, slot, axis, bits = self._first_class(cold)
+        conn = sqlite3.connect(journal)
+        conn.execute("UPDATE section_results SET bit = ? WHERE slot = ? "
+                     "AND axis = ? AND bit = 0", (bits, slot, axis))
+        conn.commit()
+        conn.close()
+        for stored_bits in (range(1, bits + 1), range(bits + 1)):
+            assert [row[1] for row in self._stored(journal, slot, axis)] \
+                == list(stored_bits)
+            warm = run_full_scan(golden, journal=journal, resume=False,
+                                 keep_records=True)
+            assert warm == cold
+            assert warm.execution.executed == 1

@@ -11,12 +11,13 @@ from repro.campaign import (
     JournalMismatchError,
     Outcome,
     record_golden,
+    run_full_scan,
 )
 from repro.campaign import journal as journal_module
 from repro.campaign.journal import (COMMIT_WINDOW_S, canonical_params,
                                     open_campaign)
 from repro.faultspace import MEMORY, REGISTER
-from repro.programs import micro
+from repro.programs import bin_sem2, micro
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,31 @@ class TestJournalFile:
         assert listing[0]["kind"] == "full-scan"
         assert listing[0]["status"] == "running"
         assert listing[0]["journaled_experiments"] == 2
+
+    def test_size_report_counts_bytes_per_stored_row(self, journal):
+        assert journal.size_report()["bytes_per_result"] == 0.0
+        campaign = _campaign(journal)
+        campaign.record_class(3, 7, [(0, "sdc", 10, ""),
+                                     (1, "no-effect", 12, "")])
+        campaign.record_slot(4, [(0, 0, "no-effect"), (0, 1, "sdc")])
+        report = journal.size_report()
+        assert report["bytes_per_result"] == report["file_bytes"] / 4
+
+    def test_result_rows_are_stored_once(self, tmp_path):
+        """A count gate on the table layout: file bytes per stored
+        experiment row of a fresh ``bin_sem2`` × memory journaled scan.
+        Clustered on their key the result tables take 38 B a row (a
+        class row and a section row per experiment: 75 B an
+        experiment); as rowid tables plus their automatic key index,
+        55 B."""
+        path = tmp_path / "journal.sqlite"
+        scan = run_full_scan(record_golden(bin_sem2.baseline()),
+                             journal=path)
+        with ExperimentJournal(path) as handle:
+            report = handle.size_report()
+        assert report["class_results"] == report["section_results"] \
+            == scan.experiments_conducted
+        assert 0 < report["bytes_per_result"] <= 45
 
     def test_canonical_params_is_order_insensitive(self):
         assert canonical_params({"a": 1, "b": 2}) \

@@ -1,5 +1,8 @@
 """Tests for the campaign runners (full scan, brute force, sampling)."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign import (
@@ -9,6 +12,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
+from repro.faultspace import DOMAINS
 from repro.programs import hi, micro
 
 
@@ -20,6 +24,58 @@ def hi_golden():
 @pytest.fixture(scope="module")
 def hi_scan(hi_golden):
     return run_full_scan(hi_golden)
+
+
+def reference_weighted_counts(result) -> Counter:
+    """``CampaignResult.weighted_counts`` as first written: a Counter
+    bumped per experiment.  The implementation sums by outcome index;
+    this is what it must keep returning."""
+    counts: Counter = Counter()
+    for interval in result.partition.live_classes():
+        key = result.domain.class_key(interval)
+        if key not in result.class_outcomes:
+            continue
+        weights = result.domain.experiment_slot_weights(interval)
+        for outcome, weight in zip(result.class_outcomes[key], weights):
+            counts[outcome] += interval.length * weight
+    counts[Outcome.NO_EFFECT] += result.partition.known_no_effect_weight
+    return counts
+
+
+class TestWeightedCountsContract:
+    @pytest.fixture(scope="class", params=sorted(DOMAINS))
+    def scan(self, request):
+        return run_full_scan(record_golden(micro.memcopy(3)),
+                             domain=request.param)
+
+    def test_same_keys_values_and_order_as_the_reference(self, scan):
+        counts = scan.weighted_counts()
+        assert type(counts) is Counter
+        # Items in order: no key the reference lacks (a zero-valued
+        # one, say), none missing, first-seen order kept.
+        assert list(counts.items()) \
+            == list(reference_weighted_counts(scan).items())
+        assert Outcome.NO_EFFECT in counts
+        assert sum(counts.values()) == scan.fault_space_size
+
+    def test_degraded_result_skips_the_missing_class(self, scan):
+        """Dropping a class (an abandoned shard) drops its weight; an
+        outcome only that class had leaves the key set."""
+        for dropped in scan.class_outcomes:
+            degraded = replace(scan, class_outcomes={
+                key: outcomes
+                for key, outcomes in scan.class_outcomes.items()
+                if key != dropped})
+            counts = degraded.weighted_counts()
+            assert list(counts.items()) \
+                == list(reference_weighted_counts(degraded).items())
+            assert Outcome.NO_EFFECT in counts
+            assert sum(counts.values()) < scan.fault_space_size
+
+    def test_no_class_at_all_still_reports_no_effect(self, scan):
+        empty = replace(scan, class_outcomes={})
+        assert dict(empty.weighted_counts()) == {
+            Outcome.NO_EFFECT: scan.partition.known_no_effect_weight}
 
 
 class TestFullScan:
