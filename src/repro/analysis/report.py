@@ -103,7 +103,7 @@ def completeness_report(report: ExecutionReport) -> str:
     """Render an :class:`~repro.campaign.pipeline.ExecutionReport` as text.
 
     Summarizes how the campaign actually ran: fresh vs. journal-resumed
-    work units, wall-clock shard timeouts, worker retries and — for a
+    work units, expired shard deadlines, worker retries and — for a
     degraded campaign — how much of the planned fault space the partial
     result covers.
     """
@@ -111,10 +111,8 @@ def completeness_report(report: ExecutionReport) -> str:
              f"{report.executed} executed, {report.resumed} resumed "
              f"from journal"]
     if report.timed_out_shards:
-        lines.append(
-            f"  wall-clock timeouts: {report.timed_out_shards} shard(s); "
-            f"{report.synthesized_timeouts} experiment(s) classified "
-            f"as timeout")
+        lines.append(f"  deadline expiries: {report.timed_out_shards} "
+                     f"shard attempt(s) killed at their deadline")
     if report.shard_retries:
         lines.append(f"  worker retries: {report.shard_retries}")
     if report.convergence_hits:

@@ -2,7 +2,6 @@
 
 from .compose import SectionComposer
 from .database import (
-    CampaignCache,
     CampaignSummary,
     JournalCache,
     export_class_results_csv,
@@ -55,7 +54,6 @@ __all__ = [
     "BENIGN_OUTCOMES",
     "BruteForceResult",
     "CORRECTED_CODE",
-    "CampaignCache",
     "CampaignResult",
     "CampaignSummary",
     "DEFAULT_GOLDEN_CYCLE_LIMIT",

@@ -19,18 +19,13 @@ Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry
 state, identical reachable code, identical absolute cycle window and
 identical executor budget, so every (slot, axis, bit) experiment in
-the window has identical outcome, end cycle and trap.  Two deliberate
-exclusions keep the store trustworthy:
-
-* **Synthesized timeouts never enter the store.**  The parallel
-  engine's wall-clock shard guard classifies abandoned experiments as
-  TIMEOUT — a policy artifact of one run's scheduling, not a property
-  of the program.  Runners only store results the simulator actually
-  produced.
-* **Brute-force scans neither read nor write the store.**  They exist
-  to validate the def/use pruning against ground truth; composing
-  their coordinates from pruned-campaign results would make that
-  validation circular.
+the window has identical outcome, end cycle and trap.  Every row a
+campaign's sink accepts is one the simulator produced (a transport's
+wall-clock deadline yields a retry, never a row), so all of them are
+stored — with one deliberate exclusion: **brute-force scans neither
+read nor write the store.**  They exist to validate the def/use pruning
+against ground truth; composing their coordinates from pruned-campaign
+results would make that validation circular.
 """
 
 from __future__ import annotations

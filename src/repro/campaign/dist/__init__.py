@@ -4,11 +4,10 @@ A coordinator process owns the SQLite experiment journal and hands out
 *work leases* — shards of the same cost-balanced class plan the
 in-process pool computes — to worker processes over TCP.  Workers
 re-verify the golden run before executing (a stale checkout can never
-pollute results), stream class results back a send window at a time,
-and heartbeat; the coordinator reassigns expired leases with
-exponential backoff and a retry budget, merges duplicate submissions
-idempotently through the journal keys, and degrades permanently lost
-shards into
+pollute results) and stream class results back a send window at a
+time; the coordinator reassigns expired leases with exponential backoff
+and a retry budget, merges duplicate submissions idempotently through
+the journal keys, and degrades permanently lost shards into
 :class:`~repro.campaign.pipeline.ExecutionReport` completeness
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.

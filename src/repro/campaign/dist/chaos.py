@@ -261,7 +261,7 @@ class WorkerChaos:
 class ChaosFrameStream:
     """Proxy over :class:`FrameStream` applying the plan to class results.
 
-    Other frames (hello, request, heartbeat, lease_done) pass through
+    Other frames (hello, request, lease_done) pass through
     untouched, and a ``results`` frame is walked item by item — the
     schedule is defined over *class results*, not wire frames, so it
     stays aligned with the plan's counters and with what actually

@@ -163,9 +163,6 @@ class DistCoordinator:
         config = executor_config or ExecutorConfig()
         self.config = dataclasses.replace(config, domain=self.domain.name)
         self.policy = policy or RetryPolicy()
-        if config.lease_timeout is not None:
-            self.policy = dataclasses.replace(
-                self.policy, shard_timeout=config.lease_timeout)
         self.shards = shards
         self.expected_workers = expected_workers
         self.journal = journal
@@ -189,7 +186,6 @@ class DistCoordinator:
         self._accepted = 0
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._conn_tasks: set = set()
-        self._last_seen: dict[str, float] = {}
         self._lease_cache: dict[int, tuple] = {}
         # Cross-check state: keys awaiting a second, independent
         # execution; verify leases in flight; open disputes.
@@ -338,6 +334,7 @@ class DistCoordinator:
                        and shard.lease is not None
                        and now >= shard.lease.deadline]
             if self.board.expire(now):
+                self.report.timed_out_shards += len(overdue)
                 for worker in overdue:
                     self._charge_failure(worker, now,
                                          reason="lease expired")
@@ -384,7 +381,6 @@ class DistCoordinator:
                 # accounting is per worker name.
                 name = f"{name}#{id(writer) & 0xffff:04x}"
             self._writers[name] = writer
-            self._last_seen[name] = time.monotonic()
             write_frame(writer, self._campaign_message())
             await writer.drain()
             ready = await read_frame(reader)
@@ -419,8 +415,6 @@ class DistCoordinator:
                 return
             kind = frame.get("type")
             now = time.monotonic()
-            self._last_seen[name] = now
-            self.supervisor.seen(name, now)
             if kind == "request":
                 write_frame(writer, self._grant(name, now))
                 await writer.drain()
@@ -436,9 +430,6 @@ class DistCoordinator:
                     self.board.finish(shard, int(frame["lease"]), now)
                     self._journal_leases()
                 self._maybe_finish()
-            elif kind == "heartbeat":
-                pass  # liveness only — progress, not heartbeats,
-                #       extends lease deadlines
             else:
                 raise ProtocolError(f"unexpected {kind!r} from {name!r}")
         # This session saw the campaign finish (often because its own
@@ -449,7 +440,7 @@ class DistCoordinator:
             write_frame(writer, {"type": "done"})
             await writer.drain()
             # Then read until the worker hangs up.  Closing while its
-            # pipelined frames (the next request, a heartbeat) sit
+            # pipelined frames (the next request, a late window) sit
             # unread would reset the connection, and a reset can
             # destroy the done frame before the worker reads it —
             # leaving it reconnecting against a dead port forever.
@@ -835,7 +826,6 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
-                         worker_env: dict | None = None,
                          chaos=None, crosscheck: float = 0.0,
                          supervision: SupervisionPolicy | None = None):
     """Run a distributed full scan with locally spawned workers.
@@ -872,8 +862,6 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
         [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     if plan is not None and plan.active:
         env[PLAN_ENV] = plan.to_json()
-    if worker_env:
-        env.update(worker_env)
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", "worker",

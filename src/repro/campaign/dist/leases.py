@@ -7,8 +7,8 @@ derivation the in-process pool uses).  Liveness is measured by
 *progress*, not by heartbeats — every accepted class result refreshes
 the lease deadline against the now-smaller remaining cost, so a worker
 that keeps finishing classes keeps its lease indefinitely, while a
-wedged worker whose heartbeat thread still ticks loses the lease the
-moment its cost-derived deadline passes.
+wedged worker — connected, silent — loses the lease the moment its
+cost-derived deadline passes.
 
 Failure handling is explicit state, not exceptions:
 
@@ -60,7 +60,6 @@ class ShardLease:
     worker: str
     #: The keys still unfinished at grant time, in execution order.
     keys: tuple[Key, ...]
-    granted_at: float
     deadline: float
     #: Whether any key was accounted under this lease.  A lease that
     #: dies with *zero* progress is the poison-detection signal: a
@@ -210,7 +209,7 @@ class LeaseBoard:
         self._next_lease_id += 1
         lease = ShardLease(
             lease_id=self._next_lease_id, shard=shard.index,
-            worker=worker, keys=tuple(shard.remaining), granted_at=now,
+            worker=worker, keys=tuple(shard.remaining),
             deadline=now + self.policy.deadline_for(shard.remaining_cost))
         shard.status = LEASED
         shard.lease = lease

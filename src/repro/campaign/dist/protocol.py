@@ -30,7 +30,6 @@ type                direction  meaning
                                ``crc`` the coordinator re-derives before
                                merging — checked and accounted per item
 ``lease_done``      w → c      every key of the lease was submitted
-``heartbeat``       w → c      liveness signal (sent from a timer thread)
 ==================  =========  ==============================================
 
 Version 2 added end-to-end result integrity: every class result
@@ -44,6 +43,9 @@ frame with the windowed ``results`` frame (a window of one class is a
 ``results`` frame with one item): the integrity unit is still the class,
 the wire unit is the worker's send window, so a frame, a coordinator
 wake-up and a ``done`` poll are paid per window instead of per class.
+Version 4 removed the ``heartbeat`` frame, which nothing read: accepted
+results are what extends a lease, and TCP notices a dead peer.  Any
+type not in the table is a :class:`ProtocolError`.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
@@ -62,8 +64,9 @@ import zlib
 #: Bumped on incompatible protocol changes; both sides send it in the
 #: handshake and refuse mismatching peers.  Version 2: result CRCs and
 #: cross-check verify leases.  Version 3: one ``results`` frame per send
-#: window instead of one ``result`` frame per class.
-PROTOCOL_VERSION = 3
+#: window instead of one ``result`` frame per class.  Version 4: no
+#: ``heartbeat`` frame.
+PROTOCOL_VERSION = 4
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.
@@ -143,7 +146,7 @@ class FrameStream:
         self._sock.close()
 
     def send(self, message: dict) -> None:
-        """Send one frame (callers serialize concurrent senders)."""
+        """Send one frame."""
         self._sock.sendall(encode_frame(message))
 
     def _extract(self) -> dict | None:

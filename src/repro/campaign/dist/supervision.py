@@ -84,7 +84,6 @@ class WorkerState:
     score: float = 0.0
     #: Timestamp of the last score update (decay anchor).
     scored_at: float = 0.0
-    last_seen: float = 0.0
     #: Times this worker has been quarantined.
     offenses: int = 0
     #: End of the current quarantine; ``inf`` when permanent.
@@ -113,9 +112,6 @@ class WorkerSupervisor:
 
     policy: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     _workers: dict[str, WorkerState] = field(default_factory=dict)
-    #: Workers newly quarantined since the caller last drained this
-    #: (the coordinator journals them as fabric events).
-    quarantined_total: int = 0
 
     def _state(self, name: str) -> WorkerState:
         state = self._workers.get(name)
@@ -131,14 +127,9 @@ class WorkerSupervisor:
 
     # -- inputs -----------------------------------------------------------------
 
-    def seen(self, name: str, now: float) -> None:
-        """A liveness signal (heartbeat or any frame) arrived."""
-        self._state(name).last_seen = now
-
     def record_success(self, name: str, now: float) -> None:
         """An accepted (merged or verified) result from this worker."""
         state = self._state(name)
-        state.last_seen = now
         self._decay(state, now)
         if state.status == PROBATION:
             state.probation_left -= 1
@@ -156,7 +147,6 @@ class WorkerSupervisor:
         rejection should count for more than a dropped connection).
         """
         state = self._state(name)
-        state.last_seen = now
         self._decay(state, now)
         state.score += weight
         if state.status == QUARANTINED:
@@ -184,7 +174,6 @@ class WorkerSupervisor:
         state.reason = reason
         state.quarantined_until = math.inf if permanent else \
             now + self.policy.quarantine_for(state.offenses)
-        self.quarantined_total += 1
 
     # -- queries ----------------------------------------------------------------
 

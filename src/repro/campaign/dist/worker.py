@@ -18,11 +18,12 @@ and streams the finished classes back in **send windows**: one
 :data:`WINDOW_S` seconds, whichever comes first, and always before
 ``lease_done``.  The coordinator journals progress continuously and a
 worker lost mid-shard forfeits only the window in flight (re-executed
-through the lease re-grant).  A daemon heartbeat thread shares the
-socket under a send lock.  Every connection failure is survivable: the
-worker reconnects with jittered exponential backoff and simply asks for
-work again — the coordinator's lease board and idempotent journal make
-the retried deliveries harmless.
+through the lease re-grant).  The worker is one thread and sends no
+liveness frames: progress is what keeps a lease alive, and a dead peer
+is TCP's to notice.  Every connection failure is survivable: the worker
+reconnects with jittered exponential backoff and simply asks for work
+again — the coordinator's lease board and idempotent journal make the
+retried deliveries harmless.
 
 Every class in a window carries its own :func:`~.protocol.result_digest`
 CRC over its key and rows, computed *before* the window is handed to the
@@ -43,7 +44,6 @@ from __future__ import annotations
 import os
 import random
 import socket
-import threading
 import time
 
 from ...faultspace.domain import get_domain
@@ -95,7 +95,6 @@ class DistWorker:
                  max_reconnect_delay: float = 5.0,
                  max_reconnects: int | None = None,
                  connect_timeout: float = 5.0,
-                 heartbeat_interval: float = 2.0,
                  chaos=None):
         self.host = host
         self.port = port
@@ -104,7 +103,6 @@ class DistWorker:
         self.max_reconnect_delay = max_reconnect_delay
         self.max_reconnects = max_reconnects
         self.connect_timeout = connect_timeout
-        self.heartbeat_interval = heartbeat_interval
         plan = plan_from_spec(chaos) if chaos is not None \
             else plan_from_env()
         self._chaos = WorkerChaos(plan, self.name) \
@@ -116,7 +114,6 @@ class DistWorker:
         #: Verified campaign state, cached by fingerprint so reconnects
         #: skip the golden re-run and partition rebuild.
         self._campaigns: dict[str, tuple] = {}
-        self._send_lock = threading.Lock()
 
     # -- main loop --------------------------------------------------------------
 
@@ -162,11 +159,9 @@ class DistWorker:
         stream = FrameStream(sock)
         if self._chaos is not None:
             stream = self._chaos.wrap(stream)
-        stop_heartbeat = threading.Event()
         try:
-            self._send(stream, {"type": "hello",
-                                "version": PROTOCOL_VERSION,
-                                "name": self.name})
+            stream.send({"type": "hello", "version": PROTOCOL_VERSION,
+                         "name": self.name})
             frame = stream.read(timeout=self.connect_timeout)
             if frame is None:
                 raise ConnectionError("coordinator closed during handshake")
@@ -176,11 +171,7 @@ class DistWorker:
                 raise ProtocolError(
                     f"expected campaign spec, got {frame.get('type')!r}")
             executor, intervals = self._verify(stream, frame)
-            self._send(stream, {"type": "ready"})
-            beat = threading.Thread(
-                target=self._heartbeat, args=(stream, stop_heartbeat),
-                daemon=True)
-            beat.start()
+            stream.send({"type": "ready"})
             try:
                 self._work(stream, executor, intervals)
             except (ConnectionError, OSError):
@@ -191,12 +182,7 @@ class DistWorker:
                 if not self._poll_done(stream):
                     raise
         finally:
-            stop_heartbeat.set()
             sock.close()
-
-    def _send(self, stream: FrameStream, message: dict) -> None:
-        with self._send_lock:
-            stream.send(message)
 
     def _poll_done(self, stream: FrameStream) -> bool:
         """Drain already-received frames, looking for ``done``."""
@@ -210,14 +196,6 @@ class DistWorker:
                     return True
         except (ConnectionError, ProtocolError, OSError):
             return False
-
-    def _heartbeat(self, stream: FrameStream,
-                   stop: threading.Event) -> None:
-        while not stop.wait(self.heartbeat_interval):
-            try:
-                self._send(stream, {"type": "heartbeat"})
-            except (ConnectionError, OSError):
-                return  # main loop notices the dead socket itself
 
     # -- campaign verification --------------------------------------------------
 
@@ -248,15 +226,11 @@ class DistWorker:
             # Ship the diagnostic before giving up, so the operator sees
             # the stale worker from the coordinator's logs too.
             try:
-                self._send(stream, {"type": "error", "reason": str(exc)})
+                stream.send({"type": "error", "reason": str(exc)})
             except (ConnectionError, OSError):
                 pass
             raise
         config = ExecutorConfig(**spec["config"])
-        if config.heartbeat_interval is not None:
-            # The coordinator ships the fleet's heartbeat cadence with
-            # the campaign, so one knob tunes every worker.
-            self.heartbeat_interval = config.heartbeat_interval
         domain = get_domain(config.domain)
         executor = config.build(golden)
         partition = domain.build_partition(golden)
@@ -269,7 +243,7 @@ class DistWorker:
 
     def _work(self, stream: FrameStream, executor, intervals) -> None:
         while True:
-            self._send(stream, {"type": "request"})
+            stream.send({"type": "request"})
             frame = stream.read(timeout=None)
             if frame is None:
                 raise ConnectionError("coordinator closed the connection")
@@ -325,19 +299,18 @@ class DistWorker:
                     return True  # saw "done" mid-lease
         if self._flush(stream, window):
             return True
-        self._send(stream, {"type": "lease_done", "lease": lease_id,
-                            "shard": shard})
+        stream.send({"type": "lease_done", "lease": lease_id,
+                     "shard": shard})
         return False
 
     def _flush(self, stream: FrameStream, window: list[dict]) -> bool:
         """Send the window as one ``results`` frame and empty it; True
         when the coordinator has meanwhile said ``done`` (another worker
         re-submitted our expired lease) — polled once per window."""
-        with self._send_lock:
-            if window:
-                stream.send({"type": "results", "items": list(window)})
-                window.clear()
-            polled = stream.poll()
+        if window:
+            stream.send({"type": "results", "items": list(window)})
+            window.clear()
+        polled = stream.poll()
         if polled is not None and polled.get("type") == "done":
             self._finished = True
             return True

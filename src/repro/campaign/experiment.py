@@ -154,16 +154,6 @@ class ExecutorConfig:
     #: (:mod:`repro.engine.plan`) when :meth:`build` sees the golden
     #: run; naming a concrete engine pins it.
     engine: str = "auto"
-    #: Distributed-fabric heartbeat cadence (seconds) shipped to every
-    #: worker with the campaign spec; ``None`` keeps each worker's own
-    #: default.  Pure transport tuning — outcome-invariant, so it is
-    #: *not* part of the journal campaign key.
-    heartbeat_interval: float | None = None
-    #: Override for the lease/shard wall-clock budget (seconds) the
-    #: coordinator's retry policy derives from cycle cost; ``None``
-    #: keeps the cost-derived deadline.  Transport tuning only — also
-    #: excluded from the journal campaign key.
-    lease_timeout: float | None = None
 
     def timeout_cycles(self, golden_cycles: int) -> int:
         """Cycle budget before a run is classified as a timeout.
@@ -172,9 +162,9 @@ class ExecutorConfig:
         take somewhat longer than the golden run, but one that exceeds a
         multiple of the golden runtime (plus fixed slack for tiny
         programs) will never halt and is classified
-        :data:`~.outcomes.Outcome.TIMEOUT`.  Shared between the executor
-        and the parallel engine's wall-clock shard guard so both layers
-        agree on what "hung" means.
+        :data:`~.outcomes.Outcome.TIMEOUT`.  It is the only source of
+        that outcome: the transports' wall-clock deadlines produce
+        failed attempts, never results.
         """
         if self.timeout_factor < 1.0:
             raise ValueError("timeout_factor must be >= 1.0")

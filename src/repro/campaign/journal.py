@@ -275,7 +275,9 @@ class ExperimentJournal:
             "SELECT value FROM meta WHERE key = 'schema_version'") \
             .fetchone()
         if row is None:
-            self._write("INSERT INTO meta (key, value) VALUES (?, ?)",
+            # OR IGNORE: two drivers may be creating this file at once.
+            self._write("INSERT OR IGNORE INTO meta (key, value) "
+                        "VALUES (?, ?)",
                         [("schema_version", str(SCHEMA_VERSION))])
             self.flush()
             return
@@ -615,7 +617,7 @@ class ExperimentJournal:
                                       if results else 0.0)
         return report
 
-    # -- campaign summaries (successor of the JSON CampaignCache) -------------
+    # -- campaign summaries (read through database.JournalCache) ---------------
 
     def store_summary(self, fingerprint: str, domain: str, name: str,
                       summary: str) -> None:
@@ -846,16 +848,6 @@ class CampaignJournal:
             "kind, detail) VALUES (?, ?, ?, ?, ?)",
             [(self.campaign_id, at, worker, kind, detail)])
         self.journal.flush()
-
-    def events(self) -> list[dict]:
-        """Journaled fabric events of this campaign, oldest first."""
-        return [
-            {"at": at, "worker": worker, "kind": kind, "detail": detail}
-            for at, worker, kind, detail in self.journal._query(
-                "SELECT at, worker, kind, detail FROM fabric_events "
-                "WHERE campaign_id = ? ORDER BY id",
-                (self.campaign_id,))
-        ]
 
     # -- work leases ----------------------------------------------------------
 

@@ -23,18 +23,19 @@ monotonically.
 
 Robustness (campaigns are long; machines are not reliable) is what
 this transport adds to the pipeline, tuned by :class:`RetryPolicy`: a
-shard that outlives its wall-clock deadline — a wedged worker, a
-pathological injection the simulator's own cycle budget cannot catch —
-is killed and its experiments are *classified*
-:data:`~.outcomes.Outcome.TIMEOUT` instead of stalling the pool; when a
-worker process dies (OOM killer, segfault, ``kill -9``) the pool is
-rebuilt and the unfinished shards are resubmitted with exponential
-backoff; shards that exhaust their retry budget are abandoned and the
-campaign returns a partial result whose ``result.execution`` lists the
-missing work; during long waits ``progress`` is re-invoked with
-unchanged counts, so callers can tell a slow campaign from a dead one;
-and the parent commits the journal before it waits again, so a crash of
-the *driver* loses at most the shards in flight.
+shard that outlives its wall-clock deadline (a wedged worker, an
+overloaded host) or whose worker process dies (OOM killer, segfault,
+``kill -9``) is a *failed attempt* — the pool is killed and rebuilt and
+the shard resubmitted with exponential backoff, exactly as the fabric
+re-leases an expired lease; no experiment can outlive the simulator's
+cycle budget, so a wall-clock overrun says nothing about the program
+and never becomes a result.  Shards that exhaust their retry budget are
+abandoned and the campaign returns a partial result whose
+``result.execution`` lists the missing work; during long waits
+``progress`` is re-invoked with unchanged counts, so callers can tell a
+slow campaign from a dead one; and the parent commits the journal
+before it waits again, so a crash of the *driver* loses at most the
+shards in flight.
 
 Failure injection into the pool itself — needed to test the above
 deterministically — is the ``REPRO_CHAOS`` environment variable (see
@@ -104,19 +105,22 @@ def resolve_jobs(jobs: int | None) -> int | None:
 
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
-    """Timeout, retry and heartbeat policy for the parallel engine.
+    """Timeout, retry and heartbeat policy of the pool and the fabric.
 
     The default shard deadline is *derived from the golden run*: a shard
     estimated at ``c`` post-injection cycles is allowed
     ``c / cycles_per_second`` wall-clock seconds (floored at
     :attr:`min_shard_timeout` so tiny test programs are never starved).
     ``shard_timeout`` overrides the derivation with a fixed number of
-    seconds — campaign results must *not* depend on the policy, only on
-    whether work finished at all, which is why expired shards are
-    classified as timeouts rather than re-executed.
+    seconds.  Campaign results do *not* depend on the policy, only on
+    whether work finished at all: a shard (pool) or lease (fabric) past
+    its deadline is a failed attempt, retried and — once
+    :attr:`max_retries` is spent — reported in
+    ``ExecutionReport.missing``, never turned into outcomes.
     """
 
-    #: Resubmissions allowed per shard after its worker process died.
+    #: Resubmissions allowed per shard after a failed attempt (its
+    #: worker died, or its deadline expired).
     max_retries: int = 2
     #: Initial delay before resubmitting after a pool break, seconds.
     backoff: float = 0.25
@@ -248,24 +252,18 @@ class ParallelCampaign:
 
         Shards reach the sink in completion order (assembly restores
         canonical order).  A shard whose wall-clock deadline (its cost
-        estimate through the policy) expires is killed and replaced by
-        the style's timeout rows.  Shards interrupted by a worker death
-        are retried with backoff; after :attr:`RetryPolicy.max_retries`
-        extra attempts they are dropped and counted in
-        ``report.failed_shards`` — assembly detects the gap and reports
-        the missing units.
+        estimate through the policy) expires, or whose worker died, has
+        failed an attempt: the pool is killed and the shard retried
+        with backoff; after :attr:`RetryPolicy.max_retries` extra
+        attempts it is dropped and counted in ``report.failed_shards``
+        — assembly detects the gap and reports the missing units.
         """
         shards, costs = run.style.plan(run.todo, self.jobs)
         if not shards:
             return
-        style, report, policy = run.style, run.report, self.policy
-        pending = {index: (style.execute, tuple(shard))
+        report, policy = run.report, self.policy
+        pending = {index: (run.style.execute, tuple(shard))
                    for index, shard in enumerate(shards)}
-
-        def deliver(batch, **kind) -> None:
-            run.accept(batch, **kind)
-            run.idle()  # the parent now waits until a shard ends
-
         ctx = multiprocessing.get_context()
         attempts = {index: 0 for index in pending}
         backoff = policy.backoff
@@ -279,7 +277,7 @@ class ParallelCampaign:
                                 (index, attempts[index], payload)): index
                 for index, payload in sorted(pending.items())}
             started: dict[int, float] = {}
-            timed_out: list[int] = []
+            overdue: list[int] = []
             broke = False
             last_beat = time.monotonic()
             try:
@@ -294,16 +292,17 @@ class ParallelCampaign:
                         del pending[index]
                         started.pop(index, None)
                         report.count(counters)
-                        deliver(batch)
+                        run.accept(batch)
+                        run.idle()  # the parent now waits for a shard
                     now = time.monotonic()
                     for future, index in futures.items():
                         if index not in started and future.running():
                             started[index] = now
-                    timed_out = [
+                    overdue = [
                         index for index in started
                         if now - started[index]
                         >= policy.deadline_for(costs[index])]
-                    if timed_out:
+                    if overdue:
                         break
                     if now - last_beat >= policy.heartbeat:
                         run.heartbeat()
@@ -311,7 +310,7 @@ class ParallelCampaign:
             except BrokenProcessPool:
                 broke = True
             finally:
-                if timed_out or broke:
+                if overdue or broke:
                     # Non-daemonic pool workers would survive shutdown()
                     # and block interpreter exit; a wedged or orphaned
                     # worker must be killed outright.
@@ -319,29 +318,25 @@ class ParallelCampaign:
                     for proc in list(procs.values()):
                         proc.kill()
                 executor.shutdown(wait=True, cancel_futures=True)
-            for index in timed_out:
-                _, items = pending.pop(index)
-                report.timed_out_shards += 1
-                deliver(style.timed_out(items), synthesized=True)
-            if broke:
-                # Blame cannot be attributed: the executor fails every
-                # in-flight future once the pool breaks.  All unfinished
-                # shards are charged an attempt; innocent ones have
-                # max_retries of headroom.
-                retried = []
-                for index in list(pending):
-                    attempts[index] += 1
-                    if attempts[index] > policy.max_retries:
-                        report.failed_shards += 1
-                        del pending[index]
-                    else:
-                        retried.append(index)
-                if retried:
-                    report.shard_retries += len(retried)
-                    time.sleep(backoff
-                               * (1.0 + policy.backoff_jitter
-                                  * random.random()))
-                    backoff *= policy.backoff_factor
+            report.timed_out_shards += len(overdue)
+            # A broken pool fails every in-flight future, so blame
+            # cannot be attributed: all unfinished shards are charged
+            # an attempt (innocent ones have max_retries of headroom).
+            # An expired deadline names its shards; the rest of the
+            # killed pool resubmits uncharged.
+            retried = 0
+            for index in (list(pending) if broke else overdue):
+                attempts[index] += 1
+                if attempts[index] > policy.max_retries:
+                    report.failed_shards += 1
+                    del pending[index]
+                else:
+                    retried += 1
+            if retried:
+                report.shard_retries += retried
+                time.sleep(backoff * (1.0 + policy.backoff_jitter
+                                      * random.random()))
+                backoff *= policy.backoff_factor
 
     # -- campaign styles -----------------------------------------------------
 

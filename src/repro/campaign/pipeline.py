@@ -69,13 +69,12 @@ class ExecutionReport:
     executed: int = 0
     #: Units loaded from the journal instead of re-executed.
     resumed: int = 0
-    #: Experiments classified :data:`Outcome.TIMEOUT` by the wall-clock
-    #: shard guard rather than by the simulator's cycle budget.
-    synthesized_timeouts: int = 0
-    #: Shards whose wall-clock deadline expired (their experiments were
-    #: classified as timeouts instead of stalling the pool).
+    #: Wall-clock deadline expiries, pool shards and fabric leases
+    #: alike: each is a failed attempt (retried, then ``missing``),
+    #: never a result.
     timed_out_shards: int = 0
-    #: Shard re-submissions after a worker process died.
+    #: Shard re-submissions after a failed attempt (worker death,
+    #: disconnect or deadline expiry).
     shard_retries: int = 0
     #: Shards abandoned after exhausting their retry budget.
     failed_shards: int = 0
@@ -340,12 +339,9 @@ class CampaignStyle:
     ``execute(executor, items)``
         the worker-side generator, work items → ``(key, rows)``; a
         static method, since the pool ships it by import path;
-    ``timed_out(items)``
-        the ``(key, rows)`` batch of a shard the wall-clock guard
-        killed: every experiment :data:`~.outcomes.Outcome.TIMEOUT`;
     ``journal(handle, composer, batch)``
-        journals a batch, each unit atomically, and stores it in the
-        section store unless ``composer`` is None;
+        journals a batch, each unit atomically, and feeds it to the
+        section store (styles with :attr:`composes`);
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
@@ -429,22 +425,14 @@ class CampaignRun:
         if self.done:
             self.heartbeat()
 
-    def accept(self, batch: Sequence[tuple[object, list]], *,
-               synthesized: bool = False) -> None:
+    def accept(self, batch: Sequence[tuple[object, list]]) -> None:
         """The sink every transport feeds: journal, section store,
-        report, progress.  ``synthesized`` marks wall-clock-timeout
-        rows — scheduling artifacts of this run, which are journaled
-        but never enter the cross-campaign store."""
+        report, progress."""
         if self.handle is not None:
-            self.style.journal(self.handle,
-                               None if synthesized else self.composer,
-                               batch)
+            self.style.journal(self.handle, self.composer, batch)
         keep = self.style.keep
         for key, rows in batch:
             self.fresh[key] = keep(key, rows)
-        if synthesized:
-            self.report.synthesized_timeouts += sum(
-                len(rows) for _, rows in batch)
         self.report.executed += len(batch)
         self.done += len(batch)
         self.heartbeat()

@@ -29,7 +29,7 @@ runs, and a rerun of the same campaign against the same journal
 identical to an uninterrupted one — iteration order, record lists and
 sample sequences included.  ``resume=False`` clears the journaled
 campaign first.  ``result.execution`` reports how the campaign actually
-ran (units executed vs. resumed, shard retries, wall-clock timeouts,
+ran (units executed vs. resumed, shard retries, deadline expiries,
 completeness).
 """
 
@@ -292,19 +292,11 @@ class ScanStyle(CampaignStyle):
             yield key, [(bit, record.outcome, record.end_cycle, record.trap)
                         for bit, record in enumerate(records)]
 
-    def timed_out(self, intervals):
-        end_cycle = self.params["timeout_cycles"]
-        return [(self.domain.class_key(interval),
-                 [(bit, Outcome.TIMEOUT, end_cycle, "") for bit in
-                  range(self.domain.experiment_count(interval))])
-                for interval in intervals]
-
     def journal(self, handle, composer, batch):
         for key, rows in batch:
             stored = _journal_rows(rows)
             handle.record_class(key[0], key[1], stored)
-            if composer is not None:
-                composer.store_class(self.units[key], stored)
+            composer.store_class(self.units[key], stored)
 
     def keep(self, key, rows):
         outcomes = tuple([row[1] for row in rows])
@@ -437,14 +429,6 @@ class BruteStyle(CampaignStyle):
             yield slot, [(domain.coordinate_axis(record.coordinate),
                           record.coordinate.bit, record.outcome)
                          for record in records]
-
-    def timed_out(self, slots):
-        domain = self.domain
-        space = domain.fault_space(self.golden)
-        return [(slot, [(domain.coordinate_axis(coord), coord.bit,
-                         Outcome.TIMEOUT)
-                        for coord in domain.slot_coordinates(space, slot)])
-                for slot in slots]
 
     def journal(self, handle, composer, batch):
         for slot, rows in batch:
@@ -639,17 +623,12 @@ class SamplingStyle(CampaignStyle):
             yield key, [(key[2], record.outcome, record.end_cycle,
                          record.trap)]
 
-    def timed_out(self, keyed):
-        return [(key, [(key[2], Outcome.TIMEOUT, 0, "")])
-                for key, _ in keyed]
-
     def journal(self, handle, composer, batch):
         handle.record_experiments([(*key, rows[0][1].value)
                                    for key, rows in batch])
-        if composer is not None:
-            for key, rows in batch:
-                composer.store_experiment(self.units[key][1].slot, key[0],
-                                          *rows[0])
+        for key, rows in batch:
+            composer.store_experiment(self.units[key][1].slot, key[0],
+                                      *rows[0])
 
     def keep(self, key, rows):
         return rows[0][1]  # the outcome

@@ -15,7 +15,9 @@ Commands:
     work unit to a SQLite file: an interrupted scan rerun against the
     same journal resumes where it left off (``--fresh`` discards the
     journaled campaign first).  ``--shard-timeout`` / ``--max-retries``
-    tune the parallel engine's robustness policy.
+    tune the robustness policy of the pool and the fabric alike: a
+    shard past its wall-clock deadline is killed and retried, and
+    reported missing once its retries are spent — never a result.
     ``--no-convergence`` / ``--checkpoint-stride`` control the
     early exits (golden checkpoint ladder + state memo; a pure
     optimization, outcomes are identical either way), which the
@@ -167,20 +169,44 @@ def cmd_render(args) -> None:
                              max_bytes=args.max_bytes))
 
 
-def _scan_policy(args) -> RetryPolicy | None:
-    """A parallel-engine policy when any robustness flag was given."""
+def _campaign_setup(args, name: str):
+    """What every campaign command derives from its flags:
+    ``(program, golden run, executor config, retry policy)`` — the
+    policy only when a robustness flag was given."""
+    program = _resolve(name)
+    golden = record_golden(program,
+                           checkpoint_stride=args.checkpoint_stride)
+    config = ExecutorConfig(use_convergence=not args.no_convergence,
+                            engine=args.engine)
     overrides = {}
-    if getattr(args, "shard_timeout", None) is not None:
+    if args.shard_timeout is not None:
         overrides["shard_timeout"] = args.shard_timeout
-    if getattr(args, "max_retries", None) is not None:
+    if args.max_retries is not None:
         overrides["max_retries"] = args.max_retries
-    return RetryPolicy(**overrides) if overrides else None
+    return (program, golden, config,
+            RetryPolicy(**overrides) if overrides else None)
+
+
+def _list_campaigns(path, campaigns, details=None) -> int:
+    """Print a journal's campaign list (``details(entry)`` after each
+    line); return how many campaigns are incomplete."""
+    if not campaigns:
+        print(f"journal {path}: no campaigns")
+        return 0
+    print(f"journal {path}: {len(campaigns)} campaign(s)")
+    for entry in campaigns:
+        print(f"  #{entry['id']} {entry['kind']:11s} "
+              f"[{entry['domain']} domain] {entry['status']:8s} "
+              f"{entry['journaled_experiments']:8d} experiments "
+              f"journaled  fingerprint={entry['fingerprint'][:12]}")
+        if details is not None:
+            details(entry)
+    return sum(entry["status"] != "complete" for entry in campaigns)
 
 
 def _chaos_plan(args):
     """A :class:`ChaosPlan` from ``--chaos``/``--chaos-seed``, or None."""
-    spec = getattr(args, "chaos", None)
-    seed = getattr(args, "chaos_seed", None)
+    spec, seed = args.chaos, args.chaos_seed
     if spec is None and seed is None:
         return None
     from .campaign.dist.chaos import ChaosPlan
@@ -229,18 +255,13 @@ def _print_scan(scan) -> int:
 
 
 def cmd_scan(args) -> int:
-    program = _resolve(args.program)
+    program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
-    golden = record_golden(
-        program, checkpoint_stride=getattr(args, "checkpoint_stride", None))
     space = domain.fault_space(golden)
-    resume = not getattr(args, "fresh", False)
-    policy = _scan_policy(args)
-    config = ExecutorConfig(
-        use_convergence=not getattr(args, "no_convergence", False),
-        engine=getattr(args, "engine", "auto"),
-        heartbeat_interval=getattr(args, "heartbeat_interval", None),
-        lease_timeout=getattr(args, "lease_timeout", None))
+    resume = not args.fresh
+    if args.dist and (args.jobs is not None or args.samples):
+        raise SystemExit("--dist spawns its own workers and serves full "
+                         "scans; drop --jobs / --samples")
     print(f"{program.name} [{domain.name} domain]: "
           f"Δt={golden.cycles} cycles, w={space.size}")
     if args.samples:
@@ -261,17 +282,14 @@ def cmd_scan(args) -> int:
         print(f"estimated failure count F̂: "
               f"{result.failure_count() * scale:.0f}")
         return _exit_status(result.execution)
-    if getattr(args, "dist", None):
-        if args.jobs is not None:
-            raise SystemExit("--dist spawns its own workers; drop --jobs")
+    if args.dist:
         from .campaign.dist import run_distributed_scan
 
         scan = run_distributed_scan(
             golden, workers=args.dist, domain=domain,
             executor_config=config, policy=policy, shards=args.shards,
             journal=args.journal, resume=resume,
-            chaos=_chaos_plan(args),
-            crosscheck=getattr(args, "crosscheck", 0.0),
+            chaos=_chaos_plan(args), crosscheck=args.crosscheck,
             progress=_eta_progress("classes"))
         if scan is None:
             print("coordinator stopped by its chaos schedule; results "
@@ -286,28 +304,17 @@ def cmd_scan(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    if args.program is None:
-        with ExperimentJournal(args.journal) as journal:
-            campaigns = journal.campaigns()
-        if not campaigns:
-            print(f"journal {args.journal}: no campaigns")
-            return 0
-        print(f"journal {args.journal}: {len(campaigns)} campaign(s)")
-        for entry in campaigns:
-            print(f"  #{entry['id']} {entry['kind']:11s} "
-                  f"[{entry['domain']} domain] {entry['status']:8s} "
-                  f"{entry['journaled_experiments']:8d} experiments "
-                  f"journaled  fingerprint={entry['fingerprint'][:12]}")
-        incomplete = [entry for entry in campaigns
-                      if entry["status"] != "complete"]
-        if incomplete:
-            print(f"{len(incomplete)} campaign(s) incomplete — rerun "
-                  f"with the same journal to finish")
-            return EXIT_INCOMPLETE
-        return 0
-    # With a program the command is a journaled scan that must resume.
-    args.fresh = False
-    return cmd_scan(args)
+    if args.program is not None:
+        # A journaled scan that must resume (the parser pins fresh=False).
+        return cmd_scan(args)
+    with ExperimentJournal(args.journal) as journal:
+        campaigns = journal.campaigns()
+    incomplete = _list_campaigns(args.journal, campaigns)
+    if incomplete:
+        print(f"{incomplete} campaign(s) incomplete — rerun with the "
+              f"same journal to finish")
+        return EXIT_INCOMPLETE
+    return 0
 
 
 def cmd_compare(args) -> int:
@@ -319,26 +326,16 @@ def cmd_compare(args) -> int:
         export_comparison_csv,
     )
 
-    if args.samples:
-        raise SystemExit("compare needs full scans (the pitfall metrics "
-                         "require complete data); drop --samples")
     domain = get_domain(args.domain)
     names = [args.baseline] + args.variants
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
         raise SystemExit(f"duplicate variant(s): "
                          f"{', '.join(sorted(duplicates))}")
-    policy = _scan_policy(args)
-    config = ExecutorConfig(
-        use_convergence=not getattr(args, "no_convergence", False),
-        engine=getattr(args, "engine", "auto"))
     status = 0
     results = {}
     for name in names:
-        program = _resolve(name)
-        golden = record_golden(
-            program,
-            checkpoint_stride=getattr(args, "checkpoint_stride", None))
+        program, golden, config, policy = _campaign_setup(args, name)
         print(f"{name} [{domain.name} domain]: Δt={golden.cycles} "
               f"cycles, w={domain.fault_space(golden).size}")
         scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
@@ -372,9 +369,7 @@ def cmd_compare(args) -> int:
 
 def cmd_journal(args) -> int:
     """Inspect and maintain a journal's campaigns and section store."""
-    with ExperimentJournal(args.journal,
-                           salvage=getattr(args, "salvage",
-                                           False)) as journal:
+    with ExperimentJournal(args.journal, salvage=args.salvage) as journal:
         salvaged = journal.salvage_report
         if salvaged is not None:
             print(f"salvage: journal failed its integrity check; "
@@ -386,13 +381,7 @@ def cmd_journal(args) -> int:
         if args.gc:
             freed = journal.gc_sections()
             print(f"gc: dropped {freed} orphaned section(s)")
-        campaigns = journal.campaigns()
-        print(f"journal {args.journal}: {len(campaigns)} campaign(s)")
-        for entry in campaigns:
-            print(f"  #{entry['id']} {entry['kind']:11s} "
-                  f"[{entry['domain']} domain] {entry['status']:8s} "
-                  f"{entry['journaled_experiments']:8d} experiments "
-                  f"journaled  fingerprint={entry['fingerprint'][:12]}")
+        _list_campaigns(args.journal, journal.campaigns())
         sections = journal.sections()
         print(f"section store: {len(sections)} section(s)")
         for entry in sections:
@@ -414,45 +403,35 @@ def cmd_journal(args) -> int:
     return 0
 
 
+def _print_fabric_state(entry) -> None:
+    """One campaign's journaled shard leases and fabric event log."""
+    if entry["leases"]:
+        counts = {}
+        for lease in entry["leases"]:
+            counts[lease["status"]] = counts.get(lease["status"], 0) + 1
+        summary = ", ".join(f"{n} {status}"
+                            for status, n in sorted(counts.items()))
+        print(f"    leases: {len(entry['leases'])} shard(s) — {summary}")
+        for lease in entry["leases"]:
+            if lease["status"] not in ("done", "pending") \
+                    or lease["attempts"]:
+                worker = f" worker={lease['worker']}" \
+                    if lease["worker"] else ""
+                print(f"      shard {lease['shard']}: {lease['status']}, "
+                      f"{lease['attempts']} attempt(s){worker}")
+    if entry["events"]:
+        print(f"    events: {len(entry['events'])}")
+        for event in entry["events"]:
+            worker = f" [{event['worker']}]" if event["worker"] else ""
+            print(f"      {event['kind']:20s}{worker} {event['detail']}")
+
+
 def cmd_fabric(args) -> int:
     """Show the distributed fabric's journaled state per campaign."""
     with ExperimentJournal(args.journal) as journal:
         campaigns = journal.fabric_report()
-    if not campaigns:
-        print(f"journal {args.journal}: no campaigns")
-        return 0
-    print(f"journal {args.journal}: {len(campaigns)} campaign(s)")
-    incomplete = 0
-    for entry in campaigns:
-        print(f"#{entry['id']} {entry['kind']} [{entry['domain']} "
-              f"domain] {entry['status']} — "
-              f"{entry['journaled_experiments']} experiments journaled  "
-              f"fingerprint={entry['fingerprint'][:12]}")
-        if entry["status"] != "complete":
-            incomplete += 1
-        if entry["leases"]:
-            counts = {}
-            for lease in entry["leases"]:
-                counts[lease["status"]] = \
-                    counts.get(lease["status"], 0) + 1
-            summary = ", ".join(f"{n} {status}"
-                                for status, n in sorted(counts.items()))
-            print(f"  leases: {len(entry['leases'])} shard(s) — "
-                  f"{summary}")
-            for lease in entry["leases"]:
-                if lease["status"] not in ("done", "pending") \
-                        or lease["attempts"]:
-                    worker = f" worker={lease['worker']}" \
-                        if lease["worker"] else ""
-                    print(f"    shard {lease['shard']}: "
-                          f"{lease['status']}, "
-                          f"{lease['attempts']} attempt(s){worker}")
-        if entry["events"]:
-            print(f"  events: {len(entry['events'])}")
-            for event in entry["events"]:
-                worker = f" [{event['worker']}]" if event["worker"] else ""
-                print(f"    {event['kind']:20s}{worker} "
-                      f"{event['detail']}")
+    incomplete = _list_campaigns(args.journal, campaigns,
+                                 _print_fabric_state)
     if incomplete:
         print(f"{incomplete} campaign(s) incomplete")
         return EXIT_INCOMPLETE
@@ -464,26 +443,16 @@ def cmd_coordinator(args) -> int:
 
     from .campaign.dist import DistCoordinator
 
-    program = _resolve(args.program)
+    program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
-    golden = record_golden(
-        program, checkpoint_stride=getattr(args, "checkpoint_stride", None))
-    policy = _scan_policy(args)
-    config = ExecutorConfig(
-        use_convergence=not getattr(args, "no_convergence", False),
-        engine=getattr(args, "engine", "auto"),
-        heartbeat_interval=getattr(args, "heartbeat_interval", None),
-        lease_timeout=getattr(args, "lease_timeout", None))
     # Bind before announcing, so `--port 0` (OS-assigned) prints the
     # port workers can actually connect to.
     sock = socket.create_server((args.host, args.port))
     host, port = sock.getsockname()[:2]
     coordinator = DistCoordinator(
         golden, domain=domain, executor_config=config, policy=policy,
-        shards=args.shards, journal=args.journal,
-        resume=not getattr(args, "fresh", False), sock=sock,
-        chaos=_chaos_plan(args),
-        crosscheck=getattr(args, "crosscheck", 0.0),
+        shards=args.shards, journal=args.journal, resume=not args.fresh,
+        sock=sock, chaos=_chaos_plan(args), crosscheck=args.crosscheck,
         progress=_eta_progress("classes"))
     print(f"{program.name} [{domain.name} domain]: serving distributed "
           f"scan on {host}:{port} "
@@ -568,13 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--max-bytes", type=int, default=8)
     render.set_defaults(func=cmd_render)
 
-    def add_campaign_args(cmd, *, journal_required: bool) -> None:
-        cmd.add_argument("--domain", choices=sorted(DOMAINS),
-                         default="memory",
-                         help="fault model to scan (default: memory)")
+    def add_jobs_arg(cmd) -> None:
         cmd.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
                          help="worker processes (0 = one per CPU; "
                               "default: serial)")
+
+    def add_sampling_args(cmd) -> None:
         cmd.add_argument("--samples", type=int, default=0,
                          help="run a sampled campaign of N faults instead "
                               "of the full scan")
@@ -582,6 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sampling RNG seed")
         cmd.add_argument("--sampler", choices=SAMPLERS, default="uniform",
                          help="sampling strategy (with --samples)")
+
+    def add_campaign_args(cmd, *, journal_required: bool) -> None:
+        """The flags every campaign command reads (_campaign_setup)."""
+        cmd.add_argument("--domain", choices=sorted(DOMAINS),
+                         default="memory",
+                         help="fault model to scan (default: memory)")
         cmd.add_argument("--journal", metavar="PATH",
                          required=journal_required, default=None,
                          help="SQLite experiment journal: completed work "
@@ -589,14 +563,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "resumes instead of restarting")
         cmd.add_argument("--shard-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="wall-clock deadline per parallel shard "
-                              "(default: derived from the golden run's "
-                              "cycle count)")
+                         help="wall-clock deadline per pool shard or "
+                              "fabric lease; an overrun is a failed "
+                              "attempt, retried (default: derived from "
+                              "the shard's estimated cycle cost)")
         cmd.add_argument("--max-retries", type=int, default=None,
                          metavar="N",
                          help="resubmissions per shard after a worker "
-                              "death before degrading to a partial "
-                              "result (default: 2)")
+                              "death or an expired deadline before "
+                              "degrading to a partial result "
+                              "(default: 2)")
         cmd.add_argument("--no-convergence", action="store_true",
                          help="disable the early exits (ladder + "
                               "state memo): classify every "
@@ -615,16 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="golden checkpoint-digest stride in cycles "
                               "(default: auto-tuned from the runtime; "
                               "0 disables the ladder)")
-        cmd.add_argument("--heartbeat-interval", type=float,
-                         default=None, metavar="SECONDS",
-                         help="distributed workers' heartbeat cadence "
-                              "(shipped with the campaign spec; "
-                              "default: each worker's own 2s)")
-        cmd.add_argument("--lease-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="fixed wall-clock budget per work lease "
-                              "(default: derived from the shard's "
-                              "estimated cycle cost)")
 
     def add_chaos_args(cmd) -> None:
         cmd.add_argument("--chaos-seed", type=int, default=None,
@@ -646,13 +612,15 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="full fault-space scan")
     scan.add_argument("program")
     add_campaign_args(scan, journal_required=False)
+    add_jobs_arg(scan)
+    add_sampling_args(scan)
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
     scan.add_argument("--dist", type=int, default=None, metavar="N",
                       help="distribute the scan over N local worker "
                            "processes via the TCP campaign fabric "
-                           "(excludes --jobs)")
+                           "(excludes --jobs and --samples)")
     scan.add_argument("--shards", type=int, default=8, metavar="N",
                       help="work-lease granularity for --dist "
                            "(default: 8)")
@@ -663,7 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="list or continue journaled campaigns")
     resume.add_argument("program", nargs="?", default=None)
     add_campaign_args(resume, journal_required=True)
-    resume.set_defaults(func=cmd_resume)
+    add_jobs_arg(resume)
+    add_sampling_args(resume)
+    resume.set_defaults(func=cmd_resume, fresh=False, dist=None)
 
     compare = sub.add_parser(
         "compare",
@@ -673,6 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("variants", nargs="+",
                          help="hardened variant program(s) to compare")
     add_campaign_args(compare, journal_required=False)
+    add_jobs_arg(compare)
     compare.add_argument("--csv", metavar="PATH", default=None,
                          help="also export the comparison table as CSV")
     compare.set_defaults(func=cmd_compare)
@@ -737,9 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bin_sem2 rounds (paper scale: 4)")
     fig2.add_argument("--items", type=int, default=4,
                       help="sync2 items (paper scale: 10)")
-    fig2.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
-                      help="worker processes (0 = one per CPU; "
-                           "default: serial)")
+    add_jobs_arg(fig2)
     fig2.set_defaults(func=cmd_fig2)
     return parser
 

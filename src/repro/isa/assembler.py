@@ -71,7 +71,7 @@ _LOADS = {"lw": Op.LW, "lh": Op.LH, "lhu": Op.LHU, "lb": Op.LB,
 _STORES = {"sw": Op.SW, "sh": Op.SH, "sb": Op.SB}
 _BRANCHES = {"beq": Op.BEQ, "bne": Op.BNE, "blt": Op.BLT, "bge": Op.BGE,
              "bltu": Op.BLTU, "bgeu": Op.BGEU}
-#: Branches synthesized by swapping operands of a real branch.
+#: Pseudo-branches: a real branch with its operands swapped.
 _SWAPPED_BRANCHES = {"bgt": Op.BLT, "ble": Op.BGE, "bgtu": Op.BLTU,
                      "bleu": Op.BGEU}
 

@@ -483,14 +483,14 @@ class TestDistChaos:
         assert reply["type"] == "reject"
         assert "version" in reply["reason"]
         client.close()
-        # A protocol-2 worker (one ``result`` frame per class) is
-        # refused at the handshake: no per-class wire path survives.
+        # A protocol-3 worker (it would send ``heartbeat`` frames) is
+        # refused at the handshake: versions are replaced, not forked.
         client = socket.create_connection(("127.0.0.1", port), timeout=5)
         stream = FrameStream(client)
-        stream.send({"type": "hello", "version": 2, "name": "old"})
+        stream.send({"type": "hello", "version": 3, "name": "old"})
         reply = stream.read(timeout=5.0)
         assert reply["type"] == "reject"
-        assert "version 2 != 3" in reply["reason"]
+        assert "version 3 != 4" in reply["reason"]
         client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
@@ -575,7 +575,7 @@ def _class_items(spec: dict, lease: dict) -> list[dict]:
 
 
 class TestSendWindow:
-    """Protocol 3: the wire unit is the worker's send window, the
+    """Since protocol 3 the wire unit is the worker's send window; the
     integrity and accounting unit is still the class."""
 
     def test_results_frame_round_trip(self):
@@ -742,6 +742,82 @@ class TestSendWindow:
         idle_ticks = sum(1 for before, seen in zip([0] + ticks, ticks)
                          if before == seen)
         assert len(idle_calls) == idle_ticks < len(ticks)
+
+
+class TestDeadlines:
+    """Protocol 4: a lease lives by progress alone, and an expired one
+    is what an expired pool shard is — a failed attempt."""
+
+    DEADLINE = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
+                           shard_timeout=1.0)
+
+    def _serve(self, golden, shards):
+        sock = _server_socket()
+        coordinator = DistCoordinator(golden, sock=sock, shards=shards,
+                                      policy=self.DEADLINE,
+                                      keep_records=True)
+        return serve_in_thread(coordinator), sock.getsockname()[1]
+
+    def test_progress_alone_keeps_a_long_lease(self, memory_golden,
+                                               memory_baseline):
+        """No liveness frame exists: a session that delivers a class
+        now and then outlives its deadline several times over."""
+        thread, port = self._serve(memory_golden, shards=1)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        for item in items[:4]:
+            time.sleep(0.4)  # 1.6 s in all, under a 1.0 s deadline
+            raw.results([item])
+        raw.results(items[4:])
+        raw.lease_done(lease)
+        result = thread.join_result(60)
+        raw.close()
+        assert result == memory_baseline
+        assert result.execution.timed_out_shards == 0
+        assert result.execution.shard_retries == 0
+        assert result.execution.workers == (("raw", len(items)),)
+
+    @pytest.mark.parametrize("kind", ["heartbeat", "bogus"])
+    def test_heartbeat_is_an_unknown_frame_like_any_other(
+            self, kind, memory_golden, memory_baseline):
+        """The session of a peer that sends one ends in ProtocolError:
+        the coordinator hangs up on it and serves the rest."""
+        thread, port = self._serve(memory_golden, shards=1)
+        raw = _RawWorker(port)
+        raw.stream.send({"type": kind})
+        assert raw.stream.read(timeout=5.0) is None  # hung up on
+        raw.close()
+        _, worker_thread, errors = _start_worker(port, "w0")
+        result = thread.join_result(60)
+        worker_thread.join(10)
+        assert not errors
+        assert result == memory_baseline
+
+    def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """One policy for every transport: shard 0's first attempt hangs
+        past its 1 s deadline, its second is healthy."""
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps({"hang": [[0, 0]]}))
+        pool = run_full_scan(memory_golden, jobs=2, keep_records=True,
+                             policy=self.DEADLINE)
+        monkeypatch.delenv("REPRO_CHAOS")
+
+        thread, port = self._serve(memory_golden, shards=2)
+        stalled = _RawWorker(port, name="stalled")
+        assert stalled.lease()["shard"] == 0  # taken, never served
+        _, worker_thread, errors = _start_worker(port, "w0")
+        fabric = thread.join_result(60)
+        worker_thread.join(10)
+        stalled.close()
+        assert not errors
+
+        assert pool == fabric == memory_baseline
+        for execution in (pool.execution, fabric.execution):
+            assert execution.complete and not execution.missing
+            assert (execution.timed_out_shards, execution.shard_retries,
+                    execution.failed_shards) == (1, 1, 0)
+            assert execution.executed == execution.total_units
 
 
 class TestDistJournalInterop:

@@ -164,6 +164,16 @@ class TestPicklability:
                                 use_snapshots=False, early_stop=False)
         assert pickle.loads(pickle.dumps(config)) == config
 
+    def test_executor_config_holds_executor_settings_only(self):
+        """Exactly what ``build()`` / ``campaign_params`` read.  Transport
+        tuning (deadlines, retries) is ``RetryPolicy``'s; a knob added
+        here would ride every campaign frame and pool pickle unread."""
+        import dataclasses
+
+        assert {f.name for f in dataclasses.fields(ExecutorConfig)} == {
+            "timeout_factor", "timeout_slack", "use_snapshots",
+            "early_stop", "use_convergence", "domain", "engine"}
+
 
 class TestFullScanEquivalence:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)

@@ -9,7 +9,8 @@ interrupt campaigns at every layer the real world does:
   (simulated by a progress callback that raises),
 * worker processes killed outright (via the ``REPRO_CHAOS`` hook, which
   makes a worker ``os._exit`` mid-shard like the OOM killer would),
-* wedged workers that never return (classified as wall-clock timeouts),
+* wedged workers that never return (killed at their wall-clock deadline
+  and retried like a dead worker — never turned into results),
 * the campaign *driver* itself SIGKILLed (a real ``repro scan
   --journal`` subprocess, serial and pooled), which loses the journal's
   last commit window and nothing else,
@@ -26,6 +27,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +42,7 @@ from repro.campaign import (
     run_sampling,
 )
 from repro.campaign.journal import invalid_classes
+from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
 from repro.programs import all_programs, hi, micro
 
@@ -329,37 +332,79 @@ class TestWorkerDeath:
 
 
 class TestHungWorker:
-    def test_hung_shard_is_classified_timeout_not_a_stall(
-            self, monkeypatch, memory_golden):
-        """A worker that never returns must not hang the campaign: its
-        shard's experiments come back as Outcome.TIMEOUT."""
+    """A shard past its wall-clock deadline is a failed attempt — killed,
+    charged, retried, finally reported missing — and never a result: no
+    experiment can outlive the cycle budget, so an overrun only ever
+    measures the host."""
+
+    HANG_POLICY = RetryPolicy(shard_timeout=1.0, poll_interval=0.05,
+                              backoff=0.05)
+
+    def test_hung_shard_is_retried_to_the_serial_result(
+            self, monkeypatch, memory_golden, memory_baseline):
         monkeypatch.setenv("REPRO_CHAOS",
                            json.dumps({"hang": [[0, 0]]}))
-        result = run_full_scan(
-            memory_golden, jobs=2,
-            policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05))
+        result = run_full_scan(memory_golden, jobs=2, keep_records=True,
+                               policy=self.HANG_POLICY)
+        assert result == memory_baseline
         execution = result.execution
         assert execution.timed_out_shards == 1
-        assert execution.synthesized_timeouts > 0
-        assert execution.complete  # timeouts are results, not gaps
-        assert any(outcome is Outcome.TIMEOUT
-                   for outcomes in result.class_outcomes.values()
-                   for outcome in outcomes)
-        # Every class still has a full outcome tuple.
-        assert len(result.class_outcomes) == execution.total_units
+        assert execution.shard_retries >= 1
+        assert execution.complete
+        # No TIMEOUT the serial run of the same program does not have.
+        assert result.raw_counts()[Outcome.TIMEOUT] \
+            == memory_baseline.raw_counts()[Outcome.TIMEOUT]
 
-    def test_journaled_timeouts_are_not_rerun(self, monkeypatch,
-                                              tmp_path, memory_golden):
+    def test_exhausted_hang_is_missing_and_never_journaled(
+            self, monkeypatch, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "journal.sqlite"
         monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0]]}))
-        first = run_full_scan(
+                           json.dumps({"hang": [[0, 0], [0, 1]]}))
+        partial = run_full_scan(
             memory_golden, jobs=2, journal=journal,
-            policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05))
+            policy=replace(self.HANG_POLICY, max_retries=1))
+        execution = partial.execution
+        assert not execution.complete
+        assert execution.timed_out_shards == 2
+        assert execution.failed_shards == 1
+        # Exactly the hung shard's classes are missing ...
+        shards, _, _ = plan_class_shards(
+            memory_golden.partition().live_classes(),
+            memory_golden.cycles, bits=8, parts=2)
+        assert execution.missing == tuple(
+            get_domain("memory").class_key(interval)
+            for interval in shards[0])
+        # ... nothing of theirs was invented, in the result or on disk,
+        for key, outcomes in partial.class_outcomes.items():
+            assert outcomes == memory_baseline.class_outcomes[key]
+        with ExperimentJournal(journal) as log:
+            (entry,) = log.campaigns()
+        assert entry["status"] != "complete"
+        assert entry["journaled_experiments"] \
+            == 8 * (execution.total_units - len(execution.missing))
+        # ... and a clean rerun on the same journal executes just them.
         monkeypatch.delenv("REPRO_CHAOS")
-        second = run_full_scan(memory_golden, jobs=2, journal=journal)
-        assert second.execution.executed == 0
-        assert second.class_outcomes == first.class_outcomes
+        resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
+                                keep_records=True)
+        assert resumed == memory_baseline
+        assert resumed.execution.complete
+        assert resumed.execution.executed == len(execution.missing)
+
+    @pytest.mark.parametrize("style", ["brute", "sampling"])
+    def test_other_styles_retry_a_hung_shard_too(self, style, monkeypatch,
+                                                 memory_golden):
+        def run(**kw):
+            if style == "brute":
+                return run_brute_force(memory_golden, **kw)
+            return run_sampling(memory_golden, 40, seed=7, **kw)
+
+        baseline = run()
+        monkeypatch.setenv("REPRO_CHAOS",
+                           json.dumps({"hang": [[0, 0]]}))
+        result = run(jobs=2, policy=self.HANG_POLICY)
+        assert result == baseline
+        assert result.execution.timed_out_shards == 1
+        assert result.execution.complete
 
 
 class TestSigintMidClass:

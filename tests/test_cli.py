@@ -232,9 +232,14 @@ class TestCliCompare:
         assert cached is not None
         assert cached.program_name == "hi"
 
-    def test_compare_rejects_sampling(self):
-        with pytest.raises(SystemExit, match="--samples"):
+    def test_compare_rejects_sampling(self, capsys):
+        """compare needs full scans, so it has no sampling flags at all:
+        argparse refuses them (a flag a subcommand accepts is a flag it
+        reads)."""
+        with pytest.raises(SystemExit) as usage:
             main(["compare", "hi", "hi-dft4", "--samples", "10"])
+        assert usage.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_compare_rejects_duplicates(self):
         with pytest.raises(SystemExit, match="duplicate"):
@@ -329,6 +334,19 @@ class TestCliDist:
         with pytest.raises(SystemExit, match="--dist"):
             main(["scan", "hi", "--dist", "2", "--jobs", "2"])
 
+    def test_scan_dist_refuses_samples(self):
+        with pytest.raises(SystemExit, match="--dist"):
+            main(["scan", "hi", "--dist", "2", "--samples", "10"])
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--samples", "--seed"])
+    def test_coordinator_has_no_flag_it_ignores(self, flag, capsys):
+        """A flag the coordinator would not read is a usage error, not
+        a silently served full scan."""
+        with pytest.raises(SystemExit) as usage:
+            main(["coordinator", "hi", flag, "1"])
+        assert usage.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_worker_connect_must_be_host_port(self):
         with pytest.raises(SystemExit, match="HOST:PORT"):
             main(["worker", "--connect", "nonsense"])
@@ -345,3 +363,26 @@ class TestCliDist:
         out = capsys.readouterr().out
         assert status == 3
         assert "INCOMPLETE" in out
+
+    def test_hung_scan_exits_incomplete_then_finishes(self, monkeypatch,
+                                                      capsys, tmp_path):
+        """A shard hung on every attempt is reported, not invented:
+        exit 3 and INCOMPLETE; the same command on the same journal,
+        healthy, completes to the serial table."""
+        import json as json_mod
+
+        main(["scan", "memcopy"])
+        serial = capsys.readouterr().out.splitlines()
+        args = ["scan", "memcopy", "--jobs", "2", "--journal",
+                str(tmp_path / "j.sqlite")]
+        monkeypatch.setenv("REPRO_CHAOS", json_mod.dumps(
+            {"hang": [[0, 0]]}))
+        status = main(args + ["--shard-timeout", "1", "--max-retries", "0"])
+        out = capsys.readouterr().out
+        assert status == 3
+        assert "deadline expiries: 1" in out and "INCOMPLETE" in out
+        monkeypatch.delenv("REPRO_CHAOS")
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "resumed from journal" in out
+        assert out.splitlines()[-7:] == serial[-7:]
