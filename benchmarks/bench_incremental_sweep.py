@@ -8,7 +8,8 @@ campaign results, same comparison table, byte-identical comparison CSV.
 
 What "composition pays" stands for is asserted as counts, not as a
 ratio of wall times: nothing executed, every experiment composed, at
-most three commits and no ``Outcome(...)`` construction per composed
+most three commits, one ``class_results`` row written per live class
+(not per bit) and no ``Outcome(...)`` construction per composed
 variant.  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
 when it was written) fell as the executor got faster — the family's
 whole cold sweep is ≈ 0.13 s now, and what both sides have left is the
@@ -56,11 +57,12 @@ def _reports(results):
 
 
 def _counted_sweep(goldens, path, monkeypatch):
-    """A ``resume=False`` sweep under two counters: per variant the
+    """A ``resume=False`` sweep under three counters: per variant the
     ``BEGIN IMMEDIATE`` statements SQLite sees (each ends in a commit,
     an fsync), with the commit window's clock frozen so that only the
-    sweep's own flushes commit; over the sweep the ``Outcome(value)``
-    calls."""
+    sweep's own flushes commit, and the rows it writes to
+    ``class_results`` (the trace sees every row an ``executemany``
+    binds); over the sweep the ``Outcome(value)`` calls."""
     enum_type = type(Outcome)
     enum_call = enum_type.__call__
     constructed = []
@@ -70,7 +72,7 @@ def _counted_sweep(goldens, path, monkeypatch):
             constructed.append(args)
         return enum_call(cls, *args, **kwargs)
 
-    results, commits, statements = {}, {}, []
+    results, commits, class_rows, statements = {}, {}, {}, []
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
         patch.setattr(journal_module, "_clock", lambda: 0.0)
@@ -81,7 +83,10 @@ def _counted_sweep(goldens, path, monkeypatch):
             results[name] = run_full_scan(goldens[name], journal=journal,
                                           resume=False, keep_records=True)
             commits[name] = statements.count("BEGIN IMMEDIATE")
-    return results, commits, len(constructed)
+            class_rows[name] = sum(
+                statement.startswith("INSERT OR REPLACE INTO class_results")
+                for statement in statements)
+    return results, commits, class_rows, len(constructed)
 
 
 def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
@@ -101,8 +106,8 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     # must rebuild every result purely by composing from the section
     # store — the hardest version of the warm path.
     warm, warm_s = _sweep(goldens, journal, resume=False)
-    counted, commits, constructed = _counted_sweep(goldens, journal,
-                                                   monkeypatch)
+    counted, commits, class_rows, constructed = _counted_sweep(
+        goldens, journal, monkeypatch)
 
     composed = {}
     for name in VARIANTS:
@@ -116,6 +121,10 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         assert commits[name] <= MAX_COMMITS, (
             f"{name}: {commits[name]} commits to compose one variant, "
             f"expected <= {MAX_COMMITS}")
+        # A journal row is a class, not a bit.
+        assert class_rows[name] == cold[name].execution.total_units, (
+            f"{name}: {class_rows[name]} class_results rows written for "
+            f"{cold[name].execution.total_units} live classes")
     assert constructed == 0, (
         f"{constructed} Outcome(value) constructions on the warm path: "
         f"stored values are looked up in OUTCOME_BY_VALUE")
@@ -143,6 +152,9 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"commits per variant     "
         f"{', '.join(f'{k}: {v}' for k, v in commits.items())} "
         f"(<= {MAX_COMMITS})",
+        f"class rows per variant  "
+        f"{', '.join(f'{k}: {v}' for k, v in class_rows.items())} "
+        f"(= live classes)",
         f"Outcome(value) calls    {constructed}",
         "comparison CSV          byte-identical cold vs. warm",
     ]
@@ -158,6 +170,7 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         "executed": 0,
         "commits_per_variant": commits,
         "max_commits_asserted": MAX_COMMITS,
+        "class_rows_per_variant": class_rows,
         "outcome_constructions": constructed,
         "total_units": {name: cold[name].execution.total_units
                         for name in VARIANTS},

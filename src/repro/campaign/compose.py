@@ -11,9 +11,11 @@ answers two questions:
   earlier sweep — for every experiment of this equivalence class?  If
   so, the class's rows are returned without executing anything and the
   runner merges them exactly as it merges resumed journal rows.
-* *store*: a freshly executed class/experiment is written back
-  first-wins (INSERT OR IGNORE), so concurrent or repeated campaigns
-  agree with the dist fabric's at-least-once merge discipline.
+* *store*: a freshly executed class/experiment is written back as one
+  run, first-wins per bit (a longer run replaces a shorter one stored
+  at the same first bit, nothing else is overwritten), so concurrent
+  or repeated campaigns agree with the dist fabric's at-least-once
+  merge discipline.
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry
@@ -88,8 +90,9 @@ class SectionComposer:
         representative bits — partial classes (a sampled campaign
         stores single bits) re-execute whole, preserving the
         class-atomic crash-tolerance unit.  The stored bits are
-        distinct integers in ascending order (the table's key), so
-        ``n`` of them running from ``0`` to ``n − 1`` are ``0 … n − 1``.
+        distinct integers in ascending order (``section_rows`` yields
+        each once), so ``n`` of them running from ``0`` to ``n − 1``
+        are ``0 … n − 1``.
         """
         slot = interval.injection_slot
         rows = self._section_rows(self.map.owner(slot).index).get(
@@ -107,13 +110,13 @@ class SectionComposer:
         outcome as either the enum or its string value.
         """
         slot = interval.injection_slot
-        axis = self.domain.axis_of(interval)
-        section_id = self._ids[self.map.owner(slot).index]
-        self.journal.merge_section_rows(section_id, [
-            (slot, axis, bit,
-             outcome.value if isinstance(outcome, Outcome) else outcome,
-             end_cycle, trap)
-            for bit, outcome, end_cycle, trap in rows])
+        self.journal.merge_section_rows(
+            self._ids[self.map.owner(slot).index], slot,
+            self.domain.axis_of(interval), [
+                (bit,
+                 outcome.value if isinstance(outcome, Outcome) else outcome,
+                 end_cycle, trap)
+                for bit, outcome, end_cycle, trap in rows])
 
     # -- sampled experiments --------------------------------------------------
 
@@ -129,8 +132,8 @@ class SectionComposer:
     def store_experiment(self, slot: int, axis: int, bit: int,
                          outcome, end_cycle: int, trap: str) -> None:
         """Write one freshly executed sampled experiment to the store."""
-        section_id = self._ids[self.map.owner(slot).index]
-        self.journal.merge_section_rows(section_id, [
-            (slot, axis, bit,
-             outcome.value if isinstance(outcome, Outcome) else outcome,
-             end_cycle, trap)])
+        self.journal.merge_section_rows(
+            self._ids[self.map.owner(slot).index], slot, axis, [
+                (bit,
+                 outcome.value if isinstance(outcome, Outcome) else outcome,
+                 end_cycle, trap)])

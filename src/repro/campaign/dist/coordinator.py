@@ -225,9 +225,17 @@ class DistCoordinator:
         a serial run would, or ``None`` when the ``stop_after_results``
         crash hook fired.
         """
-        return asyncio.run(self._main())
+        asyncio.run(self._main())
+        return self._result
 
-    async def _main(self):
+    async def _main(self) -> None:
+        # The result is left on self, not returned: run on the main
+        # thread, ``asyncio.run`` checks the SIGINT handler it installed
+        # after the task finishes, and on Python 3.11 each check builds
+        # a ValueError message from the repr of a partial holding the
+        # main task — and a finished task's repr includes its result,
+        # megabytes of CampaignResult repr.
+        self._result = None
         golden, domain = self.golden, self.domain
         style = ScanStyle(golden, domain,
                           campaign_params(golden, self.config),
@@ -243,7 +251,7 @@ class DistCoordinator:
         with open_run(style, ":memory:" if self.journal is None
                           else self.journal, self.resume,
                           self.progress) as run:
-            return await self._serve(run)
+            self._result = await self._serve(run)
 
     async def _serve(self, run: CampaignRun):
         golden, domain = self.golden, self.domain
@@ -758,7 +766,10 @@ class DistCoordinator:
                 or len(rows) != self.domain.experiment_count(interval):
             return False
         for index, row in enumerate(rows):
-            if row[0] != index or row[1] not in _OUTCOME_VALUES:
+            # A space would split the trap when the journal joins the
+            # class's traps into one run (journal module docstring).
+            if row[0] != index or row[1] not in _OUTCOME_VALUES \
+                    or " " in row[3]:
                 return False
         return True
 

@@ -232,8 +232,8 @@ class DistWorker:
             raise
         config = ExecutorConfig(**spec["config"])
         domain = get_domain(config.domain)
-        executor = config.build(golden)
         partition = domain.build_partition(golden)
+        executor = config.build(golden, partition=partition)
         intervals = {domain.class_key(interval): interval
                      for interval in partition.live_classes()}
         self._campaigns[fingerprint] = (executor, intervals, spec["config"])

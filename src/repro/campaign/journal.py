@@ -20,17 +20,31 @@ of restarting, while any change to the program, the domain, the sampler
 seed or the executor's timeout policy opens a fresh campaign.  Three
 result granularities match the three campaign styles:
 
-* ``class_results`` — one row per (class, bit) representative experiment
-  of a full scan, including ``end_cycle`` and ``trap`` so resumed runs
-  reconstruct :class:`~.experiment.ExperimentRecord` lists bit-for-bit;
-  sampled campaigns reuse the same table for their distinct-experiment
-  cache.
+* ``class_results`` — one row per class of a full scan, holding the
+  outcomes, end cycles and traps of all its representative experiments
+  (so resumed runs reconstruct :class:`~.experiment.ExperimentRecord`
+  lists bit-for-bit); sampled campaigns reuse the same table for their
+  distinct-experiment cache, one row per experiment.
 * ``coordinate_results`` — one row per raw coordinate of a brute-force
   scan, journaled atomically per injection slot.
 * ``sampler_state`` — the sampler's post-draw RNG position, so a resume
   can *prove* the re-drawn sample sequence is the one the journal's
   experiments belong to (a changed seed or sample count raises
   :class:`JournalMismatchError` instead of silently mixing campaigns).
+
+A row of ``class_results`` (and of the section store's
+``section_results``) is a *run*: consecutive bits starting at the key's
+``bit``, its ``outcome``, ``end_cycle`` and ``trap`` columns the run's
+per-bit values separated by single spaces (no outcome value or trap
+name contains one).  A full-scan class is one run from bit 0, a sampled
+experiment — and every row a version-3 build wrote — a run of one.
+SQLite's cost is per row, not per statement, and the pipeline never
+reads or writes less than a class, so this is what a resume or a
+composition pays for.  The writers take per-bit rows and the readers
+return them; runs exist only between the two.  Readers walk runs in key
+order and skip a bit an earlier run of the same class already covered:
+first wins per bit, which is sound because experiments are
+deterministic.
 
 Writes are group-committed.  Every unit the campaign treats as atomic
 (one class, one slot, one batch of sampled experiments, one class's
@@ -69,19 +83,28 @@ from .outcomes import OUTCOME_BY_VALUE, Outcome
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and
 #: the ``summaries`` table; version 3 added the ``fabric_events`` log
-#: (supervision / integrity incidents of the distributed fabric).  All
-#: changes are purely additive, so older journals migrate in place on
-#: open.  Journals written by a *newer* build than this one are
-#: rejected instead of silently misread.
+#: (supervision / integrity incidents of the distributed fabric);
+#: version 4 stores runs of bits per ``class_results`` /
+#: ``section_results`` row (module docstring).  Every older row reads as
+#: a run of one, so older journals migrate in place on open by the
+#: version stamp alone.  Journals written by a *newer* build than this
+#: one are rejected instead of silently misread — a version-3 build
+#: would take a run for its first bit.
 #:
 #: The three result tables are ``WITHOUT ROWID``: clustered on their
 #: four-column key, so a row is stored once (a rowid table keeps it in
 #: the table b-tree *and* in the key's automatic index) and "all rows of
 #: campaign *c* in key order" is one b-tree walk.  That is layout, not
-#: meaning — same columns, same SQL — so it carries no version: ``CREATE
-#: TABLE IF NOT EXISTS`` leaves the rowid tables of an older v3 file as
-#: they are, and both layouts open, resume, compose and salvage.
-SCHEMA_VERSION = 3
+#: meaning, so it carries no version: ``CREATE TABLE IF NOT EXISTS``
+#: leaves the tables of an older file as they are — rowid layout, and
+#: an ``end_cycle`` of INTEGER affinity, which stores a run of one's end
+#: cycle as an integer — and every layout opens, resumes, composes and
+#: salvages.
+SCHEMA_VERSION = 4
+
+#: SQL for the number of bits in a run row: one more than the number of
+#: separators in its ``outcome`` column.
+RUN_BITS = "length(outcome) - length(replace(outcome, ' ', '')) + 1"
 
 #: Longest a unit write may sit uncommitted while the campaign keeps
 #: writing: the write that finds the buffered window this old commits
@@ -114,7 +137,7 @@ CREATE TABLE IF NOT EXISTS class_results (
     first_slot  INTEGER NOT NULL,
     bit         INTEGER NOT NULL,
     outcome     TEXT NOT NULL,
-    end_cycle   INTEGER NOT NULL DEFAULT 0,
+    end_cycle   TEXT NOT NULL DEFAULT '0',
     trap        TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (campaign_id, axis, first_slot, bit)
 ) WITHOUT ROWID;
@@ -155,7 +178,7 @@ CREATE TABLE IF NOT EXISTS section_results (
     axis       INTEGER NOT NULL,
     bit        INTEGER NOT NULL,
     outcome    TEXT NOT NULL,
-    end_cycle  INTEGER NOT NULL DEFAULT 0,
+    end_cycle  TEXT NOT NULL DEFAULT '0',
     trap       TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (section_id, slot, axis, bit)
 ) WITHOUT ROWID;
@@ -234,6 +257,69 @@ def canonical_params(params: Mapping) -> str:
                       separators=(",", ":"))
 
 
+def _runs(rows: Iterable[tuple[int, str, int, str]]) \
+        -> list[tuple[int, str, str, str]]:
+    """Per-bit rows ``(bit, outcome_value, end_cycle, trap)`` as the runs
+    that store them, ``(first_bit, outcomes, end_cycles, traps)``: one
+    per stretch of consecutive bits, each column's values joined by
+    single spaces.  A class is one stretch; rows with a gap (a torn or
+    hand-made class) become one run per stretch, so no bit is ever
+    stored at another bit's position."""
+    columns = list(zip(*rows))
+    if not columns:
+        return []
+    bits, outcomes, cycles, traps = columns
+    edges = [0, *[index for index in range(1, len(bits))
+                  if bits[index] != bits[index - 1] + 1], len(bits)]
+    return [(bits[start], " ".join(outcomes[start:end]),
+             " ".join(map(str, cycles[start:end])),
+             " ".join(traps[start:end]))
+            for start, end in zip(edges, edges[1:])]
+
+
+def _expand(cursor, outcome_of=None) -> dict[tuple[int, int], list]:
+    """Run rows ``(key, key, first_bit, outcomes, end_cycles, traps)``,
+    read in key order, as ``(key, key)`` → per-bit ``(bit, outcome,
+    end_cycle, trap)`` rows in bit order.
+
+    A bit an earlier run of the same key already covers is skipped —
+    first wins per bit — so each key's bits come out distinct and
+    ascending.  ``outcome_of`` maps each stored outcome value (default:
+    kept as stored).  A run whose three columns disagree in length is
+    unreadable and yields no bits: its class is short or absent, so it
+    fails validation, or does not compose, and re-executes.
+    """
+    out: dict[tuple[int, int], list] = {}
+    last = None
+    for major, minor, bit, outcomes, cycles, traps in cursor:
+        # The cursor is in key order: a changed key starts a class.
+        key = (major, minor)
+        if key != last:
+            last = key
+            covered = bit
+        outcomes = outcomes.split(" ")
+        # str(): an INTEGER-affinity column of a version-3 table stores
+        # a run of one's end cycle as an integer.
+        cycles = str(cycles).split(" ")
+        traps = traps.split(" ")
+        count = len(outcomes)
+        if len(cycles) != count or len(traps) != count:
+            continue
+        skip = covered - bit
+        if skip > 0:
+            if skip >= count:
+                continue
+            outcomes, cycles, traps = \
+                outcomes[skip:], cycles[skip:], traps[skip:]
+            bit = covered
+        covered = bit + len(outcomes)
+        out.setdefault(key, []).extend(zip(
+            range(bit, covered),
+            outcomes if outcome_of is None else map(outcome_of, outcomes),
+            map(int, cycles), traps))
+    return out
+
+
 class ExperimentJournal:
     """One SQLite journal file holding any number of campaigns.
 
@@ -266,7 +352,7 @@ class ExperimentJournal:
             # a fresh journal at the same path from every row that is
             # still readable, then open that.  Partially recovered
             # classes are the caller's problem — the pipeline's
-            # prologue validates row counts against the domain's
+            # prologue validates bit counts against the domain's
             # expected experiment weights before trusting resumed
             # classes.
             self.salvage_report = salvage_journal(self.path)
@@ -293,9 +379,10 @@ class ExperimentJournal:
                 f"journal {self.path!r} has schema version {row[0]}, "
                 f"this build expects {SCHEMA_VERSION}")
         if stored < SCHEMA_VERSION:
-            # Versions 1 → 2 differ only by additive tables, which the
-            # executescript above already created; migration is just the
-            # version stamp.  Existing rows are untouched — no data loss.
+            # Older versions lack only tables, which the executescript
+            # above already created, and their per-bit result rows are
+            # runs of one; migration is just the version stamp.
+            # Existing rows are untouched — no data loss.
             self._write(
                 "UPDATE meta SET value = ? WHERE key = 'schema_version'",
                 [(str(SCHEMA_VERSION),)])
@@ -465,9 +552,9 @@ class ExperimentJournal:
                 "SELECT id, fingerprint, domain, kind, params, cycles, "
                 "status FROM campaigns ORDER BY id"):
             campaign_id = row[0]
-            classes = self._query(
-                "SELECT COUNT(*) FROM class_results WHERE campaign_id "
-                "= ?", (campaign_id,)).fetchone()[0]
+            bits = self._query(
+                f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM class_results "
+                f"WHERE campaign_id = ?", (campaign_id,)).fetchone()[0]
             coords = self._query(
                 "SELECT COUNT(*) FROM coordinate_results WHERE "
                 "campaign_id = ?", (campaign_id,)).fetchone()[0]
@@ -479,7 +566,7 @@ class ExperimentJournal:
                 "params": json.loads(row[4]),
                 "cycles": row[5],
                 "status": row[6],
-                "journaled_experiments": classes + coords,
+                "journaled_experiments": bits + coords,
             })
         return out
 
@@ -508,46 +595,43 @@ class ExperimentJournal:
         return row[0]
 
     def merge_section_rows(
-            self, section_id: int,
-            rows: Iterable[tuple[int, int, int, str, int, str]]) -> None:
-        """Merge experiment rows into a section, first-wins.
+            self, section_id: int, slot: int, axis: int,
+            rows: Iterable[tuple[int, str, int, str]]) -> None:
+        """Merge one class's experiment rows into a section, first-wins.
 
-        ``rows`` holds ``(slot, axis, bit, outcome_value, end_cycle,
-        trap)``.  INSERT OR IGNORE gives the same first-wins semantics
-        the dist fabric uses for at-least-once deliveries: experiments
-        are deterministic, so a duplicate necessarily carries identical
-        values and dropping it is sound.
+        ``rows`` holds ``(bit, outcome_value, end_cycle, trap)``, as
+        :meth:`CampaignJournal.record_class` takes them.  First-wins is
+        the discipline the dist fabric uses for at-least-once
+        deliveries: experiments are deterministic, so a duplicate
+        necessarily carries identical values and dropping it is sound.
+        A run stored at the same first bit is replaced only by a longer
+        one — a whole class arriving where a sampled campaign stored its
+        first bit — because otherwise that class would never compose.
         """
+        new, stored = (RUN_BITS.replace("outcome", f"{table}.outcome")
+                       for table in ("excluded", "section_results"))
         self._write(
-            "INSERT OR IGNORE INTO section_results (section_id, "
-            "slot, axis, bit, outcome, end_cycle, trap) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [(section_id, slot, axis, bit, outcome, end_cycle, trap)
-             for slot, axis, bit, outcome, end_cycle, trap in rows])
+            "INSERT INTO section_results (section_id, slot, axis, bit, "
+            "outcome, end_cycle, trap) VALUES (?, ?, ?, ?, ?, ?, ?) "
+            "ON CONFLICT (section_id, slot, axis, bit) DO UPDATE SET "
+            "outcome = excluded.outcome, end_cycle = excluded.end_cycle, "
+            f"trap = excluded.trap WHERE {new} > {stored}",
+            [(section_id, slot, axis, *run) for run in _runs(rows)])
 
     def section_rows(self, section_id: int) \
             -> dict[tuple[int, int], list[tuple[int, str, int, str]]]:
         """Stored rows of one section, grouped the way classes are:
         ``(slot, axis)`` → ``(bit, outcome_value, end_cycle, trap)`` in
-        bit order.
+        bit order, each bit once.
 
         The rows stay in stored form — outcomes by value, exactly what
         :meth:`CampaignJournal.record_classes` takes — because that is
         where a composed class goes next.
         """
-        out: dict[tuple[int, int], list] = {}
-        last = None
-        for row in self._query(
-                "SELECT slot, axis, bit, outcome, end_cycle, trap "
-                "FROM section_results WHERE section_id = ? "
-                "ORDER BY slot, axis, bit", (section_id,)):
-            # The cursor is in key order: a changed key opens a group.
-            key = row[:2]
-            if key != last:
-                last = key
-                rows = out[key] = []
-            rows.append(row[2:])
-        return out
+        return _expand(self._query(
+            "SELECT slot, axis, bit, outcome, end_cycle, trap "
+            "FROM section_results WHERE section_id = ? "
+            "ORDER BY slot, axis, bit", (section_id,)))
 
     def sections(self) -> list[dict]:
         """All stored sections with their result and reference counts."""
@@ -557,8 +641,9 @@ class ExperimentJournal:
                 "last_slot, detail FROM sections ORDER BY id"):
             section_id = row[0]
             results = self._query(
-                "SELECT COUNT(*) FROM section_results WHERE "
-                "section_id = ?", (section_id,)).fetchone()[0]
+                f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM "
+                f"section_results WHERE section_id = ?",
+                (section_id,)).fetchone()[0]
             referenced = self._query(
                 "SELECT COUNT(*) FROM campaign_sections WHERE "
                 "section_id = ?", (section_id,)).fetchone()[0]
@@ -594,17 +679,20 @@ class ExperimentJournal:
         return int(row[0])
 
     def size_report(self) -> dict:
-        """Row counts per table, the database file size in bytes, and
-        ``bytes_per_result`` — file bytes per stored experiment row of
-        the three result tables (0.0 while they are empty): the number
-        that says whether the tables are stored once or twice."""
+        """Row counts per table — experiments for the two run tables —
+        the database file size in bytes, and ``bytes_per_result``: file
+        bytes per experiment stored in the three result tables (0.0
+        while they are empty), the number the table layout and the row
+        format are judged by."""
         tables = ("campaigns", "class_results", "coordinate_results",
                   "sampler_state", "leases", "sections",
                   "section_results", "campaign_sections", "summaries",
                   "fabric_events")
         report = {
             table: self._query(
-                f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}"
+                if table in ("class_results", "section_results")
+                else f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in tables
         }
         try:
@@ -729,16 +817,9 @@ class CampaignJournal:
         of the class's representative experiments.  The class is the
         crash-tolerance unit: its rows join the commit window
         together, so a class is journaled entirely or not at all and
-        resumes never see half a class.
+        resumes never see half a class.  It is stored as one run.
         """
-        self.journal._write(
-            "INSERT OR REPLACE INTO class_results (campaign_id, "
-            "axis, first_slot, bit, outcome, end_cycle, trap) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [(self.campaign_id, axis, first_slot, bit, outcome,
-              end_cycle, trap)
-             for bit, outcome, end_cycle, trap in rows],
-            class_keys=((self.campaign_id, axis, first_slot),))
+        self.record_classes([(axis, first_slot, rows)])
 
     def record_classes(
             self,
@@ -751,35 +832,24 @@ class CampaignJournal:
         whole batch joins the commit window together.
         """
         classes = list(classes)
+        campaign_id = self.campaign_id
         self.journal._write(
             "INSERT OR REPLACE INTO class_results (campaign_id, "
             "axis, first_slot, bit, outcome, end_cycle, trap) "
             "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [(self.campaign_id, axis, first_slot, bit, outcome,
-              end_cycle, trap)
-             for axis, first_slot, rows in classes
-             for bit, outcome, end_cycle, trap in rows],
-            class_keys=tuple((self.campaign_id, axis, first_slot)
+            [(campaign_id, axis, first_slot, *run)
+             for axis, first_slot, rows in classes for run in _runs(rows)],
+            class_keys=tuple((campaign_id, axis, first_slot)
                              for axis, first_slot, _ in classes))
 
     def completed_classes(self) \
             -> dict[tuple[int, int], list[tuple[int, Outcome, int, str]]]:
         """Journaled classes: ``(axis, first_slot)`` → per-bit rows."""
-        out: dict[tuple[int, int], list] = {}
-        by_value = OUTCOME_BY_VALUE
-        last_axis = last_slot = None
-        for axis, first_slot, bit, outcome, end_cycle, trap in \
-                self.journal._query(
-                    "SELECT axis, first_slot, bit, outcome, end_cycle, "
-                    "trap FROM class_results WHERE campaign_id = ? "
-                    "ORDER BY axis, first_slot, bit",
-                    (self.campaign_id,)):
-            # The cursor is in key order: a changed key opens a class.
-            if first_slot != last_slot or axis != last_axis:
-                last_axis, last_slot = axis, first_slot
-                rows = out[axis, first_slot] = []
-            rows.append((bit, by_value[outcome], end_cycle, trap))
-        return out
+        return _expand(self.journal._query(
+            "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
+            "FROM class_results WHERE campaign_id = ? "
+            "ORDER BY axis, first_slot, bit", (self.campaign_id,)),
+            OUTCOME_BY_VALUE.__getitem__)
 
     def merge_class(self, axis: int, first_slot: int,
                     rows: Iterable[tuple[int, str, int, str]]) -> bool:
@@ -814,21 +884,23 @@ class CampaignJournal:
         delivered that was never independently verified is discarded
         here and re-queued — first-wins merging means a poisoned first
         copy can only be displaced by deleting it.  Also used to drop
-        partially salvaged classes whose row count disagrees with the
-        domain's expected experiment weight.  Returns rows deleted.
+        partially salvaged classes whose bit count disagrees with the
+        domain's expected experiment weight.  Returns classes deleted.
         """
-        keys = list(keys)
+        keys = [(self.campaign_id, axis, first_slot)
+                for axis, first_slot in dict.fromkeys(keys)]
         if not keys:
             return 0
         self.journal.flush()
-        before = self._conn.total_changes
+        present = sum(self._conn.execute(
+            "SELECT 1 FROM class_results WHERE campaign_id = ? AND "
+            "axis = ? AND first_slot = ? LIMIT 1", key).fetchone()
+            is not None for key in keys)
         self.journal._write(
             "DELETE FROM class_results WHERE campaign_id = ? AND "
-            "axis = ? AND first_slot = ?",
-            [(self.campaign_id, axis, first_slot)
-             for axis, first_slot in keys])
+            "axis = ? AND first_slot = ?", keys)
         self.journal.flush()
-        return self._conn.total_changes - before
+        return present
 
     # -- fabric event log -----------------------------------------------------
 
@@ -883,7 +955,7 @@ class CampaignJournal:
     def record_experiments(self, rows: Iterable[tuple[int, int, int,
                                                       str]]) -> None:
         """Journal distinct sampled experiments ``(axis, first_slot,
-        bit, outcome_value)`` as one unit."""
+        bit, outcome_value)`` as one unit, each a run of one."""
         self.journal._write(
             "INSERT OR REPLACE INTO class_results (campaign_id, "
             "axis, first_slot, bit, outcome) VALUES (?, ?, ?, ?, ?)",
@@ -893,13 +965,14 @@ class CampaignJournal:
     def completed_experiments(self) \
             -> dict[tuple[int, int, int], Outcome]:
         """Journaled sampled experiments keyed ``(axis, first_slot, bit)``."""
-        by_value = OUTCOME_BY_VALUE
         return {
-            (axis, first_slot, bit): by_value[outcome]
-            for axis, first_slot, bit, outcome in self.journal._query(
-                "SELECT axis, first_slot, bit, outcome FROM "
-                "class_results WHERE campaign_id = ?",
-                (self.campaign_id,))
+            (axis, first_slot, bit): outcome
+            for (axis, first_slot), rows in _expand(self.journal._query(
+                "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
+                "FROM class_results WHERE campaign_id = ? "
+                "ORDER BY axis, first_slot, bit", (self.campaign_id,)),
+                OUTCOME_BY_VALUE.__getitem__).items()
+            for bit, outcome, _, _ in rows
         }
 
     # -- brute-force slots ----------------------------------------------------
@@ -995,9 +1068,10 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     by reading each known table row-by-row until the first unreadable
     page.  SQLite's transactionality means every recovered row was
     durably committed; what is *lost* is any row on a damaged page —
-    which can truncate a class mid-way, so the pipeline's prologue
-    validates class row counts (:func:`invalid_classes`), under every
-    transport, instead of trusting recovered classes blindly.
+    which in a file a version-3 build wrote (a row per bit) can truncate
+    a class mid-way, so the pipeline's prologue validates class bit
+    counts (:func:`invalid_classes`), under every transport, instead of
+    trusting recovered classes blindly.
     """
     path = str(path)
     corrupt = path + ".corrupt"

@@ -394,12 +394,12 @@ def cmd_journal(args) -> int:
         sizes = journal.size_report()
         file_bytes = sizes.pop("file_bytes")
         per_result = sizes.pop("bytes_per_result")
-        rows = ", ".join(f"{table}={count}"
-                         for table, count in sorted(sizes.items())
-                         if count)
-        print(f"size: {file_bytes} bytes on disk ({rows or 'empty'})")
+        counts = ", ".join(f"{table}={count}"
+                           for table, count in sorted(sizes.items())
+                           if count)
+        print(f"size: {file_bytes} bytes on disk ({counts or 'empty'})")
         if per_result:
-            print(f"      {per_result:.0f} bytes per stored experiment row")
+            print(f"      {per_result:.0f} bytes per stored experiment")
     return 0
 
 

@@ -24,12 +24,15 @@ from repro.campaign import (
     run_sampling,
 )
 from repro.campaign.compose import SectionComposer
-from repro.campaign.journal import SCHEMA_VERSION, salvage_journal
+from repro.campaign.journal import (SALVAGE_TABLES, SCHEMA_VERSION,
+                                    CampaignJournal, salvage_journal)
 from repro.campaign.pipeline import InProcess
 from repro.cli import main
 from repro.faultspace import build_section_map, get_domain
 from repro.isa.assembler import assemble
 from repro.programs import micro
+
+from .journal_rows import class_experiments
 
 SECTION_TABLES = ("section_results", "campaign_sections", "sections",
                   "summaries")
@@ -38,6 +41,15 @@ SECTION_TABLES = ("section_results", "campaign_sections", "sections",
 @pytest.fixture(scope="module")
 def golden():
     return record_golden(micro.counter(3))
+
+
+def _class_rows(path) -> list[tuple]:
+    """Every ``class_results`` row of a journal file, in key order."""
+    conn = sqlite3.connect(path)
+    rows = conn.execute(
+        "SELECT * FROM class_results ORDER BY 1, 2, 3, 4").fetchall()
+    conn.close()
+    return rows
 
 
 def _experiments(result) -> int:
@@ -96,16 +108,17 @@ class TestWarmEqualsCold:
         """The warm campaign re-journals every class it composed, so
         its journal rows equal the cold campaign's."""
         journal = tmp_path / "journal.sqlite"
-        run_full_scan(golden, journal=journal)
+        cold = run_full_scan(golden, journal=journal)
+        cold_rows = _class_rows(journal)
         run_full_scan(golden, journal=journal, resume=False)
         conn = sqlite3.connect(journal)
         campaigns = [row[0] for row in conn.execute(
             "SELECT id FROM campaigns ORDER BY id")]
-        assert len(campaigns) == 1  # same identity: cleared, then refilled
-        rows = conn.execute(
-            "SELECT COUNT(*) FROM class_results").fetchone()[0]
         conn.close()
-        assert rows > 0
+        assert len(campaigns) == 1  # same identity: cleared, then refilled
+        assert _class_rows(journal) == cold_rows
+        assert sum(class_experiments(journal).values()) \
+            == _experiments(cold)
 
     def test_sampling_composes_from_full_scan_store(self, tmp_path,
                                                     golden):
@@ -386,6 +399,142 @@ class TestTableLayout:
         assert resumed.execution.resumed == resumed.execution.total_units
 
 
+#: The result tables as a version-3 build created them, per layout:
+#: ``end_cycle`` of INTEGER affinity, and ``CREATE TABLE IF NOT EXISTS``
+#: leaves them so.
+V3_DDL = {"rowid": ROWID_DDL,
+          "clustered": ROWID_DDL.replace("\n);", "\n) WITHOUT ROWID;")}
+
+
+def _v3_file(path, source, layout):
+    """The journal a version-3 build leaves after the campaigns
+    ``source`` holds: that build's tables, a result row inserted per
+    bit, stamped 3."""
+    conn = sqlite3.connect(path)
+    conn.executescript(V3_DDL[layout])
+    conn.close()
+    ExperimentJournal(path).close()  # every other table, as v3 had it
+    with ExperimentJournal(source) as journal:
+        class_rows = [
+            (entry["id"], axis, first_slot, bit, outcome.value, end_cycle,
+             trap)
+            for entry in journal.campaigns()
+            for (axis, first_slot), rows in CampaignJournal(
+                journal, entry["id"]).completed_classes().items()
+            for bit, outcome, end_cycle, trap in rows]
+        section_rows = [
+            (entry["id"], slot, axis, *row)
+            for entry in journal.sections()
+            for (slot, axis), rows in journal.section_rows(
+                entry["id"]).items()
+            for row in rows]
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("ATTACH DATABASE ? AS source", (str(source),))
+        for table, columns in SALVAGE_TABLES:
+            if table not in ("meta", "class_results", "section_results"):
+                names = ", ".join(columns)
+                conn.execute(f"INSERT INTO {table} ({names}) SELECT "
+                             f"{names} FROM source.{table}")
+        marks = ", ".join("?" * 7)
+        conn.executemany(f"INSERT INTO class_results VALUES ({marks})",
+                         class_rows)
+        conn.executemany(f"INSERT INTO section_results VALUES ({marks})",
+                         section_rows)
+        conn.execute("UPDATE meta SET value = '3' "
+                     "WHERE key = 'schema_version'")
+    conn.execute("DETACH DATABASE source")
+    conn.close()
+    return path
+
+
+def _listing(command, path, capsys) -> list[str]:
+    """``repro <command> --journal path`` output, path and byte counts
+    left out."""
+    main([command, "--journal", str(path)])
+    return [line for line in capsys.readouterr().out.replace(
+        str(path), "<journal>").splitlines() if "bytes" not in line]
+
+
+class TestVersion3Journal:
+    """A file a version-3 build wrote — a result row per bit, in either
+    table layout — is read as runs of one: it opens (stamped 4 from
+    then on), lists, resumes, composes and salvages like a version-4
+    file of the same campaigns, with no data migration."""
+
+    @pytest.fixture(params=["memory", "register", "pc"])
+    def domain(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def journals(self, tmp_path, golden, domain):
+        """``(v4, cold)``: one scan journaled by this build, and its
+        result."""
+        v4 = tmp_path / "v4.sqlite"
+        cold = run_full_scan(golden, domain=domain, journal=v4,
+                             keep_records=True)
+        return v4, cold
+
+    @pytest.mark.parametrize("layout", ["clustered", "rowid"])
+    def test_opens_lists_resumes_composes_and_salvages(
+            self, tmp_path, golden, domain, journals, layout, capsys):
+        v4, cold = journals
+        v3 = _v3_file(tmp_path / "v3.sqlite", v4, layout)
+        conn = sqlite3.connect(v3)
+        assert conn.execute(
+            "SELECT COUNT(*) FROM class_results").fetchone()[0] \
+            == _experiments(cold)
+        conn.close()
+        for command in ("journal", "resume"):
+            assert _listing(command, v3, capsys) \
+                == _listing(command, v4, capsys)
+        with ExperimentJournal(v3) as handle:
+            assert handle.schema_version() == SCHEMA_VERSION == 4
+        resumed = run_full_scan(golden, domain=domain, journal=v3,
+                                keep_records=True)
+        assert resumed == cold
+        assert resumed.execution.executed == 0
+        assert resumed.execution.resumed == resumed.execution.total_units
+        # Composed from the per-bit section rows, then journaled as runs
+        # into the version-3 tables and read back from them.
+        for resume in (False, True):
+            warm = run_full_scan(golden, domain=domain, journal=v3,
+                                 resume=resume, keep_records=True)
+            assert warm == cold
+            assert warm.execution.executed == 0
+            assert warm.execution.composed_hits \
+                == (0 if resume else _experiments(cold))
+        salvage_journal(v3)
+        assert _clustered(v3) == list(RESULT_TABLES)
+        salvaged = run_full_scan(golden, domain=domain, journal=v3,
+                                 keep_records=True)
+        assert salvaged == cold
+        assert salvaged.execution.executed == 0
+
+    @pytest.mark.parametrize("domain", ["memory", "register"])
+    def test_a_class_missing_a_bit_is_redone(self, tmp_path, golden,
+                                              domain, journals):
+        """A salvaged version-3 file can hold a class with a bit lost
+        from its middle; validation is as strict as ever."""
+        v4, cold = journals
+        v3 = _v3_file(tmp_path / "v3.sqlite", v4, "clustered")
+        conn = sqlite3.connect(v3)
+        with conn:
+            axis, first_slot = conn.execute(
+                "SELECT axis, first_slot FROM class_results "
+                "ORDER BY axis, first_slot LIMIT 1").fetchone()
+            conn.execute("DELETE FROM class_results WHERE axis = ? AND "
+                         "first_slot = ? AND bit = 3", (axis, first_slot))
+        conn.close()
+        resumed = run_full_scan(golden, domain=domain, journal=v3,
+                                keep_records=True)
+        assert resumed == cold
+        assert resumed.execution.discarded_results == 1
+        # Discarded, the class composes again from its section rows.
+        assert resumed.execution.executed == 0
+        assert resumed.execution.composed_hits == cold.domain.bits
+
+
 class TestPartialClassesNeverCompose:
     """A class composes only from exactly its bits ``0 … n − 1``."""
 
@@ -399,13 +548,16 @@ class TestPartialClassesNeverCompose:
 
     @staticmethod
     def _stored(journal, slot, axis):
+        """The class's stored experiments as the composer reads them:
+        ``(section_id, bit, outcome, end_cycle, trap)``, each bit once."""
         conn = sqlite3.connect(journal)
-        rows = conn.execute(
-            "SELECT section_id, bit, outcome, end_cycle, trap FROM "
-            "section_results WHERE slot = ? AND axis = ? ORDER BY bit",
-            (slot, axis)).fetchall()
+        (section_id,) = conn.execute(
+            "SELECT DISTINCT section_id FROM section_results WHERE "
+            "slot = ? AND axis = ?", (slot, axis)).fetchone()
         conn.close()
-        return rows
+        with ExperimentJournal(journal) as handle:
+            rows = handle.section_rows(section_id)[slot, axis]
+        return [(section_id, *row) for row in rows]
 
     @pytest.mark.parametrize("domain, bits", [("memory", 8),
                                               ("register", 32)])
@@ -420,10 +572,18 @@ class TestPartialClassesNeverCompose:
         missing = {"first": 0, "middle": bits // 2, "last": bits - 1}[which]
         stored = self._stored(journal, slot, axis)
         assert [row[1] for row in stored] == list(range(bits))
+        # The class as a version-3 build stored it — a row per bit —
+        # less one bit.
         conn = sqlite3.connect(journal)
-        conn.execute("DELETE FROM section_results WHERE slot = ? AND "
-                     "axis = ? AND bit = ?", (slot, axis, missing))
-        conn.commit()
+        with conn:
+            conn.execute("DELETE FROM section_results WHERE slot = ? AND "
+                         "axis = ?", (slot, axis))
+            conn.executemany(
+                "INSERT INTO section_results (section_id, slot, axis, bit, "
+                "outcome, end_cycle, trap) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [(section_id, slot, axis, bit, outcome, end_cycle, trap)
+                 for section_id, bit, outcome, end_cycle, trap in stored
+                 if bit != missing])
         conn.close()
 
         # The sampled style still composes single bits of the partial
@@ -451,15 +611,15 @@ class TestPartialClassesNeverCompose:
 
     def test_shifted_and_superset_bits_do_not_compose(self, tmp_path,
                                                       golden):
-        """``n`` stored rows with bits ``1 … n`` are not the class, and
-        neither are the ``n + 1`` rows ``0 … n`` its re-execution
-        leaves behind."""
+        """``n`` stored bits ``1 … n`` are not the class, and neither
+        are the ``n + 1`` bits ``0 … n`` its re-execution leaves
+        behind (its run from bit 0 beside the shifted run from 1)."""
         journal = tmp_path / "journal.sqlite"
         cold = run_full_scan(golden, journal=journal, keep_records=True)
         _, slot, axis, bits = self._first_class(cold)
         conn = sqlite3.connect(journal)
-        conn.execute("UPDATE section_results SET bit = ? WHERE slot = ? "
-                     "AND axis = ? AND bit = 0", (bits, slot, axis))
+        conn.execute("UPDATE section_results SET bit = 1 WHERE slot = ? "
+                     "AND axis = ? AND bit = 0", (slot, axis))
         conn.commit()
         conn.close()
         for stored_bits in (range(1, bits + 1), range(bits + 1)):

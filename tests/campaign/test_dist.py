@@ -25,6 +25,7 @@ from repro.campaign import (
     RetryPolicy,
     export_class_results_csv,
     record_golden,
+    run_distributed_scan,
     run_full_scan,
 )
 from repro.campaign.dist import (
@@ -44,6 +45,8 @@ from repro.campaign.dist.chaos import ChaosInterrupt
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.campaign.dist.leases import PENDING
 from repro.programs import hi, micro, sync2
+
+from .journal_rows import class_experiments
 
 #: Snappy failure detection for loopback tests.
 POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05)
@@ -401,8 +404,6 @@ class TestDistChaos:
         """The crash hook returns through the same exit an exception
         would: every accepted class is committed, whole, and nothing
         else is."""
-        import sqlite3
-
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
@@ -413,14 +414,7 @@ class TestDistChaos:
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
         worker_thread.join(10)
-        conn = sqlite3.connect(journal)
-        try:
-            counts = conn.execute(
-                "SELECT COUNT(*) FROM class_results "
-                "GROUP BY axis, first_slot").fetchall()
-        finally:
-            conn.close()
-        assert counts == [(8,)] * 5
+        assert list(class_experiments(journal).values()) == [8] * 5
 
     def test_lost_forever_shard_degrades_not_hangs(self, memory_golden,
                                                    memory_baseline):
@@ -630,6 +624,39 @@ class TestSendWindow:
         assert [event["kind"] for event in rejects] == ["crc-reject"]
         assert rejects[0]["detail"].startswith(str(honest["key"]))
 
+    def test_a_trap_that_would_split_its_run_is_rejected(
+            self, tmp_path, memory_golden, memory_baseline):
+        """The journal stores a class's traps space-separated in one
+        row, so a worker's trap holding a space is a malformed class
+        even under a matching CRC."""
+        from repro.campaign.journal import ExperimentJournal
+
+        journal = tmp_path / "window.sqlite"
+        _, thread, port = self._serve(memory_golden, journal=journal)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        honest = dict(items[2])
+        rows = [list(row) for row in honest["rows"]]
+        rows[0][3] = "memory fault"
+        items[2] = {**honest, "rows": rows,
+                    "crc": result_digest(tuple(honest["key"]), rows)}
+        raw.results(items)
+        raw.lease_done(lease)
+        again = raw.lease()
+        assert again["keys"] == [honest["key"]]
+        raw.results([{**honest, "shard": again["shard"]}])
+        raw.lease_done(again)
+        result = thread.join_result(60)
+        raw.close()
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.integrity_rejected == 1
+        with ExperimentJournal(journal) as log:
+            (entry,) = log.fabric_report()
+        assert [event["kind"] for event in entry["events"]
+                if event["kind"].endswith("-reject")] == ["shape-reject"]
+
     def test_duplicates_within_and_across_windows_account_once(
             self, memory_golden, memory_baseline):
         coordinator, thread, port = self._serve(memory_golden)
@@ -647,8 +674,6 @@ class TestSendWindow:
 
     def test_stop_lands_mid_window_on_exactly_the_kth_class(
             self, tmp_path, memory_golden, memory_baseline):
-        import sqlite3
-
         journal = tmp_path / "stop.sqlite"
         coordinator, thread, port = self._serve(
             memory_golden, journal=journal, stop_after_results=5)
@@ -657,14 +682,7 @@ class TestSendWindow:
         raw.results(_class_items(raw.spec, lease))  # 12 in one frame
         assert thread.join_result(60) is None
         raw.close()
-        conn = sqlite3.connect(journal)
-        try:
-            counts = conn.execute(
-                "SELECT COUNT(*) FROM class_results "
-                "GROUP BY axis, first_slot").fetchall()
-        finally:
-            conn.close()
-        assert counts == [(8,)] * 5
+        assert list(class_experiments(journal).values()) == [8] * 5
         result, _, _ = run_dist(memory_golden, workers=1, journal=journal)
         assert result == memory_baseline
         assert result.execution.resumed == 5
@@ -945,6 +963,53 @@ class TestDistSubprocess:
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.complete
+
+    def test_serving_never_formats_the_result(self, monkeypatch,
+                                              memory_golden,
+                                              memory_baseline):
+        """Served from the main thread, ``asyncio.run`` reprs a partial
+        holding its main task while restoring SIGINT; the task must not
+        hold the result, or the whole CampaignResult is formatted.  (A
+        raising ``__repr__`` would go unnoticed: ``reprlib`` swallows
+        it.  So the calls are counted.)"""
+        from repro.campaign.runner import CampaignResult
+
+        formatted = []
+
+        def counting(self):
+            formatted.append(self)
+            return "CampaignResult(...)"
+
+        assert threading.current_thread() is threading.main_thread()
+        monkeypatch.setattr(CampaignResult, "__repr__", counting)
+        result = run_distributed_scan(memory_golden, workers=1,
+                                      keep_records=True)
+        assert formatted == []
+        assert result == memory_baseline
+        assert result.execution.complete
+
+
+class TestWorkerPartition:
+    def test_a_session_builds_the_partition_once(self, monkeypatch,
+                                                 memory_golden,
+                                                 memory_baseline):
+        """The ``auto`` engine planner reuses the partition the worker
+        builds for its class table instead of building its own."""
+        from repro.faultspace.domain import MemoryDomain
+
+        built = []
+        build = MemoryDomain.build_partition
+
+        def counting(self, golden):
+            built.append(threading.get_ident())
+            return build(self, golden)
+
+        monkeypatch.setattr(MemoryDomain, "build_partition", counting)
+        result, _, spawned = run_dist(memory_golden, workers=1)
+        assert result == memory_baseline
+        (_, worker_thread, errors), = spawned
+        assert errors == []
+        assert built.count(worker_thread.ident) == 1
 
 
 class TestAcceptanceSync2:

@@ -15,9 +15,11 @@ from repro.campaign import (
 )
 from repro.campaign import journal as journal_module
 from repro.campaign.journal import (COMMIT_WINDOW_S, canonical_params,
-                                    open_campaign)
+                                    invalid_classes, open_campaign)
 from repro.faultspace import MEMORY, REGISTER
 from repro.programs import bin_sem2, micro
+
+from .journal_rows import class_experiments, stored_experiments
 
 
 @pytest.fixture(scope="module")
@@ -93,20 +95,28 @@ class TestJournalFile:
         assert report["bytes_per_result"] == report["file_bytes"] / 4
 
     def test_result_rows_are_stored_once(self, tmp_path):
-        """A count gate on the table layout: file bytes per stored
-        experiment row of a fresh ``bin_sem2`` × memory journaled scan.
-        Clustered on their key the result tables take 38 B a row (a
-        class row and a section row per experiment: 75 B an
-        experiment); as rowid tables plus their automatic key index,
-        55 B."""
-        path = tmp_path / "journal.sqlite"
-        scan = run_full_scan(record_golden(bin_sem2.baseline()),
-                             journal=path)
-        with ExperimentJournal(path) as handle:
-            report = handle.size_report()
-        assert report["class_results"] == report["section_results"] \
-            == scan.experiments_conducted
-        assert 0 < report["bytes_per_result"] <= 45
+        """A count gate on the row format and the table layout, on a
+        fresh ``bin_sem2`` journaled scan in each of two domains: one
+        ``class_results`` row and one ``section_results`` row per live
+        class, however many bits it has, and at most 30 file bytes per
+        stored experiment (a class-table copy and a section-table copy
+        of each: 28 B on memory; a row per bit took 38 B clustered, 55 B
+        as rowid tables)."""
+        golden = record_golden(bin_sem2.baseline())
+        for domain in ("memory", "register"):
+            path = tmp_path / f"{domain}.sqlite"
+            scan = run_full_scan(golden, domain=domain, journal=path)
+            conn = sqlite3.connect(path)
+            rows = [conn.execute(f"SELECT COUNT(*) FROM {table}")
+                    .fetchone()[0]
+                    for table in ("class_results", "section_results")]
+            conn.close()
+            assert rows == [len(scan.partition.live_classes())] * 2, domain
+            with ExperimentJournal(path) as handle:
+                report = handle.size_report()
+            assert report["class_results"] == report["section_results"] \
+                == scan.experiments_conducted, domain
+            assert 0 < report["bytes_per_result"] <= 30, domain
 
     def test_canonical_params_is_order_insensitive(self):
         assert canonical_params({"a": 1, "b": 2}) \
@@ -121,6 +131,31 @@ class TestCampaignJournal:
         stored = campaign.completed_classes()
         assert stored == {(5, 2): [(0, Outcome.SDC, 30, ""),
                                    (1, Outcome.CPU_EXCEPTION, 31, "BUS")]}
+
+    def test_rows_with_a_gap_keep_their_bits(self, journal):
+        """A torn class is stored as one run per stretch of consecutive
+        bits, so it reads back torn — and fails validation — instead of
+        closing the gap by renumbering."""
+        campaign = _campaign(journal)
+        torn = [(0, "sdc", 30, ""), (1, "sdc", 31, "illegal-pc"),
+                (3, "timeout", 33, "")]
+        campaign.record_class(5, 2, torn)
+        stored = campaign.completed_classes()
+        assert stored == {(5, 2): [(bit, Outcome(value), end, trap)
+                                   for bit, value, end, trap in torn]}
+        assert invalid_classes(stored, {(5, 2): 4}) == [(5, 2)]
+        assert journal.campaigns()[0]["journaled_experiments"] == 3
+
+    def test_a_run_whose_columns_disagree_yields_no_bits(self, journal):
+        """Two outcomes, one end cycle: which bit it belongs to is not
+        knowable, so the class reads as absent and is re-executed."""
+        campaign = _campaign(journal)
+        campaign.record_class(5, 2, [(0, "sdc", 30, ""),
+                                     (1, "no-effect", 31, "")])
+        journal._write(
+            "INSERT INTO class_results VALUES (?, 6, 2, 0, 'sdc sdc', "
+            "'30', ' ')", [(campaign.campaign_id,)])
+        assert list(campaign.completed_classes()) == [(5, 2)]
 
     def test_slot_rows_round_trip(self, journal):
         campaign = _campaign(journal, kind="brute-force")
@@ -269,19 +304,16 @@ ROWS = [(bit, "sdc", 30, "") for bit in range(8)]
 
 
 def _committed(path) -> dict:
-    """What a second connection — a crash survivor — sees: rows per
-    class, plus row totals of the other unit tables."""
+    """What a second connection — a crash survivor — sees: experiments
+    per class, plus the experiment totals of the other unit tables."""
     conn = sqlite3.connect(path)
     try:
-        seen = {(axis, slot): count for axis, slot, count in conn.execute(
-            "SELECT axis, first_slot, COUNT(*) FROM class_results "
-            "GROUP BY axis, first_slot")}
-        for table in ("coordinate_results", "section_results"):
-            seen[table] = conn.execute(
-                f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-        return seen
+        coordinates = conn.execute(
+            "SELECT COUNT(*) FROM coordinate_results").fetchone()[0]
     finally:
         conn.close()
+    return {**class_experiments(path), "coordinate_results": coordinates,
+            "section_results": stored_experiments(path, "section_results")}
 
 
 NOTHING = {"coordinate_results": 0, "section_results": 0}
@@ -310,7 +342,7 @@ class TestGroupCommit:
                                   last_slot=9)
         campaign.record_class(1, 1, ROWS)
         campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, "sdc")])
-        journal.merge_section_rows(section, [(1, 1, 0, "sdc", 30, "")])
+        journal.merge_section_rows(section, 1, 1, [(0, "sdc", 30, "")])
         clock[0] += COMMIT_WINDOW_S * 0.9
         campaign.record_experiments([(2, 1, 0, "sdc")])
         # The merge dedup sees the writer's own pending class without
@@ -382,7 +414,7 @@ class TestGroupCommit:
             assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
             # A discarded class merges again, even within one window.
             campaign.record_class(3, 1, ROWS)
-            assert campaign.discard_classes([(3, 1)]) == 8
+            assert campaign.discard_classes([(3, 1), (3, 1), (9, 9)]) == 1
             assert campaign.merge_class(3, 1, ROWS) is True
 
     def test_an_open_window_locks_nobody_out(self, tmp_path, clock):
@@ -409,17 +441,24 @@ class TestGroupCommit:
 
     def test_a_rejected_unit_is_dropped_whole_and_alone(self, tmp_path,
                                                         clock):
+        """A class with a missing outcome cannot become a run: its
+        write raises and buffers nothing.  A unit the database rejects
+        at commit (a brute-force slot, still a row per coordinate, with
+        a NULL outcome) is dropped whole at the flush.  Either way the
+        units around it commit."""
         path = tmp_path / "journal.sqlite"
-        torn = ROWS[:3] + [(3, None, 30, "")] + ROWS[4:]  # NOT NULL
+        torn = ROWS[:3] + [(3, None, 30, "")] + ROWS[4:]
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             campaign.record_class(6, 1, ROWS)
-            campaign.record_class(7, 1, torn)
+            with pytest.raises(TypeError):
+                campaign.record_class(7, 1, torn)
+            campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, None)])
             campaign.record_class(8, 1, ROWS)
             with pytest.raises(sqlite3.IntegrityError):
                 campaign.flush()
             # Nothing of the failed transaction is visible; the classes
-            # around the torn one are still pending, not lost.
+            # around the torn units are still pending, not lost.
             assert _committed(path) == NOTHING
             assert campaign.merge_class(6, 1, ROWS) is False
             assert campaign.merge_class(7, 1, ROWS) is True

@@ -46,6 +46,8 @@ from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
 from repro.programs import all_programs, hi, micro
 
+from .journal_rows import class_experiments
+
 JOBS = [1, 2, 4]
 
 
@@ -415,8 +417,6 @@ class TestSigintMidClass:
     def test_interrupt_between_bits_leaves_no_torn_class(
             self, domain, tmp_path, memory_golden, memory_baseline,
             register_golden, register_baseline):
-        import sqlite3
-
         from repro.campaign import ExecutorConfig
         from repro.faultspace.domain import get_domain
 
@@ -443,12 +443,8 @@ class TestSigintMidClass:
         with pytest.raises(KeyboardInterrupt):
             run_full_scan(golden, domain=domain, executor=executor,
                           journal=journal)
-        with sqlite3.connect(journal) as conn:
-            counts = conn.execute(
-                "SELECT COUNT(*) FROM class_results "
-                "GROUP BY campaign_id, axis, first_slot").fetchall()
-        assert len(counts) == 2  # the torn third class was not journaled
-        assert all(count == (dom.bits,) for count in counts)
+        # The torn third class was not journaled.
+        assert list(class_experiments(journal).values()) == [dom.bits] * 2
         resumed = run_full_scan(golden, domain=domain, journal=journal,
                                 keep_records=True)
         assert resumed == baseline

@@ -30,6 +30,7 @@ from repro.campaign.journal import (
 )
 from repro.programs import micro
 
+from .journal_rows import truncate_first_class
 from .test_dist import run_dist
 
 
@@ -165,14 +166,9 @@ class TestEveryTransportPrunesPartialClasses:
         path = journal_with_campaign(tmp_path, memory_golden)
         # Lose the tail of one journaled class (what losing the page
         # holding it does) of a campaign that had not finished.
+        truncate_first_class(path, keep=5)
         conn = sqlite3.connect(path)
         with conn:
-            (axis, first_slot) = conn.execute(
-                "SELECT axis, first_slot FROM class_results "
-                "ORDER BY axis, first_slot LIMIT 1").fetchone()
-            conn.execute(
-                "DELETE FROM class_results WHERE axis = ? AND "
-                "first_slot = ? AND bit >= 5", (axis, first_slot))
             conn.execute("UPDATE campaigns SET status = 'running'")
         conn.close()
         if transport == "dist":
@@ -199,15 +195,7 @@ class TestDistPrunesPartialClasses:
         path = journal_with_campaign(tmp_path, memory_golden)
         # Surgically truncate one journaled class: drop its last bits,
         # exactly what losing the page holding them does.
-        conn = sqlite3.connect(path)
-        with conn:
-            (axis, first_slot) = conn.execute(
-                "SELECT axis, first_slot FROM class_results "
-                "ORDER BY axis, first_slot LIMIT 1").fetchone()
-            conn.execute(
-                "DELETE FROM class_results WHERE axis = ? AND "
-                "first_slot = ? AND bit > 0", (axis, first_slot))
-        conn.close()
+        truncate_first_class(path, keep=1)
         result, _, _ = run_dist(memory_golden, journal=path)
         execution = result.execution
         assert execution.discarded_results >= 1
