@@ -24,7 +24,6 @@ from repro.campaign import RetryPolicy, record_golden, run_full_scan
 from repro.campaign.dist import DistCoordinator, DistWorker
 from repro.campaign.dist.chaos import ChaosPlan
 from repro.campaign.dist.coordinator import serve_in_thread
-from repro.campaign.dist.supervision import SupervisionPolicy
 from repro.programs import micro
 
 #: Snappy failure detection for loopback soaks.
@@ -34,11 +33,6 @@ POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
 #: Per-frame event probabilities — every worker misbehaves constantly.
 RATES = dict(drop_rate=0.12, dup_rate=0.15, corrupt_rate=0.08,
              delay_rate=0.10, delay_seconds=0.005)
-
-#: Transport chaos must not quarantine anyone — that is deliberate
-#: abuse, not a sick worker — so the failure threshold is out of reach.
-SUPERVISION = SupervisionPolicy(failure_threshold=100.0,
-                                crosscheck_patience=30.0)
 
 MEMORY_SEEDS = (7, 11, 13)
 REGISTER_SEEDS = (7,)
@@ -53,8 +47,7 @@ def _soak(golden, baseline, *, seed, domain):
     port = sock.getsockname()[1]
     coordinator = DistCoordinator(
         golden, sock=sock, domain=domain, policy=POLICY, shards=4,
-        keep_records=True, supervision=SUPERVISION,
-        crosscheck=CROSSCHECK)
+        keep_records=True, crosscheck=CROSSCHECK)
     thread = serve_in_thread(coordinator)
 
     spawned = []
@@ -76,7 +69,6 @@ def _soak(golden, baseline, *, seed, domain):
     assert execution.complete, (domain, seed, execution.missing)
     assert result == baseline, (domain, seed)
     assert result.records == baseline.records, (domain, seed)
-    assert not execution.quarantined_workers, (domain, seed)
 
     fired: dict[str, int] = {}
     for worker, _ in spawned:

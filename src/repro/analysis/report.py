@@ -146,17 +146,8 @@ def completeness_report(report: ExecutionReport) -> str:
         lines.append(line)
     if report.discarded_results:
         lines.append(
-            f"  discarded and re-queued: {report.discarded_results} "
-            f"journaled class(es) (byzantine rollback or salvage)")
-    if report.quarantined_workers:
-        lines.append(
-            f"  quarantined workers: "
-            f"{', '.join(report.quarantined_workers)}")
-    if report.poison_splits or report.poison_keys:
-        keys = ", ".join(str(list(key)) for key in report.poison_keys)
-        lines.append(
-            f"  poison-shard hunt: {report.poison_splits} bisection(s)"
-            + (f"; poisonous key(s): {keys}" if keys else ""))
+            f"  discarded: {report.discarded_results} journaled "
+            f"class(es) (failed validation or cross-check)")
     if report.workers:
         attribution = ", ".join(f"{name}: {units}"
                                 for name, units in report.workers)

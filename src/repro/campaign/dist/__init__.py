@@ -12,13 +12,16 @@ the journal keys, and degrades permanently lost shards into
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.
 
-The fabric is additionally *self-hosting* for fault injection: a
-seeded :class:`~repro.campaign.dist.chaos.ChaosPlan` injects frame
-drops, duplications, corruptions, delays, kills and hangs through a
-deterministic proxy; a
-:class:`~repro.campaign.dist.supervision.WorkerSupervisor` quarantines
-flapping or byzantine workers; and end-to-end CRCs plus cross-check
-sampling guarantee the journal only ever holds verified bytes.
+Lease retry plus first-wins merge is the whole failure policy, the
+same one the process pool applies.  On top of it sit only layers that
+catch what retry and merge cannot: a per-class CRC and shape check (a
+payload damaged between a worker's executor and the journal), the
+fingerprint/golden re-verification (a worker built from other code),
+and the ``crosscheck`` determinism audit (two verified builds that
+still compute different outcomes — reported and left missing, never
+outvoted).  A seeded :class:`~repro.campaign.dist.chaos.ChaosPlan`
+tests all of it, injecting frame drops, duplications, corruptions,
+lies, delays, kills and hangs through a deterministic proxy.
 
 Everything is stdlib (``socket``, ``asyncio``, ``json``); there is no
 new dependency and no pickle on the wire.
@@ -44,7 +47,6 @@ from .protocol import (
     result_digest,
     write_frame,
 )
-from .supervision import SupervisionPolicy, WorkerState, WorkerSupervisor
 from .worker import DistWorker, WorkerRejected
 
 __all__ = [
@@ -58,11 +60,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ShardLease",
-    "SupervisionPolicy",
     "WorkerChaos",
     "WorkerRejected",
-    "WorkerState",
-    "WorkerSupervisor",
     "decode_frame",
     "encode_frame",
     "plan_from_env",

@@ -26,9 +26,9 @@ items of each outgoing window in order):
 ``corrupt``    tamper the class's rows but keep the *stale* CRC — models
                payload corruption in transit; caught by the coordinator's
                per-class CRC check, its window neighbours merge
-``lie``        tamper the rows and recompute the CRC — models a byzantine
-               or silently-miscomputing worker; only cross-check sampling
-               can catch it
+``lie``        tamper the rows and recompute the CRC — models a worker
+               whose build silently computes other outcomes; only the
+               cross-check audit can catch it
 ``delay``      sleep before the class joins the outgoing frame
                (reordering / lease-expiry stress)
 ``kill``       ``os._exit(13)`` — only sane for subprocess workers; the
@@ -38,8 +38,8 @@ items of each outgoing window in order):
 =============  ===============================================================
 
 ``lie`` additionally honors :attr:`ChaosPlan.liars`: when non-empty,
-only the named workers ever lie, which is how the byzantine-detection
-tests plant exactly one corrupted worker in an otherwise honest fleet.
+only the named workers ever lie, which is how the audit tests plant
+exactly one miscomputing worker in an otherwise honest fleet.
 
 Besides the seeded rates a plan carries three counters
 (``die_after_results``, ``drop_after_results``, ``duplicate_results``)
@@ -90,7 +90,7 @@ class ChaosPlan:
     dup_rate: float = 0.0
     #: Tamper rows, keep the stale CRC (CRC-detectable corruption).
     corrupt_rate: float = 0.0
-    #: Tamper rows *and* recompute the CRC (byzantine; cross-check only).
+    #: Tamper rows *and* recompute the CRC (only the audit catches it).
     lie_rate: float = 0.0
     #: Sleep :attr:`delay_seconds` before sending.
     delay_rate: float = 0.0
@@ -102,7 +102,7 @@ class ChaosPlan:
     hang_seconds: float = 30.0
     #: Workers allowed to ``lie``; empty means every worker may.
     liars: tuple[str, ...] = ()
-    #: Class keys whose execution kills the worker (poison-shard tests).
+    #: Class keys whose execution kills the worker, every time.
     die_on_keys: tuple[tuple[int, int], ...] = ()
     #: Counters (cumulative across reconnects, firing once).
     die_after_results: int | None = None
@@ -249,7 +249,7 @@ class WorkerChaos:
         return out
 
     def before_class(self, key: tuple[int, int]) -> None:
-        """Kill the worker before executing a poisoned class key."""
+        """Kill the worker before executing a class in ``die_on_keys``."""
         if tuple(key) in self.plan.die_on_keys:
             self.fired["die_on_key"] = self.fired.get("die_on_key", 0) + 1
             raise ChaosInterrupt(f"chaos: worker died executing {key}")

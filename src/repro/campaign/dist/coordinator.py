@@ -27,9 +27,10 @@ merge the resume path performs — so ``class_outcomes``, record lists
 and every derived count are independent of worker count, scheduling,
 chaos and restarts.
 
-**Failure handling** is delegated to the :class:`~.leases.LeaseBoard`:
-expired or orphaned leases are re-queued with exponential backoff and a
-retry budget; shards that exhaust it degrade into
+**Failure handling** is delegated to the :class:`~.leases.LeaseBoard`,
+and it is the process pool's policy: an expired, orphaned or
+half-delivered lease is re-queued with exponential backoff and a retry
+budget; shards that exhaust it degrade into
 ``ExecutionReport.missing`` instead of hanging the campaign.  The
 coordinator itself is restartable: results and lease retry state are
 journaled as they arrive and committed by the journal's own commit
@@ -37,30 +38,27 @@ window, or by the first watchdog tick that finds the fabric idle, so a
 new coordinator pointed at the same journal resumes with only in-flight
 work lost (a SIGKILLed one: the journal's last commit window as well).
 
-**Supervision and integrity** sit on top of the lease board:
+**Integrity** checks each class before it is accounted:
 
-* A :class:`~.supervision.WorkerSupervisor` scores every lease expiry,
-  disconnect and integrity rejection; workers that keep failing are
-  quarantined (no leases, no accepted results) and re-admitted through
-  probation.  Quarantines are journaled as fabric events.
 * Every class of a ``results`` frame has its CRC re-derived from the
   decoded payload and its rows validated against the domain's expected
-  experiment count *before* any accounting — a corrupted class costs
-  the sender failure score but never touches the journal, and the rest
-  of its window merges.
-* ``crosscheck`` samples a deterministic fraction of class keys for
-  re-execution on a *second* worker (verify leases: negative lease id,
-  ``shard == -1``).  A digest mismatch discards the journaled row and
-  re-queues the key as a tiebreak shard excluded from both disputants;
-  the third, independent result outvotes the liar, which is quarantined
-  permanently and has every unverified delivery discarded and re-queued.
-* A shard whose execution keeps *killing* distinct workers is bisected
-  (:meth:`~.leases.LeaseBoard.split_shard`) until the poisonous key is
-  isolated and reported instead of burning the whole shard's budget.
+  experiment count *before* any accounting — a corrupted class never
+  touches the journal, it is simply not progress (its lease re-grants
+  it), and the rest of its window merges.
+* ``crosscheck`` is a **determinism audit**: a deterministic fraction of
+  class keys is re-executed on a *second* worker (verify leases:
+  negative lease id, ``shard == -1``) and the two digests compared.
+  Both workers passed the same fingerprint and golden checks, so a
+  mismatch means two builds compute different outcomes — a bug to
+  report, not a vote to hold: the coordinator journals a
+  ``crosscheck-mismatch`` event naming both workers and both digests,
+  discards the journaled row, refuses every later copy of the key for
+  the rest of the run, and leaves it missing, so the campaign exits
+  incomplete and ``repro resume`` re-executes it.
 
 The section-store write of freshly executed classes is deferred to
-assembly time, after all discards have settled, so a byzantine row can
-never poison the cross-campaign section store.
+assembly time, after all discards have settled, so a disputed row can
+never reach the cross-campaign section store.
 """
 
 from __future__ import annotations
@@ -87,10 +85,9 @@ from ..pipeline import (CampaignRun, ProgressCallback, campaign_params,
                         open_run, plan_class_shards)
 from ..runner import ScanStyle
 from .chaos import PLAN_ENV, ChaosPlan, plan_from_spec
-from .leases import FAILED, LEASED, LeaseBoard
+from .leases import FAILED, LeaseBoard
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
                        result_digest, write_frame)
-from .supervision import QUARANTINED, SupervisionPolicy, WorkerSupervisor
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
@@ -102,6 +99,10 @@ _OUTCOME_VALUES = frozenset(outcome.value for outcome in Outcome)
 #: Keys per verify (cross-check) lease: small batches keep the second
 #: worker's turnaround short so disputes surface quickly.
 VERIFY_BATCH = 8
+
+#: Seconds a finished board waits for pending cross-checks before
+#: declaring them unverified (no second worker ever showed up).
+CROSSCHECK_PATIENCE = 10.0
 
 
 def _canonical_keys(keys) -> str:
@@ -134,8 +135,8 @@ class DistCoordinator:
 
     ``crosscheck`` is the fraction of class keys (deterministically
     selected per key) whose first delivery is re-executed on a second
-    worker and byte-compared; ``supervision`` tunes the worker circuit
-    breaker (:class:`~.supervision.SupervisionPolicy`).
+    worker and byte-compared — the determinism audit of the module
+    docstring.
     """
 
     def __init__(self, golden: GoldenRun, *,
@@ -150,7 +151,6 @@ class DistCoordinator:
                  host: str = "127.0.0.1", port: int = 0,
                  sock: socket.socket | None = None,
                  stop_after_results: int | None = None,
-                 supervision: SupervisionPolicy | None = None,
                  crosscheck: float = 0.0,
                  chaos: ChaosPlan | None = None):
         if shards < 1:
@@ -176,8 +176,6 @@ class DistCoordinator:
         if stop_after_results is None and chaos is not None:
             stop_after_results = chaos.stop_coordinator_after
         self.stop_after_results = stop_after_results
-        self.supervisor = WorkerSupervisor(
-            policy=supervision or SupervisionPolicy())
         self.crosscheck = crosscheck
         #: ``(host, port)`` actually bound, set once serving.
         self.address: tuple[str, int] | None = None
@@ -188,14 +186,12 @@ class DistCoordinator:
         self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
         # Cross-check state: keys awaiting a second, independent
-        # execution; verify leases in flight; open disputes.
+        # execution; verify leases in flight; keys whose two executions
+        # disagreed (no copy of them is accepted again this run).
         self._check_pending: dict[tuple, tuple[str, int]] = {}
         self._check_inflight: dict[int, tuple[str, tuple]] = {}
         self._inflight_keys: set = set()
-        self._tiebreaks: dict[tuple, dict] = {}
-        #: Per worker: merged-but-not-yet-verified keys (what a
-        #: byzantine conviction discards).
-        self._delivered: dict[str, set] = {}
+        self._disputed: set = set()
         self._next_verify_id = 0
         self._drain_deadline: float | None = None
 
@@ -335,18 +331,9 @@ class DistCoordinator:
         while True:
             await asyncio.sleep(self.policy.poll_interval)
             now = time.monotonic()
-            # Capture holders before expiry clears the leases — the
-            # supervisor charges the worker, not the shard.
-            overdue = [shard.lease.worker for shard in self.board.shards()
-                       if shard.status == LEASED
-                       and shard.lease is not None
-                       and now >= shard.lease.deadline]
-            if self.board.expire(now):
-                self.report.timed_out_shards += len(overdue)
-                for worker in overdue:
-                    self._charge_failure(worker, now,
-                                         reason="lease expired")
-                self._check_poison(now)
+            expired = self.board.expire(now)
+            if expired:
+                self.report.timed_out_shards += len(expired)
                 self._journal_leases()
             self._drain_crosschecks(now)
             self._maybe_finish()
@@ -405,11 +392,7 @@ class DistCoordinator:
                 # On the simulated-crash path connections die *without*
                 # lease bookkeeping, exactly as a killed process would.
                 if not self.stopped:
-                    now = time.monotonic()
-                    if self.board.release_worker(name, now):
-                        self._charge_failure(
-                            name, now, reason="disconnected mid-lease")
-                        self._check_poison(now)
+                    if self.board.release_worker(name, time.monotonic()):
                         self._journal_leases()
                     self._release_verifies(name)
                     self._maybe_finish()
@@ -465,17 +448,9 @@ class DistCoordinator:
 
     def _grant(self, name: str, now: float) -> dict:
         """The frame answering one worker's ``request``."""
-        before = self.supervisor.status(name)
-        if not self.supervisor.allowed(name, now):
-            return {"type": "wait",
-                    "seconds": self.supervisor.retry_after(name, now)}
-        if before == QUARANTINED:
-            # allowed() just graduated an expired quarantine.
-            self.handle.record_event("probation", worker=name,
-                                     at=time.time())
         grant = self.board.acquire(name, now)
         if grant is None:
-            verify = self._grant_verify(name, now)
+            verify = self._grant_verify(name)
             if verify is not None:
                 return verify
             if self._check_pending:
@@ -492,7 +467,7 @@ class DistCoordinator:
                 "shard": grant.shard,
                 "keys": [list(key) for key in grant.keys]}
 
-    def _grant_verify(self, name: str, now: float) -> dict | None:
+    def _grant_verify(self, name: str) -> dict | None:
         """A verify lease re-executing other workers' sampled keys."""
         keys = sorted(
             key for key, (worker, _crc) in self._check_pending.items()
@@ -522,11 +497,11 @@ class DistCoordinator:
 
     def _accept_results(self, name: str, frame: dict, now: float) -> None:
         """Take one send window.  Integrity and accounting stay per
-        class — a bad item is rejected and charged, its neighbours
-        merge — while the per-frame work is done once."""
+        class — a bad item is rejected, its neighbours merge — while
+        the per-frame work is done once."""
         items = frame.get("items")
         if not isinstance(items, list):
-            self._reject(name, None, now, kind="shape-reject",
+            self._reject(name, None, kind="shape-reject",
                          reason="malformed results frame")
             return
         for item in items:
@@ -538,50 +513,39 @@ class DistCoordinator:
 
     def _accept_result(self, name: str, item, now: float) -> None:
         """Check and account one class of a window."""
-        if not self.supervisor.allowed(name, now):
-            # Rejected outright: a late result from a quarantined (worst
-            # case: convicted-byzantine) worker must never win
-            # first-merge on a key the campaign just discarded.
-            return
         try:
             axis, first_slot = (int(v) for v in item["key"])
             rows = [(int(bit), str(outcome), int(end_cycle), str(trap))
                     for bit, outcome, end_cycle, trap in item["rows"]]
             shard = int(item["shard"])
         except (KeyError, TypeError, ValueError):
-            self._reject(name, None, now, kind="shape-reject",
+            self._reject(name, None, kind="shape-reject",
                          reason="malformed class result")
             return
         key = (axis, first_slot)
         digest = result_digest(key, rows)
         crc = item.get("crc")
         if crc is None or int(crc) != digest:
-            self._reject(name, key, now, kind="crc-reject",
+            self._reject(name, key, kind="crc-reject",
                          reason="CRC disagrees with payload")
             return
         if not self._valid_shape(key, rows):
-            self._reject(name, key, now, kind="shape-reject",
+            self._reject(name, key, kind="shape-reject",
                          reason="rows disagree with the domain's "
                                 "expected experiment count")
             return
+        if key in self._disputed:
+            return  # its two executions disagreed: it stays missing
         if shard < 0:
-            self._accept_verify(name, key, digest, now)
+            self._accept_verify(name, key, digest)
             return
-        dispute = self._tiebreaks.get(key)
-        if dispute is not None:
-            suspects = {worker for worker, _crc in dispute["votes"]}
-            if name in suspects and shard != dispute["shard"]:
-                return  # stale retransmit from a disputing worker
-            self._resolve_tiebreak(name, key, digest, now, dispute)
-        self.board.progress(shard, key, now, worker=name)
+        self.board.progress(shard, key, now)
         if self.handle.merge_class(axis, first_slot, rows):
-            # First delivery: count it, and credit the worker.  Late or
-            # duplicate copies (expired lease, retransmit) fall through —
-            # the journal already holds the identical rows.  The section
-            # store is fed at assembly time, after discards settle.
-            self.supervisor.record_success(name, now)
-            self._delivered.setdefault(name, set()).add(key)
-            if dispute is None and self._crosscheck_selected(key):
+            # First delivery: count it.  Late or duplicate copies
+            # (expired lease, retransmit) fall through — the journal
+            # already holds the identical rows.  The section store is
+            # fed at assembly time, after discards settle.
+            if self._crosscheck_selected(key):
                 self._check_pending[key] = (name, digest)
                 self._drain_deadline = None
                 self.report.crosschecked += 1
@@ -596,8 +560,7 @@ class DistCoordinator:
                 self.stopped = True
                 self._done.set()
 
-    def _accept_verify(self, name: str, key: tuple, digest: int,
-                       now: float) -> None:
+    def _accept_verify(self, name: str, key: tuple, digest: int) -> None:
         """Compare a cross-check re-execution against the first copy."""
         entry = self._check_pending.get(key)
         if entry is None:
@@ -608,126 +571,39 @@ class DistCoordinator:
         del self._check_pending[key]
         self._inflight_keys.discard(key)
         if crc == digest:
-            self.supervisor.record_success(name, now)
-            # Verified: the original delivery survives any later
-            # conviction of its worker.
-            self._delivered.get(worker, set()).discard(key)
             return
-        # Dispute: someone returned wrong bytes, but two samples cannot
-        # say who.  Discard the journaled row and re-queue the key for
-        # a third, independent execution that outvotes the liar.
+        # Two verified builds computed different outcomes for one class.
+        # Nothing here can say which is right, so nothing is kept: the
+        # row goes, every later copy is refused, and the key is left
+        # missing for ``repro resume`` to re-execute.
         self.report.crosscheck_mismatches += 1
         self.handle.record_event(
             "crosscheck-mismatch", worker=worker, at=time.time(),
-            detail=f"{list(key)}: {crc} vs {digest} (verifier {name})")
+            detail=f"{list(key)}: {worker} digest {crc}, "
+                   f"{name} digest {digest}")
         if self.handle.discard_classes([key]):
             self.report.discarded_results += 1
             self.run.done -= 1
-        self._delivered.get(worker, set()).discard(key)
-        policy = self.supervisor.policy
-        shard_index = self.board.requeue(
-            [key], now=now, excluded=frozenset({worker, name}),
-            exclusion_seconds=policy.exclusion_seconds)
-        self._tiebreaks[key] = {"shard": shard_index,
-                                "votes": [(worker, crc), (name, digest)]}
-        self._journal_leases()
+        self._disputed.add(key)
 
-    def _resolve_tiebreak(self, name: str, key: tuple, digest: int,
-                          now: float, dispute: dict) -> None:
-        """A third execution arrived; outvote and convict the liar."""
-        self._tiebreaks.pop(key, None)
-        votes = dispute["votes"]
-        suspects = {worker for worker, _crc in votes}
-        if name in suspects:
-            # The exclusion window lapsed and a disputant re-delivered:
-            # liveness won, attribution lost.  Accept the result but
-            # account the key as unverifiable.
-            self.report.crosscheck_unverified += 1
-            self.handle.record_event(
-                "crosscheck-stale", worker=name, at=time.time(),
-                detail=f"tiebreak for {list(key)} fell back to a "
-                       f"disputant")
-            return
-        for worker, crc in votes:
-            if crc != digest:
-                self._convict(worker, now, key=key)
+    # -- integrity helpers ------------------------------------------------------
 
-    def _convict(self, name: str, now: float, *, key: tuple) -> None:
-        """Permanent quarantine plus rollback of every unverified
-        delivery — the byzantine containment path."""
-        self.supervisor.quarantine(name, now, permanent=True,
-                                   reason="outvoted by cross-check")
-        self.handle.record_event(
-            "byzantine", worker=name, at=time.time(),
-            detail=f"outvoted on {list(key)}; permanently quarantined")
-        suspect_keys = sorted(self._delivered.pop(name, set()))
-        if not suspect_keys:
-            return
-        self.handle.discard_classes(suspect_keys)
-        self.report.discarded_results += len(suspect_keys)
-        self.run.done -= len(suspect_keys)
-        for skey in suspect_keys:
-            self._check_pending.pop(skey, None)
-            self._inflight_keys.discard(skey)
-        self.board.requeue(
-            suspect_keys, now=now, excluded=frozenset({name}),
-            exclusion_seconds=self.supervisor.policy.exclusion_seconds)
-        self.handle.record_event(
-            "discard", worker=name, at=time.time(),
-            detail=f"{len(suspect_keys)} unverified classes re-queued")
-        self._journal_leases()
-
-    # -- integrity and supervision helpers --------------------------------------
-
-    def _reject(self, name: str, key, now: float, *, kind: str,
-                reason: str) -> None:
-        """Refuse one class result before it touches any accounting."""
+    def _reject(self, name: str, key, *, kind: str, reason: str) -> None:
+        """Refuse one class result before it touches any accounting: it
+        is not progress, so its lease re-grants it."""
         self.report.integrity_rejected += 1
         detail = reason if key is None else f"{list(key)}: {reason}"
         self.handle.record_event(kind, worker=name, detail=detail,
                                  at=time.time())
-        # An integrity violation outweighs a dropped connection.
-        self._charge_failure(name, now, weight=2.0, reason=reason)
-
-    def _charge_failure(self, name: str, now: float, *,
-                        weight: float = 1.0, reason: str = "") -> None:
-        if self.supervisor.record_failure(name, now, weight=weight,
-                                          reason=reason):
-            self.handle.record_event("quarantine", worker=name,
-                                     detail=reason, at=time.time())
-
-    def _check_poison(self, now: float) -> None:
-        """Bisect shards that keep killing workers; isolate the key."""
-        changed = False
-        suspects = self.board.poison_suspects(
-            self.supervisor.policy.poison_workers)
-        for shard in suspects:
-            if len(shard.remaining) > 1:
-                children = self.board.split_shard(shard.index, now)
-                if children:
-                    self.report.poison_splits += 1
-                    self.handle.record_event(
-                        "poison-split", at=time.time(),
-                        detail=f"shard {shard.index} "
-                               f"({len(shard.failed_workers)} workers "
-                               f"lost) bisected into {children}")
-                    changed = True
-            else:
-                for key in self.board.mark_poison(shard.index):
-                    self.handle.record_event(
-                        "poison-key", at=time.time(),
-                        detail=json.dumps(list(key)))
-                changed = True
-        if changed:
-            self._journal_leases()
 
     def _drain_crosschecks(self, now: float) -> None:
         """Give pending cross-checks a grace period once work is done.
 
         A pending check whose only eligible verifier never shows up
         (single-worker fleet, everyone else dead) must not hang the
-        campaign: after ``crosscheck_patience`` seconds with the board
-        finished, unresolved checks degrade to ``crosscheck_unverified``.
+        campaign: after :data:`CROSSCHECK_PATIENCE` seconds with the
+        board finished, unresolved checks degrade to
+        ``crosscheck_unverified``.
         """
         if self._done.is_set() or not self.board.done():
             self._drain_deadline = None
@@ -735,8 +611,7 @@ class DistCoordinator:
         if not self._check_pending and not self._inflight_keys:
             return
         if self._drain_deadline is None:
-            self._drain_deadline = \
-                now + self.supervisor.policy.crosscheck_patience
+            self._drain_deadline = now + CROSSCHECK_PATIENCE
             return
         if now < self._drain_deadline:
             return
@@ -799,8 +674,8 @@ class DistCoordinator:
         run = self.run
         merged = self.handle.completed_classes()
         # Deferred section-store write: only classes that survived CRC
-        # checks, cross-check verification and byzantine rollback reach
-        # the cross-campaign store (and never the ones trusted before
+        # checks and the cross-check audit reach the cross-campaign
+        # store (and never the ones trusted before
         # any worker connected — those came from it or are in it).
         for key, interval in self._by_key.items():
             if key in merged and key not in run.completed:
@@ -809,11 +684,6 @@ class DistCoordinator:
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
         report.workers = tuple(sorted(self._worker_units.items()))
-        report.poison_splits = self.board.splits
-        report.poison_keys = tuple(self.board.poison_keys())
-        report.quarantined_workers = tuple(
-            state["name"] for state in self.supervisor.snapshot()
-            if state["offenses"])
         result = run.assemble(merged)
         if not report.complete:
             # Failed shards are final state worth keeping queryable.
@@ -837,8 +707,7 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
-                         chaos=None, crosscheck: float = 0.0,
-                         supervision: SupervisionPolicy | None = None):
+                         chaos=None, crosscheck: float = 0.0):
     """Run a distributed full scan with locally spawned workers.
 
     Convenience wrapper for single-machine use (and the CLI's
@@ -847,11 +716,16 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
     coordinator in the calling thread.  Real multi-host campaigns start
     ``repro coordinator`` and ``repro worker`` by hand instead.
 
-    ``chaos`` (a :class:`~.chaos.ChaosPlan`, plan dict or legacy
-    counter dict) is serialized into every worker's environment, so the
-    whole fleet runs one seeded schedule; its coordinator-side fields
-    apply here.  ``crosscheck`` and ``supervision`` pass through to
-    :class:`DistCoordinator`.
+    ``chaos`` (a :class:`~.chaos.ChaosPlan` or a plan-shaped dict) is
+    serialized into every worker's environment, so the whole fleet runs
+    one seeded schedule; its coordinator-side fields apply here.
+    ``crosscheck`` passes through to :class:`DistCoordinator`.
+
+    Once the coordinator returns, the workers have nothing left to do:
+    any still running — one that never got to connect because the
+    journal already held the whole campaign, or one reconnecting after
+    a chaos-scheduled coordinator stop — is terminated, and all are
+    reaped together.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -863,7 +737,7 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
         policy=policy, shards=shards, expected_workers=workers,
         journal=journal, resume=resume,
         keep_records=keep_records, progress=progress, sock=sock,
-        chaos=plan, crosscheck=crosscheck, supervision=supervision)
+        chaos=plan, crosscheck=crosscheck)
     import repro
 
     env = dict(os.environ)
@@ -883,11 +757,10 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
         return coordinator.run()
     finally:
         for proc in procs:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in procs:
+            proc.wait()
 
 
 def serve_in_thread(coordinator: DistCoordinator) -> "CoordinatorThread":

@@ -24,6 +24,12 @@ Failure handling is explicit state, not exceptions:
   plus the journal's idempotent merge turn at-least-once delivery into
   exactly-once accounting.
 
+That is the whole policy, and it is the process pool's: a worker that
+dies, hangs or sends garbage costs its shard an attempt, nothing more.
+A class whose execution kills every worker fails its shard after
+``max_retries``, exactly as a dying pool worker does — the lost keys
+are named in the report and ``repro resume`` retries them.
+
 The board is plain single-threaded state driven by the coordinator's
 event loop; it does no I/O and takes ``now`` as an argument, which is
 what makes the chaos tests deterministic.
@@ -42,13 +48,9 @@ PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
-#: Terminal: the shard was bisected into child shards (poison hunt).
-SPLIT = "split"
-#: Terminal: a single-key shard proven to kill distinct workers.
-POISON = "poison"
 
 #: Statuses from which a shard can never produce more work.
-TERMINAL = (DONE, FAILED, SPLIT, POISON)
+TERMINAL = (DONE, FAILED)
 
 
 @dataclass
@@ -61,12 +63,6 @@ class ShardLease:
     #: The keys still unfinished at grant time, in execution order.
     keys: tuple[Key, ...]
     deadline: float
-    #: Whether any key was accounted under this lease.  A lease that
-    #: dies with *zero* progress is the poison-detection signal: a
-    #: genuinely poisonous key kills the worker before it can deliver,
-    #: whereas transport chaos (drops, corruption) strikes after real
-    #: work was merged.
-    progressed: bool = False
 
 
 @dataclass
@@ -83,17 +79,6 @@ class _Shard:
     available_at: float = 0.0
     status: str = PENDING
     lease: ShardLease | None = None
-    #: Distinct workers whose lease attempt on this shard ended with no
-    #: progress at all (died, disconnected or expired before delivering
-    #: a single key) — the poison-detection signal.  Attempts that made
-    #: progress before failing are ordinary transport trouble and are
-    #: not attributed, so frame-drop chaos cannot frame innocent keys.
-    failed_workers: set[str] = field(default_factory=set)
-    #: Workers this shard refuses (cross-check tiebreaks exclude the
-    #: two disputing workers), until ``excluded_until`` passes —
-    #: liveness beats attribution quality if nobody else shows up.
-    excluded: frozenset[str] = frozenset()
-    excluded_until: float = 0.0
 
 
 @dataclass
@@ -107,33 +92,28 @@ class LeaseBoard:
     retries: int = 0
     #: Shards abandoned after exhausting the retry budget.
     failed_shards: int = 0
-    #: Bisections performed while isolating poisonous keys.
-    splits: int = 0
     _shards: list[_Shard] = field(default_factory=list)
     _next_lease_id: int = 0
 
-    def _append_shard(self, keys, remaining, index=None,
-                      **state) -> _Shard:
-        """Append a shard (at the next index unless given one); born
-        done when empty."""
+    def add_shard(self, index: int, keys: list[Key],
+                  remaining: list[Key]) -> None:
+        """Append shard ``index`` (the next in plan order); born done
+        when empty."""
         shard = _Shard(
-            index=len(self._shards) if index is None else index,
-            keys=tuple(keys),
-            remaining=list(remaining),
+            index=index, keys=tuple(keys), remaining=list(remaining),
             remaining_cost=sum(self.key_costs.get(key, 1)
-                               for key in remaining),
-            **state)
+                               for key in remaining))
         if not shard.remaining:
             shard.status = DONE
         self._shards.append(shard)
-        return shard
-
-    def add_shard(self, index: int, keys: list[Key],
-                  remaining: list[Key]) -> None:
-        self._append_shard(keys, remaining, index=index)
 
     def restore(self, index: int, *, attempts: int, status: str) -> None:
-        """Re-apply journaled retry state after a coordinator restart."""
+        """Re-apply journaled retry state after a coordinator restart.
+
+        Any status but ``failed`` — including those an older coordinator
+        journaled for layers since removed — leaves the shard's
+        unjournaled keys pending.
+        """
         shard = self._shards[index]
         shard.attempts = attempts
         if status == FAILED:
@@ -157,23 +137,9 @@ class LeaseBoard:
         """Keys permanently lost, in plan order."""
         out: list[Key] = []
         for shard in self._shards:
-            if shard.status in (FAILED, POISON):
+            if shard.status == FAILED:
                 out.extend(shard.remaining)
         return out
-
-    def poison_keys(self) -> list[Key]:
-        """Keys isolated as poisonous (they kill distinct workers)."""
-        out: list[Key] = []
-        for shard in self._shards:
-            if shard.status == POISON:
-                out.extend(shard.remaining)
-        return out
-
-    def poison_suspects(self, workers: int) -> list[_Shard]:
-        """Pending shards charged to at least ``workers`` distinct workers."""
-        return [shard for shard in self._shards
-                if shard.status == PENDING
-                and len(shard.failed_workers) >= workers]
 
     # -- transitions -----------------------------------------------------------
 
@@ -192,10 +158,7 @@ class LeaseBoard:
                 wait = min(wait or self.policy.heartbeat,
                            self.policy.heartbeat)
             elif shard.status == PENDING:
-                if worker in shard.excluded and now < shard.excluded_until:
-                    delay = shard.excluded_until - now
-                    wait = min(wait, delay) if wait is not None else delay
-                elif shard.available_at > now:
+                if shard.available_at > now:
                     delay = shard.available_at - now
                     wait = min(wait, delay) if wait is not None else delay
                 else:
@@ -215,16 +178,12 @@ class LeaseBoard:
         shard.lease = lease
         return lease
 
-    def progress(self, shard_index: int, key: Key, now: float, *,
-                 worker: str | None = None) -> bool:
+    def progress(self, shard_index: int, key: Key, now: float) -> bool:
         """Account one submitted class; False for a duplicate.
 
         Accepts the key whether or not the submitting lease is still
         current; refreshes the active lease's deadline against the
         shrunken remaining cost (progress is the liveness signal).
-        ``worker`` names the submitter so the active lease is only
-        marked progressed by its own holder's work, not by a late
-        retransmit from a previous holder.
         """
         shard = self._shards[shard_index]
         try:
@@ -232,9 +191,6 @@ class LeaseBoard:
         except ValueError:
             return False
         shard.remaining_cost -= self.key_costs.get(key, 1)
-        if shard.lease is not None \
-                and (worker is None or shard.lease.worker == worker):
-            shard.lease.progressed = True
         if not shard.remaining and shard.status in (PENDING, LEASED):
             shard.status = DONE
             shard.lease = None
@@ -282,8 +238,6 @@ class LeaseBoard:
         return expired
 
     def _charge(self, shard: _Shard, now: float) -> None:
-        if shard.lease is not None and not shard.lease.progressed:
-            shard.failed_workers.add(shard.lease.worker)
         shard.lease = None
         shard.attempts += 1
         if shard.attempts > self.policy.max_retries:
@@ -297,53 +251,3 @@ class LeaseBoard:
     def _embargo(self, shard: _Shard, *, now: float) -> None:
         shard.available_at = now + self.policy.backoff * (
             self.policy.backoff_factor ** max(0, shard.attempts - 1))
-
-    # -- poison-shard bisection and dynamic requeue ----------------------------
-
-    def split_shard(self, index: int, now: float) -> list[int]:
-        """Bisect a suspect shard into two children with fresh budgets.
-
-        The poison hunt: a shard whose ``failed_workers`` set keeps
-        growing contains at least one key whose execution kills
-        workers.  Halving the remaining keys (preserving execution
-        order, so snapshot fast-forward still pays) narrows the suspect
-        range by one bit per round; a single remaining key that still
-        kills distinct workers is declared :data:`POISON` by
-        :meth:`mark_poison` instead of looping forever.  Returns the
-        new child indices.
-        """
-        shard = self._shards[index]
-        if shard.status != PENDING or len(shard.remaining) < 2:
-            return []
-        half = len(shard.remaining) // 2
-        children = [self._append_shard(part, part).index
-                    for part in (shard.remaining[:half],
-                                 shard.remaining[half:])]
-        shard.status = SPLIT
-        shard.remaining = []
-        shard.remaining_cost = 0
-        shard.lease = None
-        self.splits += 1
-        return children
-
-    def mark_poison(self, index: int) -> list[Key]:
-        """Declare a shard poisonous; its keys become permanent losses."""
-        shard = self._shards[index]
-        shard.status = POISON
-        shard.lease = None
-        return list(shard.remaining)
-
-    def requeue(self, keys: list[Key], *, now: float,
-                excluded: frozenset[str] = frozenset(),
-                exclusion_seconds: float = 0.0) -> int:
-        """Append a fresh shard re-queuing already-planned keys.
-
-        Used when journaled results are discarded (a byzantine worker's
-        unverified deliveries) or a cross-check dispute needs a third,
-        independent execution — ``excluded`` names workers the new
-        shard refuses until ``now + exclusion_seconds``.  The shard
-        gets a full fresh retry budget.
-        """
-        return self._append_shard(
-            keys, keys, excluded=frozenset(excluded),
-            excluded_until=now + exclusion_seconds).index

@@ -83,7 +83,7 @@ from .outcomes import OUTCOME_BY_VALUE, Outcome
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and
 #: the ``summaries`` table; version 3 added the ``fabric_events`` log
-#: (supervision / integrity incidents of the distributed fabric);
+#: (integrity incidents of the distributed fabric);
 #: version 4 stores runs of bits per ``class_results`` /
 #: ``section_results`` row (module docstring).  Every older row reads as
 #: a run of one, so older journals migrate in place on open by the
@@ -522,8 +522,8 @@ class ExperimentJournal:
         """Per-campaign distributed-fabric state for ``repro fabric``.
 
         Extends :meth:`campaigns` with each campaign's journaled shard
-        leases and supervision/integrity events — the operator's view
-        of what the coordinator did and to whom.
+        leases and integrity events — the operator's view of what the
+        coordinator did and to whom.
         """
         out = []
         for entry in self.campaigns():
@@ -879,11 +879,10 @@ class CampaignJournal:
                         keys: Iterable[tuple[int, int]]) -> int:
         """Delete journaled classes so they can be re-executed.
 
-        The byzantine-recovery path: when cross-check verification
-        catches a worker returning wrong bytes, every class it
-        delivered that was never independently verified is discarded
-        here and re-queued — first-wins merging means a poisoned first
-        copy can only be displaced by deleting it.  Also used to drop
+        The cross-check audit's path: when two workers' executions of
+        one class disagree, its journaled row is deleted and the class
+        left missing — first-wins merging means a disputed first copy
+        can only be displaced by deleting it.  Also used to drop
         partially salvaged classes whose bit count disagrees with the
         domain's expected experiment weight.  Returns classes deleted.
         """
@@ -906,14 +905,14 @@ class CampaignJournal:
 
     def record_event(self, kind: str, *, worker: str = "",
                      detail: str = "", at: float = 0.0) -> None:
-        """Append one supervision/integrity incident to the fabric log.
+        """Append one integrity incident to the fabric log.
 
-        Kinds in use: ``quarantine``, ``probation``, ``crc-reject``,
-        ``shape-reject``, ``crosscheck-mismatch``, ``crosscheck-stale``,
-        ``byzantine``, ``discard``, ``poison-split``, ``poison-key``,
-        ``salvage-prune``.  The log is diagnostic — campaign results
-        never depend on it — but it is what ``repro fabric`` renders
-        and what the chaos-soak telemetry uploads.
+        Kinds written: ``crc-reject``, ``shape-reject``,
+        ``crosscheck-mismatch``, ``crosscheck-stale``,
+        ``salvage-prune``.  A journal an older coordinator wrote may
+        hold kinds of layers since removed; they are kept and listed
+        as stored.  The log is diagnostic — campaign results never
+        depend on it — but it is what ``repro fabric`` renders.
         """
         self.journal._write(
             "INSERT INTO fabric_events (campaign_id, at, worker, "

@@ -108,28 +108,21 @@ class ExecutionReport:
     #: experiment weight for the class.  Rejected frames are simply
     #: re-executed — corruption can delay a campaign, never skew it.
     integrity_rejected: int = 0
-    #: Classes re-executed on a second worker and byte-compared
-    #: (cross-check sampling).
+    #: Classes re-executed on a second worker and byte-compared (the
+    #: fabric's cross-check determinism audit).
     crosschecked: int = 0
-    #: Cross-check comparisons that disagreed (at least one of the two
-    #: workers returned wrong bytes).
+    #: Cross-check comparisons that disagreed: two verified workers
+    #: computed different outcomes.  Each such class is discarded and
+    #: left in :attr:`missing`.
     crosscheck_mismatches: int = 0
     #: Cross-checks abandoned unverified because no second worker was
     #: ever available to re-execute them.
     crosscheck_unverified: int = 0
-    #: Journaled results discarded and re-executed: resumed classes
-    #: that failed validation (a salvaged journal's truncated classes,
-    #: any transport), and the unverified deliveries of a worker caught
-    #: corrupting results (the fabric's byzantine rollback).
+    #: Journaled results discarded: resumed classes that failed
+    #: validation (a salvaged journal's truncated classes, any
+    #: transport; re-executed), and classes whose cross-check
+    #: disagreed (left missing).
     discarded_results: int = 0
-    #: Bisection rounds performed while isolating poisonous shards.
-    poison_splits: int = 0
-    #: Class keys isolated as poisonous — their execution kills
-    #: workers — and excluded from the result (also in :attr:`missing`).
-    poison_keys: tuple = field(default_factory=tuple)
-    #: Workers quarantined by the supervisor during this run, as sorted
-    #: names (circuit-breaker trips and byzantine convictions alike).
-    quarantined_workers: tuple = field(default_factory=tuple)
 
     @property
     def complete(self) -> bool:

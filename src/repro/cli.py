@@ -41,9 +41,10 @@ Commands:
     first (the original is kept at ``PATH.corrupt``).
 ``fabric --journal PATH``
     Show the distributed fabric's state per campaign: shard leases and
-    their retry budgets, plus the supervision/integrity event log
-    (quarantines, CRC rejections, cross-check disputes, poison-shard
-    bisections).  Exits ``3`` when any campaign is incomplete.
+    their retry budgets, plus the integrity event log (CRC and shape
+    rejections, cross-check mismatches, salvage prunes; a journal an
+    older coordinator wrote may list other kinds too — they are shown
+    as stored).  Exits ``3`` when any campaign is incomplete.
 ``coordinator <program> [--port P] [--shards N] [--journal P]``
     Serve a distributed full scan: workers connect over TCP, pull work
     leases, and stream results back; the coordinator owns the journal
@@ -232,7 +233,6 @@ def _print_execution(execution) -> None:
             or execution.slice_hits or execution.composed_hits
             or execution.integrity_rejected
             or execution.crosschecked or execution.discarded_results
-            or execution.poison_splits or execution.quarantined_workers
             or execution.workers or not execution.complete):
         print(completeness_report(execution))
 
@@ -607,7 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "
                               "a second worker and byte-compare "
-                              "(byzantine worker detection; default: 0)")
+                              "(determinism audit: a mismatched class "
+                              "is reported and left missing; "
+                              "default: 0)")
 
     scan = sub.add_parser("scan", help="full fault-space scan")
     scan.add_argument("program")
@@ -664,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fabric = sub.add_parser(
         "fabric",
-        help="show the distributed fabric's leases and event log")
+        help="show the distributed fabric's leases and integrity "
+             "event log")
     fabric.add_argument("--journal", metavar="PATH", required=True,
                         help="SQLite experiment journal to inspect")
     fabric.set_defaults(func=cmd_fabric)

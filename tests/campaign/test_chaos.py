@@ -6,11 +6,12 @@ injector on the fabric itself: a seeded :class:`ChaosPlan` drops,
 duplicates, corrupts and delays result frames through the deterministic
 proxy, and every surviving campaign must match the serial ground truth
 bit for bit — with the degradation (if any) exactly reflected in the
-completeness report.  The nastier layers ride on top: a worker whose
-frames arrive corrupted (CRC-detectable), a byzantine worker that lies
-with a valid CRC (only cross-check sampling can catch it), and a
-poisoned class key that kills every worker that touches it (hunted down
-by shard bisection).
+completeness report.  The harder cases ride on top: a worker whose
+frames arrive corrupted (CRC-detectable), a worker whose results are
+wrong under a valid CRC (only the cross-check audit can catch it; the
+class is reported and left missing), and a class key that kills every
+worker that touches it (its shard fails after its retries, as a pool
+shard would).
 """
 
 import json
@@ -18,12 +19,7 @@ import json
 import pytest
 
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
-from repro.campaign.dist import (
-    DistCoordinator,
-    SupervisionPolicy,
-    WorkerChaos,
-    result_digest,
-)
+from repro.campaign.dist import DistCoordinator, WorkerChaos, result_digest
 from repro.campaign.dist.chaos import (
     PLAN_ENV,
     ChaosInterrupt,
@@ -34,8 +30,8 @@ from repro.campaign.dist.chaos import (
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
 
-from .test_dist import (POLICY, _RecordingStream, _server_socket,
-                        _start_worker, run_dist)
+from .test_dist import (POLICY, _class_items, _RawWorker, _RecordingStream,
+                        _server_socket, _start_worker, run_dist)
 
 #: Chaos soaks retry far past the default budget: the injector *wants*
 #: to burn attempts, and the invariant under test is correctness, not
@@ -48,12 +44,6 @@ SOAK_POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
 #: that a few dozen result frames see several of each.
 SOAK_RATES = dict(drop_rate=0.12, dup_rate=0.15, corrupt_rate=0.08,
                   delay_rate=0.10, delay_seconds=0.005)
-
-#: Supervision tuned for soaks: chaos charges failures constantly, so
-#: the breaker threshold is parked high — quarantine behaviour has its
-#: own tests below.
-SOAK_SUPERVISION = SupervisionPolicy(failure_threshold=100.0,
-                                     crosscheck_patience=30.0)
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +229,7 @@ class TestChaosSoak:
         plan = ChaosPlan(seed=seed, **SOAK_RATES)
         result, _, spawned = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=SOAK_POLICY, crosscheck=0.25,
-            supervision=SOAK_SUPERVISION)
+            policy=SOAK_POLICY, crosscheck=0.25)
         assert not any(errors for _, _, errors in spawned)
         assert_soak_invariant(result, memory_baseline)
         assert result.execution.complete
@@ -251,7 +240,7 @@ class TestChaosSoak:
         result, _, _ = run_dist(
             memory_golden, workers=2, domain="register",
             worker_chaos=[plan, plan], policy=SOAK_POLICY,
-            crosscheck=0.25, supervision=SOAK_SUPERVISION)
+            crosscheck=0.25)
         assert_soak_invariant(result, register_baseline)
         assert result.execution.complete
 
@@ -260,7 +249,7 @@ class TestChaosSoak:
         plan = ChaosPlan(seed=7, **SOAK_RATES)
         _, _, spawned = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=SOAK_POLICY, supervision=SOAK_SUPERVISION)
+            policy=SOAK_POLICY)
         fired = {}
         for worker, _, _ in spawned:
             for name, count in worker._chaos.fired.items():
@@ -299,63 +288,105 @@ class TestIntegrity:
     def test_corrupting_worker_is_caught_by_crc(self, memory_golden,
                                                 memory_baseline):
         """Every frame from one worker is tampered after digesting (a
-        broken NIC, in effect): the CRC check refuses them all, the
-        supervisor quarantines the worker, the honest peer finishes."""
+        broken NIC, in effect): the CRC check refuses them all, each of
+        its leases fails as an attempt, the honest peer finishes."""
         corrupt = ChaosPlan(seed=3, corrupt_rate=1.0)
-        result, coordinator, _ = run_dist(
+        result, _, _ = run_dist(
             memory_golden, workers=2, worker_chaos=[corrupt, None],
-            policy=SOAK_POLICY,
-            supervision=SupervisionPolicy(quarantine_seconds=0.2,
-                                          max_quarantine_seconds=1.0))
+            policy=SOAK_POLICY)
         execution = result.execution
         assert execution.integrity_rejected > 0
-        assert "w0" in execution.quarantined_workers
         assert_soak_invariant(result, memory_baseline)
         assert execution.complete
         # Not one corrupted frame was merged: the corrupter earned no
         # attribution at all.
         assert all(name != "w0" for name, _ in execution.workers)
 
-    def test_byzantine_worker_is_outvoted_and_contained(
+    def test_lying_worker_is_caught_by_the_determinism_audit(
             self, tmp_path, memory_golden, memory_baseline):
-        """The hardest case in the issue: a worker that lies *with a
-        valid CRC*.  Cross-check sampling re-executes its keys on a
-        second worker, the mismatch re-queues the key for a third
-        independent execution, the vote convicts the liar, its entire
-        unverified history is discarded and re-executed — and the
-        campaign still converges to the exact serial counts."""
+        """A worker whose results are wrong *under a valid CRC* — what a
+        build that computes other outcomes looks like.  With every class
+        cross-checked, each class it touched (as first deliverer or as
+        verifier) on which it lied is disputed: journaled as a mismatch
+        naming both workers, discarded and left missing.  No lie
+        survives into the result, and no vote pretends to know which
+        copy was right.  (It lies on half its classes, so the audit
+        also has agreements to let through.)"""
         from repro.campaign.journal import ExperimentJournal
 
-        journal = tmp_path / "byzantine.sqlite"
-        lie = ChaosPlan(seed=5, lie_rate=1.0, liars=("w0",))
-        result, coordinator, _ = run_dist(
-            memory_golden, workers=3, worker_chaos=[lie, lie, lie],
-            policy=SOAK_POLICY, crosscheck=1.0, journal=journal,
-            supervision=SupervisionPolicy(quarantine_seconds=0.2,
-                                          exclusion_seconds=0.5,
-                                          crosscheck_patience=30.0),
-            worker_kw={"max_reconnects": 20})
+        journal = tmp_path / "audit.sqlite"
+        lie = ChaosPlan(seed=5, lie_rate=0.5, liars=("w0",))
+        result, _, _ = run_dist(
+            memory_golden, workers=3, worker_chaos=[lie, None, None],
+            policy=SOAK_POLICY, crosscheck=1.0, journal=journal)
         execution = result.execution
         assert execution.crosschecked > 0
         assert execution.crosscheck_mismatches > 0
-        assert "w0" in execution.quarantined_workers
-        state = coordinator.supervisor.state("w0")
-        assert state.permanent, "a convicted liar must never rejoin"
-        assert execution.discarded_results > 0
+        assert execution.crosscheck_unverified == 0
+        assert not execution.complete
         assert_soak_invariant(result, memory_baseline)
-        assert execution.complete
-        # The journal's event log names the conviction.
         with ExperimentJournal(journal) as log:
             (entry,) = log.fabric_report()
-        kinds = {event["kind"] for event in entry["events"]}
-        assert "byzantine" in kinds
-        assert "crosscheck-mismatch" in kinds
+        mismatches = [event for event in entry["events"]
+                      if event["kind"] == "crosscheck-mismatch"]
+        assert len(mismatches) == execution.crosscheck_mismatches \
+            == execution.discarded_results
+        disputed = {tuple(json.loads(event["detail"].split(":")[0]))
+                    for event in mismatches}
+        assert disputed == {tuple(key) for key in execution.missing}
+        for event in mismatches:
+            # Both workers and both digests are named; one is the liar.
+            assert event["detail"].count(" digest ") == 2
+            assert "w0 digest" in event["detail"]
+
+    def test_a_late_copy_of_a_disputed_key_is_refused(
+            self, memory_golden, memory_baseline):
+        """Once a class's two executions disagreed, no later copy of it
+        — a retransmit of the honest rows, a duplicate of the lie — is
+        merged: it stays missing for ``repro resume`` to re-execute."""
+        sock = _server_socket()
+        coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
+                                      policy=POLICY, keep_records=True,
+                                      crosscheck=1.0)
+        thread = serve_in_thread(coordinator)
+        port = sock.getsockname()[1]
+        liar = _RawWorker(port, name="liar")
+        lease = liar.lease()
+        items = _class_items(liar.spec, lease)
+        honest = {tuple(item["key"]): item for item in items}
+        disputed = min(honest)
+        lie = WorkerChaos(ChaosPlan(), "liar").tampered(honest[disputed], 0)
+        lie["crc"] = result_digest(disputed, lie["rows"])
+        liar.results([lie if tuple(item["key"]) == disputed else item
+                      for item in items])
+        liar.lease_done(lease)
+
+        auditor = _RawWorker(port, name="auditor")
+        first = auditor.lease()
+        assert first["verify"] and list(disputed) in first["keys"]
+        auditor.results(_class_items(auditor.spec, first))
+        auditor.lease_done(first)
+        # A reply on the same connection: the verdict has been reached.
+        second = auditor.lease()
+        assert second["verify"]
+        liar.results([honest[disputed], lie])
+        liar.stream.send({"type": "request"})
+        assert liar.stream.read(timeout=5.0)["type"] == "wait"
+        auditor.results(_class_items(auditor.spec, second))
+        auditor.lease_done(second)
+        result = thread.join_result(60)
+        liar.close()
+        auditor.close()
+        execution = result.execution
+        assert execution.missing == (disputed,)
+        assert (execution.crosscheck_mismatches,
+                execution.discarded_results) == (1, 1)
+        assert_soak_invariant(result, memory_baseline)
 
     def test_crosscheck_without_liars_confirms_everything(
             self, memory_golden, memory_baseline):
         result, _, _ = run_dist(
-            memory_golden, workers=2, policy=POLICY, crosscheck=1.0,
-            supervision=SupervisionPolicy(crosscheck_patience=30.0))
+            memory_golden, workers=2, policy=POLICY, crosscheck=1.0)
         execution = result.execution
         assert execution.crosschecked == execution.total_units
         assert execution.crosscheck_mismatches == 0
@@ -364,37 +395,33 @@ class TestIntegrity:
         assert result.records == memory_baseline.records
 
 
-class TestPoisonShard:
-    def test_poison_key_is_bisected_down_and_isolated(
-            self, tmp_path, memory_golden, memory_baseline):
-        """One class key kills every worker that tries to execute it
-        (a wild pointer in a simulator build, say).  The lease board
-        bisects the dying shard until the key stands alone, declares it
-        poisonous, and the campaign degrades by exactly that key."""
-        from repro.campaign.journal import ExperimentJournal
+class TestDyingKey:
+    def test_a_key_that_kills_every_worker_fails_its_shard(
+            self, memory_golden, memory_baseline):
+        """One class key kills every worker that tries to execute it (a
+        wild pointer in a simulator build, say).  Its shard is charged
+        an attempt per death and fails after ``max_retries``, exactly
+        as a pool shard whose worker keeps dying: what that shard never
+        delivered is missing, and every other shard completes."""
+        from repro.campaign.dist.leases import FAILED
 
-        journal = tmp_path / "poison.sqlite"
         keys = sorted(memory_baseline.class_outcomes)
-        poison = keys[len(keys) // 2]
-        plan = ChaosPlan(die_on_keys=(poison,))
-        # One big shard puts keys *behind* the poisoned one, so the
-        # hunt must actually bisect to isolate it.
-        result, _, _ = run_dist(
+        deadly = keys[len(keys) // 2]
+        plan = ChaosPlan(die_on_keys=(deadly,))
+        policy = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
+                             backoff=0.05, max_retries=3)
+        result, coordinator, _ = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            journal=journal, shards=1,
-            policy=RetryPolicy(heartbeat=0.3, poll_interval=0.02,
-                               backoff=0.05, max_retries=20),
-            supervision=SupervisionPolicy(failure_threshold=100.0))
+            policy=policy)
         execution = result.execution
-        assert tuple(poison) in {tuple(k) for k in execution.poison_keys}
-        assert execution.poison_splits >= 1
-        assert not execution.complete
-        missing = {tuple(k) for k in execution.missing}
-        assert tuple(poison) in missing
-        # Everything *except* the poisoned key completed, exactly.
-        assert set(result.class_outcomes) == set(keys) - missing
+        (failed,) = [shard for shard in coordinator.board.shards()
+                     if shard.status == FAILED]
+        assert deadly in failed.remaining
+        # Nothing at or after the deadly key in execution order was
+        # ever delivered.
+        position = failed.keys.index(deadly)
+        assert set(failed.keys[position:]) <= set(failed.remaining)
+        assert set(execution.missing) == set(failed.remaining)
+        assert (execution.failed_shards, execution.shard_retries) \
+            == (1, policy.max_retries)
         assert_soak_invariant(result, memory_baseline)
-        with ExperimentJournal(journal) as log:
-            (entry,) = log.fabric_report()
-        kinds = {event["kind"] for event in entry["events"]}
-        assert "poison-key" in kinds

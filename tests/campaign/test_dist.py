@@ -110,6 +110,10 @@ def run_dist(golden, *, workers=2, worker_chaos=None, worker_kw=None,
                              **(worker_kw or {}))
                for index, chaos in enumerate(chaos_by_worker)]
     result = thread.join_result(120)
+    # The coordinator is gone: a worker still reconnecting to it would
+    # never stop (run_distributed_scan terminates such processes).
+    for worker, _, _ in spawned:
+        worker._finished = True
     for _, worker_thread, _ in spawned:
         worker_thread.join(10)
     return result, coordinator, spawned
@@ -244,8 +248,8 @@ class TestLeaseBoard:
         """Deadlines derive from the cost of the keys still remaining.
         The board keeps that as a running total; after every transition
         it must equal what re-summing the remaining keys gives — on a
-        partly resumed, a restored, a split, a re-queued and a poisoned
-        shard alike."""
+        partly resumed, a restored, a released and an expired shard
+        alike."""
         policy = RetryPolicy(min_shard_timeout=0.0, cycles_per_second=1.0,
                              backoff=0.0, max_retries=5)
         keys = [(0, slot) for slot in range(1, 11)]
@@ -266,7 +270,7 @@ class TestLeaseBoard:
             assert lease.deadline == now + fresh(shard)
             for key in lease.keys[:count]:
                 now += 1.0
-                assert board.progress(index, key, now, worker=worker)
+                assert board.progress(index, key, now)
                 assert consistent()
                 if shard.lease is not None:
                     assert shard.lease.deadline == now + fresh(shard)
@@ -277,21 +281,13 @@ class TestLeaseBoard:
         assert consistent()
         now = deliver(0, "a", 10.0, 3)
         assert board.release_worker("a", now) == [0]
-        first, second = board.split_shard(0, now)
-        assert consistent() and board.shards()[0].remaining_cost == 0
-        now = deliver(first, "b", now, 99)
-        now = deliver(second, "b", now, 1)
-        board.release_worker("b", now)
-        # Discarded results come back as a fresh shard; (9, 9) has no
-        # planned cost and counts 1.
-        requeued = board.requeue([keys[0], (9, 9)], now=now)
         assert consistent()
-        now = deliver(second, "c", now, 99)
-        now = deliver(requeued, "c", now, 1)
-        board.release_worker("c", now)
-        assert board.mark_poison(requeued) == [(9, 9)]
-        assert consistent() and board.shards()[requeued].remaining_cost == 1
-        assert board.done()
+        now = deliver(0, "b", now, 2)
+        now += 10.0 ** 9  # past any deadline
+        assert board.expire(now) == [0]
+        assert consistent()
+        now = deliver(0, "c", now, 99)
+        assert board.done() and board.shards()[0].remaining_cost == 0
 
 
 class TestDistEquality:
@@ -436,31 +432,53 @@ class TestDistChaos:
         for key, outcomes in result.class_outcomes.items():
             assert outcomes == memory_baseline.class_outcomes[key]
 
-    def test_stale_worker_is_rejected_not_polluting(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """A worker whose checkout assembles a different binary must be
-        refused; a correct worker still completes the campaign."""
+    @staticmethod
+    def _refused_then_served(monkeypatch, golden, baseline, name, fake,
+                             match):
+        """Patch the worker module's ``name`` with ``fake``: that worker
+        must be refused with ``match``; an unpatched worker then
+        completes the campaign alone."""
         import repro.campaign.dist.worker as worker_mod
 
         sock = _server_socket()
         port = sock.getsockname()[1]
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(golden, sock=sock, shards=4,
                                       policy=POLICY, keep_records=True)
         thread = serve_in_thread(coordinator)
-        real = worker_mod.program_fingerprint
-        monkeypatch.setattr(worker_mod, "program_fingerprint",
-                            lambda program: "0" * 24)
-        stale = DistWorker("127.0.0.1", port, name="stale")
-        with pytest.raises(WorkerRejected, match="fingerprint mismatch"):
-            stale.run()
-        monkeypatch.setattr(worker_mod, "program_fingerprint", real)
+        real = getattr(worker_mod, name)
+        monkeypatch.setattr(worker_mod, name, fake(real))
+        refused = DistWorker("127.0.0.1", port, name="refused")
+        with pytest.raises(WorkerRejected, match=match):
+            refused.run()
+        monkeypatch.setattr(worker_mod, name, real)
         _, worker_thread, errors = _start_worker(port, "fresh")
         result = thread.join_result(60)
         worker_thread.join(10)
         assert not errors
-        assert result == memory_baseline
+        assert result == baseline
         assert result.execution.workers == (("fresh",
                                              result.execution.executed),)
+
+    def test_stale_worker_is_rejected_not_polluting(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """A worker whose checkout assembles a different binary must be
+        refused; a correct worker still completes the campaign."""
+        self._refused_then_served(
+            monkeypatch, memory_golden, memory_baseline,
+            "program_fingerprint", lambda real: lambda program: "0" * 24,
+            "fingerprint mismatch")
+
+    def test_worker_with_other_timing_is_rejected(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """Same binary, different machine model: a worker whose golden
+        run takes another Δt is refused before it executes anything."""
+        import dataclasses
+
+        self._refused_then_served(
+            monkeypatch, memory_golden, memory_baseline, "record_golden",
+            lambda real: lambda program: dataclasses.replace(
+                real(program), cycles=memory_golden.cycles + 1),
+            "golden run mismatch")
 
     def test_protocol_version_mismatch_is_rejected(self, memory_golden):
         sock = _server_socket()
@@ -615,8 +633,6 @@ class TestSendWindow:
         assert result.records == memory_baseline.records
         assert result.execution.integrity_rejected == 1
         assert result.execution.workers == (("raw", len(items)),)
-        # Charged exactly once, at the integrity weight.
-        assert 1.9 < coordinator.supervisor.state("raw").score <= 2.0
         with ExperimentJournal(journal) as log:
             (entry,) = log.fabric_report()
         rejects = [event for event in entry["events"]
@@ -868,6 +884,61 @@ class TestDistJournalInterop:
         assert result == memory_baseline
         assert result.execution.resumed == 3
 
+    #: Event kinds only coordinators with a worker supervisor, poison
+    #: bisection and cross-check voting ever wrote.
+    REMOVED_KINDS = ("quarantine", "probation", "byzantine", "discard",
+                     "poison-split", "poison-key")
+
+    def test_journal_of_removed_layers_resumes_and_lists(
+            self, tmp_path, capsys, memory_golden, memory_baseline):
+        """A journal written by an older coordinator holds lease
+        statuses (``split``, ``poison``) and event kinds nothing writes
+        any more.  It still resumes bit-for-bit, and ``repro fabric``
+        still lists every row of it."""
+        import sqlite3
+
+        from repro.cli import main
+
+        journal = tmp_path / "old.sqlite"
+        sock = _server_socket()
+        first = DistCoordinator(memory_golden, sock=sock, shards=4,
+                                policy=POLICY, journal=journal,
+                                stop_after_results=3)
+        thread = serve_in_thread(first)
+        _, worker_thread, _ = _start_worker(
+            sock.getsockname()[1], "w0", max_reconnects=0)
+        assert thread.join_result(60) is None
+        worker_thread.join(10)
+        with sqlite3.connect(journal) as db:
+            (campaign,) = db.execute("SELECT id FROM campaigns").fetchone()
+            # Planned shards 0 and 1 were bisected; 4 and 5 are their
+            # children, one of them isolated as poisonous.
+            db.execute("UPDATE leases SET status = 'split', attempts = 1 "
+                       "WHERE shard IN (0, 1)")
+            db.executemany(
+                "INSERT INTO leases (campaign_id, shard, keys, worker, "
+                "attempts, status) VALUES (?, ?, '[]', '', ?, ?)",
+                [(campaign, 4, 2, "poison"), (campaign, 5, 0, "split")])
+            db.executemany(
+                "INSERT INTO fabric_events (campaign_id, at, worker, kind, "
+                "detail) VALUES (?, 0.0, 'w9', ?, 'old')",
+                [(campaign, kind) for kind in self.REMOVED_KINDS])
+
+        result, _, _ = run_dist(memory_golden, journal=journal)
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.resumed == 3
+        assert run_full_scan(memory_golden, journal=journal,
+                             keep_records=True) == memory_baseline
+
+        capsys.readouterr()
+        assert main(["fabric", "--journal", str(journal)]) == 0
+        out = capsys.readouterr().out
+        for kind in self.REMOVED_KINDS:
+            assert f"{kind:20s} [w9] old" in out
+        assert "shard 4: poison, 2 attempt(s)" in out
+        assert "shard 5: split, 0 attempt(s)" in out
+
 
 def _spawn_worker_proc(port: int, name: str, chaos=None):
     """Start ``python -m repro worker`` as a real subprocess."""
@@ -987,6 +1058,21 @@ class TestDistSubprocess:
         assert formatted == []
         assert result == memory_baseline
         assert result.execution.complete
+
+    def test_resuming_a_complete_journal_does_not_wait_on_workers(
+            self, tmp_path):
+        """With nothing left to execute the coordinator finishes before
+        any worker connects; the spawned workers are then stopped, not
+        left to reconnect until a per-worker timeout kills them."""
+        golden = record_golden(micro.checksum_loop(3))
+        journal = tmp_path / "complete.sqlite"
+        serial = run_full_scan(golden, journal=journal)
+        start = time.monotonic()
+        result = run_distributed_scan(golden, workers=2, journal=journal)
+        elapsed = time.monotonic() - start
+        assert result == serial
+        assert result.execution.executed == 0
+        assert elapsed < 3.0, f"resume took {elapsed:.2f} s"
 
 
 class TestWorkerPartition:
