@@ -159,6 +159,72 @@ def test_send_window_gate(monkeypatch):
     assert frames["results"] <= classes / 8 + 2 * leases
 
 
+def test_merge_window_gate(monkeypatch, tmp_path):
+    """The coordinator merges a send window, not a class: on a
+    ``memcopy`` × register scan (66 classes), existence ``SELECT``\\ s on
+    ``class_results`` ≤ ``results`` frames (a ``SELECT`` per class would
+    be 66), and ``result_digest`` runs once per class on each side — the
+    worker stamps it, the coordinator re-derives it, nothing else does.
+
+    Counts, from the journal connection's ``set_trace_callback``; writes
+    no ``BENCH_*.json``.
+    """
+    import repro.campaign.dist.coordinator as coordinator_mod
+    import repro.campaign.dist.worker as worker_mod
+    from repro.campaign.journal import ExperimentJournal
+
+    golden = record_golden(micro.memcopy(6))
+    serial = run_full_scan(golden, domain="register", keep_records=True)
+    statements: list[str] = []
+    connect = ExperimentJournal._connect
+
+    def traced(journal):
+        conn = connect(journal)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(ExperimentJournal, "_connect", traced)
+    frames = {"results": 0}
+    real_read = coordinator_mod.read_frame
+
+    async def counted(reader):
+        frame = await real_read(reader)
+        if frame is not None and frame.get("type") in frames:
+            frames[frame["type"]] += 1
+        return frame
+
+    monkeypatch.setattr(coordinator_mod, "read_frame", counted)
+    digests = {"worker": 0, "coordinator": 0}
+    for side, module in (("worker", worker_mod),
+                         ("coordinator", coordinator_mod)):
+        def digest(key, run, side=side, real=module.result_digest):
+            digests[side] += 1
+            return real(key, run)
+
+        monkeypatch.setattr(module, "result_digest", digest)
+    sock = socket.create_server(("127.0.0.1", 0))
+    coordinator = DistCoordinator(golden, sock=sock, domain="register",
+                                  shards=4, policy=POLICY,
+                                  journal=tmp_path / "gate.sqlite",
+                                  keep_records=True)
+    thread = serve_in_thread(coordinator)
+    worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
+    assert worker.run() == len(serial.class_outcomes)
+    result = thread.join_result(120)
+    assert result == serial
+    assert result.records == serial.records
+    classes = len(serial.class_outcomes)
+    selects = [sql for sql in statements
+               if sql.lstrip().upper().startswith("SELECT")
+               and "class_results" in sql and "outcome" not in sql]
+    print(f"\nmerge window on {golden.program.name} × register: "
+          f"{len(selects)} existence SELECTs for {frames['results']} "
+          f"results frames, {classes} classes; result_digest calls "
+          f"{digests}")
+    assert 0 < len(selects) <= frames["results"]
+    assert digests == {"worker": classes, "coordinator": classes}
+
+
 def test_dist_scan_survives_sigkill(output_dir, tmp_path):
     """Two workers, one SIGKILLed mid-campaign: identical CSV anyway."""
     program = sync2.baseline() if _full_scale() else sync2.baseline(2)

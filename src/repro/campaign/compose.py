@@ -15,7 +15,8 @@ answers two questions:
   run, first-wins per bit (a longer run replaces a shorter one stored
   at the same first bit, nothing else is overwritten), so concurrent
   or repeated campaigns agree with the dist fabric's at-least-once
-  merge discipline.
+  merge discipline.  The fabric stores its classes in one unit at
+  assembly, as the runs it received (:meth:`SectionComposer.store_runs`).
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry
@@ -117,6 +118,21 @@ class SectionComposer:
                  outcome.value if isinstance(outcome, Outcome) else outcome,
                  end_cycle, trap)
                 for bit, outcome, end_cycle, trap in rows])
+
+    def store_runs(self, classes) -> None:
+        """Write freshly executed classes into the section store as one
+        unit.
+
+        ``classes`` holds ``(interval, run)`` pairs, each run the class's
+        stored ``(outcomes, end_cycles, traps)`` from bit 0 — what the
+        distributed fabric carries — so nothing is expanded per bit.
+        """
+        rows = []
+        for interval, run in classes:
+            slot = interval.injection_slot
+            rows.append((self._ids[self.map.owner(slot).index], slot,
+                         self.domain.axis_of(interval), 0, *run))
+        self.journal.merge_section_runs(rows)
 
     # -- sampled experiments --------------------------------------------------
 

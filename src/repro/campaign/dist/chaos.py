@@ -23,10 +23,10 @@ items of each outgoing window in order):
 ``drop``       send the window up to and including this class, then close
                the connection (in-flight loss of what follows)
 ``dup``        put the class in the window twice (at-least-once stress)
-``corrupt``    tamper the class's rows but keep the *stale* CRC — models
+``corrupt``    tamper the class's run but keep the *stale* CRC — models
                payload corruption in transit; caught by the coordinator's
                per-class CRC check, its window neighbours merge
-``lie``        tamper the rows and recompute the CRC — models a worker
+``lie``        tamper the run and recompute the CRC — models a worker
                whose build silently computes other outcomes; only the
                cross-check audit can catch it
 ``delay``      sleep before the class joins the outgoing frame
@@ -88,9 +88,9 @@ class ChaosPlan:
     drop_rate: float = 0.0
     #: Send a class result twice.
     dup_rate: float = 0.0
-    #: Tamper rows, keep the stale CRC (CRC-detectable corruption).
+    #: Tamper the run, keep the stale CRC (CRC-detectable corruption).
     corrupt_rate: float = 0.0
-    #: Tamper rows *and* recompute the CRC (only the audit catches it).
+    #: Tamper the run *and* recompute the CRC (only the audit catches it).
     lie_rate: float = 0.0
     #: Sleep :attr:`delay_seconds` before sending.
     delay_rate: float = 0.0
@@ -231,25 +231,25 @@ class WorkerChaos:
     def tampered(self, message: dict, index: int) -> dict:
         """A deterministically corrupted copy of one class result.
 
-        Flips one row's outcome to a different (valid) class and bumps
-        its end cycle — the kind of wrong-but-well-formed payload a
-        miscomputing worker would produce, which shape validation alone
-        cannot reject.
+        Flips one bit's outcome in the run to a different (valid) class
+        and bumps its end cycle — the kind of wrong-but-well-formed
+        payload a miscomputing worker would produce, which shape
+        validation alone cannot reject.
         """
-        rows = [list(row) for row in message["rows"]]
-        if rows:
-            victim = rows[index % len(rows)]
-            outcomes = [o.value for o in Outcome]
-            current = outcomes.index(str(victim[1])) \
-                if str(victim[1]) in outcomes else 0
-            victim[1] = outcomes[(current + 1) % len(outcomes)]
-            victim[2] = int(victim[2]) + 1
-        out = dict(message)
-        out["rows"] = rows
-        return out
+        outcomes, cycles, traps = message["run"]
+        outcomes, cycles = outcomes.split(" "), cycles.split(" ")
+        bit = index % len(outcomes)
+        values = [o.value for o in Outcome]
+        current = values.index(outcomes[bit]) \
+            if outcomes[bit] in values else 0
+        outcomes[bit] = values[(current + 1) % len(values)]
+        cycles[bit] = str(int(cycles[bit]) + 1)
+        return {**message, "run": [" ".join(outcomes), " ".join(cycles),
+                                   traps]}
 
     def before_class(self, key: tuple[int, int]) -> None:
-        """Kill the worker before executing a class in ``die_on_keys``."""
+        """Kill the worker as the lease's scan generator yields a class
+        in ``die_on_keys``: the class and its unsent window are lost."""
         if tuple(key) in self.plan.die_on_keys:
             self.fired["die_on_key"] = self.fired.get("die_on_key", 0) + 1
             raise ChaosInterrupt(f"chaos: worker died executing {key}")
@@ -312,7 +312,7 @@ class ChaosFrameStream:
                 # work without cross-check sampling.
                 chaos._count("lie")
                 item = chaos.tampered(item, index)
-                item["crc"] = result_digest(item["key"], item["rows"])
+                item["crc"] = result_digest(item["key"], item["run"])
             if "delay" in events:
                 chaos._count("delay")
                 time.sleep(plan.delay_seconds)

@@ -19,13 +19,14 @@ fingerprint and the golden cycle count before they may execute.  A class
 result therefore has exactly one possible value no matter which worker
 produces it, or how many times.  Delivery is at-least-once (lease
 expiry, reconnects and retransmits can all duplicate submissions);
-accounting is exactly-once because every submission funnels through
-:meth:`~repro.campaign.journal.CampaignJournal.merge_class`, which
-accepts only the first copy.  Assembly then walks the live classes in
-canonical (serial) iteration order, reading the journal — the same
-merge the resume path performs — so ``class_outcomes``, record lists
-and every derived count are independent of worker count, scheduling,
-chaos and restarts.
+accounting is exactly-once because every send window funnels through
+:meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, which
+journals only the first copy of a class — in the window, in the
+journal's uncommitted window or committed — and names the classes it
+took.  Assembly then walks the live classes in canonical (serial)
+iteration order, reading the journal — the same merge the resume path
+performs — so ``class_outcomes``, record lists and every derived count
+are independent of worker count, scheduling, chaos and restarts.
 
 **Failure handling** is delegated to the :class:`~.leases.LeaseBoard`,
 and it is the process pool's policy: an expired, orphaned or
@@ -41,10 +42,14 @@ work lost (a SIGKILLed one: the journal's last commit window as well).
 **Integrity** checks each class before it is accounted:
 
 * Every class of a ``results`` frame has its CRC re-derived from the
-  decoded payload and its rows validated against the domain's expected
-  experiment count *before* any accounting — a corrupted class never
-  touches the journal, it is simply not progress (its lease re-grants
-  it), and the rest of its window merges.
+  decoded run strings, and the split strings validated against the
+  domain's expected experiment count, *before* any accounting — a
+  corrupted class never touches the journal, it is simply not progress
+  (its lease re-grants it), and the rest of its window merges.  The
+  classes that pass go to the journal as one window merge (one
+  existence ``SELECT``, one buffered write); accounting, cross-check
+  sampling and the ``stop_after_results`` crash hook then run per class
+  the merge took.
 * ``crosscheck`` is a **determinism audit**: a deterministic fraction of
   class keys is re-executed on a *second* worker (verify leases:
   negative lease id, ``shard == -1``) and the two digests compared.
@@ -58,7 +63,11 @@ work lost (a SIGKILLed one: the journal's last commit window as well).
 
 The section-store write of freshly executed classes is deferred to
 assembly time, after all discards have settled, so a disputed row can
-never reach the cross-campaign section store.
+never reach the cross-campaign section store; it is one unit, written
+from the runs as they arrived.
+
+Time is read through the module-level :data:`_clock` (lease grants,
+expiry, progress), so tests can substitute a virtual one.
 """
 
 from __future__ import annotations
@@ -103,6 +112,9 @@ VERIFY_BATCH = 8
 #: Seconds a finished board waits for pending cross-checks before
 #: declaring them unverified (no second worker ever showed up).
 CROSSCHECK_PATIENCE = 10.0
+
+#: The lease clock (module-level so tests can substitute a virtual one).
+_clock = time.monotonic
 
 
 def _canonical_keys(keys) -> str:
@@ -182,6 +194,9 @@ class DistCoordinator:
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
+        #: Runs of the classes this coordinator journaled fresh (and
+        #: has not discarded): the section store's input at assembly.
+        self._runs: dict[tuple, tuple] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
@@ -282,6 +297,7 @@ class DistCoordinator:
                 board.restore(index, attempts=stored["attempts"],
                               status=stored["status"])
         self.board = board
+        self._planned_shards = len(planned)
         self._done = asyncio.Event()
         self._journal_leases()
         self._maybe_finish()
@@ -330,7 +346,7 @@ class DistCoordinator:
         accepted = self._accepted
         while True:
             await asyncio.sleep(self.policy.poll_interval)
-            now = time.monotonic()
+            now = _clock()
             expired = self.board.expire(now)
             if expired:
                 self.report.timed_out_shards += len(expired)
@@ -392,7 +408,7 @@ class DistCoordinator:
                 # On the simulated-crash path connections die *without*
                 # lease bookkeeping, exactly as a killed process would.
                 if not self.stopped:
-                    if self.board.release_worker(name, time.monotonic()):
+                    if self.board.release_worker(name, _clock()):
                         self._journal_leases()
                     self._release_verifies(name)
                     self._maybe_finish()
@@ -405,7 +421,7 @@ class DistCoordinator:
             if frame is None:
                 return
             kind = frame.get("type")
-            now = time.monotonic()
+            now = _clock()
             if kind == "request":
                 write_frame(writer, self._grant(name, now))
                 await writer.drain()
@@ -496,69 +512,97 @@ class DistCoordinator:
     # -- result acceptance ------------------------------------------------------
 
     def _accept_results(self, name: str, frame: dict, now: float) -> None:
-        """Take one send window.  Integrity and accounting stay per
-        class — a bad item is rejected, its neighbours merge — while
-        the per-frame work is done once."""
+        """Take one send window.  Integrity stays per class — a bad
+        item is rejected, its neighbours merge — while the journal
+        merge is one call for the whole window."""
+        if self.stopped:
+            return  # the crash hook fired: nothing after the k-th class
         items = frame.get("items")
         if not isinstance(items, list):
             self._reject(name, None, kind="shape-reject",
                          reason="malformed results frame")
             return
+        window: list[tuple] = []
+        #: Per key, its first copy's ``(run, digest, counts)``.
+        copies: dict[tuple, tuple] = {}
         for item in items:
-            if self.stopped:
-                break  # the crash hook fired: nothing after the k-th class
-            self._accept_result(name, item, now)
+            checked = self._checked(name, item)
+            if checked is None:
+                continue
+            key, shard, run, digest, counts = checked
+            if key in self._disputed:
+                continue  # its two executions disagreed: it stays missing
+            if shard < 0:
+                self._accept_verify(name, key, digest)
+                continue
+            self.board.progress(shard, key, now)
+            window.append((*key, ((0, *run),)))
+            copies.setdefault(key, (run, digest, counts))
+        # A verify item of this window may have disputed a key that an
+        # earlier item of it carries.
+        window = [entry for entry in window
+                  if entry[:2] not in self._disputed]
+        while window and not self.stopped:
+            # Late or duplicate copies (expired lease, retransmit) are
+            # not fresh: the journal already holds the identical run.
+            # With the crash hook armed, a merge takes at most the
+            # classes it has left, so the k-th class is the last one.
+            take = len(window) if self.stop_after_results is None \
+                else max(1, self.stop_after_results - self._accepted)
+            for key in self.handle.merge_classes(window[:take]):
+                self._account(name, key, *copies[key])
+            window = window[take:]
         self.run.heartbeat()
         self._maybe_finish()
 
-    def _accept_result(self, name: str, item, now: float) -> None:
-        """Check and account one class of a window."""
+    def _checked(self, name: str, item):
+        """``(key, shard, run, digest, counts)`` of one class of a
+        window whose CRC and shape hold; otherwise the class is
+        rejected and the answer is ``None``."""
         try:
             axis, first_slot = (int(v) for v in item["key"])
-            rows = [(int(bit), str(outcome), int(end_cycle), str(trap))
-                    for bit, outcome, end_cycle, trap in item["rows"]]
+            key = (axis, first_slot)
             shard = int(item["shard"])
+            outcomes, end_cycles, traps = item["run"]
+            run = (outcomes, end_cycles, traps)
+            digest = result_digest(key, run)
+            counts = (int(item.get("hits", 0)), int(item.get("skips", 0)))
         except (KeyError, TypeError, ValueError):
             self._reject(name, None, kind="shape-reject",
                          reason="malformed class result")
-            return
-        key = (axis, first_slot)
-        digest = result_digest(key, rows)
-        crc = item.get("crc")
-        if crc is None or int(crc) != digest:
+            return None
+        if item.get("crc") != digest:
             self._reject(name, key, kind="crc-reject",
                          reason="CRC disagrees with payload")
-            return
-        if not self._valid_shape(key, rows):
+            return None
+        if not self._valid_shape(key, run):
             self._reject(name, key, kind="shape-reject",
-                         reason="rows disagree with the domain's "
+                         reason="run disagrees with the domain's "
                                 "expected experiment count")
-            return
-        if key in self._disputed:
-            return  # its two executions disagreed: it stays missing
-        if shard < 0:
-            self._accept_verify(name, key, digest)
-            return
-        self.board.progress(shard, key, now)
-        if self.handle.merge_class(axis, first_slot, rows):
-            # First delivery: count it.  Late or duplicate copies
-            # (expired lease, retransmit) fall through — the journal
-            # already holds the identical rows.  The section store is
-            # fed at assembly time, after discards settle.
-            if self._crosscheck_selected(key):
-                self._check_pending[key] = (name, digest)
-                self._drain_deadline = None
-                self.report.crosschecked += 1
-            self.report.executed += 1
-            self.report.count(int(item.get(field, 0))
-                              for field in ("hits", "skips"))
-            self._worker_units[name] += 1
-            self._accepted += 1
-            self.run.done += 1
-            if (self.stop_after_results is not None
-                    and self._accepted >= self.stop_after_results):
-                self.stopped = True
-                self._done.set()
+            return None
+        if shard >= self._planned_shards:
+            self._reject(name, key, kind="shape-reject",
+                         reason=f"no shard {shard} in the plan")
+            return None
+        return key, shard, run, digest, counts
+
+    def _account(self, name: str, key: tuple, run: tuple, digest: int,
+                 counts: tuple) -> None:
+        """Count one class the journal took fresh (its first delivery)."""
+        self._runs[key] = run
+        if self._crosscheck_selected(key):
+            self._check_pending[key] = (name, digest)
+            self._drain_deadline = None
+            self.report.crosschecked += 1
+        self.report.executed += 1
+        self.report.count(counts)
+        self._worker_units[name] += 1
+        self._accepted += 1
+        self.run.done += 1
+        if (self.stop_after_results is not None
+                and self._accepted >= self.stop_after_results):
+            self.stopped = True
+            self._done.set()
 
     def _accept_verify(self, name: str, key: tuple, digest: int) -> None:
         """Compare a cross-check re-execution against the first copy."""
@@ -584,6 +628,7 @@ class DistCoordinator:
         if self.handle.discard_classes([key]):
             self.report.discarded_results += 1
             self.run.done -= 1
+        self._runs.pop(key, None)
         self._disputed.add(key)
 
     # -- integrity helpers ------------------------------------------------------
@@ -634,19 +679,21 @@ class DistCoordinator:
         rng = random.Random(f"crosscheck/{key[0]}/{key[1]}")
         return rng.random() < self.crosscheck
 
-    def _valid_shape(self, key: tuple, rows: list) -> bool:
-        """Rows must match the domain's expected experiment weights."""
+    def _valid_shape(self, key: tuple, run: tuple) -> bool:
+        """A run must hold one value per experiment the domain expects
+        of the class, in each of its three strings: known outcomes,
+        decimal end cycles, and traps (a trap holding a space splits
+        into two, so its class is malformed)."""
         interval = self._by_key.get(key)
-        if interval is None \
-                or len(rows) != self.domain.experiment_count(interval):
+        if interval is None:
             return False
-        for index, row in enumerate(rows):
-            # A space would split the trap when the journal joins the
-            # class's traps into one run (journal module docstring).
-            if row[0] != index or row[1] not in _OUTCOME_VALUES \
-                    or " " in row[3]:
-                return False
-        return True
+        outcomes, end_cycles, traps = run
+        outcomes = outcomes.split(" ")
+        cycles = end_cycles.split(" ")
+        return (len(outcomes) == len(cycles) == traps.count(" ") + 1
+                == self.domain.experiment_count(interval)
+                and _OUTCOME_VALUES.issuperset(outcomes)
+                and end_cycles.isascii() and all(map(str.isdigit, cycles)))
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -673,13 +720,13 @@ class DistCoordinator:
         """Merge the journal into a serial-identical CampaignResult."""
         run = self.run
         merged = self.handle.completed_classes()
-        # Deferred section-store write: only classes that survived CRC
-        # checks and the cross-check audit reach the cross-campaign
-        # store (and never the ones trusted before
-        # any worker connected — those came from it or are in it).
-        for key, interval in self._by_key.items():
-            if key in merged and key not in run.completed:
-                run.composer.store_class(interval, merged[key])
+        # Deferred section-store write, one unit: only classes this
+        # coordinator took fresh and the cross-check audit did not
+        # discard reach the cross-campaign store (never the ones trusted
+        # before any worker connected — those came from it or are in
+        # it).
+        run.composer.store_runs(
+            (self._by_key[key], stored) for key, stored in self._runs.items())
         report = self.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
@@ -732,30 +779,38 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
     plan = plan_from_spec(chaos)
     sock = _free_server_socket(host)
     port = sock.getsockname()[1]
-    coordinator = DistCoordinator(
-        golden, domain=domain, executor_config=executor_config,
-        policy=policy, shards=shards, expected_workers=workers,
-        journal=journal, resume=resume,
-        keep_records=keep_records, progress=progress, sock=sock,
-        chaos=plan, crosscheck=crosscheck)
-    import repro
-
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    if plan is not None and plan.active:
-        env[PLAN_ENV] = plan.to_json()
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", f"{host}:{port}", "--name", f"worker-{index}"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        for index in range(workers)]
+    procs: list[subprocess.Popen] = []
+    # Everything after binding is inside the try: a coordinator that
+    # refuses its arguments, or a spawn that fails part-way, must not
+    # leave the socket open or the workers already spawned reconnecting
+    # forever (``repro worker`` retries without limit).
     try:
+        coordinator = DistCoordinator(
+            golden, domain=domain, executor_config=executor_config,
+            policy=policy, shards=shards, expected_workers=workers,
+            journal=journal, resume=resume,
+            keep_records=keep_records, progress=progress, sock=sock,
+            chaos=plan, crosscheck=crosscheck)
+        import repro
+
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_root]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        if plan is not None and plan.active:
+            env[PLAN_ENV] = plan.to_json()
+        for index in range(workers):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--connect", f"{host}:{port}", "--name", f"worker-{index}"],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL))
         return coordinator.run()
     finally:
+        # Serving closes the socket itself; closing it again is a no-op.
+        sock.close()
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()

@@ -25,12 +25,18 @@ type                direction  meaning
 ``done``            c → w      campaign finished; disconnect
 ``results``         w → c      one send window of finished classes:
                                ``items``, each a class's ``shard``,
-                               ``key``, experiment ``rows``, executor
-                               counters and the :func:`result_digest`
-                               ``crc`` the coordinator re-derives before
-                               merging — checked and accounted per item
+                               ``key``, ``run``, executor counters and
+                               the :func:`result_digest` ``crc`` the
+                               coordinator re-derives before merging —
+                               checked per item, merged per window
 ``lease_done``      w → c      every key of the lease was submitted
 ==================  =========  ==============================================
+
+A class result crosses the wire in the form the journal stores it: its
+``run`` is ``[outcomes, end_cycles, traps]``, each the class's per-bit
+values from bit 0 joined by single spaces — the three value columns of
+one ``class_results`` row (:mod:`repro.campaign.journal`).  Nothing
+between the worker's executor and the journal re-encodes it.
 
 Version 2 added end-to-end result integrity: every class result
 carries ``crc`` (:func:`result_digest` over its key and rows), and
@@ -44,8 +50,10 @@ frame with the windowed ``results`` frame (a window of one class is a
 the wire unit is the worker's send window, so a frame, a coordinator
 wake-up and a ``done`` poll are paid per window instead of per class.
 Version 4 removed the ``heartbeat`` frame, which nothing read: accepted
-results are what extends a lease, and TCP notices a dead peer.  Any
-type not in the table is a :class:`ProtocolError`.
+results are what extends a lease, and TCP notices a dead peer.
+Version 5 replaced each item's per-bit ``rows`` lists with the stored
+``run`` strings, and the digest's canonical JSON with a CRC over those
+strings.  Any type not in the table is a :class:`ProtocolError`.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
@@ -65,8 +73,8 @@ import zlib
 #: handshake and refuse mismatching peers.  Version 2: result CRCs and
 #: cross-check verify leases.  Version 3: one ``results`` frame per send
 #: window instead of one ``result`` frame per class.  Version 4: no
-#: ``heartbeat`` frame.
-PROTOCOL_VERSION = 4
+#: ``heartbeat`` frame.  Version 5: a class travels as its stored run.
+PROTOCOL_VERSION = 5
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.
@@ -79,26 +87,26 @@ class ProtocolError(RuntimeError):
     """The peer violated the framing or message contract."""
 
 
-def result_digest(key, rows) -> int:
+def result_digest(key, run) -> int:
     """CRC-32 of one class result's semantic content.
 
-    Computed over the canonical JSON of ``[key, rows]`` — the class
-    identity plus every ``(bit, outcome, end_cycle, trap)`` row — so it
-    is invariant to framing, field order elsewhere in the message, and
-    list-vs-tuple representation.  The worker stamps it on each item
-    of a ``results`` frame; the coordinator re-derives it from the decoded
-    payload before merging, which catches corruption anywhere between
-    the worker's executor and the coordinator's journal (including a
-    serialization bug on either side).  It is also the byte-comparison
-    unit of cross-check sampling: two honest executions of the same
-    class necessarily produce equal digests.
+    Computed over the class identity ``(axis, first_slot)`` and the
+    three strings of its ``run`` (``outcomes``, ``end_cycles``,
+    ``traps``), one per line, so it is invariant to framing and to field
+    order elsewhere in the message.  The worker stamps it on each item
+    of a ``results`` frame; the coordinator re-derives it from the
+    decoded payload before merging, which catches corruption anywhere
+    between the worker's executor and the coordinator's journal
+    (including a serialization bug on either side).  It is also the
+    byte-comparison unit of cross-check sampling: two honest executions
+    of the same class necessarily produce equal digests.  A ``run``
+    member that is not a string raises ``TypeError``.
     """
-    payload = json.dumps(
-        [[int(v) for v in key],
-         [[int(row[0]), str(row[1]), int(row[2]), str(row[3])]
-          for row in rows]],
-        separators=(",", ":"))
-    return zlib.crc32(payload.encode("utf-8"))
+    axis, first_slot = key
+    outcomes, end_cycles, traps = run
+    return zlib.crc32("\n".join(
+        (f"{int(axis)} {int(first_slot)}", outcomes, end_cycles, traps))
+        .encode("utf-8"))
 
 
 def encode_frame(message: dict) -> bytes:

@@ -11,9 +11,12 @@ those checks and is refused work (:class:`WorkerRejected`), so it can
 never pollute the campaign with results computed under a different
 machine model.
 
-While holding a lease the worker executes each class's experiments in
-ascending slot order (preserving the executor's snapshot fast-forward)
-and streams the finished classes back in **send windows**: one
+While holding a lease the worker runs the lease's classes through one
+:meth:`~repro.campaign.runner.ScanStyle.execute` generator — the same
+scan generator every transport uses, so classes that share an
+injection slot go to the executor as one group, in ascending slot order
+(preserving the executor's snapshot fast-forward) — and streams the
+finished classes back in **send windows**: one
 ``results`` frame per :data:`WINDOW_CLASSES` classes or
 :data:`WINDOW_S` seconds, whichever comes first, and always before
 ``lease_done``.  The coordinator journals progress continuously and a
@@ -25,10 +28,13 @@ reconnects with jittered exponential backoff and simply asks for work
 again — the coordinator's lease board and idempotent journal make the
 retried deliveries harmless.
 
-Every class in a window carries its own :func:`~.protocol.result_digest`
-CRC over its key and rows, computed *before* the window is handed to the
-transport, so the coordinator can detect any corruption between this
-worker's executor and its own journal, class by class.
+Every class leaves as its own item of the window, in the journal's
+stored form — its ``run`` of space-joined outcomes, end cycles and
+traps (:mod:`~.protocol` docstring) — with its own
+:func:`~.protocol.result_digest` CRC over its key and run, computed
+*before* the window is handed to the transport, so the coordinator can
+detect any corruption between this worker's executor and its own
+journal, class by class.
 
 Chaos injection is delegated to :mod:`repro.campaign.dist.chaos`: a
 :class:`~.chaos.ChaosPlan` (the ``chaos=`` argument or the
@@ -70,6 +76,15 @@ WINDOW_S = 0.25
 
 #: The window's clock (module-level so tests can substitute a virtual one).
 _clock = time.monotonic
+
+
+def _stored_run(rows) -> list[str]:
+    """A class's ``(bit, outcome, end_cycle, trap)`` rows, bits from 0,
+    as the run the journal stores: ``[outcomes, end_cycles, traps]``,
+    each the per-bit values joined by single spaces."""
+    return [" ".join([row[1].value for row in rows]),
+            " ".join([str(row[2]) for row in rows]),
+            " ".join([row[3] for row in rows])]
 
 
 class WorkerRejected(RuntimeError):
@@ -263,9 +278,7 @@ class DistWorker:
                    intervals) -> bool:
         lease_id = int(lease["lease"])
         shard = int(lease["shard"])
-        counters = ExecutorCounters(executor)
-        window: list[dict] = []
-        opened = 0.0
+        work = []
         for raw_key in lease["keys"]:
             key = tuple(int(v) for v in raw_key)
             interval = intervals.get(key)
@@ -274,29 +287,31 @@ class DistWorker:
                     f"lease names class {key} this worker's partition "
                     f"does not contain — def/use analysis differs; "
                     f"update the worker")
+            work.append(interval)
+        counters = ExecutorCounters(executor)
+        window: list[dict] = []
+        # Age counts from the start of execution, so a class slower
+        # than the window leaves as it finishes.
+        opened = _clock()
+        # One scan generator for the lease; the class stays the unit of
+        # integrity (one item and one CRC each) and of every seeded
+        # chaos schedule.
+        for key, rows in ScanStyle.execute(executor, work):
             if self._chaos is not None:
                 self._chaos.before_class(key)
-            if not window:
-                # Age counts from the start of execution, so a class
-                # slower than the window leaves as it finishes.
-                opened = _clock()
-            # The pipeline's scan generator, one class at a time: the
-            # class stays the unit of integrity (one CRC each) and of
-            # every seeded chaos schedule.
-            for key, rows in ScanStyle.execute(executor, (interval,)):
-                self.executed += 1
-                rows = [[bit, outcome.value, end_cycle, trap]
-                        for bit, outcome, end_cycle, trap in rows]
-                hits, skips = counters.take()
-                window.append({
-                    "shard": shard, "key": list(key), "rows": rows,
-                    "crc": result_digest(key, rows),
-                    "hits": hits, "skips": skips,
-                })
+            self.executed += 1
+            run = _stored_run(rows)
+            hits, skips = counters.take()
+            window.append({
+                "shard": shard, "key": list(key), "run": run,
+                "crc": result_digest(key, run),
+                "hits": hits, "skips": skips,
+            })
             if len(window) >= WINDOW_CLASSES \
                     or _clock() - opened >= WINDOW_S:
                 if self._flush(stream, window):
                     return True  # saw "done" mid-lease
+                opened = _clock()
         if self._flush(stream, window):
             return True
         stream.send({"type": "lease_done", "lease": lease_id,

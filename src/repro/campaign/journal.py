@@ -41,7 +41,11 @@ experiment — and every row a version-3 build wrote — a run of one.
 SQLite's cost is per row, not per statement, and the pipeline never
 reads or writes less than a class, so this is what a resume or a
 composition pays for.  The writers take per-bit rows and the readers
-return them; runs exist only between the two.  Readers walk runs in key
+return them — except the two window merges,
+:meth:`CampaignJournal.merge_classes` and
+:meth:`ExperimentJournal.merge_section_runs`, which take runs: the
+distributed fabric ships a class as its run, so nothing re-encodes it
+between a worker's executor and the journal.  Readers walk runs in key
 order and skip a bit an earlier run of the same class already covered:
 first wins per bit, which is sound because experiments are
 deterministic.
@@ -335,7 +339,8 @@ class ExperimentJournal:
         #: The commit window: ``(sql, rows, class keys)`` units not yet
         #: executed, the clock reading of the first one (``None`` while
         #: empty), and the ``(campaign, axis, first_slot)`` keys among
-        #: them for :meth:`CampaignJournal.merge_class`'s dedup.
+        #: them, which :meth:`CampaignJournal.merge_classes` consults
+        #: in memory instead of committing the window to read them.
         self._pending: list[tuple[str, list[tuple], tuple]] = []
         self._pending_since: float | None = None
         self._pending_classes: set[tuple[int, int, int]] = set()
@@ -608,6 +613,15 @@ class ExperimentJournal:
         one — a whole class arriving where a sampled campaign stored its
         first bit — because otherwise that class would never compose.
         """
+        self.merge_section_runs(
+            [(section_id, slot, axis, *run) for run in _runs(rows)])
+
+    def merge_section_runs(
+            self, runs: Iterable[tuple[int, int, int, int, str, str, str]]) \
+            -> None:
+        """:meth:`merge_section_rows` for runs already in stored form,
+        ``(section_id, slot, axis, first_bit, outcomes, end_cycles,
+        traps)``, any number of classes as one unit."""
         new, stored = (RUN_BITS.replace("outcome", f"{table}.outcome")
                        for table in ("excluded", "section_results"))
         self._write(
@@ -615,8 +629,7 @@ class ExperimentJournal:
             "outcome, end_cycle, trap) VALUES (?, ?, ?, ?, ?, ?, ?) "
             "ON CONFLICT (section_id, slot, axis, bit) DO UPDATE SET "
             "outcome = excluded.outcome, end_cycle = excluded.end_cycle, "
-            f"trap = excluded.trap WHERE {new} > {stored}",
-            [(section_id, slot, axis, *run) for run in _runs(rows)])
+            f"trap = excluded.trap WHERE {new} > {stored}", list(runs))
 
     def section_rows(self, section_id: int) \
             -> dict[tuple[int, int], list[tuple[int, str, int, str]]]:
@@ -831,14 +844,19 @@ class CampaignJournal:
         section store, where dozens of classes arrive at once; the
         whole batch joins the commit window together.
         """
-        classes = list(classes)
+        self._record_runs([(axis, first_slot, _runs(rows))
+                           for axis, first_slot, rows in classes])
+
+    def _record_runs(self, classes: list[tuple[int, int, list]]) -> None:
+        """Buffer ``(axis, first_slot, runs)`` triples as one unit, each
+        run ``(first_bit, outcomes, end_cycles, traps)`` as stored."""
         campaign_id = self.campaign_id
         self.journal._write(
             "INSERT OR REPLACE INTO class_results (campaign_id, "
             "axis, first_slot, bit, outcome, end_cycle, trap) "
             "VALUES (?, ?, ?, ?, ?, ?, ?)",
             [(campaign_id, axis, first_slot, *run)
-             for axis, first_slot, rows in classes for run in _runs(rows)],
+             for axis, first_slot, runs in classes for run in runs],
             class_keys=tuple((campaign_id, axis, first_slot)
                              for axis, first_slot, _ in classes))
 
@@ -855,25 +873,51 @@ class CampaignJournal:
                     rows: Iterable[tuple[int, str, int, str]]) -> bool:
         """Journal one class idempotently; False when already journaled.
 
+        :meth:`merge_classes` for one class given as :meth:`record_class`
+        rows.
+        """
+        return bool(self.merge_classes([(axis, first_slot, _runs(rows))]))
+
+    def merge_classes(self, classes: Iterable[tuple[int, int, list]]) \
+            -> list[tuple[int, int]]:
+        """Journal a window of classes idempotently, as one unit; returns
+        the keys journaled fresh, in window order.
+
+        ``classes`` holds ``(axis, first_slot, runs)`` triples, each run
+        in stored form, ``(first_bit, outcomes, end_cycles, traps)``.
         The distributed coordinator's at-least-once delivery funnel: a
         result submission that arrives twice — a worker whose lease
         expired but whose TCP stream survived, a retransmit after a
-        reconnect — merges into the journal exactly once, and the
-        return value lets the caller keep its accounting exactly-once
-        too.  Experiments are deterministic, so a duplicate submission
-        necessarily carries the same rows; the first one wins.
+        reconnect, a duplicate inside one send window — merges into the
+        journal exactly once, and the returned keys let the caller keep
+        its accounting exactly-once too.  Experiments are deterministic,
+        so a duplicate submission necessarily carries the same rows; the
+        first one wins.  A class is fresh unless an earlier copy is in
+        this window, in the journal's uncommitted window (consulted in
+        memory — reading it back through ``_query`` would commit it) or
+        committed: one ``SELECT`` answers the last for the whole window.
         """
-        # The window is consulted in memory — reading it back through
-        # ``_query`` would commit per class.
-        journal = self.journal
-        if (self.campaign_id, axis, first_slot) in journal._pending_classes \
-                or journal._conn.execute(
-                    "SELECT 1 FROM class_results WHERE campaign_id = ? "
-                    "AND axis = ? AND first_slot = ? LIMIT 1",
-                    (self.campaign_id, axis, first_slot)).fetchone():
-            return False
-        self.record_class(axis, first_slot, rows)
-        return True
+        journal, campaign_id = self.journal, self.campaign_id
+        pending = journal._pending_classes
+        window: dict[tuple[int, int], list] = {}
+        for axis, first_slot, runs in classes:
+            key = (axis, first_slot)
+            if key not in window \
+                    and (campaign_id, axis, first_slot) not in pending:
+                window[key] = runs
+        if window:
+            # A join, not ``(axis, first_slot) IN (VALUES …)``: SQLite
+            # plans the IN form as a scan of the campaign's rows, the
+            # join as one primary-key probe per key.
+            for key in journal._conn.execute(
+                    "SELECT c.axis, c.first_slot FROM (VALUES "
+                    + ", ".join(["(?, ?)"] * len(window))
+                    + ") AS v JOIN class_results AS c ON c.campaign_id = ? "
+                    "AND c.axis = v.column1 AND c.first_slot = v.column2",
+                    (*(v for key in window for v in key), campaign_id)):
+                window.pop(key, None)  # a version-3 class: a row per bit
+            self._record_runs([(*key, runs) for key, runs in window.items()])
+        return list(window)
 
     def discard_classes(self,
                         keys: Iterable[tuple[int, int]]) -> int:

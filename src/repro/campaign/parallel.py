@@ -87,6 +87,10 @@ __all__ = [
     "shard_by_cost",
 ]
 
+#: The deadline loop's clock (module-level so tests can substitute a
+#: virtual one).
+_clock = time.monotonic
+
 
 def resolve_jobs(jobs: int | None) -> int | None:
     """Normalize a ``jobs`` parameter.
@@ -279,7 +283,7 @@ class ParallelCampaign:
             started: dict[int, float] = {}
             overdue: list[int] = []
             broke = False
-            last_beat = time.monotonic()
+            last_beat = _clock()
             try:
                 while futures:
                     done, _ = cfutures.wait(
@@ -294,7 +298,7 @@ class ParallelCampaign:
                         report.count(counters)
                         run.accept(batch)
                         run.idle()  # the parent now waits for a shard
-                    now = time.monotonic()
+                    now = _clock()
                     for future, index in futures.items():
                         if index not in started and future.running():
                             started[index] = now

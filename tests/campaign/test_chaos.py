@@ -155,20 +155,25 @@ class TestChaosDeterminism:
         assert "lie" not in WorkerChaos(plan, "honest").events_for(0)
 
     def test_tampered_changes_payload_and_digest(self):
+        """One bit's outcome and end cycle change, in place: the run
+        keeps its shape (the shape check cannot tell), only the digest
+        can."""
         chaos = WorkerChaos(ChaosPlan(seed=1), "w0")
-        message = {"type": "result", "key": [0, 1],
-                   "rows": [[0, "none", 10, ""], [1, "sdc", 12, ""]]}
-        tampered = chaos.tampered(message, 0)
-        assert tampered["rows"] != message["rows"]
-        assert tampered == chaos.tampered(message, 0)  # deterministic
-        assert result_digest((0, 1), tampered["rows"]) \
-            != result_digest((0, 1), message["rows"])
+        run = ["no-effect sdc", "10 12", " "]
+        message = {"shard": 0, "key": [0, 1], "run": run}
+        tampered = chaos.tampered(message, 1)
+        assert message["run"] == run  # the original is left alone
+        assert tampered["run"] == ["no-effect output-truncated", "10 13",
+                                   " "]
+        assert tampered == chaos.tampered(message, 1)  # deterministic
+        assert result_digest((0, 1), tampered["run"]) \
+            != result_digest((0, 1), run)
 
     @staticmethod
     def _items(count):
-        rows = [[0, "none", 10, ""], [1, "sdc", 12, ""]]
-        return [{"shard": 0, "key": [0, slot], "rows": rows,
-                 "crc": result_digest((0, slot), rows)}
+        run = ["no-effect sdc", "10 12", " "]
+        return [{"shard": 0, "key": [0, slot], "run": run,
+                 "crc": result_digest((0, slot), run)}
                 for slot in range(1, count + 1)]
 
     def test_schedule_is_over_class_results_not_wire_frames(self):
@@ -327,6 +332,11 @@ class TestIntegrity:
         assert_soak_invariant(result, memory_baseline)
         with ExperimentJournal(journal) as log:
             (entry,) = log.fabric_report()
+            stored = sum(section["stored_results"]
+                         for section in log.sections())
+        # Neither copy of a disputed class reaches the section store:
+        # it holds exactly the classes the result does.
+        assert stored == result.experiments_conducted
         mismatches = [event for event in entry["events"]
                       if event["kind"] == "crosscheck-mismatch"]
         assert len(mismatches) == execution.crosscheck_mismatches \
@@ -356,7 +366,7 @@ class TestIntegrity:
         honest = {tuple(item["key"]): item for item in items}
         disputed = min(honest)
         lie = WorkerChaos(ChaosPlan(), "liar").tampered(honest[disputed], 0)
-        lie["crc"] = result_digest(disputed, lie["rows"])
+        lie["crc"] = result_digest(disputed, lie["run"])
         liar.results([lie if tuple(item["key"]) == disputed else item
                       for item in items])
         liar.lease_done(lease)

@@ -495,15 +495,18 @@ class TestDistChaos:
         assert reply["type"] == "reject"
         assert "version" in reply["reason"]
         client.close()
-        # A protocol-3 worker (it would send ``heartbeat`` frames) is
-        # refused at the handshake: versions are replaced, not forked.
-        client = socket.create_connection(("127.0.0.1", port), timeout=5)
-        stream = FrameStream(client)
-        stream.send({"type": "hello", "version": 3, "name": "old"})
-        reply = stream.read(timeout=5.0)
-        assert reply["type"] == "reject"
-        assert "version 3 != 4" in reply["reason"]
-        client.close()
+        # Protocol-3 (``heartbeat`` frames) and protocol-4 (per-bit
+        # ``rows`` lists) workers are refused at the handshake: versions
+        # are replaced, not forked.
+        for old in (3, 4):
+            client = socket.create_connection(("127.0.0.1", port),
+                                              timeout=5)
+            stream = FrameStream(client)
+            stream.send({"type": "hello", "version": old, "name": "old"})
+            reply = stream.read(timeout=5.0)
+            assert reply["type"] == "reject"
+            assert f"version {old} != 5" in reply["reason"]
+            client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
         _, worker_thread, _ = _start_worker(port, "w0", max_reconnects=0)
@@ -566,12 +569,17 @@ class _RecordingStream:
                 if message["type"] == "results"]
 
 
-def _run_lease(spec: dict, lease: dict | None = None):
+def _run_lease(spec: dict, lease: dict | None = None, calls=None):
     """Run one lease (default: every class) through a real worker's
-    lease loop against a recording stream."""
+    lease loop against a recording stream; ``calls``, a list, gets the
+    batch size of every ``run_many`` call the executor serves."""
     worker = DistWorker("127.0.0.1", 0, name="w")
     stream = _RecordingStream()
     executor, intervals = worker._verify(stream, spec)
+    if calls is not None:
+        run_many = executor.run_many
+        executor.run_many = lambda coords: (calls.append(len(coords)),
+                                            run_many(coords))[1]
     if lease is None:
         lease = {"lease": 1, "shard": 0,
                  "keys": [list(key) for key in intervals]}
@@ -591,11 +599,27 @@ class TestSendWindow:
     integrity and accounting unit is still the class."""
 
     def test_results_frame_round_trip(self):
-        rows = [[0, "sdc", 12, ""], [1, "none", 9, ""]]
+        run = ["sdc no-effect", "12 9", " "]
         message = {"type": "results", "items": [
-            {"shard": 3, "key": [0, 7], "rows": rows,
-             "crc": result_digest((0, 7), rows), "hits": 1, "skips": 0}]}
+            {"shard": 3, "key": [0, 7], "run": run,
+             "crc": result_digest((0, 7), run), "hits": 1, "skips": 0}]}
         assert decode_frame(encode_frame(message)[4:]) == message
+
+    def test_the_digest_covers_key_and_every_run_string(self):
+        """One CRC over the key and the three strings: changing any of
+        them — or moving a value across a field boundary — changes
+        it."""
+        run = ("sdc no-effect", "12 9", " ")
+        digest = result_digest((0, 7), run)
+        assert digest == result_digest([0, 7], list(run))
+        for other in [((0, 8), run), ((7, 0), run),
+                      ((0, 7), ("sdc sdc", "12 9", " ")),
+                      ((0, 7), ("sdc no-effect", "12 10", " ")),
+                      ((0, 7), ("sdc no-effect", "12 9", "  ")),
+                      ((0, 7), ("sdc no-effect 12", "9", " "))]:
+            assert result_digest(*other) != digest, other
+        with pytest.raises(TypeError):
+            result_digest((0, 7), ("sdc", 12, ""))
 
     def _serve(self, golden, **kw):
         sock = _server_socket()
@@ -605,21 +629,20 @@ class TestSendWindow:
         return coordinator, serve_in_thread(coordinator), \
             sock.getsockname()[1]
 
-    def test_one_tampered_item_is_rejected_its_neighbours_merge(
-            self, tmp_path, memory_golden, memory_baseline):
+    def _one_item_spoiled(self, tmp_path, golden, baseline, index, spoil):
+        """Serve one lease; send its window with item ``index`` replaced
+        by ``spoil(item)``.  Only that class may be re-leased, and its
+        honest copy then completes the campaign.  Returns the result,
+        the reject events journaled, the honest item and the window."""
         from repro.campaign.journal import ExperimentJournal
 
         journal = tmp_path / "window.sqlite"
-        coordinator, thread, port = self._serve(memory_golden,
-                                                journal=journal)
+        _, thread, port = self._serve(golden, journal=journal)
         raw = _RawWorker(port)
         lease = raw.lease()
         items = _class_items(raw.spec, lease)
-        honest = dict(items[3])
-        # In-flight corruption: the rows change, the CRC does not.
-        tampered = [list(row) for row in honest["rows"]]
-        tampered[0][2] += 1
-        items[3] = {**honest, "rows": tampered}
+        honest = dict(items[index])
+        items[index] = spoil(honest)
         raw.results(items)
         raw.lease_done(lease)
         # Only the rejected class is re-leased.
@@ -629,49 +652,57 @@ class TestSendWindow:
         raw.lease_done(again)
         result = thread.join_result(60)
         raw.close()
-        assert result == memory_baseline
-        assert result.records == memory_baseline.records
+        assert result == baseline
+        assert result.records == baseline.records
         assert result.execution.integrity_rejected == 1
-        assert result.execution.workers == (("raw", len(items)),)
         with ExperimentJournal(journal) as log:
             (entry,) = log.fabric_report()
         rejects = [event for event in entry["events"]
                    if event["kind"].endswith("-reject")]
+        return result, rejects, honest, items
+
+    def test_one_tampered_item_is_rejected_its_neighbours_merge(
+            self, tmp_path, memory_golden, memory_baseline):
+        def tamper(item):
+            # In-flight corruption: the run changes, the CRC does not.
+            outcomes, cycles, traps = item["run"]
+            first, rest = cycles.split(" ", 1)
+            return {**item,
+                    "run": [outcomes, f"{int(first) + 1} {rest}", traps]}
+
+        result, rejects, honest, items = self._one_item_spoiled(
+            tmp_path, memory_golden, memory_baseline, 3, tamper)
+        assert result.execution.workers == (("raw", len(items)),)
         assert [event["kind"] for event in rejects] == ["crc-reject"]
         assert rejects[0]["detail"].startswith(str(honest["key"]))
 
     def test_a_trap_that_would_split_its_run_is_rejected(
             self, tmp_path, memory_golden, memory_baseline):
         """The journal stores a class's traps space-separated in one
-        row, so a worker's trap holding a space is a malformed class
-        even under a matching CRC."""
-        from repro.campaign.journal import ExperimentJournal
+        row, so a worker's trap holding a space — one space too many in
+        the traps string — is a malformed class even under a matching
+        CRC."""
+        def split_trap(item):
+            outcomes, cycles, traps = item["run"]
+            run = [outcomes, cycles, "memory fault" + traps]
+            return {**item, "run": run,
+                    "crc": result_digest(tuple(item["key"]), run)}
 
-        journal = tmp_path / "window.sqlite"
-        _, thread, port = self._serve(memory_golden, journal=journal)
-        raw = _RawWorker(port)
-        lease = raw.lease()
-        items = _class_items(raw.spec, lease)
-        honest = dict(items[2])
-        rows = [list(row) for row in honest["rows"]]
-        rows[0][3] = "memory fault"
-        items[2] = {**honest, "rows": rows,
-                    "crc": result_digest(tuple(honest["key"]), rows)}
-        raw.results(items)
-        raw.lease_done(lease)
-        again = raw.lease()
-        assert again["keys"] == [honest["key"]]
-        raw.results([{**honest, "shard": again["shard"]}])
-        raw.lease_done(again)
-        result = thread.join_result(60)
-        raw.close()
-        assert result == memory_baseline
-        assert result.records == memory_baseline.records
-        assert result.execution.integrity_rejected == 1
-        with ExperimentJournal(journal) as log:
-            (entry,) = log.fabric_report()
-        assert [event["kind"] for event in entry["events"]
-                if event["kind"].endswith("-reject")] == ["shape-reject"]
+        _, rejects, _, _ = self._one_item_spoiled(
+            tmp_path, memory_golden, memory_baseline, 2, split_trap)
+        assert [event["kind"] for event in rejects] == ["shape-reject"]
+
+    def test_an_item_naming_no_planned_shard_is_rejected(
+            self, tmp_path, memory_golden, memory_baseline):
+        """The shard an item names comes from the peer: one outside the
+        plan is a malformed class, rejected like any other, not an
+        error that ends the worker's session."""
+        _, rejects, honest, _ = self._one_item_spoiled(
+            tmp_path, memory_golden, memory_baseline, 1,
+            lambda item: {**item, "shard": 99})
+        assert [event["kind"] for event in rejects] == ["shape-reject"]
+        assert rejects[0]["detail"] == \
+            f"{honest['key']}: no shard 99 in the plan"
 
     def test_duplicates_within_and_across_windows_account_once(
             self, memory_golden, memory_baseline):
@@ -704,6 +735,88 @@ class TestSendWindow:
         assert result.execution.resumed == 5
         assert result.execution.executed \
             == result.execution.total_units - 5
+
+    def test_a_copy_still_in_the_uncommitted_window_accounts_once(
+            self, tmp_path, monkeypatch, memory_golden, memory_baseline):
+        """With the journal's clock frozen and idle ticks not
+        committing, the classes a first window merged are still in the
+        journal's uncommitted window when a second window repeats them:
+        the merge finds them in memory and accounts each once."""
+        import repro.campaign.journal as journal_mod
+        from repro.campaign.journal import CampaignJournal
+        from repro.campaign.pipeline import CampaignRun
+
+        monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
+        monkeypatch.setattr(CampaignRun, "idle", lambda run: None)
+        #: Per window merge: how many of its keys were uncommitted.
+        pending_seen: list[int] = []
+        merge = CampaignJournal.merge_classes
+
+        def watched(handle, classes):
+            pending = handle.journal._pending_classes
+            pending_seen.append(sum(
+                (handle.campaign_id, axis, first_slot) in pending
+                for axis, first_slot, _ in classes))
+            return merge(handle, classes)
+
+        monkeypatch.setattr(CampaignJournal, "merge_classes", watched)
+        _, thread, port = self._serve(memory_golden,
+                                      journal=tmp_path / "pending.sqlite")
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        raw.results(items[:6])
+        raw.results(items[3:])  # three copies of uncommitted classes
+        raw.lease_done(lease)
+        result = thread.join_result(60)
+        raw.close()
+        assert pending_seen == [0, 3]
+        assert result == memory_baseline
+        assert result.execution.executed == result.execution.total_units
+        assert result.execution.workers == (("raw", len(items)),)
+
+    def test_the_crash_hook_counts_fresh_classes_not_copies(
+            self, tmp_path, memory_golden, memory_baseline):
+        """``stop_after_results=5`` on one window that repeats its
+        classes: the window is merged in slices of the classes the hook
+        has left, so exactly five classes are journaled — not fewer
+        because copies used up the budget, not more because the merge
+        took the whole window."""
+        journal = tmp_path / "stop.sqlite"
+        _, thread, port = self._serve(memory_golden, journal=journal,
+                                      stop_after_results=5)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        items = _class_items(raw.spec, lease)
+        raw.results([copy for item in items for copy in (item, item)])
+        assert thread.join_result(60) is None
+        raw.close()
+        assert list(class_experiments(journal).values()) == [8] * 5
+        result, _, _ = run_dist(memory_golden, workers=1, journal=journal)
+        assert result == memory_baseline
+        assert result.execution.resumed == 5
+
+    def test_classes_sharing_a_slot_share_a_run_many_call(self):
+        """One scan generator per lease: the classes of a lease that
+        share an injection slot reach the executor as one group, as
+        they do on every other transport — yet each leaves as its own
+        item with its own CRC."""
+        golden = record_golden(micro.memcopy(6))
+        spec = DistCoordinator(golden, domain="register") \
+            ._campaign_message()
+        calls: list[int] = []
+        items = [item for window in _run_lease(spec, calls=calls)
+                 for item in window]
+        serial = run_full_scan(golden, domain="register")
+        assert len(items) == len(serial.class_outcomes) == 66
+        assert len(calls) == 60  # distinct injection slots
+        assert sum(calls) == serial.experiments_conducted
+        for item in items:
+            assert item["crc"] == result_digest(item["key"], item["run"])
+            outcomes = tuple(item["run"][0].split(" "))
+            assert outcomes == tuple(
+                outcome.value
+                for outcome in serial.class_outcomes[tuple(item["key"])])
 
     def _window_sizes(self, golden, monkeypatch, clock):
         import repro.campaign.dist.worker as worker_mod
@@ -779,7 +892,7 @@ class TestSendWindow:
 
 
 class TestDeadlines:
-    """Protocol 4: a lease lives by progress alone, and an expired one
+    """Since protocol 4 a lease lives by progress alone, and an expired one
     is what an expired pool shard is — a failed attempt."""
 
     DEADLINE = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
@@ -811,6 +924,39 @@ class TestDeadlines:
         assert result.execution.timed_out_shards == 0
         assert result.execution.shard_retries == 0
         assert result.execution.workers == (("raw", len(items)),)
+
+    def test_a_lease_expires_on_the_coordinators_clock(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """The coordinator reads time through ``coordinator._clock``: an
+        hour-long deadline expires the moment that clock is moved an
+        hour on, with no real waiting."""
+        import repro.campaign.dist.coordinator as coordinator_mod
+
+        offset = [0.0]
+        monkeypatch.setattr(coordinator_mod, "_clock",
+                            lambda: time.monotonic() + offset[0])
+        hour = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
+                           backoff=0.05, shard_timeout=3600.0)
+        sock = _server_socket()
+        coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
+                                      policy=hour, keep_records=True)
+        thread = serve_in_thread(coordinator)
+        port = sock.getsockname()[1]
+        stalled = _RawWorker(port, name="stalled")
+        assert stalled.lease()["shard"] == 0  # taken, never served
+        start = time.monotonic()
+        offset[0] += 3600.0
+        _, worker_thread, errors = _start_worker(port, "w0")
+        result = thread.join_result(60)
+        worker_thread.join(10)
+        stalled.close()
+        assert not errors
+        assert time.monotonic() - start < 60.0
+        assert result == memory_baseline
+        assert (result.execution.timed_out_shards,
+                result.execution.shard_retries) == (1, 1)
+        assert result.execution.workers == (("w0",
+                                             result.execution.executed),)
 
     @pytest.mark.parametrize("kind", ["heartbeat", "bogus"])
     def test_heartbeat_is_an_unknown_frame_like_any_other(
@@ -1058,6 +1204,43 @@ class TestDistSubprocess:
         assert formatted == []
         assert result == memory_baseline
         assert result.execution.complete
+
+    def test_a_failed_start_leaks_no_socket_and_no_worker(
+            self, monkeypatch, memory_golden):
+        """If the coordinator refuses its arguments, or the second
+        worker cannot be spawned, the bound socket is closed and the
+        worker already spawned — which would otherwise reconnect
+        forever — is terminated and reaped."""
+        import repro.campaign.dist.coordinator as coordinator_mod
+
+        bound: list[socket.socket] = []
+        free = coordinator_mod._free_server_socket
+
+        def captured(host):
+            bound.append(free(host))
+            return bound[-1]
+
+        monkeypatch.setattr(coordinator_mod, "_free_server_socket",
+                            captured)
+        with pytest.raises(ValueError, match="shards"):
+            run_distributed_scan(memory_golden, workers=2, shards=0)
+        assert bound[-1].fileno() == -1
+
+        spawned: list[subprocess.Popen] = []
+        popen = subprocess.Popen
+
+        def second_fails(*args, **kwargs):
+            if spawned:
+                raise OSError("no more processes")
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        with pytest.raises(OSError, match="no more processes"):
+            run_distributed_scan(memory_golden, workers=2)
+        (first,) = spawned
+        assert first.returncode is not None  # terminated and reaped
+        assert bound[-1].fileno() == -1
 
     def test_resuming_a_complete_journal_does_not_wait_on_workers(
             self, tmp_path):

@@ -417,6 +417,39 @@ class TestGroupCommit:
             assert campaign.discard_classes([(3, 1), (3, 1), (9, 9)]) == 1
             assert campaign.merge_class(3, 1, ROWS) is True
 
+    def test_a_window_merge_is_one_select_and_one_unit(self, tmp_path,
+                                                       clock):
+        """A window's classes are fresh unless an earlier copy is in the
+        same window, in the uncommitted window or committed.  The merge
+        asks the database once, commits nothing, and buffers the fresh
+        classes as one unit, stored exactly as ``record_class`` would
+        store them."""
+        path = tmp_path / "journal.sqlite"
+        run = (0, " ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
+        late = (0, " ".join(["timeout"] * 8), " ".join(["1"] * 8), " " * 7)
+        with ExperimentJournal(path) as journal:
+            campaign = _campaign(journal)
+            campaign.record_class(1, 1, ROWS)
+            campaign.flush()  # (1, 1) committed
+            campaign.record_class(2, 1, ROWS)  # (2, 1) uncommitted
+            statements: list[str] = []
+            journal._conn.set_trace_callback(statements.append)
+            fresh = campaign.merge_classes(
+                [(3, 1, [run]), (1, 1, [late]), (2, 1, [late]),
+                 (3, 1, [late]), (4, 1, [run]), (4, 1, [late])])
+            journal._conn.set_trace_callback(None)
+            assert fresh == [(3, 1), (4, 1)]
+            assert len(statements) == 1 and \
+                statements[0].startswith("SELECT")
+            assert _committed(path) == NOTHING | {(1, 1): 8}
+            assert campaign.merge_classes([(4, 1, [late])]) == []
+            stored = campaign.completed_classes()
+        # Every first copy, none of the late ones.
+        assert stored[(3, 1)] == stored[(4, 1)] == stored[(1, 1)] \
+            == stored[(2, 1)]
+        assert _committed(path) == NOTHING | {(axis, 1): 8
+                                              for axis in (1, 2, 3, 4)}
+
     def test_an_open_window_locks_nobody_out(self, tmp_path, clock):
         """Two campaigns — two processes in real life — share one file.
         A writer with a pending window must not hold the write lock: the
