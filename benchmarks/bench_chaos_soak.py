@@ -47,8 +47,8 @@ def _soak(golden, baseline, *, seed, domain):
     port = sock.getsockname()[1]
     coordinator = DistCoordinator(
         golden, sock=sock, domain=domain, policy=POLICY, shards=4,
-        keep_records=True, crosscheck=CROSSCHECK)
-    thread = serve_in_thread(coordinator)
+        crosscheck=CROSSCHECK)
+    thread = serve_in_thread(coordinator, keep_records=True)
 
     spawned = []
     start = time.perf_counter()

@@ -35,7 +35,7 @@ from .chaos import (
     plan_from_env,
     plan_from_spec,
 )
-from .coordinator import DistCoordinator, run_distributed_scan
+from .coordinator import DistCoordinator, run_distributed_scan, serve_scan
 from .leases import LeaseBoard, ShardLease
 from .protocol import (
     PROTOCOL_VERSION,
@@ -69,5 +69,6 @@ __all__ = [
     "read_frame",
     "result_digest",
     "run_distributed_scan",
+    "serve_scan",
     "write_frame",
 ]

@@ -1,70 +1,43 @@
-"""Campaign coordinator: owns the journal, leases shards to workers.
+"""Campaign coordinator: leases shards to TCP workers, audits them.
 
-One coordinator process runs the distributed campaign: the lease/frame
-transport of :mod:`repro.campaign.pipeline`.  Prologue (journal, resume,
-validation of resumed classes, composition), cost table and
-canonical-order assembly are the pipeline's; the coordinator plans the
-same contiguous cost-balanced shards the process pool would
+A :class:`DistCoordinator` is a transport of
+:func:`~repro.campaign.pipeline.run_campaign`, like the in-process one
+and the process pool, and :func:`serve_scan` is the fabric's one way
+into it: prologue (journal, resume, validation, composition),
+accounting, progress and canonical-order assembly are the pipeline's.
+The coordinator plans the shards the process pool would
 (:func:`~repro.campaign.pipeline.plan_class_shards` over the *full*
-live-class list, so shard indices are stable across coordinator
-restarts), and serves a TCP endpoint where workers pull
-:class:`~.leases.ShardLease` grants and stream class results back, a
-send window (one ``results`` frame) at a time.
+live-class list, so shard indices survive restarts) and serves
+:class:`~.leases.ShardLease` grants; workers stream class results back
+one send window (one ``results`` frame) at a time.  What it keeps of
+its own is what at-least-once delivery over a network needs:
 
-**Why the result is bit-for-bit identical to a serial run.**  Every
-experiment is a deterministic function of the golden run and its fault
-coordinate; workers prove they compute the same function by rebuilding
-the program from shipped source and matching both the content
-fingerprint and the golden cycle count before they may execute.  A class
-result therefore has exactly one possible value no matter which worker
-produces it, or how many times.  Delivery is at-least-once (lease
-expiry, reconnects and retransmits can all duplicate submissions);
-accounting is exactly-once because every send window funnels through
-:meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, which
-journals only the first copy of a class — in the window, in the
-journal's uncommitted window or committed — and names the classes it
-took.  Assembly then walks the live classes in canonical (serial)
-iteration order, reading the journal — the same merge the resume path
-performs — so ``class_outcomes``, record lists and every derived count
-are independent of worker count, scheduling, chaos and restarts.
-
-**Failure handling** is delegated to the :class:`~.leases.LeaseBoard`,
-and it is the process pool's policy: an expired, orphaned or
-half-delivered lease is re-queued with exponential backoff and a retry
-budget; shards that exhaust it degrade into
-``ExecutionReport.missing`` instead of hanging the campaign.  The
-coordinator itself is restartable: results and lease retry state are
-journaled as they arrive and committed by the journal's own commit
-window, or by the first watchdog tick that finds the fabric idle, so a
-new coordinator pointed at the same journal resumes with only in-flight
-work lost (a SIGKILLed one: the journal's last commit window as well).
-
-**Integrity** checks each class before it is accounted:
-
-* Every class of a ``results`` frame has its CRC re-derived from the
-  decoded run strings, and the split strings validated against the
-  domain's expected experiment count, *before* any accounting — a
-  corrupted class never touches the journal, it is simply not progress
-  (its lease re-grants it), and the rest of its window merges.  The
-  classes that pass go to the journal as one window merge (one
-  existence ``SELECT``, one buffered write); accounting, cross-check
-  sampling and the ``stop_after_results`` crash hook then run per class
-  the merge took.
-* ``crosscheck`` is a **determinism audit**: a deterministic fraction of
-  class keys is re-executed on a *second* worker (verify leases:
-  negative lease id, ``shard == -1``) and the two digests compared.
-  Both workers passed the same fingerprint and golden checks, so a
-  mismatch means two builds compute different outcomes — a bug to
-  report, not a vote to hold: the coordinator journals a
-  ``crosscheck-mismatch`` event naming both workers and both digests,
-  discards the journaled row, refuses every later copy of the key for
-  the rest of the run, and leaves it missing, so the campaign exits
-  incomplete and ``repro resume`` re-executes it.
-
-The section-store write of freshly executed classes is deferred to
-assembly time, after all discards have settled, so a disputed row can
-never reach the cross-campaign section store; it is one unit, written
-from the runs as they arrived.
+* **First-wins merge.**  Lease expiry, reconnects and retransmits
+  duplicate submissions, so every window funnels through
+  :meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, which
+  journals only the first copy of a class and names the classes it
+  took; only those reach the pipeline's sink
+  (:meth:`~repro.campaign.pipeline.CampaignRun.count`).  Workers
+  re-verify program fingerprint and golden Δt before executing, so a
+  class has one possible value and the result is bit-for-bit serial.
+* **Lease retry** (:class:`~.leases.LeaseBoard`), the pool's policy: an
+  expired, orphaned or half-delivered lease is re-queued with backoff
+  and a retry budget, then its keys degrade into
+  ``ExecutionReport.missing``.  Results and lease state are journaled
+  as they arrive (committed by the journal's window, or the first idle
+  watchdog tick), so a restarted coordinator loses only work in flight.
+* **Integrity**, per class, before any accounting: the CRC is
+  re-derived from the run strings and their shape checked against the
+  domain's experiment count; a bad class is rejected (not progress: its
+  lease re-grants it) and its neighbours merge.
+* **The determinism audit** (``crosscheck``): a deterministic fraction
+  of keys is re-executed on a *second* worker (verify leases: negative
+  lease id, ``shard == -1``) and the digests compared.  A mismatch is a
+  bug to report, not a vote to hold: a ``crosscheck-mismatch`` event
+  names both workers and digests, the class leaves the journal and the
+  run, later copies are refused, and it stays missing for ``repro
+  resume``.  Because of that discard, the section store is written once
+  serving ends, from the runs as they arrived.
 
 Time is read through the module-level :data:`_clock` (lease grants,
 expiry, progress), so tests can substitute a virtual one.
@@ -91,7 +64,7 @@ from ..golden import GoldenRun
 from ..outcomes import Outcome
 from ..parallel import RetryPolicy
 from ..pipeline import (CampaignRun, ProgressCallback, campaign_params,
-                        open_run, plan_class_shards)
+                        plan_class_shards, run_campaign)
 from ..runner import ScanStyle
 from .chaos import PLAN_ENV, ChaosPlan, plan_from_spec
 from .leases import FAILED, LeaseBoard
@@ -123,8 +96,16 @@ def _canonical_keys(keys) -> str:
                       separators=(",", ":"))
 
 
+class CoordinatorStopped(Exception):
+    """The ``stop_after_results`` crash hook fired: raised out of
+    :func:`~repro.campaign.pipeline.run_campaign`, so the journal keeps
+    every class accepted so far and nothing is assembled."""
+
+
 class DistCoordinator:
-    """Serve one full-scan campaign to TCP workers.
+    """The fabric transport: serves a full scan to TCP workers on
+    ``sock``, a bound listening socket.  Journal, resume, records and
+    progress are campaign arguments, :func:`serve_scan`'s.
 
     ``shards`` fixes the lease granularity (finer shards rebalance
     better after node loss; coarser ones amortize more snapshot
@@ -132,36 +113,22 @@ class DistCoordinator:
     hint: when set and the campaign's estimated cycle cost is small
     (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`), the
     granularity collapses to one shard per worker so lease round-trips
-    stop dominating tiny scans.  ``journal`` is where results and lease state
-    persist — pass a real path to make the coordinator restartable;
-    ``None`` journals to a private in-memory database, which still
-    provides the idempotent-merge funnel but not crash tolerance.
+    stop dominating tiny scans.  ``crosscheck`` is the audited fraction
+    of class keys (module docstring).
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
-    drops every connection and returns ``None`` after accepting that
-    many fresh class results, simulating a coordinator crash mid-flight
-    (the journal keeps everything accepted so far).  A ``chaos`` plan
-    whose :attr:`~.chaos.ChaosPlan.stop_coordinator_after` is set maps
-    onto the same hook, so one seeded schedule drives both sides of the
-    fabric.
-
-    ``crosscheck`` is the fraction of class keys (deterministically
-    selected per key) whose first delivery is re-executed on a second
-    worker and byte-compared — the determinism audit of the module
-    docstring.
+    drops every connection after accepting that many fresh classes and
+    raises :class:`CoordinatorStopped`, a simulated crash.  A ``chaos``
+    plan's :attr:`~.chaos.ChaosPlan.stop_coordinator_after` maps onto
+    it, so one seeded schedule drives both sides of the fabric.
     """
 
-    def __init__(self, golden: GoldenRun, *,
+    def __init__(self, golden: GoldenRun, *, sock: socket.socket,
                  domain: FaultDomain | str = MEMORY,
                  executor_config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS,
                  expected_workers: int | None = None,
-                 journal=None, resume: bool = True,
-                 keep_records: bool = False,
-                 progress: ProgressCallback | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 sock: socket.socket | None = None,
                  stop_after_results: int | None = None,
                  crosscheck: float = 0.0,
                  chaos: ChaosPlan | None = None):
@@ -177,25 +144,16 @@ class DistCoordinator:
         self.policy = policy or RetryPolicy()
         self.shards = shards
         self.expected_workers = expected_workers
-        self.journal = journal
-        self.resume = resume
-        self.keep_records = keep_records
-        self.progress = progress
-        self.host = host
-        self.port = port
         self._sock = sock
-        self.chaos = chaos
         if stop_after_results is None and chaos is not None:
             stop_after_results = chaos.stop_coordinator_after
         self.stop_after_results = stop_after_results
         self.crosscheck = crosscheck
-        #: ``(host, port)`` actually bound, set once serving.
-        self.address: tuple[str, int] | None = None
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
         #: Runs of the classes this coordinator journaled fresh (and
-        #: has not discarded): the section store's input at assembly.
+        #: has not discarded): the section store's input at the end.
         self._runs: dict[tuple, tuple] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._conn_tasks: set = set()
@@ -214,6 +172,7 @@ class DistCoordinator:
 
     def _campaign_message(self) -> dict:
         program = self.golden.program
+        ladder = self.golden.checkpoints
         return {
             "type": "campaign",
             "version": PROTOCOL_VERSION,
@@ -224,47 +183,39 @@ class DistCoordinator:
             },
             "fingerprint": program_fingerprint(program),
             "cycles": self.golden.cycles,
+            # The golden checkpoint ladder's stride (0: no ladder), so
+            # a worker's early exits are the ones asked for here.
+            "stride": 0 if ladder is None else ladder.stride,
             "config": dataclasses.asdict(self.config),
         }
 
     # -- lifecycle --------------------------------------------------------------
 
-    def run(self):
-        """Serve until the campaign finishes; return its result.
+    def __call__(self, run: CampaignRun) -> None:
+        """The transport: serve ``run`` until the board is done, then
+        leave the report's fabric fields and the section store written
+        for the pipeline to assemble."""
+        if not isinstance(run.style, ScanStyle):
+            raise TypeError(
+                f"the fabric carries class runs, so it serves full scans "
+                f"only, not {type(run.style).__name__}")
+        # The loop runs in the calling thread: the journal connection
+        # run_campaign opened there is thread-affine.
+        asyncio.run(self._serve(run))
+        if self.stopped:
+            raise CoordinatorStopped(
+                f"crash hook fired after {self._accepted} classes")
+        # Only classes taken fresh and not discarded by the audit reach
+        # the section store (resumed ones came from it or are in it).
+        run.composer.store_runs(
+            (self._by_key[key], stored) for key, stored in self._runs.items())
+        report = run.report
+        report.shard_retries = self.board.retries
+        report.failed_shards = self.board.failed_shards
+        report.workers = tuple(sorted(self._worker_units.items()))
+        self._journal_leases()  # final lease states stay queryable
 
-        Returns the same :class:`~repro.campaign.runner.CampaignResult`
-        a serial run would, or ``None`` when the ``stop_after_results``
-        crash hook fired.
-        """
-        asyncio.run(self._main())
-        return self._result
-
-    async def _main(self) -> None:
-        # The result is left on self, not returned: run on the main
-        # thread, ``asyncio.run`` checks the SIGINT handler it installed
-        # after the task finishes, and on Python 3.11 each check builds
-        # a ValueError message from the repr of a partial holding the
-        # main task — and a finished task's repr includes its result,
-        # megabytes of CampaignResult repr.
-        self._result = None
-        golden, domain = self.golden, self.domain
-        style = ScanStyle(golden, domain,
-                          campaign_params(golden, self.config),
-                          keep_records=self.keep_records)
-        # The journal connection must be created in the serving thread
-        # (sqlite3 objects are thread-affine) — hence here, not
-        # __init__.  Leaving the block commits every accepted class,
-        # however the serve loop ended, and closes a path-opened file
-        # (closing checkpoints the WAL into the main file, so the
-        # journal on disk is whole, copyable and salvage-friendly
-        # afterwards).  Without a journal the merge funnel still needs
-        # one: a private in-memory database, gone with the handle.
-        with open_run(style, ":memory:" if self.journal is None
-                          else self.journal, self.resume,
-                          self.progress) as run:
-            self._result = await self._serve(run)
-
-    async def _serve(self, run: CampaignRun):
+    async def _serve(self, run: CampaignRun) -> None:
         golden, domain = self.golden, self.domain
         # The pipeline's prologue has loaded, validated and composed:
         # ``run.completed`` classes are never leased to any worker.
@@ -273,12 +224,10 @@ class DistCoordinator:
         self.report = run.report
         self._by_key = run.style.units
         completed = run.completed
-        # Plan over the FULL live list: indices and key lists are then a
-        # pure function of the campaign, stable across restarts, and the
-        # journaled per-shard retry state stays meaningful.  Small
-        # campaigns collapse the lease granularity to one shard per
-        # expected worker first (also a pure function of the arguments,
-        # so restarts with the same worker count re-derive it).
+        # Plan over the FULL live list (small campaigns: one shard per
+        # expected worker): shard indices and key lists are a pure
+        # function of the arguments, so journaled retry state survives
+        # a restart.
         planned, _, costs = plan_class_shards(
             list(self._by_key.values()), golden.cycles, bits=domain.bits,
             parts=self.shards, workers=self.expected_workers)
@@ -291,9 +240,8 @@ class DistCoordinator:
                             [key for key in keys if key not in completed])
             stored = journaled_leases.get(index)
             if stored is not None and stored["keys"] == _canonical_keys(keys):
-                # Same plan as the journaled run: carry the retry budget
-                # across the restart.  A different --shards (different
-                # key list) invalidates the stored state instead.
+                # Same plan as the journaled run (not another --shards):
+                # carry the retry budget across the restart.
                 board.restore(index, attempts=stored["attempts"],
                               status=stored["status"])
         self.board = board
@@ -302,14 +250,8 @@ class DistCoordinator:
         self._journal_leases()
         self._maybe_finish()
 
-        if self._sock is not None:
-            server = await asyncio.start_server(self._handle_worker,
-                                                sock=self._sock)
-        else:
-            server = await asyncio.start_server(self._handle_worker,
-                                                host=self.host,
-                                                port=self.port)
-        self.address = server.sockets[0].getsockname()[:2]
+        server = await asyncio.start_server(self._handle_worker,
+                                            sock=self._sock)
         watchdog = asyncio.create_task(self._watchdog())
         try:
             await self._done.wait()
@@ -327,9 +269,8 @@ class DistCoordinator:
             server.close()
             await server.wait_closed()
             # Give sessions a moment to finish their own done/drain
-            # handshakes first — closing a transport under a worker
-            # that has not read its done frame yet risks a reset that
-            # discards it.  Then close whatever is left.
+            # handshakes first (closing under a worker that has not read
+            # its done frame risks a reset that discards it).
             if self._conn_tasks:
                 await asyncio.wait(self._conn_tasks, timeout=2.0)
             for writer in list(self._writers.values()):
@@ -338,9 +279,6 @@ class DistCoordinator:
             # loop shuts down (else asyncio logs their cancellation).
             if self._conn_tasks:
                 await asyncio.wait(self._conn_tasks, timeout=2.0)
-        if self.stopped:
-            return None
-        return self._assemble()
 
     async def _watchdog(self):
         accepted = self._accepted
@@ -439,18 +377,16 @@ class DistCoordinator:
                 self._maybe_finish()
             else:
                 raise ProtocolError(f"unexpected {kind!r} from {name!r}")
-        # This session saw the campaign finish (often because its own
-        # result finished it).  Tell the worker before the connection
-        # closes — the serve loop's broadcast cannot reach it once this
+        # This session saw the campaign finish: tell the worker now —
+        # the serve loop's broadcast cannot reach it once this
         # handler's cleanup has unregistered the writer.
         if not self.stopped:
             write_frame(writer, {"type": "done"})
             await writer.drain()
-            # Then read until the worker hangs up.  Closing while its
-            # pipelined frames (the next request, a late window) sit
-            # unread would reset the connection, and a reset can
-            # destroy the done frame before the worker reads it —
-            # leaving it reconnecting against a dead port forever.
+            # Then read until the worker hangs up: closing with its
+            # pipelined frames unread would reset the connection, and a
+            # reset can destroy the done frame before the worker reads
+            # it, leaving it reconnecting against a dead port forever.
             try:
                 async def _drain():
                     while await read_frame(reader) is not None:
@@ -542,6 +478,7 @@ class DistCoordinator:
         # earlier item of it carries.
         window = [entry for entry in window
                   if entry[:2] not in self._disputed]
+        keep_run = self.run.style.keep_run
         while window and not self.stopped:
             # Late or duplicate copies (expired lease, retransmit) are
             # not fresh: the journal already holds the identical run.
@@ -549,10 +486,12 @@ class DistCoordinator:
             # classes it has left, so the k-th class is the last one.
             take = len(window) if self.stop_after_results is None \
                 else max(1, self.stop_after_results - self._accepted)
-            for key in self.handle.merge_classes(window[:take]):
+            fresh = self.handle.merge_classes(window[:take])
+            for key in fresh:
                 self._account(name, key, *copies[key])
+            self.run.count([(key, keep_run(key, copies[key][0]))
+                            for key in fresh])
             window = window[take:]
-        self.run.heartbeat()
         self._maybe_finish()
 
     def _checked(self, name: str, item):
@@ -588,17 +527,16 @@ class DistCoordinator:
 
     def _account(self, name: str, key: tuple, run: tuple, digest: int,
                  counts: tuple) -> None:
-        """Count one class the journal took fresh (its first delivery)."""
+        """What the fabric adds to the sink's count of one class the
+        journal took fresh (its first delivery)."""
         self._runs[key] = run
         if self._crosscheck_selected(key):
             self._check_pending[key] = (name, digest)
             self._drain_deadline = None
             self.report.crosschecked += 1
-        self.report.executed += 1
         self.report.count(counts)
         self._worker_units[name] += 1
         self._accepted += 1
-        self.run.done += 1
         if (self.stop_after_results is not None
                 and self._accepted >= self.stop_after_results):
             self.stopped = True
@@ -628,6 +566,7 @@ class DistCoordinator:
         if self.handle.discard_classes([key]):
             self.report.discarded_results += 1
             self.run.done -= 1
+        self.run.fresh.pop(key, None)
         self._runs.pop(key, None)
         self._disputed.add(key)
 
@@ -642,14 +581,10 @@ class DistCoordinator:
                                  at=time.time())
 
     def _drain_crosschecks(self, now: float) -> None:
-        """Give pending cross-checks a grace period once work is done.
-
-        A pending check whose only eligible verifier never shows up
-        (single-worker fleet, everyone else dead) must not hang the
-        campaign: after :data:`CROSSCHECK_PATIENCE` seconds with the
-        board finished, unresolved checks degrade to
-        ``crosscheck_unverified``.
-        """
+        """Once work is done, give pending cross-checks
+        :data:`CROSSCHECK_PATIENCE` seconds for a second worker (a
+        one-worker fleet never has one), then count them
+        ``crosscheck_unverified`` instead of hanging the campaign."""
         if self._done.is_set() or not self.board.done():
             self._drain_deadline = None
             return
@@ -716,29 +651,31 @@ class DistCoordinator:
             return  # the watchdog's patience timer resolves these
         self._done.set()
 
-    def _assemble(self):
-        """Merge the journal into a serial-identical CampaignResult."""
-        run = self.run
-        merged = self.handle.completed_classes()
-        # Deferred section-store write, one unit: only classes this
-        # coordinator took fresh and the cross-check audit did not
-        # discard reach the cross-campaign store (never the ones trusted
-        # before any worker connected — those came from it or are in
-        # it).
-        run.composer.store_runs(
-            (self._by_key[key], stored) for key, stored in self._runs.items())
-        report = self.report
-        report.shard_retries = self.board.retries
-        report.failed_shards = self.board.failed_shards
-        report.workers = tuple(sorted(self._worker_units.items()))
-        result = run.assemble(merged)
-        if not report.complete:
-            # Failed shards are final state worth keeping queryable.
-            self._journal_leases()
-        return result
+
+# -- entry points ---------------------------------------------------------------
 
 
-# -- one-shot convenience -------------------------------------------------------
+def serve_scan(coordinator: DistCoordinator, *, journal=None,
+               resume: bool = True, keep_records: bool = False,
+               progress: ProgressCallback | None = None):
+    """Run a full scan with ``coordinator`` as its transport — the
+    fabric's one call of :func:`~repro.campaign.pipeline.run_campaign`.
+
+    Returns the same :class:`~repro.campaign.runner.CampaignResult` a
+    serial run would, or ``None`` when the crash hook fired.  Without a
+    journal the merge funnel still needs one: a private in-memory
+    database, gone with the run.
+    """
+    golden = coordinator.golden
+    style = ScanStyle(golden, coordinator.domain,
+                      campaign_params(golden, coordinator.config),
+                      keep_records=keep_records)
+    try:
+        return run_campaign(style, coordinator,
+                            ":memory:" if journal is None else journal,
+                            resume, progress)
+    except CoordinatorStopped:
+        return None
 
 
 def _free_server_socket(host: str) -> socket.socket:
@@ -755,24 +692,22 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
                          chaos=None, crosscheck: float = 0.0):
-    """Run a distributed full scan with locally spawned workers.
+    """:func:`serve_scan` with ``workers`` locally spawned workers.
 
-    Convenience wrapper for single-machine use (and the CLI's
-    ``scan --dist N``): binds an ephemeral port, spawns ``workers``
-    subprocesses running ``python -m repro worker``, and serves the
-    coordinator in the calling thread.  Real multi-host campaigns start
-    ``repro coordinator`` and ``repro worker`` by hand instead.
+    For single-machine use (and the CLI's ``scan --dist N``): binds an
+    ephemeral port, spawns ``python -m repro worker`` subprocesses and
+    serves the coordinator in the calling thread; returns what
+    :func:`serve_scan` returns (``None`` after a chaos-scheduled
+    coordinator stop).  Multi-host campaigns start ``repro
+    coordinator`` and ``repro worker`` by hand instead.  ``chaos`` (a
+    :class:`~.chaos.ChaosPlan` or a plan-shaped dict) goes into every
+    worker's environment, so the fleet runs one seeded schedule; its
+    coordinator-side fields apply here.
 
-    ``chaos`` (a :class:`~.chaos.ChaosPlan` or a plan-shaped dict) is
-    serialized into every worker's environment, so the whole fleet runs
-    one seeded schedule; its coordinator-side fields apply here.
-    ``crosscheck`` passes through to :class:`DistCoordinator`.
-
-    Once the coordinator returns, the workers have nothing left to do:
-    any still running — one that never got to connect because the
-    journal already held the whole campaign, or one reconnecting after
-    a chaos-scheduled coordinator stop — is terminated, and all are
-    reaped together.
+    Once serving ends the workers have nothing left to do: any still
+    running (one that never connected because the journal held the
+    whole campaign, or one reconnecting after a chaos-scheduled stop)
+    is terminated, and all are reaped together.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -786,11 +721,9 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
     # forever (``repro worker`` retries without limit).
     try:
         coordinator = DistCoordinator(
-            golden, domain=domain, executor_config=executor_config,
-            policy=policy, shards=shards, expected_workers=workers,
-            journal=journal, resume=resume,
-            keep_records=keep_records, progress=progress, sock=sock,
-            chaos=plan, crosscheck=crosscheck)
+            golden, sock=sock, domain=domain,
+            executor_config=executor_config, policy=policy, shards=shards,
+            expected_workers=workers, chaos=plan, crosscheck=crosscheck)
         import repro
 
         env = dict(os.environ)
@@ -807,7 +740,8 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                  "--connect", f"{host}:{port}", "--name", f"worker-{index}"],
                 env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL))
-        return coordinator.run()
+        return serve_scan(coordinator, journal=journal, resume=resume,
+                          keep_records=keep_records, progress=progress)
     finally:
         # Serving closes the socket itself; closing it again is a no-op.
         sock.close()
@@ -818,25 +752,27 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
             proc.wait()
 
 
-def serve_in_thread(coordinator: DistCoordinator) -> "CoordinatorThread":
-    """Run a coordinator on a background thread (used by tests)."""
-    thread = CoordinatorThread(coordinator)
+def serve_in_thread(coordinator: DistCoordinator,
+                    **campaign) -> "CoordinatorThread":
+    """:func:`serve_scan` (``campaign``: its keyword arguments) on a
+    started background thread, for tests and benchmarks."""
+    thread = CoordinatorThread(coordinator, **campaign)
     thread.start()
     return thread
 
 
 class CoordinatorThread(threading.Thread):
-    """Thread wrapper capturing the coordinator's result or exception."""
+    """A :func:`serve_scan` thread keeping its result or exception."""
 
-    def __init__(self, coordinator: DistCoordinator):
-        super().__init__(daemon=True)
-        self.coordinator = coordinator
+    def __init__(self, coordinator: DistCoordinator, **campaign):
+        super().__init__(target=self._serve, args=(coordinator,),
+                         kwargs=campaign, daemon=True)
         self.result = None
         self.error: BaseException | None = None
 
-    def run(self) -> None:  # noqa: D102 - Thread API
+    def _serve(self, coordinator, **campaign) -> None:
         try:
-            self.result = self.coordinator.run()
+            self.result = serve_scan(coordinator, **campaign)
         except BaseException as exc:  # captured for the joining test
             self.error = exc
 
@@ -851,9 +787,11 @@ class CoordinatorThread(threading.Thread):
 
 __all__ = [
     "DEFAULT_SHARDS",
+    "CoordinatorStopped",
     "CoordinatorThread",
     "DistCoordinator",
     "run_distributed_scan",
     "serve_in_thread",
+    "serve_scan",
     "FAILED",
 ]

@@ -15,7 +15,8 @@ type                direction  meaning
 ==================  =========  ==============================================
 ``hello``           w → c      worker introduces itself (name, version)
 ``campaign``        c → w      campaign spec: program source, fingerprint,
-                               golden facts, executor config
+                               golden facts (Δt, ladder ``stride``),
+                               executor config
 ``ready``           w → c      worker rebuilt + verified the golden run
 ``reject``          c → w      verification failed; worker must not execute
 ``error``           w → c      worker-side verification failure (diagnostic)
@@ -53,7 +54,9 @@ Version 4 removed the ``heartbeat`` frame, which nothing read: accepted
 results are what extends a lease, and TCP notices a dead peer.
 Version 5 replaced each item's per-bit ``rows`` lists with the stored
 ``run`` strings, and the digest's canonical JSON with a CRC over those
-strings.  Any type not in the table is a :class:`ProtocolError`.
+strings.  Version 6 added the ``campaign`` frame's ``stride``, the
+golden checkpoint ladder's (``0``: none), which the worker records its
+golden run with.  Any type not in the table is a :class:`ProtocolError`.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
@@ -74,7 +77,8 @@ import zlib
 #: cross-check verify leases.  Version 3: one ``results`` frame per send
 #: window instead of one ``result`` frame per class.  Version 4: no
 #: ``heartbeat`` frame.  Version 5: a class travels as its stored run.
-PROTOCOL_VERSION = 5
+#: Version 6: the campaign frame carries the ladder stride.
+PROTOCOL_VERSION = 6
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.

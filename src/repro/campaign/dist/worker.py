@@ -126,9 +126,10 @@ class DistWorker:
         self._finished = False
         #: Classes executed locally (not counting duplicates).
         self.executed = 0
-        #: Verified campaign state, cached by fingerprint so reconnects
-        #: skip the golden re-run and partition rebuild.
-        self._campaigns: dict[str, tuple] = {}
+        #: Verified campaign state, cached by fingerprint and ladder
+        #: stride so reconnects skip the golden re-run and partition
+        #: rebuild.
+        self._campaigns: dict[tuple[str, int], tuple] = {}
 
     # -- main loop --------------------------------------------------------------
 
@@ -217,7 +218,8 @@ class DistWorker:
     def _verify(self, stream: FrameStream, spec: dict):
         """Rebuild the campaign locally; refuse to run if it differs."""
         fingerprint = str(spec["fingerprint"])
-        cached = self._campaigns.get(fingerprint)
+        stride = int(spec["stride"])  # the coordinator's ladder stride
+        cached = self._campaigns.get((fingerprint, stride))
         if cached is not None and cached[2] == spec["config"]:
             return cached[:2]
         try:
@@ -230,7 +232,7 @@ class DistWorker:
                     f"program fingerprint mismatch: coordinator sent "
                     f"{fingerprint}, this checkout assembles {local} — "
                     f"worker is running different code; update it")
-            golden = record_golden(program)
+            golden = record_golden(program, checkpoint_stride=stride)
             if golden.cycles != spec["cycles"]:
                 raise WorkerRejected(
                     f"golden run mismatch: coordinator recorded "
@@ -251,7 +253,8 @@ class DistWorker:
         executor = config.build(golden, partition=partition)
         intervals = {domain.class_key(interval): interval
                      for interval in partition.live_classes()}
-        self._campaigns[fingerprint] = (executor, intervals, spec["config"])
+        self._campaigns[fingerprint, stride] = (executor, intervals,
+                                                spec["config"])
         return executor, intervals
 
     # -- lease execution --------------------------------------------------------

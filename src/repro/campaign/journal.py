@@ -80,7 +80,7 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 
@@ -317,11 +317,19 @@ def _expand(cursor, outcome_of=None) -> dict[tuple[int, int], list]:
                 outcomes[skip:], cycles[skip:], traps[skip:]
             bit = covered
         covered = bit + len(outcomes)
-        out.setdefault(key, []).extend(zip(
-            range(bit, covered),
-            outcomes if outcome_of is None else map(outcome_of, outcomes),
-            map(int, cycles), traps))
+        out.setdefault(key, []).extend(
+            run_rows(bit, outcomes, cycles, traps, outcome_of))
     return out
+
+
+def run_rows(bit: int, outcomes: list, cycles: list, traps: list,
+             outcome_of=None) -> Iterator[tuple]:
+    """One run's split columns, its first bit ``bit``, as per-bit
+    ``(bit, outcome, end_cycle, trap)`` rows (``outcome_of`` as in
+    :func:`_expand`)."""
+    return zip(range(bit, bit + len(outcomes)),
+               outcomes if outcome_of is None else map(outcome_of, outcomes),
+               map(int, cycles), traps)
 
 
 class ExperimentJournal:

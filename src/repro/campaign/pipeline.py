@@ -17,11 +17,11 @@ form and the transport table):
 3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
    generator turns work items into ``(key, rows)`` pairs, rows in the
    journal's own form; it is the only code that calls an executor.
-4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals each
-   batch, feeds the section store, updates the
-   :class:`ExecutionReport` and reports progress.  A transport calls
-   :meth:`CampaignRun.idle` before it waits, so rows never sit in the
-   journal's commit window while nothing is happening.
+4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
+   stores each batch, then :meth:`CampaignRun.count` updates the
+   :class:`ExecutionReport` and progress (the fabric's first-wins merge
+   calls that directly).  A transport calls :meth:`CampaignRun.idle`
+   before it waits, so nothing sits in the journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
    canonical order over resumed + fresh rows, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
@@ -29,15 +29,15 @@ form and the transport table):
 
 A :class:`CampaignStyle` states what differs between full scan, brute
 force and sampling (the three live in :mod:`repro.campaign.runner`).
-A *transport* is only how a shard reaches an executor and how rows come
-back: :class:`InProcess` here (``jobs=None`` and ``jobs=1``), the
-process pool in :mod:`repro.campaign.parallel`, the lease/frame fabric
-in :mod:`repro.campaign.dist`.
+A *transport*, ``transport(run)``, is only how shards reach executors
+and rows come back: :class:`InProcess` here (``jobs=None`` and
+``jobs=1``), the process pool in :mod:`repro.campaign.parallel`, the
+lease/frame fabric's coordinator in :mod:`repro.campaign.dist`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -381,8 +381,8 @@ class CampaignRun:
     """One campaign between prologue and assembly (module docstring).
 
     Constructing it *is* the prologue; a transport then shards
-    :attr:`todo` and feeds :meth:`accept`; :meth:`assemble` finishes.  ``handle`` is the open journal campaign
-    or ``None``.
+    :attr:`todo` and feeds :meth:`accept`; :meth:`assemble` finishes.
+    ``handle`` is the open journal campaign or ``None``.
     """
 
     def __init__(self, style: CampaignStyle, handle, resume: bool,
@@ -419,15 +419,18 @@ class CampaignRun:
             self.heartbeat()
 
     def accept(self, batch: Sequence[tuple[object, list]]) -> None:
-        """The sink every transport feeds: journal, section store,
-        report, progress."""
+        """The sink: journal, section store, then :meth:`count`."""
         if self.handle is not None:
             self.style.journal(self.handle, self.composer, batch)
         keep = self.style.keep
-        for key, rows in batch:
-            self.fresh[key] = keep(key, rows)
-        self.report.executed += len(batch)
-        self.done += len(batch)
+        self.count([(key, keep(key, rows)) for key, rows in batch])
+
+    def count(self, kept: Sequence[tuple[object, object]]) -> None:
+        """Account units journaled fresh, given as ``(key, kept)``
+        pairs (:meth:`CampaignStyle.keep` values): report, progress."""
+        self.fresh.update(kept)
+        self.report.executed += len(kept)
+        self.done += len(kept)
         self.heartbeat()
 
     def heartbeat(self) -> None:
@@ -441,46 +444,33 @@ class CampaignRun:
         if self.handle is not None:
             self.handle.flush()
 
-    def assemble(self, rows: dict | None = None):
-        """Merge resumed and fresh units in canonical order — or
-        ``rows`` (``key → rows``), for a transport whose journal *is*
-        the merge."""
-        units = self.style.units
-        if rows is None:
-            kept = {**self.completed, **self.fresh}
-        else:
-            kept = {key: self.style.keep(key, unit_rows)
-                    for key, unit_rows in rows.items() if key in units}
+    def assemble(self):
+        """Merge resumed and fresh units in canonical order."""
+        kept = {**self.completed, **self.fresh}
         report = self.report
-        report.missing = tuple(key for key in units if key not in kept)
+        report.missing = tuple(key for key in self.style.units
+                               if key not in kept)
         if self.handle is not None and report.complete:
             self.handle.mark_complete()
         return self.style.result(kept, report)
-
-
-@contextmanager
-def open_run(style: CampaignStyle, journal, resume: bool,
-                 progress: ProgressCallback | None) -> Iterator[CampaignRun]:
-    """Open the journal campaign and run the prologue.
-
-    The handle commits (and closes a journal it owns) on every way out
-    of the block, so an exception or ^C keeps every unit accepted so
-    far; ``journal=None`` runs the same pipeline with nothing durable.
-    """
-    handle = open_campaign(journal, style.golden, style.domain, style.kind,
-                           style.key_params)
-    with handle or nullcontext():
-        yield CampaignRun(style, handle, resume, progress)
 
 
 def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
                                                            None],
                  journal, resume: bool,
                  progress: ProgressCallback | None):
-    """Prologue → ``transport(run)`` → assembly, for blocking transports
-    (the fabric's coordinator drives the same steps from its event
-    loop)."""
-    with open_run(style, journal, resume, progress) as run:
+    """Open the journal campaign, prologue → ``transport(run)`` →
+    assembly, for every transport.
+
+    The handle commits (and closes a journal it owns) on every way out
+    of the block, so an exception — ^C, or a transport's simulated
+    crash — keeps every unit accepted so far and assembles nothing;
+    ``journal=None`` runs the same pipeline with nothing durable.
+    """
+    handle = open_campaign(journal, style.golden, style.domain, style.kind,
+                           style.key_params)
+    with handle or nullcontext():
+        run = CampaignRun(style, handle, resume, progress)
         transport(run)
         return run.assemble()
 

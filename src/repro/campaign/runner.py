@@ -51,7 +51,7 @@ from ..faultspace.sampling import (
 )
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import invalid_classes
+from .journal import invalid_classes, run_rows
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
@@ -307,6 +307,17 @@ class ScanStyle(CampaignStyle):
             ExperimentRecord(coordinate=coords[bit], outcome=outcome,
                              end_cycle=end_cycle, trap=trap)
             for bit, outcome, end_cycle, trap in rows]
+
+    def keep_run(self, key, run):
+        """:meth:`keep` of a class in the journal's stored form, the
+        run ``(outcomes, end_cycles, traps)`` from bit 0 (the fabric's
+        wire form): rows are decoded only when records are kept."""
+        outcomes = run[0].split(" ")
+        if not self.keep_records:
+            return tuple(map(OUTCOME_BY_VALUE.__getitem__, outcomes)), ()
+        return self.keep(key, list(run_rows(
+            0, outcomes, run[1].split(" "), run[2].split(" "),
+            OUTCOME_BY_VALUE.__getitem__)))
 
     def result(self, kept, report):
         class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}

@@ -94,9 +94,11 @@ from .campaign import (
     ExperimentJournal,
     RetryPolicy,
     record_golden,
+    run_distributed_scan,
     run_full_scan,
     run_sampling,
 )
+from .campaign.dist.coordinator import DEFAULT_SHARDS
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
 from .faultspace import DOMAINS, REGISTER, get_domain
@@ -108,12 +110,22 @@ from .programs import all_programs, bin_sem2, hi, sync2
 EXIT_INCOMPLETE = 3
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs
+def _count_arg(least: int):
+    """An argparse type: an int of at least ``least``."""
+    def count(value: str) -> int:
+        number = int(value)
+        if number < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {number}")
+        return number
+    return count
+
+
+def _fraction_arg(value: str) -> float:
+    fraction = float(value)
+    if not 0.0 <= fraction <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {fraction}")
+    return fraction
 
 
 def _eta_progress(label: str):
@@ -245,7 +257,12 @@ def _exit_status(execution) -> int:
 
 
 def _print_scan(scan) -> int:
-    """Print a full-scan result; return the process exit status."""
+    """Print a full-scan result (``None``: a fabric stopped by its
+    chaos schedule); return the process exit status."""
+    if scan is None:
+        print("coordinator stopped by its chaos schedule; results so "
+              "far are journaled", file=sys.stderr)
+        return EXIT_INCOMPLETE
     _print_execution(scan.execution)
     print(outcome_histogram(scan))
     print(f"\nweighted coverage: {100 * weighted_coverage(scan):.2f}%")
@@ -283,19 +300,12 @@ def cmd_scan(args) -> int:
               f"{result.failure_count() * scale:.0f}")
         return _exit_status(result.execution)
     if args.dist:
-        from .campaign.dist import run_distributed_scan
-
-        scan = run_distributed_scan(
+        return _print_scan(run_distributed_scan(
             golden, workers=args.dist, domain=domain,
             executor_config=config, policy=policy, shards=args.shards,
             journal=args.journal, resume=resume,
             chaos=_chaos_plan(args), crosscheck=args.crosscheck,
-            progress=_eta_progress("classes"))
-        if scan is None:
-            print("coordinator stopped by its chaos schedule; results "
-                  "so far are journaled", file=sys.stderr)
-            return EXIT_INCOMPLETE
-        return _print_scan(scan)
+            progress=_eta_progress("classes")))
     scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
                          journal=args.journal, resume=resume,
                          policy=policy, config=config,
@@ -441,7 +451,7 @@ def cmd_fabric(args) -> int:
 def cmd_coordinator(args) -> int:
     import socket
 
-    from .campaign.dist import DistCoordinator
+    from .campaign.dist import DistCoordinator, serve_scan
 
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
@@ -450,21 +460,15 @@ def cmd_coordinator(args) -> int:
     sock = socket.create_server((args.host, args.port))
     host, port = sock.getsockname()[:2]
     coordinator = DistCoordinator(
-        golden, domain=domain, executor_config=config, policy=policy,
-        shards=args.shards, journal=args.journal, resume=not args.fresh,
-        sock=sock, chaos=_chaos_plan(args), crosscheck=args.crosscheck,
-        progress=_eta_progress("classes"))
-    print(f"{program.name} [{domain.name} domain]: serving distributed "
-          f"scan on {host}:{port} "
-          f"({args.shards} shards); start workers with\n"
-          f"  repro worker --connect {host}:{port}",
-          file=sys.stderr)
-    scan = coordinator.run()
-    if scan is None:
-        print("coordinator stopped by its chaos schedule; results so "
-              "far are journaled", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    return _print_scan(scan)
+        golden, sock=sock, domain=domain, executor_config=config,
+        policy=policy, shards=args.shards, chaos=_chaos_plan(args),
+        crosscheck=args.crosscheck)
+    print(f"{program.name} [{domain.name} domain]: serving distributed scan "
+          f"on {host}:{port} ({args.shards} shards); start workers with\n"
+          f"  repro worker --connect {host}:{port}", file=sys.stderr)
+    return _print_scan(serve_scan(
+        coordinator, journal=args.journal, resume=not args.fresh,
+        progress=_eta_progress("classes")))
 
 
 def cmd_worker(args) -> int:
@@ -538,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.set_defaults(func=cmd_render)
 
     def add_jobs_arg(cmd) -> None:
-        cmd.add_argument("--jobs", "-j", type=_jobs_arg, default=None,
+        cmd.add_argument("--jobs", "-j", type=_count_arg(0), default=None,
                          help="worker processes (0 = one per CPU; "
                               "default: serial)")
 
@@ -586,15 +590,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "'compiled' core and the reference "
                               "'interp' interpreter; results are "
                               "bit-identical for every choice")
-        cmd.add_argument("--checkpoint-stride", type=int, default=None,
+        cmd.add_argument("--checkpoint-stride", type=_count_arg(0),
                          metavar="K",
                          help="golden checkpoint-digest stride in cycles "
                               "(default: auto-tuned from the runtime; "
                               "0 disables the ladder)")
 
-    def add_chaos_args(cmd) -> None:
-        cmd.add_argument("--chaos-seed", type=int, default=None,
-                         metavar="SEED",
+    def add_fabric_args(cmd) -> None:
+        cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
+                         default=DEFAULT_SHARDS,
+                         help="work-lease granularity (default: %(default)s)")
+        cmd.add_argument("--chaos-seed", type=int, metavar="SEED",
                          help="seed the deterministic fabric chaos "
                               "schedule (with --chaos; alone it names "
                               "an all-zero-rate plan)")
@@ -603,13 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "'{\"drop_rate\": 0.1, \"kill_rate\": "
                               "0.02}' — every worker runs this seeded "
                               "schedule (see campaign.dist.chaos)")
-        cmd.add_argument("--crosscheck", type=float, default=0.0,
+        cmd.add_argument("--crosscheck", type=_fraction_arg, default=0.0,
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "
-                              "a second worker and byte-compare "
-                              "(determinism audit: a mismatched class "
-                              "is reported and left missing; "
-                              "default: 0)")
+                              "a second worker and byte-compare (a "
+                              "mismatched class is reported and left "
+                              "missing; default: 0)")
 
     scan = sub.add_parser("scan", help="full fault-space scan")
     scan.add_argument("program")
@@ -619,14 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
-    scan.add_argument("--dist", type=int, default=None, metavar="N",
+    scan.add_argument("--dist", type=_count_arg(1), metavar="N",
                       help="distribute the scan over N local worker "
                            "processes via the TCP campaign fabric "
                            "(excludes --jobs and --samples)")
-    scan.add_argument("--shards", type=int, default=8, metavar="N",
-                      help="work-lease granularity for --dist "
-                           "(default: 8)")
-    add_chaos_args(scan)
+    add_fabric_args(scan)
     scan.set_defaults(func=cmd_scan)
 
     resume = sub.add_parser(
@@ -685,9 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "127.0.0.1; 0.0.0.0 for multi-host)")
     coordinator.add_argument("--port", type=int, default=7716,
                              help="TCP port to listen on (default: 7716)")
-    coordinator.add_argument("--shards", type=int, default=8, metavar="N",
-                             help="work-lease granularity (default: 8)")
-    add_chaos_args(coordinator)
+    add_fabric_args(coordinator)
     coordinator.set_defaults(func=cmd_coordinator)
 
     worker = sub.add_parser(

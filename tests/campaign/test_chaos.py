@@ -271,17 +271,17 @@ class TestChaosSoak:
         port = sock.getsockname()[1]
         first = DistCoordinator(
             memory_golden, sock=sock, shards=4, policy=POLICY,
-            journal=journal, chaos=ChaosPlan(stop_coordinator_after=4))
-        thread = serve_in_thread(first)
+            chaos=ChaosPlan(stop_coordinator_after=4))
+        thread = serve_in_thread(first, journal=journal)
         _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None  # the scheduled crash
         assert first.stopped
         import socket as socket_mod
         sock2 = socket_mod.create_server(("127.0.0.1", port))
         second = DistCoordinator(memory_golden, sock=sock2, shards=4,
-                                 policy=POLICY, journal=journal,
-                                 keep_records=True)
-        result = serve_in_thread(second).join_result(60)
+                                 policy=POLICY)
+        result = serve_in_thread(second, journal=journal,
+                                 keep_records=True).join_result(60)
         worker_thread.join(10)
         assert not errors
         assert result == memory_baseline
@@ -356,9 +356,8 @@ class TestIntegrity:
         merged: it stays missing for ``repro resume`` to re-execute."""
         sock = _server_socket()
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
-                                      policy=POLICY, keep_records=True,
-                                      crosscheck=1.0)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY, crosscheck=1.0)
+        thread = serve_in_thread(coordinator, keep_records=True)
         port = sock.getsockname()[1]
         liar = _RawWorker(port, name="liar")
         lease = liar.lease()

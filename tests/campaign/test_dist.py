@@ -77,6 +77,12 @@ def _server_socket():
     return socket.create_server(("127.0.0.1", 0))
 
 
+def _campaign_spec(golden, **kw) -> dict:
+    """The campaign frame a coordinator would ship to its workers."""
+    with _server_socket() as sock:
+        return DistCoordinator(golden, sock=sock, **kw)._campaign_message()
+
+
 def _start_worker(port: int, name: str, chaos=None, **kw):
     """Run a DistWorker on a daemon thread, capturing its exception."""
     kw.setdefault("reconnect_delay", 0.05)
@@ -96,15 +102,16 @@ def _start_worker(port: int, name: str, chaos=None, **kw):
 
 
 def run_dist(golden, *, workers=2, worker_chaos=None, worker_kw=None,
-             domain="memory", policy=POLICY, **coordinator_kw):
+             domain="memory", policy=POLICY, journal=None,
+             keep_records=True, progress=None, **coordinator_kw):
     """One distributed scan over loopback; returns its CampaignResult."""
     sock = _server_socket()
     port = sock.getsockname()[1]
     coordinator_kw.setdefault("shards", 4)
-    coordinator_kw.setdefault("keep_records", True)
     coordinator = DistCoordinator(golden, sock=sock, domain=domain,
                                   policy=policy, **coordinator_kw)
-    thread = serve_in_thread(coordinator)
+    thread = serve_in_thread(coordinator, journal=journal,
+                             keep_records=keep_records, progress=progress)
     chaos_by_worker = worker_chaos or [None] * workers
     spawned = [_start_worker(port, f"w{index}", chaos=chaos,
                              **(worker_kw or {}))
@@ -327,8 +334,8 @@ class TestDistChaos:
         sock = _server_socket()
         port = sock.getsockname()[1]
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                      policy=POLICY, keep_records=True)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY)
+        thread = serve_in_thread(coordinator, keep_records=True)
         _, doomed_thread, doomed_errors = _start_worker(
             port, "w0", chaos=ChaosPlan(drop_after_results=2),
             max_reconnects=0)
@@ -375,18 +382,17 @@ class TestDistChaos:
         sock = _server_socket()
         port = sock.getsockname()[1]
         first = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                policy=POLICY, journal=journal,
-                                stop_after_results=4)
-        thread = serve_in_thread(first)
+                                policy=POLICY, stop_after_results=4)
+        thread = serve_in_thread(first, journal=journal)
         _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None
         assert first.stopped
         # The worker is now reconnect-looping against a dead port.
         sock2 = socket.create_server(("127.0.0.1", port))
         second = DistCoordinator(memory_golden, sock=sock2, shards=4,
-                                 policy=POLICY, journal=journal,
-                                 keep_records=True)
-        result = serve_in_thread(second).join_result(60)
+                                 policy=POLICY)
+        result = serve_in_thread(second, journal=journal,
+                                 keep_records=True).join_result(60)
         worker_thread.join(10)
         assert not errors
         assert result == memory_baseline
@@ -403,9 +409,8 @@ class TestDistChaos:
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                      policy=POLICY, journal=journal,
-                                      stop_after_results=5)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY, stop_after_results=5)
+        thread = serve_in_thread(coordinator, journal=journal)
         _, worker_thread, _ = _start_worker(
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
@@ -443,8 +448,8 @@ class TestDistChaos:
         sock = _server_socket()
         port = sock.getsockname()[1]
         coordinator = DistCoordinator(golden, sock=sock, shards=4,
-                                      policy=POLICY, keep_records=True)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY)
+        thread = serve_in_thread(coordinator, keep_records=True)
         real = getattr(worker_mod, name)
         monkeypatch.setattr(worker_mod, name, fake(real))
         refused = DistWorker("127.0.0.1", port, name="refused")
@@ -476,8 +481,8 @@ class TestDistChaos:
 
         self._refused_then_served(
             monkeypatch, memory_golden, memory_baseline, "record_golden",
-            lambda real: lambda program: dataclasses.replace(
-                real(program), cycles=memory_golden.cycles + 1),
+            lambda real: lambda program, **kw: dataclasses.replace(
+                real(program, **kw), cycles=memory_golden.cycles + 1),
             "golden run mismatch")
 
     def test_protocol_version_mismatch_is_rejected(self, memory_golden):
@@ -495,17 +500,17 @@ class TestDistChaos:
         assert reply["type"] == "reject"
         assert "version" in reply["reason"]
         client.close()
-        # Protocol-3 (``heartbeat`` frames) and protocol-4 (per-bit
-        # ``rows`` lists) workers are refused at the handshake: versions
-        # are replaced, not forked.
-        for old in (3, 4):
+        # Protocol-3 (``heartbeat`` frames), protocol-4 (per-bit ``rows``
+        # lists) and protocol-5 (no ladder stride) workers are refused at
+        # the handshake: versions are replaced, not forked.
+        for old in (3, 4, 5):
             client = socket.create_connection(("127.0.0.1", port),
                                               timeout=5)
             stream = FrameStream(client)
             stream.send({"type": "hello", "version": old, "name": "old"})
             reply = stream.read(timeout=5.0)
             assert reply["type"] == "reject"
-            assert f"version {old} != 5" in reply["reason"]
+            assert f"version {old} != 6" in reply["reason"]
             client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
@@ -624,9 +629,10 @@ class TestSendWindow:
     def _serve(self, golden, **kw):
         sock = _server_socket()
         kw.setdefault("shards", 1)  # one lease holds every class
-        coordinator = DistCoordinator(golden, sock=sock, policy=POLICY,
-                                      keep_records=True, **kw)
-        return coordinator, serve_in_thread(coordinator), \
+        journal = kw.pop("journal", None)
+        coordinator = DistCoordinator(golden, sock=sock, policy=POLICY, **kw)
+        return coordinator, serve_in_thread(
+            coordinator, journal=journal, keep_records=True), \
             sock.getsockname()[1]
 
     def _one_item_spoiled(self, tmp_path, golden, baseline, index, spoil):
@@ -736,6 +742,33 @@ class TestSendWindow:
         assert result.execution.executed \
             == result.execution.total_units - 5
 
+    def test_a_stop_on_the_last_class_is_not_an_assembly(
+            self, tmp_path, memory_golden, memory_baseline):
+        """The crash hook firing on the final class still raises out of
+        the pipeline: nothing is assembled and the campaign is not
+        marked complete, though every class is journaled — a serial
+        resume then finishes it without executing anything."""
+        from repro.campaign.journal import ExperimentJournal
+
+        journal = tmp_path / "last.sqlite"
+        total = len(memory_baseline.class_outcomes)
+        _, thread, port = self._serve(memory_golden, journal=journal,
+                                      stop_after_results=total)
+        raw = _RawWorker(port)
+        lease = raw.lease()
+        raw.results(_class_items(raw.spec, lease))
+        assert thread.join_result(60) is None
+        raw.close()
+        with ExperimentJournal(journal) as log:
+            (entry,) = log.campaigns()
+        assert entry["status"] != "complete"
+        resumed = run_full_scan(memory_golden, journal=journal,
+                                keep_records=True)
+        assert resumed == memory_baseline
+        assert resumed.records == memory_baseline.records
+        assert resumed.execution.executed == 0
+        assert resumed.execution.resumed == total
+
     def test_a_copy_still_in_the_uncommitted_window_accounts_once(
             self, tmp_path, monkeypatch, memory_golden, memory_baseline):
         """With the journal's clock frozen and idle ticks not
@@ -802,8 +835,7 @@ class TestSendWindow:
         they do on every other transport — yet each leaves as its own
         item with its own CRC."""
         golden = record_golden(micro.memcopy(6))
-        spec = DistCoordinator(golden, domain="register") \
-            ._campaign_message()
+        spec = _campaign_spec(golden, domain="register")
         calls: list[int] = []
         items = [item for window in _run_lease(spec, calls=calls)
                  for item in window]
@@ -823,7 +855,7 @@ class TestSendWindow:
 
         monkeypatch.setattr(worker_mod, "_clock", clock)
         monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 5)
-        windows = _run_lease(DistCoordinator(golden)._campaign_message())
+        windows = _run_lease(_campaign_spec(golden))
         # Whatever the grouping: every class exactly once.
         keys = [tuple(item["key"]) for window in windows for item in window]
         assert len(keys) == len(set(keys)) == 12
@@ -861,7 +893,6 @@ class TestSendWindow:
         sock = _server_socket()
         coordinator = DistCoordinator(
             memory_golden, sock=sock, shards=4,
-            journal=tmp_path / "ticks.sqlite", keep_records=True,
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
                                backoff=0.05))
         #: ``_accepted`` as each watchdog tick saw it.
@@ -879,7 +910,9 @@ class TestSendWindow:
             CampaignRun, "idle",
             lambda run: (idle_calls.append(coordinator._accepted),
                          real_idle(run))[1])
-        thread = serve_in_thread(coordinator)
+        thread = serve_in_thread(coordinator,
+                                 journal=tmp_path / "ticks.sqlite",
+                                 keep_records=True)
         _, worker_thread, errors = _start_worker(
             sock.getsockname()[1], "w0")
         result = thread.join_result(60)
@@ -901,9 +934,9 @@ class TestDeadlines:
     def _serve(self, golden, shards):
         sock = _server_socket()
         coordinator = DistCoordinator(golden, sock=sock, shards=shards,
-                                      policy=self.DEADLINE,
-                                      keep_records=True)
-        return serve_in_thread(coordinator), sock.getsockname()[1]
+                                      policy=self.DEADLINE)
+        return serve_in_thread(coordinator, keep_records=True), \
+            sock.getsockname()[1]
 
     def test_progress_alone_keeps_a_long_lease(self, memory_golden,
                                                memory_baseline):
@@ -939,8 +972,8 @@ class TestDeadlines:
                            backoff=0.05, shard_timeout=3600.0)
         sock = _server_socket()
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
-                                      policy=hour, keep_records=True)
-        thread = serve_in_thread(coordinator)
+                                      policy=hour)
+        thread = serve_in_thread(coordinator, keep_records=True)
         port = sock.getsockname()[1]
         stalled = _RawWorker(port, name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
@@ -1012,6 +1045,20 @@ class TestDistJournalInterop:
         assert again == memory_baseline
         assert again.execution.executed == 0
 
+    def test_a_complete_campaign_journals_every_lease_done(
+            self, tmp_path, memory_golden):
+        """The last results can finish the campaign before their
+        ``lease_done`` frame is read; the final lease states are
+        journaled anyway, so ``repro fabric`` does not show a lease of
+        a complete campaign as still held."""
+        from repro.campaign.journal import ExperimentJournal
+
+        journal = tmp_path / "j.sqlite"
+        run_dist(memory_golden, journal=journal)
+        with ExperimentJournal(journal) as log:
+            (entry,) = log.fabric_report()
+        assert {lease["status"] for lease in entry["leases"]} == {"done"}
+
     def test_serial_journal_resumes_distributed(
             self, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "j.sqlite"
@@ -1048,9 +1095,8 @@ class TestDistJournalInterop:
         journal = tmp_path / "old.sqlite"
         sock = _server_socket()
         first = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                policy=POLICY, journal=journal,
-                                stop_after_results=3)
-        thread = serve_in_thread(first)
+                                policy=POLICY, stop_after_results=3)
+        thread = serve_in_thread(first, journal=journal)
         _, worker_thread, _ = _start_worker(
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
@@ -1115,8 +1161,8 @@ class TestDistSubprocess:
         sock = _server_socket()
         port = sock.getsockname()[1]
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                      policy=POLICY, keep_records=True)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY)
+        thread = serve_in_thread(coordinator, keep_records=True)
         doomed = _spawn_worker_proc(port, "doomed",
                                     chaos=ChaosPlan(die_after_results=2))
         survivor = None
@@ -1156,9 +1202,9 @@ class TestDistSubprocess:
                 progressed.set()
 
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
-                                      policy=POLICY, keep_records=True,
-                                      progress=progress)
-        thread = serve_in_thread(coordinator)
+                                      policy=POLICY)
+        thread = serve_in_thread(coordinator, keep_records=True,
+                                 progress=progress)
         victim = _spawn_worker_proc(port, "victim")
         replacement = None
         try:
@@ -1281,6 +1327,37 @@ class TestWorkerPartition:
         assert built.count(worker_thread.ident) == 1
 
 
+def test_the_fabric_serves_full_scans_only(memory_golden):
+    """The wire carries class runs: handed any other campaign style,
+    the coordinator refuses it instead of serving it wrongly."""
+    from repro.campaign.pipeline import campaign_params, run_campaign
+    from repro.campaign.runner import BruteStyle
+
+    with _server_socket() as sock:
+        coordinator = DistCoordinator(memory_golden, sock=sock)
+        style = BruteStyle(memory_golden, coordinator.domain,
+                           campaign_params(memory_golden, coordinator.config))
+        with pytest.raises(TypeError, match="full scans only"):
+            run_campaign(style, coordinator, None, True, None)
+
+
+class TestWorkerGolden:
+    def test_the_worker_records_the_coordinators_ladder(self):
+        """The campaign frame ships the golden ladder's stride, and a
+        worker records its golden run with it — no ladder, a fixed
+        stride or the auto-tuned one alike — so ``--checkpoint-stride``
+        reaches the executors that use it.  One worker serves the three
+        campaigns in turn: the stride is part of what it caches."""
+        program = micro.checksum_loop(3)
+        worker = DistWorker("127.0.0.1", 0, name="w")
+        for stride in (7, 0, None):
+            golden = record_golden(program, checkpoint_stride=stride)
+            executor, _ = worker._verify(_RecordingStream(),
+                                         _campaign_spec(golden))
+            assert executor.golden.checkpoints == golden.checkpoints
+            assert (golden.checkpoints is None) == (stride == 0)
+
+
 class TestAcceptanceSync2:
     """The issue's acceptance bar: distributed == serial, bit for bit,
     on the paper's sync2 pair, both domains, with a node killed."""
@@ -1319,9 +1396,8 @@ class TestAcceptanceSync2:
         sock = _server_socket()
         port = sock.getsockname()[1]
         first = DistCoordinator(golden, sock=sock, shards=4,
-                                policy=POLICY, journal=journal,
-                                stop_after_results=3)
-        thread = serve_in_thread(first)
+                                policy=POLICY, stop_after_results=3)
+        thread = serve_in_thread(first, journal=journal)
         _, doomed_thread, doomed_errors = _start_worker(
             port, "doomed", chaos=ChaosPlan(drop_after_results=2),
             max_reconnects=0)
@@ -1329,9 +1405,9 @@ class TestAcceptanceSync2:
         assert thread.join_result(120) is None  # simulated crash
         sock2 = socket.create_server(("127.0.0.1", port))
         second = DistCoordinator(golden, sock=sock2, shards=4,
-                                 policy=POLICY, journal=journal,
-                                 keep_records=True)
-        result = serve_in_thread(second).join_result(120)
+                                 policy=POLICY)
+        result = serve_in_thread(second, journal=journal,
+                                 keep_records=True).join_result(120)
         doomed_thread.join(10)
         steady_thread.join(10)
         assert not steady_errors

@@ -347,6 +347,24 @@ class TestCliDist:
         assert usage.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "memcopy", "--dist", "0"],
+        ["scan", "hi", "--dist", "2", "--shards", "0"],
+        ["scan", "hi", "--dist", "1", "--crosscheck", "1.5"],
+        ["coordinator", "hi", "--shards", "-1"],
+        ["scan", "hi", "--checkpoint-stride", "-1"],
+    ])
+    def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
+        """A fabric count below one or a cross-check fraction outside
+        [0, 1] is a usage error before anything runs — not a serial
+        scan (``--dist 0``), not a traceback."""
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[-2] in captured.err
+
     def test_worker_connect_must_be_host_port(self):
         with pytest.raises(SystemExit, match="HOST:PORT"):
             main(["worker", "--connect", "nonsense"])
