@@ -31,7 +31,8 @@ items of each outgoing window in order):
                cross-check audit can catch it
 ``delay``      sleep before the class joins the outgoing frame
                (reordering / lease-expiry stress)
-``kill``       ``os._exit(13)`` — only sane for subprocess workers; the
+``kill``       ``os._exit(13)`` — only sane for process workers (forked by
+               ``run_distributed_scan``, or ``repro worker``); the
                whole unsent window dies with the process, as under SIGKILL
 ``hang``       send the window up to this class, then sleep a long time
                mid-lease (wedged worker)
@@ -62,6 +63,9 @@ from .protocol import FrameStream, result_digest
 #: Environment variable carrying a full serialized :class:`ChaosPlan`.
 PLAN_ENV = "REPRO_CHAOS_PLAN"
 
+#: The delay/hang sleeper (module-level so tests can substitute one).
+_sleep = time.sleep
+
 
 class ChaosInterrupt(ConnectionError):
     """A chaos event severed this worker's connection (simulated death).
@@ -80,7 +84,8 @@ class ChaosPlan:
     private deterministic stream per ``(seed, worker, result index)``.
     The plan is frozen and JSON-serializable (:meth:`to_json` /
     :meth:`from_json`) so a chaos run can be named, shipped to
-    subprocess workers via :data:`PLAN_ENV`, and replayed bit-for-bit.
+    ``repro worker`` processes via :data:`PLAN_ENV`, and replayed
+    bit-for-bit.
     """
 
     seed: int = 0
@@ -95,7 +100,7 @@ class ChaosPlan:
     #: Sleep :attr:`delay_seconds` before sending.
     delay_rate: float = 0.0
     delay_seconds: float = 0.02
-    #: ``os._exit(13)`` instead of sending (subprocess workers only).
+    #: ``os._exit(13)`` instead of sending (process workers only).
     kill_rate: float = 0.0
     #: Sleep :attr:`hang_seconds` after sending (wedged worker).
     hang_rate: float = 0.0
@@ -315,7 +320,7 @@ class ChaosFrameStream:
                 item["crc"] = result_digest(item["key"], item["run"])
             if "delay" in events:
                 chaos._count("delay")
-                time.sleep(plan.delay_seconds)
+                _sleep(plan.delay_seconds)
             out.append(item)
             chaos.results_sent += 1
             if "dup" in events \
@@ -332,7 +337,7 @@ class ChaosFrameStream:
                 chaos._count("hang")
                 self._send_items(message, out)
                 out = []
-                time.sleep(plan.hang_seconds)
+                _sleep(plan.hang_seconds)
         self._send_items(message, out)
 
     def _send_items(self, message: dict, items: list[dict]) -> None:

@@ -48,14 +48,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
+import multiprocessing
 import random
 import socket
-import subprocess
-import sys
 import threading
 import time
 from collections import Counter
+from multiprocessing.util import register_after_fork
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..database import program_fingerprint
@@ -66,10 +65,11 @@ from ..parallel import RetryPolicy
 from ..pipeline import (CampaignRun, ProgressCallback, campaign_params,
                         plan_class_shards, run_campaign)
 from ..runner import ScanStyle
-from .chaos import PLAN_ENV, ChaosPlan, plan_from_spec
+from .chaos import ChaosPlan, plan_from_spec
 from .leases import FAILED, LeaseBoard
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
                        result_digest, write_frame)
+from .worker import DistWorker
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
@@ -682,6 +682,12 @@ def _free_server_socket(host: str) -> socket.socket:
     return socket.create_server((host, 0))
 
 
+def _local_worker(host: str, port: int, name: str,
+                  plan: ChaosPlan | None) -> None:
+    """What each :func:`run_distributed_scan` worker process runs."""
+    DistWorker(host, port, name=name, chaos=plan).run()
+
+
 def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          domain: FaultDomain | str = MEMORY,
                          executor_config: ExecutorConfig | None = None,
@@ -692,16 +698,17 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
                          chaos=None, crosscheck: float = 0.0):
-    """:func:`serve_scan` with ``workers`` locally spawned workers.
+    """:func:`serve_scan` with ``workers`` local worker processes.
 
     For single-machine use (and the CLI's ``scan --dist N``): binds an
-    ephemeral port, spawns ``python -m repro worker`` subprocesses and
-    serves the coordinator in the calling thread; returns what
-    :func:`serve_scan` returns (``None`` after a chaos-scheduled
-    coordinator stop).  Multi-host campaigns start ``repro
-    coordinator`` and ``repro worker`` by hand instead.  ``chaos`` (a
-    :class:`~.chaos.ChaosPlan` or a plan-shaped dict) goes into every
-    worker's environment, so the fleet runs one seeded schedule; its
+    ephemeral port, starts the workers with the process pool's start
+    method (a fork on Linux: nothing is re-imported) and serves the
+    coordinator in the calling thread; returns what :func:`serve_scan`
+    returns (``None`` after a chaos-scheduled coordinator stop).  Each
+    worker joins over TCP and verifies the campaign as a ``repro
+    worker`` on another host does.  ``chaos`` (a
+    :class:`~.chaos.ChaosPlan` or a plan-shaped dict) goes to every
+    worker, so the fleet runs one seeded schedule; its
     coordinator-side fields apply here.
 
     Once serving ends the workers have nothing left to do: any still
@@ -713,43 +720,33 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
         raise ValueError(f"workers must be >= 1, got {workers}")
     plan = plan_from_spec(chaos)
     sock = _free_server_socket(host)
+    # The port dies with the coordinator, not with the last worker.
+    register_after_fork(sock, socket.socket.close)
     port = sock.getsockname()[1]
-    procs: list[subprocess.Popen] = []
+    context, procs = multiprocessing.get_context(), []
     # Everything after binding is inside the try: a coordinator that
-    # refuses its arguments, or a spawn that fails part-way, must not
-    # leave the socket open or the workers already spawned reconnecting
-    # forever (``repro worker`` retries without limit).
+    # refuses its arguments, or a start that fails part-way, must not
+    # leave the socket open or the workers already started reconnecting
+    # forever (a worker retries without limit).
     try:
         coordinator = DistCoordinator(
             golden, sock=sock, domain=domain,
             executor_config=executor_config, policy=policy, shards=shards,
             expected_workers=workers, chaos=plan, crosscheck=crosscheck)
-        import repro
-
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        if plan is not None and plan.active:
-            env[PLAN_ENV] = plan.to_json()
         for index in range(workers):
-            procs.append(subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--connect", f"{host}:{port}", "--name", f"worker-{index}"],
-                env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL))
+            proc = context.Process(target=_local_worker,
+                                   args=(host, port, f"worker-{index}", plan))
+            proc.start()
+            procs.append(proc)
         return serve_scan(coordinator, journal=journal, resume=resume,
                           keep_records=keep_records, progress=progress)
     finally:
         # Serving closes the socket itself; closing it again is a no-op.
         sock.close()
         for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
+            proc.terminate()  # a worker that has exited ignores it
         for proc in procs:
-            proc.wait()
+            proc.join()
 
 
 def serve_in_thread(coordinator: DistCoordinator,

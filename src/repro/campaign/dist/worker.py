@@ -74,8 +74,10 @@ from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
 WINDOW_CLASSES = 64
 WINDOW_S = 0.25
 
-#: The window's clock (module-level so tests can substitute a virtual one).
+#: The window's clock and the reconnect backoff's sleeper (module-level
+#: so tests can substitute virtual ones).
 _clock = time.monotonic
+_sleep = time.sleep
 
 
 def _stored_run(rows) -> list[str]:
@@ -161,7 +163,7 @@ class DistWorker:
                     self.reconnect_delay * (2.0 ** (failures - 1)))
         # Full jitter: a fleet of workers orphaned by the same
         # coordinator crash must not reconnect in step.
-        time.sleep(delay * (0.5 + 0.5 * self._rng.random()))
+        _sleep(delay * (0.5 + 0.5 * self._rng.random()))
 
     # -- one connection ---------------------------------------------------------
 
@@ -270,12 +272,29 @@ class DistWorker:
                 self._finished = True
                 return
             if kind == "wait":
-                time.sleep(min(float(frame["seconds"]), 1.0))
+                if self._wait(stream, min(float(frame["seconds"]), 1.0)):
+                    return
                 continue
             if kind != "lease":
                 raise ProtocolError(f"expected lease, got {kind!r}")
             if self._run_lease(stream, frame, executor, intervals):
                 return  # saw "done" mid-lease
+
+    def _wait(self, stream: FrameStream, seconds: float) -> bool:
+        """Wait out a ``wait`` grant on the stream, not in a sleep: True
+        as soon as the coordinator says ``done`` (the campaign ended
+        meanwhile), False once ``seconds`` pass without a frame."""
+        try:
+            frame = stream.read(timeout=seconds)
+        except socket.timeout:
+            return False
+        if frame is None:
+            raise ConnectionError("coordinator closed the connection")
+        if frame.get("type") != "done":
+            raise ProtocolError(
+                f"expected done during a wait, got {frame.get('type')!r}")
+        self._finished = True
+        return True
 
     def _run_lease(self, stream: FrameStream, lease: dict, executor,
                    intervals) -> bool:

@@ -87,9 +87,11 @@ __all__ = [
     "shard_by_cost",
 ]
 
-#: The deadline loop's clock (module-level so tests can substitute a
-#: virtual one).
+#: The deadline loop's clock and the sleeper of the retry backoff and
+#: the ``REPRO_CHAOS`` hooks (module-level so tests can substitute
+#: virtual ones).
 _clock = time.monotonic
+_sleep = time.sleep
 
 
 def resolve_jobs(jobs: int | None) -> int | None:
@@ -189,10 +191,10 @@ def _chaos(index: int, attempt: int) -> None:
         return
     data = json.loads(spec)
     if [index, attempt] in data.get("die", []):
-        time.sleep(data.get("die_delay", 0.0))
+        _sleep(data.get("die_delay", 0.0))
         os._exit(13)
     if [index, attempt] in data.get("hang", []):
-        time.sleep(data.get("hang_seconds", 600.0))
+        _sleep(data.get("hang_seconds", 600.0))
 
 
 def _pool_shard(task):
@@ -338,8 +340,8 @@ class ParallelCampaign:
                     retried += 1
             if retried:
                 report.shard_retries += retried
-                time.sleep(backoff * (1.0 + policy.backoff_jitter
-                                      * random.random()))
+                _sleep(backoff * (1.0 + policy.backoff_jitter
+                                  * random.random()))
                 backoff *= policy.backoff_factor
 
     # -- campaign styles -----------------------------------------------------

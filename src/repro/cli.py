@@ -49,7 +49,7 @@ Commands:
     Serve a distributed full scan: workers connect over TCP, pull work
     leases, and stream results back; the coordinator owns the journal
     and survives worker loss (see ``repro worker``).  ``scan --dist N``
-    does the same in one command, spawning N local worker processes.
+    does the same in one command, forking N local worker processes.
 ``worker --connect HOST:PORT [--name N]``
     Join a distributed campaign as a worker.  The worker re-assembles
     the program from shipped source and re-verifies the golden run

@@ -11,6 +11,7 @@ lost for good.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -549,6 +550,43 @@ class _RawWorker:
 
     def close(self) -> None:
         self.sock.close()
+
+
+class TestWorkerWait:
+    def test_a_wait_ends_when_done_arrives(self, memory_golden):
+        """A ``wait`` grant is spent reading the stream, not asleep: a
+        raw-socket coordinator grants 30 s, says ``done`` 50 ms later,
+        and the worker returns at once instead of after its 1 s cap."""
+        spec = _campaign_spec(memory_golden)
+        server = _server_socket()
+        said_done: list[float] = []
+
+        def coordinate():
+            conn, _ = server.accept()
+            with conn:
+                stream = FrameStream(conn)
+                stream.read(timeout=5.0)  # hello
+                stream.send(spec)
+                stream.read(timeout=5.0)  # ready
+                stream.read(timeout=5.0)  # request
+                stream.send({"type": "wait", "seconds": 30})
+                time.sleep(0.05)
+                said_done.append(time.monotonic())
+                stream.send({"type": "done"})
+                stream.read(timeout=5.0)  # until the worker hangs up
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        worker = DistWorker("127.0.0.1", server.getsockname()[1],
+                            name="w", max_reconnects=0)
+        try:
+            assert worker.run() == 0
+            returned = time.monotonic()
+            thread.join(10)
+        finally:
+            server.close()
+        assert worker._finished
+        assert returned - said_done[0] < 0.5
 
 
 class _RecordingStream:
@@ -1132,8 +1170,8 @@ class TestDistJournalInterop:
         assert "shard 5: split, 0 attempt(s)" in out
 
 
-def _spawn_worker_proc(port: int, name: str, chaos=None):
-    """Start ``python -m repro worker`` as a real subprocess."""
+def _repro_env() -> dict:
+    """This environment, with the checkout under test importable."""
     import repro
 
     env = dict(os.environ)
@@ -1141,6 +1179,12 @@ def _spawn_worker_proc(port: int, name: str, chaos=None):
         os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _spawn_worker_proc(port: int, name: str, chaos=None):
+    """Start ``python -m repro worker`` as a real subprocess."""
+    env = _repro_env()
     if chaos:
         env["REPRO_CHAOS_PLAN"] = chaos.to_json()
     else:
@@ -1254,8 +1298,8 @@ class TestDistSubprocess:
     def test_a_failed_start_leaks_no_socket_and_no_worker(
             self, monkeypatch, memory_golden):
         """If the coordinator refuses its arguments, or the second
-        worker cannot be spawned, the bound socket is closed and the
-        worker already spawned — which would otherwise reconnect
+        worker process cannot be started, the bound socket is closed and
+        the worker already started — which would otherwise reconnect
         forever — is terminated and reaped."""
         import repro.campaign.dist.coordinator as coordinator_mod
 
@@ -1272,21 +1316,93 @@ class TestDistSubprocess:
             run_distributed_scan(memory_golden, workers=2, shards=0)
         assert bound[-1].fileno() == -1
 
-        spawned: list[subprocess.Popen] = []
-        popen = subprocess.Popen
+        started: list[multiprocessing.process.BaseProcess] = []
+        start = multiprocessing.process.BaseProcess.start
 
-        def second_fails(*args, **kwargs):
-            if spawned:
+        def second_fails(proc):
+            if started:
                 raise OSError("no more processes")
-            spawned.append(popen(*args, **kwargs))
-            return spawned[-1]
+            start(proc)
+            started.append(proc)
 
-        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            second_fails)
         with pytest.raises(OSError, match="no more processes"):
             run_distributed_scan(memory_golden, workers=2)
-        (first,) = spawned
-        assert first.returncode is not None  # terminated and reaped
+        (first,) = started
+        assert first.exitcode is not None  # terminated and reaped
         assert bound[-1].fileno() == -1
+
+    def test_workers_start_without_a_new_interpreter(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """Local workers are processes of the pool's start method,
+        not ``python -m repro worker`` commands: with every subprocess
+        launch refused, the scan still equals serial."""
+        def refused(*args, **kwargs):
+            raise OSError("no subprocess launches here")
+
+        monkeypatch.setattr(subprocess, "Popen", refused)
+        result = run_distributed_scan(memory_golden, workers=2,
+                                      keep_records=True)
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.complete
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or multiprocessing.get_start_method() != "fork",
+        reason="reads /proc of a forked worker")
+    def test_a_forked_worker_drops_the_listening_socket(
+            self, monkeypatch, tmp_path, memory_golden, memory_baseline):
+        """The port dies with the coordinator: no forked worker holds a
+        copy of its listening socket, which would keep it accepting."""
+        import repro.campaign.dist.coordinator as coordinator_mod
+
+        listening: list[str] = []
+        free = coordinator_mod._free_server_socket
+
+        def captured(host):
+            sock = free(host)
+            listening.append(os.readlink(f"/proc/self/fd/{sock.fileno()}"))
+            return sock
+
+        seen = tmp_path / "fds.txt"
+        local_worker = coordinator_mod._local_worker
+
+        def inspecting(*args):
+            fds = f"/proc/{os.getpid()}/fd"
+            links = []
+            for fd in os.listdir(fds):
+                try:
+                    links.append(os.readlink(f"{fds}/{fd}"))
+                except OSError:
+                    pass  # the fd listdir itself held
+            seen.write_text("\n".join(links))
+            local_worker(*args)
+
+        monkeypatch.setattr(coordinator_mod, "_free_server_socket",
+                            captured)
+        monkeypatch.setattr(coordinator_mod, "_local_worker", inspecting)
+        result = run_distributed_scan(memory_golden, workers=1,
+                                      keep_records=True)
+        assert result == memory_baseline
+        (link,) = listening
+        assert link.startswith("socket:")
+        assert link not in seen.read_text().split("\n")
+
+    def test_cli_fleet_prints_once_and_quietly(self):
+        """``repro scan --dist 2`` into a pipe: a forked worker must not
+        flush the parent's buffered stdout a second time, and nothing a
+        worker does ends in a traceback on the shared stderr."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "scan", "hi", "--dist", "2"],
+            env=_repro_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        headers = [line for line in done.stdout.splitlines()
+                   if line.startswith("hi [memory domain]")]
+        assert len(headers) == 1, done.stdout
+        assert "absolute failure count F:" in done.stdout
+        assert "Traceback" not in done.stderr, done.stderr
 
     def test_resuming_a_complete_journal_does_not_wait_on_workers(
             self, tmp_path):

@@ -21,6 +21,7 @@ engines.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import sqlite3
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,6 +285,34 @@ class TestWorkerDeath:
         assert result == baseline
         assert result.execution.shard_retries >= 1
         assert result.execution.complete
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the recording sleeper reaches pool workers by fork")
+    def test_retry_backoff_sleeps_on_the_injected_sleeper(
+            self, monkeypatch, memory_golden, memory_baseline):
+        """A shard that dies once costs one backoff, ``backoff × (1 +
+        jitter·U)``, and the die hook's delay: both go to
+        ``parallel._sleep``, so a recording sleeper takes them and no
+        real second passes."""
+        from repro.campaign import parallel
+
+        slept: list[float] = []
+        monkeypatch.setattr(parallel, "_sleep", slept.append)
+        monkeypatch.setattr(parallel, "random",
+                            SimpleNamespace(random=lambda: 0.5))
+        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
+            {"die": [[0, 0]], "die_delay": 600.0}))
+        start = time.monotonic()
+        result = run_full_scan(
+            memory_golden, jobs=2, keep_records=True,
+            policy=RetryPolicy(backoff=600.0, backoff_jitter=0.25))
+        assert time.monotonic() - start < 60.0
+        assert result == memory_baseline
+        assert result.execution.shard_retries >= 1
+        # The parent's one backoff; the worker's die_delay was recorded
+        # in the forked worker's copy of the list.
+        assert slept == [600.0 * (1.0 + 0.25 * 0.5)]
 
     def test_exhausted_retries_degrade_to_partial_result(
             self, monkeypatch, memory_golden, memory_baseline):
