@@ -2,7 +2,7 @@
 
 Not a paper figure — this exercises the durable experiment journal the
 way a real long campaign would hit it: a scan is interrupted partway
-(and, separately, a worker process is killed mid-shard), then resumed
+(and, separately, a worker process is killed mid-lease), then resumed
 from the journal.  The resumed result must be bit-for-bit identical to
 an uninterrupted run, and the resume must re-execute only the missing
 work units.
@@ -21,6 +21,7 @@ import time
 from repro.campaign import (RetryPolicy, export_class_results_csv,
                             journal as journal_module, record_golden,
                             run_full_scan)
+from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.campaign.journal import COMMIT_WINDOW_S, ExperimentJournal
 from repro.programs import hi, sync2
 
@@ -77,19 +78,18 @@ def test_interrupted_scan_resumes_bit_for_bit(tmp_path, output_dir):
     (output_dir / "journal_resume.txt").write_text("\n".join(lines) + "\n")
 
 
-def test_killed_worker_is_retried_and_result_unchanged(tmp_path):
-    """SIGKILL a shard worker mid-campaign; retry must restore exactness."""
+def test_killed_worker_is_retried_and_result_unchanged(tmp_path,
+                                                       monkeypatch):
+    """Kill each fabric worker at its first result (``os._exit``, as
+    under SIGKILL); the lease retry on its replacement must restore
+    exactness."""
     golden = record_golden(_program())
     baseline = run_full_scan(golden, keep_records=True)
-    os.environ["REPRO_CHAOS"] = \
-        '{"die": [[0, 0]], "die_delay": 0.2}'
-    try:
-        survived = run_full_scan(
-            golden, jobs=2, keep_records=True,
-            journal=tmp_path / "chaos.sqlite",
-            policy=RetryPolicy(backoff=0.05))
-    finally:
-        del os.environ["REPRO_CHAOS"]
+    monkeypatch.setenv(PLAN_ENV, ChaosPlan(die_after_results=0).to_json())
+    survived = run_full_scan(
+        golden, jobs=2, keep_records=True,
+        journal=tmp_path / "chaos.sqlite",
+        policy=RetryPolicy(backoff=0.05))
     assert survived == baseline
     assert survived.execution.shard_retries >= 1
     assert survived.execution.complete

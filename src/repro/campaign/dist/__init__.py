@@ -1,10 +1,12 @@
 """Distributed campaign fabric: lease-based multi-host fault injection.
 
 A coordinator process owns the SQLite experiment journal and hands out
-*work leases* — shards of the same cost-balanced class plan the
-in-process pool computes — to worker processes over TCP.  Workers
-re-verify the golden run before executing (a stale checkout can never
-pollute results) and stream class results back a send window at a
+*work leases* — cost-balanced shards of any campaign style's units — to
+worker processes over TCP: forks of the campaign's own process for
+``jobs=N`` and ``scan --dist N`` (:class:`~repro.campaign.dist
+.coordinator.LocalFabric`), or ``repro worker`` processes anywhere.
+Workers re-verify the golden run before executing (a stale checkout can
+never pollute results) and stream unit results back a send window at a
 time; the coordinator reassigns expired leases with exponential backoff
 and a retry budget, merges duplicate submissions idempotently through
 the journal keys, and degrades permanently lost shards into
@@ -12,11 +14,11 @@ the journal keys, and degrades permanently lost shards into
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.
 
-Lease retry plus first-wins merge is the whole failure policy, the
-same one the process pool applies.  On top of it sit only layers that
-catch what retry and merge cannot: a per-class CRC and shape check (a
-payload damaged between a worker's executor and the journal), the
-fingerprint/golden re-verification (a worker built from other code),
+Lease retry plus first-wins merge is the whole failure policy.  On top
+of it sit only layers that catch what retry and merge cannot: a
+per-unit CRC and shape check (a payload damaged between a worker's
+executor and the journal), the fingerprint/golden re-verification (a
+worker built from other code),
 and the ``crosscheck`` determinism audit (two verified builds that
 still compute different outcomes — reported and left missing, never
 outvoted).  A seeded :class:`~repro.campaign.dist.chaos.ChaosPlan`
@@ -35,7 +37,8 @@ from .chaos import (
     plan_from_env,
     plan_from_spec,
 )
-from .coordinator import DistCoordinator, run_distributed_scan, serve_scan
+from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,
+                          serve_scan)
 from .leases import LeaseBoard, ShardLease
 from .protocol import (
     PROTOCOL_VERSION,
@@ -57,6 +60,7 @@ __all__ = [
     "DistWorker",
     "FrameStream",
     "LeaseBoard",
+    "LocalFabric",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ShardLease",

@@ -1,46 +1,50 @@
 """Campaign coordinator: leases shards to TCP workers, audits them.
 
 A :class:`DistCoordinator` is a transport of
-:func:`~repro.campaign.pipeline.run_campaign`, like the in-process one
-and the process pool, and :func:`serve_scan` is the fabric's one way
-into it: prologue (journal, resume, validation, composition),
-accounting, progress and canonical-order assembly are the pipeline's.
-The coordinator plans the shards the process pool would
-(:func:`~repro.campaign.pipeline.plan_class_shards` over the *full*
-live-class list, so shard indices survive restarts) and serves
-:class:`~.leases.ShardLease` grants; workers stream class results back
-one send window (one ``results`` frame) at a time.  What it keeps of
-its own is what at-least-once delivery over a network needs:
+:func:`~repro.campaign.pipeline.run_campaign`, like the in-process one:
+prologue (journal, resume, validation, composition), accounting,
+progress and canonical-order assembly are the pipeline's.  It serves
+any campaign style — the ``campaign`` frame names it and each worker
+rebuilds it — planning the style's shards over its *full* unit list
+(so shard indices survive restarts) and serving
+:class:`~.leases.ShardLease` grants; workers stream unit results back
+one send window (one ``results`` frame) at a time.  :class:`LocalFabric`
+runs it over forked local workers (``jobs=N``, ``scan --dist N``);
+:func:`serve_scan` over whichever workers connect.  What it keeps of
+its own is what at-least-once delivery over a network needs, and the
+style states each step for its units:
 
-* **First-wins merge.**  Lease expiry, reconnects and retransmits
-  duplicate submissions, so every window funnels through
-  :meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, which
-  journals only the first copy of a class and names the classes it
-  took; only those reach the pipeline's sink
-  (:meth:`~repro.campaign.pipeline.CampaignRun.count`).  Workers
-  re-verify program fingerprint and golden Δt before executing, so a
-  class has one possible value and the result is bit-for-bit serial.
-* **Lease retry** (:class:`~.leases.LeaseBoard`), the pool's policy: an
-  expired, orphaned or half-delivered lease is re-queued with backoff
-  and a retry budget, then its keys degrade into
-  ``ExecutionReport.missing``.  Results and lease state are journaled
-  as they arrive (committed by the journal's window, or the first idle
-  watchdog tick), so a restarted coordinator loses only work in flight.
-* **Integrity**, per class, before any accounting: the CRC is
-  re-derived from the run strings and their shape checked against the
-  domain's experiment count; a bad class is rejected (not progress: its
+* **First-wins merge** (``style.merge``).  Lease expiry, reconnects and
+  retransmits duplicate submissions, so every window is merged first
+  copy wins — a full scan through
+  :meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, one
+  existence query per window — and only the units taken reach the
+  pipeline's sink (:meth:`~repro.campaign.pipeline.CampaignRun.count`).
+  Workers re-verify program fingerprint and golden Δt before executing,
+  so a unit has one possible value and the result is bit-for-bit
+  serial.
+* **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
+  or half-delivered lease is re-queued with backoff and a retry budget,
+  then its keys degrade into ``ExecutionReport.missing``.  Results and
+  lease state are journaled as they arrive (committed by the journal's
+  window, or the first idle watchdog tick), so a restarted coordinator
+  loses only work in flight.
+* **Integrity**, per unit, before any accounting: the CRC is
+  re-derived from the run strings and their shape checked
+  (``style.valid_run``); a bad unit is rejected (not progress: its
   lease re-grants it) and its neighbours merge.
 * **The determinism audit** (``crosscheck``): a deterministic fraction
   of keys is re-executed on a *second* worker (verify leases: negative
   lease id, ``shard == -1``) and the digests compared.  A mismatch is a
   bug to report, not a vote to hold: a ``crosscheck-mismatch`` event
-  names both workers and digests, the class leaves the journal and the
-  run, later copies are refused, and it stays missing for ``repro
-  resume``.  Because of that discard, the section store is written once
-  serving ends, from the runs as they arrived.
+  names both workers and digests, the unit leaves the journal
+  (``style.discard``) and the run, later copies are refused, and it
+  stays missing for ``repro resume``.  Because of that discard, the
+  section store is written once serving ends (``style.store``), from
+  the runs as they arrived.
 
 Time is read through the module-level :data:`_clock` (lease grants,
-expiry, progress), so tests can substitute a virtual one.
+expiry, progress heartbeats), so tests can substitute a virtual one.
 """
 
 from __future__ import annotations
@@ -60,13 +64,11 @@ from ...faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
-from ..outcomes import Outcome
-from ..parallel import RetryPolicy
-from ..pipeline import (CampaignRun, ProgressCallback, campaign_params,
-                        plan_class_shards, run_campaign)
+from ..pipeline import (CampaignRun, CampaignStyle, ProgressCallback,
+                        campaign_params, run_campaign)
 from ..runner import ScanStyle
 from .chaos import ChaosPlan, plan_from_spec
-from .leases import FAILED, LeaseBoard
+from .leases import FAILED, LeaseBoard, RetryPolicy
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
                        result_digest, write_frame)
 from .worker import DistWorker
@@ -74,9 +76,6 @@ from .worker import DistWorker
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
 DEFAULT_SHARDS = 8
-
-#: Valid outcome strings a result row may carry.
-_OUTCOME_VALUES = frozenset(outcome.value for outcome in Outcome)
 
 #: Keys per verify (cross-check) lease: small batches keep the second
 #: worker's turnaround short so disputes surface quickly.
@@ -103,9 +102,9 @@ class CoordinatorStopped(Exception):
 
 
 class DistCoordinator:
-    """The fabric transport: serves a full scan to TCP workers on
+    """The fabric transport: serves a campaign to TCP workers on
     ``sock``, a bound listening socket.  Journal, resume, records and
-    progress are campaign arguments, :func:`serve_scan`'s.
+    progress are campaign arguments, :func:`run_campaign`'s.
 
     ``shards`` fixes the lease granularity (finer shards rebalance
     better after node loss; coarser ones amortize more snapshot
@@ -122,6 +121,10 @@ class DistCoordinator:
     plan's :attr:`~.chaos.ChaosPlan.stop_coordinator_after` maps onto
     it, so one seeded schedule drives both sides of the fabric.
     """
+
+    #: The :class:`LocalFabric` whose workers this coordinator serves
+    #: (it tends them), or ``None``: workers come and go on their own.
+    fleet = None
 
     def __init__(self, golden: GoldenRun, *, sock: socket.socket,
                  domain: FaultDomain | str = MEMORY,
@@ -170,7 +173,7 @@ class DistCoordinator:
 
     # -- identity shipped to workers -------------------------------------------
 
-    def _campaign_message(self) -> dict:
+    def _campaign_message(self, style: CampaignStyle) -> dict:
         program = self.golden.program
         ladder = self.golden.checkpoints
         return {
@@ -187,6 +190,7 @@ class DistCoordinator:
             # a worker's early exits are the ones asked for here.
             "stride": 0 if ladder is None else ladder.stride,
             "config": dataclasses.asdict(self.config),
+            "style": style.spec(),
         }
 
     # -- lifecycle --------------------------------------------------------------
@@ -195,20 +199,19 @@ class DistCoordinator:
         """The transport: serve ``run`` until the board is done, then
         leave the report's fabric fields and the section store written
         for the pipeline to assemble."""
-        if not isinstance(run.style, ScanStyle):
-            raise TypeError(
-                f"the fabric carries class runs, so it serves full scans "
-                f"only, not {type(run.style).__name__}")
         # The loop runs in the calling thread: the journal connection
         # run_campaign opened there is thread-affine.
+        self._error: Exception | None = None
         asyncio.run(self._serve(run))
+        if self._error is not None:
+            raise self._error
         if self.stopped:
             raise CoordinatorStopped(
-                f"crash hook fired after {self._accepted} classes")
-        # Only classes taken fresh and not discarded by the audit reach
+                f"crash hook fired after {self._accepted} units")
+        # Only units taken fresh and not discarded by the audit reach
         # the section store (resumed ones came from it or are in it).
-        run.composer.store_runs(
-            (self._by_key[key], stored) for key, stored in self._runs.items())
+        if run.composer is not None:
+            run.style.store(run.composer, self._runs)
         report = run.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
@@ -216,26 +219,29 @@ class DistCoordinator:
         self._journal_leases()  # final lease states stay queryable
 
     async def _serve(self, run: CampaignRun) -> None:
-        golden, domain = self.golden, self.domain
         # The pipeline's prologue has loaded, validated and composed:
-        # ``run.completed`` classes are never leased to any worker.
+        # ``run.completed`` units are never leased to any worker.
         self.run = run
+        self.style = style = run.style
         self.handle = handle = run.handle
         self.report = run.report
-        self._by_key = run.style.units
+        self._units = style.units
+        self._message = self._campaign_message(style)
         completed = run.completed
-        # Plan over the FULL live list (small campaigns: one shard per
+        # Plan over the FULL unit list (small campaigns: one shard per
         # expected worker): shard indices and key lists are a pure
         # function of the arguments, so journaled retry state survives
         # a restart.
-        planned, _, costs = plan_class_shards(
-            list(self._by_key.values()), golden.cycles, bits=domain.bits,
-            parts=self.shards, workers=self.expected_workers)
+        all_keys = list(self._units)
+        planned, _, costs = style.plan(list(self._units.values()),
+                                       self.shards, self.expected_workers)
         board = LeaseBoard(policy=self.policy,
-                           key_costs=dict(zip(self._by_key, costs)))
+                           key_costs=dict(zip(all_keys, costs)))
         journaled_leases = handle.lease_states()
+        start = 0
         for index, shard in enumerate(planned):
-            keys = [domain.class_key(interval) for interval in shard]
+            keys = all_keys[start:start + len(shard)]
+            start += len(shard)
             board.add_shard(index, keys,
                             [key for key in keys if key not in completed])
             stored = journaled_leases.get(index)
@@ -280,24 +286,47 @@ class DistCoordinator:
             if self._conn_tasks:
                 await asyncio.wait(self._conn_tasks, timeout=2.0)
 
+    def _fail(self, exc: Exception) -> None:
+        """An exception out of the pipeline — a progress callback that
+        aborts the campaign, a journal write — ends serving, and
+        :meth:`__call__` raises it where a serial run would."""
+        if self._error is None:
+            self._error = exc
+        self._done.set()
+
     async def _watchdog(self):
         accepted = self._accepted
-        while True:
-            await asyncio.sleep(self.policy.poll_interval)
-            now = _clock()
-            expired = self.board.expire(now)
-            if expired:
-                self.report.timed_out_shards += len(expired)
-                self._journal_leases()
-            self._drain_crosschecks(now)
-            self._maybe_finish()
-            # Results arrive in bursts; whatever the last burst left in
-            # the journal's commit window is committed once the loop
-            # idles — a tick that saw classes accepted is not idle, and
-            # committing on it would undercut the journal's own window.
-            if accepted == self._accepted:
-                self.run.idle()
-            accepted = self._accepted
+        last_beat = _clock()
+        try:
+            while True:
+                await asyncio.sleep(self.policy.poll_interval)
+                now = _clock()
+                expired = self.board.expire(now)
+                if expired:
+                    self.report.timed_out_shards += len(expired)
+                    self._journal_leases()
+                if self.fleet is not None and not self.board.done() \
+                        and not self.fleet.tend():
+                    # Every local worker is gone: nobody takes the rest.
+                    self.board.abandon()
+                    self._journal_leases()
+                self._drain_crosschecks(now)
+                self._maybe_finish()
+                if now - last_beat >= self.policy.heartbeat:
+                    # Unchanged counts: how a caller tells a slow
+                    # campaign from a dead one.
+                    self.run.heartbeat()
+                    last_beat = now
+                # Results arrive in bursts; whatever the last burst left
+                # in the journal's commit window is committed once the
+                # loop idles — a tick that saw units accepted is not
+                # idle, and committing on it would undercut the
+                # journal's own window.
+                if accepted == self._accepted:
+                    self.run.idle()
+                accepted = self._accepted
+        except Exception as exc:  # noqa: BLE001 - re-raised by __call__
+            self._fail(exc)
 
     # -- per-connection protocol ------------------------------------------------
 
@@ -330,7 +359,7 @@ class DistCoordinator:
                 # accounting is per worker name.
                 name = f"{name}#{id(writer) & 0xffff:04x}"
             self._writers[name] = writer
-            write_frame(writer, self._campaign_message())
+            write_frame(writer, self._message)
             await writer.drain()
             ready = await read_frame(reader)
             if ready is None or ready.get("type") != "ready":
@@ -340,6 +369,8 @@ class DistCoordinator:
             await self._session(name, reader, writer)
         except (ProtocolError, ConnectionError, OSError):
             pass
+        except Exception as exc:  # noqa: BLE001 - re-raised by __call__
+            self._fail(exc)
         finally:
             if name is not None:
                 self._writers.pop(name, None)
@@ -472,21 +503,21 @@ class DistCoordinator:
                 self._accept_verify(name, key, digest)
                 continue
             self.board.progress(shard, key, now)
-            window.append((*key, ((0, *run),)))
+            window.append((key, run))
             copies.setdefault(key, (run, digest, counts))
         # A verify item of this window may have disputed a key that an
         # earlier item of it carries.
         window = [entry for entry in window
-                  if entry[:2] not in self._disputed]
-        keep_run = self.run.style.keep_run
+                  if entry[0] not in self._disputed]
+        merge, keep_run = self.style.merge, self.style.keep_run
         while window and not self.stopped:
             # Late or duplicate copies (expired lease, retransmit) are
             # not fresh: the journal already holds the identical run.
             # With the crash hook armed, a merge takes at most the
-            # classes it has left, so the k-th class is the last one.
+            # units it has left, so the k-th unit is the last one.
             take = len(window) if self.stop_after_results is None \
                 else max(1, self.stop_after_results - self._accepted)
-            fresh = self.handle.merge_classes(window[:take])
+            fresh = merge(self.run, window[:take])
             for key in fresh:
                 self._account(name, key, *copies[key])
             self.run.count([(key, keep_run(key, copies[key][0]))
@@ -495,29 +526,28 @@ class DistCoordinator:
         self._maybe_finish()
 
     def _checked(self, name: str, item):
-        """``(key, shard, run, digest, counts)`` of one class of a
-        window whose CRC and shape hold; otherwise the class is
+        """``(key, shard, run, digest, counts)`` of one unit of a
+        window whose CRC and shape hold; otherwise the unit is
         rejected and the answer is ``None``."""
         try:
-            axis, first_slot = (int(v) for v in item["key"])
-            key = (axis, first_slot)
+            key = tuple([int(v) for v in item["key"]])
             shard = int(item["shard"])
-            outcomes, end_cycles, traps = item["run"]
-            run = (outcomes, end_cycles, traps)
+            first, second, third = item["run"]
+            run = (first, second, third)
             digest = result_digest(key, run)
             counts = (int(item.get("hits", 0)), int(item.get("skips", 0)))
         except (KeyError, TypeError, ValueError):
             self._reject(name, None, kind="shape-reject",
-                         reason="malformed class result")
+                         reason="malformed unit result")
             return None
         if item.get("crc") != digest:
             self._reject(name, key, kind="crc-reject",
                          reason="CRC disagrees with payload")
             return None
-        if not self._valid_shape(key, run):
+        if key not in self._units or not self.style.valid_run(key, run):
             self._reject(name, key, kind="shape-reject",
-                         reason="run disagrees with the domain's "
-                                "expected experiment count")
+                         reason="run disagrees with the unit's expected "
+                                "experiments")
             return None
         if shard >= self._planned_shards:
             self._reject(name, key, kind="shape-reject",
@@ -527,7 +557,7 @@ class DistCoordinator:
 
     def _account(self, name: str, key: tuple, run: tuple, digest: int,
                  counts: tuple) -> None:
-        """What the fabric adds to the sink's count of one class the
+        """What the fabric adds to the sink's count of one unit the
         journal took fresh (its first delivery)."""
         self._runs[key] = run
         if self._crosscheck_selected(key):
@@ -554,7 +584,7 @@ class DistCoordinator:
         self._inflight_keys.discard(key)
         if crc == digest:
             return
-        # Two verified builds computed different outcomes for one class.
+        # Two verified builds computed different outcomes for one unit.
         # Nothing here can say which is right, so nothing is kept: the
         # row goes, every later copy is refused, and the key is left
         # missing for ``repro resume`` to re-execute.
@@ -563,7 +593,7 @@ class DistCoordinator:
             "crosscheck-mismatch", worker=worker, at=time.time(),
             detail=f"{list(key)}: {worker} digest {crc}, "
                    f"{name} digest {digest}")
-        if self.handle.discard_classes([key]):
+        if self.style.discard(self.handle, key):
             self.report.discarded_results += 1
             self.run.done -= 1
         self.run.fresh.pop(key, None)
@@ -611,24 +641,8 @@ class DistCoordinator:
             return False
         if self.crosscheck >= 1.0:
             return True
-        rng = random.Random(f"crosscheck/{key[0]}/{key[1]}")
+        rng = random.Random("crosscheck/" + "/".join(map(str, key)))
         return rng.random() < self.crosscheck
-
-    def _valid_shape(self, key: tuple, run: tuple) -> bool:
-        """A run must hold one value per experiment the domain expects
-        of the class, in each of its three strings: known outcomes,
-        decimal end cycles, and traps (a trap holding a space splits
-        into two, so its class is malformed)."""
-        interval = self._by_key.get(key)
-        if interval is None:
-            return False
-        outcomes, end_cycles, traps = run
-        outcomes = outcomes.split(" ")
-        cycles = end_cycles.split(" ")
-        return (len(outcomes) == len(cycles) == traps.count(" ") + 1
-                == self.domain.experiment_count(interval)
-                and _OUTCOME_VALUES.issuperset(outcomes)
-                and end_cycles.isascii() and all(map(str.isdigit, cycles)))
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -655,23 +669,24 @@ class DistCoordinator:
 # -- entry points ---------------------------------------------------------------
 
 
-def serve_scan(coordinator: DistCoordinator, *, journal=None,
-               resume: bool = True, keep_records: bool = False,
+def serve_scan(transport, *, journal=None, resume: bool = True,
+               keep_records: bool = False,
                progress: ProgressCallback | None = None):
-    """Run a full scan with ``coordinator`` as its transport — the
-    fabric's one call of :func:`~repro.campaign.pipeline.run_campaign`.
+    """Run a full scan with ``transport`` — a :class:`DistCoordinator`
+    or a :class:`LocalFabric` — through
+    :func:`~repro.campaign.pipeline.run_campaign`.
 
     Returns the same :class:`~repro.campaign.runner.CampaignResult` a
     serial run would, or ``None`` when the crash hook fired.  Without a
     journal the merge funnel still needs one: a private in-memory
     database, gone with the run.
     """
-    golden = coordinator.golden
-    style = ScanStyle(golden, coordinator.domain,
-                      campaign_params(golden, coordinator.config),
+    golden = transport.golden
+    style = ScanStyle(golden, transport.domain,
+                      campaign_params(golden, transport.config),
                       keep_records=keep_records)
     try:
-        return run_campaign(style, coordinator,
+        return run_campaign(style, transport,
                             ":memory:" if journal is None else journal,
                             resume, progress)
     except CoordinatorStopped:
@@ -684,8 +699,87 @@ def _free_server_socket(host: str) -> socket.socket:
 
 def _local_worker(host: str, port: int, name: str,
                   plan: ChaosPlan | None) -> None:
-    """What each :func:`run_distributed_scan` worker process runs."""
+    """What each :class:`LocalFabric` worker process runs."""
     DistWorker(host, port, name=name, chaos=plan).run()
+
+
+class LocalFabric:
+    """The workers transport (``jobs=N``, ``scan --dist N``): bind an
+    ephemeral port on ``host``, fork ``workers`` local workers (the
+    multiprocessing start method; nothing is re-imported), serve the
+    run through a :class:`DistCoordinator` in the calling thread, then
+    terminate and reap every worker still running.  Each worker joins
+    over TCP and verifies the campaign as a remote ``repro worker``
+    does.  ``chaos`` (a :class:`~.chaos.ChaosPlan` or a plan-shaped
+    dict; ``None`` leaves workers to ``REPRO_CHAOS_PLAN``) goes to every
+    started worker.  One that exits while work remains is replaced,
+    once, by a worker without chaos; with none left alive the rest is
+    failed (``missing``), not waited for.  ``attribute=False`` leaves
+    ``ExecutionReport.workers`` empty, as an in-process run's."""
+
+    def __init__(self, golden: GoldenRun, workers: int, *,
+                 domain: FaultDomain | str = MEMORY,
+                 config: ExecutorConfig | None = None,
+                 policy: RetryPolicy | None = None,
+                 shards: int = DEFAULT_SHARDS, chaos=None,
+                 crosscheck: float = 0.0, host: str = "127.0.0.1",
+                 attribute: bool = True):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.golden = golden
+        self.domain = get_domain(domain)
+        self.config = dataclasses.replace(config or ExecutorConfig(),
+                                          domain=self.domain.name)
+        self.workers, self.host, self.attribute = workers, host, attribute
+        self.plan = plan_from_spec(chaos)
+        self._serving = dict(policy=policy, shards=shards,
+                             crosscheck=crosscheck)
+
+    def __call__(self, run: CampaignRun) -> None:
+        sock = _free_server_socket(self.host)
+        # The port dies with the coordinator, not with the last worker.
+        register_after_fork(sock, socket.socket.close)
+        self._port = sock.getsockname()[1]
+        #: The process of each worker slot, and every one ever started.
+        self._fleet, self._procs, self._replaced = [], [], set()
+        # After binding, all is inside the try: a refused argument or a
+        # failed start must not leave the socket open, nor started
+        # workers reconnecting forever.
+        try:
+            coordinator = DistCoordinator(
+                self.golden, sock=sock, domain=self.domain,
+                executor_config=self.config, expected_workers=self.workers,
+                chaos=self.plan, **self._serving)
+            coordinator.fleet = self
+            for index in range(self.workers):
+                self._fleet.append(self._start(f"worker-{index}", self.plan))
+            coordinator(run)
+            if not self.attribute:
+                run.report.workers = ()
+        finally:
+            # Serving closes the socket itself; closing it again is a no-op.
+            sock.close()
+            for proc in self._procs:
+                proc.terminate()  # a worker that has exited ignores it
+            for proc in self._procs:
+                proc.join()
+
+    def _start(self, name: str, plan: ChaosPlan | None):
+        proc = multiprocessing.get_context().Process(
+            target=_local_worker, args=(self.host, self._port, name, plan))
+        proc.start()
+        self._procs.append(proc)
+        return proc
+
+    def tend(self) -> bool:
+        """Replace each started worker that exited, once; False when no
+        worker is left alive (the coordinator's watchdog asks)."""
+        for slot, proc in enumerate(self._fleet):
+            if proc.exitcode is not None and slot not in self._replaced:
+                self._replaced.add(slot)
+                self._fleet[slot] = self._start(f"worker-{slot}r",
+                                                ChaosPlan())
+        return any(proc.exitcode is None for proc in self._fleet)
 
 
 def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
@@ -698,55 +792,16 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
                          chaos=None, crosscheck: float = 0.0):
-    """:func:`serve_scan` with ``workers`` local worker processes.
-
-    For single-machine use (and the CLI's ``scan --dist N``): binds an
-    ephemeral port, starts the workers with the process pool's start
-    method (a fork on Linux: nothing is re-imported) and serves the
-    coordinator in the calling thread; returns what :func:`serve_scan`
-    returns (``None`` after a chaos-scheduled coordinator stop).  Each
-    worker joins over TCP and verifies the campaign as a ``repro
-    worker`` on another host does.  ``chaos`` (a
-    :class:`~.chaos.ChaosPlan` or a plan-shaped dict) goes to every
-    worker, so the fleet runs one seeded schedule; its
-    coordinator-side fields apply here.
-
-    Once serving ends the workers have nothing left to do: any still
-    running (one that never connected because the journal held the
-    whole campaign, or one reconnecting after a chaos-scheduled stop)
-    is terminated, and all are reaped together.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    plan = plan_from_spec(chaos)
-    sock = _free_server_socket(host)
-    # The port dies with the coordinator, not with the last worker.
-    register_after_fork(sock, socket.socket.close)
-    port = sock.getsockname()[1]
-    context, procs = multiprocessing.get_context(), []
-    # Everything after binding is inside the try: a coordinator that
-    # refuses its arguments, or a start that fails part-way, must not
-    # leave the socket open or the workers already started reconnecting
-    # forever (a worker retries without limit).
-    try:
-        coordinator = DistCoordinator(
-            golden, sock=sock, domain=domain,
-            executor_config=executor_config, policy=policy, shards=shards,
-            expected_workers=workers, chaos=plan, crosscheck=crosscheck)
-        for index in range(workers):
-            proc = context.Process(target=_local_worker,
-                                   args=(host, port, f"worker-{index}", plan))
-            proc.start()
-            procs.append(proc)
-        return serve_scan(coordinator, journal=journal, resume=resume,
-                          keep_records=keep_records, progress=progress)
-    finally:
-        # Serving closes the socket itself; closing it again is a no-op.
-        sock.close()
-        for proc in procs:
-            proc.terminate()  # a worker that has exited ignores it
-        for proc in procs:
-            proc.join()
+    """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
+    local worker processes (the CLI's ``scan --dist N``); returns what
+    :func:`serve_scan` returns (``None`` after a chaos-scheduled
+    coordinator stop)."""
+    return serve_scan(
+        LocalFabric(golden, workers, domain=domain, config=executor_config,
+                    policy=policy, shards=shards, chaos=chaos,
+                    crosscheck=crosscheck, host=host),
+        journal=journal, resume=resume, keep_records=keep_records,
+        progress=progress)
 
 
 def serve_in_thread(coordinator: DistCoordinator,
@@ -787,6 +842,7 @@ __all__ = [
     "CoordinatorStopped",
     "CoordinatorThread",
     "DistCoordinator",
+    "LocalFabric",
     "run_distributed_scan",
     "serve_in_thread",
     "serve_scan",

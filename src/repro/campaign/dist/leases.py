@@ -2,11 +2,10 @@
 
 The coordinator never *sends* work, it *leases* it: a shard grant
 carries a wall-clock deadline derived from the shard's remaining
-estimated cycle cost (:meth:`RetryPolicy.deadline_for`, the same
-derivation the in-process pool uses).  Liveness is measured by
-*progress*, not by heartbeats — every accepted class result refreshes
-the lease deadline against the now-smaller remaining cost, so a worker
-that keeps finishing classes keeps its lease indefinitely, while a
+estimated cycle cost (:meth:`RetryPolicy.deadline_for`).  Liveness is
+measured by *progress*, not by heartbeats — every accepted unit result
+refreshes the lease deadline against the now-smaller remaining cost, so
+a worker that keeps finishing units keeps its lease indefinitely, while a
 wedged worker — connected, silent — loses the lease the moment its
 cost-derived deadline passes.
 
@@ -17,18 +16,18 @@ Failure handling is explicit state, not exceptions:
   ``backoff * backoff_factor ** (attempts - 1)`` seconds of exponential
   backoff.
 * A shard whose attempts exceed :attr:`RetryPolicy.max_retries` is
-  marked **failed** — permanently lost; its remaining classes surface
+  marked **failed** — lost to this run; its remaining units surface
   in ``ExecutionReport.missing`` instead of hanging the campaign.
 * Results are accepted from *any* lease, current or revoked: work is
   work (experiments are deterministic), and :meth:`LeaseBoard.progress`
   plus the journal's idempotent merge turn at-least-once delivery into
   exactly-once accounting.
 
-That is the whole policy, and it is the process pool's: a worker that
-dies, hangs or sends garbage costs its shard an attempt, nothing more.
-A class whose execution kills every worker fails its shard after
-``max_retries``, exactly as a dying pool worker does — the lost keys
-are named in the report and ``repro resume`` retries them.
+That is the whole policy, for ``jobs=N`` and ``--dist`` alike: a worker
+that dies, hangs or sends garbage costs its shard an attempt, nothing
+more.  A unit whose execution kills every worker fails its shard after
+``max_retries`` — the lost keys are named in the report and ``repro
+resume`` retries them.
 
 The board is plain single-threaded state driven by the coordinator's
 event loop; it does no I/O and takes ``now`` as an argument, which is
@@ -39,10 +38,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..parallel import RetryPolicy
+#: A unit's identity: a tuple of integers (a live class's ``(axis,
+#: first_slot)``, ...) — the journal key.
+Key = tuple[int, ...]
 
-#: A live class identity: ``(axis, first_slot)`` — the journal key.
-Key = tuple[int, int]
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Timeout, retry and heartbeat policy of the fabric's leases.
+
+    The default lease deadline is *derived from the golden run*: a
+    lease estimated at ``c`` post-injection cycles is allowed
+    ``c / cycles_per_second`` wall-clock seconds (floored at
+    :attr:`min_shard_timeout` so tiny test programs are never starved).
+    ``shard_timeout`` overrides the derivation with a fixed number of
+    seconds.  Campaign results do *not* depend on the policy, only on
+    whether work finished at all: a lease past its deadline is a failed
+    attempt, retried and — once :attr:`max_retries` is spent — reported
+    in ``ExecutionReport.missing``, never turned into outcomes.
+    """
+
+    #: Re-grants allowed per shard after a failed attempt (its worker
+    #: died or disconnected, or its deadline expired).
+    max_retries: int = 2
+    #: Embargo on a shard's first re-grant, seconds.
+    backoff: float = 0.25
+    #: Multiplier applied to the embargo after each further failure.
+    backoff_factor: float = 2.0
+    #: Fixed per-lease wall-clock deadline in seconds; ``None`` derives
+    #: it from the lease's estimated cycle cost.
+    shard_timeout: float | None = None
+    #: Simulated cycles per wall-clock second assumed by the derivation.
+    cycles_per_second: float = 50_000.0
+    #: Floor for derived deadlines, seconds.
+    min_shard_timeout: float = 5.0
+    #: How often the coordinator wakes to check deadlines, seconds.
+    poll_interval: float = 0.05
+    #: Interval between heartbeat re-emissions of ``progress``, seconds.
+    heartbeat: float = 5.0
+
+    def deadline_for(self, cost_cycles: int) -> float:
+        """Wall-clock seconds granted to a lease of ``cost_cycles``."""
+        if self.shard_timeout is not None:
+            return self.shard_timeout
+        return max(self.min_shard_timeout,
+                   cost_cycles / self.cycles_per_second)
+
 
 PENDING = "pending"
 LEASED = "leased"
@@ -110,15 +151,17 @@ class LeaseBoard:
     def restore(self, index: int, *, attempts: int, status: str) -> None:
         """Re-apply journaled retry state after a coordinator restart.
 
-        Any status but ``failed`` — including those an older coordinator
-        journaled for layers since removed — leaves the shard's
-        unjournaled keys pending.
+        A shard the journaled run failed starts afresh: a rerun is how
+        ``repro resume`` retries the keys it lost.  Any other status —
+        including those an older coordinator journaled for layers since
+        removed — leaves the shard's unjournaled keys pending, its
+        attempts carried over.
         """
+        if status == FAILED:
+            return
         shard = self._shards[index]
         shard.attempts = attempts
-        if status == FAILED:
-            shard.status = FAILED
-        elif shard.status == PENDING and attempts:
+        if shard.status == PENDING and attempts:
             # Interrupted attempts embargo the shard exactly as a live
             # expiry would, so a crash-looping worker cannot burn the
             # retry budget instantly after every coordinator restart.
@@ -132,14 +175,6 @@ class LeaseBoard:
     def done(self) -> bool:
         """True when no shard can ever produce more work."""
         return all(s.status in TERMINAL for s in self._shards)
-
-    def failed_keys(self) -> list[Key]:
-        """Keys permanently lost, in plan order."""
-        out: list[Key] = []
-        for shard in self._shards:
-            if shard.status == FAILED:
-                out.extend(shard.remaining)
-        return out
 
     # -- transitions -----------------------------------------------------------
 
@@ -226,6 +261,14 @@ class LeaseBoard:
                 self._charge(shard, now)
                 released.append(shard.index)
         return released
+
+    def abandon(self) -> None:
+        """No worker will ever come back: fail every unfinished shard."""
+        for shard in self._shards:
+            if shard.status not in TERMINAL:
+                shard.status = FAILED
+                shard.lease = None
+                self.failed_shards += 1
 
     def expire(self, now: float) -> list[int]:
         """Revoke every lease whose deadline passed."""

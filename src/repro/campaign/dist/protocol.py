@@ -16,16 +16,16 @@ type                direction  meaning
 ``hello``           w → c      worker introduces itself (name, version)
 ``campaign``        c → w      campaign spec: program source, fingerprint,
                                golden facts (Δt, ladder ``stride``),
-                               executor config
+                               executor config, campaign ``style``
 ``ready``           w → c      worker rebuilt + verified the golden run
 ``reject``          c → w      verification failed; worker must not execute
 ``error``           w → c      worker-side verification failure (diagnostic)
 ``request``         w → c      give me work
-``lease``           c → w      a shard lease: id, class keys, deadline
+``lease``           c → w      a shard lease: id, unit keys, deadline
 ``wait``            c → w      no assignable work right now; retry in N s
 ``done``            c → w      campaign finished; disconnect
-``results``         w → c      one send window of finished classes:
-                               ``items``, each a class's ``shard``,
+``results``         w → c      one send window of finished units:
+                               ``items``, each a unit's ``shard``,
                                ``key``, ``run``, executor counters and
                                the :func:`result_digest` ``crc`` the
                                coordinator re-derives before merging —
@@ -33,11 +33,15 @@ type                direction  meaning
 ``lease_done``      w → c      every key of the lease was submitted
 ==================  =========  ==============================================
 
-A class result crosses the wire in the form the journal stores it: its
-``run`` is ``[outcomes, end_cycles, traps]``, each the class's per-bit
-values from bit 0 joined by single spaces — the three value columns of
-one ``class_results`` row (:mod:`repro.campaign.journal`).  Nothing
-between the worker's executor and the journal re-encodes it.
+A unit crosses the wire as its key, a list of integers, and a ``run``
+of three space-joined strings that its campaign style encodes and
+decodes (``CampaignStyle.encode``).  A full-scan class travels in the
+form the journal stores it: ``[outcomes, end_cycles, traps]``, the
+class's per-bit values from bit 0 — the three value columns of one
+``class_results`` row (:mod:`repro.campaign.journal`), which nothing
+between the worker's executor and the journal re-encodes.  A sampled
+experiment is a run of one value each; a brute-force slot is
+``[axes, bits, outcomes]``.
 
 Version 2 added end-to-end result integrity: every class result
 carries ``crc`` (:func:`result_digest` over its key and rows), and
@@ -56,7 +60,11 @@ Version 5 replaced each item's per-bit ``rows`` lists with the stored
 ``run`` strings, and the digest's canonical JSON with a CRC over those
 strings.  Version 6 added the ``campaign`` frame's ``stride``, the
 golden checkpoint ladder's (``0``: none), which the worker records its
-golden run with.  Any type not in the table is a :class:`ProtocolError`.
+golden run with.  Version 7 made the fabric serve every campaign style:
+the ``campaign`` frame's ``style`` names it (``kind``, plus ``seed``,
+``sampler`` and ``samples`` for sampling), the worker rebuilds it from
+its verified golden run, and keys are integer lists of any length.  Any
+type not in the table is a :class:`ProtocolError`.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
@@ -77,8 +85,9 @@ import zlib
 #: cross-check verify leases.  Version 3: one ``results`` frame per send
 #: window instead of one ``result`` frame per class.  Version 4: no
 #: ``heartbeat`` frame.  Version 5: a class travels as its stored run.
-#: Version 6: the campaign frame carries the ladder stride.
-PROTOCOL_VERSION = 6
+#: Version 6: the campaign frame carries the ladder stride.  Version 7:
+#: the campaign frame names the style; keys of any length.
+PROTOCOL_VERSION = 7
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.
@@ -92,24 +101,24 @@ class ProtocolError(RuntimeError):
 
 
 def result_digest(key, run) -> int:
-    """CRC-32 of one class result's semantic content.
+    """CRC-32 of one unit result's semantic content.
 
-    Computed over the class identity ``(axis, first_slot)`` and the
-    three strings of its ``run`` (``outcomes``, ``end_cycles``,
-    ``traps``), one per line, so it is invariant to framing and to field
+    Computed over the unit's integer key (a class's ``(axis,
+    first_slot)``, a sampled experiment's ``(axis, first_slot, bit)``, a
+    brute-force ``(slot,)``), space-joined, and the three strings of its
+    ``run``, one per line, so it is invariant to framing and to field
     order elsewhere in the message.  The worker stamps it on each item
     of a ``results`` frame; the coordinator re-derives it from the
     decoded payload before merging, which catches corruption anywhere
     between the worker's executor and the coordinator's journal
     (including a serialization bug on either side).  It is also the
     byte-comparison unit of cross-check sampling: two honest executions
-    of the same class necessarily produce equal digests.  A ``run``
+    of the same unit necessarily produce equal digests.  A ``run``
     member that is not a string raises ``TypeError``.
     """
-    axis, first_slot = key
-    outcomes, end_cycles, traps = run
+    first, second, third = run
     return zlib.crc32("\n".join(
-        (f"{int(axis)} {int(first_slot)}", outcomes, end_cycles, traps))
+        (" ".join([str(int(v)) for v in key]), first, second, third))
         .encode("utf-8"))
 
 

@@ -4,22 +4,23 @@ A worker is a plain blocking-socket client.  On connect it introduces
 itself, receives the campaign spec, and **re-derives everything
 locally**: the program is re-assembled from the shipped source, its
 content fingerprint and the re-recorded golden run's cycle count must
-match the coordinator's, and the def/use partition is rebuilt from the
-local golden run.  A worker running a stale checkout — an assembler
-that emits different code, a CPU whose timing changed — fails one of
-those checks and is refused work (:class:`WorkerRejected`), so it can
-never pollute the campaign with results computed under a different
-machine model.
+match the coordinator's, and the def/use partition and the campaign
+style the spec names (its units: live classes, slots, or the re-drawn
+samples' experiments) are rebuilt from the local golden run.  A worker
+running a stale checkout — an assembler that emits different code, a
+CPU whose timing changed — fails one of those checks, or is leased a
+key its own style does not hold, and is refused work
+(:class:`WorkerRejected`), so it can never pollute the campaign with
+results computed under a different machine model.
 
-While holding a lease the worker runs the lease's classes through one
-:meth:`~repro.campaign.runner.ScanStyle.execute` generator — the same
-scan generator every transport uses, so classes that share an
-injection slot go to the executor as one group, in ascending slot order
-(preserving the executor's snapshot fast-forward) — and streams the
-finished classes back in **send windows**: one
-``results`` frame per :data:`WINDOW_CLASSES` classes or
-:data:`WINDOW_S` seconds, whichever comes first, and always before
-``lease_done``.  The coordinator journals progress continuously and a
+While holding a lease the worker runs the lease's units through one
+``style.execute`` generator — the same generator every transport uses,
+so a full scan's classes that share an injection slot go to the
+executor as one group, in ascending slot order (preserving the
+executor's snapshot fast-forward) — and streams the finished units back
+in **send windows**: one ``results`` frame per :data:`WINDOW_CLASSES`
+units or :data:`WINDOW_S` seconds, whichever comes first, and always
+before ``lease_done``.  The coordinator journals progress continuously and a
 worker lost mid-shard forfeits only the window in flight (re-executed
 through the lease re-grant).  The worker is one thread and sends no
 liveness frames: progress is what keeps a lease alive, and a dead peer
@@ -28,13 +29,13 @@ reconnects with jittered exponential backoff and simply asks for work
 again — the coordinator's lease board and idempotent journal make the
 retried deliveries harmless.
 
-Every class leaves as its own item of the window, in the journal's
-stored form — its ``run`` of space-joined outcomes, end cycles and
-traps (:mod:`~.protocol` docstring) — with its own
-:func:`~.protocol.result_digest` CRC over its key and run, computed
+Every unit leaves as its own item of the window, as its style encodes
+it — a class in the journal's stored form, its ``run`` of space-joined
+outcomes, end cycles and traps (:mod:`~.protocol` docstring) — with its
+own :func:`~.protocol.result_digest` CRC over its key and run, computed
 *before* the window is handed to the transport, so the coordinator can
 detect any corruption between this worker's executor and its own
-journal, class by class.
+journal, unit by unit.
 
 Chaos injection is delegated to :mod:`repro.campaign.dist.chaos`: a
 :class:`~.chaos.ChaosPlan` (the ``chaos=`` argument or the
@@ -57,8 +58,8 @@ from ...isa.assembler import assemble
 from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import record_golden
-from ..pipeline import ExecutorCounters
-from ..runner import ScanStyle
+from ..pipeline import ExecutorCounters, campaign_params
+from ..runner import style_from_spec
 from .chaos import WorkerChaos, plan_from_env, plan_from_spec
 from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
                        result_digest)
@@ -78,15 +79,6 @@ WINDOW_S = 0.25
 #: so tests can substitute virtual ones).
 _clock = time.monotonic
 _sleep = time.sleep
-
-
-def _stored_run(rows) -> list[str]:
-    """A class's ``(bit, outcome, end_cycle, trap)`` rows, bits from 0,
-    as the run the journal stores: ``[outcomes, end_cycles, traps]``,
-    each the per-bit values joined by single spaces."""
-    return [" ".join([row[1].value for row in rows]),
-            " ".join([str(row[2]) for row in rows]),
-            " ".join([row[3] for row in rows])]
 
 
 class WorkerRejected(RuntimeError):
@@ -126,11 +118,11 @@ class DistWorker:
             if plan is not None and plan.active else None
         self._rng = random.Random(self.name)
         self._finished = False
-        #: Classes executed locally (not counting duplicates).
+        #: Units executed locally (not counting duplicates).
         self.executed = 0
         #: Verified campaign state, cached by fingerprint and ladder
-        #: stride so reconnects skip the golden re-run and partition
-        #: rebuild.
+        #: stride so reconnects skip the golden re-run and the partition
+        #: and style rebuild.
         self._campaigns: dict[tuple[str, int], tuple] = {}
 
     # -- main loop --------------------------------------------------------------
@@ -138,7 +130,7 @@ class DistWorker:
     def run(self) -> int:
         """Serve until the coordinator says the campaign is done.
 
-        Returns the number of classes this worker executed.  Raises
+        Returns the number of units this worker executed.  Raises
         :class:`WorkerRejected` on permanent refusal.
         """
         failures = 0
@@ -188,10 +180,10 @@ class DistWorker:
             if frame.get("type") != "campaign":
                 raise ProtocolError(
                     f"expected campaign spec, got {frame.get('type')!r}")
-            executor, intervals = self._verify(stream, frame)
+            executor, style = self._verify(stream, frame)
             stream.send({"type": "ready"})
             try:
-                self._work(stream, executor, intervals)
+                self._work(stream, executor, style)
             except (ConnectionError, OSError):
                 # The campaign can finish while our next request is
                 # mid-send: the send fails, but the coordinator's done
@@ -222,7 +214,8 @@ class DistWorker:
         fingerprint = str(spec["fingerprint"])
         stride = int(spec["stride"])  # the coordinator's ladder stride
         cached = self._campaigns.get((fingerprint, stride))
-        if cached is not None and cached[2] == spec["config"]:
+        if cached is not None \
+                and cached[2] == (spec["config"], spec["style"]):
             return cached[:2]
         try:
             program = assemble(spec["program"]["source"],
@@ -241,6 +234,17 @@ class DistWorker:
                     f"Δt={spec['cycles']} cycles, this checkout runs "
                     f"Δt={golden.cycles} — simulator semantics differ; "
                     f"update the worker")
+            config = ExecutorConfig(**spec["config"])
+            domain = get_domain(config.domain)
+            partition = domain.build_partition(golden)
+            try:
+                style = style_from_spec(spec["style"], golden, domain,
+                                        campaign_params(golden, config),
+                                        partition)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise WorkerRejected(
+                    f"cannot rebuild the campaign style {spec['style']!r}: "
+                    f"{exc}") from exc
         except WorkerRejected as exc:
             # Ship the diagnostic before giving up, so the operator sees
             # the stale worker from the coordinator's logs too.
@@ -249,19 +253,14 @@ class DistWorker:
             except (ConnectionError, OSError):
                 pass
             raise
-        config = ExecutorConfig(**spec["config"])
-        domain = get_domain(config.domain)
-        partition = domain.build_partition(golden)
         executor = config.build(golden, partition=partition)
-        intervals = {domain.class_key(interval): interval
-                     for interval in partition.live_classes()}
-        self._campaigns[fingerprint, stride] = (executor, intervals,
-                                                spec["config"])
-        return executor, intervals
+        self._campaigns[fingerprint, stride] = (
+            executor, style, (spec["config"], spec["style"]))
+        return executor, style
 
     # -- lease execution --------------------------------------------------------
 
-    def _work(self, stream: FrameStream, executor, intervals) -> None:
+    def _work(self, stream: FrameStream, executor, style) -> None:
         while True:
             stream.send({"type": "request"})
             frame = stream.read(timeout=None)
@@ -277,7 +276,7 @@ class DistWorker:
                 continue
             if kind != "lease":
                 raise ProtocolError(f"expected lease, got {kind!r}")
-            if self._run_lease(stream, frame, executor, intervals):
+            if self._run_lease(stream, frame, executor, style):
                 return  # saw "done" mid-lease
 
     def _wait(self, stream: FrameStream, seconds: float) -> bool:
@@ -297,32 +296,33 @@ class DistWorker:
         return True
 
     def _run_lease(self, stream: FrameStream, lease: dict, executor,
-                   intervals) -> bool:
+                   style) -> bool:
         lease_id = int(lease["lease"])
         shard = int(lease["shard"])
+        units, encode = style.units, style.encode
         work = []
         for raw_key in lease["keys"]:
             key = tuple(int(v) for v in raw_key)
-            interval = intervals.get(key)
-            if interval is None:
+            item = units.get(key)
+            if item is None:
                 raise WorkerRejected(
-                    f"lease names class {key} this worker's partition "
-                    f"does not contain — def/use analysis differs; "
-                    f"update the worker")
-            work.append(interval)
+                    f"lease names unit {key} this worker's campaign does "
+                    f"not contain — def/use analysis or sample draw "
+                    f"differs; update the worker")
+            work.append(item)
         counters = ExecutorCounters(executor)
         window: list[dict] = []
-        # Age counts from the start of execution, so a class slower
+        # Age counts from the start of execution, so a unit slower
         # than the window leaves as it finishes.
         opened = _clock()
-        # One scan generator for the lease; the class stays the unit of
+        # One style generator for the lease; the unit stays the unit of
         # integrity (one item and one CRC each) and of every seeded
         # chaos schedule.
-        for key, rows in ScanStyle.execute(executor, work):
+        for key, rows in style.execute(executor, work):
             if self._chaos is not None:
                 self._chaos.before_class(key)
             self.executed += 1
-            run = _stored_run(rows)
+            run = encode(rows)
             hits, skips = counters.take()
             window.append({
                 "shard": shard, "key": list(key), "run": run,

@@ -763,7 +763,7 @@ class CampaignJournal:
         """Commit everything written so far.
 
         Transports call this (``CampaignRun.idle``) whenever they are
-        about to wait (the pool parent after merging a shard, the
+        about to wait (the in-process transport at its end, the
         coordinator on its watchdog tick), so rows never wait for a
         next write that may be minutes away.
         """
@@ -938,18 +938,32 @@ class CampaignJournal:
         partially salvaged classes whose bit count disagrees with the
         domain's expected experiment weight.  Returns classes deleted.
         """
-        keys = [(self.campaign_id, axis, first_slot)
-                for axis, first_slot in dict.fromkeys(keys)]
+        return self._discard("class_results", ("axis", "first_slot"), keys)
+
+    def discard_experiments(
+            self, keys: Iterable[tuple[int, int, int]]) -> int:
+        """:meth:`discard_classes` for sampled experiments, keyed
+        ``(axis, first_slot, bit)``."""
+        return self._discard("class_results", ("axis", "first_slot", "bit"),
+                             keys)
+
+    def discard_slots(self, slots: Iterable[int]) -> int:
+        """:meth:`discard_classes` for brute-force injection slots."""
+        return self._discard("coordinate_results", ("slot",),
+                             [(slot,) for slot in slots])
+
+    def _discard(self, table: str, columns: tuple[str, ...],
+                 keys: Iterable[tuple]) -> int:
+        keys = [(self.campaign_id, *key) for key in dict.fromkeys(keys)]
         if not keys:
             return 0
+        where = "campaign_id = ?" + "".join(f" AND {column} = ?"
+                                             for column in columns)
         self.journal.flush()
         present = sum(self._conn.execute(
-            "SELECT 1 FROM class_results WHERE campaign_id = ? AND "
-            "axis = ? AND first_slot = ? LIMIT 1", key).fetchone()
+            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", key).fetchone()
             is not None for key in keys)
-        self.journal._write(
-            "DELETE FROM class_results WHERE campaign_id = ? AND "
-            "axis = ? AND first_slot = ?", keys)
+        self.journal._write(f"DELETE FROM {table} WHERE {where}", keys)
         self.journal.flush()
         return present
 

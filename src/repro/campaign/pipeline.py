@@ -1,7 +1,7 @@
 """The campaign pipeline: plan → shard → execute → merge, written once.
 
-Every campaign — full scan, brute force, sampling; in-process, pooled
-or distributed — is the same five steps (DESIGN.md §3b has the long
+Every campaign — full scan, brute force, sampling; in-process or on
+fabric workers — is the same five steps (DESIGN.md §3b has the long
 form and the transport table):
 
 1. **Prologue** (:class:`CampaignRun`).  Open the journal campaign,
@@ -10,18 +10,19 @@ form and the transport table):
    are discarded, counted in ``discarded_results`` and re-executed),
    compose what the cross-campaign section store already knows, and
    list the units still to do, in canonical order.
-2. **Shard** (:func:`plan_shards` / :func:`plan_class_shards`).  Split
-   the to-do list into contiguous, cost-balanced runs.  The per-unit
-   cost list is computed once; shard costs, pool deadlines and the
-   fabric's lease cost table all derive from it.
+2. **Shard** (:meth:`CampaignStyle.plan`).  Split the unit list into
+   contiguous, cost-balanced runs.  The per-unit cost list is computed
+   once; shard costs and the fabric's lease cost table (its deadlines)
+   derive from it.
 3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
    generator turns work items into ``(key, rows)`` pairs, rows in the
    journal's own form; it is the only code that calls an executor.
 4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
    stores each batch, then :meth:`CampaignRun.count` updates the
-   :class:`ExecutionReport` and progress (the fabric's first-wins merge
-   calls that directly).  A transport calls :meth:`CampaignRun.idle`
-   before it waits, so nothing sits in the journal's commit window idle.
+   :class:`ExecutionReport` and progress (the fabric's first-wins merge,
+   :meth:`CampaignStyle.merge`, calls that directly).  A transport
+   calls :meth:`CampaignRun.idle` before it waits, so nothing sits in
+   the journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
    canonical order over resumed + fresh rows, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
@@ -30,9 +31,11 @@ form and the transport table):
 A :class:`CampaignStyle` states what differs between full scan, brute
 force and sampling (the three live in :mod:`repro.campaign.runner`).
 A *transport*, ``transport(run)``, is only how shards reach executors
-and rows come back: :class:`InProcess` here (``jobs=None`` and
-``jobs=1``), the process pool in :mod:`repro.campaign.parallel`, the
-lease/frame fabric's coordinator in :mod:`repro.campaign.dist`.
+and rows come back, and there are two: :class:`InProcess` here
+(``jobs=None`` and ``jobs=1``), and the lease/frame fabric's
+coordinator in :mod:`repro.campaign.dist` — over forked local workers
+for ``jobs=N`` (:class:`~repro.campaign.dist.coordinator.LocalFabric`)
+or over whichever workers connect.
 """
 
 from __future__ import annotations
@@ -69,11 +72,10 @@ class ExecutionReport:
     executed: int = 0
     #: Units loaded from the journal instead of re-executed.
     resumed: int = 0
-    #: Wall-clock deadline expiries, pool shards and fabric leases
-    #: alike: each is a failed attempt (retried, then ``missing``),
-    #: never a result.
+    #: Wall-clock deadline expiries of fabric leases: each is a failed
+    #: attempt (retried, then ``missing``), never a result.
     timed_out_shards: int = 0
-    #: Shard re-submissions after a failed attempt (worker death,
+    #: Lease re-grants after a failed attempt (worker death,
     #: disconnect or deadline expiry).
     shard_retries: int = 0
     #: Shards abandoned after exhausting their retry budget.
@@ -146,8 +148,8 @@ class ExecutionReport:
 class ExecutorCounters:
     """Snapshot-and-diff of an executor's diagnostic counter pair.
 
-    Executors outlive shards (a pool worker runs many, a fabric worker
-    many leases), so every transport reports the counters as deltas:
+    Executors outlive shards (a fabric worker runs many leases), so
+    every transport reports the counters as deltas:
     ``take()`` returns ``(convergence_hits, slice_hits)`` accrued since
     the previous take.
     """
@@ -244,50 +246,44 @@ def shard_by_cost(items: Sequence, costs: Sequence[int],
 SMALL_CAMPAIGN_CYCLES = 1_000_000
 
 
-def plan_shards(items: Sequence, costs: Sequence[int],
-                parts: int) -> tuple[list[list], list[int]]:
-    """``(shards, shard_costs)``: :func:`shard_by_cost` plus each
-    shard's summed cost (the input to ``RetryPolicy.deadline_for``),
-    read off the same per-item cost list."""
+def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
+                workers: int | None = None) \
+        -> tuple[list[list], list[int], list[int]]:
+    """``(shards, shard_costs, costs)``: :func:`shard_by_cost` plus each
+    shard's summed cost, read off the same per-item cost list.
+
+    ``workers`` is the fabric's expected worker count (``None`` means
+    unknown — a hand-started ``repro coordinator`` — and keeps ``parts``
+    untouched).  Fine shards only pay off when there is enough work to
+    rebalance after a worker is lost; a campaign estimated below
+    :data:`SMALL_CAMPAIGN_CYCLES` collapses to one shard per expected
+    worker, which removes the extra lease round-trips and leaves no
+    pending shards for idle workers to re-poll for.  Deterministic, so a
+    coordinator restart with the same arguments re-derives the same plan
+    and journaled per-shard lease state stays valid.
+    """
+    if workers is not None and sum(costs) < SMALL_CAMPAIGN_CYCLES:
+        parts = max(1, min(parts, workers))
     shards = shard_by_cost(items, costs, parts)
     remaining = iter(costs)
-    return shards, [sum(islice(remaining, len(shard))) for shard in shards]
+    return (shards, [sum(islice(remaining, len(shard))) for shard in shards],
+            list(costs))
 
 
 def plan_class_shards(intervals: Sequence, total_cycles: int, *,
                       bits: int, parts: int,
                       workers: int | None = None) \
         -> tuple[list[list], list[int], list[int]]:
-    """Plan contiguous, cost-balanced shards of live classes.
-
-    The single shard-planning step shared by every transport that
-    distributes a full scan: the process pool plans the classes still
-    to do, the fabric's coordinator the *full* live list (so shard
-    indices are stable across restarts).  Both split the same
-    slot-sorted class list with the same cost model, so a campaign
-    journaled under one resumes under any other and the fabric inherits
-    the pool's load balance.
-
-    ``workers`` is the fabric's expected worker count (``None`` means
-    unknown — the pool, a hand-started ``repro coordinator`` — and
-    keeps ``parts`` untouched).  Fine shards only pay off when there is
-    enough work to rebalance after a worker is lost; a campaign
-    estimated below :data:`SMALL_CAMPAIGN_CYCLES` collapses to one
-    shard per expected worker, which removes the extra lease
-    round-trips and leaves no pending shards for idle workers to
-    re-poll for.  Deterministic, so a coordinator restart with the same
-    arguments re-derives the same plan and journaled per-shard lease
-    state stays valid.
-
-    Returns ``(shards, shard_costs, class_costs)``; the per-class list
-    is computed here, once, and is what the pool's deadlines and the
-    lease board's cost table are derived from.
+    """:func:`plan_shards` of live classes by :func:`class_cost`: the
+    full scan's plan.  The fabric's coordinator plans the *full* live
+    list (so shard indices are stable across restarts); returns
+    ``(shards, shard_costs, class_costs)``, the per-class list being
+    what the lease board's cost table is derived from.
     """
-    costs = [class_cost(interval, total_cycles, bits=bits)
-             for interval in intervals]
-    if workers is not None and sum(costs) < SMALL_CAMPAIGN_CYCLES:
-        parts = max(1, min(parts, workers))
-    return (*plan_shards(intervals, costs, parts), costs)
+    return plan_shards(intervals, [class_cost(interval, total_cycles,
+                                              bits=bits)
+                                   for interval in intervals],
+                       parts, workers)
 
 
 # -- what a campaign style states ---------------------------------------------
@@ -330,14 +326,22 @@ class CampaignStyle:
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
     ``execute(executor, items)``
-        the worker-side generator, work items → ``(key, rows)``; a
-        static method, since the pool ships it by import path;
+        the worker-side generator, work items → ``(key, rows)``;
     ``journal(handle, composer, batch)``
         journals a batch, each unit atomically, and feeds it to the
-        section store (styles with :attr:`composes`);
+        section store (styles with :attr:`composes`, given a composer);
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
+
+    Over the fabric a unit travels as its key, a tuple of integers, and
+    a *run* of three space-joined strings, so a style also provides
+    ``encode(rows)`` (static: the worker's side), ``decode(key, run)``
+    (or its own :meth:`merge` and :meth:`keep_run`), ``valid_run(key,
+    run)``, the coordinator's shape check, ``discard(handle, key)``,
+    which deletes a journaled unit the determinism audit disputed, and
+    ``store(composer, runs)``, the deferred section-store write of
+    ``key → run`` (styles with :attr:`composes`).
     """
 
     #: Journal campaign kind.
@@ -346,7 +350,7 @@ class CampaignStyle:
     #: ``auto`` engine's planner, which otherwise builds its own).
     partition = None
     #: ``key → work item`` in canonical (serial iteration) order; work
-    #: items are what ``execute`` consumes and must pickle.
+    #: items are what ``execute`` consumes.
     units: dict
     #: Whether the style reads and feeds the cross-campaign section
     #: store.
@@ -360,11 +364,33 @@ class CampaignStyle:
         #: journal key.
         self.params = self.key_params = params
 
-    def plan(self, items: Sequence, parts: int) \
-            -> tuple[list[list], list[int]]:
-        """Contiguous cost-balanced ``(shards, shard_costs)``."""
+    def spec(self) -> dict:
+        """The ``campaign`` frame's ``style``: what a fabric worker
+        needs to rebuild this style from its verified golden run."""
+        return {"kind": self.kind}
+
+    def plan(self, items: Sequence, parts: int,
+             workers: int | None = None) \
+            -> tuple[list[list], list[int], list[int]]:
+        """:func:`plan_shards` of ``items`` by :meth:`cost`."""
         return plan_shards(items, [self.cost(item) for item in items],
-                           parts)
+                           parts, workers)
+
+    def merge(self, run: "CampaignRun", window: Sequence) -> list:
+        """First-wins merge of a fabric send window of ``(key, run)``
+        pairs: journal the first copy of each unit ``run`` does not
+        hold yet; returns the keys journaled, in window order."""
+        fresh: dict = {}
+        for key, data in window:
+            if key not in fresh and key not in run.completed \
+                    and key not in run.fresh:
+                fresh[key] = self.decode(key, data)
+        self.journal(run.handle, None, list(fresh.items()))
+        return list(fresh)
+
+    def keep_run(self, key, data):
+        """:meth:`keep` of a unit as the fabric carries it."""
+        return self.keep(key, self.decode(key, data))
 
     def keep(self, key, rows: list):
         """What :meth:`result` needs of one unit's rows.  The driver

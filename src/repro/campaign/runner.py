@@ -15,9 +15,10 @@ Three campaign styles are provided, each generic over a
   Pitfall 2 demonstrations).
 
 This module holds each style's result type and what is particular to
-it (:class:`ScanStyle`, :class:`BruteStyle`, :class:`SamplingStyle`);
-everything they share — journal and resume, shard planning, the sink,
-assembly — is :mod:`repro.campaign.pipeline`.  The entry points pick a
+it (:class:`ScanStyle`, :class:`BruteStyle`, :class:`SamplingStyle`),
+including how a unit crosses the fabric's wire; everything they share —
+journal and resume, shard planning, the sink, assembly — is
+:mod:`repro.campaign.pipeline`.  The entry points pick a
 transport from ``jobs=`` and hand both to
 :func:`~repro.campaign.pipeline.run_campaign`; results are bit-for-bit
 identical for every transport.
@@ -68,6 +69,9 @@ from .pipeline import (
 #: :meth:`CampaignResult.weighted_counts` sums into a list.
 _OUTCOMES = tuple(Outcome)
 _OUTCOME_INDEX = {outcome: n for n, outcome in enumerate(_OUTCOMES)}
+
+#: Valid outcome strings a unit's run may carry.
+_OUTCOME_VALUES = frozenset(outcome.value for outcome in Outcome)
 
 
 @dataclass
@@ -223,6 +227,27 @@ def _pipeline_rows(stored) -> list[tuple[int, Outcome, int, str]]:
             for bit, value, end_cycle, trap in stored]
 
 
+def stored_run(rows) -> list[str]:
+    """``(bit, outcome, end_cycle, trap)`` rows as the run the journal
+    stores (and the fabric carries): ``[outcomes, end_cycles, traps]``,
+    each the per-row values joined by single spaces."""
+    return [" ".join([row[1].value for row in rows]),
+            " ".join([str(row[2]) for row in rows]),
+            " ".join([row[3] for row in rows])]
+
+
+def _valid_run(run, count: int) -> bool:
+    """A :func:`stored_run` must hold ``count`` values in each of its
+    three strings: known outcomes, decimal end cycles, and traps (a
+    trap holding a space splits into two, so its run is malformed)."""
+    outcomes, end_cycles, traps = run
+    outcomes = outcomes.split(" ")
+    cycles = end_cycles.split(" ")
+    return (len(outcomes) == len(cycles) == traps.count(" ") + 1 == count
+            and _OUTCOME_VALUES.issuperset(outcomes)
+            and end_cycles.isascii() and all(map(str.isdigit, cycles)))
+
+
 class ScanStyle(CampaignStyle):
     """Def/use-pruned full scan: one unit per live class, keyed
     ``(axis, first_slot)``, rows ``(bit, outcome, end_cycle, trap)``."""
@@ -275,9 +300,10 @@ class ScanStyle(CampaignStyle):
         # One journal unit (one executemany) for the whole composition.
         handle.record_classes(batch)
 
-    def plan(self, items, parts):
+    def plan(self, items, parts, workers=None):
         return plan_class_shards(items, self.golden.cycles,
-                                 bits=self.domain.bits, parts=parts)[:2]
+                                 bits=self.domain.bits, parts=parts,
+                                 workers=workers)
 
     @staticmethod
     def execute(executor, intervals):
@@ -298,6 +324,23 @@ class ScanStyle(CampaignStyle):
             handle.record_class(key[0], key[1], stored)
             composer.store_class(self.units[key], stored)
 
+    encode = staticmethod(stored_run)
+
+    def valid_run(self, key, run):
+        return _valid_run(run, self.domain.experiment_count(self.units[key]))
+
+    def merge(self, run, window):
+        # One existence SELECT and one buffered write for the window.
+        return run.handle.merge_classes([(*key, ((0, *data),))
+                                         for key, data in window])
+
+    def discard(self, handle, key):
+        return handle.discard_classes([key])
+
+    def store(self, composer, runs):
+        composer.store_runs((self.units[key], data)
+                            for key, data in runs.items())
+
     def keep(self, key, rows):
         outcomes = tuple([row[1] for row in rows])
         if not self.keep_records:
@@ -311,7 +354,8 @@ class ScanStyle(CampaignStyle):
     def keep_run(self, key, run):
         """:meth:`keep` of a class in the journal's stored form, the
         run ``(outcomes, end_cycles, traps)`` from bit 0 (the fabric's
-        wire form): rows are decoded only when records are kept."""
+        wire form): rows are decoded only when records are kept, and
+        never for the journal (:meth:`merge` stores the run)."""
         outcomes = run[0].split(" ")
         if not self.keep_records:
             return tuple(map(OUTCOME_BY_VALUE.__getitem__, outcomes)), ()
@@ -360,9 +404,10 @@ def run_full_scan(golden: GoldenRun, *,
     """Def/use-pruned full fault-space scan (exact, no sampling error).
 
     ``jobs`` selects the transport: ``None`` (default) and ``1`` run
-    in-process, ``0`` uses one worker process per CPU, any larger count
-    that many workers.  ``domain`` selects the fault model (``"memory"``
-    or ``"register"``).  Results are identical for every choice.
+    in-process, ``0`` uses one forked fabric worker per CPU, any larger
+    count that many workers.  ``domain`` selects the fault model
+    (``"memory"`` or ``"register"``).  Results are identical for every
+    choice.
 
     ``config`` is an :class:`~.experiment.ExecutorConfig` applied under
     every transport (e.g. to disable the convergence early-exit);
@@ -371,11 +416,12 @@ def run_full_scan(golden: GoldenRun, *,
 
     ``progress`` is called with ``(done, total)`` live classes: once
     after the journal is loaded when it already held some, then as
-    results reach the sink (per class in-process, per shard from the
-    pool).  ``journal`` enables durable per-class result journaling and
+    results reach the sink (per class in-process, per send window from
+    fabric workers, and again with unchanged counts while they run
+    long).  ``journal`` enables durable per-class result journaling and
     resume (see the module docstring); ``policy`` is a
-    :class:`~repro.campaign.parallel.RetryPolicy` for the process
-    pool's timeout/retry behaviour (ignored in-process).
+    :class:`~repro.campaign.parallel.RetryPolicy` for the fabric
+    workers' lease deadlines and retries (ignored in-process).
     """
     domain = get_domain(domain)
     if jobs is not None:
@@ -408,8 +454,9 @@ class BruteForceResult:
 
 
 class BruteStyle(CampaignStyle):
-    """Ground-truth scan: one unit per injection slot, rows
-    ``(axis, bit, outcome)`` for every raw coordinate of the slot."""
+    """Ground-truth scan: one unit per injection slot, keyed
+    ``(slot,)``, rows ``(axis, bit, outcome)`` for every raw coordinate
+    of the slot."""
 
     kind = "brute-force"
     # Brute force validates the def/use pruning against ground truth;
@@ -420,10 +467,11 @@ class BruteStyle(CampaignStyle):
     def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
         super().__init__(golden, domain, params)
         # Slot-major, so the executor's fast-forward engages.
-        self.units = {slot: slot for slot in range(1, golden.cycles + 1)}
+        self.units = {(slot,): slot for slot in range(1, golden.cycles + 1)}
 
     def load(self, handle, report):
-        return handle.completed_slots()
+        return {(slot,): rows
+                for slot, rows in handle.completed_slots().items()}
 
     def cost(self, slot):
         return max(1, self.golden.cycles - slot + 1)
@@ -437,19 +485,46 @@ class BruteStyle(CampaignStyle):
         groups = ([(slot, list(domain.slot_coordinates(space, slot)))]
                   for slot in slots)
         for slot, records in run_groups(executor, groups):
-            yield slot, [(domain.coordinate_axis(record.coordinate),
-                          record.coordinate.bit, record.outcome)
-                         for record in records]
+            yield (slot,), [(domain.coordinate_axis(record.coordinate),
+                             record.coordinate.bit, record.outcome)
+                            for record in records]
 
     def journal(self, handle, composer, batch):
-        for slot, rows in batch:
+        for (slot,), rows in batch:
             handle.record_slot(slot, [(axis, bit, outcome.value)
                                       for axis, bit, outcome in rows])
 
+    @staticmethod
+    def encode(rows):
+        return [" ".join([str(axis) for axis, _, _ in rows]),
+                " ".join([str(bit) for _, bit, _ in rows]),
+                " ".join([outcome.value for _, _, outcome in rows])]
+
+    def decode(self, key, run):
+        axes, bits, outcomes = (field.split(" ") for field in run)
+        if not len(axes) == len(bits) == len(outcomes):
+            raise ValueError(f"ragged run for slot {key[0]}")
+        return [(int(axis), int(bit), OUTCOME_BY_VALUE[outcome])
+                for axis, bit, outcome in zip(axes, bits, outcomes)]
+
+    def valid_run(self, key, run):
+        try:
+            rows = self.decode(key, run)
+        except (KeyError, ValueError):
+            return False
+        domain = self.domain
+        return [row[:2] for row in rows] == [
+            (domain.coordinate_axis(coord), coord.bit)
+            for coord in domain.slot_coordinates(
+                domain.fault_space(self.golden), key[0])]
+
+    def discard(self, handle, key):
+        return handle.discard_slots(key)
+
     def result(self, kept, report):
         outcomes: dict = {}
-        for slot in self.units:
-            for axis, bit, outcome in kept.get(slot, ()):
+        for key, slot in self.units.items():
+            for axis, bit, outcome in kept.get(key, ()):
                 outcomes[self.domain.coordinate(slot, axis, bit)] = outcome
         return BruteForceResult(golden=self.golden, outcomes=outcomes,
                                 domain=self.domain, execution=report)
@@ -576,6 +651,7 @@ class SamplingStyle(CampaignStyle):
         super().__init__(golden, domain, params)
         self.partition = (partition if partition is not None
                           else domain.build_partition(golden))
+        self.seed = seed
         self.sampler = sampler
         self.key_params = dict(params, seed=seed, sampler=sampler,
                                n_samples=n_samples)
@@ -637,12 +713,34 @@ class SamplingStyle(CampaignStyle):
     def journal(self, handle, composer, batch):
         handle.record_experiments([(*key, rows[0][1].value)
                                    for key, rows in batch])
-        for key, rows in batch:
-            composer.store_experiment(self.units[key][1].slot, key[0],
-                                      *rows[0])
+        if composer is not None:
+            for key, rows in batch:
+                composer.store_experiment(self.units[key][1].slot, key[0],
+                                          *rows[0])
 
     def keep(self, key, rows):
         return rows[0][1]  # the outcome
+
+    def spec(self):
+        return {"kind": self.kind, "seed": self.seed,
+                "sampler": self.sampler, "samples": len(self.drawn)}
+
+    encode = staticmethod(stored_run)
+
+    def decode(self, key, run):
+        outcome, end_cycle, trap = run
+        return [(key[2], OUTCOME_BY_VALUE[outcome], int(end_cycle), trap)]
+
+    def valid_run(self, key, run):
+        return _valid_run(run, 1)
+
+    def discard(self, handle, key):
+        return handle.discard_experiments([key])
+
+    def store(self, composer, runs):
+        for key, (outcome, end_cycle, trap) in runs.items():
+            composer.store_experiment(self.units[key][1].slot, key[0],
+                                      key[2], outcome, int(end_cycle), trap)
 
     def result(self, kept, report):
         # A sample whose experiment is missing (degraded campaign: its
@@ -656,6 +754,24 @@ class SamplingStyle(CampaignStyle):
             population=self.population,
             experiments_conducted=sum(key in kept for key in self.units),
             sampler=self.sampler, domain=self.domain, execution=report)
+
+
+def style_from_spec(spec: dict, golden: GoldenRun, domain: FaultDomain,
+                    params: dict, partition) -> CampaignStyle:
+    """The style a fabric ``campaign`` frame names (:meth:`CampaignStyle
+    .spec`), rebuilt from the worker's own verified golden run: a
+    sampling worker re-draws the samples, so its units are the
+    coordinator's only if the draw is."""
+    kind = spec["kind"]
+    if kind == ScanStyle.kind:
+        return ScanStyle(golden, domain, params, partition)
+    if kind == BruteStyle.kind:
+        return BruteStyle(golden, domain, params)
+    if kind == SamplingStyle.kind:
+        return SamplingStyle(golden, domain, params, int(spec["samples"]),
+                             int(spec["seed"]), str(spec["sampler"]),
+                             partition)
+    raise ValueError(f"unknown campaign style {kind!r}")
 
 
 def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,

@@ -10,14 +10,15 @@ Commands:
     ``--samples`` run a sampled campaign instead.  ``--domain`` picks
     the fault model (memory bits by default, ``register`` for the
     Section VI-B register file).  ``--jobs`` shards the campaign over
-    worker processes (0 = one per CPU) and a live progress/ETA line is
+    forked fabric workers (0 = one per CPU) and a live progress/ETA line is
     printed to stderr.  ``--journal PATH`` journals every completed
     work unit to a SQLite file: an interrupted scan rerun against the
     same journal resumes where it left off (``--fresh`` discards the
     journaled campaign first).  ``--shard-timeout`` / ``--max-retries``
-    tune the robustness policy of the pool and the fabric alike: a
-    shard past its wall-clock deadline is killed and retried, and
-    reported missing once its retries are spent — never a result.
+    tune the fabric's lease policy, for ``--jobs`` and ``--dist``
+    alike: a lease past its wall-clock deadline is a failed attempt,
+    retried, and reported missing once its retries are spent — never a
+    result.
     ``--no-convergence`` / ``--checkpoint-stride`` control the
     early exits (golden checkpoint ladder + state memo; a pure
     optimization, outcomes are identical either way), which the
@@ -567,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "resumes instead of restarting")
         cmd.add_argument("--shard-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="wall-clock deadline per pool shard or "
-                              "fabric lease; an overrun is a failed "
-                              "attempt, retried (default: derived from "
-                              "the shard's estimated cycle cost)")
+                         help="wall-clock deadline per fabric lease; an "
+                              "overrun is a failed attempt, retried "
+                              "(default: derived from the lease's "
+                              "estimated cycle cost)")
         cmd.add_argument("--max-retries", type=int, default=None,
                          metavar="N",
                          help="resubmissions per shard after a worker "

@@ -8,7 +8,7 @@ def/use partition says how many experiments inject at each slot.
 
 Engine choice is outcome-invariant (the equivalence suites prove it),
 so the plan only moves wall-clock; it depends on the golden run and the
-domain alone, so pool and fabric workers re-plan and agree.
+domain alone, so fabric workers re-plan and agree.
 """
 
 from __future__ import annotations

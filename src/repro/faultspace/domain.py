@@ -14,8 +14,8 @@ needs to know about one such fault model:
   raw coordinates and campaign dictionaries;
 * the **injector** that applies a fault coordinate to a paused machine.
 
-The generic runners (:mod:`repro.campaign.runner`), the parallel sharder
-(:mod:`repro.campaign.parallel`), the samplers
+The generic runners (:mod:`repro.campaign.runner`), the fabric
+(:mod:`repro.campaign.dist`), the samplers
 (:mod:`repro.faultspace.sampling`), persistence and metrics are all
 written against this interface, so a new fault model (multi-bit faults,
 instruction operands, ...) is one subclass plus a :data:`DOMAINS` entry —

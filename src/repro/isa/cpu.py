@@ -63,7 +63,7 @@ def state_digest(ram, regs, pc: int, serial_len: int,
 
     blake2b (not ``hash()``) because the digest must agree across
     processes: the golden ladder is computed in the campaign driver and
-    compared against digests computed inside pool workers, and Python's
+    compared against digests computed inside fabric workers, and Python's
     built-in hashing is salted per process.
     """
     h = blake2b(bytes(ram) if not isinstance(ram, (bytes, bytearray))

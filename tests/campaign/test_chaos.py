@@ -10,11 +10,11 @@ completeness report.  The harder cases ride on top: a worker whose
 frames arrive corrupted (CRC-detectable), a worker whose results are
 wrong under a valid CRC (only the cross-check audit can catch it; the
 class is reported and left missing), and a class key that kills every
-worker that touches it (its shard fails after its retries, as a pool
-shard would).
+worker that touches it (its shard fails after its retries).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +38,12 @@ from .test_dist import (POLICY, _class_items, _RawWorker, _RecordingStream,
 #: retry frugality.
 SOAK_POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
                           max_retries=12)
+
+#: The soak's budget with a bounded embargo: a shard failed k times is
+#: embargoed ``0.05 · 1.25^(k-1)`` s, at most ≈ 2.7 s summed over its
+#: twelve retries (doubling, the last embargo alone is 102 s).  For
+#: tests where one worker fails every lease it wins.
+BOUNDED_SOAK_POLICY = replace(SOAK_POLICY, backoff_factor=1.25)
 
 #: Rates for the differential soak: every event class that cannot lie
 #: (drops, dups, CRC-detectable corruption, delays) fires often enough
@@ -298,7 +304,7 @@ class TestIntegrity:
         corrupt = ChaosPlan(seed=3, corrupt_rate=1.0)
         result, _, _ = run_dist(
             memory_golden, workers=2, worker_chaos=[corrupt, None],
-            policy=SOAK_POLICY)
+            policy=BOUNDED_SOAK_POLICY)
         execution = result.execution
         assert execution.integrity_rejected > 0
         assert_soak_invariant(result, memory_baseline)
@@ -409,9 +415,9 @@ class TestDyingKey:
             self, memory_golden, memory_baseline):
         """One class key kills every worker that tries to execute it (a
         wild pointer in a simulator build, say).  Its shard is charged
-        an attempt per death and fails after ``max_retries``, exactly
-        as a pool shard whose worker keeps dying: what that shard never
-        delivered is missing, and every other shard completes."""
+        an attempt per death and fails after ``max_retries``: what that
+        shard never delivered is missing, and every other shard
+        completes."""
         from repro.campaign.dist.leases import FAILED
 
         keys = sorted(memory_baseline.class_outcomes)

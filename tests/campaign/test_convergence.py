@@ -352,7 +352,7 @@ loop:   addi r3, r3, -1
     @pytest.mark.parametrize("engine", ["interp", "compiled"])
     def test_slot_order_never_affects_records(self, kernel, engine,
                                               monkeypatch):
-        """A pool or fabric worker reuses one executor across shards,
+        """A fabric worker reuses one executor across leases,
         so slots can step backwards between batches; a rewind forgets
         the memo and costs hits, never a record."""
         _memo_grid(monkeypatch, 1)

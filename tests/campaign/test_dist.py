@@ -26,8 +26,10 @@ from repro.campaign import (
     RetryPolicy,
     export_class_results_csv,
     record_golden,
+    run_brute_force,
     run_distributed_scan,
     run_full_scan,
+    run_sampling,
 )
 from repro.campaign.dist import (
     ChaosPlan,
@@ -44,7 +46,8 @@ from repro.campaign.dist import (
 )
 from repro.campaign.dist.chaos import ChaosInterrupt
 from repro.campaign.dist.coordinator import serve_in_thread
-from repro.campaign.dist.leases import PENDING
+from repro.campaign.dist.leases import FAILED, PENDING
+from repro.campaign.runner import ScanStyle
 from repro.programs import hi, micro, sync2
 
 from .journal_rows import class_experiments
@@ -79,9 +82,12 @@ def _server_socket():
 
 
 def _campaign_spec(golden, **kw) -> dict:
-    """The campaign frame a coordinator would ship to its workers."""
+    """The campaign frame a coordinator would ship to its full-scan
+    workers."""
     with _server_socket() as sock:
-        return DistCoordinator(golden, sock=sock, **kw)._campaign_message()
+        coordinator = DistCoordinator(golden, sock=sock, **kw)
+        return coordinator._campaign_message(
+            ScanStyle(golden, coordinator.domain, {}))
 
 
 def _start_worker(port: int, name: str, chaos=None, **kw):
@@ -225,7 +231,8 @@ class TestLeaseBoard:
         assert lease.shard == 0
         board.expire(now=300.0)
         assert board.failed_shards == 1
-        assert board.failed_keys() == [(0, 1), (0, 2)]
+        assert [key for shard in board.shards() if shard.status == FAILED
+                for key in shard.remaining] == [(0, 1), (0, 2)]
         # Permanently lost work is terminal state, not a hang.
         assert board.done()
         assert board.acquire("c", now=301.0) is None
@@ -502,16 +509,17 @@ class TestDistChaos:
         assert "version" in reply["reason"]
         client.close()
         # Protocol-3 (``heartbeat`` frames), protocol-4 (per-bit ``rows``
-        # lists) and protocol-5 (no ladder stride) workers are refused at
-        # the handshake: versions are replaced, not forked.
-        for old in (3, 4, 5):
+        # lists), protocol-5 (no ladder stride) and protocol-6 (full
+        # scans only) workers are refused at the handshake: versions are
+        # replaced, not forked.
+        for old in (3, 4, 5, 6):
             client = socket.create_connection(("127.0.0.1", port),
                                               timeout=5)
             stream = FrameStream(client)
             stream.send({"type": "hello", "version": old, "name": "old"})
             reply = stream.read(timeout=5.0)
             assert reply["type"] == "reject"
-            assert f"version {old} != 6" in reply["reason"]
+            assert f"version {old} != 7" in reply["reason"]
             client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
@@ -618,15 +626,15 @@ def _run_lease(spec: dict, lease: dict | None = None, calls=None):
     batch size of every ``run_many`` call the executor serves."""
     worker = DistWorker("127.0.0.1", 0, name="w")
     stream = _RecordingStream()
-    executor, intervals = worker._verify(stream, spec)
+    executor, style = worker._verify(stream, spec)
     if calls is not None:
         run_many = executor.run_many
         executor.run_many = lambda coords: (calls.append(len(coords)),
                                             run_many(coords))[1]
     if lease is None:
         lease = {"lease": 1, "shard": 0,
-                 "keys": [list(key) for key in intervals]}
-    assert worker._run_lease(stream, lease, executor, intervals) is False
+                 "keys": [list(key) for key in style.units]}
+    assert worker._run_lease(stream, lease, executor, style) is False
     assert stream.sent[-1]["type"] == "lease_done"
     assert len(stream.windows()) == len(stream.sent) - 1
     return stream.windows()
@@ -964,7 +972,7 @@ class TestSendWindow:
 
 class TestDeadlines:
     """Since protocol 4 a lease lives by progress alone, and an expired one
-    is what an expired pool shard is — a failed attempt."""
+    is a failed attempt."""
 
     DEADLINE = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
                            shard_timeout=1.0)
@@ -1046,14 +1054,10 @@ class TestDeadlines:
         assert result == memory_baseline
 
     def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """One policy for every transport: shard 0's first attempt hangs
-        past its 1 s deadline, its second is healthy."""
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps({"hang": [[0, 0]]}))
-        pool = run_full_scan(memory_golden, jobs=2, keep_records=True,
-                             policy=self.DEADLINE)
-        monkeypatch.delenv("REPRO_CHAOS")
-
+            self, memory_golden, memory_baseline):
+        """One policy for every lease, ``jobs=N`` and ``--dist``
+        alike: shard 0's first attempt hangs past its 1 s
+        deadline, its second is healthy."""
         thread, port = self._serve(memory_golden, shards=2)
         stalled = _RawWorker(port, name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
@@ -1063,19 +1067,19 @@ class TestDeadlines:
         stalled.close()
         assert not errors
 
-        assert pool == fabric == memory_baseline
-        for execution in (pool.execution, fabric.execution):
-            assert execution.complete and not execution.missing
-            assert (execution.timed_out_shards, execution.shard_retries,
-                    execution.failed_shards) == (1, 1, 0)
-            assert execution.executed == execution.total_units
+        assert fabric == memory_baseline
+        execution = fabric.execution
+        assert execution.complete and not execution.missing
+        assert (execution.timed_out_shards, execution.shard_retries,
+                execution.failed_shards) == (1, 1, 0)
+        assert execution.executed == execution.total_units
 
 
 class TestDistJournalInterop:
     def test_dist_journal_resumes_serially(self, tmp_path, memory_golden,
                                            memory_baseline):
-        """The fabric journals under the same campaign key as the serial
-        and pool engines: a journaled dist scan re-runs as a no-op."""
+        """The fabric journals under the same campaign key as the
+        in-process transport: a journaled dist scan re-runs as a no-op."""
         journal = tmp_path / "j.sqlite"
         run_dist(memory_golden, journal=journal)
         again = run_full_scan(memory_golden, journal=journal,
@@ -1335,7 +1339,7 @@ class TestDistSubprocess:
 
     def test_workers_start_without_a_new_interpreter(
             self, monkeypatch, memory_golden, memory_baseline):
-        """Local workers are processes of the pool's start method,
+        """Local workers are processes of the default start method,
         not ``python -m repro worker`` commands: with every subprocess
         launch refused, the scan still equals serial."""
         def refused(*args, **kwargs):
@@ -1443,18 +1447,38 @@ class TestWorkerPartition:
         assert built.count(worker_thread.ident) == 1
 
 
-def test_the_fabric_serves_full_scans_only(memory_golden):
-    """The wire carries class runs: handed any other campaign style,
-    the coordinator refuses it instead of serving it wrongly."""
+def test_the_fabric_serves_every_style(register_golden):
+    """The campaign frame names the style and each worker rebuilds it
+    from its verified golden run, so a coordinator serves brute force
+    and sampling to a hand-started worker as it serves full scans."""
     from repro.campaign.pipeline import campaign_params, run_campaign
-    from repro.campaign.runner import BruteStyle
+    from repro.campaign.runner import BruteStyle, SamplingStyle
 
-    with _server_socket() as sock:
-        coordinator = DistCoordinator(memory_golden, sock=sock)
-        style = BruteStyle(memory_golden, coordinator.domain,
-                           campaign_params(memory_golden, coordinator.config))
-        with pytest.raises(TypeError, match="full scans only"):
-            run_campaign(style, coordinator, None, True, None)
+    golden = register_golden  # Δt=8: brute force stays tiny
+    for make, serial in (
+            (lambda domain, params: BruteStyle(golden, domain, params),
+             run_brute_force(golden)),
+            (lambda domain, params: SamplingStyle(golden, domain, params,
+                                                  60, 3, "live-only"),
+             run_sampling(golden, 60, seed=3, sampler="live-only"))):
+        sock = _server_socket()
+        coordinator = DistCoordinator(golden, sock=sock, shards=2,
+                                      policy=POLICY)
+        style = make(coordinator.domain,
+                     campaign_params(golden, coordinator.config))
+        results = []
+        thread = threading.Thread(target=lambda: results.append(
+            run_campaign(style, coordinator, ":memory:", True, None)))
+        thread.start()
+        worker, worker_thread, errors = _start_worker(
+            sock.getsockname()[1], "w0")
+        thread.join(60)
+        worker._finished = True
+        worker_thread.join(10)
+        assert not errors
+        assert results == [serial]
+        assert results[0].execution.workers \
+            == (("w0", len(style.units)),)
 
 
 class TestWorkerGolden:

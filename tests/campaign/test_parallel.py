@@ -119,7 +119,7 @@ class TestSharding:
 
 
     def test_plan_derives_every_cost_from_one_class_cost_list(self):
-        """Shard costs (pool deadlines) and the per-class list (the
+        """Shard costs and the per-class list (the
         fabric's lease cost table) are the numbers the cut was made
         with."""
         total = 400
@@ -167,7 +167,7 @@ class TestPicklability:
     def test_executor_config_holds_executor_settings_only(self):
         """Exactly what ``build()`` / ``campaign_params`` read.  Transport
         tuning (deadlines, retries) is ``RetryPolicy``'s; a knob added
-        here would ride every campaign frame and pool pickle unread."""
+        here would ride every campaign frame unread."""
         import dataclasses
 
         assert {f.name for f in dataclasses.fields(ExecutorConfig)} == {

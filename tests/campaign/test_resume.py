@@ -7,21 +7,21 @@ interrupt campaigns at every layer the real world does:
 
 * mid-campaign ``KeyboardInterrupt``-style aborts in the serial runner
   (simulated by a progress callback that raises),
-* worker processes killed outright (via the ``REPRO_CHAOS`` hook, which
-  makes a worker ``os._exit`` mid-shard like the OOM killer would),
-* wedged workers that never return (killed at their wall-clock deadline
-  and retried like a dead worker — never turned into results),
+* fabric workers killed outright (a :class:`ChaosPlan` handed to the
+  forked workers through ``REPRO_CHAOS_PLAN``, which makes a worker
+  ``os._exit`` mid-lease like the OOM killer would, or drop its
+  connection on a class key),
+* wedged workers (their lease expires at its wall-clock deadline and
+  is retried like a dead worker's — never turned into results),
 * the campaign *driver* itself SIGKILLed (a real ``repro scan
-  --journal`` subprocess, serial and pooled), which loses the journal's
-  last commit window and nothing else,
+  --journal`` subprocess, serial and with fabric workers), which loses
+  the journal's last commit window and nothing else,
 
 and then assert the resumed result equals the uninterrupted baseline,
 for both fault domains and across serial and parallel (jobs ∈ {1, 2, 4})
 engines.
 """
 
-import json
-import multiprocessing
 import os
 import signal
 import sqlite3
@@ -29,7 +29,6 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +42,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
+from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.campaign.journal import invalid_classes
 from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
@@ -51,6 +51,31 @@ from repro.programs import all_programs, hi, micro
 from .journal_rows import class_experiments
 
 JOBS = [1, 2, 4]
+
+#: Every started fabric worker dies (``os._exit``) on its first result;
+#: its replacement runs no plan.
+DIE_AT_ONCE = ChaosPlan(die_after_results=0)
+
+#: Under seed 17 828 the local workers ``worker-0`` and ``worker-1``
+#: each hang 1.5 s at their first result and at none of their next 63:
+#: two wedged leases a campaign of up to 64 units a worker, whoever
+#: wins which lease.
+HANG_ONCE = ChaosPlan(seed=17828, hang_rate=0.015, hang_seconds=1.5)
+
+#: Every started fabric worker hangs at every result.
+HANG_ALWAYS = ChaosPlan(hang_rate=1.0, hang_seconds=30.0)
+
+
+def _chaos(monkeypatch, plan: ChaosPlan) -> None:
+    """Hand ``plan`` to the fabric workers ``jobs=N`` forks."""
+    monkeypatch.setenv(PLAN_ENV, plan.to_json())
+
+
+def _dying_key(golden) -> ChaosPlan:
+    """A plan whose middle live class drops every worker's connection."""
+    keys = sorted(get_domain("memory").class_key(interval) for interval
+                  in golden.partition().live_classes())
+    return ChaosPlan(die_on_keys=(keys[len(keys) // 2],))
 
 
 class Interrupt(Exception):
@@ -230,8 +255,7 @@ class TestSamplingResume:
 class TestInProcessInterrupt:
     """``jobs=1`` *is* the in-process transport: it streams unit by unit
     exactly as ``jobs=None`` does, so an interrupt after *n* units
-    leaves exactly *n* journaled.  (A one-shard inline pool journaled
-    its whole shard before the first progress call.)"""
+    leaves exactly *n* journaled."""
 
     def test_full_scan(self, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "journal.sqlite"
@@ -268,7 +292,8 @@ class TestInProcessInterrupt:
 
 
 class TestWorkerDeath:
-    """Simulated worker kills via the REPRO_CHAOS hook."""
+    """Fabric workers killed mid-lease: a :class:`ChaosPlan` handed to
+    the workers ``jobs=2`` forks."""
 
     @pytest.mark.parametrize("domain", ["memory", "register"])
     def test_dead_worker_is_retried_to_an_identical_result(
@@ -277,8 +302,7 @@ class TestWorkerDeath:
         golden, baseline = _golden_and_baseline(
             domain, memory_golden, memory_baseline, register_golden,
             register_baseline)
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        _chaos(monkeypatch, DIE_AT_ONCE)
         result = run_full_scan(golden, domain=domain, jobs=2,
                                keep_records=True,
                                policy=RetryPolicy(backoff=0.05))
@@ -286,38 +310,29 @@ class TestWorkerDeath:
         assert result.execution.shard_retries >= 1
         assert result.execution.complete
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the recording sleeper reaches pool workers by fork")
-    def test_retry_backoff_sleeps_on_the_injected_sleeper(
+    def test_retry_backoff_embargoes_on_the_lease_clock(
             self, monkeypatch, memory_golden, memory_baseline):
-        """A shard that dies once costs one backoff, ``backoff × (1 +
-        jitter·U)``, and the die hook's delay: both go to
-        ``parallel._sleep``, so a recording sleeper takes them and no
-        real second passes."""
-        from repro.campaign import parallel
+        """A shard whose worker died is embargoed ``backoff`` seconds of
+        the coordinator's lease clock (``coordinator._clock``), not
+        slept: with a 600 s backoff on a clock running 1 000 times fast,
+        no real minute passes."""
+        import repro.campaign.dist.coordinator as coordinator_mod
 
-        slept: list[float] = []
-        monkeypatch.setattr(parallel, "_sleep", slept.append)
-        monkeypatch.setattr(parallel, "random",
-                            SimpleNamespace(random=lambda: 0.5))
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0]], "die_delay": 600.0}))
+        base = time.monotonic()
+        monkeypatch.setattr(coordinator_mod, "_clock", lambda: base + (
+            time.monotonic() - base) * 1000.0)
+        _chaos(monkeypatch, DIE_AT_ONCE)
         start = time.monotonic()
         result = run_full_scan(
             memory_golden, jobs=2, keep_records=True,
-            policy=RetryPolicy(backoff=600.0, backoff_jitter=0.25))
+            policy=RetryPolicy(backoff=600.0, shard_timeout=1e9))
         assert time.monotonic() - start < 60.0
         assert result == memory_baseline
         assert result.execution.shard_retries >= 1
-        # The parent's one backoff; the worker's die_delay was recorded
-        # in the forked worker's copy of the list.
-        assert slept == [600.0 * (1.0 + 0.25 * 0.5)]
 
     def test_exhausted_retries_degrade_to_partial_result(
             self, monkeypatch, memory_golden, memory_baseline):
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0], [0, 1]], "die_delay": 0.2}))
+        _chaos(monkeypatch, _dying_key(memory_golden))
         result = run_full_scan(memory_golden, jobs=2,
                                policy=RetryPolicy(max_retries=1,
                                                   backoff=0.05))
@@ -335,16 +350,16 @@ class TestWorkerDeath:
 
     def test_degraded_campaign_resumes_to_completion(
             self, monkeypatch, tmp_path, memory_golden, memory_baseline):
-        """Journal + worker death + exhausted retries, then a clean rerun:
-        the rerun resumes the survivors and equals the uninterrupted run."""
+        """Journal + a key that kills its worker + exhausted retries,
+        then a clean rerun: the rerun resumes the survivors and equals
+        the uninterrupted run."""
         journal = tmp_path / "journal.sqlite"
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0], [0, 1]], "die_delay": 0.2}))
+        _chaos(monkeypatch, _dying_key(memory_golden))
         partial = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 policy=RetryPolicy(max_retries=1,
                                                    backoff=0.05))
         assert not partial.execution.complete
-        monkeypatch.delenv("REPRO_CHAOS")
+        monkeypatch.delenv(PLAN_ENV)
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 keep_records=True)
         assert resumed == memory_baseline
@@ -355,16 +370,43 @@ class TestWorkerDeath:
     def test_sampling_survives_worker_death(self, monkeypatch,
                                             memory_golden):
         baseline = run_sampling(memory_golden, 40, seed=7)
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        _chaos(monkeypatch, DIE_AT_ONCE)
         result = run_sampling(memory_golden, 40, seed=7, jobs=2,
                               policy=RetryPolicy(backoff=0.05))
         assert result == baseline
         assert result.execution.shard_retries >= 1
 
+    @pytest.mark.parametrize("style", ["brute", "sampling"])
+    def test_killed_worker_resume_differential(
+            self, style, monkeypatch, tmp_path, register_golden):
+        """A worker killed at its first result with no retry to spare
+        loses its shard; the journal keeps the rest, and a healthy rerun
+        on it is the serial result bit for bit."""
+        def run(**kw):
+            if style == "brute":
+                return run_brute_force(register_golden, **kw)
+            return run_sampling(register_golden, 30, seed=3,
+                                sampler="live-only", **kw)
+
+        baseline = run()
+        journal = tmp_path / "journal.sqlite"
+        _chaos(monkeypatch, DIE_AT_ONCE)
+        partial = run(jobs=2, journal=journal,
+                      policy=RetryPolicy(max_retries=0))
+        execution = partial.execution
+        assert not execution.complete
+        assert execution.failed_shards >= 1
+        monkeypatch.delenv(PLAN_ENV)
+        resumed = run(jobs=2, journal=journal)
+        assert resumed == baseline
+        assert resumed.execution.complete
+        assert resumed.execution.resumed \
+            == execution.total_units - len(execution.missing)
+        assert resumed.execution.executed == len(execution.missing)
+
 
 class TestHungWorker:
-    """A shard past its wall-clock deadline is a failed attempt — killed,
+    """A lease past its wall-clock deadline is a failed attempt —
     charged, retried, finally reported missing — and never a result: no
     experiment can outlive the cycle budget, so an overrun only ever
     measures the host."""
@@ -374,13 +416,13 @@ class TestHungWorker:
 
     def test_hung_shard_is_retried_to_the_serial_result(
             self, monkeypatch, memory_golden, memory_baseline):
-        monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0]]}))
+        _chaos(monkeypatch, HANG_ONCE)
         result = run_full_scan(memory_golden, jobs=2, keep_records=True,
                                policy=self.HANG_POLICY)
         assert result == memory_baseline
         execution = result.execution
-        assert execution.timed_out_shards == 1
+        # Each worker's one hang outlives its lease's deadline once.
+        assert execution.timed_out_shards == 2
         assert execution.shard_retries >= 1
         assert execution.complete
         # No TIMEOUT the serial run of the same program does not have.
@@ -390,22 +432,22 @@ class TestHungWorker:
     def test_exhausted_hang_is_missing_and_never_journaled(
             self, monkeypatch, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "journal.sqlite"
-        monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0], [0, 1]]}))
+        _chaos(monkeypatch, HANG_ALWAYS)
         partial = run_full_scan(
             memory_golden, jobs=2, journal=journal,
-            policy=replace(self.HANG_POLICY, max_retries=1))
+            policy=replace(self.HANG_POLICY, max_retries=0))
         execution = partial.execution
         assert not execution.complete
         assert execution.timed_out_shards == 2
-        assert execution.failed_shards == 1
-        # Exactly the hung shard's classes are missing ...
+        assert execution.failed_shards == 2
+        # Exactly what the hung workers never sent is missing — all but
+        # the first class of each shard (sent, then the hang) ...
         shards, _, _ = plan_class_shards(
             memory_golden.partition().live_classes(),
-            memory_golden.cycles, bits=8, parts=2)
+            memory_golden.cycles, bits=8, parts=8, workers=2)
         assert execution.missing == tuple(
             get_domain("memory").class_key(interval)
-            for interval in shards[0])
+            for shard in shards for interval in shard[1:])
         # ... nothing of theirs was invented, in the result or on disk,
         for key, outcomes in partial.class_outcomes.items():
             assert outcomes == memory_baseline.class_outcomes[key]
@@ -415,7 +457,7 @@ class TestHungWorker:
         assert entry["journaled_experiments"] \
             == 8 * (execution.total_units - len(execution.missing))
         # ... and a clean rerun on the same journal executes just them.
-        monkeypatch.delenv("REPRO_CHAOS")
+        monkeypatch.delenv(PLAN_ENV)
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 keep_records=True)
         assert resumed == memory_baseline
@@ -431,11 +473,10 @@ class TestHungWorker:
             return run_sampling(memory_golden, 40, seed=7, **kw)
 
         baseline = run()
-        monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0]]}))
+        _chaos(monkeypatch, HANG_ONCE)
         result = run(jobs=2, policy=self.HANG_POLICY)
         assert result == baseline
-        assert result.execution.timed_out_shards == 1
+        assert result.execution.timed_out_shards == 2
         assert result.execution.complete
 
 
@@ -538,7 +579,7 @@ class TestDriverSigkill:
             "scan", self.PROGRAMS[domain], "--domain", domain,
             "--engine", "interp", "--journal", journal,
             *([] if jobs is None else ["--jobs", jobs]))
-        # Its own process group, so the pool workers the kill orphans
+        # Its own process group, so the fabric workers the kill orphans
         # can be reaped afterwards.
         victim = subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL,
@@ -631,8 +672,7 @@ class TestHeartbeat:
         """During an idle wait the progress callback is re-invoked with
         unchanged counts, so a UI can prove the campaign is alive."""
         calls = []
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"hang": [[0, 0]]}))
+        _chaos(monkeypatch, HANG_ONCE)
         run_full_scan(
             memory_golden, jobs=2, progress=lambda d, t: calls.append(d),
             policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05,

@@ -6,7 +6,7 @@ The contract under test: opening such a file raises a loud
 :class:`JournalCorruptError` by default, ``salvage=True`` rebuilds a
 fresh journal from every row that is still readable (moving the
 original aside as forensic evidence), and every resuming layer —
-serial, pool, distributed — validates recovered classes against the
+in-process or on fabric workers — validates recovered classes against the
 domain's expected experiment weights instead of trusting them blindly,
 so a half-lost class is re-executed, never merged.
 """
@@ -158,7 +158,7 @@ class TestInvalidClasses:
 
 class TestEveryTransportPrunesPartialClasses:
     """The rule lives in the pipeline's prologue, so it holds however
-    the campaign resumes: in-process, pooled or over the fabric."""
+    the campaign resumes: in-process or over the fabric."""
 
     @pytest.mark.parametrize("transport", [None, 1, 2, "dist"])
     def test_truncated_class_is_discarded_and_redone(

@@ -1,35 +1,31 @@
-"""The transport contract, stated once for all three transports.
+"""The transport contract, stated once for every way of running a
+campaign and all three campaign styles.
 
-In-process, the process pool and the TCP fabric all run a campaign
-through :func:`~repro.campaign.pipeline.run_campaign`: one prologue, one
-sink and one assembly.  So a fresh scan and the resume of a
-half-journaled one must end the same way on each — the serial result,
-records included; the same ``ExecutionReport`` counts; and the same
-shape of progress reports.
+In-process, local workers (``jobs=2``, test id ``pool``: fabric workers
+forked by the driver behind a lease coordinator) and the TCP fabric
+(workers started on their own) all run
+a campaign through :func:`~repro.campaign.pipeline.run_campaign`: one
+prologue, one sink and one assembly.  So a fresh campaign and the
+resume of a half-journaled one must end the same way on each — the
+serial result, records included; the same ``ExecutionReport`` counts;
+and the same shape of progress reports.
 """
 
 import pytest
 
-from repro.campaign import record_golden, run_full_scan
-from repro.programs import micro
+from repro.campaign import (
+    record_golden,
+    run_brute_force,
+    run_full_scan,
+    run_sampling,
+)
+from repro.programs import hi, micro
 
 from .test_dist import run_dist
 
-
-def _in_process(golden, **kw):
-    return run_full_scan(golden, keep_records=True, **kw)
-
-
-def _pool(golden, **kw):
-    return run_full_scan(golden, jobs=2, keep_records=True, **kw)
-
-
-def _fabric(golden, **kw):
-    result, _, _ = run_dist(golden, workers=2, **kw)
-    return result
-
-
-TRANSPORTS = {"in-process": _in_process, "pool": _pool, "fabric": _fabric}
+#: ``jobs`` per transport that ``run_campaign`` starts itself.  ``pool``
+#: keeps its old test id; ``jobs=2`` now forks local fabric workers.
+TRANSPORTS = {"in-process": None, "pool": 2}
 
 
 @pytest.fixture(scope="module")
@@ -37,39 +33,39 @@ def golden():
     return record_golden(micro.memcopy(6))
 
 
+@pytest.fixture(scope="module")
+def tiny_golden():
+    return record_golden(hi.baseline())  # Δt=8: brute force stays tiny
+
+
 class _Interrupt(Exception):
     pass
 
 
-def _half_journal(path, golden, domain, half):
-    """A journal holding the first ``half`` classes of the campaign."""
+def _half_journal(path, half, campaign):
+    """A journal holding the first ``half`` units of ``campaign``."""
     def interrupt(done, total):
         if done >= half:
             raise _Interrupt
 
     with pytest.raises(_Interrupt):
-        run_full_scan(golden, domain=domain, journal=path,
-                      progress=interrupt)
+        campaign(journal=path, progress=interrupt)
     return path
 
 
-@pytest.mark.parametrize("scenario", ["fresh", "resume"])
-@pytest.mark.parametrize("domain", ["memory", "register"])
-@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-def test_every_transport_keeps_the_contract(transport, domain, scenario,
-                                            golden, tmp_path):
-    serial = run_full_scan(golden, domain=domain, keep_records=True)
-    total = len(serial.class_outcomes)
+def _check_contract(campaign, run, total, scenario, tmp_path, serial,
+                    view):
+    """Run ``run`` fresh or on a journal ``campaign`` half wrote; check
+    it.  ``view`` is what equality leaves out: records, order, samples."""
     resumed = total // 2 if scenario == "resume" else 0
-    journal = (_half_journal(tmp_path / "half.sqlite", golden, domain,
-                             resumed) if resumed else None)
+    journal = (_half_journal(tmp_path / "half.sqlite", resumed, campaign)
+               if resumed else None)
     calls: list[tuple[int, int]] = []
-    result = TRANSPORTS[transport](
-        golden, domain=domain, journal=journal,
-        progress=lambda done, all_: calls.append((done, all_)))
+    result = run(journal=journal,
+                 progress=lambda done, all_: calls.append((done, all_)))
 
     assert result == serial
-    assert result.records == serial.records
+    assert view(result) == view(serial)
     execution = result.execution
     assert (execution.total_units, execution.resumed, execution.executed,
             execution.composed_hits, execution.complete) \
@@ -80,3 +76,47 @@ def test_every_transport_keeps_the_contract(transport, domain, scenario,
     if resumed:
         assert calls[0] == (resumed, total)
     assert calls[-1] == (total, total)
+
+
+@pytest.mark.parametrize("scenario", ["fresh", "resume"])
+@pytest.mark.parametrize("domain", ["memory", "register"])
+@pytest.mark.parametrize("transport", sorted([*TRANSPORTS, "fabric"]))
+def test_every_transport_keeps_the_contract(transport, domain, scenario,
+                                            golden, tmp_path):
+    def campaign(**kw):
+        return run_full_scan(golden, domain=domain, keep_records=True, **kw)
+
+    def run(**kw):
+        if transport == "fabric":
+            return run_dist(golden, domain=domain, **kw)[0]
+        return campaign(jobs=TRANSPORTS[transport], **kw)
+
+    serial = campaign()
+    _check_contract(campaign, run, len(serial.class_outcomes), scenario,
+                    tmp_path, serial,
+                    lambda result: (result.records,
+                                    list(result.class_outcomes)))
+
+
+@pytest.mark.parametrize("scenario", ["fresh", "resume"])
+@pytest.mark.parametrize("style", ["brute", "uniform", "live-only"])
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_every_style_keeps_the_contract(transport, style, scenario, golden,
+                                        tiny_golden, tmp_path):
+    """Brute force (a unit per injection slot) and sampling (a unit per
+    distinct sampled experiment) keep the full scan's contract."""
+    def campaign(**kw):
+        if style == "brute":
+            return run_brute_force(tiny_golden, **kw)
+        return run_sampling(golden, 150, seed=7, sampler=style, **kw)
+
+    serial = campaign()
+    if style == "brute":
+        total = tiny_golden.cycles
+        view = lambda result: list(result.outcomes.items())  # noqa: E731
+    else:
+        total = serial.experiments_conducted
+        view = lambda result: result.samples  # noqa: E731
+    _check_contract(campaign,
+                    lambda **kw: campaign(jobs=TRANSPORTS[transport], **kw),
+                    total, scenario, tmp_path, serial, view)

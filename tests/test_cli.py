@@ -371,11 +371,13 @@ class TestCliDist:
 
     def test_incomplete_scan_exits_nonzero(self, monkeypatch, capsys):
         """A campaign that lost shards for good must not exit 0 — CI
-        pipelines gate on the exit code, not on parsing the report."""
-        import json as json_mod
+        pipelines gate on the exit code, not on parsing the report.
+        Here every fabric worker dies at its first result, and no lease
+        may be retried."""
+        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 
-        monkeypatch.setenv("REPRO_CHAOS", json_mod.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV,
+                           ChaosPlan(die_after_results=0).to_json())
         status = main(["scan", "memcopy", "--jobs", "2",
                        "--max-retries", "0"])
         out = capsys.readouterr().out
@@ -384,22 +386,23 @@ class TestCliDist:
 
     def test_hung_scan_exits_incomplete_then_finishes(self, monkeypatch,
                                                       capsys, tmp_path):
-        """A shard hung on every attempt is reported, not invented:
+        """Leases hung past their deadline are reported, not invented:
         exit 3 and INCOMPLETE; the same command on the same journal,
-        healthy, completes to the serial table."""
-        import json as json_mod
+        healthy, completes to the serial table.  Both fabric workers
+        wedge at their first result, each holding one of the two
+        shards."""
+        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 
         main(["scan", "memcopy"])
         serial = capsys.readouterr().out.splitlines()
         args = ["scan", "memcopy", "--jobs", "2", "--journal",
                 str(tmp_path / "j.sqlite")]
-        monkeypatch.setenv("REPRO_CHAOS", json_mod.dumps(
-            {"hang": [[0, 0]]}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(hang_rate=1.0).to_json())
         status = main(args + ["--shard-timeout", "1", "--max-retries", "0"])
         out = capsys.readouterr().out
         assert status == 3
-        assert "deadline expiries: 1" in out and "INCOMPLETE" in out
-        monkeypatch.delenv("REPRO_CHAOS")
+        assert "deadline expiries: 2" in out and "INCOMPLETE" in out
+        monkeypatch.delenv(PLAN_ENV)
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "resumed from journal" in out
