@@ -9,8 +9,12 @@ campaign results, same comparison table, byte-identical comparison CSV.
 What "composition pays" stands for is asserted as counts, not as a
 ratio of wall times: nothing executed, every experiment composed, at
 most three commits, one ``class_results`` row written per live class
-(not per bit) and no ``Outcome(...)`` construction per composed
-variant.  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
+(not per bit), and — over the composed variants and their summaries —
+no ``Outcome(...)`` construction, no per-bit expansion of a stored run
+(``journal._expand`` / ``journal.run_rows``: a class stored whole is
+read, validated, kept and re-journaled as its run) and no
+``Enum.__hash__`` call on an outcome (the summary counts classes with
+``tuple.count``).  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
 when it was written) fell as the executor got faster — the family's
 whole cold sweep is ≈ 0.13 s now, and what both sides have left is the
 fixed cost of a campaign (open + ``quick_check``, golden bookkeeping,
@@ -21,12 +25,14 @@ repo-root ``BENCH_incremental_sweep.json`` (machine-readable, uploaded
 by CI as a perf-trajectory artifact).
 """
 
+import enum
 import time
 
 from _bench_json import write_bench_json
 
 from repro.campaign import ExperimentJournal, record_golden, run_full_scan
 from repro.campaign import journal as journal_module
+from repro.campaign.database import CampaignSummary
 from repro.campaign.outcomes import Outcome
 from repro.metrics import comparison_report, export_comparison_csv
 from repro.programs import guarded
@@ -57,36 +63,55 @@ def _reports(results):
 
 
 def _counted_sweep(goldens, path, monkeypatch):
-    """A ``resume=False`` sweep under three counters: per variant the
-    ``BEGIN IMMEDIATE`` statements SQLite sees (each ends in a commit,
-    an fsync), with the commit window's clock frozen so that only the
-    sweep's own flushes commit, and the rows it writes to
-    ``class_results`` (the trace sees every row an ``executemany``
-    binds); over the sweep the ``Outcome(value)`` calls."""
+    """A ``resume=False`` sweep, each variant's summary included, under
+    these counters: per variant the ``BEGIN IMMEDIATE`` statements
+    SQLite sees (each ends in a commit, an fsync), with the commit
+    window's clock frozen so that only the sweep's own flushes commit,
+    and the rows it writes to ``class_results`` (the trace sees every
+    row an ``executemany`` binds); over the sweep the ``Outcome(value)``
+    calls, the per-bit expansions of stored runs and the
+    ``Enum.__hash__`` calls on outcomes."""
     enum_type = type(Outcome)
     enum_call = enum_type.__call__
-    constructed = []
+    enum_hash = enum.Enum.__hash__
+    counts = {"constructed": 0, "expanded": 0, "hashed": 0}
 
     def counting_call(cls, *args, **kwargs):
         if cls is Outcome:
-            constructed.append(args)
+            counts["constructed"] += 1
         return enum_call(cls, *args, **kwargs)
+
+    def counting_hash(member):
+        if type(member) is Outcome:
+            counts["hashed"] += 1
+        return enum_hash(member)
+
+    def counting(function):
+        def counted(*args, **kwargs):
+            counts["expanded"] += 1
+            return function(*args, **kwargs)
+        return counted
 
     results, commits, class_rows, statements = {}, {}, {}, []
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
         patch.setattr(journal_module, "_clock", lambda: 0.0)
         patch.setattr(enum_type, "__call__", counting_call)
+        patch.setattr(enum.Enum, "__hash__", counting_hash)
+        for name in ("_expand", "run_rows"):
+            patch.setattr(journal_module, name,
+                          counting(getattr(journal_module, name)))
         journal._conn.set_trace_callback(statements.append)
         for name in VARIANTS:
             statements.clear()
             results[name] = run_full_scan(goldens[name], journal=journal,
                                           resume=False, keep_records=True)
+            CampaignSummary.from_result(results[name])
             commits[name] = statements.count("BEGIN IMMEDIATE")
             class_rows[name] = sum(
                 statement.startswith("INSERT OR REPLACE INTO class_results")
                 for statement in statements)
-    return results, commits, class_rows, len(constructed)
+    return results, commits, class_rows, counts
 
 
 def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
@@ -106,8 +131,9 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     # must rebuild every result purely by composing from the section
     # store — the hardest version of the warm path.
     warm, warm_s = _sweep(goldens, journal, resume=False)
-    counted, commits, class_rows, constructed = _counted_sweep(
+    counted, commits, class_rows, counts = _counted_sweep(
         goldens, journal, monkeypatch)
+    constructed = counts["constructed"]
 
     composed = {}
     for name in VARIANTS:
@@ -128,6 +154,12 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     assert constructed == 0, (
         f"{constructed} Outcome(value) constructions on the warm path: "
         f"stored values are looked up in OUTCOME_BY_VALUE")
+    assert counts["expanded"] == 0, (
+        f"{counts['expanded']} per-bit expansions of stored runs on the "
+        f"warm path: a class stored whole stays a run")
+    assert counts["hashed"] == 0, (
+        f"{counts['hashed']} Enum.__hash__ calls on outcomes on the warm "
+        f"path: classes are counted with tuple.count")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"

@@ -9,8 +9,8 @@ answers two questions:
 * *compose*: does the store already hold results — written by **any**
   previous campaign, typically a different program variant or an
   earlier sweep — for every experiment of this equivalence class?  If
-  so, the class's rows are returned without executing anything and the
-  runner merges them exactly as it merges resumed journal rows.
+  so, the class's stored run is returned without executing anything
+  and the runner merges it exactly as it merges a resumed journal run.
 * *store*: a freshly executed class/experiment is written back as one
   run, first-wins per bit (a longer run replaces a shorter one stored
   at the same first bit, nothing else is overwritten), so concurrent
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 
 from ..faultspace.sections import build_section_map
-from .journal import CampaignJournal
+from .journal import CampaignJournal, _valid_run, whole_run
 from .outcomes import Outcome
 
 
@@ -84,25 +84,23 @@ class SectionComposer:
     # -- full-scan classes ----------------------------------------------------
 
     def compose_class(self, interval):
-        """Per-bit rows of one live class from the store, in stored
-        form (``(bit, outcome_value, end_cycle, trap)``), or ``None``.
+        """One live class from the store as its run ``(outcomes,
+        end_cycles, traps)`` from bit 0 — stored form, what
+        :meth:`~.journal.CampaignJournal.record_classes` takes — or
+        ``None``.
 
         A class composes only when the store holds *exactly* its
-        representative bits — partial classes (a sampled campaign
-        stores single bits) re-execute whole, preserving the
-        class-atomic crash-tolerance unit.  The stored bits are
-        distinct integers in ascending order (``section_rows`` yields
-        each once), so ``n`` of them running from ``0`` to ``n − 1``
-        are ``0 … n − 1``.
+        representative bits, each a valid value (:func:`~.journal
+        .whole_run`, the fabric's check): partial classes (a sampled
+        campaign stores single bits) and malformed ones re-execute
+        whole, preserving the class-atomic crash-tolerance unit.
         """
         slot = interval.injection_slot
-        rows = self._section_rows(self.map.owner(slot).index).get(
+        stored = self._section_rows(self.map.owner(slot).index).get(
             (slot, self.domain.axis_of(interval)))
-        count = self.domain.experiment_count(interval)
-        if rows is None or len(rows) != count \
-                or rows[0][0] != 0 or rows[-1][0] != count - 1:
+        if stored is None:
             return None
-        return rows
+        return whole_run(stored, self.domain.experiment_count(interval))
 
     def store_class(self, interval, rows) -> None:
         """Write one freshly executed class into the section store.
@@ -138,12 +136,22 @@ class SectionComposer:
 
     def compose_experiment(self, slot: int, axis: int, bit: int):
         """One experiment's stored ``(outcome_value, end_cycle, trap)``
-        or ``None``; its class may be stored in part."""
-        for row in self._section_rows(self.map.owner(slot).index).get(
-                (slot, axis), ()):
-            if row[0] == bit:
-                return row[1:]
-        return None
+        or ``None``; its class may be stored in part, and a malformed
+        value does not compose."""
+        stored = self._section_rows(self.map.owner(slot).index).get(
+            (slot, axis))
+        if stored is None:
+            return None
+        if isinstance(stored, list):  # per-bit rows
+            value = next((row[1:] for row in stored if row[0] == bit), None)
+        else:  # a run from bit 0: its columns agree in length
+            columns = [column.split(" ") for column in stored]
+            value = (tuple(column[bit] for column in columns)
+                     if bit < len(columns[0]) else None)
+        if value is None or not _valid_run(value, 1):
+            return None
+        outcome, end_cycle, trap = value
+        return outcome, int(end_cycle), trap
 
     def store_experiment(self, slot: int, axis: int, bit: int,
                          outcome, end_cycle: int, trap: str) -> None:

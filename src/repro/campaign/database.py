@@ -43,17 +43,26 @@ class CampaignSummary:
 
     @classmethod
     def from_result(cls, result: CampaignResult) -> "CampaignSummary":
+        """The summary of a full scan: its counts from one
+        :meth:`~.runner.CampaignResult.tally`, keyed by outcome value
+        (what :meth:`~.runner.CampaignResult.weighted_counts` and
+        ``raw_counts`` give, without a ``Counter`` in between)."""
         golden = result.golden
+        tally = result.tally()
+        known = result.partition.known_no_effect_weight
+        weighted = {outcome.value: count
+                    for outcome, count, _ in tally if count}
+        no_effect = Outcome.NO_EFFECT.value
+        weighted[no_effect] = weighted.get(no_effect, 0) + known
         return cls(
             program_name=golden.program.name,
             cycles=golden.cycles,
             ram_bytes=golden.program.ram_size,
             fault_space_size=result.fault_space_size,
             experiments=result.experiments_conducted,
-            weighted_counts={o.value: n for o, n in
-                             result.weighted_counts().items()},
-            raw_counts={o.value: n for o, n in result.raw_counts().items()},
-            known_no_effect_weight=result.partition.known_no_effect_weight,
+            weighted_counts=weighted,
+            raw_counts={outcome.value: raw for outcome, _, raw in tally},
+            known_no_effect_weight=known,
             domain=result.domain.name,
         )
 

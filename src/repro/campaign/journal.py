@@ -40,15 +40,21 @@ name contains one).  A full-scan class is one run from bit 0, a sampled
 experiment — and every row a version-3 build wrote — a run of one.
 SQLite's cost is per row, not per statement, and the pipeline never
 reads or writes less than a class, so this is what a resume or a
-composition pays for.  The writers take per-bit rows and the readers
-return them — except the two window merges,
-:meth:`CampaignJournal.merge_classes` and
-:meth:`ExperimentJournal.merge_section_runs`, which take runs: the
-distributed fabric ships a class as its run, so nothing re-encodes it
-between a worker's executor and the journal.  Readers walk runs in key
-order and skip a bit an earlier run of the same class already covered:
-first wins per bit, which is sound because experiments are
-deterministic.
+composition pays for.  A class stays in that stored form from reader to
+writer: :meth:`CampaignJournal.completed_classes` and
+:meth:`ExperimentJournal.section_rows` return a key that is one clean
+run from bit 0 as that run, the three strings ``(outcomes, end_cycles,
+traps)``; :meth:`CampaignJournal.record_classes` and the two window
+merges, :meth:`CampaignJournal.merge_classes` and
+:meth:`ExperimentJournal.merge_section_runs`, write runs as they are
+given (the distributed fabric ships a class as its run, so nothing
+re-encodes it between a worker's executor and the journal either).
+Every other key — a version-3 file's row per bit, a torn or gapped
+class, sampled single bits — reads as per-bit rows: runs walked in key
+order, a bit an earlier run of the same key already covered skipped.
+First wins per bit, which is sound because experiments are
+deterministic.  Readers never interpret a value; :func:`whole_run` and
+:func:`_valid_run` decide what a class may be trusted as.
 
 Writes are group-committed.  Every unit the campaign treats as atomic
 (one class, one slot, one batch of sampled experiments, one class's
@@ -281,15 +287,14 @@ def _runs(rows: Iterable[tuple[int, str, int, str]]) \
             for start, end in zip(edges, edges[1:])]
 
 
-def _expand(cursor, outcome_of=None) -> dict[tuple[int, int], list]:
+def _expand(cursor) -> dict[tuple[int, int], list]:
     """Run rows ``(key, key, first_bit, outcomes, end_cycles, traps)``,
     read in key order, as ``(key, key)`` → per-bit ``(bit, outcome,
-    end_cycle, trap)`` rows in bit order.
+    end_cycle, trap)`` rows in bit order, every value as stored.
 
     A bit an earlier run of the same key already covers is skipped —
     first wins per bit — so each key's bits come out distinct and
-    ascending.  ``outcome_of`` maps each stored outcome value (default:
-    kept as stored).  A run whose three columns disagree in length is
+    ascending.  A run whose three columns disagree in length is
     unreadable and yields no bits: its class is short or absent, so it
     fails validation, or does not compose, and re-executes.
     """
@@ -318,18 +323,87 @@ def _expand(cursor, outcome_of=None) -> dict[tuple[int, int], list]:
             bit = covered
         covered = bit + len(outcomes)
         out.setdefault(key, []).extend(
-            run_rows(bit, outcomes, cycles, traps, outcome_of))
+            run_rows(bit, outcomes, cycles, traps))
     return out
 
 
-def run_rows(bit: int, outcomes: list, cycles: list, traps: list,
-             outcome_of=None) -> Iterator[tuple]:
+def run_rows(bit: int, outcomes: list, cycles: list,
+             traps: list) -> Iterator[tuple]:
     """One run's split columns, its first bit ``bit``, as per-bit
-    ``(bit, outcome, end_cycle, trap)`` rows (``outcome_of`` as in
-    :func:`_expand`)."""
-    return zip(range(bit, bit + len(outcomes)),
-               outcomes if outcome_of is None else map(outcome_of, outcomes),
-               map(int, cycles), traps)
+    ``(bit, outcome, end_cycle, trap)`` rows (:func:`_expand`)."""
+    return zip(range(bit, bit + len(outcomes)), outcomes, cycles, traps)
+
+
+def _read_runs(cursor) -> dict[tuple[int, int], tuple | list]:
+    """:func:`_expand`'s input as ``(key, key)`` → the key's run
+    ``(outcomes, end_cycles, traps)`` when the key is one clean run from
+    bit 0 — a single row, at bit 0, its three columns of one length —
+    and otherwise the per-bit rows :func:`_expand` gives it.
+
+    The clean case is every class this build writes, and it costs a
+    few string counts a class: nothing is split or expanded per bit.
+    """
+    out: dict[tuple[int, int], tuple | None] = {}
+    rest = []  # the rows of every key that is not one clean run
+    last = None
+    for major, minor, bit, outcomes, cycles, traps in cursor:
+        key = (major, minor)
+        cycles = str(cycles)  # see _expand
+        if key != last:
+            last = key
+            if bit == 0 and outcomes.count(" ") == cycles.count(" ") \
+                    == traps.count(" "):
+                out[key] = (outcomes, cycles, traps)
+                continue
+            out[key] = None
+        elif out[key] is not None:
+            # A second run for a key read as clean: it is not.
+            rest.append((major, minor, 0, *out[key]))
+            out[key] = None
+        rest.append((major, minor, bit, outcomes, cycles, traps))
+    if not rest:
+        return out
+    expanded = _expand(rest)
+    return {key: expanded[key] if run is None else run
+            for key, run in out.items()
+            if run is not None or key in expanded}
+
+
+#: Valid outcome strings a run may carry.
+_OUTCOME_VALUES = frozenset(OUTCOME_BY_VALUE)
+
+
+def _valid_run(run, count: int) -> bool:
+    """A run ``(outcomes, end_cycles, traps)`` must hold ``count`` values
+    in each of its three strings: known outcomes, decimal end cycles, and
+    traps (a trap holding a space splits into two, so its run is
+    malformed).  The one check a class passes before it is trusted:
+    arriving from a fabric worker, resumed from the journal or composed
+    from the section store."""
+    outcomes, end_cycles, traps = run
+    cycles = end_cycles.split(" ")
+    return (len(cycles) == outcomes.count(" ") + 1 == traps.count(" ") + 1
+            == count
+            and _OUTCOME_VALUES.issuperset(outcomes.split(" "))
+            and end_cycles.isascii() and all(map(str.isdigit, cycles)))
+
+
+def whole_run(stored, count: int) -> tuple[str, str, str] | None:
+    """A reader's value for one class (:func:`_read_runs`) as the class's
+    run from bit 0 when it holds exactly the bits ``0 … count − 1`` and
+    passes :func:`_valid_run`; ``None`` when it is partial, shifted or
+    malformed — a class that must be re-executed, never trusted.
+
+    Per-bit rows hold distinct ascending bits, so ``count`` of them from
+    ``0`` to ``count − 1`` are the class; they are joined into the run
+    they would have been stored as.
+    """
+    if isinstance(stored, list):
+        if len(stored) != count or stored[0][0] != 0 \
+                or stored[-1][0] != count - 1:
+            return None
+        stored = tuple(" ".join(column) for column in list(zip(*stored))[1:])
+    return stored if _valid_run(stored, count) else None
 
 
 class ExperimentJournal:
@@ -640,16 +714,17 @@ class ExperimentJournal:
             f"trap = excluded.trap WHERE {new} > {stored}", list(runs))
 
     def section_rows(self, section_id: int) \
-            -> dict[tuple[int, int], list[tuple[int, str, int, str]]]:
-        """Stored rows of one section, grouped the way classes are:
-        ``(slot, axis)`` → ``(bit, outcome_value, end_cycle, trap)`` in
-        bit order, each bit once.
+            -> dict[tuple[int, int], tuple | list]:
+        """Stored results of one section, grouped the way classes are:
+        ``(slot, axis)`` → the class's run ``(outcomes, end_cycles,
+        traps)`` when it is one clean run from bit 0, else its per-bit
+        ``(bit, outcome, end_cycle, trap)`` rows (:func:`_read_runs`).
 
-        The rows stay in stored form — outcomes by value, exactly what
+        Everything stays as stored — a run is exactly what
         :meth:`CampaignJournal.record_classes` takes — because that is
         where a composed class goes next.
         """
-        return _expand(self._query(
+        return _read_runs(self._query(
             "SELECT slot, axis, bit, outcome, end_cycle, trap "
             "FROM section_results WHERE section_id = ? "
             "ORDER BY slot, axis, bit", (section_id,)))
@@ -840,20 +915,23 @@ class CampaignJournal:
         together, so a class is journaled entirely or not at all and
         resumes never see half a class.  It is stored as one run.
         """
-        self.record_classes([(axis, first_slot, rows)])
+        self._record_runs([(axis, first_slot, _runs(rows))])
 
     def record_classes(
             self,
-            classes: Iterable[tuple[int, int, Iterable]]) -> None:
+            classes: Iterable[tuple[int, int, tuple[str, str, str]]]) \
+            -> None:
         """Journal many live classes as one unit.
 
-        ``classes`` holds ``(axis, first_slot, rows)`` triples in
-        :meth:`record_class` form.  Used when composing from the
-        section store, where dozens of classes arrive at once; the
-        whole batch joins the commit window together.
+        ``classes`` holds ``(axis, first_slot, run)`` triples, each run
+        the class's ``(outcomes, end_cycles, traps)`` from bit 0 as
+        :meth:`ExperimentJournal.section_rows` returns it.  Used when
+        composing from the section store, where dozens of classes arrive
+        at once: a composed class is written back exactly as it was
+        read, and the whole batch joins the commit window together.
         """
-        self._record_runs([(axis, first_slot, _runs(rows))
-                           for axis, first_slot, rows in classes])
+        self._record_runs([(axis, first_slot, ((0, *run),))
+                           for axis, first_slot, run in classes])
 
     def _record_runs(self, classes: list[tuple[int, int, list]]) -> None:
         """Buffer ``(axis, first_slot, runs)`` triples as one unit, each
@@ -868,14 +946,15 @@ class CampaignJournal:
             class_keys=tuple((campaign_id, axis, first_slot)
                              for axis, first_slot, _ in classes))
 
-    def completed_classes(self) \
-            -> dict[tuple[int, int], list[tuple[int, Outcome, int, str]]]:
-        """Journaled classes: ``(axis, first_slot)`` → per-bit rows."""
-        return _expand(self.journal._query(
+    def completed_classes(self) -> dict[tuple[int, int], tuple | list]:
+        """Journaled classes: ``(axis, first_slot)`` → the class's run
+        ``(outcomes, end_cycles, traps)`` when it is one clean run from
+        bit 0, else its per-bit rows (:func:`_read_runs`), every value
+        as stored: :func:`whole_run` says whether it can be trusted."""
+        return _read_runs(self.journal._query(
             "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
             "FROM class_results WHERE campaign_id = ? "
-            "ORDER BY axis, first_slot, bit", (self.campaign_id,)),
-            OUTCOME_BY_VALUE.__getitem__)
+            "ORDER BY axis, first_slot, bit", (self.campaign_id,)))
 
     def merge_class(self, axis: int, first_slot: int,
                     rows: Iterable[tuple[int, str, int, str]]) -> bool:
@@ -1029,15 +1108,17 @@ class CampaignJournal:
 
     def completed_experiments(self) \
             -> dict[tuple[int, int, int], Outcome]:
-        """Journaled sampled experiments keyed ``(axis, first_slot, bit)``."""
+        """Journaled sampled experiments keyed ``(axis, first_slot, bit)``;
+        a row whose outcome is not one is left out, to be re-executed."""
+        by_value = OUTCOME_BY_VALUE
         return {
-            (axis, first_slot, bit): outcome
+            (axis, first_slot, bit): by_value[outcome]
             for (axis, first_slot), rows in _expand(self.journal._query(
                 "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
                 "FROM class_results WHERE campaign_id = ? "
-                "ORDER BY axis, first_slot, bit", (self.campaign_id,)),
-                OUTCOME_BY_VALUE.__getitem__).items()
-            for bit, outcome, _, _ in rows
+                "ORDER BY axis, first_slot, bit",
+                (self.campaign_id,))).items()
+            for bit, outcome, _, _ in rows if outcome in by_value
         }
 
     # -- brute-force slots ----------------------------------------------------
@@ -1134,8 +1215,8 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     page.  SQLite's transactionality means every recovered row was
     durably committed; what is *lost* is any row on a damaged page —
     which in a file a version-3 build wrote (a row per bit) can truncate
-    a class mid-way, so the pipeline's prologue validates class bit
-    counts (:func:`invalid_classes`), under every transport, instead of
+    a class mid-way, so the pipeline's prologue validates every resumed
+    class (:func:`whole_run`), under every transport, instead of
     trusting recovered classes blindly.
     """
     path = str(path)
@@ -1190,29 +1271,6 @@ def _read_rows(conn: sqlite3.Connection, table: str,
         if row is None:
             return rows, True
         rows.append(row)
-
-
-def invalid_classes(completed: Mapping, expected: Mapping) -> list:
-    """Keys whose journaled rows disagree with the expected bit count.
-
-    ``completed`` maps class keys to per-bit row lists
-    (:meth:`CampaignJournal.completed_classes` form); ``expected`` maps
-    keys to the domain's experiment count for that class.  A healthy
-    journal never contains a partial class (classes commit atomically),
-    but a *salvaged* one can — page loss truncates committed
-    transactions — and the distributed merge path must also never
-    trust a worker's row count.  Any key listed here must be discarded
-    and re-executed, not merged.
-    """
-    bad = []
-    for key, rows in completed.items():
-        count = expected.get(key)
-        if count is None:
-            continue
-        if len(rows) != count \
-                or [row[0] for row in rows] != list(range(count)):
-            bad.append(key)
-    return bad
 
 
 def open_campaign(journal, golden, domain, kind: str,

@@ -318,10 +318,11 @@ class CampaignStyle:
     and the default :meth:`plan` below, a style provides:
 
     ``load(handle, report)``
-        the resume loader: journaled ``key → rows``, already validated;
+        the resume loader: journaled units as ``key →`` :meth:`keep`
+        values, already validated;
     ``compose(composer, completed, handle, report)``
-        adds store-known units to ``completed`` and the journal
-        (styles with :attr:`composes`);
+        adds store-known units to ``completed`` (as :meth:`keep`
+        values) and to the journal (styles with :attr:`composes`);
     ``cost(item)``
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
@@ -424,16 +425,15 @@ class CampaignRun:
         if handle is not None:
             if not resume:
                 handle.clear()
-            loaded = style.load(handle, report)
+            self.completed = style.load(handle, report)
             if style.composes:
                 # Compose units another campaign already executed for
                 # an identical program section: beside the loaded ones
                 # they take the exact route resumed units do.
                 self.composer = SectionComposer(handle, style.golden,
                                                 style.domain, style.params)
-                style.compose(self.composer, loaded, handle, report)
-            self.completed = {key: style.keep(key, rows)
-                              for key, rows in loaded.items()}
+                style.compose(self.composer, self.completed, handle,
+                              report)
         #: Work items still to execute, in canonical order.
         self.todo = [item for key, item in style.units.items()
                      if key not in self.completed]

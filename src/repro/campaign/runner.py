@@ -52,7 +52,7 @@ from ..faultspace.sampling import (
 )
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import invalid_classes, run_rows
+from .journal import _valid_run, whole_run
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
@@ -65,13 +65,9 @@ from .pipeline import (
 )
 
 
-#: The outcomes by position and their positions:
-#: :meth:`CampaignResult.weighted_counts` sums into a list.
+#: The outcomes by position: :meth:`CampaignResult.tally` counts into
+#: lists.
 _OUTCOMES = tuple(Outcome)
-_OUTCOME_INDEX = {outcome: n for n, outcome in enumerate(_OUTCOMES)}
-
-#: Valid outcome strings a unit's run may carry.
-_OUTCOME_VALUES = frozenset(outcome.value for outcome in Outcome)
 
 
 @dataclass
@@ -113,8 +109,7 @@ class CampaignResult:
         # Derived from the stored outcome tuples rather than hardcoding
         # the domain's bit width, so 8-bit memory classes and 32-bit
         # register classes both report correct totals.
-        return sum(len(outcomes)
-                   for outcomes in self.class_outcomes.values())
+        return sum(map(len, self.class_outcomes.values()))
 
     def outcome_of(self, coordinate) -> Outcome:
         """The outcome of any raw coordinate, resolved via its class."""
@@ -125,6 +120,65 @@ class CampaignResult:
         index = self.domain.experiment_index(interval, coordinate)
         return self.class_outcomes[key][index]
 
+    def tally(self) -> list[tuple[Outcome, int, int]]:
+        """One pass over the live classes: ``(outcome, weighted, raw)``
+        for every outcome some experiment had, in the order a walk of
+        the classes bit by bit first meets them (a ``Counter``'s).
+
+        ``weighted`` expands each experiment by its class's data
+        lifetime (:meth:`weighted_counts`, without the dead classes),
+        ``raw`` counts experiments (:meth:`raw_counts`).  A class is
+        counted with ``tuple.count`` — identity comparisons in C — per
+        outcome it holds, never bit by bit through a dict keyed by the
+        enum (whose ``__hash__`` is Python code), and nothing is
+        allocated per class that outlives it.
+        """
+        weighted = [0] * len(_OUTCOMES)
+        raw = [0] * len(_OUTCOMES)
+        order: list[int] = []  # positions, first seen first
+        class_key = self.domain.class_key
+        slot_weights = self.domain.experiment_slot_weights
+        get = self.class_outcomes.get
+        for interval in self.partition.live_classes():
+            outcomes = get(class_key(interval))
+            if outcomes is None:
+                continue  # degraded: shard abandoned, class missing
+            weights = slot_weights(interval)
+            length = interval.length
+            width = len(outcomes)
+            uniform = len(weights) == width == weights.count(weights[0])
+            if uniform and outcomes.count(outcomes[0]) == width:
+                # One outcome, like most classes: no walk of _OUTCOMES.
+                position = _OUTCOMES.index(outcomes[0])
+                if not raw[position]:
+                    order.append(position)
+                raw[position] += width
+                weighted[position] += length * width * weights[0]
+                continue
+            seen = len(order)
+            left = width
+            for position, outcome in enumerate(_OUTCOMES):
+                count = outcomes.count(outcome)
+                if not count:
+                    continue
+                if not raw[position]:
+                    order.append(position)
+                raw[position] += count
+                weighted[position] += length * (
+                    count * weights[0] if uniform else
+                    sum([weight for kind, weight in zip(outcomes, weights)
+                         if kind is outcome]))
+                left -= count
+                if not left:
+                    break
+            if len(order) - seen > 1:
+                # Several outcomes first met in one class: in bit order.
+                order[seen:] = sorted(
+                    order[seen:],
+                    key=lambda position: outcomes.index(_OUTCOMES[position]))
+        return [(_OUTCOMES[position], weighted[position], raw[position])
+                for position in order]
+
     def weighted_counts(self) -> Counter:
         """Outcome counts expanded to the raw fault space (Pitfall 1 safe).
 
@@ -134,28 +188,9 @@ class CampaignResult:
         complete campaign; a degraded campaign (``execution.missing``
         non-empty) covers correspondingly less.
         """
-        # Summed by outcome index: ``counts[outcome] += …`` per row
-        # hashes the enum twice through the Python-level
-        # ``Enum.__hash__``.  ``seen`` keeps the Counter's key set and
-        # order what that loop gave: outcomes in first-seen order, none
-        # that no class had.
-        index = _OUTCOME_INDEX
-        totals = [0] * len(index)
-        seen = []
-        class_key = self.domain.class_key
-        slot_weights = self.domain.experiment_slot_weights
-        class_outcomes = self.class_outcomes
-        for interval in self.partition.live_classes():
-            outcomes = class_outcomes.get(class_key(interval))
-            if outcomes is None:
-                continue  # degraded: shard abandoned, class missing
-            length = interval.length
-            for outcome, weight in zip(outcomes, slot_weights(interval)):
-                n = index[outcome]
-                if not totals[n]:
-                    seen.append(n)
-                totals[n] += length * weight
-        counts = Counter({_OUTCOMES[n]: totals[n] for n in seen})
+        counts = Counter({outcome: weighted
+                          for outcome, weighted, _ in self.tally()
+                          if weighted})
         counts[Outcome.NO_EFFECT] += self.partition.known_no_effect_weight
         return counts
 
@@ -165,10 +200,7 @@ class CampaignResult:
         Exposed so the pitfall can be demonstrated and measured; do not
         use these for coverage or comparison.
         """
-        counts: Counter = Counter()
-        for outcomes in self.class_outcomes.values():
-            counts.update(outcomes)
-        return counts
+        return Counter({outcome: raw for outcome, _, raw in self.tally()})
 
     def weighted_failure_count(self) -> int:
         """Absolute failure count F, weighted to the raw fault space."""
@@ -219,14 +251,6 @@ def _journal_rows(rows) -> list[tuple[int, str, int, str]]:
             for bit, outcome, end_cycle, trap in rows]
 
 
-def _pipeline_rows(stored) -> list[tuple[int, Outcome, int, str]]:
-    """:func:`_journal_rows` undone: stored class rows as the pipeline
-    carries them, outcomes as the enum."""
-    by_value = OUTCOME_BY_VALUE
-    return [(bit, by_value[value], end_cycle, trap)
-            for bit, value, end_cycle, trap in stored]
-
-
 def stored_run(rows) -> list[str]:
     """``(bit, outcome, end_cycle, trap)`` rows as the run the journal
     stores (and the fabric carries): ``[outcomes, end_cycles, traps]``,
@@ -234,18 +258,6 @@ def stored_run(rows) -> list[str]:
     return [" ".join([row[1].value for row in rows]),
             " ".join([str(row[2]) for row in rows]),
             " ".join([row[3] for row in rows])]
-
-
-def _valid_run(run, count: int) -> bool:
-    """A :func:`stored_run` must hold ``count`` values in each of its
-    three strings: known outcomes, decimal end cycles, and traps (a
-    trap holding a space splits into two, so its run is malformed)."""
-    outcomes, end_cycles, traps = run
-    outcomes = outcomes.split(" ")
-    cycles = end_cycles.split(" ")
-    return (len(outcomes) == len(cycles) == traps.count(" ") + 1 == count
-            and _OUTCOME_VALUES.issuperset(outcomes)
-            and end_cycles.isascii() and all(map(str.isdigit, cycles)))
 
 
 class ScanStyle(CampaignStyle):
@@ -263,40 +275,47 @@ class ScanStyle(CampaignStyle):
         # live_classes() is sorted by injection slot: canonical order.
         self.units = {domain.class_key(interval): interval
                       for interval in self.partition.live_classes()}
+        #: ``outcomes → tuple of Outcome`` per distinct stored outcome
+        #: string of this campaign (:meth:`keep_run`).
+        self._decoded: dict[str, tuple[Outcome, ...]] = {}
 
     def load(self, handle, report):
-        completed = handle.completed_classes()
         # Never trust resumed classes blindly: a salvaged journal can
-        # hold partial classes (page loss truncates committed rows), so
-        # every resumed class is checked against the domain's expected
-        # experiment count — and against the partition — and the bad
-        # ones are discarded and re-executed.
-        bad = invalid_classes(completed, {
-            key: self.domain.experiment_count(self.units[key])
-            for key in completed if key in self.units})
-        bad.extend(key for key in completed if key not in self.units)
+        # hold partial classes (page loss truncates committed rows) and
+        # any file can hold a value no build wrote, so every resumed
+        # class goes through the fabric's check against the domain's
+        # expected experiment count — and against the partition — and
+        # the bad ones are discarded and re-executed.
+        units, count = self.units, self.domain.experiment_count
+        kept, bad = {}, []
+        for key, stored in handle.completed_classes().items():
+            interval = units.get(key)
+            run = None if interval is None \
+                else whole_run(stored, count(interval))
+            if run is None:
+                bad.append(key)
+            else:
+                kept[key] = self.keep_run(key, run)
         if bad:
             handle.discard_classes(bad)
-            for key in bad:
-                del completed[key]
             report.discarded_results += len(bad)
             handle.record_event(
                 "salvage-prune", at=time.time(),
                 detail=f"{len(bad)} resumed classes failed validation "
                        f"and were discarded")
-        return completed
+        return kept
 
     def compose(self, composer, completed, handle, report):
         batch = []
+        count = self.domain.experiment_count
         for key, interval in self.units.items():
             if key in completed:
                 continue
-            stored = composer.compose_class(interval)
-            if stored is not None:
-                # Journaled as read; converted once, for the pipeline.
-                batch.append((*key, stored))
-                completed[key] = _pipeline_rows(stored)
-                report.composed_hits += len(stored)
+            run = composer.compose_class(interval)
+            if run is not None:
+                batch.append((*key, run))  # journaled as read
+                completed[key] = self.keep_run(key, run)
+                report.composed_hits += count(interval)
         # One journal unit (one executemany) for the whole composition.
         handle.record_classes(batch)
 
@@ -354,14 +373,23 @@ class ScanStyle(CampaignStyle):
     def keep_run(self, key, run):
         """:meth:`keep` of a class in the journal's stored form, the
         run ``(outcomes, end_cycles, traps)`` from bit 0 (the fabric's
-        wire form): rows are decoded only when records are kept, and
-        never for the journal (:meth:`merge` stores the run)."""
-        outcomes = run[0].split(" ")
+        wire form, and what the journal's readers return): each
+        distinct outcome string is decoded once per campaign, and the
+        classes that share it share its tuple; end cycles and traps are
+        decoded only when records are kept, and never for the journal
+        (:meth:`merge` stores the run, :meth:`compose` the run read)."""
+        outcomes = self._decoded.get(run[0])
+        if outcomes is None:
+            outcomes = self._decoded[run[0]] = tuple(
+                map(OUTCOME_BY_VALUE.__getitem__, run[0].split(" ")))
         if not self.keep_records:
-            return tuple(map(OUTCOME_BY_VALUE.__getitem__, outcomes)), ()
-        return self.keep(key, list(run_rows(
-            0, outcomes, run[1].split(" "), run[2].split(" "),
-            OUTCOME_BY_VALUE.__getitem__)))
+            return outcomes, ()
+        return outcomes, [
+            ExperimentRecord(coordinate=coordinate, outcome=outcome,
+                             end_cycle=int(end_cycle), trap=trap)
+            for coordinate, outcome, end_cycle, trap in zip(
+                self.units[key].experiments(), outcomes,
+                run[1].split(" "), run[2].split(" "))]
 
     def result(self, kept, report):
         class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
@@ -681,7 +709,7 @@ class SamplingStyle(CampaignStyle):
     def load(self, handle, report):
         handle.verify_sampler_state(len(self.drawn), self._rng_state)
         # The journal keeps a sampled experiment's outcome only.
-        return {key: [(key[2], outcome, 0, "")]
+        return {key: outcome
                 for key, outcome in handle.completed_experiments().items()
                 if key in self.units}
 
@@ -692,7 +720,7 @@ class SamplingStyle(CampaignStyle):
                 continue
             hit = composer.compose_experiment(coord.slot, key[0], key[2])
             if hit is not None:
-                completed[key] = _pipeline_rows([(key[2], *hit)])
+                completed[key] = OUTCOME_BY_VALUE[hit[0]]
                 journaled.append((*key, hit[0]))
         handle.record_experiments(journaled)
         report.composed_hits += len(journaled)

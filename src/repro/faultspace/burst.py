@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..isa.tracing import MemoryTrace
 from .defuse import DEAD, LIVE
@@ -195,11 +196,20 @@ class BurstPartition:
     def byte_intervals(self, addr: int) -> list[BurstInterval]:
         return self.intervals.get(addr, [])
 
-    def live_classes(self) -> list[BurstInterval]:
+    def live_classes(self) -> tuple[BurstInterval, ...]:
+        """All live classes, ordered by injection slot (then axis).
+
+        Sorted once per partition (it is not changed once built):
+        every call returns the same tuple.
+        """
+        return self._live
+
+    @cached_property
+    def _live(self) -> tuple[BurstInterval, ...]:
         live = [iv for ivs in self.intervals.values() for iv in ivs
                 if iv.kind == LIVE]
         live.sort(key=lambda iv: (iv.injection_slot, iv.addr))
-        return live
+        return tuple(live)
 
     def dead_classes(self) -> list[BurstInterval]:
         return [iv for ivs in self.intervals.values() for iv in ivs

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..isa.tracing import MemoryTrace
 from .model import FaultCoordinate, FaultSpace
@@ -134,12 +135,20 @@ class DefUsePartition:
     def byte_intervals(self, addr: int) -> list[ByteInterval]:
         return self.intervals.get(addr, [])
 
-    def live_classes(self) -> list[ByteInterval]:
-        """All live classes, ordered by injection slot (then address)."""
+    def live_classes(self) -> tuple[ByteInterval, ...]:
+        """All live classes, ordered by injection slot (then address).
+
+        Sorted once per partition (it is not changed once built):
+        every call returns the same tuple.
+        """
+        return self._live
+
+    @cached_property
+    def _live(self) -> tuple[ByteInterval, ...]:
         live = [iv for ivs in self.intervals.values() for iv in ivs
                 if iv.kind == LIVE]
         live.sort(key=lambda iv: (iv.injection_slot, iv.addr))
-        return live
+        return tuple(live)
 
     def dead_classes(self) -> list[ByteInterval]:
         return [iv for ivs in self.intervals.values() for iv in ivs

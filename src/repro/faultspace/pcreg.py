@@ -36,6 +36,7 @@ whole ROM (``FaultDomain.control_hazard`` forces the escape digest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .defuse import LIVE
 
@@ -193,11 +194,19 @@ class PCPartition:
             partition.slots[slot] = classes
         return partition
 
-    def live_classes(self) -> list[PCInterval]:
-        """All classes (every PC class needs an experiment)."""
+    def live_classes(self) -> tuple[PCInterval, ...]:
+        """All classes (every PC class needs an experiment).
+
+        Sorted once per partition (it is not changed once built):
+        every call returns the same tuple.
+        """
+        return self._live
+
+    @cached_property
+    def _live(self) -> tuple[PCInterval, ...]:
         live = [iv for ivs in self.slots.values() for iv in ivs]
         live.sort(key=lambda iv: (iv.injection_slot, iv.axis))
-        return live
+        return tuple(live)
 
     def dead_classes(self) -> list[PCInterval]:
         """No PC fault is a-priori benign — a flipped PC always acts."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..isa.isa import Instruction, LOAD_OPS, NUM_REGS, Op, STORE_OPS
 
@@ -216,11 +217,20 @@ class RegisterPartition:
             partition.intervals[reg] = intervals
         return partition
 
-    def live_classes(self) -> list[RegisterInterval]:
+    def live_classes(self) -> tuple[RegisterInterval, ...]:
+        """All live classes, ordered by injection slot (then axis).
+
+        Sorted once per partition (it is not changed once built):
+        every call returns the same tuple.
+        """
+        return self._live
+
+    @cached_property
+    def _live(self) -> tuple[RegisterInterval, ...]:
         live = [iv for ivs in self.intervals.values() for iv in ivs
                 if iv.kind == LIVE]
         live.sort(key=lambda iv: (iv.injection_slot, iv.reg))
-        return live
+        return tuple(live)
 
     def locate(self, coord: RegisterFaultCoordinate) -> RegisterInterval:
         if coord.slot > self.fault_space.cycles:

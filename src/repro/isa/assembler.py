@@ -233,6 +233,10 @@ class Assembler:
 
     @staticmethod
     def _strip_comment(line: str) -> str:
+        if '"' not in line:
+            # No string to protect: the comment starts at the first
+            # ``;`` or ``#``.
+            return line.split(";", 1)[0].split("#", 1)[0]
         out = []
         in_string = False
         for ch in line:
@@ -500,6 +504,17 @@ class Assembler:
     @staticmethod
     def _split_operands(rest: str, lineno: int) -> list[str]:
         # Split on commas that are not inside quotes or parentheses.
+        if "'" not in rest:
+            items = rest.split(",")
+            if all(item.count("(") == item.count(")") for item in items):
+                # No comma inside parentheses: every comma splits, and
+                # a trailing one is dropped.
+                items = [item.strip() for item in items]
+                if not items[-1]:
+                    items.pop()
+                if not all(items):
+                    raise AssemblyError("empty operand", lineno)
+                return items
         items, depth, current, quote = [], 0, [], False
         for ch in rest:
             if ch == "'":

@@ -5,7 +5,7 @@ experiments, not rows: a result row is a run of bits
 
 import sqlite3
 
-from repro.campaign.journal import RUN_BITS
+from repro.campaign.journal import RUN_BITS, run_rows
 
 
 def class_experiments(path) -> dict[tuple[int, int], int]:
@@ -31,6 +31,17 @@ def stored_experiments(path, table: str) -> int:
             f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}").fetchone()[0]
     finally:
         conn.close()
+
+
+def per_bit_rows(stored) -> list[tuple[int, str, int, str]]:
+    """A journal reader's value for one class — the run ``(outcomes,
+    end_cycles, traps)`` of a class stored whole, or the per-bit rows of
+    any other — as per-bit ``(bit, outcome_value, end_cycle, trap)``
+    rows, end cycles as integers."""
+    if isinstance(stored, tuple):
+        stored = run_rows(0, *(column.split(" ") for column in stored))
+    return [(bit, outcome, int(end_cycle), trap)
+            for bit, outcome, end_cycle, trap in stored]
 
 
 def truncate_first_class(path, keep: int) -> tuple[int, int]:

@@ -32,7 +32,7 @@ from repro.faultspace import build_section_map, get_domain
 from repro.isa.assembler import assemble
 from repro.programs import micro
 
-from .journal_rows import class_experiments
+from .journal_rows import class_experiments, per_bit_rows
 
 SECTION_TABLES = ("section_results", "campaign_sections", "sections",
                   "summaries")
@@ -416,18 +416,17 @@ def _v3_file(path, source, layout):
     ExperimentJournal(path).close()  # every other table, as v3 had it
     with ExperimentJournal(source) as journal:
         class_rows = [
-            (entry["id"], axis, first_slot, bit, outcome.value, end_cycle,
-             trap)
+            (entry["id"], axis, first_slot, *row)
             for entry in journal.campaigns()
             for (axis, first_slot), rows in CampaignJournal(
                 journal, entry["id"]).completed_classes().items()
-            for bit, outcome, end_cycle, trap in rows]
+            for row in per_bit_rows(rows)]
         section_rows = [
             (entry["id"], slot, axis, *row)
             for entry in journal.sections()
             for (slot, axis), rows in journal.section_rows(
                 entry["id"]).items()
-            for row in rows]
+            for row in per_bit_rows(rows)]
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("ATTACH DATABASE ? AS source", (str(source),))
@@ -556,7 +555,7 @@ class TestPartialClassesNeverCompose:
             "slot = ? AND axis = ?", (slot, axis)).fetchone()
         conn.close()
         with ExperimentJournal(journal) as handle:
-            rows = handle.section_rows(section_id)[slot, axis]
+            rows = per_bit_rows(handle.section_rows(section_id)[slot, axis])
         return [(section_id, *row) for row in rows]
 
     @pytest.mark.parametrize("domain, bits", [("memory", 8),

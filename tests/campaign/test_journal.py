@@ -15,7 +15,7 @@ from repro.campaign import (
 )
 from repro.campaign import journal as journal_module
 from repro.campaign.journal import (COMMIT_WINDOW_S, canonical_params,
-                                    invalid_classes, open_campaign)
+                                    open_campaign, whole_run)
 from repro.faultspace import MEMORY, REGISTER
 from repro.programs import bin_sem2, micro
 
@@ -129,8 +129,8 @@ class TestCampaignJournal:
         campaign.record_class(5, 2, [(0, "sdc", 30, ""),
                                      (1, "cpu-exception", 31, "BUS")])
         stored = campaign.completed_classes()
-        assert stored == {(5, 2): [(0, Outcome.SDC, 30, ""),
-                                   (1, Outcome.CPU_EXCEPTION, 31, "BUS")]}
+        # A class is one run from bit 0: it reads back as stored.
+        assert stored == {(5, 2): ("sdc cpu-exception", "30 31", " BUS")}
 
     def test_rows_with_a_gap_keep_their_bits(self, journal):
         """A torn class is stored as one run per stretch of consecutive
@@ -141,9 +141,9 @@ class TestCampaignJournal:
                 (3, "timeout", 33, "")]
         campaign.record_class(5, 2, torn)
         stored = campaign.completed_classes()
-        assert stored == {(5, 2): [(bit, Outcome(value), end, trap)
+        assert stored == {(5, 2): [(bit, value, str(end), trap)
                                    for bit, value, end, trap in torn]}
-        assert invalid_classes(stored, {(5, 2): 4}) == [(5, 2)]
+        assert whole_run(stored[(5, 2)], 4) is None
         assert journal.campaigns()[0]["journaled_experiments"] == 3
 
     def test_a_run_whose_columns_disagree_yields_no_bits(self, journal):
@@ -280,8 +280,7 @@ class TestJournalDurability:
         assert campaign.merge_class(
             5, 2, [(0, "timeout", 1, "")]) is False  # late duplicate
         stored = campaign.completed_classes()
-        assert stored[(5, 2)] == [(0, Outcome.SDC, 30, ""),
-                                  (1, Outcome.NO_EFFECT, 42, "")]
+        assert stored[(5, 2)] == ("sdc no-effect", "30 42", " ")
 
     def test_lease_state_round_trips_and_clears(self, journal):
         campaign = _campaign(journal)
@@ -301,6 +300,8 @@ class TestJournalDurability:
 
 
 ROWS = [(bit, "sdc", 30, "") for bit in range(8)]
+#: ``ROWS`` as the run that stores them.
+RUN = (" ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
 
 
 def _committed(path) -> dict:
@@ -407,7 +408,7 @@ class TestGroupCommit:
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
-            campaign.record_classes([(1, 1, ROWS), (2, 1, ROWS)])
+            campaign.record_classes([(1, 1, RUN), (2, 1, RUN)])
             assert campaign.merge_class(2, 1, ROWS) is False
             assert _committed(path) == NOTHING
             assert sorted(campaign.completed_classes()) == [(1, 1), (2, 1)]

@@ -1,9 +1,12 @@
 """Tests for the campaign runners (full scan, brute force, sampling)."""
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign import (
     Outcome,
@@ -12,6 +15,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
+from repro.campaign.database import CampaignSummary
 from repro.faultspace import DOMAINS
 from repro.programs import hi, micro
 
@@ -28,8 +32,8 @@ def hi_scan(hi_golden):
 
 def reference_weighted_counts(result) -> Counter:
     """``CampaignResult.weighted_counts`` as first written: a Counter
-    bumped per experiment.  The implementation sums by outcome index;
-    this is what it must keep returning."""
+    bumped per experiment.  The implementation counts a class at a time
+    (``CampaignResult.tally``); this is what it must keep returning."""
     counts: Counter = Counter()
     for interval in result.partition.live_classes():
         key = result.domain.class_key(interval)
@@ -40,6 +44,29 @@ def reference_weighted_counts(result) -> Counter:
             counts[outcome] += interval.length * weight
     counts[Outcome.NO_EFFECT] += result.partition.known_no_effect_weight
     return counts
+
+
+def reference_raw_counts(result) -> Counter:
+    """``CampaignResult.raw_counts`` as first written."""
+    counts: Counter = Counter()
+    for outcomes in result.class_outcomes.values():
+        counts.update(outcomes)
+    return counts
+
+
+def assert_counts_match_the_references(result):
+    """Weighted and raw counts, and the summary's value-keyed copies of
+    them: the references' keys, values and order."""
+    weighted = reference_weighted_counts(result)
+    raw = reference_raw_counts(result)
+    assert list(result.weighted_counts().items()) == list(weighted.items())
+    assert list(result.raw_counts().items()) == list(raw.items())
+    summary = CampaignSummary.from_result(result)
+    assert list(summary.weighted_counts.items()) \
+        == [(outcome.value, count) for outcome, count in weighted.items()]
+    assert list(summary.raw_counts.items()) \
+        == [(outcome.value, count) for outcome, count in raw.items()]
+    assert summary.experiments == sum(raw.values())
 
 
 class TestWeightedCountsContract:
@@ -76,6 +103,60 @@ class TestWeightedCountsContract:
         empty = replace(scan, class_outcomes={})
         assert dict(empty.weighted_counts()) == {
             Outcome.NO_EFFECT: scan.partition.known_no_effect_weight}
+
+    def test_raw_counts_and_summary_match_the_references(self, scan):
+        assert_counts_match_the_references(scan)
+        for dropped in scan.class_outcomes:
+            assert_counts_match_the_references(replace(scan, class_outcomes={
+                key: outcomes
+                for key, outcomes in scan.class_outcomes.items()
+                if key != dropped}))
+
+
+_SCANS: dict = {}
+
+
+@st.composite
+def drawn_results(draw):
+    """A ``memcopy(3)`` scan's partition in any domain with drawn
+    per-bit outcomes — from a palette small enough that classes repeat
+    and mix, so several outcomes are first met in one class — about a
+    tenth of the classes dropped, and whether the domain's experiment
+    weights are skewed (no domain's are, but the contract allows it)."""
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    if name not in _SCANS:
+        _SCANS[name] = run_full_scan(record_golden(micro.memcopy(3)),
+                                     domain=name)
+    scan = _SCANS[name]
+    palette = draw(st.lists(st.sampled_from(list(Outcome)), min_size=1,
+                            max_size=4, unique=True))
+    class_outcomes = {
+        key: tuple(draw(st.lists(st.sampled_from(palette),
+                                 min_size=len(outcomes),
+                                 max_size=len(outcomes))))
+        for key, outcomes in scan.class_outcomes.items()
+        if draw(st.integers(0, 9))}
+    return replace(scan, class_outcomes=class_outcomes), draw(st.booleans())
+
+
+def _skewed(domain):
+    """The domain's per-experiment weights made unequal within a
+    class."""
+    weights = domain.experiment_slot_weights
+    return mock.patch.object(
+        domain, "experiment_slot_weights",
+        lambda interval: tuple(weight + index % 3 for index, weight
+                               in enumerate(weights(interval))))
+
+
+class TestOnePassCounts:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=drawn_results())
+    def test_any_outcomes_match_the_references(self, drawn):
+        result, skew = drawn
+        with _skewed(result.domain) if skew else nullcontext():
+            assert_counts_match_the_references(result)
 
 
 class TestFullScan:

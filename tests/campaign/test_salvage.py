@@ -25,10 +25,10 @@ from repro.campaign.journal import (
     ExperimentJournal,
     JournalCorruptError,
     SalvageReport,
-    invalid_classes,
     salvage_journal,
+    whole_run,
 )
-from repro.programs import micro
+from repro.programs import hi, micro
 
 from .journal_rows import truncate_first_class
 from .test_dist import run_dist
@@ -135,25 +135,119 @@ class TestCorruptJournal:
 
 
 class TestInvalidClasses:
-    EXPECTED = {(0, 1): 3, (2, 5): 2}
+    """What a resumed or composed class is trusted as: its run from bit
+    0, or ``None`` — re-execute it — from :func:`whole_run`, whether the
+    reader gave the run itself or a per-bit view of a torn key."""
+
+    RUN = ("no-effect sdc no-effect", "1 2 3", "  ")
+    ROWS = [(0, "no-effect", "1", ""), (1, "sdc", "2", ""),
+            (2, "no-effect", "3", "")]
 
     def test_healthy_classes_pass(self):
-        completed = {(0, 1): [(0, "none", 1, ""), (1, "sdc", 2, ""),
-                              (2, "none", 3, "")],
-                     (2, 5): [(0, "none", 1, ""), (1, "none", 1, "")]}
-        assert invalid_classes(completed, self.EXPECTED) == []
+        assert whole_run(self.RUN, 3) == self.RUN
+        assert whole_run(self.ROWS, 3) == self.RUN
 
     def test_truncated_class_is_flagged(self):
-        completed = {(0, 1): [(0, "none", 1, ""), (1, "sdc", 2, "")]}
-        assert invalid_classes(completed, self.EXPECTED) == [(0, 1)]
+        assert whole_run(("no-effect sdc", "1 2", " "), 3) is None
+        assert whole_run(self.ROWS[:2], 3) is None
 
     def test_wrong_bit_sequence_is_flagged(self):
-        completed = {(2, 5): [(0, "none", 1, ""), (2, "none", 1, "")]}
-        assert invalid_classes(completed, self.EXPECTED) == [(2, 5)]
+        assert whole_run([self.ROWS[0], self.ROWS[2]], 2) is None
+        assert whole_run([(bit + 1, *row) for bit, *row in self.ROWS],
+                         3) is None
 
-    def test_unknown_keys_are_ignored(self):
-        completed = {(9, 9): [(0, "none", 1, "")]}
-        assert invalid_classes(completed, self.EXPECTED) == []
+    @pytest.mark.parametrize("run", [
+        ("bogus sdc no-effect", "1 2 3", "  "),
+        ("no-effect sdc no-effect", "1 x6 3", "  "),
+        ("no-effect sdc no-effect", "1 2  3", "  "),
+        ("no-effect sdc no-effect", "1 2 3", "   "),
+    ])
+    def test_malformed_values_are_flagged(self, run):
+        assert whole_run(run, 3) is None
+
+    @pytest.mark.parametrize("index, value", [(1, "bogus"), (2, "x6")])
+    def test_malformed_per_bit_values_are_flagged(self, index, value):
+        rows = [list(row) for row in self.ROWS]
+        rows[1][index] = value
+        assert whole_run([tuple(row) for row in rows], 3) is None
+
+
+@pytest.fixture(scope="module")
+def hi_golden():
+    return record_golden(hi.baseline())
+
+
+@pytest.fixture(scope="module")
+def hi_baseline(hi_golden):
+    return run_full_scan(hi_golden, keep_records=True)
+
+
+def _spoil_first_value(path, table, column, value):
+    """Overwrite the first value of ``column`` in the first class of
+    ``table`` (``class_results`` or ``section_results``) with ``value``
+    — what no build writes — and mark the campaign unfinished."""
+    first, second = (("slot", "axis") if table == "section_results"
+                     else ("axis", "first_slot"))
+    conn = sqlite3.connect(path)
+    with conn:
+        major, minor, stored = conn.execute(
+            f"SELECT {first}, {second}, {column} FROM {table} "
+            f"WHERE bit = 0 ORDER BY {first}, {second} LIMIT 1").fetchone()
+        conn.execute(
+            f"UPDATE {table} SET {column} = ? WHERE {first} = ? "
+            f"AND {second} = ? AND bit = 0",
+            (" ".join([value, *str(stored).split(" ")[1:]]), major, minor))
+        conn.execute("UPDATE campaigns SET status = 'running'")
+    conn.close()
+
+
+class TestMalformedValuesAreRedone:
+    """A stored value no build writes is treated like a lost bit: the
+    class is re-executed, never decoded into the result — or into a
+    crash."""
+
+    def test_a_bad_outcome_in_a_journaled_class_is_discarded(
+            self, tmp_path, hi_golden, hi_baseline):
+        path = journal_with_campaign(tmp_path, hi_golden)
+        _spoil_first_value(path, "class_results", "outcome", "bogus")
+        result = run_full_scan(hi_golden, journal=path, keep_records=True)
+        assert result == hi_baseline
+        assert result.records == hi_baseline.records
+        assert result.execution.discarded_results == 1
+        assert result.execution.complete
+        with ExperimentJournal(path) as journal:
+            (campaign,) = journal.fabric_report()
+        assert [event["kind"] for event in campaign["events"]] \
+            == ["salvage-prune"]
+
+    def test_a_bad_end_cycle_in_a_section_row_does_not_compose(
+            self, tmp_path, hi_golden, hi_baseline):
+        path = journal_with_campaign(tmp_path, hi_golden)
+        _spoil_first_value(path, "section_results", "end_cycle", "x6")
+        result = run_full_scan(hi_golden, journal=path, resume=False,
+                               keep_records=True)
+        assert result == hi_baseline
+        assert result.records == hi_baseline.records
+        assert result.execution.executed == 1
+        assert result.execution.composed_hits \
+            == hi_baseline.experiments_conducted - hi_baseline.domain.bits
+
+
+    def test_a_class_outside_the_partition_is_discarded(
+            self, tmp_path, hi_golden, hi_baseline):
+        path = journal_with_campaign(tmp_path, hi_golden)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "INSERT INTO class_results SELECT campaign_id, 999, "
+                "first_slot, bit, outcome, end_cycle, trap FROM "
+                "class_results ORDER BY axis, first_slot LIMIT 1")
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        result = run_full_scan(hi_golden, journal=path, keep_records=True)
+        assert result == hi_baseline
+        assert result.execution.discarded_results == 1
+        assert result.execution.executed == 0
 
 
 class TestEveryTransportPrunesPartialClasses:

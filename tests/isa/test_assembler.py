@@ -1,8 +1,12 @@
 """Unit tests for the two-pass assembler."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.campaign.database import program_fingerprint
 from repro.isa import AssemblyError, Machine, Op, assemble
+from repro.isa.assembler import Assembler
+from repro.programs import all_programs
 
 
 def run_program(source, ram_size=64, max_cycles=10_000):
@@ -290,3 +294,93 @@ class TestDisassembly:
         listing = prog.disassemble()
         assert "start:" in listing
         assert listing.count("\n") == 1
+
+
+def _reference_strip_comment(line: str) -> str:
+    """The character loop ``Assembler._strip_comment`` falls back to for
+    a line with a ``"``: the reference its fast path must agree with."""
+    out = []
+    in_string = False
+    for ch in line:
+        if ch == '"':
+            in_string = not in_string
+        if ch in ";#" and not in_string:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+def _reference_split_operands(rest: str, lineno: int) -> list[str]:
+    """The character loop ``Assembler._split_operands`` falls back to
+    for operands with a ``'``, or with a comma inside parentheses."""
+    items, depth, current, quote = [], 0, [], False
+    for ch in rest:
+        if ch == "'":
+            quote = not quote
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0 and not quote:
+            items.append("".join(current).strip())
+            current = []
+        else:
+            current.append(ch)
+    tail = "".join(current).strip()
+    if tail:
+        items.append(tail)
+    if any(not item for item in items):
+        raise AssemblyError("empty operand", lineno)
+    return items
+
+
+def _split(split, rest):
+    try:
+        return split(rest, 1)
+    except AssemblyError as exc:
+        return str(exc)
+
+
+class TestLineSplittingFastPaths:
+    """``_strip_comment`` and ``_split_operands`` skip their character
+    loops when nothing on the line needs them; the results must be the
+    loops' own, quirks included."""
+
+    def test_every_program_assembles_as_with_the_loops(self, monkeypatch):
+        fast = {name: factory() for name, factory in all_programs().items()}
+        monkeypatch.setattr(Assembler, "_strip_comment",
+                            staticmethod(_reference_strip_comment))
+        monkeypatch.setattr(Assembler, "_split_operands",
+                            staticmethod(_reference_split_operands))
+        reference = {name: factory()
+                     for name, factory in all_programs().items()}
+        assert len(fast) == 22
+        for name, program in fast.items():
+            assert program == reference[name], name
+            assert program_fingerprint(program) \
+                == program_fingerprint(reference[name]), name
+
+    @pytest.mark.parametrize("rest, expected", [
+        ("r1, r2, 3,", ["r1", "r2", "3"]),   # a trailing comma is dropped
+        ("r1, ,r2", "line 1: empty operand"),
+        (", r1", "line 1: empty operand"),
+        ("r1,,", "line 1: empty operand"),
+        ("  ", []),
+    ])
+    def test_operand_quirks(self, rest, expected):
+        assert _split(Assembler._split_operands, rest) == expected
+        assert _split(_reference_split_operands, rest) == expected
+
+    def test_comment_marks_inside_a_string_are_kept(self):
+        line = ' .ascii "a;b#c" ; real comment'
+        assert Assembler._strip_comment(line) == ' .ascii "a;b#c" '
+        assert Assembler._strip_comment("li r1, 1 # x ; y") == "li r1, 1 "
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(alphabet=st.sampled_from(
+        list("ab1 ,;#\"'()\t")), max_size=24))
+    def test_fast_paths_agree_with_the_loops(self, line):
+        assert Assembler._strip_comment(line) \
+            == _reference_strip_comment(line)
+        assert _split(Assembler._split_operands, line) \
+            == _split(_reference_split_operands, line)

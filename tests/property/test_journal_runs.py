@@ -1,19 +1,28 @@
 """Property-based tests of the journal's run rows.
 
 A ``class_results`` / ``section_results`` row holds a run of bits, its
-per-bit values space-separated (``repro.campaign.journal``).  The
-writers take per-bit rows and the readers return them, so the format is
-invisible from outside — which is what these properties pin: a class of
+per-bit values space-separated (``repro.campaign.journal``).  A class
+stored whole is read back as that run and written back as it was read;
+anything else is read bit by bit.  These properties pin that: a class of
 any width, with any outcomes, end cycles and (empty or named) traps,
-round-trips; and a section fed any interleaving of sampled single bits
-and whole classes composes exactly what was stored, each bit once.
+round-trips; a section fed any interleaving of sampled single bits and
+whole classes composes exactly what was stored, each bit once; and
+whatever mix of whole, torn, gapped, short, shifted, per-bit and
+malformed rows a journal holds, a campaign resumed and composed from it
+is the one the per-bit view of every key gives.
 """
+
+import random
+from unittest import mock
 
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from repro.campaign import ExperimentJournal, record_golden
+from repro.campaign import (ExperimentJournal, record_golden, run_full_scan,
+                            run_sampling)
+from repro.campaign import journal as journal_module
 from repro.campaign.compose import SectionComposer
+from repro.campaign.journal import open_campaign
 from repro.campaign.outcomes import OUTCOME_BY_VALUE
 from repro.campaign.pipeline import InProcess
 from repro.faultspace import get_domain
@@ -32,6 +41,13 @@ def _campaign(journal, **identity):
                 params={}, cycles=100)
     spec.update(identity)
     return journal.campaign(**spec)
+
+
+def _run(rows) -> tuple[str, str, str]:
+    """Per-bit ``(bit, outcome, end_cycle, trap)`` rows from bit 0 as
+    the run that stores them."""
+    return tuple(" ".join(map(str, column)) for column in
+                 list(zip(*rows))[1:])
 
 
 @st.composite
@@ -59,9 +75,7 @@ class TestClassRoundTrip:
             for (axis, first_slot), rows in stored.items():
                 campaign.record_class(axis, first_slot, rows)
             assert campaign.completed_classes() == {
-                key: [(bit, OUTCOME_BY_VALUE[value], end_cycle, trap)
-                      for bit, value, end_cycle, trap in rows]
-                for key, rows in sorted(stored.items())}
+                key: _run(rows) for key, rows in sorted(stored.items())}
             assert journal.campaigns()[0]["journaled_experiments"] \
                 == sum(map(len, stored.values()))
 
@@ -144,7 +158,151 @@ class TestSectionInterleaving:
                 width = domain.experiment_count(interval)
                 full = [_row(slot, axis, b) for b in range(width)]
                 assert reader.compose_class(interval) \
-                    == (full if len(bits) == width else None)
+                    == (_run(full) if len(bits) == width else None)
                 for bit in range(width):
                     assert reader.compose_experiment(slot, axis, bit) \
                         == (full[bit][1:] if bit in bits else None)
+
+
+#: What a journal may hold for one class, in the class table or the
+#: section store (see :func:`_shape_runs`); a whole class, what this
+#: build writes, is drawn twice as often.
+SHAPES = ("absent", "whole", "whole", "per-bit", "torn", "gapped", "short",
+          "shifted", "sampled", "overlap", "bad-outcome", "bad-cycle")
+
+_GOLDENS: dict = {}
+
+
+def _fake(slot: int, axis: int, bit: int) -> tuple[str, str, str]:
+    """A stored experiment no execution gives — its end cycle is past
+    any budget — so a class trusted when it should have been re-executed
+    shows in the result's records."""
+    return (VALUES[(5 * slot + axis + 3 * bit) % len(VALUES)],
+            str(10 ** 7 + 97 * slot + bit), TRAPS[(axis + bit) % len(TRAPS)])
+
+
+def _shape_runs(shape: str, slot: int, axis: int, width: int,
+                rng: random.Random) -> list[tuple]:
+    """The rows ``(first_bit, outcomes, end_cycles, traps)`` one class's
+    ``shape`` stores."""
+    def run(bits, spoil=None):
+        columns = [list(values) for values in zip(
+            *(_fake(slot, axis, bit) for bit in bits))]
+        if spoil is not None:
+            column, value = spoil
+            columns[column][rng.randrange(len(bits))] = value
+        return (bits[0], *(" ".join(column) for column in columns))
+
+    every = list(range(width))  # a class has 8 or 32 bits here
+    cut = rng.randrange(1, width)
+    if shape == "absent":
+        return []
+    if shape == "whole":
+        return [run(every)]
+    if shape == "per-bit":  # what a version-3 build wrote
+        return [run([bit]) for bit in every]
+    if shape == "torn":  # whole, in two runs
+        return [run(every[:cut]), run(every[cut:])]
+    if shape == "gapped":  # bit ``cut`` lost
+        return [run(every[:cut])] + ([run(every[cut + 1:])]
+                                     if cut + 1 < width else [])
+    if shape == "short":
+        return [run(every[:-1])]
+    if shape == "shifted":
+        return [run([bit + 1 for bit in every])]
+    if shape == "sampled":
+        return [run([bit]) for bit in sorted(rng.sample(every,
+                                                        min(width, 3)))]
+    if shape == "overlap":  # a sampled bit beside the whole class
+        return [run(every), (cut, *_fake(slot, axis + 1, cut))]
+    if shape == "bad-outcome":
+        return [run(every, (0, "bogus"))]
+    return [run(every, (1, "x6"))]  # bad-cycle
+
+
+def _golden(domain_name: str):
+    if domain_name not in _GOLDENS:
+        golden = record_golden(micro.counter(2))
+        domain = get_domain(domain_name)
+        _GOLDENS[domain_name] = (golden, domain,
+                                 InProcess(golden, domain).params,
+                                 domain.build_partition(golden)
+                                 .live_classes())
+    return _GOLDENS[domain_name]
+
+
+@st.composite
+def journal_states(draw):
+    """A domain, per live class of ``counter(2)`` a shape for the class
+    table and one for the section store, a seed for the shapes' cuts
+    and spoiled bits, and whether the scan resumes."""
+    domain_name = draw(st.sampled_from(["memory", "register"]))
+    count = len(_golden(domain_name)[3])
+    shapes = st.lists(st.sampled_from(SHAPES), min_size=count,
+                      max_size=count)
+    return (domain_name, draw(shapes), draw(shapes),
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+
+
+def _campaigns(state):
+    """Sample, then scan, against a journal holding ``state``; returns
+    the two results and the journal's result tables afterwards."""
+    domain_name, class_shapes, section_shapes, seed, resume = state
+    golden, domain, params, live = _golden(domain_name)
+    rng = random.Random(seed)
+    with ExperimentJournal(":memory:") as journal:
+        handle = open_campaign(journal, golden, domain, "full-scan", params)
+        composer = SectionComposer(handle, golden, domain, params)
+        class_rows, section_rows = [], []
+        for interval, in_class, in_section in zip(live, class_shapes,
+                                                  section_shapes):
+            slot, axis = interval.injection_slot, domain.axis_of(interval)
+            width = domain.experiment_count(interval)
+            section = composer._ids[composer.map.owner(slot).index]
+            class_rows += [(handle.campaign_id, axis, interval.first_slot,
+                            *run) for run in _shape_runs(
+                                in_class, slot, axis, width, rng)]
+            section_rows += [(section, slot, axis, *run) for run in
+                             _shape_runs(in_section, slot, axis, width, rng)]
+        marks = ", ".join("?" * 7)
+        with journal._conn:
+            journal._conn.executemany(
+                f"INSERT INTO class_results VALUES ({marks})", class_rows)
+            journal._conn.executemany(
+                f"INSERT INTO section_results VALUES ({marks})",
+                section_rows)
+        sampled = run_sampling(golden, 40, seed=3, sampler="live-only",
+                               domain=domain, journal=journal)
+        scanned = run_full_scan(golden, domain=domain, journal=journal,
+                                resume=resume, keep_records=True)
+        tables = [list(journal._conn.execute(
+            f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4"))
+                  for table in ("class_results", "section_results")]
+    return sampled, scanned, tables
+
+
+def _accounting(result):
+    execution = result.execution
+    return (execution.executed, execution.resumed, execution.composed_hits,
+            execution.discarded_results)
+
+
+class TestRunFormReaders:
+    @SETTINGS
+    @given(state=journal_states())
+    def test_resumed_and_composed_campaigns_equal_the_per_bit_view(
+            self, state):
+        """The readers' clean-run path against the per-bit view of every
+        key (``_read_runs`` replaced by ``_expand``): the sampled
+        and the full-scan campaign, their records and accounting, and
+        what they leave in the journal are the same."""
+        sampled, scanned, tables = _campaigns(state)
+        with mock.patch.object(journal_module, "_read_runs",
+                               journal_module._expand):
+            reference = _campaigns(state)
+        assert sampled == reference[0]
+        assert _accounting(sampled) == _accounting(reference[0])
+        assert scanned == reference[1]
+        assert scanned.records == reference[1].records
+        assert _accounting(scanned) == _accounting(reference[1])
+        assert tables == reference[2]
