@@ -14,7 +14,11 @@ no ``Outcome(...)`` construction, no per-bit expansion of a stored run
 (``journal._expand`` / ``journal.run_rows``: a class stored whole is
 read, validated, kept and re-journaled as its run) and no
 ``Enum.__hash__`` call on an outcome (the summary counts classes with
-``tuple.count``).  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
+``tuple.count``).  The prologue is counted too: a plain resume of the
+swept family builds no section map (the journal holds every campaign
+whole, so there is nothing to compose), and the section maps of a
+``resume=False`` sweep execute no interpreter instruction (their entry
+digests come off the golden checkpoint ladder).  The ratio this gate used to assert (warm ≥ 3× cold, 7.1×
 when it was written) fell as the executor got faster — the family's
 whole cold sweep is ≈ 0.13 s now, and what both sides have left is the
 fixed cost of a campaign (open + ``quick_check``, golden bookkeeping,
@@ -31,9 +35,11 @@ import time
 from _bench_json import write_bench_json
 
 from repro.campaign import ExperimentJournal, record_golden, run_full_scan
+from repro.campaign import compose as compose_module
 from repro.campaign import journal as journal_module
 from repro.campaign.database import CampaignSummary
 from repro.campaign.outcomes import Outcome
+from repro.faultspace import sections as sections_module
 from repro.metrics import comparison_report, export_comparison_csv
 from repro.programs import guarded
 
@@ -62,6 +68,37 @@ def _reports(results):
             for name in VARIANTS[1:]]
 
 
+def _counting_section_maps(patch, counts):
+    """Count, under ``patch``, the section maps built
+    (``counts["section_maps"]``) and the instructions their replay
+    machines execute (``counts["section_cycles"]``)."""
+    build = compose_module.build_section_map
+    machine = sections_module.Machine
+
+    def counted_build(*args, **kwargs):
+        counts["section_maps"] += 1
+        return build(*args, **kwargs)
+
+    class CountedMachine(machine):
+        def run_to_cycle(self, target_cycle):
+            before = self.cycle
+            super().run_to_cycle(target_cycle)
+            counts["section_cycles"] += self.cycle - before
+
+    patch.setattr(compose_module, "build_section_map", counted_build)
+    patch.setattr(sections_module, "Machine", CountedMachine)
+
+
+def _resumed_sweep(goldens, path, monkeypatch):
+    """A plain resume of the family against the filled journal; returns
+    (results, section maps built)."""
+    counts = {"section_maps": 0, "section_cycles": 0}
+    with monkeypatch.context() as patch:
+        _counting_section_maps(patch, counts)
+        results, _ = _sweep(goldens, path, resume=True)
+    return results, counts["section_maps"]
+
+
 def _counted_sweep(goldens, path, monkeypatch):
     """A ``resume=False`` sweep, each variant's summary included, under
     these counters: per variant the ``BEGIN IMMEDIATE`` statements
@@ -69,12 +106,14 @@ def _counted_sweep(goldens, path, monkeypatch):
     window's clock frozen so that only the sweep's own flushes commit,
     and the rows it writes to ``class_results`` (the trace sees every
     row an ``executemany`` binds); over the sweep the ``Outcome(value)``
-    calls, the per-bit expansions of stored runs and the
-    ``Enum.__hash__`` calls on outcomes."""
+    calls, the per-bit expansions of stored runs, the ``Enum.__hash__``
+    calls on outcomes, and the section maps built and the interpreter
+    instructions they execute."""
     enum_type = type(Outcome)
     enum_call = enum_type.__call__
     enum_hash = enum.Enum.__hash__
-    counts = {"constructed": 0, "expanded": 0, "hashed": 0}
+    counts = {"constructed": 0, "expanded": 0, "hashed": 0,
+              "section_maps": 0, "section_cycles": 0}
 
     def counting_call(cls, *args, **kwargs):
         if cls is Outcome:
@@ -98,6 +137,7 @@ def _counted_sweep(goldens, path, monkeypatch):
         patch.setattr(journal_module, "_clock", lambda: 0.0)
         patch.setattr(enum_type, "__call__", counting_call)
         patch.setattr(enum.Enum, "__hash__", counting_hash)
+        _counting_section_maps(patch, counts)
         for name in ("_expand", "run_rows"):
             patch.setattr(journal_module, name,
                           counting(getattr(journal_module, name)))
@@ -134,11 +174,14 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     counted, commits, class_rows, counts = _counted_sweep(
         goldens, journal, monkeypatch)
     constructed = counts["constructed"]
+    resumed, resumed_maps = _resumed_sweep(goldens, journal, monkeypatch)
 
     composed = {}
     for name in VARIANTS:
         assert warm[name] == cold[name], name
         assert counted[name] == cold[name], name
+        assert resumed[name] == cold[name], name
+        assert resumed[name].execution.executed == 0, name
         for result in (warm[name], counted[name]):
             assert result.execution.executed == 0, name
             assert result.execution.composed_hits \
@@ -160,6 +203,13 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     assert counts["hashed"] == 0, (
         f"{counts['hashed']} Enum.__hash__ calls on outcomes on the warm "
         f"path: classes are counted with tuple.count")
+    assert counts["section_maps"] == len(VARIANTS)
+    assert counts["section_cycles"] == 0, (
+        f"{counts['section_cycles']} interpreter instructions executed "
+        f"by the section maps: entry digests come off the golden ladder")
+    assert resumed_maps == 0, (
+        f"{resumed_maps} section maps built by a plain resume of a "
+        f"complete family: nothing is left to compose")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"

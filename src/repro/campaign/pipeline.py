@@ -426,10 +426,14 @@ class CampaignRun:
             if not resume:
                 handle.clear()
             self.completed = style.load(handle, report)
-            if style.composes:
+            if style.composes and len(self.completed) < len(style.units):
                 # Compose units another campaign already executed for
                 # an identical program section: beside the loaded ones
-                # they take the exact route resumed units do.
+                # they take the exact route resumed units do.  A
+                # campaign the journal holds whole has nothing left to
+                # compose or store, and its section links were written
+                # when it ran (``clear()`` is the only way to drop
+                # them, and a cleared campaign always composes).
                 self.composer = SectionComposer(handle, style.golden,
                                                 style.domain, style.params)
                 style.compose(self.composer, self.completed, handle,

@@ -25,16 +25,177 @@ differently), while weights simply multiply by eight.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
-from ..isa.tracing import MemoryTrace
+from ..isa.tracing import READ, WRITE, MemoryTrace
 from .model import FaultCoordinate, FaultSpace
 
 #: Class kinds.
 LIVE = "live"
 DEAD = "dead"
+
+#: The class an access ends: a read activates the fault, a write
+#: overwrites it.
+_ENDS = {READ: LIVE, WRITE: DEAD}
+
+#: :func:`trace_intervals`' message for a bad access, unless a
+#: partition names its own.
+_BAD_EVENT = "bad trace event for byte {addr} at {slot}"
+
+
+def trace_intervals(trace: MemoryTrace, fault_space, interval, *,
+                    beyond: str = _BAD_EVENT,
+                    disorder: str = _BAD_EVENT) -> dict[int, list]:
+    """``addr → intervals``: the per-byte def/use walk of a memory trace
+    that every memory-trace partition is built from.
+
+    ``interval(addr, first_slot, last_slot, kind)`` builds one class.
+    ``beyond`` / ``disorder`` are the ``ValueError`` messages
+    (``str.format`` over ``addr`` and ``slot``) for an access past the
+    run's end and one out of order.
+    """
+    if trace.total_slots != fault_space.cycles:
+        raise ValueError(
+            f"trace covers {trace.total_slots} slots but fault space "
+            f"has {fault_space.cycles} cycles")
+    total = fault_space.cycles
+    intervals: dict[int, list] = {}
+    for addr in range(fault_space.ram_bytes):
+        byte_intervals = intervals[addr] = []
+        prev_slot = 0  # machine reset defines every byte at slot 0
+        for event in trace.accesses(addr):
+            slot = event.slot
+            if slot > total:
+                raise ValueError(beyond.format(addr=addr, slot=slot))
+            if slot <= prev_slot:
+                raise ValueError(disorder.format(addr=addr, slot=slot))
+            byte_intervals.append(
+                interval(addr, prev_slot + 1, slot, _ENDS[event.kind]))
+            prev_slot = slot
+        if prev_slot < total:
+            byte_intervals.append(interval(addr, prev_slot + 1, total, DEAD))
+    return intervals
+
+
+class IntervalPartition:
+    """What every def/use partition answers the same way.
+
+    A subclass is a dataclass with ``fault_space`` and ``intervals``
+    (``axis → classes`` in chronological order, exactly covering
+    ``[1, fault_space.cycles]``), and states ``units``: the
+    experiments per live class, which are also a class's coordinates
+    per slot.
+    """
+
+    units: int
+    #: The axis (``intervals`` key) of a class or a coordinate.
+    axis = attrgetter("addr")
+    #: :meth:`validate`'s messages (``str.format`` over ``axis``,
+    #: ``interval``, ``expected`` = ``last + 1`` and ``cycles``).
+    gap = "({axis}, {interval})"
+    end = "({axis}, {expected})"
+
+    def byte_intervals(self, addr: int) -> list:
+        return self.intervals.get(addr, [])
+
+    def live_classes(self) -> tuple:
+        """All live classes, ordered by injection slot (then axis).
+
+        Sorted once per partition (it is not changed once built):
+        every call returns the same tuple.
+        """
+        return self._live
+
+    @cached_property
+    def _live(self) -> tuple:
+        axis = self.axis
+        live = [iv for ivs in self.intervals.values() for iv in ivs
+                if iv.kind == LIVE]
+        live.sort(key=lambda iv: (iv.injection_slot, axis(iv)))
+        return tuple(live)
+
+    def dead_classes(self) -> list:
+        return [iv for ivs in self.intervals.values() for iv in ivs
+                if iv.kind == DEAD]
+
+    def locate(self, coord):
+        """Find the equivalence class containing a raw fault coordinate.
+
+        This is the primitive that makes Pitfall-2-safe sampling cheap:
+        a uniform sample from the raw space maps to the single class
+        whose representative experiment provides its outcome.
+        """
+        if not self.fault_space.contains(coord):
+            raise IndexError(f"{coord} outside fault space")
+        axis = self.axis(coord)
+        interval = self.intervals[axis][
+            bisect_right(self._starts[axis], coord.slot) - 1]
+        if not interval.covers(coord.slot):  # pragma: no cover
+            raise AssertionError(f"partition hole at {coord}")
+        return interval
+
+    @cached_property
+    def _starts(self) -> dict[int, list[int]]:
+        """``axis → first slots``, what :meth:`locate` bisects."""
+        return {axis: [iv.first_slot for iv in ivs]
+                for axis, ivs in self.intervals.items()}
+
+    # -- accounting -----------------------------------------------------------
+
+    @property
+    def experiment_count(self) -> int:
+        """FI experiments needed for a full scan."""
+        return self.units * sum(1 for ivs in self.intervals.values()
+                                for iv in ivs if iv.kind == LIVE)
+
+    @property
+    def live_weight(self) -> int:
+        """Fault-space coordinates covered by live classes."""
+        return sum(iv.weight_bits for ivs in self.intervals.values()
+                   for iv in ivs if iv.kind == LIVE)
+
+    @property
+    def known_no_effect_weight(self) -> int:
+        """Coordinates known a priori to be "No Effect" (dead classes)."""
+        return sum(iv.weight_bits for ivs in self.intervals.values()
+                   for iv in ivs if iv.kind == DEAD)
+
+    @property
+    def total_weight(self) -> int:
+        """Must equal ``fault_space.size`` — checked by :meth:`validate`."""
+        return sum(iv.weight_bits for ivs in self.intervals.values()
+                   for iv in ivs)
+
+    def validate(self) -> None:
+        """Check the partition invariants in one pass; raises
+        ``AssertionError``.
+
+        * every axis's intervals exactly tile ``[1, Δt]``;
+        * total weight equals the fault-space size ``w``.
+        """
+        cycles = self.fault_space.cycles
+        slots = 0
+        for axis, intervals in self.intervals.items():
+            expected = 1
+            for iv in intervals:
+                assert iv.first_slot == expected, self.gap.format(
+                    axis=axis, interval=iv)
+                expected = iv.last_slot + 1
+            assert expected == cycles + 1, self.end.format(
+                axis=axis, expected=expected, last=expected - 1,
+                cycles=cycles)
+            slots += expected - 1  # the axis's interval lengths, summed
+        assert slots * self.units == self.fault_space.size
+
+    def reduction_factor(self) -> float:
+        """How many raw coordinates each conducted experiment stands for."""
+        experiments = self.experiment_count
+        if experiments == 0:
+            return float("inf")
+        return self.fault_space.size / experiments
 
 
 @dataclass(frozen=True)
@@ -85,7 +246,7 @@ class ByteInterval:
 
 
 @dataclass
-class DefUsePartition:
+class DefUsePartition(IntervalPartition):
     """The complete def/use partitioning of a benchmark's fault space.
 
     ``intervals[addr]`` lists the byte's intervals in chronological
@@ -95,130 +256,15 @@ class DefUsePartition:
     fault_space: FaultSpace
     intervals: dict[int, list[ByteInterval]] = field(default_factory=dict)
 
-    # -- construction ---------------------------------------------------------
+    units = 8  # bits per byte
+    gap = "byte {axis}: gap before slot {interval.first_slot}"
+    end = "byte {axis}: intervals end at {last}, expected {cycles}"
 
     @classmethod
     def from_trace(cls, trace: MemoryTrace,
                    fault_space: FaultSpace) -> "DefUsePartition":
         """Build the partition from a golden-run memory trace."""
-        if trace.total_slots != fault_space.cycles:
-            raise ValueError(
-                f"trace covers {trace.total_slots} slots but fault space "
-                f"has {fault_space.cycles} cycles")
-        partition = cls(fault_space=fault_space)
-        total = fault_space.cycles
-        for addr in range(fault_space.ram_bytes):
-            events = trace.accesses(addr)
-            intervals: list[ByteInterval] = []
-            prev_slot = 0  # machine reset defines every byte at slot 0
-            for event in events:
-                if event.slot > total:
-                    raise ValueError(
-                        f"access at slot {event.slot} beyond run end")
-                if event.slot <= prev_slot:
-                    raise ValueError(
-                        f"trace events for byte {addr} out of order")
-                kind = LIVE if event.is_read else DEAD
-                intervals.append(ByteInterval(
-                    addr=addr, first_slot=prev_slot + 1,
-                    last_slot=event.slot, kind=kind))
-                prev_slot = event.slot
-            if prev_slot < total:
-                intervals.append(ByteInterval(
-                    addr=addr, first_slot=prev_slot + 1, last_slot=total,
-                    kind=DEAD))
-            partition.intervals[addr] = intervals
-        return partition
-
-    # -- queries --------------------------------------------------------------
-
-    def byte_intervals(self, addr: int) -> list[ByteInterval]:
-        return self.intervals.get(addr, [])
-
-    def live_classes(self) -> tuple[ByteInterval, ...]:
-        """All live classes, ordered by injection slot (then address).
-
-        Sorted once per partition (it is not changed once built):
-        every call returns the same tuple.
-        """
-        return self._live
-
-    @cached_property
-    def _live(self) -> tuple[ByteInterval, ...]:
-        live = [iv for ivs in self.intervals.values() for iv in ivs
-                if iv.kind == LIVE]
-        live.sort(key=lambda iv: (iv.injection_slot, iv.addr))
-        return tuple(live)
-
-    def dead_classes(self) -> list[ByteInterval]:
-        return [iv for ivs in self.intervals.values() for iv in ivs
-                if iv.kind == DEAD]
-
-    def locate(self, coord: FaultCoordinate) -> ByteInterval:
-        """Find the equivalence class containing a raw fault coordinate.
-
-        This is the primitive that makes Pitfall-2-safe sampling cheap:
-        a uniform sample from the raw space maps to the single class
-        whose representative experiment provides its outcome.
-        """
-        if not self.fault_space.contains(coord):
-            raise IndexError(f"{coord} outside fault space")
-        intervals = self.intervals[coord.addr]
-        starts = [iv.first_slot for iv in intervals]
-        idx = bisect.bisect_right(starts, coord.slot) - 1
-        interval = intervals[idx]
-        if not interval.covers(coord.slot):
-            raise AssertionError(
-                f"partition hole at {coord}")  # pragma: no cover
-        return interval
-
-    # -- accounting -----------------------------------------------------------
-
-    @property
-    def experiment_count(self) -> int:
-        """FI experiments needed for a full scan (8 per live class)."""
-        return 8 * sum(1 for ivs in self.intervals.values()
-                       for iv in ivs if iv.kind == LIVE)
-
-    @property
-    def live_weight(self) -> int:
-        """Fault-space coordinates covered by live classes."""
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == LIVE)
-
-    @property
-    def known_no_effect_weight(self) -> int:
-        """Coordinates known a priori to be "No Effect" (dead classes)."""
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == DEAD)
-
-    @property
-    def total_weight(self) -> int:
-        """Must equal ``fault_space.size`` — checked by :meth:`validate`."""
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs)
-
-    def validate(self) -> None:
-        """Check the partition invariants; raises ``AssertionError``.
-
-        * every byte's intervals exactly tile ``[1, Δt]``;
-        * total weight equals the fault-space size ``w``.
-        """
-        total = self.fault_space.cycles
-        for addr, intervals in self.intervals.items():
-            expected = 1
-            for iv in intervals:
-                assert iv.first_slot == expected, (
-                    f"byte {addr}: gap before slot {iv.first_slot}")
-                expected = iv.last_slot + 1
-            assert expected == total + 1, (
-                f"byte {addr}: intervals end at {expected - 1}, "
-                f"expected {total}")
-        assert self.total_weight == self.fault_space.size
-
-    def reduction_factor(self) -> float:
-        """How many raw coordinates each conducted experiment stands for."""
-        experiments = self.experiment_count
-        if experiments == 0:
-            return float("inf")
-        return self.fault_space.size / experiments
+        return cls(fault_space=fault_space, intervals=trace_intervals(
+            trace, fault_space, ByteInterval,
+            beyond="access at slot {slot} beyond run end",
+            disorder="trace events for byte {addr} out of order"))

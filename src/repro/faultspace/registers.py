@@ -17,17 +17,14 @@ that extension for the machine's general-purpose register file:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import attrgetter
 
 from ..isa.isa import Instruction, LOAD_OPS, NUM_REGS, Op, STORE_OPS
+from .defuse import DEAD, LIVE, IntervalPartition
 
 #: Bits per register.
 REGISTER_BITS = 32
-
-LIVE = "live"
-DEAD = "dead"
 
 
 def register_reads(instr: Instruction) -> tuple[int, ...]:
@@ -165,12 +162,15 @@ class RegisterInterval:
 
 
 @dataclass
-class RegisterPartition:
+class RegisterPartition(IntervalPartition):
     """Def/use partition of the register fault space."""
 
     fault_space: RegisterFaultSpace
     intervals: dict[int, list[RegisterInterval]] = field(
         default_factory=dict)
+
+    units = REGISTER_BITS
+    axis = attrgetter("reg")
 
     @classmethod
     def from_pc_trace(cls, rom: list[Instruction],
@@ -216,61 +216,3 @@ class RegisterPartition:
                     kind=DEAD))
             partition.intervals[reg] = intervals
         return partition
-
-    def live_classes(self) -> tuple[RegisterInterval, ...]:
-        """All live classes, ordered by injection slot (then axis).
-
-        Sorted once per partition (it is not changed once built):
-        every call returns the same tuple.
-        """
-        return self._live
-
-    @cached_property
-    def _live(self) -> tuple[RegisterInterval, ...]:
-        live = [iv for ivs in self.intervals.values() for iv in ivs
-                if iv.kind == LIVE]
-        live.sort(key=lambda iv: (iv.injection_slot, iv.reg))
-        return tuple(live)
-
-    def locate(self, coord: RegisterFaultCoordinate) -> RegisterInterval:
-        if coord.slot > self.fault_space.cycles:
-            raise IndexError(f"{coord} outside fault space")
-        intervals = self.intervals[coord.reg]
-        starts = [iv.first_slot for iv in intervals]
-        idx = bisect.bisect_right(starts, coord.slot) - 1
-        interval = intervals[idx]
-        if not interval.covers(coord.slot):  # pragma: no cover
-            raise AssertionError(f"partition hole at {coord}")
-        return interval
-
-    @property
-    def experiment_count(self) -> int:
-        return REGISTER_BITS * sum(
-            1 for ivs in self.intervals.values() for iv in ivs
-            if iv.kind == LIVE)
-
-    @property
-    def known_no_effect_weight(self) -> int:
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == DEAD)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs)
-
-    def validate(self) -> None:
-        total = self.fault_space.cycles
-        for reg, intervals in self.intervals.items():
-            expected = 1
-            for iv in intervals:
-                assert iv.first_slot == expected, (reg, iv)
-                expected = iv.last_slot + 1
-            assert expected == total + 1, (reg, expected)
-        assert self.total_weight == self.fault_space.size
-
-    def reduction_factor(self) -> float:
-        experiments = self.experiment_count
-        if experiments == 0:
-            return float("inf")
-        return self.fault_space.size / experiments

@@ -215,9 +215,13 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
 
     ``params`` are the executor parameters that key campaign identity
     (timeout budget, early-stop); they enter every fingerprint because
-    outcomes like TIMEOUT depend on them.  The entry-state digests are
-    taken with the interpreter ``Machine`` (one forward replay), so the
-    map is engine-independent.
+    outcomes like TIMEOUT depend on them.  A section's entry-state
+    digest is read off the golden checkpoint ladder when it has a rung
+    at that cycle (every cycle, at the auto stride, for runs under
+    ``MAX_CHECKPOINTS`` cycles); the others — cycle 0, a sparse or
+    disabled ladder — come from one forward replay on the interpreter
+    ``Machine``.  Both are the same state's digest, so the map is
+    engine- and stride-independent.
     """
     domain = get_domain(domain)
     program = golden.program
@@ -252,7 +256,19 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
     ]
 
     params_text = canonical_params(params)
+    ladder = golden.checkpoints
+    stride, rungs = (ladder.stride, ladder.digests) if ladder else (1, ())
     machine = Machine(program)
+
+    def entry_digest(cycle: int) -> bytes:
+        """State digest after ``cycle`` golden instructions."""
+        # rungs[i] was taken after instruction (i + 1) * stride.
+        rung, off = divmod(cycle, stride)
+        if not off and 0 < rung <= len(rungs):
+            return rungs[rung - 1]
+        machine.run_to_cycle(cycle)  # windows ascend: forward only
+        return machine.state_digest()
+
     encoded = [
         f"{pc}:{int(ins.op)}:{ins.rd}:{ins.rs1}:{ins.rs2}:{ins.imm};".encode()
         for pc, ins in enumerate(rom)]
@@ -261,8 +277,6 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
     code_digests: dict = {}
     sections: list[Section] = []
     for index, (first, last) in enumerate(windows):
-        machine.run_to_cycle(first - 1)
-        entry_digest = machine.state_digest().hex()
         closure, escape = _forward_closure(block_of(pcs[first - 1]),
                                            successors)
         if domain.control_hazard:
@@ -282,7 +296,7 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
             "params": params_text,
             "first_slot": first,
             "last_slot": last,
-            "entry": entry_digest,
+            "entry": entry_digest(first - 1).hex(),
             "code": code,
             "ram_size": program.ram_size,
             "rom_len": len(rom),

@@ -32,12 +32,10 @@ Def/use pruning — soundness per model (Pitfall 1):
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..isa.tracing import MemoryTrace
-from .defuse import DEAD, LIVE
+from .defuse import DEAD, LIVE, IntervalPartition, trace_intervals
 
 #: Experiments per byte and class: 8 bit positions × 2 forced values.
 STUCK_BITS = 16
@@ -162,107 +160,17 @@ class StuckAtInterval:
 
 
 @dataclass
-class StuckAtPartition:
+class StuckAtPartition(IntervalPartition):
     """Def/use partition of the stuck-at fault space."""
 
     fault_space: StuckAtFaultSpace
     intervals: dict[int, list[StuckAtInterval]] = field(
         default_factory=dict)
 
+    units = STUCK_BITS
+
     @classmethod
     def from_trace(cls, trace: MemoryTrace,
                    fault_space: StuckAtFaultSpace) -> "StuckAtPartition":
-        if trace.total_slots != fault_space.cycles:
-            raise ValueError(
-                f"trace covers {trace.total_slots} slots but fault space "
-                f"has {fault_space.cycles} cycles")
-        partition = cls(fault_space=fault_space)
-        total = fault_space.cycles
-        for addr in range(fault_space.ram_bytes):
-            intervals: list[StuckAtInterval] = []
-            prev_slot = 0  # machine reset defines every byte at slot 0
-            for event in trace.accesses(addr):
-                if event.slot > total or event.slot <= prev_slot:
-                    raise ValueError(
-                        f"bad trace event for byte {addr} at {event.slot}")
-                intervals.append(StuckAtInterval(
-                    addr=addr, first_slot=prev_slot + 1,
-                    last_slot=event.slot,
-                    kind=LIVE if event.is_read else DEAD))
-                prev_slot = event.slot
-            if prev_slot < total:
-                intervals.append(StuckAtInterval(
-                    addr=addr, first_slot=prev_slot + 1, last_slot=total,
-                    kind=DEAD))
-            partition.intervals[addr] = intervals
-        return partition
-
-    def byte_intervals(self, addr: int) -> list[StuckAtInterval]:
-        return self.intervals.get(addr, [])
-
-    def live_classes(self) -> tuple[StuckAtInterval, ...]:
-        """All live classes, ordered by injection slot (then axis).
-
-        Sorted once per partition (it is not changed once built):
-        every call returns the same tuple.
-        """
-        return self._live
-
-    @cached_property
-    def _live(self) -> tuple[StuckAtInterval, ...]:
-        live = [iv for ivs in self.intervals.values() for iv in ivs
-                if iv.kind == LIVE]
-        live.sort(key=lambda iv: (iv.injection_slot, iv.addr))
-        return tuple(live)
-
-    def dead_classes(self) -> list[StuckAtInterval]:
-        return [iv for ivs in self.intervals.values() for iv in ivs
-                if iv.kind == DEAD]
-
-    def locate(self, coord: StuckAtCoordinate) -> StuckAtInterval:
-        if not self.fault_space.contains(coord):
-            raise IndexError(f"{coord} outside fault space")
-        intervals = self.intervals[coord.addr]
-        starts = [iv.first_slot for iv in intervals]
-        idx = bisect.bisect_right(starts, coord.slot) - 1
-        interval = intervals[idx]
-        if not interval.covers(coord.slot):  # pragma: no cover
-            raise AssertionError(f"partition hole at {coord}")
-        return interval
-
-    @property
-    def experiment_count(self) -> int:
-        return STUCK_BITS * sum(
-            1 for ivs in self.intervals.values() for iv in ivs
-            if iv.kind == LIVE)
-
-    @property
-    def live_weight(self) -> int:
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == LIVE)
-
-    @property
-    def known_no_effect_weight(self) -> int:
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == DEAD)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs)
-
-    def validate(self) -> None:
-        total = self.fault_space.cycles
-        for addr, intervals in self.intervals.items():
-            expected = 1
-            for iv in intervals:
-                assert iv.first_slot == expected, (addr, iv)
-                expected = iv.last_slot + 1
-            assert expected == total + 1, (addr, expected)
-        assert self.total_weight == self.fault_space.size
-
-    def reduction_factor(self) -> float:
-        experiments = self.experiment_count
-        if experiments == 0:
-            return float("inf")
-        return self.fault_space.size / experiments
+        return cls(fault_space=fault_space, intervals=trace_intervals(
+            trace, fault_space, StuckAtInterval))

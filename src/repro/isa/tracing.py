@@ -22,9 +22,12 @@ READ = 0
 WRITE = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessEvent:
-    """One access to one byte: ``slot`` when it happened, and its kind."""
+    """One access: ``slot`` when it happened, and its kind.
+
+    Immutable, so the bytes of one multi-byte access share one event.
+    """
 
     slot: int
     kind: int  # READ or WRITE
@@ -51,10 +54,16 @@ class MemoryTrace:
     total_slots: int = 0
 
     def record(self, slot: int, addr: int, width: int, kind: int) -> None:
-        """Record an access of ``width`` bytes starting at ``addr``."""
-        for offset in range(width):
-            byte_events = self.events.setdefault(addr + offset, [])
-            byte_events.append(AccessEvent(slot, kind))
+        """Record an access of ``width`` bytes starting at ``addr``
+        (one event, listed under each byte)."""
+        event = AccessEvent(slot, kind)
+        events = self.events
+        for byte in range(addr, addr + width):
+            byte_events = events.get(byte)
+            if byte_events is None:
+                events[byte] = [event]
+            else:
+                byte_events.append(event)
 
     def finish(self, total_slots: int) -> None:
         self.total_slots = total_slots

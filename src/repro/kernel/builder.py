@@ -36,7 +36,7 @@ which stash ``ra`` in r8 around their ``call __yield``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..hardening.checksum import WORD
 from ..hardening.sumdmr import ProtectedObject, SumDmrEmitter
@@ -228,12 +228,13 @@ class KernelBuilder:
             if not thread.body:
                 raise KernelBuildError(
                     f"thread {thread.tid} has no body")
-        source = self.generate_source()
-        # Assemble twice: first to learn the data size, then with the
-        # RAM footprint Δm set to exactly that size.
-        probe = assemble(source, name=name, ram_size=1 << 20)
-        ram_size = len(probe.data)
-        return assemble(source, name=name, ram_size=ram_size)
+        # Assemble once with room to spare, then set the RAM footprint
+        # Δm to exactly the data size: the assembler only stores
+        # ``ram_size``, so the image is the one a second assembly at
+        # that size would produce (``Program`` re-checks that it fits).
+        probe = assemble(self.generate_source(), name=name,
+                         ram_size=1 << 20)
+        return replace(probe, ram_size=len(probe.data))
 
     def generate_source(self) -> str:
         lines: list[str] = []

@@ -23,6 +23,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
+from repro.campaign import compose as compose_mod
 from repro.campaign.compose import SectionComposer
 from repro.campaign.journal import (SALVAGE_TABLES, SCHEMA_VERSION,
                                     CampaignJournal, salvage_journal)
@@ -32,7 +33,11 @@ from repro.faultspace import build_section_map, get_domain
 from repro.isa.assembler import assemble
 from repro.programs import micro
 
-from .journal_rows import class_experiments, per_bit_rows
+from .journal_rows import (
+    class_experiments,
+    per_bit_rows,
+    truncate_first_class,
+)
 
 SECTION_TABLES = ("section_results", "campaign_sections", "sections",
                   "summaries")
@@ -260,6 +265,92 @@ class TestStoreMaintenance:
             assert handle.gc_sections() == before
             assert handle.sections() == []
             assert handle.size_report()["section_results"] == 0
+
+
+def _store_rows(path) -> dict[str, list[tuple]]:
+    """Every row of the three section-store tables, in key order."""
+    conn = sqlite3.connect(path)
+    try:
+        return {table: conn.execute(
+                    f"SELECT * FROM {table} ORDER BY 1, 2").fetchall()
+                for table in ("sections", "campaign_sections",
+                              "section_results")}
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def section_maps(monkeypatch):
+    """The golden runs the section composer built a map for."""
+    built = []
+    real = compose_mod.build_section_map
+
+    def counting(golden, *args, **kwargs):
+        built.append(golden)
+        return real(golden, *args, **kwargs)
+
+    monkeypatch.setattr(compose_mod, "build_section_map", counting)
+    return built
+
+
+class TestCompleteResumeComposesNothing:
+    """A resume the journal holds whole builds no composer: no section
+    map, no interning, no links — the store stays as the run left it."""
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_complete_scan_resume_builds_no_section_map(
+            self, tmp_path, golden, section_maps, jobs):
+        journal = tmp_path / "journal.sqlite"
+        cold = run_full_scan(golden, journal=journal)
+        assert len(section_maps) == 1
+        stored = _store_rows(journal)
+        warm = run_full_scan(golden, journal=journal, jobs=jobs)
+        assert warm == cold
+        assert warm.execution.executed == 0
+        assert warm.execution.resumed == warm.execution.total_units
+        assert len(section_maps) == 1  # the cold run's only
+        assert _store_rows(journal) == stored
+        with ExperimentJournal(journal) as handle:
+            # gc frees what it freed after the cold run: nothing while
+            # the campaign links its sections, all of them once severed.
+            assert handle.gc_sections() == 0
+            sections = len(handle.sections())
+            handle._conn.execute("DELETE FROM campaign_sections")
+            handle._conn.commit()
+            assert handle.gc_sections() == sections
+
+    def test_complete_sampling_resume_builds_no_section_map(
+            self, tmp_path, golden, section_maps):
+        journal = tmp_path / "journal.sqlite"
+        cold = run_sampling(golden, 40, seed=5, journal=journal)
+        stored = _store_rows(journal)
+        warm = run_sampling(golden, 40, seed=5, journal=journal)
+        assert warm.samples == cold.samples
+        assert warm.execution.executed == 0
+        assert len(section_maps) == 1
+        assert _store_rows(journal) == stored
+
+    def test_partial_resume_still_composes(self, tmp_path, golden,
+                                           section_maps):
+        journal = tmp_path / "journal.sqlite"
+        cold = run_full_scan(golden, journal=journal)
+        truncate_first_class(journal, keep=5)
+        warm = run_full_scan(golden, journal=journal)
+        assert warm == cold
+        assert len(section_maps) == 2
+        report = warm.execution
+        assert report.discarded_results == 1
+        assert report.executed == 0
+        assert report.composed_hits == 8  # the cut class, from the store
+
+    def test_fresh_rerun_still_composes(self, tmp_path, golden,
+                                        section_maps):
+        journal = tmp_path / "journal.sqlite"
+        cold = run_full_scan(golden, journal=journal)
+        warm = run_full_scan(golden, journal=journal, resume=False)
+        assert warm == cold
+        assert len(section_maps) == 2
+        assert warm.execution.composed_hits == _experiments(cold)
 
 
 RESULT_TABLES = ("class_results", "coordinate_results", "section_results")

@@ -11,7 +11,10 @@ from repro.faultspace import (
     FaultSpace,
     LIVE,
 )
+from repro.campaign import record_golden
+from repro.faultspace import get_domain
 from repro.isa import MemoryTrace, READ, WRITE
+from repro.programs import micro
 
 
 def make_trace(total_slots, events_by_addr):
@@ -205,3 +208,34 @@ class TestPartitionProperties:
                                 for s, k in evs] if e.kind == READ}
         for interval in partition.live_classes():
             assert (interval.addr, interval.last_slot) in read_slots
+
+
+class TestLocateStarts:
+    """``locate`` bisects start lists cached once per partition; it must
+    agree with a linear search over the cell's intervals everywhere."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return record_golden(micro.counter(2))
+
+    @pytest.mark.parametrize("domain", ["memory", "burst2", "stuck",
+                                        "register"])
+    def test_locate_agrees_with_a_linear_search(self, golden, domain):
+        domain = get_domain(domain)
+        partition = domain.build_partition(golden)
+        space = domain.fault_space(golden)
+        located = 0
+        for coord in space.iter_coordinates():
+            cell = coord.reg if domain.name == "register" else coord.addr
+            matches = [iv for iv in partition.intervals[cell]
+                       if iv.first_slot <= coord.slot <= iv.last_slot]
+            assert len(matches) == 1, coord
+            assert partition.locate(coord) is matches[0], coord
+            located += 1
+        assert located == space.size
+        # One start list per cell, built on the first locate and kept.
+        starts = partition._starts
+        assert partition.locate(coord) is matches[0]
+        assert partition._starts is starts
+        assert starts == {cell: [iv.first_slot for iv in ivs]
+                          for cell, ivs in partition.intervals.items()}

@@ -14,9 +14,10 @@ import json
 
 import pytest
 
-from repro.campaign import record_golden, run_full_scan
+from repro.campaign import GoldenRun, record_golden, run_full_scan
 from repro.engine.compiled import _find_blocks
 from repro.faultspace import (
+    DOMAINS,
     build_section_map,
     aggregate_section_counts,
     get_domain,
@@ -191,6 +192,67 @@ class TestFingerprintRecipeIsFrozen:
             }, sort_keys=True, separators=(",", ":"))
             assert section.fingerprint \
                 == hashlib.sha256(payload.encode()).hexdigest()[:32]
+
+
+def _replayed_fingerprints(golden, domain, params, section_map):
+    """The map's fingerprints with every entry digest taken by replay
+    on a fresh interpreter, as before the map read them off the golden
+    checkpoint ladder (code digests as :func:`_reference_code_digest`)."""
+    program = golden.program
+    blocks_by_start = {
+        block.start: block
+        for block in _find_blocks(program.rom, program.entry)}
+    machine = Machine(program)
+    fingerprints = []
+    for section in section_map:
+        machine.run_to_cycle(section.first_slot - 1)
+        payload = json.dumps({
+            "v": FINGERPRINT_VERSION,
+            "domain": domain,
+            "params": canonical_params(params),
+            "first_slot": section.first_slot,
+            "last_slot": section.last_slot,
+            "entry": machine.state_digest().hex(),
+            "code": _reference_code_digest(
+                program.rom, section.leaders, blocks_by_start,
+                section.escape),
+            "ram_size": program.ram_size,
+            "rom_len": len(program.rom),
+        }, sort_keys=True, separators=(",", ":"))
+        fingerprints.append(hashlib.sha256(payload.encode()).hexdigest()[:32])
+    return fingerprints
+
+
+class TestEntryDigestsOffTheLadder:
+    """Entry digests come off the golden ladder where it has the rung
+    and from a replay where it does not; either way every fingerprint
+    is the replay-only one, whatever the stride."""
+
+    @pytest.mark.parametrize("name", sorted(all_programs()))
+    def test_every_stride_and_domain_matches_the_replay(self, name):
+        program = all_programs()[name]()
+        auto = record_golden(program)
+        goldens = {
+            "auto": auto,
+            "stride 3": record_golden(program, checkpoint_stride=3),
+            "no ladder": record_golden(program, checkpoint_stride=0),
+            "hand-built": GoldenRun(program=program, output=auto.output,
+                                    cycles=auto.cycles, trace=auto.trace,
+                                    pc_trace=auto.pc_trace),
+        }
+        assert auto.checkpoints.stride == 1  # a rung at every cycle
+        assert goldens["stride 3"].checkpoints.stride == 3
+        assert goldens["no ladder"].checkpoints is None
+        params = {"timeout_cycles": 4 * auto.cycles, "early_stop": True}
+        for domain in sorted(DOMAINS):
+            reference = None
+            for label, golden in goldens.items():
+                section_map = build_section_map(golden, domain, params)
+                if reference is None:
+                    reference = _replayed_fingerprints(
+                        golden, domain, params, section_map)
+                assert section_map.fingerprints() == reference, \
+                    (label, domain)
 
 
 class TestSectionWeighting:

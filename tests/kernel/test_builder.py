@@ -3,8 +3,12 @@
 import pytest
 
 from repro.campaign import record_golden
+from repro.campaign.database import program_fingerprint
+from repro.isa.assembler import assemble
 from repro.kernel import KernelBuildError, KernelBuilder, TCB_WORDS
+from repro.kernel import builder as builder_mod
 from repro.kernel.builder import CONTEXT_WORDS, SYNC_WORDS
+from repro.programs.registry import all_programs
 
 
 def two_thread_pingpong(protect=False, rounds=3, **kwargs):
@@ -268,3 +272,51 @@ class TestLayout:
     def test_ram_sized_to_data_exactly(self):
         program = two_thread_pingpong()
         assert program.ram_size == len(program.data)
+
+
+class TestOneAssembly:
+    """``build`` assembles once and sizes RAM to the data afterwards."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        """``(source, name)`` of every ``assemble`` call the builder
+        makes."""
+        calls = []
+
+        def counting(source, *, name, ram_size):
+            calls.append((source, name))
+            return assemble(source, name=name, ram_size=ram_size)
+
+        monkeypatch.setattr(builder_mod, "assemble", counting)
+        return calls
+
+    def test_build_assembles_once(self, assembled):
+        two_thread_pingpong(protect=True)
+        assert len(assembled) == 1
+
+    def test_kernel_programs_equal_a_twice_assembled_reference(
+            self, assembled):
+        kernels = 0
+        for name, factory in sorted(all_programs().items()):
+            del assembled[:]
+            program = factory()
+            if not assembled:
+                continue  # not a kernel program
+            assert len(assembled) == 1, name
+            kernels += 1
+            source, label = assembled[0]
+            # What build did before: a probe for the data size, then
+            # the same source assembled again at exactly that size.
+            probe = assemble(source, name=label, ram_size=1 << 20)
+            reference = assemble(source, name=label,
+                                 ram_size=len(probe.data))
+            assert program_fingerprint(program) \
+                == program_fingerprint(reference), name
+            assert program.rom == reference.rom, name
+            assert program.data == reference.data, name
+            assert program.ram_size == reference.ram_size, name
+            assert program.labels == reference.labels, name
+            assert program.data_labels == reference.data_labels, name
+            assert program.symbols == reference.symbols, name
+            assert program == reference, name
+        assert kernels >= 10
