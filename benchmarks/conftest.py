@@ -1,10 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
 The paper-scale campaigns (full fault-space scans of the four Figure 2
-variants) take minutes; their summaries are cached in a journal under
-``benchmarks/.cache`` keyed by program content, so repeated benchmark
-runs only pay the cost once.  Reports regenerated from the results are
-written to ``benchmarks/output/`` as plain-text artifacts.
+variants) take minutes, so they are journaled in
+``benchmarks/.cache/campaigns.sqlite``: a repeated benchmark run resumes
+each complete campaign, executing nothing, and derives its summary from
+the journaled results.  The journal keys a campaign by program content,
+fault domain and executor parameters, so a changed program or timeout
+policy runs afresh instead of reading a stale summary.  Reports
+regenerated from the results are written to ``benchmarks/output/`` as
+plain-text artifacts.
 """
 
 from pathlib import Path
@@ -14,7 +18,6 @@ import pytest
 from repro.campaign import (
     CampaignSummary,
     ExperimentJournal,
-    JournalCache,
     record_golden,
     run_full_scan,
 )
@@ -27,8 +30,8 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 @pytest.fixture(scope="session")
 def campaign_cache():
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    with ExperimentJournal(CACHE_DIR / "summaries.sqlite") as journal:
-        yield JournalCache(journal)
+    with ExperimentJournal(CACHE_DIR / "campaigns.sqlite") as journal:
+        yield journal
 
 
 @pytest.fixture(scope="session")
@@ -37,9 +40,9 @@ def output_dir() -> Path:
     return OUTPUT_DIR
 
 
-def _scan_summary(cache: JournalCache, program) -> CampaignSummary:
-    return cache.get_or_run(
-        program, lambda: run_full_scan(record_golden(program)))
+def _scan_summary(journal: ExperimentJournal, program) -> CampaignSummary:
+    return CampaignSummary.from_result(
+        run_full_scan(record_golden(program), journal=journal))
 
 
 @pytest.fixture(scope="session")

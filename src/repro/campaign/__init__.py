@@ -3,7 +3,6 @@
 from .compose import SectionComposer
 from .database import (
     CampaignSummary,
-    JournalCache,
     export_class_results_csv,
     export_class_rows_csv,
     import_class_results_csv,
@@ -67,7 +66,6 @@ __all__ = [
     "ExperimentJournal",
     "ExperimentRecord",
     "FAILURE_OUTCOMES",
-    "JournalCache",
     "JournalError",
     "JournalMismatchError",
     "SectionComposer",

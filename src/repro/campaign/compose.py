@@ -11,12 +11,13 @@ answers two questions:
   earlier sweep — for every experiment of this equivalence class?  If
   so, the class's stored run is returned without executing anything
   and the runner merges it exactly as it merges a resumed journal run.
-* *store*: a freshly executed class/experiment is written back as one
-  run, first-wins per bit (a longer run replaces a shorter one stored
-  at the same first bit, nothing else is overwritten), so concurrent
-  or repeated campaigns agree with the dist fabric's at-least-once
-  merge discipline.  The fabric stores its classes in one unit at
-  assembly, as the runs it received (:meth:`SectionComposer.store_runs`).
+* *store*: a freshly executed class/experiment is written back as the
+  run its style's ``execute`` yielded, first-wins per bit (a longer run
+  replaces a shorter one stored at the same first bit, nothing else is
+  overwritten), so concurrent or repeated campaigns agree with the dist
+  fabric's at-least-once merge discipline.  The fabric stores its units
+  in one unit at assembly, as the runs it received
+  (:meth:`SectionComposer.store_runs`).
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry
@@ -37,7 +38,6 @@ import json
 
 from ..faultspace.sections import build_section_map
 from .journal import CampaignJournal, _valid_run, whole_run
-from .outcomes import Outcome
 
 
 class SectionComposer:
@@ -102,35 +102,25 @@ class SectionComposer:
             return None
         return whole_run(stored, self.domain.experiment_count(interval))
 
-    def store_class(self, interval, rows) -> None:
-        """Write one freshly executed class into the section store.
+    def store_class(self, interval, run) -> None:
+        """Write one freshly executed class, its run ``(outcomes,
+        end_cycles, traps)`` from bit 0, into the section store."""
+        self.store_runs([(interval.injection_slot,
+                          self.domain.axis_of(interval), 0, run)])
 
-        ``rows`` holds ``(bit, outcome, end_cycle, trap)`` with the
-        outcome as either the enum or its string value.
-        """
-        slot = interval.injection_slot
-        self.journal.merge_section_rows(
-            self._ids[self.map.owner(slot).index], slot,
-            self.domain.axis_of(interval), [
-                (bit,
-                 outcome.value if isinstance(outcome, Outcome) else outcome,
-                 end_cycle, trap)
-                for bit, outcome, end_cycle, trap in rows])
-
-    def store_runs(self, classes) -> None:
-        """Write freshly executed classes into the section store as one
+    def store_runs(self, runs) -> None:
+        """Write freshly executed runs into the section store as one
         unit.
 
-        ``classes`` holds ``(interval, run)`` pairs, each run the class's
-        stored ``(outcomes, end_cycles, traps)`` from bit 0 — what the
-        distributed fabric carries — so nothing is expanded per bit.
+        ``runs`` holds ``(slot, axis, first_bit, run)``, each run
+        ``(outcomes, end_cycles, traps)`` as a style's ``execute``
+        yields it: a class from bit 0, or a sampled experiment as a run
+        of one at its bit.
         """
-        rows = []
-        for interval, run in classes:
-            slot = interval.injection_slot
-            rows.append((self._ids[self.map.owner(slot).index], slot,
-                         self.domain.axis_of(interval), 0, *run))
-        self.journal.merge_section_runs(rows)
+        owner, ids = self.map.owner, self._ids
+        self.journal.merge_section_runs([
+            (ids[owner(slot).index], slot, axis, bit, *run)
+            for slot, axis, bit, run in runs])
 
     # -- sampled experiments --------------------------------------------------
 
@@ -152,12 +142,3 @@ class SectionComposer:
             return None
         outcome, end_cycle, trap = value
         return outcome, int(end_cycle), trap
-
-    def store_experiment(self, slot: int, axis: int, bit: int,
-                         outcome, end_cycle: int, trap: str) -> None:
-        """Write one freshly executed sampled experiment to the store."""
-        self.journal.merge_section_rows(
-            self._ids[self.map.owner(slot).index], slot, axis, [
-                (bit,
-                 outcome.value if isinstance(outcome, Outcome) else outcome,
-                 end_cycle, trap)])

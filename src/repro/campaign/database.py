@@ -1,19 +1,16 @@
-"""Persistence for campaign results.
+"""Campaign summaries, program fingerprints and per-class CSV files.
 
-Stores campaign summaries and per-class results as JSON/CSV.  The cache
-keyed by program content lets the benchmark harness regenerate every
-figure without re-running campaigns that have not changed — the same
-role FAIL*'s experiment database plays in the original toolchain.
-:class:`JournalCache` keeps the summaries in the experiment journal's
-``summaries`` table, in the same SQLite file as the campaigns and
-section results they came from.
+A :class:`CampaignSummary` is derived from a full scan's result and
+never stored: the experiment journal (:mod:`repro.campaign.journal`) is
+the one result store, keyed by program fingerprint, fault domain and
+every campaign parameter, so a summary is cached by journaling the
+scan and resuming it — a resumed complete campaign executes nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +23,9 @@ from .runner import CampaignResult
 class CampaignSummary:
     """Everything the metrics layer needs from a full-scan campaign.
 
-    ``domain`` names the fault model the campaign scanned (``"memory"``
-    or ``"register"``); summaries serialized before the field existed
-    load as memory-domain summaries.
+    ``domain`` names the fault domain the campaign scanned, one of
+    :data:`~repro.faultspace.domain.DOMAINS` (``"memory"``,
+    ``"register"``, ...).
     """
 
     program_name: str
@@ -39,7 +36,7 @@ class CampaignSummary:
     weighted_counts: dict[str, int]
     raw_counts: dict[str, int]
     known_no_effect_weight: int
-    domain: str = "memory"
+    domain: str
 
     @classmethod
     def from_result(cls, result: CampaignResult) -> "CampaignSummary":
@@ -72,17 +69,6 @@ class CampaignSummary:
     def raw(self) -> dict[Outcome, int]:
         return {Outcome(k): v for k, v in self.raw_counts.items()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSummary":
-        data = json.loads(text)
-        # Summaries written before the domain field existed are all
-        # memory-domain scans.
-        data.setdefault("domain", "memory")
-        return cls(**data)
-
 
 def program_fingerprint(program: Program) -> str:
     """Content hash identifying a program variant for caching."""
@@ -96,49 +82,6 @@ def program_fingerprint(program: Program) -> str:
             f"{instr.op}|{instr.rd}|{instr.rs1}|{instr.rs2}|{instr.imm}"
             .encode())
     return digest.hexdigest()[:24]
-
-
-class JournalCache:
-    """Campaign-summary cache backed by the experiment journal.
-
-    Summaries are stored in the journal's ``summaries`` table (schema
-    v2), keyed by program fingerprint and fault domain, so one SQLite
-    file carries the campaigns, the cross-campaign section store *and*
-    the summary cache the figure/benchmark harnesses read.
-    ``get_or_run`` is the main entry point: it returns the cached
-    summary when the program (source, data, ROM, RAM size) is
-    unchanged, and otherwise runs the supplied campaign thunk and
-    stores its summary.
-    """
-
-    def __init__(self, journal):
-        self.journal = journal  # an open ExperimentJournal
-
-    def load(self, program: Program,
-             domain: str = "memory") -> CampaignSummary | None:
-        text = self.journal.load_summary(program_fingerprint(program),
-                                         domain)
-        if text is None:
-            return None
-        try:
-            return CampaignSummary.from_json(text)
-        except (json.JSONDecodeError, TypeError):
-            return None  # stale or corrupt summary row; recompute
-
-    def store(self, program: Program, summary: CampaignSummary) -> None:
-        self.journal.store_summary(
-            program_fingerprint(program), summary.domain,
-            summary.program_name, summary.to_json())
-
-    def get_or_run(self, program: Program, thunk,
-                   domain: str = "memory") -> CampaignSummary:
-        """Return the cached summary or run ``thunk() -> CampaignResult``."""
-        cached = self.load(program, domain)
-        if cached is not None:
-            return cached
-        summary = CampaignSummary.from_result(thunk())
-        self.store(program, summary)
-        return summary
 
 
 def export_class_results_csv(result: CampaignResult,

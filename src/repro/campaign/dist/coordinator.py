@@ -211,7 +211,7 @@ class DistCoordinator:
         # Only units taken fresh and not discarded by the audit reach
         # the section store (resumed ones came from it or are in it).
         if run.composer is not None:
-            run.style.store(run.composer, self._runs)
+            run.style.store(run.composer, self._runs.items())
         report = run.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
@@ -509,7 +509,7 @@ class DistCoordinator:
         # earlier item of it carries.
         window = [entry for entry in window
                   if entry[0] not in self._disputed]
-        merge, keep_run = self.style.merge, self.style.keep_run
+        merge, keep = self.style.merge, self.style.keep
         while window and not self.stopped:
             # Late or duplicate copies (expired lease, retransmit) are
             # not fresh: the journal already holds the identical run.
@@ -520,7 +520,7 @@ class DistCoordinator:
             fresh = merge(self.run, window[:take])
             for key in fresh:
                 self._account(name, key, *copies[key])
-            self.run.count([(key, keep_run(key, copies[key][0]))
+            self.run.count([(key, keep(key, copies[key][0]))
                             for key in fresh])
             window = window[take:]
         self._maybe_finish()
@@ -593,7 +593,7 @@ class DistCoordinator:
             "crosscheck-mismatch", worker=worker, at=time.time(),
             detail=f"{list(key)}: {worker} digest {crc}, "
                    f"{name} digest {digest}")
-        if self.style.discard(self.handle, key):
+        if self.style.discard(self.handle, [key]):
             self.report.discarded_results += 1
             self.run.done -= 1
         self.run.fresh.pop(key, None)

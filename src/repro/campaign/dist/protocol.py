@@ -34,12 +34,12 @@ type                direction  meaning
 ==================  =========  ==============================================
 
 A unit crosses the wire as its key, a list of integers, and a ``run``
-of three space-joined strings that its campaign style encodes and
-decodes (``CampaignStyle.encode``).  A full-scan class travels in the
-form the journal stores it: ``[outcomes, end_cycles, traps]``, the
-class's per-bit values from bit 0 — the three value columns of one
+of three space-joined strings, exactly as its campaign style's
+``execute`` yields it (``CampaignStyle``).  A full-scan class travels
+in the form the journal stores it: ``[outcomes, end_cycles, traps]``,
+the class's per-bit values from bit 0 — the three value columns of one
 ``class_results`` row (:mod:`repro.campaign.journal`), which nothing
-between the worker's executor and the journal re-encodes.  A sampled
+between the worker's executor and the journal converts.  A sampled
 experiment is a run of one value each; a brute-force slot is
 ``[axes, bits, outcomes]``.
 

@@ -29,9 +29,9 @@ reconnects with jittered exponential backoff and simply asks for work
 again — the coordinator's lease board and idempotent journal make the
 retried deliveries harmless.
 
-Every unit leaves as its own item of the window, as its style encodes
-it — a class in the journal's stored form, its ``run`` of space-joined
-outcomes, end cycles and traps (:mod:`~.protocol` docstring) — with its
+Every unit leaves as its own item of the window, as its style's
+``execute`` yielded it — its ``run``, three space-joined strings in the
+journal's stored form (:mod:`~.protocol` docstring) — with its
 own :func:`~.protocol.result_digest` CRC over its key and run, computed
 *before* the window is handed to the transport, so the coordinator can
 detect any corruption between this worker's executor and its own
@@ -299,7 +299,7 @@ class DistWorker:
                    style) -> bool:
         lease_id = int(lease["lease"])
         shard = int(lease["shard"])
-        units, encode = style.units, style.encode
+        units = style.units
         work = []
         for raw_key in lease["keys"]:
             key = tuple(int(v) for v in raw_key)
@@ -318,11 +318,10 @@ class DistWorker:
         # One style generator for the lease; the unit stays the unit of
         # integrity (one item and one CRC each) and of every seeded
         # chaos schedule.
-        for key, rows in style.execute(executor, work):
+        for key, run in style.execute(executor, work):
             if self._chaos is not None:
                 self._chaos.before_class(key)
             self.executed += 1
-            run = encode(rows)
             hits, skips = counters.take()
             window.append({
                 "shard": shard, "key": list(key), "run": run,

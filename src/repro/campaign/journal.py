@@ -47,8 +47,9 @@ run from bit 0 as that run, the three strings ``(outcomes, end_cycles,
 traps)``; :meth:`CampaignJournal.record_classes` and the two window
 merges, :meth:`CampaignJournal.merge_classes` and
 :meth:`ExperimentJournal.merge_section_runs`, write runs as they are
-given (the distributed fabric ships a class as its run, so nothing
-re-encodes it between a worker's executor and the journal either).
+given.  A run is also what a style's ``execute`` yields and what the
+distributed fabric ships, so nothing converts a class between an
+executor and the journal, in-process or over the wire.
 Every other key — a version-3 file's row per bit, a torn or gapped
 class, sampled single bits — reads as per-bit rows: runs walked in key
 order, a bit an earlier run of the same key already covered skipped.
@@ -91,8 +92,10 @@ from typing import Iterable, Iterator, Mapping
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 
 #: Current schema version.  Version 2 added the cross-campaign section
-#: store (``sections``/``section_results``/``campaign_sections``) and
-#: the ``summaries`` table; version 3 added the ``fabric_events`` log
+#: store (``sections``/``section_results``/``campaign_sections``) and a
+#: ``summaries`` table this build neither creates nor reads (a file
+#: that has one keeps it, and salvage leaves it behind); version 3
+#: added the ``fabric_events`` log
 #: (integrity incidents of the distributed fabric);
 #: version 4 stores runs of bits per ``class_results`` /
 #: ``section_results`` row (module docstring).  Every older row reads as
@@ -197,13 +200,6 @@ CREATE TABLE IF NOT EXISTS campaign_sections (
     section_id  INTEGER NOT NULL REFERENCES sections(id),
     PRIMARY KEY (campaign_id, section_id)
 );
-CREATE TABLE IF NOT EXISTS summaries (
-    fingerprint TEXT NOT NULL,
-    domain      TEXT NOT NULL,
-    name        TEXT NOT NULL DEFAULT '',
-    summary     TEXT NOT NULL,
-    PRIMARY KEY (fingerprint, domain)
-);
 CREATE TABLE IF NOT EXISTS fabric_events (
     id          INTEGER PRIMARY KEY,
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
@@ -233,7 +229,6 @@ SALVAGE_TABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("section_results", ("section_id", "slot", "axis", "bit", "outcome",
                          "end_cycle", "trap")),
     ("campaign_sections", ("campaign_id", "section_id")),
-    ("summaries", ("fingerprint", "domain", "name", "summary")),
     ("fabric_events", ("id", "campaign_id", "at", "worker", "kind",
                        "detail")),
 )
@@ -265,26 +260,6 @@ def canonical_params(params: Mapping) -> str:
     """Deterministic JSON encoding of campaign parameters (the key)."""
     return json.dumps(dict(params), sort_keys=True,
                       separators=(",", ":"))
-
-
-def _runs(rows: Iterable[tuple[int, str, int, str]]) \
-        -> list[tuple[int, str, str, str]]:
-    """Per-bit rows ``(bit, outcome_value, end_cycle, trap)`` as the runs
-    that store them, ``(first_bit, outcomes, end_cycles, traps)``: one
-    per stretch of consecutive bits, each column's values joined by
-    single spaces.  A class is one stretch; rows with a gap (a torn or
-    hand-made class) become one run per stretch, so no bit is ever
-    stored at another bit's position."""
-    columns = list(zip(*rows))
-    if not columns:
-        return []
-    bits, outcomes, cycles, traps = columns
-    edges = [0, *[index for index in range(1, len(bits))
-                  if bits[index] != bits[index - 1] + 1], len(bits)]
-    return [(bits[start], " ".join(outcomes[start:end]),
-             " ".join(map(str, cycles[start:end])),
-             " ".join(traps[start:end]))
-            for start, end in zip(edges, edges[1:])]
 
 
 def _expand(cursor) -> dict[tuple[int, int], list]:
@@ -409,9 +384,12 @@ def whole_run(stored, count: int) -> tuple[str, str, str] | None:
 class ExperimentJournal:
     """One SQLite journal file holding any number of campaigns.
 
-    The journal is written by the campaign *driver* process only —
-    worker processes return results to the parent, which journals them —
-    so no cross-process SQLite coordination is needed.  A path-like
+    Within a campaign only the process running it writes — fabric
+    workers send their results to the coordinator, which journals
+    them — but any number of campaigns, in one process or several, may
+    open one file and write side by side: each object buffers its own
+    commit window and takes SQLite's write lock only for the short
+    transaction that commits it (module docstring).  A path-like
     argument opens (creating if necessary) the database at that path;
     ``":memory:"`` works for tests.
     """
@@ -681,29 +659,21 @@ class ExperimentJournal:
             row = self._query(*select).fetchone()
         return row[0]
 
-    def merge_section_rows(
-            self, section_id: int, slot: int, axis: int,
-            rows: Iterable[tuple[int, str, int, str]]) -> None:
-        """Merge one class's experiment rows into a section, first-wins.
-
-        ``rows`` holds ``(bit, outcome_value, end_cycle, trap)``, as
-        :meth:`CampaignJournal.record_class` takes them.  First-wins is
-        the discipline the dist fabric uses for at-least-once
-        deliveries: experiments are deterministic, so a duplicate
-        necessarily carries identical values and dropping it is sound.
-        A run stored at the same first bit is replaced only by a longer
-        one — a whole class arriving where a sampled campaign stored its
-        first bit — because otherwise that class would never compose.
-        """
-        self.merge_section_runs(
-            [(section_id, slot, axis, *run) for run in _runs(rows)])
-
     def merge_section_runs(
             self, runs: Iterable[tuple[int, int, int, int, str, str, str]]) \
             -> None:
-        """:meth:`merge_section_rows` for runs already in stored form,
-        ``(section_id, slot, axis, first_bit, outcomes, end_cycles,
-        traps)``, any number of classes as one unit."""
+        """Merge runs ``(section_id, slot, axis, first_bit, outcomes,
+        end_cycles, traps)`` into the section store, any number of
+        classes as one unit, first-wins.
+
+        First-wins is the discipline the dist fabric uses for
+        at-least-once deliveries: experiments are deterministic, so a
+        duplicate necessarily carries identical values and dropping it
+        is sound.  A run stored at the same first bit is replaced only
+        by a longer one — a whole class arriving where a sampled
+        campaign stored its first bit — because otherwise that class
+        would never compose.
+        """
         new, stored = (RUN_BITS.replace("outcome", f"{table}.outcome")
                        for table in ("excluded", "section_results"))
         self._write(
@@ -782,8 +752,7 @@ class ExperimentJournal:
         format are judged by."""
         tables = ("campaigns", "class_results", "coordinate_results",
                   "sampler_state", "leases", "sections",
-                  "section_results", "campaign_sections", "summaries",
-                  "fabric_events")
+                  "section_results", "campaign_sections", "fabric_events")
         report = {
             table: self._query(
                 f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}"
@@ -800,24 +769,6 @@ class ExperimentJournal:
         report["bytes_per_result"] = (report["file_bytes"] / results
                                       if results else 0.0)
         return report
-
-    # -- campaign summaries (read through database.JournalCache) ---------------
-
-    def store_summary(self, fingerprint: str, domain: str, name: str,
-                      summary: str) -> None:
-        """Store one campaign summary (JSON text) keyed by identity."""
-        self._write(
-            "INSERT OR REPLACE INTO summaries (fingerprint, domain, "
-            "name, summary) VALUES (?, ?, ?, ?)",
-            [(fingerprint, domain, name, summary)])
-        self.flush()
-
-    def load_summary(self, fingerprint: str, domain: str) -> str | None:
-        """The stored summary JSON for this identity, or None."""
-        row = self._query(
-            "SELECT summary FROM summaries WHERE fingerprint = ? AND "
-            "domain = ?", (fingerprint, domain)).fetchone()
-        return None if row is None else row[0]
 
 
 class CampaignJournal:
@@ -906,43 +857,32 @@ class CampaignJournal:
     # -- full-scan classes ----------------------------------------------------
 
     def record_class(self, axis: int, first_slot: int,
-                     rows: Iterable[tuple[int, str, int, str]]) -> None:
-        """Journal one live class atomically.
-
-        ``rows`` holds ``(bit, outcome_value, end_cycle, trap)`` for each
-        of the class's representative experiments.  The class is the
-        crash-tolerance unit: its rows join the commit window
-        together, so a class is journaled entirely or not at all and
-        resumes never see half a class.  It is stored as one run.
-        """
-        self._record_runs([(axis, first_slot, _runs(rows))])
+                     run: tuple[str, str, str]) -> None:
+        """Journal one live class, its run ``(outcomes, end_cycles,
+        traps)`` from bit 0: :meth:`record_classes` of one."""
+        self.record_classes([(axis, first_slot, run)])
 
     def record_classes(
             self,
             classes: Iterable[tuple[int, int, tuple[str, str, str]]]) \
             -> None:
-        """Journal many live classes as one unit.
+        """Journal live classes as one unit.
 
         ``classes`` holds ``(axis, first_slot, run)`` triples, each run
-        the class's ``(outcomes, end_cycles, traps)`` from bit 0 as
-        :meth:`ExperimentJournal.section_rows` returns it.  Used when
-        composing from the section store, where dozens of classes arrive
-        at once: a composed class is written back exactly as it was
-        read, and the whole batch joins the commit window together.
+        the class's ``(outcomes, end_cycles, traps)`` from bit 0 — what
+        a style's ``execute`` yields, the fabric carries and
+        :meth:`ExperimentJournal.section_rows` returns — stored as
+        given, one row a class.  The unit is the crash-tolerance unit:
+        its classes join the commit window together, so a resume never
+        sees half a class.
         """
-        self._record_runs([(axis, first_slot, ((0, *run),))
-                           for axis, first_slot, run in classes])
-
-    def _record_runs(self, classes: list[tuple[int, int, list]]) -> None:
-        """Buffer ``(axis, first_slot, runs)`` triples as one unit, each
-        run ``(first_bit, outcomes, end_cycles, traps)`` as stored."""
         campaign_id = self.campaign_id
         self.journal._write(
             "INSERT OR REPLACE INTO class_results (campaign_id, "
             "axis, first_slot, bit, outcome, end_cycle, trap) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            "VALUES (?, ?, ?, 0, ?, ?, ?)",
             [(campaign_id, axis, first_slot, *run)
-             for axis, first_slot, runs in classes for run in runs],
+             for axis, first_slot, run in classes],
             class_keys=tuple((campaign_id, axis, first_slot)
                              for axis, first_slot, _ in classes))
 
@@ -957,21 +897,20 @@ class CampaignJournal:
             "ORDER BY axis, first_slot, bit", (self.campaign_id,)))
 
     def merge_class(self, axis: int, first_slot: int,
-                    rows: Iterable[tuple[int, str, int, str]]) -> bool:
-        """Journal one class idempotently; False when already journaled.
+                    run: tuple[str, str, str]) -> bool:
+        """Journal one class idempotently; False when already journaled:
+        :meth:`merge_classes` of one."""
+        return bool(self.merge_classes([(axis, first_slot, run)]))
 
-        :meth:`merge_classes` for one class given as :meth:`record_class`
-        rows.
-        """
-        return bool(self.merge_classes([(axis, first_slot, _runs(rows))]))
-
-    def merge_classes(self, classes: Iterable[tuple[int, int, list]]) \
+    def merge_classes(
+            self,
+            classes: Iterable[tuple[int, int, tuple[str, str, str]]]) \
             -> list[tuple[int, int]]:
         """Journal a window of classes idempotently, as one unit; returns
         the keys journaled fresh, in window order.
 
-        ``classes`` holds ``(axis, first_slot, runs)`` triples, each run
-        in stored form, ``(first_bit, outcomes, end_cycles, traps)``.
+        ``classes`` holds ``(axis, first_slot, run)`` triples, as
+        :meth:`record_classes` takes them.
         The distributed coordinator's at-least-once delivery funnel: a
         result submission that arrives twice — a worker whose lease
         expired but whose TCP stream survived, a retransmit after a
@@ -986,12 +925,12 @@ class CampaignJournal:
         """
         journal, campaign_id = self.journal, self.campaign_id
         pending = journal._pending_classes
-        window: dict[tuple[int, int], list] = {}
-        for axis, first_slot, runs in classes:
+        window: dict[tuple[int, int], tuple] = {}
+        for axis, first_slot, run in classes:
             key = (axis, first_slot)
             if key not in window \
                     and (campaign_id, axis, first_slot) not in pending:
-                window[key] = runs
+                window[key] = run
         if window:
             # A join, not ``(axis, first_slot) IN (VALUES …)``: SQLite
             # plans the IN form as a scan of the campaign's rows, the
@@ -1003,7 +942,7 @@ class CampaignJournal:
                     "AND c.axis = v.column1 AND c.first_slot = v.column2",
                     (*(v for key in window for v in key), campaign_id)):
                 window.pop(key, None)  # a version-3 class: a row per bit
-            self._record_runs([(*key, runs) for key, runs in window.items()])
+            self.record_classes([(*key, run) for key, run in window.items()])
         return list(window)
 
     def discard_classes(self,
@@ -1136,20 +1075,19 @@ class CampaignJournal:
             [(self.campaign_id, slot, axis, bit, outcome)
              for axis, bit, outcome in rows])
 
-    def completed_slots(self) -> dict[int, list[tuple[int, int, Outcome]]]:
-        """Journaled slots: slot → ``(axis, bit, outcome)`` in scan order."""
-        out: dict[int, list] = {}
-        by_value = OUTCOME_BY_VALUE
-        last_slot = None
+    def completed_slots(self) -> dict[int, tuple[str, str, str]]:
+        """Journaled slots: slot → its run ``(axes, bits, outcomes)``,
+        the coordinates' values in ``(axis, bit)`` order joined by
+        single spaces, every value as stored: the brute-force style's
+        ``valid_run`` says whether it can be trusted."""
+        rows: dict[int, list] = {}
         for slot, axis, bit, outcome in self.journal._query(
                 "SELECT slot, axis, bit, outcome FROM coordinate_results "
                 "WHERE campaign_id = ? ORDER BY slot, axis, bit",
                 (self.campaign_id,)):
-            if slot != last_slot:
-                last_slot = slot
-                rows = out[slot] = []
-            rows.append((axis, bit, by_value[outcome]))
-        return out
+            rows.setdefault(slot, []).append((str(axis), str(bit), outcome))
+        return {slot: tuple(" ".join(column) for column in zip(*coords))
+                for slot, coords in rows.items()}
 
     # -- sampler RNG position -------------------------------------------------
 

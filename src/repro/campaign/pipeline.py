@@ -15,8 +15,10 @@ form and the transport table):
    once; shard costs and the fabric's lease cost table (its deadlines)
    derive from it.
 3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
-   generator turns work items into ``(key, rows)`` pairs, rows in the
-   journal's own form; it is the only code that calls an executor.
+   generator turns work items into ``(key, run)`` pairs, each run the
+   unit's result in the one form every later step handles — the
+   journal's and the wire's; it is the only code that calls an
+   executor.
 4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
    stores each batch, then :meth:`CampaignRun.count` updates the
    :class:`ExecutionReport` and progress (the fabric's first-wins merge,
@@ -24,14 +26,14 @@ form and the transport table):
    calls :meth:`CampaignRun.idle` before it waits, so nothing sits in
    the journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
-   canonical order over resumed + fresh rows, so results — dictionary
+   canonical order over resumed + fresh units, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
-   identical however the rows arrived.
+   identical however the runs arrived.
 
 A :class:`CampaignStyle` states what differs between full scan, brute
 force and sampling (the three live in :mod:`repro.campaign.runner`).
 A *transport*, ``transport(run)``, is only how shards reach executors
-and rows come back, and there are two: :class:`InProcess` here
+and runs come back, and there are two: :class:`InProcess` here
 (``jobs=None`` and ``jobs=1``), and the lease/frame fabric's
 coordinator in :mod:`repro.campaign.dist` — over forked local workers
 for ``jobs=N`` (:class:`~repro.campaign.dist.coordinator.LocalFabric`)
@@ -40,6 +42,7 @@ or over whichever workers connect.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -313,13 +316,16 @@ class CampaignStyle:
 
     A *unit* is the style's atomic piece of work and of journaling (a
     live class, an injection slot, one distinct sampled experiment),
-    identified by a hashable *key*; its result is a list of *rows* in
-    the journal's own form, one per experiment.  Besides the attributes
-    and the default :meth:`plan` below, a style provides:
+    identified by a *key*, a tuple of integers; its result is a *run*,
+    three strings of space-joined per-experiment values, in the form
+    the journal stores and the fabric carries — from the executor
+    onward it has no other.  Besides the attributes and the default
+    :meth:`plan`, :meth:`merge` and :meth:`keep` below, a style
+    provides:
 
     ``load(handle, report)``
         the resume loader: journaled units as ``key →`` :meth:`keep`
-        values, already validated;
+        values, validated (:meth:`trusted`);
     ``compose(composer, completed, handle, report)``
         adds store-known units to ``completed`` (as :meth:`keep`
         values) and to the journal (styles with :attr:`composes`);
@@ -327,22 +333,23 @@ class CampaignStyle:
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
     ``execute(executor, items)``
-        the worker-side generator, work items → ``(key, rows)``;
+        the worker-side generator, work items → ``(key, run)``;
     ``journal(handle, composer, batch)``
-        journals a batch, each unit atomically, and feeds it to the
-        section store (styles with :attr:`composes`, given a composer);
+        journals a batch of ``(key, run)``, each unit atomically, and
+        feeds it to the section store (styles with :attr:`composes`,
+        given a composer);
+    ``valid_run(key, run)``
+        the shape check a run passes before it is trusted — from a
+        fabric worker or from the journal;
+    ``discard(handle, keys)``
+        deletes journaled units that failed :meth:`trusted` or that the
+        determinism audit disputed;
+    ``store(composer, runs)``
+        the fabric's deferred section-store write of ``(key, run)``
+        pairs (styles with :attr:`composes`);
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
-
-    Over the fabric a unit travels as its key, a tuple of integers, and
-    a *run* of three space-joined strings, so a style also provides
-    ``encode(rows)`` (static: the worker's side), ``decode(key, run)``
-    (or its own :meth:`merge` and :meth:`keep_run`), ``valid_run(key,
-    run)``, the coordinator's shape check, ``discard(handle, key)``,
-    which deletes a journaled unit the determinism audit disputed, and
-    ``store(composer, runs)``, the deferred section-store write of
-    ``key → run`` (styles with :attr:`composes`).
     """
 
     #: Journal campaign kind.
@@ -385,20 +392,43 @@ class CampaignStyle:
         for key, data in window:
             if key not in fresh and key not in run.completed \
                     and key not in run.fresh:
-                fresh[key] = self.decode(key, data)
+                fresh[key] = data
         self.journal(run.handle, None, list(fresh.items()))
         return list(fresh)
 
-    def keep_run(self, key, data):
-        """:meth:`keep` of a unit as the fabric carries it."""
-        return self.keep(key, self.decode(key, data))
-
-    def keep(self, key, rows: list):
-        """What :meth:`result` needs of one unit's rows.  The driver
-        holds only this once the rows are journaled — a paper-scale
-        scan has 10⁵ rows whose end cycles and traps assembly never
+    def keep(self, key, run):
+        """What :meth:`result` needs of one unit's run.  The campaign
+        holds only this once the run is journaled — a paper-scale scan
+        has 10⁵ experiments whose end cycles and traps assembly never
         reads unless records were asked for."""
-        return rows
+        return run
+
+    def trusted(self, handle, report, stored: dict, check) -> dict:
+        """``key →`` :meth:`keep` value of the journaled units
+        ``stored`` (``key → value`` as a journal reader returns it)
+        that ``check(key, value)`` turns into a run.
+
+        Never trust resumed units blindly: a salvaged journal can hold
+        partial units (page loss truncates committed rows) and any file
+        can hold a value no build wrote, or a key the campaign does not
+        have.  Those are discarded — counted in ``discarded_results``,
+        one ``salvage-prune`` event — and re-executed.
+        """
+        kept, bad = {}, []
+        for key, value in stored.items():
+            run = check(key, value) if key in self.units else None
+            if run is None:
+                bad.append(key)
+            else:
+                kept[key] = self.keep(key, run)
+        if bad:
+            self.discard(handle, bad)
+            report.discarded_results += len(bad)
+            handle.record_event(
+                "salvage-prune", at=time.time(),
+                detail=f"{len(bad)} resumed units failed validation "
+                       f"and were discarded")
+        return kept
 
 
 # -- the driver ---------------------------------------------------------------
@@ -448,12 +478,12 @@ class CampaignRun:
         if self.done:
             self.heartbeat()
 
-    def accept(self, batch: Sequence[tuple[object, list]]) -> None:
+    def accept(self, batch: Sequence[tuple[tuple, tuple]]) -> None:
         """The sink: journal, section store, then :meth:`count`."""
         if self.handle is not None:
             self.style.journal(self.handle, self.composer, batch)
         keep = self.style.keep
-        self.count([(key, keep(key, rows)) for key, rows in batch])
+        self.count([(key, keep(key, run)) for key, run in batch])
 
     def count(self, kept: Sequence[tuple[object, object]]) -> None:
         """Account units journaled fresh, given as ``(key, kept)``

@@ -16,7 +16,8 @@ Three campaign styles are provided, each generic over a
 
 This module holds each style's result type and what is particular to
 it (:class:`ScanStyle`, :class:`BruteStyle`, :class:`SamplingStyle`),
-including how a unit crosses the fabric's wire; everything they share —
+including the run a unit's result takes from the executor onward — in
+the journal and on the fabric's wire alike; everything they share —
 journal and resume, shard planning, the sink, assembly — is
 :mod:`repro.campaign.pipeline`.  The entry points pick a
 transport from ``jobs=`` and hand both to
@@ -36,7 +37,6 @@ completeness).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -52,7 +52,7 @@ from ..faultspace.sampling import (
 )
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import _valid_run, whole_run
+from .journal import _OUTCOME_VALUES, _valid_run, whole_run
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
@@ -245,24 +245,19 @@ class CampaignResult:
         return out
 
 
-def _journal_rows(rows) -> list[tuple[int, str, int, str]]:
-    """Class rows as the journal stores them: outcomes by value."""
-    return [(bit, outcome.value, end_cycle, trap)
-            for bit, outcome, end_cycle, trap in rows]
-
-
-def stored_run(rows) -> list[str]:
-    """``(bit, outcome, end_cycle, trap)`` rows as the run the journal
-    stores (and the fabric carries): ``[outcomes, end_cycles, traps]``,
-    each the per-row values joined by single spaces."""
-    return [" ".join([row[1].value for row in rows]),
-            " ".join([str(row[2]) for row in rows]),
-            " ".join([row[3] for row in rows])]
+def stored_run(records) -> tuple[str, str, str]:
+    """Experiment records as the run the journal stores and the fabric
+    carries: ``(outcomes, end_cycles, traps)``, each the per-record
+    values joined by single spaces."""
+    return (" ".join([record.outcome.value for record in records]),
+            " ".join([str(record.end_cycle) for record in records]),
+            " ".join([record.trap for record in records]))
 
 
 class ScanStyle(CampaignStyle):
     """Def/use-pruned full scan: one unit per live class, keyed
-    ``(axis, first_slot)``, rows ``(bit, outcome, end_cycle, trap)``."""
+    ``(axis, first_slot)``, its run ``(outcomes, end_cycles, traps)``
+    from bit 0."""
 
     kind = "full-scan"
 
@@ -276,34 +271,16 @@ class ScanStyle(CampaignStyle):
         self.units = {domain.class_key(interval): interval
                       for interval in self.partition.live_classes()}
         #: ``outcomes → tuple of Outcome`` per distinct stored outcome
-        #: string of this campaign (:meth:`keep_run`).
+        #: string of this campaign (:meth:`keep`).
         self._decoded: dict[str, tuple[Outcome, ...]] = {}
 
     def load(self, handle, report):
-        # Never trust resumed classes blindly: a salvaged journal can
-        # hold partial classes (page loss truncates committed rows) and
-        # any file can hold a value no build wrote, so every resumed
-        # class goes through the fabric's check against the domain's
-        # expected experiment count — and against the partition — and
-        # the bad ones are discarded and re-executed.
+        # A class stored whole or as per-bit rows (a version-3 file) is
+        # trusted only as the run of exactly its experiments.
         units, count = self.units, self.domain.experiment_count
-        kept, bad = {}, []
-        for key, stored in handle.completed_classes().items():
-            interval = units.get(key)
-            run = None if interval is None \
-                else whole_run(stored, count(interval))
-            if run is None:
-                bad.append(key)
-            else:
-                kept[key] = self.keep_run(key, run)
-        if bad:
-            handle.discard_classes(bad)
-            report.discarded_results += len(bad)
-            handle.record_event(
-                "salvage-prune", at=time.time(),
-                detail=f"{len(bad)} resumed classes failed validation "
-                       f"and were discarded")
-        return kept
+        return self.trusted(
+            handle, report, handle.completed_classes(),
+            lambda key, stored: whole_run(stored, count(units[key])))
 
     def compose(self, composer, completed, handle, report):
         batch = []
@@ -314,7 +291,7 @@ class ScanStyle(CampaignStyle):
             run = composer.compose_class(interval)
             if run is not None:
                 batch.append((*key, run))  # journaled as read
-                completed[key] = self.keep_run(key, run)
+                completed[key] = self.keep(key, run)
                 report.composed_hits += count(interval)
         # One journal unit (one executemany) for the whole composition.
         handle.record_classes(batch)
@@ -334,50 +311,36 @@ class ScanStyle(CampaignStyle):
                   for _, group in groupby(intervals,
                                           key=attrgetter("injection_slot")))
         for key, records in run_groups(executor, groups):
-            yield key, [(bit, record.outcome, record.end_cycle, record.trap)
-                        for bit, record in enumerate(records)]
+            yield key, stored_run(records)
 
     def journal(self, handle, composer, batch):
-        for key, rows in batch:
-            stored = _journal_rows(rows)
-            handle.record_class(key[0], key[1], stored)
-            composer.store_class(self.units[key], stored)
-
-    encode = staticmethod(stored_run)
+        for key, run in batch:
+            handle.record_class(*key, run)
+            composer.store_class(self.units[key], run)
 
     def valid_run(self, key, run):
         return _valid_run(run, self.domain.experiment_count(self.units[key]))
 
     def merge(self, run, window):
         # One existence SELECT and one buffered write for the window.
-        return run.handle.merge_classes([(*key, ((0, *data),))
+        return run.handle.merge_classes([(*key, data)
                                          for key, data in window])
 
-    def discard(self, handle, key):
-        return handle.discard_classes([key])
+    def discard(self, handle, keys):
+        return handle.discard_classes(keys)
 
     def store(self, composer, runs):
-        composer.store_runs((self.units[key], data)
-                            for key, data in runs.items())
+        units, axis_of = self.units, self.domain.axis_of
+        composer.store_runs([(units[key].injection_slot, axis_of(units[key]),
+                              0, data) for key, data in runs])
 
-    def keep(self, key, rows):
-        outcomes = tuple([row[1] for row in rows])
-        if not self.keep_records:
-            return outcomes, ()
-        coords = self.units[key].experiments()
-        return outcomes, [
-            ExperimentRecord(coordinate=coords[bit], outcome=outcome,
-                             end_cycle=end_cycle, trap=trap)
-            for bit, outcome, end_cycle, trap in rows]
-
-    def keep_run(self, key, run):
-        """:meth:`keep` of a class in the journal's stored form, the
-        run ``(outcomes, end_cycles, traps)`` from bit 0 (the fabric's
-        wire form, and what the journal's readers return): each
-        distinct outcome string is decoded once per campaign, and the
-        classes that share it share its tuple; end cycles and traps are
-        decoded only when records are kept, and never for the journal
-        (:meth:`merge` stores the run, :meth:`compose` the run read)."""
+    def keep(self, key, run):
+        """The class's outcomes, and its records when they are kept:
+        each distinct outcome string is decoded once per campaign, and
+        the classes that share it share its tuple; end cycles and traps
+        are decoded only when records are kept, and never for the
+        journal (:meth:`journal` and :meth:`merge` store the run,
+        :meth:`compose` the run read)."""
         outcomes = self._decoded.get(run[0])
         if outcomes is None:
             outcomes = self._decoded[run[0]] = tuple(
@@ -483,8 +446,8 @@ class BruteForceResult:
 
 class BruteStyle(CampaignStyle):
     """Ground-truth scan: one unit per injection slot, keyed
-    ``(slot,)``, rows ``(axis, bit, outcome)`` for every raw coordinate
-    of the slot."""
+    ``(slot,)``, its run ``(axes, bits, outcomes)`` over every raw
+    coordinate of the slot, in scan order."""
 
     kind = "brute-force"
     # Brute force validates the def/use pruning against ground truth;
@@ -498,8 +461,10 @@ class BruteStyle(CampaignStyle):
         self.units = {(slot,): slot for slot in range(1, golden.cycles + 1)}
 
     def load(self, handle, report):
-        return {(slot,): rows
-                for slot, rows in handle.completed_slots().items()}
+        return self.trusted(
+            handle, report,
+            {(slot,): run for slot, run in handle.completed_slots().items()},
+            lambda key, run: run if self.valid_run(key, run) else None)
 
     def cost(self, slot):
         return max(1, self.golden.cycles - slot + 1)
@@ -513,47 +478,44 @@ class BruteStyle(CampaignStyle):
         groups = ([(slot, list(domain.slot_coordinates(space, slot)))]
                   for slot in slots)
         for slot, records in run_groups(executor, groups):
-            yield (slot,), [(domain.coordinate_axis(record.coordinate),
-                             record.coordinate.bit, record.outcome)
-                            for record in records]
-
-    def journal(self, handle, composer, batch):
-        for (slot,), rows in batch:
-            handle.record_slot(slot, [(axis, bit, outcome.value)
-                                      for axis, bit, outcome in rows])
+            yield (slot,), (
+                " ".join([str(domain.coordinate_axis(record.coordinate))
+                          for record in records]),
+                " ".join([str(record.coordinate.bit) for record in records]),
+                " ".join([record.outcome.value for record in records]))
 
     @staticmethod
-    def encode(rows):
-        return [" ".join([str(axis) for axis, _, _ in rows]),
-                " ".join([str(bit) for _, bit, _ in rows]),
-                " ".join([outcome.value for _, _, outcome in rows])]
+    def _decode(run) -> list[tuple[int, int, str]]:
+        """A valid run as its ``(axis, bit, outcome_value)`` rows."""
+        return [(int(axis), int(bit), outcome) for axis, bit, outcome
+                in zip(*(field.split(" ") for field in run))]
 
-    def decode(self, key, run):
-        axes, bits, outcomes = (field.split(" ") for field in run)
-        if not len(axes) == len(bits) == len(outcomes):
-            raise ValueError(f"ragged run for slot {key[0]}")
-        return [(int(axis), int(bit), OUTCOME_BY_VALUE[outcome])
-                for axis, bit, outcome in zip(axes, bits, outcomes)]
+    def journal(self, handle, composer, batch):
+        for (slot,), run in batch:
+            handle.record_slot(slot, self._decode(run))
 
     def valid_run(self, key, run):
-        try:
-            rows = self.decode(key, run)
-        except (KeyError, ValueError):
-            return False
         domain = self.domain
-        return [row[:2] for row in rows] == [
-            (domain.coordinate_axis(coord), coord.bit)
-            for coord in domain.slot_coordinates(
-                domain.fault_space(self.golden), key[0])]
+        coords = list(domain.slot_coordinates(
+            domain.fault_space(self.golden), key[0]))
+        outcomes = run[2].split(" ")
+        return (run[0] == " ".join([str(domain.coordinate_axis(coord))
+                                    for coord in coords])
+                and run[1] == " ".join([str(coord.bit) for coord in coords])
+                and len(outcomes) == len(coords)
+                and _OUTCOME_VALUES.issuperset(outcomes))
 
-    def discard(self, handle, key):
-        return handle.discard_slots(key)
+    def discard(self, handle, keys):
+        return handle.discard_slots([slot for slot, in keys])
 
     def result(self, kept, report):
         outcomes: dict = {}
+        coordinate = self.domain.coordinate
         for key, slot in self.units.items():
-            for axis, bit, outcome in kept.get(key, ()):
-                outcomes[self.domain.coordinate(slot, axis, bit)] = outcome
+            if key in kept:  # else degraded: listed in report.missing
+                for axis, bit, outcome in self._decode(kept[key]):
+                    outcomes[coordinate(slot, axis, bit)] = \
+                        OUTCOME_BY_VALUE[outcome]
         return BruteForceResult(golden=self.golden, outcomes=outcomes,
                                 domain=self.domain, execution=report)
 
@@ -660,8 +622,8 @@ def _draw_classified(golden: GoldenRun, n_samples: int, seed: int,
 class SamplingStyle(CampaignStyle):
     """Sampled campaign: one unit per distinct ``(class, bit)``
     representative experiment the drawn samples need, keyed
-    ``(axis, first_slot, bit)``, one ``(bit, outcome, end_cycle, trap)``
-    row each.
+    ``(axis, first_slot, bit)``, its run ``(outcome, end_cycle, trap)``
+    one experiment long.
 
     Samples are drawn (deterministically, from the seed) up front; the
     units' outcomes are then replayed over the drawn sequence.  On
@@ -731,44 +693,33 @@ class SamplingStyle(CampaignStyle):
     @staticmethod
     def execute(executor, keyed):
         for key, coord in keyed:
-            record = executor.run(coord)
             # The sampling result needs the outcome only, but the
-            # section store composes these rows into full-scan
+            # section store composes these runs into full-scan
             # campaigns later, which need end cycles and traps too.
-            yield key, [(key[2], record.outcome, record.end_cycle,
-                         record.trap)]
+            yield key, stored_run([executor.run(coord)])
 
     def journal(self, handle, composer, batch):
-        handle.record_experiments([(*key, rows[0][1].value)
-                                   for key, rows in batch])
+        handle.record_experiments([(*key, run[0]) for key, run in batch])
         if composer is not None:
-            for key, rows in batch:
-                composer.store_experiment(self.units[key][1].slot, key[0],
-                                          *rows[0])
+            self.store(composer, batch)
 
-    def keep(self, key, rows):
-        return rows[0][1]  # the outcome
+    def keep(self, key, run):
+        return OUTCOME_BY_VALUE[run[0]]  # the outcome
 
     def spec(self):
         return {"kind": self.kind, "seed": self.seed,
                 "sampler": self.sampler, "samples": len(self.drawn)}
 
-    encode = staticmethod(stored_run)
-
-    def decode(self, key, run):
-        outcome, end_cycle, trap = run
-        return [(key[2], OUTCOME_BY_VALUE[outcome], int(end_cycle), trap)]
-
     def valid_run(self, key, run):
         return _valid_run(run, 1)
 
-    def discard(self, handle, key):
-        return handle.discard_experiments([key])
+    def discard(self, handle, keys):
+        return handle.discard_experiments(keys)
 
     def store(self, composer, runs):
-        for key, (outcome, end_cycle, trap) in runs.items():
-            composer.store_experiment(self.units[key][1].slot, key[0],
-                                      key[2], outcome, int(end_cycle), trap)
+        units = self.units
+        composer.store_runs([(units[key][1].slot, key[0], key[2], run)
+                             for key, run in runs])
 
     def result(self, kept, report):
         # A sample whose experiment is missing (degraded campaign: its

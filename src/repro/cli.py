@@ -31,9 +31,11 @@ Commands:
     Run baseline + N hardened variants as one comparison sweep and
     print the side-by-side table of the sound failure-count ratio and
     the pitfall metrics.  With ``--journal`` the sweep is incremental:
-    sections shared with earlier campaigns (a previous sweep, or other
-    variants) compose from the section store instead of re-executing,
-    and each variant's summary is cached in the journal.
+    a variant the journal already holds whole resumes without executing
+    anything, and sections shared with earlier campaigns (a previous
+    sweep, or other variants) compose from the section store instead of
+    re-executing.  The journal stores each scan's results, never a
+    summary: the table is recomputed from them.
 ``journal --journal PATH [--gc] [--salvage]``
     List a journal's campaigns and its section store (stored results
     and referencing campaigns per section) plus a size report;
@@ -330,7 +332,6 @@ def cmd_resume(args) -> int:
 
 def cmd_compare(args) -> int:
     """Sweep baseline + N variants as one incremental comparison."""
-    from .campaign.database import JournalCache
     from .metrics import (
         comparison_report,
         comparison_table,
@@ -346,7 +347,7 @@ def cmd_compare(args) -> int:
     status = 0
     results = {}
     for name in names:
-        program, golden, config, policy = _campaign_setup(args, name)
+        _, golden, config, policy = _campaign_setup(args, name)
         print(f"{name} [{domain.name} domain]: Δt={golden.cycles} "
               f"cycles, w={domain.fault_space(golden).size}")
         scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
@@ -355,23 +356,16 @@ def cmd_compare(args) -> int:
                              progress=_eta_progress("classes"))
         _print_execution(scan.execution)
         status = status or _exit_status(scan.execution)
-        results[name] = (program, scan)
+        results[name] = scan
     if status:
         print("comparison skipped: at least one campaign is incomplete; "
               "rerun with the same journal to finish")
         return status
-    reports = [comparison_report(name, results[args.baseline][1],
-                                 results[name][1])
+    reports = [comparison_report(name, results[args.baseline],
+                                 results[name])
                for name in args.variants]
     print()
     print(comparison_table(reports))
-    if args.journal:
-        # Summaries land in the journal's summaries table next to the
-        # section store that composed them (JournalCache, schema v2).
-        with ExperimentJournal(args.journal) as journal:
-            cache = JournalCache(journal)
-            for program, scan in results.values():
-                cache.store(program, CampaignSummary.from_result(scan))
     if args.csv:
         export_comparison_csv(reports, args.csv)
         print(f"\ncomparison CSV written to {args.csv}")

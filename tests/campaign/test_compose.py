@@ -39,8 +39,7 @@ from .journal_rows import (
     truncate_first_class,
 )
 
-SECTION_TABLES = ("section_results", "campaign_sections", "sections",
-                  "summaries")
+SECTION_TABLES = ("section_results", "campaign_sections", "sections")
 
 
 @pytest.fixture(scope="module")
@@ -493,8 +492,22 @@ class TestTableLayout:
 #: The result tables as a version-3 build created them, per layout:
 #: ``end_cycle`` of INTEGER affinity, and ``CREATE TABLE IF NOT EXISTS``
 #: leaves them so.
-V3_DDL = {"rowid": ROWID_DDL,
-          "clustered": ROWID_DDL.replace("\n);", "\n) WITHOUT ROWID;")}
+#: The ``summaries`` table a version-3 build created, with a row in it:
+#: this build never reads it and leaves it as it finds it.
+SUMMARIES_DDL = """
+CREATE TABLE summaries (
+    fingerprint TEXT NOT NULL,
+    domain      TEXT NOT NULL,
+    name        TEXT NOT NULL DEFAULT '',
+    summary     TEXT NOT NULL,
+    PRIMARY KEY (fingerprint, domain)
+);
+INSERT INTO summaries VALUES ('0123456789ab', 'memory', 'counter', '{}');
+"""
+
+V3_DDL = {"rowid": ROWID_DDL + SUMMARIES_DDL,
+          "clustered": ROWID_DDL.replace("\n);", "\n) WITHOUT ROWID;")
+          + SUMMARIES_DDL}
 
 
 def _v3_file(path, source, layout):

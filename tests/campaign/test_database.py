@@ -1,13 +1,12 @@
-"""Tests for campaign result persistence and caching."""
-
-import json
+"""Tests for campaign summaries, fingerprints and CSV files, and for
+the journal as the one summary cache."""
 
 import pytest
 
 from repro.campaign import (
     CampaignSummary,
+    ExecutorConfig,
     ExperimentJournal,
-    JournalCache,
     Outcome,
     export_class_results_csv,
     import_class_results_csv,
@@ -36,27 +35,41 @@ class TestCampaignSummary:
         assert summary.weighted() == dict(hi_scan.weighted_counts())
         assert summary.raw() == dict(hi_scan.raw_counts())
 
-    def test_json_roundtrip(self, hi_scan):
-        summary = CampaignSummary.from_result(hi_scan)
-        assert summary.domain == "memory"
-        clone = CampaignSummary.from_json(summary.to_json())
-        assert clone == summary
 
-    def test_register_domain_roundtrip(self, hi_register_scan):
-        summary = CampaignSummary.from_result(hi_register_scan)
-        assert summary.domain == "register"
-        clone = CampaignSummary.from_json(summary.to_json())
-        assert clone == summary
-        assert clone.domain == "register"
+class TestTheJournalIsTheSummaryCache:
+    """A summary is cached by journaling its scan: the rerun resumes the
+    complete campaign and executes nothing, and the journal keys it by
+    every campaign parameter, so a changed executor setting runs
+    afresh."""
 
-    def test_legacy_json_without_domain_loads_as_memory(self, hi_scan):
-        """Summaries cached before the domain field existed still load."""
-        summary = CampaignSummary.from_result(hi_scan)
-        legacy = json.loads(summary.to_json())
-        del legacy["domain"]
-        clone = CampaignSummary.from_json(json.dumps(legacy))
-        assert clone.domain == "memory"
-        assert clone == summary
+    @pytest.mark.parametrize("domain", ["memory", "register"])
+    def test_a_journaled_rerun_summarises_without_executing(
+            self, tmp_path, domain, hi_scan, hi_register_scan):
+        golden = record_golden(hi.baseline())
+        path = tmp_path / "cache.sqlite"
+        cold = run_full_scan(golden, domain=domain, journal=path)
+        warm = run_full_scan(golden, domain=domain, journal=path)
+        assert cold.execution.executed == cold.execution.total_units > 0
+        assert warm.execution.executed == 0
+        summary = CampaignSummary.from_result(warm)
+        assert summary == CampaignSummary.from_result(cold) \
+            == CampaignSummary.from_result(
+                hi_scan if domain == "memory" else hi_register_scan)
+        assert summary.domain == domain
+
+    def test_a_changed_timeout_factor_opens_a_new_campaign(self, tmp_path):
+        golden = record_golden(hi.baseline())
+        path = tmp_path / "cache.sqlite"
+        run_full_scan(golden, journal=path)
+        changed = run_full_scan(golden, journal=path,
+                                config=ExecutorConfig(timeout_factor=100.0))
+        assert changed.execution.executed \
+            == changed.execution.total_units > 0
+        with ExperimentJournal(path) as journal:
+            first, second = journal.campaigns()
+        assert first["status"] == second["status"] == "complete"
+        assert first["params"]["timeout_cycles"] \
+            < second["params"]["timeout_cycles"]
 
 
 class TestFingerprint:
@@ -71,58 +84,6 @@ class TestFingerprint:
     def test_ram_size_affects_fingerprint(self):
         assert program_fingerprint(hi.baseline()) \
             != program_fingerprint(hi.memory_diluted_variant(2))
-
-
-@pytest.fixture
-def cache(tmp_path):
-    with ExperimentJournal(tmp_path / "cache.sqlite") as journal:
-        yield JournalCache(journal)
-
-
-class TestJournalCache:
-    def test_get_or_run_runs_once(self, cache, hi_scan):
-        calls = []
-
-        def thunk():
-            calls.append(1)
-            return hi_scan
-
-        first = cache.get_or_run(hi.baseline(), thunk)
-        second = cache.get_or_run(hi.baseline(), thunk)
-        assert first == second
-        assert len(calls) == 1
-
-    def test_changed_program_invalidates_cache(self, cache, hi_scan):
-        cache.get_or_run(hi.baseline(), lambda: hi_scan)
-        assert cache.load(hi.dft_variant(4)) is None
-
-    def test_corrupt_cache_entry_is_ignored(self, cache, hi_scan):
-        cache.get_or_run(hi.baseline(), lambda: hi_scan)
-        cache.journal.store_summary(program_fingerprint(hi.baseline()),
-                                    "memory", "hi", "{not json")
-        assert cache.load(hi.baseline()) is None
-
-    def test_domains_cache_side_by_side(self, cache, hi_scan,
-                                        hi_register_scan):
-        """One program, two domains: distinct entries, no collisions."""
-        cache.get_or_run(hi.baseline(), lambda: hi_scan)
-        cache.get_or_run(hi.baseline(), lambda: hi_register_scan,
-                         domain="register")
-        memory = cache.load(hi.baseline())
-        register = cache.load(hi.baseline(), domain="register")
-        assert memory.domain == "memory"
-        assert register.domain == "register"
-        assert memory.fault_space_size != register.fault_space_size
-
-    def test_summaries_survive_reopening_the_journal(self, tmp_path,
-                                                     hi_scan):
-        """The cache is the file, not the connection."""
-        path = tmp_path / "cache.sqlite"
-        with ExperimentJournal(path) as journal:
-            JournalCache(journal).get_or_run(hi.baseline(), lambda: hi_scan)
-        with ExperimentJournal(path) as journal:
-            assert JournalCache(journal).load(hi.baseline()) \
-                == CampaignSummary.from_result(hi_scan)
 
 
 class TestCsvExport:

@@ -77,8 +77,7 @@ class TestJournalFile:
 
     def test_campaigns_listing_counts_progress(self, journal):
         campaign = _campaign(journal)
-        campaign.record_class(3, 7, [(0, "sdc", 10, ""),
-                                     (1, "no-effect", 12, "")])
+        campaign.record_class(3, 7, ("sdc no-effect", "10 12", " "))
         listing = journal.campaigns()
         assert len(listing) == 1
         assert listing[0]["kind"] == "full-scan"
@@ -88,8 +87,7 @@ class TestJournalFile:
     def test_size_report_counts_bytes_per_stored_row(self, journal):
         assert journal.size_report()["bytes_per_result"] == 0.0
         campaign = _campaign(journal)
-        campaign.record_class(3, 7, [(0, "sdc", 10, ""),
-                                     (1, "no-effect", 12, "")])
+        campaign.record_class(3, 7, ("sdc no-effect", "10 12", " "))
         campaign.record_slot(4, [(0, 0, "no-effect"), (0, 1, "sdc")])
         report = journal.size_report()
         assert report["bytes_per_result"] == report["file_bytes"] / 4
@@ -126,20 +124,22 @@ class TestJournalFile:
 class TestCampaignJournal:
     def test_class_rows_round_trip(self, journal):
         campaign = _campaign(journal)
-        campaign.record_class(5, 2, [(0, "sdc", 30, ""),
-                                     (1, "cpu-exception", 31, "BUS")])
+        campaign.record_class(5, 2, ("sdc cpu-exception", "30 31", " BUS"))
         stored = campaign.completed_classes()
         # A class is one run from bit 0: it reads back as stored.
         assert stored == {(5, 2): ("sdc cpu-exception", "30 31", " BUS")}
 
     def test_rows_with_a_gap_keep_their_bits(self, journal):
-        """A torn class is stored as one run per stretch of consecutive
-        bits, so it reads back torn — and fails validation — instead of
-        closing the gap by renumbering."""
+        """A torn class — one run per stretch of consecutive bits, what a
+        version-3 file losing a page leaves — reads back torn, and fails
+        validation, instead of closing the gap by renumbering."""
         campaign = _campaign(journal)
         torn = [(0, "sdc", 30, ""), (1, "sdc", 31, "illegal-pc"),
                 (3, "timeout", 33, "")]
-        campaign.record_class(5, 2, torn)
+        journal._write(
+            "INSERT INTO class_results VALUES (?, 5, 2, ?, ?, ?, ?)",
+            [(campaign.campaign_id, 0, "sdc sdc", "30 31", " illegal-pc"),
+             (campaign.campaign_id, 3, "timeout", "33", "")])
         stored = campaign.completed_classes()
         assert stored == {(5, 2): [(bit, value, str(end), trap)
                                    for bit, value, end, trap in torn]}
@@ -150,18 +150,20 @@ class TestCampaignJournal:
         """Two outcomes, one end cycle: which bit it belongs to is not
         knowable, so the class reads as absent and is re-executed."""
         campaign = _campaign(journal)
-        campaign.record_class(5, 2, [(0, "sdc", 30, ""),
-                                     (1, "no-effect", 31, "")])
+        campaign.record_class(5, 2, ("sdc no-effect", "30 31", " "))
         journal._write(
             "INSERT INTO class_results VALUES (?, 6, 2, 0, 'sdc sdc', "
             "'30', ' ')", [(campaign.campaign_id,)])
         assert list(campaign.completed_classes()) == [(5, 2)]
 
     def test_slot_rows_round_trip(self, journal):
+        """A slot reads back as its run ``(axes, bits, outcomes)``, every
+        value as stored."""
         campaign = _campaign(journal, kind="brute-force")
-        campaign.record_slot(4, [(0, 0, "no-effect"), (0, 1, "sdc")])
+        campaign.record_slot(4, [(0, 1, "sdc"), (0, 0, "no-effect"),
+                                 (2, 0, "bogus")])
         assert campaign.completed_slots() == {
-            4: [(0, 0, Outcome.NO_EFFECT), (0, 1, Outcome.SDC)]}
+            4: ("0 0 2", "0 1 0", "no-effect sdc bogus")}
 
     def test_experiment_rows_round_trip(self, journal):
         campaign = _campaign(journal, kind="sampling")
@@ -171,7 +173,7 @@ class TestCampaignJournal:
 
     def test_clear_discards_results_and_state(self, journal):
         campaign = _campaign(journal)
-        campaign.record_class(1, 1, [(0, "sdc", 5, "")])
+        campaign.record_class(1, 1, ("sdc", "5", ""))
         campaign.record_sampler_state(10, "[3,[1,2],null]")
         campaign.mark_complete()
         campaign.clear()
@@ -260,8 +262,7 @@ class TestJournalDurability:
         with ExperimentJournal(path) as handle:
             campaign = _campaign(handle)
             for axis in range(64):
-                campaign.record_class(
-                    axis, 1, [(bit, "sdc", 30, "") for bit in range(8)])
+                campaign.record_class(axis, 1, RUN)
         raw = bytearray(path.read_bytes())
         assert len(raw) > 8192
         # Stomp a whole page's header: structural corruption that
@@ -274,11 +275,11 @@ class TestJournalDurability:
 
     def test_merge_class_is_first_wins_idempotent(self, journal):
         campaign = _campaign(journal)
-        rows = [(0, "sdc", 30, ""), (1, "no-effect", 42, "")]
-        assert campaign.merge_class(5, 2, rows) is True
-        assert campaign.merge_class(5, 2, rows) is False
+        run = ("sdc no-effect", "30 42", " ")
+        assert campaign.merge_class(5, 2, run) is True
+        assert campaign.merge_class(5, 2, run) is False
         assert campaign.merge_class(
-            5, 2, [(0, "timeout", 1, "")]) is False  # late duplicate
+            5, 2, ("timeout", "1", "")) is False  # late duplicate
         stored = campaign.completed_classes()
         assert stored[(5, 2)] == ("sdc no-effect", "30 42", " ")
 
@@ -299,8 +300,7 @@ class TestJournalDurability:
         assert campaign.lease_states() == {}
 
 
-ROWS = [(bit, "sdc", 30, "") for bit in range(8)]
-#: ``ROWS`` as the run that stores them.
+#: An eight-bit class as its run: outcomes, end cycles, traps.
 RUN = (" ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
 
 
@@ -341,23 +341,23 @@ class TestGroupCommit:
         section = journal.section(fingerprint="s", program="p",
                                   domain="memory", first_slot=1,
                                   last_slot=9)
-        campaign.record_class(1, 1, ROWS)
+        campaign.record_class(1, 1, RUN)
         campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, "sdc")])
-        journal.merge_section_rows(section, 1, 1, [(0, "sdc", 30, "")])
+        journal.merge_section_runs([(section, 1, 1, 0, "sdc", "30", "")])
         clock[0] += COMMIT_WINDOW_S * 0.9
         campaign.record_experiments([(2, 1, 0, "sdc")])
         # The merge dedup sees the writer's own pending class without
         # committing it.
-        assert campaign.merge_class(1, 1, ROWS) is False
+        assert campaign.merge_class(1, 1, RUN) is False
         assert _committed(path) == NOTHING  # all inside the window
         clock[0] += COMMIT_WINDOW_S * 0.1
-        campaign.record_class(4, 1, ROWS)  # finds the window expired
+        campaign.record_class(4, 1, RUN)  # finds the window expired
         everything = {(1, 1): 8, (2, 1): 1, (4, 1): 8,
                       "coordinate_results": 2, "section_results": 1}
         assert _committed(path) == everything
-        campaign.record_class(5, 1, ROWS)  # opens the next window
+        campaign.record_class(5, 1, RUN)  # opens the next window
         clock[0] += COMMIT_WINDOW_S * 0.5
-        campaign.record_class(6, 1, ROWS)
+        campaign.record_class(6, 1, RUN)
         assert _committed(path) == everything
         journal.close()
         assert _committed(path) == everything | {(5, 1): 8, (6, 1): 8}
@@ -380,8 +380,8 @@ class TestGroupCommit:
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             other = _campaign(journal, fingerprint="other")
-            campaign.record_class(1, 1, ROWS)
-            campaign.record_class(2, 1, ROWS)
+            campaign.record_class(1, 1, RUN)
+            campaign.record_class(2, 1, RUN)
             assert _committed(path) == NOTHING
             flush_point(campaign, other)
             assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
@@ -392,14 +392,14 @@ class TestGroupCommit:
             with pytest.raises(exc):
                 with ExperimentJournal(path) as journal:
                     with _campaign(journal) as campaign:
-                        campaign.record_class(axis, 1, ROWS)
+                        campaign.record_class(axis, 1, RUN)
                         raise exc
             assert _committed(path)[(axis, 1)] == 8
 
     def test_owned_handle_closes_twice(self, tmp_path, golden):
         path = tmp_path / "journal.sqlite"
         handle = open_campaign(path, golden, MEMORY, "full-scan", {})
-        handle.record_class(1, 1, ROWS)
+        handle.record_class(1, 1, RUN)
         handle.close()
         handle.close()  # a runner's ``with`` after an explicit close
         assert _committed(path)[(1, 1)] == 8
@@ -409,14 +409,14 @@ class TestGroupCommit:
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             campaign.record_classes([(1, 1, RUN), (2, 1, RUN)])
-            assert campaign.merge_class(2, 1, ROWS) is False
+            assert campaign.merge_class(2, 1, RUN) is False
             assert _committed(path) == NOTHING
             assert sorted(campaign.completed_classes()) == [(1, 1), (2, 1)]
             assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
             # A discarded class merges again, even within one window.
-            campaign.record_class(3, 1, ROWS)
+            campaign.record_class(3, 1, RUN)
             assert campaign.discard_classes([(3, 1), (3, 1), (9, 9)]) == 1
-            assert campaign.merge_class(3, 1, ROWS) is True
+            assert campaign.merge_class(3, 1, RUN) is True
 
     def test_a_window_merge_is_one_select_and_one_unit(self, tmp_path,
                                                        clock):
@@ -426,24 +426,24 @@ class TestGroupCommit:
         classes as one unit, stored exactly as ``record_class`` would
         store them."""
         path = tmp_path / "journal.sqlite"
-        run = (0, " ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
-        late = (0, " ".join(["timeout"] * 8), " ".join(["1"] * 8), " " * 7)
+        run = RUN
+        late = (" ".join(["timeout"] * 8), " ".join(["1"] * 8), " " * 7)
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
-            campaign.record_class(1, 1, ROWS)
+            campaign.record_class(1, 1, RUN)
             campaign.flush()  # (1, 1) committed
-            campaign.record_class(2, 1, ROWS)  # (2, 1) uncommitted
+            campaign.record_class(2, 1, RUN)  # (2, 1) uncommitted
             statements: list[str] = []
             journal._conn.set_trace_callback(statements.append)
             fresh = campaign.merge_classes(
-                [(3, 1, [run]), (1, 1, [late]), (2, 1, [late]),
-                 (3, 1, [late]), (4, 1, [run]), (4, 1, [late])])
+                [(3, 1, run), (1, 1, late), (2, 1, late),
+                 (3, 1, late), (4, 1, run), (4, 1, late)])
             journal._conn.set_trace_callback(None)
             assert fresh == [(3, 1), (4, 1)]
             assert len(statements) == 1 and \
                 statements[0].startswith("SELECT")
             assert _committed(path) == NOTHING | {(1, 1): 8}
-            assert campaign.merge_classes([(4, 1, [late])]) == []
+            assert campaign.merge_classes([(4, 1, late)]) == []
             stored = campaign.completed_classes()
         # Every first copy, none of the late ones.
         assert stored[(3, 1)] == stored[(4, 1)] == stored[(1, 1)] \
@@ -462,40 +462,35 @@ class TestGroupCommit:
             second._conn.execute("PRAGMA busy_timeout = 0")
             ours = _campaign(first)
             theirs = _campaign(second, fingerprint="other")
-            ours.record_class(1, 1, ROWS)
-            theirs.record_class(2, 1, ROWS)
+            ours.record_class(1, 1, RUN)
+            theirs.record_class(2, 1, RUN)
             theirs.flush()
             assert _committed(path) == NOTHING | {(2, 1): 8}
             first._conn.execute("PRAGMA busy_timeout = 0")
             ours.flush()
-            theirs.record_class(3, 1, ROWS)
+            theirs.record_class(3, 1, RUN)
             theirs.mark_complete()
         assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8,
                                               (3, 1): 8}
 
     def test_a_rejected_unit_is_dropped_whole_and_alone(self, tmp_path,
                                                         clock):
-        """A class with a missing outcome cannot become a run: its
-        write raises and buffers nothing.  A unit the database rejects
-        at commit (a brute-force slot, still a row per coordinate, with
-        a NULL outcome) is dropped whole at the flush.  Either way the
-        units around it commit."""
+        """A unit the database rejects at commit (a brute-force slot,
+        still a row per coordinate, with a NULL outcome) is dropped
+        whole at the flush; the units around it commit."""
         path = tmp_path / "journal.sqlite"
-        torn = ROWS[:3] + [(3, None, 30, "")] + ROWS[4:]
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
-            campaign.record_class(6, 1, ROWS)
-            with pytest.raises(TypeError):
-                campaign.record_class(7, 1, torn)
+            campaign.record_class(6, 1, RUN)
             campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, None)])
-            campaign.record_class(8, 1, ROWS)
+            campaign.record_class(8, 1, RUN)
             with pytest.raises(sqlite3.IntegrityError):
                 campaign.flush()
             # Nothing of the failed transaction is visible; the classes
-            # around the torn units are still pending, not lost.
+            # around the torn unit are still pending, not lost.
             assert _committed(path) == NOTHING
-            assert campaign.merge_class(6, 1, ROWS) is False
-            assert campaign.merge_class(7, 1, ROWS) is True
+            assert campaign.merge_class(6, 1, RUN) is False
+            assert campaign.merge_class(7, 1, RUN) is True
         assert _committed(path) == NOTHING | {(6, 1): 8, (7, 1): 8,
                                               (8, 1): 8}
 
@@ -504,7 +499,7 @@ class TestGroupCommit:
         with ExperimentJournal(path) as journal:
             journal._conn.execute("PRAGMA busy_timeout = 0")
             campaign = _campaign(journal)
-            campaign.record_class(1, 1, ROWS)
+            campaign.record_class(1, 1, RUN)
             blocker = sqlite3.connect(path)
             blocker.execute("BEGIN IMMEDIATE")
             try:
@@ -513,5 +508,5 @@ class TestGroupCommit:
             finally:
                 blocker.rollback()
                 blocker.close()
-            campaign.record_class(2, 1, ROWS)
+            campaign.record_class(2, 1, RUN)
         assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}

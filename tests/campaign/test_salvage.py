@@ -17,6 +17,7 @@ import pytest
 
 from repro.campaign import (
     record_golden,
+    run_brute_force,
     run_distributed_scan,
     run_full_scan,
 )
@@ -248,6 +249,42 @@ class TestMalformedValuesAreRedone:
         assert result == hi_baseline
         assert result.execution.discarded_results == 1
         assert result.execution.executed == 0
+
+
+class TestBruteForceResumeValidatesSlots:
+    """A brute-force slot is trusted on resume only as the run of
+    exactly its coordinates, like a full scan's class: a slot that lost
+    rows (page loss) or holds a value no build wrote is discarded and
+    re-executed, never counted short — or decoded into a crash."""
+
+    @pytest.mark.parametrize("damage", ["lost-axis", "bad-outcome"])
+    def test_a_damaged_slot_is_discarded_and_redone(self, tmp_path,
+                                                     hi_golden, damage):
+        baseline = run_brute_force(hi_golden)
+        path = tmp_path / "brute.sqlite"
+        run_brute_force(hi_golden, journal=path)
+        conn = sqlite3.connect(path)
+        with conn:
+            if damage == "lost-axis":
+                conn.execute("DELETE FROM coordinate_results "
+                             "WHERE slot = 3 AND axis = 0")
+            else:
+                conn.execute("UPDATE coordinate_results SET outcome = "
+                             "'bogus' WHERE slot = 3 AND axis = 0 "
+                             "AND bit = 0")
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        result = run_brute_force(hi_golden, journal=path)
+        assert result == baseline
+        assert result.counts() == baseline.counts()
+        execution = result.execution
+        assert (execution.executed, execution.resumed,
+                execution.discarded_results, execution.complete) \
+            == (1, hi_golden.cycles - 1, 1, True)
+        with ExperimentJournal(path) as journal:
+            (campaign,) = journal.fabric_report()
+        assert [event["kind"] for event in campaign["events"]] \
+            == ["salvage-prune"]
 
 
 class TestEveryTransportPrunesPartialClasses:

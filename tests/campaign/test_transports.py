@@ -8,8 +8,12 @@ a campaign through :func:`~repro.campaign.pipeline.run_campaign`: one
 prologue, one sink and one assembly.  So a fresh campaign and the
 resume of a half-journaled one must end the same way on each — the
 serial result, records included; the same ``ExecutionReport`` counts;
-and the same shape of progress reports.
+and the same shape of progress reports.  A unit's result is one run
+from the executor onward, so each transport also leaves the same rows
+in the journal.
 """
+
+import sqlite3
 
 import pytest
 
@@ -120,3 +124,37 @@ def test_every_style_keeps_the_contract(transport, style, scenario, golden,
     _check_contract(campaign,
                     lambda **kw: campaign(jobs=TRANSPORTS[transport], **kw),
                     total, scenario, tmp_path, serial, view)
+
+
+def _result_rows(path) -> dict:
+    """Every row of the three result tables, in key order."""
+    conn = sqlite3.connect(path)
+    try:
+        return {table: conn.execute(
+                    f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4").fetchall()
+                for table in ("class_results", "coordinate_results",
+                              "section_results")}
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("style", ["scan", "brute", "sampling"])
+def test_both_transports_write_identical_result_rows(style, golden,
+                                                     tiny_golden, tmp_path):
+    """In-process and on fabric workers, a campaign's journal and
+    section store rows are the same, every column."""
+    def campaign(**kw):
+        if style == "scan":
+            return run_full_scan(golden, **kw)
+        if style == "brute":
+            return run_brute_force(tiny_golden, **kw)
+        return run_sampling(golden, 150, seed=7, sampler="live-only", **kw)
+
+    rows = {}
+    for name, jobs in TRANSPORTS.items():
+        path = tmp_path / f"{name}.sqlite"
+        campaign(jobs=jobs, journal=path)
+        rows[name] = _result_rows(path)
+    assert rows["in-process"] == rows["pool"]
+    table = "coordinate_results" if style == "brute" else "class_results"
+    assert rows["pool"][table]

@@ -73,7 +73,7 @@ class TestClassRoundTrip:
         with ExperimentJournal(":memory:") as journal:
             campaign = _campaign(journal)
             for (axis, first_slot), rows in stored.items():
-                campaign.record_class(axis, first_slot, rows)
+                campaign.record_class(axis, first_slot, _run(rows))
             assert campaign.completed_classes() == {
                 key: _run(rows) for key, rows in sorted(stored.items())}
             assert journal.campaigns()[0]["journaled_experiments"] \
@@ -142,13 +142,13 @@ class TestSectionInterleaving:
                 axis = domain.axis_of(interval)
                 width = domain.experiment_count(interval)
                 if bit is None:
-                    writer.store_class(interval, [
-                        _row(slot, axis, b) for b in range(width)])
+                    writer.store_class(interval, _run([
+                        _row(slot, axis, b) for b in range(width)]))
                     stored[index].update(range(width))
                 else:
                     bit %= width
-                    writer.store_experiment(slot, axis,
-                                            *_row(slot, axis, bit))
+                    writer.store_runs([(slot, axis, bit,
+                                        _run([_row(slot, axis, bit)]))])
                     stored[index].add(bit)
             reader = SectionComposer(_campaign(journal, kind="sampling"),
                                      golden, domain, params)

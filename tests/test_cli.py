@@ -220,18 +220,6 @@ class TestCliCompare:
                  if line.startswith(("variant", "hi"))]
         assert table and all(line in warm for line in table)
 
-    def test_compare_caches_summaries_in_the_journal(self, tmp_path):
-        from repro.campaign import ExperimentJournal, JournalCache
-        from repro.programs import hi
-
-        journal = str(tmp_path / "j.sqlite")
-        assert main(["compare", "hi", "hi-dft4",
-                     "--journal", journal]) == 0
-        with ExperimentJournal(journal) as handle:
-            cached = JournalCache(handle).load(hi.baseline())
-        assert cached is not None
-        assert cached.program_name == "hi"
-
     def test_compare_rejects_sampling(self, capsys):
         """compare needs full scans, so it has no sampling flags at all:
         argparse refuses them (a flag a subcommand accepts is a flag it
