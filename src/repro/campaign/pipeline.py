@@ -103,9 +103,12 @@ class ExecutionReport:
     #: through the same journal-merge path a resume uses.
     composed_hits: int = 0
     #: Per-worker attribution of executed work units, as sorted
-    #: ``(worker_name, units)`` pairs.  Populated by the distributed
+    #: ``(worker_name, units)`` pairs.  Populated by the fabric
     #: coordinator (every unit names the worker whose submission was
-    #: accounted); empty for single-host campaigns.
+    #: accounted) for ``coordinator`` and ``scan --dist N`` campaigns,
+    #: on one host or many; empty in process and for ``jobs=N``, whose
+    #: local fabric clears it on purpose (``attribute=False``) so its
+    #: report matches an in-process run's.
     workers: tuple = field(default_factory=tuple)
     #: Result frames rejected before merging: CRC mismatch (payload
     #: corrupted between the worker's executor and the coordinator) or

@@ -18,7 +18,9 @@ Commands:
     tune the fabric's lease policy, for ``--jobs`` and ``--dist``
     alike: a lease past its wall-clock deadline is a failed attempt,
     retried, and reported missing once its retries are spent — never a
-    result.
+    result.  ``--shards`` / ``--chaos`` / ``--chaos-seed`` /
+    ``--crosscheck`` configure the ``--dist`` fabric and are refused
+    without it.
     ``--no-convergence`` / ``--checkpoint-stride`` control the
     early exits (golden checkpoint ladder + state memo; a pure
     optimization, outcomes are identical either way), which the
@@ -58,10 +60,6 @@ Commands:
     the program from shipped source and re-verifies the golden run
     before executing, reconnects with backoff after a coordinator
     restart, and exits when the campaign completes.
-
-Exit codes: ``0`` success; ``3`` when a scan finished *incomplete*
-(shards abandoned after their retry budget — the printed report lists
-the missing units), so scripted campaigns can detect degraded results.
 ``fig3``
     Run the Section IV dilution experiment and print the table.
 ``fig2 [--rounds N] [--items N]``
@@ -72,6 +70,10 @@ the missing units), so scripted campaigns can detect degraded results.
     golden run and prints every registered domain's fault-space size.
 ``render <program>``
     Print the ASCII fault-space diagram of a (small) program.
+
+Exit codes: ``0`` success; ``3`` when a scan finished *incomplete*
+(shards abandoned after their retry budget — the printed report lists
+the missing units), so scripted campaigns can detect degraded results.
 """
 
 from __future__ import annotations
@@ -275,13 +277,21 @@ def _print_scan(scan) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.dist and (args.jobs is not None or args.samples):
+        raise SystemExit("--dist spawns its own workers and serves full "
+                         "scans; drop --jobs / --samples")
+    # Only the --dist fabric reads these; without it they would be lost.
+    fabric = {"--shards": args.shards, "--chaos": args.chaos,
+              "--chaos-seed": args.chaos_seed,
+              "--crosscheck": args.crosscheck}
+    for flag, value in fabric.items():
+        if not args.dist and value is not None:
+            raise SystemExit(f"{flag} configures the --dist fabric; "
+                             f"add --dist N or drop {flag}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     space = domain.fault_space(golden)
     resume = not args.fresh
-    if args.dist and (args.jobs is not None or args.samples):
-        raise SystemExit("--dist spawns its own workers and serves full "
-                         "scans; drop --jobs / --samples")
     print(f"{program.name} [{domain.name} domain]: "
           f"Δt={golden.cycles} cycles, w={space.size}")
     if args.samples:
@@ -305,9 +315,10 @@ def cmd_scan(args) -> int:
     if args.dist:
         return _print_scan(run_distributed_scan(
             golden, workers=args.dist, domain=domain,
-            executor_config=config, policy=policy, shards=args.shards,
-            journal=args.journal, resume=resume,
-            chaos=_chaos_plan(args), crosscheck=args.crosscheck,
+            executor_config=config, policy=policy,
+            shards=args.shards or DEFAULT_SHARDS,
+            journal=args.journal, resume=resume, chaos=_chaos_plan(args),
+            crosscheck=args.crosscheck or 0.0,
             progress=_eta_progress("classes")))
     scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
                          journal=args.journal, resume=resume,
@@ -450,16 +461,17 @@ def cmd_coordinator(args) -> int:
 
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
+    shards = args.shards or DEFAULT_SHARDS
     # Bind before announcing, so `--port 0` (OS-assigned) prints the
     # port workers can actually connect to.
     sock = socket.create_server((args.host, args.port))
     host, port = sock.getsockname()[:2]
     coordinator = DistCoordinator(
         golden, sock=sock, domain=domain, executor_config=config,
-        policy=policy, shards=args.shards, chaos=_chaos_plan(args),
-        crosscheck=args.crosscheck)
+        policy=policy, shards=shards, chaos=_chaos_plan(args),
+        crosscheck=args.crosscheck or 0.0)
     print(f"{program.name} [{domain.name} domain]: serving distributed scan "
-          f"on {host}:{port} ({args.shards} shards); start workers with\n"
+          f"on {host}:{port} ({shards} shards); start workers with\n"
           f"  repro worker --connect {host}:{port}", file=sys.stderr)
     return _print_scan(serve_scan(
         coordinator, journal=args.journal, resume=not args.fresh,
@@ -593,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fabric_args(cmd) -> None:
         cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
-                         default=DEFAULT_SHARDS,
-                         help="work-lease granularity (default: %(default)s)")
+                         help=f"work-lease granularity "
+                              f"(default: {DEFAULT_SHARDS})")
         cmd.add_argument("--chaos-seed", type=int, metavar="SEED",
                          help="seed the deterministic fabric chaos "
                               "schedule (with --chaos; alone it names "
@@ -604,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "'{\"drop_rate\": 0.1, \"kill_rate\": "
                               "0.02}' — every worker runs this seeded "
                               "schedule (see campaign.dist.chaos)")
-        cmd.add_argument("--crosscheck", type=_fraction_arg, default=0.0,
+        cmd.add_argument("--crosscheck", type=_fraction_arg,
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "
                               "a second worker and byte-compare (a "
@@ -632,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_campaign_args(resume, journal_required=True)
     add_jobs_arg(resume)
     add_sampling_args(resume)
-    resume.set_defaults(func=cmd_resume, fresh=False, dist=None)
+    resume.set_defaults(func=cmd_resume, fresh=False, dist=None,
+                        shards=None, chaos=None, chaos_seed=None,
+                        crosscheck=None)
 
     compare = sub.add_parser(
         "compare",

@@ -28,10 +28,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 
 from ..isa.tracing import READ, WRITE, MemoryTrace
-from .model import FaultCoordinate, FaultSpace
+from .model import CellSpace, FaultSpace
 
 #: Class kinds.
 LIVE = "live"
@@ -49,13 +48,15 @@ _BAD_EVENT = "bad trace event for byte {addr} at {slot}"
 def trace_intervals(trace: MemoryTrace, fault_space, interval, *,
                     beyond: str = _BAD_EVENT,
                     disorder: str = _BAD_EVENT) -> dict[int, list]:
-    """``addr → intervals``: the per-byte def/use walk of a memory trace
-    that every memory-trace partition is built from.
+    """``cell → intervals``: the per-cell def/use walk that every
+    def/use partition is built from.
 
-    ``interval(addr, first_slot, last_slot, kind)`` builds one class.
+    ``trace.accesses(cell)`` lists each cell of ``fault_space.cells`` in
+    order (a register trace lists registers under their numbers).
+    ``interval(cell, first_slot, last_slot, kind)`` builds one class.
     ``beyond`` / ``disorder`` are the ``ValueError`` messages
-    (``str.format`` over ``addr`` and ``slot``) for an access past the
-    run's end and one out of order.
+    (``str.format`` over ``addr``, the cell, and ``slot``) for an
+    access past the run's end and one out of order.
     """
     if trace.total_slots != fault_space.cycles:
         raise ValueError(
@@ -63,40 +64,50 @@ def trace_intervals(trace: MemoryTrace, fault_space, interval, *,
             f"has {fault_space.cycles} cycles")
     total = fault_space.cycles
     intervals: dict[int, list] = {}
-    for addr in range(fault_space.ram_bytes):
-        byte_intervals = intervals[addr] = []
-        prev_slot = 0  # machine reset defines every byte at slot 0
-        for event in trace.accesses(addr):
+    for cell in fault_space.cells:
+        cell_intervals = intervals[cell] = []
+        prev_slot = 0  # machine reset defines every cell at slot 0
+        for event in trace.accesses(cell):
             slot = event.slot
             if slot > total:
-                raise ValueError(beyond.format(addr=addr, slot=slot))
+                raise ValueError(beyond.format(addr=cell, slot=slot))
             if slot <= prev_slot:
-                raise ValueError(disorder.format(addr=addr, slot=slot))
-            byte_intervals.append(
-                interval(addr, prev_slot + 1, slot, _ENDS[event.kind]))
+                raise ValueError(disorder.format(addr=cell, slot=slot))
+            cell_intervals.append(
+                interval(cell, prev_slot + 1, slot, _ENDS[event.kind]))
             prev_slot = slot
         if prev_slot < total:
-            byte_intervals.append(interval(addr, prev_slot + 1, total, DEAD))
+            cell_intervals.append(interval(cell, prev_slot + 1, total, DEAD))
     return intervals
 
 
+@dataclass
 class IntervalPartition:
     """What every def/use partition answers the same way.
 
-    A subclass is a dataclass with ``fault_space`` and ``intervals``
-    (``axis → classes`` in chronological order, exactly covering
-    ``[1, fault_space.cycles]``), and states ``units``: the
-    experiments per live class, which are also a class's coordinates
-    per slot.
+    ``fault_space`` is the model's :class:`~.model.CellSpace`;
+    ``intervals[axis]`` lists the axis's classes in chronological order,
+    exactly covering ``[1, fault_space.cycles]``.
     """
 
-    units: int
-    #: The axis (``intervals`` key) of a class or a coordinate.
-    axis = attrgetter("addr")
+    fault_space: CellSpace
+    intervals: dict[int, list] = field(default_factory=dict)
+
     #: :meth:`validate`'s messages (``str.format`` over ``axis``,
     #: ``interval``, ``expected`` = ``last + 1`` and ``cycles``).
     gap = "({axis}, {interval})"
     end = "({axis}, {expected})"
+
+    @property
+    def units(self) -> int:
+        """Experiments per live class, which are also a class's
+        coordinates per slot."""
+        return self.fault_space.units
+
+    @property
+    def axis(self):
+        """The axis (``intervals`` key) of a class or a coordinate."""
+        return self.fault_space.cell
 
     def byte_intervals(self, addr: int) -> list:
         return self.intervals.get(addr, [])
@@ -198,19 +209,18 @@ class IntervalPartition:
         return self.fault_space.size / experiments
 
 
-@dataclass(frozen=True)
-class ByteInterval:
-    """One def/use equivalence class covering all 8 bits of one byte.
+class CellInterval:
+    """One cell over ``[first_slot, last_slot]``, live or dead, weighing
+    ``length × units``, whose experiments are ``units`` coordinates at
+    ``last_slot``: the def/use class every cell fault model shares.
 
-    The interval spans injection slots ``[first_slot, last_slot]``
-    (inclusive).  For live intervals, ``last_slot`` is the slot of the
-    activating read, which is also the representative injection slot.
+    A model's class is a frozen dataclass on this base that declares its
+    fields (the cell, named as in its coordinates, then ``first_slot``,
+    ``last_slot`` and ``kind``) and its fault-space type ``space``, whose
+    ``units``, ``point`` and ``cell`` it uses.  For live classes,
+    ``last_slot`` is the slot of the activating read, which is also the
+    representative injection slot.
     """
-
-    addr: int
-    first_slot: int
-    last_slot: int
-    kind: str  # LIVE or DEAD
 
     def __post_init__(self) -> None:
         if self.first_slot > self.last_slot:
@@ -220,14 +230,19 @@ class ByteInterval:
             raise ValueError(f"bad kind {self.kind!r}")
 
     @property
+    def units(self) -> int:
+        """Coordinates per covered slot, one experiment each."""
+        return self.space.units
+
+    @property
     def length(self) -> int:
-        """Data lifetime in cycles — the per-bit weight of this class."""
+        """Data lifetime in cycles — the per-unit weight of this class."""
         return self.last_slot - self.first_slot + 1
 
     @property
     def weight_bits(self) -> int:
-        """Total fault-space coordinates covered (all 8 bits)."""
-        return self.length * 8
+        """Total fault-space coordinates covered (all units)."""
+        return self.length * self.units
 
     @property
     def injection_slot(self) -> int:
@@ -237,15 +252,27 @@ class ByteInterval:
     def covers(self, slot: int) -> bool:
         return self.first_slot <= slot <= self.last_slot
 
-    def experiments(self):
-        """The 8 representative fault coordinates (one per bit)."""
+    def experiments(self) -> list:
+        """The ``units`` representative coordinates (one per unit)."""
         if self.kind != LIVE:
             raise ValueError("dead classes need no experiments")
-        return [FaultCoordinate(slot=self.last_slot, addr=self.addr, bit=b)
-                for b in range(8)]
+        point, cell = self.space.point, self.space.cell(self)
+        return [point(self.last_slot, cell, unit)
+                for unit in range(self.units)]
 
 
-@dataclass
+@dataclass(frozen=True)
+class ByteInterval(CellInterval):
+    """One def/use equivalence class covering all 8 bits of one byte."""
+
+    addr: int
+    first_slot: int
+    last_slot: int
+    kind: str  # LIVE or DEAD
+
+    space = FaultSpace
+
+
 class DefUsePartition(IntervalPartition):
     """The complete def/use partitioning of a benchmark's fault space.
 
@@ -253,10 +280,6 @@ class DefUsePartition(IntervalPartition):
     order, exactly covering ``[1, fault_space.cycles]``.
     """
 
-    fault_space: FaultSpace
-    intervals: dict[int, list[ByteInterval]] = field(default_factory=dict)
-
-    units = 8  # bits per byte
     gap = "byte {axis}: gap before slot {interval.first_slot}"
     end = "byte {axis}: intervals end at {last}, expected {cycles}"
 

@@ -7,12 +7,15 @@ state.  A :class:`FaultDomain` bundles everything the campaign engine
 needs to know about one such fault model:
 
 * the **fault space** spanned by a golden run (``Δt × Δm`` memory bits,
-  ``Δt × 15 regs × 32 bits``, ...);
+  ``Δt × 15 regs × 32 bits``, ...) — one
+  :class:`~repro.faultspace.model.CellSpace` grid, whose coordinate
+  factory and cell accessor connect classes, raw coordinates and
+  campaign dictionaries;
 * the **def/use partition builder** that prunes that space into
-  equivalence classes;
-* the **class key** and **coordinate factory** that connect intervals,
-  raw coordinates and campaign dictionaries;
-* the **injector** that applies a fault coordinate to a paused machine.
+  equivalence classes (:class:`~repro.faultspace.defuse.CellInterval`
+  for every def/use model);
+* the **injector** that applies a fault coordinate to a paused machine,
+  and the **criticality** query that may prove it harmless.
 
 The generic runners (:mod:`repro.campaign.runner`), the fabric
 (:mod:`repro.campaign.dist`), the samplers
@@ -21,56 +24,42 @@ written against this interface, so a new fault model (multi-bit faults,
 instruction operands, ...) is one subclass plus a :data:`DOMAINS` entry —
 not another fork of the campaign stack.
 
-Domains are stateless singletons (:data:`MEMORY`, :data:`REGISTER`);
-they pickle trivially, which the multi-process campaign engine relies
-on.  ``get_domain`` accepts either a domain instance or its registry
-name, so every public API takes ``domain="register"`` as a convenience.
+The six built-in domains (:data:`DOMAINS`: memory, register, burst2,
+burst4, stuck, pc) are stateless singletons.  A campaign's workers are
+forked fabric workers that resolve the domain by its registry name, and
+``get_domain`` accepts either a domain instance or that name, so every
+public API takes ``domain="register"`` as a convenience.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from ..isa.isa import NUM_REGS
-from .burst import (
-    BurstFaultSpace,
-    BurstInterval,
-    BurstPartition,
-    burst_positions,
-)
-from .defuse import ByteInterval, DefUsePartition
+from .burst import BurstFaultSpace, BurstPartition, burst_positions
+from .defuse import DefUsePartition
 from .model import FaultCoordinate, FaultSpace
-from .pcreg import (
-    PC_BITS,
-    PCFaultCoordinate,
-    PCFaultSpace,
-    PCInterval,
-    PCPartition,
-)
+from .pcreg import PCFaultCoordinate, PCFaultSpace, PCInterval, PCPartition
 from .registers import (
-    REGISTER_BITS,
     RegisterFaultCoordinate,
     RegisterFaultSpace,
-    RegisterInterval,
     RegisterPartition,
 )
-from .stuckat import (
-    STUCK_BITS,
-    StuckAtCoordinate,
-    StuckAtFaultSpace,
-    StuckAtInterval,
-    StuckAtPartition,
-)
+from .stuckat import StuckAtCoordinate, StuckAtFaultSpace, StuckAtPartition
 
 
 class FaultDomain:
     """Interface one fault model exposes to the generic campaign stack.
 
-    Subclasses define class attributes ``name`` (registry key, also used
-    for persistence) and ``bits`` (experiments per live equivalence
-    class — the bit width of one unit on the domain's spatial axis), and
-    implement every method below.  Instances must be stateless: the
-    parallel engine ships them to worker processes by name.
+    A subclass defines ``name`` (registry key, also used for
+    persistence) and ``space_type`` (its
+    :class:`~repro.faultspace.model.CellSpace` class), and implements
+    :meth:`fault_space`, :meth:`build_partition`, :meth:`inject` and
+    :meth:`cell_critical`.  The coordinate and axis hooks are answered
+    from the space type, whose cells are the spatial axis; ``bits`` is
+    its units unless the domain states otherwise.  A domain whose
+    classes are not one cell each (the PC's grouped classes) overrides
+    the hooks that differ.  Instances must be stateless: fabric workers
+    resolve them by name.
 
     Two capability flags tell the engines what a model needs; the
     conservative default is chosen so that *forgetting* to set a flag
@@ -89,8 +78,8 @@ class FaultDomain:
 
     #: Registry name, also stored in :class:`CampaignSummary.domain`.
     name: str = ""
-    #: Bits per spatial unit == experiments per live class.
-    bits: int = 0
+    #: The model's :class:`~repro.faultspace.model.CellSpace` class.
+    space_type: type
     #: Injection arms state that outlives the injection instant.
     persistent: bool = False
     #: Faults redirect control flow directly (PC corruption).
@@ -106,11 +95,16 @@ class FaultDomain:
         """Def/use-prune the domain's fault space (validated)."""
         raise NotImplementedError
 
+    @property
+    def bits(self) -> int:
+        """Bits per spatial unit == experiments per live class."""
+        return self.space_type.units
+
     # -- coordinates and classes ----------------------------------------------
 
     def axis_of(self, interval) -> int:
         """The spatial-axis index of an equivalence class (addr / reg)."""
-        raise NotImplementedError
+        return self.space_type.cell(interval)
 
     def class_key(self, interval) -> tuple[int, int]:
         """Hashable identity of a class: ``(axis, first_slot)``."""
@@ -118,15 +112,17 @@ class FaultDomain:
 
     def coordinate(self, slot: int, axis: int, bit: int):
         """Build a raw fault coordinate from (slot, axis, bit)."""
-        raise NotImplementedError
+        return self.space_type.point(slot, axis, bit)
 
     def coordinate_axis(self, coordinate) -> int:
         """The spatial-axis index of a raw coordinate."""
-        raise NotImplementedError
+        return self.space_type.cell(coordinate)
 
     def slot_coordinates(self, space, slot: int) -> Iterator:
-        """All raw coordinates of one injection slot, in scan order."""
-        raise NotImplementedError
+        """All raw coordinates of one injection slot, in scan order:
+        the slot's row of the space's grid."""
+        row = space.slot_bits
+        return map(space.coordinate, range((slot - 1) * row, slot * row))
 
     # -- experiments per class ------------------------------------------------
     #
@@ -202,28 +198,13 @@ class MemoryDomain(FaultDomain):
     """The paper's fault model: single bit flips in main memory."""
 
     name = "memory"
-    bits = 8
+    space_type = FaultSpace
 
     def fault_space(self, golden) -> FaultSpace:
         return golden.fault_space
 
     def build_partition(self, golden) -> DefUsePartition:
         return golden.partition()
-
-    def axis_of(self, interval: ByteInterval) -> int:
-        return interval.addr
-
-    def coordinate(self, slot: int, axis: int, bit: int) -> FaultCoordinate:
-        return FaultCoordinate(slot=slot, addr=axis, bit=bit)
-
-    def coordinate_axis(self, coordinate: FaultCoordinate) -> int:
-        return coordinate.addr
-
-    def slot_coordinates(self, space: FaultSpace,
-                         slot: int) -> Iterator[FaultCoordinate]:
-        for addr in range(space.ram_bytes):
-            for bit in range(8):
-                yield FaultCoordinate(slot=slot, addr=addr, bit=bit)
 
     def inject(self, machine, coordinate: FaultCoordinate) -> None:
         machine.flip_bit(coordinate.addr, coordinate.bit)
@@ -238,7 +219,7 @@ class RegisterDomain(FaultDomain):
     """Section VI-B: single bit flips in the general-purpose registers."""
 
     name = "register"
-    bits = REGISTER_BITS
+    space_type = RegisterFaultSpace
 
     def fault_space(self, golden) -> RegisterFaultSpace:
         return RegisterFaultSpace(cycles=golden.cycles)
@@ -248,22 +229,6 @@ class RegisterDomain(FaultDomain):
             golden.program.rom, golden.executed_pcs())
         partition.validate()
         return partition
-
-    def axis_of(self, interval: RegisterInterval) -> int:
-        return interval.reg
-
-    def coordinate(self, slot: int, axis: int,
-                   bit: int) -> RegisterFaultCoordinate:
-        return RegisterFaultCoordinate(slot=slot, reg=axis, bit=bit)
-
-    def coordinate_axis(self, coordinate: RegisterFaultCoordinate) -> int:
-        return coordinate.reg
-
-    def slot_coordinates(self, space: RegisterFaultSpace,
-                         slot: int) -> Iterator[RegisterFaultCoordinate]:
-        for reg in range(1, NUM_REGS):
-            for bit in range(REGISTER_BITS):
-                yield RegisterFaultCoordinate(slot=slot, reg=reg, bit=bit)
 
     def inject(self, machine, coordinate: RegisterFaultCoordinate) -> None:
         machine.flip_register_bit(coordinate.reg, coordinate.bit)
@@ -283,10 +248,15 @@ class BurstDomain(FaultDomain):
     identity and section fingerprint automatically.
     """
 
+    space_type = BurstFaultSpace
+
     def __init__(self, width: int):
         self.width = width
         self.name = f"burst{width}"
-        self.bits = burst_positions(width)
+
+    @property
+    def bits(self) -> int:
+        return burst_positions(self.width)
 
     def fault_space(self, golden) -> BurstFaultSpace:
         return BurstFaultSpace(cycles=golden.cycles,
@@ -299,38 +269,20 @@ class BurstDomain(FaultDomain):
         partition.validate()
         return partition
 
-    def axis_of(self, interval: BurstInterval) -> int:
-        return interval.addr
-
-    def coordinate(self, slot: int, axis: int, bit: int) -> FaultCoordinate:
-        return FaultCoordinate(slot=slot, addr=axis, bit=bit)
-
-    def coordinate_axis(self, coordinate: FaultCoordinate) -> int:
-        return coordinate.addr
-
-    def slot_coordinates(self, space: BurstFaultSpace,
-                         slot: int) -> Iterator[FaultCoordinate]:
-        for addr in range(space.ram_bytes):
-            for start in range(space.positions):
-                yield FaultCoordinate(slot=slot, addr=addr, bit=start)
-
     def inject(self, machine, coordinate: FaultCoordinate) -> None:
         for bit in range(coordinate.bit, coordinate.bit + self.width):
             machine.flip_bit(coordinate.addr, bit)
 
-    def cell_critical(self, criticality,
-                      coordinate: FaultCoordinate) -> bool:
-        # Criticality is tracked per byte: if the byte cannot influence
-        # the outcome, neither can any burst inside it.
-        return criticality.byte_critical(coordinate.slot - 1,
-                                         coordinate.addr)
+    # Criticality is tracked per byte: if the byte cannot influence the
+    # outcome, neither can any burst inside it.
+    cell_critical = MemoryDomain.cell_critical
 
 
 class StuckAtDomain(FaultDomain):
     """Stuck-at-until-write faults: a RAM bit forced to 0/1 (DAVOS)."""
 
     name = "stuck"
-    bits = STUCK_BITS
+    space_type = StuckAtFaultSpace
     #: The latch outlives the injection instant.
     persistent = True
 
@@ -343,22 +295,6 @@ class StuckAtDomain(FaultDomain):
                                                 self.fault_space(golden))
         partition.validate()
         return partition
-
-    def axis_of(self, interval: StuckAtInterval) -> int:
-        return interval.addr
-
-    def coordinate(self, slot: int, axis: int,
-                   bit: int) -> StuckAtCoordinate:
-        return StuckAtCoordinate(slot=slot, addr=axis, bit=bit)
-
-    def coordinate_axis(self, coordinate: StuckAtCoordinate) -> int:
-        return coordinate.addr
-
-    def slot_coordinates(self, space: StuckAtFaultSpace,
-                         slot: int) -> Iterator[StuckAtCoordinate]:
-        for addr in range(space.ram_bytes):
-            for bit in range(STUCK_BITS):
-                yield StuckAtCoordinate(slot=slot, addr=addr, bit=bit)
 
     def inject(self, machine, coordinate: StuckAtCoordinate) -> None:
         machine.stuck_at(coordinate.addr, coordinate.bitpos,
@@ -376,6 +312,7 @@ class PCDomain(FaultDomain):
     """Single bit flips in the program counter (Section VI-B's list)."""
 
     name = "pc"
+    space_type = PCFaultSpace
     bits = 1  # every PC class has exactly one representative experiment
     #: A flipped PC transfers control anywhere in the ROM.
     control_hazard = True
@@ -392,22 +329,11 @@ class PCDomain(FaultDomain):
     def axis_of(self, interval: PCInterval) -> int:
         return interval.axis
 
-    def coordinate(self, slot: int, axis: int,
-                   bit: int) -> PCFaultCoordinate:
-        # Journal rows key grouped classes by the sentinel axis and the
-        # experiment index; the physical bit lives in the coordinate.
-        return PCFaultCoordinate(slot=slot, bit=bit)
-
     def coordinate_axis(self, coordinate: PCFaultCoordinate) -> int:
         # A raw PC coordinate's class axis depends on the golden pc at
         # its slot (partition state); as a pure journal/sort key the
         # physical bit is deterministic and collision-free per slot.
         return coordinate.bit
-
-    def slot_coordinates(self, space: PCFaultSpace,
-                         slot: int) -> Iterator[PCFaultCoordinate]:
-        for bit in range(PC_BITS):
-            yield PCFaultCoordinate(slot=slot, bit=bit)
 
     # -- grouped-class experiment hooks ---------------------------------------
 

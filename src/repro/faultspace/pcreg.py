@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .defuse import LIVE
+from .model import CellSpace
 
 #: Bits of the program counter.
 PC_BITS = 32
@@ -63,43 +64,20 @@ class PCFaultCoordinate:
 
 
 @dataclass(frozen=True)
-class PCFaultSpace:
-    """``Δt × 32`` PC-bit coordinates."""
+class PCFaultSpace(CellSpace):
+    """``Δt × 32`` PC-bit coordinates: one cell, row-major over (slot,
+    bit)."""
 
-    cycles: int
+    cells = range(1)
+    units = PC_BITS
 
-    def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ValueError("fault space needs at least one cycle")
+    @staticmethod
+    def point(slot: int, cell: int, bit: int) -> PCFaultCoordinate:
+        return PCFaultCoordinate(slot=slot, bit=bit)
 
-    @property
-    def slot_bits(self) -> int:
-        return PC_BITS
-
-    @property
-    def size(self) -> int:
-        return self.cycles * PC_BITS
-
-    def contains(self, coord: PCFaultCoordinate) -> bool:
-        return 1 <= coord.slot <= self.cycles
-
-    def coordinate(self, index: int) -> PCFaultCoordinate:
-        """Flat index → coordinate, row-major over (slot, bit)."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside fault space")
-        slot, bit = divmod(index, PC_BITS)
-        return PCFaultCoordinate(slot=slot + 1, bit=bit)
-
-    def index(self, coord: PCFaultCoordinate) -> int:
-        """Inverse of :meth:`coordinate`."""
-        if not self.contains(coord):
-            raise IndexError(f"{coord} outside fault space")
-        return (coord.slot - 1) * PC_BITS + coord.bit
-
-    def iter_coordinates(self):
-        for slot in range(1, self.cycles + 1):
-            for bit in range(PC_BITS):
-                yield PCFaultCoordinate(slot=slot, bit=bit)
+    @staticmethod
+    def cell(coord: PCFaultCoordinate) -> int:
+        return 0
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,14 @@ that extension for the machine's general-purpose register file:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from ..isa.isa import Instruction, LOAD_OPS, NUM_REGS, Op, STORE_OPS
-from .defuse import DEAD, LIVE, IntervalPartition
+from ..isa.tracing import READ, WRITE, AccessEvent, MemoryTrace
+from .defuse import DEAD, LIVE  # noqa: F401 - the class kinds, re-exported
+from .defuse import CellInterval, IntervalPartition, trace_intervals
+from .model import CellSpace
 
 #: Bits per register.
 REGISTER_BITS = 32
@@ -78,58 +81,17 @@ class RegisterFaultCoordinate:
 
 
 @dataclass(frozen=True)
-class RegisterFaultSpace:
-    """Δt × 15 registers × 32 bits."""
+class RegisterFaultSpace(CellSpace):
+    """Δt × 15 registers × 32 bits, row-major over (slot, reg, bit)."""
 
-    cycles: int
-
-    def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ValueError("fault space needs at least one cycle")
-
-    @property
-    def size(self) -> int:
-        return self.cycles * (NUM_REGS - 1) * REGISTER_BITS
-
-    @property
-    def slot_bits(self) -> int:
-        """Fault-space coordinates per injection slot (15 regs × 32)."""
-        return (NUM_REGS - 1) * REGISTER_BITS
-
-    def contains(self, coord: RegisterFaultCoordinate) -> bool:
-        return 1 <= coord.slot <= self.cycles
-
-    def coordinate(self, index: int) -> RegisterFaultCoordinate:
-        """Map a flat index in ``[0, size)`` to a coordinate.
-
-        Row-major over (slot, reg, bit), mirroring
-        :meth:`repro.faultspace.model.FaultSpace.coordinate`; samplers
-        draw uniform flat indices and convert them here, which gives
-        the raw-space uniformity Pitfall 2 demands in this domain too.
-        """
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside fault space")
-        slot, rest = divmod(index, self.slot_bits)
-        reg, bit = divmod(rest, REGISTER_BITS)
-        return RegisterFaultCoordinate(slot=slot + 1, reg=reg + 1, bit=bit)
-
-    def index(self, coord: RegisterFaultCoordinate) -> int:
-        """Inverse of :meth:`coordinate`."""
-        if not self.contains(coord):
-            raise IndexError(f"{coord} outside fault space")
-        return ((coord.slot - 1) * self.slot_bits
-                + (coord.reg - 1) * REGISTER_BITS + coord.bit)
-
-    def iter_coordinates(self):
-        for slot in range(1, self.cycles + 1):
-            for reg in range(1, NUM_REGS):
-                for bit in range(REGISTER_BITS):
-                    yield RegisterFaultCoordinate(slot=slot, reg=reg,
-                                                  bit=bit)
+    cells = range(1, NUM_REGS)  # r0 is hardwired to zero
+    units = REGISTER_BITS
+    point = RegisterFaultCoordinate
+    cell = attrgetter("reg")
 
 
 @dataclass(frozen=True)
-class RegisterInterval:
+class RegisterInterval(CellInterval):
     """A def/use equivalence class of one register over ``[first_slot,
     last_slot]`` (32 bits wide)."""
 
@@ -138,39 +100,11 @@ class RegisterInterval:
     last_slot: int
     kind: str
 
-    @property
-    def length(self) -> int:
-        return self.last_slot - self.first_slot + 1
-
-    @property
-    def weight_bits(self) -> int:
-        return self.length * REGISTER_BITS
-
-    @property
-    def injection_slot(self) -> int:
-        return self.last_slot
-
-    def covers(self, slot: int) -> bool:
-        return self.first_slot <= slot <= self.last_slot
-
-    def experiments(self) -> list[RegisterFaultCoordinate]:
-        if self.kind != LIVE:
-            raise ValueError("dead classes need no experiments")
-        return [RegisterFaultCoordinate(slot=self.last_slot, reg=self.reg,
-                                        bit=b)
-                for b in range(REGISTER_BITS)]
+    space = RegisterFaultSpace
 
 
-@dataclass
 class RegisterPartition(IntervalPartition):
     """Def/use partition of the register fault space."""
-
-    fault_space: RegisterFaultSpace
-    intervals: dict[int, list[RegisterInterval]] = field(
-        default_factory=dict)
-
-    units = REGISTER_BITS
-    axis = attrgetter("reg")
 
     @classmethod
     def from_pc_trace(cls, rom: list[Instruction],
@@ -179,40 +113,27 @@ class RegisterPartition(IntervalPartition):
 
         ``pc_trace[t]`` is the ROM index of the instruction executed at
         slot ``t + 1``.  Register accesses are derived from the opcode
-        table; machine reset (all registers zero) counts as a def at
-        slot 0.
+        table and walked like a memory trace; machine reset (all
+        registers zero) counts as a def at slot 0.
         """
         total = len(pc_trace)
         if total < 1:
             raise ValueError("empty pc trace")
-        partition = cls(fault_space=RegisterFaultSpace(cycles=total))
-        # Collect per-register chronological events.
-        events: dict[int, list[tuple[int, bool]]] = {
-            reg: [] for reg in range(1, NUM_REGS)}
-        for index, pc in enumerate(pc_trace):
-            slot = index + 1
-            instr = rom[pc]
-            for reg in register_reads(instr):
-                events[reg].append((slot, False))
-            for reg in register_writes(instr):
-                events[reg].append((slot, True))
-        for reg in range(1, NUM_REGS):
-            intervals: list[RegisterInterval] = []
-            prev = 0
-            for slot, is_write in events[reg]:
-                if slot == prev:
-                    # Same instruction reads and writes the register
-                    # (e.g. addi r1, r1, 1): the read happened first and
-                    # already closed the interval; the write opens the
-                    # next one at the same slot boundary.
-                    continue
-                intervals.append(RegisterInterval(
-                    reg=reg, first_slot=prev + 1, last_slot=slot,
-                    kind=DEAD if is_write else LIVE))
-                prev = slot
-            if prev < total:
-                intervals.append(RegisterInterval(
-                    reg=reg, first_slot=prev + 1, last_slot=total,
-                    kind=DEAD))
-            partition.intervals[reg] = intervals
-        return partition
+        fault_space = RegisterFaultSpace(cycles=total)
+        events: dict[int, list[AccessEvent]] = {
+            reg: [] for reg in fault_space.cells}
+        accesses: dict[int, list[tuple[int, int]]] = {}  # pc → (reg, kind)
+        for slot, pc in enumerate(pc_trace, 1):
+            if pc not in accesses:
+                reads = register_reads(rom[pc])
+                # An instruction that reads and writes a register (e.g.
+                # addi r1, r1, 1) reads it first, which closes the live
+                # interval at this slot; the write opens nothing.
+                accesses[pc] = [(reg, READ) for reg in reads] + [
+                    (reg, WRITE) for reg in register_writes(rom[pc])
+                    if reg not in reads]
+            for reg, kind in accesses[pc]:
+                events[reg].append(AccessEvent(slot, kind))
+        trace = MemoryTrace(events=events, total_slots=total)
+        return cls(fault_space=fault_space, intervals=trace_intervals(
+            trace, fault_space, RegisterInterval))

@@ -32,10 +32,11 @@ Def/use pruning — soundness per model (Pitfall 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.tracing import MemoryTrace
-from .defuse import DEAD, LIVE, IntervalPartition, trace_intervals
+from .defuse import CellInterval, IntervalPartition, trace_intervals
+from .model import CellSpace, FaultSpace
 
 #: Experiments per byte and class: 8 bit positions × 2 forced values.
 STUCK_BITS = 16
@@ -73,55 +74,22 @@ class StuckAtCoordinate:
 
 
 @dataclass(frozen=True)
-class StuckAtFaultSpace:
-    """``Δt × Δm_bytes × 16`` stuck-at coordinates."""
+class StuckAtFaultSpace(CellSpace):
+    """``Δt × Δm_bytes × 16`` stuck-at coordinates, row-major over
+    (slot, addr, bit)."""
 
-    cycles: int
     ram_bytes: int
 
-    def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ValueError("fault space needs at least one cycle")
-        if self.ram_bytes < 1:
-            raise ValueError("fault space needs at least one RAM byte")
-
-    @property
-    def byte_units(self) -> int:
-        """Coordinates per injection slot."""
-        return self.ram_bytes * STUCK_BITS
-
-    @property
-    def size(self) -> int:
-        return self.cycles * self.byte_units
-
-    def contains(self, coord: StuckAtCoordinate) -> bool:
-        return (1 <= coord.slot <= self.cycles
-                and 0 <= coord.addr < self.ram_bytes)
-
-    def coordinate(self, index: int) -> StuckAtCoordinate:
-        """Flat index → coordinate, row-major over (slot, addr, bit)."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside fault space")
-        slot, rest = divmod(index, self.byte_units)
-        addr, bit = divmod(rest, STUCK_BITS)
-        return StuckAtCoordinate(slot=slot + 1, addr=addr, bit=bit)
-
-    def index(self, coord: StuckAtCoordinate) -> int:
-        """Inverse of :meth:`coordinate`."""
-        if not self.contains(coord):
-            raise IndexError(f"{coord} outside fault space")
-        return ((coord.slot - 1) * self.byte_units
-                + coord.addr * STUCK_BITS + coord.bit)
-
-    def iter_coordinates(self):
-        for slot in range(1, self.cycles + 1):
-            for addr in range(self.ram_bytes):
-                for bit in range(STUCK_BITS):
-                    yield StuckAtCoordinate(slot=slot, addr=addr, bit=bit)
+    units = STUCK_BITS
+    point = StuckAtCoordinate
+    cell = FaultSpace.cell
+    cells = FaultSpace.cells
+    #: Coordinates per injection slot.
+    byte_units = CellSpace.slot_bits
 
 
 @dataclass(frozen=True)
-class StuckAtInterval:
+class StuckAtInterval(CellInterval):
     """One equivalence class covering all 16 experiments of one byte."""
 
     addr: int
@@ -129,45 +97,11 @@ class StuckAtInterval:
     last_slot: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.first_slot > self.last_slot:
-            raise ValueError(
-                f"empty interval [{self.first_slot}, {self.last_slot}]")
-        if self.kind not in (LIVE, DEAD):
-            raise ValueError(f"bad kind {self.kind!r}")
-
-    @property
-    def length(self) -> int:
-        return self.last_slot - self.first_slot + 1
-
-    @property
-    def weight_bits(self) -> int:
-        return self.length * STUCK_BITS
-
-    @property
-    def injection_slot(self) -> int:
-        return self.last_slot
-
-    def covers(self, slot: int) -> bool:
-        return self.first_slot <= slot <= self.last_slot
-
-    def experiments(self) -> list[StuckAtCoordinate]:
-        if self.kind != LIVE:
-            raise ValueError("dead classes need no experiments")
-        return [StuckAtCoordinate(slot=self.last_slot, addr=self.addr,
-                                  bit=b)
-                for b in range(STUCK_BITS)]
+    space = StuckAtFaultSpace
 
 
-@dataclass
 class StuckAtPartition(IntervalPartition):
     """Def/use partition of the stuck-at fault space."""
-
-    fault_space: StuckAtFaultSpace
-    intervals: dict[int, list[StuckAtInterval]] = field(
-        default_factory=dict)
-
-    units = STUCK_BITS
 
     @classmethod
     def from_trace(cls, trace: MemoryTrace,

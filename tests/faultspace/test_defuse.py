@@ -1,15 +1,20 @@
 """Unit and property tests for def/use pruning (Section III-C)."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faultspace import (
+    BurstInterval,
     ByteInterval,
     DEAD,
     DefUsePartition,
     FaultCoordinate,
     FaultSpace,
     LIVE,
+    RegisterInterval,
+    StuckAtInterval,
 )
 from repro.campaign import record_golden
 from repro.faultspace import get_domain
@@ -52,6 +57,17 @@ class TestByteInterval:
                                 kind=DEAD)
         with pytest.raises(ValueError):
             interval.experiments()
+
+    @pytest.mark.parametrize("make", [
+        ByteInterval, partial(BurstInterval, width=2), StuckAtInterval,
+        RegisterInterval], ids=["byte", "burst", "stuck", "register"])
+    @pytest.mark.parametrize("first,last,kind,error", [
+        (5, 4, LIVE, "empty interval"), (1, 2, "maybe", "bad kind")])
+    def test_every_cell_class_is_validated(self, make, first, last, kind,
+                                           error):
+        """One check for every def/use class type, the register's too."""
+        with pytest.raises(ValueError, match=error):
+            make(1, first, last, kind)
 
 
 class TestPartitionConstruction:

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.faultspace import FaultCoordinate, FaultSpace
+from repro.campaign import record_golden
+from repro.faultspace import DOMAINS, FaultCoordinate, FaultSpace
+from repro.programs import micro
 
 
 class TestFaultCoordinate:
@@ -77,3 +79,37 @@ class TestFaultSpace:
             assert space.index(coord) == index
             if index > 64:
                 break
+
+
+@pytest.fixture(scope="module")
+def grid_golden():
+    return record_golden(micro.counter(2))
+
+
+class TestEveryDomainGrid:
+    """Every domain's space is the same row-major (slot, cell, unit)
+    grid; the samplers' RNG-exact draws rest on this layout."""
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    @given(data=st.data())
+    def test_index_coordinate_roundtrip(self, grid_golden, name, data):
+        space = DOMAINS[name].fault_space(grid_golden)
+        index = data.draw(st.integers(min_value=0,
+                                      max_value=space.size - 1))
+        coord = space.coordinate(index)
+        assert space.contains(coord)
+        assert space.index(coord) == index
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_iteration_matches_flat_indexing(self, grid_golden, name):
+        domain = DOMAINS[name]
+        space = domain.fault_space(grid_golden)
+        coords = list(space.iter_coordinates())
+        assert len(coords) == space.size
+        for index, coord in enumerate(coords):
+            assert space.index(coord) == index
+            assert space.coordinate(index) == coord
+        row = space.size // space.cycles
+        for slot in range(1, space.cycles + 1):
+            assert (list(domain.slot_coordinates(space, slot))
+                    == coords[(slot - 1) * row:slot * row])

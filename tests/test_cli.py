@@ -326,6 +326,29 @@ class TestCliDist:
         with pytest.raises(SystemExit, match="--dist"):
             main(["scan", "hi", "--dist", "2", "--samples", "10"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--shards", "4"), ("--chaos", "{}"), ("--chaos-seed", "0"),
+        ("--crosscheck", "1.0")])
+    @pytest.mark.parametrize("mode", [[], ["--jobs", "2"],
+                                      ["--samples", "10"]])
+    def test_scan_fabric_flags_need_dist(self, flag, value, mode,
+                                         monkeypatch):
+        """Without ``--dist`` no fabric reads these flags: the scan
+        refuses them by name before recording the golden run, instead
+        of running without them."""
+        import repro.cli
+
+        def no_golden(*args, **kwargs):
+            raise AssertionError("golden run recorded")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(repro.cli, "record_golden", no_golden)
+            with pytest.raises(SystemExit, match=flag) as refused:
+                main(["scan", "hi", *mode, flag, value])
+        assert refused.value.code not in (0, None)
+        if not mode:
+            assert main(["scan", "hi", "--dist", "1", flag, value]) == 0
+
     @pytest.mark.parametrize("flag", ["--jobs", "--samples", "--seed"])
     def test_coordinator_has_no_flag_it_ignores(self, flag, capsys):
         """A flag the coordinator would not read is a usage error, not
