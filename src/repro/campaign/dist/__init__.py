@@ -3,7 +3,7 @@
 A coordinator process owns the SQLite experiment journal and hands out
 *work leases* — cost-balanced shards of any campaign style's units — to
 worker processes over TCP: forks of the campaign's own process for
-``jobs=N`` and ``scan --dist N`` (:class:`~repro.campaign.dist
+``jobs=N`` and ``scan --jobs N`` (:class:`~repro.campaign.dist
 .coordinator.LocalFabric`), or ``repro worker`` processes anywhere.
 Workers re-verify the golden run before executing (a stale checkout can
 never pollute results) and stream unit results back a send window at a

@@ -9,7 +9,7 @@ rebuilds it — planning the style's shards over its *full* unit list
 (so shard indices survive restarts) and serving
 :class:`~.leases.ShardLease` grants; workers stream unit results back
 one send window (one ``results`` frame) at a time.  :class:`LocalFabric`
-runs it over forked local workers (``jobs=N``, ``scan --dist N``);
+runs it over forked local workers (``jobs=N``, ``scan --jobs N``);
 :func:`serve_scan` over whichever workers connect.  What it keeps of
 its own is what at-least-once delivery over a network needs, and the
 style states each step for its units:
@@ -39,7 +39,7 @@ style states each step for its units:
   bug to report, not a vote to hold: a ``crosscheck-mismatch`` event
   names both workers and digests, the unit leaves the journal
   (``style.discard``) and the run, later copies are refused, and it
-  stays missing for ``repro resume``.  Because of that discard, the
+  stays missing for a rerun to retry.  Because of that discard, the
   section store is written once serving ends (``style.store``), from
   the runs as they arrived.
 
@@ -144,6 +144,7 @@ class DistCoordinator:
         self.domain = get_domain(domain)
         config = executor_config or ExecutorConfig()
         self.config = dataclasses.replace(config, domain=self.domain.name)
+        self.params = campaign_params(golden, self.config)
         self.policy = policy or RetryPolicy()
         self.shards = shards
         self.expected_workers = expected_workers
@@ -215,7 +216,8 @@ class DistCoordinator:
         report = run.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
-        report.workers = tuple(sorted(self._worker_units.items()))
+        if self.fleet is None:  # a local fleet's forks carry no name
+            report.workers = tuple(sorted(self._worker_units.items()))
         self._journal_leases()  # final lease states stay queryable
 
     async def _serve(self, run: CampaignRun) -> None:
@@ -587,7 +589,7 @@ class DistCoordinator:
         # Two verified builds computed different outcomes for one unit.
         # Nothing here can say which is right, so nothing is kept: the
         # row goes, every later copy is refused, and the key is left
-        # missing for ``repro resume`` to re-execute.
+        # missing for a rerun on the same journal to re-execute.
         self.report.crosscheck_mismatches += 1
         self.handle.record_event(
             "crosscheck-mismatch", worker=worker, at=time.time(),
@@ -677,18 +679,12 @@ def serve_scan(transport, *, journal=None, resume: bool = True,
     :func:`~repro.campaign.pipeline.run_campaign`.
 
     Returns the same :class:`~repro.campaign.runner.CampaignResult` a
-    serial run would, or ``None`` when the crash hook fired.  Without a
-    journal the merge funnel still needs one: a private in-memory
-    database, gone with the run.
+    serial run would, or ``None`` when the crash hook fired.
     """
-    golden = transport.golden
-    style = ScanStyle(golden, transport.domain,
-                      campaign_params(golden, transport.config),
+    style = ScanStyle(transport.golden, transport.domain, transport.params,
                       keep_records=keep_records)
     try:
-        return run_campaign(style, transport,
-                            ":memory:" if journal is None else journal,
-                            resume, progress)
+        return run_campaign(style, transport, journal, resume, progress)
     except CoordinatorStopped:
         return None
 
@@ -704,7 +700,7 @@ def _local_worker(host: str, port: int, name: str,
 
 
 class LocalFabric:
-    """The workers transport (``jobs=N``, ``scan --dist N``): bind an
+    """The workers transport (``jobs=N``, ``scan --jobs N``): bind an
     ephemeral port on ``host``, fork ``workers`` local workers (the
     multiprocessing start method; nothing is re-imported), serve the
     run through a :class:`DistCoordinator` in the calling thread, then
@@ -714,23 +710,23 @@ class LocalFabric:
     dict; ``None`` leaves workers to ``REPRO_CHAOS_PLAN``) goes to every
     started worker.  One that exits while work remains is replaced,
     once, by a worker without chaos; with none left alive the rest is
-    failed (``missing``), not waited for.  ``attribute=False`` leaves
-    ``ExecutionReport.workers`` empty, as an in-process run's."""
+    failed (``missing``), not waited for.  Its interchangeable forks go
+    unattributed in ``ExecutionReport.workers``, as in process."""
 
     def __init__(self, golden: GoldenRun, workers: int, *,
                  domain: FaultDomain | str = MEMORY,
                  config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS, chaos=None,
-                 crosscheck: float = 0.0, host: str = "127.0.0.1",
-                 attribute: bool = True):
+                 crosscheck: float = 0.0, host: str = "127.0.0.1"):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.golden = golden
         self.domain = get_domain(domain)
         self.config = dataclasses.replace(config or ExecutorConfig(),
                                           domain=self.domain.name)
-        self.workers, self.host, self.attribute = workers, host, attribute
+        self.params = campaign_params(golden, self.config)
+        self.workers, self.host = workers, host
         self.plan = plan_from_spec(chaos)
         self._serving = dict(policy=policy, shards=shards,
                              crosscheck=crosscheck)
@@ -754,8 +750,6 @@ class LocalFabric:
             for index in range(self.workers):
                 self._fleet.append(self._start(f"worker-{index}", self.plan))
             coordinator(run)
-            if not self.attribute:
-                run.report.workers = ()
         finally:
             # Serving closes the socket itself; closing it again is a no-op.
             sock.close()
@@ -793,8 +787,8 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          host: str = "127.0.0.1",
                          chaos=None, crosscheck: float = 0.0):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
-    local worker processes (the CLI's ``scan --dist N``); returns what
-    :func:`serve_scan` returns (``None`` after a chaos-scheduled
+    local worker processes (a full ``repro scan --jobs N``); returns
+    what :func:`serve_scan` returns (``None`` after a chaos-scheduled
     coordinator stop)."""
     return serve_scan(
         LocalFabric(golden, workers, domain=domain, config=executor_config,

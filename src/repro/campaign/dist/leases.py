@@ -23,11 +23,11 @@ Failure handling is explicit state, not exceptions:
   plus the journal's idempotent merge turn at-least-once delivery into
   exactly-once accounting.
 
-That is the whole policy, for ``jobs=N`` and ``--dist`` alike: a worker
+That is the whole policy, for local and remote workers alike: a worker
 that dies, hangs or sends garbage costs its shard an attempt, nothing
 more.  A unit whose execution kills every worker fails its shard after
-``max_retries`` — the lost keys are named in the report and ``repro
-resume`` retries them.
+``max_retries`` — the lost keys are named in the report, and a rerun on
+the same journal retries them.
 
 The board is plain single-threaded state driven by the coordinator's
 event loop; it does no I/O and takes ``now`` as an argument, which is
@@ -151,11 +151,11 @@ class LeaseBoard:
     def restore(self, index: int, *, attempts: int, status: str) -> None:
         """Re-apply journaled retry state after a coordinator restart.
 
-        A shard the journaled run failed starts afresh: a rerun is how
-        ``repro resume`` retries the keys it lost.  Any other status —
-        including those an older coordinator journaled for layers since
-        removed — leaves the shard's unjournaled keys pending, its
-        attempts carried over.
+        A shard the journaled run failed starts afresh: a rerun on the
+        same journal is how the keys it lost are retried.  Any other
+        status — including those an older coordinator journaled for
+        layers since removed — leaves the shard's unjournaled keys
+        pending, its attempts carried over.
         """
         if status == FAILED:
             return

@@ -457,8 +457,12 @@ class ExperimentJournal:
         """Open, integrity-check and schema-initialize the database."""
         try:
             conn = sqlite3.connect(self.path)
+        except sqlite3.Error as exc:  # no file to salvage: not corrupt
+            raise JournalError(
+                f"cannot open journal {self.path!r}: {exc}") from exc
+        try:
             conn.execute("PRAGMA busy_timeout = 5000")
-            # WAL keeps readers (a second `repro resume --journal` listing
+            # WAL keeps readers (a `repro journal --journal` listing
             # progress, a monitoring script) from blocking the campaign's
             # writes, and makes each commit an append instead of a
             # rewrite.  In-memory journals report "memory" here; that is
@@ -584,7 +588,7 @@ class ExperimentJournal:
         return CampaignJournal(self, campaign_id)
 
     def fabric_report(self) -> list[dict]:
-        """Per-campaign distributed-fabric state for ``repro fabric``.
+        """Per-campaign distributed-fabric state for ``repro journal``.
 
         Extends :meth:`campaigns` with each campaign's journaled shard
         leases and integrity events — the operator's view of what the
@@ -996,7 +1000,7 @@ class CampaignJournal:
         ``salvage-prune``.  A journal an older coordinator wrote may
         hold kinds of layers since removed; they are kept and listed
         as stored.  The log is diagnostic — campaign results never
-        depend on it — but it is what ``repro fabric`` renders.
+        depend on it — but it is what ``repro journal`` renders.
         """
         self.journal._write(
             "INSERT INTO fabric_events (campaign_id, at, worker, "

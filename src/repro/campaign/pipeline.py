@@ -103,11 +103,11 @@ class ExecutionReport:
     #: through the same journal-merge path a resume uses.
     composed_hits: int = 0
     #: Per-worker attribution of executed work units, as sorted
-    #: ``(worker_name, units)`` pairs.  Populated by the fabric
-    #: coordinator (every unit names the worker whose submission was
-    #: accounted) for ``coordinator`` and ``scan --dist N`` campaigns,
-    #: on one host or many; empty in process and for ``jobs=N``, whose
-    #: local fabric clears it on purpose (``attribute=False``) so its
+    #: ``(worker_name, units)`` pairs.  Populated by a fabric
+    #: coordinator serving workers that connect on their own (``repro
+    #: coordinator``, on one host or many: every unit names the worker
+    #: whose submission was accounted); empty in process and on a local
+    #: fleet (``jobs=N``), whose forks are interchangeable, so its
     #: report matches an in-process run's.
     workers: tuple = field(default_factory=tuple)
     #: Result frames rejected before merging: CRC mismatch (payload
@@ -528,8 +528,10 @@ def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
     The handle commits (and closes a journal it owns) on every way out
     of the block, so an exception — ^C, or a transport's simulated
     crash — keeps every unit accepted so far and assembles nothing;
-    ``journal=None`` runs the same pipeline with nothing durable.
+    ``journal=None`` keeps nothing durable.
     """
+    if journal is None and not isinstance(transport, InProcess):
+        journal = ":memory:"  # a fabric merges through a journal
     handle = open_campaign(journal, style.golden, style.domain, style.kind,
                            style.key_params)
     with handle or nullcontext():

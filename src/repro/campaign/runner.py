@@ -37,6 +37,7 @@ completeness).
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -366,19 +367,31 @@ class ScanStyle(CampaignStyle):
                               domain=self.domain, execution=report)
 
 
-def _parallel_campaign(golden: GoldenRun, jobs: int,
-                       executor: ExperimentExecutor | None,
-                       domain: FaultDomain, policy,
-                       config: ExecutorConfig | None = None):
-    """Build the parallel driver for a runner-level ``jobs`` request."""
-    from .parallel import ParallelCampaign
+def resolve_jobs(jobs: int | None) -> int | None:
+    """``None`` (the serial path) unchanged, ``0`` as one worker per
+    CPU, any positive count literally."""
+    if jobs is None:
+        return None
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs or os.cpu_count() or 1
 
-    if executor is not None:
+
+def _transport(golden: GoldenRun, jobs: int | None,
+               executor: ExperimentExecutor | None, domain: FaultDomain,
+               config: ExecutorConfig | None, policy):
+    """The transport a runner's ``jobs`` asks for: in-process for
+    ``None`` or one job, else that many forked fabric workers."""
+    if jobs is not None and executor is not None:
         raise ValueError(
             "an explicit executor cannot be shared across worker "
             "processes; drop the executor argument or run with jobs=None")
-    return ParallelCampaign(golden, jobs, executor_config=config,
-                            domain=domain, policy=policy)
+    workers = resolve_jobs(jobs)
+    if workers is None or workers == 1:
+        return InProcess(golden, domain, executor, config)
+    from .dist.coordinator import LocalFabric  # it imports this module
+    return LocalFabric(golden, workers, domain=domain, config=config,
+                       policy=policy)
 
 
 def run_full_scan(golden: GoldenRun, *,
@@ -415,15 +428,11 @@ def run_full_scan(golden: GoldenRun, *,
     workers' lease deadlines and retries (ignored in-process).
     """
     domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_full_scan(
-            partition=partition, keep_records=keep_records,
-            progress=progress, journal=journal, resume=resume)
-    local = InProcess(golden, domain, executor, config)
+    transport = _transport(golden, jobs, executor, domain, config, policy)
     return run_campaign(
-        ScanStyle(golden, domain, local.params, partition, keep_records),
-        local, journal, resume, progress)
+        ScanStyle(golden, domain, transport.params, partition,
+                  keep_records),
+        transport, journal, resume, progress)
 
 
 @dataclass
@@ -538,13 +547,9 @@ def run_brute_force(golden: GoldenRun, *,
     The journal's atomic unit is one injection slot.
     """
     domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_brute_force(
-            progress=progress, journal=journal, resume=resume)
-    local = InProcess(golden, domain, executor, config)
-    return run_campaign(BruteStyle(golden, domain, local.params), local,
-                        journal, resume, progress)
+    transport = _transport(golden, jobs, executor, domain, config, policy)
+    return run_campaign(BruteStyle(golden, domain, transport.params),
+                        transport, journal, resume, progress)
 
 
 @dataclass
@@ -775,13 +780,8 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
     :class:`~repro.campaign.journal.JournalMismatchError`.
     """
     domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_sampling(
-            n_samples, seed=seed, sampler=sampler, partition=partition,
-            progress=progress, journal=journal, resume=resume)
-    local = InProcess(golden, domain, executor, config)
+    transport = _transport(golden, jobs, executor, domain, config, policy)
     return run_campaign(
-        SamplingStyle(golden, domain, local.params, n_samples, seed,
+        SamplingStyle(golden, domain, transport.params, n_samples, seed,
                       sampler, partition),
-        local, journal, resume, progress)
+        transport, journal, resume, progress)

@@ -9,26 +9,21 @@ Commands:
     and print its outcome histogram, coverage and failure count; with
     ``--samples`` run a sampled campaign instead.  ``--domain`` picks
     the fault model (memory bits by default, ``register`` for the
-    Section VI-B register file).  ``--jobs`` shards the campaign over
-    forked fabric workers (0 = one per CPU) and a live progress/ETA line is
-    printed to stderr.  ``--journal PATH`` journals every completed
-    work unit to a SQLite file: an interrupted scan rerun against the
-    same journal resumes where it left off (``--fresh`` discards the
-    journaled campaign first).  ``--shard-timeout`` / ``--max-retries``
-    tune the fabric's lease policy, for ``--jobs`` and ``--dist``
-    alike: a lease past its wall-clock deadline is a failed attempt,
-    retried, and reported missing once its retries are spent — never a
-    result.  ``--shards`` / ``--chaos`` / ``--chaos-seed`` /
-    ``--crosscheck`` configure the ``--dist`` fabric and are refused
-    without it.
-    ``--no-convergence`` / ``--checkpoint-stride`` control the
-    early exits (golden checkpoint ladder + state memo; a pure
-    optimization, outcomes are identical either way), which the
+    Section VI-B register file).  ``--jobs N`` runs the campaign on N
+    forked fabric workers (0 = one per CPU; 1 = in process) and a live
+    progress/ETA line is printed to stderr.  ``--journal PATH``
+    journals every completed work unit to a SQLite file: a scan rerun
+    against the same journal resumes where it left off (``--fresh``
+    discards the journaled campaign first).  ``--shard-timeout`` /
+    ``--max-retries`` tune the fabric's lease policy: a lease past its
+    wall-clock deadline is a failed attempt, retried, and reported
+    missing once its retries are spent — never a result.  ``--shards``
+    / ``--chaos`` / ``--chaos-seed`` / ``--crosscheck`` configure the
+    fabric of a full scan on ``--jobs N`` ≥ 2 workers and are refused
+    anywhere else.  ``--no-convergence`` / ``--checkpoint-stride``
+    control the early exits (golden checkpoint ladder + state memo; a
+    pure optimization, outcomes are identical either way), which the
     summary counts as "early exits (ladder + state memo)".
-``resume --journal PATH [<program>]``
-    Without a program: list the campaigns the journal holds and their
-    progress.  With a program: continue its journaled campaign — the
-    same as rerunning ``scan`` with the same arguments and journal.
 ``compare <baseline> <variant>... [--journal P] [--csv P]``
     Run baseline + N hardened variants as one comparison sweep and
     print the side-by-side table of the sound failure-count ratio and
@@ -39,22 +34,22 @@ Commands:
     re-executing.  The journal stores each scan's results, never a
     summary: the table is recomputed from them.
 ``journal --journal PATH [--gc] [--salvage]``
-    List a journal's campaigns and its section store (stored results
-    and referencing campaigns per section) plus a size report;
-    ``--gc`` drops section results no campaign references.
-    ``--salvage`` rebuilds a corrupt journal from its readable rows
-    first (the original is kept at ``PATH.corrupt``).
-``fabric --journal PATH``
-    Show the distributed fabric's state per campaign: shard leases and
-    their retry budgets, plus the integrity event log (CRC and shape
-    rejections, cross-check mismatches, salvage prunes; a journal an
-    older coordinator wrote may list other kinds too — they are shown
-    as stored).  Exits ``3`` when any campaign is incomplete.
+    List an existing journal's campaigns with their progress and
+    fabric state (shard leases and their retry budgets, plus the
+    integrity event log: CRC and shape rejections, cross-check
+    mismatches, salvage prunes, and whatever kinds an older coordinator
+    wrote), its section store (stored results and referencing
+    campaigns per section) and a size report; exits ``3`` when any
+    campaign is incomplete.  ``--gc`` drops section results no
+    campaign references.  ``--salvage`` rebuilds a corrupt journal from
+    its readable rows first (the original is kept at ``PATH.corrupt``).
 ``coordinator <program> [--port P] [--shards N] [--journal P]``
     Serve a distributed full scan: workers connect over TCP, pull work
     leases, and stream results back; the coordinator owns the journal
-    and survives worker loss (see ``repro worker``).  ``scan --dist N``
+    and survives worker loss (see ``repro worker``).  ``scan --jobs N``
     does the same in one command, forking N local worker processes.
+    Its ``--chaos`` plan is coordinator-side only; workers take theirs
+    from ``REPRO_CHAOS_PLAN``.
 ``worker --connect HOST:PORT [--name N]``
     Join a distributed campaign as a worker.  The worker re-assembles
     the program from shipped source and re-verifies the golden run
@@ -73,15 +68,18 @@ Commands:
 
 Exit codes: ``0`` success; ``3`` when a scan finished *incomplete*
 (shards abandoned after their retry budget — the printed report lists
-the missing units), so scripted campaigns can detect degraded results.
+the missing units), so scripted campaigns can detect degraded results;
+``1`` with one ``repro: …`` line for a journal that cannot be used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from collections import Counter
 
 from .analysis import (
     completeness_report,
@@ -97,12 +95,15 @@ from .campaign import (
     CampaignSummary,
     ExecutorConfig,
     ExperimentJournal,
+    JournalError,
     RetryPolicy,
     record_golden,
+    resolve_jobs,
     run_distributed_scan,
     run_full_scan,
     run_sampling,
 )
+from .campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from .campaign.dist.coordinator import DEFAULT_SHARDS
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
@@ -205,9 +206,9 @@ def _campaign_setup(args, name: str):
             RetryPolicy(**overrides) if overrides else None)
 
 
-def _list_campaigns(path, campaigns, details=None) -> int:
-    """Print a journal's campaign list (``details(entry)`` after each
-    line); return how many campaigns are incomplete."""
+def _list_campaigns(path, campaigns) -> int:
+    """Print a journal's campaign list, each with its shard leases and
+    fabric event log; return how many campaigns are incomplete."""
     if not campaigns:
         print(f"journal {path}: no campaigns")
         return 0
@@ -217,18 +218,31 @@ def _list_campaigns(path, campaigns, details=None) -> int:
               f"[{entry['domain']} domain] {entry['status']:8s} "
               f"{entry['journaled_experiments']:8d} experiments "
               f"journaled  fingerprint={entry['fingerprint'][:12]}")
-        if details is not None:
-            details(entry)
+        if entry["leases"]:
+            counts = Counter(lease["status"] for lease in entry["leases"])
+            summary = ", ".join(f"{n} {status}"
+                                for status, n in sorted(counts.items()))
+            print(f"    leases: {len(entry['leases'])} shard(s) — {summary}")
+            for lease in entry["leases"]:
+                if lease["status"] not in ("done", "pending") \
+                        or lease["attempts"]:
+                    worker = f" worker={lease['worker']}" \
+                        if lease["worker"] else ""
+                    print(f"      shard {lease['shard']}: "
+                          f"{lease['status']}, {lease['attempts']} "
+                          f"attempt(s){worker}")
+        if entry["events"]:
+            print(f"    events: {len(entry['events'])}")
+            for event in entry["events"]:
+                worker = f" [{event['worker']}]" if event["worker"] else ""
+                print(f"      {event['kind']:20s}{worker} {event['detail']}")
     return sum(entry["status"] != "complete" for entry in campaigns)
 
 
-def _chaos_plan(args):
+def _chaos_plan(spec, seed=None):
     """A :class:`ChaosPlan` from ``--chaos``/``--chaos-seed``, or None."""
-    spec, seed = args.chaos, args.chaos_seed
     if spec is None and seed is None:
         return None
-    from .campaign.dist.chaos import ChaosPlan
-
     try:
         data = json.loads(spec) if spec else {}
     except json.JSONDecodeError as exc:
@@ -277,17 +291,14 @@ def _print_scan(scan) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.dist and (args.jobs is not None or args.samples):
-        raise SystemExit("--dist spawns its own workers and serves full "
-                         "scans; drop --jobs / --samples")
-    # Only the --dist fabric reads these; without it they would be lost.
-    fabric = {"--shards": args.shards, "--chaos": args.chaos,
-              "--chaos-seed": args.chaos_seed,
-              "--crosscheck": args.crosscheck}
-    for flag, value in fabric.items():
-        if not args.dist and value is not None:
-            raise SystemExit(f"{flag} configures the --dist fabric; "
-                             f"add --dist N or drop {flag}")
+    workers = resolve_jobs(args.jobs)
+    fleet = not args.samples and workers is not None and workers >= 2
+    # Only a full scan's fabric reads these; elsewhere they would be lost.
+    for flag in ("--shards", "--chaos", "--chaos-seed", "--crosscheck"):
+        if not fleet and getattr(args, flag[2:].replace("-", "_")) \
+                is not None:
+            raise SystemExit(f"{flag} configures the fabric of a full "
+                             f"scan on --jobs N >= 2; drop {flag}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     space = domain.fault_space(golden)
@@ -312,12 +323,13 @@ def cmd_scan(args) -> int:
         print(f"estimated failure count F̂: "
               f"{result.failure_count() * scale:.0f}")
         return _exit_status(result.execution)
-    if args.dist:
+    if fleet:
         return _print_scan(run_distributed_scan(
-            golden, workers=args.dist, domain=domain,
+            golden, workers=workers, domain=domain,
             executor_config=config, policy=policy,
             shards=args.shards or DEFAULT_SHARDS,
-            journal=args.journal, resume=resume, chaos=_chaos_plan(args),
+            journal=args.journal, resume=resume,
+            chaos=_chaos_plan(args.chaos, args.chaos_seed),
             crosscheck=args.crosscheck or 0.0,
             progress=_eta_progress("classes")))
     scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
@@ -325,20 +337,6 @@ def cmd_scan(args) -> int:
                          policy=policy, config=config,
                          progress=_eta_progress("classes"))
     return _print_scan(scan)
-
-
-def cmd_resume(args) -> int:
-    if args.program is not None:
-        # A journaled scan that must resume (the parser pins fresh=False).
-        return cmd_scan(args)
-    with ExperimentJournal(args.journal) as journal:
-        campaigns = journal.campaigns()
-    incomplete = _list_campaigns(args.journal, campaigns)
-    if incomplete:
-        print(f"{incomplete} campaign(s) incomplete — rerun with the "
-              f"same journal to finish")
-        return EXIT_INCOMPLETE
-    return 0
 
 
 def cmd_compare(args) -> int:
@@ -385,6 +383,8 @@ def cmd_compare(args) -> int:
 
 def cmd_journal(args) -> int:
     """Inspect and maintain a journal's campaigns and section store."""
+    if not os.path.exists(args.journal):  # opening one would create it
+        raise SystemExit(f"no journal at {args.journal!r}")
     with ExperimentJournal(args.journal, salvage=args.salvage) as journal:
         salvaged = journal.salvage_report
         if salvaged is not None:
@@ -397,7 +397,7 @@ def cmd_journal(args) -> int:
         if args.gc:
             freed = journal.gc_sections()
             print(f"gc: dropped {freed} orphaned section(s)")
-        _list_campaigns(args.journal, journal.campaigns())
+        incomplete = _list_campaigns(args.journal, journal.fabric_report())
         sections = journal.sections()
         print(f"section store: {len(sections)} section(s)")
         for entry in sections:
@@ -416,40 +416,9 @@ def cmd_journal(args) -> int:
         print(f"size: {file_bytes} bytes on disk ({counts or 'empty'})")
         if per_result:
             print(f"      {per_result:.0f} bytes per stored experiment")
-    return 0
-
-
-def _print_fabric_state(entry) -> None:
-    """One campaign's journaled shard leases and fabric event log."""
-    if entry["leases"]:
-        counts = {}
-        for lease in entry["leases"]:
-            counts[lease["status"]] = counts.get(lease["status"], 0) + 1
-        summary = ", ".join(f"{n} {status}"
-                            for status, n in sorted(counts.items()))
-        print(f"    leases: {len(entry['leases'])} shard(s) — {summary}")
-        for lease in entry["leases"]:
-            if lease["status"] not in ("done", "pending") \
-                    or lease["attempts"]:
-                worker = f" worker={lease['worker']}" \
-                    if lease["worker"] else ""
-                print(f"      shard {lease['shard']}: {lease['status']}, "
-                      f"{lease['attempts']} attempt(s){worker}")
-    if entry["events"]:
-        print(f"    events: {len(entry['events'])}")
-        for event in entry["events"]:
-            worker = f" [{event['worker']}]" if event["worker"] else ""
-            print(f"      {event['kind']:20s}{worker} {event['detail']}")
-
-
-def cmd_fabric(args) -> int:
-    """Show the distributed fabric's journaled state per campaign."""
-    with ExperimentJournal(args.journal) as journal:
-        campaigns = journal.fabric_report()
-    incomplete = _list_campaigns(args.journal, campaigns,
-                                 _print_fabric_state)
     if incomplete:
-        print(f"{incomplete} campaign(s) incomplete")
+        print(f"{incomplete} campaign(s) incomplete — rerun with the "
+              f"same journal to finish")
         return EXIT_INCOMPLETE
     return 0
 
@@ -459,6 +428,12 @@ def cmd_coordinator(args) -> int:
 
     from .campaign.dist import DistCoordinator, serve_scan
 
+    plan = _chaos_plan(args.chaos)
+    if plan is not None and plan != ChaosPlan(
+            stop_coordinator_after=plan.stop_coordinator_after):
+        raise SystemExit(f"--chaos: a coordinator draws only "
+                         f"stop_coordinator_after; give workers their "
+                         f"plan through {PLAN_ENV}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     shards = args.shards or DEFAULT_SHARDS
@@ -468,7 +443,7 @@ def cmd_coordinator(args) -> int:
     host, port = sock.getsockname()[:2]
     coordinator = DistCoordinator(
         golden, sock=sock, domain=domain, executor_config=config,
-        policy=policy, shards=shards, chaos=_chaos_plan(args),
+        policy=policy, shards=shards, chaos=plan,
         crosscheck=args.crosscheck or 0.0)
     print(f"{program.name} [{domain.name} domain]: serving distributed scan "
           f"on {host}:{port} ({shards} shards); start workers with\n"
@@ -603,19 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: auto-tuned from the runtime; "
                               "0 disables the ladder)")
 
-    def add_fabric_args(cmd) -> None:
+    def add_fabric_args(cmd, chaos_help: str) -> None:
         cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
                          help=f"work-lease granularity "
                               f"(default: {DEFAULT_SHARDS})")
-        cmd.add_argument("--chaos-seed", type=int, metavar="SEED",
-                         help="seed the deterministic fabric chaos "
-                              "schedule (with --chaos; alone it names "
-                              "an all-zero-rate plan)")
         cmd.add_argument("--chaos", metavar="JSON", default=None,
-                         help="chaos plan as JSON, e.g. "
-                              "'{\"drop_rate\": 0.1, \"kill_rate\": "
-                              "0.02}' — every worker runs this seeded "
-                              "schedule (see campaign.dist.chaos)")
+                         help=chaos_help)
         cmd.add_argument("--crosscheck", type=_fraction_arg,
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "
@@ -631,22 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
-    scan.add_argument("--dist", type=_count_arg(1), metavar="N",
-                      help="distribute the scan over N local worker "
-                           "processes via the TCP campaign fabric "
-                           "(excludes --jobs and --samples)")
-    add_fabric_args(scan)
+    add_fabric_args(scan, "chaos plan as JSON, e.g. '{\"drop_rate\": "
+                          "0.1, \"kill_rate\": 0.02}' — every worker "
+                          "runs this seeded schedule (see "
+                          "campaign.dist.chaos)")
+    scan.add_argument("--chaos-seed", type=int, metavar="SEED",
+                      help="seed the deterministic fabric chaos "
+                           "schedule (with --chaos; alone it names an "
+                           "all-zero-rate plan)")
     scan.set_defaults(func=cmd_scan)
-
-    resume = sub.add_parser(
-        "resume", help="list or continue journaled campaigns")
-    resume.add_argument("program", nargs="?", default=None)
-    add_campaign_args(resume, journal_required=True)
-    add_jobs_arg(resume)
-    add_sampling_args(resume)
-    resume.set_defaults(func=cmd_resume, fresh=False, dist=None,
-                        shards=None, chaos=None, chaos_seed=None,
-                        crosscheck=None)
 
     compare = sub.add_parser(
         "compare",
@@ -663,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     journal = sub.add_parser(
         "journal",
-        help="inspect a journal's campaigns and section store")
+        help="inspect a journal's campaigns, fabric state and section "
+             "store")
     journal.add_argument("--journal", metavar="PATH", required=True,
                          help="SQLite experiment journal to inspect")
     journal.add_argument("--gc", action="store_true",
@@ -674,14 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "readable rows first (original kept at "
                               "PATH.corrupt)")
     journal.set_defaults(func=cmd_journal)
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="show the distributed fabric's leases and integrity "
-             "event log")
-    fabric.add_argument("--journal", metavar="PATH", required=True,
-                        help="SQLite experiment journal to inspect")
-    fabric.set_defaults(func=cmd_fabric)
 
     coordinator = sub.add_parser(
         "coordinator",
@@ -696,7 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "127.0.0.1; 0.0.0.0 for multi-host)")
     coordinator.add_argument("--port", type=int, default=7716,
                              help="TCP port to listen on (default: 7716)")
-    add_fabric_args(coordinator)
+    add_fabric_args(coordinator, "coordinator-side chaos plan as JSON: "
+                                 "only stop_coordinator_after (workers "
+                                 "read REPRO_CHAOS_PLAN)")
     coordinator.set_defaults(func=cmd_coordinator)
 
     worker = sub.add_parser(
@@ -728,7 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Commands return their exit status; informational ones return None.
-    return args.func(args) or 0
+    try:
+        return args.func(args) or 0
+    except JournalError as exc:  # corrupt, mismatched, too new, unopenable
+        raise SystemExit(f"repro: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -359,7 +359,7 @@ class TestIntegrity:
             self, memory_golden, memory_baseline):
         """Once a class's two executions disagreed, no later copy of it
         — a retransmit of the honest rows, a duplicate of the lie — is
-        merged: it stays missing for ``repro resume`` to re-execute."""
+        merged: it stays missing for a rerun to re-execute."""
         sock = _server_socket()
         coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
                                       policy=POLICY, crosscheck=1.0)

@@ -588,9 +588,8 @@ class TestVersion3Journal:
             "SELECT COUNT(*) FROM class_results").fetchone()[0] \
             == _experiments(cold)
         conn.close()
-        for command in ("journal", "resume"):
-            assert _listing(command, v3, capsys) \
-                == _listing(command, v4, capsys)
+        assert _listing("journal", v3, capsys) \
+            == _listing("journal", v4, capsys)
         with ExperimentJournal(v3) as handle:
             assert handle.schema_version() == SCHEMA_VERSION == 4
         resumed = run_full_scan(golden, domain=domain, journal=v3,

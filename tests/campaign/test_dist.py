@@ -1055,7 +1055,7 @@ class TestDeadlines:
 
     def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
             self, memory_golden, memory_baseline):
-        """One policy for every lease, ``jobs=N`` and ``--dist``
+        """One policy for every lease, local and remote workers
         alike: shard 0's first attempt hangs past its 1 s
         deadline, its second is healthy."""
         thread, port = self._serve(memory_golden, shards=2)
@@ -1091,7 +1091,7 @@ class TestDistJournalInterop:
             self, tmp_path, memory_golden):
         """The last results can finish the campaign before their
         ``lease_done`` frame is read; the final lease states are
-        journaled anyway, so ``repro fabric`` does not show a lease of
+        journaled anyway, so ``repro journal`` does not show a lease of
         a complete campaign as still held."""
         from repro.campaign.journal import ExperimentJournal
 
@@ -1128,7 +1128,7 @@ class TestDistJournalInterop:
             self, tmp_path, capsys, memory_golden, memory_baseline):
         """A journal written by an older coordinator holds lease
         statuses (``split``, ``poison``) and event kinds nothing writes
-        any more.  It still resumes bit-for-bit, and ``repro fabric``
+        any more.  It still resumes bit-for-bit, and ``repro journal``
         still lists every row of it."""
         import sqlite3
 
@@ -1166,7 +1166,7 @@ class TestDistJournalInterop:
                              keep_records=True) == memory_baseline
 
         capsys.readouterr()
-        assert main(["fabric", "--journal", str(journal)]) == 0
+        assert main(["journal", "--journal", str(journal)]) == 0
         out = capsys.readouterr().out
         for kind in self.REMOVED_KINDS:
             assert f"{kind:20s} [w9] old" in out
@@ -1395,11 +1395,11 @@ class TestDistSubprocess:
         assert link not in seen.read_text().split("\n")
 
     def test_cli_fleet_prints_once_and_quietly(self):
-        """``repro scan --dist 2`` into a pipe: a forked worker must not
+        """``repro scan --jobs 2`` into a pipe: a forked worker must not
         flush the parent's buffered stdout a second time, and nothing a
         worker does ends in a traceback on the shared stderr."""
         done = subprocess.run(
-            [sys.executable, "-m", "repro", "scan", "hi", "--dist", "2"],
+            [sys.executable, "-m", "repro", "scan", "hi", "--jobs", "2"],
             env=_repro_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         headers = [line for line in done.stdout.splitlines()

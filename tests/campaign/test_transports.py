@@ -158,3 +158,14 @@ def test_both_transports_write_identical_result_rows(style, golden,
     assert rows["in-process"] == rows["pool"]
     table = "coordinate_results" if style == "brute" else "class_results"
     assert rows["pool"][table]
+
+
+def test_a_local_fleet_attributes_nothing(golden):
+    """A local fleet's forks are interchangeable, so ``jobs=2`` and
+    ``run_distributed_scan`` report no per-worker split, as in process;
+    only workers that connect on their own are named (``run_dist``)."""
+    from repro.campaign import run_distributed_scan
+
+    assert run_full_scan(golden, jobs=2).execution.workers == ()
+    assert run_distributed_scan(golden, workers=2).execution.workers == ()
+    assert run_dist(golden)[0].execution.workers

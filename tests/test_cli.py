@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.campaign import ExperimentJournal
 from repro.cli import build_parser, main
 
 
@@ -127,7 +128,7 @@ class TestCli:
 
 
 class TestCliJournal:
-    """The scan --journal / resume surface."""
+    """The scan --journal surface (a rerun resumes) and its listing."""
 
     def test_scan_with_journal_then_resume_skips_work(self, capsys,
                                                       tmp_path):
@@ -153,13 +154,13 @@ class TestCliJournal:
         out = capsys.readouterr().out
         assert "composed from section store" in out
 
-    def test_resume_lists_campaigns(self, capsys, tmp_path):
+    def test_journal_lists_both_styles(self, capsys, tmp_path):
         journal = str(tmp_path / "j.sqlite")
         main(["scan", "hi", "--journal", journal])
         main(["scan", "hi", "--journal", journal, "--domain", "register",
               "--samples", "40"])
         capsys.readouterr()
-        main(["resume", "--journal", journal])
+        assert main(["journal", "--journal", journal]) == 0
         out = capsys.readouterr().out
         assert "2 campaign(s)" in out
         assert "full-scan" in out and "sampling" in out
@@ -167,23 +168,55 @@ class TestCliJournal:
 
     def test_resume_with_program_continues_the_campaign(self, capsys,
                                                         tmp_path):
+        """Resuming is rerunning the scan, on fabric workers too: the
+        second run executes nothing and prints serial's numbers."""
         journal = str(tmp_path / "j.sqlite")
-        main(["scan", "hi", "--journal", journal])
+        main(["scan", "hi", "--jobs", "2", "--journal", journal])
         baseline = capsys.readouterr().out
-        main(["resume", "hi", "--journal", journal])
+        main(["scan", "hi", "--jobs", "2", "--journal", journal])
         out = capsys.readouterr().out
-        assert "resumed from journal" in out
+        assert "resumed from journal" in out and " 0 executed, " in out
         assert baseline.splitlines()[-2:] == out.splitlines()[-2:]
 
-    def test_resume_lists_empty_journal(self, capsys, tmp_path):
-        journal = str(tmp_path / "empty.sqlite")
-        main(["resume", "--journal", journal])
-        out = capsys.readouterr().out
-        assert "no campaigns" in out
+    def test_journal_lists_an_empty_journal(self, capsys, tmp_path):
+        journal = tmp_path / "empty.sqlite"
+        ExperimentJournal(journal).close()
+        assert main(["journal", "--journal", str(journal)]) == 0
+        assert "no campaigns" in capsys.readouterr().out
 
-    def test_resume_requires_journal(self):
+    @pytest.mark.parametrize("salvage", [[], ["--salvage"]])
+    def test_journal_refuses_a_missing_path(self, salvage, capsys,
+                                            tmp_path):
+        """Inspecting is read-only: a mistyped path is refused by name
+        and no empty journal appears there."""
+        journal = tmp_path / "typo.sqlite"
+        with pytest.raises(SystemExit, match="typo.sqlite") as refused:
+            main(["journal", "--journal", str(journal), *salvage])
+        assert refused.value.code not in (0, None)
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_journal_requires_journal(self):
         with pytest.raises(SystemExit):
-            main(["resume", "hi"])
+            main(["journal"])
+
+    def test_unopenable_journal_is_one_line_not_corrupt(self, tmp_path):
+        """A journal path whose directory does not exist cannot be
+        opened; nothing there is corrupt, so nothing advises salvage."""
+        path = tmp_path / "missing" / "j.sqlite"
+        with pytest.raises(SystemExit) as refused:
+            main(["scan", "hi", "--journal", str(path)])
+        message = str(refused.value.code)
+        assert message.startswith("repro: cannot open journal")
+        assert "salvage" not in message and "\n" not in message
+
+    def test_corrupt_journal_is_one_line_naming_salvage(self, tmp_path):
+        path = tmp_path / "garbage.sqlite"
+        path.write_bytes(b"not a database, " * 512)
+        with pytest.raises(SystemExit) as refused:
+            main(["scan", "hi", "--journal", str(path)])
+        message = str(refused.value.code)
+        assert message.startswith("repro: ") and "--salvage" in message
 
     def test_robustness_flags_are_accepted(self, capsys):
         main(["scan", "hi", "--jobs", "2", "--shard-timeout", "30",
@@ -299,43 +332,37 @@ class TestCliParallelCombos:
 
 
 class TestCliDist:
-    """`scan --dist`, the worker command, and incomplete exit codes."""
+    """`scan --jobs N` on the distributed fabric, the coordinator and
+    worker commands, and incomplete exit codes."""
 
     def test_scan_dist_matches_serial_histogram(self, capsys):
+        """A full scan on two fabric workers with every class audited:
+        the cross-checks are reported, and the rest is serial's."""
         assert main(["scan", "hi"]) == 0
         serial = capsys.readouterr().out
-        assert main(["scan", "hi", "--dist", "2"]) == 0
+        assert main(["scan", "hi", "--jobs", "2", "--crosscheck",
+                     "1.0"]) == 0
         dist = capsys.readouterr().out
-        # With only 2 work units a fast worker may drain both shards
-        # before the second one connects, so 1 or 2 workers can appear.
-        assert re.search(r"distributed across [12] worker\(s\)", dist)
+        assert re.search(r"cross-checked: [1-9]\d* class\(es\)", dist)
 
         def histogram(text):
-            skip = ("execution:", "  complete:", "  INCOMPLETE",
-                    "  distributed across", "  worker retries")
+            skip = ("execution:", "  complete:", "  cross-checked")
             return [line for line in text.splitlines()
                     if not line.startswith(skip)]
 
         assert histogram(dist) == histogram(serial)
 
-    def test_scan_dist_refuses_jobs(self):
-        with pytest.raises(SystemExit, match="--dist"):
-            main(["scan", "hi", "--dist", "2", "--jobs", "2"])
-
-    def test_scan_dist_refuses_samples(self):
-        with pytest.raises(SystemExit, match="--dist"):
-            main(["scan", "hi", "--dist", "2", "--samples", "10"])
-
     @pytest.mark.parametrize("flag,value", [
         ("--shards", "4"), ("--chaos", "{}"), ("--chaos-seed", "0"),
         ("--crosscheck", "1.0")])
-    @pytest.mark.parametrize("mode", [[], ["--jobs", "2"],
-                                      ["--samples", "10"]])
+    @pytest.mark.parametrize("mode", [[], ["--jobs", "1"],
+                                      ["--jobs", "2", "--samples", "10"]])
     def test_scan_fabric_flags_need_dist(self, flag, value, mode,
                                          monkeypatch):
-        """Without ``--dist`` no fabric reads these flags: the scan
-        refuses them by name before recording the golden run, instead
-        of running without them."""
+        """Only the distributed fabric of a full scan (``--jobs N``,
+        N >= 2) reads these flags: anywhere else the scan refuses them
+        by name before recording the golden run, instead of running
+        without them."""
         import repro.cli
 
         def no_golden(*args, **kwargs):
@@ -347,7 +374,7 @@ class TestCliDist:
                 main(["scan", "hi", *mode, flag, value])
         assert refused.value.code not in (0, None)
         if not mode:
-            assert main(["scan", "hi", "--dist", "1", flag, value]) == 0
+            assert main(["scan", "hi", "--jobs", "2", flag, value]) == 0
 
     @pytest.mark.parametrize("flag", ["--jobs", "--samples", "--seed"])
     def test_coordinator_has_no_flag_it_ignores(self, flag, capsys):
@@ -359,22 +386,49 @@ class TestCliDist:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["scan", "memcopy", "--dist", "0"],
-        ["scan", "hi", "--dist", "2", "--shards", "0"],
-        ["scan", "hi", "--dist", "1", "--crosscheck", "1.5"],
+        ["scan", "memcopy", "--jobs", "-1"],
+        ["scan", "hi", "--jobs", "2", "--shards", "0"],
+        ["coordinator", "hi", "--crosscheck", "1.5"],
         ["coordinator", "hi", "--shards", "-1"],
         ["scan", "hi", "--checkpoint-stride", "-1"],
     ])
     def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
-        """A fabric count below one or a cross-check fraction outside
-        [0, 1] is a usage error before anything runs — not a serial
-        scan (``--dist 0``), not a traceback."""
+        """A negative job count, a shard count below one or a
+        cross-check fraction outside [0, 1] is a usage error before
+        anything runs — not a serial scan, not a traceback."""
         with pytest.raises(SystemExit) as usage:
             main(argv)
         assert usage.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert argv[-2] in captured.err
+
+    def test_coordinator_refuses_a_worker_side_chaos_plan(
+            self, monkeypatch, capsys):
+        """A coordinator draws no worker-side event and reads no seed,
+        so a plan that sets one is refused, naming the variable workers
+        read, and ``--chaos-seed`` is a usage error — both before the
+        golden run or the port; its own crash hook is accepted."""
+        import repro.cli
+
+        def no_golden(*args, **kwargs):
+            raise AssertionError("golden run recorded")
+
+        monkeypatch.setattr(repro.cli, "record_golden", no_golden)
+        for plan in ('{"corrupt_rate": 1.0}', '{"seed": 3}'):
+            with pytest.raises(SystemExit, match="REPRO_CHAOS_PLAN"):
+                main(["coordinator", "memcopy", "--port", "0",
+                      "--chaos", plan])
+        with pytest.raises(SystemExit) as usage:
+            main(["coordinator", "memcopy", "--port", "0",
+                  "--chaos-seed", "3"])
+        assert usage.value.code == 2
+        assert "--chaos-seed" in capsys.readouterr().err
+        # The coordinator's own crash hook passes the check: the
+        # command goes on to record the golden run.
+        with pytest.raises(AssertionError, match="golden run"):
+            main(["coordinator", "memcopy", "--port", "0",
+                  "--chaos", '{"stop_coordinator_after": 3}'])
 
     def test_worker_connect_must_be_host_port(self):
         with pytest.raises(SystemExit, match="HOST:PORT"):
@@ -394,6 +448,29 @@ class TestCliDist:
         out = capsys.readouterr().out
         assert status == 3
         assert "INCOMPLETE" in out
+
+    def test_journal_lists_an_incomplete_campaign_with_exit_3(
+            self, monkeypatch, capsys, tmp_path):
+        """The same lost campaign, journaled: the listing shows its
+        failed leases and exits 3 until a rerun finishes it."""
+        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
+
+        journal = str(tmp_path / "j.sqlite")
+        monkeypatch.setenv(PLAN_ENV,
+                           ChaosPlan(die_after_results=0).to_json())
+        assert main(["scan", "memcopy", "--jobs", "2", "--max-retries",
+                     "0", "--journal", journal]) == 3
+        capsys.readouterr()
+        assert main(["journal", "--journal", journal]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"leases: \d+ shard\(s\) — .*failed", out)
+        assert "1 campaign(s) incomplete" in out
+        monkeypatch.delenv(PLAN_ENV)
+        assert main(["scan", "memcopy", "--jobs", "2", "--journal",
+                     journal]) == 0
+        capsys.readouterr()
+        assert main(["journal", "--journal", journal]) == 0
+        assert "leases:" in capsys.readouterr().out
 
     def test_hung_scan_exits_incomplete_then_finishes(self, monkeypatch,
                                                       capsys, tmp_path):
