@@ -1,6 +1,7 @@
 """Chaos-soak telemetry: the fabric under deterministic fault injection.
 
-A seeded :class:`ChaosPlan` drops, duplicates, corrupts and delays
+A seeded :class:`ChaosPlan` (the test fixture in
+``tests/campaign/chaos.py``) drops, duplicates, corrupts and delays
 result frames on every worker while a full memcopy scan runs through
 the real coordinator/worker TCP stack over loopback.  Each soak is
 checked bit-for-bit against the serial ground truth — the invariant the
@@ -21,10 +22,10 @@ import time
 from _bench_json import write_bench_json
 
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
-from repro.campaign.dist import DistCoordinator, DistWorker
-from repro.campaign.dist.chaos import ChaosPlan
+from repro.campaign.dist import DistCoordinator
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
+from tests.campaign.chaos import ChaosPlan, ChaosWorker
 
 #: Snappy failure detection for loopback soaks.
 POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
@@ -53,9 +54,8 @@ def _soak(golden, baseline, *, seed, domain):
     spawned = []
     start = time.perf_counter()
     for index in range(WORKERS):
-        worker = DistWorker("127.0.0.1", port, name=f"w{index}",
-                            chaos=plan, reconnect_delay=0.05,
-                            max_reconnect_delay=0.3)
+        worker = ChaosWorker("127.0.0.1", port, plan, name=f"w{index}",
+                             reconnect_delay=0.05, max_reconnect_delay=0.3)
         worker_thread = threading.Thread(target=worker.run, daemon=True)
         worker_thread.start()
         spawned.append((worker, worker_thread))

@@ -21,9 +21,9 @@ import time
 from repro.campaign import (RetryPolicy, export_class_results_csv,
                             journal as journal_module, record_golden,
                             run_full_scan)
-from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.campaign.journal import COMMIT_WINDOW_S, ExperimentJournal
 from repro.programs import hi, sync2
+from tests.campaign.chaos import ChaosPlan, chaotic_fleet
 
 
 def _program():
@@ -85,7 +85,7 @@ def test_killed_worker_is_retried_and_result_unchanged(tmp_path,
     exactness."""
     golden = record_golden(_program())
     baseline = run_full_scan(golden, keep_records=True)
-    monkeypatch.setenv(PLAN_ENV, ChaosPlan(die_after_results=0).to_json())
+    chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=0))
     survived = run_full_scan(
         golden, jobs=2, keep_records=True,
         journal=tmp_path / "chaos.sqlite",

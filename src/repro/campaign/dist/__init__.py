@@ -21,22 +21,12 @@ executor and the journal), the fingerprint/golden re-verification (a
 worker built from other code),
 and the ``crosscheck`` determinism audit (two verified builds that
 still compute different outcomes — reported and left missing, never
-outvoted).  A seeded :class:`~repro.campaign.dist.chaos.ChaosPlan`
-tests all of it, injecting frame drops, duplications, corruptions,
-lies, delays, kills and hangs through a deterministic proxy.
+outvoted).
 
 Everything is stdlib (``socket``, ``asyncio``, ``json``); there is no
 new dependency and no pickle on the wire.
 """
 
-from .chaos import (
-    ChaosFrameStream,
-    ChaosInterrupt,
-    ChaosPlan,
-    WorkerChaos,
-    plan_from_env,
-    plan_from_spec,
-)
 from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,
                           serve_scan)
 from .leases import LeaseBoard, ShardLease
@@ -53,9 +43,6 @@ from .protocol import (
 from .worker import DistWorker, WorkerRejected
 
 __all__ = [
-    "ChaosFrameStream",
-    "ChaosInterrupt",
-    "ChaosPlan",
     "DistCoordinator",
     "DistWorker",
     "FrameStream",
@@ -64,12 +51,9 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ShardLease",
-    "WorkerChaos",
     "WorkerRejected",
     "decode_frame",
     "encode_frame",
-    "plan_from_env",
-    "plan_from_spec",
     "read_frame",
     "result_digest",
     "run_distributed_scan",

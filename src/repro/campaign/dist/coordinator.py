@@ -67,7 +67,6 @@ from ..golden import GoldenRun
 from ..pipeline import (CampaignRun, CampaignStyle, ProgressCallback,
                         campaign_params, run_campaign)
 from ..runner import ScanStyle
-from .chaos import ChaosPlan, plan_from_spec
 from .leases import FAILED, LeaseBoard, RetryPolicy
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
                        result_digest, write_frame)
@@ -117,9 +116,7 @@ class DistCoordinator:
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection after accepting that many fresh classes and
-    raises :class:`CoordinatorStopped`, a simulated crash.  A ``chaos``
-    plan's :attr:`~.chaos.ChaosPlan.stop_coordinator_after` maps onto
-    it, so one seeded schedule drives both sides of the fabric.
+    raises :class:`CoordinatorStopped`, a simulated crash.
     """
 
     #: The :class:`LocalFabric` whose workers this coordinator serves
@@ -133,8 +130,7 @@ class DistCoordinator:
                  shards: int = DEFAULT_SHARDS,
                  expected_workers: int | None = None,
                  stop_after_results: int | None = None,
-                 crosscheck: float = 0.0,
-                 chaos: ChaosPlan | None = None):
+                 crosscheck: float = 0.0):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if not 0.0 <= crosscheck <= 1.0:
@@ -149,8 +145,6 @@ class DistCoordinator:
         self.shards = shards
         self.expected_workers = expected_workers
         self._sock = sock
-        if stop_after_results is None and chaos is not None:
-            stop_after_results = chaos.stop_coordinator_after
         self.stop_after_results = stop_after_results
         self.crosscheck = crosscheck
         self.stopped = False
@@ -693,10 +687,9 @@ def _free_server_socket(host: str) -> socket.socket:
     return socket.create_server((host, 0))
 
 
-def _local_worker(host: str, port: int, name: str,
-                  plan: ChaosPlan | None) -> None:
+def _local_worker(host: str, port: int, name: str) -> None:
     """What each :class:`LocalFabric` worker process runs."""
-    DistWorker(host, port, name=name, chaos=plan).run()
+    DistWorker(host, port, name=name).run()
 
 
 class LocalFabric:
@@ -706,18 +699,16 @@ class LocalFabric:
     run through a :class:`DistCoordinator` in the calling thread, then
     terminate and reap every worker still running.  Each worker joins
     over TCP and verifies the campaign as a remote ``repro worker``
-    does.  ``chaos`` (a :class:`~.chaos.ChaosPlan` or a plan-shaped
-    dict; ``None`` leaves workers to ``REPRO_CHAOS_PLAN``) goes to every
-    started worker.  One that exits while work remains is replaced,
-    once, by a worker without chaos; with none left alive the rest is
-    failed (``missing``), not waited for.  Its interchangeable forks go
-    unattributed in ``ExecutionReport.workers``, as in process."""
+    does.  One that exits while work remains is replaced, once; with
+    none left alive the rest is failed (``missing``), not waited for.
+    Its interchangeable forks go unattributed in
+    ``ExecutionReport.workers``, as in process."""
 
     def __init__(self, golden: GoldenRun, workers: int, *,
                  domain: FaultDomain | str = MEMORY,
                  config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
-                 shards: int = DEFAULT_SHARDS, chaos=None,
+                 shards: int = DEFAULT_SHARDS,
                  crosscheck: float = 0.0, host: str = "127.0.0.1"):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -727,7 +718,6 @@ class LocalFabric:
                                           domain=self.domain.name)
         self.params = campaign_params(golden, self.config)
         self.workers, self.host = workers, host
-        self.plan = plan_from_spec(chaos)
         self._serving = dict(policy=policy, shards=shards,
                              crosscheck=crosscheck)
 
@@ -745,10 +735,10 @@ class LocalFabric:
             coordinator = DistCoordinator(
                 self.golden, sock=sock, domain=self.domain,
                 executor_config=self.config, expected_workers=self.workers,
-                chaos=self.plan, **self._serving)
+                **self._serving)
             coordinator.fleet = self
             for index in range(self.workers):
-                self._fleet.append(self._start(f"worker-{index}", self.plan))
+                self._fleet.append(self._start(f"worker-{index}"))
             coordinator(run)
         finally:
             # Serving closes the socket itself; closing it again is a no-op.
@@ -758,9 +748,9 @@ class LocalFabric:
             for proc in self._procs:
                 proc.join()
 
-    def _start(self, name: str, plan: ChaosPlan | None):
+    def _start(self, name: str):
         proc = multiprocessing.get_context().Process(
-            target=_local_worker, args=(self.host, self._port, name, plan))
+            target=_local_worker, args=(self.host, self._port, name))
         proc.start()
         self._procs.append(proc)
         return proc
@@ -771,8 +761,7 @@ class LocalFabric:
         for slot, proc in enumerate(self._fleet):
             if proc.exitcode is not None and slot not in self._replaced:
                 self._replaced.add(slot)
-                self._fleet[slot] = self._start(f"worker-{slot}r",
-                                                ChaosPlan())
+                self._fleet[slot] = self._start(f"worker-{slot}r")
         return any(proc.exitcode is None for proc in self._fleet)
 
 
@@ -785,14 +774,12 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1",
-                         chaos=None, crosscheck: float = 0.0):
+                         crosscheck: float = 0.0):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
-    local worker processes (a full ``repro scan --jobs N``); returns
-    what :func:`serve_scan` returns (``None`` after a chaos-scheduled
-    coordinator stop)."""
+    local worker processes (a full ``repro scan --jobs N``)."""
     return serve_scan(
         LocalFabric(golden, workers, domain=domain, config=executor_config,
-                    policy=policy, shards=shards, chaos=chaos,
+                    policy=policy, shards=shards,
                     crosscheck=crosscheck, host=host),
         journal=journal, resume=resume, keep_records=keep_records,
         progress=progress)

@@ -36,14 +36,6 @@ own :func:`~.protocol.result_digest` CRC over its key and run, computed
 *before* the window is handed to the transport, so the coordinator can
 detect any corruption between this worker's executor and its own
 journal, unit by unit.
-
-Chaos injection is delegated to :mod:`repro.campaign.dist.chaos`: a
-:class:`~.chaos.ChaosPlan` (the ``chaos=`` argument or the
-``REPRO_CHAOS_PLAN`` env var) wraps each session's stream in a
-:class:`~.chaos.ChaosFrameStream` proxy.  Chaos state is cumulative
-across reconnects — the schedule is a pure function of
-``(seed, worker name, result index)``, unaffected by the failures it
-injects.
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ from ..experiment import ExecutorConfig
 from ..golden import record_golden
 from ..pipeline import ExecutorCounters, campaign_params
 from ..runner import style_from_spec
-from .chaos import WorkerChaos, plan_from_env, plan_from_spec
 from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
                        result_digest)
 
@@ -103,8 +94,7 @@ class DistWorker:
                  reconnect_delay: float = 0.2,
                  max_reconnect_delay: float = 5.0,
                  max_reconnects: int | None = None,
-                 connect_timeout: float = 5.0,
-                 chaos=None):
+                 connect_timeout: float = 5.0):
         self.host = host
         self.port = port
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
@@ -112,10 +102,6 @@ class DistWorker:
         self.max_reconnect_delay = max_reconnect_delay
         self.max_reconnects = max_reconnects
         self.connect_timeout = connect_timeout
-        plan = plan_from_spec(chaos) if chaos is not None \
-            else plan_from_env()
-        self._chaos = WorkerChaos(plan, self.name) \
-            if plan is not None and plan.active else None
         self._rng = random.Random(self.name)
         self._finished = False
         #: Units executed locally (not counting duplicates).
@@ -167,8 +153,6 @@ class DistWorker:
         # them stalls the per-class submit loop for nothing.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         stream = FrameStream(sock)
-        if self._chaos is not None:
-            stream = self._chaos.wrap(stream)
         try:
             stream.send({"type": "hello", "version": PROTOCOL_VERSION,
                          "name": self.name})
@@ -316,11 +300,8 @@ class DistWorker:
         # than the window leaves as it finishes.
         opened = _clock()
         # One style generator for the lease; the unit stays the unit of
-        # integrity (one item and one CRC each) and of every seeded
-        # chaos schedule.
+        # integrity (one item and one CRC each).
         for key, run in style.execute(executor, work):
-            if self._chaos is not None:
-                self._chaos.before_class(key)
             self.executed += 1
             hits, skips = counters.take()
             window.append({

@@ -18,12 +18,11 @@ Commands:
     ``--max-retries`` tune the fabric's lease policy: a lease past its
     wall-clock deadline is a failed attempt, retried, and reported
     missing once its retries are spent — never a result.  ``--shards``
-    / ``--chaos`` / ``--chaos-seed`` / ``--crosscheck`` configure the
-    fabric of a full scan on ``--jobs N`` ≥ 2 workers and are refused
-    anywhere else.  ``--no-convergence`` / ``--checkpoint-stride``
-    control the early exits (golden checkpoint ladder + state memo; a
-    pure optimization, outcomes are identical either way), which the
-    summary counts as "early exits (ladder + state memo)".
+    / ``--crosscheck`` configure the fabric of a full scan on ``--jobs N``
+    ≥ 2 workers and are refused anywhere else.  ``--no-convergence`` /
+    ``--checkpoint-stride`` control the early exits (golden checkpoint
+    ladder + state memo; a pure optimization, outcomes are identical
+    either way), counted as "early exits (ladder + state memo)".
 ``compare <baseline> <variant>... [--journal P] [--csv P]``
     Run baseline + N hardened variants as one comparison sweep and
     print the side-by-side table of the sound failure-count ratio and
@@ -48,8 +47,6 @@ Commands:
     leases, and stream results back; the coordinator owns the journal
     and survives worker loss (see ``repro worker``).  ``scan --jobs N``
     does the same in one command, forking N local worker processes.
-    Its ``--chaos`` plan is coordinator-side only; workers take theirs
-    from ``REPRO_CHAOS_PLAN``.
 ``worker --connect HOST:PORT [--name N]``
     Join a distributed campaign as a worker.  The worker re-assembles
     the program from shipped source and re-verifies the golden run
@@ -69,13 +66,12 @@ Commands:
 Exit codes: ``0`` success; ``3`` when a scan finished *incomplete*
 (shards abandoned after their retry budget — the printed report lists
 the missing units), so scripted campaigns can detect degraded results;
-``1`` with one ``repro: …`` line for a journal that cannot be used.
+``1`` with one ``repro: …`` line for a path or endpoint that cannot be used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -103,7 +99,6 @@ from .campaign import (
     run_full_scan,
     run_sampling,
 )
-from .campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from .campaign.dist.coordinator import DEFAULT_SHARDS
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
@@ -116,13 +111,13 @@ from .programs import all_programs, bin_sem2, hi, sync2
 EXIT_INCOMPLETE = 3
 
 
-def _count_arg(least: int):
-    """An argparse type: an int of at least ``least``."""
+def _count_arg(least: int, most: float = float("inf")):
+    """An argparse type: an int in ``[least, most]``."""
     def count(value: str) -> int:
         number = int(value)
-        if number < least:
+        if not least <= number <= most:
             raise argparse.ArgumentTypeError(
-                f"must be >= {least}, got {number}")
+                f"must be in [{least}, {most}], got {number}")
         return number
     return count
 
@@ -132,6 +127,13 @@ def _fraction_arg(value: str) -> float:
     if not 0.0 <= fraction <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {fraction}")
     return fraction
+
+
+def _positive_arg(value: str) -> float:
+    number = float(value)
+    if not number > 0.0:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
+    return number
 
 
 def _eta_progress(label: str):
@@ -239,22 +241,6 @@ def _list_campaigns(path, campaigns) -> int:
     return sum(entry["status"] != "complete" for entry in campaigns)
 
 
-def _chaos_plan(spec, seed=None):
-    """A :class:`ChaosPlan` from ``--chaos``/``--chaos-seed``, or None."""
-    if spec is None and seed is None:
-        return None
-    try:
-        data = json.loads(spec) if spec else {}
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"--chaos expects a JSON chaos plan: {exc}")
-    if seed is not None:
-        data["seed"] = seed
-    try:
-        return ChaosPlan.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid --chaos plan: {exc}")
-
-
 def _print_execution(execution) -> None:
     """Print the completeness report when there is anything to say."""
     if execution is None:
@@ -276,12 +262,7 @@ def _exit_status(execution) -> int:
 
 
 def _print_scan(scan) -> int:
-    """Print a full-scan result (``None``: a fabric stopped by its
-    chaos schedule); return the process exit status."""
-    if scan is None:
-        print("coordinator stopped by its chaos schedule; results so "
-              "far are journaled", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    """Print a full-scan result; return the process exit status."""
     _print_execution(scan.execution)
     print(outcome_histogram(scan))
     print(f"\nweighted coverage: {100 * weighted_coverage(scan):.2f}%")
@@ -294,9 +275,8 @@ def cmd_scan(args) -> int:
     workers = resolve_jobs(args.jobs)
     fleet = not args.samples and workers is not None and workers >= 2
     # Only a full scan's fabric reads these; elsewhere they would be lost.
-    for flag in ("--shards", "--chaos", "--chaos-seed", "--crosscheck"):
-        if not fleet and getattr(args, flag[2:].replace("-", "_")) \
-                is not None:
+    for flag in ("--shards", "--crosscheck"):
+        if not fleet and getattr(args, flag[2:]) is not None:
             raise SystemExit(f"{flag} configures the fabric of a full "
                              f"scan on --jobs N >= 2; drop {flag}")
     program, golden, config, policy = _campaign_setup(args, args.program)
@@ -325,11 +305,9 @@ def cmd_scan(args) -> int:
         return _exit_status(result.execution)
     if fleet:
         return _print_scan(run_distributed_scan(
-            golden, workers=workers, domain=domain,
-            executor_config=config, policy=policy,
-            shards=args.shards or DEFAULT_SHARDS,
+            golden, workers=workers, domain=domain, executor_config=config,
+            policy=policy, shards=args.shards or DEFAULT_SHARDS,
             journal=args.journal, resume=resume,
-            chaos=_chaos_plan(args.chaos, args.chaos_seed),
             crosscheck=args.crosscheck or 0.0,
             progress=_eta_progress("classes")))
     scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
@@ -376,7 +354,10 @@ def cmd_compare(args) -> int:
     print()
     print(comparison_table(reports))
     if args.csv:
-        export_comparison_csv(reports, args.csv)
+        try:
+            export_comparison_csv(reports, args.csv)
+        except OSError as exc:
+            raise SystemExit(f"repro: cannot write --csv {args.csv}: {exc}")
         print(f"\ncomparison CSV written to {args.csv}")
     return status
 
@@ -428,12 +409,6 @@ def cmd_coordinator(args) -> int:
 
     from .campaign.dist import DistCoordinator, serve_scan
 
-    plan = _chaos_plan(args.chaos)
-    if plan is not None and plan != ChaosPlan(
-            stop_coordinator_after=plan.stop_coordinator_after):
-        raise SystemExit(f"--chaos: a coordinator draws only "
-                         f"stop_coordinator_after; give workers their "
-                         f"plan through {PLAN_ENV}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     shards = args.shards or DEFAULT_SHARDS
@@ -443,8 +418,7 @@ def cmd_coordinator(args) -> int:
     host, port = sock.getsockname()[:2]
     coordinator = DistCoordinator(
         golden, sock=sock, domain=domain, executor_config=config,
-        policy=policy, shards=shards, chaos=plan,
-        crosscheck=args.crosscheck or 0.0)
+        policy=policy, shards=shards, crosscheck=args.crosscheck or 0.0)
     print(f"{program.name} [{domain.name} domain]: serving distributed scan "
           f"on {host}:{port} ({shards} shards); start workers with\n"
           f"  repro worker --connect {host}:{port}", file=sys.stderr)
@@ -454,18 +428,21 @@ def cmd_coordinator(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    from .campaign.dist import DistWorker, WorkerRejected
+    from .campaign.dist import DistWorker, ProtocolError, WorkerRejected
 
     host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--connect expects HOST:PORT, got "
-                         f"{args.connect!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise SystemExit(f"--connect expects HOST:PORT (port 0-65535), "
+                         f"got {args.connect!r}")
     worker = DistWorker(host, int(port), name=args.name,
                         max_reconnects=args.max_reconnects)
     try:
         executed = worker.run()
     except WorkerRejected as exc:
         raise SystemExit(f"worker rejected: {exc}")
+    except (ProtocolError, OSError) as exc:  # --max-reconnects spent
+        raise SystemExit(f"repro: worker gave up on {host}:{port} after "
+                         f"{args.max_reconnects + 1} attempt(s): {exc}")
     print(f"campaign complete; this worker executed {executed} "
           f"class(es)", file=sys.stderr)
     return 0
@@ -519,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     render = sub.add_parser("render", help="ASCII fault-space diagram")
     render.add_argument("program")
-    render.add_argument("--max-cycles", type=int, default=64)
-    render.add_argument("--max-bytes", type=int, default=8)
+    render.add_argument("--max-cycles", type=_count_arg(1), default=64)
+    render.add_argument("--max-bytes", type=_count_arg(1), default=8)
     render.set_defaults(func=cmd_render)
 
     def add_jobs_arg(cmd) -> None:
@@ -529,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "default: serial)")
 
     def add_sampling_args(cmd) -> None:
-        cmd.add_argument("--samples", type=int, default=0,
+        cmd.add_argument("--samples", type=_count_arg(0), default=0,
                          help="run a sampled campaign of N faults instead "
                               "of the full scan")
         cmd.add_argument("--seed", type=int, default=0,
@@ -547,13 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SQLite experiment journal: completed work "
                               "units are recorded durably and a rerun "
                               "resumes instead of restarting")
-        cmd.add_argument("--shard-timeout", type=float, default=None,
+        cmd.add_argument("--shard-timeout", type=_positive_arg, default=None,
                          metavar="SECONDS",
                          help="wall-clock deadline per fabric lease; an "
                               "overrun is a failed attempt, retried "
                               "(default: derived from the lease's "
                               "estimated cycle cost)")
-        cmd.add_argument("--max-retries", type=int, default=None,
+        cmd.add_argument("--max-retries", type=_count_arg(0), default=None,
                          metavar="N",
                          help="resubmissions per shard after a worker "
                               "death or an expired deadline before "
@@ -578,12 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: auto-tuned from the runtime; "
                               "0 disables the ladder)")
 
-    def add_fabric_args(cmd, chaos_help: str) -> None:
+    def add_fabric_args(cmd) -> None:
         cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
                          help=f"work-lease granularity "
                               f"(default: {DEFAULT_SHARDS})")
-        cmd.add_argument("--chaos", metavar="JSON", default=None,
-                         help=chaos_help)
         cmd.add_argument("--crosscheck", type=_fraction_arg,
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "
@@ -599,14 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
-    add_fabric_args(scan, "chaos plan as JSON, e.g. '{\"drop_rate\": "
-                          "0.1, \"kill_rate\": 0.02}' — every worker "
-                          "runs this seeded schedule (see "
-                          "campaign.dist.chaos)")
-    scan.add_argument("--chaos-seed", type=int, metavar="SEED",
-                      help="seed the deterministic fabric chaos "
-                           "schedule (with --chaos; alone it names an "
-                           "all-zero-rate plan)")
+    add_fabric_args(scan)
     scan.set_defaults(func=cmd_scan)
 
     compare = sub.add_parser(
@@ -648,11 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     coordinator.add_argument("--host", default="127.0.0.1",
                              help="interface to listen on (default: "
                                   "127.0.0.1; 0.0.0.0 for multi-host)")
-    coordinator.add_argument("--port", type=int, default=7716,
+    coordinator.add_argument("--port", type=_count_arg(0, 65535), default=7716,
                              help="TCP port to listen on (default: 7716)")
-    add_fabric_args(coordinator, "coordinator-side chaos plan as JSON: "
-                                 "only stop_coordinator_after (workers "
-                                 "read REPRO_CHAOS_PLAN)")
+    add_fabric_args(coordinator)
     coordinator.set_defaults(func=cmd_coordinator)
 
     worker = sub.add_parser(
@@ -662,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--name", default=None,
                         help="worker identity in reports (default: "
                              "hostname-pid)")
-    worker.add_argument("--max-reconnects", type=int, default=None,
-                        metavar="N",
+    worker.add_argument("--max-reconnects", type=_count_arg(0),
+                        default=None, metavar="N",
                         help="consecutive failed connection attempts "
                              "before giving up (default: retry forever)")
     worker.set_defaults(func=cmd_worker)
@@ -672,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_fig3)
 
     fig2 = sub.add_parser("fig2", help="Figure 2 campaigns")
-    fig2.add_argument("--rounds", type=int, default=2,
+    fig2.add_argument("--rounds", type=_count_arg(1), default=2,
                       help="bin_sem2 rounds (paper scale: 4)")
-    fig2.add_argument("--items", type=int, default=4,
+    fig2.add_argument("--items", type=_count_arg(1), default=4,
                       help="sync2 items (paper scale: 10)")
     add_jobs_arg(fig2)
     fig2.set_defaults(func=cmd_fig2)

@@ -1,13 +1,12 @@
 """Deterministic fault injection into the campaign fabric itself.
 
-The paper's comparisons rest on absolute failure counts being exact; a
-fabric that silently drops, duplicates or corrupts a result frame
-invalidates them more subtly than any sampling bias.  This module turns
-the fault injector on its own transport: a :class:`ChaosPlan` is a
-seeded, serializable schedule of frame drops, duplications, byte
-corruptions, delays, worker kills and hangs, applied through a proxy
-wrapper around the frame protocol (:class:`ChaosFrameStream`) so that
-every chaos run is **exactly reproducible** from ``(seed, params)``.
+A test fixture: the fault injector turned on its own transport.  A
+:class:`ChaosPlan` is a seeded schedule of frame drops, duplications,
+byte corruptions, lies, delays, worker kills and hangs.  A
+:class:`ChaosWorker` — a :class:`~repro.campaign.dist.DistWorker` that
+wraps each session's stream in a :class:`ChaosFrameStream` and lets its
+plan kill it at a class key — applies it, so every chaos run is
+**exactly reproducible** from the plan.
 
 Determinism contract: whether chaos fires on a worker's *n*-th class
 result is a pure function of ``(plan.seed, worker_name, n)`` — never of
@@ -31,8 +30,7 @@ items of each outgoing window in order):
                cross-check audit can catch it
 ``delay``      sleep before the class joins the outgoing frame
                (reordering / lease-expiry stress)
-``kill``       ``os._exit(13)`` — only sane for process workers (forked by
-               ``run_distributed_scan``, or ``repro worker``); the
+``kill``       ``os._exit(13)`` — only sane for process workers; the
                whole unsent window dies with the process, as under SIGKILL
 ``hang``       send the window up to this class, then sleep a long time
                mid-lease (wedged worker)
@@ -40,31 +38,29 @@ items of each outgoing window in order):
 
 ``lie`` additionally honors :attr:`ChaosPlan.liars`: when non-empty,
 only the named workers ever lie, which is how the audit tests plant
-exactly one miscomputing worker in an otherwise honest fleet.
+exactly one miscomputing worker in an otherwise honest fleet.  Besides
+the seeded rates a plan carries three counters (``die_after_results``,
+``drop_after_results``, ``duplicate_results``) that fire once at a fixed
+class result, routed through the same proxy, and ``die_on_keys``, class
+keys whose execution kills the worker every time.
 
-Besides the seeded rates a plan carries three counters
-(``die_after_results``, ``drop_after_results``, ``duplicate_results``)
-that fire once at a fixed class result, routed through the same proxy.
-A whole plan ships via ``REPRO_CHAOS_PLAN`` (JSON) or the ``chaos=``
-constructor argument.
+Where it plugs in: a test starts a :class:`ChaosWorker` on a thread or
+in a forked process, or calls :func:`chaotic_fleet` to make the first
+workers every :class:`~repro.campaign.dist.LocalFabric` forks (``jobs=N``,
+``scan --jobs N``) chaotic.  A coordinator crash is the coordinator's own
+``stop_after_results`` hook.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import random
 import time
 
-from ..outcomes import Outcome
-from .protocol import FrameStream, result_digest
-
-#: Environment variable carrying a full serialized :class:`ChaosPlan`.
-PLAN_ENV = "REPRO_CHAOS_PLAN"
-
-#: The delay/hang sleeper (module-level so tests can substitute one).
-_sleep = time.sleep
+from repro.campaign.dist import DistWorker, FrameStream, result_digest
+from repro.campaign.dist import coordinator
+from repro.campaign.outcomes import Outcome
 
 
 class ChaosInterrupt(ConnectionError):
@@ -78,14 +74,10 @@ class ChaosInterrupt(ConnectionError):
 
 @dataclasses.dataclass(frozen=True)
 class ChaosPlan:
-    """One seeded, serializable chaos schedule.
+    """One seeded chaos schedule.
 
     Rates are per-class-result probabilities in ``[0, 1]``, drawn from a
     private deterministic stream per ``(seed, worker, result index)``.
-    The plan is frozen and JSON-serializable (:meth:`to_json` /
-    :meth:`from_json`) so a chaos run can be named, shipped to
-    ``repro worker`` processes via :data:`PLAN_ENV`, and replayed
-    bit-for-bit.
     """
 
     seed: int = 0
@@ -113,15 +105,6 @@ class ChaosPlan:
     die_after_results: int | None = None
     drop_after_results: int | None = None
     duplicate_results: int = 0
-    #: Coordinator-side schedule: simulate a coordinator crash after
-    #: accepting this many fresh results (maps to ``stop_after_results``).
-    stop_coordinator_after: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "liars", tuple(self.liars))
-        object.__setattr__(
-            self, "die_on_keys",
-            tuple(tuple(int(v) for v in key) for key in self.die_on_keys))
 
     @property
     def active(self) -> bool:
@@ -133,52 +116,6 @@ class ChaosPlan:
             or self.die_after_results is not None
             or self.drop_after_results is not None
             or self.duplicate_results)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["liars"] = list(self.liars)
-        out["die_on_keys"] = [list(key) for key in self.die_on_keys]
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosPlan":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown chaos plan field(s): {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        return cls.from_dict(json.loads(text))
-
-
-def plan_from_spec(spec) -> ChaosPlan | None:
-    """Normalize a ``chaos=`` argument into a :class:`ChaosPlan`.
-
-    Accepts ``None``, a plan, or a plan-shaped dict.
-    """
-    if spec is None or isinstance(spec, ChaosPlan):
-        return spec
-    if not isinstance(spec, dict):
-        raise TypeError(f"chaos spec must be a dict or ChaosPlan, "
-                        f"got {type(spec).__name__}")
-    return ChaosPlan.from_dict(spec) if spec else None
-
-
-def plan_from_env(environ=None) -> ChaosPlan | None:
-    """The chaos plan a worker process inherits from its environment
-    (``REPRO_CHAOS_PLAN``, a serialized plan), if any."""
-    environ = os.environ if environ is None else environ
-    text = environ.get(PLAN_ENV)
-    return ChaosPlan.from_json(text) if text else None
 
 
 #: Fixed draw order — part of the reproducibility contract: adding a new
@@ -206,9 +143,6 @@ class WorkerChaos:
     def wrap(self, stream: FrameStream) -> "ChaosFrameStream":
         return ChaosFrameStream(stream, self)
 
-    def _rng(self, index: int) -> random.Random:
-        return random.Random(f"{self.plan.seed}/{self.worker}/{index}")
-
     def events_for(self, index: int) -> tuple[str, ...]:
         """Chaos events for this worker's ``index``-th class result.
 
@@ -217,7 +151,7 @@ class WorkerChaos:
         connection-ending event fire per result.
         """
         plan = self.plan
-        rng = self._rng(index)
+        rng = random.Random(f"{plan.seed}/{self.worker}/{index}")
         hit = []
         for name in _EVENTS:
             draw = rng.random()
@@ -256,7 +190,7 @@ class WorkerChaos:
         """Kill the worker as the lease's scan generator yields a class
         in ``die_on_keys``: the class and its unsent window are lost."""
         if tuple(key) in self.plan.die_on_keys:
-            self.fired["die_on_key"] = self.fired.get("die_on_key", 0) + 1
+            self._count("die_on_key")
             raise ChaosInterrupt(f"chaos: worker died executing {key}")
 
     def _count(self, name: str) -> None:
@@ -320,7 +254,7 @@ class ChaosFrameStream:
                 item["crc"] = result_digest(item["key"], item["run"])
             if "delay" in events:
                 chaos._count("delay")
-                _sleep(plan.delay_seconds)
+                time.sleep(plan.delay_seconds)
             out.append(item)
             chaos.results_sent += 1
             if "dup" in events \
@@ -337,7 +271,7 @@ class ChaosFrameStream:
                 chaos._count("hang")
                 self._send_items(message, out)
                 out = []
-                _sleep(plan.hang_seconds)
+                time.sleep(plan.hang_seconds)
         self._send_items(message, out)
 
     def _send_items(self, message: dict, items: list[dict]) -> None:
@@ -345,12 +279,48 @@ class ChaosFrameStream:
             self._stream.send({**message, "items": items})
 
 
-__all__ = [
-    "PLAN_ENV",
-    "ChaosFrameStream",
-    "ChaosInterrupt",
-    "ChaosPlan",
-    "WorkerChaos",
-    "plan_from_env",
-    "plan_from_spec",
-]
+class ChaosWorker(DistWorker):
+    """A :class:`~repro.campaign.dist.DistWorker` running ``plan``: its
+    lease frames go through a :class:`ChaosFrameStream` and each unit it
+    executes through :meth:`WorkerChaos.before_class`.  The chaos state
+    (``_chaos``) outlives its sessions."""
+
+    def __init__(self, host: str, port: int, plan: ChaosPlan, **kwargs):
+        super().__init__(host, port, **kwargs)
+        self._chaos = WorkerChaos(plan, self.name)
+
+    def _work(self, stream, executor, style) -> None:
+        # Handshake frames carry no class result: wrapping the stream
+        # from the first lease request on is the same schedule.
+        super()._work(self._chaos.wrap(stream), executor,
+                      _DyingStyle(style, self._chaos))
+
+
+class _DyingStyle:
+    """``style`` whose ``execute`` passes each unit it yields through
+    ``chaos.before_class``."""
+
+    def __init__(self, style, chaos: WorkerChaos):
+        self._style, self._chaos = style, chaos
+
+    def __getattr__(self, name):
+        return getattr(self._style, name)
+
+    def execute(self, executor, work):
+        for key, run in self._style.execute(executor, work):
+            self._chaos.before_class(key)
+            yield key, run
+
+
+def chaotic_fleet(monkeypatch, plan: ChaosPlan) -> None:
+    """Make the workers every :class:`~repro.campaign.dist.LocalFabric`
+    forks run ``plan``; the replacements it starts for dead ones (named
+    ``worker-<slot>r``) stay honest.  ``monkeypatch.undo()`` makes the
+    whole fleet honest again."""
+    def local_worker(host: str, port: int, name: str) -> None:
+        if name.endswith("r"):
+            DistWorker(host, port, name=name).run()
+        else:
+            ChaosWorker(host, port, plan, name=name).run()
+
+    monkeypatch.setattr(coordinator, "_local_worker", local_worker)

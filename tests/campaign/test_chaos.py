@@ -19,17 +19,11 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
-from repro.campaign.dist import DistCoordinator, WorkerChaos, result_digest
-from repro.campaign.dist.chaos import (
-    PLAN_ENV,
-    ChaosInterrupt,
-    ChaosPlan,
-    plan_from_env,
-    plan_from_spec,
-)
+from repro.campaign.dist import DistCoordinator, result_digest
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
 
+from .chaos import ChaosInterrupt, ChaosPlan, WorkerChaos
 from .test_dist import (POLICY, _class_items, _RawWorker, _RecordingStream,
                         _server_socket, _start_worker, run_dist)
 
@@ -92,38 +86,11 @@ def assert_soak_invariant(result, baseline):
 
 
 class TestChaosPlanUnits:
-    def test_json_round_trip_is_exact(self):
-        plan = ChaosPlan(seed=42, drop_rate=0.1, dup_rate=0.2,
-                         corrupt_rate=0.05, lie_rate=0.3,
-                         liars=("w1",), die_on_keys=((3, 7),),
-                         stop_coordinator_after=9)
-        assert ChaosPlan.from_json(plan.to_json()) == plan
-
-    def test_unknown_fields_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos plan field"):
-            ChaosPlan.from_dict({"seed": 1, "explode_rate": 1.0})
-
     def test_inactive_plan(self):
         assert not ChaosPlan(seed=5).active
         assert ChaosPlan(seed=5, drop_rate=0.01).active
         assert ChaosPlan(die_on_keys=((0, 1),)).active
         assert ChaosPlan(die_after_results=0).active
-
-    def test_plan_and_none_pass_through(self):
-        plan = ChaosPlan(seed=1, drop_rate=0.5)
-        assert plan_from_spec(plan) is plan
-        assert plan_from_spec(None) is None
-        assert plan_from_spec({}) is None
-        with pytest.raises(TypeError, match="dict or ChaosPlan"):
-            plan_from_spec("drop everything")
-
-    def test_plan_env_beats_legacy_env(self):
-        """The retired ``REPRO_DIST_CHAOS`` variable is not read."""
-        plan = ChaosPlan(seed=3, drop_rate=0.5, drop_after_results=2)
-        legacy = {"REPRO_DIST_CHAOS": json.dumps({"die_after_results": 1})}
-        assert plan_from_env({PLAN_ENV: plan.to_json(), **legacy}) == plan
-        assert plan_from_env(legacy) is None
-        assert plan_from_env({}) is None
 
 
 class TestChaosDeterminism:
@@ -269,15 +236,15 @@ class TestChaosSoak:
 
     def test_coordinator_crash_scheduled_by_the_plan(
             self, tmp_path, memory_golden, memory_baseline):
-        """``stop_coordinator_after`` is the coordinator-side chaos
-        event: the plan, not an ad-hoc test hook, schedules the crash,
-        and a restart on the same journal completes bit-for-bit."""
+        """The coordinator-side chaos event is its own crash hook
+        (``stop_after_results``): a restart on the same journal
+        completes bit-for-bit."""
         journal = tmp_path / "chaos.sqlite"
         sock = _server_socket()
         port = sock.getsockname()[1]
         first = DistCoordinator(
             memory_golden, sock=sock, shards=4, policy=POLICY,
-            chaos=ChaosPlan(stop_coordinator_after=4))
+            stop_after_results=4)
         thread = serve_in_thread(first, journal=journal)
         _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None  # the scheduled crash

@@ -32,7 +32,6 @@ from repro.campaign import (
     run_sampling,
 )
 from repro.campaign.dist import (
-    ChaosPlan,
     DistCoordinator,
     DistWorker,
     FrameStream,
@@ -44,12 +43,12 @@ from repro.campaign.dist import (
     encode_frame,
     result_digest,
 )
-from repro.campaign.dist.chaos import ChaosInterrupt
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.campaign.dist.leases import FAILED, PENDING
 from repro.campaign.runner import ScanStyle
 from repro.programs import hi, micro, sync2
 
+from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker
 from .journal_rows import class_experiments
 
 #: Snappy failure detection for loopback tests.
@@ -91,10 +90,13 @@ def _campaign_spec(golden, **kw) -> dict:
 
 
 def _start_worker(port: int, name: str, chaos=None, **kw):
-    """Run a DistWorker on a daemon thread, capturing its exception."""
+    """Run a DistWorker (a ChaosWorker given a ``chaos`` plan) on a
+    daemon thread, capturing its exception."""
     kw.setdefault("reconnect_delay", 0.05)
     kw.setdefault("max_reconnect_delay", 0.3)
-    worker = DistWorker("127.0.0.1", port, name=name, chaos=chaos, **kw)
+    worker = DistWorker("127.0.0.1", port, name=name, **kw) \
+        if chaos is None else ChaosWorker("127.0.0.1", port, chaos,
+                                          name=name, **kw)
     errors: list = []
 
     def target():
@@ -1186,17 +1188,34 @@ def _repro_env() -> dict:
     return env
 
 
+class _ForkedWorker(multiprocessing.Process):
+    """A worker process with the part of ``Popen``'s surface the tests
+    use."""
+
+    @property
+    def returncode(self):
+        return self.exitcode
+
+    def wait(self, timeout=None):
+        self.join(timeout)
+        if self.exitcode is None:
+            raise subprocess.TimeoutExpired("worker", timeout)
+        return self.exitcode
+
+
 def _spawn_worker_proc(port: int, name: str, chaos=None):
-    """Start ``python -m repro worker`` as a real subprocess."""
-    env = _repro_env()
-    if chaos:
-        env["REPRO_CHAOS_PLAN"] = chaos.to_json()
-    else:
-        env.pop("REPRO_CHAOS_PLAN", None)
+    """Start ``python -m repro worker`` as a real subprocess — or, given
+    a ``chaos`` plan, fork a :class:`ChaosWorker` process."""
+    if chaos is not None:
+        proc = _ForkedWorker(target=ChaosWorker("127.0.0.1", port, chaos,
+                                                name=name).run)
+        proc.start()
+        return proc
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
          "--connect", f"127.0.0.1:{port}", "--name", name],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=_repro_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
 
 
 class TestDistSubprocess:

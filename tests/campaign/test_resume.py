@@ -7,10 +7,9 @@ interrupt campaigns at every layer the real world does:
 
 * mid-campaign ``KeyboardInterrupt``-style aborts in the serial runner
   (simulated by a progress callback that raises),
-* fabric workers killed outright (a :class:`ChaosPlan` handed to the
-  forked workers through ``REPRO_CHAOS_PLAN``, which makes a worker
-  ``os._exit`` mid-lease like the OOM killer would, or drop its
-  connection on a class key),
+* fabric workers killed outright (a :class:`ChaosPlan` the forked
+  workers run, which makes a worker ``os._exit`` mid-lease like the OOM
+  killer would, or drop its connection on a class key),
 * wedged workers (their lease expires at its wall-clock deadline and
   is retried like a dead worker's — never turned into results),
 * the campaign *driver* itself SIGKILLed (a real ``repro scan
@@ -42,12 +41,12 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.campaign.journal import whole_run
 from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
 from repro.programs import all_programs, hi, micro
 
+from .chaos import ChaosPlan, chaotic_fleet
 from .journal_rows import class_experiments
 
 JOBS = [1, 2, 4]
@@ -64,11 +63,6 @@ HANG_ONCE = ChaosPlan(seed=17828, hang_rate=0.015, hang_seconds=1.5)
 
 #: Every started fabric worker hangs at every result.
 HANG_ALWAYS = ChaosPlan(hang_rate=1.0, hang_seconds=30.0)
-
-
-def _chaos(monkeypatch, plan: ChaosPlan) -> None:
-    """Hand ``plan`` to the fabric workers ``jobs=N`` forks."""
-    monkeypatch.setenv(PLAN_ENV, plan.to_json())
 
 
 def _dying_key(golden) -> ChaosPlan:
@@ -302,7 +296,7 @@ class TestWorkerDeath:
         golden, baseline = _golden_and_baseline(
             domain, memory_golden, memory_baseline, register_golden,
             register_baseline)
-        _chaos(monkeypatch, DIE_AT_ONCE)
+        chaotic_fleet(monkeypatch, DIE_AT_ONCE)
         result = run_full_scan(golden, domain=domain, jobs=2,
                                keep_records=True,
                                policy=RetryPolicy(backoff=0.05))
@@ -321,7 +315,7 @@ class TestWorkerDeath:
         base = time.monotonic()
         monkeypatch.setattr(coordinator_mod, "_clock", lambda: base + (
             time.monotonic() - base) * 1000.0)
-        _chaos(monkeypatch, DIE_AT_ONCE)
+        chaotic_fleet(monkeypatch, DIE_AT_ONCE)
         start = time.monotonic()
         result = run_full_scan(
             memory_golden, jobs=2, keep_records=True,
@@ -332,7 +326,7 @@ class TestWorkerDeath:
 
     def test_exhausted_retries_degrade_to_partial_result(
             self, monkeypatch, memory_golden, memory_baseline):
-        _chaos(monkeypatch, _dying_key(memory_golden))
+        chaotic_fleet(monkeypatch, _dying_key(memory_golden))
         result = run_full_scan(memory_golden, jobs=2,
                                policy=RetryPolicy(max_retries=1,
                                                   backoff=0.05))
@@ -354,12 +348,12 @@ class TestWorkerDeath:
         then a clean rerun: the rerun resumes the survivors and equals
         the uninterrupted run."""
         journal = tmp_path / "journal.sqlite"
-        _chaos(monkeypatch, _dying_key(memory_golden))
+        chaotic_fleet(monkeypatch, _dying_key(memory_golden))
         partial = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 policy=RetryPolicy(max_retries=1,
                                                    backoff=0.05))
         assert not partial.execution.complete
-        monkeypatch.delenv(PLAN_ENV)
+        monkeypatch.undo()
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 keep_records=True)
         assert resumed == memory_baseline
@@ -370,7 +364,7 @@ class TestWorkerDeath:
     def test_sampling_survives_worker_death(self, monkeypatch,
                                             memory_golden):
         baseline = run_sampling(memory_golden, 40, seed=7)
-        _chaos(monkeypatch, DIE_AT_ONCE)
+        chaotic_fleet(monkeypatch, DIE_AT_ONCE)
         result = run_sampling(memory_golden, 40, seed=7, jobs=2,
                               policy=RetryPolicy(backoff=0.05))
         assert result == baseline
@@ -390,13 +384,13 @@ class TestWorkerDeath:
 
         baseline = run()
         journal = tmp_path / "journal.sqlite"
-        _chaos(monkeypatch, DIE_AT_ONCE)
+        chaotic_fleet(monkeypatch, DIE_AT_ONCE)
         partial = run(jobs=2, journal=journal,
                       policy=RetryPolicy(max_retries=0))
         execution = partial.execution
         assert not execution.complete
         assert execution.failed_shards >= 1
-        monkeypatch.delenv(PLAN_ENV)
+        monkeypatch.undo()
         resumed = run(jobs=2, journal=journal)
         assert resumed == baseline
         assert resumed.execution.complete
@@ -416,7 +410,7 @@ class TestHungWorker:
 
     def test_hung_shard_is_retried_to_the_serial_result(
             self, monkeypatch, memory_golden, memory_baseline):
-        _chaos(monkeypatch, HANG_ONCE)
+        chaotic_fleet(monkeypatch, HANG_ONCE)
         result = run_full_scan(memory_golden, jobs=2, keep_records=True,
                                policy=self.HANG_POLICY)
         assert result == memory_baseline
@@ -432,7 +426,7 @@ class TestHungWorker:
     def test_exhausted_hang_is_missing_and_never_journaled(
             self, monkeypatch, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "journal.sqlite"
-        _chaos(monkeypatch, HANG_ALWAYS)
+        chaotic_fleet(monkeypatch, HANG_ALWAYS)
         partial = run_full_scan(
             memory_golden, jobs=2, journal=journal,
             policy=replace(self.HANG_POLICY, max_retries=0))
@@ -457,7 +451,7 @@ class TestHungWorker:
         assert entry["journaled_experiments"] \
             == 8 * (execution.total_units - len(execution.missing))
         # ... and a clean rerun on the same journal executes just them.
-        monkeypatch.delenv(PLAN_ENV)
+        monkeypatch.undo()
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 keep_records=True)
         assert resumed == memory_baseline
@@ -473,7 +467,7 @@ class TestHungWorker:
             return run_sampling(memory_golden, 40, seed=7, **kw)
 
         baseline = run()
-        _chaos(monkeypatch, HANG_ONCE)
+        chaotic_fleet(monkeypatch, HANG_ONCE)
         result = run(jobs=2, policy=self.HANG_POLICY)
         assert result == baseline
         assert result.execution.timed_out_shards == 2
@@ -673,7 +667,7 @@ class TestHeartbeat:
         """During an idle wait the progress callback is re-invoked with
         unchanged counts, so a UI can prove the campaign is alive."""
         calls = []
-        _chaos(monkeypatch, HANG_ONCE)
+        chaotic_fleet(monkeypatch, HANG_ONCE)
         run_full_scan(
             memory_golden, jobs=2, progress=lambda d, t: calls.append(d),
             policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05,

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import re
+import socket
 
 import pytest
 
 from repro.campaign import ExperimentJournal
 from repro.cli import build_parser, main
+
+from .campaign.chaos import ChaosPlan, chaotic_fleet
 
 
 class TestCli:
@@ -353,8 +356,7 @@ class TestCliDist:
         assert histogram(dist) == histogram(serial)
 
     @pytest.mark.parametrize("flag,value", [
-        ("--shards", "4"), ("--chaos", "{}"), ("--chaos-seed", "0"),
-        ("--crosscheck", "1.0")])
+        ("--shards", "4"), ("--crosscheck", "1.0")])
     @pytest.mark.parametrize("mode", [[], ["--jobs", "1"],
                                       ["--jobs", "2", "--samples", "10"]])
     def test_scan_fabric_flags_need_dist(self, flag, value, mode,
@@ -386,16 +388,41 @@ class TestCliDist:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["scan", "hi", "--jobs", "2", "--chaos", "{}"],
+        ["scan", "hi", "--jobs", "2", "--chaos-seed", "0"],
+        ["coordinator", "hi", "--chaos", "{}"],
+    ])
+    def test_chaos_is_not_a_cli_flag(self, argv, capsys):
+        """Fault injection into the fabric is a test fixture: its flags
+        are usage errors."""
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["scan", "memcopy", "--jobs", "-1"],
         ["scan", "hi", "--jobs", "2", "--shards", "0"],
         ["coordinator", "hi", "--crosscheck", "1.5"],
         ["coordinator", "hi", "--shards", "-1"],
         ["scan", "hi", "--checkpoint-stride", "-1"],
+        ["scan", "hi", "--samples", "-5"],
+        ["scan", "hi", "--max-retries", "-1"],
+        ["scan", "hi", "--shard-timeout", "-1"],
+        ["compare", "hi", "hi-dft4", "--shard-timeout", "0"],
+        ["coordinator", "hi", "--port", "99999"],
+        ["worker", "--connect", "127.0.0.1:1", "--max-reconnects", "-1"],
+        ["fig2", "--rounds", "0"],
+        ["fig2", "--items", "0"],
+        ["render", "hi", "--max-cycles", "-1"],
+        ["render", "hi", "--max-bytes", "0"],
     ])
     def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
-        """A negative job count, a shard count below one or a
-        cross-check fraction outside [0, 1] is a usage error before
-        anything runs — not a serial scan, not a traceback."""
+        """A number out of its range — a negative job, sample, retry or
+        reconnect count, a shard count below one, a cross-check fraction
+        outside [0, 1], a deadline that is not positive, a port past
+        65535 — is a usage error before anything runs: not a serial
+        scan, not a traceback."""
         with pytest.raises(SystemExit) as usage:
             main(argv)
         assert usage.value.code == 2
@@ -403,46 +430,39 @@ class TestCliDist:
         assert captured.out == ""
         assert argv[-2] in captured.err
 
-    def test_coordinator_refuses_a_worker_side_chaos_plan(
-            self, monkeypatch, capsys):
-        """A coordinator draws no worker-side event and reads no seed,
-        so a plan that sets one is refused, naming the variable workers
-        read, and ``--chaos-seed`` is a usage error — both before the
-        golden run or the port; its own crash hook is accepted."""
-        import repro.cli
-
-        def no_golden(*args, **kwargs):
-            raise AssertionError("golden run recorded")
-
-        monkeypatch.setattr(repro.cli, "record_golden", no_golden)
-        for plan in ('{"corrupt_rate": 1.0}', '{"seed": 3}'):
-            with pytest.raises(SystemExit, match="REPRO_CHAOS_PLAN"):
-                main(["coordinator", "memcopy", "--port", "0",
-                      "--chaos", plan])
-        with pytest.raises(SystemExit) as usage:
-            main(["coordinator", "memcopy", "--port", "0",
-                  "--chaos-seed", "3"])
-        assert usage.value.code == 2
-        assert "--chaos-seed" in capsys.readouterr().err
-        # The coordinator's own crash hook passes the check: the
-        # command goes on to record the golden run.
-        with pytest.raises(AssertionError, match="golden run"):
-            main(["coordinator", "memcopy", "--port", "0",
-                  "--chaos", '{"stop_coordinator_after": 3}'])
-
     def test_worker_connect_must_be_host_port(self):
-        with pytest.raises(SystemExit, match="HOST:PORT"):
-            main(["worker", "--connect", "nonsense"])
+        for endpoint in ("nonsense", "127.0.0.1:70000"):
+            with pytest.raises(SystemExit, match="HOST:PORT"):
+                main(["worker", "--connect", endpoint])
+
+    def test_a_worker_out_of_reconnects_exits_with_one_line(self):
+        """No coordinator at the endpoint (a port bound, then closed)
+        and no retry to spare: one line naming the endpoint and the
+        attempts, not a ``ConnectionRefusedError`` traceback."""
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            port = sock.getsockname()[1]
+        with pytest.raises(SystemExit) as gave_up:
+            main(["worker", "--connect", f"127.0.0.1:{port}",
+                  "--max-reconnects", "0"])
+        assert re.fullmatch(rf"repro: .*127\.0\.0\.1:{port} after 1 "
+                            rf"attempt\(s\): .*", str(gave_up.value.code))
+
+    def test_an_unwritable_csv_exits_with_one_line(self, capsys, tmp_path):
+        """``compare --csv`` into a directory that does not exist: the
+        table prints, then one ``repro:`` line, not a traceback."""
+        path = tmp_path / "missing" / "c.csv"
+        with pytest.raises(SystemExit) as refused:
+            main(["compare", "hi", "hi-dft4", "--csv", str(path)])
+        assert str(refused.value.code).startswith(
+            f"repro: cannot write --csv {path}: ")
+        assert "hi-dft4" in capsys.readouterr().out
 
     def test_incomplete_scan_exits_nonzero(self, monkeypatch, capsys):
         """A campaign that lost shards for good must not exit 0 — CI
         pipelines gate on the exit code, not on parsing the report.
         Here every fabric worker dies at its first result, and no lease
         may be retried."""
-        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
-
-        monkeypatch.setenv(PLAN_ENV,
-                           ChaosPlan(die_after_results=0).to_json())
+        chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=0))
         status = main(["scan", "memcopy", "--jobs", "2",
                        "--max-retries", "0"])
         out = capsys.readouterr().out
@@ -453,11 +473,8 @@ class TestCliDist:
             self, monkeypatch, capsys, tmp_path):
         """The same lost campaign, journaled: the listing shows its
         failed leases and exits 3 until a rerun finishes it."""
-        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
-
         journal = str(tmp_path / "j.sqlite")
-        monkeypatch.setenv(PLAN_ENV,
-                           ChaosPlan(die_after_results=0).to_json())
+        chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=0))
         assert main(["scan", "memcopy", "--jobs", "2", "--max-retries",
                      "0", "--journal", journal]) == 3
         capsys.readouterr()
@@ -465,7 +482,7 @@ class TestCliDist:
         out = capsys.readouterr().out
         assert re.search(r"leases: \d+ shard\(s\) — .*failed", out)
         assert "1 campaign(s) incomplete" in out
-        monkeypatch.delenv(PLAN_ENV)
+        monkeypatch.undo()
         assert main(["scan", "memcopy", "--jobs", "2", "--journal",
                      journal]) == 0
         capsys.readouterr()
@@ -479,18 +496,16 @@ class TestCliDist:
         healthy, completes to the serial table.  Both fabric workers
         wedge at their first result, each holding one of the two
         shards."""
-        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
-
         main(["scan", "memcopy"])
         serial = capsys.readouterr().out.splitlines()
         args = ["scan", "memcopy", "--jobs", "2", "--journal",
                 str(tmp_path / "j.sqlite")]
-        monkeypatch.setenv(PLAN_ENV, ChaosPlan(hang_rate=1.0).to_json())
+        chaotic_fleet(monkeypatch, ChaosPlan(hang_rate=1.0))
         status = main(args + ["--shard-timeout", "1", "--max-retries", "0"])
         out = capsys.readouterr().out
         assert status == 3
         assert "deadline expiries: 2" in out and "INCOMPLETE" in out
-        monkeypatch.delenv(PLAN_ENV)
+        monkeypatch.undo()
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "resumed from journal" in out
