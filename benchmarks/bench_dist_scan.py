@@ -159,11 +159,13 @@ def test_send_window_gate(monkeypatch):
 
 
 def test_merge_window_gate(monkeypatch, tmp_path):
-    """The coordinator merges a send window, not a class: on a
-    ``memcopy`` × register scan (66 classes), existence ``SELECT``\\ s on
-    ``class_results`` ≤ ``results`` frames (a ``SELECT`` per class would
-    be 66), and ``result_digest`` runs once per class on each side — the
-    worker stamps it, the coordinator re-derives it, nothing else does.
+    """The lease board is the coordinator's one duplicate filter: on a
+    ``memcopy`` × register scan (66 classes), serving asks the journal
+    no existence ``SELECT`` on ``class_results`` (one per window, or per
+    class, would be a second filter), while the trace does see the
+    classes written (the positive control), and ``result_digest`` runs
+    once per class on each side — the worker stamps it, the coordinator
+    re-derives it, nothing else does.
 
     Counts, from the journal connection's ``set_trace_callback``; writes
     no ``BENCH_*.json``.
@@ -215,11 +217,15 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     selects = [sql for sql in statements
                if sql.lstrip().upper().startswith("SELECT")
                and "class_results" in sql and "outcome" not in sql]
+    writes = [sql for sql in statements
+              if sql.lstrip().upper().startswith("INSERT")
+              and "class_results" in sql]
     print(f"\nmerge window on {golden.program.name} × register: "
-          f"{len(selects)} existence SELECTs for {frames['results']} "
-          f"results frames, {classes} classes; result_digest calls "
-          f"{digests}")
-    assert 0 < len(selects) <= frames["results"]
+          f"{len(selects)} existence SELECTs and {len(writes)} class "
+          f"writes for {frames['results']} results frames, {classes} "
+          f"classes; result_digest calls {digests}")
+    assert writes  # the trace sees the journal's statements
+    assert selects == []
     assert digests == {"worker": classes, "coordinator": classes}
 
 

@@ -14,10 +14,10 @@ answers two questions:
 * *store*: a freshly executed class/experiment is written back as the
   run its style's ``execute`` yielded, first-wins per bit (a longer run
   replaces a shorter one stored at the same first bit, nothing else is
-  overwritten), so concurrent or repeated campaigns agree with the dist
-  fabric's at-least-once merge discipline.  The fabric stores its units
-  in one unit at assembly, as the runs it received
-  (:meth:`SectionComposer.store_runs`).
+  overwritten), so concurrent or repeated campaigns agree.  Every
+  transport stores a batch as one unit
+  (:meth:`SectionComposer.store_runs`); the fabric holds back only the
+  units its determinism audit may still discard, until serving ends.
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry

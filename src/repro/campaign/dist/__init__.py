@@ -8,14 +8,14 @@ worker processes over TCP: forks of the campaign's own process for
 Workers re-verify the golden run before executing (a stale checkout can
 never pollute results) and stream unit results back a send window at a
 time; the coordinator reassigns expired leases with exponential backoff
-and a retry budget, merges duplicate submissions idempotently through
-the journal keys, and degrades permanently lost shards into
+and a retry budget, takes each unit once (its lease board drops
+duplicate submissions), and degrades permanently lost shards into
 :class:`~repro.campaign.pipeline.ExecutionReport` completeness
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.
 
-Lease retry plus first-wins merge is the whole failure policy.  On top
-of it sit only layers that catch what retry and merge cannot: a
+Lease retry plus that one duplicate filter is the whole failure policy.
+On top of it sit only layers that catch what retry cannot: a
 per-unit CRC and shape check (a payload damaged between a worker's
 executor and the journal), the fingerprint/golden re-verification (a
 worker built from other code),

@@ -14,15 +14,15 @@ runs it over forked local workers (``jobs=N``, ``scan --jobs N``);
 its own is what at-least-once delivery over a network needs, and the
 style states each step for its units:
 
-* **First-wins merge** (``style.merge``).  Lease expiry, reconnects and
-  retransmits duplicate submissions, so every window is merged first
-  copy wins — a full scan through
-  :meth:`~repro.campaign.journal.CampaignJournal.merge_classes`, one
-  existence query per window — and only the units taken reach the
-  pipeline's sink (:meth:`~repro.campaign.pipeline.CampaignRun.count`).
-  Workers re-verify program fingerprint and golden Δt before executing,
-  so a unit has one possible value and the result is bit-for-bit
-  serial.
+* **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).
+  Lease expiry, reconnects and retransmits duplicate submissions; a
+  unit is fresh when the board takes its key off its shard, and only
+  fresh units are journaled (``style.journal``) and counted
+  (:meth:`~repro.campaign.pipeline.CampaignRun.count`), each window's
+  as one batch.  A copy — of a unit taken, resumed, composed or
+  disputed — finds its key gone and is dropped.  Workers re-verify
+  program fingerprint and golden Δt before executing, so a unit has
+  one possible value and the result is bit-for-bit serial.
 * **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
   or half-delivered lease is re-queued with backoff and a retry budget,
   then its keys degrade into ``ExecutionReport.missing``.  Results and
@@ -32,16 +32,16 @@ style states each step for its units:
 * **Integrity**, per unit, before any accounting: the CRC is
   re-derived from the run strings and their shape checked
   (``style.valid_run``); a bad unit is rejected (not progress: its
-  lease re-grants it) and its neighbours merge.
+  lease re-grants it) and its neighbours are taken.
 * **The determinism audit** (``crosscheck``): a deterministic fraction
   of keys is re-executed on a *second* worker (verify leases: negative
   lease id, ``shard == -1``) and the digests compared.  A mismatch is a
   bug to report, not a vote to hold: a ``crosscheck-mismatch`` event
   names both workers and digests, the unit leaves the journal
-  (``style.discard``) and the run, later copies are refused, and it
-  stays missing for a rerun to retry.  Because of that discard, the
-  section store is written once serving ends (``style.store``), from
-  the runs as they arrived.
+  (``style.discard``) and the run, and it stays missing for a rerun
+  to retry.  Because of that discard, an audited unit's run waits out
+  of the section store until serving ends (``style.store``); every
+  other unit is stored as it is journaled.
 
 Time is read through the module-level :data:`_clock` (lease grants,
 expiry, progress heartbeats), so tests can substitute a virtual one.
@@ -107,12 +107,12 @@ class DistCoordinator:
 
     ``shards`` fixes the lease granularity (finer shards rebalance
     better after node loss; coarser ones amortize more snapshot
-    fast-forwarding).  ``expected_workers`` is an optional planning
-    hint: when set and the campaign's estimated cycle cost is small
-    (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`), the
-    granularity collapses to one shard per worker so lease round-trips
-    stop dominating tiny scans.  ``crosscheck`` is the audited fraction
-    of class keys (module docstring).
+    fast-forwarding).  Serving a :attr:`fleet`, a campaign of small
+    estimated cycle cost
+    (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`) collapses
+    to one shard per fleet worker, so lease round-trips stop dominating
+    tiny scans.  ``crosscheck`` is the audited fraction of class keys
+    (module docstring).
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection after accepting that many fresh classes and
@@ -128,7 +128,6 @@ class DistCoordinator:
                  executor_config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS,
-                 expected_workers: int | None = None,
                  stop_after_results: int | None = None,
                  crosscheck: float = 0.0):
         if shards < 1:
@@ -143,26 +142,23 @@ class DistCoordinator:
         self.params = campaign_params(golden, self.config)
         self.policy = policy or RetryPolicy()
         self.shards = shards
-        self.expected_workers = expected_workers
         self._sock = sock
         self.stop_after_results = stop_after_results
         self.crosscheck = crosscheck
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
-        #: Runs of the classes this coordinator journaled fresh (and
-        #: has not discarded): the section store's input at the end.
+        #: Runs of the audited units journaled fresh and not disputed:
+        #: the section store's input once serving ends.
         self._runs: dict[tuple, tuple] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
         # Cross-check state: keys awaiting a second, independent
-        # execution; verify leases in flight; keys whose two executions
-        # disagreed (no copy of them is accepted again this run).
+        # execution, and verify leases in flight.
         self._check_pending: dict[tuple, tuple[str, int]] = {}
         self._check_inflight: dict[int, tuple[str, tuple]] = {}
         self._inflight_keys: set = set()
-        self._disputed: set = set()
         self._next_verify_id = 0
         self._drain_deadline: float | None = None
 
@@ -203,8 +199,7 @@ class DistCoordinator:
         if self.stopped:
             raise CoordinatorStopped(
                 f"crash hook fired after {self._accepted} units")
-        # Only units taken fresh and not discarded by the audit reach
-        # the section store (resumed ones came from it or are in it).
+        # The audited units not disputed join the section store now.
         if run.composer is not None:
             run.style.store(run.composer, self._runs.items())
         report = run.report
@@ -225,12 +220,13 @@ class DistCoordinator:
         self._message = self._campaign_message(style)
         completed = run.completed
         # Plan over the FULL unit list (small campaigns: one shard per
-        # expected worker): shard indices and key lists are a pure
+        # fleet worker): shard indices and key lists are a pure
         # function of the arguments, so journaled retry state survives
         # a restart.
         all_keys = list(self._units)
+        workers = None if self.fleet is None else self.fleet.workers
         planned, _, costs = style.plan(list(self._units.values()),
-                                       self.shards, self.expected_workers)
+                                       self.shards, workers)
         board = LeaseBoard(policy=self.policy,
                            key_costs=dict(zip(all_keys, costs)))
         journaled_leases = handle.lease_states()
@@ -475,50 +471,31 @@ class DistCoordinator:
     # -- result acceptance ------------------------------------------------------
 
     def _accept_results(self, name: str, frame: dict, now: float) -> None:
-        """Take one send window.  Integrity stays per class — a bad
-        item is rejected, its neighbours merge — while the journal
-        merge is one call for the whole window."""
+        """Take one send window.  Integrity stays per unit — a bad item
+        is rejected, its neighbours are taken — and the board decides
+        what is fresh; the fresh units are journaled as one batch."""
         if self.stopped:
-            return  # the crash hook fired: nothing after the k-th class
+            return  # the crash hook fired: nothing after the k-th unit
         items = frame.get("items")
         if not isinstance(items, list):
             self._reject(name, None, kind="shape-reject",
                          reason="malformed results frame")
             return
-        window: list[tuple] = []
-        #: Per key, its first copy's ``(run, digest, counts)``.
-        copies: dict[tuple, tuple] = {}
+        fresh = []
         for item in items:
             checked = self._checked(name, item)
             if checked is None:
                 continue
-            key, shard, run, digest, counts = checked
-            if key in self._disputed:
-                continue  # its two executions disagreed: it stays missing
+            key, shard, _run, digest, _counts = checked
             if shard < 0:
                 self._accept_verify(name, key, digest)
-                continue
-            self.board.progress(shard, key, now)
-            window.append((key, run))
-            copies.setdefault(key, (run, digest, counts))
-        # A verify item of this window may have disputed a key that an
-        # earlier item of it carries.
-        window = [entry for entry in window
-                  if entry[0] not in self._disputed]
-        merge, keep = self.style.merge, self.style.keep
-        while window and not self.stopped:
-            # Late or duplicate copies (expired lease, retransmit) are
-            # not fresh: the journal already holds the identical run.
-            # With the crash hook armed, a merge takes at most the
-            # units it has left, so the k-th unit is the last one.
-            take = len(window) if self.stop_after_results is None \
-                else max(1, self.stop_after_results - self._accepted)
-            fresh = merge(self.run, window[:take])
-            for key in fresh:
-                self._account(name, key, *copies[key])
-            self.run.count([(key, keep(key, copies[key][0]))
-                            for key in fresh])
-            window = window[take:]
+            elif self.board.progress(shard, key, now):
+                fresh.append(checked)
+        if self.stop_after_results is not None:
+            # The crash hook's k-th unit is the last one taken.
+            fresh = fresh[:self.stop_after_results - self._accepted]
+        if fresh:
+            self._take(name, fresh)
         self._maybe_finish()
 
     def _checked(self, name: str, item):
@@ -551,18 +528,28 @@ class DistCoordinator:
             return None
         return key, shard, run, digest, counts
 
-    def _account(self, name: str, key: tuple, run: tuple, digest: int,
-                 counts: tuple) -> None:
-        """What the fabric adds to the sink's count of one unit the
-        journal took fresh (its first delivery)."""
-        self._runs[key] = run
-        if self._crosscheck_selected(key):
-            self._check_pending[key] = (name, digest)
-            self._drain_deadline = None
-            self.report.crosschecked += 1
-        self.report.count(counts)
-        self._worker_units[name] += 1
-        self._accepted += 1
+    def _take(self, name: str, fresh: list) -> None:
+        """Journal, store and count the checked units the board took
+        fresh; an audited unit's run waits in :attr:`_runs`."""
+        run, style, report = self.run, self.style, self.report
+        stored, held = [], []
+        for key, _shard, data, digest, counts in fresh:
+            if self._crosscheck_selected(key):
+                self._check_pending[key] = (name, digest)
+                self._drain_deadline = None
+                report.crosschecked += 1
+                self._runs[key] = data
+                held.append((key, data))
+            else:
+                stored.append((key, data))
+            report.count(counts)
+        style.journal(self.handle, run.composer, stored)
+        if held:
+            style.journal(self.handle, None, held)
+        run.count([(key, style.keep(key, data))
+                   for key, _shard, data, _digest, _counts in fresh])
+        self._worker_units[name] += len(fresh)
+        self._accepted += len(fresh)
         if (self.stop_after_results is not None
                 and self._accepted >= self.stop_after_results):
             self.stopped = True
@@ -582,8 +569,9 @@ class DistCoordinator:
             return
         # Two verified builds computed different outcomes for one unit.
         # Nothing here can say which is right, so nothing is kept: the
-        # row goes, every later copy is refused, and the key is left
-        # missing for a rerun on the same journal to re-execute.
+        # row goes and the key is left missing for a rerun on the same
+        # journal to re-execute.  It left the board when it was taken,
+        # so no later copy of it is fresh.
         self.report.crosscheck_mismatches += 1
         self.handle.record_event(
             "crosscheck-mismatch", worker=worker, at=time.time(),
@@ -594,7 +582,6 @@ class DistCoordinator:
             self.run.done -= 1
         self.run.fresh.pop(key, None)
         self._runs.pop(key, None)
-        self._disputed.add(key)
 
     # -- integrity helpers ------------------------------------------------------
 
@@ -734,8 +721,7 @@ class LocalFabric:
         try:
             coordinator = DistCoordinator(
                 self.golden, sock=sock, domain=self.domain,
-                executor_config=self.config, expected_workers=self.workers,
-                **self._serving)
+                executor_config=self.config, **self._serving)
             coordinator.fleet = self
             for index in range(self.workers):
                 self._fleet.append(self._start(f"worker-{index}"))

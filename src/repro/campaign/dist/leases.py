@@ -20,7 +20,8 @@ Failure handling is explicit state, not exceptions:
   in ``ExecutionReport.missing`` instead of hanging the campaign.
 * Results are accepted from *any* lease, current or revoked: work is
   work (experiments are deterministic), and :meth:`LeaseBoard.progress`
-  plus the journal's idempotent merge turn at-least-once delivery into
+  — the fabric's one duplicate filter: it takes a key once and answers
+  ``False`` for every later copy — turns at-least-once delivery into
   exactly-once accounting.
 
 That is the whole policy, for local and remote workers alike: a worker

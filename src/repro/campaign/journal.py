@@ -44,9 +44,8 @@ composition pays for.  A class stays in that stored form from reader to
 writer: :meth:`CampaignJournal.completed_classes` and
 :meth:`ExperimentJournal.section_rows` return a key that is one clean
 run from bit 0 as that run, the three strings ``(outcomes, end_cycles,
-traps)``; :meth:`CampaignJournal.record_classes` and the two window
-merges, :meth:`CampaignJournal.merge_classes` and
-:meth:`ExperimentJournal.merge_section_runs`, write runs as they are
+traps)``; :meth:`CampaignJournal.record_classes` and
+:meth:`ExperimentJournal.merge_section_runs` write runs as they are
 given.  A run is also what a style's ``execute`` yields and what the
 distributed fabric ships, so nothing converts a class between an
 executor and the journal, in-process or over the wire.
@@ -210,30 +209,6 @@ CREATE TABLE IF NOT EXISTS fabric_events (
 );
 """
 
-#: ``(table, columns)`` pairs :func:`salvage_journal` tries to recover,
-#: in dependency order.  Kept in sync with ``_SCHEMA`` by
-#: ``tests/campaign/test_salvage.py``.
-SALVAGE_TABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("meta", ("key", "value")),
-    ("campaigns", ("id", "fingerprint", "domain", "kind", "params",
-                   "cycles", "status")),
-    ("class_results", ("campaign_id", "axis", "first_slot", "bit",
-                       "outcome", "end_cycle", "trap")),
-    ("coordinate_results", ("campaign_id", "slot", "axis", "bit",
-                            "outcome")),
-    ("sampler_state", ("campaign_id", "draws", "rng_state")),
-    ("leases", ("campaign_id", "shard", "keys", "worker", "attempts",
-                "status")),
-    ("sections", ("id", "fingerprint", "program", "domain", "first_slot",
-                  "last_slot", "detail")),
-    ("section_results", ("section_id", "slot", "axis", "bit", "outcome",
-                         "end_cycle", "trap")),
-    ("campaign_sections", ("campaign_id", "section_id")),
-    ("fabric_events", ("id", "campaign_id", "at", "worker", "kind",
-                       "detail")),
-)
-
-
 class JournalError(RuntimeError):
     """The journal file is unusable (wrong schema version, corrupt)."""
 
@@ -396,14 +371,10 @@ class ExperimentJournal:
 
     def __init__(self, path: str | Path, *, salvage: bool = False):
         self.path = str(path)
-        #: The commit window: ``(sql, rows, class keys)`` units not yet
-        #: executed, the clock reading of the first one (``None`` while
-        #: empty), and the ``(campaign, axis, first_slot)`` keys among
-        #: them, which :meth:`CampaignJournal.merge_classes` consults
-        #: in memory instead of committing the window to read them.
-        self._pending: list[tuple[str, list[tuple], tuple]] = []
+        #: The commit window: ``(sql, rows)`` units not yet executed,
+        #: and the clock reading of the first one (``None`` while empty).
+        self._pending: list[tuple[str, list[tuple]]] = []
         self._pending_since: float | None = None
-        self._pending_classes: set[tuple[int, int, int]] = set()
         self._closed = False
         #: Set when opening salvaged a corrupt file (``salvage=True``).
         self.salvage_report: SalvageReport | None = None
@@ -487,8 +458,7 @@ class ExperimentJournal:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _write(self, sql: str, rows: list[tuple],
-               class_keys: tuple = ()) -> None:
+    def _write(self, sql: str, rows: list[tuple]) -> None:
         """The one write path: buffer ``rows`` as one unit of the window.
 
         The rows of one call commit together or not at all.  The call
@@ -498,8 +468,7 @@ class ExperimentJournal:
         """
         if not rows:
             return
-        self._pending.append((sql, rows, class_keys))
-        self._pending_classes.update(class_keys)
+        self._pending.append((sql, rows))
         now = _clock()
         if self._pending_since is None:
             self._pending_since = now
@@ -522,15 +491,13 @@ class ExperimentJournal:
         try:
             with self._conn:
                 self._conn.execute("BEGIN IMMEDIATE")
-                for unit, (sql, rows, _) in enumerate(self._pending):
+                for unit, (sql, rows) in enumerate(self._pending):
                     self._conn.executemany(sql, rows)
         except sqlite3.Error as exc:
             if not isinstance(exc, sqlite3.OperationalError):
-                self._pending_classes.difference_update(
-                    self._pending.pop(unit)[2])
+                del self._pending[unit]
             raise
         self._pending.clear()
-        self._pending_classes.clear()
         self._pending_since = None
 
     def _query(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
@@ -670,13 +637,12 @@ class ExperimentJournal:
         end_cycles, traps)`` into the section store, any number of
         classes as one unit, first-wins.
 
-        First-wins is the discipline the dist fabric uses for
-        at-least-once deliveries: experiments are deterministic, so a
-        duplicate necessarily carries identical values and dropping it
-        is sound.  A run stored at the same first bit is replaced only
-        by a longer one — a whole class arriving where a sampled
-        campaign stored its first bit — because otherwise that class
-        would never compose.
+        Campaigns on one file store the same section side by side, and
+        experiments are deterministic, so a second copy necessarily
+        carries identical values and dropping it is sound.  A run
+        stored at the same first bit is replaced only by a longer one —
+        a whole class arriving where a sampled campaign stored its
+        first bit — because otherwise that class would never compose.
         """
         new, stored = (RUN_BITS.replace("outcome", f"{table}.outcome")
                        for table in ("excluded", "section_results"))
@@ -886,9 +852,7 @@ class CampaignJournal:
             "axis, first_slot, bit, outcome, end_cycle, trap) "
             "VALUES (?, ?, ?, 0, ?, ?, ?)",
             [(campaign_id, axis, first_slot, *run)
-             for axis, first_slot, run in classes],
-            class_keys=tuple((campaign_id, axis, first_slot)
-                             for axis, first_slot, _ in classes))
+             for axis, first_slot, run in classes])
 
     def completed_classes(self) -> dict[tuple[int, int], tuple | list]:
         """Journaled classes: ``(axis, first_slot)`` → the class's run
@@ -902,52 +866,16 @@ class CampaignJournal:
 
     def merge_class(self, axis: int, first_slot: int,
                     run: tuple[str, str, str]) -> bool:
-        """Journal one class idempotently; False when already journaled:
-        :meth:`merge_classes` of one."""
-        return bool(self.merge_classes([(axis, first_slot, run)]))
-
-    def merge_classes(
-            self,
-            classes: Iterable[tuple[int, int, tuple[str, str, str]]]) \
-            -> list[tuple[int, int]]:
-        """Journal a window of classes idempotently, as one unit; returns
-        the keys journaled fresh, in window order.
-
-        ``classes`` holds ``(axis, first_slot, run)`` triples, as
-        :meth:`record_classes` takes them.
-        The distributed coordinator's at-least-once delivery funnel: a
-        result submission that arrives twice — a worker whose lease
-        expired but whose TCP stream survived, a retransmit after a
-        reconnect, a duplicate inside one send window — merges into the
-        journal exactly once, and the returned keys let the caller keep
-        its accounting exactly-once too.  Experiments are deterministic,
-        so a duplicate submission necessarily carries the same rows; the
-        first one wins.  A class is fresh unless an earlier copy is in
-        this window, in the journal's uncommitted window (consulted in
-        memory — reading it back through ``_query`` would commit it) or
-        committed: one ``SELECT`` answers the last for the whole window.
-        """
-        journal, campaign_id = self.journal, self.campaign_id
-        pending = journal._pending_classes
-        window: dict[tuple[int, int], tuple] = {}
-        for axis, first_slot, run in classes:
-            key = (axis, first_slot)
-            if key not in window \
-                    and (campaign_id, axis, first_slot) not in pending:
-                window[key] = run
-        if window:
-            # A join, not ``(axis, first_slot) IN (VALUES …)``: SQLite
-            # plans the IN form as a scan of the campaign's rows, the
-            # join as one primary-key probe per key.
-            for key in journal._conn.execute(
-                    "SELECT c.axis, c.first_slot FROM (VALUES "
-                    + ", ".join(["(?, ?)"] * len(window))
-                    + ") AS v JOIN class_results AS c ON c.campaign_id = ? "
-                    "AND c.axis = v.column1 AND c.first_slot = v.column2",
-                    (*(v for key in window for v in key), campaign_id)):
-                window.pop(key, None)  # a version-3 class: a row per bit
-            self.record_classes([(*key, run) for key, run in window.items()])
-        return list(window)
+        """Journal one class unless it is journaled already (first
+        wins; a late copy never replaces it); False then.  A read, so
+        it commits the window first."""
+        if self.journal._query(
+                "SELECT 1 FROM class_results WHERE campaign_id = ? AND "
+                "axis = ? AND first_slot = ? LIMIT 1",
+                (self.campaign_id, axis, first_slot)).fetchone():
+            return False
+        self.record_class(axis, first_slot, run)
+        return True
 
     def discard_classes(self,
                         keys: Iterable[tuple[int, int]]) -> int:
@@ -955,8 +883,7 @@ class CampaignJournal:
 
         The cross-check audit's path: when two workers' executions of
         one class disagree, its journaled row is deleted and the class
-        left missing — first-wins merging means a disputed first copy
-        can only be displaced by deleting it.  Also used to drop
+        left missing.  Also used to drop
         partially salvaged classes whose bit count disagrees with the
         domain's expected experiment weight.  Returns classes deleted.
         """
@@ -1153,13 +1080,13 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     Torn-write recovery: a journal that fails ``quick_check`` (a crash
     mid-checkpoint, a truncated copy, disk corruption) is moved aside
     to ``<path>.corrupt`` and a fresh journal is rebuilt at ``path``
-    by reading each known table row-by-row until the first unreadable
-    page.  SQLite's transactionality means every recovered row was
-    durably committed; what is *lost* is any row on a damaged page —
-    which in a file a version-3 build wrote (a row per bit) can truncate
-    a class mid-way, so the pipeline's prologue validates every resumed
-    class (:func:`whole_run`), under every transport, instead of
-    trusting recovered classes blindly.
+    by reading each of its tables (:func:`schema_tables`) row-by-row
+    until the first unreadable page.  SQLite's transactionality means
+    every recovered row was durably committed; what is *lost* is any
+    row on a damaged page — which in a file a version-3 build wrote (a
+    row per bit) can truncate a class mid-way, so the pipeline's
+    prologue validates every resumed class (:func:`whole_run`), under
+    every transport, instead of trusting recovered classes blindly.
     """
     path = str(path)
     corrupt = path + ".corrupt"
@@ -1175,7 +1102,7 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     try:
         source = sqlite3.connect(corrupt)
         try:
-            for table, columns in SALVAGE_TABLES:
+            for table, columns in schema_tables(fresh._conn):
                 if table == "meta":
                     continue  # the fresh journal's version stamp wins
                 rows, clean = _read_rows(source, table, columns)
@@ -1194,6 +1121,18 @@ def salvage_journal(path: str | Path) -> SalvageReport:
         fresh.close()
     return SalvageReport(source=corrupt, recovered=recovered,
                          truncated=tuple(truncated))
+
+
+def schema_tables(conn: sqlite3.Connection) \
+        -> list[tuple[str, tuple[str, ...]]]:
+    """``(table, columns)`` of every table of ``conn``'s database in
+    creation order: for a fresh journal, the schema's tables in
+    dependency order."""
+    return [(table, tuple(row[1] for row in conn.execute(
+                f"PRAGMA table_info({table})")))
+            for (table,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%' ORDER BY rowid").fetchall()]
 
 
 def _read_rows(conn: sqlite3.Connection, table: str,

@@ -20,11 +20,12 @@ form and the transport table):
    journal's and the wire's; it is the only code that calls an
    executor.
 4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
-   stores each batch, then :meth:`CampaignRun.count` updates the
-   :class:`ExecutionReport` and progress (the fabric's first-wins merge,
-   :meth:`CampaignStyle.merge`, calls that directly).  A transport
-   calls :meth:`CampaignRun.idle` before it waits, so nothing sits in
-   the journal's commit window idle.
+   stores each batch (``style.journal``), then :meth:`CampaignRun.count`
+   updates the :class:`ExecutionReport` and progress.  The fabric calls
+   the two itself, for the units its lease board took fresh (its one
+   duplicate filter), so it can hold audited units out of the section
+   store.  A transport calls :meth:`CampaignRun.idle` before it waits,
+   so nothing sits in the journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
    canonical order over resumed + fresh units, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
@@ -323,8 +324,7 @@ class CampaignStyle:
     three strings of space-joined per-experiment values, in the form
     the journal stores and the fabric carries — from the executor
     onward it has no other.  Besides the attributes and the default
-    :meth:`plan`, :meth:`merge` and :meth:`keep` below, a style
-    provides:
+    :meth:`plan` and :meth:`keep` below, a style provides:
 
     ``load(handle, report)``
         the resume loader: journaled units as ``key →`` :meth:`keep`
@@ -340,7 +340,8 @@ class CampaignStyle:
     ``journal(handle, composer, batch)``
         journals a batch of ``(key, run)``, each unit atomically, and
         feeds it to the section store (styles with :attr:`composes`,
-        given a composer);
+        given a composer) — every unit given is fresh: the transport
+        took it once;
     ``valid_run(key, run)``
         the shape check a run passes before it is trusted — from a
         fabric worker or from the journal;
@@ -348,8 +349,9 @@ class CampaignStyle:
         deletes journaled units that failed :meth:`trusted` or that the
         determinism audit disputed;
     ``store(composer, runs)``
-        the fabric's deferred section-store write of ``(key, run)``
-        pairs (styles with :attr:`composes`);
+        the section-store write of ``(key, run)`` pairs (styles with
+        :attr:`composes`): ``journal``'s, and the fabric's deferred one
+        for audited units;
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
@@ -386,18 +388,6 @@ class CampaignStyle:
         """:func:`plan_shards` of ``items`` by :meth:`cost`."""
         return plan_shards(items, [self.cost(item) for item in items],
                            parts, workers)
-
-    def merge(self, run: "CampaignRun", window: Sequence) -> list:
-        """First-wins merge of a fabric send window of ``(key, run)``
-        pairs: journal the first copy of each unit ``run`` does not
-        hold yet; returns the keys journaled, in window order."""
-        fresh: dict = {}
-        for key, data in window:
-            if key not in fresh and key not in run.completed \
-                    and key not in run.fresh:
-                fresh[key] = data
-        self.journal(run.handle, None, list(fresh.items()))
-        return list(fresh)
 
     def keep(self, key, run):
         """What :meth:`result` needs of one unit's run.  The campaign
@@ -490,7 +480,9 @@ class CampaignRun:
 
     def count(self, kept: Sequence[tuple[object, object]]) -> None:
         """Account units journaled fresh, given as ``(key, kept)``
-        pairs (:meth:`CampaignStyle.keep` values): report, progress."""
+        pairs (:meth:`CampaignStyle.keep` values): report, progress.
+        Each key once — the transport decides what is fresh (in
+        process, every unit; on the fabric, the lease board)."""
         self.fresh.update(kept)
         self.report.executed += len(kept)
         self.done += len(kept)
@@ -531,7 +523,7 @@ def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
     ``journal=None`` keeps nothing durable.
     """
     if journal is None and not isinstance(transport, InProcess):
-        journal = ":memory:"  # a fabric merges through a journal
+        journal = ":memory:"  # a fabric journals leases and events
     handle = open_campaign(journal, style.golden, style.domain, style.kind,
                            style.key_params)
     with handle or nullcontext():

@@ -315,17 +315,12 @@ class ScanStyle(CampaignStyle):
             yield key, stored_run(records)
 
     def journal(self, handle, composer, batch):
-        for key, run in batch:
-            handle.record_class(*key, run)
-            composer.store_class(self.units[key], run)
+        handle.record_classes([(*key, run) for key, run in batch])
+        if composer is not None:
+            self.store(composer, batch)
 
     def valid_run(self, key, run):
         return _valid_run(run, self.domain.experiment_count(self.units[key]))
-
-    def merge(self, run, window):
-        # One existence SELECT and one buffered write for the window.
-        return run.handle.merge_classes([(*key, data)
-                                         for key, data in window])
 
     def discard(self, handle, keys):
         return handle.discard_classes(keys)
@@ -340,8 +335,8 @@ class ScanStyle(CampaignStyle):
         each distinct outcome string is decoded once per campaign, and
         the classes that share it share its tuple; end cycles and traps
         are decoded only when records are kept, and never for the
-        journal (:meth:`journal` and :meth:`merge` store the run,
-        :meth:`compose` the run read)."""
+        journal (:meth:`journal` stores the run, :meth:`compose` the run
+        read)."""
         outcomes = self._decoded.get(run[0])
         if outcomes is None:
             outcomes = self._decoded[run[0]] = tuple(

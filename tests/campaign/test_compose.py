@@ -25,8 +25,8 @@ from repro.campaign import (
 )
 from repro.campaign import compose as compose_mod
 from repro.campaign.compose import SectionComposer
-from repro.campaign.journal import (SALVAGE_TABLES, SCHEMA_VERSION,
-                                    CampaignJournal, salvage_journal)
+from repro.campaign.journal import (SCHEMA_VERSION, CampaignJournal,
+                                    salvage_journal, schema_tables)
 from repro.campaign.pipeline import InProcess
 from repro.cli import main
 from repro.faultspace import build_section_map, get_domain
@@ -519,6 +519,7 @@ def _v3_file(path, source, layout):
     conn.close()
     ExperimentJournal(path).close()  # every other table, as v3 had it
     with ExperimentJournal(source) as journal:
+        tables = schema_tables(journal._conn)
         class_rows = [
             (entry["id"], axis, first_slot, *row)
             for entry in journal.campaigns()
@@ -534,7 +535,7 @@ def _v3_file(path, source, layout):
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("ATTACH DATABASE ? AS source", (str(source),))
-        for table, columns in SALVAGE_TABLES:
+        for table, columns in tables:
             if table not in ("meta", "class_results", "section_results"):
                 names = ", ".join(columns)
                 conn.execute(f"INSERT INTO {table} ({names}) SELECT "

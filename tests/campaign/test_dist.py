@@ -49,7 +49,7 @@ from repro.campaign.runner import ScanStyle
 from repro.programs import hi, micro, sync2
 
 from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker
-from .journal_rows import class_experiments
+from .journal_rows import class_experiments, stored_experiments
 
 #: Snappy failure detection for loopback tests.
 POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05)
@@ -426,6 +426,31 @@ class TestDistChaos:
         assert thread.join_result(60) is None
         worker_thread.join(10)
         assert list(class_experiments(journal).values()) == [8] * 5
+
+    def test_a_stopped_coordinators_classes_reach_the_section_store(
+            self, tmp_path, memory_golden):
+        """The classes a stopped coordinator journaled were stored with
+        their window, so once a serial resume completes the campaign
+        the section store holds every experiment, as after a serial
+        journaled scan, and a fresh sweep composes them all."""
+        journal = tmp_path / "dist.sqlite"
+        sock = _server_socket()
+        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+                                      policy=POLICY, stop_after_results=5)
+        thread = serve_in_thread(coordinator, journal=journal)
+        _, worker_thread, _ = _start_worker(
+            sock.getsockname()[1], "w0", max_reconnects=0)
+        assert thread.join_result(60) is None
+        worker_thread.join(10)
+        resumed = run_full_scan(memory_golden, journal=journal)
+        assert resumed.execution.resumed == 5
+        serial = tmp_path / "serial.sqlite"
+        run_full_scan(memory_golden, journal=serial)
+        assert stored_experiments(journal, "section_results") \
+            == stored_experiments(serial, "section_results") \
+            == resumed.experiments_conducted
+        swept = run_full_scan(memory_golden, journal=journal, resume=False)
+        assert swept.execution.executed == 0
 
     def test_lost_forever_shard_degrades_not_hangs(self, memory_golden,
                                                    memory_baseline):
@@ -820,29 +845,17 @@ class TestSendWindow:
     def test_a_copy_still_in_the_uncommitted_window_accounts_once(
             self, tmp_path, monkeypatch, memory_golden, memory_baseline):
         """With the journal's clock frozen and idle ticks not
-        committing, the classes a first window merged are still in the
+        committing, the classes a first window took are still in the
         journal's uncommitted window when a second window repeats them:
-        the merge finds them in memory and accounts each once."""
+        the lease board has taken their keys already, so each is
+        journaled and accounted once."""
         import repro.campaign.journal as journal_mod
-        from repro.campaign.journal import CampaignJournal
         from repro.campaign.pipeline import CampaignRun
 
         monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
         monkeypatch.setattr(CampaignRun, "idle", lambda run: None)
-        #: Per window merge: how many of its keys were uncommitted.
-        pending_seen: list[int] = []
-        merge = CampaignJournal.merge_classes
-
-        def watched(handle, classes):
-            pending = handle.journal._pending_classes
-            pending_seen.append(sum(
-                (handle.campaign_id, axis, first_slot) in pending
-                for axis, first_slot, _ in classes))
-            return merge(handle, classes)
-
-        monkeypatch.setattr(CampaignJournal, "merge_classes", watched)
-        _, thread, port = self._serve(memory_golden,
-                                      journal=tmp_path / "pending.sqlite")
+        journal = tmp_path / "pending.sqlite"
+        _, thread, port = self._serve(memory_golden, journal=journal)
         raw = _RawWorker(port)
         lease = raw.lease()
         items = _class_items(raw.spec, lease)
@@ -851,10 +864,11 @@ class TestSendWindow:
         raw.lease_done(lease)
         result = thread.join_result(60)
         raw.close()
-        assert pending_seen == [0, 3]
         assert result == memory_baseline
         assert result.execution.executed == result.execution.total_units
         assert result.execution.workers == (("raw", len(items)),)
+        assert class_experiments(journal) == {
+            tuple(item["key"]): 8 for item in items}
 
     def test_the_crash_hook_counts_fresh_classes_not_copies(
             self, tmp_path, memory_golden, memory_baseline):

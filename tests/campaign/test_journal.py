@@ -346,9 +346,6 @@ class TestGroupCommit:
         journal.merge_section_runs([(section, 1, 1, 0, "sdc", "30", "")])
         clock[0] += COMMIT_WINDOW_S * 0.9
         campaign.record_experiments([(2, 1, 0, "sdc")])
-        # The merge dedup sees the writer's own pending class without
-        # committing it.
-        assert campaign.merge_class(1, 1, RUN) is False
         assert _committed(path) == NOTHING  # all inside the window
         clock[0] += COMMIT_WINDOW_S * 0.1
         campaign.record_class(4, 1, RUN)  # finds the window expired
@@ -409,8 +406,9 @@ class TestGroupCommit:
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             campaign.record_classes([(1, 1, RUN), (2, 1, RUN)])
-            assert campaign.merge_class(2, 1, RUN) is False
             assert _committed(path) == NOTHING
+            assert campaign.merge_class(2, 1, RUN) is False  # a read
+            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
             assert sorted(campaign.completed_classes()) == [(1, 1), (2, 1)]
             assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
             # A discarded class merges again, even within one window.
@@ -418,38 +416,28 @@ class TestGroupCommit:
             assert campaign.discard_classes([(3, 1), (3, 1), (9, 9)]) == 1
             assert campaign.merge_class(3, 1, RUN) is True
 
-    def test_a_window_merge_is_one_select_and_one_unit(self, tmp_path,
-                                                       clock):
-        """A window's classes are fresh unless an earlier copy is in the
-        same window, in the uncommitted window or committed.  The merge
-        asks the database once, commits nothing, and buffers the fresh
-        classes as one unit, stored exactly as ``record_class`` would
-        store them."""
+    def test_merge_class_keeps_the_first_copy_wherever_it_is(
+            self, tmp_path, clock):
+        """A class is fresh unless an earlier copy is committed, still
+        in the uncommitted window or merged just before; a late copy
+        never replaces the first, which is stored exactly as
+        ``record_class`` would store it."""
         path = tmp_path / "journal.sqlite"
-        run = RUN
         late = (" ".join(["timeout"] * 8), " ".join(["1"] * 8), " " * 7)
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             campaign.record_class(1, 1, RUN)
             campaign.flush()  # (1, 1) committed
             campaign.record_class(2, 1, RUN)  # (2, 1) uncommitted
-            statements: list[str] = []
-            journal._conn.set_trace_callback(statements.append)
-            fresh = campaign.merge_classes(
-                [(3, 1, run), (1, 1, late), (2, 1, late),
-                 (3, 1, late), (4, 1, run), (4, 1, late)])
-            journal._conn.set_trace_callback(None)
-            assert fresh == [(3, 1), (4, 1)]
-            assert len(statements) == 1 and \
-                statements[0].startswith("SELECT")
-            assert _committed(path) == NOTHING | {(1, 1): 8}
-            assert campaign.merge_classes([(4, 1, late)]) == []
+            assert campaign.merge_class(1, 1, late) is False
+            assert campaign.merge_class(2, 1, late) is False
+            assert campaign.merge_class(3, 1, RUN) is True
+            assert campaign.merge_class(3, 1, late) is False
             stored = campaign.completed_classes()
         # Every first copy, none of the late ones.
-        assert stored[(3, 1)] == stored[(4, 1)] == stored[(1, 1)] \
-            == stored[(2, 1)]
+        assert stored == {(axis, 1): RUN for axis in (1, 2, 3)}
         assert _committed(path) == NOTHING | {(axis, 1): 8
-                                              for axis in (1, 2, 3, 4)}
+                                              for axis in (1, 2, 3)}
 
     def test_an_open_window_locks_nobody_out(self, tmp_path, clock):
         """Two campaigns — two processes in real life — share one file.

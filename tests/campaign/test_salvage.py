@@ -22,7 +22,6 @@ from repro.campaign import (
     run_full_scan,
 )
 from repro.campaign.journal import (
-    SALVAGE_TABLES,
     ExperimentJournal,
     JournalCorruptError,
     SalvageReport,
@@ -63,22 +62,38 @@ def corrupt_pages(path, *, start=4096, length=8192):
 
 class TestSalvageTablesInSync:
     def test_salvage_covers_every_schema_table(self, tmp_path):
-        """Every table the schema creates must be salvageable — a table
-        added to ``_SCHEMA`` without a ``SALVAGE_TABLES`` entry would be
-        silently dropped by recovery."""
-        with ExperimentJournal(tmp_path / "probe.sqlite") as journal:
-            schema_tables = {
-                name for (name,) in journal._conn.execute(
+        """Salvage reads its tables off the fresh journal it builds, so
+        a table added to the schema is recovered with no list to keep:
+        an intact journal holding a row in every table salvages with a
+        ``recovered`` count for each (``meta`` aside: the fresh
+        journal's version stamp wins)."""
+        path = tmp_path / "every.sqlite"
+        with ExperimentJournal(path) as journal:
+            campaign = journal.campaign(fingerprint="f", domain="memory",
+                                        kind="full-scan", params={},
+                                        cycles=9)
+            campaign.record_class(0, 1, ("sdc", "3", ""))
+            campaign.record_slot(1, [(0, 0, "sdc")])
+            campaign.record_sampler_state(1, "[]")
+            campaign.record_lease(0, "[]", attempts=0, status="pending")
+            campaign.record_event("crc-reject")
+            section = journal.section(fingerprint="s", program="p",
+                                      domain="memory", first_slot=1,
+                                      last_slot=9)
+            journal.merge_section_runs([(section, 1, 0, 0, "sdc", "3", "")])
+            campaign.link_section(section)
+            journal.flush()
+            counts = {
+                table: journal._conn.execute(
+                    f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for (table,) in journal._conn.execute(
                     "SELECT name FROM sqlite_master WHERE type='table' "
-                    "AND name NOT LIKE 'sqlite_%'")}
-            columns = {
-                table: [row[1] for row in journal._conn.execute(
-                    f"PRAGMA table_info({table})")]
-                for table in schema_tables}
-        salvaged = {table for table, _ in SALVAGE_TABLES}
-        assert salvaged == schema_tables
-        for table, cols in SALVAGE_TABLES:
-            assert set(cols) == set(columns[table]), table
+                    "AND name NOT LIKE 'sqlite_%'").fetchall()}
+        assert counts == dict.fromkeys(counts, 1)
+        report = salvage_journal(path)
+        del counts["meta"]
+        assert report.recovered == counts
+        assert report.truncated == ()
 
 
 class TestCorruptJournal:
