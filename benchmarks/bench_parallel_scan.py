@@ -179,7 +179,7 @@ def test_convergence_ab(output_dir, tmp_path):
     starts at the digest's price in JIT cycles
     (``CompiledEngine.probe_gap``) and stops on basic-block boundaries;
     on must still beat off ≥1.2× — the floor that keeps the default
-    (``--engine auto`` + convergence) from ever again being the slower
+    (``compiled`` + convergence) from ever again being the slower
     configuration.  Exactness is asserted for both engines.
     """
     program = sync2.hardened() if _full_scale() else sync2.hardened(2)

@@ -10,8 +10,8 @@ needs:
   pruning and samplers;
 * :mod:`repro.campaign` — the FAIL*-style fault-injection campaign
   engine (full scans, brute force, sampling, outcome taxonomy);
-* :mod:`repro.engine` — pluggable execution engines: the interpreter
-  oracle and a template JIT, with ``auto`` choosing per campaign;
+* :mod:`repro.engine` — two execution engines: a template JIT (the
+  default) and the interpreter oracle it is validated against;
 * :mod:`repro.metrics` — fault coverage (and why it is unsound),
   extrapolated absolute failure counts, the comparison ratio r, the
   Poisson fault model, confidence intervals, MWTF;

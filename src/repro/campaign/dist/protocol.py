@@ -86,8 +86,9 @@ import zlib
 #: window instead of one ``result`` frame per class.  Version 4: no
 #: ``heartbeat`` frame.  Version 5: a class travels as its stored run.
 #: Version 6: the campaign frame carries the ladder stride.  Version 7:
-#: the campaign frame names the style; keys of any length.
-PROTOCOL_VERSION = 7
+#: the campaign frame names the style; keys of any length.  Version 8:
+#: no ``auto`` engine (a version-7 default config names it).
+PROTOCOL_VERSION = 8
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.

@@ -237,7 +237,7 @@ class DistWorker:
             except (ConnectionError, OSError):
                 pass
             raise
-        executor = config.build(golden, partition=partition)
+        executor = config.build(golden)
         self._campaigns[fingerprint, stride] = (
             executor, style, (spec["config"], spec["style"]))
         return executor, style

@@ -130,8 +130,9 @@ class ExecutorConfig:
     """Picklable executor settings.
 
     Executors themselves are not picklable (they own live machines), so
-    the parallel campaign engine ships this config to worker processes
-    and rebuilds one executor per worker via :meth:`build`.
+    a campaign ships this config to its fabric workers, and each builds
+    its own executor via :meth:`build`.  An unknown engine name is
+    refused here, on every transport alike.
     """
 
     timeout_factor: float = DEFAULT_TIMEOUT_FACTOR
@@ -149,11 +150,11 @@ class ExecutorConfig:
     #: Execution-engine registry name (see :mod:`repro.engine`).  Like
     #: ``use_convergence`` this is outcome-invariant — the equivalence
     #: tests prove bit-for-bit identical campaign results across
-    #: engines — so it is not part of the journal campaign key.  The
-    #: default ``auto`` resolves per campaign through the planner
-    #: (:mod:`repro.engine.plan`) when :meth:`build` sees the golden
-    #: run; naming a concrete engine pins it.
-    engine: str = "auto"
+    #: engines — so it is not part of the journal campaign key.
+    engine: str = "compiled"
+
+    def __post_init__(self):
+        get_engine(self.engine)  # raises ValueError naming the engines
 
     def timeout_cycles(self, golden_cycles: int) -> int:
         """Cycle budget before a run is classified as a timeout.
@@ -171,19 +172,10 @@ class ExecutorConfig:
         return max(int(golden_cycles * self.timeout_factor),
                    golden_cycles + self.timeout_slack)
 
+    # partition= is pinned by benchmarks/e2e/child.py; goes with ROADMAP item 4.
     def build(self, golden: "GoldenRun",
               partition=None) -> "ExperimentExecutor":
-        """Construct an executor for ``golden`` with these settings.
-
-        The ``auto`` engine resolves here — the first point where the
-        golden run and domain are both known — so serial runners,
-        parallel workers and dist workers all plan identically and
-        deterministically.  ``partition`` hands the planner a def/use
-        partition the caller already built; without it the planner
-        builds (and caches) its own.
-        """
-        engine = get_engine(self.engine).resolve(golden, self.domain,
-                                                 partition=partition)
+        """Construct an executor for ``golden`` with these settings."""
         return ExperimentExecutor(golden,
                                   timeout_factor=self.timeout_factor,
                                   timeout_slack=self.timeout_slack,
@@ -191,7 +183,7 @@ class ExecutorConfig:
                                   early_stop=self.early_stop,
                                   use_convergence=self.use_convergence,
                                   domain=self.domain,
-                                  engine=engine)
+                                  engine=self.engine)
 
 
 class EndFacts(NamedTuple):

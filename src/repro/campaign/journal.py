@@ -49,9 +49,10 @@ traps)``; :meth:`CampaignJournal.record_classes` and
 given.  A run is also what a style's ``execute`` yields and what the
 distributed fabric ships, so nothing converts a class between an
 executor and the journal, in-process or over the wire.
-Every other key — a version-3 file's row per bit, a torn or gapped
-class, sampled single bits — reads as per-bit rows: runs walked in key
-order, a bit an earlier run of the same key already covered skipped.
+A sampled experiment's row reads as its run of one.  Every other
+key — a version-3 file's row per bit, a torn or gapped class — reads
+as per-bit rows: runs walked in key order, a bit an earlier run of the
+same key already covered skipped.
 First wins per bit, which is sound because experiments are
 deterministic.  Readers never interpret a value; :func:`whole_run` and
 :func:`_valid_run` decide what a class may be trusted as.
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .outcomes import OUTCOME_BY_VALUE, Outcome
+from .outcomes import OUTCOME_BY_VALUE
 
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and a
@@ -977,19 +978,18 @@ class CampaignJournal:
              for axis, first_slot, bit, outcome in rows])
 
     def completed_experiments(self) \
-            -> dict[tuple[int, int, int], Outcome]:
-        """Journaled sampled experiments keyed ``(axis, first_slot, bit)``;
-        a row whose outcome is not one is left out, to be re-executed."""
-        by_value = OUTCOME_BY_VALUE
-        return {
-            (axis, first_slot, bit): by_value[outcome]
-            for (axis, first_slot), rows in _expand(self.journal._query(
-                "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
-                "FROM class_results WHERE campaign_id = ? "
-                "ORDER BY axis, first_slot, bit",
-                (self.campaign_id,))).items()
-            for bit, outcome, _, _ in rows if outcome in by_value
-        }
+            -> dict[tuple[int, int, int], tuple[str, str, str]]:
+        """Journaled sampled experiments keyed ``(axis, first_slot, bit)``,
+        each as its run of one, every value as stored (the style
+        validates it)."""
+        # str(): an INTEGER-affinity column of a version-3 table stores
+        # the end cycle as an integer.
+        return {(axis, first_slot, bit): (outcome, str(end_cycle), trap)
+                for axis, first_slot, bit, outcome, end_cycle, trap
+                in self.journal._query(
+                    "SELECT axis, first_slot, bit, outcome, end_cycle, "
+                    "trap FROM class_results WHERE campaign_id = ?",
+                    (self.campaign_id,))}
 
     # -- brute-force slots ----------------------------------------------------
 

@@ -359,9 +359,6 @@ class CampaignStyle:
 
     #: Journal campaign kind.
     kind: str
-    #: The def/use partition, where the style has one (forwarded to the
-    #: ``auto`` engine's planner, which otherwise builds its own).
-    partition = None
     #: ``key → work item`` in canonical (serial iteration) order; work
     #: items are what ``execute`` consumes.
     units: dict
@@ -396,10 +393,11 @@ class CampaignStyle:
         reads unless records were asked for."""
         return run
 
-    def trusted(self, handle, report, stored: dict, check) -> dict:
+    def trusted(self, handle, report, stored: dict, check=None) -> dict:
         """``key →`` :meth:`keep` value of the journaled units
         ``stored`` (``key → value`` as a journal reader returns it)
-        that ``check(key, value)`` turns into a run.
+        that ``check(key, value)`` turns into a run — by default, a
+        value that is a run passing :meth:`valid_run`.
 
         Never trust resumed units blindly: a salvaged journal can hold
         partial units (page loss truncates committed rows) and any file
@@ -407,6 +405,9 @@ class CampaignStyle:
         have.  Those are discarded — counted in ``discarded_results``,
         one ``salvage-prune`` event — and re-executed.
         """
+        if check is None:
+            def check(key, run):
+                return run if self.valid_run(key, run) else None
         kept, bad = {}, []
         for key, value in stored.items():
             run = check(key, value) if key in self.units else None
@@ -559,8 +560,7 @@ class InProcess:
             return
         executor = self.executor
         if executor is None:
-            executor = self.config.build(self.golden,
-                                         partition=run.style.partition)
+            executor = self.config.build(self.golden)
         counters = ExecutorCounters(executor)
         for unit in run.style.execute(executor, run.todo):
             run.accept((unit,))

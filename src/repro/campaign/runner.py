@@ -419,7 +419,7 @@ def run_full_scan(golden: GoldenRun, *,
     fabric workers, and again with unchanged counts while they run
     long).  ``journal`` enables durable per-class result journaling and
     resume (see the module docstring); ``policy`` is a
-    :class:`~repro.campaign.parallel.RetryPolicy` for the fabric
+    :class:`~repro.campaign.dist.leases.RetryPolicy` for the fabric
     workers' lease deadlines and retries (ignored in-process).
     """
     domain = get_domain(domain)
@@ -467,8 +467,7 @@ class BruteStyle(CampaignStyle):
     def load(self, handle, report):
         return self.trusted(
             handle, report,
-            {(slot,): run for slot, run in handle.completed_slots().items()},
-            lambda key, run: run if self.valid_run(key, run) else None)
+            {(slot,): run for slot, run in handle.completed_slots().items()})
 
     def cost(self, slot):
         return max(1, self.golden.cycles - slot + 1)
@@ -590,7 +589,7 @@ SAMPLERS = ("uniform", "live-only", "biased-class")
 def _draw_classified(golden: GoldenRun, n_samples: int, seed: int,
                      sampler: str, partition,
                      domain: FaultDomain) -> tuple[list[Sample], int, str]:
-    """Draw and classify samples; shared by the serial and parallel paths.
+    """Draw and classify samples for :class:`SamplingStyle`.
 
     Returns the drawn samples (original order), the population size the
     estimate must extrapolate against, and the sampler's post-draw RNG
@@ -670,10 +669,7 @@ class SamplingStyle(CampaignStyle):
 
     def load(self, handle, report):
         handle.verify_sampler_state(len(self.drawn), self._rng_state)
-        # The journal keeps a sampled experiment's outcome only.
-        return {key: outcome
-                for key, outcome in handle.completed_experiments().items()
-                if key in self.units}
+        return self.trusted(handle, report, handle.completed_experiments())
 
     def compose(self, composer, completed, handle, report):
         journaled = []

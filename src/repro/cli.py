@@ -19,7 +19,9 @@ Commands:
     wall-clock deadline is a failed attempt, retried, and reported
     missing once its retries are spent — never a result.  ``--shards``
     / ``--crosscheck`` configure the fabric of a full scan on ``--jobs N``
-    ≥ 2 workers and are refused anywhere else.  ``--no-convergence`` /
+    ≥ 2 workers, ``--seed`` / ``--sampler`` a sampled one, and each is
+    refused anywhere else.  ``--engine interp`` runs the reference
+    interpreter instead of the template JIT.  ``--no-convergence`` /
     ``--checkpoint-stride`` control the early exits (golden checkpoint
     ladder + state memo; a pure optimization, outcomes are identical
     either way), counted as "early exits (ladder + state memo)".
@@ -274,11 +276,15 @@ def _print_scan(scan) -> int:
 def cmd_scan(args) -> int:
     workers = resolve_jobs(args.jobs)
     fleet = not args.samples and workers is not None and workers >= 2
-    # Only a full scan's fabric reads these; elsewhere they would be lost.
-    for flag in ("--shards", "--crosscheck"):
-        if not fleet and getattr(args, flag[2:]) is not None:
-            raise SystemExit(f"{flag} configures the fabric of a full "
-                             f"scan on --jobs N >= 2; drop {flag}")
+    fabric = "the fabric of a full scan on --jobs N >= 2"
+    sampling = "a sampled scan (--samples N)"
+    # Flags one kind of scan reads; anywhere else they would be lost.
+    for flag, read, kind in (("--shards", fleet, fabric),
+                             ("--crosscheck", fleet, fabric),
+                             ("--seed", args.samples, sampling),
+                             ("--sampler", args.samples, sampling)):
+        if not read and getattr(args, flag[2:]) is not None:
+            raise SystemExit(f"{flag} configures {kind}; drop {flag}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     space = domain.fault_space(golden)
@@ -286,8 +292,9 @@ def cmd_scan(args) -> int:
     print(f"{program.name} [{domain.name} domain]: "
           f"Δt={golden.cycles} cycles, w={space.size}")
     if args.samples:
-        result = run_sampling(golden, args.samples, seed=args.seed,
-                              sampler=args.sampler, jobs=args.jobs,
+        result = run_sampling(golden, args.samples, seed=args.seed or 0,
+                              sampler=args.sampler or "uniform",
+                              jobs=args.jobs,
                               domain=domain, journal=args.journal,
                               resume=resume, policy=policy, config=config,
                               progress=_eta_progress("experiments"))
@@ -509,10 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--samples", type=_count_arg(0), default=0,
                          help="run a sampled campaign of N faults instead "
                               "of the full scan")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="sampling RNG seed")
-        cmd.add_argument("--sampler", choices=SAMPLERS, default="uniform",
-                         help="sampling strategy (with --samples)")
+        cmd.add_argument("--seed", type=int, default=None,
+                         help="sampling RNG seed (with --samples; "
+                              "default: 0)")
+        cmd.add_argument("--sampler", choices=SAMPLERS, default=None,
+                         help="sampling strategy (with --samples; "
+                              "default: uniform)")
 
     def add_campaign_args(cmd, *, journal_required: bool) -> None:
         """The flags every campaign command reads (_campaign_setup)."""
@@ -543,12 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "completion; outcomes are identical "
                               "either way")
         cmd.add_argument("--engine", choices=sorted(ENGINES),
-                         default="auto",
-                         help="execution engine: 'auto' (default) plans "
-                              "per campaign between the template-JIT "
-                              "'compiled' core and the reference "
-                              "'interp' interpreter; results are "
-                              "bit-identical for every choice")
+                         default="compiled",
+                         help="execution engine: the template-JIT "
+                              "'compiled' core (default) or the "
+                              "reference 'interp' interpreter; results "
+                              "are bit-identical for either")
         cmd.add_argument("--checkpoint-stride", type=_count_arg(0),
                          metavar="K",
                          help="golden checkpoint-digest stride in cycles "

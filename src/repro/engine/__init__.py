@@ -3,17 +3,17 @@
 The campaign layer executes hundreds of millions of instructions per
 full scan, so *how* a :class:`~repro.isa.cpu.Machine` steps through ROM
 dominates campaign wall-clock.  This package provides two engines
-and a chooser behind one interface, selected by name through
+behind one interface, selected by name through
 :class:`~repro.campaign.experiment.ExecutorConfig` (``engine=``) and the
 CLI (``--engine``):
 
 ``interp``
     The reference interpreter — :class:`~repro.isa.cpu.Machine` itself,
     one dispatch-table call per instruction.  Deliberately simple; it is
-    the differential-testing oracle the other engines are validated
-    against.
+    the differential-testing oracle the compiled engine is validated
+    against (``--engine interp``).
 
-``compiled``
+``compiled`` (the default)
     The template JIT (:mod:`repro.engine.compiled`): at machine
     construction the ROM is decomposed into basic blocks and stitched
     into one generated-Python function (operands constant-folded into
@@ -23,12 +23,6 @@ CLI (``--engine``):
     side effects and state digests are bit-identical to the
     interpreter, so checkpoint ladders, convergence rejoin and
     criticality slicing keep working unchanged.
-
-``auto`` (the default)
-    Not a third core but a chooser: the planner
-    (:mod:`repro.engine.plan`) sizes the campaign from its def/use
-    partition and resolves to ``interp`` when it is too small to
-    amortize codegen, to ``compiled`` otherwise.
 
 Engines are stateless singletons (like fault domains); they resolve by
 name so an :class:`ExecutorConfig` naming one pickles across process
@@ -64,19 +58,6 @@ class ExecutionEngine:
         """
         raise NotImplementedError
 
-    def resolve(self, golden, domain, *, partition=None) -> "ExecutionEngine":
-        """The concrete engine to run a campaign over ``golden`` with.
-
-        Concrete engines return themselves; the ``auto`` engine
-        overrides this to consult the planner
-        (:mod:`repro.engine.plan`) once the golden run and fault domain
-        are known — ``partition`` reuses a caller-built def/use
-        partition so planning is free where one already exists.  Called
-        by :meth:`~repro.campaign.experiment.ExecutorConfig.build`, so
-        serial, parallel and dist workers all resolve identically.
-        """
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ExecutionEngine {self.name!r}>"
 
@@ -106,35 +87,14 @@ class CompiledEngine(ExecutionEngine):
         return CompiledMachine(program, tracer=tracer, oracle=oracle)
 
 
-class AutoEngine(CompiledEngine):
-    """Chooser: interp or compiled, from the size of the campaign.
-
-    Machines built directly under ``auto`` are compiled machines (the
-    safe default); campaign executors instead call :meth:`resolve` with
-    the golden run and domain, which hands the decision to
-    :func:`repro.engine.plan.plan_tiers` — the interpreter only when
-    the campaign is too small to amortize JIT codegen.
-    """
-
-    name = "auto"
-
-    def resolve(self, golden, domain, *, partition=None) -> ExecutionEngine:
-        from .plan import plan_tiers
-
-        return ENGINES[plan_tiers(golden, domain,
-                                  partition=partition).engine]
-
-
 #: The built-in engines, as shared stateless singletons.
 INTERP = InterpreterEngine()
 COMPILED = CompiledEngine()
-AUTO = AutoEngine()
 
 #: Registry of available engines, keyed by name.
 ENGINES: dict[str, ExecutionEngine] = {
     INTERP.name: INTERP,
     COMPILED.name: COMPILED,
-    AUTO.name: AUTO,
 }
 
 

@@ -25,7 +25,7 @@ from repro.campaign import (
 )
 from repro.campaign.golden import MAX_CHECKPOINTS
 from repro.campaign.outcomes import Outcome
-from repro.engine import AUTO, CompiledEngine, ExecutionEngine
+from repro.engine import CompiledEngine, ExecutionEngine
 from repro.faultspace import FaultCoordinate
 from repro.faultspace.registers import (
     RegisterFaultCoordinate,
@@ -89,16 +89,15 @@ class TestOutcomeInvariance:
     def test_the_early_exits_actually_fire(self):
         """Guard against silently disabled machinery.  The pruned scan
         only visits live-class representatives, so ladder hits show up
-        there — on either engine ``auto`` resolves to: the interpreter
-        (tiny campaign, a probe every cycle at first) and the JIT
-        (first probe 128 cycles past the injection).  The criticality
-        pre-skip pays off on the coordinates a brute-force campaign
-        injects blindly."""
+        there — on both engines: the interpreter (a probe every cycle
+        at first) and the JIT (first probe 128 cycles past the
+        injection).  The criticality pre-skip pays off on the
+        coordinates a brute-force campaign injects blindly."""
         for program, engine in ((guarded.sumdmr_variant(), "interp"),
                                 (bin_sem2.baseline(), "compiled")):
             golden = record_golden(program)
-            assert AUTO.resolve(golden, "memory").name == engine
-            scan = run_full_scan(golden, config=ON)
+            scan = run_full_scan(golden, config=ExecutorConfig(
+                use_convergence=True, engine=engine))
             assert scan.execution.convergence_hits > 0, engine
         brute = run_brute_force(record_golden(hi.baseline()),
                                 domain="register", config=ON)

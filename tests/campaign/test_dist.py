@@ -536,17 +536,18 @@ class TestDistChaos:
         assert "version" in reply["reason"]
         client.close()
         # Protocol-3 (``heartbeat`` frames), protocol-4 (per-bit ``rows``
-        # lists), protocol-5 (no ladder stride) and protocol-6 (full
-        # scans only) workers are refused at the handshake: versions are
-        # replaced, not forked.
-        for old in (3, 4, 5, 6):
+        # lists), protocol-5 (no ladder stride), protocol-6 (full scans
+        # only) and protocol-7 (an ``auto`` engine in the default config)
+        # workers are refused at the handshake: versions are replaced,
+        # not forked.
+        for old in (3, 4, 5, 6, 7):
             client = socket.create_connection(("127.0.0.1", port),
                                               timeout=5)
             stream = FrameStream(client)
             stream.send({"type": "hello", "version": old, "name": "old"})
             reply = stream.read(timeout=5.0)
             assert reply["type"] == "reject"
-            assert f"version {old} != 7" in reply["reason"]
+            assert f"version {old} != 8" in reply["reason"]
             client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
@@ -1461,8 +1462,8 @@ class TestWorkerPartition:
     def test_a_session_builds_the_partition_once(self, monkeypatch,
                                                  memory_golden,
                                                  memory_baseline):
-        """The ``auto`` engine planner reuses the partition the worker
-        builds for its class table instead of building its own."""
+        """A worker session builds one def/use partition, for its
+        campaign style only: building the executor needs none."""
         from repro.faultspace.domain import MemoryDomain
 
         built = []

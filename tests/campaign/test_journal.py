@@ -9,7 +9,6 @@ from repro.campaign import (
     ExperimentJournal,
     JournalError,
     JournalMismatchError,
-    Outcome,
     record_golden,
     run_full_scan,
 )
@@ -166,10 +165,13 @@ class TestCampaignJournal:
             4: ("0 0 2", "0 1 0", "no-effect sdc bogus")}
 
     def test_experiment_rows_round_trip(self, journal):
+        """A sampled experiment reads back as its run of one, every
+        value as stored."""
         campaign = _campaign(journal, kind="sampling")
-        campaign.record_experiments([(2, 9, 3, "timeout")])
+        campaign.record_experiments([(2, 9, 3, "timeout"),
+                                     (2, 9, 4, "bogus")])
         assert campaign.completed_experiments() == {
-            (2, 9, 3): Outcome.TIMEOUT}
+            (2, 9, 3): ("timeout", "0", ""), (2, 9, 4): ("bogus", "0", "")}
 
     def test_clear_discards_results_and_state(self, journal):
         campaign = _campaign(journal)

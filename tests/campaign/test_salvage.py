@@ -20,6 +20,7 @@ from repro.campaign import (
     run_brute_force,
     run_distributed_scan,
     run_full_scan,
+    run_sampling,
 )
 from repro.campaign.journal import (
     ExperimentJournal,
@@ -296,6 +297,39 @@ class TestBruteForceResumeValidatesSlots:
         assert (execution.executed, execution.resumed,
                 execution.discarded_results, execution.complete) \
             == (1, hi_golden.cycles - 1, 1, True)
+        with ExperimentJournal(path) as journal:
+            (campaign,) = journal.fabric_report()
+        assert [event["kind"] for event in campaign["events"]] \
+            == ["salvage-prune"]
+
+
+class TestSampledResumeValidatesExperiments:
+    """A sampled experiment is trusted on resume only as a valid run of
+    one, like a scan's class or a brute-force slot: a journaled outcome
+    no build wrote is discarded and re-executed, never dropped
+    silently."""
+
+    def test_a_bad_outcome_is_discarded_and_redone(self, tmp_path,
+                                                   hi_golden):
+        baseline = run_sampling(hi_golden, 64, seed=7, sampler="live-only")
+        path = tmp_path / "sampled.sqlite"
+        run_sampling(hi_golden, 64, seed=7, sampler="live-only",
+                     journal=path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "UPDATE class_results SET outcome = 'bogus' WHERE "
+                "(axis, first_slot, bit) = (SELECT axis, first_slot, bit "
+                "FROM class_results ORDER BY axis, first_slot, bit "
+                "LIMIT 1)")
+            # Else the discarded experiment composes from the store.
+            conn.execute("DELETE FROM section_results")
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        result = run_sampling(hi_golden, 64, seed=7, sampler="live-only",
+                              journal=path)
+        assert result == baseline
+        assert result.execution.discarded_results == 1
         with ExperimentJournal(path) as journal:
             (campaign,) = journal.fabric_report()
         assert [event["kind"] for event in campaign["events"]] \

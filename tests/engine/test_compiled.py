@@ -648,11 +648,27 @@ class TestEngineRegistry:
         assert get_engine(INTERP) is INTERP
 
     def test_unknown_engine_rejected(self):
-        for name in ("turbo", "batch"):
-            with pytest.raises(ValueError, match=(
-                    f"unknown execution engine '{name}'; "
-                    "available: auto, compiled, interp$")):
-                get_engine(name)
+        """An executor config refuses an unknown engine when it is made,
+        so every transport rejects it alike (a forked worker would
+        otherwise die building its executor)."""
+        from repro.campaign import ExecutorConfig
+
+        for name in ("auto", "turbo", "batch"):
+            for make in (get_engine,
+                         lambda engine: ExecutorConfig(engine=engine)):
+                with pytest.raises(ValueError, match=(
+                        f"unknown execution engine '{name}'; "
+                        "available: compiled, interp$")):
+                    make(name)
+
+    def test_compiled_is_the_one_default(self):
+        from repro.campaign import ExecutorConfig, record_golden
+        from repro.campaign.experiment import ExperimentExecutor
+
+        golden = record_golden(micro.counter(1))
+        assert set(ENGINES) == {"interp", "compiled"}
+        assert ExecutorConfig().build(golden).engine is COMPILED \
+            is ExperimentExecutor(golden).engine
 
     def test_registry_names_match(self):
         for name, engine in ENGINES.items():
@@ -663,30 +679,6 @@ class TestEngineRegistry:
         assert type(INTERP.create_machine(program)) is Machine
         assert isinstance(COMPILED.create_machine(program),
                           CompiledMachine)
-
-    def test_auto_plans_interp_or_compiled(self):
-        """The planner's whole table: every registered program × domain
-        resolves to one of the two cores (the split is the one recorded
-        in DESIGN.md §5), and the executor built under ``auto`` is the
-        plain one on that core."""
-        from collections import Counter
-
-        from repro.campaign import ExecutorConfig, record_golden
-        from repro.campaign.experiment import ExperimentExecutor
-        from repro.engine.plan import plan_tiers
-        from repro.faultspace import DOMAINS
-
-        table = Counter()
-        for name in sorted(PROGRAMS):
-            golden = record_golden(PROGRAMS[name]())
-            for domain in DOMAINS:
-                plan = plan_tiers(golden, domain)
-                table[plan.engine] += 1
-                executor = ExecutorConfig(engine="auto",
-                                          domain=domain).build(golden)
-                assert type(executor) is ExperimentExecutor
-                assert executor.engine is ENGINES[plan.engine]
-        assert table == {"interp": 57, "compiled": 75}
 
     def test_compile_program_covers_rom(self):
         code = compile_program(PROGRAMS["sync2"]())

@@ -3,12 +3,10 @@ compiled execution core.
 
 The same campaign (full scan, brute force, sampling; every registered
 fault domain; convergence and slicing on and off) run under the
-``interp``, ``compiled`` and ``auto`` engines must produce
-bit-for-bit identical results: equal outcome maps and records, equal
-journal rows, and byte-identical exported CSV files.  The engine knob
-is a pure optimization — any observable difference is a bug.  ``auto``
-exercises the planner on top: whichever engine it picks per
-(golden, domain) must land on the same bits as the rest.
+``interp`` and ``compiled`` engines must produce bit-for-bit identical
+results: equal outcome maps and records, equal journal rows, and
+byte-identical exported CSV files.  The engine knob is a pure
+optimization — any observable difference is a bug.
 """
 
 import sqlite3
@@ -25,7 +23,7 @@ from repro.campaign import (
 from repro.campaign.database import export_class_results_csv
 from repro.programs import hi, micro
 
-ENGINE_NAMES = ["interp", "compiled", "auto"]
+ENGINE_NAMES = ["interp", "compiled"]
 
 
 @pytest.fixture(scope="module")

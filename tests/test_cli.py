@@ -127,7 +127,7 @@ class TestCli:
         with pytest.raises(SystemExit) as usage:
             main(["scan", "hi", "--engine", "batch"])
         assert usage.value.code == 2
-        assert "'auto', 'compiled', 'interp'" in capsys.readouterr().err
+        assert "'compiled', 'interp')" in capsys.readouterr().err
 
 
 class TestCliJournal:
@@ -377,6 +377,28 @@ class TestCliDist:
         assert refused.value.code not in (0, None)
         if not mode:
             assert main(["scan", "hi", "--jobs", "2", flag, value]) == 0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "7"), ("--sampler", "biased-class")])
+    @pytest.mark.parametrize("mode", [[], ["--jobs", "2"],
+                                      ["--samples", "0"]])
+    def test_scan_sampling_flags_need_samples(self, flag, value, mode,
+                                              monkeypatch):
+        """Only a sampled scan reads these flags: a full scan refuses
+        them by name before recording the golden run, instead of
+        printing the output it prints without them."""
+        import repro.cli
+
+        def no_golden(*args, **kwargs):
+            raise AssertionError("golden run recorded")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(repro.cli, "record_golden", no_golden)
+            with pytest.raises(SystemExit, match=flag) as refused:
+                main(["scan", "hi", *mode, flag, value])
+        assert refused.value.code not in (0, None)
+        if not mode:
+            assert main(["scan", "hi", "--samples", "10", flag, value]) == 0
 
     @pytest.mark.parametrize("flag", ["--jobs", "--samples", "--seed"])
     def test_coordinator_has_no_flag_it_ignores(self, flag, capsys):
