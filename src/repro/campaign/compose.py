@@ -26,10 +26,10 @@ identical executor budget, so every (slot, axis, bit) experiment in
 the window has identical outcome, end cycle and trap.  Every row a
 campaign's sink accepts is one the simulator produced (a transport's
 wall-clock deadline yields a retry, never a row), so all of them are
-stored — with one deliberate exclusion: **brute-force scans neither
-read nor write the store.**  They exist to validate the def/use pruning
-against ground truth; composing their coordinates from pruned-campaign
-results would make that validation circular.
+stored.  The brute-force oracle
+(:func:`~repro.campaign.runner.run_brute_force`) is no campaign: it
+never opens a journal, so it can neither read nor write the store, and
+its validation of the def/use pruning cannot turn circular.
 """
 
 from __future__ import annotations

@@ -40,8 +40,7 @@ in the form the journal stores it: ``[outcomes, end_cycles, traps]``,
 the class's per-bit values from bit 0 — the three value columns of one
 ``class_results`` row (:mod:`repro.campaign.journal`), which nothing
 between the worker's executor and the journal converts.  A sampled
-experiment is a run of one value each; a brute-force slot is
-``[axes, bits, outcomes]``.
+experiment is a run of one value each.
 
 Version 2 added end-to-end result integrity: every class result
 carries ``crc`` (:func:`result_digest` over its key and rows), and
@@ -105,8 +104,8 @@ def result_digest(key, run) -> int:
     """CRC-32 of one unit result's semantic content.
 
     Computed over the unit's integer key (a class's ``(axis,
-    first_slot)``, a sampled experiment's ``(axis, first_slot, bit)``, a
-    brute-force ``(slot,)``), space-joined, and the three strings of its
+    first_slot)`` or a sampled experiment's ``(axis, first_slot,
+    bit)``), space-joined, and the three strings of its
     ``run``, one per line, so it is invariant to framing and to field
     order elsewhere in the message.  The worker stamps it on each item
     of a ``results`` frame; the coordinator re-derives it from the

@@ -17,16 +17,14 @@ each keyed by::
 
 so re-running the same campaign against the same binary resumes instead
 of restarting, while any change to the program, the domain, the sampler
-seed or the executor's timeout policy opens a fresh campaign.  Three
-result granularities match the three campaign styles:
+seed or the executor's timeout policy opens a fresh campaign.  Two
+tables hold the two campaign styles' results:
 
 * ``class_results`` — one row per class of a full scan, holding the
   outcomes, end cycles and traps of all its representative experiments
   (so resumed runs reconstruct :class:`~.experiment.ExperimentRecord`
   lists bit-for-bit); sampled campaigns reuse the same table for their
   distinct-experiment cache, one row per experiment.
-* ``coordinate_results`` — one row per raw coordinate of a brute-force
-  scan, journaled atomically per injection slot.
 * ``sampler_state`` — the sampler's post-draw RNG position, so a resume
   can *prove* the re-drawn sample sequence is the one the journal's
   experiments belong to (a changed seed or sample count raises
@@ -58,8 +56,8 @@ deterministic.  Readers never interpret a value; :func:`whole_run` and
 :func:`_valid_run` decide what a class may be trusted as.
 
 Writes are group-committed.  Every unit the campaign treats as atomic
-(one class, one slot, one batch of sampled experiments, one class's
-section rows) is buffered whole on the journal object — a unit's rows
+(one class, one batch of sampled experiments, one class's section
+rows) is buffered whole on the journal object — a unit's rows
 never straddle two commits, so a resume never sees half a class — and
 the buffered window is executed and committed as one short transaction
 (default ``synchronous``, one fsync) by the first write that finds it
@@ -89,12 +87,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from ..faultspace.sections import canonical_params
 from .outcomes import OUTCOME_BY_VALUE
 
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and a
 #: ``summaries`` table this build neither creates nor reads (a file
-#: that has one keeps it, and salvage leaves it behind); version 3
+#: that has one keeps it, and salvage leaves it behind — as it does the
+#: per-coordinate brute-force table of older builds); version 3
 #: added the ``fabric_events`` log
 #: (integrity incidents of the distributed fabric);
 #: version 4 stores runs of bits per ``class_results`` /
@@ -104,7 +104,7 @@ from .outcomes import OUTCOME_BY_VALUE
 #: one are rejected instead of silently misread — a version-3 build
 #: would take a run for its first bit.
 #:
-#: The three result tables are ``WITHOUT ROWID``: clustered on their
+#: The two result tables are ``WITHOUT ROWID``: clustered on their
 #: four-column key, so a row is stored once (a rowid table keeps it in
 #: the table b-tree *and* in the key's automatic index) and "all rows of
 #: campaign *c* in key order" is one b-tree walk.  That is layout, not
@@ -153,14 +153,6 @@ CREATE TABLE IF NOT EXISTS class_results (
     end_cycle   TEXT NOT NULL DEFAULT '0',
     trap        TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (campaign_id, axis, first_slot, bit)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS coordinate_results (
-    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
-    slot        INTEGER NOT NULL,
-    axis        INTEGER NOT NULL,
-    bit         INTEGER NOT NULL,
-    outcome     TEXT NOT NULL,
-    PRIMARY KEY (campaign_id, slot, axis, bit)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS sampler_state (
     campaign_id INTEGER PRIMARY KEY REFERENCES campaigns(id),
@@ -230,12 +222,6 @@ class JournalMismatchError(JournalError):
     RNG position disagrees with what the journal recorded — continuing
     would mix experiments from two different campaigns into one result.
     """
-
-
-def canonical_params(params: Mapping) -> str:
-    """Deterministic JSON encoding of campaign parameters (the key)."""
-    return json.dumps(dict(params), sort_keys=True,
-                      separators=(",", ":"))
 
 
 def _expand(cursor) -> dict[tuple[int, int], list]:
@@ -592,9 +578,6 @@ class ExperimentJournal:
             bits = self._query(
                 f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM class_results "
                 f"WHERE campaign_id = ?", (campaign_id,)).fetchone()[0]
-            coords = self._query(
-                "SELECT COUNT(*) FROM coordinate_results WHERE "
-                "campaign_id = ?", (campaign_id,)).fetchone()[0]
             out.append({
                 "id": campaign_id,
                 "fingerprint": row[1],
@@ -603,7 +586,7 @@ class ExperimentJournal:
                 "params": json.loads(row[4]),
                 "cycles": row[5],
                 "status": row[6],
-                "journaled_experiments": bits + coords,
+                "journaled_experiments": bits,
             })
         return out
 
@@ -718,12 +701,12 @@ class ExperimentJournal:
     def size_report(self) -> dict:
         """Row counts per table — experiments for the two run tables —
         the database file size in bytes, and ``bytes_per_result``: file
-        bytes per experiment stored in the three result tables (0.0
+        bytes per experiment stored in the two run tables (0.0
         while they are empty), the number the table layout and the row
         format are judged by."""
-        tables = ("campaigns", "class_results", "coordinate_results",
-                  "sampler_state", "leases", "sections",
-                  "section_results", "campaign_sections", "fabric_events")
+        tables = ("campaigns", "class_results", "sampler_state", "leases",
+                  "sections", "section_results", "campaign_sections",
+                  "fabric_events")
         report = {
             table: self._query(
                 f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}"
@@ -735,8 +718,7 @@ class ExperimentJournal:
             report["file_bytes"] = Path(self.path).stat().st_size
         except OSError:
             report["file_bytes"] = 0
-        results = (report["class_results"] + report["section_results"]
-                   + report["coordinate_results"])
+        results = report["class_results"] + report["section_results"]
         report["bytes_per_result"] = (report["file_bytes"] / results
                                       if results else 0.0)
         return report
@@ -807,9 +789,8 @@ class CampaignJournal:
         re-running this campaign fresh will re-derive (and compose
         from) them.
         """
-        for table in ("class_results", "coordinate_results",
-                      "sampler_state", "leases", "campaign_sections",
-                      "fabric_events"):
+        for table in ("class_results", "sampler_state", "leases",
+                      "campaign_sections", "fabric_events"):
             self.journal._write(
                 f"DELETE FROM {table} WHERE campaign_id = ?",
                 [(self.campaign_id,)])
@@ -896,11 +877,6 @@ class CampaignJournal:
         ``(axis, first_slot, bit)``."""
         return self._discard("class_results", ("axis", "first_slot", "bit"),
                              keys)
-
-    def discard_slots(self, slots: Iterable[int]) -> int:
-        """:meth:`discard_classes` for brute-force injection slots."""
-        return self._discard("coordinate_results", ("slot",),
-                             [(slot,) for slot in slots])
 
     def _discard(self, table: str, columns: tuple[str, ...],
                  keys: Iterable[tuple]) -> int:
@@ -990,35 +966,6 @@ class CampaignJournal:
                     "SELECT axis, first_slot, bit, outcome, end_cycle, "
                     "trap FROM class_results WHERE campaign_id = ?",
                     (self.campaign_id,))}
-
-    # -- brute-force slots ----------------------------------------------------
-
-    def record_slot(self, slot: int,
-                    rows: Iterable[tuple[int, int, str]]) -> None:
-        """Journal one injection slot of a brute-force scan atomically.
-
-        ``rows`` holds ``(axis, bit, outcome_value)`` for every raw
-        coordinate of the slot.
-        """
-        self.journal._write(
-            "INSERT OR REPLACE INTO coordinate_results (campaign_id, "
-            "slot, axis, bit, outcome) VALUES (?, ?, ?, ?, ?)",
-            [(self.campaign_id, slot, axis, bit, outcome)
-             for axis, bit, outcome in rows])
-
-    def completed_slots(self) -> dict[int, tuple[str, str, str]]:
-        """Journaled slots: slot → its run ``(axes, bits, outcomes)``,
-        the coordinates' values in ``(axis, bit)`` order joined by
-        single spaces, every value as stored: the brute-force style's
-        ``valid_run`` says whether it can be trusted."""
-        rows: dict[int, list] = {}
-        for slot, axis, bit, outcome in self.journal._query(
-                "SELECT slot, axis, bit, outcome FROM coordinate_results "
-                "WHERE campaign_id = ? ORDER BY slot, axis, bit",
-                (self.campaign_id,)):
-            rows.setdefault(slot, []).append((str(axis), str(bit), outcome))
-        return {slot: tuple(" ".join(column) for column in zip(*coords))
-                for slot, coords in rows.items()}
 
     # -- sampler RNG position -------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The campaign pipeline: plan → shard → execute → merge, written once.
 
-Every campaign — full scan, brute force, sampling; in-process or on
-fabric workers — is the same five steps (DESIGN.md §3b has the long
+Every campaign — full scan or sampling; in-process or on fabric
+workers — is the same five steps (DESIGN.md §3b has the long
 form and the transport table):
 
 1. **Prologue** (:class:`CampaignRun`).  Open the journal campaign,
@@ -31,8 +31,9 @@ form and the transport table):
    order, record lists and sample sequences included — are bit-for-bit
    identical however the runs arrived.
 
-A :class:`CampaignStyle` states what differs between full scan, brute
-force and sampling (the three live in :mod:`repro.campaign.runner`).
+A :class:`CampaignStyle` states what differs between full scan and
+sampling (both live in :mod:`repro.campaign.runner`, beside the
+brute-force oracle, which is a plain loop and no campaign).
 A *transport*, ``transport(run)``, is only how shards reach executors
 and runs come back, and there are two: :class:`InProcess` here
 (``jobs=None`` and ``jobs=1``), and the lease/frame fabric's
@@ -69,8 +70,8 @@ class ExecutionReport:
     it took a different path to them.
     """
 
-    #: Work units the campaign planned (live classes / distinct sampled
-    #: experiments / injection slots, depending on the style).
+    #: Work units the campaign planned (live classes or distinct sampled
+    #: experiments, depending on the style).
     total_units: int = 0
     #: Units executed fresh in this invocation.
     executed: int = 0
@@ -319,7 +320,7 @@ class CampaignStyle:
     """What one campaign style states once (see the module docstring).
 
     A *unit* is the style's atomic piece of work and of journaling (a
-    live class, an injection slot, one distinct sampled experiment),
+    live class or one distinct sampled experiment),
     identified by a *key*, a tuple of integers; its result is a *run*,
     three strings of space-joined per-experiment values, in the form
     the journal stores and the fabric carries — from the executor
@@ -331,7 +332,7 @@ class CampaignStyle:
         values, validated (:meth:`trusted`);
     ``compose(composer, completed, handle, report)``
         adds store-known units to ``completed`` (as :meth:`keep`
-        values) and to the journal (styles with :attr:`composes`);
+        values) and to the journal;
     ``cost(item)``
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
@@ -339,9 +340,8 @@ class CampaignStyle:
         the worker-side generator, work items → ``(key, run)``;
     ``journal(handle, composer, batch)``
         journals a batch of ``(key, run)``, each unit atomically, and
-        feeds it to the section store (styles with :attr:`composes`,
-        given a composer) — every unit given is fresh: the transport
-        took it once;
+        feeds it to the section store (given a composer) — every unit
+        given is fresh: the transport took it once;
     ``valid_run(key, run)``
         the shape check a run passes before it is trusted — from a
         fabric worker or from the journal;
@@ -349,9 +349,8 @@ class CampaignStyle:
         deletes journaled units that failed :meth:`trusted` or that the
         determinism audit disputed;
     ``store(composer, runs)``
-        the section-store write of ``(key, run)`` pairs (styles with
-        :attr:`composes`): ``journal``'s, and the fabric's deferred one
-        for audited units;
+        the section-store write of ``(key, run)`` pairs: ``journal``'s,
+        and the fabric's deferred one for audited units;
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
@@ -362,9 +361,6 @@ class CampaignStyle:
     #: ``key → work item`` in canonical (serial iteration) order; work
     #: items are what ``execute`` consumes.
     units: dict
-    #: Whether the style reads and feeds the cross-campaign section
-    #: store.
-    composes = True
 
     def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
         self.golden = golden
@@ -450,7 +446,7 @@ class CampaignRun:
             if not resume:
                 handle.clear()
             self.completed = style.load(handle, report)
-            if style.composes and len(self.completed) < len(style.units):
+            if len(self.completed) < len(style.units):
                 # Compose units another campaign already executed for
                 # an identical program section: beside the loaded ones
                 # they take the exact route resumed units do.  A
@@ -550,17 +546,26 @@ class InProcess:
             raise ValueError(
                 "pass either executor= or config=, not both; the config "
                 "exists to build an executor when none is given")
+        if executor is not None and executor.domain.name != domain.name:
+            raise ValueError(
+                f"the executor injects {executor.domain.name!r} faults, "
+                f"but the campaign's domain is {domain.name!r}; build it "
+                f"with domain={domain.name!r}")
         self.golden = golden
         self.executor = executor
         self.config = replace(config or ExecutorConfig(), domain=domain.name)
         self.params = campaign_params(golden, self.config, executor)
 
+    def build_executor(self) -> ExperimentExecutor:
+        """The injected executor, or one built from the config."""
+        if self.executor is not None:
+            return self.executor
+        return self.config.build(self.golden)
+
     def __call__(self, run: CampaignRun) -> None:
         if not run.todo:
             return
-        executor = self.executor
-        if executor is None:
-            executor = self.config.build(self.golden)
+        executor = self.build_executor()
         counters = ExecutorCounters(executor)
         for unit in run.style.execute(executor, run.todo):
             run.accept((unit,))

@@ -1,21 +1,23 @@
 """Campaign runners: full fault-space scans and sampling campaigns.
 
-Three campaign styles are provided, each generic over a
+Two campaign styles and one oracle are provided, each generic over a
 :class:`~repro.faultspace.domain.FaultDomain` (memory by default,
 ``domain="register"`` for the Section VI-B register fault model):
 
 * :func:`run_full_scan` — the def/use-pruned full fault-space scan: one
   experiment per live equivalence class and bit, dead classes accounted
   as known "No Effect".  Exact and feasible (Section III-C).
-* :func:`run_brute_force` — one real experiment per raw fault-space
-  coordinate.  Exponentially more work; exists as ground truth for tests
-  proving that pruning does not change any result.
 * :func:`run_sampling` — a sampled campaign with a pluggable sampler
   (raw-uniform, live-only, or the deliberately biased class sampler for
   Pitfall 2 demonstrations).
+* :func:`run_brute_force` — one real experiment per raw fault-space
+  coordinate.  Exponentially more work; the ground truth tests use to
+  prove that pruning does not change any result.  It is a plain loop
+  over injection slots in this process, not a campaign: no journal,
+  section store or fabric.
 
 This module holds each style's result type and what is particular to
-it (:class:`ScanStyle`, :class:`BruteStyle`, :class:`SamplingStyle`),
+it (:class:`ScanStyle`, :class:`SamplingStyle`),
 including the run a unit's result takes from the executor onward — in
 the journal and on the fabric's wire alike; everything they share —
 journal and resume, shard planning, the sink, assembly — is
@@ -53,7 +55,7 @@ from ..faultspace.sampling import (
 )
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import _OUTCOME_VALUES, _valid_run, whole_run
+from .journal import _valid_run, whole_run
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
@@ -410,8 +412,8 @@ def run_full_scan(golden: GoldenRun, *,
 
     ``config`` is an :class:`~.experiment.ExecutorConfig` applied under
     every transport (e.g. to disable the convergence early-exit);
-    ``executor`` injects a prebuilt executor, needs ``jobs=None`` and
-    excludes ``config``.
+    ``executor`` injects a prebuilt executor of ``domain``, needs
+    ``jobs=None`` and excludes ``config``.
 
     ``progress`` is called with ``(done, total)`` live classes: once
     after the journal is loaded when it already held some, then as
@@ -437,8 +439,6 @@ class BruteForceResult:
     golden: GoldenRun
     outcomes: dict
     domain: FaultDomain = MEMORY
-    execution: ExecutionReport | None = field(default=None, compare=False,
-                                              repr=False)
 
     def counts(self) -> Counter:
         return Counter(self.outcomes.values())
@@ -448,102 +448,30 @@ class BruteForceResult:
         return self.domain.fault_space(self.golden).size
 
 
-class BruteStyle(CampaignStyle):
-    """Ground-truth scan: one unit per injection slot, keyed
-    ``(slot,)``, its run ``(axes, bits, outcomes)`` over every raw
-    coordinate of the slot, in scan order."""
-
-    kind = "brute-force"
-    # Brute force validates the def/use pruning against ground truth;
-    # composing its coordinates from pruned-campaign results would make
-    # that validation circular.
-    composes = False
-
-    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
-        super().__init__(golden, domain, params)
-        # Slot-major, so the executor's fast-forward engages.
-        self.units = {(slot,): slot for slot in range(1, golden.cycles + 1)}
-
-    def load(self, handle, report):
-        return self.trusted(
-            handle, report,
-            {(slot,): run for slot, run in handle.completed_slots().items()})
-
-    def cost(self, slot):
-        return max(1, self.golden.cycles - slot + 1)
-
-    @staticmethod
-    def execute(executor, slots):
-        # The slot list is explicit (not a range) because a resumed
-        # campaign runs only the unjournaled slots, which may have gaps.
-        domain = executor.domain
-        space = domain.fault_space(executor.golden)
-        groups = ([(slot, list(domain.slot_coordinates(space, slot)))]
-                  for slot in slots)
-        for slot, records in run_groups(executor, groups):
-            yield (slot,), (
-                " ".join([str(domain.coordinate_axis(record.coordinate))
-                          for record in records]),
-                " ".join([str(record.coordinate.bit) for record in records]),
-                " ".join([record.outcome.value for record in records]))
-
-    @staticmethod
-    def _decode(run) -> list[tuple[int, int, str]]:
-        """A valid run as its ``(axis, bit, outcome_value)`` rows."""
-        return [(int(axis), int(bit), outcome) for axis, bit, outcome
-                in zip(*(field.split(" ") for field in run))]
-
-    def journal(self, handle, composer, batch):
-        for (slot,), run in batch:
-            handle.record_slot(slot, self._decode(run))
-
-    def valid_run(self, key, run):
-        domain = self.domain
-        coords = list(domain.slot_coordinates(
-            domain.fault_space(self.golden), key[0]))
-        outcomes = run[2].split(" ")
-        return (run[0] == " ".join([str(domain.coordinate_axis(coord))
-                                    for coord in coords])
-                and run[1] == " ".join([str(coord.bit) for coord in coords])
-                and len(outcomes) == len(coords)
-                and _OUTCOME_VALUES.issuperset(outcomes))
-
-    def discard(self, handle, keys):
-        return handle.discard_slots([slot for slot, in keys])
-
-    def result(self, kept, report):
-        outcomes: dict = {}
-        coordinate = self.domain.coordinate
-        for key, slot in self.units.items():
-            if key in kept:  # else degraded: listed in report.missing
-                for axis, bit, outcome in self._decode(kept[key]):
-                    outcomes[coordinate(slot, axis, bit)] = \
-                        OUTCOME_BY_VALUE[outcome]
-        return BruteForceResult(golden=self.golden, outcomes=outcomes,
-                                domain=self.domain, execution=report)
-
-
 def run_brute_force(golden: GoldenRun, *,
                     executor: ExperimentExecutor | None = None,
                     config: ExecutorConfig | None = None,
-                    progress: ProgressCallback | None = None,
-                    jobs: int | None = None,
-                    domain: FaultDomain | str = MEMORY,
-                    journal=None,
-                    resume: bool = True,
-                    policy=None) -> BruteForceResult:
+                    domain: FaultDomain | str = MEMORY) -> BruteForceResult:
     """Run one experiment for *every* fault-space coordinate.
 
-    Only feasible for tiny programs; used by tests and examples to prove
-    that def/use pruning plus weighting reproduces these numbers exactly.
-    ``jobs``, ``domain``, ``config``, ``journal`` and ``resume`` behave
-    as in :func:`run_full_scan`; ``progress`` counts injection slots.
-    The journal's atomic unit is one injection slot.
+    Only feasible for tiny programs; it is the test oracle proving that
+    def/use pruning plus weighting reproduces these numbers exactly, so
+    it is a plain loop in this process, outside the campaign pipeline:
+    no journal, section store or fabric stands between it and the
+    executor.  ``executor`` and ``config`` behave as in
+    :func:`run_full_scan`.
     """
     domain = get_domain(domain)
-    transport = _transport(golden, jobs, executor, domain, config, policy)
-    return run_campaign(BruteStyle(golden, domain, transport.params),
-                        transport, journal, resume, progress)
+    executor = InProcess(golden, domain, executor, config).build_executor()
+    space = domain.fault_space(golden)
+    outcomes: dict = {}
+    # Slot-ascending, one call a slot, so the executor's fast-forward
+    # engages and never rewinds.
+    for slot in range(1, golden.cycles + 1):
+        for record in executor.run_many(
+                list(domain.slot_coordinates(space, slot))):
+            outcomes[record.coordinate] = record.outcome
+    return BruteForceResult(golden=golden, outcomes=outcomes, domain=domain)
 
 
 @dataclass
@@ -740,8 +668,6 @@ def style_from_spec(spec: dict, golden: GoldenRun, domain: FaultDomain,
     kind = spec["kind"]
     if kind == ScanStyle.kind:
         return ScanStyle(golden, domain, params, partition)
-    if kind == BruteStyle.kind:
-        return BruteStyle(golden, domain, params)
     if kind == SamplingStyle.kind:
         return SamplingStyle(golden, domain, params, int(spec["samples"]),
                              int(spec["seed"]), str(spec["sampler"]),

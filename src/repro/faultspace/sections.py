@@ -50,6 +50,7 @@ import hashlib
 import json
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..engine.compiled import _BRANCHES, _find_blocks
@@ -63,13 +64,14 @@ from .domain import FaultDomain, get_domain
 FINGERPRINT_VERSION = 1
 
 
-def canonical_params(params: dict | None) -> str:
-    """The canonical JSON text of a fault-model parameter dict.
+def canonical_params(params: Mapping | None) -> str:
+    """The canonical JSON text of a fault-model parameter mapping.
 
     Shared by section fingerprints and the journal's campaign identity
     so one byte string keys both.
     """
-    return json.dumps(params or {}, sort_keys=True, separators=(",", ":"))
+    return json.dumps(dict(params or {}), sort_keys=True,
+                      separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,10 @@ class TestWarmEqualsCold:
         assert warm.execution.composed_hits == _experiments(cold)
 
     def test_brute_force_ignores_the_store(self, tmp_path, golden):
-        """Brute force validates the pruning against ground truth;
-        composing it from pruned-campaign results would be circular."""
+        """Brute force opens no journal, so a filled section store can
+        neither feed nor hide a pruning error: a scan composed wholly
+        from the store still matches the ground truth coordinate by
+        coordinate."""
         journal = tmp_path / "journal.sqlite"
         run_full_scan(golden, journal=journal)
         brute = run_brute_force(golden)
@@ -352,10 +354,14 @@ class TestCompleteResumeComposesNothing:
         assert warm.execution.composed_hits == _experiments(cold)
 
 
-RESULT_TABLES = ("class_results", "coordinate_results", "section_results")
+#: The result tables a fresh journal clusters.
+RESULT_TABLES = ("class_results", "section_results")
 
-#: The three result tables as every build before the clustered layout
-#: created them: rowid tables, the key a separate automatic index.
+#: The result tables as every build before the clustered layout created
+#: them: rowid tables, the key a separate automatic index.  Those builds
+#: also journaled brute-force scans in ``coordinate_results``; this build
+#: neither creates nor reads that table, and a file that has one keeps
+#: it.
 ROWID_DDL = """
 CREATE TABLE class_results (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
@@ -477,16 +483,6 @@ class TestTableLayout:
             assert resumed.execution.executed == 0
         assert _clustered(str(old) + ".corrupt") \
             == []
-
-    def test_brute_force_slots_resume_from_the_old_layout(self, tmp_path):
-        """``coordinate_results`` too: the third clustered table."""
-        tiny = record_golden(micro.counter(1))
-        old = _old_layout_file(tmp_path / "old.sqlite")
-        cold = run_brute_force(tiny, journal=old)
-        resumed = run_brute_force(tiny, journal=old)
-        assert resumed == cold
-        assert resumed.execution.executed == 0
-        assert resumed.execution.resumed == resumed.execution.total_units
 
 
 #: The result tables as a version-3 build created them, per layout:

@@ -92,16 +92,17 @@ class TestOutcomeInvariance:
         there — on both engines: the interpreter (a probe every cycle
         at first) and the JIT (first probe 128 cycles past the
         injection).  The criticality pre-skip pays off on the
-        coordinates a brute-force campaign injects blindly."""
+        coordinates brute force injects blindly."""
         for program, engine in ((guarded.sumdmr_variant(), "interp"),
                                 (bin_sem2.baseline(), "compiled")):
             golden = record_golden(program)
             scan = run_full_scan(golden, config=ExecutorConfig(
                 use_convergence=True, engine=engine))
             assert scan.execution.convergence_hits > 0, engine
-        brute = run_brute_force(record_golden(hi.baseline()),
-                                domain="register", config=ON)
-        assert brute.execution.slice_hits > 0
+        golden = record_golden(hi.baseline())
+        executor = dataclasses.replace(ON, domain="register").build(golden)
+        run_brute_force(golden, domain="register", executor=executor)
+        assert executor.slice_hits > 0
 
 
 def _first_gap(monkeypatch, gap):

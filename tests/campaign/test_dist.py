@@ -26,7 +26,6 @@ from repro.campaign import (
     RetryPolicy,
     export_class_results_csv,
     record_golden,
-    run_brute_force,
     run_distributed_scan,
     run_full_scan,
     run_sampling,
@@ -1483,36 +1482,31 @@ class TestWorkerPartition:
 
 def test_the_fabric_serves_every_style(register_golden):
     """The campaign frame names the style and each worker rebuilds it
-    from its verified golden run, so a coordinator serves brute force
-    and sampling to a hand-started worker as it serves full scans."""
+    from its verified golden run, so a coordinator serves sampling to a
+    hand-started worker as it serves full scans."""
     from repro.campaign.pipeline import campaign_params, run_campaign
-    from repro.campaign.runner import BruteStyle, SamplingStyle
+    from repro.campaign.runner import SamplingStyle
 
-    golden = register_golden  # Δt=8: brute force stays tiny
-    for make, serial in (
-            (lambda domain, params: BruteStyle(golden, domain, params),
-             run_brute_force(golden)),
-            (lambda domain, params: SamplingStyle(golden, domain, params,
-                                                  60, 3, "live-only"),
-             run_sampling(golden, 60, seed=3, sampler="live-only"))):
-        sock = _server_socket()
-        coordinator = DistCoordinator(golden, sock=sock, shards=2,
-                                      policy=POLICY)
-        style = make(coordinator.domain,
-                     campaign_params(golden, coordinator.config))
-        results = []
-        thread = threading.Thread(target=lambda: results.append(
-            run_campaign(style, coordinator, ":memory:", True, None)))
-        thread.start()
-        worker, worker_thread, errors = _start_worker(
-            sock.getsockname()[1], "w0")
-        thread.join(60)
-        worker._finished = True
-        worker_thread.join(10)
-        assert not errors
-        assert results == [serial]
-        assert results[0].execution.workers \
-            == (("w0", len(style.units)),)
+    golden = register_golden
+    sock = _server_socket()
+    coordinator = DistCoordinator(golden, sock=sock, shards=2,
+                                  policy=POLICY)
+    style = SamplingStyle(golden, coordinator.domain,
+                          campaign_params(golden, coordinator.config),
+                          60, 3, "live-only")
+    results = []
+    thread = threading.Thread(target=lambda: results.append(
+        run_campaign(style, coordinator, ":memory:", True, None)))
+    thread.start()
+    worker, worker_thread, errors = _start_worker(
+        sock.getsockname()[1], "w0")
+    thread.join(60)
+    worker._finished = True
+    worker_thread.join(10)
+    assert not errors
+    assert results == [run_sampling(golden, 60, seed=3,
+                                    sampler="live-only")]
+    assert results[0].execution.workers == (("w0", len(style.units)),)
 
 
 class TestWorkerGolden:

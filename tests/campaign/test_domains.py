@@ -3,7 +3,8 @@
 These tests pin the tentpole contract of the unified campaign stack:
 one engine, generic over :class:`~repro.faultspace.domain.FaultDomain`,
 that reproduces the pre-refactor per-domain results bit-for-bit — for
-full scans, brute force, and all three samplers, serial and sharded.
+full scans and all three samplers, serial and sharded, checked against
+brute force.
 """
 
 import pickle
@@ -11,6 +12,8 @@ import pickle
 import pytest
 
 from repro.campaign import (
+    ExecutorConfig,
+    ExperimentExecutor,
     record_golden,
     run_brute_force,
     run_full_scan,
@@ -30,7 +33,7 @@ from repro.faultspace.registers import (
     RegisterFaultSpace,
 )
 from repro.metrics import weighted_coverage, weighted_failure_count
-from repro.programs import hi, micro
+from repro.programs import micro
 
 JOB_COUNTS = (2, 4)
 SAMPLERS = ("uniform", "live-only", "biased-class")
@@ -137,15 +140,6 @@ class TestUnifiedEngineParity:
             == register_serial.weighted_counts()
         assert parallel.raw_counts() == register_serial.raw_counts()
 
-    @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_register_brute_force_parallel_identical(self, jobs):
-        golden = record_golden(hi.baseline())
-        serial = run_brute_force(golden, domain="register")
-        parallel = run_brute_force(golden, domain="register", jobs=jobs)
-        assert list(parallel.outcomes.items()) \
-            == list(serial.outcomes.items())
-        assert parallel.counts() == serial.counts()
-
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_register_sampling_parallel_identical(self, golden, sampler,
@@ -181,6 +175,37 @@ class TestUnifiedEngineParity:
         assert a.samples == b.samples
         assert all(isinstance(sample.coordinate, FaultCoordinate)
                    for sample, _ in a.samples)
+
+
+class TestInjectedExecutor:
+    """An injected executor brings its own fault model: a runner refuses
+    one built for another domain instead of filing its outcomes under
+    the campaign's domain."""
+
+    @pytest.mark.parametrize("run, built_for, domain", [
+        (run_full_scan, "memory", "burst2"),
+        (lambda golden, **kw: run_sampling(golden, 40, seed=1, **kw),
+         "memory", "stuck"),
+        (run_brute_force, "register", "memory"),
+    ], ids=["full-scan", "sampling", "brute-force"])
+    def test_a_foreign_domain_is_refused(self, golden, run, built_for,
+                                         domain):
+        executor = ExperimentExecutor(golden, domain=built_for)
+        with pytest.raises(ValueError,
+                           match=f"'{built_for}'.*'{domain}'"):
+            run(golden, executor=executor, domain=domain)
+
+    def test_brute_force_runs_slot_ascending(self, golden):
+        """One ``run_many`` a slot, slots ascending: the snapshot
+        fast-forward reaches every slot and never rewinds."""
+        assert golden.cycles > 1
+        executor = ExperimentExecutor(golden, use_convergence=False)
+        result = run_brute_force(golden, executor=executor)
+        assert len(result.outcomes) == result.fault_space_size
+        assert executor.rewinds == 0
+        with pytest.raises(ValueError, match="not both"):
+            run_brute_force(golden, executor=executor,
+                            config=ExecutorConfig())
 
 
 class TestUnifiedMetrics:

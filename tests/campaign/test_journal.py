@@ -87,7 +87,8 @@ class TestJournalFile:
         assert journal.size_report()["bytes_per_result"] == 0.0
         campaign = _campaign(journal)
         campaign.record_class(3, 7, ("sdc no-effect", "10 12", " "))
-        campaign.record_slot(4, [(0, 0, "no-effect"), (0, 1, "sdc")])
+        campaign.record_experiments([(4, 1, 0, "no-effect"),
+                                     (4, 1, 1, "sdc")])
         report = journal.size_report()
         assert report["bytes_per_result"] == report["file_bytes"] / 4
 
@@ -154,15 +155,6 @@ class TestCampaignJournal:
             "INSERT INTO class_results VALUES (?, 6, 2, 0, 'sdc sdc', "
             "'30', ' ')", [(campaign.campaign_id,)])
         assert list(campaign.completed_classes()) == [(5, 2)]
-
-    def test_slot_rows_round_trip(self, journal):
-        """A slot reads back as its run ``(axes, bits, outcomes)``, every
-        value as stored."""
-        campaign = _campaign(journal, kind="brute-force")
-        campaign.record_slot(4, [(0, 1, "sdc"), (0, 0, "no-effect"),
-                                 (2, 0, "bogus")])
-        assert campaign.completed_slots() == {
-            4: ("0 0 2", "0 1 0", "no-effect sdc bogus")}
 
     def test_experiment_rows_round_trip(self, journal):
         """A sampled experiment reads back as its run of one, every
@@ -308,18 +300,12 @@ RUN = (" ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
 
 def _committed(path) -> dict:
     """What a second connection — a crash survivor — sees: experiments
-    per class, plus the experiment totals of the other unit tables."""
-    conn = sqlite3.connect(path)
-    try:
-        coordinates = conn.execute(
-            "SELECT COUNT(*) FROM coordinate_results").fetchone()[0]
-    finally:
-        conn.close()
-    return {**class_experiments(path), "coordinate_results": coordinates,
+    per class, plus the section store's experiment total."""
+    return {**class_experiments(path),
             "section_results": stored_experiments(path, "section_results")}
 
 
-NOTHING = {"coordinate_results": 0, "section_results": 0}
+NOTHING = {"section_results": 0}
 
 
 class TestGroupCommit:
@@ -344,15 +330,15 @@ class TestGroupCommit:
                                   domain="memory", first_slot=1,
                                   last_slot=9)
         campaign.record_class(1, 1, RUN)
-        campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, "sdc")])
+        campaign.record_experiments([(3, 1, 0, "sdc"), (3, 1, 1, "sdc")])
         journal.merge_section_runs([(section, 1, 1, 0, "sdc", "30", "")])
         clock[0] += COMMIT_WINDOW_S * 0.9
         campaign.record_experiments([(2, 1, 0, "sdc")])
         assert _committed(path) == NOTHING  # all inside the window
         clock[0] += COMMIT_WINDOW_S * 0.1
         campaign.record_class(4, 1, RUN)  # finds the window expired
-        everything = {(1, 1): 8, (2, 1): 1, (4, 1): 8,
-                      "coordinate_results": 2, "section_results": 1}
+        everything = {(1, 1): 8, (2, 1): 1, (3, 1): 2, (4, 1): 8,
+                      "section_results": 1}
         assert _committed(path) == everything
         campaign.record_class(5, 1, RUN)  # opens the next window
         clock[0] += COMMIT_WINDOW_S * 0.5
@@ -465,14 +451,15 @@ class TestGroupCommit:
 
     def test_a_rejected_unit_is_dropped_whole_and_alone(self, tmp_path,
                                                         clock):
-        """A unit the database rejects at commit (a brute-force slot,
-        still a row per coordinate, with a NULL outcome) is dropped
+        """A unit the database rejects at commit (two sampled
+        experiments, a row each, one with a NULL outcome) is dropped
         whole at the flush; the units around it commit."""
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             campaign.record_class(6, 1, RUN)
-            campaign.record_slot(3, [(0, 0, "sdc"), (0, 1, None)])
+            campaign.record_experiments([(3, 1, 0, "sdc"),
+                                         (3, 1, 1, None)])
             campaign.record_class(8, 1, RUN)
             with pytest.raises(sqlite3.IntegrityError):
                 campaign.flush()

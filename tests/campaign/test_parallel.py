@@ -16,7 +16,6 @@ from repro.campaign import (
     ParallelCampaign,
     record_golden,
     resolve_jobs,
-    run_brute_force,
     run_full_scan,
     run_sampling,
 )
@@ -26,7 +25,7 @@ from repro.campaign.parallel import (
     shard_by_cost,
 )
 from repro.faultspace.defuse import ByteInterval, LIVE
-from repro.programs import all_programs, bin_sem2, hi, micro
+from repro.programs import all_programs, bin_sem2, micro
 
 JOB_COUNTS = (1, 2, 4)
 
@@ -200,17 +199,6 @@ class TestFullScanEquivalence:
         assert seen[-1][0] == seen[-1][1] > 0
         assert [done for done, _ in seen] \
             == sorted(done for done, _ in seen)
-
-
-class TestBruteForceEquivalence:
-    def test_identical_to_serial_on_tiny_program(self):
-        golden = record_golden(hi.baseline())
-        serial = run_brute_force(golden)
-        for jobs in JOB_COUNTS:
-            parallel = run_brute_force(golden, jobs=jobs)
-            assert list(parallel.outcomes.items()) \
-                == list(serial.outcomes.items())
-            assert parallel.counts() == serial.counts()
 
 
 class TestSamplingEquivalence:

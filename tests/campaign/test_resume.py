@@ -37,7 +37,6 @@ from repro.campaign import (
     RetryPolicy,
     export_class_results_csv,
     record_golden,
-    run_brute_force,
     run_full_scan,
     run_sampling,
 )
@@ -198,24 +197,6 @@ class TestFullScanResume:
         assert resumed.execution.resumed >= 2
 
 
-class TestBruteForceResume:
-    @pytest.mark.parametrize("domain", ["memory", "register"])
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_interrupted_brute_force_resumes_bit_for_bit(
-            self, domain, jobs, tmp_path, register_golden):
-        golden = register_golden  # Δt=8: brute force stays tiny
-        baseline = run_brute_force(golden, domain=domain)
-        journal = tmp_path / "journal.sqlite"
-        with pytest.raises(Interrupt):
-            run_brute_force(golden, domain=domain, journal=journal,
-                            progress=interrupt_after(4))
-        resumed = run_brute_force(golden, domain=domain, journal=journal,
-                                  jobs=jobs)
-        assert resumed == baseline
-        assert resumed.execution.resumed == 4
-        assert resumed.execution.complete
-
-
 class TestSamplingResume:
     @pytest.mark.parametrize("jobs", [None] + JOBS)
     def test_interrupted_sampling_resumes_bit_for_bit(
@@ -260,17 +241,6 @@ class TestInProcessInterrupt:
                                 keep_records=True)
         assert resumed == memory_baseline
         assert resumed.execution.resumed == 3
-        assert resumed.execution.complete
-
-    def test_brute_force(self, tmp_path, register_golden):
-        baseline = run_brute_force(register_golden)
-        journal = tmp_path / "journal.sqlite"
-        with pytest.raises(Interrupt):
-            run_brute_force(register_golden, jobs=1, journal=journal,
-                            progress=interrupt_after(4))
-        resumed = run_brute_force(register_golden, journal=journal)
-        assert resumed == baseline
-        assert resumed.execution.resumed == 4
         assert resumed.execution.complete
 
     def test_sampling(self, tmp_path, memory_golden):
@@ -370,15 +340,12 @@ class TestWorkerDeath:
         assert result == baseline
         assert result.execution.shard_retries >= 1
 
-    @pytest.mark.parametrize("style", ["brute", "sampling"])
     def test_killed_worker_resume_differential(
-            self, style, monkeypatch, tmp_path, register_golden):
+            self, monkeypatch, tmp_path, register_golden):
         """A worker killed at its first result with no retry to spare
         loses its shard; the journal keeps the rest, and a healthy rerun
         on it is the serial result bit for bit."""
         def run(**kw):
-            if style == "brute":
-                return run_brute_force(register_golden, **kw)
             return run_sampling(register_golden, 30, seed=3,
                                 sampler="live-only", **kw)
 
@@ -458,12 +425,9 @@ class TestHungWorker:
         assert resumed.execution.complete
         assert resumed.execution.executed == len(execution.missing)
 
-    @pytest.mark.parametrize("style", ["brute", "sampling"])
-    def test_other_styles_retry_a_hung_shard_too(self, style, monkeypatch,
-                                                 memory_golden):
+    def test_sampling_retries_a_hung_shard_too(self, monkeypatch,
+                                               memory_golden):
         def run(**kw):
-            if style == "brute":
-                return run_brute_force(memory_golden, **kw)
             return run_sampling(memory_golden, 40, seed=7, **kw)
 
         baseline = run()

@@ -17,7 +17,6 @@ import pytest
 
 from repro.campaign import (
     record_golden,
-    run_brute_force,
     run_distributed_scan,
     run_full_scan,
     run_sampling,
@@ -74,7 +73,6 @@ class TestSalvageTablesInSync:
                                         kind="full-scan", params={},
                                         cycles=9)
             campaign.record_class(0, 1, ("sdc", "3", ""))
-            campaign.record_slot(1, [(0, 0, "sdc")])
             campaign.record_sampler_state(1, "[]")
             campaign.record_lease(0, "[]", attempts=0, status="pending")
             campaign.record_event("crc-reject")
@@ -267,45 +265,9 @@ class TestMalformedValuesAreRedone:
         assert result.execution.executed == 0
 
 
-class TestBruteForceResumeValidatesSlots:
-    """A brute-force slot is trusted on resume only as the run of
-    exactly its coordinates, like a full scan's class: a slot that lost
-    rows (page loss) or holds a value no build wrote is discarded and
-    re-executed, never counted short — or decoded into a crash."""
-
-    @pytest.mark.parametrize("damage", ["lost-axis", "bad-outcome"])
-    def test_a_damaged_slot_is_discarded_and_redone(self, tmp_path,
-                                                     hi_golden, damage):
-        baseline = run_brute_force(hi_golden)
-        path = tmp_path / "brute.sqlite"
-        run_brute_force(hi_golden, journal=path)
-        conn = sqlite3.connect(path)
-        with conn:
-            if damage == "lost-axis":
-                conn.execute("DELETE FROM coordinate_results "
-                             "WHERE slot = 3 AND axis = 0")
-            else:
-                conn.execute("UPDATE coordinate_results SET outcome = "
-                             "'bogus' WHERE slot = 3 AND axis = 0 "
-                             "AND bit = 0")
-            conn.execute("UPDATE campaigns SET status = 'running'")
-        conn.close()
-        result = run_brute_force(hi_golden, journal=path)
-        assert result == baseline
-        assert result.counts() == baseline.counts()
-        execution = result.execution
-        assert (execution.executed, execution.resumed,
-                execution.discarded_results, execution.complete) \
-            == (1, hi_golden.cycles - 1, 1, True)
-        with ExperimentJournal(path) as journal:
-            (campaign,) = journal.fabric_report()
-        assert [event["kind"] for event in campaign["events"]] \
-            == ["salvage-prune"]
-
-
 class TestSampledResumeValidatesExperiments:
     """A sampled experiment is trusted on resume only as a valid run of
-    one, like a scan's class or a brute-force slot: a journaled outcome
+    one, like a scan's class: a journaled outcome
     no build wrote is discarded and re-executed, never dropped
     silently."""
 

@@ -1,5 +1,5 @@
 """The transport contract, stated once for every way of running a
-campaign and all three campaign styles.
+campaign and both campaign styles.
 
 In-process, local workers (``jobs=2``, test id ``pool``: fabric workers
 forked by the driver behind a lease coordinator) and the TCP fabric
@@ -19,11 +19,10 @@ import pytest
 
 from repro.campaign import (
     record_golden,
-    run_brute_force,
     run_full_scan,
     run_sampling,
 )
-from repro.programs import hi, micro
+from repro.programs import micro
 
 from .test_dist import run_dist
 
@@ -35,11 +34,6 @@ TRANSPORTS = {"in-process": None, "pool": 2}
 @pytest.fixture(scope="module")
 def golden():
     return record_golden(micro.memcopy(6))
-
-
-@pytest.fixture(scope="module")
-def tiny_golden():
-    return record_golden(hi.baseline())  # Δt=8: brute force stays tiny
 
 
 class _Interrupt(Exception):
@@ -103,51 +97,41 @@ def test_every_transport_keeps_the_contract(transport, domain, scenario,
 
 
 @pytest.mark.parametrize("scenario", ["fresh", "resume"])
-@pytest.mark.parametrize("style", ["brute", "uniform", "live-only"])
+@pytest.mark.parametrize("style", ["uniform", "live-only"])
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
 def test_every_style_keeps_the_contract(transport, style, scenario, golden,
-                                        tiny_golden, tmp_path):
-    """Brute force (a unit per injection slot) and sampling (a unit per
-    distinct sampled experiment) keep the full scan's contract."""
+                                        tmp_path):
+    """Sampling (a unit per distinct sampled experiment) keeps the full
+    scan's contract."""
     def campaign(**kw):
-        if style == "brute":
-            return run_brute_force(tiny_golden, **kw)
         return run_sampling(golden, 150, seed=7, sampler=style, **kw)
 
     serial = campaign()
-    if style == "brute":
-        total = tiny_golden.cycles
-        view = lambda result: list(result.outcomes.items())  # noqa: E731
-    else:
-        total = serial.experiments_conducted
-        view = lambda result: result.samples  # noqa: E731
     _check_contract(campaign,
                     lambda **kw: campaign(jobs=TRANSPORTS[transport], **kw),
-                    total, scenario, tmp_path, serial, view)
+                    serial.experiments_conducted, scenario, tmp_path, serial,
+                    lambda result: result.samples)
 
 
 def _result_rows(path) -> dict:
-    """Every row of the three result tables, in key order."""
+    """Every row of the two run tables, in key order."""
     conn = sqlite3.connect(path)
     try:
         return {table: conn.execute(
                     f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4").fetchall()
-                for table in ("class_results", "coordinate_results",
-                              "section_results")}
+                for table in ("class_results", "section_results")}
     finally:
         conn.close()
 
 
-@pytest.mark.parametrize("style", ["scan", "brute", "sampling"])
+@pytest.mark.parametrize("style", ["scan", "sampling"])
 def test_both_transports_write_identical_result_rows(style, golden,
-                                                     tiny_golden, tmp_path):
+                                                     tmp_path):
     """In-process and on fabric workers, a campaign's journal and
     section store rows are the same, every column."""
     def campaign(**kw):
         if style == "scan":
             return run_full_scan(golden, **kw)
-        if style == "brute":
-            return run_brute_force(tiny_golden, **kw)
         return run_sampling(golden, 150, seed=7, sampler="live-only", **kw)
 
     rows = {}
@@ -156,8 +140,7 @@ def test_both_transports_write_identical_result_rows(style, golden,
         campaign(jobs=jobs, journal=path)
         rows[name] = _result_rows(path)
     assert rows["in-process"] == rows["pool"]
-    table = "coordinate_results" if style == "brute" else "class_results"
-    assert rows["pool"][table]
+    assert rows["pool"]["class_results"]
 
 
 def test_a_local_fleet_attributes_nothing(golden):
