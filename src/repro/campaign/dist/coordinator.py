@@ -105,14 +105,17 @@ class DistCoordinator:
     ``sock``, a bound listening socket.  Journal, resume, records and
     progress are campaign arguments, :func:`run_campaign`'s.
 
-    ``shards`` fixes the lease granularity (finer shards rebalance
-    better after node loss; coarser ones amortize more snapshot
-    fast-forwarding).  Serving a :attr:`fleet`, a campaign of small
-    estimated cycle cost
-    (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`) collapses
-    to one shard per fleet worker, so lease round-trips stop dominating
-    tiny scans.  ``crosscheck`` is the audited fraction of class keys
-    (module docstring).
+    ``shards`` is the fewest shards planned (finer shards rebalance
+    better after node loss; each costs its worker one rewind of the
+    pristine machine, since a scan's shard holds whole planning cells
+    across the whole slot range —
+    :func:`~repro.campaign.pipeline.plan_class_shards`).  Serving a
+    :attr:`fleet` plans at least one shard per fleet worker, and a
+    campaign of small estimated cycle cost
+    (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`) exactly
+    one, so lease round-trips stop dominating tiny scans.
+    ``crosscheck`` is the audited fraction of class keys (module
+    docstring).
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection after accepting that many fresh classes and
@@ -222,18 +225,17 @@ class DistCoordinator:
         # Plan over the FULL unit list (small campaigns: one shard per
         # fleet worker): shard indices and key lists are a pure
         # function of the arguments, so journaled retry state survives
-        # a restart.
-        all_keys = list(self._units)
+        # a restart.  A shard need not be a run of the unit list (a
+        # scan deals cells), so its keys are looked up item by item.
+        key_of = {item: key for key, item in self._units.items()}
         workers = None if self.fleet is None else self.fleet.workers
         planned, _, costs = style.plan(list(self._units.values()),
                                        self.shards, workers)
         board = LeaseBoard(policy=self.policy,
-                           key_costs=dict(zip(all_keys, costs)))
+                           key_costs=dict(zip(self._units, costs)))
         journaled_leases = handle.lease_states()
-        start = 0
         for index, shard in enumerate(planned):
-            keys = all_keys[start:start + len(shard)]
-            start += len(shard)
+            keys = [key_of[item] for item in shard]
             board.add_shard(index, keys,
                             [key for key in keys if key not in completed])
             stored = journaled_leases.get(index)

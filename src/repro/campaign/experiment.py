@@ -275,7 +275,9 @@ class ExperimentExecutor:
         self._jump_floor = self.engine.probe_gap
         self._lockstep_lead = self.engine.probe_gap // 4
         #: Number of pre-injection rewinds (diagnostics for the ablation
-        #: benchmark; stays 0 when experiments arrive slot-sorted).
+        #: benchmark): 0 in process, where experiments arrive
+        #: slot-sorted; a fabric worker rewinds once per lease after its
+        #: first, as each of a scan's shards spans the slot range.
         self.rewinds = 0
         #: Experiments classified early: their state digest matched a
         #: golden checkpoint or a state in the memo.

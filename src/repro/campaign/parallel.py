@@ -20,7 +20,7 @@ __all__ = ["ParallelCampaign", "RetryPolicy", "class_cost",
 
 class ParallelCampaign:
     """:func:`~repro.campaign.runner.run_full_scan` on ``jobs`` workers
-    (``0``: one per CPU; ``1``: in-process)."""
+    (``0``: one per usable CPU; ``1``: in-process)."""
 
     def __init__(self, golden: GoldenRun, jobs: int = 0, *,
                  executor_config: ExecutorConfig | None = None,

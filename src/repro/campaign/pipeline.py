@@ -11,9 +11,11 @@ form and the transport table):
    compose what the cross-campaign section store already knows, and
    list the units still to do, in canonical order.
 2. **Shard** (:meth:`CampaignStyle.plan`).  Split the unit list into
-   contiguous, cost-balanced runs.  The per-unit cost list is computed
-   once; shard costs and the fabric's lease cost table (its deadlines)
-   derive from it.
+   cost-balanced shards, each in canonical order: a full scan deals
+   whole fault-space cells (:func:`plan_class_shards`), sampling cuts
+   contiguous runs.  The per-unit cost list is computed once; shard
+   costs and the fabric's lease cost table (its deadlines) derive
+   from it.
 3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
    generator turns work items into ``(key, run)`` pairs, each run the
    unit's result in the one form every later step handles — the
@@ -44,10 +46,12 @@ or over whichever workers connect.
 
 from __future__ import annotations
 
+import heapq
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import groupby, islice
+from math import ceil
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..faultspace.domain import FaultDomain
@@ -217,10 +221,9 @@ def shard_by_cost(items: Sequence, costs: Sequence[int],
                   jobs: int) -> list[list]:
     """Split ``items`` into at most ``jobs`` contiguous cost-balanced runs.
 
-    ``items`` must already be in execution order (ascending injection
-    slot); contiguity is what preserves the per-worker snapshot
-    fast-forward.  The *k*-th cut is placed where the cumulative cost
-    first reaches ``k/jobs`` of the total.
+    Sampling's plan, and how :func:`plan_class_shards` cuts a cell too
+    dear for one worker.  The *k*-th cut is placed where the cumulative
+    cost first reaches ``k/jobs`` of the total.
     """
     items = list(items)
     if not items:
@@ -249,8 +252,9 @@ def shard_by_cost(items: Sequence, costs: Sequence[int],
 #: Estimated total post-injection cycles below which a campaign counts
 #: as *small*: per-lease protocol round-trips and idle re-poll waits
 #: dominate the simulated work (ROADMAP's 0.18× single-worker dist
-#: overhead), so :func:`plan_class_shards` collapses the lease
-#: granularity instead of optimizing for rebalance-after-node-loss.
+#: overhead), so the planners collapse the lease granularity to one
+#: shard per expected worker instead of optimizing for
+#: rebalance-after-node-loss.
 SMALL_CAMPAIGN_CYCLES = 1_000_000
 
 
@@ -279,19 +283,67 @@ def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
 
 
 def plan_class_shards(intervals: Sequence, total_cycles: int, *,
-                      bits: int, parts: int,
+                      domain: FaultDomain, parts: int,
                       workers: int | None = None) \
         -> tuple[list[list], list[int], list[int]]:
-    """:func:`plan_shards` of live classes by :func:`class_cost`: the
-    full scan's plan.  The fabric's coordinator plans the *full* live
-    list (so shard indices are stable across restarts); returns
-    ``(shards, shard_costs, class_costs)``, the per-class list being
-    what the lease board's cost table is derived from.
+    """The full scan's plan: live classes (in canonical order) dealt to
+    shards by planning cell (:meth:`~repro.faultspace.domain.FaultDomain.
+    plan_cell` — the aligned RAM word, the register).  Returns
+    ``(shards, shard_costs, class_costs)``, every number read off one
+    per-class :func:`class_cost` list, which is what the lease board's
+    cost table is derived from.
+
+    A cell stays in one shard because the state memo's early exits
+    chain its classes: a faulty run usually rejoins a state that the
+    same cell and bit reached one or more classes earlier (DESIGN
+    §3c), and a worker's executor keeps its memo only within a lease.
+    Cells go to the cheapest shard, dearest first (ties by cell); only
+    a cell dearer than one worker's *share* — ``total / workers`` for
+    a known fleet, ``total / parts`` otherwise — is cut, between
+    injection slots, into the fewest pieces of about a share at most.  Each shard keeps
+    canonical order, so same-slot classes stay one executor group.
+
+    A known fleet (``workers``) plans at least one shard per worker,
+    and exactly one for a campaign estimated below
+    :data:`SMALL_CAMPAIGN_CYCLES`.  The plan is a pure function of its
+    arguments, so a coordinator restart re-derives it and journaled
+    per-shard lease state stays valid.
     """
-    return plan_shards(intervals, [class_cost(interval, total_cycles,
-                                              bits=bits)
-                                   for interval in intervals],
-                       parts, workers)
+    costs = [class_cost(interval, total_cycles, bits=domain.bits)
+             for interval in intervals]
+    total = sum(costs)
+    if workers is not None:
+        parts = (workers if total < SMALL_CAMPAIGN_CYCLES
+                 else max(parts, workers))
+    share = total / (workers or parts)
+    cells: dict[int, list[int]] = {}  # cell -> its class indices
+    for index, interval in enumerate(intervals):
+        cells.setdefault(domain.plan_cell(interval), []).append(index)
+    pieces = []  # (cost, cell, class indices)
+    for cell, members in cells.items():
+        cost = sum(costs[index] for index in members)
+        if cost <= share:
+            pieces.append((cost, cell, members))
+            continue
+        slots = [list(group) for _, group in groupby(
+            members, key=lambda index: intervals[index].injection_slot)]
+        for piece in shard_by_cost(
+                slots, [sum(costs[index] for index in slot)
+                        for slot in slots], ceil(cost / share)):
+            indices = [index for slot in piece for index in slot]
+            pieces.append((sum(costs[index] for index in indices), cell,
+                           indices))
+    pieces.sort(key=lambda piece: (-piece[0], piece[1]))
+    loads = [(0, shard) for shard in range(min(parts, len(pieces)))]
+    dealt: list[list[int]] = [[] for _ in loads]
+    for cost, _cell, indices in pieces:
+        load, shard = heapq.heappop(loads)  # cheapest; ties: lowest index
+        dealt[shard].extend(indices)
+        heapq.heappush(loads, (load + cost, shard))
+    shards = [sorted(indices) for indices in dealt]
+    return ([[intervals[index] for index in shard] for shard in shards],
+            [sum(costs[index] for index in shard) for shard in shards],
+            costs)
 
 
 # -- what a campaign style states ---------------------------------------------

@@ -301,7 +301,7 @@ class ScanStyle(CampaignStyle):
 
     def plan(self, items, parts, workers=None):
         return plan_class_shards(items, self.golden.cycles,
-                                 bits=self.domain.bits, parts=parts,
+                                 domain=self.domain, parts=parts,
                                  workers=workers)
 
     @staticmethod
@@ -365,13 +365,18 @@ class ScanStyle(CampaignStyle):
 
 
 def resolve_jobs(jobs: int | None) -> int | None:
-    """``None`` (the serial path) unchanged, ``0`` as one worker per
-    CPU, any positive count literally."""
+    """``None`` (the serial path) unchanged, ``0`` as one worker per CPU
+    this process may use (its affinity set: ``taskset``, a container's
+    cpuset), any positive count literally."""
     if jobs is None:
         return None
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return jobs or os.cpu_count() or 1
+    if jobs:
+        return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _transport(golden: GoldenRun, jobs: int | None,
@@ -405,8 +410,8 @@ def run_full_scan(golden: GoldenRun, *,
     """Def/use-pruned full fault-space scan (exact, no sampling error).
 
     ``jobs`` selects the transport: ``None`` (default) and ``1`` run
-    in-process, ``0`` uses one forked fabric worker per CPU, any larger
-    count that many workers.  ``domain`` selects the fault model
+    in-process, ``0`` uses one forked fabric worker per usable CPU, any
+    larger count that many workers.  ``domain`` selects the fault model
     (``"memory"`` or ``"register"``).  Results are identical for every
     choice.
 

@@ -10,8 +10,8 @@ Commands:
     ``--samples`` run a sampled campaign instead.  ``--domain`` picks
     the fault model (memory bits by default, ``register`` for the
     Section VI-B register file).  ``--jobs N`` runs the campaign on N
-    forked fabric workers (0 = one per CPU; 1 = in process) and a live
-    progress/ETA line is printed to stderr.  ``--journal PATH``
+    forked fabric workers (0 = one per usable CPU; 1 = in process) and
+    a live progress/ETA line is printed to stderr.  ``--journal PATH``
     journals every completed work unit to a SQLite file: a scan rerun
     against the same journal resumes where it left off (``--fresh``
     discards the journaled campaign first).  ``--shard-timeout`` /
@@ -509,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_jobs_arg(cmd) -> None:
         cmd.add_argument("--jobs", "-j", type=_count_arg(0), default=None,
-                         help="worker processes (0 = one per CPU; "
+                         help="worker processes (0 = one per CPU this "
+                              "process may use; "
                               "default: serial)")
 
     def add_sampling_args(cmd) -> None:
@@ -565,8 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fabric_args(cmd) -> None:
         cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
-                         help=f"work-lease granularity "
-                              f"(default: {DEFAULT_SHARDS})")
+                         help=f"work-lease granularity: the fewest "
+                              f"shards to plan, raised to one per local "
+                              f"worker (a small campaign plans exactly "
+                              f"one per worker; default: {DEFAULT_SHARDS})")
         cmd.add_argument("--crosscheck", type=_fraction_arg,
                          metavar="FRACTION",
                          help="re-execute this fraction of classes on "

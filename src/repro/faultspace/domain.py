@@ -110,6 +110,12 @@ class FaultDomain:
         """Hashable identity of a class: ``(axis, first_slot)``."""
         return (self.axis_of(interval), interval.first_slot)
 
+    def plan_cell(self, interval) -> int:
+        """The cell a shard plan keeps whole: the class's axis.  The
+        state memo's hits chain one cell's classes (DESIGN §3c), so a
+        cell cut across shards loses them."""
+        return self.axis_of(interval)
+
     def coordinate(self, slot: int, axis: int, bit: int):
         """Build a raw fault coordinate from (slot, axis, bit)."""
         return self.space_type.point(slot, axis, bit)
@@ -206,6 +212,12 @@ class MemoryDomain(FaultDomain):
     def build_partition(self, golden) -> DefUsePartition:
         return golden.partition()
 
+    def plan_cell(self, interval) -> int:
+        # The aligned word, not the byte: the classes one ``lw`` reads
+        # share its injection slot, one pristine snapshot and one
+        # ``run_many`` group.
+        return self.axis_of(interval) >> 2
+
     def inject(self, machine, coordinate: FaultCoordinate) -> None:
         machine.flip_bit(coordinate.addr, coordinate.bit)
 
@@ -276,6 +288,7 @@ class BurstDomain(FaultDomain):
     # Criticality is tracked per byte: if the byte cannot influence the
     # outcome, neither can any burst inside it.
     cell_critical = MemoryDomain.cell_critical
+    plan_cell = MemoryDomain.plan_cell
 
 
 class StuckAtDomain(FaultDomain):
@@ -306,6 +319,8 @@ class StuckAtDomain(FaultDomain):
         # state *at one point*; an armed latch keeps corrupting every
         # later re-read of the byte, so the slice proof does not apply.
         return True
+
+    plan_cell = MemoryDomain.plan_cell
 
 
 class PCDomain(FaultDomain):

@@ -402,13 +402,16 @@ class TestHungWorker:
         assert execution.timed_out_shards == 2
         assert execution.failed_shards == 2
         # Exactly what the hung workers never sent is missing — all but
-        # the first class of each shard (sent, then the hang) ...
+        # the first class of each shard (sent, then the hang), in
+        # canonical order ...
+        live = memory_golden.partition().live_classes()
         shards, _, _ = plan_class_shards(
-            memory_golden.partition().live_classes(),
-            memory_golden.cycles, bits=8, parts=8, workers=2)
+            live, memory_golden.cycles, domain=get_domain("memory"),
+            parts=8, workers=2)
+        unsent = {interval for shard in shards for interval in shard[1:]}
         assert execution.missing == tuple(
             get_domain("memory").class_key(interval)
-            for shard in shards for interval in shard[1:])
+            for interval in live if interval in unsent)
         # ... nothing of theirs was invented, in the result or on disk,
         for key, outcomes in partial.class_outcomes.items():
             assert outcomes == memory_baseline.class_outcomes[key]
