@@ -38,7 +38,6 @@ RATES = dict(drop_rate=0.12, dup_rate=0.15, corrupt_rate=0.08,
 MEMORY_SEEDS = (7, 11, 13)
 REGISTER_SEEDS = (7,)
 WORKERS = 3
-CROSSCHECK = 0.25
 
 
 def _soak(golden, baseline, *, seed, domain):
@@ -47,8 +46,7 @@ def _soak(golden, baseline, *, seed, domain):
     sock = socket.create_server(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     coordinator = DistCoordinator(
-        golden, sock=sock, domain=domain, policy=POLICY, shards=4,
-        crosscheck=CROSSCHECK)
+        golden, sock=sock, domain=domain, policy=POLICY, shards=4)
     thread = serve_in_thread(coordinator, keep_records=True)
 
     spawned = []
@@ -81,8 +79,6 @@ def _soak(golden, baseline, *, seed, domain):
         "total_units": execution.total_units,
         "chaos_events": dict(sorted(fired.items())),
         "integrity_rejected": execution.integrity_rejected,
-        "crosschecked": execution.crosschecked,
-        "crosscheck_mismatches": execution.crosscheck_mismatches,
         "shard_retries": execution.shard_retries,
         "workers": dict(execution.workers),
         "bit_identical_to_serial": True,
@@ -94,11 +90,11 @@ def test_chaos_soak_telemetry(output_dir):
     runs = []
     lines = [
         "chaos soak: deterministic fault injection over the dist fabric",
-        f"rates={RATES}  crosscheck={CROSSCHECK}  workers={WORKERS}",
+        f"rates={RATES}  workers={WORKERS}",
         "",
         f"{'domain':10s} {'seed':>4s} {'wall':>8s} {'events':>7s} "
-        f"{'rejected':>8s} {'xchk':>5s} {'retries':>7s}",
-        "-" * 54,
+        f"{'rejected':>8s} {'retries':>7s}",
+        "-" * 48,
     ]
     for domain, seeds, program in (
             ("memory", MEMORY_SEEDS, micro.memcopy(6)),
@@ -114,7 +110,6 @@ def test_chaos_soak_telemetry(output_dir):
                 f"{domain:10s} {seed:4d} {elapsed:7.3f}s "
                 f"{sum(row['chaos_events'].values()):7d} "
                 f"{row['integrity_rejected']:8d} "
-                f"{row['crosschecked']:5d} "
                 f"{row['shard_retries']:7d}")
 
     lines += ["", "every run complete and bit-for-bit identical to "
@@ -126,7 +121,6 @@ def test_chaos_soak_telemetry(output_dir):
 
     write_bench_json("chaos_soak", {
         "rates": RATES,
-        "crosscheck_fraction": CROSSCHECK,
         "workers": WORKERS,
         "runs": runs,
     })

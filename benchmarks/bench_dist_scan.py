@@ -1,13 +1,12 @@
 """Distributed-fabric wall-clock: worker scaling and node-loss overhead.
 
 Full def/use-pruned scans of the sync2 baseline run through the
-coordinator/worker fabric with real ``python -m repro worker``
-subprocesses over loopback, at 1, 2 and 4 workers, each checked
-bit-for-bit against the serial ground truth (same ``CampaignResult``,
-same CSV bytes).  A final chaos run SIGKILLs one of two workers
-mid-campaign and asserts the surviving fabric still converges to the
-identical result — the robustness the fabric exists for, measured
-rather than assumed.
+fabric's forked local workers over loopback (``run_distributed_scan``),
+at 1, 2 and 4 workers, each checked bit-for-bit against the serial
+ground truth (same ``CampaignResult``, same CSV bytes).  A final chaos
+run SIGKILLs one of two forked worker processes mid-campaign and
+asserts the surviving fabric still converges to the identical result —
+the robustness the fabric exists for, measured rather than assumed.
 
 Human-readable report in ``output/dist_scan.txt``; machine-readable
 perf trajectory in repo-root ``BENCH_dist_scan.json`` (uploaded by CI
@@ -22,12 +21,13 @@ Scale knobs (environment):
     Comma-separated worker counts (default: ``1,2,4``).
 
 On a single-core container the fabric cannot exhibit scaling — worker
-subprocesses time-share one CPU — but the equality and chaos
+processes time-share one CPU — but the equality and chaos
 assertions hold regardless, which is the point: correctness properties
 must not depend on the machine being generous.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -246,41 +246,28 @@ def test_dist_scan_survives_sigkill(output_dir, tmp_path):
         progress=lambda done, total: progressed.set() if done >= 2
         else None)
 
-    import subprocess
-    import sys
-
-    import repro
-
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-
     def spawn(name):
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", f"127.0.0.1:{port}", "--name", name],
-            env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+        proc = multiprocessing.get_context().Process(
+            target=DistWorker("127.0.0.1", port, name=name).run)
+        proc.start()
+        return proc
 
     start = time.perf_counter()
     victim, survivor = spawn("victim"), spawn("survivor")
     try:
         assert progressed.wait(120), "no progress before the kill"
         os.kill(victim.pid, signal.SIGKILL)
-        victim.wait(timeout=10)
+        victim.join(10)
         result = thread.join_result(600)
     finally:
         for proc in (victim, survivor):
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
+            proc.join(10)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
     elapsed = time.perf_counter() - start
 
-    assert victim.returncode == -signal.SIGKILL
+    assert victim.exitcode == -signal.SIGKILL
     assert result == serial
     assert result.execution.complete
     chaos_csv = tmp_path / "chaos.csv"

@@ -135,19 +135,10 @@ def completeness_report(report: ExecutionReport) -> str:
         lines.append(
             f"  integrity rejections: {report.integrity_rejected} "
             f"class result(s) refused (CRC or shape)")
-    if report.crosschecked:
-        line = (f"  cross-checked: {report.crosschecked} class(es) "
-                f"re-executed on a second worker")
-        if report.crosscheck_mismatches:
-            line += f"; {report.crosscheck_mismatches} mismatch(es)"
-        if report.crosscheck_unverified:
-            line += (f"; {report.crosscheck_unverified} left "
-                     f"unverified (no second worker)")
-        lines.append(line)
     if report.discarded_results:
         lines.append(
             f"  discarded: {report.discarded_results} journaled "
-            f"class(es) (failed validation or cross-check)")
+            f"class(es) (failed validation; re-executed)")
     if report.workers:
         attribution = ", ".join(f"{name}: {units}"
                                 for name, units in report.workers)

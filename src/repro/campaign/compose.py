@@ -15,9 +15,8 @@ answers two questions:
   run its style's ``execute`` yielded, first-wins per bit (a longer run
   replaces a shorter one stored at the same first bit, nothing else is
   overwritten), so concurrent or repeated campaigns agree.  Every
-  transport stores a batch as one unit
-  (:meth:`SectionComposer.store_runs`); the fabric holds back only the
-  units its determinism audit may still discard, until serving ends.
+  transport stores a batch as one unit, as it journals it
+  (:meth:`SectionComposer.store_runs`).
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry

@@ -1,4 +1,4 @@
-"""Campaign coordinator: leases shards to TCP workers, audits them.
+"""Campaign coordinator: leases shards to TCP workers.
 
 A :class:`DistCoordinator` is a transport of
 :func:`~repro.campaign.pipeline.run_campaign`, like the in-process one:
@@ -9,18 +9,19 @@ rebuilds it — planning the style's shards over its *full* unit list
 (so shard indices survive restarts) and serving
 :class:`~.leases.ShardLease` grants; workers stream unit results back
 one send window (one ``results`` frame) at a time.  :class:`LocalFabric`
-runs it over forked local workers (``jobs=N``, ``scan --jobs N``);
-:func:`serve_scan` over whichever workers connect.  What it keeps of
-its own is what at-least-once delivery over a network needs, and the
-style states each step for its units:
+runs it over forked local workers (``jobs=N``, ``scan --jobs N``), the
+one fleet a campaign starts; :func:`serve_in_thread` serves the
+tests' thread workers.  What it keeps of its own is what at-least-once
+delivery over a socket needs, and the style states each step for its
+units:
 
 * **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).
   Lease expiry, reconnects and retransmits duplicate submissions; a
   unit is fresh when the board takes its key off its shard, and only
-  fresh units are journaled (``style.journal``) and counted
-  (:meth:`~repro.campaign.pipeline.CampaignRun.count`), each window's
-  as one batch.  A copy — of a unit taken, resumed, composed or
-  disputed — finds its key gone and is dropped.  Workers re-verify
+  fresh units go through the pipeline's sink
+  (:meth:`~repro.campaign.pipeline.CampaignRun.accept`), each window's
+  as one batch.  A copy — of a unit taken, resumed or composed —
+  finds its key gone and is dropped.  Workers re-verify
   program fingerprint and golden Δt before executing, so a unit has
   one possible value and the result is bit-for-bit serial.
 * **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
@@ -32,16 +33,10 @@ style states each step for its units:
 * **Integrity**, per unit, before any accounting: the CRC is
   re-derived from the run strings and their shape checked
   (``style.valid_run``); a bad unit is rejected (not progress: its
-  lease re-grants it) and its neighbours are taken.
-* **The determinism audit** (``crosscheck``): a deterministic fraction
-  of keys is re-executed on a *second* worker (verify leases: negative
-  lease id, ``shard == -1``) and the digests compared.  A mismatch is a
-  bug to report, not a vote to hold: a ``crosscheck-mismatch`` event
-  names both workers and digests, the unit leaves the journal
-  (``style.discard``) and the run, and it stays missing for a rerun
-  to retry.  Because of that discard, an audited unit's run waits out
-  of the section store until serving ends (``style.store``); every
-  other unit is stored as it is journaled.
+  lease re-grants it) and its neighbours are taken.  A malformed
+  ``lease_done``, or one naming no planned shard, is a
+  :class:`~.protocol.ProtocolError` on its connection: its leases are
+  released and the campaign goes on.
 
 Time is read through the module-level :data:`_clock` (lease grants,
 expiry, progress heartbeats), so tests can substitute a virtual one.
@@ -53,7 +48,6 @@ import asyncio
 import dataclasses
 import json
 import multiprocessing
-import random
 import socket
 import threading
 import time
@@ -75,14 +69,6 @@ from .worker import DistWorker
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
 DEFAULT_SHARDS = 8
-
-#: Keys per verify (cross-check) lease: small batches keep the second
-#: worker's turnaround short so disputes surface quickly.
-VERIFY_BATCH = 8
-
-#: Seconds a finished board waits for pending cross-checks before
-#: declaring them unverified (no second worker ever showed up).
-CROSSCHECK_PATIENCE = 10.0
 
 #: The lease clock (module-level so tests can substitute a virtual one).
 _clock = time.monotonic
@@ -113,9 +99,8 @@ class DistCoordinator:
     :attr:`fleet` plans at least one shard per fleet worker, and a
     campaign of small estimated cycle cost
     (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`) exactly
-    one, so lease round-trips stop dominating tiny scans.
-    ``crosscheck`` is the audited fraction of class keys (module
-    docstring).
+    one, so lease round-trips stop dominating tiny scans; without a
+    fleet (the tests' thread workers) it plans for ``shards`` workers.
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection after accepting that many fresh classes and
@@ -123,7 +108,7 @@ class DistCoordinator:
     """
 
     #: The :class:`LocalFabric` whose workers this coordinator serves
-    #: (it tends them), or ``None``: workers come and go on their own.
+    #: (it tends them), or ``None``: a test's thread workers.
     fleet = None
 
     def __init__(self, golden: GoldenRun, *, sock: socket.socket,
@@ -131,13 +116,9 @@ class DistCoordinator:
                  executor_config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS,
-                 stop_after_results: int | None = None,
-                 crosscheck: float = 0.0):
+                 stop_after_results: int | None = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if not 0.0 <= crosscheck <= 1.0:
-            raise ValueError(
-                f"crosscheck must be in [0, 1], got {crosscheck}")
         self.golden = golden
         self.domain = get_domain(domain)
         config = executor_config or ExecutorConfig()
@@ -147,23 +128,12 @@ class DistCoordinator:
         self.shards = shards
         self._sock = sock
         self.stop_after_results = stop_after_results
-        self.crosscheck = crosscheck
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
-        #: Runs of the audited units journaled fresh and not disputed:
-        #: the section store's input once serving ends.
-        self._runs: dict[tuple, tuple] = {}
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
-        # Cross-check state: keys awaiting a second, independent
-        # execution, and verify leases in flight.
-        self._check_pending: dict[tuple, tuple[str, int]] = {}
-        self._check_inflight: dict[int, tuple[str, tuple]] = {}
-        self._inflight_keys: set = set()
-        self._next_verify_id = 0
-        self._drain_deadline: float | None = None
 
     # -- identity shipped to workers -------------------------------------------
 
@@ -191,8 +161,8 @@ class DistCoordinator:
 
     def __call__(self, run: CampaignRun) -> None:
         """The transport: serve ``run`` until the board is done, then
-        leave the report's fabric fields and the section store written
-        for the pipeline to assemble."""
+        leave the report's fabric fields written for the pipeline to
+        assemble."""
         # The loop runs in the calling thread: the journal connection
         # run_campaign opened there is thread-affine.
         self._error: Exception | None = None
@@ -202,9 +172,6 @@ class DistCoordinator:
         if self.stopped:
             raise CoordinatorStopped(
                 f"crash hook fired after {self._accepted} units")
-        # The audited units not disputed join the section store now.
-        if run.composer is not None:
-            run.style.store(run.composer, self._runs.items())
         report = run.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
@@ -228,7 +195,7 @@ class DistCoordinator:
         # a restart.  A shard need not be a run of the unit list (a
         # scan deals cells), so its keys are looked up item by item.
         key_of = {item: key for key, item in self._units.items()}
-        workers = None if self.fleet is None else self.fleet.workers
+        workers = self.shards if self.fleet is None else self.fleet.workers
         planned, _, costs = style.plan(list(self._units.values()),
                                        self.shards, workers)
         board = LeaseBoard(policy=self.policy,
@@ -304,7 +271,6 @@ class DistCoordinator:
                     # Every local worker is gone: nobody takes the rest.
                     self.board.abandon()
                     self._journal_leases()
-                self._drain_crosschecks(now)
                 self._maybe_finish()
                 if now - last_beat >= self.policy.heartbeat:
                     # Unchanged counts: how a caller tells a slow
@@ -373,7 +339,6 @@ class DistCoordinator:
                 if not self.stopped:
                     if self.board.release_worker(name, _clock()):
                         self._journal_leases()
-                    self._release_verifies(name)
                     self._maybe_finish()
             writer.close()
 
@@ -391,14 +356,8 @@ class DistCoordinator:
             elif kind == "results":
                 self._accept_results(name, frame, now)
             elif kind == "lease_done":
-                shard = int(frame["shard"])
-                if shard < 0:
-                    # A verify lease ran to completion; any key not
-                    # answered (dropped frame) becomes grantable again.
-                    self._release_verify_lease(int(frame["lease"]))
-                else:
-                    self.board.finish(shard, int(frame["lease"]), now)
-                    self._journal_leases()
+                self.board.finish(*self._lease_done(frame), now)
+                self._journal_leases()
                 self._maybe_finish()
             else:
                 raise ProtocolError(f"unexpected {kind!r} from {name!r}")
@@ -427,15 +386,6 @@ class DistCoordinator:
         """The frame answering one worker's ``request``."""
         grant = self.board.acquire(name, now)
         if grant is None:
-            verify = self._grant_verify(name)
-            if verify is not None:
-                return verify
-            if self._check_pending:
-                # Regular work is exhausted but cross-checks are
-                # unresolved; hold the fleet until they settle (or the
-                # watchdog's patience expires).
-                return {"type": "wait",
-                        "seconds": max(0.05, self.policy.heartbeat / 2)}
             return {"type": "done"}
         if isinstance(grant, float):
             return {"type": "wait", "seconds": grant}
@@ -443,32 +393,6 @@ class DistCoordinator:
         return {"type": "lease", "lease": grant.lease_id,
                 "shard": grant.shard,
                 "keys": [list(key) for key in grant.keys]}
-
-    def _grant_verify(self, name: str) -> dict | None:
-        """A verify lease re-executing other workers' sampled keys."""
-        keys = sorted(
-            key for key, (worker, _crc) in self._check_pending.items()
-            if worker != name and key not in self._inflight_keys)
-        if not keys:
-            return None
-        keys = keys[:VERIFY_BATCH]
-        self._next_verify_id -= 1
-        lease_id = self._next_verify_id
-        self._check_inflight[lease_id] = (name, tuple(keys))
-        self._inflight_keys.update(keys)
-        return {"type": "lease", "lease": lease_id, "shard": -1,
-                "verify": True, "keys": [list(key) for key in keys]}
-
-    def _release_verify_lease(self, lease_id: int) -> None:
-        entry = self._check_inflight.pop(lease_id, None)
-        if entry is not None:
-            self._inflight_keys.difference_update(entry[1])
-
-    def _release_verifies(self, name: str) -> None:
-        """A worker left; its in-flight verify keys become grantable."""
-        for lease_id, (worker, _keys) in list(self._check_inflight.items()):
-            if worker == name:
-                self._release_verify_lease(lease_id)
 
     # -- result acceptance ------------------------------------------------------
 
@@ -488,10 +412,8 @@ class DistCoordinator:
             checked = self._checked(name, item)
             if checked is None:
                 continue
-            key, shard, _run, digest, _counts = checked
-            if shard < 0:
-                self._accept_verify(name, key, digest)
-            elif self.board.progress(shard, key, now):
+            key, shard, _run, _counts = checked
+            if self.board.progress(shard, key, now):
                 fresh.append(checked)
         if self.stop_after_results is not None:
             # The crash hook's k-th unit is the last one taken.
@@ -501,9 +423,9 @@ class DistCoordinator:
         self._maybe_finish()
 
     def _checked(self, name: str, item):
-        """``(key, shard, run, digest, counts)`` of one unit of a
-        window whose CRC and shape hold; otherwise the unit is
-        rejected and the answer is ``None``."""
+        """``(key, shard, run, counts)`` of one unit of a window whose
+        CRC and shape hold; otherwise the unit is rejected and the
+        answer is ``None``."""
         try:
             key = tuple([int(v) for v in item["key"]])
             shard = int(item["shard"])
@@ -524,66 +446,37 @@ class DistCoordinator:
                          reason="run disagrees with the unit's expected "
                                 "experiments")
             return None
-        if shard >= self._planned_shards:
+        if not 0 <= shard < self._planned_shards:
             self._reject(name, key, kind="shape-reject",
                          reason=f"no shard {shard} in the plan")
             return None
-        return key, shard, run, digest, counts
+        return key, shard, run, counts
+
+    def _lease_done(self, frame: dict) -> tuple[int, int]:
+        """``(shard, lease)`` of a ``lease_done`` frame naming a planned
+        shard; anything else ends the connection, not the campaign."""
+        try:
+            shard, lease = int(frame["shard"]), int(frame["lease"])
+        except (KeyError, TypeError, ValueError):
+            raise ProtocolError("malformed lease_done frame") from None
+        if not 0 <= shard < self._planned_shards:
+            raise ProtocolError(f"lease_done names no shard {shard} "
+                                f"in the plan")
+        return shard, lease
 
     def _take(self, name: str, fresh: list) -> None:
         """Journal, store and count the checked units the board took
-        fresh; an audited unit's run waits in :attr:`_runs`."""
-        run, style, report = self.run, self.style, self.report
-        stored, held = [], []
-        for key, _shard, data, digest, counts in fresh:
-            if self._crosscheck_selected(key):
-                self._check_pending[key] = (name, digest)
-                self._drain_deadline = None
-                report.crosschecked += 1
-                self._runs[key] = data
-                held.append((key, data))
-            else:
-                stored.append((key, data))
-            report.count(counts)
-        style.journal(self.handle, run.composer, stored)
-        if held:
-            style.journal(self.handle, None, held)
-        run.count([(key, style.keep(key, data))
-                   for key, _shard, data, _digest, _counts in fresh])
+        fresh, as one batch through the pipeline's sink."""
+        for *_, counts in fresh:
+            self.report.count(counts)
+        self.run.accept([(key, data) for key, _shard, data, _counts
+                         in fresh])
         self._worker_units[name] += len(fresh)
         self._accepted += len(fresh)
         if (self.stop_after_results is not None
                 and self._accepted >= self.stop_after_results):
             self.stopped = True
             self._done.set()
-
-    def _accept_verify(self, name: str, key: tuple, digest: int) -> None:
-        """Compare a cross-check re-execution against the first copy."""
-        entry = self._check_pending.get(key)
-        if entry is None:
-            return  # duplicate or post-patience verify delivery
-        worker, crc = entry
-        if worker == name:
-            return  # a worker must never confirm itself
-        del self._check_pending[key]
-        self._inflight_keys.discard(key)
-        if crc == digest:
-            return
-        # Two verified builds computed different outcomes for one unit.
-        # Nothing here can say which is right, so nothing is kept: the
-        # row goes and the key is left missing for a rerun on the same
-        # journal to re-execute.  It left the board when it was taken,
-        # so no later copy of it is fresh.
-        self.report.crosscheck_mismatches += 1
-        self.handle.record_event(
-            "crosscheck-mismatch", worker=worker, at=time.time(),
-            detail=f"{list(key)}: {worker} digest {crc}, "
-                   f"{name} digest {digest}")
-        if self.style.discard(self.handle, [key]):
-            self.report.discarded_results += 1
-            self.run.done -= 1
-        self.run.fresh.pop(key, None)
-        self._runs.pop(key, None)
 
     # -- integrity helpers ------------------------------------------------------
 
@@ -594,40 +487,6 @@ class DistCoordinator:
         detail = reason if key is None else f"{list(key)}: {reason}"
         self.handle.record_event(kind, worker=name, detail=detail,
                                  at=time.time())
-
-    def _drain_crosschecks(self, now: float) -> None:
-        """Once work is done, give pending cross-checks
-        :data:`CROSSCHECK_PATIENCE` seconds for a second worker (a
-        one-worker fleet never has one), then count them
-        ``crosscheck_unverified`` instead of hanging the campaign."""
-        if self._done.is_set() or not self.board.done():
-            self._drain_deadline = None
-            return
-        if not self._check_pending and not self._inflight_keys:
-            return
-        if self._drain_deadline is None:
-            self._drain_deadline = now + CROSSCHECK_PATIENCE
-            return
-        if now < self._drain_deadline:
-            return
-        for key in sorted(self._check_pending):
-            self.report.crosscheck_unverified += 1
-            self.handle.record_event(
-                "crosscheck-stale", at=time.time(),
-                worker=self._check_pending[key][0],
-                detail=f"{list(key)}: no second worker re-executed it")
-        self._check_pending.clear()
-        self._check_inflight.clear()
-        self._inflight_keys.clear()
-
-    def _crosscheck_selected(self, key: tuple) -> bool:
-        """Deterministic per-key sampling at the configured fraction."""
-        if self.crosscheck <= 0.0:
-            return False
-        if self.crosscheck >= 1.0:
-            return True
-        rng = random.Random("crosscheck/" + "/".join(map(str, key)))
-        return rng.random() < self.crosscheck
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -644,11 +503,8 @@ class DistCoordinator:
                 attempts=shard.attempts, status=shard.status, worker=worker)
 
     def _maybe_finish(self) -> None:
-        if self._done.is_set() or not self.board.done():
-            return
-        if self._check_pending or self._inflight_keys:
-            return  # the watchdog's patience timer resolves these
-        self._done.set()
+        if not self._done.is_set() and self.board.done():
+            self._done.set()
 
 
 # -- entry points ---------------------------------------------------------------
@@ -687,8 +543,8 @@ class LocalFabric:
     multiprocessing start method; nothing is re-imported), serve the
     run through a :class:`DistCoordinator` in the calling thread, then
     terminate and reap every worker still running.  Each worker joins
-    over TCP and verifies the campaign as a remote ``repro worker``
-    does.  One that exits while work remains is replaced, once; with
+    over TCP and re-verifies the campaign before it executes.  One that
+    exits while work remains is replaced, once; with
     none left alive the rest is failed (``missing``), not waited for.
     Its interchangeable forks go unattributed in
     ``ExecutionReport.workers``, as in process."""
@@ -697,8 +553,7 @@ class LocalFabric:
                  domain: FaultDomain | str = MEMORY,
                  config: ExecutorConfig | None = None,
                  policy: RetryPolicy | None = None,
-                 shards: int = DEFAULT_SHARDS,
-                 crosscheck: float = 0.0, host: str = "127.0.0.1"):
+                 shards: int = DEFAULT_SHARDS, host: str = "127.0.0.1"):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.golden = golden
@@ -707,8 +562,7 @@ class LocalFabric:
                                           domain=self.domain.name)
         self.params = campaign_params(golden, self.config)
         self.workers, self.host = workers, host
-        self._serving = dict(policy=policy, shards=shards,
-                             crosscheck=crosscheck)
+        self._serving = dict(policy=policy, shards=shards)
 
     def __call__(self, run: CampaignRun) -> None:
         sock = _free_server_socket(self.host)
@@ -761,14 +615,12 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          journal=None, resume: bool = True,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None,
-                         host: str = "127.0.0.1",
-                         crosscheck: float = 0.0):
+                         host: str = "127.0.0.1"):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
     local worker processes (a full ``repro scan --jobs N``)."""
     return serve_scan(
         LocalFabric(golden, workers, domain=domain, config=executor_config,
-                    policy=policy, shards=shards,
-                    crosscheck=crosscheck, host=host),
+                    policy=policy, shards=shards, host=host),
         journal=journal, resume=resume, keep_records=keep_records,
         progress=progress)
 

@@ -24,7 +24,7 @@ Failure handling is explicit state, not exceptions:
   ``False`` for every later copy — turns at-least-once delivery into
   exactly-once accounting.
 
-That is the whole policy, for local and remote workers alike: a worker
+That is the whole policy, for forked and thread workers alike: a worker
 that dies, hangs or sends garbage costs its shard an attempt, nothing
 more.  A unit whose execution kills every worker fails its shard after
 ``max_retries`` — the lost keys are named in the report, and a rerun on

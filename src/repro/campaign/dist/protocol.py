@@ -44,13 +44,11 @@ experiment is a run of one value each.
 
 Version 2 added end-to-end result integrity: every class result
 carries ``crc`` (:func:`result_digest` over its key and rows), and
-``lease`` frames may carry ``verify: true`` with a negative lease id —
-a cross-check lease asking the worker to re-execute classes another
-worker already delivered so the coordinator can byte-compare the two
-(workers execute verify leases identically; only the coordinator treats
-the results differently).  Version 3 replaced the per-class ``result``
-frame with the windowed ``results`` frame (a window of one class is a
-``results`` frame with one item): the integrity unit is still the class,
+``lease`` frames could carry ``verify: true`` with a negative lease
+id, a cross-check lease re-executing another worker's classes.
+Version 3 replaced the per-class ``result`` frame with the windowed
+``results`` frame (a window of one class is a ``results`` frame with
+one item): the integrity unit is still the class,
 the wire unit is the worker's send window, so a frame, a coordinator
 wake-up and a ``done`` poll are paid per window instead of per class.
 Version 4 removed the ``heartbeat`` frame, which nothing read: accepted
@@ -62,8 +60,10 @@ golden checkpoint ladder's (``0``: none), which the worker records its
 golden run with.  Version 7 made the fabric serve every campaign style:
 the ``campaign`` frame's ``style`` names it (``kind``, plus ``seed``,
 ``sampler`` and ``samples`` for sampling), the worker rebuilds it from
-its verified golden run, and keys are integer lists of any length.  Any
-type not in the table is a :class:`ProtocolError`.
+its verified golden run, and keys are integer lists of any length.
+Version 9 took verify leases out of the vocabulary: every lease names
+a planned shard, and a ``lease_done`` naming none ends its connection.
+Any type not in the table is a :class:`ProtocolError`.
 
 Two transport bindings share the codec: :class:`FrameStream` wraps a
 blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
@@ -86,8 +86,9 @@ import zlib
 #: ``heartbeat`` frame.  Version 5: a class travels as its stored run.
 #: Version 6: the campaign frame carries the ladder stride.  Version 7:
 #: the campaign frame names the style; keys of any length.  Version 8:
-#: no ``auto`` engine (a version-7 default config names it).
-PROTOCOL_VERSION = 8
+#: no ``auto`` engine (a version-7 default config names it).  Version 9:
+#: no verify leases.
+PROTOCOL_VERSION = 9
 
 #: Refuse absurd frame lengths outright — a peer speaking a different
 #: protocol (or garbage) would otherwise make us allocate gigabytes.
@@ -111,9 +112,7 @@ def result_digest(key, run) -> int:
     of a ``results`` frame; the coordinator re-derives it from the
     decoded payload before merging, which catches corruption anywhere
     between the worker's executor and the coordinator's journal
-    (including a serialization bug on either side).  It is also the
-    byte-comparison unit of cross-check sampling: two honest executions
-    of the same unit necessarily produce equal digests.  A ``run``
+    (including a serialization bug on either side).  A ``run``
     member that is not a string raises ``TypeError``.
     """
     first, second, third = run

@@ -129,6 +129,24 @@ COMMIT_WINDOW_S = 0.25
 #: virtual one).
 _clock = time.monotonic
 
+#: How long a connection waits for another's lock before SQLite gives
+#: up with "database is locked", in milliseconds (module-level so tests
+#: can shorten it).
+BUSY_TIMEOUT_MS = 5000
+
+#: SQLite's primary result codes for a lock held elsewhere.
+_SQLITE_BUSY, _SQLITE_LOCKED = 5, 6
+
+
+def _is_busy(exc: sqlite3.Error) -> bool:
+    """True when ``exc`` means another connection holds a lock: the file
+    is healthy, only in use.  By result code where Python reports it
+    (3.11+), by SQLite's message otherwise."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    if code is not None:
+        return code & 0xFF in (_SQLITE_BUSY, _SQLITE_LOCKED)
+    return "is locked" in str(exc)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -419,7 +437,7 @@ class ExperimentJournal:
             raise JournalError(
                 f"cannot open journal {self.path!r}: {exc}") from exc
         try:
-            conn.execute("PRAGMA busy_timeout = 5000")
+            conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
             # WAL keeps readers (a `repro journal --journal` listing
             # progress, a monitoring script) from blocking the campaign's
             # writes, and makes each commit an append instead of a
@@ -436,6 +454,11 @@ class ExperimentJournal:
                     f"recover the readable rows")
             conn.executescript(_SCHEMA)
         except sqlite3.DatabaseError as exc:
+            conn.close()
+            if _is_busy(exc):  # in use, not corrupt: never salvage it
+                raise JournalError(
+                    f"journal {self.path!r} is busy (another connection "
+                    f"holds its lock): {exc}; retry") from exc
             raise JournalCorruptError(
                 f"journal {self.path!r} is not a usable SQLite "
                 f"database: {exc} — open with salvage=True (or `repro "
@@ -863,11 +886,10 @@ class CampaignJournal:
                         keys: Iterable[tuple[int, int]]) -> int:
         """Delete journaled classes so they can be re-executed.
 
-        The cross-check audit's path: when two workers' executions of
-        one class disagree, its journaled row is deleted and the class
-        left missing.  Also used to drop
-        partially salvaged classes whose bit count disagrees with the
-        domain's expected experiment weight.  Returns classes deleted.
+        The pipeline prologue's path: it drops resumed classes that
+        fail validation — a salvaged journal's truncated classes, whose
+        bit count disagrees with the domain's expected experiment
+        weight.  Returns classes deleted.
         """
         return self._discard("class_results", ("axis", "first_slot"), keys)
 
@@ -900,7 +922,6 @@ class CampaignJournal:
         """Append one integrity incident to the fabric log.
 
         Kinds written: ``crc-reject``, ``shape-reject``,
-        ``crosscheck-mismatch``, ``crosscheck-stale``,
         ``salvage-prune``.  A journal an older coordinator wrote may
         hold kinds of layers since removed; they are kept and listed
         as stored.  The log is diagnostic — campaign results never

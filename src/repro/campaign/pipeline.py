@@ -23,11 +23,11 @@ form and the transport table):
    executor.
 4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
    stores each batch (``style.journal``), then :meth:`CampaignRun.count`
-   updates the :class:`ExecutionReport` and progress.  The fabric calls
-   the two itself, for the units its lease board took fresh (its one
-   duplicate filter), so it can hold audited units out of the section
-   store.  A transport calls :meth:`CampaignRun.idle` before it waits,
-   so nothing sits in the journal's commit window idle.
+   updates the :class:`ExecutionReport` and progress.  In process every
+   unit is fresh; the fabric passes only the units its lease board
+   took fresh (its one duplicate filter).  A transport calls
+   :meth:`CampaignRun.idle` before it waits, so nothing sits in the
+   journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
    canonical order over resumed + fresh units, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
@@ -39,9 +39,9 @@ brute-force oracle, which is a plain loop and no campaign).
 A *transport*, ``transport(run)``, is only how shards reach executors
 and runs come back, and there are two: :class:`InProcess` here
 (``jobs=None`` and ``jobs=1``), and the lease/frame fabric's
-coordinator in :mod:`repro.campaign.dist` — over forked local workers
-for ``jobs=N`` (:class:`~repro.campaign.dist.coordinator.LocalFabric`)
-or over whichever workers connect.
+coordinator in :mod:`repro.campaign.dist`, over the local workers it
+forks for ``jobs=N`` (:class:`~repro.campaign.dist.coordinator.
+LocalFabric`).
 """
 
 from __future__ import annotations
@@ -110,11 +110,10 @@ class ExecutionReport:
     composed_hits: int = 0
     #: Per-worker attribution of executed work units, as sorted
     #: ``(worker_name, units)`` pairs.  Populated by a fabric
-    #: coordinator serving workers that connect on their own (``repro
-    #: coordinator``, on one host or many: every unit names the worker
-    #: whose submission was accounted); empty in process and on a local
-    #: fleet (``jobs=N``), whose forks are interchangeable, so its
-    #: report matches an in-process run's.
+    #: coordinator serving a test's thread workers (every unit names
+    #: the worker whose submission was accounted); empty in process and
+    #: on a local fleet (``jobs=N``), whose forks are interchangeable,
+    #: so its report matches an in-process run's.
     workers: tuple = field(default_factory=tuple)
     #: Result frames rejected before merging: CRC mismatch (payload
     #: corrupted between the worker's executor and the coordinator) or
@@ -122,20 +121,9 @@ class ExecutionReport:
     #: experiment weight for the class.  Rejected frames are simply
     #: re-executed — corruption can delay a campaign, never skew it.
     integrity_rejected: int = 0
-    #: Classes re-executed on a second worker and byte-compared (the
-    #: fabric's cross-check determinism audit).
-    crosschecked: int = 0
-    #: Cross-check comparisons that disagreed: two verified workers
-    #: computed different outcomes.  Each such class is discarded and
-    #: left in :attr:`missing`.
-    crosscheck_mismatches: int = 0
-    #: Cross-checks abandoned unverified because no second worker was
-    #: ever available to re-execute them.
-    crosscheck_unverified: int = 0
     #: Journaled results discarded: resumed classes that failed
     #: validation (a salvaged journal's truncated classes, any
-    #: transport; re-executed), and classes whose cross-check
-    #: disagreed (left missing).
+    #: transport), which are re-executed.
     discarded_results: int = 0
 
     @property
@@ -259,22 +247,20 @@ SMALL_CAMPAIGN_CYCLES = 1_000_000
 
 
 def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
-                workers: int | None = None) \
-        -> tuple[list[list], list[int], list[int]]:
+                workers: int) -> tuple[list[list], list[int], list[int]]:
     """``(shards, shard_costs, costs)``: :func:`shard_by_cost` plus each
     shard's summed cost, read off the same per-item cost list.
 
-    ``workers`` is the fabric's expected worker count (``None`` means
-    unknown — a hand-started ``repro coordinator`` — and keeps ``parts``
-    untouched).  Fine shards only pay off when there is enough work to
-    rebalance after a worker is lost; a campaign estimated below
+    ``workers`` is the fabric's expected worker count.  Fine shards
+    only pay off when there is enough work to rebalance after a worker
+    is lost; a campaign estimated below
     :data:`SMALL_CAMPAIGN_CYCLES` collapses to one shard per expected
     worker, which removes the extra lease round-trips and leaves no
     pending shards for idle workers to re-poll for.  Deterministic, so a
     coordinator restart with the same arguments re-derives the same plan
     and journaled per-shard lease state stays valid.
     """
-    if workers is not None and sum(costs) < SMALL_CAMPAIGN_CYCLES:
+    if sum(costs) < SMALL_CAMPAIGN_CYCLES:
         parts = max(1, min(parts, workers))
     shards = shard_by_cost(items, costs, parts)
     remaining = iter(costs)
@@ -283,8 +269,7 @@ def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
 
 
 def plan_class_shards(intervals: Sequence, total_cycles: int, *,
-                      domain: FaultDomain, parts: int,
-                      workers: int | None = None) \
+                      domain: FaultDomain, parts: int, workers: int) \
         -> tuple[list[list], list[int], list[int]]:
     """The full scan's plan: live classes (in canonical order) dealt to
     shards by planning cell (:meth:`~repro.faultspace.domain.FaultDomain.
@@ -298,13 +283,13 @@ def plan_class_shards(intervals: Sequence, total_cycles: int, *,
     same cell and bit reached one or more classes earlier (DESIGN
     §3c), and a worker's executor keeps its memo only within a lease.
     Cells go to the cheapest shard, dearest first (ties by cell); only
-    a cell dearer than one worker's *share* — ``total / workers`` for
-    a known fleet, ``total / parts`` otherwise — is cut, between
-    injection slots, into the fewest pieces of about a share at most.  Each shard keeps
-    canonical order, so same-slot classes stay one executor group.
+    a cell dearer than one worker's *share*, ``total / workers``, is
+    cut, between injection slots, into the fewest pieces of about a
+    share at most.  Each shard keeps canonical order, so same-slot
+    classes stay one executor group.
 
-    A known fleet (``workers``) plans at least one shard per worker,
-    and exactly one for a campaign estimated below
+    The fleet of ``workers`` gets at least one shard per worker, and
+    exactly one for a campaign estimated below
     :data:`SMALL_CAMPAIGN_CYCLES`.  The plan is a pure function of its
     arguments, so a coordinator restart re-derives it and journaled
     per-shard lease state stays valid.
@@ -312,10 +297,9 @@ def plan_class_shards(intervals: Sequence, total_cycles: int, *,
     costs = [class_cost(interval, total_cycles, bits=domain.bits)
              for interval in intervals]
     total = sum(costs)
-    if workers is not None:
-        parts = (workers if total < SMALL_CAMPAIGN_CYCLES
-                 else max(parts, workers))
-    share = total / (workers or parts)
+    parts = (workers if total < SMALL_CAMPAIGN_CYCLES
+             else max(parts, workers))
+    share = total / workers
     cells: dict[int, list[int]] = {}  # cell -> its class indices
     for index, interval in enumerate(intervals):
         cells.setdefault(domain.plan_cell(interval), []).append(index)
@@ -392,17 +376,13 @@ class CampaignStyle:
         the worker-side generator, work items → ``(key, run)``;
     ``journal(handle, composer, batch)``
         journals a batch of ``(key, run)``, each unit atomically, and
-        feeds it to the section store (given a composer) — every unit
+        writes it to the section store (given a composer) — every unit
         given is fresh: the transport took it once;
     ``valid_run(key, run)``
         the shape check a run passes before it is trusted — from a
         fabric worker or from the journal;
     ``discard(handle, keys)``
-        deletes journaled units that failed :meth:`trusted` or that the
-        determinism audit disputed;
-    ``store(composer, runs)``
-        the section-store write of ``(key, run)`` pairs: ``journal``'s,
-        and the fabric's deferred one for audited units;
+        deletes journaled units that failed :meth:`trusted`;
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
@@ -427,8 +407,7 @@ class CampaignStyle:
         needs to rebuild this style from its verified golden run."""
         return {"kind": self.kind}
 
-    def plan(self, items: Sequence, parts: int,
-             workers: int | None = None) \
+    def plan(self, items: Sequence, parts: int, workers: int) \
             -> tuple[list[list], list[int], list[int]]:
         """:func:`plan_shards` of ``items`` by :meth:`cost`."""
         return plan_shards(items, [self.cost(item) for item in items],

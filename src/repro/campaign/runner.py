@@ -299,7 +299,7 @@ class ScanStyle(CampaignStyle):
         # One journal unit (one executemany) for the whole composition.
         handle.record_classes(batch)
 
-    def plan(self, items, parts, workers=None):
+    def plan(self, items, parts, workers):
         return plan_class_shards(items, self.golden.cycles,
                                  domain=self.domain, parts=parts,
                                  workers=workers)
@@ -319,18 +319,16 @@ class ScanStyle(CampaignStyle):
     def journal(self, handle, composer, batch):
         handle.record_classes([(*key, run) for key, run in batch])
         if composer is not None:
-            self.store(composer, batch)
+            units, axis_of = self.units, self.domain.axis_of
+            composer.store_runs([(units[key].injection_slot,
+                                  axis_of(units[key]), 0, run)
+                                 for key, run in batch])
 
     def valid_run(self, key, run):
         return _valid_run(run, self.domain.experiment_count(self.units[key]))
 
     def discard(self, handle, keys):
         return handle.discard_classes(keys)
-
-    def store(self, composer, runs):
-        units, axis_of = self.units, self.domain.axis_of
-        composer.store_runs([(units[key].injection_slot, axis_of(units[key]),
-                              0, data) for key, data in runs])
 
     def keep(self, key, run):
         """The class's outcomes, and its records when they are kept:
@@ -630,7 +628,9 @@ class SamplingStyle(CampaignStyle):
     def journal(self, handle, composer, batch):
         handle.record_experiments([(*key, run[0]) for key, run in batch])
         if composer is not None:
-            self.store(composer, batch)
+            units = self.units
+            composer.store_runs([(units[key][1].slot, key[0], key[2], run)
+                                 for key, run in batch])
 
     def keep(self, key, run):
         return OUTCOME_BY_VALUE[run[0]]  # the outcome
@@ -644,11 +644,6 @@ class SamplingStyle(CampaignStyle):
 
     def discard(self, handle, keys):
         return handle.discard_experiments(keys)
-
-    def store(self, composer, runs):
-        units = self.units
-        composer.store_runs([(units[key][1].slot, key[0], key[2], run)
-                             for key, run in runs])
 
     def result(self, kept, report):
         # A sample whose experiment is missing (degraded campaign: its

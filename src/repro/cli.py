@@ -18,9 +18,9 @@ Commands:
     ``--max-retries`` tune the fabric's lease policy: a lease past its
     wall-clock deadline is a failed attempt, retried, and reported
     missing once its retries are spent — never a result.  ``--shards``
-    / ``--crosscheck`` configure the fabric of a full scan on ``--jobs N``
-    ≥ 2 workers, ``--seed`` / ``--sampler`` a sampled one, and each is
-    refused anywhere else.  ``--engine interp`` runs the reference
+    configures the fabric of a full scan on ``--jobs N`` ≥ 2 workers,
+    ``--seed`` / ``--sampler`` a sampled one, and each is refused
+    anywhere else.  ``--engine interp`` runs the reference
     interpreter instead of the template JIT.  ``--no-convergence`` /
     ``--checkpoint-stride`` control the early exits (golden checkpoint
     ladder + state memo; a pure optimization, outcomes are identical
@@ -37,23 +37,14 @@ Commands:
 ``journal --journal PATH [--gc] [--salvage]``
     List an existing journal's campaigns with their progress and
     fabric state (shard leases and their retry budgets, plus the
-    integrity event log: CRC and shape rejections, cross-check
-    mismatches, salvage prunes, and whatever kinds an older coordinator
-    wrote), its section store (stored results and referencing
-    campaigns per section) and a size report; exits ``3`` when any
-    campaign is incomplete.  ``--gc`` drops section results no
-    campaign references.  ``--salvage`` rebuilds a corrupt journal from
-    its readable rows first (the original is kept at ``PATH.corrupt``).
-``coordinator <program> [--port P] [--shards N] [--journal P]``
-    Serve a distributed full scan: workers connect over TCP, pull work
-    leases, and stream results back; the coordinator owns the journal
-    and survives worker loss (see ``repro worker``).  ``scan --jobs N``
-    does the same in one command, forking N local worker processes.
-``worker --connect HOST:PORT [--name N]``
-    Join a distributed campaign as a worker.  The worker re-assembles
-    the program from shipped source and re-verifies the golden run
-    before executing, reconnects with backoff after a coordinator
-    restart, and exits when the campaign completes.
+    integrity event log: CRC and shape rejections, salvage prunes, and
+    whatever kinds an older coordinator wrote), its section store
+    (stored results and referencing campaigns per section) and a size
+    report; exits ``3`` when any campaign is incomplete.  ``--gc``
+    drops section results no campaign references.  ``--salvage``
+    rebuilds a corrupt journal from its readable rows first (the
+    original is kept at ``PATH.corrupt``); a journal another process
+    holds locked is busy, not corrupt, and is never salvaged.
 ``fig3``
     Run the Section IV dilution experiment and print the table.
 ``fig2 [--rounds N] [--items N]``
@@ -68,7 +59,7 @@ Commands:
 Exit codes: ``0`` success; ``3`` when a scan finished *incomplete*
 (shards abandoned after their retry budget — the printed report lists
 the missing units), so scripted campaigns can detect degraded results;
-``1`` with one ``repro: …`` line for a path or endpoint that cannot be used.
+``1`` with one ``repro: …`` line for a path that cannot be used.
 """
 
 from __future__ import annotations
@@ -113,22 +104,15 @@ from .programs import all_programs, bin_sem2, hi, sync2
 EXIT_INCOMPLETE = 3
 
 
-def _count_arg(least: int, most: float = float("inf")):
-    """An argparse type: an int in ``[least, most]``."""
+def _count_arg(least: int):
+    """An argparse type: an int of at least ``least``."""
     def count(value: str) -> int:
         number = int(value)
-        if not least <= number <= most:
+        if number < least:
             raise argparse.ArgumentTypeError(
-                f"must be in [{least}, {most}], got {number}")
+                f"must be >= {least}, got {number}")
         return number
     return count
-
-
-def _fraction_arg(value: str) -> float:
-    fraction = float(value)
-    if not 0.0 <= fraction <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {fraction}")
-    return fraction
 
 
 def _positive_arg(value: str) -> float:
@@ -250,8 +234,7 @@ def _print_execution(execution) -> None:
     if (execution.resumed or execution.timed_out_shards
             or execution.shard_retries or execution.convergence_hits
             or execution.slice_hits or execution.composed_hits
-            or execution.integrity_rejected
-            or execution.crosschecked or execution.discarded_results
+            or execution.integrity_rejected or execution.discarded_results
             or execution.workers or not execution.complete):
         print(completeness_report(execution))
 
@@ -280,7 +263,6 @@ def cmd_scan(args) -> int:
     sampling = "a sampled scan (--samples N)"
     # Flags one kind of scan reads; anywhere else they would be lost.
     for flag, read, kind in (("--shards", fleet, fabric),
-                             ("--crosscheck", fleet, fabric),
                              ("--seed", args.samples, sampling),
                              ("--sampler", args.samples, sampling)):
         if not read and getattr(args, flag[2:]) is not None:
@@ -315,7 +297,6 @@ def cmd_scan(args) -> int:
             golden, workers=workers, domain=domain, executor_config=config,
             policy=policy, shards=args.shards or DEFAULT_SHARDS,
             journal=args.journal, resume=resume,
-            crosscheck=args.crosscheck or 0.0,
             progress=_eta_progress("classes")))
     scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
                          journal=args.journal, resume=resume,
@@ -408,50 +389,6 @@ def cmd_journal(args) -> int:
         print(f"{incomplete} campaign(s) incomplete — rerun with the "
               f"same journal to finish")
         return EXIT_INCOMPLETE
-    return 0
-
-
-def cmd_coordinator(args) -> int:
-    import socket
-
-    from .campaign.dist import DistCoordinator, serve_scan
-
-    program, golden, config, policy = _campaign_setup(args, args.program)
-    domain = get_domain(args.domain)
-    shards = args.shards or DEFAULT_SHARDS
-    # Bind before announcing, so `--port 0` (OS-assigned) prints the
-    # port workers can actually connect to.
-    sock = socket.create_server((args.host, args.port))
-    host, port = sock.getsockname()[:2]
-    coordinator = DistCoordinator(
-        golden, sock=sock, domain=domain, executor_config=config,
-        policy=policy, shards=shards, crosscheck=args.crosscheck or 0.0)
-    print(f"{program.name} [{domain.name} domain]: serving distributed scan "
-          f"on {host}:{port} ({shards} shards); start workers with\n"
-          f"  repro worker --connect {host}:{port}", file=sys.stderr)
-    return _print_scan(serve_scan(
-        coordinator, journal=args.journal, resume=not args.fresh,
-        progress=_eta_progress("classes")))
-
-
-def cmd_worker(args) -> int:
-    from .campaign.dist import DistWorker, ProtocolError, WorkerRejected
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
-        raise SystemExit(f"--connect expects HOST:PORT (port 0-65535), "
-                         f"got {args.connect!r}")
-    worker = DistWorker(host, int(port), name=args.name,
-                        max_reconnects=args.max_reconnects)
-    try:
-        executed = worker.run()
-    except WorkerRejected as exc:
-        raise SystemExit(f"worker rejected: {exc}")
-    except (ProtocolError, OSError) as exc:  # --max-reconnects spent
-        raise SystemExit(f"repro: worker gave up on {host}:{port} after "
-                         f"{args.max_reconnects + 1} attempt(s): {exc}")
-    print(f"campaign complete; this worker executed {executed} "
-          f"class(es)", file=sys.stderr)
     return 0
 
 
@@ -564,19 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: auto-tuned from the runtime; "
                               "0 disables the ladder)")
 
-    def add_fabric_args(cmd) -> None:
-        cmd.add_argument("--shards", type=_count_arg(1), metavar="N",
-                         help=f"work-lease granularity: the fewest "
-                              f"shards to plan, raised to one per local "
-                              f"worker (a small campaign plans exactly "
-                              f"one per worker; default: {DEFAULT_SHARDS})")
-        cmd.add_argument("--crosscheck", type=_fraction_arg,
-                         metavar="FRACTION",
-                         help="re-execute this fraction of classes on "
-                              "a second worker and byte-compare (a "
-                              "mismatched class is reported and left "
-                              "missing; default: 0)")
-
     scan = sub.add_parser("scan", help="full fault-space scan")
     scan.add_argument("program")
     add_campaign_args(scan, journal_required=False)
@@ -585,7 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
-    add_fabric_args(scan)
+    scan.add_argument("--shards", type=_count_arg(1), metavar="N",
+                      help=f"work-lease granularity: the fewest shards "
+                           f"to plan, raised to one per worker (a small "
+                           f"campaign plans exactly one per worker; "
+                           f"default: {DEFAULT_SHARDS})")
     scan.set_defaults(func=cmd_scan)
 
     compare = sub.add_parser(
@@ -615,35 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "readable rows first (original kept at "
                               "PATH.corrupt)")
     journal.set_defaults(func=cmd_journal)
-
-    coordinator = sub.add_parser(
-        "coordinator",
-        help="serve a distributed scan to TCP workers")
-    coordinator.add_argument("program")
-    add_campaign_args(coordinator, journal_required=False)
-    coordinator.add_argument("--fresh", action="store_true",
-                             help="discard the journaled campaign and "
-                                  "restart (with --journal)")
-    coordinator.add_argument("--host", default="127.0.0.1",
-                             help="interface to listen on (default: "
-                                  "127.0.0.1; 0.0.0.0 for multi-host)")
-    coordinator.add_argument("--port", type=_count_arg(0, 65535), default=7716,
-                             help="TCP port to listen on (default: 7716)")
-    add_fabric_args(coordinator)
-    coordinator.set_defaults(func=cmd_coordinator)
-
-    worker = sub.add_parser(
-        "worker", help="join a distributed scan as a worker")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator endpoint to pull work from")
-    worker.add_argument("--name", default=None,
-                        help="worker identity in reports (default: "
-                             "hostname-pid)")
-    worker.add_argument("--max-reconnects", type=_count_arg(0),
-                        default=None, metavar="N",
-                        help="consecutive failed connection attempts "
-                             "before giving up (default: retry forever)")
-    worker.set_defaults(func=cmd_worker)
 
     sub.add_parser("fig3", help="Section IV dilution table").set_defaults(
         func=cmd_fig3)

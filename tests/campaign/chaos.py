@@ -2,7 +2,7 @@
 
 A test fixture: the fault injector turned on its own transport.  A
 :class:`ChaosPlan` is a seeded schedule of frame drops, duplications,
-byte corruptions, lies, delays, worker kills and hangs.  A
+byte corruptions, delays, worker kills and hangs.  A
 :class:`ChaosWorker` — a :class:`~repro.campaign.dist.DistWorker` that
 wraps each session's stream in a :class:`ChaosFrameStream` and lets its
 plan kill it at a class key — applies it, so every chaos run is
@@ -25,9 +25,6 @@ items of each outgoing window in order):
 ``corrupt``    tamper the class's run but keep the *stale* CRC — models
                payload corruption in transit; caught by the coordinator's
                per-class CRC check, its window neighbours merge
-``lie``        tamper the run and recompute the CRC — models a worker
-               whose build silently computes other outcomes; only the
-               cross-check audit can catch it
 ``delay``      sleep before the class joins the outgoing frame
                (reordering / lease-expiry stress)
 ``kill``       ``os._exit(13)`` — only sane for process workers; the
@@ -36,10 +33,7 @@ items of each outgoing window in order):
                mid-lease (wedged worker)
 =============  ===============================================================
 
-``lie`` additionally honors :attr:`ChaosPlan.liars`: when non-empty,
-only the named workers ever lie, which is how the audit tests plant
-exactly one miscomputing worker in an otherwise honest fleet.  Besides
-the seeded rates a plan carries three counters (``die_after_results``,
+Besides the seeded rates a plan carries three counters (``die_after_results``,
 ``drop_after_results``, ``duplicate_results``) that fire once at a fixed
 class result, routed through the same proxy, and ``die_on_keys``, class
 keys whose execution kills the worker every time.
@@ -58,7 +52,7 @@ import os
 import random
 import time
 
-from repro.campaign.dist import DistWorker, FrameStream, result_digest
+from repro.campaign.dist import DistWorker, FrameStream
 from repro.campaign.dist import coordinator
 from repro.campaign.outcomes import Outcome
 
@@ -87,8 +81,6 @@ class ChaosPlan:
     dup_rate: float = 0.0
     #: Tamper the run, keep the stale CRC (CRC-detectable corruption).
     corrupt_rate: float = 0.0
-    #: Tamper the run *and* recompute the CRC (only the audit catches it).
-    lie_rate: float = 0.0
     #: Sleep :attr:`delay_seconds` before sending.
     delay_rate: float = 0.0
     delay_seconds: float = 0.02
@@ -97,8 +89,6 @@ class ChaosPlan:
     #: Sleep :attr:`hang_seconds` after sending (wedged worker).
     hang_rate: float = 0.0
     hang_seconds: float = 30.0
-    #: Workers allowed to ``lie``; empty means every worker may.
-    liars: tuple[str, ...] = ()
     #: Class keys whose execution kills the worker, every time.
     die_on_keys: tuple[tuple[int, int], ...] = ()
     #: Counters (cumulative across reconnects, firing once).
@@ -111,7 +101,7 @@ class ChaosPlan:
         """True when any worker-side event can ever fire."""
         return bool(
             self.drop_rate or self.dup_rate or self.corrupt_rate
-            or self.lie_rate or self.delay_rate or self.kill_rate
+            or self.delay_rate or self.kill_rate
             or self.hang_rate or self.die_on_keys
             or self.die_after_results is not None
             or self.drop_after_results is not None
@@ -119,8 +109,10 @@ class ChaosPlan:
 
 
 #: Fixed draw order — part of the reproducibility contract: adding a new
-#: event type must append here, never reorder.
-_EVENTS = ("corrupt", "lie", "dup", "drop", "delay", "kill", "hang")
+#: event type must append here, never reorder.  ``None`` is the slot of
+#: a retired event (``lie``): its draw is still taken, so every seed's
+#: schedule stays what it was.
+_EVENTS = ("corrupt", None, "dup", "drop", "delay", "kill", "hang")
 
 
 class WorkerChaos:
@@ -146,23 +138,16 @@ class WorkerChaos:
     def events_for(self, index: int) -> tuple[str, ...]:
         """Chaos events for this worker's ``index``-th class result.
 
-        Pure in ``(seed, worker, index)``; at most one payload-tampering
-        event (``corrupt`` beats ``lie``) and at most one
-        connection-ending event fire per result.
+        Pure in ``(seed, worker, index)``; at most one
+        connection-ending event fires per result.
         """
         plan = self.plan
         rng = random.Random(f"{plan.seed}/{self.worker}/{index}")
         hit = []
         for name in _EVENTS:
             draw = rng.random()
-            rate = getattr(plan, f"{name}_rate")
-            if name == "lie" and plan.liars \
-                    and self.worker not in plan.liars:
-                continue
-            if rate and draw < rate:
+            if name is not None and draw < getattr(plan, f"{name}_rate"):
                 hit.append(name)
-        if "corrupt" in hit and "lie" in hit:
-            hit.remove("lie")
         if "drop" in hit and "kill" in hit:
             hit.remove("kill")
         return tuple(hit)
@@ -246,12 +231,6 @@ class ChaosFrameStream:
                 # what in-flight corruption looks like to the coordinator.
                 chaos._count("corrupt")
                 item = chaos.tampered(item, index)
-            elif "lie" in events:
-                # Fresh CRC over wrong rows: indistinguishable from honest
-                # work without cross-check sampling.
-                chaos._count("lie")
-                item = chaos.tampered(item, index)
-                item["crc"] = result_digest(item["key"], item["run"])
             if "delay" in events:
                 chaos._count("delay")
                 time.sleep(plan.delay_seconds)

@@ -7,12 +7,11 @@ duplicates, corrupts and delays result frames through the deterministic
 proxy, and every surviving campaign must match the serial ground truth
 bit for bit — with the degradation (if any) exactly reflected in the
 completeness report.  The harder cases ride on top: a worker whose
-frames arrive corrupted (CRC-detectable), a worker whose results are
-wrong under a valid CRC (only the cross-check audit can catch it; the
-class is reported and left missing), and a class key that kills every
-worker that touches it (its shard fails after its retries).
+frames arrive corrupted (CRC-detectable), and a class key that kills
+every worker that touches it (its shard fails after its retries).
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -24,8 +23,8 @@ from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
 
 from .chaos import ChaosInterrupt, ChaosPlan, WorkerChaos
-from .test_dist import (POLICY, _class_items, _RawWorker, _RecordingStream,
-                        _server_socket, _start_worker, run_dist)
+from .test_dist import (POLICY, _RecordingStream, _server_socket,
+                        _start_worker, run_dist)
 
 #: Chaos soaks retry far past the default budget: the injector *wants*
 #: to burn attempts, and the invariant under test is correctness, not
@@ -116,16 +115,25 @@ class TestChaosDeterminism:
         assert w0 != other_seed
 
     def test_at_most_one_tamper_and_one_fatal_event(self):
-        plan = ChaosPlan(seed=2, corrupt_rate=1.0, lie_rate=1.0,
-                         drop_rate=1.0, kill_rate=1.0)
+        plan = ChaosPlan(seed=2, corrupt_rate=1.0, drop_rate=1.0,
+                         kill_rate=1.0)
         events = WorkerChaos(plan, "w0").events_for(0)
-        assert "corrupt" in events and "lie" not in events
+        assert "corrupt" in events
         assert "drop" in events and "kill" not in events
 
-    def test_liars_gate_the_lie_event(self):
-        plan = ChaosPlan(seed=2, lie_rate=1.0, liars=("evil",))
-        assert "lie" in WorkerChaos(plan, "evil").events_for(0)
-        assert "lie" not in WorkerChaos(plan, "honest").events_for(0)
+    def test_the_soak_schedules_are_pinned(self):
+        """The draw order is the soaks' reproducibility contract: a
+        retired event keeps its draw, so every seed's schedule is the
+        one it always was (this digest predates the retired ``lie``)."""
+        schedules = [[list(WorkerChaos(ChaosPlan(seed=seed, **SOAK_RATES),
+                                       worker).events_for(index))
+                      for index in range(500)]
+                     for seed in (7, 11, 13) for worker in ("w0", "w1")]
+        encoded = json.dumps(schedules, separators=(",", ":")).encode()
+        assert sum(len(events) for schedule in schedules
+                   for events in schedule) == 1352
+        assert hashlib.sha256(encoded).hexdigest() == (
+            "d6a038c083b46ab8fd8b785d90947d33caaa19cf7da89a1c8381a6417dda9012")
 
     def test_tampered_changes_payload_and_digest(self):
         """One bit's outcome and end cycle change, in place: the run
@@ -154,7 +162,7 @@ class TestChaosDeterminism:
         result meets the n-th draw: same items on the wire, same
         telemetry."""
         plan = ChaosPlan(seed=11, dup_rate=0.3, corrupt_rate=0.3,
-                         lie_rate=0.3, delay_rate=0.2, delay_seconds=0.0)
+                         delay_rate=0.2, delay_seconds=0.0)
         items = self._items(40)
 
         def through(windows):
@@ -169,7 +177,7 @@ class TestChaosDeterminism:
         assert whole == through([[item] for item in items])
         assert whole == through([items[:7], items[7:33], items[33:]])
         assert whole[2] == 40 and len(whole[0]) > 40  # dups fired
-        assert {"corrupt", "lie", "dup", "delay"} <= set(whole[1])
+        assert {"corrupt", "dup", "delay"} <= set(whole[1])
 
     def test_drop_sends_the_window_so_far_then_closes(self):
         wire = _RecordingStream()
@@ -207,7 +215,7 @@ class TestChaosSoak:
         plan = ChaosPlan(seed=seed, **SOAK_RATES)
         result, _, spawned = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=SOAK_POLICY, crosscheck=0.25)
+            policy=SOAK_POLICY)
         assert not any(errors for _, _, errors in spawned)
         assert_soak_invariant(result, memory_baseline)
         assert result.execution.complete
@@ -217,8 +225,7 @@ class TestChaosSoak:
         plan = ChaosPlan(seed=7, **SOAK_RATES)
         result, _, _ = run_dist(
             memory_golden, workers=2, domain="register",
-            worker_chaos=[plan, plan], policy=SOAK_POLICY,
-            crosscheck=0.25)
+            worker_chaos=[plan, plan], policy=SOAK_POLICY)
         assert_soak_invariant(result, register_baseline)
         assert result.execution.complete
 
@@ -279,102 +286,6 @@ class TestIntegrity:
         # Not one corrupted frame was merged: the corrupter earned no
         # attribution at all.
         assert all(name != "w0" for name, _ in execution.workers)
-
-    def test_lying_worker_is_caught_by_the_determinism_audit(
-            self, tmp_path, memory_golden, memory_baseline):
-        """A worker whose results are wrong *under a valid CRC* — what a
-        build that computes other outcomes looks like.  With every class
-        cross-checked, each class it touched (as first deliverer or as
-        verifier) on which it lied is disputed: journaled as a mismatch
-        naming both workers, discarded and left missing.  No lie
-        survives into the result, and no vote pretends to know which
-        copy was right.  (It lies on half its classes, so the audit
-        also has agreements to let through.)"""
-        from repro.campaign.journal import ExperimentJournal
-
-        journal = tmp_path / "audit.sqlite"
-        lie = ChaosPlan(seed=5, lie_rate=0.5, liars=("w0",))
-        result, _, _ = run_dist(
-            memory_golden, workers=3, worker_chaos=[lie, None, None],
-            policy=SOAK_POLICY, crosscheck=1.0, journal=journal)
-        execution = result.execution
-        assert execution.crosschecked > 0
-        assert execution.crosscheck_mismatches > 0
-        assert execution.crosscheck_unverified == 0
-        assert not execution.complete
-        assert_soak_invariant(result, memory_baseline)
-        with ExperimentJournal(journal) as log:
-            (entry,) = log.fabric_report()
-            stored = sum(section["stored_results"]
-                         for section in log.sections())
-        # Neither copy of a disputed class reaches the section store:
-        # it holds exactly the classes the result does.
-        assert stored == result.experiments_conducted
-        mismatches = [event for event in entry["events"]
-                      if event["kind"] == "crosscheck-mismatch"]
-        assert len(mismatches) == execution.crosscheck_mismatches \
-            == execution.discarded_results
-        disputed = {tuple(json.loads(event["detail"].split(":")[0]))
-                    for event in mismatches}
-        assert disputed == {tuple(key) for key in execution.missing}
-        for event in mismatches:
-            # Both workers and both digests are named; one is the liar.
-            assert event["detail"].count(" digest ") == 2
-            assert "w0 digest" in event["detail"]
-
-    def test_a_late_copy_of_a_disputed_key_is_refused(
-            self, memory_golden, memory_baseline):
-        """Once a class's two executions disagreed, no later copy of it
-        — a retransmit of the honest rows, a duplicate of the lie — is
-        merged: it stays missing for a rerun to re-execute."""
-        sock = _server_socket()
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
-                                      policy=POLICY, crosscheck=1.0)
-        thread = serve_in_thread(coordinator, keep_records=True)
-        port = sock.getsockname()[1]
-        liar = _RawWorker(port, name="liar")
-        lease = liar.lease()
-        items = _class_items(liar.spec, lease)
-        honest = {tuple(item["key"]): item for item in items}
-        disputed = min(honest)
-        lie = WorkerChaos(ChaosPlan(), "liar").tampered(honest[disputed], 0)
-        lie["crc"] = result_digest(disputed, lie["run"])
-        liar.results([lie if tuple(item["key"]) == disputed else item
-                      for item in items])
-        liar.lease_done(lease)
-
-        auditor = _RawWorker(port, name="auditor")
-        first = auditor.lease()
-        assert first["verify"] and list(disputed) in first["keys"]
-        auditor.results(_class_items(auditor.spec, first))
-        auditor.lease_done(first)
-        # A reply on the same connection: the verdict has been reached.
-        second = auditor.lease()
-        assert second["verify"]
-        liar.results([honest[disputed], lie])
-        liar.stream.send({"type": "request"})
-        assert liar.stream.read(timeout=5.0)["type"] == "wait"
-        auditor.results(_class_items(auditor.spec, second))
-        auditor.lease_done(second)
-        result = thread.join_result(60)
-        liar.close()
-        auditor.close()
-        execution = result.execution
-        assert execution.missing == (disputed,)
-        assert (execution.crosscheck_mismatches,
-                execution.discarded_results) == (1, 1)
-        assert_soak_invariant(result, memory_baseline)
-
-    def test_crosscheck_without_liars_confirms_everything(
-            self, memory_golden, memory_baseline):
-        result, _, _ = run_dist(
-            memory_golden, workers=2, policy=POLICY, crosscheck=1.0)
-        execution = result.execution
-        assert execution.crosschecked == execution.total_units
-        assert execution.crosscheck_mismatches == 0
-        assert execution.discarded_results == 0
-        assert result == memory_baseline
-        assert result.records == memory_baseline.records
 
 
 class TestDyingKey:

@@ -4,8 +4,8 @@ The contract mirrors the journal's: a distributed scan — any worker
 count, any interleaving, any amount of node loss short of exhausting the
 retry budget — produces a result *bit-for-bit identical* to the serial
 runner.  These tests drive the real TCP stack (coordinator on a thread,
-workers on threads or subprocesses over loopback) and inject the
-failures multi-host campaigns actually see: killed workers, dropped and
+workers on threads or forked processes over loopback) and inject the
+failures a fleet actually sees: killed workers, dropped and
 duplicated deliveries, a coordinator restart mid-campaign, and shards
 lost for good.
 """
@@ -536,17 +536,17 @@ class TestDistChaos:
         client.close()
         # Protocol-3 (``heartbeat`` frames), protocol-4 (per-bit ``rows``
         # lists), protocol-5 (no ladder stride), protocol-6 (full scans
-        # only) and protocol-7 (an ``auto`` engine in the default config)
-        # workers are refused at the handshake: versions are replaced,
-        # not forked.
-        for old in (3, 4, 5, 6, 7):
+        # only), protocol-7 (an ``auto`` engine in the default config)
+        # and protocol-8 (verify leases) workers are refused at the
+        # handshake: versions are replaced, not forked.
+        for old in (3, 4, 5, 6, 7, 8):
             client = socket.create_connection(("127.0.0.1", port),
                                               timeout=5)
             stream = FrameStream(client)
             stream.send({"type": "hello", "version": old, "name": "old"})
             reply = stream.read(timeout=5.0)
             assert reply["type"] == "reject"
-            assert f"version {old} != 8" in reply["reason"]
+            assert f"version {old} != {PROTOCOL_VERSION}" in reply["reason"]
             client.close()
         # Drain the coordinator so the thread does not linger.  The
         # stop_after_results hook severs the worker, so cap reconnects.
@@ -783,6 +783,45 @@ class TestSendWindow:
         assert rejects[0]["detail"] == \
             f"{honest['key']}: no shard 99 in the plan"
 
+    def test_an_item_naming_a_negative_shard_is_rejected(
+            self, tmp_path, memory_golden, memory_baseline):
+        """No lease names a negative shard (verify leases are gone), so
+        an item that does is rejected too, not read as the last
+        shard's."""
+        _, rejects, honest, _ = self._one_item_spoiled(
+            tmp_path, memory_golden, memory_baseline, 1,
+            lambda item: {**item, "shard": -1})
+        assert rejects[0]["detail"] == \
+            f"{honest['key']}: no shard -1 in the plan"
+
+    @pytest.mark.parametrize("frame", [
+        {"lease": 1, "shard": 99}, {"lease": 1, "shard": "x"},
+        {"lease": 1}, {"lease": 1, "shard": -1}],
+        ids=["out-of-plan", "not-a-number", "no-shard", "negative"])
+    def test_a_malformed_lease_done_ends_only_its_connection(
+            self, memory_golden, memory_baseline, frame):
+        """A ``lease_done`` comes from the peer too: one naming no
+        planned shard, or none at all, is a protocol error on that
+        connection.  Its lease is released, and an honest worker then
+        finishes the campaign to the serial result."""
+        _, thread, port = self._serve(memory_golden)
+        raw = _RawWorker(port)
+        assert raw.lease()["lease"] == 1
+        raw.stream.send({"type": "lease_done", **frame})
+        try:
+            hung_up = raw.stream.read(timeout=5.0) is None
+        except ConnectionError:
+            hung_up = True
+        raw.close()
+        assert hung_up
+        _, worker_thread, errors = _start_worker(port, "honest")
+        result = thread.join_result(60)
+        worker_thread.join(10)
+        assert not errors
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.shard_retries == 1
+
     def test_duplicates_within_and_across_windows_account_once(
             self, memory_golden, memory_baseline):
         coordinator, thread, port = self._serve(memory_golden)
@@ -957,16 +996,17 @@ class TestSendWindow:
             memory_golden, sock=sock, shards=4,
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
                                backoff=0.05))
-        #: ``_accepted`` as each watchdog tick saw it.
+        #: ``_accepted`` as each watchdog tick saw it (a tick expires
+        #: leases once, and nothing else does).
         ticks: list[int] = []
         idle_calls: list[int] = []
-        real_drain = coordinator._drain_crosschecks
+        real_expire = LeaseBoard.expire
 
-        def drain(now):
+        def expire(board, now):
             ticks.append(coordinator._accepted)
-            real_drain(now)
+            return real_expire(board, now)
 
-        monkeypatch.setattr(coordinator, "_drain_crosschecks", drain)
+        monkeypatch.setattr(LeaseBoard, "expire", expire)
         real_idle = CampaignRun.idle
         monkeypatch.setattr(
             CampaignRun, "idle",
@@ -1071,9 +1111,9 @@ class TestDeadlines:
 
     def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
             self, memory_golden, memory_baseline):
-        """One policy for every lease, local and remote workers
-        alike: shard 0's first attempt hangs past its 1 s
-        deadline, its second is healthy."""
+        """One policy for every lease, whoever holds it: shard 0's
+        first attempt hangs past its 1 s deadline, its second is
+        healthy."""
         thread, port = self._serve(memory_golden, shards=2)
         stalled = _RawWorker(port, name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
@@ -1136,9 +1176,11 @@ class TestDistJournalInterop:
         assert result.execution.resumed == 3
 
     #: Event kinds only coordinators with a worker supervisor, poison
-    #: bisection and cross-check voting ever wrote.
+    #: bisection, cross-check voting and the cross-check audit ever
+    #: wrote.
     REMOVED_KINDS = ("quarantine", "probation", "byzantine", "discard",
-                     "poison-split", "poison-key")
+                     "poison-split", "poison-key", "crosscheck-mismatch",
+                     "crosscheck-stale")
 
     def test_journal_of_removed_layers_resumes_and_lists(
             self, tmp_path, capsys, memory_golden, memory_baseline):
@@ -1218,18 +1260,13 @@ class _ForkedWorker(multiprocessing.Process):
 
 
 def _spawn_worker_proc(port: int, name: str, chaos=None):
-    """Start ``python -m repro worker`` as a real subprocess — or, given
-    a ``chaos`` plan, fork a :class:`ChaosWorker` process."""
-    if chaos is not None:
-        proc = _ForkedWorker(target=ChaosWorker("127.0.0.1", port, chaos,
-                                                name=name).run)
-        proc.start()
-        return proc
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}", "--name", name],
-        env=_repro_env(), stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
+    """Fork a :class:`DistWorker` process — a :class:`ChaosWorker`,
+    given a ``chaos`` plan."""
+    worker = DistWorker("127.0.0.1", port, name=name) if chaos is None \
+        else ChaosWorker("127.0.0.1", port, chaos, name=name)
+    proc = _ForkedWorker(target=worker.run)
+    proc.start()
+    return proc
 
 
 class TestDistSubprocess:
@@ -1373,8 +1410,8 @@ class TestDistSubprocess:
     def test_workers_start_without_a_new_interpreter(
             self, monkeypatch, memory_golden, memory_baseline):
         """Local workers are processes of the default start method,
-        not ``python -m repro worker`` commands: with every subprocess
-        launch refused, the scan still equals serial."""
+        not new interpreters: with every subprocess launch refused, the
+        scan still equals serial."""
         def refused(*args, **kwargs):
             raise OSError("no subprocess launches here")
 

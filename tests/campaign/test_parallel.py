@@ -139,7 +139,7 @@ class TestSharding:
         intervals = [self._interval(addr, first, first + 3)
                      for addr, first in enumerate(range(1, 390, 13))]
         shards, shard_costs, costs = plan_class_shards(
-            intervals, total, domain=MEMORY, parts=4)
+            intervals, total, domain=MEMORY, parts=4, workers=4)
         # Every live class is in exactly one shard, and each shard is
         # in canonical order.
         assert sorted(sum(shards, []), key=intervals.index) == intervals
@@ -148,8 +148,7 @@ class TestSharding:
         assert costs == [class_cost(iv, total, bits=8) for iv in intervals]
         assert shard_costs == [sum(class_cost(iv, total, bits=8)
                                    for iv in shard) for shard in shards]
-        # A small campaign collapses to one shard per expected worker;
-        # without the hint the requested granularity stands.
+        # A small campaign collapses to one shard per expected worker.
         assert len(shards) == 4
         assert len(plan_class_shards(intervals, total, domain=MEMORY,
                                      parts=4, workers=2)[0]) == 2
@@ -169,7 +168,7 @@ class TestSharding:
 
         assert count(8, 16) == 16
         assert count(8, 2) == 8
-        assert count(8, None) == 8
+        assert count(8, 8) == 8
         # Below SMALL_CAMPAIGN_CYCLES: exactly one shard per worker.
         assert len(plan_class_shards(intervals[:4], 100, domain=MEMORY,
                                      parts=8, workers=3)[0]) == 3
@@ -201,15 +200,18 @@ class TestCellPlan:
     """The full scan's plan keeps a fault-space cell in one shard, so
     the state memo's chains of one cell stay in one executor."""
 
+    #: ``(parts, workers)``; ``None`` is a coordinator without a local
+    #: fleet, which plans for ``parts`` workers.
     FLEETS = [(8, None), (8, 2), (8, 16), (3, None)]
 
     @staticmethod
     def _plan(live_classes, parts, workers):
         golden, domain, live = live_classes
+        workers = parts if workers is None else workers
         shards, shard_costs, costs = plan_class_shards(
             live, golden.cycles, domain=domain, parts=parts,
             workers=workers)
-        share = sum(costs) / (workers or parts)
+        share = sum(costs) / workers
         return shards, shard_costs, costs, share
 
     @pytest.mark.parametrize("parts, workers", FLEETS)

@@ -24,6 +24,7 @@ from repro.campaign import (
 from repro.campaign.journal import (
     ExperimentJournal,
     JournalCorruptError,
+    JournalError,
     SalvageReport,
     salvage_journal,
     whole_run,
@@ -128,6 +129,44 @@ class TestCorruptJournal:
         with ExperimentJournal(path, salvage=True) as journal:
             assert journal.salvage_report is None
         assert not (path.parent / (path.name + ".corrupt")).exists()
+
+    def test_a_locked_journal_is_busy_not_corrupt(
+            self, tmp_path, monkeypatch, memory_golden):
+        """A healthy file whose lock another connection holds is in
+        use, not damaged: opening it with ``salvage=True`` raises a
+        plain :class:`JournalError` saying to retry, and moves and
+        rebuilds nothing."""
+        import repro.campaign.journal as journal_mod
+
+        monkeypatch.setattr(journal_mod, "BUSY_TIMEOUT_MS", 50)
+        path = journal_with_campaign(tmp_path, memory_golden)
+
+        def rows():
+            db = sqlite3.connect(path)
+            try:
+                return db.execute(
+                    "SELECT count(*) FROM class_results").fetchone()[0]
+            finally:
+                db.close()
+
+        before = rows()
+        assert before > 0
+        holder = sqlite3.connect(path, isolation_level=None)
+        try:
+            # WAL readers pass a plain exclusive transaction; an
+            # exclusive locking mode and a write keep everyone out.
+            holder.execute("PRAGMA locking_mode = EXCLUSIVE")
+            holder.execute("BEGIN EXCLUSIVE")
+            holder.execute("UPDATE meta SET value = value")
+            with pytest.raises(JournalError, match="busy") as busy:
+                ExperimentJournal(path, salvage=True)
+            assert not isinstance(busy.value, JournalCorruptError)
+            assert "salvage" not in str(busy.value)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert not (path.parent / (path.name + ".corrupt")).exists()
+        assert rows() == before
 
     def test_unreadable_garbage_still_raises(self, tmp_path):
         path = tmp_path / "noise.sqlite"

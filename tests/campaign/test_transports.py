@@ -146,7 +146,7 @@ def test_both_transports_write_identical_result_rows(style, golden,
 def test_a_local_fleet_attributes_nothing(golden):
     """A local fleet's forks are interchangeable, so ``jobs=2`` and
     ``run_distributed_scan`` report no per-worker split, as in process;
-    only workers that connect on their own are named (``run_dist``)."""
+    only a test's thread workers are named (``run_dist``)."""
     from repro.campaign import run_distributed_scan
 
     assert run_full_scan(golden, jobs=2).execution.workers == ()

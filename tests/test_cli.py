@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import re
-import socket
 
 import pytest
 
@@ -335,28 +334,24 @@ class TestCliParallelCombos:
 
 
 class TestCliDist:
-    """`scan --jobs N` on the distributed fabric, the coordinator and
-    worker commands, and incomplete exit codes."""
+    """`scan --jobs N` on the fabric of forked workers, and incomplete
+    exit codes."""
 
     def test_scan_dist_matches_serial_histogram(self, capsys):
-        """A full scan on two fabric workers with every class audited:
-        the cross-checks are reported, and the rest is serial's."""
+        """A full scan on two fabric workers prints serial's table."""
         assert main(["scan", "hi"]) == 0
         serial = capsys.readouterr().out
-        assert main(["scan", "hi", "--jobs", "2", "--crosscheck",
-                     "1.0"]) == 0
+        assert main(["scan", "hi", "--jobs", "2"]) == 0
         dist = capsys.readouterr().out
-        assert re.search(r"cross-checked: [1-9]\d* class\(es\)", dist)
 
         def histogram(text):
-            skip = ("execution:", "  complete:", "  cross-checked")
+            skip = ("execution:", "  complete:")
             return [line for line in text.splitlines()
                     if not line.startswith(skip)]
 
         assert histogram(dist) == histogram(serial)
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--shards", "4"), ("--crosscheck", "1.0")])
+    @pytest.mark.parametrize("flag,value", [("--shards", "4")])
     @pytest.mark.parametrize("mode", [[], ["--jobs", "1"],
                                       ["--jobs", "2", "--samples", "10"]])
     def test_scan_fabric_flags_need_dist(self, flag, value, mode,
@@ -400,19 +395,10 @@ class TestCliDist:
         if not mode:
             assert main(["scan", "hi", "--samples", "10", flag, value]) == 0
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--samples", "--seed"])
-    def test_coordinator_has_no_flag_it_ignores(self, flag, capsys):
-        """A flag the coordinator would not read is a usage error, not
-        a silently served full scan."""
-        with pytest.raises(SystemExit) as usage:
-            main(["coordinator", "hi", flag, "1"])
-        assert usage.value.code == 2
-        assert flag in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["scan", "hi", "--jobs", "2", "--chaos", "{}"],
         ["scan", "hi", "--jobs", "2", "--chaos-seed", "0"],
-        ["coordinator", "hi", "--chaos", "{}"],
+        ["compare", "hi", "hi-dft4", "--chaos", "{}"],
     ])
     def test_chaos_is_not_a_cli_flag(self, argv, capsys):
         """Fault injection into the fabric is a test fixture: its flags
@@ -425,49 +411,32 @@ class TestCliDist:
     @pytest.mark.parametrize("argv", [
         ["scan", "memcopy", "--jobs", "-1"],
         ["scan", "hi", "--jobs", "2", "--shards", "0"],
-        ["coordinator", "hi", "--crosscheck", "1.5"],
-        ["coordinator", "hi", "--shards", "-1"],
+        ["scan", "hi", "--jobs", "2", "--crosscheck", "1"],
+        ["scan", "hi", "--jobs", "2", "--shards", "-1"],
         ["scan", "hi", "--checkpoint-stride", "-1"],
         ["scan", "hi", "--samples", "-5"],
         ["scan", "hi", "--max-retries", "-1"],
         ["scan", "hi", "--shard-timeout", "-1"],
         ["compare", "hi", "hi-dft4", "--shard-timeout", "0"],
-        ["coordinator", "hi", "--port", "99999"],
-        ["worker", "--connect", "127.0.0.1:1", "--max-reconnects", "-1"],
+        ["coordinator", "hi"],
+        ["worker", "--connect=h:1"],
         ["fig2", "--rounds", "0"],
         ["fig2", "--items", "0"],
         ["render", "hi", "--max-cycles", "-1"],
         ["render", "hi", "--max-bytes", "0"],
     ])
     def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
-        """A number out of its range — a negative job, sample, retry or
-        reconnect count, a shard count below one, a cross-check fraction
-        outside [0, 1], a deadline that is not positive, a port past
-        65535 — is a usage error before anything runs: not a serial
-        scan, not a traceback."""
+        """A number out of its range — a negative job, sample or retry
+        count, a shard count below one, a deadline that is not
+        positive — is a usage error before anything runs: not a serial
+        scan, not a traceback.  So are the removed hand-started fleet
+        (``coordinator``, ``worker``) and its ``--crosscheck`` audit."""
         with pytest.raises(SystemExit) as usage:
             main(argv)
         assert usage.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert argv[-2] in captured.err
-
-    def test_worker_connect_must_be_host_port(self):
-        for endpoint in ("nonsense", "127.0.0.1:70000"):
-            with pytest.raises(SystemExit, match="HOST:PORT"):
-                main(["worker", "--connect", endpoint])
-
-    def test_a_worker_out_of_reconnects_exits_with_one_line(self):
-        """No coordinator at the endpoint (a port bound, then closed)
-        and no retry to spare: one line naming the endpoint and the
-        attempts, not a ``ConnectionRefusedError`` traceback."""
-        with socket.create_server(("127.0.0.1", 0)) as sock:
-            port = sock.getsockname()[1]
-        with pytest.raises(SystemExit) as gave_up:
-            main(["worker", "--connect", f"127.0.0.1:{port}",
-                  "--max-reconnects", "0"])
-        assert re.fullmatch(rf"repro: .*127\.0\.0\.1:{port} after 1 "
-                            rf"attempt\(s\): .*", str(gave_up.value.code))
 
     def test_an_unwritable_csv_exits_with_one_line(self, capsys, tmp_path):
         """``compare --csv`` into a directory that does not exist: the
