@@ -45,9 +45,9 @@ def _soak(golden, baseline, *, seed, domain):
     plan = ChaosPlan(seed=seed, **RATES)
     sock = socket.create_server(("127.0.0.1", 0))
     port = sock.getsockname()[1]
-    coordinator = DistCoordinator(
-        golden, sock=sock, domain=domain, policy=POLICY, shards=4)
-    thread = serve_in_thread(coordinator, keep_records=True)
+    coordinator = DistCoordinator(sock=sock, policy=POLICY, shards=4)
+    thread = serve_in_thread(coordinator, golden, domain=domain,
+                             keep_records=True)
 
     spawned = []
     start = time.perf_counter()

@@ -143,9 +143,9 @@ def test_send_window_gate(monkeypatch):
 
     monkeypatch.setattr(coordinator_mod, "read_frame", counted)
     sock = socket.create_server(("127.0.0.1", 0))
-    coordinator = DistCoordinator(golden, sock=sock, domain="register",
-                                  shards=4, policy=POLICY)
-    thread = serve_in_thread(coordinator, keep_records=True)
+    coordinator = DistCoordinator(sock=sock, shards=4, policy=POLICY)
+    thread = serve_in_thread(coordinator, golden, domain="register",
+                             keep_records=True)
     worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
     assert worker.run() == len(serial.class_outcomes)
     result = thread.join_result(120)
@@ -204,9 +204,9 @@ def test_merge_window_gate(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, "result_digest", digest)
     sock = socket.create_server(("127.0.0.1", 0))
-    coordinator = DistCoordinator(golden, sock=sock, domain="register",
-                                  shards=4, policy=POLICY)
-    thread = serve_in_thread(coordinator, journal=tmp_path / "gate.sqlite",
+    coordinator = DistCoordinator(sock=sock, shards=4, policy=POLICY)
+    thread = serve_in_thread(coordinator, golden, domain="register",
+                             journal=tmp_path / "gate.sqlite",
                              keep_records=True)
     worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
     assert worker.run() == len(serial.class_outcomes)
@@ -240,9 +240,9 @@ def test_dist_scan_survives_sigkill(output_dir, tmp_path):
     sock = socket.create_server(("127.0.0.1", 0))
     port = sock.getsockname()[1]
     progressed = threading.Event()
-    coordinator = DistCoordinator(golden, sock=sock, policy=POLICY)
+    coordinator = DistCoordinator(sock=sock, policy=POLICY)
     thread = serve_in_thread(
-        coordinator, keep_records=True,
+        coordinator, golden, keep_records=True,
         progress=lambda done, total: progressed.set() if done >= 2
         else None)
 

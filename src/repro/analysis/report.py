@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 from ..campaign.database import CampaignSummary
 from ..campaign.pipeline import ExecutionReport
 from ..campaign.runner import CampaignResult
+from ..faultspace.domain import PCDomain, RegisterDomain
+from ..faultspace.pcreg import ILLEGAL_AXIS
 from .figures import Fig2Series, fig2_verdicts, fig3_data, table1_data
 
 
@@ -159,31 +162,35 @@ def failure_attribution(result: CampaignResult, *,
     """Attribute weighted failure counts to fault locations by label.
 
     Returns ``(label, weight)`` pairs, heaviest first — the analysis
-    behind the "which data actually fails" discussions.  Memory-domain
-    results attribute to the program's data labels; register-domain
-    results attribute to register names (``r1`` ... ``r15``).
+    behind the "which data actually fails" discussions.  A RAM-cell
+    domain (memory, bursts, stuck-at) attributes to the program's data
+    labels, the register domain to register names (``r1`` ...
+    ``r15``), the PC domain to the flipped bit (``pc[5]``) or the
+    grouped illegal-target class (``pc[illegal]``).  Each failing
+    experiment weighs what it stands for, its class's data lifetime
+    times its slot weight, so the weights sum to the failure count F.
     """
-    program = result.golden.program
-    if result.domain.name == "memory":
-        labels = sorted(program.data_labels.items(), key=lambda kv: kv[1])
+    domain = result.domain
+    if isinstance(domain, RegisterDomain):
+        label = "r{}".format
+    elif isinstance(domain, PCDomain):
+        def label(axis: int) -> str:
+            return "pc[illegal]" if axis == ILLEGAL_AXIS else f"pc[{axis}]"
+    else:  # the nearest data label at or below the address
+        labels = sorted(result.golden.program.data_labels.items(),
+                        key=lambda kv: kv[1])
+        starts = [address for _, address in labels]
 
-        def region_of(addr: int) -> str:
-            best = "(unlabelled)"
-            for name, label_addr in labels:
-                if label_addr <= addr:
-                    best = name
-                else:
-                    break
-            return best
-    else:
-        def region_of(axis: int) -> str:
-            return f"r{axis}"
+        def label(addr: int) -> str:
+            index = bisect_right(starts, addr)
+            return labels[index - 1][0] if index else "(unlabelled)"
 
-    axis_of = result.domain.axis_of
     weights: Counter = Counter()
     for interval, outcomes in result.class_records():
-        failing_bits = sum(1 for o in outcomes if o.is_failure)
-        if failing_bits:
-            weights[region_of(axis_of(interval))] += \
-                interval.length * failing_bits
+        failing = sum(weight for outcome, weight in zip(
+            outcomes, domain.experiment_slot_weights(interval))
+            if outcome.is_failure)
+        if failing:
+            weights[label(domain.axis_of(interval))] += \
+                interval.length * failing
     return weights.most_common(top)

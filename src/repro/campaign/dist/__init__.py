@@ -4,7 +4,10 @@ A coordinator owns the SQLite experiment journal and hands out *work
 leases* — cost-balanced shards of any campaign style's units — over
 loopback TCP to the workers it forks from the campaign's own process
 for ``jobs=N`` and ``scan --jobs N`` (:class:`~repro.campaign.dist
-.coordinator.LocalFabric`).  Workers re-verify the golden run before
+.coordinator.LocalFabric`).  The campaign it serves — golden run,
+domain, executor config — is the style's
+(:class:`~repro.campaign.pipeline.CampaignStyle`); coordinator and
+fleet hold only how work moves.  Workers re-verify the golden run before
 executing (a stale checkout can never pollute results) and stream unit
 results back a send window at a time; the coordinator reassigns
 expired leases with exponential backoff and a retry budget, takes each

@@ -4,9 +4,10 @@ A :class:`DistCoordinator` is a transport of
 :func:`~repro.campaign.pipeline.run_campaign`, like the in-process one:
 prologue (journal, resume, validation, composition), accounting,
 progress and canonical-order assembly are the pipeline's.  It serves
-any campaign style — the ``campaign`` frame names it and each worker
-rebuilds it — planning the style's shards over its *full* unit list
-(so shard indices survive restarts) and serving
+any campaign style and holds none of its own: the ``campaign`` frame
+is read off ``run.style`` (golden run, config) and names the style,
+which each worker rebuilds.  It plans the style's shards over its
+*full* unit list (so shard indices survive restarts) and serves
 :class:`~.leases.ShardLease` grants; workers stream unit results back
 one send window (one ``results`` frame) at a time.  :class:`LocalFabric`
 runs it over forked local workers (``jobs=N``, ``scan --jobs N``), the
@@ -59,7 +60,7 @@ from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
 from ..pipeline import (CampaignRun, CampaignStyle, ProgressCallback,
-                        campaign_params, run_campaign)
+                        run_campaign)
 from ..runner import ScanStyle
 from .leases import FAILED, LeaseBoard, RetryPolicy
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
@@ -88,8 +89,9 @@ class CoordinatorStopped(Exception):
 
 class DistCoordinator:
     """The fabric transport: serves a campaign to TCP workers on
-    ``sock``, a bound listening socket.  Journal, resume, records and
-    progress are campaign arguments, :func:`run_campaign`'s.
+    ``sock``, a bound listening socket.  The campaign — golden run,
+    domain, executor config — is the style's (``run.style``); journal,
+    resume, records and progress are :func:`run_campaign`'s.
 
     ``shards`` is the fewest shards planned (finer shards rebalance
     better after node loss; each costs its worker one rewind of the
@@ -111,19 +113,12 @@ class DistCoordinator:
     #: (it tends them), or ``None``: a test's thread workers.
     fleet = None
 
-    def __init__(self, golden: GoldenRun, *, sock: socket.socket,
-                 domain: FaultDomain | str = MEMORY,
-                 executor_config: ExecutorConfig | None = None,
+    def __init__(self, *, sock: socket.socket,
                  policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS,
                  stop_after_results: int | None = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        self.golden = golden
-        self.domain = get_domain(domain)
-        config = executor_config or ExecutorConfig()
-        self.config = dataclasses.replace(config, domain=self.domain.name)
-        self.params = campaign_params(golden, self.config)
         self.policy = policy or RetryPolicy()
         self.shards = shards
         self._sock = sock
@@ -137,9 +132,11 @@ class DistCoordinator:
 
     # -- identity shipped to workers -------------------------------------------
 
-    def _campaign_message(self, style: CampaignStyle) -> dict:
-        program = self.golden.program
-        ladder = self.golden.checkpoints
+    @staticmethod
+    def _campaign_message(style: CampaignStyle) -> dict:
+        golden = style.golden
+        program = golden.program
+        ladder = golden.checkpoints
         return {
             "type": "campaign",
             "version": PROTOCOL_VERSION,
@@ -149,11 +146,11 @@ class DistCoordinator:
                 "ram_size": program.ram_size,
             },
             "fingerprint": program_fingerprint(program),
-            "cycles": self.golden.cycles,
+            "cycles": golden.cycles,
             # The golden checkpoint ladder's stride (0: no ladder), so
             # a worker's early exits are the ones asked for here.
             "stride": 0 if ladder is None else ladder.stride,
-            "config": dataclasses.asdict(self.config),
+            "config": dataclasses.asdict(style.config),
             "style": style.spec(),
         }
 
@@ -207,10 +204,10 @@ class DistCoordinator:
                             [key for key in keys if key not in completed])
             stored = journaled_leases.get(index)
             if stored is not None and stored["keys"] == _canonical_keys(keys):
-                # Same plan as the journaled run (not another --shards):
+                # Same plan as the journaled run (not another --jobs):
                 # carry the retry budget across the restart.
                 board.restore(index, attempts=stored["attempts"],
-                              status=stored["status"])
+                              status=stored["status"], now=_clock())
         self.board = board
         self._planned_shards = len(planned)
         self._done = asyncio.Event()
@@ -510,18 +507,20 @@ class DistCoordinator:
 # -- entry points ---------------------------------------------------------------
 
 
-def serve_scan(transport, *, journal=None, resume: bool = True,
-               keep_records: bool = False,
+def serve_scan(transport, golden: GoldenRun, *,
+               domain: FaultDomain | str = MEMORY,
+               config: ExecutorConfig | None = None, journal=None,
+               resume: bool = True, keep_records: bool = False,
                progress: ProgressCallback | None = None):
-    """Run a full scan with ``transport`` — a :class:`DistCoordinator`
-    or a :class:`LocalFabric` — through
+    """A full scan of ``golden`` with ``transport`` (a
+    :class:`DistCoordinator` or a :class:`LocalFabric`) through
     :func:`~repro.campaign.pipeline.run_campaign`.
 
     Returns the same :class:`~repro.campaign.runner.CampaignResult` a
     serial run would, or ``None`` when the crash hook fired.
     """
-    style = ScanStyle(transport.golden, transport.domain, transport.params,
-                      keep_records=keep_records)
+    style = ScanStyle(golden, get_domain(domain), keep_records=keep_records,
+                      config=config)
     try:
         return run_campaign(style, transport, journal, resume, progress)
     except CoordinatorStopped:
@@ -541,7 +540,8 @@ class LocalFabric:
     """The workers transport (``jobs=N``, ``scan --jobs N``): bind an
     ephemeral port on ``host``, fork ``workers`` local workers (the
     multiprocessing start method; nothing is re-imported), serve the
-    run through a :class:`DistCoordinator` in the calling thread, then
+    run through a :class:`DistCoordinator` in the calling thread (its
+    plan: :data:`DEFAULT_SHARDS`, at least one shard per worker), then
     terminate and reap every worker still running.  Each worker joins
     over TCP and re-verifies the campaign before it executes.  One that
     exits while work remains is replaced, once; with
@@ -549,20 +549,11 @@ class LocalFabric:
     Its interchangeable forks go unattributed in
     ``ExecutionReport.workers``, as in process."""
 
-    def __init__(self, golden: GoldenRun, workers: int, *,
-                 domain: FaultDomain | str = MEMORY,
-                 config: ExecutorConfig | None = None,
-                 policy: RetryPolicy | None = None,
-                 shards: int = DEFAULT_SHARDS, host: str = "127.0.0.1"):
+    def __init__(self, workers: int, *, policy: RetryPolicy | None = None,
+                 host: str = "127.0.0.1"):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.golden = golden
-        self.domain = get_domain(domain)
-        self.config = dataclasses.replace(config or ExecutorConfig(),
-                                          domain=self.domain.name)
-        self.params = campaign_params(golden, self.config)
-        self.workers, self.host = workers, host
-        self._serving = dict(policy=policy, shards=shards)
+        self.workers, self.policy, self.host = workers, policy, host
 
     def __call__(self, run: CampaignRun) -> None:
         sock = _free_server_socket(self.host)
@@ -575,9 +566,7 @@ class LocalFabric:
         # failed start must not leave the socket open, nor started
         # workers reconnecting forever.
         try:
-            coordinator = DistCoordinator(
-                self.golden, sock=sock, domain=self.domain,
-                executor_config=self.config, **self._serving)
+            coordinator = DistCoordinator(sock=sock, policy=self.policy)
             coordinator.fleet = self
             for index in range(self.workers):
                 self._fleet.append(self._start(f"worker-{index}"))
@@ -611,25 +600,25 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          domain: FaultDomain | str = MEMORY,
                          executor_config: ExecutorConfig | None = None,
                          policy: RetryPolicy | None = None,
-                         shards: int = DEFAULT_SHARDS,
                          journal=None, resume: bool = True,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None,
                          host: str = "127.0.0.1"):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
-    local worker processes (a full ``repro scan --jobs N``)."""
-    return serve_scan(
-        LocalFabric(golden, workers, domain=domain, config=executor_config,
-                    policy=policy, shards=shards, host=host),
-        journal=journal, resume=resume, keep_records=keep_records,
-        progress=progress)
+    local worker processes — one worker too, which ``jobs=1`` would
+    run in process instead."""
+    return serve_scan(LocalFabric(workers, policy=policy, host=host), golden,
+                      domain=domain, config=executor_config,
+                      journal=journal, resume=resume,
+                      keep_records=keep_records, progress=progress)
 
 
-def serve_in_thread(coordinator: DistCoordinator,
+def serve_in_thread(coordinator: DistCoordinator, golden: GoldenRun,
                     **campaign) -> "CoordinatorThread":
-    """:func:`serve_scan` (``campaign``: its keyword arguments) on a
-    started background thread, for tests and benchmarks."""
-    thread = CoordinatorThread(coordinator, **campaign)
+    """:func:`serve_scan` of ``golden`` (``campaign``: its keyword
+    arguments) on a started background thread, for tests and
+    benchmarks."""
+    thread = CoordinatorThread(coordinator, golden, **campaign)
     thread.start()
     return thread
 
@@ -637,15 +626,16 @@ def serve_in_thread(coordinator: DistCoordinator,
 class CoordinatorThread(threading.Thread):
     """A :func:`serve_scan` thread keeping its result or exception."""
 
-    def __init__(self, coordinator: DistCoordinator, **campaign):
-        super().__init__(target=self._serve, args=(coordinator,),
+    def __init__(self, coordinator: DistCoordinator, golden: GoldenRun,
+                 **campaign):
+        super().__init__(target=self._serve, args=(coordinator, golden),
                          kwargs=campaign, daemon=True)
         self.result = None
         self.error: BaseException | None = None
 
-    def _serve(self, coordinator, **campaign) -> None:
+    def _serve(self, coordinator, golden, **campaign) -> None:
         try:
-            self.result = serve_scan(coordinator, **campaign)
+            self.result = serve_scan(coordinator, golden, **campaign)
         except BaseException as exc:  # captured for the joining test
             self.error = exc
 

@@ -149,8 +149,10 @@ class LeaseBoard:
             shard.status = DONE
         self._shards.append(shard)
 
-    def restore(self, index: int, *, attempts: int, status: str) -> None:
-        """Re-apply journaled retry state after a coordinator restart.
+    def restore(self, index: int, *, attempts: int, status: str,
+                now: float) -> None:
+        """Re-apply journaled retry state after a coordinator restart,
+        at ``now`` on the lease clock.
 
         A shard the journaled run failed starts afresh: a rerun on the
         same journal is how the keys it lost are retried.  Any other
@@ -166,7 +168,7 @@ class LeaseBoard:
             # Interrupted attempts embargo the shard exactly as a live
             # expiry would, so a crash-looping worker cannot burn the
             # retry budget instantly after every coordinator restart.
-            self._embargo(shard, now=0.0)
+            self._embargo(shard, now=now)
 
     # -- queries ---------------------------------------------------------------
 

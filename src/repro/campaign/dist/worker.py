@@ -45,12 +45,11 @@ import random
 import socket
 import time
 
-from ...faultspace.domain import get_domain
 from ...isa.assembler import assemble
 from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import record_golden
-from ..pipeline import ExecutorCounters, campaign_params
+from ..pipeline import ExecutorCounters
 from ..runner import style_from_spec
 from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
                        result_digest)
@@ -219,12 +218,8 @@ class DistWorker:
                     f"Δt={golden.cycles} — simulator semantics differ; "
                     f"update the worker")
             config = ExecutorConfig(**spec["config"])
-            domain = get_domain(config.domain)
-            partition = domain.build_partition(golden)
             try:
-                style = style_from_spec(spec["style"], golden, domain,
-                                        campaign_params(golden, config),
-                                        partition)
+                style = style_from_spec(spec["style"], golden, config)
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkerRejected(
                     f"cannot rebuild the campaign style {spec['style']!r}: "
@@ -237,7 +232,7 @@ class DistWorker:
             except (ConnectionError, OSError):
                 pass
             raise
-        executor = config.build(golden)
+        executor = style.config.build(golden)
         self._campaigns[fingerprint, stride] = (
             executor, style, (spec["config"], spec["style"]))
         return executor, style

@@ -83,12 +83,14 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..faultspace.sections import canonical_params
 from .outcomes import OUTCOME_BY_VALUE
+
+if TYPE_CHECKING:
+    from .salvage import SalvageReport
 
 #: Current schema version.  Version 2 added the cross-campaign section
 #: store (``sections``/``section_results``/``campaign_sections``) and a
@@ -228,8 +230,8 @@ class JournalCorruptError(JournalError):
     """The journal file is physically corrupt (failed ``quick_check``).
 
     Distinct from a version mismatch: corruption is what
-    :func:`salvage_journal` can partially recover from, a too-new
-    schema is not.
+    :func:`~.salvage.salvage_journal` can partially recover from, a
+    too-new schema is not.
     """
 
 
@@ -396,6 +398,8 @@ class ExperimentJournal:
             # prologue validates bit counts against the domain's
             # expected experiment weights before trusting resumed
             # classes.
+            from .salvage import salvage_journal  # it imports this module
+
             self.salvage_report = salvage_journal(self.path)
             self._conn = self._connect()
         row = self._conn.execute(
@@ -941,7 +945,7 @@ class CampaignJournal:
 
         ``keys`` is the canonical JSON encoding of the shard's planned
         class keys; a restarted coordinator uses it to detect that the
-        shard plan changed (different ``--shards``) and discard stale
+        shard plan changed (different ``--jobs``) and discard stale
         attempt counts instead of mis-applying them.
         """
         self.journal._write(
@@ -1023,103 +1027,6 @@ class CampaignJournal:
                 f"match the journaled campaign (journal recorded "
                 f"{stored[0]} draws); the seed, sampler or sample count "
                 f"changed — use resume=False to restart")
-
-
-@dataclass(frozen=True)
-class SalvageReport:
-    """What :func:`salvage_journal` pulled out of a corrupt file."""
-
-    #: Where the corrupt original was moved (``<path>.corrupt``).
-    source: str
-    #: Rows recovered per table.
-    recovered: dict = field(default_factory=dict)
-    #: Tables whose read hit corruption (recovery stopped mid-table,
-    #: so their counts are lower bounds on what the file once held).
-    truncated: tuple = ()
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.recovered.values())
-
-
-def salvage_journal(path: str | Path) -> SalvageReport:
-    """Rebuild a corrupt journal in place from its readable rows.
-
-    Torn-write recovery: a journal that fails ``quick_check`` (a crash
-    mid-checkpoint, a truncated copy, disk corruption) is moved aside
-    to ``<path>.corrupt`` and a fresh journal is rebuilt at ``path``
-    by reading each of its tables (:func:`schema_tables`) row-by-row
-    until the first unreadable page.  SQLite's transactionality means
-    every recovered row was durably committed; what is *lost* is any
-    row on a damaged page — which in a file a version-3 build wrote (a
-    row per bit) can truncate a class mid-way, so the pipeline's
-    prologue validates every resumed class (:func:`whole_run`), under
-    every transport, instead of trusting recovered classes blindly.
-    """
-    path = str(path)
-    corrupt = path + ".corrupt"
-    os.replace(path, corrupt)
-    for suffix in ("-wal", "-shm"):
-        try:
-            os.replace(path + suffix, corrupt + suffix)
-        except OSError:
-            pass
-    recovered: dict[str, int] = {}
-    truncated: list[str] = []
-    fresh = ExperimentJournal(path)
-    try:
-        source = sqlite3.connect(corrupt)
-        try:
-            for table, columns in schema_tables(fresh._conn):
-                if table == "meta":
-                    continue  # the fresh journal's version stamp wins
-                rows, clean = _read_rows(source, table, columns)
-                if not clean:
-                    truncated.append(table)
-                if rows:
-                    cols = ", ".join(columns)
-                    marks = ", ".join("?" * len(columns))
-                    fresh._write(
-                        f"INSERT OR IGNORE INTO {table} ({cols}) "
-                        f"VALUES ({marks})", rows)
-                recovered[table] = len(rows)
-        finally:
-            source.close()
-    finally:
-        fresh.close()
-    return SalvageReport(source=corrupt, recovered=recovered,
-                         truncated=tuple(truncated))
-
-
-def schema_tables(conn: sqlite3.Connection) \
-        -> list[tuple[str, tuple[str, ...]]]:
-    """``(table, columns)`` of every table of ``conn``'s database in
-    creation order: for a fresh journal, the schema's tables in
-    dependency order."""
-    return [(table, tuple(row[1] for row in conn.execute(
-                f"PRAGMA table_info({table})")))
-            for (table,) in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%' ORDER BY rowid").fetchall()]
-
-
-def _read_rows(conn: sqlite3.Connection, table: str,
-               columns: tuple[str, ...]) -> tuple[list, bool]:
-    """Read as many rows as the damaged file yields; False if it broke."""
-    rows: list = []
-    try:
-        cursor = conn.execute(
-            f"SELECT {', '.join(columns)} FROM {table}")
-    except sqlite3.DatabaseError:
-        return rows, False
-    while True:
-        try:
-            row = cursor.fetchone()
-        except sqlite3.DatabaseError:
-            return rows, False
-        if row is None:
-            return rows, True
-        rows.append(row)
 
 
 def open_campaign(journal, golden, domain, kind: str,

@@ -35,13 +35,14 @@ form and the transport table):
 
 A :class:`CampaignStyle` states what differs between full scan and
 sampling (both live in :mod:`repro.campaign.runner`, beside the
-brute-force oracle, which is a plain loop and no campaign).
-A *transport*, ``transport(run)``, is only how shards reach executors
-and runs come back, and there are two: :class:`InProcess` here
-(``jobs=None`` and ``jobs=1``), and the lease/frame fabric's
-coordinator in :mod:`repro.campaign.dist`, over the local workers it
-forks for ``jobs=N`` (:class:`~repro.campaign.dist.coordinator.
-LocalFabric`).
+brute-force oracle, which is a plain loop and no campaign) and owns
+the campaign's identity: golden run, domain, stamped executor config,
+injected executor and journal key.  A *transport*, ``transport(run)``,
+reads those off ``run.style`` and is only how shards reach executors
+and runs come back: :func:`in_process` here (``jobs=None`` and
+``jobs=1``), or the lease/frame fabric's coordinator in
+:mod:`repro.campaign.dist`, over the local workers it forks for
+``jobs=N`` (:class:`~repro.campaign.dist.coordinator.LocalFabric`).
 """
 
 from __future__ import annotations
@@ -169,13 +170,30 @@ class ExecutorCounters:
         return delta
 
 
+def campaign_config(domain: FaultDomain, config: ExecutorConfig | None,
+                    executor: ExperimentExecutor | None) -> ExecutorConfig:
+    """``config`` (default: ``ExecutorConfig()``) stamped with
+    ``domain``; refused beside an injected executor, as is an executor
+    of another domain."""
+    if executor is not None and config is not None:
+        raise ValueError(
+            "pass either executor= or config=, not both; the config "
+            "exists to build an executor when none is given")
+    if executor is not None and executor.domain.name != domain.name:
+        raise ValueError(
+            f"the executor injects {executor.domain.name!r} faults, "
+            f"but the campaign's domain is {domain.name!r}; build it "
+            f"with domain={domain.name!r}")
+    return replace(config or ExecutorConfig(), domain=domain.name)
+
+
 def campaign_params(golden: GoldenRun, config: ExecutorConfig,
                     executor: ExperimentExecutor | None = None) -> dict:
     """The executor settings that affect outcomes — part of the journal
     key, so a changed timeout policy opens a fresh campaign instead of
     mixing incompatible classifications.  Identical whether read from an
-    injected executor or derived from the config every transport ships,
-    so one journal resumes under any of the three.  ``use_convergence``
+    injected executor or derived from the config the fabric ships, so
+    one journal resumes under either transport.  ``use_convergence``
     and the engine are deliberately absent: they cannot change any
     outcome."""
     if executor is not None:
@@ -394,13 +412,21 @@ class CampaignStyle:
     #: items are what ``execute`` consumes.
     units: dict
 
-    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict):
+    def __init__(self, golden: GoldenRun, domain: FaultDomain,
+                 config: ExecutorConfig | None = None,
+                 executor: ExperimentExecutor | None = None):
         self.golden = golden
         self.domain = domain
+        #: The executor settings with the domain stamped in: what the
+        #: fabric ships and every worker builds its executor from.
+        self.config = campaign_config(domain, config, executor)
+        #: The injected executor (in process only), or ``None``.
+        self.executor = executor
         #: :func:`campaign_params`: the section-store fingerprint input
         #: and — extended by styles with parameters of their own — the
         #: journal key.
-        self.params = self.key_params = params
+        self.params = self.key_params = campaign_params(golden, self.config,
+                                                        executor)
 
     def spec(self) -> dict:
         """The ``campaign`` frame's ``style``: what a fabric worker
@@ -550,7 +576,7 @@ def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
     crash — keeps every unit accepted so far and assembles nothing;
     ``journal=None`` keeps nothing durable.
     """
-    if journal is None and not isinstance(transport, InProcess):
+    if journal is None and transport is not in_process:
         journal = ":memory:"  # a fabric journals leases and events
     handle = open_campaign(journal, style.golden, style.domain, style.kind,
                            style.key_params)
@@ -560,44 +586,20 @@ def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
         return run.assemble()
 
 
-class InProcess:
+def in_process(run: CampaignRun) -> None:
     """The in-process transport: one shard, this process, streamed.
 
     ``jobs=None`` and ``jobs=1`` are both this: the whole to-do list is
-    one shard executed by one executor — injected, or built from
-    ``config`` when there is work — and every unit reaches the sink as
-    soon as the generator yields it, so an interrupt loses only the
-    unit in flight.
+    one shard executed by one executor — the style's injected one, or
+    built from its config when there is work — and every unit reaches
+    the sink as soon as the generator yields it, so an interrupt loses
+    only the unit in flight.
     """
-
-    def __init__(self, golden: GoldenRun, domain: FaultDomain,
-                 executor: ExperimentExecutor | None = None,
-                 config: ExecutorConfig | None = None):
-        if executor is not None and config is not None:
-            raise ValueError(
-                "pass either executor= or config=, not both; the config "
-                "exists to build an executor when none is given")
-        if executor is not None and executor.domain.name != domain.name:
-            raise ValueError(
-                f"the executor injects {executor.domain.name!r} faults, "
-                f"but the campaign's domain is {domain.name!r}; build it "
-                f"with domain={domain.name!r}")
-        self.golden = golden
-        self.executor = executor
-        self.config = replace(config or ExecutorConfig(), domain=domain.name)
-        self.params = campaign_params(golden, self.config, executor)
-
-    def build_executor(self) -> ExperimentExecutor:
-        """The injected executor, or one built from the config."""
-        if self.executor is not None:
-            return self.executor
-        return self.config.build(self.golden)
-
-    def __call__(self, run: CampaignRun) -> None:
-        if not run.todo:
-            return
-        executor = self.build_executor()
-        counters = ExecutorCounters(executor)
-        for unit in run.style.execute(executor, run.todo):
-            run.accept((unit,))
-        run.report.count(counters.take())
+    if not run.todo:
+        return
+    style = run.style
+    executor = style.executor or style.config.build(style.golden)
+    counters = ExecutorCounters(executor)
+    for unit in style.execute(executor, run.todo):
+        run.accept((unit,))
+    run.report.count(counters.take())

@@ -60,8 +60,9 @@ from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
     ExecutionReport,
-    InProcess,
     ProgressCallback,
+    campaign_config,
+    in_process,
     plan_class_shards,
     run_campaign,
     run_groups,
@@ -264,9 +265,9 @@ class ScanStyle(CampaignStyle):
 
     kind = "full-scan"
 
-    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict,
-                 partition=None, keep_records: bool = False):
-        super().__init__(golden, domain, params)
+    def __init__(self, golden: GoldenRun, domain: FaultDomain,
+                 partition=None, keep_records: bool = False, **identity):
+        super().__init__(golden, domain, **identity)
         self.partition = (partition if partition is not None
                           else domain.build_partition(golden))
         self.keep_records = keep_records
@@ -377,21 +378,20 @@ def resolve_jobs(jobs: int | None) -> int | None:
     return os.cpu_count() or 1
 
 
-def _transport(golden: GoldenRun, jobs: int | None,
-               executor: ExperimentExecutor | None, domain: FaultDomain,
-               config: ExecutorConfig | None, policy):
+def _transport(jobs: int | None, executor: ExperimentExecutor | None,
+               policy):
     """The transport a runner's ``jobs`` asks for: in-process for
-    ``None`` or one job, else that many forked fabric workers."""
+    ``None`` or one job, else that many forked fabric workers.  Called
+    before the style is built, so a refused executor costs no draw."""
     if jobs is not None and executor is not None:
         raise ValueError(
             "an explicit executor cannot be shared across worker "
             "processes; drop the executor argument or run with jobs=None")
     workers = resolve_jobs(jobs)
     if workers is None or workers == 1:
-        return InProcess(golden, domain, executor, config)
+        return in_process
     from .dist.coordinator import LocalFabric  # it imports this module
-    return LocalFabric(golden, workers, domain=domain, config=config,
-                       policy=policy)
+    return LocalFabric(workers, policy=policy)
 
 
 def run_full_scan(golden: GoldenRun, *,
@@ -427,11 +427,10 @@ def run_full_scan(golden: GoldenRun, *,
     :class:`~repro.campaign.dist.leases.RetryPolicy` for the fabric
     workers' lease deadlines and retries (ignored in-process).
     """
-    domain = get_domain(domain)
-    transport = _transport(golden, jobs, executor, domain, config, policy)
+    transport = _transport(jobs, executor, policy)
     return run_campaign(
-        ScanStyle(golden, domain, transport.params, partition,
-                  keep_records),
+        ScanStyle(golden, get_domain(domain), partition, keep_records,
+                  config=config, executor=executor),
         transport, journal, resume, progress)
 
 
@@ -465,7 +464,8 @@ def run_brute_force(golden: GoldenRun, *,
     :func:`run_full_scan`.
     """
     domain = get_domain(domain)
-    executor = InProcess(golden, domain, executor, config).build_executor()
+    config = campaign_config(domain, config, executor)
+    executor = executor or config.build(golden)
     space = domain.fault_space(golden)
     outcomes: dict = {}
     # Slot-ascending, one call a slot, so the executor's fast-forward
@@ -564,16 +564,17 @@ class SamplingStyle(CampaignStyle):
 
     kind = "sampling"
 
-    def __init__(self, golden: GoldenRun, domain: FaultDomain, params: dict,
-                 n_samples: int, seed: int, sampler: str, partition=None):
+    def __init__(self, golden: GoldenRun, domain: FaultDomain,
+                 n_samples: int, seed: int, sampler: str, partition=None,
+                 **identity):
         # Section fingerprints use ``params`` alone (no seed or sample
         # count), so sampled and full-scan campaigns share the store.
-        super().__init__(golden, domain, params)
+        super().__init__(golden, domain, **identity)
         self.partition = (partition if partition is not None
                           else domain.build_partition(golden))
         self.seed = seed
         self.sampler = sampler
-        self.key_params = dict(params, seed=seed, sampler=sampler,
+        self.key_params = dict(self.params, seed=seed, sampler=sampler,
                                n_samples=n_samples)
         self.drawn, self.population, self._rng_state = _draw_classified(
             golden, n_samples, seed, sampler, self.partition, domain)
@@ -659,19 +660,21 @@ class SamplingStyle(CampaignStyle):
             sampler=self.sampler, domain=self.domain, execution=report)
 
 
-def style_from_spec(spec: dict, golden: GoldenRun, domain: FaultDomain,
-                    params: dict, partition) -> CampaignStyle:
+def style_from_spec(spec: dict, golden: GoldenRun,
+                    config: ExecutorConfig) -> CampaignStyle:
     """The style a fabric ``campaign`` frame names (:meth:`CampaignStyle
-    .spec`), rebuilt from the worker's own verified golden run: a
-    sampling worker re-draws the samples, so its units are the
-    coordinator's only if the draw is."""
+    .spec`), rebuilt from the worker's own verified golden run and the
+    frame's config, whose domain it runs: a sampling worker re-draws
+    the samples, so its units are the coordinator's only if the draw
+    is."""
     kind = spec["kind"]
+    domain = get_domain(config.domain)
     if kind == ScanStyle.kind:
-        return ScanStyle(golden, domain, params, partition)
+        return ScanStyle(golden, domain, config=config)
     if kind == SamplingStyle.kind:
-        return SamplingStyle(golden, domain, params, int(spec["samples"]),
+        return SamplingStyle(golden, domain, int(spec["samples"]),
                              int(spec["seed"]), str(spec["sampler"]),
-                             partition)
+                             config=config)
     raise ValueError(f"unknown campaign style {kind!r}")
 
 
@@ -696,9 +699,8 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
     different seed, sampler or sample count raises
     :class:`~repro.campaign.journal.JournalMismatchError`.
     """
-    domain = get_domain(domain)
-    transport = _transport(golden, jobs, executor, domain, config, policy)
+    transport = _transport(jobs, executor, policy)
     return run_campaign(
-        SamplingStyle(golden, domain, transport.params, n_samples, seed,
-                      sampler, partition),
+        SamplingStyle(golden, get_domain(domain), n_samples, seed, sampler,
+                      partition, config=config, executor=executor),
         transport, journal, resume, progress)

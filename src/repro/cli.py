@@ -17,10 +17,9 @@ Commands:
     discards the journaled campaign first).  ``--shard-timeout`` /
     ``--max-retries`` tune the fabric's lease policy: a lease past its
     wall-clock deadline is a failed attempt, retried, and reported
-    missing once its retries are spent — never a result.  ``--shards``
-    configures the fabric of a full scan on ``--jobs N`` ≥ 2 workers,
-    ``--seed`` / ``--sampler`` a sampled one, and each is refused
-    anywhere else.  ``--engine interp`` runs the reference
+    missing once its retries are spent — never a result.  ``--seed`` /
+    ``--sampler`` configure a sampled scan and are refused on a full
+    one.  ``--engine interp`` runs the reference
     interpreter instead of the template JIT.  ``--no-convergence`` /
     ``--checkpoint-stride`` control the early exits (golden checkpoint
     ladder + state memo; a pure optimization, outcomes are identical
@@ -87,12 +86,9 @@ from .campaign import (
     JournalError,
     RetryPolicy,
     record_golden,
-    resolve_jobs,
-    run_distributed_scan,
     run_full_scan,
     run_sampling,
 )
-from .campaign.dist.coordinator import DEFAULT_SHARDS
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
 from .faultspace import DOMAINS, REGISTER, get_domain
@@ -257,16 +253,11 @@ def _print_scan(scan) -> int:
 
 
 def cmd_scan(args) -> int:
-    workers = resolve_jobs(args.jobs)
-    fleet = not args.samples and workers is not None and workers >= 2
-    fabric = "the fabric of a full scan on --jobs N >= 2"
-    sampling = "a sampled scan (--samples N)"
-    # Flags one kind of scan reads; anywhere else they would be lost.
-    for flag, read, kind in (("--shards", fleet, fabric),
-                             ("--seed", args.samples, sampling),
-                             ("--sampler", args.samples, sampling)):
-        if not read and getattr(args, flag[2:]) is not None:
-            raise SystemExit(f"{flag} configures {kind}; drop {flag}")
+    # Flags only a sampled scan reads; a full scan would lose them.
+    for flag, value in (("--seed", args.seed), ("--sampler", args.sampler)):
+        if not args.samples and value is not None:
+            raise SystemExit(f"{flag} configures a sampled scan "
+                             f"(--samples N); drop {flag}")
     program, golden, config, policy = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     space = domain.fault_space(golden)
@@ -292,17 +283,10 @@ def cmd_scan(args) -> int:
         print(f"estimated failure count F̂: "
               f"{result.failure_count() * scale:.0f}")
         return _exit_status(result.execution)
-    if fleet:
-        return _print_scan(run_distributed_scan(
-            golden, workers=workers, domain=domain, executor_config=config,
-            policy=policy, shards=args.shards or DEFAULT_SHARDS,
-            journal=args.journal, resume=resume,
-            progress=_eta_progress("classes")))
-    scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
-                         journal=args.journal, resume=resume,
-                         policy=policy, config=config,
-                         progress=_eta_progress("classes"))
-    return _print_scan(scan)
+    return _print_scan(run_full_scan(
+        golden, jobs=args.jobs, domain=domain, journal=args.journal,
+        resume=resume, policy=policy, config=config,
+        progress=_eta_progress("classes")))
 
 
 def cmd_compare(args) -> int:
@@ -509,11 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--fresh", action="store_true",
                       help="discard the journaled campaign and restart "
                            "(with --journal)")
-    scan.add_argument("--shards", type=_count_arg(1), metavar="N",
-                      help=f"work-lease granularity: the fewest shards "
-                           f"to plan, raised to one per worker (a small "
-                           f"campaign plans exactly one per worker; "
-                           f"default: {DEFAULT_SHARDS})")
     scan.set_defaults(func=cmd_scan)
 
     compare = sub.add_parser(

@@ -13,6 +13,8 @@ from repro.analysis import (
 )
 from repro.analysis.figures import Fig2Series
 from repro.campaign import CampaignSummary, record_golden, run_full_scan
+from repro.faultspace import DOMAINS
+from repro.metrics import weighted_failure_count
 from repro.programs import hi
 
 
@@ -74,3 +76,41 @@ class TestReports:
         assert attribution
         assert attribution[0][0] == "msg"
         assert attribution[0][1] == 48
+
+
+@pytest.fixture(scope="module")
+def hi_scans():
+    golden = record_golden(hi.baseline())
+    return {name: run_full_scan(golden, domain=name) for name in DOMAINS}
+
+
+class TestFailureAttribution:
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_the_weights_sum_to_the_failure_count(self, hi_scans, domain):
+        """Each failing experiment weighs the coordinates it stands for
+        — a PC class's slot weight is its member count — so the
+        attribution splits F, in every domain."""
+        scan = hi_scans[domain]
+        attribution = failure_attribution(scan, top=10**6)
+        assert sum(weight for _, weight in attribution) \
+            == weighted_failure_count(scan).total > 0
+
+    @pytest.mark.parametrize("domain", ["burst2", "burst4", "stuck"])
+    def test_ram_cell_domains_attribute_to_data_labels(self, hi_scans,
+                                                       domain):
+        labels = set(hi.baseline().data_labels) | {"(unlabelled)"}
+        attribution = failure_attribution(hi_scans[domain], top=10**6)
+        assert attribution
+        assert {label for label, _ in attribution} <= labels
+
+    def test_pc_attributes_to_bits_and_the_illegal_group(self, hi_scans):
+        labels = [label for label, _ in
+                  failure_attribution(hi_scans["pc"], top=10**6)]
+        assert labels[0] == "pc[illegal]"
+        assert all(label == "pc[illegal]" or
+                   0 <= int(label[3:-1]) < 32 for label in labels)
+
+    def test_register_attributes_to_register_names(self, hi_scans):
+        assert all(label[0] == "r" and 1 <= int(label[1:]) <= 15
+                   for label, _ in
+                   failure_attribution(hi_scans["register"], top=10**6))

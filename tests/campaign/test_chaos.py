@@ -250,17 +250,17 @@ class TestChaosSoak:
         sock = _server_socket()
         port = sock.getsockname()[1]
         first = DistCoordinator(
-            memory_golden, sock=sock, shards=4, policy=POLICY,
+            sock=sock, shards=4, policy=POLICY,
             stop_after_results=4)
-        thread = serve_in_thread(first, journal=journal)
+        thread = serve_in_thread(first, memory_golden, journal=journal)
         _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None  # the scheduled crash
         assert first.stopped
         import socket as socket_mod
         sock2 = socket_mod.create_server(("127.0.0.1", port))
-        second = DistCoordinator(memory_golden, sock=sock2, shards=4,
+        second = DistCoordinator(sock=sock2, shards=4,
                                  policy=POLICY)
-        result = serve_in_thread(second, journal=journal,
+        result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
         worker_thread.join(10)
         assert not errors

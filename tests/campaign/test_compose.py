@@ -25,9 +25,9 @@ from repro.campaign import (
 )
 from repro.campaign import compose as compose_mod
 from repro.campaign.compose import SectionComposer
-from repro.campaign.journal import (SCHEMA_VERSION, CampaignJournal,
-                                    salvage_journal, schema_tables)
-from repro.campaign.pipeline import InProcess
+from repro.campaign.journal import SCHEMA_VERSION, CampaignJournal
+from repro.campaign.runner import ScanStyle
+from repro.campaign.salvage import salvage_journal, schema_tables
 from repro.cli import main
 from repro.faultspace import build_section_map, get_domain
 from repro.isa.assembler import assemble
@@ -687,7 +687,7 @@ class TestPartialClassesNeverCompose:
 
         # The sampled style still composes single bits of the partial
         # class: every stored one, not the missing one.
-        style_params = InProcess(golden, get_domain(domain)).params
+        style_params = ScanStyle(golden, get_domain(domain)).params
         with ExperimentJournal(journal) as handle:
             campaign = handle.campaign(
                 fingerprint="probe", domain=domain, kind="sampling",

@@ -45,6 +45,7 @@ from repro.campaign.dist import (
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.campaign.dist.leases import FAILED, PENDING
 from repro.campaign.runner import ScanStyle
+from repro.faultspace.domain import MEMORY, get_domain
 from repro.programs import hi, micro, sync2
 
 from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker
@@ -79,13 +80,11 @@ def _server_socket():
     return socket.create_server(("127.0.0.1", 0))
 
 
-def _campaign_spec(golden, **kw) -> dict:
+def _campaign_spec(golden, domain="memory") -> dict:
     """The campaign frame a coordinator would ship to its full-scan
     workers."""
-    with _server_socket() as sock:
-        coordinator = DistCoordinator(golden, sock=sock, **kw)
-        return coordinator._campaign_message(
-            ScanStyle(golden, coordinator.domain, {}))
+    return DistCoordinator._campaign_message(
+        ScanStyle(golden, get_domain(domain)))
 
 
 def _start_worker(port: int, name: str, chaos=None, **kw):
@@ -116,10 +115,11 @@ def run_dist(golden, *, workers=2, worker_chaos=None, worker_kw=None,
     sock = _server_socket()
     port = sock.getsockname()[1]
     coordinator_kw.setdefault("shards", 4)
-    coordinator = DistCoordinator(golden, sock=sock, domain=domain,
-                                  policy=policy, **coordinator_kw)
-    thread = serve_in_thread(coordinator, journal=journal,
-                             keep_records=keep_records, progress=progress)
+    coordinator = DistCoordinator(sock=sock, policy=policy,
+                                  **coordinator_kw)
+    thread = serve_in_thread(coordinator, golden, domain=domain,
+                             journal=journal, keep_records=keep_records,
+                             progress=progress)
     chaos_by_worker = worker_chaos or [None] * workers
     spawned = [_start_worker(port, f"w{index}", chaos=chaos,
                              **(worker_kw or {}))
@@ -260,6 +260,17 @@ class TestLeaseBoard:
         board.finish(0, lease.lease_id, now=2.0)
         assert board.retries == 1  # (0, 2) was never submitted
 
+    def test_a_restored_retry_waits_out_its_backoff(self):
+        """A coordinator restart embargoes a shard with interrupted
+        attempts from the restart on, as a live release would: the
+        lease clock is monotonic time (seconds since boot), so an
+        embargo counted from 0 would have ended long before."""
+        board = LeaseBoard(policy=RetryPolicy(backoff=600.0),
+                           key_costs={})
+        board.add_shard(0, [(0, 1)], [(0, 1)])
+        board.restore(0, attempts=1, status=PENDING, now=1e6)
+        assert board.acquire("w", 1e6) == 600.0
+
     def test_running_remaining_cost_equals_a_fresh_sum(self):
         """Deadlines derive from the cost of the keys still remaining.
         The board keeps that as a running total; after every transition
@@ -293,7 +304,7 @@ class TestLeaseBoard:
             return now
 
         board.add_shard(0, keys, keys[2:])  # two keys resumed
-        board.restore(0, attempts=1, status=PENDING)
+        board.restore(0, attempts=1, status=PENDING, now=0.0)
         assert consistent()
         now = deliver(0, "a", 10.0, 3)
         assert board.release_worker("a", now) == [0]
@@ -342,9 +353,9 @@ class TestDistChaos:
         on who wins the first lease."""
         sock = _server_socket()
         port = sock.getsockname()[1]
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY)
-        thread = serve_in_thread(coordinator, keep_records=True)
+        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
         _, doomed_thread, doomed_errors = _start_worker(
             port, "w0", chaos=ChaosPlan(drop_after_results=2),
             max_reconnects=0)
@@ -390,17 +401,17 @@ class TestDistChaos:
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
         port = sock.getsockname()[1]
-        first = DistCoordinator(memory_golden, sock=sock, shards=4,
+        first = DistCoordinator(sock=sock, shards=4,
                                 policy=POLICY, stop_after_results=4)
-        thread = serve_in_thread(first, journal=journal)
+        thread = serve_in_thread(first, memory_golden, journal=journal)
         _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None
         assert first.stopped
         # The worker is now reconnect-looping against a dead port.
         sock2 = socket.create_server(("127.0.0.1", port))
-        second = DistCoordinator(memory_golden, sock=sock2, shards=4,
+        second = DistCoordinator(sock=sock2, shards=4,
                                  policy=POLICY)
-        result = serve_in_thread(second, journal=journal,
+        result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
         worker_thread.join(10)
         assert not errors
@@ -417,9 +428,9 @@ class TestDistChaos:
         else is."""
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY, stop_after_results=5)
-        thread = serve_in_thread(coordinator, journal=journal)
+        thread = serve_in_thread(coordinator, memory_golden, journal=journal)
         _, worker_thread, _ = _start_worker(
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
@@ -434,9 +445,9 @@ class TestDistChaos:
         journaled scan, and a fresh sweep composes them all."""
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY, stop_after_results=5)
-        thread = serve_in_thread(coordinator, journal=journal)
+        thread = serve_in_thread(coordinator, memory_golden, journal=journal)
         _, worker_thread, _ = _start_worker(
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
@@ -481,9 +492,9 @@ class TestDistChaos:
 
         sock = _server_socket()
         port = sock.getsockname()[1]
-        coordinator = DistCoordinator(golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY)
-        thread = serve_in_thread(coordinator, keep_records=True)
+        thread = serve_in_thread(coordinator, golden, keep_records=True)
         real = getattr(worker_mod, name)
         monkeypatch.setattr(worker_mod, name, fake(real))
         refused = DistWorker("127.0.0.1", port, name="refused")
@@ -522,9 +533,9 @@ class TestDistChaos:
     def test_protocol_version_mismatch_is_rejected(self, memory_golden):
         sock = _server_socket()
         port = sock.getsockname()[1]
-        coordinator = DistCoordinator(memory_golden, sock=sock,
+        coordinator = DistCoordinator(sock=sock,
                                       policy=POLICY, stop_after_results=1)
-        thread = serve_in_thread(coordinator)
+        thread = serve_in_thread(coordinator, memory_golden)
         time.sleep(0.05)
         client = socket.create_connection(("127.0.0.1", port), timeout=5)
         stream = FrameStream(client)
@@ -703,9 +714,9 @@ class TestSendWindow:
         sock = _server_socket()
         kw.setdefault("shards", 1)  # one lease holds every class
         journal = kw.pop("journal", None)
-        coordinator = DistCoordinator(golden, sock=sock, policy=POLICY, **kw)
+        coordinator = DistCoordinator(sock=sock, policy=POLICY, **kw)
         return coordinator, serve_in_thread(
-            coordinator, journal=journal, keep_records=True), \
+            coordinator, golden, journal=journal, keep_records=True), \
             sock.getsockname()[1]
 
     def _one_item_spoiled(self, tmp_path, golden, baseline, index, spoil):
@@ -993,7 +1004,7 @@ class TestSendWindow:
         monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
         sock = _server_socket()
         coordinator = DistCoordinator(
-            memory_golden, sock=sock, shards=4,
+            sock=sock, shards=4,
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
                                backoff=0.05))
         #: ``_accepted`` as each watchdog tick saw it (a tick expires
@@ -1012,7 +1023,7 @@ class TestSendWindow:
             CampaignRun, "idle",
             lambda run: (idle_calls.append(coordinator._accepted),
                          real_idle(run))[1])
-        thread = serve_in_thread(coordinator,
+        thread = serve_in_thread(coordinator, memory_golden,
                                  journal=tmp_path / "ticks.sqlite",
                                  keep_records=True)
         _, worker_thread, errors = _start_worker(
@@ -1035,9 +1046,9 @@ class TestDeadlines:
 
     def _serve(self, golden, shards):
         sock = _server_socket()
-        coordinator = DistCoordinator(golden, sock=sock, shards=shards,
+        coordinator = DistCoordinator(sock=sock, shards=shards,
                                       policy=self.DEADLINE)
-        return serve_in_thread(coordinator, keep_records=True), \
+        return serve_in_thread(coordinator, golden, keep_records=True), \
             sock.getsockname()[1]
 
     def test_progress_alone_keeps_a_long_lease(self, memory_golden,
@@ -1073,9 +1084,9 @@ class TestDeadlines:
         hour = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
                            backoff=0.05, shard_timeout=3600.0)
         sock = _server_socket()
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=1,
+        coordinator = DistCoordinator(sock=sock, shards=1,
                                       policy=hour)
-        thread = serve_in_thread(coordinator, keep_records=True)
+        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
         port = sock.getsockname()[1]
         stalled = _RawWorker(port, name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
@@ -1194,9 +1205,9 @@ class TestDistJournalInterop:
 
         journal = tmp_path / "old.sqlite"
         sock = _server_socket()
-        first = DistCoordinator(memory_golden, sock=sock, shards=4,
+        first = DistCoordinator(sock=sock, shards=4,
                                 policy=POLICY, stop_after_results=3)
-        thread = serve_in_thread(first, journal=journal)
+        thread = serve_in_thread(first, memory_golden, journal=journal)
         _, worker_thread, _ = _start_worker(
             sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
@@ -1278,9 +1289,9 @@ class TestDistSubprocess:
         equivalent of SIGKILL); the survivor finishes the campaign."""
         sock = _server_socket()
         port = sock.getsockname()[1]
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY)
-        thread = serve_in_thread(coordinator, keep_records=True)
+        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
         doomed = _spawn_worker_proc(port, "doomed",
                                     chaos=ChaosPlan(die_after_results=2))
         survivor = None
@@ -1319,9 +1330,9 @@ class TestDistSubprocess:
             if done >= 2:
                 progressed.set()
 
-        coordinator = DistCoordinator(memory_golden, sock=sock, shards=4,
+        coordinator = DistCoordinator(sock=sock, shards=4,
                                       policy=POLICY)
-        thread = serve_in_thread(coordinator, keep_records=True,
+        thread = serve_in_thread(coordinator, memory_golden, keep_records=True,
                                  progress=progress)
         victim = _spawn_worker_proc(port, "victim")
         replacement = None
@@ -1371,9 +1382,9 @@ class TestDistSubprocess:
 
     def test_a_failed_start_leaks_no_socket_and_no_worker(
             self, monkeypatch, memory_golden):
-        """If the coordinator refuses its arguments, or the second
-        worker process cannot be started, the bound socket is closed and
-        the worker already started — which would otherwise reconnect
+        """If the coordinator cannot be built, or the second worker
+        process cannot be started, the bound socket is closed and the
+        worker already started — which would otherwise reconnect
         forever — is terminated and reaped."""
         import repro.campaign.dist.coordinator as coordinator_mod
 
@@ -1386,8 +1397,14 @@ class TestDistSubprocess:
 
         monkeypatch.setattr(coordinator_mod, "_free_server_socket",
                             captured)
-        with pytest.raises(ValueError, match="shards"):
-            run_distributed_scan(memory_golden, workers=2, shards=0)
+        def refused(self, **kwargs):
+            raise ValueError("refused")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(coordinator_mod.DistCoordinator, "__init__",
+                            refused)
+            with pytest.raises(ValueError, match="refused"):
+                run_distributed_scan(memory_golden, workers=2)
         assert bound[-1].fileno() == -1
 
         started: list[multiprocessing.process.BaseProcess] = []
@@ -1521,16 +1538,13 @@ def test_the_fabric_serves_every_style(register_golden):
     """The campaign frame names the style and each worker rebuilds it
     from its verified golden run, so a coordinator serves sampling to a
     hand-started worker as it serves full scans."""
-    from repro.campaign.pipeline import campaign_params, run_campaign
+    from repro.campaign.pipeline import run_campaign
     from repro.campaign.runner import SamplingStyle
 
     golden = register_golden
     sock = _server_socket()
-    coordinator = DistCoordinator(golden, sock=sock, shards=2,
-                                  policy=POLICY)
-    style = SamplingStyle(golden, coordinator.domain,
-                          campaign_params(golden, coordinator.config),
-                          60, 3, "live-only")
+    coordinator = DistCoordinator(sock=sock, shards=2, policy=POLICY)
+    style = SamplingStyle(golden, MEMORY, 60, 3, "live-only")
     results = []
     thread = threading.Thread(target=lambda: results.append(
         run_campaign(style, coordinator, ":memory:", True, None)))
@@ -1600,18 +1614,18 @@ class TestAcceptanceSync2:
         journal = tmp_path / "dist.sqlite"
         sock = _server_socket()
         port = sock.getsockname()[1]
-        first = DistCoordinator(golden, sock=sock, shards=4,
+        first = DistCoordinator(sock=sock, shards=4,
                                 policy=POLICY, stop_after_results=3)
-        thread = serve_in_thread(first, journal=journal)
+        thread = serve_in_thread(first, golden, journal=journal)
         _, doomed_thread, doomed_errors = _start_worker(
             port, "doomed", chaos=ChaosPlan(drop_after_results=2),
             max_reconnects=0)
         _, steady_thread, steady_errors = _start_worker(port, "steady")
         assert thread.join_result(120) is None  # simulated crash
         sock2 = socket.create_server(("127.0.0.1", port))
-        second = DistCoordinator(golden, sock=sock2, shards=4,
+        second = DistCoordinator(sock=sock2, shards=4,
                                  policy=POLICY)
-        result = serve_in_thread(second, journal=journal,
+        result = serve_in_thread(second, golden, journal=journal,
                                  keep_records=True).join_result(120)
         doomed_thread.join(10)
         steady_thread.join(10)

@@ -25,10 +25,9 @@ from repro.campaign.journal import (
     ExperimentJournal,
     JournalCorruptError,
     JournalError,
-    SalvageReport,
-    salvage_journal,
     whole_run,
 )
+from repro.campaign.salvage import SalvageReport, salvage_journal
 from repro.programs import hi, micro
 
 from .journal_rows import truncate_first_class

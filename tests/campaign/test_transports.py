@@ -3,8 +3,8 @@ campaign and both campaign styles.
 
 In-process, local workers (``jobs=2``, test id ``pool``: fabric workers
 forked by the driver behind a lease coordinator) and the TCP fabric
-(workers started on their own) all run
-a campaign through :func:`~repro.campaign.pipeline.run_campaign`: one
+serving the tests' own thread workers (``run_dist``) all run a
+campaign through :func:`~repro.campaign.pipeline.run_campaign`: one
 prologue, one sink and one assembly.  So a fresh campaign and the
 resume of a half-journaled one must end the same way on each — the
 serial result, records included; the same ``ExecutionReport`` counts;
@@ -18,7 +18,9 @@ import sqlite3
 import pytest
 
 from repro.campaign import (
+    ExecutorConfig,
     record_golden,
+    run_distributed_scan,
     run_full_scan,
     run_sampling,
 )
@@ -147,8 +149,35 @@ def test_a_local_fleet_attributes_nothing(golden):
     """A local fleet's forks are interchangeable, so ``jobs=2`` and
     ``run_distributed_scan`` report no per-worker split, as in process;
     only a test's thread workers are named (``run_dist``)."""
-    from repro.campaign import run_distributed_scan
-
     assert run_full_scan(golden, jobs=2).execution.workers == ()
     assert run_distributed_scan(golden, workers=2).execution.workers == ()
     assert run_dist(golden)[0].execution.workers
+
+
+@pytest.mark.parametrize("domain", ["memory", "register"])
+def test_one_journal_key_under_every_transport(domain, golden, tmp_path):
+    """The executor settings that can change an outcome are part of the
+    journal key, read once off the campaign's style.  A full scan under
+    a non-default config, journaled in process, is the same campaign
+    under ``jobs=2`` and on a fabric of one forked worker; the default
+    config opens a campaign of its own; and a sampled campaign under
+    the same config finds every experiment in the section store."""
+    config = ExecutorConfig(timeout_factor=2.0, early_stop=False)
+    journal = tmp_path / "key.sqlite"
+    serial = run_full_scan(golden, domain=domain, config=config,
+                           journal=journal)
+    assert serial.execution.executed == serial.execution.total_units > 0
+    for again in (
+            run_full_scan(golden, domain=domain, config=config,
+                          journal=journal, jobs=2),
+            run_distributed_scan(golden, workers=1, domain=domain,
+                                 executor_config=config, journal=journal)):
+        assert again == serial
+        assert again.execution.executed == 0
+    default = run_full_scan(golden, domain=domain, journal=journal)
+    assert default.execution.resumed == 0
+    sampled = run_sampling(golden, 150, seed=7, sampler="live-only",
+                           domain=domain, config=config, journal=journal)
+    assert sampled.execution.executed == 0
+    assert sampled.execution.composed_hits \
+        == sampled.execution.total_units > 0

@@ -24,7 +24,7 @@ from repro.campaign import journal as journal_module
 from repro.campaign.compose import SectionComposer
 from repro.campaign.journal import open_campaign
 from repro.campaign.outcomes import OUTCOME_BY_VALUE
-from repro.campaign.pipeline import InProcess
+from repro.campaign.runner import ScanStyle
 from repro.faultspace import get_domain
 from repro.programs import micro
 
@@ -88,13 +88,13 @@ def _section(domain_name: str):
     of the section of ``counter(2)`` that owns the most of them."""
     if domain_name not in _SECTIONS:
         golden = record_golden(micro.counter(2))
-        domain = get_domain(domain_name)
-        params = InProcess(golden, domain).params
+        style = ScanStyle(golden, get_domain(domain_name))
+        domain, params = style.domain, style.params
         with ExperimentJournal(":memory:") as journal:
             owner = SectionComposer(_campaign(journal), golden, domain,
                                     params).map.owner
         by_section: dict = {}
-        for interval in domain.build_partition(golden).live_classes():
+        for interval in style.partition.live_classes():
             by_section.setdefault(owner(interval.injection_slot).index,
                                   []).append(interval)
         intervals = max(by_section.values(), key=len)[:4]
@@ -223,11 +223,9 @@ def _shape_runs(shape: str, slot: int, axis: int, width: int,
 def _golden(domain_name: str):
     if domain_name not in _GOLDENS:
         golden = record_golden(micro.counter(2))
-        domain = get_domain(domain_name)
-        _GOLDENS[domain_name] = (golden, domain,
-                                 InProcess(golden, domain).params,
-                                 domain.build_partition(golden)
-                                 .live_classes())
+        style = ScanStyle(golden, get_domain(domain_name))
+        _GOLDENS[domain_name] = (golden, style.domain, style.params,
+                                 style.partition.live_classes())
     return _GOLDENS[domain_name]
 
 

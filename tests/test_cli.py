@@ -351,28 +351,6 @@ class TestCliDist:
 
         assert histogram(dist) == histogram(serial)
 
-    @pytest.mark.parametrize("flag,value", [("--shards", "4")])
-    @pytest.mark.parametrize("mode", [[], ["--jobs", "1"],
-                                      ["--jobs", "2", "--samples", "10"]])
-    def test_scan_fabric_flags_need_dist(self, flag, value, mode,
-                                         monkeypatch):
-        """Only the distributed fabric of a full scan (``--jobs N``,
-        N >= 2) reads these flags: anywhere else the scan refuses them
-        by name before recording the golden run, instead of running
-        without them."""
-        import repro.cli
-
-        def no_golden(*args, **kwargs):
-            raise AssertionError("golden run recorded")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(repro.cli, "record_golden", no_golden)
-            with pytest.raises(SystemExit, match=flag) as refused:
-                main(["scan", "hi", *mode, flag, value])
-        assert refused.value.code not in (0, None)
-        if not mode:
-            assert main(["scan", "hi", "--jobs", "2", flag, value]) == 0
-
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "7"), ("--sampler", "biased-class")])
     @pytest.mark.parametrize("mode", [[], ["--jobs", "2"],
@@ -424,13 +402,14 @@ class TestCliDist:
         ["fig2", "--items", "0"],
         ["render", "hi", "--max-cycles", "-1"],
         ["render", "hi", "--max-bytes", "0"],
+        ["scan", "hi", "--jobs", "2", "--shards", "4"],
     ])
     def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
         """A number out of its range — a negative job, sample or retry
-        count, a shard count below one, a deadline that is not
-        positive — is a usage error before anything runs: not a serial
-        scan, not a traceback.  So are the removed hand-started fleet
-        (``coordinator``, ``worker``) and its ``--crosscheck`` audit."""
+        count, a deadline that is not positive — is a usage error before
+        anything runs: not a serial scan, not a traceback.  So are the
+        removed hand-started fleet (``coordinator``, ``worker``), its
+        ``--crosscheck`` audit and the ``--shards`` lease knob."""
         with pytest.raises(SystemExit) as usage:
             main(argv)
         assert usage.value.code == 2
