@@ -75,6 +75,13 @@ probe gap, restores the last golden state before the next touch with
 the differing cells written back
 (:meth:`ExperimentExecutor._fast_forward`; the induction is DESIGN.md
 §3c, "Golden fast-forward").
+
+:meth:`ExperimentExecutor.run_many` is the executor's one batch entry
+point: the coordinates of **one injection slot** in, one ``(outcome,
+end_cycle, trap)`` tuple per coordinate out.  A campaign joins those
+facts straight into the runs it stores, so the hot path builds no
+:class:`ExperimentRecord`; :meth:`ExperimentExecutor.run` makes one for
+the callers that want it.
 """
 
 from __future__ import annotations
@@ -256,7 +263,11 @@ class ExperimentExecutor:
         # Criticality map for the pre-run skip; built lazily on the
         # first experiment (never needed when convergence is off).
         self._criticality = None
-        self._golden_record_cache: ExperimentRecord | None = None
+        #: What every slice-dead experiment shares: the golden end.
+        self._golden_facts = (
+            classify(golden_output=golden.output, output=golden.output,
+                     halted_cleanly=True, trapped=False, timed_out=False),
+            golden.cycles, "")
         #: State memo, a bucket per grid mark: ``digest ‖ cycle`` of an
         #: earlier experiment's state -> how that run went on from there.
         self._memo: dict[int, dict[bytes, EndFacts]] = {}
@@ -295,37 +306,69 @@ class ExperimentExecutor:
         self.cycles_skipped = 0
 
     def run(self, coordinate: FaultCoordinate) -> ExperimentRecord:
-        """Run one experiment and classify its outcome."""
-        if coordinate.slot > self.golden.cycles:
-            raise ValueError(
-                f"slot {coordinate.slot} beyond golden runtime "
-                f"{self.golden.cycles}")
-        if self.use_convergence and not self._cell_critical(coordinate):
-            # Criticality pre-skip: the corrupt value provably never
-            # reaches an observable sink, so the run would reproduce
-            # the golden outcome cycle for cycle — skip it entirely.
-            self.slice_hits += 1
-            return self._golden_record(coordinate)
-        machine = self._machine
-        if self.use_snapshots:
-            machine.restore(self._state_at(coordinate.slot - 1))
-        else:
-            machine.reset()
-            machine.run_to_cycle(coordinate.slot - 1)
-        self._inject(machine, coordinate)
-        return self._finish(machine, coordinate)
+        """Run one experiment and classify its outcome: the executor's
+        only record, for callers that ask for one."""
+        return ExperimentRecord(coordinate, *self.run_many([coordinate])[0])
 
-    def run_many(self, coordinates) -> list[ExperimentRecord]:
-        """Run a sequence of experiments, preserving input order.
+    def run_many(self, coordinates) -> list[tuple[Outcome, int, str]]:
+        """Run the experiments of one injection slot: ``(outcome,
+        end_cycle, trap)`` per coordinate, in input order.
 
-        Callers should submit coordinates slot-sorted for the snapshot
-        fast-forward to pay off.
+        The slot is checked, its pristine state fetched and each cell's
+        criticality asked once per call; coordinates of another slot
+        are refused.  Callers should submit slots ascending for the
+        snapshot fast-forward to pay off.
         """
-        return [self.run(coordinate) for coordinate in coordinates]
+        if not coordinates:
+            return []
+        slot = coordinates[0].slot
+        if slot > self.golden.cycles:
+            raise ValueError(
+                f"slot {slot} beyond golden runtime {self.golden.cycles}")
+        for coordinate in coordinates:
+            if coordinate.slot != slot:
+                raise ValueError(
+                    f"run_many takes one injection slot, got {slot} "
+                    f"and {coordinate.slot}")
+        # The criticality pre-skip (convergence on only): a corrupt
+        # value that provably never reaches an observable sink
+        # reproduces the golden run cycle for cycle, so its experiment
+        # is not run.  The answer is per cell at this slot.
+        critical = {} if self.use_convergence else None
+        cell_of = self.domain.space_type.cell
+        machine = self._machine
+        inject, finish = self._inject, self._finish
+        snapshots = self.use_snapshots
+        state = None
+        facts = []
+        for coordinate in coordinates:
+            if critical is not None:
+                cell = cell_of(coordinate)
+                live = critical.get(cell)
+                if live is None:
+                    live = critical[cell] = self._cell_critical(coordinate)
+                if not live:
+                    self.slice_hits += 1
+                    facts.append(self._golden_facts)
+                    continue
+            if snapshots:
+                if state is None:
+                    state = self._state_at(slot - 1)
+                machine.restore(state)
+            else:
+                machine.reset()
+                machine.run_to_cycle(slot - 1)
+            inject(machine, coordinate)
+            facts.append(finish(machine, coordinate))
+        return facts
 
     def _finish(self, machine: Machine,
-                coordinate) -> ExperimentRecord:
-        """Run an injected machine to its end and classify the outcome."""
+                coordinate) -> tuple[Outcome, int, str]:
+        """Run an injected machine to its end and classify the outcome.
+
+        Early exits, whose end facts are inferred, classify through the
+        same code as a run executed to its end.
+        """
         memo = self._memo
         slot = coordinate.slot
         if memo and (passed := (slot - 1) // (MEMO_GRID * self._stride)) \
@@ -353,41 +396,24 @@ class ExperimentExecutor:
             end = EndFacts(trap, machine.diverged, machine.halted,
                            bytes(machine.serial),
                            tuple(machine.detections), machine.cycle)
+        trap, diverged, halted, serial, detections, cycle = end
         for bucket, key, n_serial, n_detections in pending:
             # What this run did after each memo miss is now a fact.
-            suffix = end._replace(serial=end.serial[n_serial:],
-                                  detections=end.detections[n_detections:])
+            suffix = EndFacts(trap, diverged, halted, serial[n_serial:],
+                              detections[n_detections:], cycle)
             bucket[key] = self._suffixes.setdefault(suffix, suffix)
-        return self._classify_end(coordinate, *end)
-
-    def _classify_end(self, coordinate, trap: str, diverged: bool,
-                      halted: bool, serial: bytes, detections: tuple,
-                      cycle: int) -> ExperimentRecord:
-        """Classify a run that ended (halt, trap, divergence, timeout).
-
-        Takes plain values (the fields of :class:`EndFacts`) rather
-        than a machine, so early exits, whose facts are inferred,
-        classify through the exact same code path as a run executed to
-        its end.
-        """
-        trapped = bool(trap)
-        timed_out = not halted and not trapped
         if diverged:
             # Early stop on first deviating output byte: the run can
             # never be benign again, so it is a failure; attribute the
             # mode from what was observed up to the divergence.
-            outcome = _classify_diverged(detections)
-        else:
-            outcome = classify(
-                golden_output=self.golden.output,
-                output=serial,
-                halted_cleanly=halted and not trapped,
-                trapped=trapped,
-                timed_out=timed_out,
-                detections=detections,
-            )
-        return ExperimentRecord(coordinate=coordinate, outcome=outcome,
-                                end_cycle=cycle, trap=trap)
+            return _classify_diverged(detections), cycle, trap
+        trapped = bool(trap)
+        return classify(golden_output=self.golden.output,
+                        output=serial,
+                        halted_cleanly=halted and not trapped,
+                        trapped=trapped,
+                        timed_out=not halted and not trapped,
+                        detections=detections), cycle, trap
 
     # -- convergence early-exit ------------------------------------------------
 
@@ -483,10 +509,11 @@ class ExperimentExecutor:
                     if suffix is not None:
                         self.convergence_hits += 1
                         self.memo_hits += 1
-                        return suffix._replace(
-                            serial=bytes(machine.serial) + suffix.serial,
-                            detections=(tuple(machine.detections)
-                                        + suffix.detections))
+                        return EndFacts(
+                            suffix.trap, suffix.diverged, suffix.halted,
+                            bytes(machine.serial) + suffix.serial,
+                            tuple(machine.detections) + suffix.detections,
+                            suffix.cycle)
                     pending.append((bucket, key, len(machine.serial),
                                     len(machine.detections)))
             lockstep = False
@@ -671,25 +698,6 @@ class ExperimentExecutor:
             self._criticality = backward_slice(self.golden)
         return self.domain.cell_critical(self._criticality, coordinate)
 
-    def _golden_record(self, coordinate) -> ExperimentRecord:
-        """The record of an experiment proven to reproduce the golden run."""
-        cached = self._golden_record_cache
-        if cached is None:
-            outcome = classify(
-                golden_output=self.golden.output,
-                output=self.golden.output,
-                halted_cleanly=True,
-                trapped=False,
-                timed_out=False,
-                detections=(),
-            )
-            cached = self._golden_record_cache = ExperimentRecord(
-                coordinate=coordinate, outcome=outcome,
-                end_cycle=self.golden.cycles)
-        return ExperimentRecord(coordinate=coordinate,
-                                outcome=cached.outcome,
-                                end_cycle=cached.end_cycle)
-
     def _rejoin_facts(self, matched_cycle: int, cycle: int, serial: bytes,
                       detections: tuple) -> EndFacts:
         """End facts of a run that re-joined the golden trajectory.
@@ -749,5 +757,5 @@ class ExperimentExecutor:
 # Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR that
 # drops that entry deletes this class.
 class BatchExperimentExecutor(ExperimentExecutor):
-    def run_many(self, coordinates) -> list[ExperimentRecord]:
+    def run_many(self, coordinates) -> list[tuple[Outcome, int, str]]:
         return super().run_many(coordinates)

@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
 from math import ceil
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..faultspace.domain import FaultDomain
 from .compose import SectionComposer
@@ -349,25 +349,6 @@ def plan_class_shards(intervals: Sequence, total_cycles: int, *,
 
 
 # -- what a campaign style states ---------------------------------------------
-
-
-def run_groups(executor: ExperimentExecutor,
-               groups: Iterable[list[tuple[object, Sequence]]]) \
-        -> Iterator[tuple[object, list]]:
-    """Execute same-slot groups; yield ``(key, records)`` per member.
-
-    Each group is a list of ``(key, coordinates)`` whose coordinates
-    share an injection slot.  A group goes to the executor in one
-    :meth:`~.experiment.ExperimentExecutor.run_many` call, and the
-    records are dealt back out per member.
-    """
-    for group in groups:
-        records = executor.run_many(
-            [coord for _, coords in group for coord in coords])
-        consumed = 0
-        for key, coords in group:
-            yield key, records[consumed:consumed + len(coords)]
-            consumed += len(coords)
 
 
 class CampaignStyle:

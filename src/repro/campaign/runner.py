@@ -65,7 +65,6 @@ from .pipeline import (
     in_process,
     plan_class_shards,
     run_campaign,
-    run_groups,
 )
 
 
@@ -249,13 +248,16 @@ class CampaignResult:
         return out
 
 
-def stored_run(records) -> tuple[str, str, str]:
-    """Experiment records as the run the journal stores and the fabric
-    carries: ``(outcomes, end_cycles, traps)``, each the per-record
-    values joined by single spaces."""
-    return (" ".join([record.outcome.value for record in records]),
-            " ".join([str(record.end_cycle) for record in records]),
-            " ".join([record.trap for record in records]))
+_VALUE = attrgetter("_value_")  # Outcome.value without the property
+
+
+def _joined(facts) -> tuple[str, str, str]:
+    """Executor facts ``(outcome, end_cycle, trap)`` as the run the
+    journal stores and the fabric carries: ``(outcomes, end_cycles,
+    traps)``, each column's values joined by single spaces."""
+    outcomes, end_cycles, traps = zip(*facts)
+    return (" ".join(map(_VALUE, outcomes)), " ".join(map(str, end_cycles)),
+            " ".join(traps))
 
 
 class ScanStyle(CampaignStyle):
@@ -308,14 +310,19 @@ class ScanStyle(CampaignStyle):
     @staticmethod
     def execute(executor, intervals):
         # Live classes are slot-sorted, so the classes sharing an
-        # injection slot are adjacent and run as one group.
+        # injection slot are adjacent and go to the executor in one
+        # call; each class's slice of the facts is its run.
         class_key = executor.domain.class_key
-        groups = ([(class_key(member), member.experiments())
-                   for member in group]
-                  for _, group in groupby(intervals,
-                                          key=attrgetter("injection_slot")))
-        for key, records in run_groups(executor, groups):
-            yield key, stored_run(records)
+        for _, group in groupby(intervals, key=attrgetter("injection_slot")):
+            members = [(class_key(member), member.experiments())
+                       for member in group]
+            facts = executor.run_many(
+                [coord for _, coords in members for coord in coords])
+            start = 0
+            for key, coords in members:
+                end = start + len(coords)
+                yield key, _joined(facts[start:end])
+                start = end
 
     def journal(self, handle, composer, batch):
         handle.record_classes([(*key, run) for key, run in batch])
@@ -471,9 +478,10 @@ def run_brute_force(golden: GoldenRun, *,
     # Slot-ascending, one call a slot, so the executor's fast-forward
     # engages and never rewinds.
     for slot in range(1, golden.cycles + 1):
-        for record in executor.run_many(
-                list(domain.slot_coordinates(space, slot))):
-            outcomes[record.coordinate] = record.outcome
+        coordinates = list(domain.slot_coordinates(space, slot))
+        for coordinate, (outcome, _, _) in zip(
+                coordinates, executor.run_many(coordinates)):
+            outcomes[coordinate] = outcome
     return BruteForceResult(golden=golden, outcomes=outcomes, domain=domain)
 
 
@@ -624,7 +632,7 @@ class SamplingStyle(CampaignStyle):
             # The sampling result needs the outcome only, but the
             # section store composes these runs into full-scan
             # campaigns later, which need end cycles and traps too.
-            yield key, stored_run([executor.run(coord)])
+            yield key, _joined(executor.run_many([coord]))
 
     def journal(self, handle, composer, batch):
         handle.record_experiments([(*key, run[0]) for key, run in batch])

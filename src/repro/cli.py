@@ -92,7 +92,11 @@ from .campaign import (
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
 from .faultspace import DOMAINS, REGISTER, get_domain
-from .metrics import weighted_coverage, weighted_failure_count
+from .metrics import (
+    extrapolated_failure_interval,
+    weighted_coverage,
+    weighted_failure_count,
+)
 from .programs import all_programs, bin_sem2, hi, sync2
 
 
@@ -280,8 +284,11 @@ def cmd_scan(args) -> int:
                                      key=lambda kv: -kv[1]):
             print(f"  {outcome.value:24s} {count:8d}  "
                   f"(extrapolated {count * scale:14.0f})")
+        interval = extrapolated_failure_interval(result)
         print(f"estimated failure count F̂: "
-              f"{result.failure_count() * scale:.0f}")
+              f"{result.failure_count() * scale:.0f}  "
+              f"(95% Wilson interval [{interval.low:.0f}, "
+              f"{interval.high:.0f}])")
         return _exit_status(result.execution)
     return _print_scan(run_full_scan(
         golden, jobs=args.jobs, domain=domain, journal=args.journal,

@@ -192,7 +192,9 @@ class FaultDomain:
         coordinate corrupts — the state after ``slot - 1`` instructions,
         visible to the ``slot``-th.  ``False`` is a proof that the
         experiment's outcome is exactly the golden outcome (see the
-        soundness argument in :mod:`repro.faultspace.slicing`).
+        soundness argument in :mod:`repro.faultspace.slicing`).  The
+        answer may depend on the slot and the coordinate's cell only:
+        the executor asks once per cell of a slot.
         """
         raise NotImplementedError
 

@@ -21,7 +21,9 @@ from .comparison import (
 )
 from .confidence import (
     Interval,
+    binomial_pmf,
     clopper_pearson_interval,
+    coverage,
     extrapolated_failure_interval,
     failure_proportion_interval,
     required_samples,
@@ -63,11 +65,13 @@ __all__ = [
     "PUBLISHED_FIT_PER_MBIT",
     "PoissonFaultModel",
     "activated_only_coverage",
+    "binomial_pmf",
     "clopper_pearson_interval",
     "compare",
     "comparison_report",
     "comparison_table",
     "export_comparison_csv",
+    "coverage",
     "coverage_from_counts",
     "extrapolated_failure_count",
     "extrapolated_failure_interval",

@@ -5,7 +5,8 @@ sufficiently large number of samples ... for statistically authoritative
 results" (Section III-B).  This module provides the standard estimators
 used with FI sampling: Wald, Wilson and Clopper–Pearson intervals for
 the failure proportion, plus their extrapolation to absolute failure
-counts, and a sample-size planner.
+counts, a sample-size planner, and each interval's exact coverage at a
+known proportion (:func:`coverage`).
 """
 
 from __future__ import annotations
@@ -106,20 +107,59 @@ def clopper_pearson_interval(failures: int, samples: int,
     return Interval(low=float(low), high=float(high), confidence=confidence)
 
 
+#: Interval methods by name.
+_METHODS = {
+    "wald": wald_interval,
+    "wilson": wilson_interval,
+    "clopper-pearson": clopper_pearson_interval,
+}
+
+
+def _method(method: str):
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; pick from "
+                         f"{sorted(_METHODS)}")
+    return _METHODS[method]
+
+
 def failure_proportion_interval(result: SamplingResult,
                                 confidence: float = 0.95,
                                 method: str = "wilson") -> Interval:
     """Interval for P(Failure | 1 fault in the sampled population)."""
-    methods = {
-        "wald": wald_interval,
-        "wilson": wilson_interval,
-        "clopper-pearson": clopper_pearson_interval,
-    }
-    if method not in methods:
-        raise ValueError(f"unknown method {method!r}; pick from "
-                         f"{sorted(methods)}")
-    return methods[method](result.failure_count(), result.n_samples,
+    return _method(method)(result.failure_count(), result.n_samples,
                            confidence)
+
+
+def binomial_pmf(n: int, k: int, p: float) -> float:
+    """``P(X = k)`` for ``X ~ Binomial(n, p)``, in log space
+    (``math.lgamma``), so that ``n`` in the tens of thousands neither
+    overflows the binomial coefficient nor underflows ``p**k`` early."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    if not 0 <= k <= n:
+        return 0.0
+    if p in (0.0, 1.0):
+        return float(k == n * p)
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                    - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def coverage(method: str, n: int, p: float,
+             confidence: float = 0.95) -> float:
+    """Exact coverage of ``method``'s interval: the probability that an
+    ``n``-sample campaign's interval contains the true proportion ``p``.
+
+    A sampler that draws with replacement from a population whose
+    failing fraction is ``p`` sees ``Binomial(n, p)`` failures, so the
+    coverage is the finite sum of :func:`binomial_pmf` over the failure
+    counts whose interval holds ``p`` — no simulation, no seeds.
+    """
+    interval = _method(method)
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return sum(binomial_pmf(n, k, p) for k in range(n + 1)
+               if interval(k, n, confidence).contains(p))
 
 
 def extrapolated_failure_interval(result: SamplingResult,

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.campaign import (
+    ExecutorConfig,
     ExperimentExecutor,
     Outcome,
     record_golden,
 )
+from repro.campaign.runner import ScanStyle
 from repro.faultspace import FaultCoordinate
+from repro.faultspace.domain import get_domain
 from repro.isa import assemble
+from repro.programs import bin_sem2, hi, micro
 
 #: A store/load program: corrupting the stored byte between store and
 #: load flips the output.
@@ -99,6 +103,80 @@ class TestExperimentExecutor:
     def test_invalid_timeout_factor_rejected(self, golden):
         with pytest.raises(ValueError):
             ExperimentExecutor(golden, timeout_factor=0.5)
+
+
+DOMAINS = ("memory", "register", "burst2", "burst4", "stuck", "pc")
+
+
+#: The two smallest programs, and one whose scans take every early
+#: exit (pre-skip, ladder and memo hits), so the counters compare.
+PROGRAMS = {"hi": hi.baseline, "memcopy6": lambda: micro.memcopy(6),
+            "bin_sem2": lambda: bin_sem2.baseline(2)}
+
+
+@pytest.fixture(scope="module", params=sorted(PROGRAMS))
+def program_golden(request):
+    return record_golden(PROGRAMS[request.param]())
+
+
+class TestRunManyFacts:
+    """``run_many`` answers one injection slot with ``(outcome,
+    end_cycle, trap)`` facts; the scan's stored runs, joined from them,
+    are what records from :meth:`ExperimentExecutor.run` would say."""
+
+    @pytest.mark.parametrize("config", [
+        {}, {"use_convergence": False}, {"use_snapshots": False}],
+        ids=["default", "no-convergence", "no-snapshots"])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_scan_runs_equal_joined_records(self, program_golden, domain,
+                                            config):
+        golden = program_golden
+        config = ExecutorConfig(domain=domain, **config)
+        intervals = get_domain(domain).build_partition(golden) \
+            .live_classes()
+        scanning = config.build(golden)
+        runs = dict(ScanStyle.execute(scanning, intervals))
+        recording = config.build(golden)
+        expected = {}
+        for interval in intervals:
+            records = [recording.run(coordinate)
+                       for coordinate in interval.experiments()]
+            expected[scanning.domain.class_key(interval)] = (
+                " ".join(record.outcome.value for record in records),
+                " ".join(str(record.end_cycle) for record in records),
+                " ".join(record.trap for record in records))
+        assert list(runs) == list(expected)
+        assert runs == expected
+
+        def counters(executor):
+            return (executor.slice_hits, executor.convergence_hits,
+                    executor.memo_hits)
+
+        assert counters(scanning) == counters(recording)
+        if golden.program.name.startswith("bin_sem2") \
+                and config.use_convergence:
+            assert scanning.convergence_hits > scanning.memo_hits > 0
+            assert scanning.slice_hits > 0 or domain in ("stuck", "pc")
+
+    def test_facts_are_per_coordinate_in_order(self, program_golden):
+        executor = ExperimentExecutor(program_golden)
+        reference = ExperimentExecutor(program_golden)
+        slot = program_golden.cycles // 2
+        coordinates = [FaultCoordinate(slot=slot, addr=addr, bit=bit)
+                       for addr in (1, 0) for bit in (7, 0, 3)]
+        facts = executor.run_many(coordinates)
+        records = [reference.run(coordinate) for coordinate in coordinates]
+        assert facts == [(record.outcome, record.end_cycle, record.trap)
+                         for record in records]
+        assert all(type(outcome) is Outcome for outcome, _, _ in facts)
+        assert executor.run_many([]) == []
+
+    def test_mixed_slots_are_refused(self, program_golden):
+        executor = ExperimentExecutor(program_golden)
+        with pytest.raises(ValueError, match="one injection slot"):
+            executor.run_many([FaultCoordinate(slot=2, addr=0, bit=0),
+                               FaultCoordinate(slot=3, addr=0, bit=0)])
+        assert executor.slice_hits == executor.convergence_hits == 0
 
 
 class TestTimeoutDetection:

@@ -443,7 +443,8 @@ class TestHungWorker:
 
 class TestSigintMidClass:
     """^C in the middle of a class — between two of its per-bit
-    experiments — must leave the journal with whole classes only."""
+    experiments, inside the executor's per-experiment core — must leave
+    the journal with whole classes only."""
 
     @pytest.mark.parametrize("domain", ["memory", "register"])
     def test_interrupt_between_bits_leaves_no_torn_class(
@@ -457,21 +458,23 @@ class TestSigintMidClass:
             register_baseline)
         dom = get_domain(domain)
         journal = tmp_path / "journal.sqlite"
-        executor = ExecutorConfig(domain=domain).build(golden)
-        real_run = executor.run
+        # No pre-skip, so that every experiment runs through _finish.
+        executor = ExecutorConfig(domain=domain,
+                                  use_convergence=False).build(golden)
+        real_finish = executor._finish
         calls = 0
         # Die three experiments into the third class: the journal must
         # then hold classes 1 and 2 in full and nothing of class 3.
         limit = 2 * dom.bits + 3
 
-        def run_then_sigint(coordinate):
+        def finish_then_sigint(machine, coordinate):
             nonlocal calls
             calls += 1
             if calls > limit:
                 raise KeyboardInterrupt
-            return real_run(coordinate)
+            return real_finish(machine, coordinate)
 
-        executor.run = run_then_sigint
+        executor._finish = finish_then_sigint
         with pytest.raises(KeyboardInterrupt):
             run_full_scan(golden, domain=domain, executor=executor,
                           journal=journal)

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign import record_golden, run_sampling
 from repro.metrics import (
+    binomial_pmf,
     clopper_pearson_interval,
+    coverage,
     extrapolated_failure_interval,
     failure_proportion_interval,
     required_samples,
@@ -92,6 +94,48 @@ class TestCampaignIntervals:
             assert 0.0 <= interval.low <= interval.high <= 1.0
         with pytest.raises(ValueError, match="unknown method"):
             failure_proportion_interval(sampled, 0.95, method="magic")
+
+
+#: ``F / w`` of ``bin_sem2-sumdmr`` × memory (full scan): the hardened
+#: variant, whose failure proportion is small enough to break Wald.
+SUMDMR_P = 56_676 / 11_368_512
+
+
+class TestExactCoverage:
+    @pytest.mark.parametrize("n, p", [(1, 0.3), (40, 0.5), (10_000, 0.005),
+                                      (10_000, SUMDMR_P)])
+    def test_pmf_sums_to_one_without_overflow(self, n, p):
+        total = math.fsum(binomial_pmf(n, k, p) for k in range(n + 1))
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_pmf_small_cases_and_edges(self):
+        assert binomial_pmf(4, 2, 0.5) == pytest.approx(6 / 16)
+        assert binomial_pmf(3, 0, 0.0) == 1.0
+        assert binomial_pmf(3, 1, 0.0) == 0.0
+        assert binomial_pmf(3, 3, 1.0) == 1.0
+        assert binomial_pmf(3, 4, 0.5) == binomial_pmf(3, -1, 0.5) == 0.0
+        with pytest.raises(ValueError):
+            binomial_pmf(3, 1, 1.5)
+
+    @pytest.mark.parametrize("method, n, expected", [
+        ("wald", 100, 0.393), ("wald", 1_000, 0.870),
+        ("wilson", 100, 0.911), ("wilson", 1_000, 0.962)])
+    def test_hardened_variant_table(self, method, n, expected):
+        """Wald misses the hardened variant's F in 61 % of 100-sample
+        campaigns — each that sees no failure reports ``[0, 0]``."""
+        assert coverage(method, n, SUMDMR_P) == pytest.approx(expected,
+                                                              abs=5e-4)
+
+    def test_clopper_pearson_is_conservative(self):
+        pytest.importorskip("scipy")
+        for n in (100, 1_000):
+            assert coverage("clopper-pearson", n, SUMDMR_P) >= 0.95
+
+    def test_unknown_method_and_empty_campaign_refused(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            coverage("agresti", 10, 0.1)
+        with pytest.raises(ValueError):
+            coverage("wilson", 0, 0.1)
 
 
 class TestSamplePlanning:

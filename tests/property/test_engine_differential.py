@@ -266,7 +266,7 @@ def test_executors_agree_on_records(domain, program, data):
     for engine in ("interp", "compiled"):
         executor = ExecutorConfig(engine=engine,
                                   domain=domain).build(golden)
-        records[engine] = executor.run_many(coords)
+        records[engine] = [executor.run(coord) for coord in coords]
     assert records["compiled"] == records["interp"]
 
 
@@ -311,8 +311,8 @@ def test_state_memo_matches_unconverged_execution(early_stop, program,
             executor = ExecutorConfig(
                 engine=engine, domain=domain, early_stop=early_stop,
                 **config).build(golden)
-            by_domain.append(executor.run_many(
-                [c for c in coords if type(c) is kind]))
+            by_domain.append([executor.run(c) for c in coords
+                              if type(c) is kind])
         return by_domain
 
     reference = records("interp", use_convergence=False)

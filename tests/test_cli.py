@@ -71,6 +71,25 @@ class TestCli:
         assert "sampled 60 faults" in out
         assert "estimated failure count" in out
 
+    #: ``F̂  (95% Wilson interval [low, high])``, all whole numbers.
+    ESTIMATE = re.compile(r"estimated failure count F̂: (\d+)  "
+                          r"\(95% Wilson interval \[(\d+), (\d+)\]\)")
+
+    @pytest.mark.parametrize("argv, failing", [
+        (["counter", "--samples", "50", "--seed", "1"], True),
+        # No failure among five register samples of hi.
+        (["hi", "--domain", "register", "--samples", "5", "--seed", "1"],
+         False)])
+    def test_scan_sampling_prints_the_error_bar(self, capsys, argv,
+                                                failing):
+        main(["scan", *argv])
+        [(estimate, low, high)] = self.ESTIMATE.findall(
+            capsys.readouterr().out)
+        estimate, low, high = int(estimate), int(low), int(high)
+        assert low <= estimate <= high
+        assert (estimate > 0) is failing
+        assert high > 0  # seeing no failure bounds F, it is no proof of 0
+
     def test_scan_defaults_to_memory_domain(self, capsys):
         main(["scan", "hi"])
         out = capsys.readouterr().out
