@@ -702,3 +702,19 @@ class TestEngineRegistry:
         shipped = pickle.loads(pickle.dumps(program))
         assert shipped == program
         assert compile_program(shipped) is not code
+
+    def test_codegen_trims_the_heap_once(self, monkeypatch):
+        """The compiler's transient memory goes back to the OS right
+        after each codegen (not at a later, GC-timed free); cache hits
+        compile nothing and trim nothing."""
+        from repro.engine import compiled
+
+        trims = []
+        monkeypatch.setattr(compiled, "_trim_heap",
+                            lambda: trims.append(1))
+        program = micro.counter(2)
+        if compile_program(program) is None:  # big-endian hosts
+            return
+        compile_program(program)
+        CompiledMachine(program)
+        assert len(trims) == 1
