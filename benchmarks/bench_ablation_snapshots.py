@@ -3,7 +3,8 @@
 DESIGN.md calls this design choice out: executing experiments in
 ascending injection-slot order and forking the pristine machine from
 snapshots turns the pre-injection cost from O(experiments × Δt) into
-O(Δt).  This benchmark measures both paths on the same campaign.
+O(Δt).  This bench runs both paths on the same campaign and checks
+that they conduct every experiment and agree exactly.
 """
 
 import pytest
@@ -31,20 +32,9 @@ def _scan(golden, partition, use_snapshots):
     return run_full_scan(golden, partition=partition, executor=executor)
 
 
-def test_ablation_snapshot_fast_forward(benchmark, golden, partition):
-    result = benchmark.pedantic(
-        lambda: _scan(golden, partition, True), rounds=3, iterations=1)
-    assert result.experiments_conducted == partition.experiment_count
-
-
-def test_ablation_naive_reexecution(benchmark, golden, partition):
-    result = benchmark.pedantic(
-        lambda: _scan(golden, partition, False), rounds=3, iterations=1)
-    assert result.experiments_conducted == partition.experiment_count
-
-
-def test_ablation_paths_agree_exactly(benchmark, golden, partition):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_paths_agree_exactly(golden, partition):
     fast = _scan(golden, partition, True)
     slow = _scan(golden, partition, False)
+    assert fast.experiments_conducted == partition.experiment_count
+    assert slow.experiments_conducted == partition.experiment_count
     assert fast.class_outcomes == slow.class_outcomes

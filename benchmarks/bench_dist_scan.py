@@ -1,40 +1,25 @@
-"""Distributed-fabric wall-clock: worker scaling and node-loss overhead.
+"""Distributed-fabric gates: bit-identity, send windows and node loss.
 
-Full def/use-pruned scans of the sync2 baseline run through the
-fabric's forked local workers over loopback (``run_distributed_scan``),
-at 1, 2 and 4 workers, each checked bit-for-bit against the serial
-ground truth (same ``CampaignResult``, same CSV bytes).  A final chaos
-run SIGKILLs one of two forked worker processes mid-campaign and
-asserts the surviving fabric still converges to the identical result —
-the robustness the fabric exists for, measured rather than assumed.
+Full def/use-pruned scans of the quick-scale sync2 baseline (items=2)
+run through the fabric's forked local workers over loopback
+(``run_distributed_scan``) at 1, 2 and 4 workers, each checked
+bit-for-bit against the serial ground truth (same ``CampaignResult``,
+same CSV bytes).  Two count gates pin what a class costs on the wire
+and in the coordinator's journal, and a chaos run SIGKILLs one of two
+forked worker processes mid-campaign and asserts the surviving fabric
+still converges to the identical result — the robustness the fabric
+exists for, checked rather than assumed.
 
-Human-readable report in ``output/dist_scan.txt``; machine-readable
-perf trajectory in repo-root ``BENCH_dist_scan.json`` (uploaded by CI
-as an artifact, stamped with git SHA + timestamp by the shared
-``_bench_json`` writer).
-
-Scale knobs (environment):
-
-``REPRO_BENCH_DIST_SCALE=full``
-    Paper-scale sync2 (items=10) instead of the quick default (items=2).
-``REPRO_BENCH_DIST_WORKERS``
-    Comma-separated worker counts (default: ``1,2,4``).
-
-On a single-core container the fabric cannot exhibit scaling — worker
-processes time-share one CPU — but the equality and chaos
-assertions hold regardless, which is the point: correctness properties
-must not depend on the machine being generous.
+On a single-core container worker processes time-share one CPU, but
+every assertion holds regardless: correctness properties must not
+depend on the machine being generous.
 """
 
-import json
 import multiprocessing
 import os
 import signal
 import socket
 import threading
-import time
-
-from _bench_json import write_bench_json
 
 from repro.campaign import (
     RetryPolicy,
@@ -51,72 +36,21 @@ from repro.programs import micro, sync2
 POLICY = RetryPolicy(heartbeat=0.5, poll_interval=0.05, backoff=0.1)
 
 
-def _full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_DIST_SCALE") == "full"
-
-
-def _worker_counts() -> list[int]:
-    raw = os.environ.get("REPRO_BENCH_DIST_WORKERS")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    return [1, 2, 4]
-
-
-def test_dist_scan_scaling(output_dir, tmp_path):
-    program = sync2.baseline() if _full_scale() else sync2.baseline(2)
-    golden = record_golden(program)
-
-    start = time.perf_counter()
+def test_dist_scan_matches_serial(tmp_path):
+    """1, 2 and 4 forked workers: same result, records and CSV bytes
+    as the serial scan."""
+    golden = record_golden(sync2.baseline(2))
     serial = run_full_scan(golden, keep_records=True)
-    t_serial = time.perf_counter() - start
     serial_csv = tmp_path / "serial.csv"
     export_class_results_csv(serial, serial_csv)
-
-    rows = [("serial", 1, t_serial, 1.0)]
-    for workers in _worker_counts():
-        start = time.perf_counter()
+    for workers in (1, 2, 4):
         dist = run_distributed_scan(golden, workers=workers,
                                     keep_records=True, policy=POLICY)
-        elapsed = time.perf_counter() - start
         assert dist == serial, workers
         assert dist.records == serial.records, workers
         dist_csv = tmp_path / f"dist{workers}.csv"
         export_class_results_csv(dist, dist_csv)
         assert dist_csv.read_bytes() == serial_csv.read_bytes(), workers
-        rows.append((f"workers={workers}", workers, elapsed,
-                     t_serial / elapsed))
-
-    live = len(serial.class_outcomes)
-    lines = [
-        f"distributed full scan of {program.name} "
-        f"({'paper' if _full_scale() else 'quick'} scale)",
-        f"Δt={golden.cycles} cycles, {live} live classes; every run "
-        f"verified bit-for-bit against serial (result + CSV bytes)",
-        "",
-        f"{'engine':12s} {'workers':>7s} {'wall-clock':>11s} "
-        f"{'speedup':>8s}",
-        "-" * 42,
-    ]
-    for label, workers, elapsed, speedup in rows:
-        lines.append(f"{label:12s} {workers:7d} {elapsed:10.3f}s "
-                     f"{speedup:7.2f}x")
-    report = "\n".join(lines) + "\n"
-    (output_dir / "dist_scan.txt").write_text(report)
-    print()
-    print(report)
-
-    write_bench_json("dist_scan", {
-        "program": program.name,
-        "golden_cycles": golden.cycles,
-        "live_classes": live,
-        "serial_seconds": round(t_serial, 3),
-        "runs": [
-            {"workers": workers,
-             "wall_clock_seconds": round(elapsed, 3),
-             "speedup": round(speedup, 2)}
-            for _, workers, elapsed, speedup in rows[1:]
-        ],
-    })
 
 
 def test_send_window_gate(monkeypatch):
@@ -124,9 +58,9 @@ def test_send_window_gate(monkeypatch):
     ``results`` frames ≤ classes / 8 + 2 × leases on a ``memcopy`` ×
     register scan (66 classes; a frame per class would be 66).
 
-    A count, so it repeats exactly and needs no ratio floor; writes no
-    ``BENCH_*.json``.  The lease term is what flushing before every
-    ``lease_done`` costs — a window never spans two leases.
+    A count, so it repeats exactly and needs no ratio floor.  The lease
+    term is what flushing before every ``lease_done`` costs — a window
+    never spans two leases.
     """
     import repro.campaign.dist.coordinator as coordinator_mod
 
@@ -167,8 +101,7 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     once per class on each side — the worker stamps it, the coordinator
     re-derives it, nothing else does.
 
-    Counts, from the journal connection's ``set_trace_callback``; writes
-    no ``BENCH_*.json``.
+    Counts, from the journal connection's ``set_trace_callback``.
     """
     import repro.campaign.dist.coordinator as coordinator_mod
     import repro.campaign.dist.worker as worker_mod
@@ -229,10 +162,9 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     assert digests == {"worker": classes, "coordinator": classes}
 
 
-def test_dist_scan_survives_sigkill(output_dir, tmp_path):
+def test_dist_scan_survives_sigkill(tmp_path):
     """Two workers, one SIGKILLed mid-campaign: identical CSV anyway."""
-    program = sync2.baseline() if _full_scale() else sync2.baseline(2)
-    golden = record_golden(program)
+    golden = record_golden(sync2.baseline(2))
     serial = run_full_scan(golden, keep_records=True)
     serial_csv = tmp_path / "serial.csv"
     export_class_results_csv(serial, serial_csv)
@@ -252,7 +184,6 @@ def test_dist_scan_survives_sigkill(output_dir, tmp_path):
         proc.start()
         return proc
 
-    start = time.perf_counter()
     victim, survivor = spawn("victim"), spawn("survivor")
     try:
         assert progressed.wait(120), "no progress before the kill"
@@ -265,7 +196,6 @@ def test_dist_scan_survives_sigkill(output_dir, tmp_path):
             if proc.exitcode is None:
                 proc.kill()
                 proc.join()
-    elapsed = time.perf_counter() - start
 
     assert victim.exitcode == -signal.SIGKILL
     assert result == serial
@@ -273,31 +203,3 @@ def test_dist_scan_survives_sigkill(output_dir, tmp_path):
     chaos_csv = tmp_path / "chaos.csv"
     export_class_results_csv(result, chaos_csv)
     assert chaos_csv.read_bytes() == serial_csv.read_bytes()
-
-    report = (
-        f"node-loss chaos on {program.name}: one of two workers "
-        f"SIGKILLed mid-campaign\n"
-        f"  wall-clock {elapsed:.3f}s, "
-        f"{result.execution.shard_retries} shard retries, "
-        f"workers={dict(result.execution.workers)}\n"
-        f"  final CSV byte-identical to serial: yes\n")
-    with (output_dir / "dist_scan.txt").open("a") as fh:
-        fh.write("\n" + report)
-    print()
-    print(report)
-
-    from _bench_json import REPO_ROOT
-
-    artifact = REPO_ROOT / "BENCH_dist_scan.json"
-    data = {}
-    if artifact.exists():
-        try:
-            data = json.loads(artifact.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data["chaos"] = {
-        "wall_clock_seconds": round(elapsed, 3),
-        "shard_retries": result.execution.shard_retries,
-        "csv_byte_identical": True,
-    }
-    write_bench_json("dist_scan", data)

@@ -11,14 +11,14 @@ from full fault-space scans and checks the paper's shape:
   sync2 — see the failure-count bench).
 """
 
-from repro.analysis import Fig2Series, fig2_data, fig2_report
+from repro.analysis import fig2_data, fig2_report
 from repro.metrics import unweighted_coverage, weighted_coverage
 
 PAIRS = [("bin_sem2", "bin_sem2-sumdmr"), ("sync2", "sync2-sumdmr")]
 
 
-def test_fig2_coverage_panels(benchmark, fig2_summaries, output_dir):
-    series = benchmark(fig2_data, fig2_summaries)
+def test_fig2_coverage_panels(fig2_summaries, output_dir):
+    series = fig2_data(fig2_summaries)
     by_name = {s.variant: s for s in series}
 
     # Shape 1: unweighted underestimates weighted, everywhere.
@@ -35,10 +35,7 @@ def test_fig2_coverage_panels(benchmark, fig2_summaries, output_dir):
         fig2_report(series) + "\n")
 
 
-def test_fig2_unweighted_coverage_bias_magnitude(benchmark,
-                                                 fig2_summaries):
-    benchmark(lambda: [unweighted_coverage(s)
-                       for s in fig2_summaries.values()])
+def test_fig2_unweighted_coverage_bias_magnitude(fig2_summaries):
     """The bias spans a wide range across variants, as in the paper
     (9.1–33.2 pp there)."""
     gaps = []
@@ -47,13 +44,3 @@ def test_fig2_unweighted_coverage_bias_magnitude(benchmark,
                            - unweighted_coverage(summary)))
     assert max(gaps) - min(gaps) > 5.0
     assert max(gaps) > 20.0
-
-
-def test_fig2_coverage_metric_throughput(benchmark, fig2_summaries):
-    """Metric derivation from stored summaries is cheap."""
-    def compute():
-        return [Fig2Series.from_summary(s)
-                for s in fig2_summaries.values()]
-
-    series = benchmark(compute)
-    assert len(series) == 4

@@ -15,18 +15,13 @@ from repro.analysis import fig2_verdicts, verdict_report
 from repro.metrics import unweighted_failure_count, weighted_failure_count
 
 
-def test_fig2_weighted_failure_counts(benchmark, fig2_summaries,
-                                      output_dir):
-    def ratios():
-        out = {}
-        for name in ("bin_sem2", "sync2"):
-            base = weighted_failure_count(fig2_summaries[name]).total
-            hard = weighted_failure_count(
-                fig2_summaries[f"{name}-sumdmr"]).total
-            out[name] = hard / base
-        return out
-
-    r = benchmark(ratios)
+def test_fig2_weighted_failure_counts(fig2_summaries, output_dir):
+    r = {}
+    for name in ("bin_sem2", "sync2"):
+        base = weighted_failure_count(fig2_summaries[name]).total
+        hard = weighted_failure_count(
+            fig2_summaries[f"{name}-sumdmr"]).total
+        r[name] = hard / base
     assert r["bin_sem2"] < 0.7, r   # improves clearly
     assert r["sync2"] > 1.5, r      # worsens clearly
     report = "\n\n".join(
@@ -36,10 +31,7 @@ def test_fig2_weighted_failure_counts(benchmark, fig2_summaries,
     (output_dir / "fig2_failures.txt").write_text(report + "\n")
 
 
-def test_fig2_unweighted_counts_flip_the_verdict(benchmark,
-                                                 fig2_summaries):
-    benchmark(lambda: unweighted_failure_count(
-        fig2_summaries["bin_sem2"]).total)
+def test_fig2_unweighted_counts_flip_the_verdict(fig2_summaries):
     """Panel (d): without weighting, both hardened variants look worse —
     for bin_sem2 that is the wrong design decision."""
     for name in ("bin_sem2", "sync2"):
@@ -58,11 +50,7 @@ def test_fig2_unweighted_counts_flip_the_verdict(benchmark,
         verdicts["misleading_metrics"]
 
 
-def test_fig2_coverage_hides_sync2_degradation(benchmark,
-                                               fig2_summaries):
-    benchmark(lambda: fig2_verdicts(fig2_summaries["sync2"],
-                                    fig2_summaries["sync2-sumdmr"],
-                                    "sync2"))
+def test_fig2_coverage_hides_sync2_degradation(fig2_summaries):
     """The paper's central warning, stated on our data: sync2's weighted
     coverage improves while its failure count worsens."""
     verdicts = fig2_verdicts(fig2_summaries["sync2"],

@@ -6,13 +6,8 @@ increased relative to its baseline — the driver of its failure-count
 degradation.
 """
 
-from repro.campaign import record_golden
-from repro.programs import bin_sem2, sync2
 
-
-def test_fig2_runtime_and_memory(benchmark, fig2_summaries, output_dir):
-    benchmark(lambda: [(s.cycles, s.ram_bytes)
-                       for s in fig2_summaries.values()])
+def test_fig2_runtime_and_memory(fig2_summaries, output_dir):
     rows = []
     for name, summary in fig2_summaries.items():
         rows.append((name, summary.cycles, summary.ram_bytes))
@@ -35,15 +30,3 @@ def test_fig2_runtime_and_memory(benchmark, fig2_summaries, output_dir):
     lines.append(f"\nsync2 hardened/baseline runtime ratio: "
                  f"{sync2_ratio:.2f}x")
     (output_dir / "fig2_runtime.txt").write_text("\n".join(lines) + "\n")
-
-
-def test_golden_run_cost_bin_sem2(benchmark):
-    """Golden-run recording cost for the baseline kernel benchmark."""
-    golden = benchmark(lambda: record_golden(bin_sem2.baseline()))
-    assert golden.output.endswith(b"!")
-
-
-def test_golden_run_cost_sync2_hardened(benchmark):
-    """Golden-run recording cost for the heaviest variant."""
-    benchmark.pedantic(lambda: record_golden(sync2.hardened()),
-                       rounds=2, iterations=1)

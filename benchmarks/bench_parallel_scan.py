@@ -1,54 +1,41 @@
-"""Campaign-engine wall-clock: parallel scaling and convergence A/B.
+"""Campaign-engine gates: parallel scaling and convergence A/B.
 
-Three experiments over def/use-pruned full scans of the Figure 2
-benchmarks, with a human-readable report in
-``output/parallel_scan.txt`` and a machine-readable perf trajectory in
-repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
+Def/use-pruned full scans of the Figure 2 benchmarks at quick scale,
+with a human-readable report in ``output/parallel_scan.txt``:
 
-* **Parallel scaling** — the largest baseline variant executed
-  serially and with the slot-sharded multiprocessing engine over a
-  range of worker counts.
+* **Parallel scaling** — ``sync2`` (items=4) executed serially and on
+  the fabric's forked workers at 1, 2 and 4 workers (plus the CPU
+  count when larger), each bit-for-bit identical to serial.  The ≥2×
+  speedup assertion at 4 workers only applies on machines with at
+  least 4 usable CPUs — a container pinned to one core cannot exhibit
+  multi-core scaling, but still exercises (and verifies) the engine.
+  Worker counts above the usable CPUs are marked oversubscribed in the
+  report.
 * **Convergence A/B** — the SUM+DMR-hardened variant scanned with the
   convergence early-exit system (checkpoint-digest ladder, cost-aware
   probe schedule, criticality pre-skip) enabled and disabled, under
   the interpreter and the compiled engine.  The enabled scan must be
-  at least 2× (compiled: 1.2×) faster *and* bit-for-bit identical:
+  at least 1.5× (compiled: 1.2×) faster *and* bit-for-bit identical:
   same ``CampaignResult``, same exported CSV bytes — speed must never
   buy back exactness.
 * **State memo A/B** — a compiled ``chain-sumdmr`` scan with the
   faulty-state memo's probe grid at its constant and forced past the
-  cycle budget: records identical, on at least 1.3× faster.  Asserts
-  only.
+  cycle budget: records identical, on at least 1.3× faster.
 * **Mid-block entry gate** — counts, instead of timing, the
   instructions the compiled scan's faulty machine still interprets:
-  fewer than one per executed experiment.  Asserts only.
+  fewer than one per executed experiment.
 * **Fast-forward gate** — counts the post-injection cycles the compiled
   scan's faulty machine executes with the golden fast-forward at its
   constants and with its jump floor forced past the cycle budget: at
-  most three quarters.  Asserts only.
+  most three quarters.
 
-Scale knobs (environment):
-
-``REPRO_BENCH_PARALLEL_SCALE=full``
-    Paper-scale sync2 (items=10) instead of the quick default (items=4).
-``REPRO_BENCH_PARALLEL_JOBS``
-    Comma-separated worker counts (default: ``1,2,4`` plus the CPU count
-    when larger).
-
-The ≥2× parallel-speedup assertion at 4 workers only applies on
-machines with at least 4 usable CPUs — a container pinned to one core
-cannot exhibit multi-core scaling, but still exercises (and verifies)
-the engine.  Worker counts above the usable CPUs are marked
-``oversubscribed: true`` in the JSON so trajectory consumers skip
-them instead of reading scheduler contention as a scaling regression.  The convergence-speedup assertions have no such caveat:
-they are single-process properties of the executor.
+The ratio gates take both sides inside one run, so host speed cancels;
+the convergence-speedup assertions are single-process properties of
+the executor and need no CPU caveat.
 """
 
-import json
 import os
 import time
-
-from _bench_json import write_bench_json
 
 from repro.campaign import (
     ExecutorConfig,
@@ -68,9 +55,6 @@ def _usable_cpus() -> int:
 
 
 def _worker_counts() -> list[int]:
-    raw = os.environ.get("REPRO_BENCH_PARALLEL_JOBS")
-    if raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
     counts = [1, 2, 4]
     cpus = _usable_cpus()
     if cpus > 4:
@@ -78,26 +62,8 @@ def _worker_counts() -> list[int]:
     return counts
 
 
-def _full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_PARALLEL_SCALE") == "full"
-
-
-def _merge_bench_json(section: str, payload: dict) -> None:
-    """Update one section of BENCH_parallel_scan.json, keeping the other."""
-    from _bench_json import REPO_ROOT
-    path = REPO_ROOT / "BENCH_parallel_scan.json"
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    write_bench_json("parallel_scan", data)
-
-
 def test_parallel_scan_scaling(output_dir):
-    program = sync2.baseline() if _full_scale() else sync2.baseline(4)
+    program = sync2.baseline(4)
     golden = record_golden(program)
     partition = golden.partition()
 
@@ -112,8 +78,7 @@ def test_parallel_scan_scaling(output_dir):
         # A worker count above the usable CPUs cannot scale — it only
         # measures scheduler contention.  Still run it once (the
         # bit-identity assertion is engine coverage either way) but
-        # mark the record so the JSON trajectory and the CI A/B job
-        # don't read a pinned-to-one-core container as a regression.
+        # keep it out of the speedup gate.
         oversubscribed = jobs > cpus
         start = time.perf_counter()
         parallel = run_full_scan(golden, partition=partition, jobs=jobs)
@@ -128,8 +93,7 @@ def test_parallel_scan_scaling(output_dir):
 
     experiments = partition.experiment_count
     lines = [
-        f"parallel full scan of {program.name} "
-        f"({'paper' if _full_scale() else 'quick'} scale)",
+        f"parallel full scan of {program.name} (quick scale)",
         f"Δt={golden.cycles} cycles, Δm={program.ram_size} bytes, "
         f"{len(partition.live_classes())} live classes, "
         f"{experiments} experiments",
@@ -148,20 +112,6 @@ def test_parallel_scan_scaling(output_dir):
     print()
     print(report)
 
-    _merge_bench_json("scaling", {
-        "program": program.name,
-        "golden_cycles": golden.cycles,
-        "experiments": experiments,
-        "usable_cpus": cpus,
-        "serial_seconds": round(t_serial, 3),
-        "runs": [
-            {"workers": jobs, "wall_clock_seconds": round(elapsed, 3),
-             "speedup": round(speedup, 2),
-             "oversubscribed": oversubscribed}
-            for _, jobs, elapsed, speedup, oversubscribed in rows
-        ],
-    })
-
     if cpus >= 4 and 4 in speedups:
         assert speedups[4] >= 2.0, (
             f"expected >= 2x speedup at 4 workers on a {cpus}-CPU "
@@ -173,16 +123,16 @@ def test_convergence_ab(output_dir, tmp_path):
 
     Two ratios, each inside one run so host speed cancels.  On the
     interpreter a saved tail cycle is expensive and the schedule probes
-    from the first cycle after the injection: on must beat off ≥2×
-    (≥1.5× at quick scale).  Under the compiled engine a tail cycle is
-    ~15× cheaper than that while a digest is not, so the schedule
-    starts at the digest's price in JIT cycles
-    (``CompiledEngine.probe_gap``) and stops on basic-block boundaries;
-    on must still beat off ≥1.2× — the floor that keeps the default
+    from the first cycle after the injection: on must beat off ≥1.5×.
+    Under the compiled engine a tail cycle is ~15× cheaper than that
+    while a digest is not, so the schedule starts at the digest's price
+    in JIT cycles (``CompiledEngine.probe_gap``) and stops on
+    basic-block boundaries; on must still beat off ≥1.2× — the floor
+    that keeps the default
     (``compiled`` + convergence) from ever again being the slower
     configuration.  Exactness is asserted for both engines.
     """
-    program = sync2.hardened() if _full_scale() else sync2.hardened(2)
+    program = sync2.hardened(2)
     golden = record_golden(program)
     partition = golden.partition()
 
@@ -225,8 +175,7 @@ def test_convergence_ab(output_dir, tmp_path):
     hit_rate = (conv + skips) / experiments
 
     lines = [
-        f"convergence A/B on {program.name} "
-        f"({'paper' if _full_scale() else 'quick'} scale)",
+        f"convergence A/B on {program.name} (quick scale)",
         f"Δt={golden.cycles} cycles, {experiments} experiments",
         f"  convergence on : {t_on:8.3f}s "
         f"({experiments / t_on:8.0f} experiments/s)",
@@ -245,31 +194,12 @@ def test_convergence_ab(output_dir, tmp_path):
     print()
     print(report)
 
-    _merge_bench_json("convergence_ab", {
-        "program": program.name,
-        "golden_cycles": golden.cycles,
-        "experiments": experiments,
-        "wall_clock_on_seconds": round(t_on, 3),
-        "wall_clock_off_seconds": round(t_off, 3),
-        "experiments_per_second_on": round(experiments / t_on, 1),
-        "experiments_per_second_off": round(experiments / t_off, 1),
-        "speedup": round(speedup, 2),
-        "convergence_hits": conv,
-        "slice_hits": skips,
-        "hit_rate": round(hit_rate, 4),
-        "compiled_wall_clock_on_seconds": round(t_on_jit, 3),
-        "compiled_wall_clock_off_seconds": round(t_off_jit, 3),
-        "compiled_speedup": round(t_off_jit / t_on_jit, 2),
-    })
-
-    # Floor: full scale has a long post-injection tail and comfortably
-    # clears 2x; quick scale (Δt ~ 2k cycles) hovers around 1.8-2.3x
-    # depending on host load, so its floor is set where only a genuine
-    # convergence regression (ratio ~ 1.0) can land.
-    floor = 2.0 if _full_scale() else 1.5
-    assert speedup >= floor, (
+    # Floor: at quick scale (Δt ~ 2k cycles) the ratio hovers around
+    # 1.8-2.3x depending on host load, so the floor is set where only a
+    # genuine convergence regression (ratio ~ 1.0) can land.
+    assert speedup >= 1.5, (
         f"expected the convergence early-exit to cut the scan at least "
-        f"{floor}x, measured {speedup:.2f}x")
+        f"1.5x, measured {speedup:.2f}x")
     assert t_off_jit / t_on_jit >= 1.2, (
         f"expected the convergence early-exit to cut the compiled scan "
         f"at least 1.2x, measured {t_off_jit / t_on_jit:.2f}x")
@@ -284,8 +214,7 @@ def test_state_memo_ab(monkeypatch):
     grows with Δt: 1.2-1.3× on the quick-scale ``sync2`` scan above
     (Δt 2 068), too close to carry a floor; this is the e2e
     benchmark's ``scan_serial_mem`` campaign (Δt 6 998, measured
-    1.8×, ~20 s for both sides).  A ratio gate only: asserts, writes
-    no ``BENCH_*.json`` (the trajectory lives in ``benchmarks/e2e``).
+    1.8×, ~20 s for both sides).  A ratio gate only.
     """
     program = chain.hardened()
     golden = record_golden(program)
@@ -322,9 +251,9 @@ def test_midblock_entry_gate():
     goes through the interpreter's handlers (≈ 24 instructions an
     experiment on ``chain-sumdmr``, ≈ 0.05 with them); what remains is
     budget tails of timed-out runs.  A count, so it repeats exactly
-    and needs no ratio floor; writes no ``BENCH_*.json``.
+    and needs no ratio floor.
     """
-    program = sync2.hardened() if _full_scale() else sync2.hardened(2)
+    program = sync2.hardened(2)
     golden = record_golden(program)
     partition = golden.partition()
     executor = ExecutorConfig(engine="compiled").build(golden)
@@ -360,10 +289,9 @@ def test_fast_forward_gate():
     advanced by, less what the jumps skipped — over the whole scan,
     against the same scan with the jump floor past the cycle budget
     (no jump is ever worth it: the PR 21 executor).  A count, so it
-    repeats exactly and needs no ratio floor; writes no
-    ``BENCH_*.json``.
+    repeats exactly and needs no ratio floor.
     """
-    program = sync2.hardened() if _full_scale() else sync2.hardened(2)
+    program = sync2.hardened(2)
     golden = record_golden(program)
     partition = golden.partition()
     config = ExecutorConfig(engine="compiled")

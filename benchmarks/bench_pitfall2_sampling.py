@@ -22,23 +22,15 @@ def truth(golden):
     return 1.0 - weighted_coverage(run_full_scan(golden))
 
 
-def test_pitfall2_uniform_sampling_converges(benchmark, golden, truth):
-    def estimate():
-        result = run_sampling(golden, 1500, seed=0, sampler="uniform")
-        return result.failure_count() / result.n_samples
-
-    value = benchmark.pedantic(estimate, rounds=3, iterations=1)
+def test_pitfall2_uniform_sampling_converges(golden, truth):
+    result = run_sampling(golden, 1500, seed=0, sampler="uniform")
+    value = result.failure_count() / result.n_samples
     assert value == pytest.approx(truth, abs=0.04)
 
 
-def test_pitfall2_biased_sampling_is_off(benchmark, golden, truth,
-                                         output_dir):
-    def estimate():
-        result = run_sampling(golden, 1500, seed=0,
-                              sampler="biased-class")
-        return result.failure_count() / result.n_samples
-
-    value = benchmark.pedantic(estimate, rounds=3, iterations=1)
+def test_pitfall2_biased_sampling_is_off(golden, truth, output_dir):
+    result = run_sampling(golden, 1500, seed=0, sampler="biased-class")
+    value = result.failure_count() / result.n_samples
     bias = abs(value - truth)
     assert bias > 0.05, (value, truth)
     (output_dir / "pitfall2_sampling.txt").write_text(
@@ -48,11 +40,7 @@ def test_pitfall2_biased_sampling_is_off(benchmark, golden, truth,
         f"(bias {bias:+.4f})\n")
 
 
-def test_pitfall2_sample_sharing_efficiency(benchmark, golden):
+def test_pitfall2_sample_sharing_efficiency(golden):
     """Def/use sharing: thousands of samples, far fewer experiments."""
-    def run():
-        result = run_sampling(golden, 4000, seed=1)
-        return result.experiments_conducted
-
-    experiments = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert experiments < 400
+    result = run_sampling(golden, 4000, seed=1)
+    assert result.experiments_conducted < 400

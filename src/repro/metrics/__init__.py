@@ -23,9 +23,9 @@ from .confidence import (
     Interval,
     binomial_pmf,
     clopper_pearson_interval,
-    coverage,
     extrapolated_failure_interval,
     failure_proportion_interval,
+    interval_coverage,
     required_samples,
     wald_interval,
     wilson_interval,
@@ -71,13 +71,13 @@ __all__ = [
     "comparison_report",
     "comparison_table",
     "export_comparison_csv",
-    "coverage",
     "coverage_from_counts",
     "extrapolated_failure_count",
     "extrapolated_failure_interval",
     "failure_count",
     "failure_proportion_interval",
     "fit_to_rate_per_bit_cycle",
+    "interval_coverage",
     "mean_published_rate",
     "mwtf",
     "mwtf_ratio",

@@ -6,7 +6,7 @@ results" (Section III-B).  This module provides the standard estimators
 used with FI sampling: Wald, Wilson and Clopper–Pearson intervals for
 the failure proportion, plus their extrapolation to absolute failure
 counts, a sample-size planner, and each interval's exact coverage at a
-known proportion (:func:`coverage`).
+known proportion (:func:`interval_coverage`).
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def binomial_pmf(n: int, k: int, p: float) -> float:
                     + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def coverage(method: str, n: int, p: float,
-             confidence: float = 0.95) -> float:
+def interval_coverage(method: str, n: int, p: float,
+                      confidence: float = 0.95) -> float:
     """Exact coverage of ``method``'s interval: the probability that an
     ``n``-sample campaign's interval contains the true proportion ``p``.
 

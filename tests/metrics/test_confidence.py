@@ -12,9 +12,9 @@ from repro.campaign import record_golden, run_sampling
 from repro.metrics import (
     binomial_pmf,
     clopper_pearson_interval,
-    coverage,
     extrapolated_failure_interval,
     failure_proportion_interval,
+    interval_coverage,
     required_samples,
     wald_interval,
     wilson_interval,
@@ -123,19 +123,32 @@ class TestExactCoverage:
     def test_hardened_variant_table(self, method, n, expected):
         """Wald misses the hardened variant's F in 61 % of 100-sample
         campaigns — each that sees no failure reports ``[0, 0]``."""
-        assert coverage(method, n, SUMDMR_P) == pytest.approx(expected,
-                                                              abs=5e-4)
+        assert interval_coverage(method, n, SUMDMR_P) \
+            == pytest.approx(expected, abs=5e-4)
 
     def test_clopper_pearson_is_conservative(self):
         pytest.importorskip("scipy")
         for n in (100, 1_000):
-            assert coverage("clopper-pearson", n, SUMDMR_P) >= 0.95
+            assert interval_coverage("clopper-pearson", n, SUMDMR_P) \
+                >= 0.95
 
     def test_unknown_method_and_empty_campaign_refused(self):
         with pytest.raises(ValueError, match="unknown method"):
-            coverage("agresti", 10, 0.1)
+            interval_coverage("agresti", 10, 0.1)
         with pytest.raises(ValueError):
-            coverage("wilson", 0, 0.1)
+            interval_coverage("wilson", 0, 0.1)
+
+    def test_the_coverage_submodule_is_not_shadowed(self):
+        """``repro.metrics.coverage`` is the fault-coverage module; the
+        interval's exact coverage has its own name, so exporting it
+        cannot rebind the submodule's attribute on the package."""
+        import repro.metrics
+        import repro.metrics.coverage as module
+
+        assert callable(module.weighted_coverage)
+        assert module.__name__ == "repro.metrics.coverage"
+        assert repro.metrics.interval_coverage("wilson", 1_000, SUMDMR_P) \
+            == pytest.approx(0.962, abs=5e-4)
 
 
 class TestSamplePlanning:
