@@ -10,13 +10,11 @@ What "composition pays" stands for is asserted as counts, not as a
 ratio of wall times: nothing executed, every experiment composed, at
 most three commits, one ``class_results`` row written per live class
 (not per bit), and — over the composed variants and their summaries —
-no ``Outcome(...)`` construction, no per-bit expansion of a stored run
-(``journal._expand`` / ``journal.run_rows``: a class stored whole is
-read, validated, kept and re-journaled as its run) and no
-``Enum.__hash__`` call on an outcome (the summary counts classes with
-``tuple.count``).  The prologue is counted too: a plain resume of the
-swept family builds no section map (the journal holds every campaign
-whole, so there is nothing to compose), and the section maps of a
+no ``Outcome(...)`` construction and no ``Enum.__hash__`` call on an
+outcome (the summary counts classes with ``tuple.count``).  The
+prologue is counted too: a plain resume of the swept family builds no
+section map (the journal holds every campaign whole, so there is
+nothing to compose), and the section maps of a
 ``resume=False`` sweep execute no interpreter instruction (their entry
 digests come off the golden checkpoint ladder).  No wall time is taken:
 both sweeps of this small family are mostly the fixed cost of a campaign
@@ -97,14 +95,13 @@ def _counted_sweep(goldens, path, monkeypatch):
     window's clock frozen so that only the sweep's own flushes commit,
     and the rows it writes to ``class_results`` (the trace sees every
     row an ``executemany`` binds); over the sweep the ``Outcome(value)``
-    calls, the per-bit expansions of stored runs, the ``Enum.__hash__``
-    calls on outcomes, and the section maps built and the interpreter
-    instructions they execute."""
+    calls, the ``Enum.__hash__`` calls on outcomes, and the section
+    maps built and the interpreter instructions they execute."""
     enum_type = type(Outcome)
     enum_call = enum_type.__call__
     enum_hash = enum.Enum.__hash__
-    counts = {"constructed": 0, "expanded": 0, "hashed": 0,
-              "section_maps": 0, "section_cycles": 0}
+    counts = {"constructed": 0, "hashed": 0, "section_maps": 0,
+              "section_cycles": 0}
 
     def counting_call(cls, *args, **kwargs):
         if cls is Outcome:
@@ -116,12 +113,6 @@ def _counted_sweep(goldens, path, monkeypatch):
             counts["hashed"] += 1
         return enum_hash(member)
 
-    def counting(function):
-        def counted(*args, **kwargs):
-            counts["expanded"] += 1
-            return function(*args, **kwargs)
-        return counted
-
     results, commits, class_rows, statements = {}, {}, {}, []
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
@@ -129,9 +120,6 @@ def _counted_sweep(goldens, path, monkeypatch):
         patch.setattr(enum_type, "__call__", counting_call)
         patch.setattr(enum.Enum, "__hash__", counting_hash)
         _counting_section_maps(patch, counts)
-        for name in ("_expand", "run_rows"):
-            patch.setattr(journal_module, name,
-                          counting(getattr(journal_module, name)))
         journal._conn.set_trace_callback(statements.append)
         for name in VARIANTS:
             statements.clear()
@@ -188,9 +176,6 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     assert constructed == 0, (
         f"{constructed} Outcome(value) constructions on the warm path: "
         f"stored values are looked up in OUTCOME_BY_VALUE")
-    assert counts["expanded"] == 0, (
-        f"{counts['expanded']} per-bit expansions of stored runs on the "
-        f"warm path: a class stored whole stays a run")
     assert counts["hashed"] == 0, (
         f"{counts['hashed']} Enum.__hash__ calls on outcomes on the warm "
         f"path: classes are counted with tuple.count")

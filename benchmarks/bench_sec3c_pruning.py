@@ -11,7 +11,7 @@ from repro.campaign import record_golden
 from repro.programs import bin_sem2, sync2
 
 
-def test_sec3c_pruning_effectiveness(fig2_summaries, output_dir):
+def test_sec3c_pruning_effectiveness(output_dir):
     lines = ["Section III-C: def/use pruning effectiveness",
              f"{'program':18s} {'w':>12s} {'experiments':>12s} "
              f"{'reduction':>10s}"]

@@ -6,13 +6,15 @@ the golden run's sections (:mod:`repro.faultspace.sections`), interns
 them in the journal and links them to the campaign; during the run it
 answers two questions:
 
-* *compose*: does the store already hold results — written by **any**
-  previous campaign, typically a different program variant or an
-  earlier sweep — for every experiment of this equivalence class?  If
-  so, the class's stored run is returned without executing anything
-  and the runner merges it exactly as it merges a resumed journal run.
+* *compose*: does the store already hold this equivalence class whole
+  — one valid run from bit 0, written by **any** previous campaign,
+  typically a different program variant or an earlier sweep?  If so,
+  that run is returned without executing anything and the runner
+  merges it exactly as it merges a resumed journal run.  A sampled
+  experiment composes from a single-bit run stored at its bit or from
+  its value in a run stored from bit 0.
 * *store*: a freshly executed class/experiment is written back as the
-  run its style's ``execute`` yielded, first-wins per bit (a longer run
+  run its style's ``execute`` yielded, first-wins per key (a longer run
   replaces a shorter one stored at the same first bit, nothing else is
   overwritten), so concurrent or repeated campaigns agree.  Every
   transport stores a batch as one unit, as it journals it
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 
 from ..faultspace.sections import build_section_map
-from .journal import CampaignJournal, _valid_run, whole_run
+from .journal import CampaignJournal, _valid_run
 
 
 class SectionComposer:
@@ -88,18 +90,20 @@ class SectionComposer:
         :meth:`~.journal.CampaignJournal.record_classes` takes — or
         ``None``.
 
-        A class composes only when the store holds *exactly* its
-        representative bits, each a valid value (:func:`~.journal
-        .whole_run`, the fabric's check): partial classes (a sampled
-        campaign stores single bits) and malformed ones re-execute
-        whole, preserving the class-atomic crash-tolerance unit.
+        A class composes only from a stored run from bit 0 that holds
+        exactly its experiments, each a valid value
+        (:func:`~.journal._valid_run`, the fabric's check): a class
+        stored in pieces (a sampled campaign stores single bits) or
+        malformed re-executes whole, preserving the class-atomic
+        crash-tolerance unit.
         """
         slot = interval.injection_slot
-        stored = self._section_rows(self.map.owner(slot).index).get(
-            (slot, self.domain.axis_of(interval)))
-        if stored is None:
+        run = self._section_rows(self.map.owner(slot).index).get(
+            (slot, self.domain.axis_of(interval), 0))
+        if run is None or not _valid_run(
+                run, self.domain.experiment_count(interval)):
             return None
-        return whole_run(stored, self.domain.experiment_count(interval))
+        return run
 
     def store_class(self, interval, run) -> None:
         """Write one freshly executed class, its run ``(outcomes,
@@ -125,19 +129,19 @@ class SectionComposer:
 
     def compose_experiment(self, slot: int, axis: int, bit: int):
         """One experiment's stored ``(outcome_value, end_cycle, trap)``
-        or ``None``; its class may be stored in part, and a malformed
-        value does not compose."""
-        stored = self._section_rows(self.map.owner(slot).index).get(
-            (slot, axis))
-        if stored is None:
-            return None
-        if isinstance(stored, list):  # per-bit rows
-            value = next((row[1:] for row in stored if row[0] == bit), None)
-        else:  # a run from bit 0: its columns agree in length
-            columns = [column.split(" ") for column in stored]
-            value = (tuple(column[bit] for column in columns)
-                     if bit < len(columns[0]) else None)
-        if value is None or not _valid_run(value, 1):
+        or ``None``: the single-bit run stored at ``bit``, else the
+        ``bit``-th value of the run stored from bit 0 (a class stored
+        whole or in part); a malformed value does not compose."""
+        rows = self._section_rows(self.map.owner(slot).index)
+        value = rows.get((slot, axis, bit))
+        if value is None or " " in value[0]:  # not a single-bit run
+            columns = [column.split(" ")
+                       for column in rows.get((slot, axis, 0), ())]
+            if not columns or any(len(column) <= bit
+                                  for column in columns):
+                return None
+            value = tuple(column[bit] for column in columns)
+        if not _valid_run(value, 1):
             return None
         outcome, end_cycle, trap = value
         return outcome, int(end_cycle), trap

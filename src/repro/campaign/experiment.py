@@ -246,13 +246,13 @@ class ExperimentExecutor:
         self.use_snapshots = use_snapshots
         self.early_stop = early_stop
         self.use_convergence = use_convergence
-        ladder = getattr(golden, "checkpoints", None)
+        ladder = golden.checkpoints
         if use_convergence and ladder is not None and ladder.digests:
             self._stride = ladder.stride
             self._golden_cycle_of = ladder.lookup()
         else:
-            # No ladder (hand-built or pre-ladder golden run) or
-            # convergence disabled: every tail runs to completion.
+            # No ladder (recorded with stride 0) or convergence
+            # disabled: every tail runs to completion.
             self._stride = 0
             self._golden_cycle_of = {}
         oracle = golden.output if early_stop else None

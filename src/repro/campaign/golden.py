@@ -80,14 +80,11 @@ class GoldenRun:
     trace: MemoryTrace
     #: ROM index executed at each slot (``pc_trace[t]`` ran at slot
     #: ``t + 1``).  Recorded once during :func:`record_golden`; register
-    #: def/use pruning derives its access events from it.  ``None`` only
-    #: for golden runs built by hand or unpickled from older versions.
-    pc_trace: tuple[int, ...] | None = None
+    #: def/use pruning derives its access events from it.
+    pc_trace: tuple[int, ...]
     #: Checkpoint-digest ladder for the convergence early-exit.  ``None``
-    #: for golden runs built by hand or unpickled from older versions
-    #: (the class attribute supplies the default, so old pickles load
-    #: cleanly); executors then simply run every post-injection tail to
-    #: completion.
+    #: when the run was recorded with ``checkpoint_stride=0``; executors
+    #: then simply run every post-injection tail to completion.
     checkpoints: CheckpointLadder | None = None
 
     @property
@@ -103,43 +100,9 @@ class GoldenRun:
         return partition
 
     def executed_pcs(self) -> list[int]:
-        """The executed-pc trace, replaying the run only if not recorded.
-
-        The replay fallback is cached (register-domain partitioning and
-        the analysis layer both call this), so even a hand-built golden
-        run re-executes at most once.  A fresh list is returned each
-        call; callers may mutate it freely.
-        """
-        if self.pc_trace is not None:
-            return list(self.pc_trace)
-        cached = self.__dict__.get("_replayed_pcs")
-        if cached is None:
-            cached = tuple(_replay_pc_trace(self))
-            # Frozen dataclass: write the cache through __dict__, which
-            # also keeps it out of equality and repr.
-            self.__dict__["_replayed_pcs"] = cached
-        return list(cached)
-
-
-def _replay_pc_trace(golden: GoldenRun) -> list[int]:
-    """Re-execute a golden run to recover its pc trace.
-
-    Fallback for :class:`GoldenRun` values that predate the recorded
-    ``pc_trace`` field; :func:`record_golden` captures the trace in the
-    original run, so this second execution is normally never needed.
-    """
-    machine = Machine(golden.program)
-    pcs: list[int] = []
-    while not machine.halted:
-        pc = machine.pc
-        before = machine.cycle
-        machine.step()
-        if machine.cycle > before:
-            pcs.append(pc)
-    if len(pcs) != golden.cycles:  # pragma: no cover - consistency check
-        raise AssertionError(
-            f"pc trace length {len(pcs)} != golden cycles {golden.cycles}")
-    return pcs
+        """The executed-pc trace as a fresh list; callers may mutate it
+        freely."""
+        return list(self.pc_trace)
 
 
 def record_golden(program: Program, *,

@@ -35,25 +35,22 @@ A row of ``class_results`` (and of the section store's
 ``bit``, its ``outcome``, ``end_cycle`` and ``trap`` columns the run's
 per-bit values separated by single spaces (no outcome value or trap
 name contains one).  A full-scan class is one run from bit 0, a sampled
-experiment — and every row a version-3 build wrote — a run of one.
-SQLite's cost is per row, not per statement, and the pipeline never
-reads or writes less than a class, so this is what a resume or a
-composition pays for.  A class stays in that stored form from reader to
-writer: :meth:`CampaignJournal.completed_classes` and
-:meth:`ExperimentJournal.section_rows` return a key that is one clean
-run from bit 0 as that run, the three strings ``(outcomes, end_cycles,
+experiment a run of one.  SQLite's cost is per row, not per statement,
+and the pipeline never reads or writes less than a class, so this is
+what a resume or a composition pays for.  A class stays in that stored
+form from reader to writer: :meth:`CampaignJournal.completed_classes`
+returns each class's run from bit 0 and
+:meth:`ExperimentJournal.section_rows` every run of a section keyed by
+its first bit, each the three strings ``(outcomes, end_cycles,
 traps)``; :meth:`CampaignJournal.record_classes` and
 :meth:`ExperimentJournal.merge_section_runs` write runs as they are
 given.  A run is also what a style's ``execute`` yields and what the
 distributed fabric ships, so nothing converts a class between an
-executor and the journal, in-process or over the wire.
-A sampled experiment's row reads as its run of one.  Every other
-key — a version-3 file's row per bit, a torn or gapped class — reads
-as per-bit rows: runs walked in key order, a bit an earlier run of the
-same key already covered skipped.
-First wins per bit, which is sound because experiments are
-deterministic.  Readers never interpret a value; :func:`whole_run` and
-:func:`_valid_run` decide what a class may be trusted as.
+executor and the journal, in-process or over the wire.  Readers never
+interpret a value: :func:`_valid_run` decides whether a run may be
+trusted, and a class that is not one valid run from bit 0 — torn,
+shifted, or stored a row per bit by an older build — is re-executed,
+never stitched together from pieces.
 
 Writes are group-committed.  Every unit the campaign treats as atomic
 (one class, one batch of sampled experiments, one class's section
@@ -84,7 +81,7 @@ import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..faultspace.sections import canonical_params
 from .outcomes import OUTCOME_BY_VALUE
@@ -92,19 +89,13 @@ from .outcomes import OUTCOME_BY_VALUE
 if TYPE_CHECKING:
     from .salvage import SalvageReport
 
-#: Current schema version.  Version 2 added the cross-campaign section
-#: store (``sections``/``section_results``/``campaign_sections``) and a
-#: ``summaries`` table this build neither creates nor reads (a file
-#: that has one keeps it, and salvage leaves it behind — as it does the
-#: per-coordinate brute-force table of older builds); version 3
-#: added the ``fabric_events`` log
-#: (integrity incidents of the distributed fabric);
-#: version 4 stores runs of bits per ``class_results`` /
-#: ``section_results`` row (module docstring).  Every older row reads as
-#: a run of one, so older journals migrate in place on open by the
-#: version stamp alone.  Journals written by a *newer* build than this
-#: one are rejected instead of silently misread — a version-3 build
-#: would take a run for its first bit.
+#: Current schema version: version 4 stores runs of bits per
+#: ``class_results`` / ``section_results`` row (module docstring).  A
+#: file stamped with any other version is refused, unchanged: a newer
+#: build's rows may mean something this one cannot read, and an older
+#: build's per-bit rows are not classes this build resumes.  A file an
+#: older build migrated from version 3 by its stamp alone opens like any
+#: other: its per-bit classes fail validation and re-execute.
 #:
 #: The two result tables are ``WITHOUT ROWID``: clustered on their
 #: four-column key, so a row is stored once (a rowid table keeps it in
@@ -113,8 +104,8 @@ if TYPE_CHECKING:
 #: meaning, so it carries no version: ``CREATE TABLE IF NOT EXISTS``
 #: leaves the tables of an older file as they are — rowid layout, and
 #: an ``end_cycle`` of INTEGER affinity, which stores a run of one's end
-#: cycle as an integer — and every layout opens, resumes, composes and
-#: salvages.
+#: cycle as an integer (readers ``str()`` it) — and every layout opens,
+#: resumes, composes and salvages.
 SCHEMA_VERSION = 4
 
 #: SQL for the number of bits in a run row: one more than the number of
@@ -244,88 +235,6 @@ class JournalMismatchError(JournalError):
     """
 
 
-def _expand(cursor) -> dict[tuple[int, int], list]:
-    """Run rows ``(key, key, first_bit, outcomes, end_cycles, traps)``,
-    read in key order, as ``(key, key)`` → per-bit ``(bit, outcome,
-    end_cycle, trap)`` rows in bit order, every value as stored.
-
-    A bit an earlier run of the same key already covers is skipped —
-    first wins per bit — so each key's bits come out distinct and
-    ascending.  A run whose three columns disagree in length is
-    unreadable and yields no bits: its class is short or absent, so it
-    fails validation, or does not compose, and re-executes.
-    """
-    out: dict[tuple[int, int], list] = {}
-    last = None
-    for major, minor, bit, outcomes, cycles, traps in cursor:
-        # The cursor is in key order: a changed key starts a class.
-        key = (major, minor)
-        if key != last:
-            last = key
-            covered = bit
-        outcomes = outcomes.split(" ")
-        # str(): an INTEGER-affinity column of a version-3 table stores
-        # a run of one's end cycle as an integer.
-        cycles = str(cycles).split(" ")
-        traps = traps.split(" ")
-        count = len(outcomes)
-        if len(cycles) != count or len(traps) != count:
-            continue
-        skip = covered - bit
-        if skip > 0:
-            if skip >= count:
-                continue
-            outcomes, cycles, traps = \
-                outcomes[skip:], cycles[skip:], traps[skip:]
-            bit = covered
-        covered = bit + len(outcomes)
-        out.setdefault(key, []).extend(
-            run_rows(bit, outcomes, cycles, traps))
-    return out
-
-
-def run_rows(bit: int, outcomes: list, cycles: list,
-             traps: list) -> Iterator[tuple]:
-    """One run's split columns, its first bit ``bit``, as per-bit
-    ``(bit, outcome, end_cycle, trap)`` rows (:func:`_expand`)."""
-    return zip(range(bit, bit + len(outcomes)), outcomes, cycles, traps)
-
-
-def _read_runs(cursor) -> dict[tuple[int, int], tuple | list]:
-    """:func:`_expand`'s input as ``(key, key)`` → the key's run
-    ``(outcomes, end_cycles, traps)`` when the key is one clean run from
-    bit 0 — a single row, at bit 0, its three columns of one length —
-    and otherwise the per-bit rows :func:`_expand` gives it.
-
-    The clean case is every class this build writes, and it costs a
-    few string counts a class: nothing is split or expanded per bit.
-    """
-    out: dict[tuple[int, int], tuple | None] = {}
-    rest = []  # the rows of every key that is not one clean run
-    last = None
-    for major, minor, bit, outcomes, cycles, traps in cursor:
-        key = (major, minor)
-        cycles = str(cycles)  # see _expand
-        if key != last:
-            last = key
-            if bit == 0 and outcomes.count(" ") == cycles.count(" ") \
-                    == traps.count(" "):
-                out[key] = (outcomes, cycles, traps)
-                continue
-            out[key] = None
-        elif out[key] is not None:
-            # A second run for a key read as clean: it is not.
-            rest.append((major, minor, 0, *out[key]))
-            out[key] = None
-        rest.append((major, minor, bit, outcomes, cycles, traps))
-    if not rest:
-        return out
-    expanded = _expand(rest)
-    return {key: expanded[key] if run is None else run
-            for key, run in out.items()
-            if run is not None or key in expanded}
-
-
 #: Valid outcome strings a run may carry.
 _OUTCOME_VALUES = frozenset(OUTCOME_BY_VALUE)
 
@@ -343,24 +252,6 @@ def _valid_run(run, count: int) -> bool:
             == count
             and _OUTCOME_VALUES.issuperset(outcomes.split(" "))
             and end_cycles.isascii() and all(map(str.isdigit, cycles)))
-
-
-def whole_run(stored, count: int) -> tuple[str, str, str] | None:
-    """A reader's value for one class (:func:`_read_runs`) as the class's
-    run from bit 0 when it holds exactly the bits ``0 … count − 1`` and
-    passes :func:`_valid_run`; ``None`` when it is partial, shifted or
-    malformed — a class that must be re-executed, never trusted.
-
-    Per-bit rows hold distinct ascending bits, so ``count`` of them from
-    ``0`` to ``count − 1`` are the class; they are joined into the run
-    they would have been stored as.
-    """
-    if isinstance(stored, list):
-        if len(stored) != count or stored[0][0] != 0 \
-                or stored[-1][0] != count - 1:
-            return None
-        stored = tuple(" ".join(column) for column in list(zip(*stored))[1:])
-    return stored if _valid_run(stored, count) else None
 
 
 class ExperimentJournal:
@@ -402,39 +293,18 @@ class ExperimentJournal:
 
             self.salvage_report = salvage_journal(self.path)
             self._conn = self._connect()
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'") \
-            .fetchone()
-        if row is None:
+        if self._query("SELECT 1 FROM meta WHERE key = "
+                       "'schema_version'").fetchone() is None:
             # OR IGNORE: two drivers may be creating this file at once.
             self._write("INSERT OR IGNORE INTO meta (key, value) "
                         "VALUES (?, ?)",
                         [("schema_version", str(SCHEMA_VERSION))])
             self.flush()
-            return
-        try:
-            stored = int(row[0])
-        except (TypeError, ValueError):
-            raise JournalError(
-                f"journal {self.path!r} has unreadable schema version "
-                f"{row[0]!r}, this build expects {SCHEMA_VERSION}") \
-                from None
-        if stored > SCHEMA_VERSION:
-            raise JournalError(
-                f"journal {self.path!r} has schema version {row[0]}, "
-                f"this build expects {SCHEMA_VERSION}")
-        if stored < SCHEMA_VERSION:
-            # Older versions lack only tables, which the executescript
-            # above already created, and their per-bit result rows are
-            # runs of one; migration is just the version stamp.
-            # Existing rows are untouched — no data loss.
-            self._write(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                [(str(SCHEMA_VERSION),)])
-            self.flush()
 
     def _connect(self) -> sqlite3.Connection:
-        """Open, integrity-check and schema-initialize the database."""
+        """Open, integrity-check, version-check and schema-initialize
+        the database; a file stamped with another schema version is
+        refused before anything is written to it."""
         try:
             conn = sqlite3.connect(self.path)
         except sqlite3.Error as exc:  # no file to salvage: not corrupt
@@ -450,13 +320,24 @@ class ExperimentJournal:
             conn.execute("PRAGMA journal_mode = WAL")
             check = conn.execute("PRAGMA quick_check").fetchone()
             if check is not None and check[0] != "ok":
-                conn.close()
                 raise JournalCorruptError(
                     f"journal {self.path!r} failed SQLite quick_check: "
                     f"{check[0]} — the file is corrupt; open with "
                     f"salvage=True (or `repro journal --salvage`) to "
                     f"recover the readable rows")
+            stamp = None
+            if conn.execute("SELECT 1 FROM sqlite_master WHERE "
+                            "name = 'meta'").fetchone():
+                stamp = conn.execute("SELECT value FROM meta WHERE key = "
+                                     "'schema_version'").fetchone()
+            if stamp is not None and stamp[0] != str(SCHEMA_VERSION):
+                raise JournalError(
+                    f"journal {self.path!r} has schema version "
+                    f"{stamp[0]}, this build expects {SCHEMA_VERSION}")
             conn.executescript(_SCHEMA)
+        except JournalError:
+            conn.close()
+            raise
         except sqlite3.DatabaseError as exc:
             conn.close()
             if _is_busy(exc):  # in use, not corrupt: never salvage it
@@ -665,20 +546,19 @@ class ExperimentJournal:
             f"trap = excluded.trap WHERE {new} > {stored}", list(runs))
 
     def section_rows(self, section_id: int) \
-            -> dict[tuple[int, int], tuple | list]:
-        """Stored results of one section, grouped the way classes are:
-        ``(slot, axis)`` → the class's run ``(outcomes, end_cycles,
-        traps)`` when it is one clean run from bit 0, else its per-bit
-        ``(bit, outcome, end_cycle, trap)`` rows (:func:`_read_runs`).
-
-        Everything stays as stored — a run is exactly what
-        :meth:`CampaignJournal.record_classes` takes — because that is
-        where a composed class goes next.
-        """
-        return _read_runs(self._query(
-            "SELECT slot, axis, bit, outcome, end_cycle, trap "
-            "FROM section_results WHERE section_id = ? "
-            "ORDER BY slot, axis, bit", (section_id,)))
+            -> dict[tuple[int, int, int], tuple[str, str, str]]:
+        """Stored runs of one section, ``(slot, axis, first_bit)`` →
+        ``(outcomes, end_cycles, traps)``, every value as stored: a
+        class's run is what :meth:`CampaignJournal.record_classes`
+        takes, because that is where a composed class goes next."""
+        # str(): an INTEGER-affinity column of an older table stores a
+        # run of one's end cycle as an integer.
+        return {(slot, axis, bit): (outcome, str(end_cycle), trap)
+                for slot, axis, bit, outcome, end_cycle, trap
+                in self._query(
+                    "SELECT slot, axis, bit, outcome, end_cycle, trap "
+                    "FROM section_results WHERE section_id = ?",
+                    (section_id,))}
 
     def sections(self) -> list[dict]:
         """All stored sections with their result and reference counts."""
@@ -863,15 +743,19 @@ class CampaignJournal:
             [(campaign_id, axis, first_slot, *run)
              for axis, first_slot, run in classes])
 
-    def completed_classes(self) -> dict[tuple[int, int], tuple | list]:
+    def completed_classes(self) \
+            -> dict[tuple[int, int], tuple[str, str, str]]:
         """Journaled classes: ``(axis, first_slot)`` → the class's run
-        ``(outcomes, end_cycles, traps)`` when it is one clean run from
-        bit 0, else its per-bit rows (:func:`_read_runs`), every value
-        as stored: :func:`whole_run` says whether it can be trusted."""
-        return _read_runs(self.journal._query(
-            "SELECT axis, first_slot, bit, outcome, end_cycle, trap "
-            "FROM class_results WHERE campaign_id = ? "
-            "ORDER BY axis, first_slot, bit", (self.campaign_id,)))
+        ``(outcomes, end_cycles, traps)`` from bit 0, every value as
+        stored (the style validates it).  Rows at any other bit belong
+        to no class this build writes and are not read."""
+        # str(): see ExperimentJournal.section_rows.
+        return {(axis, first_slot): (outcome, str(end_cycle), trap)
+                for axis, first_slot, outcome, end_cycle, trap
+                in self.journal._query(
+                    "SELECT axis, first_slot, outcome, end_cycle, trap "
+                    "FROM class_results WHERE campaign_id = ? AND bit = 0 "
+                    "ORDER BY axis, first_slot", (self.campaign_id,))}
 
     def merge_class(self, axis: int, first_slot: int,
                     run: tuple[str, str, str]) -> bool:
@@ -983,8 +867,7 @@ class CampaignJournal:
         """Journaled sampled experiments keyed ``(axis, first_slot, bit)``,
         each as its run of one, every value as stored (the style
         validates it)."""
-        # str(): an INTEGER-affinity column of a version-3 table stores
-        # the end cycle as an integer.
+        # str(): see ExperimentJournal.section_rows.
         return {(axis, first_slot, bit): (outcome, str(end_cycle), trap)
                 for axis, first_slot, bit, outcome, end_cycle, trap
                 in self.journal._query(

@@ -427,11 +427,10 @@ class CampaignStyle:
         reads unless records were asked for."""
         return run
 
-    def trusted(self, handle, report, stored: dict, check=None) -> dict:
+    def trusted(self, handle, report, stored: dict) -> dict:
         """``key →`` :meth:`keep` value of the journaled units
-        ``stored`` (``key → value`` as a journal reader returns it)
-        that ``check(key, value)`` turns into a run — by default, a
-        value that is a run passing :meth:`valid_run`.
+        ``stored`` (``key → run`` as a journal reader returns it) whose
+        run passes :meth:`valid_run`.
 
         Never trust resumed units blindly: a salvaged journal can hold
         partial units (page loss truncates committed rows) and any file
@@ -439,16 +438,12 @@ class CampaignStyle:
         have.  Those are discarded — counted in ``discarded_results``,
         one ``salvage-prune`` event — and re-executed.
         """
-        if check is None:
-            def check(key, run):
-                return run if self.valid_run(key, run) else None
         kept, bad = {}, []
-        for key, value in stored.items():
-            run = check(key, value) if key in self.units else None
-            if run is None:
-                bad.append(key)
-            else:
+        for key, run in stored.items():
+            if key in self.units and self.valid_run(key, run):
                 kept[key] = self.keep(key, run)
+            else:
+                bad.append(key)
         if bad:
             self.discard(handle, bad)
             report.discarded_results += len(bad)

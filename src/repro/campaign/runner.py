@@ -55,7 +55,7 @@ from ..faultspace.sampling import (
 )
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import _valid_run, whole_run
+from .journal import _valid_run
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
     CampaignStyle,
@@ -281,12 +281,7 @@ class ScanStyle(CampaignStyle):
         self._decoded: dict[str, tuple[Outcome, ...]] = {}
 
     def load(self, handle, report):
-        # A class stored whole or as per-bit rows (a version-3 file) is
-        # trusted only as the run of exactly its experiments.
-        units, count = self.units, self.domain.experiment_count
-        return self.trusted(
-            handle, report, handle.completed_classes(),
-            lambda key, stored: whole_run(stored, count(units[key])))
+        return self.trusted(handle, report, handle.completed_classes())
 
     def compose(self, composer, completed, handle, report):
         batch = []

@@ -38,9 +38,9 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     by reading each of its tables (:func:`schema_tables`) row-by-row
     until the first unreadable page.  SQLite's transactionality means
     every recovered row was durably committed; what is *lost* is any
-    row on a damaged page — which in a file a version-3 build wrote (a
-    row per bit) can truncate a class mid-way, so the pipeline's
-    prologue validates every resumed class (:func:`whole_run`), under
+    row on a damaged page, and a file an older build wrote a row per
+    bit can lose a class's tail that way, so the pipeline's prologue
+    validates every resumed class (:func:`~.journal._valid_run`), under
     every transport, instead of trusting recovered classes blindly.
     """
     path = str(path)

@@ -548,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     # Commands return their exit status; informational ones return None.
     try:
         return args.func(args) or 0
-    except JournalError as exc:  # corrupt, mismatched, too new, unopenable
+    except JournalError as exc:  # corrupt, mismatch, other schema, unopenable
         raise SystemExit(f"repro: {exc}") from None
 
 

@@ -117,10 +117,10 @@ class CriticalityMap:
 def backward_slice(golden) -> CriticalityMap:
     """Compute the criticality timelines of ``golden`` (one backward pass).
 
-    Uses the recorded pc trace (falling back to
-    :meth:`~repro.campaign.golden.GoldenRun.executed_pcs` for hand-built
-    golden runs) and the memory trace for effective addresses, so no
-    re-execution is needed.  Cost is O(Δt) time and O(toggles) space —
+    Uses the recorded pc trace
+    (:meth:`~repro.campaign.golden.GoldenRun.executed_pcs`) and the
+    memory trace for effective addresses, so no re-execution is
+    needed.  Cost is O(Δt) time and O(toggles) space —
     a few milliseconds even for the largest bundled benchmarks.
     """
     rom = golden.program.rom

@@ -5,7 +5,7 @@ experiments, not rows: a result row is a run of bits
 
 import sqlite3
 
-from repro.campaign.journal import RUN_BITS, run_rows
+from repro.campaign.journal import RUN_BITS
 
 
 def class_experiments(path) -> dict[tuple[int, int], int]:
@@ -33,15 +33,16 @@ def stored_experiments(path, table: str) -> int:
         conn.close()
 
 
-def per_bit_rows(stored) -> list[tuple[int, str, int, str]]:
-    """A journal reader's value for one class — the run ``(outcomes,
-    end_cycles, traps)`` of a class stored whole, or the per-bit rows of
-    any other — as per-bit ``(bit, outcome_value, end_cycle, trap)``
-    rows, end cycles as integers."""
-    if isinstance(stored, tuple):
-        stored = run_rows(0, *(column.split(" ") for column in stored))
+def per_bit_rows(run, first_bit: int = 0) \
+        -> list[tuple[int, str, int, str]]:
+    """A run ``(outcomes, end_cycles, traps)`` stored from ``first_bit``
+    as per-bit ``(bit, outcome_value, end_cycle, trap)`` rows, end
+    cycles as integers."""
+    outcomes, end_cycles, traps = (column.split(" ") for column in run)
     return [(bit, outcome, int(end_cycle), trap)
-            for bit, outcome, end_cycle, trap in stored]
+            for bit, outcome, end_cycle, trap in zip(
+                range(first_bit, first_bit + len(outcomes)), outcomes,
+                end_cycles, traps)]
 
 
 def truncate_first_class(path, keep: int) -> tuple[int, int]:

@@ -64,6 +64,25 @@ def _experiments(result) -> int:
                for interval in result.partition.live_classes())
 
 
+def _assert_refused(path, golden, version: int, capsys) -> None:
+    """The journal file ``path``, stamped ``version``, is refused by
+    the journal, by a journaled scan and by ``repro journal`` — each
+    naming both schema versions — and its bytes stay as they were."""
+    before = path.read_bytes()
+    message = (f"schema version {version}, this build expects "
+               f"{SCHEMA_VERSION}")
+    with pytest.raises(JournalError, match=message):
+        ExperimentJournal(path)
+    with pytest.raises(JournalError, match=message):
+        run_full_scan(golden, journal=path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["journal", "--journal", str(path)])
+    assert str(exit_.value).startswith("repro: ")
+    assert message in str(exit_.value)
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == before
+
+
 class TestWarmEqualsCold:
     @pytest.mark.parametrize(
         "domain", ["memory", "register", "burst2", "stuck", "pc"])
@@ -206,13 +225,13 @@ loop:   lw   r1, count(zero)
 
 
 class TestSchemaMigration:
-    def test_v1_journal_migrates_without_data_loss(self, tmp_path,
-                                                   golden):
+    def test_v1_journal_is_refused_untouched(self, tmp_path, golden,
+                                             capsys):
         """A journal written before the section store existed (schema
-        v1) opens via additive migration: its campaign rows survive and
-        the campaign resumes without executing anything."""
+        v1) holds rows a row per bit: refused like a newer one, and
+        left exactly as it was."""
         journal = tmp_path / "journal.sqlite"
-        cold = run_full_scan(golden, journal=journal, keep_records=True)
+        run_full_scan(golden, journal=journal)
         conn = sqlite3.connect(journal)
         for table in SECTION_TABLES:
             conn.execute(f"DROP TABLE {table}")
@@ -220,12 +239,7 @@ class TestSchemaMigration:
                      "WHERE key = 'schema_version'")
         conn.commit()
         conn.close()
-        resumed = run_full_scan(golden, journal=journal,
-                                keep_records=True)
-        assert resumed == cold
-        assert resumed.execution.executed == 0
-        with ExperimentJournal(journal) as handle:
-            assert handle.schema_version() == SCHEMA_VERSION
+        _assert_refused(journal, golden, 1, capsys)
 
     def test_newer_schema_is_rejected_with_clear_error(self, tmp_path,
                                                        golden):
@@ -519,15 +533,15 @@ def _v3_file(path, source, layout):
         class_rows = [
             (entry["id"], axis, first_slot, *row)
             for entry in journal.campaigns()
-            for (axis, first_slot), rows in CampaignJournal(
+            for (axis, first_slot), run in CampaignJournal(
                 journal, entry["id"]).completed_classes().items()
-            for row in per_bit_rows(rows)]
+            for row in per_bit_rows(run)]
         section_rows = [
             (entry["id"], slot, axis, *row)
             for entry in journal.sections()
-            for (slot, axis), rows in journal.section_rows(
+            for (slot, axis, bit), run in journal.section_rows(
                 entry["id"]).items()
-            for row in per_bit_rows(rows)]
+            for row in per_bit_rows(run, bit)]
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("ATTACH DATABASE ? AS source", (str(source),))
@@ -556,11 +570,21 @@ def _listing(command, path, capsys) -> list[str]:
         str(path), "<journal>").splitlines() if "bytes" not in line]
 
 
+def _stamp(path, version: int) -> None:
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE meta SET value = ? WHERE key = "
+                     "'schema_version'", (str(version),))
+    conn.close()
+
+
 class TestVersion3Journal:
     """A file a version-3 build wrote — a result row per bit, in either
-    table layout — is read as runs of one: it opens (stamped 4 from
-    then on), lists, resumes, composes and salvages like a version-4
-    file of the same campaigns, with no data migration."""
+    table layout — is refused as it stands.  Stamped 4, as an older
+    build's migration left it, it opens, lists, resumes, composes and
+    salvages: every class of more than one bit is not one stored run, so
+    it is discarded and re-executed, and the result is the cold one bit
+    for bit."""
 
     @pytest.fixture(params=["memory", "register", "pc"])
     def domain(self, request):
@@ -575,11 +599,23 @@ class TestVersion3Journal:
                              keep_records=True)
         return v4, cold
 
+    @staticmethod
+    def _multi_bit(cold) -> int:
+        """Live classes of more than one experiment."""
+        return sum(cold.domain.experiment_count(interval) > 1
+                   for interval in cold.partition.live_classes())
+
+    def test_a_file_stamped_3_is_refused_untouched(self, tmp_path, golden,
+                                                   journals, capsys):
+        v3 = _v3_file(tmp_path / "v3.sqlite", journals[0], "rowid")
+        _assert_refused(v3, golden, 3, capsys)
+
     @pytest.mark.parametrize("layout", ["clustered", "rowid"])
     def test_opens_lists_resumes_composes_and_salvages(
             self, tmp_path, golden, domain, journals, layout, capsys):
         v4, cold = journals
         v3 = _v3_file(tmp_path / "v3.sqlite", v4, layout)
+        _stamp(v3, 4)
         conn = sqlite3.connect(v3)
         assert conn.execute(
             "SELECT COUNT(*) FROM class_results").fetchone()[0] \
@@ -587,15 +623,18 @@ class TestVersion3Journal:
         conn.close()
         assert _listing("journal", v3, capsys) \
             == _listing("journal", v4, capsys)
-        with ExperimentJournal(v3) as handle:
-            assert handle.schema_version() == SCHEMA_VERSION == 4
+        multi = self._multi_bit(cold)
         resumed = run_full_scan(golden, domain=domain, journal=v3,
                                 keep_records=True)
         assert resumed == cold
-        assert resumed.execution.executed == 0
-        assert resumed.execution.resumed == resumed.execution.total_units
-        # Composed from the per-bit section rows, then journaled as runs
-        # into the version-3 tables and read back from them.
+        assert resumed.records == cold.records
+        assert resumed.execution.discarded_results \
+            == resumed.execution.executed == multi
+        assert resumed.execution.resumed \
+            == resumed.execution.total_units - multi
+        assert resumed.execution.composed_hits == 0
+        # The re-executed classes were stored whole, into the version-3
+        # tables, and now compose from them.
         for resume in (False, True):
             warm = run_full_scan(golden, domain=domain, journal=v3,
                                  resume=resume, keep_records=True)
@@ -614,9 +653,11 @@ class TestVersion3Journal:
     def test_a_class_missing_a_bit_is_redone(self, tmp_path, golden,
                                               domain, journals):
         """A salvaged version-3 file can hold a class with a bit lost
-        from its middle; validation is as strict as ever."""
+        from its middle: re-executed, like every class stored a row per
+        bit, and never composed from its section rows."""
         v4, cold = journals
         v3 = _v3_file(tmp_path / "v3.sqlite", v4, "clustered")
+        _stamp(v3, 4)
         conn = sqlite3.connect(v3)
         with conn:
             axis, first_slot = conn.execute(
@@ -628,10 +669,9 @@ class TestVersion3Journal:
         resumed = run_full_scan(golden, domain=domain, journal=v3,
                                 keep_records=True)
         assert resumed == cold
-        assert resumed.execution.discarded_results == 1
-        # Discarded, the class composes again from its section rows.
-        assert resumed.execution.executed == 0
-        assert resumed.execution.composed_hits == cold.domain.bits
+        assert resumed.execution.discarded_results \
+            == resumed.execution.executed == self._multi_bit(cold)
+        assert resumed.execution.composed_hits == 0
 
 
 class TestPartialClassesNeverCompose:
@@ -647,16 +687,22 @@ class TestPartialClassesNeverCompose:
 
     @staticmethod
     def _stored(journal, slot, axis):
-        """The class's stored experiments as the composer reads them:
-        ``(section_id, bit, outcome, end_cycle, trap)``, each bit once."""
+        """The class's stored experiments ``(section_id, bit, outcome,
+        end_cycle, trap)``, each bit once, from the first run in key
+        order that holds it."""
         conn = sqlite3.connect(journal)
         (section_id,) = conn.execute(
             "SELECT DISTINCT section_id FROM section_results WHERE "
             "slot = ? AND axis = ?", (slot, axis)).fetchone()
         conn.close()
         with ExperimentJournal(journal) as handle:
-            rows = per_bit_rows(handle.section_rows(section_id)[slot, axis])
-        return [(section_id, *row) for row in rows]
+            runs = handle.section_rows(section_id)
+        rows = {}
+        for (*key, bit), run in sorted(runs.items()):
+            if key == [slot, axis]:
+                for row in per_bit_rows(run, bit):
+                    rows.setdefault(row[0], row)
+        return [(section_id, *row) for row in rows.values()]
 
     @pytest.mark.parametrize("domain, bits", [("memory", 8),
                                               ("register", 32)])
@@ -710,21 +756,33 @@ class TestPartialClassesNeverCompose:
 
     def test_shifted_and_superset_bits_do_not_compose(self, tmp_path,
                                                       golden):
-        """``n`` stored bits ``1 … n`` are not the class, and neither
-        are the ``n + 1`` bits ``0 … n`` its re-execution leaves
-        behind (its run from bit 0 beside the shifted run from 1)."""
+        """``n`` stored bits ``1 … n`` are not the class, and neither is
+        a run of ``n + 1`` bits from bit 0; the class's run from bit 0,
+        which re-executing the shifted class stores, is."""
         journal = tmp_path / "journal.sqlite"
         cold = run_full_scan(golden, journal=journal, keep_records=True)
         _, slot, axis, bits = self._first_class(cold)
-        conn = sqlite3.connect(journal)
-        conn.execute("UPDATE section_results SET bit = 1 WHERE slot = ? "
-                     "AND axis = ? AND bit = 0", (slot, axis))
-        conn.commit()
-        conn.close()
-        for stored_bits in (range(1, bits + 1), range(bits + 1)):
-            assert [row[1] for row in self._stored(journal, slot, axis)] \
-                == list(stored_bits)
+
+        def spoil(sql):
+            conn = sqlite3.connect(journal)
+            with conn:
+                conn.execute(sql + " WHERE slot = ? AND axis = ? AND "
+                             "bit = 0", (slot, axis))
+            conn.close()
+
+        def executed():
             warm = run_full_scan(golden, journal=journal, resume=False,
                                  keep_records=True)
             assert warm == cold
-            assert warm.execution.executed == 1
+            return warm.execution.executed
+
+        spoil("UPDATE section_results SET bit = 1")
+        assert [row[1] for row in self._stored(journal, slot, axis)] \
+            == list(range(1, bits + 1))
+        assert executed() == 1
+        assert executed() == 0  # stored whole from bit 0 beside it
+        spoil("UPDATE section_results SET outcome = outcome || ' sdc', "
+              "end_cycle = end_cycle || ' 1', trap = trap || ' '")
+        assert [row[1] for row in self._stored(journal, slot, axis)] \
+            == list(range(bits + 1))
+        assert executed() == 1

@@ -668,9 +668,9 @@ class TestJournalCompatibility:
 
 
 class TestOldGoldenCompatibility:
-    """Golden runs unpickled from pre-ladder versions default both the
-    ladder and the pc trace to ``None``; the executor must degrade to
-    plain execution, not crash."""
+    """A golden run without a ladder (recorded with stride 0) has
+    ``checkpoints=None``; the executor must degrade to plain execution,
+    not crash."""
 
     def test_missing_checkpoints_degrade_gracefully(self):
         golden = record_golden(micro.counter(3))
@@ -679,15 +679,6 @@ class TestOldGoldenCompatibility:
         off = run_full_scan(golden, config=OFF)
         # The goldens differ by construction (one has no ladder), so
         # compare the campaign payloads rather than whole results.
-        assert on.class_outcomes == off.class_outcomes
-        assert on.weighted_counts() == off.weighted_counts()
-
-    def test_missing_pc_trace_degrades_gracefully(self):
-        golden = record_golden(micro.counter(3))
-        stripped = dataclasses.replace(golden, pc_trace=None,
-                                       checkpoints=None)
-        on = run_full_scan(stripped, config=ON)
-        off = run_full_scan(golden, config=OFF)
         assert on.class_outcomes == off.class_outcomes
         assert on.weighted_counts() == off.weighted_counts()
 

@@ -13,8 +13,8 @@ from repro.campaign import (
     run_full_scan,
 )
 from repro.campaign import journal as journal_module
-from repro.campaign.journal import (COMMIT_WINDOW_S, canonical_params,
-                                    open_campaign, whole_run)
+from repro.campaign.journal import (COMMIT_WINDOW_S, _valid_run,
+                                    canonical_params, open_campaign)
 from repro.faultspace import MEMORY, REGISTER
 from repro.programs import bin_sem2, micro
 
@@ -130,31 +130,35 @@ class TestCampaignJournal:
         assert stored == {(5, 2): ("sdc cpu-exception", "30 31", " BUS")}
 
     def test_rows_with_a_gap_keep_their_bits(self, journal):
-        """A torn class — one run per stretch of consecutive bits, what a
-        version-3 file losing a page leaves — reads back torn, and fails
-        validation, instead of closing the gap by renumbering."""
+        """A torn class — one run per stretch of consecutive bits, what
+        a file an older build wrote a row per bit leaves when it loses a
+        page — keeps its rows as stored, never renumbered; the reader
+        gives its run from bit 0 alone, which fails validation, so the
+        class re-executes."""
         campaign = _campaign(journal)
-        torn = [(0, "sdc", 30, ""), (1, "sdc", 31, "illegal-pc"),
-                (3, "timeout", 33, "")]
         journal._write(
             "INSERT INTO class_results VALUES (?, 5, 2, ?, ?, ?, ?)",
             [(campaign.campaign_id, 0, "sdc sdc", "30 31", " illegal-pc"),
              (campaign.campaign_id, 3, "timeout", "33", "")])
         stored = campaign.completed_classes()
-        assert stored == {(5, 2): [(bit, value, str(end), trap)
-                                   for bit, value, end, trap in torn]}
-        assert whole_run(stored[(5, 2)], 4) is None
+        assert stored == {(5, 2): ("sdc sdc", "30 31", " illegal-pc")}
+        assert not _valid_run(stored[(5, 2)], 4)
         assert journal.campaigns()[0]["journaled_experiments"] == 3
 
     def test_a_run_whose_columns_disagree_yields_no_bits(self, journal):
         """Two outcomes, one end cycle: which bit it belongs to is not
-        knowable, so the class reads as absent and is re-executed."""
+        knowable, so the class reads back as stored and fails
+        validation: it is re-executed, none of its bits trusted."""
         campaign = _campaign(journal)
         campaign.record_class(5, 2, ("sdc no-effect", "30 31", " "))
         journal._write(
             "INSERT INTO class_results VALUES (?, 6, 2, 0, 'sdc sdc', "
             "'30', ' ')", [(campaign.campaign_id,)])
-        assert list(campaign.completed_classes()) == [(5, 2)]
+        stored = campaign.completed_classes()
+        assert stored == {(5, 2): ("sdc no-effect", "30 31", " "),
+                          (6, 2): ("sdc sdc", "30", " ")}
+        assert [_valid_run(run, 2) for run in stored.values()] \
+            == [True, False]
 
     def test_experiment_rows_round_trip(self, journal):
         """A sampled experiment reads back as its run of one, every

@@ -40,7 +40,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.journal import whole_run
+from repro.campaign.journal import _valid_run
 from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
 from repro.programs import all_programs, hi, micro
@@ -575,7 +575,7 @@ class TestDriverSigkill:
                 cycles=listed["cycles"]).completed_classes()
         assert 0 < len(survived) < len(expected)
         assert set(survived) <= set(expected)
-        assert all(whole_run(stored, expected[key]) is not None
+        assert all(_valid_run(stored, expected[key])
                    for key, stored in survived.items())
 
         resumed = run_full_scan(golden, domain=domain, journal=journal,

@@ -25,7 +25,7 @@ from repro.campaign.journal import (
     ExperimentJournal,
     JournalCorruptError,
     JournalError,
-    whole_run,
+    _valid_run,
 )
 from repro.campaign.salvage import SalvageReport, salvage_journal
 from repro.programs import hi, micro
@@ -189,25 +189,44 @@ class TestCorruptJournal:
 
 class TestInvalidClasses:
     """What a resumed or composed class is trusted as: its run from bit
-    0, or ``None`` — re-execute it — from :func:`whole_run`, whether the
-    reader gave the run itself or a per-bit view of a torn key."""
+    0 when :func:`_valid_run` passes it, else nothing — the class is
+    re-executed.  A class stored in pieces is never stitched together."""
 
     RUN = ("no-effect sdc no-effect", "1 2 3", "  ")
-    ROWS = [(0, "no-effect", "1", ""), (1, "sdc", "2", ""),
-            (2, "no-effect", "3", "")]
+
+    @staticmethod
+    def _stored(runs) -> dict:
+        """What the class reader gives for class ``(5, 2)`` stored as
+        ``runs``, ``(first_bit, outcomes, end_cycles, traps)`` rows."""
+        with ExperimentJournal(":memory:") as journal:
+            campaign = journal.campaign(
+                fingerprint="probe", domain="memory", kind="full-scan",
+                params={}, cycles=100)
+            journal._write(
+                "INSERT INTO class_results VALUES (?, 5, 2, ?, ?, ?, ?)",
+                [(campaign.campaign_id, *run) for run in runs])
+            return campaign.completed_classes()
 
     def test_healthy_classes_pass(self):
-        assert whole_run(self.RUN, 3) == self.RUN
-        assert whole_run(self.ROWS, 3) == self.RUN
+        assert _valid_run(self.RUN, 3)
+        assert self._stored([(0, *self.RUN)]) == {(5, 2): self.RUN}
 
     def test_truncated_class_is_flagged(self):
-        assert whole_run(("no-effect sdc", "1 2", " "), 3) is None
-        assert whole_run(self.ROWS[:2], 3) is None
+        assert not _valid_run(("no-effect sdc", "1 2", " "), 3)
+        # A torn class: its run from bit 0 is short, the rest unread.
+        stored = self._stored([(0, "no-effect sdc", "1 2", " "),
+                               (2, "no-effect", "3", "")])
+        assert stored == {(5, 2): ("no-effect sdc", "1 2", " ")}
+        assert not _valid_run(stored[(5, 2)], 3)
 
     def test_wrong_bit_sequence_is_flagged(self):
-        assert whole_run([self.ROWS[0], self.ROWS[2]], 2) is None
-        assert whole_run([(bit + 1, *row) for bit, *row in self.ROWS],
-                         3) is None
+        # Per-bit rows: the run from bit 0 holds one bit.
+        stored = self._stored([(bit, *(column.split(" ")[bit]
+                                       for column in self.RUN))
+                               for bit in range(3)])
+        assert not _valid_run(stored[(5, 2)], 3)
+        # Shifted: no run from bit 0, no class.
+        assert self._stored([(1, *self.RUN)]) == {}
 
     @pytest.mark.parametrize("run", [
         ("bogus sdc no-effect", "1 2 3", "  "),
@@ -216,13 +235,16 @@ class TestInvalidClasses:
         ("no-effect sdc no-effect", "1 2 3", "   "),
     ])
     def test_malformed_values_are_flagged(self, run):
-        assert whole_run(run, 3) is None
+        assert not _valid_run(run, 3)
 
     @pytest.mark.parametrize("index, value", [(1, "bogus"), (2, "x6")])
     def test_malformed_per_bit_values_are_flagged(self, index, value):
-        rows = [list(row) for row in self.ROWS]
-        rows[1][index] = value
-        assert whole_run([tuple(row) for row in rows], 3) is None
+        """A single bit — a sampled experiment, or one composed from a
+        stored run — is checked as a run of one."""
+        row = ["sdc", "2", ""]
+        assert _valid_run(tuple(row), 1)
+        row[index - 1] = value
+        assert not _valid_run(tuple(row), 1)
 
 
 @pytest.fixture(scope="module")

@@ -159,12 +159,3 @@ def test_timelines_cover_the_whole_run():
     for reg in range(16):
         crit.reg_critical(0, reg)
         crit.reg_critical(golden.cycles - 1, reg)
-
-
-def test_slice_works_without_recorded_pc_trace():
-    """Hand-built golden runs replay their pc trace on demand."""
-    import dataclasses
-    golden = record_golden(micro.counter(1))
-    stripped = dataclasses.replace(golden, pc_trace=None)
-    assert backward_slice(stripped).byte_timelines \
-        == backward_slice(golden).byte_timelines

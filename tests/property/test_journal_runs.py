@@ -2,27 +2,27 @@
 
 A ``class_results`` / ``section_results`` row holds a run of bits, its
 per-bit values space-separated (``repro.campaign.journal``).  A class
-stored whole is read back as that run and written back as it was read;
-anything else is read bit by bit.  These properties pin that: a class of
-any width, with any outcomes, end cycles and (empty or named) traps,
+is trusted only as one valid run from bit 0, read back as stored and
+written back as it was read.  These properties pin that: a class of any
+width, with any outcomes, end cycles and (empty or named) traps,
 round-trips; a section fed any interleaving of sampled single bits and
-whole classes composes exactly what was stored, each bit once; and
-whatever mix of whole, torn, gapped, short, shifted, per-bit and
-malformed rows a journal holds, a campaign resumed and composed from it
-is the one the per-bit view of every key gives.
+whole classes composes a class exactly when it was stored whole and a
+bit exactly when it was stored; and whatever mix of whole, torn,
+gapped, short, shifted, per-bit and malformed rows a journal holds, a
+campaign resumed and composed from it equals the journal-free one, a
+class resuming or composing exactly when its stored run from bit 0 is
+valid.
 """
 
 import random
-from unittest import mock
 
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from repro.campaign import (ExperimentJournal, record_golden, run_full_scan,
                             run_sampling)
-from repro.campaign import journal as journal_module
 from repro.campaign.compose import SectionComposer
-from repro.campaign.journal import open_campaign
+from repro.campaign.journal import _valid_run, open_campaign
 from repro.campaign.outcomes import OUTCOME_BY_VALUE
 from repro.campaign.runner import ScanStyle
 from repro.faultspace import get_domain
@@ -133,6 +133,7 @@ class TestSectionInterleaving:
         domain_name, ops = sequence
         golden, domain, params, intervals = _section(domain_name)
         stored = [set() for _ in intervals]
+        whole = [False for _ in intervals]
         with ExperimentJournal(":memory:") as journal:
             writer = SectionComposer(_campaign(journal), golden, domain,
                                      params)
@@ -145,6 +146,7 @@ class TestSectionInterleaving:
                     writer.store_class(interval, _run([
                         _row(slot, axis, b) for b in range(width)]))
                     stored[index].update(range(width))
+                    whole[index] = True
                 else:
                     bit %= width
                     writer.store_runs([(slot, axis, bit,
@@ -152,13 +154,14 @@ class TestSectionInterleaving:
                     stored[index].add(bit)
             reader = SectionComposer(_campaign(journal, kind="sampling"),
                                      golden, domain, params)
-            for interval, bits in zip(intervals, stored):
+            for interval, bits, is_whole in zip(intervals, stored, whole):
                 slot = interval.injection_slot
                 axis = domain.axis_of(interval)
                 width = domain.experiment_count(interval)
                 full = [_row(slot, axis, b) for b in range(width)]
+                # Every bit sampled one at a time is not a class.
                 assert reader.compose_class(interval) \
-                    == (_run(full) if len(bits) == width else None)
+                    == (_run(full) if is_whole else None)
                 for bit in range(width):
                     assert reader.compose_experiment(slot, axis, bit) \
                         == (full[bit][1:] if bit in bits else None)
@@ -173,59 +176,63 @@ SHAPES = ("absent", "whole", "whole", "per-bit", "torn", "gapped", "short",
 _GOLDENS: dict = {}
 
 
-def _fake(slot: int, axis: int, bit: int) -> tuple[str, str, str]:
-    """A stored experiment no execution gives — its end cycle is past
-    any budget — so a class trusted when it should have been re-executed
-    shows in the result's records."""
-    return (VALUES[(5 * slot + axis + 3 * bit) % len(VALUES)],
-            str(10 ** 7 + 97 * slot + bit), TRAPS[(axis + bit) % len(TRAPS)])
-
-
-def _shape_runs(shape: str, slot: int, axis: int, width: int,
+def _shape_runs(shape: str, run: tuple[str, str, str],
                 rng: random.Random) -> list[tuple]:
     """The rows ``(first_bit, outcomes, end_cycles, traps)`` one class's
-    ``shape`` stores."""
-    def run(bits, spoil=None):
-        columns = [list(values) for values in zip(
-            *(_fake(slot, axis, bit) for bit in bits))]
+    ``shape`` stores, from the class's executed ``run``: every value the
+    true one, but for a spoiled value and the bit past a shifted run's
+    class, so a run read at the wrong bit shows in the result."""
+    values = list(zip(*(column.split(" ") for column in run)))
+    width = len(values)  # 8 or 32 here
+
+    def stored(bits, spoil=None):
+        columns = [list(column) for column in zip(
+            *(values[bit] if bit < width else ("sdc", "99999999", "")
+              for bit in bits))]
         if spoil is not None:
             column, value = spoil
             columns[column][rng.randrange(len(bits))] = value
         return (bits[0], *(" ".join(column) for column in columns))
 
-    every = list(range(width))  # a class has 8 or 32 bits here
+    every = list(range(width))
     cut = rng.randrange(1, width)
     if shape == "absent":
         return []
     if shape == "whole":
-        return [run(every)]
+        return [stored(every)]
     if shape == "per-bit":  # what a version-3 build wrote
-        return [run([bit]) for bit in every]
+        return [stored([bit]) for bit in every]
     if shape == "torn":  # whole, in two runs
-        return [run(every[:cut]), run(every[cut:])]
+        return [stored(every[:cut]), stored(every[cut:])]
     if shape == "gapped":  # bit ``cut`` lost
-        return [run(every[:cut])] + ([run(every[cut + 1:])]
-                                     if cut + 1 < width else [])
+        return [stored(every[:cut])] + ([stored(every[cut + 1:])]
+                                        if cut + 1 < width else [])
     if shape == "short":
-        return [run(every[:-1])]
+        return [stored(every[:-1])]
     if shape == "shifted":
-        return [run([bit + 1 for bit in every])]
+        return [stored([bit + 1 for bit in every])]
     if shape == "sampled":
-        return [run([bit]) for bit in sorted(rng.sample(every,
-                                                        min(width, 3)))]
+        return [stored([bit]) for bit in sorted(rng.sample(every, 3))]
     if shape == "overlap":  # a sampled bit beside the whole class
-        return [run(every), (cut, *_fake(slot, axis + 1, cut))]
+        return [stored(every), stored([cut])]
     if shape == "bad-outcome":
-        return [run(every, (0, "bogus"))]
-    return [run(every, (1, "x6"))]  # bad-cycle
+        return [stored(every, (0, "bogus"))]
+    return [stored(every, (1, "x6"))]  # bad-cycle
 
 
 def _golden(domain_name: str):
+    """``(golden, domain, params, live classes, class key → executed
+    run, journal-free sampling, journal-free scan)`` of ``counter(2)``."""
     if domain_name not in _GOLDENS:
         golden = record_golden(micro.counter(2))
         style = ScanStyle(golden, get_domain(domain_name))
-        _GOLDENS[domain_name] = (golden, style.domain, style.params,
-                                 style.partition.live_classes())
+        domain, live = style.domain, style.partition.live_classes()
+        runs = dict(ScanStyle.execute(style.config.build(golden), live))
+        _GOLDENS[domain_name] = (
+            golden, domain, style.params, live, runs,
+            run_sampling(golden, 40, seed=3, sampler="live-only",
+                         domain=domain),
+            run_full_scan(golden, domain=domain, keep_records=True))
     return _GOLDENS[domain_name]
 
 
@@ -242,65 +249,69 @@ def journal_states(draw):
             draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
 
 
-def _campaigns(state):
-    """Sample, then scan, against a journal holding ``state``; returns
-    the two results and the journal's result tables afterwards."""
-    domain_name, class_shapes, section_shapes, seed, resume = state
-    golden, domain, params, live = _golden(domain_name)
-    rng = random.Random(seed)
-    with ExperimentJournal(":memory:") as journal:
-        handle = open_campaign(journal, golden, domain, "full-scan", params)
-        composer = SectionComposer(handle, golden, domain, params)
-        class_rows, section_rows = [], []
-        for interval, in_class, in_section in zip(live, class_shapes,
-                                                  section_shapes):
-            slot, axis = interval.injection_slot, domain.axis_of(interval)
-            width = domain.experiment_count(interval)
-            section = composer._ids[composer.map.owner(slot).index]
-            class_rows += [(handle.campaign_id, axis, interval.first_slot,
-                            *run) for run in _shape_runs(
-                                in_class, slot, axis, width, rng)]
-            section_rows += [(section, slot, axis, *run) for run in
-                             _shape_runs(in_section, slot, axis, width, rng)]
-        marks = ", ".join("?" * 7)
-        with journal._conn:
-            journal._conn.executemany(
-                f"INSERT INTO class_results VALUES ({marks})", class_rows)
-            journal._conn.executemany(
-                f"INSERT INTO section_results VALUES ({marks})",
-                section_rows)
-        sampled = run_sampling(golden, 40, seed=3, sampler="live-only",
-                               domain=domain, journal=journal)
-        scanned = run_full_scan(golden, domain=domain, journal=journal,
-                                resume=resume, keep_records=True)
-        tables = [list(journal._conn.execute(
-            f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4"))
-                  for table in ("class_results", "section_results")]
-    return sampled, scanned, tables
-
-
-def _accounting(result):
-    execution = result.execution
-    return (execution.executed, execution.resumed, execution.composed_hits,
-            execution.discarded_results)
-
-
 class TestRunFormReaders:
     @SETTINGS
     @given(state=journal_states())
-    def test_resumed_and_composed_campaigns_equal_the_per_bit_view(
+    def test_resumed_and_composed_campaigns_equal_the_plain_ones(
             self, state):
-        """The readers' clean-run path against the per-bit view of every
-        key (``_read_runs`` replaced by ``_expand``): the sampled
-        and the full-scan campaign, their records and accounting, and
-        what they leave in the journal are the same."""
-        sampled, scanned, tables = _campaigns(state)
-        with mock.patch.object(journal_module, "_read_runs",
-                               journal_module._expand):
-            reference = _campaigns(state)
-        assert sampled == reference[0]
-        assert _accounting(sampled) == _accounting(reference[0])
-        assert scanned == reference[1]
-        assert scanned.records == reference[1].records
-        assert _accounting(scanned) == _accounting(reference[1])
-        assert tables == reference[2]
+        """Sample, then scan, against a journal holding ``state``: both
+        equal their journal-free runs, records included, and a class
+        resumes exactly when its class-table row at bit 0 is a valid
+        run of the class, composes exactly when it did not resume and
+        its section-store row at bit 0 is, and is discarded exactly
+        when it resumes from an invalid row."""
+        domain_name, class_shapes, section_shapes, seed, resume = state
+        golden, domain, params, live, runs, plain_sampled, plain = \
+            _golden(domain_name)
+        rng = random.Random(seed)
+        expected = dict(executed=0, resumed=0, composed_hits=0,
+                        discarded_results=0)
+        with ExperimentJournal(":memory:") as journal:
+            handle = open_campaign(journal, golden, domain, "full-scan",
+                                   params)
+            composer = SectionComposer(handle, golden, domain, params)
+            class_rows, section_rows = [], []
+            for interval, in_class, in_section in zip(live, class_shapes,
+                                                      section_shapes):
+                slot, axis = interval.injection_slot, domain.axis_of(interval)
+                key = domain.class_key(interval)
+                section = composer._ids[composer.map.owner(slot).index]
+                in_class = _shape_runs(in_class, runs[key], rng)
+                in_section = _shape_runs(in_section, runs[key], rng)
+                class_rows += [(handle.campaign_id, *key, *run)
+                               for run in in_class]
+                section_rows += [(section, slot, axis, *run)
+                                 for run in in_section]
+                width = domain.experiment_count(interval)
+                resumed = composed = False
+                if resume and in_class and in_class[0][0] == 0:
+                    resumed = _valid_run(in_class[0][1:], width)
+                    expected["discarded_results"] += not resumed
+                if not resumed and in_section and in_section[0][0] == 0:
+                    composed = _valid_run(in_section[0][1:], width)
+                # A composed class counts as resumed too: it was not
+                # executed.
+                expected["resumed"] += resumed or composed
+                expected["composed_hits"] += width * composed
+                expected["executed"] += not (resumed or composed)
+            marks = ", ".join("?" * 7)
+            with journal._conn:
+                journal._conn.executemany(
+                    f"INSERT INTO class_results VALUES ({marks})",
+                    class_rows)
+                journal._conn.executemany(
+                    f"INSERT INTO section_results VALUES ({marks})",
+                    section_rows)
+            sampled = run_sampling(golden, 40, seed=3, sampler="live-only",
+                                   domain=domain, journal=journal)
+            scanned = run_full_scan(golden, domain=domain, journal=journal,
+                                    resume=resume, keep_records=True)
+        assert sampled == plain_sampled
+        assert sampled.execution.executed \
+            + sampled.execution.composed_hits \
+            == plain_sampled.execution.executed
+        assert scanned == plain
+        assert scanned.records == plain.records
+        execution = scanned.execution
+        assert {name: getattr(execution, name) for name in expected} \
+            == expected
