@@ -3,24 +3,24 @@
 A seeded :class:`ChaosPlan` (the test fixture in
 ``tests/campaign/chaos.py``) drops, duplicates, corrupts and delays
 result frames on every worker while a full memcopy scan runs through
-the real coordinator/worker TCP stack over loopback: three workers on
-four shards.  Each soak must complete bit-for-bit identical to the
-serial ground truth — the invariant the chaos layer exists to defend.
+the real coordinator/worker stack, each worker a thread on its own
+socket pair (``tests/campaign/fabric.py``): three workers, one shard
+each (a campaign this small is planned a shard per worker).  A worker
+a drop ends is re-served with its chaos state.
+Each soak must complete bit-for-bit identical to the serial ground
+truth — the invariant the chaos layer exists to defend.
 
 Seeds are fixed (7, 11, 13 on the memory domain, 7 on register), so
 every run replays the same schedule.
 """
 
-import socket
-import threading
-
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
 from repro.campaign.dist import DistCoordinator
-from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import micro
-from tests.campaign.chaos import ChaosPlan, ChaosWorker
+from tests.campaign.chaos import ChaosPlan
+from tests.campaign.fabric import ThreadFleet, serve_in_thread
 
-#: Snappy failure detection for loopback soaks.
+#: Snappy failure detection for soaks.
 POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
                      max_retries=12)
 
@@ -36,22 +36,14 @@ WORKERS = 3
 def _soak(golden, baseline, *, seed, domain):
     """One chaos soak: complete and bit-for-bit identical to serial."""
     plan = ChaosPlan(seed=seed, **RATES)
-    sock = socket.create_server(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    coordinator = DistCoordinator(sock=sock, policy=POLICY, shards=4)
-    thread = serve_in_thread(coordinator, golden, domain=domain,
-                             keep_records=True)
-
-    workers = []
+    fleet = ThreadFleet()
     for index in range(WORKERS):
-        worker = ChaosWorker("127.0.0.1", port, plan, name=f"w{index}",
-                             reconnect_delay=0.05, max_reconnect_delay=0.3)
-        worker_thread = threading.Thread(target=worker.run, daemon=True)
-        worker_thread.start()
-        workers.append(worker_thread)
-    result = thread.join_result(300)
-    for worker_thread in workers:
-        worker_thread.join(10)
+        fleet.add(f"w{index}", plan)
+    coordinator = DistCoordinator(fleet, policy=POLICY, shards=4)
+    result = serve_in_thread(coordinator, golden, domain=domain,
+                             keep_records=True).join_result(300)
+    fleet.join()
+    assert not fleet.errors, (domain, seed, fleet.errors)
 
     execution = result.execution
     assert execution.complete, (domain, seed, execution.missing)

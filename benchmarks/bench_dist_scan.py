@@ -1,7 +1,7 @@
 """Distributed-fabric gates: bit-identity, send windows and node loss.
 
 Full def/use-pruned scans of the quick-scale sync2 baseline (items=2)
-run through the fabric's forked local workers over loopback
+run through the fabric's forked local workers, each on a socket pair
 (``run_distributed_scan``) at 1, 2 and 4 workers, each checked
 bit-for-bit against the serial ground truth (same ``CampaignResult``,
 same CSV bytes).  Two count gates pin what a class costs on the wire
@@ -15,11 +15,8 @@ every assertion holds regardless: correctness properties must not
 depend on the machine being generous.
 """
 
-import multiprocessing
 import os
 import signal
-import socket
-import threading
 
 from repro.campaign import (
     RetryPolicy,
@@ -28,12 +25,26 @@ from repro.campaign import (
     run_full_scan,
 )
 from repro.campaign.dist import run_distributed_scan
-from repro.campaign.dist import DistWorker
-from repro.campaign.dist.coordinator import DistCoordinator, serve_in_thread
+from repro.campaign.dist.coordinator import (DistCoordinator, LocalFabric,
+                                             serve_scan)
 from repro.programs import micro, sync2
+from tests.campaign.fabric import ThreadFleet, serve_in_thread
 
-#: Snappy failure detection for loopback chaos runs.
+#: Snappy failure detection for chaos runs.
 POLICY = RetryPolicy(heartbeat=0.5, poll_interval=0.05, backoff=0.1)
+
+
+def _serve_one_thread_worker(golden, **campaign):
+    """Serve a scan of ``golden`` to one thread worker: ``(result,
+    units the worker executed)``."""
+    fleet = ThreadFleet()
+    worker = fleet.add("w0")
+    coordinator = DistCoordinator(fleet, shards=4, policy=POLICY)
+    result = serve_in_thread(coordinator, golden,
+                             **campaign).join_result(120)
+    fleet.join()
+    assert not fleet.errors
+    return result, worker.executed
 
 
 def test_dist_scan_matches_serial(tmp_path):
@@ -76,13 +87,9 @@ def test_send_window_gate(monkeypatch):
         return frame
 
     monkeypatch.setattr(coordinator_mod, "read_frame", counted)
-    sock = socket.create_server(("127.0.0.1", 0))
-    coordinator = DistCoordinator(sock=sock, shards=4, policy=POLICY)
-    thread = serve_in_thread(coordinator, golden, domain="register",
-                             keep_records=True)
-    worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
-    assert worker.run() == len(serial.class_outcomes)
-    result = thread.join_result(120)
+    result, executed = _serve_one_thread_worker(golden, domain="register",
+                                                keep_records=True)
+    assert executed == len(serial.class_outcomes)
     assert result == serial
     assert result.records == serial.records
     classes, leases = len(serial.class_outcomes), frames["lease_done"]
@@ -97,14 +104,11 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     ``memcopy`` × register scan (66 classes), serving asks the journal
     no existence ``SELECT`` on ``class_results`` (one per window, or per
     class, would be a second filter), while the trace does see the
-    classes written (the positive control), and ``result_digest`` runs
-    once per class on each side — the worker stamps it, the coordinator
-    re-derives it, nothing else does.
+    classes written (the positive control).
 
     Counts, from the journal connection's ``set_trace_callback``.
     """
     import repro.campaign.dist.coordinator as coordinator_mod
-    import repro.campaign.dist.worker as worker_mod
     from repro.campaign.journal import ExperimentJournal
 
     golden = record_golden(micro.memcopy(6))
@@ -128,22 +132,10 @@ def test_merge_window_gate(monkeypatch, tmp_path):
         return frame
 
     monkeypatch.setattr(coordinator_mod, "read_frame", counted)
-    digests = {"worker": 0, "coordinator": 0}
-    for side, module in (("worker", worker_mod),
-                         ("coordinator", coordinator_mod)):
-        def digest(key, run, side=side, real=module.result_digest):
-            digests[side] += 1
-            return real(key, run)
-
-        monkeypatch.setattr(module, "result_digest", digest)
-    sock = socket.create_server(("127.0.0.1", 0))
-    coordinator = DistCoordinator(sock=sock, shards=4, policy=POLICY)
-    thread = serve_in_thread(coordinator, golden, domain="register",
-                             journal=tmp_path / "gate.sqlite",
-                             keep_records=True)
-    worker = DistWorker("127.0.0.1", sock.getsockname()[1], name="w0")
-    assert worker.run() == len(serial.class_outcomes)
-    result = thread.join_result(120)
+    result, executed = _serve_one_thread_worker(
+        golden, domain="register", journal=tmp_path / "gate.sqlite",
+        keep_records=True)
+    assert executed == len(serial.class_outcomes)
     assert result == serial
     assert result.records == serial.records
     classes = len(serial.class_outcomes)
@@ -156,47 +148,32 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     print(f"\nmerge window on {golden.program.name} × register: "
           f"{len(selects)} existence SELECTs and {len(writes)} class "
           f"writes for {frames['results']} results frames, {classes} "
-          f"classes; result_digest calls {digests}")
+          f"classes")
     assert writes  # the trace sees the journal's statements
     assert selects == []
-    assert digests == {"worker": classes, "coordinator": classes}
 
 
 def test_dist_scan_survives_sigkill(tmp_path):
-    """Two workers, one SIGKILLed mid-campaign: identical CSV anyway."""
+    """Two forked workers, one SIGKILLed mid-campaign: identical CSV
+    anyway (the fleet's one replacement joins the survivor)."""
     golden = record_golden(sync2.baseline(2))
     serial = run_full_scan(golden, keep_records=True)
     serial_csv = tmp_path / "serial.csv"
     export_class_results_csv(serial, serial_csv)
 
-    sock = socket.create_server(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    progressed = threading.Event()
-    coordinator = DistCoordinator(sock=sock, policy=POLICY)
-    thread = serve_in_thread(
-        coordinator, golden, keep_records=True,
-        progress=lambda done, total: progressed.set() if done >= 2
-        else None)
+    fabric = LocalFabric(2, policy=POLICY)
+    killed = []
 
-    def spawn(name):
-        proc = multiprocessing.get_context().Process(
-            target=DistWorker("127.0.0.1", port, name=name).run)
-        proc.start()
-        return proc
+    def progress(done, total):
+        if done >= 2 and not killed:
+            victim = fabric._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            killed.append(victim)
 
-    victim, survivor = spawn("victim"), spawn("survivor")
-    try:
-        assert progressed.wait(120), "no progress before the kill"
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(10)
-        result = thread.join_result(600)
-    finally:
-        for proc in (victim, survivor):
-            proc.join(10)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-
+    result = serve_scan(fabric, golden, keep_records=True,
+                        progress=progress)
+    (victim,) = killed
     assert victim.exitcode == -signal.SIGKILL
     assert result == serial
     assert result.execution.complete

@@ -137,7 +137,7 @@ def completeness_report(report: ExecutionReport) -> str:
     if report.integrity_rejected:
         lines.append(
             f"  integrity rejections: {report.integrity_rejected} "
-            f"class result(s) refused (CRC or shape)")
+            f"class result(s) refused (shape)")
     if report.discarded_results:
         lines.append(
             f"  discarded: {report.discarded_results} journaled "

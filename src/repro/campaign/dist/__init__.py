@@ -1,47 +1,45 @@
 """Campaign fabric: lease-based fault injection on forked workers.
 
 A coordinator owns the SQLite experiment journal and hands out *work
-leases* — cost-balanced shards of any campaign style's units — over
-loopback TCP to the workers it forks from the campaign's own process
-for ``jobs=N`` and ``scan --jobs N`` (:class:`~repro.campaign.dist
-.coordinator.LocalFabric`).  The campaign it serves — golden run,
-domain, executor config — is the style's
-(:class:`~repro.campaign.pipeline.CampaignStyle`); coordinator and
-fleet hold only how work moves.  Workers re-verify the golden run before
-executing (a stale checkout can never pollute results) and stream unit
-results back a send window at a time; the coordinator reassigns
-expired leases with exponential backoff and a retry budget, takes each
-unit once (its lease board drops duplicate submissions), and degrades
-permanently lost shards into
+leases* — cost-balanced shards of any campaign style's units — to the
+workers it forks from the campaign's own process for ``jobs=N`` and
+``scan --jobs N`` (:class:`~repro.campaign.dist.coordinator
+.LocalFabric`), each over its end of one socket pair.  A fork inherits
+the campaign — golden run, domain, units, executor config — as the
+style (:class:`~repro.campaign.pipeline.CampaignStyle`) holds it, so
+nothing about it crosses the wire; coordinator and fleet hold only how
+work moves.  Workers stream unit results back a send window at a time;
+the coordinator reassigns expired leases with exponential backoff and
+a retry budget, takes each unit once (its lease board drops duplicate
+submissions), and degrades permanently lost shards into
 :class:`~repro.campaign.pipeline.ExecutionReport` completeness
 accounting.  The result is bit-for-bit identical to a serial run —
 see :mod:`repro.campaign.dist.coordinator` for the argument.
 
 Lease retry plus that one duplicate filter is the whole failure policy.
-On top of it sit only the checks on what arrives over the socket,
-which any local process can reach: the handshake's protocol version,
-the fingerprint/golden re-verification (a worker built from other
-code), and a per-unit CRC and shape check (a payload damaged between a
-worker's executor and the journal).
+On top of it sit only the checks on what a worker sends: the frame
+length cap, decoding and the typed-message check, each unit's shape,
+key and shard (a payload damaged between a worker's executor and the
+journal), and a malformed ``lease_done`` ending only its own
+connection.  No socket outside the program reaches the coordinator.
 
-Everything is stdlib (``socket``, ``asyncio``, ``json``); there is no
-new dependency and no pickle on the wire.
+Everything is stdlib (``socket``, ``asyncio``, ``json``,
+``multiprocessing``); there is no new dependency and no pickle on the
+wire.
 """
 
 from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,
                           serve_scan)
 from .leases import LeaseBoard, ShardLease
 from .protocol import (
-    PROTOCOL_VERSION,
     FrameStream,
     ProtocolError,
     decode_frame,
     encode_frame,
     read_frame,
-    result_digest,
     write_frame,
 )
-from .worker import DistWorker, WorkerRejected
+from .worker import DistWorker
 
 __all__ = [
     "DistCoordinator",
@@ -49,14 +47,11 @@ __all__ = [
     "FrameStream",
     "LeaseBoard",
     "LocalFabric",
-    "PROTOCOL_VERSION",
     "ProtocolError",
     "ShardLease",
-    "WorkerRejected",
     "decode_frame",
     "encode_frame",
     "read_frame",
-    "result_digest",
     "run_distributed_scan",
     "serve_scan",
     "write_frame",

@@ -1,40 +1,49 @@
-"""Campaign coordinator: leases shards to TCP workers.
+"""Campaign coordinator: leases shards to forked workers.
 
 A :class:`DistCoordinator` is a transport of
 :func:`~repro.campaign.pipeline.run_campaign`, like the in-process one:
 prologue (journal, resume, validation, composition), accounting,
 progress and canonical-order assembly are the pipeline's.  It serves
-any campaign style and holds none of its own: the ``campaign`` frame
-is read off ``run.style`` (golden run, config) and names the style,
-which each worker rebuilds.  It plans the style's shards over its
-*full* unit list (so shard indices survive restarts) and serves
-:class:`~.leases.ShardLease` grants; workers stream unit results back
-one send window (one ``results`` frame) at a time.  :class:`LocalFabric`
-runs it over forked local workers (``jobs=N``, ``scan --jobs N``), the
-one fleet a campaign starts; :func:`serve_in_thread` serves the
-tests' thread workers.  What it keeps of its own is what at-least-once
-delivery over a socket needs, and the style states each step for its
-units:
+any campaign style and holds none of its own: its fleet's workers
+inherit ``run.style`` (golden run, units, config) when they fork.  It
+plans the style's shards over its *full* unit list (so shard indices
+survive restarts) and serves :class:`~.leases.ShardLease` grants on
+each socket pair its fleet hands it; workers stream unit results back
+one send window (one ``results`` frame) at a time.  A *fleet* is
+:class:`LocalFabric`'s forked local workers (``jobs=N``, ``scan --jobs
+N``), or the tests' thread workers; it offers:
+
+``workers``
+    how many workers it starts (the plan deals at least a shard each);
+``start(style)``
+    start them, executing ``style``;
+``streams``
+    ``(name, socket)`` coordinator ends of the socket pairs it started
+    and the coordinator has not yet served — it takes them all;
+``tend()``
+    replace workers that died (their ends join ``streams``); False when
+    no worker is left alive.
+
+What the coordinator keeps of its own is what at-least-once delivery
+needs, and the style states each step for its units:
 
 * **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).
-  Lease expiry, reconnects and retransmits duplicate submissions; a
-  unit is fresh when the board takes its key off its shard, and only
-  fresh units go through the pipeline's sink
+  Lease expiry and re-grants duplicate submissions; a unit is fresh
+  when the board takes its key off its shard, and only fresh units go
+  through the pipeline's sink
   (:meth:`~repro.campaign.pipeline.CampaignRun.accept`), each window's
   as one batch.  A copy — of a unit taken, resumed or composed —
-  finds its key gone and is dropped.  Workers re-verify
-  program fingerprint and golden Δt before executing, so a unit has
-  one possible value and the result is bit-for-bit serial.
+  finds its key gone and is dropped.
 * **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
   or half-delivered lease is re-queued with backoff and a retry budget,
   then its keys degrade into ``ExecutionReport.missing``.  Results and
   lease state are journaled as they arrive (committed by the journal's
   window, or the first idle watchdog tick), so a restarted coordinator
   loses only work in flight.
-* **Integrity**, per unit, before any accounting: the CRC is
-  re-derived from the run strings and their shape checked
-  (``style.valid_run``); a bad unit is rejected (not progress: its
-  lease re-grants it) and its neighbours are taken.  A malformed
+* **Checks on what a worker sends**, per unit, before any accounting:
+  its run's shape (``style.valid_run``), its key in the units and its
+  shard in the plan; a bad unit is rejected (not progress: its lease
+  re-grants it) and its neighbours are taken.  A malformed
   ``lease_done``, or one naming no planned shard, is a
   :class:`~.protocol.ProtocolError` on its connection: its leases are
   released and the campaign goes on.
@@ -46,25 +55,19 @@ expiry, progress heartbeats), so tests can substitute a virtual one.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing
 import socket
-import threading
 import time
 from collections import Counter
-from multiprocessing.util import register_after_fork
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
-from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
-from ..pipeline import (CampaignRun, CampaignStyle, ProgressCallback,
-                        run_campaign)
+from ..pipeline import CampaignRun, ProgressCallback, run_campaign
 from ..runner import ScanStyle
 from .leases import FAILED, LeaseBoard, RetryPolicy
-from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
-                       result_digest, write_frame)
+from .protocol import ProtocolError, read_frame, write_frame
 from .worker import DistWorker
 
 #: Default shard count: finer than one-per-worker so a lost node's work
@@ -88,8 +91,8 @@ class CoordinatorStopped(Exception):
 
 
 class DistCoordinator:
-    """The fabric transport: serves a campaign to TCP workers on
-    ``sock``, a bound listening socket.  The campaign — golden run,
+    """The fabric transport: serves a campaign to the workers of
+    ``fleet`` (see the module docstring).  The campaign — golden run,
     domain, executor config — is the style's (``run.style``); journal,
     resume, records and progress are :func:`run_campaign`'s.
 
@@ -97,31 +100,25 @@ class DistCoordinator:
     better after node loss; each costs its worker one rewind of the
     pristine machine, since a scan's shard holds whole planning cells
     across the whole slot range —
-    :func:`~repro.campaign.pipeline.plan_class_shards`).  Serving a
-    :attr:`fleet` plans at least one shard per fleet worker, and a
-    campaign of small estimated cycle cost
+    :func:`~repro.campaign.pipeline.plan_class_shards`).  The plan has
+    at least one shard per fleet worker, and a campaign of small
+    estimated cycle cost
     (:data:`~repro.campaign.pipeline.SMALL_CAMPAIGN_CYCLES`) exactly
-    one, so lease round-trips stop dominating tiny scans; without a
-    fleet (the tests' thread workers) it plans for ``shards`` workers.
+    one, so lease round-trips stop dominating tiny scans.
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection after accepting that many fresh classes and
     raises :class:`CoordinatorStopped`, a simulated crash.
     """
 
-    #: The :class:`LocalFabric` whose workers this coordinator serves
-    #: (it tends them), or ``None``: a test's thread workers.
-    fleet = None
-
-    def __init__(self, *, sock: socket.socket,
-                 policy: RetryPolicy | None = None,
+    def __init__(self, fleet, *, policy: RetryPolicy | None = None,
                  shards: int = DEFAULT_SHARDS,
                  stop_after_results: int | None = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        self.fleet = fleet
         self.policy = policy or RetryPolicy()
         self.shards = shards
-        self._sock = sock
         self.stop_after_results = stop_after_results
         self.stopped = False
         self._worker_units: Counter = Counter()
@@ -130,39 +127,18 @@ class DistCoordinator:
         self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
 
-    # -- identity shipped to workers -------------------------------------------
-
-    @staticmethod
-    def _campaign_message(style: CampaignStyle) -> dict:
-        golden = style.golden
-        program = golden.program
-        ladder = golden.checkpoints
-        return {
-            "type": "campaign",
-            "version": PROTOCOL_VERSION,
-            "program": {
-                "name": program.name,
-                "source": program.source,
-                "ram_size": program.ram_size,
-            },
-            "fingerprint": program_fingerprint(program),
-            "cycles": golden.cycles,
-            # The golden checkpoint ladder's stride (0: no ladder), so
-            # a worker's early exits are the ones asked for here.
-            "stride": 0 if ladder is None else ladder.stride,
-            "config": dataclasses.asdict(style.config),
-            "style": style.spec(),
-        }
-
     # -- lifecycle --------------------------------------------------------------
 
     def __call__(self, run: CampaignRun) -> None:
-        """The transport: serve ``run`` until the board is done, then
-        leave the report's fabric fields written for the pipeline to
-        assemble."""
+        """The transport: start the fleet on ``run``'s style, serve it
+        until the board is done, then leave the report's fabric fields
+        written for the pipeline to assemble."""
+        self._error: Exception | None = None
+        # Workers start before the loop does: a fork inherits no
+        # running event loop.
+        self.fleet.start(run.style)
         # The loop runs in the calling thread: the journal connection
         # run_campaign opened there is thread-affine.
-        self._error: Exception | None = None
         asyncio.run(self._serve(run))
         if self._error is not None:
             raise self._error
@@ -172,8 +148,7 @@ class DistCoordinator:
         report = run.report
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
-        if self.fleet is None:  # a local fleet's forks carry no name
-            report.workers = tuple(sorted(self._worker_units.items()))
+        report.workers = tuple(sorted(self._worker_units.items()))
         self._journal_leases()  # final lease states stay queryable
 
     async def _serve(self, run: CampaignRun) -> None:
@@ -184,7 +159,6 @@ class DistCoordinator:
         self.handle = handle = run.handle
         self.report = run.report
         self._units = style.units
-        self._message = self._campaign_message(style)
         completed = run.completed
         # Plan over the FULL unit list (small campaigns: one shard per
         # fleet worker): shard indices and key lists are a pure
@@ -192,9 +166,8 @@ class DistCoordinator:
         # a restart.  A shard need not be a run of the unit list (a
         # scan deals cells), so its keys are looked up item by item.
         key_of = {item: key for key, item in self._units.items()}
-        workers = self.shards if self.fleet is None else self.fleet.workers
         planned, _, costs = style.plan(list(self._units.values()),
-                                       self.shards, workers)
+                                       self.shards, self.fleet.workers)
         board = LeaseBoard(policy=self.policy,
                            key_costs=dict(zip(self._units, costs)))
         journaled_leases = handle.lease_states()
@@ -214,35 +187,30 @@ class DistCoordinator:
         self._journal_leases()
         self._maybe_finish()
 
-        server = await asyncio.start_server(self._handle_worker,
-                                            sock=self._sock)
+        self._adopt()
         watchdog = asyncio.create_task(self._watchdog())
         try:
             await self._done.wait()
         finally:
             watchdog.cancel()
-            if not self.stopped:
-                # Orderly end: tell every connected worker before the
-                # transports close, so they exit instead of reconnecting.
-                for writer in list(self._writers.values()):
-                    try:
-                        write_frame(writer, {"type": "done"})
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-            server.close()
-            await server.wait_closed()
-            # Give sessions a moment to finish their own done/drain
-            # handshakes first (closing under a worker that has not read
-            # its done frame risks a reset that discards it).
-            if self._conn_tasks:
-                await asyncio.wait(self._conn_tasks, timeout=2.0)
+            # Orderly end: tell every connected worker, then hang up.
+            # The crash hook hangs up without a word, as a killed
+            # process would.
             for writer in list(self._writers.values()):
+                if not self.stopped:
+                    write_frame(writer, {"type": "done"})
                 writer.close()
-            # Let tasks stuck on now-closed transports return before the
-            # loop shuts down (else asyncio logs their cancellation).
+            # Each session sees its stream end and returns.
             if self._conn_tasks:
-                await asyncio.wait(self._conn_tasks, timeout=2.0)
+                await asyncio.wait(self._conn_tasks)
+
+    def _adopt(self) -> None:
+        """Serve every stream the fleet has handed over."""
+        streams = self.fleet.streams
+        while streams:
+            task = asyncio.create_task(self._handle_worker(*streams.pop(0)))
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
 
     def _fail(self, exc: Exception) -> None:
         """An exception out of the pipeline — a progress callback that
@@ -263,11 +231,11 @@ class DistCoordinator:
                 if expired:
                     self.report.timed_out_shards += len(expired)
                     self._journal_leases()
-                if self.fleet is not None and not self.board.done() \
-                        and not self.fleet.tend():
-                    # Every local worker is gone: nobody takes the rest.
+                if not self.board.done() and not self.fleet.tend():
+                    # Every worker is gone: nobody takes the rest.
                     self.board.abandon()
                     self._journal_leases()
+                self._adopt()
                 self._maybe_finish()
                 if now - last_beat >= self.policy.heartbeat:
                     # Unchanged counts: how a caller tells a slow
@@ -287,56 +255,23 @@ class DistCoordinator:
 
     # -- per-connection protocol ------------------------------------------------
 
-    async def _handle_worker(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter):
-        name = None
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+    async def _handle_worker(self, name: str, sock: socket.socket):
+        reader, writer = await asyncio.open_connection(sock=sock)
+        self._writers[name] = writer
         try:
-            conn = writer.get_extra_info("socket")
-            if conn is not None:
-                # Lease grants and done frames are tiny; don't let
-                # Nagle batch them behind the workers' backs.
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = await read_frame(reader)
-            if hello is None or hello.get("type") != "hello":
-                return
-            if hello.get("version") != PROTOCOL_VERSION:
-                write_frame(writer, {
-                    "type": "reject",
-                    "reason": f"protocol version {hello.get('version')} != "
-                              f"{PROTOCOL_VERSION}"})
-                await writer.drain()
-                return
-            name = str(hello.get("name") or "worker")
-            if name in self._writers:
-                # Two live connections must not share an identity: lease
-                # accounting is per worker name.
-                name = f"{name}#{id(writer) & 0xffff:04x}"
-            self._writers[name] = writer
-            write_frame(writer, self._message)
-            await writer.drain()
-            ready = await read_frame(reader)
-            if ready is None or ready.get("type") != "ready":
-                # "error" carries the worker's verification diagnostic
-                # (stale checkout); nothing to grant either way.
-                return
             await self._session(name, reader, writer)
         except (ProtocolError, ConnectionError, OSError):
             pass
         except Exception as exc:  # noqa: BLE001 - re-raised by __call__
             self._fail(exc)
         finally:
-            if name is not None:
-                self._writers.pop(name, None)
-                # On the simulated-crash path connections die *without*
-                # lease bookkeeping, exactly as a killed process would.
-                if not self.stopped:
-                    if self.board.release_worker(name, _clock()):
-                        self._journal_leases()
-                    self._maybe_finish()
+            self._writers.pop(name, None)
+            # On the simulated-crash path connections die *without*
+            # lease bookkeeping, exactly as a killed process would.
+            if not self.stopped:
+                if self.board.release_worker(name, _clock()):
+                    self._journal_leases()
+                self._maybe_finish()
             writer.close()
 
     async def _session(self, name: str, reader: asyncio.StreamReader,
@@ -363,19 +298,6 @@ class DistCoordinator:
         # handler's cleanup has unregistered the writer.
         if not self.stopped:
             write_frame(writer, {"type": "done"})
-            await writer.drain()
-            # Then read until the worker hangs up: closing with its
-            # pipelined frames unread would reset the connection, and a
-            # reset can destroy the done frame before the worker reads
-            # it, leaving it reconnecting against a dead port forever.
-            try:
-                async def _drain():
-                    while await read_frame(reader) is not None:
-                        pass
-                await asyncio.wait_for(_drain(), timeout=2.0)
-            except (TimeoutError, asyncio.TimeoutError, ProtocolError,
-                    ConnectionError, OSError):
-                pass
 
     # -- work granting ----------------------------------------------------------
 
@@ -394,15 +316,14 @@ class DistCoordinator:
     # -- result acceptance ------------------------------------------------------
 
     def _accept_results(self, name: str, frame: dict, now: float) -> None:
-        """Take one send window.  Integrity stays per unit — a bad item
-        is rejected, its neighbours are taken — and the board decides
+        """Take one send window.  Checks stay per unit — a bad item is
+        rejected, its neighbours are taken — and the board decides
         what is fresh; the fresh units are journaled as one batch."""
         if self.stopped:
             return  # the crash hook fired: nothing after the k-th unit
         items = frame.get("items")
         if not isinstance(items, list):
-            self._reject(name, None, kind="shape-reject",
-                         reason="malformed results frame")
+            self._reject(name, None, reason="malformed results frame")
             return
         fresh = []
         for item in items:
@@ -421,31 +342,25 @@ class DistCoordinator:
 
     def _checked(self, name: str, item):
         """``(key, shard, run, counts)`` of one unit of a window whose
-        CRC and shape hold; otherwise the unit is rejected and the
-        answer is ``None``."""
+        shape holds; otherwise the unit is rejected and the answer is
+        ``None``."""
         try:
             key = tuple([int(v) for v in item["key"]])
             shard = int(item["shard"])
             first, second, third = item["run"]
             run = (first, second, third)
-            digest = result_digest(key, run)
+            if not all(isinstance(part, str) for part in run):
+                raise TypeError("a run is three strings")
             counts = (int(item.get("hits", 0)), int(item.get("skips", 0)))
         except (KeyError, TypeError, ValueError):
-            self._reject(name, None, kind="shape-reject",
-                         reason="malformed unit result")
-            return None
-        if item.get("crc") != digest:
-            self._reject(name, key, kind="crc-reject",
-                         reason="CRC disagrees with payload")
+            self._reject(name, None, reason="malformed unit result")
             return None
         if key not in self._units or not self.style.valid_run(key, run):
-            self._reject(name, key, kind="shape-reject",
-                         reason="run disagrees with the unit's expected "
-                                "experiments")
+            self._reject(name, key, reason="run disagrees with the unit's "
+                                           "expected experiments")
             return None
         if not 0 <= shard < self._planned_shards:
-            self._reject(name, key, kind="shape-reject",
-                         reason=f"no shard {shard} in the plan")
+            self._reject(name, key, reason=f"no shard {shard} in the plan")
             return None
         return key, shard, run, counts
 
@@ -477,13 +392,13 @@ class DistCoordinator:
 
     # -- integrity helpers ------------------------------------------------------
 
-    def _reject(self, name: str, key, *, kind: str, reason: str) -> None:
-        """Refuse one class result before it touches any accounting: it
+    def _reject(self, name: str, key, *, reason: str) -> None:
+        """Refuse one unit result before it touches any accounting: it
         is not progress, so its lease re-grants it."""
         self.report.integrity_rejected += 1
         detail = reason if key is None else f"{list(key)}: {reason}"
-        self.handle.record_event(kind, worker=name, detail=detail,
-                                 at=time.time())
+        self.handle.record_event("shape-reject", worker=name,
+                                 detail=detail, at=time.time())
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -527,64 +442,73 @@ def serve_scan(transport, golden: GoldenRun, *,
         return None
 
 
-def _free_server_socket(host: str) -> socket.socket:
-    return socket.create_server((host, 0))
+#: Workers inherit the campaign style, so they are forks whatever the
+#: platform's default start method is.
+_FORK = multiprocessing.get_context("fork")
 
 
-def _local_worker(host: str, port: int, name: str) -> None:
-    """What each :class:`LocalFabric` worker process runs."""
-    DistWorker(host, port, name=name).run()
+def _local_worker(sock: socket.socket, style, name: str) -> None:
+    """What each :class:`LocalFabric` worker process runs (``name``
+    names its stream)."""
+    DistWorker(sock, style).run()
 
 
 class LocalFabric:
-    """The workers transport (``jobs=N``, ``scan --jobs N``): bind an
-    ephemeral port on ``host``, fork ``workers`` local workers (the
-    multiprocessing start method; nothing is re-imported), serve the
-    run through a :class:`DistCoordinator` in the calling thread (its
-    plan: :data:`DEFAULT_SHARDS`, at least one shard per worker), then
-    terminate and reap every worker still running.  Each worker joins
-    over TCP and re-verifies the campaign before it executes.  One that
-    exits while work remains is replaced, once; with
-    none left alive the rest is failed (``missing``), not waited for.
-    Its interchangeable forks go unattributed in
-    ``ExecutionReport.workers``, as in process."""
+    """The workers transport (``jobs=N``, ``scan --jobs N``): fork
+    ``workers`` local workers, each on its end of one socket pair and
+    holding the campaign style it inherited; serve the run through a
+    :class:`DistCoordinator` in the calling thread (its plan:
+    :data:`DEFAULT_SHARDS`, at least one shard per worker); then
+    terminate and reap every worker still running.  A worker that exits
+    while work remains is replaced, once; with none left alive the rest
+    is failed (``missing``), not waited for.  Its interchangeable forks
+    go unattributed in ``ExecutionReport.workers``, as in process."""
 
-    def __init__(self, workers: int, *, policy: RetryPolicy | None = None,
-                 host: str = "127.0.0.1"):
+    def __init__(self, workers: int, *, policy: RetryPolicy | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers, self.policy, self.host = workers, policy, host
+        self.workers, self.policy = workers, policy
 
     def __call__(self, run: CampaignRun) -> None:
-        sock = _free_server_socket(self.host)
-        # The port dies with the coordinator, not with the last worker.
-        register_after_fork(sock, socket.socket.close)
-        self._port = sock.getsockname()[1]
-        #: The process of each worker slot, and every one ever started.
-        self._fleet, self._procs, self._replaced = [], [], set()
-        # After binding, all is inside the try: a refused argument or a
-        # failed start must not leave the socket open, nor started
-        # workers reconnecting forever.
+        #: Coordinator ends not yet served, every coordinator end made,
+        #: the process of each worker slot, and every one ever started.
+        self.streams, self._ends, self._fleet, self._procs = [], [], [], []
+        self._replaced: set[int] = set()
+        # A refused argument or a failed start must leave no socket
+        # open and no worker running.
         try:
-            coordinator = DistCoordinator(sock=sock, policy=self.policy)
-            coordinator.fleet = self
-            for index in range(self.workers):
-                self._fleet.append(self._start(f"worker-{index}"))
-            coordinator(run)
+            DistCoordinator(self, policy=self.policy)(run)
+            run.report.workers = ()
         finally:
-            # Serving closes the socket itself; closing it again is a no-op.
-            sock.close()
+            for end in self._ends:
+                end.close()  # a no-op on an end the coordinator closed
             for proc in self._procs:
                 proc.terminate()  # a worker that has exited ignores it
             for proc in self._procs:
                 proc.join()
 
+    def start(self, style) -> None:
+        self._style = style
+        self._fleet = [self._start(f"worker-{index}")
+                       for index in range(self.workers)]
+
     def _start(self, name: str):
-        proc = multiprocessing.get_context().Process(
-            target=_local_worker, args=(self.host, self._port, name))
-        proc.start()
+        ours, theirs = socket.socketpair()
+        self._ends.append(ours)
+        try:
+            proc = _FORK.Process(target=self._forked, args=(theirs, name))
+            proc.start()
+        finally:
+            theirs.close()
         self._procs.append(proc)
+        self.streams.append((name, ours))
         return proc
+
+    def _forked(self, sock: socket.socket, name: str) -> None:
+        """In the child: keep only its own end of the fabric's pairs."""
+        for end in self._ends:
+            end.close()
+        _local_worker(sock, self._style, name)
 
     def tend(self) -> bool:
         """Replace each started worker that exited, once; False when no
@@ -602,60 +526,22 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          policy: RetryPolicy | None = None,
                          journal=None, resume: bool = True,
                          keep_records: bool = False,
-                         progress: ProgressCallback | None = None,
-                         host: str = "127.0.0.1"):
+                         progress: ProgressCallback | None = None):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
     local worker processes — one worker too, which ``jobs=1`` would
     run in process instead."""
-    return serve_scan(LocalFabric(workers, policy=policy, host=host), golden,
+    return serve_scan(LocalFabric(workers, policy=policy), golden,
                       domain=domain, config=executor_config,
                       journal=journal, resume=resume,
                       keep_records=keep_records, progress=progress)
 
 
-def serve_in_thread(coordinator: DistCoordinator, golden: GoldenRun,
-                    **campaign) -> "CoordinatorThread":
-    """:func:`serve_scan` of ``golden`` (``campaign``: its keyword
-    arguments) on a started background thread, for tests and
-    benchmarks."""
-    thread = CoordinatorThread(coordinator, golden, **campaign)
-    thread.start()
-    return thread
-
-
-class CoordinatorThread(threading.Thread):
-    """A :func:`serve_scan` thread keeping its result or exception."""
-
-    def __init__(self, coordinator: DistCoordinator, golden: GoldenRun,
-                 **campaign):
-        super().__init__(target=self._serve, args=(coordinator, golden),
-                         kwargs=campaign, daemon=True)
-        self.result = None
-        self.error: BaseException | None = None
-
-    def _serve(self, coordinator, golden, **campaign) -> None:
-        try:
-            self.result = serve_scan(coordinator, golden, **campaign)
-        except BaseException as exc:  # captured for the joining test
-            self.error = exc
-
-    def join_result(self, timeout: float | None = None):
-        self.join(timeout)
-        if self.is_alive():
-            raise TimeoutError("coordinator thread did not finish")
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
 __all__ = [
     "DEFAULT_SHARDS",
     "CoordinatorStopped",
-    "CoordinatorThread",
     "DistCoordinator",
     "LocalFabric",
     "run_distributed_scan",
-    "serve_in_thread",
     "serve_scan",
     "FAILED",
 ]

@@ -137,8 +137,8 @@ class ExecutorConfig:
     """Picklable executor settings.
 
     Executors themselves are not picklable (they own live machines), so
-    a campaign ships this config to its fabric workers, and each builds
-    its own executor via :meth:`build`.  An unknown engine name is
+    each fabric worker builds its own executor from the campaign's
+    config via :meth:`build`.  An unknown engine name is
     refused here, on every transport alike.
     """
 

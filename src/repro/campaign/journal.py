@@ -45,7 +45,7 @@ its first bit, each the three strings ``(outcomes, end_cycles,
 traps)``; :meth:`CampaignJournal.record_classes` and
 :meth:`ExperimentJournal.merge_section_runs` write runs as they are
 given.  A run is also what a style's ``execute`` yields and what the
-distributed fabric ships, so nothing converts a class between an
+distributed fabric carries, so nothing converts a class between an
 executor and the journal, in-process or over the wire.  Readers never
 interpret a value: :func:`_valid_run` decides whether a run may be
 trusted, and a class that is not one valid run from bit 0 — torn,
@@ -809,8 +809,7 @@ class CampaignJournal:
                      detail: str = "", at: float = 0.0) -> None:
         """Append one integrity incident to the fabric log.
 
-        Kinds written: ``crc-reject``, ``shape-reject``,
-        ``salvage-prune``.  A journal an older coordinator wrote may
+        Kinds written: ``shape-reject``, ``salvage-prune``.  A journal an older coordinator wrote may
         hold kinds of layers since removed; they are kept and listed
         as stored.  The log is diagnostic — campaign results never
         depend on it — but it is what ``repro journal`` renders.

@@ -116,11 +116,12 @@ class ExecutionReport:
     #: on a local fleet (``jobs=N``), whose forks are interchangeable,
     #: so its report matches an in-process run's.
     workers: tuple = field(default_factory=tuple)
-    #: Result frames rejected before merging: CRC mismatch (payload
-    #: corrupted between the worker's executor and the coordinator) or
-    #: row-shape/digest disagreement with the domain's expected
-    #: experiment weight for the class.  Rejected frames are simply
-    #: re-executed — corruption can delay a campaign, never skew it.
+    #: Unit results rejected before merging: a run whose shape
+    #: disagrees with the domain's expected experiment weight for the
+    #: unit (a payload corrupted between the worker's executor and the
+    #: coordinator), or a key or shard outside the campaign.  Rejected
+    #: units are simply re-executed — corruption can delay a campaign,
+    #: never skew it.
     integrity_rejected: int = 0
     #: Journaled results discarded: resumed classes that failed
     #: validation (a salvaged journal's truncated classes, any
@@ -192,10 +193,10 @@ def campaign_params(golden: GoldenRun, config: ExecutorConfig,
     """The executor settings that affect outcomes — part of the journal
     key, so a changed timeout policy opens a fresh campaign instead of
     mixing incompatible classifications.  Identical whether read from an
-    injected executor or derived from the config the fabric ships, so
-    one journal resumes under either transport.  ``use_convergence``
-    and the engine are deliberately absent: they cannot change any
-    outcome."""
+    injected executor or derived from the config fabric workers build
+    theirs from, so one journal resumes under either transport.
+    ``use_convergence`` and the engine are deliberately absent: they
+    cannot change any outcome."""
     if executor is not None:
         return {"timeout_cycles": executor.timeout_cycles,
                 "early_stop": executor.early_stop}
@@ -398,8 +399,8 @@ class CampaignStyle:
                  executor: ExperimentExecutor | None = None):
         self.golden = golden
         self.domain = domain
-        #: The executor settings with the domain stamped in: what the
-        #: fabric ships and every worker builds its executor from.
+        #: The executor settings with the domain stamped in: what every
+        #: fabric worker builds its executor from.
         self.config = campaign_config(domain, config, executor)
         #: The injected executor (in process only), or ``None``.
         self.executor = executor
@@ -408,11 +409,6 @@ class CampaignStyle:
         #: journal key.
         self.params = self.key_params = campaign_params(golden, self.config,
                                                         executor)
-
-    def spec(self) -> dict:
-        """The ``campaign`` frame's ``style``: what a fabric worker
-        needs to rebuild this style from its verified golden run."""
-        return {"kind": self.kind}
 
     def plan(self, items: Sequence, parts: int, workers: int) \
             -> tuple[list[list], list[int], list[int]]:

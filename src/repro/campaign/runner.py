@@ -639,10 +639,6 @@ class SamplingStyle(CampaignStyle):
     def keep(self, key, run):
         return OUTCOME_BY_VALUE[run[0]]  # the outcome
 
-    def spec(self):
-        return {"kind": self.kind, "seed": self.seed,
-                "sampler": self.sampler, "samples": len(self.drawn)}
-
     def valid_run(self, key, run):
         return _valid_run(run, 1)
 
@@ -661,24 +657,6 @@ class SamplingStyle(CampaignStyle):
             population=self.population,
             experiments_conducted=sum(key in kept for key in self.units),
             sampler=self.sampler, domain=self.domain, execution=report)
-
-
-def style_from_spec(spec: dict, golden: GoldenRun,
-                    config: ExecutorConfig) -> CampaignStyle:
-    """The style a fabric ``campaign`` frame names (:meth:`CampaignStyle
-    .spec`), rebuilt from the worker's own verified golden run and the
-    frame's config, whose domain it runs: a sampling worker re-draws
-    the samples, so its units are the coordinator's only if the draw
-    is."""
-    kind = spec["kind"]
-    domain = get_domain(config.domain)
-    if kind == ScanStyle.kind:
-        return ScanStyle(golden, domain, config=config)
-    if kind == SamplingStyle.kind:
-        return SamplingStyle(golden, domain, int(spec["samples"]),
-                             int(spec["seed"]), str(spec["sampler"]),
-                             config=config)
-    raise ValueError(f"unknown campaign style {kind!r}")
 
 
 def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,

@@ -36,7 +36,7 @@ Commands:
 ``journal --journal PATH [--gc] [--salvage]``
     List an existing journal's campaigns with their progress and
     fabric state (shard leases and their retry budgets, plus the
-    integrity event log: CRC and shape rejections, salvage prunes, and
+    integrity event log: shape rejections, salvage prunes, and
     whatever kinds an older coordinator wrote), its section store
     (stored results and referencing campaigns per section) and a size
     report; exits ``3`` when any campaign is incomplete.  ``--gc``

@@ -2,17 +2,19 @@
 
 A test fixture: the fault injector turned on its own transport.  A
 :class:`ChaosPlan` is a seeded schedule of frame drops, duplications,
-byte corruptions, delays, worker kills and hangs.  A
+payload corruptions, delays, worker kills and hangs.  A
 :class:`ChaosWorker` — a :class:`~repro.campaign.dist.DistWorker` that
-wraps each session's stream in a :class:`ChaosFrameStream` and lets its
-plan kill it at a class key — applies it, so every chaos run is
-**exactly reproducible** from the plan.
+wraps its stream in a :class:`ChaosFrameStream` and lets its plan kill
+it at a class key — applies it, so every chaos run is **exactly
+reproducible** from the plan.
 
 Determinism contract: whether chaos fires on a worker's *n*-th class
 result is a pure function of ``(plan.seed, worker_name, n)`` — never of
 wall-clock time, scheduling, socket buffering or how the worker's send
 window happened to group the classes into ``results`` frames.  Counters
-are cumulative across reconnects, so the schedule is unaffected by how
+are cumulative across a worker's lives — the tests' thread fleet
+re-serves a worker a chaos event ended over a fresh socket pair, with
+the same :class:`WorkerChaos` — so the schedule is unaffected by how
 the failures it injects reshuffle the work.
 
 Event taxonomy (all independent per class result; the proxy walks the
@@ -20,11 +22,12 @@ items of each outgoing window in order):
 
 =============  ===============================================================
 ``drop``       send the window up to and including this class, then close
-               the connection (in-flight loss of what follows)
+               the stream and end the worker (in-flight loss of what
+               follows; the fleet replaces it)
 ``dup``        put the class in the window twice (at-least-once stress)
-``corrupt``    tamper the class's run but keep the *stale* CRC — models
-               payload corruption in transit; caught by the coordinator's
-               per-class CRC check, its window neighbours merge
+``corrupt``    give the class's run one outcome too many — models a
+               payload damaged in transit; caught by the coordinator's
+               per-unit shape check, its window neighbours merge
 ``delay``      sleep before the class joins the outgoing frame
                (reordering / lease-expiry stress)
 ``kill``       ``os._exit(13)`` — only sane for process workers; the
@@ -38,11 +41,11 @@ Besides the seeded rates a plan carries three counters (``die_after_results``,
 class result, routed through the same proxy, and ``die_on_keys``, class
 keys whose execution kills the worker every time.
 
-Where it plugs in: a test starts a :class:`ChaosWorker` on a thread or
-in a forked process, or calls :func:`chaotic_fleet` to make the first
-workers every :class:`~repro.campaign.dist.LocalFabric` forks (``jobs=N``,
-``scan --jobs N``) chaotic.  A coordinator crash is the coordinator's own
-``stop_after_results`` hook.
+Where it plugs in: a test gives a worker of its thread fleet
+(:mod:`.fabric`) a plan, or calls :func:`chaotic_fleet` to make the
+first workers every :class:`~repro.campaign.dist.LocalFabric` forks
+(``jobs=N``, ``scan --jobs N``) chaotic.  A coordinator crash is the
+coordinator's own ``stop_after_results`` hook.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ from repro.campaign.outcomes import Outcome
 
 
 class ChaosInterrupt(ConnectionError):
-    """A chaos event severed this worker's connection (simulated death).
+    """A chaos event severed this worker's stream (simulated death).
 
-    Subclasses :class:`ConnectionError` so the worker's run loop treats
-    it exactly like a real network failure: back off, reconnect, ask
-    for work again.
+    A :class:`ConnectionError`, but not the coordinator hanging up
+    (``BrokenPipeError``, ``ConnectionResetError``), which a worker
+    takes as the end of its campaign: this one ends the worker's
+    ``run`` with the exception, so the fleet sees a death.
     """
 
 
@@ -75,11 +79,12 @@ class ChaosPlan:
     """
 
     seed: int = 0
-    #: Close the connection right after sending a class result.
+    #: Close the stream right after sending a class result: the worker
+    #: dies.
     drop_rate: float = 0.0
     #: Send a class result twice.
     dup_rate: float = 0.0
-    #: Tamper the run, keep the stale CRC (CRC-detectable corruption).
+    #: Give the run one outcome too many (shape-detectable corruption).
     corrupt_rate: float = 0.0
     #: Sleep :attr:`delay_seconds` before sending.
     delay_rate: float = 0.0
@@ -91,7 +96,7 @@ class ChaosPlan:
     hang_seconds: float = 30.0
     #: Class keys whose execution kills the worker, every time.
     die_on_keys: tuple[tuple[int, int], ...] = ()
-    #: Counters (cumulative across reconnects, firing once).
+    #: Counters (cumulative across a worker's lives, firing once).
     die_after_results: int | None = None
     drop_after_results: int | None = None
     duplicate_results: int = 0
@@ -116,12 +121,11 @@ _EVENTS = ("corrupt", None, "dup", "drop", "delay", "kill", "hang")
 
 
 class WorkerChaos:
-    """One worker's deterministic chaos state (cumulative across sessions).
+    """One worker's deterministic chaos state (cumulative across lives).
 
-    The object outlives individual connections — reconnects triggered by
-    the chaos it injects must not reset the schedule — so the worker
-    owns one instance and wraps each session's :class:`FrameStream`
-    through :meth:`wrap`.
+    The object outlives individual streams — the re-serves triggered by
+    the chaos it injects must not reset the schedule — so each life of
+    the worker wraps its :class:`FrameStream` through :meth:`wrap`.
     """
 
     def __init__(self, plan: ChaosPlan, worker: str):
@@ -155,21 +159,14 @@ class WorkerChaos:
     def tampered(self, message: dict, index: int) -> dict:
         """A deterministically corrupted copy of one class result.
 
-        Flips one bit's outcome in the run to a different (valid) class
-        and bumps its end cycle — the kind of wrong-but-well-formed
-        payload a miscomputing worker would produce, which shape
-        validation alone cannot reject.
+        Appends one outcome — a valid one, picked by ``index`` — to the
+        run's outcomes: one value more than its end cycles and traps, a
+        run of no unit, which the coordinator's shape check rejects.
         """
         outcomes, cycles, traps = message["run"]
-        outcomes, cycles = outcomes.split(" "), cycles.split(" ")
-        bit = index % len(outcomes)
         values = [o.value for o in Outcome]
-        current = values.index(outcomes[bit]) \
-            if outcomes[bit] in values else 0
-        outcomes[bit] = values[(current + 1) % len(values)]
-        cycles[bit] = str(int(cycles[bit]) + 1)
-        return {**message, "run": [" ".join(outcomes), " ".join(cycles),
-                                   traps]}
+        extra = values[index % len(values)]
+        return {**message, "run": [f"{outcomes} {extra}", cycles, traps]}
 
     def before_class(self, key: tuple[int, int]) -> None:
         """Kill the worker as the lease's scan generator yields a class
@@ -185,7 +182,7 @@ class WorkerChaos:
 class ChaosFrameStream:
     """Proxy over :class:`FrameStream` applying the plan to class results.
 
-    Other frames (hello, request, lease_done) pass through
+    Other frames (request, lease_done) pass through
     untouched, and a ``results`` frame is walked item by item — the
     schedule is defined over *class results*, not wire frames, so it
     stays aligned with the plan's counters and with what actually
@@ -227,8 +224,6 @@ class ChaosFrameStream:
                 chaos._count("kill")
                 os._exit(13)
             if "corrupt" in events:
-                # Stale CRC: the payload changed after digesting, exactly
-                # what in-flight corruption looks like to the coordinator.
                 chaos._count("corrupt")
                 item = chaos.tampered(item, index)
             if "delay" in events:
@@ -259,18 +254,16 @@ class ChaosFrameStream:
 
 
 class ChaosWorker(DistWorker):
-    """A :class:`~repro.campaign.dist.DistWorker` running ``plan``: its
-    lease frames go through a :class:`ChaosFrameStream` and each unit it
-    executes through :meth:`WorkerChaos.before_class`.  The chaos state
-    (``_chaos``) outlives its sessions."""
+    """A :class:`~repro.campaign.dist.DistWorker` running ``chaos``'s
+    plan: its frames go through a :class:`ChaosFrameStream` and each
+    unit it executes through :meth:`WorkerChaos.before_class`.  The
+    chaos state outlives the worker: a re-served one carries it on."""
 
-    def __init__(self, host: str, port: int, plan: ChaosPlan, **kwargs):
-        super().__init__(host, port, **kwargs)
-        self._chaos = WorkerChaos(plan, self.name)
+    def __init__(self, sock, style, chaos: WorkerChaos):
+        super().__init__(sock, style)
+        self._chaos = chaos
 
     def _work(self, stream, executor, style) -> None:
-        # Handshake frames carry no class result: wrapping the stream
-        # from the first lease request on is the same schedule.
         super()._work(self._chaos.wrap(stream), executor,
                       _DyingStyle(style, self._chaos))
 
@@ -293,13 +286,20 @@ class _DyingStyle:
 
 def chaotic_fleet(monkeypatch, plan: ChaosPlan) -> None:
     """Make the workers every :class:`~repro.campaign.dist.LocalFabric`
-    forks run ``plan``; the replacements it starts for dead ones (named
-    ``worker-<slot>r``) stay honest.  ``monkeypatch.undo()`` makes the
-    whole fleet honest again."""
-    def local_worker(host: str, port: int, name: str) -> None:
-        if name.endswith("r"):
-            DistWorker(host, port, name=name).run()
-        else:
-            ChaosWorker(host, port, plan, name=name).run()
+    forks run ``plan``, each fork exiting at the chaos event that ends
+    it.  The replacements it starts for dead ones (named
+    ``worker-<slot>r``) run only the plan's ``die_on_keys``: a key that
+    kills every worker kills them too; nothing else does.
+    ``monkeypatch.undo()`` makes the whole fleet honest again."""
+    def local_worker(sock, style, name: str) -> None:
+        chaos = ChaosPlan(die_on_keys=plan.die_on_keys) \
+            if name.endswith("r") else plan
+        if not chaos.active:
+            DistWorker(sock, style).run()
+            return
+        try:
+            ChaosWorker(sock, style, WorkerChaos(chaos, name)).run()
+        except ChaosInterrupt:
+            os._exit(13)  # a chaos death ends the process
 
     monkeypatch.setattr(coordinator, "_local_worker", local_worker)

@@ -7,7 +7,7 @@ duplicates, corrupts and delays result frames through the deterministic
 proxy, and every surviving campaign must match the serial ground truth
 bit for bit — with the degradation (if any) exactly reflected in the
 completeness report.  The harder cases ride on top: a worker whose
-frames arrive corrupted (CRC-detectable), and a class key that kills
+frames arrive corrupted (shape-detectable), and a class key that kills
 every worker that touches it (its shard fails after its retries).
 """
 
@@ -18,13 +18,13 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
-from repro.campaign.dist import DistCoordinator, result_digest
-from repro.campaign.dist.coordinator import serve_in_thread
+from repro.campaign.dist import DistCoordinator
+from repro.campaign.journal import _valid_run
 from repro.programs import micro
 
 from .chaos import ChaosInterrupt, ChaosPlan, WorkerChaos
-from .test_dist import (POLICY, _RecordingStream, _server_socket,
-                        _start_worker, run_dist)
+from .fabric import POLICY, ThreadFleet, run_dist, serve_in_thread
+from .test_dist import _RecordingStream
 
 #: Chaos soaks retry far past the default budget: the injector *wants*
 #: to burn attempts, and the invariant under test is correctness, not
@@ -39,7 +39,7 @@ SOAK_POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
 BOUNDED_SOAK_POLICY = replace(SOAK_POLICY, backoff_factor=1.25)
 
 #: Rates for the differential soak: every event class that cannot lie
-#: (drops, dups, CRC-detectable corruption, delays) fires often enough
+#: (drops, dups, shape-detectable corruption, delays) fires often enough
 #: that a few dozen result frames see several of each.
 SOAK_RATES = dict(drop_rate=0.12, dup_rate=0.15, corrupt_rate=0.08,
                   delay_rate=0.10, delay_seconds=0.005)
@@ -136,25 +136,25 @@ class TestChaosDeterminism:
             "d6a038c083b46ab8fd8b785d90947d33caaa19cf7da89a1c8381a6417dda9012")
 
     def test_tampered_changes_payload_and_digest(self):
-        """One bit's outcome and end cycle change, in place: the run
-        keeps its shape (the shape check cannot tell), only the digest
-        can."""
+        """The payload gains one valid outcome, picked by the result
+        index: the run no longer has the shape of its unit, so the
+        coordinator's shape check rejects it."""
         chaos = WorkerChaos(ChaosPlan(seed=1), "w0")
         run = ["no-effect sdc", "10 12", " "]
         message = {"shard": 0, "key": [0, 1], "run": run}
         tampered = chaos.tampered(message, 1)
         assert message["run"] == run  # the original is left alone
-        assert tampered["run"] == ["no-effect output-truncated", "10 13",
-                                   " "]
+        assert tampered["run"] == ["no-effect sdc detected-corrected",
+                                   "10 12", " "]
         assert tampered == chaos.tampered(message, 1)  # deterministic
-        assert result_digest((0, 1), tampered["run"]) \
-            != result_digest((0, 1), run)
+        assert _valid_run(run, 2)
+        assert not any(_valid_run(tampered["run"], count)
+                       for count in (2, 3))
 
     @staticmethod
     def _items(count):
         run = ["no-effect sdc", "10 12", " "]
-        return [{"shard": 0, "key": [0, slot], "run": run,
-                 "crc": result_digest((0, slot), run)}
+        return [{"shard": 0, "key": [0, slot], "run": run}
                 for slot in range(1, count + 1)]
 
     def test_schedule_is_over_class_results_not_wire_frames(self):
@@ -213,10 +213,10 @@ class TestChaosSoak:
     def test_memory_soak_matches_serial(self, seed, memory_golden,
                                         memory_baseline):
         plan = ChaosPlan(seed=seed, **SOAK_RATES)
-        result, _, spawned = run_dist(
+        result, _, fleet = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
             policy=SOAK_POLICY)
-        assert not any(errors for _, _, errors in spawned)
+        assert not fleet.errors
         assert_soak_invariant(result, memory_baseline)
         assert result.execution.complete
 
@@ -232,12 +232,12 @@ class TestChaosSoak:
     def test_chaos_telemetry_records_what_fired(self, memory_golden,
                                                 memory_baseline):
         plan = ChaosPlan(seed=7, **SOAK_RATES)
-        _, _, spawned = run_dist(
+        _, _, fleet = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
             policy=SOAK_POLICY)
         fired = {}
-        for worker, _, _ in spawned:
-            for name, count in worker._chaos.fired.items():
+        for slot in fleet.slots:
+            for name, count in slot.chaos.fired.items():
                 fired[name] = fired.get(name, 0) + count
         assert fired, "a soak that injected nothing proves nothing"
 
@@ -247,23 +247,21 @@ class TestChaosSoak:
         (``stop_after_results``): a restart on the same journal
         completes bit-for-bit."""
         journal = tmp_path / "chaos.sqlite"
-        sock = _server_socket()
-        port = sock.getsockname()[1]
+        fleets = [ThreadFleet(), ThreadFleet()]
+        for fleet in fleets:
+            fleet.add("w0")
         first = DistCoordinator(
-            sock=sock, shards=4, policy=POLICY,
+            fleets[0], shards=4, policy=POLICY,
             stop_after_results=4)
         thread = serve_in_thread(first, memory_golden, journal=journal)
-        _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None  # the scheduled crash
         assert first.stopped
-        import socket as socket_mod
-        sock2 = socket_mod.create_server(("127.0.0.1", port))
-        second = DistCoordinator(sock=sock2, shards=4,
-                                 policy=POLICY)
+        second = DistCoordinator(fleets[1], shards=4, policy=POLICY)
         result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
-        worker_thread.join(10)
-        assert not errors
+        for fleet in fleets:
+            fleet.join()
+            assert not fleet.errors
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.resumed == 4
@@ -272,9 +270,9 @@ class TestChaosSoak:
 class TestIntegrity:
     def test_corrupting_worker_is_caught_by_crc(self, memory_golden,
                                                 memory_baseline):
-        """Every frame from one worker is tampered after digesting (a
-        broken NIC, in effect): the CRC check refuses them all, each of
-        its leases fails as an attempt, the honest peer finishes."""
+        """Every unit one worker sends is damaged on the way (a broken
+        link, in effect): the shape check refuses them all, each of its
+        leases fails as an attempt, the honest peer finishes."""
         corrupt = ChaosPlan(seed=3, corrupt_rate=1.0)
         result, _, _ = run_dist(
             memory_golden, workers=2, worker_chaos=[corrupt, None],

@@ -3,8 +3,8 @@
 The contract mirrors the journal's: a distributed scan — any worker
 count, any interleaving, any amount of node loss short of exhausting the
 retry budget — produces a result *bit-for-bit identical* to the serial
-runner.  These tests drive the real TCP stack (coordinator on a thread,
-workers on threads or forked processes over loopback) and inject the
+runner.  These tests drive the real socket-pair stack (coordinator on a
+thread, workers on threads or forked processes) and inject the
 failures a fleet actually sees: killed workers, dropped and
 duplicated deliveries, a coordinator restart mid-campaign, and shards
 lost for good.
@@ -35,24 +35,20 @@ from repro.campaign.dist import (
     DistWorker,
     FrameStream,
     LeaseBoard,
-    PROTOCOL_VERSION,
+    LocalFabric,
     ProtocolError,
-    WorkerRejected,
     decode_frame,
     encode_frame,
-    result_digest,
+    serve_scan,
 )
-from repro.campaign.dist.coordinator import serve_in_thread
 from repro.campaign.dist.leases import FAILED, PENDING
 from repro.campaign.runner import ScanStyle
 from repro.faultspace.domain import MEMORY, get_domain
 from repro.programs import hi, micro, sync2
 
-from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker
+from .chaos import ChaosPlan, chaotic_fleet
+from .fabric import POLICY, ThreadFleet, run_dist, serve_in_thread
 from .journal_rows import class_experiments, stored_experiments
-
-#: Snappy failure detection for loopback tests.
-POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -76,62 +72,17 @@ def register_baseline(register_golden):
                          domain="register")
 
 
-def _server_socket():
-    return socket.create_server(("127.0.0.1", 0))
+def _fleet(*names) -> ThreadFleet:
+    """A thread fleet of honest workers called ``names``."""
+    fleet = ThreadFleet()
+    for name in names:
+        fleet.add(name)
+    return fleet
 
 
-def _campaign_spec(golden, domain="memory") -> dict:
-    """The campaign frame a coordinator would ship to its full-scan
-    workers."""
-    return DistCoordinator._campaign_message(
-        ScanStyle(golden, get_domain(domain)))
-
-
-def _start_worker(port: int, name: str, chaos=None, **kw):
-    """Run a DistWorker (a ChaosWorker given a ``chaos`` plan) on a
-    daemon thread, capturing its exception."""
-    kw.setdefault("reconnect_delay", 0.05)
-    kw.setdefault("max_reconnect_delay", 0.3)
-    worker = DistWorker("127.0.0.1", port, name=name, **kw) \
-        if chaos is None else ChaosWorker("127.0.0.1", port, chaos,
-                                          name=name, **kw)
-    errors: list = []
-
-    def target():
-        try:
-            worker.run()
-        except Exception as exc:  # noqa: BLE001 - surfaced by the test
-            errors.append(exc)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    return worker, thread, errors
-
-
-def run_dist(golden, *, workers=2, worker_chaos=None, worker_kw=None,
-             domain="memory", policy=POLICY, journal=None,
-             keep_records=True, progress=None, **coordinator_kw):
-    """One distributed scan over loopback; returns its CampaignResult."""
-    sock = _server_socket()
-    port = sock.getsockname()[1]
-    coordinator_kw.setdefault("shards", 4)
-    coordinator = DistCoordinator(sock=sock, policy=policy,
-                                  **coordinator_kw)
-    thread = serve_in_thread(coordinator, golden, domain=domain,
-                             journal=journal, keep_records=keep_records,
-                             progress=progress)
-    chaos_by_worker = worker_chaos or [None] * workers
-    spawned = [_start_worker(port, f"w{index}", chaos=chaos,
-                             **(worker_kw or {}))
-               for index, chaos in enumerate(chaos_by_worker)]
-    result = thread.join_result(120)
-    # The coordinator is gone: a worker still reconnecting to it would
-    # never stop (run_distributed_scan terminates such processes).
-    for worker, _, _ in spawned:
-        worker._finished = True
-    for _, worker_thread, _ in spawned:
-        worker_thread.join(10)
-    return result, coordinator, spawned
+def _scan_style(golden, domain="memory") -> ScanStyle:
+    """The style a full scan's workers inherit."""
+    return ScanStyle(golden, get_domain(domain))
 
 
 class TestProtocol:
@@ -153,8 +104,8 @@ class TestProtocol:
         left, right = socket.socketpair()
         try:
             a, b = FrameStream(left), FrameStream(right)
-            a.send({"type": "hello", "n": 1})
-            a.send({"type": "hello", "n": 2})
+            a.send({"type": "request", "n": 1})
+            a.send({"type": "request", "n": 2})
             assert b.read(timeout=1.0)["n"] == 1
             assert b.poll()["n"] == 2
             assert b.poll() is None  # nothing buffered, does not block
@@ -346,42 +297,46 @@ class TestDistEquality:
 class TestDistChaos:
     def test_killed_worker_is_survived(self, memory_golden,
                                        memory_baseline):
-        """One worker's socket vanishes mid-shard (exactly what SIGKILL
-        looks like from the coordinator) and never comes back; the
+        """One worker's stream vanishes mid-shard (exactly what SIGKILL
+        looks like from the coordinator) and it never comes back; the
         survivor absorbs the re-leased work.  The survivor starts only
         once the doomed worker is dead, so the outcome does not depend
         on who wins the first lease."""
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        coordinator = DistCoordinator(sock=sock, shards=4,
-                                      policy=POLICY)
-        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
-        _, doomed_thread, doomed_errors = _start_worker(
-            port, "w0", chaos=ChaosPlan(drop_after_results=2),
-            max_reconnects=0)
-        doomed_thread.join(60)
+        fleet = ThreadFleet()
+        doomed = fleet.add("w0", ChaosPlan(drop_after_results=2),
+                           respawn=False)
+        coordinator = DistCoordinator(fleet, shards=4, policy=POLICY)
+        thread = serve_in_thread(coordinator, memory_golden,
+                                 keep_records=True)
+        doomed.join(60)
         # The chaos worker died for good, at its second result...
-        assert not doomed_thread.is_alive()
-        assert [type(exc) for exc in doomed_errors] == [ChaosInterrupt]
-        _, survivor_thread, survivor_errors = _start_worker(port, "w1")
+        assert not doomed.thread.is_alive()
+        assert fleet.deaths == ["w0"]
+        fleet.add("w1")
         result = thread.join_result(120)
-        survivor_thread.join(10)
-        assert not survivor_errors
+        fleet.join()
+        assert not fleet.errors
         # ...and the campaign still matches the serial ground truth.
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.complete
         assert dict(result.execution.workers)["w0"] == 2
 
-    def test_dropped_connection_reconnects_and_finishes(
+    def test_a_dropped_stream_is_a_worker_death(
             self, memory_golden, memory_baseline):
-        """A worker that loses its TCP connection mid-lease reconnects
-        and keeps working; nothing is lost, nothing double-counted."""
-        result, _, spawned = run_dist(
+        """A worker whose stream drops mid-lease is dead: nothing
+        reconnects.  Its lease is re-granted — here to the same worker,
+        re-served by its fleet over a fresh pair — and the result is
+        bit-identical: nothing lost, nothing double-counted."""
+        result, _, fleet = run_dist(
             memory_golden, workers=1,
             worker_chaos=[ChaosPlan(drop_after_results=3)])
-        assert not any(errors for _, _, errors in spawned)
+        assert not fleet.errors
+        assert fleet.deaths == ["w0"]
+        assert fleet.slots[0].lives == 2
+        assert result.execution.shard_retries == 1
         assert result == memory_baseline
+        assert result.records == memory_baseline.records
         assert result.execution.executed == result.execution.total_units
 
     def test_duplicate_deliveries_account_exactly_once(
@@ -397,24 +352,19 @@ class TestDistChaos:
     def test_coordinator_restart_resumes_from_the_journal(
             self, tmp_path, memory_golden, memory_baseline):
         """Crash the coordinator after 4 accepted results; a new one on
-        the same port + journal finishes while the worker reconnects."""
+        the same journal, with a fleet of its own, finishes."""
         journal = tmp_path / "dist.sqlite"
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        first = DistCoordinator(sock=sock, shards=4,
+        first = DistCoordinator(_fleet("w0"), shards=4,
                                 policy=POLICY, stop_after_results=4)
         thread = serve_in_thread(first, memory_golden, journal=journal)
-        _, worker_thread, errors = _start_worker(port, "w0")
         assert thread.join_result(60) is None
         assert first.stopped
-        # The worker is now reconnect-looping against a dead port.
-        sock2 = socket.create_server(("127.0.0.1", port))
-        second = DistCoordinator(sock=sock2, shards=4,
-                                 policy=POLICY)
+        second = DistCoordinator(_fleet("w0"), shards=4, policy=POLICY)
         result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
-        worker_thread.join(10)
-        assert not errors
+        for fleet in (first.fleet, second.fleet):
+            fleet.join()
+            assert not fleet.errors
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.resumed == 4
@@ -427,14 +377,11 @@ class TestDistChaos:
         would: every accepted class is committed, whole, and nothing
         else is."""
         journal = tmp_path / "dist.sqlite"
-        sock = _server_socket()
-        coordinator = DistCoordinator(sock=sock, shards=4,
+        coordinator = DistCoordinator(_fleet("w0"), shards=4,
                                       policy=POLICY, stop_after_results=5)
         thread = serve_in_thread(coordinator, memory_golden, journal=journal)
-        _, worker_thread, _ = _start_worker(
-            sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
-        worker_thread.join(10)
+        coordinator.fleet.join()
         assert list(class_experiments(journal).values()) == [8] * 5
 
     def test_a_stopped_coordinators_classes_reach_the_section_store(
@@ -444,14 +391,11 @@ class TestDistChaos:
         the section store holds every experiment, as after a serial
         journaled scan, and a fresh sweep composes them all."""
         journal = tmp_path / "dist.sqlite"
-        sock = _server_socket()
-        coordinator = DistCoordinator(sock=sock, shards=4,
+        coordinator = DistCoordinator(_fleet("w0"), shards=4,
                                       policy=POLICY, stop_after_results=5)
         thread = serve_in_thread(coordinator, memory_golden, journal=journal)
-        _, worker_thread, _ = _start_worker(
-            sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
-        worker_thread.join(10)
+        coordinator.fleet.join()
         resumed = run_full_scan(memory_golden, journal=journal)
         assert resumed.execution.resumed == 5
         serial = tmp_path / "serial.sqlite"
@@ -470,7 +414,7 @@ class TestDistChaos:
         result, _, _ = run_dist(
             memory_golden,
             worker_chaos=[ChaosPlan(drop_after_results=1), None],
-            worker_kw={"max_reconnects": 0},
+            respawn=False,
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.02,
                                backoff=0.05, max_retries=0))
         execution = result.execution
@@ -482,101 +426,14 @@ class TestDistChaos:
         for key, outcomes in result.class_outcomes.items():
             assert outcomes == memory_baseline.class_outcomes[key]
 
-    @staticmethod
-    def _refused_then_served(monkeypatch, golden, baseline, name, fake,
-                             match):
-        """Patch the worker module's ``name`` with ``fake``: that worker
-        must be refused with ``match``; an unpatched worker then
-        completes the campaign alone."""
-        import repro.campaign.dist.worker as worker_mod
-
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        coordinator = DistCoordinator(sock=sock, shards=4,
-                                      policy=POLICY)
-        thread = serve_in_thread(coordinator, golden, keep_records=True)
-        real = getattr(worker_mod, name)
-        monkeypatch.setattr(worker_mod, name, fake(real))
-        refused = DistWorker("127.0.0.1", port, name="refused")
-        with pytest.raises(WorkerRejected, match=match):
-            refused.run()
-        monkeypatch.setattr(worker_mod, name, real)
-        _, worker_thread, errors = _start_worker(port, "fresh")
-        result = thread.join_result(60)
-        worker_thread.join(10)
-        assert not errors
-        assert result == baseline
-        assert result.execution.workers == (("fresh",
-                                             result.execution.executed),)
-
-    def test_stale_worker_is_rejected_not_polluting(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """A worker whose checkout assembles a different binary must be
-        refused; a correct worker still completes the campaign."""
-        self._refused_then_served(
-            monkeypatch, memory_golden, memory_baseline,
-            "program_fingerprint", lambda real: lambda program: "0" * 24,
-            "fingerprint mismatch")
-
-    def test_worker_with_other_timing_is_rejected(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """Same binary, different machine model: a worker whose golden
-        run takes another Δt is refused before it executes anything."""
-        import dataclasses
-
-        self._refused_then_served(
-            monkeypatch, memory_golden, memory_baseline, "record_golden",
-            lambda real: lambda program, **kw: dataclasses.replace(
-                real(program, **kw), cycles=memory_golden.cycles + 1),
-            "golden run mismatch")
-
-    def test_protocol_version_mismatch_is_rejected(self, memory_golden):
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        coordinator = DistCoordinator(sock=sock,
-                                      policy=POLICY, stop_after_results=1)
-        thread = serve_in_thread(coordinator, memory_golden)
-        time.sleep(0.05)
-        client = socket.create_connection(("127.0.0.1", port), timeout=5)
-        stream = FrameStream(client)
-        stream.send({"type": "hello", "version": PROTOCOL_VERSION + 1,
-                     "name": "new"})
-        reply = stream.read(timeout=5.0)
-        assert reply["type"] == "reject"
-        assert "version" in reply["reason"]
-        client.close()
-        # Protocol-3 (``heartbeat`` frames), protocol-4 (per-bit ``rows``
-        # lists), protocol-5 (no ladder stride), protocol-6 (full scans
-        # only), protocol-7 (an ``auto`` engine in the default config)
-        # and protocol-8 (verify leases) workers are refused at the
-        # handshake: versions are replaced, not forked.
-        for old in (3, 4, 5, 6, 7, 8):
-            client = socket.create_connection(("127.0.0.1", port),
-                                              timeout=5)
-            stream = FrameStream(client)
-            stream.send({"type": "hello", "version": old, "name": "old"})
-            reply = stream.read(timeout=5.0)
-            assert reply["type"] == "reject"
-            assert f"version {old} != {PROTOCOL_VERSION}" in reply["reason"]
-            client.close()
-        # Drain the coordinator so the thread does not linger.  The
-        # stop_after_results hook severs the worker, so cap reconnects.
-        _, worker_thread, _ = _start_worker(port, "w0", max_reconnects=0)
-        thread.join_result(60)
-        worker_thread.join(10)
-
 
 class _RawWorker:
-    """A hand-driven protocol peer: handshake, then frames by hand."""
+    """A hand-driven peer: one end of a pair the coordinator serves,
+    frames sent by hand."""
 
-    def __init__(self, port: int, name: str = "raw"):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
-        self.stream = FrameStream(self.sock)
-        self.stream.send({"type": "hello", "version": PROTOCOL_VERSION,
-                          "name": name})
-        self.spec = self.stream.read(timeout=5.0)
-        assert self.spec["type"] == "campaign"
-        self.stream.send({"type": "ready"})
+    def __init__(self, fleet: ThreadFleet, name: str = "raw"):
+        self.fleet = fleet
+        self.stream = fleet.raw(name)
 
     def lease(self) -> dict:
         """Ask until a lease is granted (an embargoed shard says wait)."""
@@ -587,33 +444,57 @@ class _RawWorker:
                 return reply
             time.sleep(min(float(reply["seconds"]), 0.1))
 
+    def items(self, lease: dict) -> list[dict]:
+        """The items an honest worker sends for a lease's keys."""
+        return [item for window in _run_lease(self.fleet.style, lease)
+                for item in window]
+
     def results(self, items) -> None:
-        self.stream.send({"type": "results", "items": list(items)})
+        self._send({"type": "results", "items": list(items)})
 
     def lease_done(self, lease: dict) -> None:
-        self.stream.send({"type": "lease_done", "lease": lease["lease"],
-                          "shard": lease["shard"]})
+        self._send({"type": "lease_done", "lease": lease["lease"],
+                    "shard": lease["shard"]})
+
+    def _send(self, message: dict) -> None:
+        """Send, as a worker does: a coordinator that finished the
+        campaign on the frames before this one has hung up."""
+        try:
+            self.stream.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
     def close(self) -> None:
-        self.sock.close()
+        self.stream.close()
+
+
+class _Gated:
+    """``style`` whose ``execute`` yields nothing before ``gate`` is
+    set."""
+
+    def __init__(self, style, gate: threading.Event):
+        self._style, self._gate = style, gate
+
+    def __getattr__(self, name):
+        return getattr(self._style, name)
+
+    def execute(self, executor, work):
+        for unit in self._style.execute(executor, work):
+            assert self._gate.wait(10)
+            yield unit
 
 
 class TestWorkerWait:
     def test_a_wait_ends_when_done_arrives(self, memory_golden):
         """A ``wait`` grant is spent reading the stream, not asleep: a
-        raw-socket coordinator grants 30 s, says ``done`` 50 ms later,
+        hand-driven coordinator grants 30 s, says ``done`` 50 ms later,
         and the worker returns at once instead of after its 1 s cap."""
-        spec = _campaign_spec(memory_golden)
-        server = _server_socket()
+        ours, theirs = socket.socketpair()
         said_done: list[float] = []
 
         def coordinate():
-            conn, _ = server.accept()
-            with conn:
-                stream = FrameStream(conn)
-                stream.read(timeout=5.0)  # hello
-                stream.send(spec)
-                stream.read(timeout=5.0)  # ready
+            with ours:
+                stream = FrameStream(ours)
                 stream.read(timeout=5.0)  # request
                 stream.send({"type": "wait", "seconds": 30})
                 time.sleep(0.05)
@@ -623,16 +504,41 @@ class TestWorkerWait:
 
         thread = threading.Thread(target=coordinate, daemon=True)
         thread.start()
-        worker = DistWorker("127.0.0.1", server.getsockname()[1],
-                            name="w", max_reconnects=0)
-        try:
-            assert worker.run() == 0
-            returned = time.monotonic()
-            thread.join(10)
-        finally:
-            server.close()
-        assert worker._finished
+        worker = DistWorker(theirs, _scan_style(memory_golden))
+        assert worker.run() == 0
+        returned = time.monotonic()
+        thread.join(10)
         assert returned - said_done[0] < 0.5
+
+    def test_a_peer_that_hangs_up_mid_lease_ends_the_worker(
+            self, monkeypatch, memory_golden):
+        """The coordinator grants a lease, then hangs up before the
+        worker's first window leaves: the worker returns at that send,
+        with one class executed — no retry, no reconnect, the rest of
+        the lease left undone."""
+        import repro.campaign.dist.worker as worker_mod
+
+        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
+        style = _scan_style(memory_golden)
+        hung_up = threading.Event()
+        ours, theirs = socket.socketpair()
+
+        def coordinate():
+            stream = FrameStream(ours)
+            assert stream.read(timeout=5.0)["type"] == "request"
+            stream.send({"type": "lease", "lease": 1, "shard": 0,
+                         "keys": [list(key) for key in style.units]})
+            ours.close()
+            hung_up.set()
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        worker = DistWorker(theirs, _Gated(style, hung_up))
+        start = time.monotonic()
+        assert worker.run() == 1
+        assert time.monotonic() - start < 5.0
+        thread.join(10)
+        assert len(style.units) > 1
 
 
 class _RecordingStream:
@@ -658,13 +564,14 @@ class _RecordingStream:
                 if message["type"] == "results"]
 
 
-def _run_lease(spec: dict, lease: dict | None = None, calls=None):
-    """Run one lease (default: every class) through a real worker's
-    lease loop against a recording stream; ``calls``, a list, gets the
-    batch size of every ``run_many`` call the executor serves."""
-    worker = DistWorker("127.0.0.1", 0, name="w")
+def _run_lease(style, lease: dict | None = None, calls=None):
+    """Run one lease (default: every unit) of ``style`` through a real
+    worker's lease loop against a recording stream; ``calls``, a list,
+    gets the batch size of every ``run_many`` call the executor
+    serves."""
+    worker = DistWorker(None, style)
     stream = _RecordingStream()
-    executor, style = worker._verify(stream, spec)
+    executor = style.config.build(style.golden)
     if calls is not None:
         run_many = executor.run_many
         executor.run_many = lambda coords: (calls.append(len(coords)),
@@ -678,46 +585,27 @@ def _run_lease(spec: dict, lease: dict | None = None, calls=None):
     return stream.windows()
 
 
-def _class_items(spec: dict, lease: dict) -> list[dict]:
-    """The items an honest worker sends for a lease's keys."""
-    return [item for window in _run_lease(spec, lease) for item in window]
-
-
 class TestSendWindow:
-    """Since protocol 3 the wire unit is the worker's send window; the
-    integrity and accounting unit is still the class."""
+    """The wire unit is the worker's send window; the unit of checks
+    and accounting is still the class."""
 
     def test_results_frame_round_trip(self):
         run = ["sdc no-effect", "12 9", " "]
         message = {"type": "results", "items": [
-            {"shard": 3, "key": [0, 7], "run": run,
-             "crc": result_digest((0, 7), run), "hits": 1, "skips": 0}]}
+            {"shard": 3, "key": [0, 7], "run": run, "hits": 1,
+             "skips": 0}]}
         assert decode_frame(encode_frame(message)[4:]) == message
 
-    def test_the_digest_covers_key_and_every_run_string(self):
-        """One CRC over the key and the three strings: changing any of
-        them — or moving a value across a field boundary — changes
-        it."""
-        run = ("sdc no-effect", "12 9", " ")
-        digest = result_digest((0, 7), run)
-        assert digest == result_digest([0, 7], list(run))
-        for other in [((0, 8), run), ((7, 0), run),
-                      ((0, 7), ("sdc sdc", "12 9", " ")),
-                      ((0, 7), ("sdc no-effect", "12 10", " ")),
-                      ((0, 7), ("sdc no-effect", "12 9", "  ")),
-                      ((0, 7), ("sdc no-effect 12", "9", " "))]:
-            assert result_digest(*other) != digest, other
-        with pytest.raises(TypeError):
-            result_digest((0, 7), ("sdc", 12, ""))
-
     def _serve(self, golden, **kw):
-        sock = _server_socket()
+        """Serve ``golden`` to one hand-driven peer: ``(coordinator,
+        thread, raw)``."""
+        fleet = ThreadFleet()
+        raw = _RawWorker(fleet)
         kw.setdefault("shards", 1)  # one lease holds every class
         journal = kw.pop("journal", None)
-        coordinator = DistCoordinator(sock=sock, policy=POLICY, **kw)
+        coordinator = DistCoordinator(fleet, policy=POLICY, **kw)
         return coordinator, serve_in_thread(
-            coordinator, golden, journal=journal, keep_records=True), \
-            sock.getsockname()[1]
+            coordinator, golden, journal=journal, keep_records=True), raw
 
     def _one_item_spoiled(self, tmp_path, golden, baseline, index, spoil):
         """Serve one lease; send its window with item ``index`` replaced
@@ -727,10 +615,9 @@ class TestSendWindow:
         from repro.campaign.journal import ExperimentJournal
 
         journal = tmp_path / "window.sqlite"
-        _, thread, port = self._serve(golden, journal=journal)
-        raw = _RawWorker(port)
+        _, thread, raw = self._serve(golden, journal=journal)
         lease = raw.lease()
-        items = _class_items(raw.spec, lease)
+        items = raw.items(lease)
         honest = dict(items[index])
         items[index] = spoil(honest)
         raw.results(items)
@@ -754,29 +641,25 @@ class TestSendWindow:
     def test_one_tampered_item_is_rejected_its_neighbours_merge(
             self, tmp_path, memory_golden, memory_baseline):
         def tamper(item):
-            # In-flight corruption: the run changes, the CRC does not.
+            # In-flight corruption: one outcome too many for the class.
             outcomes, cycles, traps = item["run"]
-            first, rest = cycles.split(" ", 1)
-            return {**item,
-                    "run": [outcomes, f"{int(first) + 1} {rest}", traps]}
+            return {**item, "run": [f"{outcomes} sdc", cycles, traps]}
 
         result, rejects, honest, items = self._one_item_spoiled(
             tmp_path, memory_golden, memory_baseline, 3, tamper)
         assert result.execution.workers == (("raw", len(items)),)
-        assert [event["kind"] for event in rejects] == ["crc-reject"]
+        assert [event["kind"] for event in rejects] == ["shape-reject"]
         assert rejects[0]["detail"].startswith(str(honest["key"]))
 
     def test_a_trap_that_would_split_its_run_is_rejected(
             self, tmp_path, memory_golden, memory_baseline):
         """The journal stores a class's traps space-separated in one
         row, so a worker's trap holding a space — one space too many in
-        the traps string — is a malformed class even under a matching
-        CRC."""
+        the traps string — is a malformed class."""
         def split_trap(item):
             outcomes, cycles, traps = item["run"]
-            run = [outcomes, cycles, "memory fault" + traps]
-            return {**item, "run": run,
-                    "crc": result_digest(tuple(item["key"]), run)}
+            return {**item,
+                    "run": [outcomes, cycles, "memory fault" + traps]}
 
         _, rejects, _, _ = self._one_item_spoiled(
             tmp_path, memory_golden, memory_baseline, 2, split_trap)
@@ -815,8 +698,7 @@ class TestSendWindow:
         planned shard, or none at all, is a protocol error on that
         connection.  Its lease is released, and an honest worker then
         finishes the campaign to the serial result."""
-        _, thread, port = self._serve(memory_golden)
-        raw = _RawWorker(port)
+        _, thread, raw = self._serve(memory_golden)
         assert raw.lease()["lease"] == 1
         raw.stream.send({"type": "lease_done", **frame})
         try:
@@ -825,20 +707,19 @@ class TestSendWindow:
             hung_up = True
         raw.close()
         assert hung_up
-        _, worker_thread, errors = _start_worker(port, "honest")
+        raw.fleet.add("honest")
         result = thread.join_result(60)
-        worker_thread.join(10)
-        assert not errors
+        raw.fleet.join()
+        assert not raw.fleet.errors
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.shard_retries == 1
 
     def test_duplicates_within_and_across_windows_account_once(
             self, memory_golden, memory_baseline):
-        coordinator, thread, port = self._serve(memory_golden)
-        raw = _RawWorker(port)
+        coordinator, thread, raw = self._serve(memory_golden)
         lease = raw.lease()
-        items = _class_items(raw.spec, lease)
+        items = raw.items(lease)
         raw.results([items[0], items[0], items[1]])
         raw.results([items[1]] + items[2:])
         raw.lease_done(lease)
@@ -851,11 +732,10 @@ class TestSendWindow:
     def test_stop_lands_mid_window_on_exactly_the_kth_class(
             self, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "stop.sqlite"
-        coordinator, thread, port = self._serve(
+        coordinator, thread, raw = self._serve(
             memory_golden, journal=journal, stop_after_results=5)
-        raw = _RawWorker(port)
         lease = raw.lease()
-        raw.results(_class_items(raw.spec, lease))  # 12 in one frame
+        raw.results(raw.items(lease))  # 12 in one frame
         assert thread.join_result(60) is None
         raw.close()
         assert list(class_experiments(journal).values()) == [8] * 5
@@ -875,11 +755,10 @@ class TestSendWindow:
 
         journal = tmp_path / "last.sqlite"
         total = len(memory_baseline.class_outcomes)
-        _, thread, port = self._serve(memory_golden, journal=journal,
-                                      stop_after_results=total)
-        raw = _RawWorker(port)
+        _, thread, raw = self._serve(memory_golden, journal=journal,
+                                     stop_after_results=total)
         lease = raw.lease()
-        raw.results(_class_items(raw.spec, lease))
+        raw.results(raw.items(lease))
         assert thread.join_result(60) is None
         raw.close()
         with ExperimentJournal(journal) as log:
@@ -905,10 +784,9 @@ class TestSendWindow:
         monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
         monkeypatch.setattr(CampaignRun, "idle", lambda run: None)
         journal = tmp_path / "pending.sqlite"
-        _, thread, port = self._serve(memory_golden, journal=journal)
-        raw = _RawWorker(port)
+        _, thread, raw = self._serve(memory_golden, journal=journal)
         lease = raw.lease()
-        items = _class_items(raw.spec, lease)
+        items = raw.items(lease)
         raw.results(items[:6])
         raw.results(items[3:])  # three copies of uncommitted classes
         raw.lease_done(lease)
@@ -928,11 +806,10 @@ class TestSendWindow:
         because copies used up the budget, not more because the merge
         took the whole window."""
         journal = tmp_path / "stop.sqlite"
-        _, thread, port = self._serve(memory_golden, journal=journal,
-                                      stop_after_results=5)
-        raw = _RawWorker(port)
+        _, thread, raw = self._serve(memory_golden, journal=journal,
+                                     stop_after_results=5)
         lease = raw.lease()
-        items = _class_items(raw.spec, lease)
+        items = raw.items(lease)
         raw.results([copy for item in items for copy in (item, item)])
         assert thread.join_result(60) is None
         raw.close()
@@ -945,18 +822,17 @@ class TestSendWindow:
         """One scan generator per lease: the classes of a lease that
         share an injection slot reach the executor as one group, as
         they do on every other transport — yet each leaves as its own
-        item with its own CRC."""
+        item."""
         golden = record_golden(micro.memcopy(6))
-        spec = _campaign_spec(golden, domain="register")
         calls: list[int] = []
-        items = [item for window in _run_lease(spec, calls=calls)
-                 for item in window]
+        items = [item for window in _run_lease(
+            _scan_style(golden, domain="register"), calls=calls)
+            for item in window]
         serial = run_full_scan(golden, domain="register")
         assert len(items) == len(serial.class_outcomes) == 66
         assert len(calls) == 60  # distinct injection slots
         assert sum(calls) == serial.experiments_conducted
         for item in items:
-            assert item["crc"] == result_digest(item["key"], item["run"])
             outcomes = tuple(item["run"][0].split(" "))
             assert outcomes == tuple(
                 outcome.value
@@ -967,7 +843,7 @@ class TestSendWindow:
 
         monkeypatch.setattr(worker_mod, "_clock", clock)
         monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 5)
-        windows = _run_lease(_campaign_spec(golden))
+        windows = _run_lease(_scan_style(golden))
         # Whatever the grouping: every class exactly once.
         keys = [tuple(item["key"]) for window in windows for item in window]
         assert len(keys) == len(set(keys)) == 12
@@ -997,14 +873,21 @@ class TestSendWindow:
             self, tmp_path, monkeypatch, memory_golden, memory_baseline):
         """A tick that saw classes accepted is not idle and must not
         commit: with the journal's clock standing still (no window ever
-        ages) every tick commit is an idle tick's.  Counts, not times."""
+        ages) every tick commit is an idle tick's.  The worker sends a
+        window a class, 5 ms apart, so the campaign spans many ticks of
+        both kinds.  Counts, not times."""
+        import repro.campaign.dist.worker as worker_mod
         import repro.campaign.journal as journal_mod
         from repro.campaign.pipeline import CampaignRun
 
         monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
-        sock = _server_socket()
+        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
+        flush = DistWorker._flush
+        monkeypatch.setattr(
+            DistWorker, "_flush", lambda worker, stream, window: (
+                flush(worker, stream, window), time.sleep(0.005))[0])
         coordinator = DistCoordinator(
-            sock=sock, shards=4,
+            _fleet("w0"), shards=4,
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
                                backoff=0.05))
         #: ``_accepted`` as each watchdog tick saw it (a tick expires
@@ -1026,11 +909,9 @@ class TestSendWindow:
         thread = serve_in_thread(coordinator, memory_golden,
                                  journal=tmp_path / "ticks.sqlite",
                                  keep_records=True)
-        _, worker_thread, errors = _start_worker(
-            sock.getsockname()[1], "w0")
         result = thread.join_result(60)
-        worker_thread.join(10)
-        assert not errors
+        coordinator.fleet.join()
+        assert not coordinator.fleet.errors
         assert result == memory_baseline
         idle_ticks = sum(1 for before, seen in zip([0] + ticks, ticks)
                          if before == seen)
@@ -1038,27 +919,27 @@ class TestSendWindow:
 
 
 class TestDeadlines:
-    """Since protocol 4 a lease lives by progress alone, and an expired one
-    is a failed attempt."""
+    """A lease lives by progress alone, and an expired one is a failed
+    attempt."""
 
     DEADLINE = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
                            shard_timeout=1.0)
 
-    def _serve(self, golden, shards):
-        sock = _server_socket()
-        coordinator = DistCoordinator(sock=sock, shards=shards,
+    def _serve(self, golden, shards, name="raw"):
+        """Serve ``golden`` to one hand-driven peer: ``(thread, raw)``."""
+        fleet = ThreadFleet()
+        raw = _RawWorker(fleet, name)
+        coordinator = DistCoordinator(fleet, shards=shards,
                                       policy=self.DEADLINE)
-        return serve_in_thread(coordinator, golden, keep_records=True), \
-            sock.getsockname()[1]
+        return serve_in_thread(coordinator, golden, keep_records=True), raw
 
     def test_progress_alone_keeps_a_long_lease(self, memory_golden,
                                                memory_baseline):
         """No liveness frame exists: a session that delivers a class
         now and then outlives its deadline several times over."""
-        thread, port = self._serve(memory_golden, shards=1)
-        raw = _RawWorker(port)
+        thread, raw = self._serve(memory_golden, shards=1)
         lease = raw.lease()
-        items = _class_items(raw.spec, lease)
+        items = raw.items(lease)
         for item in items[:4]:
             time.sleep(0.4)  # 1.6 s in all, under a 1.0 s deadline
             raw.results([item])
@@ -1083,20 +964,18 @@ class TestDeadlines:
                             lambda: time.monotonic() + offset[0])
         hour = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
                            backoff=0.05, shard_timeout=3600.0)
-        sock = _server_socket()
-        coordinator = DistCoordinator(sock=sock, shards=1,
-                                      policy=hour)
+        fleet = ThreadFleet()
+        stalled = _RawWorker(fleet, name="stalled")
+        coordinator = DistCoordinator(fleet, shards=1, policy=hour)
         thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
-        port = sock.getsockname()[1]
-        stalled = _RawWorker(port, name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
         start = time.monotonic()
         offset[0] += 3600.0
-        _, worker_thread, errors = _start_worker(port, "w0")
+        fleet.add("w0")
         result = thread.join_result(60)
-        worker_thread.join(10)
+        fleet.join()
         stalled.close()
-        assert not errors
+        assert not fleet.errors
         assert time.monotonic() - start < 60.0
         assert result == memory_baseline
         assert (result.execution.timed_out_shards,
@@ -1109,15 +988,14 @@ class TestDeadlines:
             self, kind, memory_golden, memory_baseline):
         """The session of a peer that sends one ends in ProtocolError:
         the coordinator hangs up on it and serves the rest."""
-        thread, port = self._serve(memory_golden, shards=1)
-        raw = _RawWorker(port)
+        thread, raw = self._serve(memory_golden, shards=1)
         raw.stream.send({"type": kind})
         assert raw.stream.read(timeout=5.0) is None  # hung up on
         raw.close()
-        _, worker_thread, errors = _start_worker(port, "w0")
+        raw.fleet.add("w0")
         result = thread.join_result(60)
-        worker_thread.join(10)
-        assert not errors
+        raw.fleet.join()
+        assert not raw.fleet.errors
         assert result == memory_baseline
 
     def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
@@ -1125,14 +1003,14 @@ class TestDeadlines:
         """One policy for every lease, whoever holds it: shard 0's
         first attempt hangs past its 1 s deadline, its second is
         healthy."""
-        thread, port = self._serve(memory_golden, shards=2)
-        stalled = _RawWorker(port, name="stalled")
+        thread, stalled = self._serve(memory_golden, shards=2,
+                                      name="stalled")
         assert stalled.lease()["shard"] == 0  # taken, never served
-        _, worker_thread, errors = _start_worker(port, "w0")
+        stalled.fleet.add("w0")
         fabric = thread.join_result(60)
-        worker_thread.join(10)
+        stalled.fleet.join()
         stalled.close()
-        assert not errors
+        assert not stalled.fleet.errors
 
         assert fabric == memory_baseline
         execution = fabric.execution
@@ -1187,11 +1065,11 @@ class TestDistJournalInterop:
         assert result.execution.resumed == 3
 
     #: Event kinds only coordinators with a worker supervisor, poison
-    #: bisection, cross-check voting and the cross-check audit ever
-    #: wrote.
+    #: bisection, cross-check voting, the cross-check audit and result
+    #: CRCs ever wrote.
     REMOVED_KINDS = ("quarantine", "probation", "byzantine", "discard",
                      "poison-split", "poison-key", "crosscheck-mismatch",
-                     "crosscheck-stale")
+                     "crosscheck-stale", "crc-reject")
 
     def test_journal_of_removed_layers_resumes_and_lists(
             self, tmp_path, capsys, memory_golden, memory_baseline):
@@ -1204,14 +1082,13 @@ class TestDistJournalInterop:
         from repro.cli import main
 
         journal = tmp_path / "old.sqlite"
-        sock = _server_socket()
-        first = DistCoordinator(sock=sock, shards=4,
+        # Two workers, as run_dist's below: the same plan, so the
+        # journaled statuses of shards 0 and 1 are restored.
+        first = DistCoordinator(_fleet("w0", "w1"), shards=4,
                                 policy=POLICY, stop_after_results=3)
         thread = serve_in_thread(first, memory_golden, journal=journal)
-        _, worker_thread, _ = _start_worker(
-            sock.getsockname()[1], "w0", max_reconnects=0)
         assert thread.join_result(60) is None
-        worker_thread.join(10)
+        first.fleet.join()
         with sqlite3.connect(journal) as db:
             (campaign,) = db.execute("SELECT id FROM campaigns").fetchone()
             # Planned shards 0 and 1 were bisected; 4 and 5 are their
@@ -1255,103 +1132,47 @@ def _repro_env() -> dict:
     return env
 
 
-class _ForkedWorker(multiprocessing.Process):
-    """A worker process with the part of ``Popen``'s surface the tests
-    use."""
-
-    @property
-    def returncode(self):
-        return self.exitcode
-
-    def wait(self, timeout=None):
-        self.join(timeout)
-        if self.exitcode is None:
-            raise subprocess.TimeoutExpired("worker", timeout)
-        return self.exitcode
-
-
-def _spawn_worker_proc(port: int, name: str, chaos=None):
-    """Fork a :class:`DistWorker` process — a :class:`ChaosWorker`,
-    given a ``chaos`` plan."""
-    worker = DistWorker("127.0.0.1", port, name=name) if chaos is None \
-        else ChaosWorker("127.0.0.1", port, chaos, name=name)
-    proc = _ForkedWorker(target=worker.run)
-    proc.start()
-    return proc
-
-
 class TestDistSubprocess:
     """Real worker *processes* — node loss means a PID actually dying."""
 
-    def test_worker_process_death_mid_shard(self, memory_golden,
+    def test_worker_process_death_mid_shard(self, monkeypatch,
+                                            memory_golden,
                                             memory_baseline):
-        """One subprocess worker os._exit()s mid-shard (the observable
-        equivalent of SIGKILL); the survivor finishes the campaign."""
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        coordinator = DistCoordinator(sock=sock, shards=4,
-                                      policy=POLICY)
-        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
-        doomed = _spawn_worker_proc(port, "doomed",
-                                    chaos=ChaosPlan(die_after_results=2))
-        survivor = None
-        try:
-            # Alone with the campaign the doomed worker always reaches
-            # its third (fatal) class result — and takes whatever its
-            # send window still held with it.  The survivor joins only
-            # then, so nothing depends on who wins which lease.
-            doomed.wait(timeout=60)
-            survivor = _spawn_worker_proc(port, "survivor")
-            result = thread.join_result(120)
-        finally:
-            for proc in (doomed, survivor):
-                if proc is None:
-                    continue
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        assert doomed.returncode == 13  # it really died
-        assert survivor.returncode == 0
+        """The one forked worker os._exit()s mid-shard (the observable
+        equivalent of SIGKILL) at its third class result — taking
+        whatever its send window still held with it; the fleet's one
+        replacement finishes the campaign."""
+        chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=2))
+        fabric = LocalFabric(1, policy=POLICY)
+        result = serve_scan(fabric, memory_golden, keep_records=True)
+        doomed, _replacement = fabric._procs
+        assert doomed.exitcode == 13  # it really died
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.complete
 
-    def test_sigkilled_worker_process(self, memory_golden,
+    def test_sigkilled_worker_process(self, monkeypatch, memory_golden,
                                       memory_baseline):
         """Deliver an actual SIGKILL once the worker has made progress;
-        a replacement worker absorbs the re-leased remainder."""
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        progressed = threading.Event()
+        the fleet's replacement absorbs the re-leased remainder."""
+        import repro.campaign.dist.worker as worker_mod
+
+        # A window a class, so progress arrives mid-lease.
+        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
+        fabric = LocalFabric(1, policy=POLICY)
+        killed = []
 
         def progress(done, total):
-            if done >= 2:
-                progressed.set()
+            if done >= 2 and not killed:
+                victim = fabric._procs[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(10)
+                killed.append(victim)
 
-        coordinator = DistCoordinator(sock=sock, shards=4,
-                                      policy=POLICY)
-        thread = serve_in_thread(coordinator, memory_golden, keep_records=True,
-                                 progress=progress)
-        victim = _spawn_worker_proc(port, "victim")
-        replacement = None
-        try:
-            assert progressed.wait(60), "victim never made progress"
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=10)
-            replacement = _spawn_worker_proc(port, "replacement")
-            result = thread.join_result(120)
-        finally:
-            for proc in (victim, replacement):
-                if proc is None:
-                    continue
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        assert victim.returncode == -signal.SIGKILL
+        result = serve_scan(fabric, memory_golden, keep_records=True,
+                            progress=progress)
+        (victim,) = killed
+        assert victim.exitcode == -signal.SIGKILL
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.complete
@@ -1382,22 +1203,23 @@ class TestDistSubprocess:
 
     def test_a_failed_start_leaks_no_socket_and_no_worker(
             self, monkeypatch, memory_golden):
-        """If the coordinator cannot be built, or the second worker
-        process cannot be started, the bound socket is closed and the
-        worker already started — which would otherwise reconnect
-        forever — is terminated and reaped."""
+        """If the coordinator cannot be built, nothing is forked; if the
+        second worker process cannot be started, every socket pair made
+        is closed and the worker already started is terminated and
+        reaped."""
         import repro.campaign.dist.coordinator as coordinator_mod
 
-        bound: list[socket.socket] = []
-        free = coordinator_mod._free_server_socket
+        pairs: list[socket.socket] = []
+        socketpair = socket.socketpair
 
-        def captured(host):
-            bound.append(free(host))
-            return bound[-1]
+        def recorded(*args):
+            pair = socketpair(*args)
+            pairs.extend(pair)
+            return pair
 
-        monkeypatch.setattr(coordinator_mod, "_free_server_socket",
-                            captured)
-        def refused(self, **kwargs):
+        monkeypatch.setattr(socket, "socketpair", recorded)
+
+        def refused(self, *args, **kwargs):
             raise ValueError("refused")
 
         with monkeypatch.context() as patched:
@@ -1405,7 +1227,7 @@ class TestDistSubprocess:
                             refused)
             with pytest.raises(ValueError, match="refused"):
                 run_distributed_scan(memory_golden, workers=2)
-        assert bound[-1].fileno() == -1
+        assert pairs == []
 
         started: list[multiprocessing.process.BaseProcess] = []
         start = multiprocessing.process.BaseProcess.start
@@ -1422,13 +1244,13 @@ class TestDistSubprocess:
             run_distributed_scan(memory_golden, workers=2)
         (first,) = started
         assert first.exitcode is not None  # terminated and reaped
-        assert bound[-1].fileno() == -1
+        assert len(pairs) == 4
+        assert all(end.fileno() == -1 for end in pairs)
 
     def test_workers_start_without_a_new_interpreter(
             self, monkeypatch, memory_golden, memory_baseline):
-        """Local workers are processes of the default start method,
-        not new interpreters: with every subprocess launch refused, the
-        scan still equals serial."""
+        """Local workers are forks, not new interpreters: with every
+        subprocess launch refused, the scan still equals serial."""
         def refused(*args, **kwargs):
             raise OSError("no subprocess launches here")
 
@@ -1439,47 +1261,50 @@ class TestDistSubprocess:
         assert result.records == memory_baseline.records
         assert result.execution.complete
 
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux")
-        or multiprocessing.get_start_method() != "fork",
-        reason="reads /proc of a forked worker")
-    def test_a_forked_worker_drops_the_listening_socket(
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc of a forked worker")
+    def test_a_forked_worker_holds_only_its_own_end(
             self, monkeypatch, tmp_path, memory_golden, memory_baseline):
-        """The port dies with the coordinator: no forked worker holds a
-        copy of its listening socket, which would keep it accepting."""
+        """Of the fabric's socket pairs a forked worker holds exactly
+        one socket, its own end: the coordinator's ends and the other
+        workers' are closed in the child, so no worker keeps another's
+        stream open."""
         import repro.campaign.dist.coordinator as coordinator_mod
 
-        listening: list[str] = []
-        free = coordinator_mod._free_server_socket
+        def inode(sock):
+            return os.fstat(sock.fileno()).st_ino
 
-        def captured(host):
-            sock = free(host)
-            listening.append(os.readlink(f"/proc/self/fd/{sock.fileno()}"))
-            return sock
+        fabric: set[int] = set()
+        socketpair = socket.socketpair
 
-        seen = tmp_path / "fds.txt"
+        def recorded(*args):
+            pair = socketpair(*args)
+            fabric.update(inode(end) for end in pair)
+            return pair
+
         local_worker = coordinator_mod._local_worker
 
-        def inspecting(*args):
-            fds = f"/proc/{os.getpid()}/fd"
-            links = []
-            for fd in os.listdir(fds):
+        def inspecting(sock, style, name):
+            held = set()
+            for fd in os.listdir("/proc/self/fd"):
                 try:
-                    links.append(os.readlink(f"{fds}/{fd}"))
+                    link = os.readlink(f"/proc/self/fd/{fd}")
                 except OSError:
-                    pass  # the fd listdir itself held
-            seen.write_text("\n".join(links))
-            local_worker(*args)
+                    continue  # the fd listdir itself held
+                if link.startswith("socket:["):
+                    held.add(int(link[len("socket:["):-1]))
+            (tmp_path / name).write_text(json.dumps(
+                [inode(sock), sorted(held & fabric)]))
+            local_worker(sock, style, name)
 
-        monkeypatch.setattr(coordinator_mod, "_free_server_socket",
-                            captured)
+        monkeypatch.setattr(socket, "socketpair", recorded)
         monkeypatch.setattr(coordinator_mod, "_local_worker", inspecting)
-        result = run_distributed_scan(memory_golden, workers=1,
+        result = run_distributed_scan(memory_golden, workers=2,
                                       keep_records=True)
         assert result == memory_baseline
-        (link,) = listening
-        assert link.startswith("socket:")
-        assert link not in seen.read_text().split("\n")
+        for name in ("worker-0", "worker-1"):
+            own, held = json.loads((tmp_path / name).read_text())
+            assert held == [own], name
 
     def test_cli_fleet_prints_once_and_quietly(self):
         """``repro scan --jobs 2`` into a pipe: a forked worker must not
@@ -1498,8 +1323,8 @@ class TestDistSubprocess:
     def test_resuming_a_complete_journal_does_not_wait_on_workers(
             self, tmp_path):
         """With nothing left to execute the coordinator finishes before
-        any worker connects; the spawned workers are then stopped, not
-        left to reconnect until a per-worker timeout kills them."""
+        any worker asks for work; the forked workers are then stopped,
+        not waited for."""
         golden = record_golden(micro.checksum_loop(3))
         journal = tmp_path / "complete.sqlite"
         serial = run_full_scan(golden, journal=journal)
@@ -1511,70 +1336,65 @@ class TestDistSubprocess:
         assert elapsed < 3.0, f"resume took {elapsed:.2f} s"
 
 
-class TestWorkerPartition:
-    def test_a_session_builds_the_partition_once(self, monkeypatch,
-                                                 memory_golden,
-                                                 memory_baseline):
-        """A worker session builds one def/use partition, for its
-        campaign style only: building the executor needs none."""
-        from repro.faultspace.domain import MemoryDomain
+class TestWorkerInherits:
+    """A worker executes the style it inherited: nothing of the
+    campaign is rebuilt on its side."""
 
-        built = []
-        build = MemoryDomain.build_partition
+    @pytest.mark.parametrize("style", ["scan", "sampling"])
+    def test_a_worker_assembles_records_and_partitions_nothing(
+            self, style, register_golden):
+        """Thread workers serving whole leases of a full scan or a
+        sampled campaign call ``assemble``, ``record_golden`` and
+        ``build_partition`` zero times (a profile hook on the worker
+        threads sees every call they make)."""
+        from repro.campaign.pipeline import run_campaign
+        from repro.campaign.runner import SamplingStyle
+        from repro.faultspace.domain import MemoryDomain, RegisterDomain
+        from repro.isa.assembler import assemble
 
-        def counting(self, golden):
-            built.append(threading.get_ident())
-            return build(self, golden)
+        golden = register_golden
+        watched = {assemble.__code__, record_golden.__code__,
+                   MemoryDomain.build_partition.__code__,
+                   RegisterDomain.build_partition.__code__}
+        calls: list[tuple[int, str]] = []
 
-        monkeypatch.setattr(MemoryDomain, "build_partition", counting)
-        result, _, spawned = run_dist(memory_golden, workers=1)
-        assert result == memory_baseline
-        (_, worker_thread, errors), = spawned
-        assert errors == []
-        assert built.count(worker_thread.ident) == 1
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append((threading.get_ident(), frame.f_code.co_name))
+
+        campaign = (_scan_style(golden) if style == "scan"
+                    else SamplingStyle(golden, MEMORY, 60, 3, "live-only"))
+        fleet = _fleet("w0", "w1")
+        threading.setprofile(profile)
+        try:
+            result = run_campaign(campaign, DistCoordinator(
+                fleet, shards=2, policy=POLICY), ":memory:", True, None)
+            fleet.join()
+        finally:
+            threading.setprofile(None)
+        assert not fleet.errors
+        assert result.execution.complete
+        assert sum(slot.executed for slot in fleet.slots) \
+            == len(campaign.units)
+        workers = {slot.thread.ident for slot in fleet.slots}
+        assert [name for ident, name in calls if ident in workers] == []
 
 
 def test_the_fabric_serves_every_style(register_golden):
-    """The campaign frame names the style and each worker rebuilds it
-    from its verified golden run, so a coordinator serves sampling to a
-    hand-started worker as it serves full scans."""
+    """Workers inherit the campaign style, so a coordinator serves
+    sampling to its workers as it serves full scans."""
     from repro.campaign.pipeline import run_campaign
     from repro.campaign.runner import SamplingStyle
 
     golden = register_golden
-    sock = _server_socket()
-    coordinator = DistCoordinator(sock=sock, shards=2, policy=POLICY)
+    fleet = _fleet("w0")
+    coordinator = DistCoordinator(fleet, shards=2, policy=POLICY)
     style = SamplingStyle(golden, MEMORY, 60, 3, "live-only")
-    results = []
-    thread = threading.Thread(target=lambda: results.append(
-        run_campaign(style, coordinator, ":memory:", True, None)))
-    thread.start()
-    worker, worker_thread, errors = _start_worker(
-        sock.getsockname()[1], "w0")
-    thread.join(60)
-    worker._finished = True
-    worker_thread.join(10)
-    assert not errors
-    assert results == [run_sampling(golden, 60, seed=3,
-                                    sampler="live-only")]
-    assert results[0].execution.workers == (("w0", len(style.units)),)
-
-
-class TestWorkerGolden:
-    def test_the_worker_records_the_coordinators_ladder(self):
-        """The campaign frame ships the golden ladder's stride, and a
-        worker records its golden run with it — no ladder, a fixed
-        stride or the auto-tuned one alike — so ``--checkpoint-stride``
-        reaches the executors that use it.  One worker serves the three
-        campaigns in turn: the stride is part of what it caches."""
-        program = micro.checksum_loop(3)
-        worker = DistWorker("127.0.0.1", 0, name="w")
-        for stride in (7, 0, None):
-            golden = record_golden(program, checkpoint_stride=stride)
-            executor, _ = worker._verify(_RecordingStream(),
-                                         _campaign_spec(golden))
-            assert executor.golden.checkpoints == golden.checkpoints
-            assert (golden.checkpoints is None) == (stride == 0)
+    result = run_campaign(style, coordinator, ":memory:", True, None)
+    fleet.join()
+    assert not fleet.errors
+    assert result == run_sampling(golden, 60, seed=3, sampler="live-only")
+    assert result.execution.workers == (("w0", len(style.units)),)
 
 
 class TestAcceptanceSync2:
@@ -1592,11 +1412,12 @@ class TestAcceptanceSync2:
                                                domain, tmp_path):
         golden = goldens[variant]
         serial = run_full_scan(golden, domain=domain, keep_records=True)
-        result, _, spawned = run_dist(
+        result, _, fleet = run_dist(
             golden, domain=domain,
             worker_chaos=[ChaosPlan(drop_after_results=2), None],
-            worker_kw={"max_reconnects": 0})
-        assert any(errors for _, _, errors in spawned)  # a node died
+            respawn=False)
+        assert fleet.deaths == ["w0"]  # a node died
+        assert not fleet.errors
         assert result == serial
         assert result.records == serial.records
         assert result.execution.complete
@@ -1612,24 +1433,20 @@ class TestAcceptanceSync2:
         golden = goldens["hardened"]
         serial = run_full_scan(golden, keep_records=True)
         journal = tmp_path / "dist.sqlite"
-        sock = _server_socket()
-        port = sock.getsockname()[1]
-        first = DistCoordinator(sock=sock, shards=4,
-                                policy=POLICY, stop_after_results=3)
+        fleet = ThreadFleet()
+        fleet.add("doomed", ChaosPlan(drop_after_results=2), respawn=False)
+        fleet.add("steady")
+        first = DistCoordinator(fleet, shards=4, policy=POLICY,
+                                stop_after_results=3)
         thread = serve_in_thread(first, golden, journal=journal)
-        _, doomed_thread, doomed_errors = _start_worker(
-            port, "doomed", chaos=ChaosPlan(drop_after_results=2),
-            max_reconnects=0)
-        _, steady_thread, steady_errors = _start_worker(port, "steady")
         assert thread.join_result(120) is None  # simulated crash
-        sock2 = socket.create_server(("127.0.0.1", port))
-        second = DistCoordinator(sock=sock2, shards=4,
+        second = DistCoordinator(_fleet("steady"), shards=4,
                                  policy=POLICY)
         result = serve_in_thread(second, golden, journal=journal,
                                  keep_records=True).join_result(120)
-        doomed_thread.join(10)
-        steady_thread.join(10)
-        assert not steady_errors
+        fleet.join()
+        second.fleet.join()
+        assert not fleet.errors and not second.fleet.errors
         assert result == serial
         assert result.records == serial.records
         assert result.execution.complete

@@ -31,7 +31,7 @@ from repro.campaign.salvage import SalvageReport, salvage_journal
 from repro.programs import hi, micro
 
 from .journal_rows import truncate_first_class
-from .test_dist import run_dist
+from .fabric import run_dist
 
 
 @pytest.fixture(scope="module")

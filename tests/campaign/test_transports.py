@@ -2,7 +2,7 @@
 campaign and both campaign styles.
 
 In-process, local workers (``jobs=2``, test id ``pool``: fabric workers
-forked by the driver behind a lease coordinator) and the TCP fabric
+forked by the driver behind a lease coordinator) and the fabric
 serving the tests' own thread workers (``run_dist``) all run a
 campaign through :func:`~repro.campaign.pipeline.run_campaign`: one
 prologue, one sink and one assembly.  So a fresh campaign and the
@@ -26,7 +26,7 @@ from repro.campaign import (
 )
 from repro.programs import micro
 
-from .test_dist import run_dist
+from .fabric import run_dist
 
 #: ``jobs`` per transport that ``run_campaign`` starts itself.  ``pool``
 #: keeps its old test id; ``jobs=2`` now forks local fabric workers.
