@@ -71,28 +71,38 @@ def test_send_window_gate(monkeypatch):
 
     A count, so it repeats exactly and needs no ratio floor.  The lease
     term is what flushing before every ``lease_done`` costs — a window
-    never spans two leases.
+    never spans two leases.  Leases are counted as the coordinator
+    grants them (``lease`` frames written): it may hang up before it
+    reads the last ``lease_done``.
     """
     import repro.campaign.dist.coordinator as coordinator_mod
 
     golden = record_golden(micro.memcopy(6))
     serial = run_full_scan(golden, domain="register", keep_records=True)
-    frames = {"results": 0, "lease_done": 0}
+    frames = {"results": 0, "lease": 0}
     real_read = coordinator_mod.read_frame
+    real_write = coordinator_mod.write_frame
 
     async def counted(reader):
         frame = await real_read(reader)
-        if frame is not None and frame.get("type") in frames:
-            frames[frame["type"]] += 1
+        if frame is not None and frame.get("type") == "results":
+            frames["results"] += 1
         return frame
 
+    def granted(writer, frame):
+        if frame.get("type") == "lease":
+            frames["lease"] += 1
+        return real_write(writer, frame)
+
     monkeypatch.setattr(coordinator_mod, "read_frame", counted)
+    monkeypatch.setattr(coordinator_mod, "write_frame", granted)
     result, executed = _serve_one_thread_worker(golden, domain="register",
                                                 keep_records=True)
     assert executed == len(serial.class_outcomes)
     assert result == serial
     assert result.records == serial.records
-    classes, leases = len(serial.class_outcomes), frames["lease_done"]
+    classes, leases = len(serial.class_outcomes), frames["lease"]
+    assert leases >= 1
     print(f"\nsend window on {golden.program.name} × register: "
           f"{frames['results']} results frames for {classes} classes "
           f"over {leases} leases")

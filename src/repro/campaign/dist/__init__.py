@@ -25,7 +25,8 @@ connection.  No socket outside the program reaches the coordinator.
 
 Everything is stdlib (``socket``, ``asyncio``, ``json``,
 ``multiprocessing``); there is no new dependency and no pickle on the
-wire.
+wire.  ``asyncio`` and ``multiprocessing`` load when a fleet is first
+served, not on import: a serial campaign never pays for them.
 """
 
 from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,

@@ -54,12 +54,11 @@ expiry, progress heartbeats), so tests can substitute a virtual one.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import multiprocessing
 import socket
 import time
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..experiment import ExecutorConfig
@@ -69,6 +68,9 @@ from ..runner import ScanStyle
 from .leases import FAILED, LeaseBoard, RetryPolicy
 from .protocol import ProtocolError, read_frame, write_frame
 from .worker import DistWorker
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
@@ -137,6 +139,8 @@ class DistCoordinator:
         # Workers start before the loop does: a fork inherits no
         # running event loop.
         self.fleet.start(run.style)
+        import asyncio  # loaded when a fleet is first served
+
         # The loop runs in the calling thread: the journal connection
         # run_campaign opened there is thread-affine.
         asyncio.run(self._serve(run))
@@ -152,6 +156,8 @@ class DistCoordinator:
         self._journal_leases()  # final lease states stay queryable
 
     async def _serve(self, run: CampaignRun) -> None:
+        import asyncio
+
         # The pipeline's prologue has loaded, validated and composed:
         # ``run.completed`` units are never leased to any worker.
         self.run = run
@@ -206,6 +212,8 @@ class DistCoordinator:
 
     def _adopt(self) -> None:
         """Serve every stream the fleet has handed over."""
+        import asyncio
+
         streams = self.fleet.streams
         while streams:
             task = asyncio.create_task(self._handle_worker(*streams.pop(0)))
@@ -221,6 +229,8 @@ class DistCoordinator:
         self._done.set()
 
     async def _watchdog(self):
+        import asyncio
+
         accepted = self._accepted
         last_beat = _clock()
         try:
@@ -256,6 +266,8 @@ class DistCoordinator:
     # -- per-connection protocol ------------------------------------------------
 
     async def _handle_worker(self, name: str, sock: socket.socket):
+        import asyncio
+
         reader, writer = await asyncio.open_connection(sock=sock)
         self._writers[name] = writer
         try:
@@ -442,11 +454,6 @@ def serve_scan(transport, golden: GoldenRun, *,
         return None
 
 
-#: Workers inherit the campaign style, so they are forks whatever the
-#: platform's default start method is.
-_FORK = multiprocessing.get_context("fork")
-
-
 def _local_worker(sock: socket.socket, style, name: str) -> None:
     """What each :class:`LocalFabric` worker process runs (``name``
     names its stream)."""
@@ -488,6 +495,11 @@ class LocalFabric:
                 proc.join()
 
     def start(self, style) -> None:
+        import multiprocessing  # loaded when a fleet is first served
+
+        # Workers inherit the campaign style, so they are forks whatever
+        # the platform's default start method is.
+        self._fork = multiprocessing.get_context("fork")
         self._style = style
         self._fleet = [self._start(f"worker-{index}")
                        for index in range(self.workers)]
@@ -496,7 +508,8 @@ class LocalFabric:
         ours, theirs = socket.socketpair()
         self._ends.append(ours)
         try:
-            proc = _FORK.Process(target=self._forked, args=(theirs, name))
+            proc = self._fork.Process(target=self._forked,
+                                      args=(theirs, name))
             proc.start()
         finally:
             theirs.close()

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -87,6 +86,8 @@ from ..faultspace.sections import canonical_params
 from .outcomes import OUTCOME_BY_VALUE
 
 if TYPE_CHECKING:
+    import sqlite3
+
     from .salvage import SalvageReport
 
 #: Current schema version: version 4 stores runs of bits per
@@ -305,6 +306,8 @@ class ExperimentJournal:
         """Open, integrity-check, version-check and schema-initialize
         the database; a file stamped with another schema version is
         refused before anything is written to it."""
+        import sqlite3  # loaded when a journal is first opened
+
         try:
             conn = sqlite3.connect(self.path)
         except sqlite3.Error as exc:  # no file to salvage: not corrupt
@@ -382,6 +385,8 @@ class ExperimentJournal:
         """
         if self._closed or not self._pending:
             return
+        import sqlite3
+
         unit = 0
         try:
             with self._conn:

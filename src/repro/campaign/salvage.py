@@ -5,11 +5,14 @@ readable rows."""
 from __future__ import annotations
 
 import os
-import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .journal import ExperimentJournal
+
+if TYPE_CHECKING:
+    import sqlite3
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     validates every resumed class (:func:`~.journal._valid_run`), under
     every transport, instead of trusting recovered classes blindly.
     """
+    import sqlite3  # loaded when a journal is first salvaged
+
     path = str(path)
     corrupt = path + ".corrupt"
     os.replace(path, corrupt)
@@ -93,6 +98,8 @@ def schema_tables(conn: sqlite3.Connection) \
 def _read_rows(conn: sqlite3.Connection, table: str,
                columns: tuple[str, ...]) -> tuple[list, bool]:
     """Read as many rows as the damaged file yields; False if it broke."""
+    import sqlite3
+
     rows: list = []
     try:
         cursor = conn.execute(

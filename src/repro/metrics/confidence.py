@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from ..campaign.runner import SamplingResult
 
@@ -48,8 +47,11 @@ class Interval:
 
 
 def _normal_quantile(confidence: float) -> float:
-    """z for a two-sided interval (stdlib: every ``import repro`` loads
-    this module, and scipy costs a second of start-up)."""
+    """z for a two-sided interval.  Stdlib ``statistics``, imported
+    here: every ``import repro`` loads this module, a full scan never
+    asks for a z, and scipy costs a second of start-up."""
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
@@ -76,6 +78,14 @@ def wald_interval(failures: int, samples: int,
                     confidence=confidence)
 
 
+def _wilson_half_width(p: float, n: int, z: float) -> float:
+    """Half-width of the Wilson interval at ``p̂ = p`` over ``n`` samples
+    (before clipping to [0, 1]); falls strictly as ``n`` grows."""
+    z2 = z * z
+    return (z / (1.0 + z2 / n)) * math.sqrt(
+        p * (1.0 - p) / n + z2 / (4.0 * n * n))
+
+
 def wilson_interval(failures: int, samples: int,
                     confidence: float = 0.95) -> Interval:
     """Wilson score interval — good coverage even for rare failures."""
@@ -83,10 +93,8 @@ def wilson_interval(failures: int, samples: int,
     p = failures / samples
     z = _normal_quantile(confidence)
     z2 = z * z
-    denom = 1.0 + z2 / samples
-    center = (p + z2 / (2.0 * samples)) / denom
-    half = (z / denom) * math.sqrt(
-        p * (1.0 - p) / samples + z2 / (4.0 * samples * samples))
+    center = (p + z2 / (2.0 * samples)) / (1.0 + z2 / samples)
+    half = _wilson_half_width(p, samples, z)
     return Interval(low=max(0.0, center - half),
                     high=min(1.0, center + half), confidence=confidence)
 
@@ -176,10 +184,13 @@ def extrapolated_failure_interval(result: SamplingResult,
 
 def required_samples(expected_proportion: float, *, half_width: float,
                      confidence: float = 0.95) -> int:
-    """Samples needed for a Wald half-width at an expected proportion.
+    """Samples needed for a Wilson half-width at an expected proportion.
 
-    A planning helper: how many samples until the failure-proportion
-    estimate is within ``±half_width`` at the given confidence.
+    A planning helper: the fewest samples whose Wilson interval around
+    ``p̂ = expected_proportion`` is at most ``±half_width`` wide at the
+    given confidence.  Unlike the Wald size, this does not collapse to
+    one sample at a proportion of 0 — the rare-failure regime of a
+    hardened variant.
     """
     if not 0.0 <= expected_proportion <= 1.0:
         raise ValueError("expected_proportion must be in [0, 1]")
@@ -187,5 +198,19 @@ def required_samples(expected_proportion: float, *, half_width: float,
         raise ValueError("half_width must be positive")
     z = _normal_quantile(confidence)
     p = expected_proportion
-    n = (z * z * p * (1.0 - p)) / (half_width * half_width)
-    return max(1, math.ceil(n))
+
+    def wide(n: int) -> bool:
+        return _wilson_half_width(p, n, z) > half_width
+
+    # The half-width is monotone in n: double past the answer, then
+    # bisect the last doubling; ``low`` stays too few, ``high`` enough.
+    low, high = 0, 1
+    while wide(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if wide(mid):
+            low = mid
+        else:
+            high = mid
+    return high

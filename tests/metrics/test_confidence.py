@@ -1,5 +1,6 @@
 """Tests for confidence-interval estimators."""
 
+import json
 import math
 import os
 import subprocess
@@ -158,9 +159,11 @@ class TestSamplePlanning:
         assert tight > loose
 
     def test_known_textbook_value(self):
-        # p=0.5, ±0.03 at 95% needs ~1068 samples.
-        assert required_samples(0.5, half_width=0.03) == \
-            pytest.approx(1068, abs=3)
+        """Wilson sizes at 95 %.  The Wald sizes (1, 765, 1068) are one
+        sample whatever the width at p = 0, and too few near it."""
+        assert required_samples(0.0, half_width=0.01) == 189
+        assert required_samples(0.005, half_width=0.005) == 918
+        assert required_samples(0.5, half_width=0.03) == 1064
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -196,14 +199,16 @@ class TestScipyFreeStartup:
                                            abs=1e-12)
         assert wilson.high == pytest.approx(min(1.0, center + half),
                                             abs=1e-12)
-        n = z * z * 0.3 * 0.7 / (0.01 * 0.01)
-        assert required_samples(0.3, half_width=0.01,
-                                confidence=confidence) \
-            == max(1, math.ceil(n))
+        n = required_samples(0.3, half_width=0.01, confidence=confidence)
+
+        def wilson_half(n):
+            return (z / (1.0 + z * z / n)) * math.sqrt(
+                0.3 * 0.7 / n + z * z / (4.0 * n * n))
+
+        assert wilson_half(n) <= 0.01
+        assert n == 1 or wilson_half(n - 1) > 0.01
 
     def test_import_and_list_load_neither_scipy_nor_numpy(self):
-        import repro
-
         probe = (
             "import sys, repro\n"
             "from repro.cli import main\n"
@@ -214,11 +219,66 @@ class TestScipyFreeStartup:
             "              '--jobs', '2']):\n"
             "    assert main(argv) in (0, None)\n"
             "    assert not loaded(), (argv, loaded())\n")
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src_root] + ([os.environ["PYTHONPATH"]]
-                          if os.environ.get("PYTHONPATH") else [])))
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = _run_fresh(probe)
         assert done.returncode == 0, done.stderr
+
+
+def _run_fresh(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's
+    ``repro``."""
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_root] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+#: Stdlib layers a serial scan never runs: the fabric's event loop
+#: (which loads ``ssl`` and libssl with it) and process start, the
+#: journal's database and the normal quantile of an interval.
+HEAVY_LAYERS = ("asyncio", "ssl", "multiprocessing", "sqlite3",
+                "statistics")
+
+
+class TestColdProcessImports:
+    """A cold process loads a heavy stdlib layer only where it is first
+    used: every ``repro`` process pays each one's import in start-up
+    time and resident memory, whether or not the command runs it."""
+
+    #: Prints the heavy layers loaded after ``import repro`` and after
+    #: the CLI ran the arguments it is given, as two JSON lists.
+    PROBE = (
+        "import json, sys\n"
+        "import repro\n"
+        "from repro.cli import main\n"
+        f"heavy = {HEAVY_LAYERS!r}\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "on_import = loaded()\n"
+        "assert main(sys.argv[1:]) in (0, None)\n"
+        "print(json.dumps([on_import, loaded()]))\n")
+
+    def _loaded(self, *argv: str) -> list[list]:
+        done = _run_fresh(self.PROBE, *argv)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_and_a_serial_scan_load_none(self):
+        on_import, after = self._loaded("scan", "hi")
+        assert on_import == []
+        assert after == []
+
+    def test_a_journaled_scan_loads_only_sqlite3(self, tmp_path):
+        on_import, after = self._loaded(
+            "scan", "hi", "--journal", str(tmp_path / "j.sqlite"))
+        assert on_import == []
+        assert after == ["sqlite3"]
+
+    def test_a_fleet_loads_the_event_loop_and_process_start(self):
+        """Positive control: the probe sees a layer that is used."""
+        on_import, after = self._loaded("scan", "hi", "--jobs", "2")
+        assert on_import == []
+        assert {"asyncio", "multiprocessing"} <= set(after)
