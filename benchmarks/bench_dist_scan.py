@@ -64,6 +64,24 @@ def test_dist_scan_matches_serial(tmp_path):
         assert dist_csv.read_bytes() == serial_csv.read_bytes(), workers
 
 
+def _count_frames(monkeypatch) -> dict:
+    """Count, at the coordinator's one frame handler, the ``results``
+    frames it reads and the ``lease`` frames it grants."""
+    frames = {"results": 0, "lease": 0}
+    answer = DistCoordinator._answer
+
+    def counted(coordinator, name, frame):
+        if frame.get("type") == "results":
+            frames["results"] += 1
+        reply = answer(coordinator, name, frame)
+        if reply is not None and reply.get("type") == "lease":
+            frames["lease"] += 1
+        return reply
+
+    monkeypatch.setattr(DistCoordinator, "_answer", counted)
+    return frames
+
+
 def test_send_window_gate(monkeypatch):
     """Result frames are paid per send window, not per class:
     ``results`` frames ≤ classes / 8 + 2 × leases on a ``memcopy`` ×
@@ -72,37 +90,19 @@ def test_send_window_gate(monkeypatch):
     A count, so it repeats exactly and needs no ratio floor.  The lease
     term is what flushing before every ``lease_done`` costs — a window
     never spans two leases.  Leases are counted as the coordinator
-    grants them (``lease`` frames written): it may hang up before it
+    grants them (``lease`` frames answered): it may hang up before it
     reads the last ``lease_done``.
     """
-    import repro.campaign.dist.coordinator as coordinator_mod
-
     golden = record_golden(micro.memcopy(6))
     serial = run_full_scan(golden, domain="register", keep_records=True)
-    frames = {"results": 0, "lease": 0}
-    real_read = coordinator_mod.read_frame
-    real_write = coordinator_mod.write_frame
-
-    async def counted(reader):
-        frame = await real_read(reader)
-        if frame is not None and frame.get("type") == "results":
-            frames["results"] += 1
-        return frame
-
-    def granted(writer, frame):
-        if frame.get("type") == "lease":
-            frames["lease"] += 1
-        return real_write(writer, frame)
-
-    monkeypatch.setattr(coordinator_mod, "read_frame", counted)
-    monkeypatch.setattr(coordinator_mod, "write_frame", granted)
+    frames = _count_frames(monkeypatch)
     result, executed = _serve_one_thread_worker(golden, domain="register",
                                                 keep_records=True)
     assert executed == len(serial.class_outcomes)
     assert result == serial
     assert result.records == serial.records
     classes, leases = len(serial.class_outcomes), frames["lease"]
-    assert leases >= 1
+    assert frames["results"] > 0 and leases > 0
     print(f"\nsend window on {golden.program.name} × register: "
           f"{frames['results']} results frames for {classes} classes "
           f"over {leases} leases")
@@ -118,7 +118,6 @@ def test_merge_window_gate(monkeypatch, tmp_path):
 
     Counts, from the journal connection's ``set_trace_callback``.
     """
-    import repro.campaign.dist.coordinator as coordinator_mod
     from repro.campaign.journal import ExperimentJournal
 
     golden = record_golden(micro.memcopy(6))
@@ -132,16 +131,7 @@ def test_merge_window_gate(monkeypatch, tmp_path):
         return conn
 
     monkeypatch.setattr(ExperimentJournal, "_connect", traced)
-    frames = {"results": 0}
-    real_read = coordinator_mod.read_frame
-
-    async def counted(reader):
-        frame = await real_read(reader)
-        if frame is not None and frame.get("type") in frames:
-            frames[frame["type"]] += 1
-        return frame
-
-    monkeypatch.setattr(coordinator_mod, "read_frame", counted)
+    frames = _count_frames(monkeypatch)
     result, executed = _serve_one_thread_worker(
         golden, domain="register", journal=tmp_path / "gate.sqlite",
         keep_records=True)
@@ -160,6 +150,7 @@ def test_merge_window_gate(monkeypatch, tmp_path):
           f"writes for {frames['results']} results frames, {classes} "
           f"classes")
     assert writes  # the trace sees the journal's statements
+    assert frames["results"] > 0 and frames["lease"] > 0
     assert selects == []
 
 

@@ -23,23 +23,16 @@ key and shard (a payload damaged between a worker's executor and the
 journal), and a malformed ``lease_done`` ending only its own
 connection.  No socket outside the program reaches the coordinator.
 
-Everything is stdlib (``socket``, ``asyncio``, ``json``,
+Everything is stdlib (``socket``, ``selectors``, ``json``,
 ``multiprocessing``); there is no new dependency and no pickle on the
-wire.  ``asyncio`` and ``multiprocessing`` load when a fleet is first
-served, not on import: a serial campaign never pays for them.
+wire.  ``multiprocessing`` loads when a fleet is first started, not
+on import: a serial campaign never pays for it.
 """
 
 from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,
                           serve_scan)
 from .leases import LeaseBoard, ShardLease
-from .protocol import (
-    FrameStream,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
+from .protocol import FrameStream, ProtocolError, decode_frame, encode_frame
 from .worker import DistWorker
 
 __all__ = [
@@ -52,8 +45,6 @@ __all__ = [
     "ShardLease",
     "decode_frame",
     "encode_frame",
-    "read_frame",
     "run_distributed_scan",
     "serve_scan",
-    "write_frame",
 ]

@@ -48,17 +48,35 @@ needs, and the style states each step for its units:
   :class:`~.protocol.ProtocolError` on its connection: its leases are
   released and the campaign goes on.
 
+Serving is one loop in the calling thread (the journal connection
+:func:`run_campaign` opened there is thread-affine): a
+:class:`selectors.DefaultSelector` watches every stream the fleet has
+handed over, each wrapped in the worker's own
+:class:`~.protocol.FrameStream`, and ``select`` is the loop's only
+wait.  Between frames, every ``policy.poll_interval`` the watchdog
+tick expires leases, tends the fleet, adopts new streams, heartbeats
+progress and commits the journal once the loop idles.  Sends are
+plain blocking ``sendall``, which never waits on a worker: the
+coordinator writes only the answer to a ``request``, which its worker
+is blocked reading, and one ``done`` at the end, a few bytes into a
+buffer that holds nothing else unread.  Only a
+:class:`~.protocol.ProtocolError`, or an ``OSError`` of a connection's
+own read or write, ends that connection; whatever the pipeline raises
+— a progress callback, a journal write, ^C — ends the campaign and
+propagates.
+
 Time is read through the module-level :data:`_clock` (lease grants,
-expiry, progress heartbeats), so tests can substitute a virtual one.
+expiry, the tick, progress heartbeats), so tests can substitute a
+virtual one.
 """
 
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import time
 from collections import Counter
-from typing import TYPE_CHECKING
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..experiment import ExecutorConfig
@@ -66,11 +84,8 @@ from ..golden import GoldenRun
 from ..pipeline import CampaignRun, ProgressCallback, run_campaign
 from ..runner import ScanStyle
 from .leases import FAILED, LeaseBoard, RetryPolicy
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import FrameStream, ProtocolError
 from .worker import DistWorker
-
-if TYPE_CHECKING:
-    import asyncio
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
@@ -125,8 +140,6 @@ class DistCoordinator:
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._conn_tasks: set = set()
         self._lease_cache: dict[int, tuple] = {}
 
     # -- lifecycle --------------------------------------------------------------
@@ -135,17 +148,24 @@ class DistCoordinator:
         """The transport: start the fleet on ``run``'s style, serve it
         until the board is done, then leave the report's fabric fields
         written for the pipeline to assemble."""
-        self._error: Exception | None = None
-        # Workers start before the loop does: a fork inherits no
-        # running event loop.
         self.fleet.start(run.style)
-        import asyncio  # loaded when a fleet is first served
-
-        # The loop runs in the calling thread: the journal connection
-        # run_campaign opened there is thread-affine.
-        asyncio.run(self._serve(run))
-        if self._error is not None:
-            raise self._error
+        self._selector = selectors.DefaultSelector()
+        try:
+            self._plan(run)
+            self._serve()
+        finally:
+            # Orderly end or not: tell every connected worker, then
+            # hang up.  The crash hook hangs up without a word, as a
+            # killed process would.
+            for key in list(self._selector.get_map().values()):
+                _name, stream = key.data
+                if not self.stopped:
+                    try:
+                        stream.send({"type": "done"})
+                    except OSError:
+                        pass  # that worker is gone already
+                stream.close()
+            self._selector.close()
         if self.stopped:
             raise CoordinatorStopped(
                 f"crash hook fired after {self._accepted} units")
@@ -155,9 +175,8 @@ class DistCoordinator:
         report.workers = tuple(sorted(self._worker_units.items()))
         self._journal_leases()  # final lease states stay queryable
 
-    async def _serve(self, run: CampaignRun) -> None:
-        import asyncio
-
+    def _plan(self, run: CampaignRun) -> None:
+        """Plan ``run``'s shards onto a fresh lease board."""
         # The pipeline's prologue has loaded, validated and composed:
         # ``run.completed`` units are never leased to any worker.
         self.run = run
@@ -189,127 +208,113 @@ class DistCoordinator:
                               status=stored["status"], now=_clock())
         self.board = board
         self._planned_shards = len(planned)
-        self._done = asyncio.Event()
+        self._done = False
         self._journal_leases()
         self._maybe_finish()
 
+    def _serve(self) -> None:
+        """The loop: answer what the selector reports readable, and run
+        the watchdog tick every ``policy.poll_interval``, until the
+        board is done (or the crash hook fires)."""
+        interval = self.policy.poll_interval
+        accepted = self._accepted
+        last_beat = _clock()
+        next_tick = last_beat + interval
         self._adopt()
-        watchdog = asyncio.create_task(self._watchdog())
-        try:
-            await self._done.wait()
-        finally:
-            watchdog.cancel()
-            # Orderly end: tell every connected worker, then hang up.
-            # The crash hook hangs up without a word, as a killed
-            # process would.
-            for writer in list(self._writers.values()):
-                if not self.stopped:
-                    write_frame(writer, {"type": "done"})
-                writer.close()
-            # Each session sees its stream end and returns.
-            if self._conn_tasks:
-                await asyncio.wait(self._conn_tasks)
+        while not self._done:
+            for key, _events in self._selector.select(
+                    max(0.0, next_tick - _clock())):
+                self._serve_stream(key)
+                if self._done:
+                    return
+            now = _clock()
+            if now < next_tick:
+                continue
+            next_tick = now + interval
+            expired = self.board.expire(now)
+            if expired:
+                self.report.timed_out_shards += len(expired)
+                self._journal_leases()
+            if not self.board.done() and not self.fleet.tend():
+                # Every worker is gone: nobody takes the rest.
+                self.board.abandon()
+                self._journal_leases()
+            self._adopt()
+            self._maybe_finish()
+            if now - last_beat >= self.policy.heartbeat:
+                # Unchanged counts: how a caller tells a slow campaign
+                # from a dead one.
+                self.run.heartbeat()
+                last_beat = now
+            # Results arrive in bursts; whatever the last burst left in
+            # the journal's commit window is committed once the loop
+            # idles — a tick that saw units accepted is not idle, and
+            # committing on it would undercut the journal's own window.
+            if accepted == self._accepted:
+                self.run.idle()
+            accepted = self._accepted
 
     def _adopt(self) -> None:
         """Serve every stream the fleet has handed over."""
-        import asyncio
-
         streams = self.fleet.streams
         while streams:
-            task = asyncio.create_task(self._handle_worker(*streams.pop(0)))
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-
-    def _fail(self, exc: Exception) -> None:
-        """An exception out of the pipeline — a progress callback that
-        aborts the campaign, a journal write — ends serving, and
-        :meth:`__call__` raises it where a serial run would."""
-        if self._error is None:
-            self._error = exc
-        self._done.set()
-
-    async def _watchdog(self):
-        import asyncio
-
-        accepted = self._accepted
-        last_beat = _clock()
-        try:
-            while True:
-                await asyncio.sleep(self.policy.poll_interval)
-                now = _clock()
-                expired = self.board.expire(now)
-                if expired:
-                    self.report.timed_out_shards += len(expired)
-                    self._journal_leases()
-                if not self.board.done() and not self.fleet.tend():
-                    # Every worker is gone: nobody takes the rest.
-                    self.board.abandon()
-                    self._journal_leases()
-                self._adopt()
-                self._maybe_finish()
-                if now - last_beat >= self.policy.heartbeat:
-                    # Unchanged counts: how a caller tells a slow
-                    # campaign from a dead one.
-                    self.run.heartbeat()
-                    last_beat = now
-                # Results arrive in bursts; whatever the last burst left
-                # in the journal's commit window is committed once the
-                # loop idles — a tick that saw units accepted is not
-                # idle, and committing on it would undercut the
-                # journal's own window.
-                if accepted == self._accepted:
-                    self.run.idle()
-                accepted = self._accepted
-        except Exception as exc:  # noqa: BLE001 - re-raised by __call__
-            self._fail(exc)
+            name, sock = streams.pop(0)
+            self._selector.register(sock, selectors.EVENT_READ,
+                                    (name, FrameStream(sock)))
 
     # -- per-connection protocol ------------------------------------------------
 
-    async def _handle_worker(self, name: str, sock: socket.socket):
-        import asyncio
-
-        reader, writer = await asyncio.open_connection(sock=sock)
-        self._writers[name] = writer
-        try:
-            await self._session(name, reader, writer)
-        except (ProtocolError, ConnectionError, OSError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - re-raised by __call__
-            self._fail(exc)
-        finally:
-            self._writers.pop(name, None)
-            # On the simulated-crash path connections die *without*
-            # lease bookkeeping, exactly as a killed process would.
-            if not self.stopped:
-                if self.board.release_worker(name, _clock()):
-                    self._journal_leases()
-                self._maybe_finish()
-            writer.close()
-
-    async def _session(self, name: str, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter):
-        while not self._done.is_set():
-            frame = await read_frame(reader)
+    def _serve_stream(self, key: selectors.SelectorKey) -> None:
+        """Answer every frame ``key``'s stream has delivered; hang up on
+        it when its peer has, or has broken the protocol.  Only the
+        stream's own reads and writes sit inside ``except OSError``:
+        what the pipeline raises propagates."""
+        name, stream = key.data
+        while not self._done:
+            try:
+                frame = stream.poll()
+            except (ProtocolError, OSError):
+                return self._hang_up(key)
             if frame is None:
-                return
-            kind = frame.get("type")
-            now = _clock()
-            if kind == "request":
-                write_frame(writer, self._grant(name, now))
-                await writer.drain()
-            elif kind == "results":
-                self._accept_results(name, frame, now)
-            elif kind == "lease_done":
-                self.board.finish(*self._lease_done(frame), now)
-                self._journal_leases()
-                self._maybe_finish()
-            else:
-                raise ProtocolError(f"unexpected {kind!r} from {name!r}")
-        # This session saw the campaign finish: tell the worker now —
-        # the serve loop's broadcast cannot reach it once this
-        # handler's cleanup has unregistered the writer.
-        if not self.stopped:
-            write_frame(writer, {"type": "done"})
+                if stream.eof:
+                    self._hang_up(key)
+                return  # else the rest of a frame is still on its way
+            try:
+                reply = self._answer(name, frame)
+            except ProtocolError:
+                return self._hang_up(key)
+            if reply is not None:
+                try:
+                    stream.send(reply)
+                except OSError:
+                    return self._hang_up(key)
+
+    def _hang_up(self, key: selectors.SelectorKey) -> None:
+        """End one connection; its worker's leases go back to the
+        board."""
+        name, stream = key.data
+        self._selector.unregister(key.fileobj)
+        stream.close()
+        if self.board.release_worker(name, _clock()):
+            self._journal_leases()
+        self._maybe_finish()
+
+    def _answer(self, name: str, frame: dict) -> dict | None:
+        """The coordinator's one frame handler: act on one frame from
+        worker ``name``; the frame to send back, if any."""
+        kind = frame.get("type")
+        now = _clock()
+        if kind == "request":
+            return self._grant(name, now)
+        if kind == "results":
+            self._accept_results(name, frame, now)
+        elif kind == "lease_done":
+            self.board.finish(*self._lease_done(frame), now)
+            self._journal_leases()
+            self._maybe_finish()
+        else:
+            raise ProtocolError(f"unexpected {kind!r} from {name!r}")
+        return None
 
     # -- work granting ----------------------------------------------------------
 
@@ -400,7 +405,7 @@ class DistCoordinator:
         if (self.stop_after_results is not None
                 and self._accepted >= self.stop_after_results):
             self.stopped = True
-            self._done.set()
+            self._done = True
 
     # -- integrity helpers ------------------------------------------------------
 
@@ -427,8 +432,8 @@ class DistCoordinator:
                 attempts=shard.attempts, status=shard.status, worker=worker)
 
     def _maybe_finish(self) -> None:
-        if not self._done.is_set() and self.board.done():
-            self._done.set()
+        if self.board.done():
+            self._done = True
 
 
 # -- entry points ---------------------------------------------------------------

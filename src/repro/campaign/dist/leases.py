@@ -31,7 +31,7 @@ more.  A unit whose execution kills every worker fails its shard after
 the same journal retries them.
 
 The board is plain single-threaded state driven by the coordinator's
-event loop; it does no I/O and takes ``now`` as an argument, which is
+serving loop; it does no I/O and takes ``now`` as an argument, which is
 what makes the chaos tests deterministic.
 """
 

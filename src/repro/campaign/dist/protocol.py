@@ -35,11 +35,11 @@ between the worker's executor and the journal converts.  A sampled
 experiment is a run of one value each.  Any type not in the table is
 a :class:`ProtocolError`.
 
-Two transport bindings share the codec: :class:`FrameStream` wraps a
-blocking ``socket`` for the worker (with a non-blocking :meth:`poll` so
-a worker can notice a mid-lease ``done`` between send windows), and
-:func:`read_frame` / :func:`write_frame` bind the same frames to
-``asyncio`` streams for the coordinator.
+Coordinator and worker share one binding of the codec,
+:class:`FrameStream` over a blocking ``socket``: the worker reads its
+answers blocking, and its non-blocking :meth:`~FrameStream.poll`
+notices a mid-lease ``done`` between send windows; the coordinator
+polls every stream its selector reports readable.
 """
 
 from __future__ import annotations
@@ -81,15 +81,8 @@ def decode_frame(payload: bytes) -> dict:
     return message
 
 
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"peer announced a {length}-byte frame (limit "
-            f"{MAX_FRAME_BYTES}); not speaking this protocol?")
-
-
 class FrameStream:
-    """Blocking-socket binding of the frame codec (worker side).
+    """Blocking-socket binding of the frame codec.
 
     Owns a receive buffer so partially delivered frames survive between
     reads — in particular, :meth:`poll` may consume half a frame
@@ -99,6 +92,8 @@ class FrameStream:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._buffer = bytearray()
+        #: The peer hung up: a read saw the end of the stream.
+        self.eof = False
 
     def close(self) -> None:
         self._sock.close()
@@ -112,7 +107,10 @@ class FrameStream:
         if len(self._buffer) < _HEADER.size:
             return None
         (length,) = _HEADER.unpack_from(self._buffer)
-        _check_length(length)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"peer announced a {length}-byte frame (limit "
+                f"{MAX_FRAME_BYTES}); not speaking this protocol?")
         end = _HEADER.size + length
         if len(self._buffer) < end:
             return None
@@ -133,13 +131,16 @@ class FrameStream:
                 return frame
             chunk = self._sock.recv(65536)
             if not chunk:
+                self.eof = True
                 if self._buffer:
                     raise ProtocolError("connection closed mid-frame")
                 return None
             self._buffer.extend(chunk)
 
     def poll(self) -> dict | None:
-        """Return a buffered frame without blocking, else None."""
+        """Return a buffered frame without blocking, else None — then
+        :attr:`eof` tells a peer that hung up (cleanly or mid-frame)
+        from one that has sent nothing more yet."""
         frame = self._extract()
         if frame is not None:
             return frame
@@ -148,7 +149,7 @@ class FrameStream:
             while True:
                 chunk = self._sock.recv(65536)
                 if not chunk:
-                    # EOF: surface it on the next blocking read.
+                    self.eof = True
                     return self._extract()
                 self._buffer.extend(chunk)
                 frame = self._extract()
@@ -158,35 +159,3 @@ class FrameStream:
             return None
         finally:
             self._sock.settimeout(None)
-
-
-# -- asyncio binding (coordinator side) ----------------------------------------
-
-
-async def read_frame(reader) -> dict | None:
-    """Read one frame from an asyncio stream; None on clean EOF."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise ProtocolError("connection closed mid-frame") from exc
-        return None
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return decode_frame(payload)
-
-
-def write_frame(writer, message: dict) -> None:
-    """Queue one frame on an asyncio stream writer.
-
-    A single ``write()`` call appends the whole frame to the transport
-    buffer, so frames from different tasks can interleave but never
-    tear; callers ``await writer.drain()`` at their own cadence.
-    """
-    writer.write(encode_frame(message))

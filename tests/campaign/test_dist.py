@@ -126,6 +126,29 @@ class TestProtocol:
             stream2.read(timeout=1.0)
         right2.close()
 
+    def test_poll_reports_a_hang_up_clean_or_mid_frame(self):
+        """``poll`` answers None without blocking whether the peer is
+        quiet or gone; ``eof`` tells which — after a whole frame or
+        half of one — and a blocking ``read`` still refuses the torn
+        frame."""
+        left, right = socket.socketpair()
+        stream = FrameStream(right)
+        left.sendall(encode_frame({"type": "x"}))
+        left.close()
+        assert stream.poll() == {"type": "x"}
+        assert stream.poll() is None and stream.eof
+        assert stream.read(timeout=1.0) is None
+        right.close()
+        left, right = socket.socketpair()
+        stream = FrameStream(right)
+        left.sendall(encode_frame({"type": "x"})[:5])
+        assert stream.poll() is None and not stream.eof
+        left.close()
+        assert stream.poll() is None and stream.eof
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            stream.read(timeout=1.0)
+        right.close()
+
     def test_absurd_length_rejected(self):
         left, right = socket.socketpair()
         stream = FrameStream(right)
@@ -983,6 +1006,26 @@ class TestDeadlines:
         assert result.execution.workers == (("w0",
                                              result.execution.executed),)
 
+    def test_a_peer_that_hangs_up_mid_frame_loses_its_lease(
+            self, memory_golden, memory_baseline):
+        """A peer that dies halfway through a ``results`` frame — its
+        header and half its payload sent — ends its connection, not the
+        campaign: its lease goes back to the board as a retry, and a
+        worker added later finishes the scan."""
+        thread, raw = self._serve(memory_golden, shards=1)
+        lease = raw.lease()
+        frame = encode_frame({"type": "results", "items": raw.items(lease)})
+        raw.stream._sock.sendall(frame[:4 + (len(frame) - 4) // 2])
+        raw.close()
+        raw.fleet.add("w0")
+        result = thread.join_result(60)
+        raw.fleet.join()
+        assert not raw.fleet.errors
+        assert result == memory_baseline
+        execution = result.execution
+        assert (execution.shard_retries, execution.timed_out_shards) == (1, 0)
+        assert execution.workers == (("w0", execution.executed),)
+
     @pytest.mark.parametrize("kind", ["heartbeat", "bogus"])
     def test_heartbeat_is_an_unknown_frame_like_any_other(
             self, kind, memory_golden, memory_baseline):
@@ -1180,11 +1223,11 @@ class TestDistSubprocess:
     def test_serving_never_formats_the_result(self, monkeypatch,
                                               memory_golden,
                                               memory_baseline):
-        """Served from the main thread, ``asyncio.run`` reprs a partial
-        holding its main task while restoring SIGINT; the task must not
-        hold the result, or the whole CampaignResult is formatted.  (A
-        raising ``__repr__`` would go unnoticed: ``reprlib`` swallows
-        it.  So the calls are counted.)"""
+        """Serving a fleet from the main thread formats no
+        CampaignResult: a repr of the whole result costs ≈ 0.06–0.10 s
+        on the e2e programs, so nothing on the serving path may take
+        one.  (A raising ``__repr__`` could go unnoticed where a repr
+        is swallowed, as ``reprlib`` does; so the calls are counted.)"""
         from repro.campaign.runner import CampaignResult
 
         formatted = []

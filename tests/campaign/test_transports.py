@@ -13,6 +13,7 @@ from the executor onward, so each transport also leaves the same rows
 in the journal.
 """
 
+import multiprocessing
 import sqlite3
 
 import pytest
@@ -181,3 +182,30 @@ def test_one_journal_key_under_every_transport(domain, golden, tmp_path):
     assert sampled.execution.executed == 0
     assert sampled.execution.composed_hits \
         == sampled.execution.total_units > 0
+
+
+@pytest.mark.parametrize("jobs", TRANSPORTS.values(), ids=TRANSPORTS)
+@pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt,
+                                   RuntimeError])
+def test_what_the_pipeline_raises_ends_the_campaign(error, jobs, golden,
+                                                    tmp_path):
+    """A progress callback that raises — ^C, or a ``BrokenPipeError``
+    from a closed stderr pipe, which is a ``ConnectionError`` — raises
+    the same out of every transport: the fabric takes it for no lost
+    connection.  No worker outlives it, and the journal resumes to the
+    serial result."""
+    serial = run_full_scan(golden, keep_records=True)
+    journal = tmp_path / "aborted.sqlite"
+
+    def progress(done, total):
+        if done >= 2:
+            raise error("progress")
+
+    with pytest.raises(error):
+        run_full_scan(golden, jobs=jobs, journal=journal, progress=progress)
+    assert multiprocessing.active_children() == []
+    resumed = run_full_scan(golden, jobs=jobs, journal=journal,
+                            keep_records=True)
+    assert resumed.execution.resumed > 0
+    assert resumed == serial
+    assert resumed.records == serial.records
