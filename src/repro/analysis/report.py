@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 
 from ..campaign.database import CampaignSummary
 from ..campaign.pipeline import ExecutionReport
 from ..campaign.runner import CampaignResult
-from ..faultspace.domain import PCDomain, RegisterDomain
-from ..faultspace.pcreg import ILLEGAL_AXIS
 from .figures import Fig2Series, fig2_verdicts, fig3_data, table1_data
 
 
@@ -162,29 +159,17 @@ def failure_attribution(result: CampaignResult, *,
     """Attribute weighted failure counts to fault locations by label.
 
     Returns ``(label, weight)`` pairs, heaviest first — the analysis
-    behind the "which data actually fails" discussions.  A RAM-cell
-    domain (memory, bursts, stuck-at) attributes to the program's data
-    labels, the register domain to register names (``r1`` ...
-    ``r15``), the PC domain to the flipped bit (``pc[5]``) or the
+    behind the "which data actually fails" discussions.  The labels are
+    the domain's (:meth:`~repro.faultspace.domain.FaultDomain.
+    location_label`): a RAM-cell domain (memory, bursts, stuck-at)
+    attributes to the program's data labels, the register domain to
+    register names (``r1`` ... ``r15``), the PC domain to the flipped bit (``pc[5]``) or the
     grouped illegal-target class (``pc[illegal]``).  Each failing
     experiment weighs what it stands for, its class's data lifetime
     times its slot weight, so the weights sum to the failure count F.
     """
     domain = result.domain
-    if isinstance(domain, RegisterDomain):
-        label = "r{}".format
-    elif isinstance(domain, PCDomain):
-        def label(axis: int) -> str:
-            return "pc[illegal]" if axis == ILLEGAL_AXIS else f"pc[{axis}]"
-    else:  # the nearest data label at or below the address
-        labels = sorted(result.golden.program.data_labels.items(),
-                        key=lambda kv: kv[1])
-        starts = [address for _, address in labels]
-
-        def label(addr: int) -> str:
-            index = bisect_right(starts, addr)
-            return labels[index - 1][0] if index else "(unlabelled)"
-
+    label = domain.location_label(result.golden)
     weights: Counter = Counter()
     for interval, outcomes in result.class_records():
         failing = sum(weight for outcome, weight in zip(

@@ -4,8 +4,6 @@ from .compose import SectionComposer
 from .database import (
     CampaignSummary,
     export_class_results_csv,
-    export_class_rows_csv,
-    import_class_results_csv,
     program_fingerprint,
 )
 from .experiment import (
@@ -82,8 +80,6 @@ __all__ = [
     "SamplingResult",
     "classify",
     "export_class_results_csv",
-    "export_class_rows_csv",
-    "import_class_results_csv",
     "program_fingerprint",
     "record_golden",
     "run_brute_force",

@@ -102,75 +102,3 @@ def export_class_results_csv(result: CampaignResult,
                 [domain.axis_of(interval), interval.first_slot,
                  interval.last_slot, interval.length]
                 + [o.value for o in outcomes])
-
-
-def import_class_results_csv(path: str | Path) -> list[dict]:
-    """Read back a CSV produced by :func:`export_class_results_csv`.
-
-    Robust against files that went through a spreadsheet or another CSV
-    tool: bit columns are matched strictly (``bit<N>``) and ordered by
-    their *numeric* index — a lexicographic sort would put ``bit10``
-    before ``bit2`` and silently permute 32-bit register outcomes — and
-    the integer fields tolerate surrounding whitespace.  A missing
-    header, a non-contiguous bit-column set or a malformed value raises
-    :class:`ValueError` instead of producing a silently wrong import.
-    """
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [name for name in ("addr", "first_slot", "last_slot",
-                                     "length") if name not in fields]
-        if missing:
-            raise ValueError(
-                f"{path}: not a class-results CSV; missing column(s) "
-                f"{', '.join(missing)}")
-        bit_columns = sorted(
-            (name for name in fields
-             if name.startswith("bit") and name[3:].isdigit()),
-            key=lambda name: int(name[3:]))
-        if not bit_columns:
-            raise ValueError(f"{path}: no bit<N> outcome columns")
-        indices = [int(name[3:]) for name in bit_columns]
-        if indices != list(range(len(indices))):
-            raise ValueError(
-                f"{path}: bit columns are not contiguous from bit0 "
-                f"(got {', '.join(bit_columns)})")
-        for line, row in enumerate(reader, start=2):
-            try:
-                rows.append({
-                    "addr": int(row["addr"].strip()),
-                    "first_slot": int(row["first_slot"].strip()),
-                    "last_slot": int(row["last_slot"].strip()),
-                    "length": int(row["length"].strip()),
-                    "outcomes": tuple(Outcome(row[name].strip())
-                                      for name in bit_columns),
-                })
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: malformed row at line {line}: {exc}") \
-                    from exc
-    return rows
-
-
-def export_class_rows_csv(rows: list[dict], path: str | Path) -> None:
-    """Write rows in :func:`import_class_results_csv` form back to CSV.
-
-    The inverse of the importer: re-exporting an imported file produces
-    a byte-identical copy, which is what makes the CSV a faithful
-    interchange format (and what the round-trip tests assert).
-    """
-    if not rows:
-        raise ValueError("no rows to export")
-    bits = len(rows[0]["outcomes"])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["addr", "first_slot", "last_slot", "length"]
-                        + [f"bit{b}" for b in range(bits)])
-        for row in rows:
-            if len(row["outcomes"]) != bits:
-                raise ValueError(
-                    "rows mix outcome widths; cannot export one CSV")
-            writer.writerow(
-                [row["addr"], row["first_slot"], row["last_slot"],
-                 row["length"]] + [o.value for o in row["outcomes"]])

@@ -1,10 +1,11 @@
 """Campaign fabric: lease-based fault injection on forked workers.
 
-A coordinator owns the SQLite experiment journal and hands out *work
-leases* — cost-balanced shards of any campaign style's units — to the
-workers it forks from the campaign's own process for ``jobs=N`` and
-``scan --jobs N`` (:class:`~repro.campaign.dist.coordinator
-.LocalFabric`), each over its end of one socket pair.  A fork inherits
+A coordinator journals results (when the campaign has a journal) and
+hands out *work leases* — cost-balanced shards of the units a
+campaign of any style has left to do — to the workers it forks from
+the campaign's own process for ``jobs=N`` and ``scan --jobs N``
+(:class:`~repro.campaign.dist.coordinator.LocalFabric`), each over its
+end of one socket pair.  A fork inherits
 the campaign — golden run, domain, units, executor config — as the
 style (:class:`~repro.campaign.pipeline.CampaignStyle`) holds it, so
 nothing about it crosses the wire; coordinator and fleet hold only how

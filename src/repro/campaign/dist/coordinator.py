@@ -6,10 +6,10 @@ prologue (journal, resume, validation, composition), accounting,
 progress and canonical-order assembly are the pipeline's.  It serves
 any campaign style and holds none of its own: its fleet's workers
 inherit ``run.style`` (golden run, units, config) when they fork.  It
-plans the style's shards over its *full* unit list (so shard indices
-survive restarts) and serves :class:`~.leases.ShardLease` grants on
-each socket pair its fleet hands it; workers stream unit results back
-one send window (one ``results`` frame) at a time.  A *fleet* is
+plans the style's shards over the units the prologue left to do
+(``run.todo``) and serves :class:`~.leases.ShardLease` grants on each
+socket pair its fleet hands it; workers stream unit results back one
+send window (one ``results`` frame) at a time.  A *fleet* is
 :class:`LocalFabric`'s forked local workers (``jobs=N``, ``scan --jobs
 N``), or the tests' thread workers; it offers:
 
@@ -36,10 +36,11 @@ needs, and the style states each step for its units:
   finds its key gone and is dropped.
 * **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
   or half-delivered lease is re-queued with backoff and a retry budget,
-  then its keys degrade into ``ExecutionReport.missing``.  Results and
-  lease state are journaled as they arrive (committed by the journal's
-  window, or the first idle watchdog tick), so a restarted coordinator
-  loses only work in flight.
+  then its keys degrade into ``ExecutionReport.missing``.  The board
+  is the fabric's only bookkeeping: results are journaled as they
+  arrive (committed by the journal's window, or the first idle
+  watchdog tick), lease state is not, so a restarted coordinator loses
+  only work in flight and starts every shard with a fresh budget.
 * **Checks on what a worker sends**, per unit, before any accounting:
   its run's shape (``style.valid_run``), its key in the units and its
   shard in the plan; a bad unit is rejected (not progress: its lease
@@ -72,7 +73,6 @@ virtual one.
 
 from __future__ import annotations
 
-import json
 import selectors
 import socket
 import time
@@ -93,12 +93,6 @@ DEFAULT_SHARDS = 8
 
 #: The lease clock (module-level so tests can substitute a virtual one).
 _clock = time.monotonic
-
-
-def _canonical_keys(keys) -> str:
-    """Deterministic JSON identity of a shard's planned key list."""
-    return json.dumps([list(key) for key in keys],
-                      separators=(",", ":"))
 
 
 class CoordinatorStopped(Exception):
@@ -140,7 +134,6 @@ class DistCoordinator:
         self.stopped = False
         self._worker_units: Counter = Counter()
         self._accepted = 0
-        self._lease_cache: dict[int, tuple] = {}
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -173,43 +166,29 @@ class DistCoordinator:
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
         report.workers = tuple(sorted(self._worker_units.items()))
-        self._journal_leases()  # final lease states stay queryable
 
     def _plan(self, run: CampaignRun) -> None:
         """Plan ``run``'s shards onto a fresh lease board."""
         # The pipeline's prologue has loaded, validated and composed:
-        # ``run.completed`` units are never leased to any worker.
+        # only ``run.todo`` is leased (small campaigns: one shard per
+        # fleet worker).  A shard need not be a run of the unit list (a
+        # scan deals cells), so its keys are looked up item by item.
         self.run = run
         self.style = style = run.style
-        self.handle = handle = run.handle
+        self.handle = run.handle
         self.report = run.report
         self._units = style.units
-        completed = run.completed
-        # Plan over the FULL unit list (small campaigns: one shard per
-        # fleet worker): shard indices and key lists are a pure
-        # function of the arguments, so journaled retry state survives
-        # a restart.  A shard need not be a run of the unit list (a
-        # scan deals cells), so its keys are looked up item by item.
         key_of = {item: key for key, item in self._units.items()}
-        planned, _, costs = style.plan(list(self._units.values()),
-                                       self.shards, self.fleet.workers)
+        todo = [key_of[item] for item in run.todo]
+        planned, _, costs = style.plan(run.todo, self.shards,
+                                       self.fleet.workers)
         board = LeaseBoard(policy=self.policy,
-                           key_costs=dict(zip(self._units, costs)))
-        journaled_leases = handle.lease_states()
+                           key_costs=dict(zip(todo, costs)))
         for index, shard in enumerate(planned):
-            keys = [key_of[item] for item in shard]
-            board.add_shard(index, keys,
-                            [key for key in keys if key not in completed])
-            stored = journaled_leases.get(index)
-            if stored is not None and stored["keys"] == _canonical_keys(keys):
-                # Same plan as the journaled run (not another --jobs):
-                # carry the retry budget across the restart.
-                board.restore(index, attempts=stored["attempts"],
-                              status=stored["status"], now=_clock())
+            board.add_shard(index, [key_of[item] for item in shard])
         self.board = board
         self._planned_shards = len(planned)
         self._done = False
-        self._journal_leases()
         self._maybe_finish()
 
     def _serve(self) -> None:
@@ -231,14 +210,10 @@ class DistCoordinator:
             if now < next_tick:
                 continue
             next_tick = now + interval
-            expired = self.board.expire(now)
-            if expired:
-                self.report.timed_out_shards += len(expired)
-                self._journal_leases()
+            self.report.timed_out_shards += len(self.board.expire(now))
             if not self.board.done() and not self.fleet.tend():
                 # Every worker is gone: nobody takes the rest.
                 self.board.abandon()
-                self._journal_leases()
             self._adopt()
             self._maybe_finish()
             if now - last_beat >= self.policy.heartbeat:
@@ -295,8 +270,7 @@ class DistCoordinator:
         name, stream = key.data
         self._selector.unregister(key.fileobj)
         stream.close()
-        if self.board.release_worker(name, _clock()):
-            self._journal_leases()
+        self.board.release_worker(name, _clock())
         self._maybe_finish()
 
     def _answer(self, name: str, frame: dict) -> dict | None:
@@ -310,7 +284,6 @@ class DistCoordinator:
             self._accept_results(name, frame, now)
         elif kind == "lease_done":
             self.board.finish(*self._lease_done(frame), now)
-            self._journal_leases()
             self._maybe_finish()
         else:
             raise ProtocolError(f"unexpected {kind!r} from {name!r}")
@@ -325,7 +298,6 @@ class DistCoordinator:
             return {"type": "done"}
         if isinstance(grant, float):
             return {"type": "wait", "seconds": grant}
-        self._journal_leases()
         return {"type": "lease", "lease": grant.lease_id,
                 "shard": grant.shard,
                 "keys": [list(key) for key in grant.keys]}
@@ -411,25 +383,15 @@ class DistCoordinator:
 
     def _reject(self, name: str, key, *, reason: str) -> None:
         """Refuse one unit result before it touches any accounting: it
-        is not progress, so its lease re-grants it."""
+        is not progress, so its lease re-grants it.  A journaled
+        campaign logs it as a ``shape-reject`` event."""
         self.report.integrity_rejected += 1
-        detail = reason if key is None else f"{list(key)}: {reason}"
-        self.handle.record_event("shape-reject", worker=name,
-                                 detail=detail, at=time.time())
+        if self.handle is not None:
+            detail = reason if key is None else f"{list(key)}: {reason}"
+            self.handle.record_event("shape-reject", worker=name,
+                                     detail=detail, at=time.time())
 
     # -- bookkeeping ------------------------------------------------------------
-
-    def _journal_leases(self) -> None:
-        """Persist per-shard retry state (only rows that changed)."""
-        for shard in self.board.shards():
-            worker = shard.lease.worker if shard.lease is not None else ""
-            state = (shard.attempts, shard.status, worker)
-            if self._lease_cache.get(shard.index) == state:
-                continue
-            self._lease_cache[shard.index] = state
-            self.handle.record_lease(
-                shard.index, _canonical_keys(shard.keys),
-                attempts=shard.attempts, status=shard.status, worker=worker)
 
     def _maybe_finish(self) -> None:
         if self.board.done():

@@ -28,7 +28,9 @@ That is the whole policy, for forked and thread workers alike: a worker
 that dies, hangs or sends garbage costs its shard an attempt, nothing
 more.  A unit whose execution kills every worker fails its shard after
 ``max_retries`` — the lost keys are named in the report, and a rerun on
-the same journal retries them.
+the same journal retries them, every shard with a fresh budget: the
+board is the fabric's only bookkeeping, and nothing of it is
+journaled.
 
 The board is plain single-threaded state driven by the coordinator's
 serving loop; it does no I/O and takes ``now`` as an argument, which is
@@ -110,8 +112,6 @@ class ShardLease:
 @dataclass
 class _Shard:
     index: int
-    #: Full planned key list (stable across coordinator restarts).
-    keys: tuple[Key, ...]
     #: Keys not yet accounted, in execution order.
     remaining: list[Key]
     #: Summed estimated cost of ``remaining``, kept current by the board
@@ -137,38 +137,12 @@ class LeaseBoard:
     _shards: list[_Shard] = field(default_factory=list)
     _next_lease_id: int = 0
 
-    def add_shard(self, index: int, keys: list[Key],
-                  remaining: list[Key]) -> None:
-        """Append shard ``index`` (the next in plan order); born done
-        when empty."""
-        shard = _Shard(
-            index=index, keys=tuple(keys), remaining=list(remaining),
-            remaining_cost=sum(self.key_costs.get(key, 1)
-                               for key in remaining))
-        if not shard.remaining:
-            shard.status = DONE
-        self._shards.append(shard)
-
-    def restore(self, index: int, *, attempts: int, status: str,
-                now: float) -> None:
-        """Re-apply journaled retry state after a coordinator restart,
-        at ``now`` on the lease clock.
-
-        A shard the journaled run failed starts afresh: a rerun on the
-        same journal is how the keys it lost are retried.  Any other
-        status — including those an older coordinator journaled for
-        layers since removed — leaves the shard's unjournaled keys
-        pending, its attempts carried over.
-        """
-        if status == FAILED:
-            return
-        shard = self._shards[index]
-        shard.attempts = attempts
-        if shard.status == PENDING and attempts:
-            # Interrupted attempts embargo the shard exactly as a live
-            # expiry would, so a crash-looping worker cannot burn the
-            # retry budget instantly after every coordinator restart.
-            self._embargo(shard, now=now)
+    def add_shard(self, index: int, keys: list[Key]) -> None:
+        """Append shard ``index`` (the next in plan order) of ``keys``,
+        in execution order."""
+        self._shards.append(_Shard(
+            index=index, remaining=list(keys),
+            remaining_cost=sum(self.key_costs.get(key, 1) for key in keys)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -292,8 +266,5 @@ class LeaseBoard:
         else:
             shard.status = PENDING
             self.retries += 1
-            self._embargo(shard, now=now)
-
-    def _embargo(self, shard: _Shard, *, now: float) -> None:
-        shard.available_at = now + self.policy.backoff * (
-            self.policy.backoff_factor ** max(0, shard.attempts - 1))
+            shard.available_at = now + self.policy.backoff * (
+                self.policy.backoff_factor ** (shard.attempts - 1))

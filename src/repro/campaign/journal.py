@@ -59,8 +59,8 @@ never straddle two commits, so a resume never sees half a class — and
 the buffered window is executed and committed as one short transaction
 (default ``synchronous``, one fsync) by the first write that finds it
 older than :data:`COMMIT_WINDOW_S`, by every bookkeeping write
-(``mark_complete``, ``clear``, ``discard_classes``, ``record_lease``,
-``record_event``), by ``close``, by :meth:`CampaignJournal.flush`,
+(``mark_complete``, ``clear``, ``discard_classes``, ``record_event``),
+by ``close``, by :meth:`CampaignJournal.flush`,
 which a transport calls whenever it is about to wait, and by any
 read through the same journal object (so a writer always reads its own
 writes).  The SQLite write lock is held only for that transaction,
@@ -106,7 +106,9 @@ if TYPE_CHECKING:
 #: leaves the tables of an older file as they are — rowid layout, and
 #: an ``end_cycle`` of INTEGER affinity, which stores a run of one's end
 #: cycle as an integer (readers ``str()`` it) — and every layout opens,
-#: resumes, composes and salvages.
+#: resumes, composes and salvages.  An older file's ``leases`` table
+#: (per-shard retry state a coordinator once journaled) is likewise left
+#: in place and never read.
 SCHEMA_VERSION = 4
 
 #: SQL for the number of bits in a run row: one more than the number of
@@ -170,15 +172,6 @@ CREATE TABLE IF NOT EXISTS sampler_state (
     campaign_id INTEGER PRIMARY KEY REFERENCES campaigns(id),
     draws       INTEGER NOT NULL,
     rng_state   TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS leases (
-    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
-    shard       INTEGER NOT NULL,
-    keys        TEXT NOT NULL,
-    worker      TEXT NOT NULL DEFAULT '',
-    attempts    INTEGER NOT NULL DEFAULT 0,
-    status      TEXT NOT NULL DEFAULT 'pending',
-    PRIMARY KEY (campaign_id, shard)
 );
 CREATE TABLE IF NOT EXISTS sections (
     id          INTEGER PRIMARY KEY,
@@ -457,20 +450,13 @@ class ExperimentJournal:
     def fabric_report(self) -> list[dict]:
         """Per-campaign distributed-fabric state for ``repro journal``.
 
-        Extends :meth:`campaigns` with each campaign's journaled shard
-        leases and integrity events — the operator's view of what the
-        coordinator did and to whom.
+        Extends :meth:`campaigns` with each campaign's integrity events
+        — the operator's view of what the coordinator refused and from
+        whom.
         """
         out = []
         for entry in self.campaigns():
             campaign_id = entry["id"]
-            entry["leases"] = [
-                {"shard": shard, "worker": worker,
-                 "attempts": attempts, "status": status}
-                for shard, worker, attempts, status in self._query(
-                    "SELECT shard, worker, attempts, status FROM leases "
-                    "WHERE campaign_id = ? ORDER BY shard",
-                    (campaign_id,))]
             entry["events"] = [
                 {"at": at, "worker": worker, "kind": kind,
                  "detail": detail}
@@ -616,9 +602,8 @@ class ExperimentJournal:
         bytes per experiment stored in the two run tables (0.0
         while they are empty), the number the table layout and the row
         format are judged by."""
-        tables = ("campaigns", "class_results", "sampler_state", "leases",
-                  "sections", "section_results", "campaign_sections",
-                  "fabric_events")
+        tables = ("campaigns", "class_results", "sampler_state", "sections",
+                  "section_results", "campaign_sections", "fabric_events")
         report = {
             table: self._query(
                 f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}"
@@ -701,8 +686,8 @@ class CampaignJournal:
         re-running this campaign fresh will re-derive (and compose
         from) them.
         """
-        for table in ("class_results", "sampler_state", "leases",
-                      "campaign_sections", "fabric_events"):
+        for table in ("class_results", "sampler_state", "campaign_sections",
+                      "fabric_events"):
             self.journal._write(
                 f"DELETE FROM {table} WHERE campaign_id = ?",
                 [(self.campaign_id,)])
@@ -825,34 +810,10 @@ class CampaignJournal:
             [(self.campaign_id, at, worker, kind, detail)])
         self.journal.flush()
 
-    # -- work leases ----------------------------------------------------------
-
-    def record_lease(self, shard: int, keys: str, *, attempts: int,
-                     status: str, worker: str = "") -> None:
-        """Durably record one shard lease's retry state.
-
-        ``keys`` is the canonical JSON encoding of the shard's planned
-        class keys; a restarted coordinator uses it to detect that the
-        shard plan changed (different ``--jobs``) and discard stale
-        attempt counts instead of mis-applying them.
-        """
-        self.journal._write(
-            "INSERT OR REPLACE INTO leases (campaign_id, shard, "
-            "keys, worker, attempts, status) VALUES (?, ?, ?, ?, "
-            "?, ?)",
-            [(self.campaign_id, shard, keys, worker, attempts, status)])
-        self.journal.flush()
-
-    def lease_states(self) -> dict[int, dict]:
-        """Journaled lease state per shard index."""
-        return {
-            shard: {"keys": keys, "worker": worker,
-                    "attempts": attempts, "status": status}
-            for shard, keys, worker, attempts, status in
-            self.journal._query(
-                "SELECT shard, keys, worker, attempts, status FROM "
-                "leases WHERE campaign_id = ?", (self.campaign_id,))
-        }
+    # Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR
+    # that drops that entry deletes this stub.
+    def record_lease(self, *args, **kwargs) -> None:
+        pass
 
     # -- sampled experiments --------------------------------------------------
 

@@ -275,9 +275,7 @@ def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
     is lost; a campaign estimated below
     :data:`SMALL_CAMPAIGN_CYCLES` collapses to one shard per expected
     worker, which removes the extra lease round-trips and leaves no
-    pending shards for idle workers to re-poll for.  Deterministic, so a
-    coordinator restart with the same arguments re-derives the same plan
-    and journaled per-shard lease state stays valid.
+    pending shards for idle workers to re-poll for.
     """
     if sum(costs) < SMALL_CAMPAIGN_CYCLES:
         parts = max(1, min(parts, workers))
@@ -310,8 +308,7 @@ def plan_class_shards(intervals: Sequence, total_cycles: int, *,
     The fleet of ``workers`` gets at least one shard per worker, and
     exactly one for a campaign estimated below
     :data:`SMALL_CAMPAIGN_CYCLES`.  The plan is a pure function of its
-    arguments, so a coordinator restart re-derives it and journaled
-    per-shard lease state stays valid.
+    arguments.
     """
     costs = [class_cost(interval, total_cycles, bits=domain.bits)
              for interval in intervals]
@@ -548,8 +545,6 @@ def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],
     crash — keeps every unit accepted so far and assembles nothing;
     ``journal=None`` keeps nothing durable.
     """
-    if journal is None and transport is not in_process:
-        journal = ":memory:"  # a fabric journals leases and events
     handle = open_campaign(journal, style.golden, style.domain, style.kind,
                            style.key_params)
     with handle or nullcontext():

@@ -35,9 +35,8 @@ Commands:
     summary: the table is recomputed from them.
 ``journal --journal PATH [--gc] [--salvage]``
     List an existing journal's campaigns with their progress and
-    fabric state (shard leases and their retry budgets, plus the
-    integrity event log: shape rejections, salvage prunes, and
-    whatever kinds an older coordinator wrote), its section store
+    fabric event log (shape rejections, salvage prunes, and whatever
+    kinds an older coordinator wrote), its section store
     (stored results and referencing campaigns per section) and a size
     report; exits ``3`` when any campaign is incomplete.  ``--gc``
     drops section results no campaign references.  ``--salvage``
@@ -67,7 +66,6 @@ import argparse
 import os
 import sys
 import time
-from collections import Counter
 
 from .analysis import (
     completeness_report,
@@ -195,8 +193,8 @@ def _campaign_setup(args, name: str):
 
 
 def _list_campaigns(path, campaigns) -> int:
-    """Print a journal's campaign list, each with its shard leases and
-    fabric event log; return how many campaigns are incomplete."""
+    """Print a journal's campaign list, each with its fabric event log;
+    return how many campaigns are incomplete."""
     if not campaigns:
         print(f"journal {path}: no campaigns")
         return 0
@@ -206,19 +204,6 @@ def _list_campaigns(path, campaigns) -> int:
               f"[{entry['domain']} domain] {entry['status']:8s} "
               f"{entry['journaled_experiments']:8d} experiments "
               f"journaled  fingerprint={entry['fingerprint'][:12]}")
-        if entry["leases"]:
-            counts = Counter(lease["status"] for lease in entry["leases"])
-            summary = ", ".join(f"{n} {status}"
-                                for status, n in sorted(counts.items()))
-            print(f"    leases: {len(entry['leases'])} shard(s) — {summary}")
-            for lease in entry["leases"]:
-                if lease["status"] not in ("done", "pending") \
-                        or lease["attempts"]:
-                    worker = f" worker={lease['worker']}" \
-                        if lease["worker"] else ""
-                    print(f"      shard {lease['shard']}: "
-                          f"{lease['status']}, {lease['attempts']} "
-                          f"attempt(s){worker}")
         if entry["events"]:
             print(f"    events: {len(entry['events'])}")
             for event in entry["events"]:

@@ -33,12 +33,19 @@ public API takes ``domain="register"`` as a convenience.
 
 from __future__ import annotations
 
-from typing import Iterator
+from bisect import bisect_right
+from typing import Callable, Iterator
 
 from .burst import BurstFaultSpace, BurstPartition, burst_positions
 from .defuse import DefUsePartition
 from .model import FaultCoordinate, FaultSpace
-from .pcreg import PCFaultCoordinate, PCFaultSpace, PCInterval, PCPartition
+from .pcreg import (
+    ILLEGAL_AXIS,
+    PCFaultCoordinate,
+    PCFaultSpace,
+    PCInterval,
+    PCPartition,
+)
 from .registers import (
     RegisterFaultCoordinate,
     RegisterFaultSpace,
@@ -53,10 +60,11 @@ class FaultDomain:
     A subclass defines ``name`` (registry key, also used for
     persistence) and ``space_type`` (its
     :class:`~repro.faultspace.model.CellSpace` class), and implements
-    :meth:`fault_space`, :meth:`build_partition`, :meth:`inject` and
-    :meth:`cell_critical`.  The coordinate and axis hooks are answered
-    from the space type, whose cells are the spatial axis; ``bits`` is
-    its units unless the domain states otherwise.  A domain whose
+    :meth:`fault_space`, :meth:`build_partition`, :meth:`inject`,
+    :meth:`cell_critical` and :meth:`location_label`.  The coordinate
+    and axis hooks are answered from the space type, whose cells are
+    the spatial axis; ``bits`` is its units unless the domain states
+    otherwise.  A domain whose
     classes are not one cell each (the PC's grouped classes) overrides
     the hooks that differ.  Instances must be stateless: fabric workers
     resolve them by name.
@@ -115,6 +123,11 @@ class FaultDomain:
         state memo's hits chain one cell's classes (DESIGN §3c), so a
         cell cut across shards loses them."""
         return self.axis_of(interval)
+
+    def location_label(self, golden) -> Callable[[int], str]:
+        """The function from a class axis to the name of the location
+        it stands for in ``golden``'s program (failure attribution)."""
+        raise NotImplementedError
 
     def coordinate(self, slot: int, axis: int, bit: int):
         """Build a raw fault coordinate from (slot, axis, bit)."""
@@ -220,6 +233,18 @@ class MemoryDomain(FaultDomain):
         # ``run_many`` group.
         return self.axis_of(interval) >> 2
 
+    def location_label(self, golden) -> Callable[[int], str]:
+        # The nearest data label at or below the address.
+        labels = sorted(golden.program.data_labels.items(),
+                        key=lambda kv: kv[1])
+        starts = [address for _, address in labels]
+
+        def label(addr: int) -> str:
+            index = bisect_right(starts, addr)
+            return labels[index - 1][0] if index else "(unlabelled)"
+
+        return label
+
     def inject(self, machine, coordinate: FaultCoordinate) -> None:
         machine.flip_bit(coordinate.addr, coordinate.bit)
 
@@ -243,6 +268,9 @@ class RegisterDomain(FaultDomain):
             golden.program.rom, golden.executed_pcs())
         partition.validate()
         return partition
+
+    def location_label(self, golden) -> Callable[[int], str]:
+        return "r{}".format
 
     def inject(self, machine, coordinate: RegisterFaultCoordinate) -> None:
         machine.flip_register_bit(coordinate.reg, coordinate.bit)
@@ -291,6 +319,7 @@ class BurstDomain(FaultDomain):
     # outcome, neither can any burst inside it.
     cell_critical = MemoryDomain.cell_critical
     plan_cell = MemoryDomain.plan_cell
+    location_label = MemoryDomain.location_label
 
 
 class StuckAtDomain(FaultDomain):
@@ -323,6 +352,7 @@ class StuckAtDomain(FaultDomain):
         return True
 
     plan_cell = MemoryDomain.plan_cell
+    location_label = MemoryDomain.location_label
 
 
 class PCDomain(FaultDomain):
@@ -345,6 +375,11 @@ class PCDomain(FaultDomain):
 
     def axis_of(self, interval: PCInterval) -> int:
         return interval.axis
+
+    def location_label(self, golden) -> Callable[[int], str]:
+        # The flipped bit, or the grouped illegal-target class.
+        return lambda axis: ("pc[illegal]" if axis == ILLEGAL_AXIS
+                             else f"pc[{axis}]")
 
     def coordinate_axis(self, coordinate: PCFaultCoordinate) -> int:
         # A raw PC coordinate's class axis depends on the golden pc at

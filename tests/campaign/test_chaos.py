@@ -309,9 +309,15 @@ class TestDyingKey:
                      if shard.status == FAILED]
         assert deadly in failed.remaining
         # Nothing at or after the deadly key in execution order was
-        # ever delivered.
-        position = failed.keys.index(deadly)
-        assert set(failed.keys[position:]) <= set(failed.remaining)
+        # ever delivered.  The plan is a pure function of its
+        # arguments: re-deriving it gives the failed shard's order.
+        style = coordinator.style
+        key_of = {item: key for key, item in style.units.items()}
+        planned, _, _ = style.plan(coordinator.run.todo, coordinator.shards,
+                                   coordinator.fleet.workers)
+        order = [key_of[item] for item in planned[failed.index]]
+        position = order.index(deadly)
+        assert set(order[position:]) <= set(failed.remaining)
         assert set(execution.missing) == set(failed.remaining)
         assert (execution.failed_shards, execution.shard_retries) \
             == (1, policy.max_retries)

@@ -41,7 +41,7 @@ from repro.campaign.dist import (
     encode_frame,
     serve_scan,
 )
-from repro.campaign.dist.leases import FAILED, PENDING
+from repro.campaign.dist.leases import FAILED
 from repro.campaign.runner import ScanStyle
 from repro.faultspace.domain import MEMORY, get_domain
 from repro.programs import hi, micro, sync2
@@ -167,7 +167,7 @@ class TestLeaseBoard:
             key_costs={(0, 1): 100, (0, 2): 100, (1, 1): 100, (1, 2): 100})
         keys = [[(0, 1), (0, 2)], [(1, 1), (1, 2)]]
         for index in range(shards):
-            board.add_shard(index, keys[index], list(keys[index]))
+            board.add_shard(index, list(keys[index]))
         return board
 
     def test_grants_then_waits_then_done(self):
@@ -234,23 +234,11 @@ class TestLeaseBoard:
         board.finish(0, lease.lease_id, now=2.0)
         assert board.retries == 1  # (0, 2) was never submitted
 
-    def test_a_restored_retry_waits_out_its_backoff(self):
-        """A coordinator restart embargoes a shard with interrupted
-        attempts from the restart on, as a live release would: the
-        lease clock is monotonic time (seconds since boot), so an
-        embargo counted from 0 would have ended long before."""
-        board = LeaseBoard(policy=RetryPolicy(backoff=600.0),
-                           key_costs={})
-        board.add_shard(0, [(0, 1)], [(0, 1)])
-        board.restore(0, attempts=1, status=PENDING, now=1e6)
-        assert board.acquire("w", 1e6) == 600.0
-
     def test_running_remaining_cost_equals_a_fresh_sum(self):
         """Deadlines derive from the cost of the keys still remaining.
         The board keeps that as a running total; after every transition
         it must equal what re-summing the remaining keys gives — on a
-        partly resumed, a restored, a released and an expired shard
-        alike."""
+        partly resumed, a released and an expired shard alike."""
         policy = RetryPolicy(min_shard_timeout=0.0, cycles_per_second=1.0,
                              backoff=0.0, max_retries=5)
         keys = [(0, slot) for slot in range(1, 11)]
@@ -277,8 +265,7 @@ class TestLeaseBoard:
                     assert shard.lease.deadline == now + fresh(shard)
             return now
 
-        board.add_shard(0, keys, keys[2:])  # two keys resumed
-        board.restore(0, attempts=1, status=PENDING, now=0.0)
+        board.add_shard(0, keys[2:])  # two keys resumed
         assert consistent()
         now = deliver(0, "a", 10.0, 3)
         assert board.release_worker("a", now) == [0]
@@ -1075,20 +1062,6 @@ class TestDistJournalInterop:
         assert again == memory_baseline
         assert again.execution.executed == 0
 
-    def test_a_complete_campaign_journals_every_lease_done(
-            self, tmp_path, memory_golden):
-        """The last results can finish the campaign before their
-        ``lease_done`` frame is read; the final lease states are
-        journaled anyway, so ``repro journal`` does not show a lease of
-        a complete campaign as still held."""
-        from repro.campaign.journal import ExperimentJournal
-
-        journal = tmp_path / "j.sqlite"
-        run_dist(memory_golden, journal=journal)
-        with ExperimentJournal(journal) as log:
-            (entry,) = log.fabric_report()
-        assert {lease["status"] for lease in entry["leases"]} == {"done"}
-
     def test_serial_journal_resumes_distributed(
             self, tmp_path, memory_golden, memory_baseline):
         journal = tmp_path / "j.sqlite"
@@ -1107,6 +1080,46 @@ class TestDistJournalInterop:
         assert result == memory_baseline
         assert result.execution.resumed == 3
 
+    def test_a_resumed_fabric_campaign_leases_only_what_is_left(
+            self, tmp_path, memory_golden, memory_baseline):
+        """The coordinator plans the prologue's to-do list, not the
+        whole unit list: the units a serial run journaled never reach
+        the lease board, whose cost table holds exactly the rest."""
+        journal = tmp_path / "j.sqlite"
+        k = 4
+
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(done, total):
+            if done >= k:
+                raise Interrupt
+
+        with pytest.raises(Interrupt):
+            run_full_scan(memory_golden, journal=journal,
+                          progress=interrupt)
+        result, coordinator, fleet = run_dist(memory_golden,
+                                              journal=journal)
+        assert not fleet.errors
+        units, completed = coordinator.style.units, coordinator.run.completed
+        todo = [key for key in units if key not in completed]
+        assert len(todo) == len(units) - k
+        assert list(coordinator.board.key_costs) == todo
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert result.execution.resumed == k
+
+    #: The per-shard retry state an older coordinator journaled.
+    OLD_LEASES_DDL = """CREATE TABLE leases (
+        campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
+        shard       INTEGER NOT NULL,
+        keys        TEXT NOT NULL,
+        worker      TEXT NOT NULL DEFAULT '',
+        attempts    INTEGER NOT NULL DEFAULT 0,
+        status      TEXT NOT NULL DEFAULT 'pending',
+        PRIMARY KEY (campaign_id, shard)
+    )"""
+
     #: Event kinds only coordinators with a worker supervisor, poison
     #: bisection, cross-check voting, the cross-check audit and result
     #: CRCs ever wrote.
@@ -1116,17 +1129,15 @@ class TestDistJournalInterop:
 
     def test_journal_of_removed_layers_resumes_and_lists(
             self, tmp_path, capsys, memory_golden, memory_baseline):
-        """A journal written by an older coordinator holds lease
-        statuses (``split``, ``poison``) and event kinds nothing writes
-        any more.  It still resumes bit-for-bit, and ``repro journal``
-        still lists every row of it."""
+        """A journal written by an older coordinator holds a ``leases``
+        table with statuses (``split``, ``poison``) and event kinds
+        nothing writes any more.  It still resumes bit-for-bit, and
+        ``repro journal`` still lists every event of it."""
         import sqlite3
 
         from repro.cli import main
 
         journal = tmp_path / "old.sqlite"
-        # Two workers, as run_dist's below: the same plan, so the
-        # journaled statuses of shards 0 and 1 are restored.
         first = DistCoordinator(_fleet("w0", "w1"), shards=4,
                                 policy=POLICY, stop_after_results=3)
         thread = serve_in_thread(first, memory_golden, journal=journal)
@@ -1134,14 +1145,15 @@ class TestDistJournalInterop:
         first.fleet.join()
         with sqlite3.connect(journal) as db:
             (campaign,) = db.execute("SELECT id FROM campaigns").fetchone()
-            # Planned shards 0 and 1 were bisected; 4 and 5 are their
+            # Schema 4's lease table, as an older coordinator made it:
+            # planned shards 0 and 1 were bisected; 4 and 5 are their
             # children, one of them isolated as poisonous.
-            db.execute("UPDATE leases SET status = 'split', attempts = 1 "
-                       "WHERE shard IN (0, 1)")
+            db.execute(self.OLD_LEASES_DDL)
             db.executemany(
                 "INSERT INTO leases (campaign_id, shard, keys, worker, "
                 "attempts, status) VALUES (?, ?, '[]', '', ?, ?)",
-                [(campaign, 4, 2, "poison"), (campaign, 5, 0, "split")])
+                [(campaign, 0, 1, "split"), (campaign, 1, 1, "split"),
+                 (campaign, 4, 2, "poison"), (campaign, 5, 0, "split")])
             db.executemany(
                 "INSERT INTO fabric_events (campaign_id, at, worker, kind, "
                 "detail) VALUES (?, 0.0, 'w9', ?, 'old')",
@@ -1159,8 +1171,6 @@ class TestDistJournalInterop:
         out = capsys.readouterr().out
         for kind in self.REMOVED_KINDS:
             assert f"{kind:20s} [w9] old" in out
-        assert "shard 4: poison, 2 attempt(s)" in out
-        assert "shard 5: split, 0 attempt(s)" in out
 
 
 def _repro_env() -> dict:

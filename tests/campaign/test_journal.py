@@ -281,22 +281,6 @@ class TestJournalDurability:
         stored = campaign.completed_classes()
         assert stored[(5, 2)] == ("sdc no-effect", "30 42", " ")
 
-    def test_lease_state_round_trips_and_clears(self, journal):
-        campaign = _campaign(journal)
-        campaign.record_lease(0, '[[0,1]]', attempts=2, status="pending",
-                              worker="w0")
-        campaign.record_lease(1, '[[0,9]]', attempts=0, status="failed")
-        assert campaign.lease_states() == {
-            0: {"keys": '[[0,1]]', "worker": "w0", "attempts": 2,
-                "status": "pending"},
-            1: {"keys": '[[0,9]]', "worker": "", "attempts": 0,
-                "status": "failed"}}
-        campaign.record_lease(0, '[[0,1]]', attempts=3, status="leased",
-                              worker="w1")
-        assert campaign.lease_states()[0]["attempts"] == 3
-        campaign.clear()
-        assert campaign.lease_states() == {}
-
 
 #: An eight-bit class as its run: outcomes, end cycles, traps.
 RUN = (" ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
@@ -355,14 +339,12 @@ class TestGroupCommit:
         lambda campaign, other: campaign.mark_complete(),
         lambda campaign, other: other.clear(),
         lambda campaign, other: campaign.discard_classes([(9, 9)]),
-        lambda campaign, other: campaign.record_lease(
-            0, "[]", attempts=0, status="pending"),
         lambda campaign, other: campaign.record_event("probation"),
         lambda campaign, other: campaign.flush(),
         lambda campaign, other: campaign.close(),
         lambda campaign, other: campaign.journal.close(),
-    ], ids=["mark_complete", "clear", "discard_classes", "record_lease",
-            "record_event", "flush", "handle-close", "journal-close"])
+    ], ids=["mark_complete", "clear", "discard_classes", "record_event",
+            "flush", "handle-close", "journal-close"])
     def test_every_flush_point_commits_the_pending_rows(
             self, tmp_path, clock, flush_point):
         path = tmp_path / "journal.sqlite"

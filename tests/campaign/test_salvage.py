@@ -74,7 +74,6 @@ class TestSalvageTablesInSync:
                                         cycles=9)
             campaign.record_class(0, 1, ("sdc", "3", ""))
             campaign.record_sampler_state(1, "[]")
-            campaign.record_lease(0, "[]", attempts=0, status="pending")
             campaign.record_event("crc-reject")
             section = journal.section(fingerprint="s", program="p",
                                       domain="memory", first_slot=1,

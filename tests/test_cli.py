@@ -460,23 +460,19 @@ class TestCliDist:
 
     def test_journal_lists_an_incomplete_campaign_with_exit_3(
             self, monkeypatch, capsys, tmp_path):
-        """The same lost campaign, journaled: the listing shows its
-        failed leases and exits 3 until a rerun finishes it."""
+        """The same lost campaign, journaled: the listing shows it
+        incomplete and exits 3 until a rerun finishes it."""
         journal = str(tmp_path / "j.sqlite")
         chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=0))
         assert main(["scan", "memcopy", "--jobs", "2", "--max-retries",
                      "0", "--journal", journal]) == 3
         capsys.readouterr()
         assert main(["journal", "--journal", journal]) == 3
-        out = capsys.readouterr().out
-        assert re.search(r"leases: \d+ shard\(s\) — .*failed", out)
-        assert "1 campaign(s) incomplete" in out
+        assert "1 campaign(s) incomplete" in capsys.readouterr().out
         monkeypatch.undo()
         assert main(["scan", "memcopy", "--jobs", "2", "--journal",
                      journal]) == 0
-        capsys.readouterr()
         assert main(["journal", "--journal", journal]) == 0
-        assert "leases:" in capsys.readouterr().out
 
     def test_hung_scan_exits_incomplete_then_finishes(self, monkeypatch,
                                                       capsys, tmp_path):
