@@ -16,7 +16,8 @@ N``), or the tests' thread workers; it offers:
 ``workers``
     how many workers it starts (the plan deals at least a shard each);
 ``start(style)``
-    start them, executing ``style``;
+    start them, executing ``style`` — called only when the plan left
+    the board some work, so a complete resume starts no worker;
 ``streams``
     ``(name, socket)`` coordinator ends of the socket pairs it started
     and the coordinator has not yet served — it takes them all;
@@ -138,14 +139,16 @@ class DistCoordinator:
     # -- lifecycle --------------------------------------------------------------
 
     def __call__(self, run: CampaignRun) -> None:
-        """The transport: start the fleet on ``run``'s style, serve it
-        until the board is done, then leave the report's fabric fields
-        written for the pipeline to assemble."""
-        self.fleet.start(run.style)
+        """The transport: plan ``run``'s work, start the fleet on its
+        style when the board holds any, serve it until the board is
+        done, then leave the report's fabric fields written for the
+        pipeline to assemble."""
         self._selector = selectors.DefaultSelector()
         try:
             self._plan(run)
-            self._serve()
+            if not self._done:  # a complete resume forks no worker
+                self.fleet.start(run.style)
+                self._serve()
         finally:
             # Orderly end or not: tell every connected worker, then
             # hang up.  The crash hook hangs up without a word, as a

@@ -159,6 +159,28 @@ class TestFullScanResume:
         assert again.execution.executed == 0
         assert again.execution.resumed == again.execution.total_units
 
+    def test_complete_campaign_forks_no_worker(
+            self, tmp_path, monkeypatch, memory_golden, memory_baseline):
+        """The coordinator plans before it starts the fleet: a fabric
+        rerun on a complete journal leaves the board empty and forks
+        nothing, and the report's fabric fields are still written."""
+        from repro.campaign.dist.coordinator import LocalFabric
+
+        journal = tmp_path / "journal.sqlite"
+        run_full_scan(memory_golden, journal=journal)
+        started = []
+        monkeypatch.setattr(LocalFabric, "_start",
+                            lambda fleet, name: started.append(name))
+        again = run_full_scan(memory_golden, journal=journal, jobs=2,
+                              keep_records=True)
+        assert started == []
+        assert again == memory_baseline
+        assert again.execution.executed == 0
+        assert again.execution.complete
+        assert again.execution.shard_retries == 0
+        assert again.execution.failed_shards == 0
+        assert again.execution.workers == ()
+
     def test_resume_false_discards_the_journal(self, tmp_path,
                                                memory_golden):
         """resume=False drops the campaign's own rows, but the shared
