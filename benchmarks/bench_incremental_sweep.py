@@ -16,7 +16,11 @@ prologue is counted too: a plain resume of the swept family builds no
 section map (the journal holds every campaign whole, so there is
 nothing to compose), and the section maps of a
 ``resume=False`` sweep execute no interpreter instruction (their entry
-digests come off the golden checkpoint ladder).  No wall time is taken:
+digests come off the golden checkpoint ladder).  Two prologue costs
+every variant pays are counted as well: a golden run hashes RAM afresh
+at most once per store it executed (plus the first rung), and a warm
+variant — resumed or composed — checks each distinct outcome string
+of its campaign against the outcome values once.  No wall time is taken:
 both sweeps of this small family are mostly the fixed cost of a campaign
 (open + ``quick_check``, golden bookkeeping, commits), so their ratio
 would measure the executor as much as the store.
@@ -28,10 +32,12 @@ import enum
 
 from repro.campaign import ExperimentJournal, record_golden, run_full_scan
 from repro.campaign import compose as compose_module
+from repro.campaign import golden as golden_module
 from repro.campaign import journal as journal_module
 from repro.campaign.database import CampaignSummary
 from repro.campaign.outcomes import Outcome
 from repro.faultspace import sections as sections_module
+from repro.isa import STORE_OPS
 from repro.metrics import comparison_report, export_comparison_csv
 from repro.programs import guarded
 
@@ -78,14 +84,65 @@ def _counting_section_maps(patch, counts):
     patch.setattr(sections_module, "Machine", CountedMachine)
 
 
+class _CountedOutcomes(frozenset):
+    """The journal's valid outcome values, counting the outcome strings
+    checked against them (``checks``)."""
+
+    def issuperset(self, values):
+        self.checks += 1
+        return super().issuperset(values)
+
+
+def _counting_outcome_checks(patch):
+    """Under ``patch``, the outcome checks of ``_valid_run``: the
+    returned set's ``checks``."""
+    counted = _CountedOutcomes(journal_module._OUTCOME_VALUES)
+    counted.checks = 0
+    patch.setattr(journal_module, "_OUTCOME_VALUES", counted)
+    return counted
+
+
+def _distinct_outcome_strings(result) -> int:
+    """Distinct outcome strings of a campaign: one per distinct outcome
+    tuple of its classes."""
+    return len(set(result.class_outcomes.values()))
+
+
 def _resumed_sweep(goldens, path, monkeypatch):
     """A plain resume of the family against the filled journal; returns
-    (results, section maps built)."""
+    (results, section maps built, outcome checks per variant)."""
     counts = {"section_maps": 0, "section_cycles": 0}
+    results, checks = {}, {}
     with monkeypatch.context() as patch:
         _counting_section_maps(patch, counts)
-        results = _sweep(goldens, path, resume=True)
-    return results, counts["section_maps"]
+        for name in VARIANTS:
+            outcomes = _counting_outcome_checks(patch)
+            results[name] = run_full_scan(goldens[name], journal=path,
+                                          keep_records=True)
+            checks[name] = outcomes.checks
+    return results, counts["section_maps"], checks
+
+
+def _golden_ram_hashes(factories, monkeypatch):
+    """``name → (RAM hashes built, stores executed)`` of each variant's
+    golden run: the hashes through a wrapper on the constructor
+    ``record_golden`` uses, the stores off its executed-pc trace."""
+    blake2b = golden_module.blake2b
+    counts = {}
+
+    def counted(*args, **kwargs):
+        counts[name][0] += 1
+        return blake2b(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(golden_module, "blake2b", counted)
+        for name, factory in factories.items():
+            counts[name] = [0, 0]
+            golden = record_golden(factory(ITERATIONS))
+            rom = golden.program.rom
+            counts[name][1] = sum(rom[pc].op in STORE_OPS
+                                  for pc in golden.pc_trace)
+    return {name: tuple(pair) for name, pair in counts.items()}
 
 
 def _counted_sweep(goldens, path, monkeypatch):
@@ -114,6 +171,7 @@ def _counted_sweep(goldens, path, monkeypatch):
         return enum_hash(member)
 
     results, commits, class_rows, statements = {}, {}, {}, []
+    checks = counts["outcome_checks"] = {}
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
         patch.setattr(journal_module, "_clock", lambda: 0.0)
@@ -123,8 +181,10 @@ def _counted_sweep(goldens, path, monkeypatch):
         journal._conn.set_trace_callback(statements.append)
         for name in VARIANTS:
             statements.clear()
+            outcomes = _counting_outcome_checks(patch)
             results[name] = run_full_scan(goldens[name], journal=journal,
                                           resume=False, keep_records=True)
+            checks[name] = outcomes.checks
             CampaignSummary.from_result(results[name])
             commits[name] = statements.count("BEGIN IMMEDIATE")
             class_rows[name] = sum(
@@ -143,6 +203,7 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     }
     goldens = {name: record_golden(factory(ITERATIONS))
                for name, factory in factories.items()}
+    ram_hashes = _golden_ram_hashes(factories, monkeypatch)
     journal = tmp_path / "sweep.sqlite"
 
     cold = _sweep(goldens, journal, resume=True)
@@ -153,7 +214,8 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     counted, commits, class_rows, counts = _counted_sweep(
         goldens, journal, monkeypatch)
     constructed = counts["constructed"]
-    resumed, resumed_maps = _resumed_sweep(goldens, journal, monkeypatch)
+    resumed, resumed_maps, resumed_checks = _resumed_sweep(
+        goldens, journal, monkeypatch)
 
     composed = {}
     for name in VARIANTS:
@@ -186,6 +248,18 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     assert resumed_maps == 0, (
         f"{resumed_maps} section maps built by a plain resume of a "
         f"complete family: nothing is left to compose")
+    for name, (hashes, stores) in ram_hashes.items():
+        assert 0 < hashes <= stores + 1, (
+            f"{name}: the golden run hashed RAM {hashes} times for "
+            f"{stores} stores: RAM is re-hashed only after a store")
+    distinct = {name: _distinct_outcome_strings(cold[name])
+                for name in VARIANTS}
+    assert resumed_checks == distinct, (
+        f"outcome strings checked by a warm resume {resumed_checks}, "
+        f"distinct per campaign {distinct}: each is checked once")
+    assert counts["outcome_checks"] == distinct, (
+        f"outcome strings checked while composing "
+        f"{counts['outcome_checks']}, distinct per campaign {distinct}")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"
@@ -193,6 +267,7 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     export_comparison_csv(_reports(warm), warm_csv)
     assert warm_csv.read_bytes() == cold_csv.read_bytes()
 
+    hashes = ram_hashes.items()
     lines = [
         "incremental hardening sweep (guarded family, memory domain)",
         "===========================================================",
@@ -208,6 +283,11 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"{', '.join(f'{k}: {v}' for k, v in class_rows.items())} "
         f"(= live classes)",
         f"Outcome(value) calls    {constructed}",
+        f"golden RAM hashes       "
+        f"{', '.join(f'{k}: {h} ({n} stores)' for k, (h, n) in hashes)}",
+        f"outcome checks resumed  "
+        f"{', '.join(f'{k}: {v}' for k, v in resumed_checks.items())} "
+        f"(= distinct outcome strings)",
         "comparison CSV          byte-identical cold vs. warm",
     ]
     (output_dir / "incremental_sweep.txt").write_text(

@@ -155,10 +155,11 @@ def completeness_report(report: ExecutionReport) -> str:
 
 
 def failure_attribution(result: CampaignResult, *,
-                        top: int = 10) -> list[tuple[str, int]]:
+                        top: int | None = 10) -> list[tuple[str, int]]:
     """Attribute weighted failure counts to fault locations by label.
 
-    Returns ``(label, weight)`` pairs, heaviest first — the analysis
+    Returns ``(label, weight)`` pairs, heaviest first, the ``top`` of
+    them (``None``: every failing label) — the analysis
     behind the "which data actually fails" discussions.  The labels are
     the domain's (:meth:`~repro.faultspace.domain.FaultDomain.
     location_label`): a RAM-cell domain (memory, bursts, stuck-at)

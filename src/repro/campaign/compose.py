@@ -71,6 +71,8 @@ class SectionComposer:
             handle.link_section(section_id)
         handle.flush()  # one commit for all the links
         self._rows: dict[int, dict] = {}
+        #: Outcome strings of runs :meth:`compose_class` found valid.
+        self._valid_outcomes: set[str] = set()
 
     # -- store access ---------------------------------------------------------
 
@@ -101,8 +103,10 @@ class SectionComposer:
         run = self._section_rows(self.map.owner(slot).index).get(
             (slot, self.domain.axis_of(interval), 0))
         if run is None or not _valid_run(
-                run, self.domain.experiment_count(interval)):
+                run, self.domain.experiment_count(interval),
+                self._valid_outcomes):
             return None
+        self._valid_outcomes.add(run[0])
         return run
 
     def store_class(self, interval, run) -> None:

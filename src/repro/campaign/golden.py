@@ -14,11 +14,12 @@ tracing enabled.  It establishes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 
 from ..faultspace.defuse import DefUsePartition
 from ..faultspace.model import FaultSpace
 from ..isa.assembler import Program
-from ..isa.cpu import Machine
+from ..isa.cpu import DIGEST_SIZE, Machine, ram_hashed_digest
 from ..isa.errors import CPUException
 from ..isa.tracing import MemoryTrace
 
@@ -131,9 +132,16 @@ def record_golden(program: Program, *,
     # Step (rather than Machine.run) so the executed-pc trace and the
     # checkpoint ladder are captured in the same pass that records the
     # memory trace; register def/use pruning then needs no second
-    # execution.  Golden runs happen once per campaign, so the per-step
-    # dispatch cost is noise next to the campaign itself.
+    # execution.
     pcs: list[int] = []
+    # A rung is Machine.state_digest(): RAM, then the register tail.
+    # Most cycles store nothing, and a warm sweep that executes nothing
+    # still records a golden run per variant, so the RAM's blake2b
+    # state is kept and rebuilt only at a rung the trace saw a store
+    # before; each rung copies it and feeds it the tail (golden runs
+    # hold no stuck-at latch): the same bytes as hashing it all afresh.
+    ram, regs, serial = machine.ram, machine.regs, machine.serial
+    ram_hash, hashed_writes = None, -1
     try:
         while not machine.halted and machine.cycle < cycle_limit:
             pc = machine.pc
@@ -143,7 +151,11 @@ def record_golden(program: Program, *,
                 pcs.append(pc)
                 if (stride and not machine.halted
                         and machine.cycle % stride == 0):
-                    digests.append(machine.state_digest())
+                    if tracer.writes != hashed_writes:
+                        ram_hash = blake2b(ram, digest_size=DIGEST_SIZE)
+                        hashed_writes = tracer.writes
+                    digests.append(ram_hashed_digest(
+                        ram_hash, regs, machine.pc, len(serial)))
                     if auto_stride and len(digests) > MAX_CHECKPOINTS:
                         # Double the stride, keeping every second rung
                         # (those at multiples of the doubled stride).

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -231,21 +232,31 @@ class JournalMismatchError(JournalError):
 
 #: Valid outcome strings a run may carry.
 _OUTCOME_VALUES = frozenset(OUTCOME_BY_VALUE)
+#: A run's end cycles: ASCII decimal values, one space between two.
+_END_CYCLES = re.compile(r"[0-9]+(?: [0-9]+)*")
 
 
-def _valid_run(run, count: int) -> bool:
+def _valid_run(run, count: int, known=()) -> bool:
     """A run ``(outcomes, end_cycles, traps)`` must hold ``count`` values
     in each of its three strings: known outcomes, decimal end cycles, and
     traps (a trap holding a space splits into two, so its run is
     malformed).  The one check a class passes before it is trusted:
     arriving from a fabric worker, resumed from the journal or composed
-    from the section store."""
+    from the section store.
+
+    ``known`` holds outcome strings this campaign already found valid,
+    whose values are not looked up again: a caller that keeps it —
+    :class:`~.runner.ScanStyle` its decoded strings,
+    :class:`~.compose.SectionComposer` a set of its own, both dropped
+    with the campaign — checks each distinct outcome string once per
+    campaign.  The counts and the end cycles are checked in C, a
+    ``str.count`` and one ``fullmatch`` a string."""
     outcomes, end_cycles, traps = run
-    cycles = end_cycles.split(" ")
-    return (len(cycles) == outcomes.count(" ") + 1 == traps.count(" ") + 1
-            == count
-            and _OUTCOME_VALUES.issuperset(outcomes.split(" "))
-            and end_cycles.isascii() and all(map(str.isdigit, cycles)))
+    return (outcomes.count(" ") == end_cycles.count(" ")
+            == traps.count(" ") == count - 1
+            and (outcomes in known
+                 or _OUTCOME_VALUES.issuperset(outcomes.split(" ")))
+            and _END_CYCLES.fullmatch(end_cycles) is not None)
 
 
 class ExperimentJournal:

@@ -328,7 +328,9 @@ class ScanStyle(CampaignStyle):
                                  for key, run in batch])
 
     def valid_run(self, key, run):
-        return _valid_run(run, self.domain.experiment_count(self.units[key]))
+        # Every string keep() decoded passed this check: it is known.
+        return _valid_run(run, self.domain.experiment_count(self.units[key]),
+                          self._decoded)
 
     def discard(self, handle, keys):
         return handle.discard_classes(keys)

@@ -75,6 +75,19 @@ def state_digest(ram, regs, pc: int, serial_len: int,
     return h.digest()
 
 
+def ram_hashed_digest(ram_hash, regs, pc: int, serial_len: int) -> bytes:
+    """:func:`state_digest` of a latch-free machine whose RAM is already
+    hashed: ``ram_hash`` is a ``blake2b(ram, digest_size=DIGEST_SIZE)``
+    state, copied here, not consumed.  blake2b is a stream, so the
+    copy fed the same tail yields the very bytes :func:`state_digest`
+    does — what lets the golden ladder re-hash RAM only after a store.
+    """
+    h = ram_hash.copy()
+    h.update(_DIGEST_TAIL.pack(*regs, pc & WORD_MASK,
+                               serial_len & WORD_MASK))
+    return h.digest()
+
+
 @dataclass(frozen=True)
 class MachineState:
     """A snapshot of all mutable machine state.

@@ -47,15 +47,21 @@ class MemoryTrace:
 
     ``events[addr]`` is the chronologically ordered list of accesses to
     byte ``addr``.  ``total_slots`` is set when the run finishes and
-    equals the benchmark's runtime Δt in cycles.
+    equals the benchmark's runtime Δt in cycles.  ``writes`` counts the
+    stores recorded so far: the golden run re-hashes RAM for its
+    checkpoint ladder only when it moved, so a store that escaped the
+    trace would stale the ladder as surely as the def/use classes.
     """
 
     events: dict[int, list[AccessEvent]] = field(default_factory=dict)
     total_slots: int = 0
+    writes: int = 0
 
     def record(self, slot: int, addr: int, width: int, kind: int) -> None:
         """Record an access of ``width`` bytes starting at ``addr``
         (one event, listed under each byte)."""
+        if kind == WRITE:
+            self.writes += 1
         event = AccessEvent(slot, kind)
         events = self.events
         for byte in range(addr, addr + width):

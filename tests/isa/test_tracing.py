@@ -33,6 +33,17 @@ start:  li   r1, 5
                 [(1, READ)]
         assert tracer.accesses(8) == []
 
+    def test_writes_counts_stores_of_every_width_not_loads(self):
+        tracer = trace_of(""".text
+start:  li   r1, 1
+        sw   r1, 0(zero)
+        sh   r1, 4(zero)
+        sb   r1, 6(zero)
+        lw   r2, 0(zero)
+        lbu  r2, 6(zero)
+        halt""")
+        assert tracer.writes == 3
+
     def test_halfword_access_touches_two_bytes(self):
         tracer = trace_of(".text\nstart: li r1, 1\n sh r1, 2(zero)\n halt")
         assert len(tracer.accesses(2)) == 1

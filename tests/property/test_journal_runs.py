@@ -16,13 +16,14 @@ valid.
 
 import random
 
+import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from repro.campaign import (ExperimentJournal, record_golden, run_full_scan,
                             run_sampling)
 from repro.campaign.compose import SectionComposer
-from repro.campaign.journal import _valid_run, open_campaign
+from repro.campaign.journal import _OUTCOME_VALUES, _valid_run, open_campaign
 from repro.campaign.outcomes import OUTCOME_BY_VALUE
 from repro.campaign.runner import ScanStyle
 from repro.faultspace import get_domain
@@ -315,3 +316,116 @@ class TestRunFormReaders:
         execution = scanned.execution
         assert {name: getattr(execution, name) for name in expected} \
             == expected
+
+
+def _reference_valid_run(run, count: int) -> bool:
+    """``_valid_run`` as it was written field by field in Python, kept
+    verbatim as the oracle for the one-pass version."""
+    outcomes, end_cycles, traps = run
+    cycles = end_cycles.split(" ")
+    return (len(cycles) == outcomes.count(" ") + 1 == traps.count(" ") + 1
+            == count
+            and _OUTCOME_VALUES.issuperset(outcomes.split(" "))
+            and end_cycles.isascii() and all(map(str.isdigit, cycles)))
+
+
+#: Values a column of a stored run may hold, honest and not: outcomes
+#: by another name, digits of other scripts (Arabic-Indic, superscript,
+#: full-width), signs, separators and empty fields.
+_OUTCOME_TOKENS = VALUES * 4 + ["bogus", "", "SDC", "no_effect", "sdc\n"]
+_CYCLE_TOKENS = ["0", "7", "12", "007", "4096", "9" * 12] * 3 + [
+    "", "٣", "²", "１", "1x", "-1", "+1", "1_0", "1.0", "1\n", "\t1"]
+_TRAP_TOKENS = TRAPS * 2 + ["with space", " ", "x"]
+
+
+def _column(rng, tokens, width: int) -> str:
+    """``width`` tokens, mostly single-space-joined; now and then a
+    double, leading or trailing space."""
+    text = " ".join(rng.choice(tokens) for _ in range(width))
+    shape = rng.random()
+    if shape < 0.04:
+        text = " " + text
+    elif shape < 0.08:
+        text += " "
+    elif shape < 0.12 and " " in text:
+        text = text.replace(" ", "  ", 1)
+    return text
+
+
+def _fuzzed_run(rng):
+    """A run of 1-33 bits and its count.  Half are honest (an outcome
+    string of one value, so strings repeat across runs as they do in a
+    campaign); the other half draw each column apart from the tokens
+    above, give one column a bit too many or too few, or miscount."""
+    width = rng.choice([1, 2, 3, 8, 16, 32, 33])
+    if rng.random() < 0.5:
+        return (" ".join([rng.choice(VALUES[:3])] * width),
+                " ".join(rng.choice(_CYCLE_TOKENS[:6]) for _ in range(width)),
+                " ".join(rng.choice(TRAPS) for _ in range(width))), width
+    widths = [width] * 3
+    if rng.random() < 0.2:
+        widths[rng.randrange(3)] += rng.choice([-1, 1])
+    run = (_column(rng, _OUTCOME_TOKENS, max(widths[0], 1)),
+           _column(rng, _CYCLE_TOKENS, max(widths[1], 1)),
+           _column(rng, _TRAP_TOKENS, max(widths[2], 1)))
+    return run, width + rng.choice([0, 0, 0, 0, -1, 1])
+
+
+class TestValidRunOracle:
+    """The one-pass ``_valid_run`` gives the verdict of the field-by-
+    field reference on every run, with and without the outcome strings
+    a campaign already found valid."""
+
+    EDGES = [
+        (("sdc", "٣", ""), 1),
+        (("sdc", "²", ""), 1),
+        (("sdc", "１", ""), 1),
+        (("sdc no-effect", "1 ٣", " "), 2),
+        (("sdc", "", ""), 1),
+        (("", "1", ""), 1),
+        (("sdc sdc", "1  ", " "), 2),
+        (("sdc sdc", " 1", " "), 2),
+        (("sdc sdc", "1 ", " "), 2),
+        (("sdc sdc sdc", "1  2", "  "), 3),
+        ((" sdc", "1 2", " "), 2),
+        (("sdc ", "1 2", " "), 2),
+        (("sdc  sdc", "1 2 3", "  "), 3),
+        (("bogus", "1", ""), 1),
+        (("sdc no-effect", "1 2", "with space"), 2),
+        (("sdc no-effect", "1 2", " "), 3),
+        (("sdc no-effect", "1 2", " "), 1),
+        (("sdc no-effect", "1 2", " "), 2),
+        (("sdc", "1\n", ""), 1),
+        (("sdc", "-1", ""), 1),
+    ]
+
+    @pytest.mark.parametrize("run, count", EDGES)
+    def test_edge_cases(self, run, count):
+        assert _valid_run(run, count) == _reference_valid_run(run, count)
+        known = {run[0]} if _reference_valid_run(run, count) else ()
+        assert _valid_run(run, count, known) \
+            == _reference_valid_run(run, count)
+
+    def test_seeded_runs(self):
+        rng = random.Random(20151)
+        known: dict = {}  # as ScanStyle keeps it: valid strings only
+        verdicts, known_hits = [0, 0], 0
+        for _ in range(12_000):
+            run, count = _fuzzed_run(rng)
+            expected = _reference_valid_run(run, count)
+            known_hits += run[0] in known
+            assert _valid_run(run, count) == expected, (run, count)
+            assert _valid_run(run, count, known) == expected, (run, count)
+            if expected:
+                known[run[0]] = None
+            verdicts[expected] += 1
+        # Both verdicts are well represented, and so are known strings.
+        assert min(verdicts) > 3_000, verdicts
+        assert known_hits > 3_000, known_hits
+
+    @SETTINGS
+    @given(run=st.tuples(*[st.text(alphabet=" 0123456789٣²sdcno-efftx",
+                                   max_size=12)] * 3),
+           count=st.integers(0, 6))
+    def test_any_text(self, run, count):
+        assert _valid_run(run, count) == _reference_valid_run(run, count)
