@@ -19,7 +19,6 @@ import os
 import signal
 
 from repro.campaign import (
-    RetryPolicy,
     export_class_results_csv,
     record_golden,
     run_full_scan,
@@ -30,16 +29,13 @@ from repro.campaign.dist.coordinator import (DistCoordinator, LocalFabric,
 from repro.programs import micro, sync2
 from tests.campaign.fabric import ThreadFleet, serve_in_thread
 
-#: Snappy failure detection for chaos runs.
-POLICY = RetryPolicy(heartbeat=0.5, poll_interval=0.05, backoff=0.1)
-
 
 def _serve_one_thread_worker(golden, **campaign):
     """Serve a scan of ``golden`` to one thread worker: ``(result,
     units the worker executed)``."""
     fleet = ThreadFleet()
     worker = fleet.add("w0")
-    coordinator = DistCoordinator(fleet, shards=4, policy=POLICY)
+    coordinator = DistCoordinator(fleet, shards=4)
     result = serve_in_thread(coordinator, golden,
                              **campaign).join_result(120)
     fleet.join()
@@ -56,7 +52,7 @@ def test_dist_scan_matches_serial(tmp_path):
     export_class_results_csv(serial, serial_csv)
     for workers in (1, 2, 4):
         dist = run_distributed_scan(golden, workers=workers,
-                                    keep_records=True, policy=POLICY)
+                                    keep_records=True)
         assert dist == serial, workers
         assert dist.records == serial.records, workers
         dist_csv = tmp_path / f"dist{workers}.csv"
@@ -162,7 +158,7 @@ def test_dist_scan_survives_sigkill(tmp_path):
     serial_csv = tmp_path / "serial.csv"
     export_class_results_csv(serial, serial_csv)
 
-    fabric = LocalFabric(2, policy=POLICY)
+    fabric = LocalFabric(2)
     killed = []
 
     def progress(done, total):

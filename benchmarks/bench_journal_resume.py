@@ -15,7 +15,7 @@ The last test is the journal's price tag: the commits (an fsync each)
 a journaled serial scan makes, counted on a clock stepped by hand.
 """
 
-from repro.campaign import (RetryPolicy, export_class_results_csv,
+from repro.campaign import (export_class_results_csv,
                             journal as journal_module, record_golden,
                             run_full_scan)
 from repro.campaign.journal import COMMIT_WINDOW_S, ExperimentJournal
@@ -73,8 +73,7 @@ def test_killed_worker_is_retried_and_result_unchanged(tmp_path,
     chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=0))
     survived = run_full_scan(
         golden, jobs=2, keep_records=True,
-        journal=tmp_path / "chaos.sqlite",
-        policy=RetryPolicy(backoff=0.05))
+        journal=tmp_path / "chaos.sqlite")
     assert survived == baseline
     assert survived.execution.shard_retries >= 1
     assert survived.execution.complete

@@ -103,16 +103,13 @@ def completeness_report(report: ExecutionReport) -> str:
     """Render an :class:`~repro.campaign.pipeline.ExecutionReport` as text.
 
     Summarizes how the campaign actually ran: fresh vs. journal-resumed
-    work units, expired shard deadlines, worker retries and — for a
+    work units, worker retries and — for a
     degraded campaign — how much of the planned fault space the partial
     result covers.
     """
     lines = [f"execution: {report.total_units} work units — "
              f"{report.executed} executed, {report.resumed} resumed "
              f"from journal"]
-    if report.timed_out_shards:
-        lines.append(f"  deadline expiries: {report.timed_out_shards} "
-                     f"shard attempt(s) killed at their deadline")
     if report.shard_retries:
         lines.append(f"  worker retries: {report.shard_retries}")
     if report.convergence_hits:

@@ -19,7 +19,7 @@ from .journal import (
     JournalMismatchError,
 )
 from .dist import DistCoordinator, DistWorker, run_distributed_scan
-from .parallel import ParallelCampaign, RetryPolicy, resolve_jobs
+from .parallel import ParallelCampaign, resolve_jobs
 from .golden import (
     DEFAULT_GOLDEN_CYCLE_LIMIT,
     MAX_CHECKPOINTS,
@@ -68,7 +68,6 @@ __all__ = [
     "JournalMismatchError",
     "SectionComposer",
     "ParallelCampaign",
-    "RetryPolicy",
     "resolve_jobs",
     "CheckpointLadder",
     "GoldenRun",

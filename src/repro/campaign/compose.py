@@ -25,9 +25,8 @@ Soundness rests on the section fingerprint (see
 state, identical reachable code, identical absolute cycle window and
 identical executor budget, so every (slot, axis, bit) experiment in
 the window has identical outcome, end cycle and trap.  Every row a
-campaign's sink accepts is one the simulator produced (a transport's
-wall-clock deadline yields a retry, never a row), so all of them are
-stored.  The brute-force oracle
+campaign's sink accepts is one the simulator produced (a worker that
+dies yields a retry, never a row), so all of them are stored.  The brute-force oracle
 (:func:`~repro.campaign.runner.run_brute_force`) is no campaign: it
 never opens a journal, so it can neither read nor write the store, and
 its validation of the def/use pruning cannot turn circular.

@@ -9,13 +9,16 @@ end of one socket pair.  A fork inherits
 the campaign — golden run, domain, units, executor config — as the
 style (:class:`~repro.campaign.pipeline.CampaignStyle`) holds it, so
 nothing about it crosses the wire; coordinator and fleet hold only how
-work moves.  Workers stream unit results back a send window at a time;
-the coordinator reassigns expired leases with exponential backoff and
-a retry budget, takes each unit once (its lease board drops duplicate
-submissions), and degrades permanently lost shards into
+work moves.  Workers stream unit results back a send window at a time.
+A worker's end is the hang-up of its socket: the coordinator re-queues
+its lease at once, charged against the shard's retry budget, asks the
+fleet to replace it, takes each unit once (its lease board drops
+duplicate submissions), and degrades permanently lost shards into
 :class:`~repro.campaign.pipeline.ExecutionReport` completeness
-accounting.  The result is bit-for-bit identical to a serial run —
-see :mod:`repro.campaign.dist.coordinator` for the argument.
+accounting.  Nothing waits on a clock: the fabric promises what the
+in-process transport promises, no deadline and no more.  The result is
+bit-for-bit identical to a serial run — see
+:mod:`repro.campaign.dist.coordinator` for the argument.
 
 Lease retry plus that one duplicate filter is the whole failure policy.
 On top of it sit only the checks on what a worker sends: the frame

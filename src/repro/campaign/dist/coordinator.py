@@ -21,43 +21,54 @@ N``), or the tests' thread workers; it offers:
 ``streams``
     ``(name, socket)`` coordinator ends of the socket pairs it started
     and the coordinator has not yet served — it takes them all;
-``tend()``
-    replace workers that died (their ends join ``streams``); False when
-    no worker is left alive.
+``replace(name)``
+    the worker ``name`` hung up while work remained: start its
+    replacement, if the fleet has one (its end joins ``streams``).
 
-What the coordinator keeps of its own is what at-least-once delivery
-needs, and the style states each step for its units:
+The fabric promises what the in-process transport promises, and no
+more.  A worker is a fork on a kernel socket pair, which never drops,
+duplicates, reorders or corrupts a frame, and each experiment it runs
+is bounded by its cycle budget; so a worker's one possible failure is
+its end — a crash, a kill, a protocol break — and the coordinator sees
+it as the hang-up of the worker's socket.  What it keeps of its own is
+what that needs, and the style states each step for its units:
 
-* **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).
-  Lease expiry and re-grants duplicate submissions; a unit is fresh
-  when the board takes its key off its shard, and only fresh units go
-  through the pipeline's sink
+* **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).  A
+  lease re-granted after a hang-up or a rejected unit repeats
+  submissions; a unit is fresh when the board takes its key off its
+  shard, and only fresh units go through the pipeline's sink
   (:meth:`~repro.campaign.pipeline.CampaignRun.accept`), each window's
   as one batch.  A copy — of a unit taken, resumed or composed —
   finds its key gone and is dropped.
-* **Lease retry** (:class:`~.leases.LeaseBoard`): an expired, orphaned
-  or half-delivered lease is re-queued with backoff and a retry budget,
-  then its keys degrade into ``ExecutionReport.missing``.  The board
+* **Lease retry** (:class:`~.leases.LeaseBoard`): at a hang-up the
+  worker's lease goes back to pending at once, charged an attempt, and
+  the fleet is asked to replace that worker; a lease that came back
+  with units undelivered is charged the same way.  Past its retry
+  budget a shard's keys degrade into ``ExecutionReport.missing``, and
+  with no worker left at all, every unfinished shard's do.  The board
   is the fabric's only bookkeeping: results are journaled as they
-  arrive (committed by the journal's window, or the first idle
-  watchdog tick), lease state is not, so a restarted coordinator loses
-  only work in flight and starts every shard with a fresh budget.
+  arrive, lease state is not, so a restarted coordinator loses only
+  work in flight and starts every shard with a fresh budget.
 * **Checks on what a worker sends**, per unit, before any accounting:
   its run's shape (``style.valid_run``), its key in the units and its
   shard in the plan; a bad unit is rejected (not progress: its lease
   re-grants it) and its neighbours are taken.  A malformed
   ``lease_done``, or one naming no planned shard, is a
-  :class:`~.protocol.ProtocolError` on its connection: its leases are
-  released and the campaign goes on.
+  :class:`~.protocol.ProtocolError` on its connection: the coordinator
+  hangs up on it, and the campaign goes on.
 
 Serving is one loop in the calling thread (the journal connection
 :func:`run_campaign` opened there is thread-affine): a
 :class:`selectors.DefaultSelector` watches every stream the fleet has
 handed over, each wrapped in the worker's own
 :class:`~.protocol.FrameStream`, and ``select`` is the loop's only
-wait.  Between frames, every ``policy.poll_interval`` the watchdog
-tick expires leases, tends the fleet, adopts new streams, heartbeats
-progress and commits the journal once the loop idles.  Sends are
+wait.  It waits for frames and hang-ups, never for a deadline: no
+lease expires and no re-grant is embargoed.  A request that finds no
+pending shard is parked, and answered when a shard returns to pending
+(with a lease) or when the campaign ends (with ``done``).  A journaled
+campaign bounds the wait by the journal's own commit window
+(:data:`~repro.campaign.journal.COMMIT_WINDOW_S`): a window without a
+frame commits what the last burst of results left buffered.  Sends are
 plain blocking ``sendall``, which never waits on a worker: the
 coordinator writes only the answer to a ``request``, which its worker
 is blocked reading, and one ``done`` at the end, a few bytes into a
@@ -66,10 +77,6 @@ buffer that holds nothing else unread.  Only a
 own read or write, ends that connection; whatever the pipeline raises
 — a progress callback, a journal write, ^C — ends the campaign and
 propagates.
-
-Time is read through the module-level :data:`_clock` (lease grants,
-expiry, the tick, progress heartbeats), so tests can substitute a
-virtual one.
 """
 
 from __future__ import annotations
@@ -82,18 +89,17 @@ from collections import Counter
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
-from ..pipeline import CampaignRun, ProgressCallback, run_campaign
+from ..journal import COMMIT_WINDOW_S
+from ..pipeline import (DEFAULT_MAX_RETRIES, CampaignRun, ProgressCallback,
+                        run_campaign)
 from ..runner import ScanStyle
-from .leases import FAILED, LeaseBoard, RetryPolicy
+from .leases import FAILED, LeaseBoard, ShardLease
 from .protocol import FrameStream, ProtocolError
 from .worker import DistWorker
 
 #: Default shard count: finer than one-per-worker so a lost node's work
 #: re-distributes across the survivors instead of doubling one of them.
 DEFAULT_SHARDS = 8
-
-#: The lease clock (module-level so tests can substitute a virtual one).
-_clock = time.monotonic
 
 
 class CoordinatorStopped(Exception):
@@ -108,10 +114,11 @@ class DistCoordinator:
     domain, executor config — is the style's (``run.style``); journal,
     resume, records and progress are :func:`run_campaign`'s.
 
-    ``shards`` is the fewest shards planned (finer shards rebalance
-    better after node loss; each costs its worker one rewind of the
-    pristine machine, since a scan's shard holds whole planning cells
-    across the whole slot range —
+    ``max_retries`` is each shard's budget of re-grants after a failed
+    attempt.  ``shards`` is the fewest shards planned (finer shards
+    rebalance better after node loss; each costs its worker one rewind
+    of the pristine machine, since a scan's shard holds whole planning
+    cells across the whole slot range —
     :func:`~repro.campaign.pipeline.plan_class_shards`).  The plan has
     at least one shard per fleet worker, and a campaign of small
     estimated cycle cost
@@ -123,13 +130,13 @@ class DistCoordinator:
     raises :class:`CoordinatorStopped`, a simulated crash.
     """
 
-    def __init__(self, fleet, *, policy: RetryPolicy | None = None,
+    def __init__(self, fleet, *, max_retries: int = DEFAULT_MAX_RETRIES,
                  shards: int = DEFAULT_SHARDS,
                  stop_after_results: int | None = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.fleet = fleet
-        self.policy = policy or RetryPolicy()
+        self.max_retries = max_retries
         self.shards = shards
         self.stop_after_results = stop_after_results
         self.stopped = False
@@ -144,17 +151,20 @@ class DistCoordinator:
         done, then leave the report's fabric fields written for the
         pipeline to assemble."""
         self._selector = selectors.DefaultSelector()
+        #: The stream of each connection served, by worker name, and the
+        #: names whose request is waiting for a pending shard.
+        self._streams: dict[str, FrameStream] = {}
+        self._parked: list[str] = []
         try:
             self._plan(run)
             if not self._done:  # a complete resume forks no worker
                 self.fleet.start(run.style)
                 self._serve()
         finally:
-            # Orderly end or not: tell every connected worker, then
-            # hang up.  The crash hook hangs up without a word, as a
-            # killed process would.
-            for key in list(self._selector.get_map().values()):
-                _name, stream = key.data
+            # Orderly end or not: tell every connected worker (a parked
+            # request's answer), then hang up.  The crash hook hangs up
+            # without a word, as a killed process would.
+            for stream in self._streams.values():
                 if not self.stopped:
                     try:
                         stream.send({"type": "done"})
@@ -182,11 +192,9 @@ class DistCoordinator:
         self.report = run.report
         self._units = style.units
         key_of = {item: key for key, item in self._units.items()}
-        todo = [key_of[item] for item in run.todo]
-        planned, _, costs = style.plan(run.todo, self.shards,
-                                       self.fleet.workers)
-        board = LeaseBoard(policy=self.policy,
-                           key_costs=dict(zip(todo, costs)))
+        planned, _, _ = style.plan(run.todo, self.shards,
+                                   self.fleet.workers)
+        board = LeaseBoard(max_retries=self.max_retries)
         for index, shard in enumerate(planned):
             board.add_shard(index, [key_of[item] for item in shard])
         self.board = board
@@ -195,50 +203,46 @@ class DistCoordinator:
         self._maybe_finish()
 
     def _serve(self) -> None:
-        """The loop: answer what the selector reports readable, and run
-        the watchdog tick every ``policy.poll_interval``, until the
+        """The loop: answer what the selector reports readable until the
         board is done (or the crash hook fires)."""
-        interval = self.policy.poll_interval
-        accepted = self._accepted
-        last_beat = _clock()
-        next_tick = last_beat + interval
+        # A journaled campaign commits what a burst of results left in
+        # the journal's window once a whole window passes without a
+        # frame; without a journal the loop waits for frames alone.
+        idle = COMMIT_WINDOW_S if self.handle is not None else None
         self._adopt()
         while not self._done:
-            for key, _events in self._selector.select(
-                    max(0.0, next_tick - _clock())):
+            ready = self._selector.select(idle)
+            if not ready:
+                self.run.idle()
+            for key, _events in ready:
                 self._serve_stream(key)
                 if self._done:
                     return
-            now = _clock()
-            if now < next_tick:
-                continue
-            next_tick = now + interval
-            self.report.timed_out_shards += len(self.board.expire(now))
-            if not self.board.done() and not self.fleet.tend():
-                # Every worker is gone: nobody takes the rest.
-                self.board.abandon()
-            self._adopt()
-            self._maybe_finish()
-            if now - last_beat >= self.policy.heartbeat:
-                # Unchanged counts: how a caller tells a slow campaign
-                # from a dead one.
-                self.run.heartbeat()
-                last_beat = now
-            # Results arrive in bursts; whatever the last burst left in
-            # the journal's commit window is committed once the loop
-            # idles — a tick that saw units accepted is not idle, and
-            # committing on it would undercut the journal's own window.
-            if accepted == self._accepted:
-                self.run.idle()
-            accepted = self._accepted
+            self._unpark()
 
     def _adopt(self) -> None:
-        """Serve every stream the fleet has handed over."""
+        """Serve every stream the fleet has handed over; with none left
+        to serve, nobody takes the rest of the work."""
         streams = self.fleet.streams
         while streams:
             name, sock = streams.pop(0)
-            self._selector.register(sock, selectors.EVENT_READ,
-                                    (name, FrameStream(sock)))
+            self._streams[name] = FrameStream(sock)
+            self._selector.register(sock, selectors.EVENT_READ, name)
+        if not self._streams:
+            self.board.abandon()
+            self._maybe_finish()
+
+    def _unpark(self) -> None:
+        """Grant pending shards to the parked requests, oldest first."""
+        while self._parked:
+            lease = self.board.acquire(self._parked[0])
+            if lease is None:
+                return
+            name = self._parked.pop(0)
+            try:
+                self._streams[name].send(_lease_frame(lease))
+            except OSError:
+                pass  # its hang-up is on its way: the selector reports it
 
     # -- per-connection protocol ------------------------------------------------
 
@@ -247,7 +251,8 @@ class DistCoordinator:
         it when its peer has, or has broken the protocol.  Only the
         stream's own reads and writes sit inside ``except OSError``:
         what the pipeline raises propagates."""
-        name, stream = key.data
+        name = key.data
+        stream = self._streams[name]
         while not self._done:
             try:
                 frame = stream.poll()
@@ -268,46 +273,40 @@ class DistCoordinator:
                     return self._hang_up(key)
 
     def _hang_up(self, key: selectors.SelectorKey) -> None:
-        """End one connection; its worker's leases go back to the
-        board."""
-        name, stream = key.data
+        """End one connection: its worker's lease goes back to the
+        board, and the fleet replaces the worker while work remains."""
+        name = key.data
         self._selector.unregister(key.fileobj)
-        stream.close()
-        self.board.release_worker(name, _clock())
+        self._streams.pop(name).close()
+        if name in self._parked:
+            self._parked.remove(name)
+        self.board.release_worker(name)
+        if not self.board.done():
+            self.fleet.replace(name)
+            self._adopt()
         self._maybe_finish()
 
     def _answer(self, name: str, frame: dict) -> dict | None:
         """The coordinator's one frame handler: act on one frame from
         worker ``name``; the frame to send back, if any."""
         kind = frame.get("type")
-        now = _clock()
         if kind == "request":
-            return self._grant(name, now)
-        if kind == "results":
-            self._accept_results(name, frame, now)
+            lease = self.board.acquire(name)
+            if lease is not None:
+                return _lease_frame(lease)
+            self._parked.append(name)  # answered by _unpark or at the end
+        elif kind == "results":
+            self._accept_results(name, frame)
         elif kind == "lease_done":
-            self.board.finish(*self._lease_done(frame), now)
+            self.board.finish(*self._lease_done(frame))
             self._maybe_finish()
         else:
             raise ProtocolError(f"unexpected {kind!r} from {name!r}")
         return None
 
-    # -- work granting ----------------------------------------------------------
-
-    def _grant(self, name: str, now: float) -> dict:
-        """The frame answering one worker's ``request``."""
-        grant = self.board.acquire(name, now)
-        if grant is None:
-            return {"type": "done"}
-        if isinstance(grant, float):
-            return {"type": "wait", "seconds": grant}
-        return {"type": "lease", "lease": grant.lease_id,
-                "shard": grant.shard,
-                "keys": [list(key) for key in grant.keys]}
-
     # -- result acceptance ------------------------------------------------------
 
-    def _accept_results(self, name: str, frame: dict, now: float) -> None:
+    def _accept_results(self, name: str, frame: dict) -> None:
         """Take one send window.  Checks stay per unit — a bad item is
         rejected, its neighbours are taken — and the board decides
         what is fresh; the fresh units are journaled as one batch."""
@@ -323,7 +322,7 @@ class DistCoordinator:
             if checked is None:
                 continue
             key, shard, _run, _counts = checked
-            if self.board.progress(shard, key, now):
+            if self.board.progress(shard, key):
                 fresh.append(checked)
         if self.stop_after_results is not None:
             # The crash hook's k-th unit is the last one taken.
@@ -436,25 +435,26 @@ class LocalFabric:
     holding the campaign style it inherited; serve the run through a
     :class:`DistCoordinator` in the calling thread (its plan:
     :data:`DEFAULT_SHARDS`, at least one shard per worker); then
-    terminate and reap every worker still running.  A worker that exits
-    while work remains is replaced, once; with none left alive the rest
-    is failed (``missing``), not waited for.  Its interchangeable forks
-    go unattributed in ``ExecutionReport.workers``, as in process."""
+    terminate and reap every worker still running.  A worker that hangs
+    up while work remains is replaced, once, under the name
+    ``worker-<slot>r``; with none left the rest is failed
+    (``missing``), not waited for.  Its interchangeable forks go
+    unattributed in ``ExecutionReport.workers``, as in process."""
 
-    def __init__(self, workers: int, *, policy: RetryPolicy | None = None):
+    def __init__(self, workers: int, *,
+                 max_retries: int = DEFAULT_MAX_RETRIES):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers, self.policy = workers, policy
+        self.workers, self.max_retries = workers, max_retries
 
     def __call__(self, run: CampaignRun) -> None:
         #: Coordinator ends not yet served, every coordinator end made,
-        #: the process of each worker slot, and every one ever started.
-        self.streams, self._ends, self._fleet, self._procs = [], [], [], []
-        self._replaced: set[int] = set()
+        #: and every worker process ever started.
+        self.streams, self._ends, self._procs = [], [], []
         # A refused argument or a failed start must leave no socket
         # open and no worker running.
         try:
-            DistCoordinator(self, policy=self.policy)(run)
+            DistCoordinator(self, max_retries=self.max_retries)(run)
             run.report.workers = ()
         finally:
             for end in self._ends:
@@ -471,10 +471,10 @@ class LocalFabric:
         # the platform's default start method is.
         self._fork = multiprocessing.get_context("fork")
         self._style = style
-        self._fleet = [self._start(f"worker-{index}")
-                       for index in range(self.workers)]
+        for index in range(self.workers):
+            self._start(f"worker-{index}")
 
-    def _start(self, name: str):
+    def _start(self, name: str) -> None:
         ours, theirs = socket.socketpair()
         self._ends.append(ours)
         try:
@@ -485,7 +485,6 @@ class LocalFabric:
             theirs.close()
         self._procs.append(proc)
         self.streams.append((name, ours))
-        return proc
 
     def _forked(self, sock: socket.socket, name: str) -> None:
         """In the child: keep only its own end of the fabric's pairs."""
@@ -493,30 +492,35 @@ class LocalFabric:
             end.close()
         _local_worker(sock, self._style, name)
 
-    def tend(self) -> bool:
-        """Replace each started worker that exited, once; False when no
-        worker is left alive (the coordinator's watchdog asks)."""
-        for slot, proc in enumerate(self._fleet):
-            if proc.exitcode is not None and slot not in self._replaced:
-                self._replaced.add(slot)
-                self._fleet[slot] = self._start(f"worker-{slot}r")
-        return any(proc.exitcode is None for proc in self._fleet)
+    def replace(self, name: str) -> None:
+        """Worker ``name`` hung up: start its replacement, unless it is
+        one.  The hang-up names the worker, so nothing waits for the
+        process's exit status, which the kernel sets after it closes
+        the socket."""
+        if not name.endswith("r"):
+            self._start(f"{name}r")
 
 
 def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                          domain: FaultDomain | str = MEMORY,
                          executor_config: ExecutorConfig | None = None,
-                         policy: RetryPolicy | None = None,
+                         max_retries: int = DEFAULT_MAX_RETRIES,
                          journal=None, resume: bool = True,
                          keep_records: bool = False,
                          progress: ProgressCallback | None = None):
     """:func:`serve_scan` over a :class:`LocalFabric` of ``workers``
     local worker processes — one worker too, which ``jobs=1`` would
     run in process instead."""
-    return serve_scan(LocalFabric(workers, policy=policy), golden,
-                      domain=domain, config=executor_config,
+    return serve_scan(LocalFabric(workers, max_retries=max_retries),
+                      golden, domain=domain, config=executor_config,
                       journal=journal, resume=resume,
                       keep_records=keep_records, progress=progress)
+
+
+def _lease_frame(lease: ShardLease) -> dict:
+    """The ``lease`` frame granting ``lease``."""
+    return {"type": "lease", "lease": lease.lease_id, "shard": lease.shard,
+            "keys": [list(key) for key in lease.keys]}
 
 
 __all__ = [

@@ -16,7 +16,6 @@ type                direction  meaning
 ==================  =========  ==============================================
 ``request``         w → c      give me work
 ``lease``           c → w      a shard lease: id, shard, unit keys
-``wait``            c → w      no assignable work right now; retry in N s
 ``done``            c → w      campaign finished; disconnect
 ``results``         w → c      one send window of finished units:
                                ``items``, each a unit's ``shard``,
@@ -24,6 +23,11 @@ type                direction  meaning
                                checked per item, merged per window
 ``lease_done``      w → c      every key of the lease was submitted
 ==================  =========  ==============================================
+
+A ``request`` is answered by a ``lease`` or by ``done``, whenever one
+is due: a request that finds no pending shard waits at the coordinator
+until a shard returns to pending or the campaign ends, and its worker
+waits reading.  Nothing on the wire carries a time.
 
 A unit crosses the wire as its key, a list of integers, and a ``run``
 of three space-joined strings, exactly as its campaign style's
@@ -37,9 +41,9 @@ a :class:`ProtocolError`.
 
 Coordinator and worker share one binding of the codec,
 :class:`FrameStream` over a blocking ``socket``: the worker reads its
-answers blocking, and its non-blocking :meth:`~FrameStream.poll`
-notices a mid-lease ``done`` between send windows; the coordinator
-polls every stream its selector reports readable.
+answers blocking; the coordinator polls, without blocking, every
+stream its selector reports readable, and :attr:`FrameStream.eof`
+tells it that the peer hung up.
 """
 
 from __future__ import annotations

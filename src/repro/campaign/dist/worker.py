@@ -16,11 +16,13 @@ in **send windows**: one ``results`` frame per :data:`WINDOW_CLASSES`
 units or :data:`WINDOW_S` seconds, whichever comes first, and always
 before ``lease_done``.  The coordinator journals progress continuously and a
 worker lost mid-shard forfeits only the window in flight (re-executed
-through the lease re-grant).  The worker is one thread and sends no
-liveness frames: progress is what keeps a lease alive.  When its
-stream ends — the coordinator said ``done``, or hung up — the worker
-returns; there is no reconnect, and a worker that dies is the fleet's
-to replace.
+through the lease re-grant).  The worker is one thread and sends
+nothing but requests, results and ``lease_done``: a request it makes
+when no shard is pending is simply answered later, and nothing needs
+proof that it is alive — its end is the hang-up of its socket.  When
+its stream ends — the coordinator said ``done``, or hung up — the
+worker returns; there is no reconnect, and a worker that dies is the
+fleet's to replace.
 
 Every unit leaves as its own item of the window, as its style's
 ``execute`` yielded it — its ``run``, three space-joined strings in the
@@ -82,31 +84,13 @@ class DistWorker:
             frame = stream.read()
             if frame is None or frame.get("type") == "done":
                 return
-            kind = frame.get("type")
-            if kind == "wait":
-                if self._wait(stream, min(float(frame["seconds"]), 1.0)):
-                    return
-                continue
-            if kind != "lease":
-                raise ProtocolError(f"expected lease, got {kind!r}")
-            if self._run_lease(stream, frame, executor, style):
-                return  # saw "done" mid-lease
-
-    def _wait(self, stream: FrameStream, seconds: float) -> bool:
-        """Wait out a ``wait`` grant on the stream, not in a sleep: True
-        as soon as the stream ends (the campaign ended meanwhile), False
-        once ``seconds`` pass without a frame."""
-        try:
-            frame = stream.read(timeout=seconds)
-        except socket.timeout:
-            return False
-        if frame is not None and frame.get("type") != "done":
-            raise ProtocolError(
-                f"expected done during a wait, got {frame.get('type')!r}")
-        return True
+            if frame.get("type") != "lease":
+                raise ProtocolError(
+                    f"expected lease, got {frame.get('type')!r}")
+            self._run_lease(stream, frame, executor, style)
 
     def _run_lease(self, stream: FrameStream, lease: dict, executor,
-                   style) -> bool:
+                   style) -> None:
         lease_id = int(lease["lease"])
         shard = int(lease["shard"])
         units = style.units
@@ -125,21 +109,15 @@ class DistWorker:
                            "hits": hits, "skips": skips})
             if len(window) >= WINDOW_CLASSES \
                     or _clock() - opened >= WINDOW_S:
-                if self._flush(stream, window):
-                    return True  # saw "done" mid-lease
+                _flush(stream, window)
                 opened = _clock()
-        if self._flush(stream, window):
-            return True
+        _flush(stream, window)
         stream.send({"type": "lease_done", "lease": lease_id,
                      "shard": shard})
-        return False
 
-    def _flush(self, stream: FrameStream, window: list[dict]) -> bool:
-        """Send the window as one ``results`` frame and empty it; True
-        when the coordinator has meanwhile said ``done`` (another worker
-        re-submitted our expired lease) — polled once per window."""
-        if window:
-            stream.send({"type": "results", "items": list(window)})
-            window.clear()
-        polled = stream.poll()
-        return polled is not None and polled.get("type") == "done"
+
+def _flush(stream: FrameStream, window: list[dict]) -> None:
+    """Send the window as one ``results`` frame and empty it."""
+    if window:
+        stream.send({"type": "results", "items": list(window)})
+        window.clear()

@@ -171,8 +171,8 @@ class ExecutorConfig:
         multiple of the golden runtime (plus fixed slack for tiny
         programs) will never halt and is classified
         :data:`~.outcomes.Outcome.TIMEOUT`.  It is the only source of
-        that outcome: the transports' wall-clock deadlines produce
-        failed attempts, never results.
+        that outcome, and the only bound on a run: no transport reads a
+        wall clock to cut one short.
         """
         if self.timeout_factor < 1.0:
             raise ValueError("timeout_factor must be >= 1.0")

@@ -83,6 +83,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ..buildkey import build_key
 from ..faultspace.sections import canonical_params
 from .outcomes import OUTCOME_BY_VALUE
 
@@ -651,8 +652,8 @@ class CampaignJournal:
 
         Transports call this (``CampaignRun.idle``) whenever they are
         about to wait (the in-process transport at its end, the
-        coordinator on its watchdog tick), so rows never wait for a
-        next write that may be minutes away.
+        coordinator once a commit window passes without a frame), so
+        rows never wait for a next write that may be minutes away.
         """
         self.journal.flush()
 
@@ -894,7 +895,9 @@ def open_campaign(journal, golden, domain, kind: str,
 
     Accepts ``None`` (journaling disabled), an :class:`ExperimentJournal`
     or a path.  The campaign key combines the program's content
-    fingerprint, the fault domain, the campaign kind and its parameters.
+    fingerprint, the fault domain, the campaign kind and its parameters,
+    the :func:`~repro.buildkey.build_key` of this build among them: a
+    campaign another build journaled is another campaign.
     """
     if journal is None:
         return None
@@ -907,7 +910,7 @@ def open_campaign(journal, golden, domain, kind: str,
         journal = owned = ExperimentJournal(journal)
     handle = journal.campaign(
         fingerprint=program_fingerprint(golden.program),
-        domain=domain.name, kind=kind, params=params,
-        cycles=golden.cycles)
+        domain=domain.name, kind=kind,
+        params={**params, "build": build_key()}, cycles=golden.cycles)
     handle.owned_journal = owned
     return handle

@@ -8,13 +8,13 @@ The runners pick that transport from ``jobs=`` themselves
 from __future__ import annotations
 
 from ..faultspace.domain import FaultDomain, MEMORY
-from .dist.leases import RetryPolicy
 from .experiment import ExecutorConfig
 from .golden import GoldenRun
-from .pipeline import class_cost, plan_class_shards, shard_by_cost
+from .pipeline import (DEFAULT_MAX_RETRIES, class_cost, plan_class_shards,
+                       shard_by_cost)
 from .runner import resolve_jobs, run_full_scan
 
-__all__ = ["ParallelCampaign", "RetryPolicy", "class_cost",
+__all__ = ["ParallelCampaign", "class_cost",
            "plan_class_shards", "resolve_jobs", "shard_by_cost"]
 
 
@@ -25,15 +25,16 @@ class ParallelCampaign:
     def __init__(self, golden: GoldenRun, jobs: int = 0, *,
                  executor_config: ExecutorConfig | None = None,
                  domain: FaultDomain | str = MEMORY,
-                 policy: RetryPolicy | None = None):
+                 max_retries: int = DEFAULT_MAX_RETRIES):
         self.jobs = resolve_jobs(jobs)
         if self.jobs is None:
             raise ValueError("ParallelCampaign needs a concrete job count; "
                              "use the serial runner for jobs=None")
         self.golden, self.domain = golden, domain
-        self.config, self.policy = executor_config, policy
+        self.config, self.max_retries = executor_config, max_retries
 
     def run_full_scan(self, **campaign):
         return run_full_scan(self.golden, jobs=self.jobs, domain=self.domain,
-                             config=self.config, policy=self.policy,
+                             config=self.config,
+                             max_retries=self.max_retries,
                              **campaign)

@@ -14,8 +14,7 @@ form and the transport table):
    cost-balanced shards, each in canonical order: a full scan deals
    whole fault-space cells (:func:`plan_class_shards`), sampling cuts
    contiguous runs.  The per-unit cost list is computed once; shard
-   costs and the fabric's lease cost table (its deadlines) derive
-   from it.
+   costs derive from it.
 3. **Execute** (:meth:`CampaignStyle.execute`).  A worker-side
    generator turns work items into ``(key, run)`` pairs, each run the
    unit's result in the one form every later step handles — the
@@ -63,6 +62,10 @@ from .journal import open_campaign
 
 ProgressCallback = Callable[[int, int], None]
 
+#: Re-grants a fabric shard is allowed after a failed attempt (its
+#: worker died), unless the campaign says otherwise (``--max-retries``).
+DEFAULT_MAX_RETRIES = 2
+
 
 @dataclass
 class ExecutionReport:
@@ -82,11 +85,8 @@ class ExecutionReport:
     executed: int = 0
     #: Units loaded from the journal instead of re-executed.
     resumed: int = 0
-    #: Wall-clock deadline expiries of fabric leases: each is a failed
-    #: attempt (retried, then ``missing``), never a result.
-    timed_out_shards: int = 0
-    #: Lease re-grants after a failed attempt (worker death,
-    #: disconnect or deadline expiry).
+    #: Lease re-grants after a failed attempt (its worker hung up, or
+    #: units of it were rejected).
     shard_retries: int = 0
     #: Shards abandoned after exhausting their retry budget.
     failed_shards: int = 0
@@ -257,11 +257,10 @@ def shard_by_cost(items: Sequence, costs: Sequence[int],
 
 
 #: Estimated total post-injection cycles below which a campaign counts
-#: as *small*: per-lease protocol round-trips and idle re-poll waits
-#: dominate the simulated work (ROADMAP's 0.18× single-worker dist
-#: overhead), so the planners collapse the lease granularity to one
-#: shard per expected worker instead of optimizing for
-#: rebalance-after-node-loss.
+#: as *small*: per-lease protocol round-trips dominate the simulated
+#: work (ROADMAP's 0.18× single-worker dist overhead), so the planners
+#: collapse the lease granularity to one shard per expected worker
+#: instead of optimizing for rebalance-after-node-loss.
 SMALL_CAMPAIGN_CYCLES = 1_000_000
 
 
@@ -274,8 +273,7 @@ def plan_shards(items: Sequence, costs: Sequence[int], parts: int,
     only pay off when there is enough work to rebalance after a worker
     is lost; a campaign estimated below
     :data:`SMALL_CAMPAIGN_CYCLES` collapses to one shard per expected
-    worker, which removes the extra lease round-trips and leaves no
-    pending shards for idle workers to re-poll for.
+    worker, which removes the extra lease round-trips.
     """
     if sum(costs) < SMALL_CAMPAIGN_CYCLES:
         parts = max(1, min(parts, workers))
@@ -292,8 +290,7 @@ def plan_class_shards(intervals: Sequence, total_cycles: int, *,
     shards by planning cell (:meth:`~repro.faultspace.domain.FaultDomain.
     plan_cell` — the aligned RAM word, the register).  Returns
     ``(shards, shard_costs, class_costs)``, every number read off one
-    per-class :func:`class_cost` list, which is what the lease board's
-    cost table is derived from.
+    per-class :func:`class_cost` list.
 
     A cell stays in one shard because the state memo's early exits
     chain its classes: a faulty run usually rejoins a state that the
@@ -492,7 +489,7 @@ class CampaignRun:
         report.total_units = len(style.units)
         report.resumed = self.done = report.total_units - len(self.todo)
         if self.done:
-            self.heartbeat()
+            self._report_progress()
 
     def accept(self, batch: Sequence[tuple[tuple, tuple]]) -> None:
         """The sink: journal, section store, then :meth:`count`."""
@@ -509,11 +506,10 @@ class CampaignRun:
         self.fresh.update(kept)
         self.report.executed += len(kept)
         self.done += len(kept)
-        self.heartbeat()
+        self._report_progress()
 
-    def heartbeat(self) -> None:
-        """Report the current counts (again, if nothing changed — how a
-        caller tells a slow campaign from a dead one)."""
+    def _report_progress(self) -> None:
+        """Report the current counts to the progress callback."""
         if self.progress is not None:
             self.progress(self.done, self.report.total_units)
 

@@ -33,8 +33,7 @@ runs, and a rerun of the same campaign against the same journal
 identical to an uninterrupted one — iteration order, record lists and
 sample sequences included.  ``resume=False`` clears the journaled
 campaign first.  ``result.execution`` reports how the campaign actually
-ran (units executed vs. resumed, shard retries, deadline expiries,
-completeness).
+ran (units executed vs. resumed, shard retries, completeness).
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from .golden import GoldenRun
 from .journal import _valid_run
 from .outcomes import OUTCOME_BY_VALUE, Outcome
 from .pipeline import (
+    DEFAULT_MAX_RETRIES,
     CampaignStyle,
     ExecutionReport,
     ProgressCallback,
@@ -383,7 +383,7 @@ def resolve_jobs(jobs: int | None) -> int | None:
 
 
 def _transport(jobs: int | None, executor: ExperimentExecutor | None,
-               policy):
+               max_retries: int):
     """The transport a runner's ``jobs`` asks for: in-process for
     ``None`` or one job, else that many forked fabric workers.  Called
     before the style is built, so a refused executor costs no draw."""
@@ -395,7 +395,7 @@ def _transport(jobs: int | None, executor: ExperimentExecutor | None,
     if workers is None or workers == 1:
         return in_process
     from .dist.coordinator import LocalFabric  # it imports this module
-    return LocalFabric(workers, policy=policy)
+    return LocalFabric(workers, max_retries=max_retries)
 
 
 def run_full_scan(golden: GoldenRun, *,
@@ -408,7 +408,7 @@ def run_full_scan(golden: GoldenRun, *,
                   domain: FaultDomain | str = MEMORY,
                   journal=None,
                   resume: bool = True,
-                  policy=None) -> CampaignResult:
+                  max_retries: int = DEFAULT_MAX_RETRIES) -> CampaignResult:
     """Def/use-pruned full fault-space scan (exact, no sampling error).
 
     ``jobs`` selects the transport: ``None`` (default) and ``1`` run
@@ -425,13 +425,12 @@ def run_full_scan(golden: GoldenRun, *,
     ``progress`` is called with ``(done, total)`` live classes: once
     after the journal is loaded when it already held some, then as
     results reach the sink (per class in-process, per send window from
-    fabric workers, and again with unchanged counts while they run
-    long).  ``journal`` enables durable per-class result journaling and
-    resume (see the module docstring); ``policy`` is a
-    :class:`~repro.campaign.dist.leases.RetryPolicy` for the fabric
-    workers' lease deadlines and retries (ignored in-process).
+    fabric workers).  ``journal`` enables durable per-class result
+    journaling and resume (see the module docstring); ``max_retries``
+    is each fabric shard's budget of re-grants after its worker died
+    (ignored in-process).
     """
-    transport = _transport(jobs, executor, policy)
+    transport = _transport(jobs, executor, max_retries)
     return run_campaign(
         ScanStyle(golden, get_domain(domain), partition, keep_records,
                   config=config, executor=executor),
@@ -671,18 +670,18 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
                  domain: FaultDomain | str = MEMORY,
                  journal=None,
                  resume: bool = True,
-                 policy=None) -> SamplingResult:
+                 max_retries: int = DEFAULT_MAX_RETRIES) -> SamplingResult:
     """Run a sampled campaign with def/use-pruned experiment sharing.
 
     ``progress`` counts the distinct (class, bit) experiment keys the
     drawn samples require — executed fresh, composed or loaded from the
-    journal.  ``jobs``, ``domain``, ``config``, ``journal`` and
-    ``resume`` behave as in :func:`run_full_scan`.  The journal
+    journal.  ``jobs``, ``domain``, ``config``, ``journal``, ``resume``
+    and ``max_retries`` behave as in :func:`run_full_scan`.  The journal
     additionally records the sampler's RNG position: resuming with a
     different seed, sampler or sample count raises
     :class:`~repro.campaign.journal.JournalMismatchError`.
     """
-    transport = _transport(jobs, executor, policy)
+    transport = _transport(jobs, executor, max_retries)
     return run_campaign(
         SamplingStyle(golden, get_domain(domain), n_samples, seed, sampler,
                       partition, config=config, executor=executor),

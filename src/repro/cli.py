@@ -14,10 +14,10 @@ Commands:
     a live progress/ETA line is printed to stderr.  ``--journal PATH``
     journals every completed work unit to a SQLite file: a scan rerun
     against the same journal resumes where it left off (``--fresh``
-    discards the journaled campaign first).  ``--shard-timeout`` /
-    ``--max-retries`` tune the fabric's lease policy: a lease past its
-    wall-clock deadline is a failed attempt, retried, and reported
-    missing once its retries are spent — never a result.  ``--seed`` /
+    discards the journaled campaign first).  ``--max-retries`` is each
+    fabric shard's budget of re-grants after its worker died: once it
+    is spent, the shard's units are reported missing — never invented.
+    ``--seed`` /
     ``--sampler`` configure a sampled scan and are refused on a full
     one.  ``--engine interp`` runs the reference
     interpreter instead of the template JIT.  ``--no-convergence`` /
@@ -82,11 +82,11 @@ from .campaign import (
     ExecutorConfig,
     ExperimentJournal,
     JournalError,
-    RetryPolicy,
     record_golden,
     run_full_scan,
     run_sampling,
 )
+from .campaign.pipeline import DEFAULT_MAX_RETRIES
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
 from .faultspace import DOMAINS, REGISTER, get_domain
@@ -111,13 +111,6 @@ def _count_arg(least: int):
                 f"must be >= {least}, got {number}")
         return number
     return count
-
-
-def _positive_arg(value: str) -> float:
-    number = float(value)
-    if not number > 0.0:  # NaN too
-        raise argparse.ArgumentTypeError(f"must be > 0, got {number}")
-    return number
 
 
 def _eta_progress(label: str):
@@ -176,20 +169,13 @@ def cmd_render(args) -> None:
 
 def _campaign_setup(args, name: str):
     """What every campaign command derives from its flags:
-    ``(program, golden run, executor config, retry policy)`` — the
-    policy only when a robustness flag was given."""
+    ``(program, golden run, executor config)``."""
     program = _resolve(name)
     golden = record_golden(program,
                            checkpoint_stride=args.checkpoint_stride)
     config = ExecutorConfig(use_convergence=not args.no_convergence,
                             engine=args.engine)
-    overrides = {}
-    if args.shard_timeout is not None:
-        overrides["shard_timeout"] = args.shard_timeout
-    if args.max_retries is not None:
-        overrides["max_retries"] = args.max_retries
-    return (program, golden, config,
-            RetryPolicy(**overrides) if overrides else None)
+    return program, golden, config
 
 
 def _list_campaigns(path, campaigns) -> int:
@@ -203,7 +189,8 @@ def _list_campaigns(path, campaigns) -> int:
         print(f"  #{entry['id']} {entry['kind']:11s} "
               f"[{entry['domain']} domain] {entry['status']:8s} "
               f"{entry['journaled_experiments']:8d} experiments "
-              f"journaled  fingerprint={entry['fingerprint'][:12]}")
+              f"journaled  fingerprint={entry['fingerprint'][:12]} "
+              f"build={entry['params'].get('build', '-')[:12]}")
         if entry["events"]:
             print(f"    events: {len(entry['events'])}")
             for event in entry["events"]:
@@ -216,8 +203,7 @@ def _print_execution(execution) -> None:
     """Print the completeness report when there is anything to say."""
     if execution is None:
         return
-    if (execution.resumed or execution.timed_out_shards
-            or execution.shard_retries or execution.convergence_hits
+    if (execution.resumed or execution.shard_retries or execution.convergence_hits
             or execution.slice_hits or execution.composed_hits
             or execution.integrity_rejected or execution.discarded_results
             or execution.workers or not execution.complete):
@@ -247,7 +233,7 @@ def cmd_scan(args) -> int:
         if not args.samples and value is not None:
             raise SystemExit(f"{flag} configures a sampled scan "
                              f"(--samples N); drop {flag}")
-    program, golden, config, policy = _campaign_setup(args, args.program)
+    program, golden, config = _campaign_setup(args, args.program)
     domain = get_domain(args.domain)
     space = domain.fault_space(golden)
     resume = not args.fresh
@@ -258,7 +244,8 @@ def cmd_scan(args) -> int:
                               sampler=args.sampler or "uniform",
                               jobs=args.jobs,
                               domain=domain, journal=args.journal,
-                              resume=resume, policy=policy, config=config,
+                              resume=resume, max_retries=args.max_retries,
+                              config=config,
                               progress=_eta_progress("experiments"))
         _print_execution(result.execution)
         scale = result.population / result.n_samples
@@ -277,7 +264,7 @@ def cmd_scan(args) -> int:
         return _exit_status(result.execution)
     return _print_scan(run_full_scan(
         golden, jobs=args.jobs, domain=domain, journal=args.journal,
-        resume=resume, policy=policy, config=config,
+        resume=resume, max_retries=args.max_retries, config=config,
         progress=_eta_progress("classes")))
 
 
@@ -298,12 +285,12 @@ def cmd_compare(args) -> int:
     status = 0
     results = {}
     for name in names:
-        _, golden, config, policy = _campaign_setup(args, name)
+        _, golden, config = _campaign_setup(args, name)
         print(f"{name} [{domain.name} domain]: Δt={golden.cycles} "
               f"cycles, w={domain.fault_space(golden).size}")
         scan = run_full_scan(golden, jobs=args.jobs, domain=domain,
-                             journal=args.journal, policy=policy,
-                             config=config,
+                             journal=args.journal,
+                             max_retries=args.max_retries, config=config,
                              progress=_eta_progress("classes"))
         _print_execution(scan.execution)
         status = status or _exit_status(scan.execution)
@@ -447,18 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SQLite experiment journal: completed work "
                               "units are recorded durably and a rerun "
                               "resumes instead of restarting")
-        cmd.add_argument("--shard-timeout", type=_positive_arg, default=None,
-                         metavar="SECONDS",
-                         help="wall-clock deadline per fabric lease; an "
-                              "overrun is a failed attempt, retried "
-                              "(default: derived from the lease's "
-                              "estimated cycle cost)")
-        cmd.add_argument("--max-retries", type=_count_arg(0), default=None,
-                         metavar="N",
-                         help="resubmissions per shard after a worker "
-                              "death or an expired deadline before "
-                              "degrading to a partial result "
-                              "(default: 2)")
+        cmd.add_argument("--max-retries", type=_count_arg(0),
+                         default=DEFAULT_MAX_RETRIES, metavar="N",
+                         help="re-grants per fabric shard after its "
+                              "worker died before degrading to a "
+                              "partial result (default: "
+                              f"{DEFAULT_MAX_RETRIES})")
         cmd.add_argument("--no-convergence", action="store_true",
                          help="disable the early exits (ladder + "
                               "state memo): classify every "

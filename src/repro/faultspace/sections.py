@@ -36,6 +36,9 @@ This module builds that slicing:
     cycle counts.
   - the RAM size and ROM length, which bound the fault space and the
     trap behaviour of wild loads/stores and jumps.
+  - the build key (:func:`~repro.buildkey.build_key`): the source of
+    the simulator, the injector and the classifier that compute an
+    outcome, and of this recipe.
 
 Two sections with equal fingerprints are therefore interchangeable:
 any experiment injected at a slot of one has, coordinate for
@@ -53,16 +56,11 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from ..buildkey import build_key
 from ..engine.compiled import _BRANCHES, _find_blocks
 from ..isa.cpu import Machine
 from ..isa.isa import Op
 from .domain import FaultDomain, get_domain
-
-#: Bump whenever the fingerprint recipe changes: stored fingerprints
-#: from older recipes then never match and stale section results can
-#: never be composed into new campaigns.
-FINGERPRINT_VERSION = 1
-
 
 def canonical_params(params: Mapping | None) -> str:
     """The canonical JSON text of a fault-model parameter mapping.
@@ -258,6 +256,9 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
     ]
 
     params_text = canonical_params(params)
+    # The code that computed a stored outcome, and this recipe: a
+    # section another build stored never matches.
+    build = build_key()
     ladder = golden.checkpoints
     stride, rungs = (ladder.stride, ladder.digests) if ladder else (1, ())
     machine = Machine(program)
@@ -293,7 +294,7 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
             code = code_digests[hashed] = _code_digest(
                 encoded, hashed, blocks_by_start)
         payload = json.dumps({
-            "v": FINGERPRINT_VERSION,
+            "build": build,
             "domain": domain.name,
             "params": params_text,
             "first_slot": first,

@@ -2,15 +2,17 @@
 
 :class:`ThreadFleet` is a fleet with the interface of
 :class:`~repro.campaign.dist.LocalFabric` (``workers``, ``start``,
-``streams``, ``tend``; see :mod:`repro.campaign.dist.coordinator`) whose
-workers are :class:`~repro.campaign.dist.DistWorker` threads in the
+``streams``, ``replace``; see :mod:`repro.campaign.dist.coordinator`)
+whose workers are :class:`~repro.campaign.dist.DistWorker` threads in the
 test's own process — or, through :meth:`ThreadFleet.raw`, a socket the
 test drives by hand.  Its workers are named, so the report attributes
-units to them.  A worker a chaos event ended is re-served over a fresh
-pair, carrying its :class:`~.chaos.WorkerChaos`, so its schedule stays
-cumulative (unless its slot says otherwise).  The fleet never reports
-itself dead: the test decides when its peers are gone, and the lease
-board's deadlines and retry budget still apply.
+units to them.  When a worker hangs up, the coordinator asks the fleet
+to replace it by its connection's name: a chaos worker is re-served
+over a fresh pair, carrying its :class:`~.chaos.WorkerChaos`, so its
+schedule stays cumulative — unless its slot says otherwise; any other
+is replaced by the first *standby* worker not yet started.  A standby
+worker starts only so, which is how a test adds a worker once another
+is gone.
 
 :func:`serve_in_thread` runs a coordinator on a background thread;
 :func:`run_dist` is one whole scan on a fresh thread fleet.
@@ -24,12 +26,8 @@ import threading
 
 from repro.campaign.dist import DistCoordinator, DistWorker, FrameStream
 from repro.campaign.dist.coordinator import serve_scan
-from repro.campaign.dist.leases import RetryPolicy
 
 from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker, WorkerChaos
-
-#: Snappy failure detection for socket-pair tests.
-POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05)
 
 
 @dataclasses.dataclass
@@ -38,15 +36,15 @@ class Slot:
 
     name: str
     chaos: WorkerChaos | None
-    #: Re-serve the worker when a chaos event ends it.
+    #: Re-serve the worker, a chaos one, when it hangs up.
     respawn: bool
+    #: Start only as the replacement of a worker that is not re-served.
+    standby: bool = False
     lives: int = 0
     thread: threading.Thread | None = None
     #: Set when the first life starts.
     begun: threading.Event = dataclasses.field(
         default_factory=threading.Event)
-    #: Set when a chaos event ended the worker's current life.
-    died: bool = False
     #: Units its lives executed.
     executed: int = 0
 
@@ -69,6 +67,8 @@ class ThreadFleet:
         #: Names of the workers chaos events ended, one per death.
         self.deaths: list[str] = []
         self.slots: list[Slot] = []
+        #: The slot of each connection a life served, by name.
+        self._slot_of: dict[str, Slot] = {}
         self._raw = 0
 
     @property
@@ -76,14 +76,13 @@ class ThreadFleet:
         return max(1, len(self.slots) + self._raw)
 
     def add(self, name: str, plan: ChaosPlan | None = None, *,
-            respawn: bool = True) -> Slot:
+            respawn: bool = True, standby: bool = False) -> Slot:
         """A worker (a :class:`~.chaos.ChaosWorker` given ``plan``),
-        started at once if the fleet is, else when it is."""
+        started with the fleet — or, ``standby``, as a replacement."""
+        assert self.style is None, "add workers before the fleet starts"
         slot = Slot(name, None if plan is None else WorkerChaos(plan, name),
-                    respawn)
+                    respawn, standby)
         self.slots.append(slot)
-        if self.style is not None:
-            self._serve(slot)
         return slot
 
     def raw(self, name: str = "raw") -> FrameStream:
@@ -96,13 +95,20 @@ class ThreadFleet:
     def start(self, style) -> None:
         self.style = style
         for slot in self.slots:
-            self._serve(slot)
-
-    def tend(self) -> bool:
-        for slot in self.slots:
-            if slot.died and slot.respawn and not slot.thread.is_alive():
+            if not slot.standby:
                 self._serve(slot)
-        return True
+
+    def replace(self, name: str) -> None:
+        """The connection ``name`` hung up: re-serve its worker, or
+        start a standby one in its place (a raw stream has no slot)."""
+        slot = self._slot_of.get(name)
+        if slot is not None and slot.respawn and slot.chaos is not None:
+            self._serve(slot)
+            return
+        for spare in self.slots:
+            if spare.standby and not spare.lives:
+                self._serve(spare)
+                return
 
     def join(self, timeout: float = 10) -> None:
         for slot in self.slots:
@@ -116,7 +122,7 @@ class ThreadFleet:
         ours, theirs = socket.socketpair()
         name = slot.name if not slot.lives else f"{slot.name}r{slot.lives}"
         slot.lives += 1
-        slot.died = False
+        self._slot_of[name] = slot
         worker = DistWorker(theirs, self.style) if slot.chaos is None \
             else ChaosWorker(theirs, self.style, slot.chaos)
 
@@ -125,7 +131,6 @@ class ThreadFleet:
                 worker.run()
             except ChaosInterrupt:
                 self.deaths.append(slot.name)
-                slot.died = True
             except Exception as exc:  # noqa: BLE001 - surfaced by the test
                 self.errors.append(exc)
             finally:
@@ -173,8 +178,8 @@ class CoordinatorThread(threading.Thread):
 
 
 def run_dist(golden, *, workers=2, worker_chaos=None, respawn=True,
-             domain="memory", policy=POLICY, journal=None,
-             keep_records=True, progress=None, **coordinator_kw):
+             domain="memory", journal=None, keep_records=True,
+             progress=None, **coordinator_kw):
     """One scan served to a fresh :class:`ThreadFleet` of ``workers``
     thread workers named ``w0``, ``w1``, … (``worker_chaos``: a plan
     or ``None`` each); returns ``(result, coordinator, fleet)``."""
@@ -182,7 +187,7 @@ def run_dist(golden, *, workers=2, worker_chaos=None, respawn=True,
     for index, plan in enumerate(worker_chaos or [None] * workers):
         fleet.add(f"w{index}", plan, respawn=respawn)
     coordinator_kw.setdefault("shards", 4)
-    coordinator = DistCoordinator(fleet, policy=policy, **coordinator_kw)
+    coordinator = DistCoordinator(fleet, **coordinator_kw)
     result = serve_in_thread(coordinator, golden, domain=domain,
                              journal=journal, keep_records=keep_records,
                              progress=progress).join_result(120)

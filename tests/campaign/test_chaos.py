@@ -1,48 +1,47 @@
 """Self-hosting chaos: the fabric under its own fault injector.
 
-The distributed fabric's contract is that transport faults can delay a
+The distributed fabric's contract is that a worker's death can delay a
 campaign but never skew it.  These tests turn the repository's fault
-injector on the fabric itself: a seeded :class:`ChaosPlan` drops,
-duplicates, corrupts and delays result frames through the deterministic
-proxy, and every surviving campaign must match the serial ground truth
-bit for bit — with the degradation (if any) exactly reflected in the
-completeness report.  The harder cases ride on top: a worker whose
-frames arrive corrupted (shape-detectable), and a class key that kills
-every worker that touches it (its shard fails after its retries).
+injector on the fabric itself: a seeded :class:`ChaosPlan` kills
+workers as they execute units, through the deterministic schedule, and
+every surviving campaign must match the serial ground truth bit for
+bit — with the degradation (if any) exactly reflected in the
+completeness report.  The harder case rides on top: a unit key that
+kills every worker that touches it (its shard fails after its
+retries).
 """
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.campaign import RetryPolicy, record_golden, run_full_scan
+from repro.campaign import record_golden, run_full_scan
 from repro.campaign.dist import DistCoordinator
-from repro.campaign.journal import _valid_run
 from repro.programs import micro
 
-from .chaos import ChaosInterrupt, ChaosPlan, WorkerChaos
-from .fabric import POLICY, ThreadFleet, run_dist, serve_in_thread
-from .test_dist import _RecordingStream
+from .chaos import ChaosInterrupt, ChaosPlan, ChaosWorker, WorkerChaos
+from .fabric import ThreadFleet, run_dist, serve_in_thread
+from .test_dist import _RecordingStream, _scan_style
 
 #: Chaos soaks retry far past the default budget: the injector *wants*
 #: to burn attempts, and the invariant under test is correctness, not
 #: retry frugality.
-SOAK_POLICY = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
-                          max_retries=12)
+SOAK_RETRIES = 12
 
-#: The soak's budget with a bounded embargo: a shard failed k times is
-#: embargoed ``0.05 · 1.25^(k-1)`` s, at most ≈ 2.7 s summed over its
-#: twelve retries (doubling, the last embargo alone is 102 s).  For
-#: tests where one worker fails every lease it wins.
-BOUNDED_SOAK_POLICY = replace(SOAK_POLICY, backoff_factor=1.25)
+#: Per-unit death rates of the differential soaks, by domain: memcopy's
+#: 12 memory classes see a death every fifth unit, its 66 register
+#: classes one in twenty, so every seed kills and no shard comes near
+#: its retry budget.
+SOAK_RATES = {"memory": 0.2, "register": 0.05}
 
-#: Rates for the differential soak: every event class that cannot lie
-#: (drops, dups, shape-detectable corruption, delays) fires often enough
-#: that a few dozen result frames see several of each.
-SOAK_RATES = dict(drop_rate=0.12, dup_rate=0.15, corrupt_rate=0.08,
-                  delay_rate=0.10, delay_seconds=0.005)
+#: The soaks' seeds and domains.
+SOAK_CASES = [(7, "memory"), (11, "memory"), (13, "memory"),
+              (7, "register")]
+
+#: Soak workers send a window every two units, so a death loses the
+#: unit it fires on and at most one unit before it.
+SOAK_WINDOW = 2
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +58,13 @@ def memory_baseline(memory_golden):
 def register_baseline(memory_golden):
     return run_full_scan(memory_golden, keep_records=True,
                          domain="register")
+
+
+@pytest.fixture
+def soak_window(monkeypatch):
+    import repro.campaign.dist.worker as worker_mod
+
+    monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", SOAK_WINDOW)
 
 
 def assert_soak_invariant(result, baseline):
@@ -87,115 +93,69 @@ def assert_soak_invariant(result, baseline):
 class TestChaosPlanUnits:
     def test_inactive_plan(self):
         assert not ChaosPlan(seed=5).active
-        assert ChaosPlan(seed=5, drop_rate=0.01).active
+        assert ChaosPlan(seed=5, kill_rate=0.01).active
         assert ChaosPlan(die_on_keys=((0, 1),)).active
         assert ChaosPlan(die_after_results=0).active
 
 
 class TestChaosDeterminism:
     def test_events_are_pure_in_seed_worker_index(self):
-        plan = ChaosPlan(seed=11, drop_rate=0.3, dup_rate=0.3,
-                         corrupt_rate=0.3, delay_rate=0.3)
+        plan = ChaosPlan(seed=11, kill_rate=0.3)
         first = WorkerChaos(plan, "w0")
         second = WorkerChaos(plan, "w0")
-        schedule = [first.events_for(i) for i in range(200)]
-        assert schedule == [second.events_for(i) for i in range(200)]
+        schedule = [first.kills(i) for i in range(200)]
+        assert schedule == [second.kills(i) for i in range(200)]
         # ...and the schedule is not degenerate: something fires.
         assert any(schedule)
 
     def test_distinct_seeds_and_workers_decorrelate(self):
-        base = ChaosPlan(seed=11, drop_rate=0.5, dup_rate=0.5)
-        w0 = [WorkerChaos(base, "w0").events_for(i) for i in range(200)]
-        other_worker = [WorkerChaos(base, "w1").events_for(i)
+        base = ChaosPlan(seed=11, kill_rate=0.5)
+        w0 = [WorkerChaos(base, "w0").kills(i) for i in range(200)]
+        other_worker = [WorkerChaos(base, "w1").kills(i)
                         for i in range(200)]
-        other_seed = [
-            WorkerChaos(ChaosPlan(seed=12, drop_rate=0.5, dup_rate=0.5),
-                        "w0").events_for(i) for i in range(200)]
+        other_seed = [WorkerChaos(ChaosPlan(seed=12, kill_rate=0.5),
+                                  "w0").kills(i) for i in range(200)]
         assert w0 != other_worker
         assert w0 != other_seed
 
-    def test_at_most_one_tamper_and_one_fatal_event(self):
-        plan = ChaosPlan(seed=2, corrupt_rate=1.0, drop_rate=1.0,
-                         kill_rate=1.0)
-        events = WorkerChaos(plan, "w0").events_for(0)
-        assert "corrupt" in events
-        assert "drop" in events and "kill" not in events
-
     def test_the_soak_schedules_are_pinned(self):
-        """The draw order is the soaks' reproducibility contract: a
-        retired event keeps its draw, so every seed's schedule is the
-        one it always was (this digest predates the retired ``lie``)."""
-        schedules = [[list(WorkerChaos(ChaosPlan(seed=seed, **SOAK_RATES),
-                                       worker).events_for(index))
-                      for index in range(500)]
-                     for seed in (7, 11, 13) for worker in ("w0", "w1")]
+        """The draw order is the soaks' reproducibility contract: the
+        draws of retired events are still taken, so every seed kills
+        where it always did — this digest is the one the fuller event
+        taxonomy gave for the same plans."""
+        schedules = [[["kill"] if WorkerChaos(ChaosPlan(
+            seed=seed, kill_rate=SOAK_RATES[domain]), worker).kills(index)
+            else [] for index in range(500)]
+            for seed, domain in SOAK_CASES for worker in ("w0", "w1")]
         encoded = json.dumps(schedules, separators=(",", ":")).encode()
         assert sum(len(events) for schedule in schedules
-                   for events in schedule) == 1352
+                   for events in schedule) == 684
         assert hashlib.sha256(encoded).hexdigest() == (
-            "d6a038c083b46ab8fd8b785d90947d33caaa19cf7da89a1c8381a6417dda9012")
+            "82cc0d05bc3e49f071fc3c3baa1ecc4494d5871d7925f3da2441086d64f11f39")
 
-    def test_tampered_changes_payload_and_digest(self):
-        """The payload gains one valid outcome, picked by the result
-        index: the run no longer has the shape of its unit, so the
-        coordinator's shape check rejects it."""
-        chaos = WorkerChaos(ChaosPlan(seed=1), "w0")
-        run = ["no-effect sdc", "10 12", " "]
-        message = {"shard": 0, "key": [0, 1], "run": run}
-        tampered = chaos.tampered(message, 1)
-        assert message["run"] == run  # the original is left alone
-        assert tampered["run"] == ["no-effect sdc detected-corrected",
-                                   "10 12", " "]
-        assert tampered == chaos.tampered(message, 1)  # deterministic
-        assert _valid_run(run, 2)
-        assert not any(_valid_run(tampered["run"], count)
-                       for count in (2, 3))
+    def test_schedule_is_over_class_results_not_wire_frames(
+            self, monkeypatch, memory_golden):
+        """However the send window groups the units, the death fires on
+        the same unit, and the windows sent before it are exactly what
+        the coordinator ever sees: the unsent window dies with the
+        worker, as under SIGKILL."""
+        import repro.campaign.dist.worker as worker_mod
 
-    @staticmethod
-    def _items(count):
-        run = ["no-effect sdc", "10 12", " "]
-        return [{"shard": 0, "key": [0, slot], "run": run}
-                for slot in range(1, count + 1)]
-
-    def test_schedule_is_over_class_results_not_wire_frames(self):
-        """However the send window groups the classes, the n-th class
-        result meets the n-th draw: same items on the wire, same
-        telemetry."""
-        plan = ChaosPlan(seed=11, dup_rate=0.3, corrupt_rate=0.3,
-                         delay_rate=0.2, delay_seconds=0.0)
-        items = self._items(40)
-
-        def through(windows):
-            wire, chaos = _RecordingStream(), WorkerChaos(plan, "w0")
-            proxy = chaos.wrap(wire)
-            for window in windows:
-                proxy.send({"type": "results", "items": window})
-            return ([item for frame in wire.windows() for item in frame],
-                    chaos.fired, chaos.results_sent)
-
-        whole = through([items])
-        assert whole == through([[item] for item in items])
-        assert whole == through([items[:7], items[7:33], items[33:]])
-        assert whole[2] == 40 and len(whole[0]) > 40  # dups fired
-        assert {"corrupt", "dup", "delay"} <= set(whole[1])
-
-    def test_drop_sends_the_window_so_far_then_closes(self):
-        wire = _RecordingStream()
-        chaos = WorkerChaos(ChaosPlan(drop_after_results=3), "w0")
-        items = self._items(5)
-        with pytest.raises(ChaosInterrupt):
-            chaos.wrap(wire).send({"type": "results", "items": items})
-        assert wire.windows() == [items[:3]] and wire.closed
-        assert chaos.results_sent == 3  # the two behind it are unsent
-
-    def test_hang_splits_the_window_where_it_stalls(self):
-        wire = _RecordingStream()
-        chaos = WorkerChaos(ChaosPlan(seed=1, hang_rate=1.0,
-                                      hang_seconds=0.0), "w0")
-        items = self._items(3)
-        chaos.wrap(wire).send({"type": "results", "items": items})
-        assert wire.windows() == [[item] for item in items]
-        assert chaos.fired == {"hang": 3}
+        style = _scan_style(memory_golden)
+        executor = style.config.build(style.golden)
+        lease = {"type": "lease", "lease": 1, "shard": 0,
+                 "keys": [list(key) for key in style.units]}
+        for window in (1, 5, 64):
+            monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", window)
+            chaos = WorkerChaos(ChaosPlan(die_after_results=7), "w0")
+            stream = _RecordingStream()
+            with pytest.raises(ChaosInterrupt):
+                ChaosWorker(None, style, chaos)._work(
+                    _Answering(stream, lease), executor, style)
+            sent = [tuple(item["key"]) for items in stream.windows()
+                    for item in items]
+            assert (chaos.results, chaos.fired) == (8, {"die": 1})
+            assert sent == list(style.units)[:7 // window * window], window
 
     def test_die_on_keys_raises_connection_error(self):
         chaos = WorkerChaos(ChaosPlan(die_on_keys=((4, 2),)), "w0")
@@ -206,40 +166,57 @@ class TestChaosDeterminism:
         assert isinstance(ChaosInterrupt("x"), ConnectionError)
 
 
+class _Answering:
+    """A recording stream whose first ``read`` grants ``lease``."""
+
+    def __init__(self, stream: _RecordingStream, lease: dict):
+        self._stream, self._lease = stream, lease
+
+    def send(self, message: dict) -> None:
+        self._stream.send(message)
+
+    def read(self):
+        return self._lease
+
+
 class TestChaosSoak:
-    """The issue's acceptance invariant, over fixed seeds and domains."""
+    """The acceptance invariant, over fixed seeds and domains."""
 
     @pytest.mark.parametrize("seed", [7, 11, 13])
-    def test_memory_soak_matches_serial(self, seed, memory_golden,
-                                        memory_baseline):
-        plan = ChaosPlan(seed=seed, **SOAK_RATES)
+    def test_memory_soak_matches_serial(self, seed, soak_window,
+                                        memory_golden, memory_baseline):
+        plan = ChaosPlan(seed=seed, kill_rate=SOAK_RATES["memory"])
         result, _, fleet = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=SOAK_POLICY)
+            max_retries=SOAK_RETRIES)
         assert not fleet.errors
+        assert fleet.deaths
         assert_soak_invariant(result, memory_baseline)
         assert result.execution.complete
 
-    def test_register_soak_matches_serial(self, memory_golden,
+    def test_register_soak_matches_serial(self, soak_window, memory_golden,
                                           register_baseline):
-        plan = ChaosPlan(seed=7, **SOAK_RATES)
-        result, _, _ = run_dist(
+        plan = ChaosPlan(seed=7, kill_rate=SOAK_RATES["register"])
+        result, _, fleet = run_dist(
             memory_golden, workers=2, domain="register",
-            worker_chaos=[plan, plan], policy=SOAK_POLICY)
+            worker_chaos=[plan, plan], max_retries=SOAK_RETRIES)
+        assert fleet.deaths
         assert_soak_invariant(result, register_baseline)
         assert result.execution.complete
 
-    def test_chaos_telemetry_records_what_fired(self, memory_golden,
+    def test_chaos_telemetry_records_what_fired(self, soak_window,
+                                                memory_golden,
                                                 memory_baseline):
-        plan = ChaosPlan(seed=7, **SOAK_RATES)
-        _, _, fleet = run_dist(
+        plan = ChaosPlan(seed=7, kill_rate=SOAK_RATES["memory"])
+        result, _, fleet = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=SOAK_POLICY)
+            max_retries=SOAK_RETRIES)
         fired = {}
         for slot in fleet.slots:
             for name, count in slot.chaos.fired.items():
                 fired[name] = fired.get(name, 0) + count
         assert fired, "a soak that injected nothing proves nothing"
+        assert fired["kill"] == len(fleet.deaths)
 
     def test_coordinator_crash_scheduled_by_the_plan(
             self, tmp_path, memory_golden, memory_baseline):
@@ -250,13 +227,11 @@ class TestChaosSoak:
         fleets = [ThreadFleet(), ThreadFleet()]
         for fleet in fleets:
             fleet.add("w0")
-        first = DistCoordinator(
-            fleets[0], shards=4, policy=POLICY,
-            stop_after_results=4)
+        first = DistCoordinator(fleets[0], shards=4, stop_after_results=4)
         thread = serve_in_thread(first, memory_golden, journal=journal)
         assert thread.join_result(60) is None  # the scheduled crash
         assert first.stopped
-        second = DistCoordinator(fleets[1], shards=4, policy=POLICY)
+        second = DistCoordinator(fleets[1], shards=4)
         result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
         for fleet in fleets:
@@ -265,25 +240,6 @@ class TestChaosSoak:
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.resumed == 4
-
-
-class TestIntegrity:
-    def test_corrupting_worker_is_caught_by_crc(self, memory_golden,
-                                                memory_baseline):
-        """Every unit one worker sends is damaged on the way (a broken
-        link, in effect): the shape check refuses them all, each of its
-        leases fails as an attempt, the honest peer finishes."""
-        corrupt = ChaosPlan(seed=3, corrupt_rate=1.0)
-        result, _, _ = run_dist(
-            memory_golden, workers=2, worker_chaos=[corrupt, None],
-            policy=BOUNDED_SOAK_POLICY)
-        execution = result.execution
-        assert execution.integrity_rejected > 0
-        assert_soak_invariant(result, memory_baseline)
-        assert execution.complete
-        # Not one corrupted frame was merged: the corrupter earned no
-        # attribution at all.
-        assert all(name != "w0" for name, _ in execution.workers)
 
 
 class TestDyingKey:
@@ -299,11 +255,10 @@ class TestDyingKey:
         keys = sorted(memory_baseline.class_outcomes)
         deadly = keys[len(keys) // 2]
         plan = ChaosPlan(die_on_keys=(deadly,))
-        policy = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
-                             backoff=0.05, max_retries=3)
+        max_retries = 3
         result, coordinator, _ = run_dist(
             memory_golden, workers=2, worker_chaos=[plan, plan],
-            policy=policy)
+            max_retries=max_retries)
         execution = result.execution
         (failed,) = [shard for shard in coordinator.board.shards()
                      if shard.status == FAILED]
@@ -320,5 +275,5 @@ class TestDyingKey:
         assert set(order[position:]) <= set(failed.remaining)
         assert set(execution.missing) == set(failed.remaining)
         assert (execution.failed_shards, execution.shard_retries) \
-            == (1, policy.max_retries)
+            == (1, max_retries)
         assert_soak_invariant(result, memory_baseline)

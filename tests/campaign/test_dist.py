@@ -5,9 +5,10 @@ count, any interleaving, any amount of node loss short of exhausting the
 retry budget — produces a result *bit-for-bit identical* to the serial
 runner.  These tests drive the real socket-pair stack (coordinator on a
 thread, workers on threads or forked processes) and inject the
-failures a fleet actually sees: killed workers, dropped and
-duplicated deliveries, a coordinator restart mid-campaign, and shards
-lost for good.
+failures a fork pool can see: workers that die (a hang-up of their
+stream), duplicated deliveries, a coordinator restart mid-campaign,
+shards lost for good — and, from hand-driven peers, every frame the
+coordinator must refuse.
 """
 
 import json
@@ -23,7 +24,6 @@ import time
 import pytest
 
 from repro.campaign import (
-    RetryPolicy,
     export_class_results_csv,
     record_golden,
     run_distributed_scan,
@@ -47,7 +47,7 @@ from repro.faultspace.domain import MEMORY, get_domain
 from repro.programs import hi, micro, sync2
 
 from .chaos import ChaosPlan, chaotic_fleet
-from .fabric import POLICY, ThreadFleet, run_dist, serve_in_thread
+from .fabric import ThreadFleet, run_dist, serve_in_thread
 from .journal_rows import class_experiments, stored_experiments
 
 
@@ -161,121 +161,71 @@ class TestProtocol:
 
 class TestLeaseBoard:
     def _board(self, *, max_retries=2, shards=2):
-        board = LeaseBoard(
-            policy=RetryPolicy(max_retries=max_retries, backoff=0.1,
-                               shard_timeout=10.0),
-            key_costs={(0, 1): 100, (0, 2): 100, (1, 1): 100, (1, 2): 100})
+        board = LeaseBoard(max_retries=max_retries)
         keys = [[(0, 1), (0, 2)], [(1, 1), (1, 2)]]
         for index in range(shards):
             board.add_shard(index, list(keys[index]))
         return board
 
     def test_grants_then_waits_then_done(self):
+        """With every shard leased, a third worker gets nothing — its
+        request waits at the coordinator — and none once all is done."""
         board = self._board()
-        lease_a = board.acquire("a", now=0.0)
-        lease_b = board.acquire("b", now=0.0)
+        lease_a = board.acquire("a")
+        lease_b = board.acquire("b")
         assert lease_a.shard == 0 and lease_b.shard == 1
-        # Everything leased: a third worker is told to wait.
-        assert isinstance(board.acquire("c", now=0.0), float)
+        assert board.acquire("c") is None
         for key in [(0, 1), (0, 2), (1, 1), (1, 2)]:
-            board.progress(0 if key[0] == 0 else 1, key, now=1.0)
+            board.progress(0 if key[0] == 0 else 1, key)
         assert board.done()
-        assert board.acquire("c", now=2.0) is None
+        assert board.acquire("c") is None
 
     def test_progress_deduplicates(self):
         board = self._board()
-        board.acquire("a", now=0.0)
-        assert board.progress(0, (0, 1), now=1.0) is True
-        assert board.progress(0, (0, 1), now=1.0) is False
+        board.acquire("a")
+        assert board.progress(0, (0, 1)) is True
+        assert board.progress(0, (0, 1)) is False
 
-    def test_progress_extends_the_deadline(self):
-        board = self._board()
-        lease = board.acquire("a", now=0.0)
-        before = lease.deadline
-        board.progress(0, (0, 1), now=5.0)
-        assert board.shards()[0].lease.deadline > before
-
-    def test_expiry_requeues_with_backoff_then_fails(self):
+    def test_a_hang_up_requeues_at_once_then_fails(self):
+        """A released shard is pending again at once — no embargo, no
+        clock — and is failed once its attempts pass the budget."""
         board = self._board(max_retries=1, shards=1)
-        board.acquire("a", now=0.0)
-        assert board.expire(now=100.0) == [0]
+        board.acquire("a")
+        board.release_worker("a")
         assert board.retries == 1
-        # Embargoed: immediately re-acquiring yields a wait, not a grant.
-        assert isinstance(board.acquire("b", now=100.0), float)
-        lease = board.acquire("b", now=101.0)
+        lease = board.acquire("b")
         assert lease.shard == 0
-        board.expire(now=300.0)
+        board.release_worker("b")
         assert board.failed_shards == 1
         assert [key for shard in board.shards() if shard.status == FAILED
                 for key in shard.remaining] == [(0, 1), (0, 2)]
         # Permanently lost work is terminal state, not a hang.
         assert board.done()
-        assert board.acquire("c", now=301.0) is None
+        assert board.acquire("c") is None
 
     def test_disconnect_releases_only_that_workers_leases(self):
         board = self._board()
-        board.acquire("a", now=0.0)
-        board.acquire("b", now=0.0)
-        assert board.release_worker("a", now=1.0) == [0]
-        assert board.shards()[1].lease.worker == "b"
+        board.acquire("a")
+        board.acquire("b")
+        board.release_worker("a")
+        first, second = board.shards()
+        assert first.lease is None and first.attempts == 1
+        assert second.lease.worker == "b" and second.attempts == 0
 
-    def test_late_result_after_expiry_still_counts(self):
+    def test_late_result_after_release_still_counts(self):
         board = self._board()
-        board.acquire("a", now=0.0)
-        board.expire(now=100.0)
-        assert board.progress(0, (0, 1), now=101.0) is True
-        lease = board.acquire("b", now=102.0)
+        board.acquire("a")
+        board.release_worker("a")
+        assert board.progress(0, (0, 1)) is True
+        lease = board.acquire("b")
         assert lease.keys == ((0, 2),)  # only the unfinished key
 
     def test_lease_done_with_remaining_keys_is_a_failed_attempt(self):
         board = self._board()
-        lease = board.acquire("a", now=0.0)
-        board.progress(0, (0, 1), now=1.0)
-        board.finish(0, lease.lease_id, now=2.0)
+        lease = board.acquire("a")
+        board.progress(0, (0, 1))
+        board.finish(0, lease.lease_id)
         assert board.retries == 1  # (0, 2) was never submitted
-
-    def test_running_remaining_cost_equals_a_fresh_sum(self):
-        """Deadlines derive from the cost of the keys still remaining.
-        The board keeps that as a running total; after every transition
-        it must equal what re-summing the remaining keys gives — on a
-        partly resumed, a released and an expired shard alike."""
-        policy = RetryPolicy(min_shard_timeout=0.0, cycles_per_second=1.0,
-                             backoff=0.0, max_retries=5)
-        keys = [(0, slot) for slot in range(1, 11)]
-        costs = {key: 3 ** key[1] for key in keys}
-        board = LeaseBoard(policy=policy, key_costs=costs)
-
-        def fresh(shard):
-            return sum(costs.get(key, 1) for key in shard.remaining)
-
-        def consistent():
-            return all(shard.remaining_cost == fresh(shard)
-                       for shard in board.shards())
-
-        def deliver(index, worker, now, count):
-            lease = board.acquire(worker, now)
-            shard = board.shards()[index]
-            assert lease.shard == index
-            assert lease.deadline == now + fresh(shard)
-            for key in lease.keys[:count]:
-                now += 1.0
-                assert board.progress(index, key, now)
-                assert consistent()
-                if shard.lease is not None:
-                    assert shard.lease.deadline == now + fresh(shard)
-            return now
-
-        board.add_shard(0, keys[2:])  # two keys resumed
-        assert consistent()
-        now = deliver(0, "a", 10.0, 3)
-        assert board.release_worker("a", now) == [0]
-        assert consistent()
-        now = deliver(0, "b", now, 2)
-        now += 10.0 ** 9  # past any deadline
-        assert board.expire(now) == [0]
-        assert consistent()
-        now = deliver(0, "c", now, 99)
-        assert board.done() and board.shards()[0].remaining_cost == 0
 
 
 class TestDistEquality:
@@ -305,27 +255,30 @@ class TestDistEquality:
 
 
 class TestDistChaos:
-    def test_killed_worker_is_survived(self, memory_golden,
+    def test_killed_worker_is_survived(self, monkeypatch, memory_golden,
                                        memory_baseline):
-        """One worker's stream vanishes mid-shard (exactly what SIGKILL
-        looks like from the coordinator) and it never comes back; the
-        survivor absorbs the re-leased work.  The survivor starts only
-        once the doomed worker is dead, so the outcome does not depend
-        on who wins the first lease."""
+        """One worker dies mid-shard — its stream hangs up, exactly what
+        SIGKILL looks like from the coordinator — and never comes back;
+        its standby takes the re-leased work.  The standby starts only
+        as its replacement, so the outcome does not depend on who wins
+        the first lease."""
+        import repro.campaign.dist.worker as worker_mod
+
+        # A window a class, so the two classes before the death arrive.
+        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
         fleet = ThreadFleet()
-        doomed = fleet.add("w0", ChaosPlan(drop_after_results=2),
+        doomed = fleet.add("w0", ChaosPlan(die_after_results=2),
                            respawn=False)
-        coordinator = DistCoordinator(fleet, shards=4, policy=POLICY)
+        fleet.add("w1", standby=True)
+        coordinator = DistCoordinator(fleet, shards=4)
         thread = serve_in_thread(coordinator, memory_golden,
                                  keep_records=True)
-        doomed.join(60)
-        # The chaos worker died for good, at its second result...
-        assert not doomed.thread.is_alive()
-        assert fleet.deaths == ["w0"]
-        fleet.add("w1")
         result = thread.join_result(120)
         fleet.join()
         assert not fleet.errors
+        # The chaos worker died for good, at its third class...
+        assert not doomed.thread.is_alive()
+        assert fleet.deaths == ["w0"]
         # ...and the campaign still matches the serial ground truth.
         assert result == memory_baseline
         assert result.records == memory_baseline.records
@@ -335,12 +288,13 @@ class TestDistChaos:
     def test_a_dropped_stream_is_a_worker_death(
             self, memory_golden, memory_baseline):
         """A worker whose stream drops mid-lease is dead: nothing
-        reconnects.  Its lease is re-granted — here to the same worker,
-        re-served by its fleet over a fresh pair — and the result is
-        bit-identical: nothing lost, nothing double-counted."""
+        reconnects.  Its lease is re-granted at its hang-up — here to
+        the same worker, re-served by its fleet over a fresh pair — and
+        the result is bit-identical: nothing lost, nothing
+        double-counted."""
         result, _, fleet = run_dist(
             memory_golden, workers=1,
-            worker_chaos=[ChaosPlan(drop_after_results=3)])
+            worker_chaos=[ChaosPlan(die_after_results=3)])
         assert not fleet.errors
         assert fleet.deaths == ["w0"]
         assert fleet.slots[0].lives == 2
@@ -350,10 +304,15 @@ class TestDistChaos:
         assert result.execution.executed == result.execution.total_units
 
     def test_duplicate_deliveries_account_exactly_once(
-            self, memory_golden, memory_baseline):
-        result, _, _ = run_dist(
-            memory_golden,
-            worker_chaos=[ChaosPlan(duplicate_results=5), None])
+            self, monkeypatch, memory_golden, memory_baseline):
+        """Every window leaves twice: the lease board takes each unit
+        once."""
+        import repro.campaign.dist.worker as worker_mod
+
+        flush = worker_mod._flush
+        monkeypatch.setattr(worker_mod, "_flush", lambda stream, window: (
+            flush(stream, list(window)), flush(stream, window)))
+        result, _, _ = run_dist(memory_golden)
         assert result == memory_baseline
         assert result.execution.executed == result.execution.total_units
         assert sum(units for _, units in result.execution.workers) \
@@ -364,12 +323,11 @@ class TestDistChaos:
         """Crash the coordinator after 4 accepted results; a new one on
         the same journal, with a fleet of its own, finishes."""
         journal = tmp_path / "dist.sqlite"
-        first = DistCoordinator(_fleet("w0"), shards=4,
-                                policy=POLICY, stop_after_results=4)
+        first = DistCoordinator(_fleet("w0"), shards=4, stop_after_results=4)
         thread = serve_in_thread(first, memory_golden, journal=journal)
         assert thread.join_result(60) is None
         assert first.stopped
-        second = DistCoordinator(_fleet("w0"), shards=4, policy=POLICY)
+        second = DistCoordinator(_fleet("w0"), shards=4)
         result = serve_in_thread(second, memory_golden, journal=journal,
                                  keep_records=True).join_result(60)
         for fleet in (first.fleet, second.fleet):
@@ -388,7 +346,7 @@ class TestDistChaos:
         else is."""
         journal = tmp_path / "dist.sqlite"
         coordinator = DistCoordinator(_fleet("w0"), shards=4,
-                                      policy=POLICY, stop_after_results=5)
+                                      stop_after_results=5)
         thread = serve_in_thread(coordinator, memory_golden, journal=journal)
         assert thread.join_result(60) is None
         coordinator.fleet.join()
@@ -402,7 +360,7 @@ class TestDistChaos:
         journaled scan, and a fresh sweep composes them all."""
         journal = tmp_path / "dist.sqlite"
         coordinator = DistCoordinator(_fleet("w0"), shards=4,
-                                      policy=POLICY, stop_after_results=5)
+                                      stop_after_results=5)
         thread = serve_in_thread(coordinator, memory_golden, journal=journal)
         assert thread.join_result(60) is None
         coordinator.fleet.join()
@@ -423,10 +381,8 @@ class TestDistChaos:
         missing classes instead of waiting forever."""
         result, _, _ = run_dist(
             memory_golden,
-            worker_chaos=[ChaosPlan(drop_after_results=1), None],
-            respawn=False,
-            policy=RetryPolicy(heartbeat=0.3, poll_interval=0.02,
-                               backoff=0.05, max_retries=0))
+            worker_chaos=[ChaosPlan(die_after_results=1), None],
+            respawn=False, max_retries=0)
         execution = result.execution
         assert not execution.complete
         assert execution.failed_shards >= 1
@@ -443,16 +399,13 @@ class _RawWorker:
 
     def __init__(self, fleet: ThreadFleet, name: str = "raw"):
         self.fleet = fleet
+        self.stream_name = name
         self.stream = fleet.raw(name)
 
     def lease(self) -> dict:
-        """Ask until a lease is granted (an embargoed shard says wait)."""
-        while True:
-            self.stream.send({"type": "request"})
-            reply = self.stream.read(timeout=5.0)
-            if reply["type"] != "wait":
-                return reply
-            time.sleep(min(float(reply["seconds"]), 0.1))
+        """Ask for work: the answer, a lease or ``done``."""
+        self.stream.send({"type": "request"})
+        return self.stream.read(timeout=5.0)
 
     def items(self, lease: dict) -> list[dict]:
         """The items an honest worker sends for a lease's keys."""
@@ -495,10 +448,70 @@ class _Gated:
 
 
 class TestWorkerWait:
-    def test_a_wait_ends_when_done_arrives(self, memory_golden):
-        """A ``wait`` grant is spent reading the stream, not asleep: a
-        hand-driven coordinator grants 30 s, says ``done`` 50 ms later,
-        and the worker returns at once instead of after its 1 s cap."""
+    """A request that finds no pending shard waits at the coordinator,
+    and its worker waits reading: no ``wait`` frame, no clock."""
+
+    def _two_peers(self, golden):
+        """Serve ``golden`` to two hand-driven peers, the plan's two
+        shards both leased to the first: ``(coordinator, thread, first,
+        second, leases)``."""
+        fleet = ThreadFleet()
+        first, second = _RawWorker(fleet, "first"), _RawWorker(fleet, "second")
+        coordinator = DistCoordinator(fleet, shards=1)
+        thread = serve_in_thread(coordinator, golden, keep_records=True)
+        leases = [first.lease(), first.lease()]
+        assert [lease["shard"] for lease in leases] == [0, 1]
+        return coordinator, thread, first, second, leases
+
+    @staticmethod
+    def _park(coordinator, raw) -> None:
+        """Send ``raw``'s request and see the coordinator park it."""
+        raw.stream.send({"type": "request"})
+        deadline = time.monotonic() + 10.0
+        while coordinator._parked != [raw.stream_name]:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    def test_a_parked_request_gets_the_lease_a_hang_up_returns(
+            self, memory_golden, memory_baseline):
+        """The holder of every shard hangs up: its leases go back to
+        pending at once, and the first answers the waiting request."""
+        coordinator, thread, first, second, leases = self._two_peers(
+            memory_golden)
+        self._park(coordinator, second)
+        first.close()
+        again = second.stream.read(timeout=5.0)
+        assert again["type"] == "lease"
+        assert again["keys"] == leases[0]["keys"]
+        for lease in (again, second.lease()):
+            second.results(second.items(lease))
+            second.lease_done(lease)
+        result = thread.join_result(60)
+        second.close()
+        assert result == memory_baseline
+        execution = result.execution
+        assert execution.shard_retries == 2
+        assert execution.workers == (("second", execution.total_units),)
+
+    def test_a_parked_request_is_answered_done_at_the_end(
+            self, memory_golden, memory_baseline):
+        coordinator, thread, first, second, leases = self._two_peers(
+            memory_golden)
+        self._park(coordinator, second)
+        for lease in leases:
+            first.results(first.items(lease))
+            first.lease_done(lease)
+        assert second.stream.read(timeout=5.0) == {"type": "done"}
+        result = thread.join_result(60)
+        first.close()
+        second.close()
+        assert result == memory_baseline
+        assert result.execution.shard_retries == 0
+
+    def test_a_parked_worker_returns_when_done_arrives(self, memory_golden):
+        """A worker whose request is not answered at once waits reading
+        its stream: a hand-driven coordinator answers only after 50 ms,
+        with ``done``, and the worker returns at once."""
         ours, theirs = socket.socketpair()
         said_done: list[float] = []
 
@@ -506,7 +519,6 @@ class TestWorkerWait:
             with ours:
                 stream = FrameStream(ours)
                 stream.read(timeout=5.0)  # request
-                stream.send({"type": "wait", "seconds": 30})
                 time.sleep(0.05)
                 said_done.append(time.monotonic())
                 stream.send({"type": "done"})
@@ -562,9 +574,6 @@ class _RecordingStream:
         assert not self.closed
         self.sent.append(message)
 
-    def poll(self):
-        return None
-
     def close(self) -> None:
         self.closed = True
 
@@ -589,7 +598,7 @@ def _run_lease(style, lease: dict | None = None, calls=None):
     if lease is None:
         lease = {"lease": 1, "shard": 0,
                  "keys": [list(key) for key in style.units]}
-    assert worker._run_lease(stream, lease, executor, style) is False
+    worker._run_lease(stream, lease, executor, style)
     assert stream.sent[-1]["type"] == "lease_done"
     assert len(stream.windows()) == len(stream.sent) - 1
     return stream.windows()
@@ -606,14 +615,17 @@ class TestSendWindow:
              "skips": 0}]}
         assert decode_frame(encode_frame(message)[4:]) == message
 
-    def _serve(self, golden, **kw):
-        """Serve ``golden`` to one hand-driven peer: ``(coordinator,
+    def _serve(self, golden, standby=None, **kw):
+        """Serve ``golden`` to one hand-driven peer (and a ``standby``
+        thread worker of that name to replace it): ``(coordinator,
         thread, raw)``."""
         fleet = ThreadFleet()
         raw = _RawWorker(fleet)
+        if standby is not None:
+            fleet.add(standby, standby=True)
         kw.setdefault("shards", 1)  # one lease holds every class
         journal = kw.pop("journal", None)
-        coordinator = DistCoordinator(fleet, policy=POLICY, **kw)
+        coordinator = DistCoordinator(fleet, **kw)
         return coordinator, serve_in_thread(
             coordinator, golden, journal=journal, keep_records=True), raw
 
@@ -706,9 +718,9 @@ class TestSendWindow:
             self, memory_golden, memory_baseline, frame):
         """A ``lease_done`` comes from the peer too: one naming no
         planned shard, or none at all, is a protocol error on that
-        connection.  Its lease is released, and an honest worker then
-        finishes the campaign to the serial result."""
-        _, thread, raw = self._serve(memory_golden)
+        connection.  Its lease is released, and an honest worker, its
+        replacement, then finishes the campaign to the serial result."""
+        _, thread, raw = self._serve(memory_golden, standby="honest")
         assert raw.lease()["lease"] == 1
         raw.stream.send({"type": "lease_done", **frame})
         try:
@@ -717,7 +729,6 @@ class TestSendWindow:
             hung_up = True
         raw.close()
         assert hung_up
-        raw.fleet.add("honest")
         result = thread.join_result(60)
         raw.fleet.join()
         assert not raw.fleet.errors
@@ -879,138 +890,139 @@ class TestSendWindow:
             memory_golden, monkeypatch,
             lambda: next(ticks) * WINDOW_S) == [1] * 12
 
-    def test_watchdog_commits_only_on_idle_ticks(
+    def test_a_window_without_frames_commits_the_journal(
             self, tmp_path, monkeypatch, memory_golden, memory_baseline):
-        """A tick that saw classes accepted is not idle and must not
-        commit: with the journal's clock standing still (no window ever
-        ages) every tick commit is an idle tick's.  The worker sends a
-        window a class, 5 ms apart, so the campaign spans many ticks of
-        both kinds.  Counts, not times."""
-        import repro.campaign.dist.worker as worker_mod
+        """With the journal's own clock frozen, only the coordinator
+        commits what a window of results left buffered: once a whole
+        commit window passes without a frame.  A second connection sees
+        the first window's classes before the peer sends anything
+        more."""
+        import repro.campaign.dist.coordinator as coordinator_mod
         import repro.campaign.journal as journal_mod
         from repro.campaign.pipeline import CampaignRun
 
         monkeypatch.setattr(journal_mod, "_clock", lambda: 0.0)
-        monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
-        flush = DistWorker._flush
-        monkeypatch.setattr(
-            DistWorker, "_flush", lambda worker, stream, window: (
-                flush(worker, stream, window), time.sleep(0.005))[0])
-        coordinator = DistCoordinator(
-            _fleet("w0"), shards=4,
-            policy=RetryPolicy(heartbeat=0.3, poll_interval=0.001,
-                               backoff=0.05))
-        #: ``_accepted`` as each watchdog tick saw it (a tick expires
-        #: leases once, and nothing else does).
-        ticks: list[int] = []
-        idle_calls: list[int] = []
-        real_expire = LeaseBoard.expire
-
-        def expire(board, now):
-            ticks.append(coordinator._accepted)
-            return real_expire(board, now)
-
-        monkeypatch.setattr(LeaseBoard, "expire", expire)
-        real_idle = CampaignRun.idle
-        monkeypatch.setattr(
-            CampaignRun, "idle",
-            lambda run: (idle_calls.append(coordinator._accepted),
-                         real_idle(run))[1])
-        thread = serve_in_thread(coordinator, memory_golden,
-                                 journal=tmp_path / "ticks.sqlite",
-                                 keep_records=True)
-        result = thread.join_result(60)
-        coordinator.fleet.join()
-        assert not coordinator.fleet.errors
-        assert result == memory_baseline
-        idle_ticks = sum(1 for before, seen in zip([0] + ticks, ticks)
-                         if before == seen)
-        assert len(idle_calls) == idle_ticks < len(ticks)
-
-
-class TestDeadlines:
-    """A lease lives by progress alone, and an expired one is a failed
-    attempt."""
-
-    DEADLINE = RetryPolicy(heartbeat=0.3, poll_interval=0.02, backoff=0.05,
-                           shard_timeout=1.0)
-
-    def _serve(self, golden, shards, name="raw"):
-        """Serve ``golden`` to one hand-driven peer: ``(thread, raw)``."""
-        fleet = ThreadFleet()
-        raw = _RawWorker(fleet, name)
-        coordinator = DistCoordinator(fleet, shards=shards,
-                                      policy=self.DEADLINE)
-        return serve_in_thread(coordinator, golden, keep_records=True), raw
-
-    def test_progress_alone_keeps_a_long_lease(self, memory_golden,
-                                               memory_baseline):
-        """No liveness frame exists: a session that delivers a class
-        now and then outlives its deadline several times over."""
-        thread, raw = self._serve(memory_golden, shards=1)
+        monkeypatch.setattr(coordinator_mod, "COMMIT_WINDOW_S", 0.02)
+        idled = threading.Event()
+        idle = CampaignRun.idle
+        monkeypatch.setattr(CampaignRun, "idle", lambda run: (
+            idle(run), run.report.executed and idled.set()))
+        journal = tmp_path / "idle.sqlite"
+        _, thread, raw = self._serve(memory_golden, journal=journal)
         lease = raw.lease()
         items = raw.items(lease)
-        for item in items[:4]:
-            time.sleep(0.4)  # 1.6 s in all, under a 1.0 s deadline
-            raw.results([item])
-        raw.results(items[4:])
+        raw.results(items[:5])
+        assert idled.wait(10)
+        assert len(class_experiments(journal)) == 5
+        raw.results(items[5:])
         raw.lease_done(lease)
         result = thread.join_result(60)
         raw.close()
         assert result == memory_baseline
-        assert result.execution.timed_out_shards == 0
-        assert result.execution.shard_retries == 0
-        assert result.execution.workers == (("raw", len(items)),)
+        assert len(class_experiments(journal)) == len(items)
 
-    def test_a_lease_expires_on_the_coordinators_clock(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """The coordinator reads time through ``coordinator._clock``: an
-        hour-long deadline expires the moment that clock is moved an
-        hour on, with no real waiting."""
-        import repro.campaign.dist.coordinator as coordinator_mod
 
-        offset = [0.0]
-        monkeypatch.setattr(coordinator_mod, "_clock",
-                            lambda: time.monotonic() + offset[0])
-        hour = RetryPolicy(heartbeat=0.3, poll_interval=0.02,
-                           backoff=0.05, shard_timeout=3600.0)
+#: The child of the frozen-clock test: ``jobs=2`` on memcopy(6) with
+#: every clock the coordinator module reads frozen; ``worker-0`` stalls
+#: with its socket open after its second window, and the campaign's
+#: process SIGKILLs it once its first is taken: mid-shard either way.
+_FROZEN_CLOCK_SIGKILL = """
+import os, signal
+import repro.campaign.dist.coordinator as coordinator_mod
+import repro.campaign.dist.worker as worker_mod
+from repro.campaign import record_golden, run_full_scan
+from repro.campaign.dist import DistWorker, FrameStream
+from repro.programs import micro
+
+
+class Frozen:
+    monotonic = time = staticmethod(lambda: 0.0)
+
+
+coordinator_mod._clock = Frozen.monotonic
+coordinator_mod.time = Frozen
+worker_mod.WINDOW_CLASSES = 1
+
+coordinators = []
+init = coordinator_mod.DistCoordinator.__init__
+
+
+def recorded(coordinator, *args, **kwargs):
+    coordinators.append(coordinator)
+    init(coordinator, *args, **kwargs)
+
+
+coordinator_mod.DistCoordinator.__init__ = recorded
+
+
+def local_worker(sock, style, name):
+    if name == "worker-0":
+        send, windows = FrameStream.send, []
+
+        def send_then_stall(stream, message):
+            send(stream, message)
+            if message["type"] == "results":
+                windows.append(1)
+                if len(windows) == 2:
+                    signal.pause()
+
+        FrameStream.send = send_then_stall
+    DistWorker(sock, style).run()
+
+
+coordinator_mod._local_worker = local_worker
+killed = []
+
+
+def progress(done, total):
+    coordinator = coordinators[0]
+    # Its first window is taken: the second, the stall, is on its way.
+    if coordinator._worker_units["worker-0"] >= 1 and not killed:
+        fabric = coordinator.fleet
+        os.kill(fabric._procs[0].pid, signal.SIGKILL)
+        killed.append(1)
+
+
+golden = record_golden(micro.memcopy(6))
+serial = run_full_scan(golden, keep_records=True)
+result = run_full_scan(golden, jobs=2, keep_records=True, progress=progress)
+assert killed
+assert result == serial and result.records == serial.records
+assert result.execution.complete
+print("shard_retries", result.execution.shard_retries)
+"""
+
+
+class TestDeadlines:
+    """There is none: a lease ends at its peer's hang-up or protocol
+    break, whatever a clock says."""
+
+    def _serve(self, golden, shards, name="raw"):
+        """Serve ``golden`` to one hand-driven peer, with a standby
+        thread worker ``w0`` to replace it: ``(thread, raw)``."""
         fleet = ThreadFleet()
-        stalled = _RawWorker(fleet, name="stalled")
-        coordinator = DistCoordinator(fleet, shards=1, policy=hour)
-        thread = serve_in_thread(coordinator, memory_golden, keep_records=True)
-        assert stalled.lease()["shard"] == 0  # taken, never served
-        start = time.monotonic()
-        offset[0] += 3600.0
-        fleet.add("w0")
-        result = thread.join_result(60)
-        fleet.join()
-        stalled.close()
-        assert not fleet.errors
-        assert time.monotonic() - start < 60.0
-        assert result == memory_baseline
-        assert (result.execution.timed_out_shards,
-                result.execution.shard_retries) == (1, 1)
-        assert result.execution.workers == (("w0",
-                                             result.execution.executed),)
+        raw = _RawWorker(fleet, name)
+        fleet.add("w0", standby=True)
+        coordinator = DistCoordinator(fleet, shards=shards)
+        return serve_in_thread(coordinator, golden, keep_records=True), raw
 
     def test_a_peer_that_hangs_up_mid_frame_loses_its_lease(
             self, memory_golden, memory_baseline):
         """A peer that dies halfway through a ``results`` frame — its
         header and half its payload sent — ends its connection, not the
-        campaign: its lease goes back to the board as a retry, and a
-        worker added later finishes the scan."""
+        campaign: its lease goes back to the board as a retry, and its
+        replacement finishes the scan."""
         thread, raw = self._serve(memory_golden, shards=1)
         lease = raw.lease()
         frame = encode_frame({"type": "results", "items": raw.items(lease)})
         raw.stream._sock.sendall(frame[:4 + (len(frame) - 4) // 2])
         raw.close()
-        raw.fleet.add("w0")
         result = thread.join_result(60)
         raw.fleet.join()
         assert not raw.fleet.errors
         assert result == memory_baseline
         execution = result.execution
-        assert (execution.shard_retries, execution.timed_out_shards) == (1, 0)
+        assert execution.shard_retries == 1
         assert execution.workers == (("w0", execution.executed),)
 
     @pytest.mark.parametrize("kind", ["heartbeat", "bogus"])
@@ -1022,32 +1034,33 @@ class TestDeadlines:
         raw.stream.send({"type": kind})
         assert raw.stream.read(timeout=5.0) is None  # hung up on
         raw.close()
-        raw.fleet.add("w0")
         result = thread.join_result(60)
         raw.fleet.join()
         assert not raw.fleet.errors
         assert result == memory_baseline
 
-    def test_hung_then_healthy_ends_the_same_on_pool_and_fabric(
-            self, memory_golden, memory_baseline):
-        """One policy for every lease, whoever holds it: shard 0's
-        first attempt hangs past its 1 s deadline, its second is
-        healthy."""
-        thread, stalled = self._serve(memory_golden, shards=2,
-                                      name="stalled")
-        assert stalled.lease()["shard"] == 0  # taken, never served
-        stalled.fleet.add("w0")
-        fabric = thread.join_result(60)
-        stalled.fleet.join()
-        stalled.close()
-        assert not stalled.fleet.errors
-
-        assert fabric == memory_baseline
-        execution = fabric.execution
-        assert execution.complete and not execution.missing
-        assert (execution.timed_out_shards, execution.shard_retries,
-                execution.failed_shards) == (1, 1, 0)
-        assert execution.executed == execution.total_units
+    def test_death_is_seen_at_the_hang_up_on_a_frozen_clock(self):
+        """A ``jobs=2`` fork stalls mid-shard with its socket open and is
+        SIGKILLed; every clock the coordinator could read stands still.
+        Its hang-up alone re-queues its lease and starts its
+        replacement, and the result is the serial one.  A fabric that
+        embargoed re-grants or looked for deaths on a clock would wait
+        forever; the child's timeout turns that into a failure."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", _FROZEN_CLOCK_SIGKILL], env=_repro_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait()
+        assert child.returncode == 0, err[-2000:]
+        retries = int(out.split()[-1])
+        assert retries >= 1
 
 
 class TestDistJournalInterop:
@@ -1081,10 +1094,10 @@ class TestDistJournalInterop:
         assert result.execution.resumed == 3
 
     def test_a_resumed_fabric_campaign_leases_only_what_is_left(
-            self, tmp_path, memory_golden, memory_baseline):
+            self, tmp_path, monkeypatch, memory_golden, memory_baseline):
         """The coordinator plans the prologue's to-do list, not the
         whole unit list: the units a serial run journaled never reach
-        the lease board, whose cost table holds exactly the rest."""
+        the lease board, whose shards hold exactly the rest."""
         journal = tmp_path / "j.sqlite"
         k = 4
 
@@ -1098,13 +1111,18 @@ class TestDistJournalInterop:
         with pytest.raises(Interrupt):
             run_full_scan(memory_golden, journal=journal,
                           progress=interrupt)
+        planned: list = []
+        add_shard = LeaseBoard.add_shard
+        monkeypatch.setattr(LeaseBoard, "add_shard", lambda board, index,
+                            keys: (planned.extend(keys),
+                                   add_shard(board, index, keys)))
         result, coordinator, fleet = run_dist(memory_golden,
                                               journal=journal)
         assert not fleet.errors
         units, completed = coordinator.style.units, coordinator.run.completed
         todo = [key for key in units if key not in completed]
         assert len(todo) == len(units) - k
-        assert list(coordinator.board.key_costs) == todo
+        assert sorted(planned) == sorted(todo)
         assert result == memory_baseline
         assert result.records == memory_baseline.records
         assert result.execution.resumed == k
@@ -1139,7 +1157,7 @@ class TestDistJournalInterop:
 
         journal = tmp_path / "old.sqlite"
         first = DistCoordinator(_fleet("w0", "w1"), shards=4,
-                                policy=POLICY, stop_after_results=3)
+                                stop_after_results=3)
         thread = serve_in_thread(first, memory_golden, journal=journal)
         assert thread.join_result(60) is None
         first.fleet.join()
@@ -1196,7 +1214,7 @@ class TestDistSubprocess:
         whatever its send window still held with it; the fleet's one
         replacement finishes the campaign."""
         chaotic_fleet(monkeypatch, ChaosPlan(die_after_results=2))
-        fabric = LocalFabric(1, policy=POLICY)
+        fabric = LocalFabric(1)
         result = serve_scan(fabric, memory_golden, keep_records=True)
         doomed, _replacement = fabric._procs
         assert doomed.exitcode == 13  # it really died
@@ -1204,6 +1222,7 @@ class TestDistSubprocess:
         assert result.records == memory_baseline.records
         assert result.execution.complete
 
+    @pytest.mark.os_smoke
     def test_sigkilled_worker_process(self, monkeypatch, memory_golden,
                                       memory_baseline):
         """Deliver an actual SIGKILL once the worker has made progress;
@@ -1212,7 +1231,7 @@ class TestDistSubprocess:
 
         # A window a class, so progress arrives mid-lease.
         monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", 1)
-        fabric = LocalFabric(1, policy=POLICY)
+        fabric = LocalFabric(1)
         killed = []
 
         def progress(done, total):
@@ -1300,6 +1319,7 @@ class TestDistSubprocess:
         assert len(pairs) == 4
         assert all(end.fileno() == -1 for end in pairs)
 
+    @pytest.mark.os_smoke
     def test_workers_start_without_a_new_interpreter(
             self, monkeypatch, memory_golden, memory_baseline):
         """Local workers are forks, not new interpreters: with every
@@ -1421,7 +1441,7 @@ class TestWorkerInherits:
         threading.setprofile(profile)
         try:
             result = run_campaign(campaign, DistCoordinator(
-                fleet, shards=2, policy=POLICY), ":memory:", True, None)
+                fleet, shards=2), ":memory:", True, None)
             fleet.join()
         finally:
             threading.setprofile(None)
@@ -1441,7 +1461,7 @@ def test_the_fabric_serves_every_style(register_golden):
 
     golden = register_golden
     fleet = _fleet("w0")
-    coordinator = DistCoordinator(fleet, shards=2, policy=POLICY)
+    coordinator = DistCoordinator(fleet, shards=2)
     style = SamplingStyle(golden, MEMORY, 60, 3, "live-only")
     result = run_campaign(style, coordinator, ":memory:", True, None)
     fleet.join()
@@ -1467,7 +1487,7 @@ class TestAcceptanceSync2:
         serial = run_full_scan(golden, domain=domain, keep_records=True)
         result, _, fleet = run_dist(
             golden, domain=domain,
-            worker_chaos=[ChaosPlan(drop_after_results=2), None],
+            worker_chaos=[ChaosPlan(die_after_results=2), None],
             respawn=False)
         assert fleet.deaths == ["w0"]  # a node died
         assert not fleet.errors
@@ -1487,14 +1507,13 @@ class TestAcceptanceSync2:
         serial = run_full_scan(golden, keep_records=True)
         journal = tmp_path / "dist.sqlite"
         fleet = ThreadFleet()
-        fleet.add("doomed", ChaosPlan(drop_after_results=2), respawn=False)
+        fleet.add("doomed", ChaosPlan(die_after_results=2), respawn=False)
         fleet.add("steady")
-        first = DistCoordinator(fleet, shards=4, policy=POLICY,
+        first = DistCoordinator(fleet, shards=4,
                                 stop_after_results=3)
         thread = serve_in_thread(first, golden, journal=journal)
         assert thread.join_result(120) is None  # simulated crash
-        second = DistCoordinator(_fleet("steady"), shards=4,
-                                 policy=POLICY)
+        second = DistCoordinator(_fleet("steady"), shards=4)
         result = serve_in_thread(second, golden, journal=journal,
                                  keep_records=True).join_result(120)
         fleet.join()

@@ -132,9 +132,8 @@ class TestSharding:
 
 
     def test_plan_derives_every_cost_from_one_class_cost_list(self):
-        """Shard costs and the per-class list (the
-        fabric's lease cost table) are the numbers the cut was made
-        with."""
+        """Shard costs and the per-class list are the numbers the cut
+        was made with."""
         total = 400
         intervals = [self._interval(addr, first, first + 3)
                      for addr, first in enumerate(range(1, 390, 13))]
@@ -155,7 +154,7 @@ class TestSharding:
 
     def test_a_known_fleet_plans_a_shard_per_worker_at_least(self):
         # A lease is a whole shard: fewer shards than workers would
-        # leave the rest polling ``wait`` for the whole campaign.
+        # leave the rest idle for the whole campaign.
         total = 10_000
         intervals = [self._interval(addr, 1, 1 + addr % 7)
                      for addr in range(128)]
@@ -322,9 +321,9 @@ class TestPicklability:
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_executor_config_holds_executor_settings_only(self):
-        """Exactly what ``build()`` / ``campaign_params`` read.  Transport
-        tuning (deadlines, retries) is ``RetryPolicy``'s; a knob added
-        here would ride every campaign frame unread."""
+        """Exactly what ``build()`` / ``campaign_params`` read.  The one
+        transport setting, a shard's retry budget, is ``max_retries``'s;
+        a knob added here would ride every campaign unread."""
         import dataclasses
 
         assert {f.name for f in dataclasses.fields(ExecutorConfig)} == {

@@ -9,9 +9,7 @@ interrupt campaigns at every layer the real world does:
   (simulated by a progress callback that raises),
 * fabric workers killed outright (a :class:`ChaosPlan` the forked
   workers run, which makes a worker ``os._exit`` mid-lease like the OOM
-  killer would, or drop its connection on a class key),
-* wedged workers (their lease expires at its wall-clock deadline and
-  is retried like a dead worker's — never turned into results),
+  killer would, at a unit count or on a class key),
 * the campaign *driver* itself SIGKILLed (a real ``repro scan
   --journal`` subprocess, serial and with fabric workers), which loses
   the journal's last commit window and nothing else,
@@ -27,21 +25,17 @@ import sqlite3
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.campaign import (
     ExperimentJournal,
-    Outcome,
-    RetryPolicy,
     export_class_results_csv,
     record_golden,
     run_full_scan,
     run_sampling,
 )
 from repro.campaign.journal import _valid_run
-from repro.campaign.pipeline import plan_class_shards
 from repro.faultspace.domain import get_domain
 from repro.programs import all_programs, hi, micro
 
@@ -53,15 +47,6 @@ JOBS = [1, 2, 4]
 #: Every started fabric worker dies (``os._exit``) on its first result;
 #: its replacement runs no plan.
 DIE_AT_ONCE = ChaosPlan(die_after_results=0)
-
-#: Under seed 17 828 the local workers ``worker-0`` and ``worker-1``
-#: each hang 1.5 s at their first result and at none of their next 63:
-#: two wedged leases a campaign of up to 64 units a worker, whoever
-#: wins which lease.
-HANG_ONCE = ChaosPlan(seed=17828, hang_rate=0.015, hang_seconds=1.5)
-
-#: Every started fabric worker hangs at every result.
-HANG_ALWAYS = ChaosPlan(hang_rate=1.0, hang_seconds=30.0)
 
 
 def _dying_key(golden) -> ChaosPlan:
@@ -290,38 +275,15 @@ class TestWorkerDeath:
             register_baseline)
         chaotic_fleet(monkeypatch, DIE_AT_ONCE)
         result = run_full_scan(golden, domain=domain, jobs=2,
-                               keep_records=True,
-                               policy=RetryPolicy(backoff=0.05))
+                               keep_records=True)
         assert result == baseline
         assert result.execution.shard_retries >= 1
         assert result.execution.complete
 
-    def test_retry_backoff_embargoes_on_the_lease_clock(
-            self, monkeypatch, memory_golden, memory_baseline):
-        """A shard whose worker died is embargoed ``backoff`` seconds of
-        the coordinator's lease clock (``coordinator._clock``), not
-        slept: with a 600 s backoff on a clock running 1 000 times fast,
-        no real minute passes."""
-        import repro.campaign.dist.coordinator as coordinator_mod
-
-        base = time.monotonic()
-        monkeypatch.setattr(coordinator_mod, "_clock", lambda: base + (
-            time.monotonic() - base) * 1000.0)
-        chaotic_fleet(monkeypatch, DIE_AT_ONCE)
-        start = time.monotonic()
-        result = run_full_scan(
-            memory_golden, jobs=2, keep_records=True,
-            policy=RetryPolicy(backoff=600.0, shard_timeout=1e9))
-        assert time.monotonic() - start < 60.0
-        assert result == memory_baseline
-        assert result.execution.shard_retries >= 1
-
     def test_exhausted_retries_degrade_to_partial_result(
             self, monkeypatch, memory_golden, memory_baseline):
         chaotic_fleet(monkeypatch, _dying_key(memory_golden))
-        result = run_full_scan(memory_golden, jobs=2,
-                               policy=RetryPolicy(max_retries=1,
-                                                  backoff=0.05))
+        result = run_full_scan(memory_golden, jobs=2, max_retries=1)
         execution = result.execution
         assert not execution.complete
         assert execution.failed_shards == 1
@@ -342,8 +304,7 @@ class TestWorkerDeath:
         journal = tmp_path / "journal.sqlite"
         chaotic_fleet(monkeypatch, _dying_key(memory_golden))
         partial = run_full_scan(memory_golden, jobs=2, journal=journal,
-                                policy=RetryPolicy(max_retries=1,
-                                                   backoff=0.05))
+                                max_retries=1)
         assert not partial.execution.complete
         monkeypatch.undo()
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
@@ -357,8 +318,7 @@ class TestWorkerDeath:
                                             memory_golden):
         baseline = run_sampling(memory_golden, 40, seed=7)
         chaotic_fleet(monkeypatch, DIE_AT_ONCE)
-        result = run_sampling(memory_golden, 40, seed=7, jobs=2,
-                              policy=RetryPolicy(backoff=0.05))
+        result = run_sampling(memory_golden, 40, seed=7, jobs=2)
         assert result == baseline
         assert result.execution.shard_retries >= 1
 
@@ -374,8 +334,7 @@ class TestWorkerDeath:
         baseline = run()
         journal = tmp_path / "journal.sqlite"
         chaotic_fleet(monkeypatch, DIE_AT_ONCE)
-        partial = run(jobs=2, journal=journal,
-                      policy=RetryPolicy(max_retries=0))
+        partial = run(jobs=2, journal=journal, max_retries=0)
         execution = partial.execution
         assert not execution.complete
         assert execution.failed_shards >= 1
@@ -386,81 +345,6 @@ class TestWorkerDeath:
         assert resumed.execution.resumed \
             == execution.total_units - len(execution.missing)
         assert resumed.execution.executed == len(execution.missing)
-
-
-class TestHungWorker:
-    """A lease past its wall-clock deadline is a failed attempt —
-    charged, retried, finally reported missing — and never a result: no
-    experiment can outlive the cycle budget, so an overrun only ever
-    measures the host."""
-
-    HANG_POLICY = RetryPolicy(shard_timeout=1.0, poll_interval=0.05,
-                              backoff=0.05)
-
-    def test_hung_shard_is_retried_to_the_serial_result(
-            self, monkeypatch, memory_golden, memory_baseline):
-        chaotic_fleet(monkeypatch, HANG_ONCE)
-        result = run_full_scan(memory_golden, jobs=2, keep_records=True,
-                               policy=self.HANG_POLICY)
-        assert result == memory_baseline
-        execution = result.execution
-        # Each worker's one hang outlives its lease's deadline once.
-        assert execution.timed_out_shards == 2
-        assert execution.shard_retries >= 1
-        assert execution.complete
-        # No TIMEOUT the serial run of the same program does not have.
-        assert result.raw_counts()[Outcome.TIMEOUT] \
-            == memory_baseline.raw_counts()[Outcome.TIMEOUT]
-
-    def test_exhausted_hang_is_missing_and_never_journaled(
-            self, monkeypatch, tmp_path, memory_golden, memory_baseline):
-        journal = tmp_path / "journal.sqlite"
-        chaotic_fleet(monkeypatch, HANG_ALWAYS)
-        partial = run_full_scan(
-            memory_golden, jobs=2, journal=journal,
-            policy=replace(self.HANG_POLICY, max_retries=0))
-        execution = partial.execution
-        assert not execution.complete
-        assert execution.timed_out_shards == 2
-        assert execution.failed_shards == 2
-        # Exactly what the hung workers never sent is missing — all but
-        # the first class of each shard (sent, then the hang), in
-        # canonical order ...
-        live = memory_golden.partition().live_classes()
-        shards, _, _ = plan_class_shards(
-            live, memory_golden.cycles, domain=get_domain("memory"),
-            parts=8, workers=2)
-        unsent = {interval for shard in shards for interval in shard[1:]}
-        assert execution.missing == tuple(
-            get_domain("memory").class_key(interval)
-            for interval in live if interval in unsent)
-        # ... nothing of theirs was invented, in the result or on disk,
-        for key, outcomes in partial.class_outcomes.items():
-            assert outcomes == memory_baseline.class_outcomes[key]
-        with ExperimentJournal(journal) as log:
-            (entry,) = log.campaigns()
-        assert entry["status"] != "complete"
-        assert entry["journaled_experiments"] \
-            == 8 * (execution.total_units - len(execution.missing))
-        # ... and a clean rerun on the same journal executes just them.
-        monkeypatch.undo()
-        resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
-                                keep_records=True)
-        assert resumed == memory_baseline
-        assert resumed.execution.complete
-        assert resumed.execution.executed == len(execution.missing)
-
-    def test_sampling_retries_a_hung_shard_too(self, monkeypatch,
-                                               memory_golden):
-        def run(**kw):
-            return run_sampling(memory_golden, 40, seed=7, **kw)
-
-        baseline = run()
-        chaotic_fleet(monkeypatch, HANG_ONCE)
-        result = run(jobs=2, policy=self.HANG_POLICY)
-        assert result == baseline
-        assert result.execution.timed_out_shards == 2
-        assert result.execution.complete
 
 
 class TestSigintMidClass:
@@ -612,6 +496,7 @@ class TestDriverSigkill:
             == (tmp_path / "baseline.csv").read_bytes()
 
 
+@pytest.mark.os_smoke
 class TestTwoDriversOneJournal:
     """One journal file holds many campaigns, and nothing says they
     run one after the other: two ``repro scan --journal`` processes
@@ -651,18 +536,3 @@ class TestTwoDriversOneJournal:
             assert replayed.records == baseline.records
             assert replayed.execution.executed == 0
             assert replayed.execution.complete
-
-
-class TestHeartbeat:
-    def test_progress_heartbeats_while_a_shard_runs_long(
-            self, monkeypatch, memory_golden):
-        """During an idle wait the progress callback is re-invoked with
-        unchanged counts, so a UI can prove the campaign is alive."""
-        calls = []
-        chaotic_fleet(monkeypatch, HANG_ONCE)
-        run_full_scan(
-            memory_golden, jobs=2, progress=lambda d, t: calls.append(d),
-            policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05,
-                               heartbeat=0.1))
-        # More progress invocations than work units -> heartbeats fired.
-        assert len(calls) > len(set(calls))

@@ -23,7 +23,8 @@ from repro.faultspace import (
     get_domain,
     section_weighted_counts,
 )
-from repro.faultspace.sections import FINGERPRINT_VERSION, canonical_params
+from repro.buildkey import build_key
+from repro.faultspace.sections import canonical_params
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Machine
 from repro.programs import guarded, micro
@@ -178,7 +179,7 @@ class TestFingerprintRecipeIsFrozen:
         for section in section_map:
             machine.run_to_cycle(section.first_slot - 1)
             payload = json.dumps({
-                "v": FINGERPRINT_VERSION,
+                "build": build_key(),
                 "domain": domain,
                 "params": canonical_params(params),
                 "first_slot": section.first_slot,
@@ -207,7 +208,7 @@ def _replayed_fingerprints(golden, domain, params, section_map):
     for section in section_map:
         machine.run_to_cycle(section.first_slot - 1)
         payload = json.dumps({
-            "v": FINGERPRINT_VERSION,
+            "build": build_key(),
             "domain": domain,
             "params": canonical_params(params),
             "first_slot": section.first_slot,

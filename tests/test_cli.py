@@ -240,8 +240,7 @@ class TestCliJournal:
         assert message.startswith("repro: ") and "--salvage" in message
 
     def test_robustness_flags_are_accepted(self, capsys):
-        main(["scan", "hi", "--jobs", "2", "--shard-timeout", "30",
-              "--max-retries", "1"])
+        main(["scan", "hi", "--jobs", "2", "--max-retries", "1"])
         out = capsys.readouterr().out
         assert "weighted coverage" in out
 
@@ -425,10 +424,11 @@ class TestCliDist:
     ])
     def test_fabric_arguments_are_checked_at_parse_time(self, argv, capsys):
         """A number out of its range — a negative job, sample or retry
-        count, a deadline that is not positive — is a usage error before
-        anything runs: not a serial scan, not a traceback.  So are the
-        removed hand-started fleet (``coordinator``, ``worker``), its
-        ``--crosscheck`` audit and the ``--shards`` lease knob."""
+        count — is a usage error before anything runs: not a serial
+        scan, not a traceback.  So are the removed hand-started fleet
+        (``coordinator``, ``worker``), its ``--crosscheck`` audit, the
+        ``--shards`` lease knob and the ``--shard-timeout`` lease
+        deadline."""
         with pytest.raises(SystemExit) as usage:
             main(argv)
         assert usage.value.code == 2
@@ -473,25 +473,3 @@ class TestCliDist:
         assert main(["scan", "memcopy", "--jobs", "2", "--journal",
                      journal]) == 0
         assert main(["journal", "--journal", journal]) == 0
-
-    def test_hung_scan_exits_incomplete_then_finishes(self, monkeypatch,
-                                                      capsys, tmp_path):
-        """Leases hung past their deadline are reported, not invented:
-        exit 3 and INCOMPLETE; the same command on the same journal,
-        healthy, completes to the serial table.  Both fabric workers
-        wedge at their first result, each holding one of the two
-        shards."""
-        main(["scan", "memcopy"])
-        serial = capsys.readouterr().out.splitlines()
-        args = ["scan", "memcopy", "--jobs", "2", "--journal",
-                str(tmp_path / "j.sqlite")]
-        chaotic_fleet(monkeypatch, ChaosPlan(hang_rate=1.0))
-        status = main(args + ["--shard-timeout", "1", "--max-retries", "0"])
-        out = capsys.readouterr().out
-        assert status == 3
-        assert "deadline expiries: 2" in out and "INCOMPLETE" in out
-        monkeypatch.undo()
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "resumed from journal" in out
-        assert out.splitlines()[-7:] == serial[-7:]
