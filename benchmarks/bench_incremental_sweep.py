@@ -16,11 +16,13 @@ prologue is counted too: a plain resume of the swept family builds no
 section map (the journal holds every campaign whole, so there is
 nothing to compose), and the section maps of a
 ``resume=False`` sweep execute no interpreter instruction (their entry
-digests come off the golden checkpoint ladder).  Two prologue costs
+digests come off the golden checkpoint ladder).  Four prologue costs
 every variant pays are counted as well: a golden run hashes RAM afresh
-at most once per store it executed (plus the first rung), and a warm
-variant — resumed or composed — checks each distinct outcome string
-of its campaign against the outcome values once.  No wall time is taken:
+at most once per store it executed (plus the first rung) and takes one
+rung per block-boundary crossing (where an engine's probe can stop),
+the assembler parses each distinct instruction statement once, and a
+warm variant — resumed or composed — checks each distinct outcome
+string of its campaign against the outcome values once.  No wall time is taken:
 both sweeps of this small family are mostly the fixed cost of a campaign
 (open + ``quick_check``, golden bookkeeping, commits), so their ratio
 would measure the executor as much as the store.
@@ -38,6 +40,8 @@ from repro.campaign.database import CampaignSummary
 from repro.campaign.outcomes import Outcome
 from repro.faultspace import sections as sections_module
 from repro.isa import STORE_OPS
+from repro.isa.assembler import Assembler
+from repro.isa.blocks import block_leaders
 from repro.metrics import comparison_report, export_comparison_csv
 from repro.programs import guarded
 
@@ -145,6 +149,46 @@ def _golden_ram_hashes(factories, monkeypatch):
     return {name: tuple(pair) for name, pair in counts.items()}
 
 
+def _boundary_crossings(golden) -> int:
+    """Live block-boundary crossings of a golden run, off its
+    executed-pc trace: a slot whose next pc does not follow it, or
+    starts a block."""
+    program = golden.program
+    leaders = set(block_leaders(program.rom, program.entry))
+    trace = golden.pc_trace
+    return sum(after != before + 1 or after in leaders
+               for before, after in zip(trace, trace[1:]))
+
+
+def _statement_parses(factories, monkeypatch):
+    """``name → (instruction statements parsed, distinct, in all)`` of
+    each variant's assembly: the parses through a wrapper on
+    ``Assembler._instruction``, the text statements through one on
+    ``Assembler._parse_statement``."""
+    parse = Assembler._parse_statement
+    instruction = Assembler._instruction
+    counts = {}
+
+    def counted_statement(self, stmt, lineno):
+        if self.segment == "text" and not stmt.startswith("."):
+            statements.append(stmt)
+        parse(self, stmt, lineno)
+
+    def counted_instruction(self, mnemonic, rest, stmt, lineno):
+        parsed.append(stmt)
+        instruction(self, mnemonic, rest, stmt, lineno)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Assembler, "_parse_statement", counted_statement)
+        patch.setattr(Assembler, "_instruction", counted_instruction)
+        for name, factory in factories.items():
+            statements, parsed = [], []
+            factory(ITERATIONS)
+            counts[name] = (len(parsed), len(set(statements)),
+                            len(statements))
+    return counts
+
+
 def _counted_sweep(goldens, path, monkeypatch):
     """A ``resume=False`` sweep, each variant's summary included, under
     these counters: per variant the ``BEGIN IMMEDIATE`` statements
@@ -204,6 +248,10 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     goldens = {name: record_golden(factory(ITERATIONS))
                for name, factory in factories.items()}
     ram_hashes = _golden_ram_hashes(factories, monkeypatch)
+    parses = _statement_parses(factories, monkeypatch)
+    rungs = {name: (len(golden.checkpoints.digests),
+                    _boundary_crossings(golden))
+             for name, golden in goldens.items()}
     journal = tmp_path / "sweep.sqlite"
 
     cold = _sweep(goldens, journal, resume=True)
@@ -252,6 +300,15 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         assert 0 < hashes <= stores + 1, (
             f"{name}: the golden run hashed RAM {hashes} times for "
             f"{stores} stores: RAM is re-hashed only after a store")
+    for name, (taken, crossings) in rungs.items():
+        assert taken == crossings, (
+            f"{name}: {taken} ladder rungs for {crossings} block-boundary "
+            f"crossings: a golden run takes one rung per crossing")
+    for name, (parsed, distinct, statements) in parses.items():
+        assert parsed == distinct < statements, (
+            f"{name}: {parsed} statement parses for {distinct} distinct "
+            f"instruction statements (of {statements}): each distinct "
+            f"statement is parsed once")
     distinct = {name: _distinct_outcome_strings(cold[name])
                 for name in VARIANTS}
     assert resumed_checks == distinct, (
@@ -285,6 +342,11 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"Outcome(value) calls    {constructed}",
         f"golden RAM hashes       "
         f"{', '.join(f'{k}: {h} ({n} stores)' for k, (h, n) in hashes)}",
+        f"ladder rungs            "
+        f"{', '.join(f'{k}: {r} (= crossings)' for k, (r, _) in rungs.items())}",
+        f"statement parses        "
+        f"{', '.join(f'{k}: {p} of {n}' for k, (p, _, n) in parses.items())} "
+        f"(= distinct)",
         f"outcome checks resumed  "
         f"{', '.join(f'{k}: {v}' for k, v in resumed_checks.items())} "
         f"(= distinct outcome strings)",

@@ -10,8 +10,11 @@ from .figures import (
     table1_data,
 )
 from .report import (
+    RAM_LOCATION_NOTE,
     completeness_report,
     failure_attribution,
+    failure_delta_report,
+    failure_delta_rows,
     fig2_report,
     fig3_report,
     format_table,
@@ -22,8 +25,11 @@ from .report import (
 
 __all__ = [
     "Fig2Series",
+    "RAM_LOCATION_NOTE",
     "completeness_report",
     "failure_attribution",
+    "failure_delta_report",
+    "failure_delta_rows",
     "fig1_data",
     "fig2_data",
     "fig2_report",

@@ -177,3 +177,49 @@ def failure_attribution(result: CampaignResult, *,
             weights[label(domain.axis_of(interval))] += \
                 interval.length * failing
     return weights.most_common(top)
+
+
+#: How :func:`failure_delta_report` labels a RAM byte.
+RAM_LOCATION_NOTE = (
+    "location: a RAM byte counts under the nearest data label at or "
+    "below it,\nso a SUM+DMR replica or checksum word counts under the "
+    "object it protects")
+
+
+def failure_delta_rows(baseline: CampaignResult,
+                       variant: CampaignResult) -> list[tuple[str, int,
+                                                              int, int]]:
+    """``(label, baseline F, variant F, ΔF)`` for every location label
+    failing on either side, the heavier side's weight first, then by
+    label.
+
+    Both columns are :func:`failure_attribution` of a stored result, so
+    each sums to its side's weighted failure count F and the ΔF column
+    to the difference; nothing is executed.  Labels are the domain's:
+    in a RAM-cell domain an object hardened by SUM+DMR is one label
+    over its primary, replica and checksum words (the nearest data
+    label at or below each byte), so its row sets the whole protected
+    object against the unprotected one.
+    """
+    before = dict(failure_attribution(baseline, top=None))
+    after = dict(failure_attribution(variant, top=None))
+    labels = sorted(before.keys() | after.keys(),
+                    key=lambda label: (-max(before.get(label, 0),
+                                            after.get(label, 0)), label))
+    return [(label, before.get(label, 0), after.get(label, 0),
+             after.get(label, 0) - before.get(label, 0))
+            for label in labels]
+
+
+def failure_delta_report(baseline_name: str, baseline: CampaignResult,
+                         variant_name: str,
+                         variant: CampaignResult) -> str:
+    """:func:`failure_delta_rows` as a table, with a total row."""
+    rows = failure_delta_rows(baseline, variant)
+    rows.append(("total", sum(row[1] for row in rows),
+                 sum(row[2] for row in rows), sum(row[3] for row in rows)))
+    return format_table(
+        ["location", f"F {baseline_name}", f"F {variant_name}", "ΔF"],
+        [[label, before, after, f"{delta:+d}"]
+         for label, before, after, delta in rows],
+        title=f"ΔF by location: {baseline_name} -> {variant_name}")

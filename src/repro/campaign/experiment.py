@@ -31,15 +31,16 @@ miss cost low:
   constant number of cycles before the state re-joined the golden
   trajectory — the typical shape of a detect-and-correct recovery) are
   equally sound: the suffix is still the golden suffix, only the end
-  cycle moves by the shift.  The ladder is dense (a rung per golden
-  cycle, up to :data:`~.golden.MAX_CHECKPOINTS`) precisely so that a
-  check at any faulty cycle can match whatever the shift is.
+  cycle moves by the shift.  The ladder has a rung at every golden
+  block boundary (up to :data:`~.golden.MAX_CHECKPOINTS`), the only
+  cycles a probe stops at, precisely so that a check at any faulty
+  stop can match whatever the shift is.
 * A probe costs what it is worth on its engine.  The first gap is the
   engine's probe cost in cycles
   (:attr:`~repro.engine.ExecutionEngine.probe_gap`: 1 interpreted,
   128 under the JIT, where a digest buys that many cycles), and
-  :meth:`~repro.isa.cpu.Machine.run_to_boundary` lets a compiled
-  machine stop on the basic-block boundary after the target instead
+  :meth:`~repro.isa.cpu.Machine.run_to_boundary` stops a machine of
+  either engine on the basic-block boundary after the target instead
   of single-stepping a budget tail — a match classifies identically
   at whichever instruction boundary it is found.
 * Check gaps double after every miss, so a run that never converges
@@ -423,25 +424,14 @@ class ExperimentExecutor:
         Gaps start at the engine's
         :attr:`~repro.engine.ExecutionEngine.probe_gap` and double
         after every miss; positions are aligned up to the ladder stride
-        (off-stride cycles have no rung to match under a zero shift).
+        (a rung is the first block boundary past a multiple of it, so
+        that is where a zero-shift run can match).
         ``None`` once past the cycle budget: no probe carries a machine
         to ``timeout_cycles``, so timeouts end there.
         """
         target = cycle + gap
         target += -target % self._stride
         return target if target < self.timeout_cycles else None
-
-    def _step_to_rung(self, machine: Machine) -> bool:
-        """Finish a boundary stop that ended the run or fell between
-        ladder rungs (never at stride 1): step on to the next rung.
-        ``False`` when the run ended or leaves the cycle budget first.
-        """
-        if not machine.halted:
-            rung = self._probe_after(machine.cycle, 0)
-            if rung is None:
-                return False
-            machine.run_to_cycle(rung)
-        return not machine.halted
 
     def _seek_convergence(self, machine: Machine,
                           pending: list) -> EndFacts | None:
@@ -480,7 +470,6 @@ class ExperimentExecutor:
         target = self._probe_after(machine.cycle, gap)
         mark = machine.cycle - machine.cycle % grid + grid
         limit = self.timeout_cycles
-        stride = self._stride
         states = self._golden_states
         if states is None:
             states = self._index_golden_states()
@@ -488,8 +477,7 @@ class ExperimentExecutor:
         while target is not None:
             machine.run_to_boundary(
                 target if lockstep else min(target, mark), limit)
-            if (machine.halted or machine.cycle % stride) \
-                    and not self._step_to_rung(machine):
+            if machine.halted:
                 return None
             cycle = machine.cycle
             # (Most stops are off the golden path: a dict miss.)
@@ -557,9 +545,10 @@ class ExperimentExecutor:
         return state
 
     def _index_golden_states(self) -> dict[int, MachineState]:
-        """Snapshot a fault-free run at every stop a seek could make.
+        """Snapshot a fault-free run at every stop a seek could make on
+        the golden path: the ladder's rungs.
 
-        Every n-th stop only, by doubling as the ladder does, once the
+        Every n-th rung only, by doubling as the ladder does, once the
         snapshots would outgrow :data:`GOLDEN_INDEX_BYTES`: a faulty
         run then finds a state to diff against at fewer of its stops,
         and lands further before a touch.
@@ -570,18 +559,13 @@ class ExperimentExecutor:
             golden.program.ram_size + len(golden.output) + 256))
         kept: list[MachineState] = []
         every = 1
-        stop = 0
-        while True:
-            machine.run_to_boundary(machine.cycle + 1, self.timeout_cycles)
-            if (machine.halted or machine.cycle % self._stride) \
-                    and not self._step_to_rung(machine):
-                break
+        for stop, cycle in enumerate(golden.checkpoints.cycles):
             if stop % every == 0:
+                machine.run_to_cycle(cycle)
                 kept.append(machine.snapshot())
                 if len(kept) > room:
                     kept = kept[::2]
                     every *= 2
-            stop += 1
         self._golden_stops = [state.cycle for state in kept]
         self._golden_states = dict(zip(self._golden_stops, kept))
         return self._golden_states

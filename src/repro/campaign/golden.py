@@ -19,6 +19,7 @@ from hashlib import blake2b
 from ..faultspace.defuse import DefUsePartition
 from ..faultspace.model import FaultSpace
 from ..isa.assembler import Program
+from ..isa.blocks import program_blocks
 from ..isa.cpu import DIGEST_SIZE, Machine, ram_hashed_digest
 from ..isa.errors import CPUException
 from ..isa.tracing import MemoryTrace
@@ -27,17 +28,19 @@ from ..isa.tracing import MemoryTrace
 DEFAULT_GOLDEN_CYCLE_LIMIT = 5_000_000
 
 #: Ladder-size cap for the auto-tuned checkpoint stride: recording
-#: starts *dense* (a rung every cycle) and doubles the stride
-#: (decimating the digests already taken) whenever the ladder would
-#: exceed this many checkpoints.  Density matters because a faulty run
-#: that re-joins the golden trajectory usually does so with a small
-#: cycle *shift* (a detect-and-correct path inserts a handful of extra
-#: cycles): with a rung at every golden cycle, a digest check at any
-#: faulty cycle can match regardless of the shift, whereas a sparse
-#: ladder only catches shifts that are multiples of its stride.  The
-#: cap keeps long programs bounded — ``Δt``-proportional stride, at
-#: most ~16k digests (≈1 MiB) per golden run — at the cost of that
-#: shift granularity.
+#: starts with a rung at every block boundary and doubles the stride
+#: (decimating the rungs already taken) whenever the ladder would
+#: exceed this many checkpoints.  A rung sits on a block boundary
+#: because that is where an engine's convergence probe stops
+#: (:meth:`~repro.isa.cpu.Machine.run_to_boundary`): a digest taken
+#: anywhere else could never be matched.  Density matters because a
+#: faulty run that re-joins the golden trajectory usually does so with
+#: a small cycle *shift* (a detect-and-correct path inserts a handful
+#: of extra cycles): with a rung at every golden boundary, a probe at
+#: any faulty boundary can match regardless of the shift, whereas a
+#: sparse ladder only catches some shifts.  The cap keeps long
+#: programs bounded — at most ~16k digests (≈1 MiB) per golden run —
+#: at the cost of that shift granularity.
 MAX_CHECKPOINTS = 16384
 
 
@@ -47,13 +50,16 @@ class GoldenRunError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheckpointLadder:
-    """Golden state digests taken every ``stride`` cycles.
+    """Golden state digests taken at block boundaries, ``stride``
+    cycles apart.
 
     ``digests[i]`` is the golden machine's
     :meth:`~repro.isa.cpu.Machine.state_digest` right after instruction
-    ``(i + 1) * stride`` executed; checkpoints are only taken while the
-    machine is still running, so every rung refers to a *live* golden
-    state.
+    ``cycles[i]`` executed.  A cycle is a rung when it is a block
+    boundary (:mod:`repro.isa.blocks`) and a multiple of ``stride``
+    passed since the boundary before it: at stride 1, every boundary.
+    Checkpoints are only taken while the machine is still running, so
+    every rung refers to a *live* golden state.
 
     Because the golden run terminates, no two of its live states can be
     identical — a repeated (ram, regs, pc, output-length) state would
@@ -63,12 +69,32 @@ class CheckpointLadder:
     """
 
     stride: int
+    cycles: tuple[int, ...]
     digests: tuple[bytes, ...]
 
     def lookup(self) -> dict[bytes, int]:
         """``digest -> golden cycle`` table (build once per executor)."""
-        return {digest: (i + 1) * self.stride
-                for i, digest in enumerate(self.digests)}
+        return dict(zip(self.digests, self.cycles))
+
+
+def _decimate(cycles: list[int], digests: list[bytes],
+              stride: int) -> tuple[list[int], list[bytes]]:
+    """The rungs of ``stride``, twice the stride they were taken at.
+
+    A rung of the doubled stride is a boundary past a multiple of it
+    since the boundary before; between that boundary and the previous
+    rung of the old stride lies no multiple of the old stride (a
+    boundary after it would be a rung in between), so the previous rung
+    decides in its place.
+    """
+    kept_cycles, kept_digests = [], []
+    previous = 0
+    for cycle, digest in zip(cycles, digests):
+        if cycle // stride > previous // stride:
+            kept_cycles.append(cycle)
+            kept_digests.append(digest)
+        previous = cycle
+    return kept_cycles, kept_digests
 
 
 @dataclass(frozen=True)
@@ -111,11 +137,11 @@ def record_golden(program: Program, *,
                   checkpoint_stride: int | None = None) -> GoldenRun:
     """Run ``program`` fault-free and record its golden run.
 
-    ``checkpoint_stride`` fixes the digest-ladder stride; the default
-    auto-tunes it to the (not yet known) runtime Δt by starting dense
-    (a rung every cycle) and doubling — decimating the rungs already
-    taken — whenever the ladder outgrows :data:`MAX_CHECKPOINTS`.  A
-    stride of ``0`` disables the ladder.
+    ``checkpoint_stride`` fixes the digest-ladder stride, the cycles
+    between rungs; the default auto-tunes it to the (not yet known)
+    runtime Δt by starting at a rung per block boundary and doubling —
+    decimating the rungs already taken — whenever the ladder outgrows
+    :data:`MAX_CHECKPOINTS`.  A stride of ``0`` disables the ladder.
 
     Raises :class:`GoldenRunError` if the fault-free run traps, exceeds
     ``cycle_limit``, or emits ``detect`` events (a hardened benchmark
@@ -126,7 +152,10 @@ def record_golden(program: Program, *,
             f"checkpoint_stride must be >= 0, got {checkpoint_stride}")
     auto_stride = checkpoint_stride is None
     stride = 1 if auto_stride else checkpoint_stride
+    cycles: list[int] = []
     digests: list[bytes] = []
+    boundary = 0  # the last block boundary passed
+    ends = program_blocks(program).ends
     tracer = MemoryTrace()
     machine = Machine(program, tracer=tracer)
     # Step (rather than Machine.run) so the executed-pc trace and the
@@ -149,18 +178,24 @@ def record_golden(program: Program, *,
             machine.step()
             if machine.cycle > before:
                 pcs.append(pc)
+                next_pc = machine.pc
                 if (stride and not machine.halted
-                        and machine.cycle % stride == 0):
-                    if tracer.writes != hashed_writes:
-                        ram_hash = blake2b(ram, digest_size=DIGEST_SIZE)
-                        hashed_writes = tracer.writes
-                    digests.append(ram_hashed_digest(
-                        ram_hash, regs, machine.pc, len(serial)))
-                    if auto_stride and len(digests) > MAX_CHECKPOINTS:
-                        # Double the stride, keeping every second rung
-                        # (those at multiples of the doubled stride).
-                        digests = digests[1::2]
-                        stride *= 2
+                        and (next_pc != pc + 1 or next_pc == ends[pc])):
+                    cycle = machine.cycle
+                    if cycle // stride > boundary // stride:
+                        if tracer.writes != hashed_writes:
+                            ram_hash = blake2b(ram, digest_size=DIGEST_SIZE)
+                            hashed_writes = tracer.writes
+                        cycles.append(cycle)
+                        digests.append(ram_hashed_digest(
+                            ram_hash, regs, next_pc, len(serial)))
+                        while auto_stride and len(digests) > MAX_CHECKPOINTS:
+                            # (Boundaries further apart than the stride
+                            # all stay rungs: it may take more than one.)
+                            stride *= 2
+                            cycles, digests = _decimate(cycles, digests,
+                                                        stride)
+                    boundary = cycle
     except CPUException as exc:
         raise GoldenRunError(
             f"golden run of {program.name!r} trapped: {exc}") from exc
@@ -175,7 +210,8 @@ def record_golden(program: Program, *,
         raise GoldenRunError(
             f"golden run of {program.name!r} executed no instructions")
     tracer.finish(machine.cycle)
-    ladder = (CheckpointLadder(stride=stride, digests=tuple(digests))
+    ladder = (CheckpointLadder(stride=stride, cycles=tuple(cycles),
+                               digests=tuple(digests))
               if stride else None)
     return GoldenRun(program=program, output=bytes(machine.serial),
                      cycles=machine.cycle, trace=tracer,

@@ -27,11 +27,13 @@ Commands:
 ``compare <baseline> <variant>... [--journal P] [--csv P]``
     Run baseline + N hardened variants as one comparison sweep and
     print the side-by-side table of the sound failure-count ratio and
-    the pitfall metrics.  With ``--journal`` the sweep is incremental:
-    a variant the journal already holds whole resumes without executing
-    anything, and sections shared with earlier campaigns (a previous
-    sweep, or other variants) compose from the section store instead of
-    re-executing.  The journal stores each scan's results, never a
+    the pitfall metrics, then per variant ΔF by location (the weighted
+    failure count per data label, register or pc bit, both sides and
+    their difference, from the stored results).  With ``--journal``
+    the sweep is incremental: a variant the journal already holds whole
+    resumes without executing anything, and sections shared with
+    earlier campaigns (a previous sweep, or other variants) compose
+    from the section store instead of re-executing.  The journal stores each scan's results, never a
     summary: the table is recomputed from them.
 ``journal --journal PATH [--gc] [--salvage]``
     List an existing journal's campaigns with their progress and
@@ -68,7 +70,9 @@ import sys
 import time
 
 from .analysis import (
+    RAM_LOCATION_NOTE,
     completeness_report,
+    failure_delta_report,
     fig2_data,
     fig2_report,
     fig3_report,
@@ -90,6 +94,7 @@ from .campaign.pipeline import DEFAULT_MAX_RETRIES
 from .campaign.runner import SAMPLERS
 from .engine import ENGINES
 from .faultspace import DOMAINS, REGISTER, get_domain
+from .faultspace.domain import MemoryDomain
 from .metrics import (
     extrapolated_failure_interval,
     weighted_coverage,
@@ -304,6 +309,12 @@ def cmd_compare(args) -> int:
                for name in args.variants]
     print()
     print(comparison_table(reports))
+    for name in args.variants:
+        print()
+        print(failure_delta_report(args.baseline, results[args.baseline],
+                                   name, results[name]))
+    if type(domain).location_label is MemoryDomain.location_label:
+        print(f"\n{RAM_LOCATION_NOTE}")
     if args.csv:
         try:
             export_comparison_csv(reports, args.csv)
@@ -454,9 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "are bit-identical for either")
         cmd.add_argument("--checkpoint-stride", type=_count_arg(0),
                          metavar="K",
-                         help="golden checkpoint-digest stride in cycles "
-                              "(default: auto-tuned from the runtime; "
-                              "0 disables the ladder)")
+                         help="cycles between golden checkpoint "
+                              "digests: a rung is the first block "
+                              "boundary past each multiple of K "
+                              "(default: 1, every boundary, doubled past "
+                              "16384 rungs; 0 disables the ladder)")
 
     scan = sub.add_parser("scan", help="full fault-space scan")
     scan.add_argument("program")

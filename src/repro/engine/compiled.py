@@ -71,6 +71,8 @@ from functools import partial
 from types import CodeType
 
 from ..isa.assembler import Program
+from ..isa.blocks import BRANCH_OPS as _BRANCHES, CONTROL_OPS as _CONTROL
+from ..isa.blocks import block_leaders, program_blocks
 from ..isa.cpu import Machine
 from ..isa.errors import (
     AlignmentFault,
@@ -81,11 +83,6 @@ from ..isa.errors import (
     MemoryFault,
 )
 from ..isa.isa import Op, WORD_MASK
-
-#: Branches: conditional pc change, fall through otherwise.
-_BRANCHES = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU})
-#: All control transfers — they terminate a basic block.
-_CONTROL = _BRANCHES | {Op.JAL, Op.JALR, Op.HALT}
 
 _M = WORD_MASK
 _SIGN = 0x80000000
@@ -137,29 +134,15 @@ class _Block:
         self.self_loop = self_loop
 
 
-def _find_blocks(rom, entry):
-    leaders = {0}
-    n = len(rom)
-    if 0 <= entry < n:
-        leaders.add(entry)
-    for i, ins in enumerate(rom):
-        op = ins.op
-        if (op in _BRANCHES or op is Op.JAL) and 0 <= ins.imm < n:
-            leaders.add(ins.imm)
-        if op in _CONTROL and i + 1 < n:
-            leaders.add(i + 1)
-    starts = sorted(pc for pc in leaders if pc < n)
+def _find_blocks(rom, entry, leaders=None):
+    """The basic blocks of ``rom``; ``leaders`` (ascending) are
+    :func:`~repro.isa.blocks.block_leaders` when not given."""
+    starts = block_leaders(rom, entry) if leaders is None else leaders
     blocks = []
-    for index, start in enumerate(starts):
-        end = starts[index + 1] if index + 1 < len(starts) else n
-        instrs = []
-        for pc in range(start, end):
-            ins = rom[pc]
-            instrs.append((pc, ins))
-            if ins.op in _CONTROL:
-                break
-        if not instrs:
-            continue
+    # Blocks tile the ROM: a control transfer is always followed by a
+    # leader, so it can only be the last instruction of its block.
+    for start, end in zip(starts, starts[1:] + (len(rom),)):
+        instrs = [(pc, rom[pc]) for pc in range(start, end)]
         last = instrs[-1][1]
         # A block ending in a branch back to its own start becomes a
         # native while loop — unless it contains ``out``, whose oracle
@@ -591,7 +574,8 @@ class _Codegen:
 
     def generate(self) -> CompiledCode:
         program = self.program
-        blocks = _find_blocks(program.rom, program.entry)
+        blocks = _find_blocks(program.rom, program.entry,
+                              program_blocks(program).leaders)
         if blocks:
             self._emit_tree(blocks, 3)
         else:
@@ -825,10 +809,10 @@ class CompiledMachine(Machine):
         if jit is None or self.tracer is not None:
             # Golden recording wants the traced per-access hooks; exotic
             # hosts have no JIT artifact at all.
-            super()._run_until(limit)
+            super()._run_until(limit, ceiling)
             return
-        if ceiling is None or self._stuck is not None:
-            ceiling = limit  # exact; an armed latch is interpreted
+        if ceiling is None:
+            ceiling = limit  # exact
         enter = jit.enter
         exec_rom = self._exec
         rom_len = len(exec_rom)
@@ -843,7 +827,8 @@ class CompiledMachine(Machine):
                     # writes), which would bypass the stuck-at release
                     # hook in ``_store_raw`` — so an armed latch pins
                     # execution to the interpreter path until the
-                    # releasing store clears it.
+                    # releasing store clears it; from there on the
+                    # machine may finish its block like any other.
                     enter[pc](self, limit, ceiling)
                     if self.halted or self.cycle != cycle:
                         continue

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..isa.tracing import MemoryTrace
-from .defuse import CellInterval, IntervalPartition, trace_intervals
+from .defuse import CellInterval, IntervalPartition, trace_intervals, unchecked
 from .model import CellSpace, FaultCoordinate, FaultSpace
 
 
@@ -75,7 +75,7 @@ class BurstFaultSpace(CellSpace):
     byte_units = CellSpace.slot_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurstInterval(CellInterval):
     """One def/use class covering every burst start of one byte."""
 
@@ -103,4 +103,4 @@ class BurstPartition(IntervalPartition):
                    fault_space: BurstFaultSpace) -> "BurstPartition":
         return cls(fault_space=fault_space, intervals=trace_intervals(
             trace, fault_space,
-            partial(BurstInterval, width=fault_space.width)))
+            partial(unchecked(BurstInterval), width=fault_space.width)))

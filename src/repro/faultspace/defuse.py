@@ -26,8 +26,8 @@ differently), while weights simply multiply by eight.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 
 from ..isa.tracing import READ, WRITE, MemoryTrace
 from .model import CellSpace, FaultSpace
@@ -53,7 +53,9 @@ def trace_intervals(trace: MemoryTrace, fault_space, interval, *,
 
     ``trace.accesses(cell)`` lists each cell of ``fault_space.cells`` in
     order (a register trace lists registers under their numbers).
-    ``interval(cell, first_slot, last_slot, kind)`` builds one class.
+    ``interval(cell, first_slot, last_slot, kind)`` builds one class;
+    the walk proves every class non-empty and of a known kind, so it
+    may skip the checks (:func:`unchecked`).
     ``beyond`` / ``disorder`` are the ``ValueError`` messages
     (``str.format`` over ``addr``, the cell, and ``slot``) for an
     access past the run's end and one out of order.
@@ -209,18 +211,41 @@ class IntervalPartition:
         return self.fault_space.size / experiments
 
 
+@cache
+def unchecked(cls):
+    """The constructor of slotted frozen dataclass ``cls`` without its
+    ``__post_init__`` checks, for callers that have proved them.
+
+    It sets each field through its slot descriptor, which the frozen
+    class's ``__setattr__`` does not guard: about half the cost of the
+    checked constructor, for an equal instance.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {"new": object.__new__, "cls": cls}
+    namespace.update((f"set_{name}", getattr(cls, name).__set__)
+                     for name in names)
+    exec(f"def build({', '.join(names)}):\n"
+         "    self = new(cls)\n"
+         + "".join(f"    set_{name}(self, {name})\n" for name in names)
+         + "    return self\n", namespace)
+    return namespace["build"]
+
+
 class CellInterval:
     """One cell over ``[first_slot, last_slot]``, live or dead, weighing
     ``length × units``, whose experiments are ``units`` coordinates at
     ``last_slot``: the def/use class every cell fault model shares.
 
-    A model's class is a frozen dataclass on this base that declares its
-    fields (the cell, named as in its coordinates, then ``first_slot``,
-    ``last_slot`` and ``kind``) and its fault-space type ``space``, whose
-    ``units``, ``point`` and ``cell`` it uses.  For live classes,
-    ``last_slot`` is the slot of the activating read, which is also the
-    representative injection slot.
+    A model's class is a frozen, slotted dataclass on this base that
+    declares its fields (the cell, named as in its coordinates, then
+    ``first_slot``, ``last_slot`` and ``kind``) and its fault-space type
+    ``space``, whose ``units``, ``point`` and ``cell`` it uses.  For
+    live classes, ``last_slot`` is the slot of the activating read,
+    which is also the representative injection slot.  A partition holds
+    one per class (16 112 for ``chain-sumdmr`` × memory), hence slots.
     """
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.first_slot > self.last_slot:
@@ -261,7 +286,7 @@ class CellInterval:
                 for unit in range(self.units)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ByteInterval(CellInterval):
     """One def/use equivalence class covering all 8 bits of one byte."""
 
@@ -288,6 +313,6 @@ class DefUsePartition(IntervalPartition):
                    fault_space: FaultSpace) -> "DefUsePartition":
         """Build the partition from a golden-run memory trace."""
         return cls(fault_space=fault_space, intervals=trace_intervals(
-            trace, fault_space, ByteInterval,
+            trace, fault_space, unchecked(ByteInterval),
             beyond="access at slot {slot} beyond run end",
             disorder="trace events for byte {addr} out of order"))

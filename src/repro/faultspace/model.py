@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FaultCoordinate:
     """One point of the fault space.
 

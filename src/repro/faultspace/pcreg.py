@@ -49,7 +49,7 @@ PC_BITS = 32
 ILLEGAL_AXIS = PC_BITS
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PCFaultCoordinate:
     """Flip ``bit`` of the PC right before the ``slot``-th fetch."""
 
@@ -80,7 +80,7 @@ class PCFaultSpace(CellSpace):
         return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCInterval:
     """One per-slot PC equivalence class.
 

@@ -23,7 +23,7 @@ from operator import attrgetter
 from ..isa.isa import Instruction, LOAD_OPS, NUM_REGS, Op, STORE_OPS
 from ..isa.tracing import READ, WRITE, AccessEvent, MemoryTrace
 from .defuse import DEAD, LIVE  # noqa: F401 - the class kinds, re-exported
-from .defuse import CellInterval, IntervalPartition, trace_intervals
+from .defuse import CellInterval, IntervalPartition, trace_intervals, unchecked
 from .model import CellSpace
 
 #: Bits per register.
@@ -61,7 +61,7 @@ def register_writes(instr: Instruction) -> tuple[int, ...]:
     return (instr.rd,) if instr.rd != 0 else ()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RegisterFaultCoordinate:
     """One point of the register fault space: flip ``bit`` of register
     ``reg`` right before the ``slot``-th instruction executes."""
@@ -90,7 +90,7 @@ class RegisterFaultSpace(CellSpace):
     cell = attrgetter("reg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterInterval(CellInterval):
     """A def/use equivalence class of one register over ``[first_slot,
     last_slot]`` (32 bits wide)."""
@@ -136,4 +136,4 @@ class RegisterPartition(IntervalPartition):
                 events[reg].append(AccessEvent(slot, kind))
         trace = MemoryTrace(events=events, total_slots=total)
         return cls(fault_space=fault_space, intervals=trace_intervals(
-            trace, fault_space, RegisterInterval))
+            trace, fault_space, unchecked(RegisterInterval)))

@@ -57,7 +57,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..buildkey import build_key
-from ..engine.compiled import _BRANCHES, _find_blocks
+from ..engine.compiled import _find_blocks
+from ..isa.blocks import BRANCH_OPS, program_blocks
 from ..isa.cpu import Machine
 from ..isa.isa import Op
 from .domain import FaultDomain, get_domain
@@ -165,7 +166,7 @@ def _block_successors(blocks, rom_len: int):
         targets = []
         escape = False
         op = last.op
-        if op in _BRANCHES:
+        if op in BRANCH_OPS:
             if 0 <= last.imm < rom_len:
                 targets.append(last.imm)
             if last_pc + 1 < rom_len:
@@ -217,16 +218,17 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
     (timeout budget, early-stop); they enter every fingerprint because
     outcomes like TIMEOUT depend on them.  A section's entry-state
     digest is read off the golden checkpoint ladder when it has a rung
-    at that cycle (every cycle, at the auto stride, for runs under
-    ``MAX_CHECKPOINTS`` cycles); the others — cycle 0, a sparse or
-    disabled ladder — come from one forward replay on the interpreter
-    ``Machine``.  Both are the same state's digest, so the map is
-    engine- and stride-independent.
+    at that cycle (a window opens on a block boundary, and every one is
+    a rung at the auto stride for runs under ``MAX_CHECKPOINTS``
+    boundaries); the others — cycle 0, a sparse or disabled ladder —
+    come from one forward replay on the interpreter ``Machine``.  Both
+    are the same state's digest, so the map is engine- and
+    stride-independent.
     """
     domain = get_domain(domain)
     program = golden.program
     rom = program.rom
-    blocks = _find_blocks(rom, program.entry)
+    blocks = _find_blocks(rom, program.entry, program_blocks(program).leaders)
     blocks_by_start = {b.start: b for b in blocks}
     starts = sorted(blocks_by_start)
     successors = _block_successors(blocks, len(rom))
@@ -260,17 +262,16 @@ def build_section_map(golden, domain: FaultDomain | str | None = None,
     # section another build stored never matches.
     build = build_key()
     ladder = golden.checkpoints
-    stride, rungs = (ladder.stride, ladder.digests) if ladder else (1, ())
+    rungs = dict(zip(ladder.cycles, ladder.digests)) if ladder else {}
     machine = Machine(program)
 
     def entry_digest(cycle: int) -> bytes:
         """State digest after ``cycle`` golden instructions."""
-        # rungs[i] was taken after instruction (i + 1) * stride.
-        rung, off = divmod(cycle, stride)
-        if not off and 0 < rung <= len(rungs):
-            return rungs[rung - 1]
-        machine.run_to_cycle(cycle)  # windows ascend: forward only
-        return machine.state_digest()
+        digest = rungs.get(cycle)
+        if digest is None:
+            machine.run_to_cycle(cycle)  # windows ascend: forward only
+            digest = machine.state_digest()
+        return digest
 
     encoded = [
         f"{pc}:{int(ins.op)}:{ins.rd}:{ins.rs1}:{ins.rs2}:{ins.imm};".encode()

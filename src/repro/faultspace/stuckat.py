@@ -35,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..isa.tracing import MemoryTrace
-from .defuse import CellInterval, IntervalPartition, trace_intervals
+from .defuse import CellInterval, IntervalPartition, trace_intervals, unchecked
 from .model import CellSpace, FaultSpace
 
 #: Experiments per byte and class: 8 bit positions × 2 forced values.
 STUCK_BITS = 16
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StuckAtCoordinate:
     """One stuck-at fault: force a bit of byte ``addr`` from ``slot``.
 
@@ -88,7 +88,7 @@ class StuckAtFaultSpace(CellSpace):
     byte_units = CellSpace.slot_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StuckAtInterval(CellInterval):
     """One equivalence class covering all 16 experiments of one byte."""
 
@@ -107,4 +107,4 @@ class StuckAtPartition(IntervalPartition):
     def from_trace(cls, trace: MemoryTrace,
                    fault_space: StuckAtFaultSpace) -> "StuckAtPartition":
         return cls(fault_space=fault_space, intervals=trace_intervals(
-            trace, fault_space, StuckAtInterval))
+            trace, fault_space, unchecked(StuckAtInterval)))

@@ -139,7 +139,7 @@ class _Segment:
     DATA = "data"
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingInstruction:
     """An instruction parsed in pass one, possibly with unresolved labels.
 
@@ -198,6 +198,12 @@ class Assembler:
         self.data_labels: dict[str, int] = {}
         self.equs: dict[str, int] = {}
         self._deferred_words: list[tuple[int, str, int]] = []
+        #: Text statement → the instructions it parsed to.  Parsing
+        #: reads only constants, which keep their values once defined,
+        #: so a repeat re-emits them under its own line number — until
+        #: a data label moves (:meth:`_align_data`) or an ``.equ``
+        #: shadows one.  A statement that failed is never stored.
+        self._parsed: dict[str, list[_PendingInstruction]] = {}
 
     def _scan(self, source: str) -> None:
         """Pass one: parse lines, lay out data, expand pseudos."""
@@ -270,6 +276,14 @@ class Assembler:
         table[name] = position
 
     def _parse_statement(self, stmt: str, lineno: int) -> None:
+        if self.segment == _Segment.TEXT:
+            parsed = self._parsed.get(stmt)
+            if parsed is not None:
+                self.pending += [
+                    _PendingInstruction(p.op, p.rd, p.rs1, p.rs2, p.imm,
+                                        p.fixup, p.text, lineno)
+                    for p in parsed]
+                return
         mnemonic, _, rest = stmt.partition(" ")
         mnemonic = mnemonic.lower()
         if mnemonic.startswith("."):
@@ -278,7 +292,9 @@ class Assembler:
         if self.segment != _Segment.TEXT:
             raise AssemblyError(
                 f"instruction '{mnemonic}' in data segment", lineno)
+        first = len(self.pending)
         self._instruction(mnemonic, rest.strip(), stmt, lineno)
+        self._parsed[stmt] = self.pending[first:]
 
     # -- directives ----------------------------------------------------------
 
@@ -297,6 +313,8 @@ class Assembler:
             if sym in self.equs:
                 raise AssemblyError(f"duplicate .equ '{sym}'", lineno)
             self.equs[sym] = self._constant(value, lineno)
+            if sym in self.data_labels:
+                self._parsed.clear()  # the name now means the constant
         elif name == ".byte":
             for value in self._value_list(rest, lineno):
                 self.data.append(value & 0xFF)
@@ -351,6 +369,7 @@ class Assembler:
             for name, value in self.data_labels.items():
                 if value == old_end:
                     self.data_labels[name] = len(self.data)
+                    self._parsed.clear()
 
     @staticmethod
     def _string_literal(rest: str, lineno: int) -> str:

@@ -22,6 +22,7 @@ from hashlib import blake2b
 from struct import Struct
 
 from .assembler import Program
+from .blocks import program_blocks
 from .errors import (
     AlignmentFault,
     ArithmeticTrap,
@@ -317,15 +318,26 @@ class Machine:
         are identical to calling :meth:`step` in a loop; the dispatch is
         kept deliberately simple — this class is the differential-testing
         *oracle* for the compiled engines in :mod:`repro.engine`, so it
-        optimizes for obviousness, not speed.  ``ceiling`` (how far a
-        block-granular engine may overshoot ``limit``) is ignored here.
+        optimizes for obviousness, not speed.  With a ``ceiling`` above
+        ``limit``, a run that reaches ``limit`` part-way through a block
+        finishes the block when its end fits under the ceiling: the
+        stop the compiled engine makes.
         """
         exec_rom = self._exec
         rom_len = len(exec_rom)
+        pc = None  # the pc last executed by this call
         while not self.halted:
             cycle = self.cycle
             if cycle >= limit:
-                break
+                if pc is None or ceiling is None:
+                    break
+                # Part-way through a block: the last instruction this
+                # call executed fell through to a pc that starts none.
+                end = program_blocks(self.program).ends[pc]
+                if not self.pc == pc + 1 < end \
+                        or cycle + end - self.pc > ceiling:
+                    break
+                limit = cycle + end - self.pc
             pc = self.pc
             if 0 <= pc < rom_len:
                 handler, instr = exec_rom[pc]
@@ -367,14 +379,18 @@ class Machine:
         self._run_until(target_cycle)
 
     def run_to_boundary(self, target_cycle: int, ceiling: int) -> None:
-        """Run to the engine's first cheap stop at or after ``target_cycle``.
+        """Run to the first block boundary at or after ``target_cycle``
+        that fits under ``ceiling``.
 
         For callers that need *an* instruction boundary near a cycle,
         not that one (convergence probes).  The machine ends at a cycle
         ``c`` with ``target_cycle <= c <= ceiling`` — or its run ended
         by then — in the very state ``run_to_cycle(c)`` produces.  The
-        interpreter stops at ``target_cycle``; the compiled engine
-        finishes the basic block it is in.
+        block the target falls in is finished when its end fits under
+        the ceiling, else the machine stops at the target; both engines
+        stop at the same cycle (:mod:`repro.isa.blocks`), an armed
+        stuck-at latch aside, under which the compiled engine stops at
+        the target.
         """
         if not self.cycle <= target_cycle <= ceiling:
             raise ValueError(

@@ -22,7 +22,7 @@ READ = 0
 WRITE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessEvent:
     """One access: ``slot`` when it happened, and its kind.
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis import (
     failure_attribution,
+    failure_delta_report,
+    failure_delta_rows,
     fig2_report,
     fig3_report,
     format_table,
@@ -114,3 +116,48 @@ class TestFailureAttribution:
         assert all(label[0] == "r" and 1 <= int(label[1:]) <= 15
                    for label, _ in
                    failure_attribution(hi_scans["register"], top=10**6))
+
+
+#: (baseline, variant) pairs whose ΔF tables are checked.
+DELTA_PAIRS = [("hi", "hi-dft4"), ("hi", "hi-mem2"),
+               ("bin_sem2", "bin_sem2-sumdmr")]
+
+
+@pytest.fixture(scope="module")
+def pair_scans():
+    from repro.programs import all_programs
+
+    names = {name for pair in DELTA_PAIRS for name in pair}
+    return {name: run_full_scan(record_golden(all_programs()[name]()))
+            for name in names}
+
+
+class TestFailureDelta:
+    """ΔF by location between two stored results (item 17)."""
+
+    @pytest.mark.parametrize("baseline, variant", DELTA_PAIRS)
+    def test_columns_sum_to_each_sides_failure_count(self, pair_scans,
+                                                     baseline, variant):
+        before, after = pair_scans[baseline], pair_scans[variant]
+        rows = failure_delta_rows(before, after)
+        assert rows
+        f_before = weighted_failure_count(before).total
+        f_after = weighted_failure_count(after).total
+        assert sum(row[1] for row in rows) == f_before
+        assert sum(row[2] for row in rows) == f_after
+        assert sum(row[3] for row in rows) == f_after - f_before
+        assert all(delta == later - earlier
+                   for _, earlier, later, delta in rows)
+        assert len({row[0] for row in rows}) == len(rows)
+        report = failure_delta_report(baseline, before, variant, after)
+        total = report.splitlines()[-1].split()
+        assert total == ["total", f"{f_before:.0f}", f"{f_after:.0f}",
+                         f"{f_after - f_before:+.0f}"]
+
+    def test_sumdmr_object_keeps_its_label(self, pair_scans):
+        """A hardened object's replica and checksum count under its
+        own label: the variant fails under the baseline's labels."""
+        rows = failure_delta_rows(pair_scans["bin_sem2"],
+                                  pair_scans["bin_sem2-sumdmr"])
+        assert [row[0] for row in rows][:2] == ["__tcb0", "__tcb1"]
+        assert all(before > 0 for _, before, _, _ in rows)

@@ -23,7 +23,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.golden import MAX_CHECKPOINTS
+from repro.campaign.golden import MAX_CHECKPOINTS, CheckpointLadder
 from repro.campaign.outcomes import Outcome
 from repro.engine import CompiledEngine, ExecutionEngine
 from repro.faultspace import FaultCoordinate
@@ -34,6 +34,8 @@ from repro.faultspace.registers import (
 from repro.isa import Machine, assemble
 from repro.kernel.builder import KernelBuilder
 from repro.programs import bin_sem2, chain, guarded, hi, micro
+
+from .rungs import boundary_cycles, stride_rungs
 
 ON = ExecutorConfig(use_convergence=True)
 OFF = ExecutorConfig(use_convergence=False)
@@ -470,7 +472,7 @@ class TestFastForward:
         for cycle, state in states.items():
             reference.run_to_cycle(cycle)
             assert state == reference.snapshot(), cycle
-            assert cycle % golden.checkpoints.stride == 0
+            assert cycle in golden.checkpoints.cycles
         # Under the byte budget only every n-th stop is kept.
         monkeypatch.setattr(experiment, "GOLDEN_INDEX_BYTES",
                             8 * (golden.program.ram_size + 256))
@@ -667,6 +669,55 @@ class TestJournalCompatibility:
             assert resumed.execution.resumed == 3
 
 
+def _dense_ladder(golden):
+    """``golden`` with a rung at every live cycle, digested by a
+    stepped interpreter: the ladder before rungs moved to block
+    boundaries."""
+    machine = Machine(golden.program)
+    cycles, digests = [], []
+    while True:
+        machine.step()
+        if machine.halted:
+            break
+        cycles.append(machine.cycle)
+        digests.append(machine.state_digest())
+    return dataclasses.replace(golden, checkpoints=CheckpointLadder(
+        stride=1, cycles=tuple(cycles), digests=tuple(digests)))
+
+
+class TestBoundaryRungsLoseNothing:
+    """A compiled-engine probe stops on a block boundary, so a rung
+    anywhere else is never matched: scanning against the dense ladder
+    finds exactly the same early exits."""
+
+    @pytest.fixture(scope="class", params=["hi", "memcopy", "bin_sem2"])
+    def goldens(self, request):
+        program = {"hi": hi.baseline,
+                   "memcopy": lambda: micro.memcopy(6),
+                   "bin_sem2": lambda: bin_sem2.baseline(2)}[request.param]()
+        golden = record_golden(program)
+        dense = _dense_ladder(golden)
+        assert set(golden.checkpoints.cycles) < set(dense.checkpoints.cycles)
+        return golden, dense
+
+    @pytest.mark.parametrize("gap", [None, 1])
+    @pytest.mark.parametrize("domain", ["memory", "register", "burst2",
+                                        "burst4", "stuck", "pc"])
+    def test_equal_records_and_hits(self, goldens, domain, gap,
+                                    monkeypatch):
+        if gap is not None:  # (these programs end before a JIT probe)
+            _first_gap(monkeypatch, gap)
+        scans = []
+        for golden in goldens:
+            executor = ExecutorConfig(engine="compiled",
+                                      domain=domain).build(golden)
+            result = run_full_scan(golden, domain=domain,
+                                   executor=executor, keep_records=True)
+            scans.append((result.records, executor.convergence_hits,
+                          executor.memo_hits))
+        assert scans[0] == scans[1]
+
+
 class TestOldGoldenCompatibility:
     """A golden run without a ladder (recorded with stride 0) has
     ``checkpoints=None``; the executor must degrade to plain execution,
@@ -688,9 +739,14 @@ class TestCheckpointLadder:
         golden = record_golden(micro.counter(5), checkpoint_stride=7)
         ladder = golden.checkpoints
         assert ladder.stride == 7
-        # The halted state is never a rung (nothing can converge onto
-        # it usefully), so only strictly-interior multiples count.
-        assert len(ladder.digests) == (golden.cycles - 1) // 7
+        # A rung is the first boundary past each multiple of the
+        # stride; the halted state is never one (nothing can converge
+        # onto it usefully), so only strictly-interior multiples count.
+        assert ladder.cycles == tuple(stride_rungs(
+            boundary_cycles(golden.program), 7))
+        assert all(cycle // 7 > previous // 7 for previous, cycle
+                   in zip((0,) + ladder.cycles, ladder.cycles))
+        assert 0 < len(ladder.digests) <= (golden.cycles - 1) // 7
 
     def test_stride_zero_disables_the_ladder(self):
         golden = record_golden(micro.counter(3), checkpoint_stride=0)
@@ -704,15 +760,18 @@ class TestCheckpointLadder:
         assert result.weighted_counts() == reference.weighted_counts()
 
     def test_auto_stride_is_dense_for_short_runs(self):
+        """Dense: a rung at every block boundary, not every cycle."""
         golden = record_golden(micro.counter(3))
         assert golden.checkpoints.stride == 1
-        assert len(golden.checkpoints.digests) == golden.cycles - 1
+        assert golden.checkpoints.cycles == tuple(
+            boundary_cycles(golden.program))
+        assert len(golden.checkpoints.digests) < golden.cycles - 1
 
     def test_auto_stride_decimates_past_the_cap(self):
-        """A run longer than MAX_CHECKPOINTS cycles doubles the stride
-        and thins the rungs already taken; every surviving rung still
-        matches a replayed golden state digest."""
-        iterations = MAX_CHECKPOINTS // 5 + 200
+        """A run with more than MAX_CHECKPOINTS block boundaries
+        doubles the stride and thins the rungs already taken; every
+        surviving rung still matches a replayed golden state digest."""
+        iterations = MAX_CHECKPOINTS // 2 + 200
         source = f"""\
         .data
 v:      .word 0
@@ -720,7 +779,8 @@ v:      .word 0
 start:  li   r3, {iterations}
 loop:   lw   r1, v(zero)
         addi r1, r1, 1
-        sw   r1, v(zero)
+        j    store
+store:  sw   r1, v(zero)
         addi r3, r3, -1
         bnez r3, loop
         halt
@@ -728,15 +788,14 @@ loop:   lw   r1, v(zero)
         program = assemble(source, name="longloop", ram_size=4)
         golden = record_golden(program)
         ladder = golden.checkpoints
-        assert golden.cycles > MAX_CHECKPOINTS
-        assert ladder.stride == 2
+        assert len(boundary_cycles(program)) > MAX_CHECKPOINTS
+        assert ladder.stride > 1
         assert len(ladder.digests) <= MAX_CHECKPOINTS
         # Spot-check rungs against a fresh replay.
         for index in (0, len(ladder.digests) // 2,
                       len(ladder.digests) - 1):
-            cycle = (index + 1) * ladder.stride
             machine = Machine(program)
-            machine.run_to_cycle(cycle)
+            machine.run_to_cycle(ladder.cycles[index])
             assert machine.state_digest() == ladder.digests[index], index
 
     def test_lookup_is_injective(self):

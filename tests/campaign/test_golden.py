@@ -8,6 +8,8 @@ from repro.isa import Machine, Op, assemble
 from repro.programs import micro
 from repro.programs.registry import all_programs
 
+from .rungs import boundary_cycles, stride_rungs
+
 
 class TestRecordGolden:
     def test_records_output_cycles_and_trace(self):
@@ -84,32 +86,33 @@ loop:   addi r1, r1, 7
 
 def _assert_ladder_replays(golden):
     """Every rung equals ``Machine.state_digest()`` of an independent,
-    untraced replay run to the rung's cycle, and ``lookup()`` maps the
-    replayed digest back to that cycle."""
+    untraced replay run to the rung's cycle, ``lookup()`` maps the
+    replayed digest back to that cycle, and the rung cycles are
+    exactly the block boundaries the stride keeps."""
     ladder = golden.checkpoints
     lookup = ladder.lookup()
-    assert len(lookup) == len(ladder.digests)
+    assert len(lookup) == len(ladder.digests) == len(ladder.cycles)
     replay = Machine(golden.program)
-    for index, digest in enumerate(ladder.digests):
-        cycle = (index + 1) * ladder.stride
+    for cycle, digest in zip(ladder.cycles, ladder.digests):
         replay.run_to_cycle(cycle)
         assert not replay.halted, cycle
         expected = replay.state_digest()
         assert digest == expected, (golden.program.name, cycle)
         assert lookup[expected] == cycle
-    # Rungs are taken at every multiple of the stride while the run
-    # is live, and only then: the next multiple finds it halted.
-    replay.run_to_cycle((len(ladder.digests) + 1) * ladder.stride)
-    assert replay.halted
+    assert list(ladder.cycles) == stride_rungs(
+        boundary_cycles(golden.program), ladder.stride)
 
 
 class TestLadderDifferential:
     """The ladder keeps RAM's hash between stores; these replays hash
-    every rung from scratch, so a store the ladder missed shows."""
+    every rung from scratch, so a store the ladder missed shows.  Rungs
+    sit on block boundaries only, where an engine's probe stops."""
 
     @pytest.mark.parametrize("name", sorted(all_programs()))
     def test_every_registry_program_at_the_auto_stride(self, name):
-        _assert_ladder_replays(record_golden(all_programs()[name]()))
+        golden = record_golden(all_programs()[name]())
+        assert golden.checkpoints.stride == 1
+        _assert_ladder_replays(golden)
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_explicit_strides(self, stride):
@@ -130,9 +133,10 @@ class TestLadderDifferential:
         _assert_ladder_replays(golden)
 
     def test_the_stride_doubles_past_the_cap(self):
-        """A loop longer than MAX_CHECKPOINTS cycles: the rungs kept
-        after each doubling still replay."""
-        iterations = MAX_CHECKPOINTS // 5 + 200
+        """A loop with more than MAX_CHECKPOINTS block boundaries: the
+        rungs kept after each doubling still replay, and are the ones
+        the final stride would have taken from the start."""
+        iterations = MAX_CHECKPOINTS // 2 + 200
         program = assemble(f"""\
         .data
 v:      .word 0
@@ -140,11 +144,13 @@ v:      .word 0
 start:  li   r3, {iterations}
 loop:   lw   r1, v(zero)
         addi r1, r1, 1
-        sw   r1, v(zero)
+        j    store
+store:  sw   r1, v(zero)
         addi r3, r3, -1
         bnez r3, loop
         halt
 """, name="longloop", ram_size=4)
         golden = record_golden(program)
-        assert golden.checkpoints.stride == 2
+        assert golden.checkpoints.stride > 1
+        assert len(golden.checkpoints.digests) <= MAX_CHECKPOINTS
         _assert_ladder_replays(golden)

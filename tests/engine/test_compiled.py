@@ -359,9 +359,23 @@ loop:   lw   r1, v(zero)
         return jit
 
     def test_interpreter_stops_at_the_target(self):
-        machine = Machine(assemble(self.LOOP, name="loop", ram_size=4))
-        machine.run_to_boundary(13, 200)
-        assert machine.cycle == 13
+        """... the target's block boundary, where the JIT stops: the
+        iteration cycle 13 falls in ends at 16 (iterations end at 11,
+        16, ...); with the ceiling below that, at the target itself."""
+        program = assemble(self.LOOP, name="loop", ram_size=4)
+        for ceiling, stop in ((200, 16), (16, 16), (15, 13)):
+            machine = Machine(program)
+            machine.run_to_boundary(13, ceiling)
+            assert machine.cycle == stop
+            assert self.stop(program, 13, ceiling).cycle == stop
+        # From a boundary the target's block is finished too, and a
+        # target already reached stops where the machine stands.
+        machine = Machine(program)
+        machine.run_to_cycle(11)
+        machine.run_to_boundary(12, 200)
+        assert machine.cycle == 16
+        machine.run_to_boundary(16, 200)
+        assert machine.cycle == 16
 
     def test_self_loop_block_stops_on_an_iteration_boundary(self):
         program = assemble(self.LOOP, name="loop", ram_size=4)

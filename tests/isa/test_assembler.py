@@ -384,3 +384,116 @@ class TestLineSplittingFastPaths:
             == _reference_strip_comment(line)
         assert _split(Assembler._split_operands, line) \
             == _split(_reference_split_operands, line)
+
+
+class _Forgetful(dict):
+    """A statement memo that never remembers."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _unmemoised(monkeypatch):
+    """Assemble from here on with every statement parsed afresh."""
+    reset = Assembler._reset
+
+    def forgetful_reset(self):
+        reset(self)
+        self._parsed = _Forgetful()
+
+    monkeypatch.setattr(Assembler, "_reset", forgetful_reset)
+
+
+def _texts(program):
+    return [instruction.text for instruction in program.rom]
+
+
+class TestStatementMemo:
+    """A repeated text statement re-emits what it parsed to; the
+    program must be the one parsing every statement afresh builds."""
+
+    def test_every_program_assembles_as_without_the_memo(self, monkeypatch):
+        memoised = {name: factory()
+                    for name, factory in all_programs().items()}
+        _unmemoised(monkeypatch)
+        reference = {name: factory()
+                     for name, factory in all_programs().items()}
+        assert len(memoised) == 22
+        for name, program in memoised.items():
+            assert program == reference[name], name
+            assert _texts(program) == _texts(reference[name]), name
+
+    def test_repeats_are_parsed_once(self, monkeypatch):
+        parsed = []
+        instruction = Assembler._instruction
+
+        def counted(self, mnemonic, rest, stmt, lineno):
+            parsed.append(stmt)
+            instruction(self, mnemonic, rest, stmt, lineno)
+
+        monkeypatch.setattr(Assembler, "_instruction", counted)
+        program = assemble("li r1, 70000\nli r1, 70000\nli  r1, 70000\n"
+                           "li r1, 70000\nhalt")
+        assert parsed == ["li r1, 70000", "li  r1, 70000", "halt"]
+        assert [i.op for i in program.rom] == [Op.LUI, Op.ORI] * 4 + [Op.HALT]
+
+    SOURCE = """\
+        .data
+a:      .byte 1
+v:      {}
+        .byte 9
+w:
+        .text
+start:  la   r1, w
+        lbu  r2, w(zero)
+        .data
+        .align 4
+        .word 7
+        .text
+        la   r1, w
+        lbu  r2, w(zero)
+        halt
+"""
+
+    @pytest.mark.parametrize("datum, before, after", [
+        (".word 3", 9, 12), (".half 3", 5, 8), (".byte 3", 3, 4)])
+    def test_a_data_label_moved_under_align(self, monkeypatch, datum,
+                                            before, after):
+        """``w`` is defined at an unaligned end, used, and carried
+        across the padding of ``.align``: the same statements mean its
+        new address the second time."""
+        source = self.SOURCE.format(datum)
+        program = assemble(source, ram_size=16)
+        assert program.data_labels["w"] == after
+        assert [i.imm for i in program.rom[:-1]] == [before] * 2 + [after] * 2
+        _unmemoised(monkeypatch)
+        assert assemble(source, ram_size=16) == program
+
+    def test_an_equ_shadowing_a_data_label(self, monkeypatch):
+        """An ``.equ`` may take a data label's name (constants are
+        looked up first): the repeat then means the constant."""
+        source = ".data\nx: .byte 5\n.text\nli r1, x\n.equ x, 9\nli r1, x\n"
+        program = assemble(source, ram_size=4)
+        _unmemoised(monkeypatch)
+        assert assemble(source, ram_size=4) == program
+
+    def test_a_repeat_carries_its_own_line(self):
+        assembler = Assembler()
+        assembler.assemble("li r1, 70000\nnop\n\nli r1, 70000\nj end\n"
+                           "end: j end")
+        assert [p.lineno for p in assembler.pending] == [1, 1, 2, 4, 4, 5, 6]
+        with pytest.raises(AssemblyError, match="line 2"):
+            assemble("nop\nj nowhere\nj nowhere")
+
+    def test_a_failed_statement_is_never_stored(self):
+        """``li r1, later`` fails while ``later`` is undefined; a
+        statement that failed ends the assembly, so nothing parses
+        after it that could reuse it."""
+        with pytest.raises(AssemblyError, match="line 1"):
+            assemble("li r1, later\n.data\nlater: .byte 1\n.text\n"
+                     "li r1, later")
+        assembler = Assembler()
+        with pytest.raises(AssemblyError):
+            assembler.assemble("nop\nli r1, later")
+        assert "li r1, later" not in assembler._parsed
+        assert "nop" in assembler._parsed

@@ -239,6 +239,88 @@ def test_boundary_stop_is_an_interpreter_state(program, data):
             ref, guarded(ref.run_to_cycle, jit.cycle + bool(trap)))
 
 
+@st.composite
+def _jumping_programs(draw):
+    """Programs with a call and ``ret``, a ``jalr`` into the middle of
+    a block, and optionally a self-loop block."""
+    lines = [f"li r{reg}, {draw(st.integers(-100, 70000))}"
+             for reg in range(1, 5)]
+    lines.append(f"li r5, {draw(st.integers(1, 1000))}")
+    lines += draw(_body_ops(1, 6))
+    lines.append("call sub")
+    lines += draw(_body_ops(0, 4))
+    mid = draw(_body_ops(2, 8))
+    lines += ["lpc r6, mid",
+              f"addi r6, r6, {draw(st.integers(1, len(mid) - 1))}",
+              "jr r6", "back:"]
+    if draw(st.booleans()):
+        lines += [f"li r7, {draw(st.integers(2, 5))}", "loop:"]
+        lines += draw(_body_ops(1, 4, detect=False).filter(
+            lambda ops: not any(op.startswith("out") for op in ops)))
+        lines += ["addi r7, r7, -1", "bnez r7, loop"]
+    lines += draw(_body_ops(0, 3))
+    lines += ["halt", "sub:"] + draw(_body_ops(1, 5)) + ["ret", "mid:"]
+    lines += mid + ["j back"]
+    return assemble("\n".join(lines), name="jumps", ram_size=RAM_SIZE)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(program=st.one_of(fuzz_programs(), _jumping_programs()),
+       data=st.data())
+def test_both_engines_stop_at_the_same_boundary(program, data):
+    """With no stuck-at latch armed, the interpreter's and the JIT's
+    ``run_to_boundary(target, ceiling)`` end at the same cycle in the
+    same state: each finishes the block the target falls in when its
+    end fits under the ceiling.  From a random (mostly mid-block,
+    possibly faulty) start, over hops that land in self-loop
+    iterations, a ``jalr``'s mid-block target and a diverging ``out``.
+    """
+    golden = Machine(program)
+    golden.run(100_000)
+    assert golden.halted, "generated program must halt fault-free"
+    total, serial = golden.cycle, bytes(golden.serial)
+    longest = max(len(block.instrs)
+                  for block in _find_blocks(program.rom, program.entry))
+    start = data.draw(st.integers(0, total - 1), label="start")
+    cell = data.draw(st.integers(0, RAM_SIZE + 15), label="cell")
+    bit = data.draw(st.integers(0, 7), label="bit")
+
+    def boot(cls):
+        machine = cls(program, oracle=serial)
+        machine.run_to_cycle(start)
+        if cell < RAM_SIZE:
+            machine.flip_bit(cell, bit)
+        elif cell > RAM_SIZE:  # (no fault at all at RAM_SIZE)
+            machine.flip_register_bit(cell - RAM_SIZE, bit)
+        return machine
+
+    def state(machine, trap):
+        return (machine.cycle, machine.pc, machine.halted,
+                machine.diverged, machine.state_digest(),
+                bytes(machine.serial), list(machine.detections), trap)
+
+    def guarded(run, *args):
+        try:
+            run(*args)
+        except CPUException as exc:
+            return (type(exc).__name__, str(exc), exc.pc, exc.cycle)
+        return None
+
+    hops = data.draw(
+        st.lists(st.tuples(st.integers(0, longest + 2),
+                           st.integers(0, longest + 2)),
+                 min_size=1, max_size=8), label="hops")
+    jit, ref = boot(CompiledMachine), boot(Machine)
+    for gap, slack in hops:
+        if jit.halted:
+            break
+        target = jit.cycle + gap
+        trap = guarded(jit.run_to_boundary, target, target + slack)
+        assert state(jit, trap) == state(
+            ref, guarded(ref.run_to_boundary, target, target + slack))
+
+
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(program=fuzz_programs(detect=False), data=st.data())

@@ -273,6 +273,32 @@ class TestCliCompare:
                  if line.startswith(("variant", "hi"))]
         assert table and all(line in warm for line in table)
 
+    @staticmethod
+    def _delta_tables(out):
+        """The ΔF-by-location tables of a ``compare`` output: from the
+        first title to the end."""
+        lines = out.splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("ΔF by location"))
+        return lines[first:]
+
+    def test_compare_prints_delta_by_location(self, capsys, tmp_path):
+        """After the comparison, a ΔF table per variant by location,
+        from the stored results: a warm rerun executes nothing and
+        prints the same tables."""
+        journal = str(tmp_path / "j.sqlite")
+        assert main(self.ARGS + ["--journal", journal]) == 0
+        cold = capsys.readouterr().out
+        tables = self._delta_tables(cold)
+        titles = [line for line in tables if line.startswith("ΔF")]
+        assert titles == ["ΔF by location: hi -> hi-dft4",
+                          "ΔF by location: hi -> hi-mem2"]
+        assert tables[-2].startswith("location: a RAM byte counts")
+        assert main(self.ARGS + ["--journal", journal]) == 0
+        warm = capsys.readouterr().out
+        assert warm.count(" 0 executed, ") == 3
+        assert self._delta_tables(warm) == tables
+
     def test_compare_rejects_sampling(self, capsys):
         """compare needs full scans, so it has no sampling flags at all:
         argparse refuses them (a flag a subcommand accepts is a flag it
