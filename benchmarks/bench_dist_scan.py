@@ -108,9 +108,9 @@ def test_send_window_gate(monkeypatch):
 def test_merge_window_gate(monkeypatch, tmp_path):
     """The lease board is the coordinator's one duplicate filter: on a
     ``memcopy`` × register scan (66 classes), serving asks the journal
-    no existence ``SELECT`` on ``class_results`` (one per window, or per
-    class, would be a second filter), while the trace does see the
-    classes written (the positive control).
+    no existence ``SELECT`` on ``section_results``, the result table
+    (one per window, or per class, would be a second filter), while the
+    trace does see the classes written (the positive control).
 
     Counts, from the journal connection's ``set_trace_callback``.
     """
@@ -137,10 +137,10 @@ def test_merge_window_gate(monkeypatch, tmp_path):
     classes = len(serial.class_outcomes)
     selects = [sql for sql in statements
                if sql.lstrip().upper().startswith("SELECT")
-               and "class_results" in sql and "outcome" not in sql]
+               and "section_results" in sql and "outcome" not in sql]
     writes = [sql for sql in statements
               if sql.lstrip().upper().startswith("INSERT")
-              and "class_results" in sql]
+              and "section_results" in sql]
     print(f"\nmerge window on {golden.program.name} × register: "
           f"{len(selects)} existence SELECTs and {len(writes)} class "
           f"writes for {frames['results']} results frames, {classes} "

@@ -8,8 +8,9 @@ campaign results, same comparison table, byte-identical comparison CSV.
 
 What "composition pays" stands for is asserted as counts, not as a
 ratio of wall times: nothing executed, every experiment composed, at
-most three commits, one ``class_results`` row written per live class
-(not per bit), and — over the composed variants and their summaries —
+most three commits, no result row written (a composed campaign reads
+the rows its sections hold and stores nothing), and — over the
+composed variants and their summaries —
 no ``Outcome(...)`` construction and no ``Enum.__hash__`` call on an
 outcome (the summary counts classes with ``tuple.count``).  The
 prologue is counted too: a plain resume of the swept family builds no
@@ -50,7 +51,7 @@ VARIANTS = guarded.VARIANT_NAMES
 #: several sections and a few hundred classes to compose.
 ITERATIONS = 10
 #: Commits a composed (``resume=False``) variant may make: the clear,
-#: the section links, and the composed classes with the completion mark.
+#: the section links, and the completion mark.
 MAX_COMMITS = 3
 
 
@@ -194,8 +195,8 @@ def _counted_sweep(goldens, path, monkeypatch):
     these counters: per variant the ``BEGIN IMMEDIATE`` statements
     SQLite sees (each ends in a commit, an fsync), with the commit
     window's clock frozen so that only the sweep's own flushes commit,
-    and the rows it writes to ``class_results`` (the trace sees every
-    row an ``executemany`` binds); over the sweep the ``Outcome(value)``
+    and the result rows it writes (the trace sees every row an
+    ``executemany`` binds); over the sweep the ``Outcome(value)``
     calls, the ``Enum.__hash__`` calls on outcomes, and the section
     maps built and the interpreter instructions they execute."""
     enum_type = type(Outcome)
@@ -214,7 +215,7 @@ def _counted_sweep(goldens, path, monkeypatch):
             counts["hashed"] += 1
         return enum_hash(member)
 
-    results, commits, class_rows, statements = {}, {}, {}, []
+    results, commits, result_rows, statements = {}, {}, {}, []
     checks = counts["outcome_checks"] = {}
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
@@ -231,10 +232,10 @@ def _counted_sweep(goldens, path, monkeypatch):
             checks[name] = outcomes.checks
             CampaignSummary.from_result(results[name])
             commits[name] = statements.count("BEGIN IMMEDIATE")
-            class_rows[name] = sum(
-                statement.startswith("INSERT OR REPLACE INTO class_results")
-                for statement in statements)
-    return results, commits, class_rows, counts
+            result_rows[name] = sum(
+                statement.lstrip().upper().startswith("INSERT")
+                and "_results" in statement for statement in statements)
+    return results, commits, result_rows, counts
 
 
 def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
@@ -259,7 +260,7 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     # must rebuild every result purely by composing from the section
     # store — the hardest version of the warm path.
     warm = _sweep(goldens, journal, resume=False)
-    counted, commits, class_rows, counts = _counted_sweep(
+    counted, commits, result_rows, counts = _counted_sweep(
         goldens, journal, monkeypatch)
     constructed = counts["constructed"]
     resumed, resumed_maps, resumed_checks = _resumed_sweep(
@@ -279,10 +280,10 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         assert commits[name] <= MAX_COMMITS, (
             f"{name}: {commits[name]} commits to compose one variant, "
             f"expected <= {MAX_COMMITS}")
-        # A journal row is a class, not a bit.
-        assert class_rows[name] == cold[name].execution.total_units, (
-            f"{name}: {class_rows[name]} class_results rows written for "
-            f"{cold[name].execution.total_units} live classes")
+        # A composed campaign stores nothing: its sections hold it.
+        assert result_rows[name] == 0, (
+            f"{name}: {result_rows[name]} result rows written by a "
+            f"composed re-sweep, expected none")
     assert constructed == 0, (
         f"{constructed} Outcome(value) constructions on the warm path: "
         f"stored values are looked up in OUTCOME_BY_VALUE")
@@ -336,9 +337,9 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"commits per variant     "
         f"{', '.join(f'{k}: {v}' for k, v in commits.items())} "
         f"(<= {MAX_COMMITS})",
-        f"class rows per variant  "
-        f"{', '.join(f'{k}: {v}' for k, v in class_rows.items())} "
-        f"(= live classes)",
+        f"result rows per variant "
+        f"{', '.join(f'{k}: {v}' for k, v in result_rows.items())} "
+        f"(none)",
         f"Outcome(value) calls    {constructed}",
         f"golden RAM hashes       "
         f"{', '.join(f'{k}: {h} ({n} stores)' for k, (h, n) in hashes)}",

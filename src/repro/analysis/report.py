@@ -102,8 +102,10 @@ def outcome_histogram(result: CampaignResult) -> str:
 def completeness_report(report: ExecutionReport) -> str:
     """Render an :class:`~repro.campaign.pipeline.ExecutionReport` as text.
 
-    Summarizes how the campaign actually ran: fresh vs. journal-resumed
-    work units, worker retries and — for a
+    Summarizes how the campaign actually ran: fresh work units vs.
+    units read back from the campaign's sections in the journal (of
+    them, the experiments a first or ``resume=False`` run composed from
+    rows already stored), worker retries and — for a
     degraded campaign — how much of the planned fault space the partial
     result covers.
     """
@@ -134,8 +136,8 @@ def completeness_report(report: ExecutionReport) -> str:
             f"class result(s) refused (shape)")
     if report.discarded_results:
         lines.append(
-            f"  discarded: {report.discarded_results} journaled "
-            f"class(es) (failed validation; re-executed)")
+            f"  discarded: {report.discarded_results} stored "
+            f"run(s) (failed validation; re-executed)")
     if report.workers:
         attribution = ", ".join(f"{name}: {units}"
                                 for name, units in report.workers)

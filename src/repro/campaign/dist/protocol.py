@@ -34,7 +34,7 @@ of three space-joined strings, exactly as its campaign style's
 ``execute`` yields it (``CampaignStyle``).  A full-scan class travels
 in the form the journal stores it: ``[outcomes, end_cycles, traps]``,
 the class's per-bit values from bit 0 — the three value columns of one
-``class_results`` row (:mod:`repro.campaign.journal`), which nothing
+``section_results`` row (:mod:`repro.campaign.journal`), which nothing
 between the worker's executor and the journal converts.  A sampled
 experiment is a run of one value each.  Any type not in the table is
 a :class:`ProtocolError`.

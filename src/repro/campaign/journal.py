@@ -17,52 +17,54 @@ each keyed by::
 
 so re-running the same campaign against the same binary resumes instead
 of restarting, while any change to the program, the domain, the sampler
-seed or the executor's timeout policy opens a fresh campaign.  Two
-tables hold the two campaign styles' results:
+seed or the executor's timeout policy opens a fresh campaign.  A
+campaign's results live in the cross-campaign *section store*
+(:mod:`~repro.campaign.compose`), whose ``section_results`` is the
+journal's one result table:
 
-* ``class_results`` — one row per class of a full scan, holding the
-  outcomes, end cycles and traps of all its representative experiments
-  (so resumed runs reconstruct :class:`~.experiment.ExperimentRecord`
-  lists bit-for-bit); sampled campaigns reuse the same table for their
-  distinct-experiment cache, one row per experiment.
+* ``sections`` — one row per interned program section, keyed by its
+  fingerprint, which pins every outcome in it
+  (``faultspace/sections.py``);
+* ``section_results`` — the sections' stored runs, written once
+  (:meth:`ExperimentJournal.merge_section_runs`);
+* ``campaign_sections`` — which sections a campaign links: its stored
+  results are the rows of those sections, read back by one joined
+  ``SELECT`` (:meth:`CampaignJournal.stored_runs`), so a resume and a
+  composition from another campaign's rows are the same read;
 * ``sampler_state`` — the sampler's post-draw RNG position, so a resume
   can *prove* the re-drawn sample sequence is the one the journal's
   experiments belong to (a changed seed or sample count raises
   :class:`JournalMismatchError` instead of silently mixing campaigns).
 
-A row of ``class_results`` (and of the section store's
-``section_results``) is a *run*: consecutive bits starting at the key's
-``bit``, its ``outcome``, ``end_cycle`` and ``trap`` columns the run's
-per-bit values separated by single spaces (no outcome value or trap
-name contains one).  A full-scan class is one run from bit 0, a sampled
-experiment a run of one.  SQLite's cost is per row, not per statement,
-and the pipeline never reads or writes less than a class, so this is
-what a resume or a composition pays for.  A class stays in that stored
-form from reader to writer: :meth:`CampaignJournal.completed_classes`
-returns each class's run from bit 0 and
-:meth:`ExperimentJournal.section_rows` every run of a section keyed by
-its first bit, each the three strings ``(outcomes, end_cycles,
-traps)``; :meth:`CampaignJournal.record_classes` and
-:meth:`ExperimentJournal.merge_section_runs` write runs as they are
-given.  A run is also what a style's ``execute`` yields and what the
-distributed fabric carries, so nothing converts a class between an
-executor and the journal, in-process or over the wire.  Readers never
-interpret a value: :func:`_valid_run` decides whether a run may be
-trusted, and a class that is not one valid run from bit 0 — torn,
-shifted, or stored a row per bit by an older build — is re-executed,
-never stitched together from pieces.
+A row of ``section_results`` is a *run*: consecutive bits starting at
+the key's ``bit``, its ``outcome``, ``end_cycle`` and ``trap`` columns
+the run's per-bit values separated by single spaces (no outcome value
+or trap name contains one).  A full-scan class is one run from bit 0
+at its injection slot, a sampled experiment a run of one at its bit.
+SQLite's cost is per row, not per statement, and the pipeline never
+reads or writes less than a class, so this is what a resume pays for.
+A class stays in that stored form from reader to writer:
+:meth:`CampaignJournal.stored_runs` returns every run of the
+campaign's sections as the three strings ``(outcomes, end_cycles,
+traps)``, and :meth:`ExperimentJournal.merge_section_runs` writes runs
+as they are given.  A run is also what a style's ``execute`` yields and
+what the distributed fabric carries, so nothing converts a class
+between an executor and the journal, in-process or over the wire.
+Readers never interpret a value: :func:`_valid_run` decides whether a
+run may be trusted, and a class that is not one valid run from bit 0
+is re-executed, never stitched together from pieces.
 
 Writes are group-committed.  Every unit the campaign treats as atomic
-(one class, one batch of sampled experiments, one class's section
-rows) is buffered whole on the journal object — a unit's rows
-never straddle two commits, so a resume never sees half a class — and
-the buffered window is executed and committed as one short transaction
-(default ``synchronous``, one fsync) by the first write that finds it
-older than :data:`COMMIT_WINDOW_S`, by every bookkeeping write
-(``mark_complete``, ``clear``, ``discard_classes``, ``record_event``),
-by ``close``, by :meth:`CampaignJournal.flush`,
-which a transport calls whenever it is about to wait, and by any
-read through the same journal object (so a writer always reads its own
+(one batch of classes or sampled experiments) is buffered whole on the
+journal object — a unit's rows never straddle two commits, so a resume
+never sees half a class — and the buffered window is executed and
+committed as one short transaction (default ``synchronous``, one
+fsync) by the first write that finds it older than
+:data:`COMMIT_WINDOW_S`, by every bookkeeping write
+(``mark_complete``, ``clear``, ``discard_section_runs``,
+``record_event``), by ``close``, by :meth:`CampaignJournal.flush`,
+which a transport calls whenever it is about to wait, and by any read
+through the same journal object (so a writer always reads its own
 writes).  The SQLite write lock is held only for that transaction,
 never across the window: several campaigns — processes, even — may
 write one journal file concurrently.  The pipeline holds the handle in
@@ -92,26 +94,23 @@ if TYPE_CHECKING:
 
     from .salvage import SalvageReport
 
-#: Current schema version: version 4 stores runs of bits per
-#: ``class_results`` / ``section_results`` row (module docstring).  A
-#: file stamped with any other version is refused, unchanged: a newer
-#: build's rows may mean something this one cannot read, and an older
-#: build's per-bit rows are not classes this build resumes.  A file an
-#: older build migrated from version 3 by its stamp alone opens like any
-#: other: its per-bit classes fail validation and re-execute.
+#: Current schema version: version 5 keeps a campaign's results in the
+#: section store alone (module docstring; version 4 kept a second copy
+#: of every class in a per-campaign class table).  A file stamped with
+#: any other version is refused, unchanged: a newer build's rows may
+#: mean something this one cannot read, and there is no migration from
+#: an older one, because a journal is a cache.
 #:
-#: The two result tables are ``WITHOUT ROWID``: clustered on their
+#: ``section_results`` is ``WITHOUT ROWID``: clustered on its
 #: four-column key, so a row is stored once (a rowid table keeps it in
 #: the table b-tree *and* in the key's automatic index) and "all rows of
-#: campaign *c* in key order" is one b-tree walk.  That is layout, not
+#: section *s* in key order" is one b-tree walk.  That is layout, not
 #: meaning, so it carries no version: ``CREATE TABLE IF NOT EXISTS``
-#: leaves the tables of an older file as they are — rowid layout, and
-#: an ``end_cycle`` of INTEGER affinity, which stores a run of one's end
-#: cycle as an integer (readers ``str()`` it) — and every layout opens,
-#: resumes, composes and salvages.  An older file's ``leases`` table
-#: (per-shard retry state a coordinator once journaled) is likewise left
-#: in place and never read.
-SCHEMA_VERSION = 4
+#: leaves a table created another way as it is — rowid layout, and an
+#: ``end_cycle`` of INTEGER affinity, which stores a run of one's end
+#: cycle as an integer (the reader casts it to text) — and every layout
+#: opens, resumes, composes and salvages.
+SCHEMA_VERSION = 5
 
 #: SQL for the number of bits in a run row: one more than the number of
 #: separators in its ``outcome`` column.
@@ -160,16 +159,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     status      TEXT NOT NULL DEFAULT 'running',
     UNIQUE (fingerprint, domain, kind, params)
 );
-CREATE TABLE IF NOT EXISTS class_results (
-    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
-    axis        INTEGER NOT NULL,
-    first_slot  INTEGER NOT NULL,
-    bit         INTEGER NOT NULL,
-    outcome     TEXT NOT NULL,
-    end_cycle   TEXT NOT NULL DEFAULT '0',
-    trap        TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (campaign_id, axis, first_slot, bit)
-) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS sampler_state (
     campaign_id INTEGER PRIMARY KEY REFERENCES campaigns(id),
     draws       INTEGER NOT NULL,
@@ -242,15 +231,13 @@ def _valid_run(run, count: int, known=()) -> bool:
     in each of its three strings: known outcomes, decimal end cycles, and
     traps (a trap holding a space splits into two, so its run is
     malformed).  The one check a class passes before it is trusted:
-    arriving from a fabric worker, resumed from the journal or composed
-    from the section store.
+    arriving from a fabric worker or read back from the section store.
 
     ``known`` holds outcome strings this campaign already found valid,
     whose values are not looked up again: a caller that keeps it —
-    :class:`~.runner.ScanStyle` its decoded strings,
-    :class:`~.compose.SectionComposer` a set of its own, both dropped
-    with the campaign — checks each distinct outcome string once per
-    campaign.  The counts and the end cycles are checked in C, a
+    :class:`~.runner.ScanStyle` its decoded strings, and a set of its
+    own while it reads the store — checks each distinct outcome string
+    once per campaign.  The counts and the end cycles are checked in C, a
     ``str.count`` and one ``fullmatch`` a string."""
     outcomes, end_cycles, traps = run
     return (outcomes.count(" ") == end_cycles.count(" ")
@@ -480,26 +467,22 @@ class ExperimentJournal:
         return out
 
     def campaigns(self) -> list[dict]:
-        """All journaled campaigns with their progress counts."""
-        out = []
-        for row in self._query(
-                "SELECT id, fingerprint, domain, kind, params, cycles, "
-                "status FROM campaigns ORDER BY id"):
-            campaign_id = row[0]
-            bits = self._query(
-                f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM class_results "
-                f"WHERE campaign_id = ?", (campaign_id,)).fetchone()[0]
-            out.append({
-                "id": campaign_id,
-                "fingerprint": row[1],
-                "domain": row[2],
-                "kind": row[3],
-                "params": json.loads(row[4]),
-                "cycles": row[5],
-                "status": row[6],
-                "journaled_experiments": bits,
-            })
-        return out
+        """All journaled campaigns, each with ``stored_experiments``:
+        the experiments its linked sections hold (every campaign's rows
+        in a shared section count for each that links it)."""
+        return [{"id": row[0], "fingerprint": row[1], "domain": row[2],
+                 "kind": row[3], "params": json.loads(row[4]),
+                 "cycles": row[5], "status": row[6],
+                 "stored_experiments": row[7]}
+                for row in self._query(
+                    f"SELECT c.id, c.fingerprint, c.domain, c.kind, "
+                    f"c.params, c.cycles, c.status, "
+                    f"COALESCE(SUM({RUN_BITS}), 0) FROM campaigns AS c "
+                    f"LEFT JOIN campaign_sections AS l "
+                    f"ON l.campaign_id = c.id "
+                    f"LEFT JOIN section_results AS r "
+                    f"ON r.section_id = l.section_id "
+                    f"GROUP BY c.id ORDER BY c.id")]
 
     # -- cross-campaign section store -----------------------------------------
 
@@ -537,7 +520,8 @@ class ExperimentJournal:
         carries identical values and dropping it is sound.  A run
         stored at the same first bit is replaced only by a longer one —
         a whole class arriving where a sampled campaign stored its
-        first bit — because otherwise that class would never compose.
+        first bit — because otherwise that class would never be read
+        back whole.
         """
         new, stored = (RUN_BITS.replace("outcome", f"{table}.outcome")
                        for table in ("excluded", "section_results"))
@@ -548,20 +532,22 @@ class ExperimentJournal:
             "outcome = excluded.outcome, end_cycle = excluded.end_cycle, "
             f"trap = excluded.trap WHERE {new} > {stored}", list(runs))
 
-    def section_rows(self, section_id: int) \
-            -> dict[tuple[int, int, int], tuple[str, str, str]]:
-        """Stored runs of one section, ``(slot, axis, first_bit)`` →
-        ``(outcomes, end_cycles, traps)``, every value as stored: a
-        class's run is what :meth:`CampaignJournal.record_classes`
-        takes, because that is where a composed class goes next."""
-        # str(): an INTEGER-affinity column of an older table stores a
-        # run of one's end cycle as an integer.
-        return {(slot, axis, bit): (outcome, str(end_cycle), trap)
-                for slot, axis, bit, outcome, end_cycle, trap
-                in self._query(
-                    "SELECT slot, axis, bit, outcome, end_cycle, trap "
-                    "FROM section_results WHERE section_id = ?",
-                    (section_id,))}
+    def discard_section_runs(
+            self, keys: Iterable[tuple[int, int, int, int]]) -> int:
+        """Delete stored runs, keyed ``(section_id, slot, axis,
+        first_bit)``, so their units re-execute: the prologue's path
+        for a run that fails validation (:meth:`~.pipeline.CampaignStyle
+        .trusted`).  Returns runs deleted."""
+        keys = list(dict.fromkeys(keys))
+        self._write("DELETE FROM section_results WHERE section_id = ? AND "
+                    "slot = ? AND axis = ? AND bit = ?", keys)
+        self.flush()
+        return len(keys)
+
+    # Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR
+    # that drops that entry deletes this stub.
+    def section_rows(self, *args, **kwargs) -> None:
+        pass
 
     def sections(self) -> list[dict]:
         """All stored sections with their result and reference counts."""
@@ -609,17 +595,16 @@ class ExperimentJournal:
         return int(row[0])
 
     def size_report(self) -> dict:
-        """Row counts per table — experiments for the two run tables —
+        """Row counts per table — experiments for ``section_results`` —
         the database file size in bytes, and ``bytes_per_result``: file
-        bytes per experiment stored in the two run tables (0.0
-        while they are empty), the number the table layout and the row
-        format are judged by."""
-        tables = ("campaigns", "class_results", "sampler_state", "sections",
+        bytes per stored experiment (0.0 while there is none), the
+        number the table layout and the row format are judged by."""
+        tables = ("campaigns", "sampler_state", "sections",
                   "section_results", "campaign_sections", "fabric_events")
         report = {
             table: self._query(
                 f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}"
-                if table in ("class_results", "section_results")
+                if table == "section_results"
                 else f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in tables
         }
@@ -627,7 +612,7 @@ class ExperimentJournal:
             report["file_bytes"] = Path(self.path).stat().st_size
         except OSError:
             report["file_bytes"] = 0
-        results = report["class_results"] + report["section_results"]
+        results = report["section_results"]
         report["bytes_per_result"] = (report["file_bytes"] / results
                                       if results else 0.0)
         return report
@@ -639,7 +624,6 @@ class CampaignJournal:
     def __init__(self, journal: ExperimentJournal, campaign_id: int):
         self.journal = journal
         self.campaign_id = campaign_id
-        self._conn = journal._conn
         #: Set by :func:`open_campaign` when it constructed the journal
         #: from a path: the handle then owns the connection and
         #: :meth:`close` must be called so the WAL checkpoints into the
@@ -690,16 +674,15 @@ class CampaignJournal:
         self.journal.flush()
 
     def clear(self) -> None:
-        """Discard every journaled result of this campaign (fresh start).
+        """Start this campaign afresh: drop its links into the section
+        store, its sampler position and its events.
 
-        The campaign's *links* into the section store are dropped, but
-        the shared section rows themselves survive — they belong to
-        every campaign whose program contains an identical section, and
-        re-running this campaign fresh will re-derive (and compose
-        from) them.
+        The shared section rows themselves survive — they belong to
+        every campaign whose program contains an identical section — so
+        the next prologue relinks the campaign and recomposes its
+        results from them.
         """
-        for table in ("class_results", "sampler_state", "campaign_sections",
-                      "fabric_events"):
+        for table in ("sampler_state", "campaign_sections", "fabric_events"):
             self.journal._write(
                 f"DELETE FROM {table} WHERE campaign_id = ?",
                 [(self.campaign_id,)])
@@ -708,102 +691,39 @@ class CampaignJournal:
             [(self.campaign_id,)])
         self.journal.flush()
 
-    def link_section(self, section_id: int) -> None:
-        """Mark this campaign as referencing a stored section."""
+    # -- the campaign's sections ----------------------------------------------
+
+    def link_sections(self, section_ids: Iterable[int]) -> None:
+        """Link stored sections to this campaign, as one unit."""
         self.journal._write(
             "INSERT OR IGNORE INTO campaign_sections (campaign_id, "
             "section_id) VALUES (?, ?)",
-            [(self.campaign_id, section_id)])
+            [(self.campaign_id, section_id) for section_id in section_ids])
 
-    # -- full-scan classes ----------------------------------------------------
+    def linked_sections(self) -> list[tuple[int, int, int]]:
+        """``(section_id, first_slot, last_slot)`` of every section
+        linked to this campaign, by first slot; empty until the
+        prologue links them, and again after :meth:`clear`."""
+        return self.journal._query(
+            "SELECT s.id, s.first_slot, s.last_slot FROM campaign_sections "
+            "AS l JOIN sections AS s ON s.id = l.section_id WHERE "
+            "l.campaign_id = ? ORDER BY s.first_slot",
+            (self.campaign_id,)).fetchall()
 
-    def record_class(self, axis: int, first_slot: int,
-                     run: tuple[str, str, str]) -> None:
-        """Journal one live class, its run ``(outcomes, end_cycles,
-        traps)`` from bit 0: :meth:`record_classes` of one."""
-        self.record_classes([(axis, first_slot, run)])
-
-    def record_classes(
-            self,
-            classes: Iterable[tuple[int, int, tuple[str, str, str]]]) \
-            -> None:
-        """Journal live classes as one unit.
-
-        ``classes`` holds ``(axis, first_slot, run)`` triples, each run
-        the class's ``(outcomes, end_cycles, traps)`` from bit 0 — what
-        a style's ``execute`` yields, the fabric carries and
-        :meth:`ExperimentJournal.section_rows` returns — stored as
-        given, one row a class.  The unit is the crash-tolerance unit:
-        its classes join the commit window together, so a resume never
-        sees half a class.
-        """
-        campaign_id = self.campaign_id
-        self.journal._write(
-            "INSERT OR REPLACE INTO class_results (campaign_id, "
-            "axis, first_slot, bit, outcome, end_cycle, trap) "
-            "VALUES (?, ?, ?, 0, ?, ?, ?)",
-            [(campaign_id, axis, first_slot, *run)
-             for axis, first_slot, run in classes])
-
-    def completed_classes(self) \
-            -> dict[tuple[int, int], tuple[str, str, str]]:
-        """Journaled classes: ``(axis, first_slot)`` → the class's run
-        ``(outcomes, end_cycles, traps)`` from bit 0, every value as
-        stored (the style validates it).  Rows at any other bit belong
-        to no class this build writes and are not read."""
-        # str(): see ExperimentJournal.section_rows.
-        return {(axis, first_slot): (outcome, str(end_cycle), trap)
-                for axis, first_slot, outcome, end_cycle, trap
-                in self.journal._query(
-                    "SELECT axis, first_slot, outcome, end_cycle, trap "
-                    "FROM class_results WHERE campaign_id = ? AND bit = 0 "
-                    "ORDER BY axis, first_slot", (self.campaign_id,))}
-
-    def merge_class(self, axis: int, first_slot: int,
-                    run: tuple[str, str, str]) -> bool:
-        """Journal one class unless it is journaled already (first
-        wins; a late copy never replaces it); False then.  A read, so
-        it commits the window first."""
-        if self.journal._query(
-                "SELECT 1 FROM class_results WHERE campaign_id = ? AND "
-                "axis = ? AND first_slot = ? LIMIT 1",
-                (self.campaign_id, axis, first_slot)).fetchone():
-            return False
-        self.record_class(axis, first_slot, run)
-        return True
-
-    def discard_classes(self,
-                        keys: Iterable[tuple[int, int]]) -> int:
-        """Delete journaled classes so they can be re-executed.
-
-        The pipeline prologue's path: it drops resumed classes that
-        fail validation — a salvaged journal's truncated classes, whose
-        bit count disagrees with the domain's expected experiment
-        weight.  Returns classes deleted.
-        """
-        return self._discard("class_results", ("axis", "first_slot"), keys)
-
-    def discard_experiments(
-            self, keys: Iterable[tuple[int, int, int]]) -> int:
-        """:meth:`discard_classes` for sampled experiments, keyed
-        ``(axis, first_slot, bit)``."""
-        return self._discard("class_results", ("axis", "first_slot", "bit"),
-                             keys)
-
-    def _discard(self, table: str, columns: tuple[str, ...],
-                 keys: Iterable[tuple]) -> int:
-        keys = [(self.campaign_id, *key) for key in dict.fromkeys(keys)]
-        if not keys:
-            return 0
-        where = "campaign_id = ?" + "".join(f" AND {column} = ?"
-                                             for column in columns)
-        self.journal.flush()
-        present = sum(self._conn.execute(
-            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", key).fetchone()
-            is not None for key in keys)
-        self.journal._write(f"DELETE FROM {table} WHERE {where}", keys)
-        self.journal.flush()
-        return present
+    def stored_runs(self) -> list[tuple[int, int, int, int, str, str, str]]:
+        """Every run stored in this campaign's linked sections — its own
+        and any other campaign's — as rows ``(section_id, slot, axis,
+        first_bit, outcomes, end_cycles, traps)``, keyed by their first
+        four values, every value as stored: the one read of a
+        campaign's results (the style maps and validates them,
+        :meth:`~.pipeline.CampaignStyle.trusted`)."""
+        # CAST: an INTEGER-affinity column of a table created another
+        # way stores a run of one's end cycle as an integer.
+        return self.journal._query(
+            "SELECT r.section_id, r.slot, r.axis, r.bit, r.outcome, "
+            "CAST(r.end_cycle AS TEXT), r.trap FROM campaign_sections AS l "
+            "JOIN section_results AS r ON r.section_id = l.section_id "
+            "WHERE l.campaign_id = ?", (self.campaign_id,)).fetchall()
 
     # -- fabric event log -----------------------------------------------------
 
@@ -823,34 +743,21 @@ class CampaignJournal:
         self.journal.flush()
 
     # Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR
-    # that drops that entry deletes this stub.
+    # that drops that entry deletes these stubs.
     def record_lease(self, *args, **kwargs) -> None:
         pass
 
-    # -- sampled experiments --------------------------------------------------
+    def record_class(self, *args, **kwargs) -> None:
+        pass
 
-    def record_experiments(self, rows: Iterable[tuple[int, int, int,
-                                                      str]]) -> None:
-        """Journal distinct sampled experiments ``(axis, first_slot,
-        bit, outcome_value)`` as one unit, each a run of one."""
-        self.journal._write(
-            "INSERT OR REPLACE INTO class_results (campaign_id, "
-            "axis, first_slot, bit, outcome) VALUES (?, ?, ?, ?, ?)",
-            [(self.campaign_id, axis, first_slot, bit, outcome)
-             for axis, first_slot, bit, outcome in rows])
+    def record_classes(self, *args, **kwargs) -> None:
+        pass
 
-    def completed_experiments(self) \
-            -> dict[tuple[int, int, int], tuple[str, str, str]]:
-        """Journaled sampled experiments keyed ``(axis, first_slot, bit)``,
-        each as its run of one, every value as stored (the style
-        validates it)."""
-        # str(): see ExperimentJournal.section_rows.
-        return {(axis, first_slot, bit): (outcome, str(end_cycle), trap)
-                for axis, first_slot, bit, outcome, end_cycle, trap
-                in self.journal._query(
-                    "SELECT axis, first_slot, bit, outcome, end_cycle, "
-                    "trap FROM class_results WHERE campaign_id = ?",
-                    (self.campaign_id,))}
+    def merge_class(self, *args, **kwargs) -> None:
+        pass
+
+    def completed_classes(self, *args, **kwargs) -> None:
+        pass
 
     # -- sampler RNG position -------------------------------------------------
 

@@ -4,12 +4,13 @@ Every campaign — full scan or sampling; in-process or on fabric
 workers — is the same five steps (DESIGN.md §3b has the long
 form and the transport table):
 
-1. **Prologue** (:class:`CampaignRun`).  Open the journal campaign,
-   clear it (``resume=False``) or load what it holds, *validate* the
-   loaded units (a salvaged journal can hold truncated classes: they
-   are discarded, counted in ``discarded_results`` and re-executed),
-   compose what the cross-campaign section store already knows, and
-   list the units still to do, in canonical order.
+1. **Prologue** (:class:`CampaignRun`).  Open the journal campaign
+   and clear it (``resume=False``); link it to its sections in the
+   cross-campaign section store when it has no links; read every run
+   those sections hold — its own and other campaigns' — in one
+   ``SELECT``, *validate* them against the campaign's units (a
+   malformed run is discarded, counted in ``discarded_results`` and
+   re-executed), and list the units still to do, in canonical order.
 2. **Shard** (:meth:`CampaignStyle.plan`).  Split the unit list into
    cost-balanced shards, each in canonical order: a full scan deals
    whole fault-space cells (:func:`plan_class_shards`), sampling cuts
@@ -20,11 +21,12 @@ form and the transport table):
    unit's result in the one form every later step handles — the
    journal's and the wire's; it is the only code that calls an
    executor.
-4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: journals and
-   stores each batch (``style.journal``), then :meth:`CampaignRun.count`
-   updates the :class:`ExecutionReport` and progress.  In process every
-   unit is fresh; the fabric passes only the units its lease board
-   took fresh (its one duplicate filter).  A transport calls
+4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: stores each
+   batch in the section store (``style.journal``), then
+   :meth:`CampaignRun.count` updates the :class:`ExecutionReport` and
+   progress.  In process every unit is fresh; the fabric passes only
+   the units its lease board took fresh (its one duplicate filter).  A
+   transport calls
    :meth:`CampaignRun.idle` before it waits, so nothing sits in the
    journal's commit window idle.
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
@@ -55,7 +57,7 @@ from math import ceil
 from typing import Callable, Sequence
 
 from ..faultspace.domain import FaultDomain
-from .compose import SectionComposer
+from .compose import SectionComposer, link_sections
 from .experiment import ExecutorConfig, ExperimentExecutor
 from .golden import GoldenRun
 from .journal import open_campaign
@@ -83,7 +85,8 @@ class ExecutionReport:
     total_units: int = 0
     #: Units executed fresh in this invocation.
     executed: int = 0
-    #: Units loaded from the journal instead of re-executed.
+    #: Units trusted at the prologue — read back from the campaign's
+    #: linked sections — instead of executed.
     resumed: int = 0
     #: Lease re-grants after a failed attempt (its worker hung up, or
     #: units of it were rejected).
@@ -103,11 +106,12 @@ class ExecutionReport:
     #: non-critical (the criticality pre-skip).  Like
     #: :attr:`convergence_hits`, a performance diagnostic only.
     slice_hits: int = 0
-    #: Experiments whose outcomes were composed from the cross-campaign
-    #: section store (another campaign already executed an identical
-    #: program section) instead of re-executed.  Composed experiments
-    #: are *also* counted in :attr:`resumed` — they enter the campaign
-    #: through the same journal-merge path a resume uses.
+    #: Experiments trusted at a prologue that (re)linked the campaign to
+    #: its sections — its first run on a journal, or a ``resume=False``
+    #: re-run — so they come from rows another campaign (or this one's
+    #: earlier, cleared run) stored.  Their units are *also* counted in
+    #: :attr:`resumed`: a resume and a composition are the same read.
+    #: A plain resume, which relinks nothing, composes 0.
     composed_hits: int = 0
     #: Per-worker attribution of executed work units, as sorted
     #: ``(worker_name, units)`` pairs.  Populated by a fabric
@@ -123,9 +127,13 @@ class ExecutionReport:
     #: units are simply re-executed — corruption can delay a campaign,
     #: never skew it.
     integrity_rejected: int = 0
-    #: Journaled results discarded: resumed classes that failed
-    #: validation (a salvaged journal's truncated classes, any
-    #: transport), which are re-executed.
+    #: Stored runs discarded at the prologue: runs at a unit of this
+    #: campaign whose values fail validation for their own length (a
+    #: salvaged journal's torn rows, any transport), or a class run
+    #: longer than its class.  They are deleted from the section store
+    #: and their units re-executed.  A run shorter than its class (a
+    #: sampled campaign's bit 0) is not discarded: the class
+    #: re-executes and its whole run replaces the short one.
     discarded_results: int = 0
 
     @property
@@ -357,26 +365,26 @@ class CampaignStyle:
     onward it has no other.  Besides the attributes and the default
     :meth:`plan` and :meth:`keep` below, a style provides:
 
-    ``load(handle, report)``
-        the resume loader: journaled units as ``key →`` :meth:`keep`
-        values, validated (:meth:`trusted`);
-    ``compose(composer, completed, handle, report)``
-        adds store-known units to ``completed`` (as :meth:`keep`
-        values) and to the journal;
+    ``match(rows)``
+        maps the runs of the campaign's linked sections (rows
+        ``(section_id, slot, axis, first_bit, *run)``, what
+        :meth:`~.journal.CampaignJournal.stored_runs` returns) onto its
+        units: ``(runs, bad)``, ``key → run`` of every unit a stored run
+        holds whole and valid, and the keys ``(section_id, slot, axis,
+        first_bit)`` of malformed runs at its units (:meth:`trusted`
+        discards those);
     ``cost(item)``
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
     ``execute(executor, items)``
         the worker-side generator, work items → ``(key, run)``;
-    ``journal(handle, composer, batch)``
-        journals a batch of ``(key, run)``, each unit atomically, and
-        writes it to the section store (given a composer) — every unit
-        given is fresh: the transport took it once;
+    ``journal(composer, batch)``
+        stores a batch of ``(key, run)`` in the section store as one
+        unit (:meth:`~.compose.SectionComposer.store_runs`) — every
+        unit given is fresh: the transport took it once;
     ``valid_run(key, run)``
-        the shape check a run passes before it is trusted — from a
-        fabric worker or from the journal;
-    ``discard(handle, keys)``
-        deletes journaled units that failed :meth:`trusted`;
+        the shape check a fabric worker's run passes before it is
+        trusted;
     ``result(kept, report)``
         canonical-order assembly of ``key →`` :meth:`keep` values into
         the style's result type; keys absent from ``kept`` are missing.
@@ -417,31 +425,35 @@ class CampaignStyle:
         reads unless records were asked for."""
         return run
 
-    def trusted(self, handle, report, stored: dict) -> dict:
-        """``key →`` :meth:`keep` value of the journaled units
-        ``stored`` (``key → run`` as a journal reader returns it) whose
-        run passes :meth:`valid_run`.
+    def trusted(self, handle, report, rows: list,
+                relinked: bool = False) -> dict:
+        """``key →`` :meth:`keep` value of every unit that the stored
+        runs ``rows`` (:meth:`~.journal.CampaignJournal.stored_runs`)
+        hold whole and valid (:meth:`match`); ``relinked`` (the prologue
+        has just linked the campaign) counts their experiments in
+        ``composed_hits``.
 
-        Never trust resumed units blindly: a salvaged journal can hold
-        partial units (page loss truncates committed rows) and any file
-        can hold a value no build wrote, or a key the campaign does not
-        have.  Those are discarded — counted in ``discarded_results``,
-        one ``salvage-prune`` event — and re-executed.
+        Never trust stored runs blindly: a salvaged journal can hold
+        partial runs (page loss truncates committed rows) and any file
+        can hold a value no build wrote.  A malformed run at one of the
+        campaign's units is deleted — counted in ``discarded_results``,
+        one ``salvage-prune`` event — and its unit re-executed.  Rows at
+        coordinates no unit has (another campaign's classes in a shared
+        section) are left alone.
         """
-        kept, bad = {}, []
-        for key, run in stored.items():
-            if key in self.units and self.valid_run(key, run):
-                kept[key] = self.keep(key, run)
-            else:
-                bad.append(key)
+        runs, bad = self.match(rows)
         if bad:
-            self.discard(handle, bad)
-            report.discarded_results += len(bad)
+            discarded = handle.journal.discard_section_runs(bad)
+            report.discarded_results += discarded
             handle.record_event(
                 "salvage-prune", at=time.time(),
-                detail=f"{len(bad)} resumed units failed validation "
-                       f"and were discarded")
-        return kept
+                detail=f"{discarded} stored runs failed validation and "
+                       f"were discarded")
+        if relinked:
+            report.composed_hits = sum(run[0].count(" ") + 1
+                                       for run in runs.values())
+        keep = self.keep
+        return {key: keep(key, run) for key, run in runs.items()}
 
 
 # -- the driver ---------------------------------------------------------------
@@ -464,23 +476,21 @@ class CampaignRun:
         #: Units trusted before any transport ran (resumed or composed),
         #: as ``key →`` :meth:`CampaignStyle.keep` values.
         self.completed: dict = {}
+        #: Where fresh runs are stored: a journaled campaign's
+        #: :class:`~.compose.SectionComposer` while it has work left.
         self.composer = None
         if handle is not None:
             if not resume:
                 handle.clear()
-            self.completed = style.load(handle, report)
+            sections = handle.linked_sections()
+            relinked = not sections
+            if relinked:
+                sections = link_sections(handle, style.golden, style.domain,
+                                         style.params)
+            self.completed = style.trusted(handle, report,
+                                           handle.stored_runs(), relinked)
             if len(self.completed) < len(style.units):
-                # Compose units another campaign already executed for
-                # an identical program section: beside the loaded ones
-                # they take the exact route resumed units do.  A
-                # campaign the journal holds whole has nothing left to
-                # compose or store, and its section links were written
-                # when it ran (``clear()`` is the only way to drop
-                # them, and a cleared campaign always composes).
-                self.composer = SectionComposer(handle, style.golden,
-                                                style.domain, style.params)
-                style.compose(self.composer, self.completed, handle,
-                              report)
+                self.composer = SectionComposer(handle, sections)
         #: Work items still to execute, in canonical order.
         self.todo = [item for key, item in style.units.items()
                      if key not in self.completed]
@@ -492,9 +502,9 @@ class CampaignRun:
             self._report_progress()
 
     def accept(self, batch: Sequence[tuple[tuple, tuple]]) -> None:
-        """The sink: journal, section store, then :meth:`count`."""
-        if self.handle is not None:
-            self.style.journal(self.handle, self.composer, batch)
+        """The sink: the section store, then :meth:`count`."""
+        if self.composer is not None:
+            self.style.journal(self.composer, batch)
         keep = self.style.keep
         self.count([(key, keep(key, run)) for key, run in batch])
 

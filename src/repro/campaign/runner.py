@@ -280,22 +280,28 @@ class ScanStyle(CampaignStyle):
         #: string of this campaign (:meth:`keep`).
         self._decoded: dict[str, tuple[Outcome, ...]] = {}
 
-    def load(self, handle, report):
-        return self.trusted(handle, report, handle.completed_classes())
-
-    def compose(self, composer, completed, handle, report):
-        batch = []
+    def match(self, rows):
+        # A class is the run from bit 0 at its injection slot; runs at
+        # other bits are sampled experiments, no unit of a scan.
         count = self.domain.experiment_count
-        for key, interval in self.units.items():
-            if key in completed:
-                continue
-            run = composer.compose_class(interval)
-            if run is not None:
-                batch.append((*key, run))  # journaled as read
-                completed[key] = self.keep(key, run)
-                report.composed_hits += count(interval)
-        # One journal unit (one executemany) for the whole composition.
-        handle.record_classes(batch)
+        at = {(interval.injection_slot, key[0]): (key, interval)
+              for key, interval in self.units.items()}
+        runs, bad, known = {}, [], set()
+        for row in rows:
+            unit = at.get(row[1:3]) if row[3] == 0 else None
+            if unit is None:
+                continue  # not this campaign's: left alone
+            key, interval = unit
+            run, need = row[4:], count(interval)
+            if _valid_run(run, need, known):
+                known.add(run[0])
+                runs[key] = run
+            elif (not _valid_run(run, run[0].count(" ") + 1, known)
+                  or run[0].count(" ") >= need):
+                bad.append(row[:4])  # malformed, or longer than the class
+            # A shorter run (a sampled campaign's bit 0) is not used:
+            # the class re-executes, and its whole run replaces it.
+        return runs, bad
 
     def plan(self, items, parts, workers):
         return plan_class_shards(items, self.golden.cycles,
@@ -319,29 +325,22 @@ class ScanStyle(CampaignStyle):
                 yield key, _joined(facts[start:end])
                 start = end
 
-    def journal(self, handle, composer, batch):
-        handle.record_classes([(*key, run) for key, run in batch])
-        if composer is not None:
-            units, axis_of = self.units, self.domain.axis_of
-            composer.store_runs([(units[key].injection_slot,
-                                  axis_of(units[key]), 0, run)
-                                 for key, run in batch])
+    def journal(self, composer, batch):
+        units = self.units
+        composer.store_runs([(units[key].injection_slot, key[0], 0, run)
+                             for key, run in batch])
 
     def valid_run(self, key, run):
         # Every string keep() decoded passed this check: it is known.
         return _valid_run(run, self.domain.experiment_count(self.units[key]),
                           self._decoded)
 
-    def discard(self, handle, keys):
-        return handle.discard_classes(keys)
-
     def keep(self, key, run):
         """The class's outcomes, and its records when they are kept:
         each distinct outcome string is decoded once per campaign, and
         the classes that share it share its tuple; end cycles and traps
         are decoded only when records are kept, and never for the
-        journal (:meth:`journal` stores the run, :meth:`compose` the run
-        read)."""
+        journal (:meth:`journal` stores the run as executed)."""
         outcomes = self._decoded.get(run[0])
         if outcomes is None:
             outcomes = self._decoded[run[0]] = tuple(
@@ -603,21 +602,35 @@ class SamplingStyle(CampaignStyle):
             key=lambda kv: (kv[1].slot, domain.coordinate_axis(kv[1]),
                             kv[1].bit))}
 
-    def load(self, handle, report):
+    def trusted(self, handle, report, rows, relinked=False):
+        # Nothing stored is trusted unless the re-drawn samples are the
+        # journaled ones.
         handle.verify_sampler_state(len(self.drawn), self._rng_state)
-        return self.trusted(handle, report, handle.completed_experiments())
+        return super().trusted(handle, report, rows, relinked)
 
-    def compose(self, composer, completed, handle, report):
-        journaled = []
+    def match(self, rows):
+        # An experiment reads the run of one stored at its bit, else its
+        # value in the run stored from bit 0 (a class, whole or not).
+        at = {row[1:4]: row for row in rows}
+        runs, bad = {}, {}
         for key, (_, coord) in self.units.items():
-            if key in completed:
+            axis, bit = key[0], key[2]
+            row = at.get((coord.slot, axis, bit))
+            if row is not None and " " not in row[4]:
+                if _valid_run(row[4:], 1):
+                    runs[key] = row[4:]
+                else:
+                    bad[row[:4]] = None
                 continue
-            hit = composer.compose_experiment(coord.slot, key[0], key[2])
-            if hit is not None:
-                completed[key] = OUTCOME_BY_VALUE[hit[0]]
-                journaled.append((*key, hit[0]))
-        handle.record_experiments(journaled)
-        report.composed_hits += len(journaled)
+            row = at.get((coord.slot, axis, 0))
+            if row is None:
+                continue
+            columns = [column.split(" ") for column in row[4:]]
+            if not _valid_run(row[4:], len(columns[0])):
+                bad[row[:4]] = None
+            elif bit < len(columns[0]):
+                runs[key] = tuple(column[bit] for column in columns)
+        return runs, list(bad)
 
     def cost(self, item):
         return max(1, self.golden.cycles - item[1].slot + 1)
@@ -630,21 +643,16 @@ class SamplingStyle(CampaignStyle):
             # campaigns later, which need end cycles and traps too.
             yield key, _joined(executor.run_many([coord]))
 
-    def journal(self, handle, composer, batch):
-        handle.record_experiments([(*key, run[0]) for key, run in batch])
-        if composer is not None:
-            units = self.units
-            composer.store_runs([(units[key][1].slot, key[0], key[2], run)
-                                 for key, run in batch])
+    def journal(self, composer, batch):
+        units = self.units
+        composer.store_runs([(units[key][1].slot, key[0], key[2], run)
+                             for key, run in batch])
 
     def keep(self, key, run):
         return OUTCOME_BY_VALUE[run[0]]  # the outcome
 
     def valid_run(self, key, run):
         return _valid_run(run, 1)
-
-    def discard(self, handle, keys):
-        return handle.discard_experiments(keys)
 
     def result(self, kept, report):
         # A sample whose experiment is missing (degraded campaign: its

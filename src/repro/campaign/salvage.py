@@ -41,10 +41,12 @@ def salvage_journal(path: str | Path) -> SalvageReport:
     by reading each of its tables (:func:`schema_tables`) row-by-row
     until the first unreadable page.  SQLite's transactionality means
     every recovered row was durably committed; what is *lost* is any
-    row on a damaged page, and a file an older build wrote a row per
-    bit can lose a class's tail that way, so the pipeline's prologue
-    validates every resumed class (:func:`~.journal._valid_run`), under
-    every transport, instead of trusting recovered classes blindly.
+    row on a damaged page, and a recovered row can still hold a value
+    no build wrote, so the pipeline's prologue validates every stored
+    run it reads (:meth:`~.pipeline.CampaignStyle.trusted`), under every
+    transport, instead of trusting recovered runs blindly.  Only the
+    tables of this build's schema are read: a table the fresh journal
+    does not have is left in the ``.corrupt`` copy.
     """
     import sqlite3  # loaded when a journal is first salvaged
 

@@ -193,8 +193,8 @@ def _list_campaigns(path, campaigns) -> int:
     for entry in campaigns:
         print(f"  #{entry['id']} {entry['kind']:11s} "
               f"[{entry['domain']} domain] {entry['status']:8s} "
-              f"{entry['journaled_experiments']:8d} experiments "
-              f"journaled  fingerprint={entry['fingerprint'][:12]} "
+              f"{entry['stored_experiments']:8d} experiments "
+              f"stored  fingerprint={entry['fingerprint'][:12]} "
               f"build={entry['params'].get('build', '-')[:12]}")
         if entry["events"]:
             print(f"    events: {len(entry['events'])}")

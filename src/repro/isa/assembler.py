@@ -201,8 +201,8 @@ class Assembler:
         #: Text statement → the instructions it parsed to.  Parsing
         #: reads only constants, which keep their values once defined,
         #: so a repeat re-emits them under its own line number — until
-        #: a data label moves (:meth:`_align_data`) or an ``.equ``
-        #: shadows one.  A statement that failed is never stored.
+        #: a data label moves (:meth:`_align_data`).  A statement that
+        #: failed is never stored.
         self._parsed: dict[str, list[_PendingInstruction]] = {}
 
     def _scan(self, source: str) -> None:
@@ -310,11 +310,10 @@ class Assembler:
             sym, value = parts
             if not _LABEL_RE.match(sym):
                 raise AssemblyError(f"bad .equ name '{sym}'", lineno)
-            if sym in self.equs:
+            if (sym in self.equs or sym in self.text_labels
+                    or sym in self.data_labels):
                 raise AssemblyError(f"duplicate .equ '{sym}'", lineno)
             self.equs[sym] = self._constant(value, lineno)
-            if sym in self.data_labels:
-                self._parsed.clear()  # the name now means the constant
         elif name == ".byte":
             for value in self._value_list(rest, lineno):
                 self.data.append(value & 0xFF)

@@ -9,26 +9,26 @@ from repro.campaign.journal import RUN_BITS
 
 
 def class_experiments(path) -> dict[tuple[int, int], int]:
-    """Experiments journaled per class ``(axis, first_slot)``, over all
-    campaigns, in key order."""
+    """Experiments stored per run ``(slot, axis)`` from bit 0 — a scan's
+    class at its injection slot — over all sections, in key order."""
     conn = sqlite3.connect(path)
     try:
-        return {(axis, first_slot): bits
-                for axis, first_slot, bits in conn.execute(
-                    f"SELECT axis, first_slot, SUM({RUN_BITS}) FROM "
-                    f"class_results GROUP BY axis, first_slot "
-                    f"ORDER BY axis, first_slot")}
+        return {(slot, axis): bits
+                for slot, axis, bits in conn.execute(
+                    f"SELECT slot, axis, SUM({RUN_BITS}) FROM "
+                    f"section_results WHERE bit = 0 GROUP BY slot, axis "
+                    f"ORDER BY slot, axis")}
     finally:
         conn.close()
 
 
-def stored_experiments(path, table: str) -> int:
-    """Experiments a result table holds (``class_results`` or
-    ``section_results``)."""
+def stored_experiments(path) -> int:
+    """Experiments the section store holds."""
     conn = sqlite3.connect(path)
     try:
         return conn.execute(
-            f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM {table}").fetchone()[0]
+            f"SELECT COALESCE(SUM({RUN_BITS}), 0) FROM "
+            f"section_results").fetchone()[0]
     finally:
         conn.close()
 
@@ -45,23 +45,27 @@ def per_bit_rows(run, first_bit: int = 0) \
                 end_cycles, traps)]
 
 
-def truncate_first_class(path, keep: int) -> tuple[int, int]:
-    """Cut the first journaled class down to its first ``keep`` bits —
-    what losing the page that held the rest does to a file that stores a
-    row per bit — and return its key."""
+def truncate_first_class(path, keep: int, columns: int = 3) \
+        -> tuple[int, int]:
+    """Cut the first stored class (a run from bit 0, in key order) down
+    to its first ``keep`` bits — what losing the page that held the rest
+    does to a file that stores a row per bit — and return its ``(slot,
+    axis)``.  ``columns < 3`` cuts only the first ``columns`` value
+    columns, which tears the run: its columns disagree on its length."""
     conn = sqlite3.connect(path)
     try:
         with conn:
-            axis, first_slot, outcomes, cycles, traps = conn.execute(
-                "SELECT axis, first_slot, outcome, end_cycle, trap FROM "
-                "class_results WHERE bit = 0 ORDER BY axis, first_slot "
-                "LIMIT 1").fetchone()
-            head = [" ".join(column.split(" ")[:keep])
-                    for column in (outcomes, str(cycles), traps)]
+            section, slot, axis, *run = conn.execute(
+                "SELECT section_id, slot, axis, outcome, end_cycle, trap "
+                "FROM section_results WHERE bit = 0 "
+                "ORDER BY section_id, slot, axis LIMIT 1").fetchone()
+            values = [str(column) for column in run]
+            values[:columns] = [" ".join(column.split(" ")[:keep])
+                                for column in values[:columns]]
             conn.execute(
-                "UPDATE class_results SET outcome = ?, end_cycle = ?, "
-                "trap = ? WHERE axis = ? AND first_slot = ? AND bit = 0",
-                (*head, axis, first_slot))
-        return axis, first_slot
+                "UPDATE section_results SET outcome = ?, end_cycle = ?, "
+                "trap = ? WHERE section_id = ? AND slot = ? AND axis = ? "
+                "AND bit = 0", (*values, section, slot, axis))
+        return slot, axis
     finally:
         conn.close()

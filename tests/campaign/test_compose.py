@@ -5,8 +5,8 @@ composed from cached sections are indistinguishable from re-executed
 ones — same outcome dicts, same records, same journal rows, same CSV
 bytes — across fault domains, execution engines, serial/parallel/dist
 runners and full-scan/sampling styles.  These tests also pin the store's
-schema-migration behaviour (v1 journals open losslessly; newer or
-corrupt version stamps degrade with a clear error).
+schema-version behaviour (any other version stamp is refused with a
+clear error, the file untouched).
 """
 
 import sqlite3
@@ -24,9 +24,8 @@ from repro.campaign import (
     run_sampling,
 )
 from repro.campaign import compose as compose_mod
-from repro.campaign.compose import SectionComposer
 from repro.campaign.journal import SCHEMA_VERSION, CampaignJournal
-from repro.campaign.runner import ScanStyle
+from repro.campaign.runner import SamplingStyle, ScanStyle
 from repro.campaign.salvage import salvage_journal, schema_tables
 from repro.cli import main
 from repro.faultspace import build_section_map, get_domain
@@ -47,11 +46,11 @@ def golden():
     return record_golden(micro.counter(3))
 
 
-def _class_rows(path) -> list[tuple]:
-    """Every ``class_results`` row of a journal file, in key order."""
+def _result_rows(path) -> list[tuple]:
+    """Every ``section_results`` row of a journal file, in key order."""
     conn = sqlite3.connect(path)
     rows = conn.execute(
-        "SELECT * FROM class_results ORDER BY 1, 2, 3, 4").fetchall()
+        "SELECT * FROM section_results ORDER BY 1, 2, 3, 4").fetchall()
     conn.close()
     return rows
 
@@ -128,18 +127,19 @@ class TestWarmEqualsCold:
 
     def test_composed_campaign_journal_rows_match(self, tmp_path,
                                                   golden):
-        """The warm campaign re-journals every class it composed, so
-        its journal rows equal the cold campaign's."""
+        """The warm campaign reads the rows the cold one stored and
+        writes none: the result table is as the cold campaign left
+        it."""
         journal = tmp_path / "journal.sqlite"
         cold = run_full_scan(golden, journal=journal)
-        cold_rows = _class_rows(journal)
+        cold_rows = _result_rows(journal)
         run_full_scan(golden, journal=journal, resume=False)
         conn = sqlite3.connect(journal)
         campaigns = [row[0] for row in conn.execute(
             "SELECT id FROM campaigns ORDER BY id")]
         conn.close()
-        assert len(campaigns) == 1  # same identity: cleared, then refilled
-        assert _class_rows(journal) == cold_rows
+        assert len(campaigns) == 1  # same identity: cleared, relinked
+        assert _result_rows(journal) == cold_rows
         assert sum(class_experiments(journal).values()) \
             == _experiments(cold)
 
@@ -222,6 +222,65 @@ loop:   lw   r1, count(zero)
             == warm.execution.total_units - len(changed)
         assert warm.execution.composed_hits \
             == warm.execution.resumed * warm.domain.bits
+
+
+class TestScanAndSampleShareSections:
+    """A full scan and a sampled campaign of one program share its
+    sections: whichever runs first, the other recomposes from the rows
+    it stored, and both resume afterwards with nothing executed."""
+
+    SAMPLES = dict(n_samples=60, seed=11, sampler="live-only")
+
+    def test_scan_then_sample(self, tmp_path, golden):
+        journal = tmp_path / "journal.sqlite"
+        scan = run_full_scan(golden, journal=journal, keep_records=True)
+        reference = run_sampling(golden, **self.SAMPLES)
+        sampled = run_sampling(golden, journal=journal, **self.SAMPLES)
+        assert sampled == reference
+        assert sampled.execution.executed == 0
+        assert sampled.execution.composed_hits \
+            == reference.experiments_conducted
+        again = run_sampling(golden, journal=journal, **self.SAMPLES)
+        assert again == reference
+        assert (again.execution.executed, again.execution.composed_hits) \
+            == (0, 0)
+        rescanned = run_full_scan(golden, journal=journal, resume=False,
+                                  keep_records=True)
+        assert rescanned == scan
+        assert rescanned.execution.executed == 0
+
+    def test_sample_then_scan(self, tmp_path, golden):
+        """The sampled campaign stores single bits only, so the scan
+        re-executes every class (its whole run replaces a sampled bit
+        0), and then the sampled campaign still resumes from what it
+        and the scan stored."""
+        journal = tmp_path / "journal.sqlite"
+        reference = run_sampling(golden, **self.SAMPLES)
+        plain = run_full_scan(golden, keep_records=True)
+        sampled = run_sampling(golden, journal=journal, **self.SAMPLES)
+        assert sampled == reference
+        scan = run_full_scan(golden, journal=journal, keep_records=True)
+        assert scan == plain
+        assert scan.records == plain.records
+        report = scan.execution
+        assert report.executed == report.total_units
+        assert (report.composed_hits, report.discarded_results) == (0, 0)
+        # Each class is now one whole run from bit 0.
+        assert sorted(class_experiments(journal).values()) \
+            == sorted(_experiments_by_class(plain))
+        for resume in (True, False):
+            again = run_sampling(golden, journal=journal, resume=resume,
+                                 **self.SAMPLES)
+            assert again == reference
+            assert again.execution.executed == 0
+        assert run_full_scan(golden, journal=journal).execution.executed \
+            == 0
+
+
+def _experiments_by_class(result) -> list[int]:
+    """Each live class's experiment count."""
+    return [result.domain.experiment_count(interval)
+            for interval in result.partition.live_classes()]
 
 
 class TestSchemaMigration:
@@ -347,16 +406,21 @@ class TestCompleteResumeComposesNothing:
 
     def test_partial_resume_still_composes(self, tmp_path, golden,
                                            section_maps):
+        """A resume with work left reads the campaign's linked sections
+        as a complete one does — no section map — and re-executes only
+        the class stored short, whose whole run then replaces it."""
         journal = tmp_path / "journal.sqlite"
         cold = run_full_scan(golden, journal=journal)
         truncate_first_class(journal, keep=5)
         warm = run_full_scan(golden, journal=journal)
         assert warm == cold
-        assert len(section_maps) == 2
+        assert len(section_maps) == 1
         report = warm.execution
-        assert report.discarded_results == 1
-        assert report.executed == 0
-        assert report.composed_hits == 8  # the cut class, from the store
+        assert (report.discarded_results, report.executed,
+                report.composed_hits) == (0, 1, 0)
+        assert report.resumed == report.total_units - 1
+        assert run_full_scan(golden, journal=journal).execution.executed \
+            == 0
 
     def test_fresh_rerun_still_composes(self, tmp_path, golden,
                                         section_maps):
@@ -368,25 +432,15 @@ class TestCompleteResumeComposesNothing:
         assert warm.execution.composed_hits == _experiments(cold)
 
 
-#: The result tables a fresh journal clusters.
-RESULT_TABLES = ("class_results", "section_results")
+#: The result table a fresh journal clusters.
+RESULT_TABLES = ("section_results",)
 
-#: The result tables as every build before the clustered layout created
-#: them: rowid tables, the key a separate automatic index.  Those builds
+#: The result table as every build before the clustered layout created
+#: it: a rowid table, the key a separate automatic index.  Those builds
 #: also journaled brute-force scans in ``coordinate_results``; this build
 #: neither creates nor reads that table, and a file that has one keeps
 #: it.
 ROWID_DDL = """
-CREATE TABLE class_results (
-    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
-    axis        INTEGER NOT NULL,
-    first_slot  INTEGER NOT NULL,
-    bit         INTEGER NOT NULL,
-    outcome     TEXT NOT NULL,
-    end_cycle   INTEGER NOT NULL DEFAULT 0,
-    trap        TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (campaign_id, axis, first_slot, bit)
-);
 CREATE TABLE coordinate_results (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
     slot        INTEGER NOT NULL,
@@ -448,7 +502,7 @@ class TestTableLayout:
 
     def test_both_layouts_hold_the_same_rows(self, journals):
         old, new, _ = journals
-        for table in ("class_results", "section_results"):
+        for table in RESULT_TABLES:
             rows = []
             for path in (old, new):
                 conn = sqlite3.connect(path)
@@ -515,33 +569,46 @@ CREATE TABLE summaries (
 INSERT INTO summaries VALUES ('0123456789ab', 'memory', 'counter', '{}');
 """
 
-V3_DDL = {"rowid": ROWID_DDL + SUMMARIES_DDL,
-          "clustered": ROWID_DDL.replace("\n);", "\n) WITHOUT ROWID;")
-          + SUMMARIES_DDL}
+#: The per-campaign class table a version-3 build kept beside the
+#: section store.
+CLASS_DDL = """
+CREATE TABLE class_results (
+    campaign_id INTEGER NOT NULL REFERENCES campaigns(id),
+    axis        INTEGER NOT NULL,
+    first_slot  INTEGER NOT NULL,
+    bit         INTEGER NOT NULL,
+    outcome     TEXT NOT NULL,
+    end_cycle   INTEGER NOT NULL DEFAULT 0,
+    trap        TEXT NOT NULL DEFAULT '',
+    PRIMARY KEY (campaign_id, axis, first_slot, bit)
+);
+"""
+
+V3_DDL = {"rowid": CLASS_DDL + ROWID_DDL + SUMMARIES_DDL,
+          "clustered": (CLASS_DDL + ROWID_DDL).replace(
+              "\n);", "\n) WITHOUT ROWID;") + SUMMARIES_DDL}
 
 
 def _v3_file(path, source, layout):
     """The journal a version-3 build leaves after the campaigns
     ``source`` holds: that build's tables, a result row inserted per
-    bit, stamped 3."""
+    bit in both result tables, stamped 3."""
     conn = sqlite3.connect(path)
     conn.executescript(V3_DDL[layout])
     conn.close()
     ExperimentJournal(path).close()  # every other table, as v3 had it
     with ExperimentJournal(source) as journal:
         tables = schema_tables(journal._conn)
-        class_rows = [
-            (entry["id"], axis, first_slot, *row)
-            for entry in journal.campaigns()
-            for (axis, first_slot), run in CampaignJournal(
-                journal, entry["id"]).completed_classes().items()
-            for row in per_bit_rows(run)]
-        section_rows = [
-            (entry["id"], slot, axis, *row)
-            for entry in journal.sections()
-            for (slot, axis, bit), run in journal.section_rows(
-                entry["id"]).items()
-            for row in per_bit_rows(run, bit)]
+        runs = {row[:4]: row[4:] for entry in journal.campaigns()
+                for row in CampaignJournal(
+                    journal, entry["id"]).stored_runs()}
+    section_rows = [(section_id, slot, axis, *row)
+                    for (section_id, slot, axis, bit), run in runs.items()
+                    for row in per_bit_rows(run, bit)]
+    # The class table's copy, keyed by injection slot for want of the
+    # class's first slot: this build never reads it.
+    class_rows = [(1, axis, slot, *row) for _, slot, axis, *row
+                  in section_rows]
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("ATTACH DATABASE ? AS source", (str(source),))
@@ -580,11 +647,12 @@ def _stamp(path, version: int) -> None:
 
 class TestVersion3Journal:
     """A file a version-3 build wrote — a result row per bit, in either
-    table layout — is refused as it stands.  Stamped 4, as an older
-    build's migration left it, it opens, lists, resumes, composes and
-    salvages: every class of more than one bit is not one stored run, so
-    it is discarded and re-executed, and the result is the cold one bit
-    for bit."""
+    table layout — is refused as it stands.  Stamped 5 by hand, it
+    opens, lists, resumes, composes and salvages: a class of more than
+    one bit is not one stored run from bit 0 — its bit-0 row is shorter
+    than the class — so it is re-executed, its whole run replaces that
+    row, and the result is the cold one bit for bit.  The version-3
+    class table is never read."""
 
     @pytest.fixture(params=["memory", "register", "pc"])
     def domain(self, request):
@@ -592,7 +660,7 @@ class TestVersion3Journal:
 
     @pytest.fixture()
     def journals(self, tmp_path, golden, domain):
-        """``(v4, cold)``: one scan journaled by this build, and its
+        """``(v5, cold)``: one scan journaled by this build, and its
         result."""
         v4 = tmp_path / "v4.sqlite"
         cold = run_full_scan(golden, domain=domain, journal=v4,
@@ -613,28 +681,28 @@ class TestVersion3Journal:
     @pytest.mark.parametrize("layout", ["clustered", "rowid"])
     def test_opens_lists_resumes_composes_and_salvages(
             self, tmp_path, golden, domain, journals, layout, capsys):
-        v4, cold = journals
-        v3 = _v3_file(tmp_path / "v3.sqlite", v4, layout)
-        _stamp(v3, 4)
+        v5, cold = journals
+        v3 = _v3_file(tmp_path / "v3.sqlite", v5, layout)
+        _stamp(v3, SCHEMA_VERSION)
         conn = sqlite3.connect(v3)
         assert conn.execute(
-            "SELECT COUNT(*) FROM class_results").fetchone()[0] \
+            "SELECT COUNT(*) FROM section_results").fetchone()[0] \
             == _experiments(cold)
         conn.close()
         assert _listing("journal", v3, capsys) \
-            == _listing("journal", v4, capsys)
+            == _listing("journal", v5, capsys)
         multi = self._multi_bit(cold)
         resumed = run_full_scan(golden, domain=domain, journal=v3,
                                 keep_records=True)
         assert resumed == cold
         assert resumed.records == cold.records
-        assert resumed.execution.discarded_results \
-            == resumed.execution.executed == multi
+        assert resumed.execution.executed == multi
+        assert resumed.execution.discarded_results == 0
         assert resumed.execution.resumed \
             == resumed.execution.total_units - multi
         assert resumed.execution.composed_hits == 0
         # The re-executed classes were stored whole, into the version-3
-        # tables, and now compose from them.
+        # table, and now compose from it.
         for resume in (False, True):
             warm = run_full_scan(golden, domain=domain, journal=v3,
                                  resume=resume, keep_records=True)
@@ -655,22 +723,22 @@ class TestVersion3Journal:
         """A salvaged version-3 file can hold a class with a bit lost
         from its middle: re-executed, like every class stored a row per
         bit, and never composed from its section rows."""
-        v4, cold = journals
-        v3 = _v3_file(tmp_path / "v3.sqlite", v4, "clustered")
-        _stamp(v3, 4)
+        v5, cold = journals
+        v3 = _v3_file(tmp_path / "v3.sqlite", v5, "clustered")
+        _stamp(v3, SCHEMA_VERSION)
         conn = sqlite3.connect(v3)
         with conn:
-            axis, first_slot = conn.execute(
-                "SELECT axis, first_slot FROM class_results "
-                "ORDER BY axis, first_slot LIMIT 1").fetchone()
-            conn.execute("DELETE FROM class_results WHERE axis = ? AND "
-                         "first_slot = ? AND bit = 3", (axis, first_slot))
+            slot, axis = conn.execute(
+                "SELECT slot, axis FROM section_results "
+                "ORDER BY slot, axis LIMIT 1").fetchone()
+            conn.execute("DELETE FROM section_results WHERE slot = ? AND "
+                         "axis = ? AND bit = 3", (slot, axis))
         conn.close()
         resumed = run_full_scan(golden, domain=domain, journal=v3,
                                 keep_records=True)
         assert resumed == cold
-        assert resumed.execution.discarded_results \
-            == resumed.execution.executed == self._multi_bit(cold)
+        assert resumed.execution.executed == self._multi_bit(cold)
+        assert resumed.execution.discarded_results == 0
         assert resumed.execution.composed_hits == 0
 
 
@@ -691,18 +759,16 @@ class TestPartialClassesNeverCompose:
         end_cycle, trap)``, each bit once, from the first run in key
         order that holds it."""
         conn = sqlite3.connect(journal)
-        (section_id,) = conn.execute(
-            "SELECT DISTINCT section_id FROM section_results WHERE "
-            "slot = ? AND axis = ?", (slot, axis)).fetchone()
+        runs = conn.execute(
+            "SELECT section_id, bit, outcome, end_cycle, trap FROM "
+            "section_results WHERE slot = ? AND axis = ? ORDER BY bit",
+            (slot, axis)).fetchall()
         conn.close()
-        with ExperimentJournal(journal) as handle:
-            runs = handle.section_rows(section_id)
         rows = {}
-        for (*key, bit), run in sorted(runs.items()):
-            if key == [slot, axis]:
-                for row in per_bit_rows(run, bit):
-                    rows.setdefault(row[0], row)
-        return [(section_id, *row) for row in rows.values()]
+        for section_id, bit, *run in runs:
+            for row in per_bit_rows([str(column) for column in run], bit):
+                rows.setdefault(row[0], (section_id, *row))
+        return list(rows.values())
 
     @pytest.mark.parametrize("domain, bits", [("memory", 8),
                                               ("register", 32)])
@@ -731,20 +797,25 @@ class TestPartialClassesNeverCompose:
                  if bit != missing])
         conn.close()
 
-        # The sampled style still composes single bits of the partial
-        # class: every stored one, not the missing one.
-        style_params = ScanStyle(golden, get_domain(domain)).params
+        # The sampled style still reads single bits of the partial
+        # class: every stored one, not the missing one; the scan reads
+        # no class.
+        dom = get_domain(domain)
+        sampled = SamplingStyle(golden, dom, 1, 0, "live-only")
+        key = dom.class_key(interval)
+        sampled.units = {(*key, bit): ((*key, bit),
+                                       dom.experiment_coordinate(interval,
+                                                                 bit))
+                         for bit in range(bits)}
         with ExperimentJournal(journal) as handle:
-            campaign = handle.campaign(
-                fingerprint="probe", domain=domain, kind="sampling",
-                params={}, cycles=golden.cycles)
-            composer = SectionComposer(campaign, golden,
-                                       get_domain(domain), style_params)
-            assert composer.compose_class(interval) is None
-            for _, bit, outcome, end_cycle, trap in stored:
-                assert composer.compose_experiment(slot, axis, bit) \
-                    == (None if bit == missing
-                        else (outcome, end_cycle, trap))
+            (entry,) = handle.campaigns()
+            rows = CampaignJournal(handle, entry["id"]).stored_runs()
+        assert key not in ScanStyle(golden, dom).match(rows)[0]
+        runs, bad = sampled.match(rows)
+        assert bad == []
+        assert runs == {(*key, bit): (outcome, str(end_cycle), trap)
+                        for _, bit, outcome, end_cycle, trap in stored
+                        if bit != missing}
 
         warm = run_full_scan(golden, domain=domain, journal=journal,
                              resume=False, keep_records=True)

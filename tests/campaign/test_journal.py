@@ -13,12 +13,10 @@ from repro.campaign import (
     run_full_scan,
 )
 from repro.campaign import journal as journal_module
-from repro.campaign.journal import (COMMIT_WINDOW_S, _valid_run,
+from repro.campaign.journal import (COMMIT_WINDOW_S, RUN_BITS, _valid_run,
                                     canonical_params, open_campaign)
 from repro.faultspace import MEMORY, REGISTER
 from repro.programs import bin_sem2, micro
-
-from .journal_rows import class_experiments, stored_experiments
 
 
 @pytest.fixture(scope="module")
@@ -64,57 +62,83 @@ class TestJournalFile:
             _campaign(journal, cycles=43)
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "future.sqlite"
-        ExperimentJournal(path).close()
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value = '999' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(JournalError, match="schema version"):
-            ExperimentJournal(path)
+        """A file stamped with another version — a newer build's, or
+        version 4, which kept a second copy of every class in a class
+        table — is refused before anything is written to it."""
+        for version in ("999", "4"):
+            path = tmp_path / f"v{version}.sqlite"
+            ExperimentJournal(path).close()
+            conn = sqlite3.connect(path)
+            conn.execute("UPDATE meta SET value = ? "
+                         "WHERE key = 'schema_version'", (version,))
+            conn.commit()
+            conn.close()
+            before = path.read_bytes()
+            with pytest.raises(JournalError, match="schema version"):
+                ExperimentJournal(path)
+            assert path.read_bytes() == before
 
     def test_campaigns_listing_counts_progress(self, journal):
+        """A campaign counts the experiments its linked sections hold."""
         campaign = _campaign(journal)
-        campaign.record_class(3, 7, ("sdc no-effect", "10 12", " "))
+        _campaign(journal, fingerprint="unlinked")
+        section = _section(journal)
+        campaign.link_sections([section])
+        journal.merge_section_runs([(section, 7, 3, 0, "sdc no-effect",
+                                     "10 12", " ")])
         listing = journal.campaigns()
-        assert len(listing) == 1
+        assert len(listing) == 2
         assert listing[0]["kind"] == "full-scan"
         assert listing[0]["status"] == "running"
-        assert listing[0]["journaled_experiments"] == 2
+        assert [entry["stored_experiments"] for entry in listing] == [2, 0]
 
     def test_size_report_counts_bytes_per_stored_row(self, journal):
         assert journal.size_report()["bytes_per_result"] == 0.0
-        campaign = _campaign(journal)
-        campaign.record_class(3, 7, ("sdc no-effect", "10 12", " "))
-        campaign.record_experiments([(4, 1, 0, "no-effect"),
-                                     (4, 1, 1, "sdc")])
+        section = _section(journal)
+        journal.merge_section_runs([(section, 7, 3, 0, "sdc no-effect",
+                                     "10 12", " "),
+                                    (section, 1, 4, 0, "no-effect", "1", ""),
+                                    (section, 1, 4, 1, "sdc", "1", "")])
         report = journal.size_report()
+        assert report["section_results"] == 4
         assert report["bytes_per_result"] == report["file_bytes"] / 4
 
     def test_result_rows_are_stored_once(self, tmp_path):
         """A count gate on the row format and the table layout, on a
         fresh ``bin_sem2`` journaled scan in each of two domains: one
-        ``class_results`` row and one ``section_results`` row per live
-        class, however many bits it has, and at most 30 file bytes per
-        stored experiment (a class-table copy and a section-table copy
-        of each: 28 B on memory; a row per bit took 38 B clustered, 55 B
-        as rowid tables)."""
+        ``section_results`` row per live class, however many bits it
+        has, no class table, the store holding each experiment once,
+        and at most 32 file bytes per stored experiment, the file's
+        fixed pages included (30 B on memory, 27 B on register; with a
+        class table holding a second copy of each, the file took 28 B
+        per copy; a row per bit took 38 B clustered, 55 B as rowid
+        tables).  Re-running the campaign, resumed or fresh, stores
+        nothing more."""
         golden = record_golden(bin_sem2.baseline())
         for domain in ("memory", "register"):
             path = tmp_path / f"{domain}.sqlite"
             scan = run_full_scan(golden, domain=domain, journal=path)
             conn = sqlite3.connect(path)
-            rows = [conn.execute(f"SELECT COUNT(*) FROM {table}")
-                    .fetchone()[0]
-                    for table in ("class_results", "section_results")]
+            (rows,) = conn.execute(
+                "SELECT COUNT(*) FROM section_results").fetchone()
+            tables = {name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
             conn.close()
-            assert rows == [len(scan.partition.live_classes())] * 2, domain
+            assert rows == len(scan.partition.live_classes()), domain
+            assert not any("class" in table for table in tables), domain
             with ExperimentJournal(path) as handle:
                 report = handle.size_report()
-            assert report["class_results"] == report["section_results"] \
+            assert not any("class" in key for key in report), domain
+            assert report["section_results"] \
                 == scan.experiments_conducted, domain
-            assert 0 < report["bytes_per_result"] <= 30, domain
+            assert 0 < report["bytes_per_result"] <= 32, domain
+            for resume in (True, False):
+                again = run_full_scan(golden, domain=domain, journal=path,
+                                      resume=resume)
+                assert again.execution.executed == 0, domain
+                with ExperimentJournal(path) as handle:
+                    assert handle.size_report()["section_results"] \
+                        == report["section_results"], domain
 
     def test_canonical_params_is_order_insensitive(self):
         assert canonical_params({"a": 1, "b": 2}) \
@@ -123,61 +147,69 @@ class TestJournalFile:
 
 class TestCampaignJournal:
     def test_class_rows_round_trip(self, journal):
-        campaign = _campaign(journal)
-        campaign.record_class(5, 2, ("sdc cpu-exception", "30 31", " BUS"))
-        stored = campaign.completed_classes()
+        campaign, section = _linked(journal)
+        journal.merge_section_runs([(section, 2, 5, 0, "sdc cpu-exception",
+                                     "30 31", " BUS")])
         # A class is one run from bit 0: it reads back as stored.
-        assert stored == {(5, 2): ("sdc cpu-exception", "30 31", " BUS")}
+        assert _runs(campaign) == {
+            (section, 2, 5, 0): ("sdc cpu-exception", "30 31", " BUS")}
 
     def test_rows_with_a_gap_keep_their_bits(self, journal):
         """A torn class — one run per stretch of consecutive bits, what
         a file an older build wrote a row per bit leaves when it loses a
-        page — keeps its rows as stored, never renumbered; the reader
-        gives its run from bit 0 alone, which fails validation, so the
-        class re-executes."""
-        campaign = _campaign(journal)
-        journal._write(
-            "INSERT INTO class_results VALUES (?, 5, 2, ?, ?, ?, ?)",
-            [(campaign.campaign_id, 0, "sdc sdc", "30 31", " illegal-pc"),
-             (campaign.campaign_id, 3, "timeout", "33", "")])
-        stored = campaign.completed_classes()
-        assert stored == {(5, 2): ("sdc sdc", "30 31", " illegal-pc")}
-        assert not _valid_run(stored[(5, 2)], 4)
-        assert journal.campaigns()[0]["journaled_experiments"] == 3
+        page — keeps its rows as stored, never renumbered; its run from
+        bit 0 fails validation for the class, so the class
+        re-executes."""
+        campaign, section = _linked(journal)
+        journal.merge_section_runs([
+            (section, 2, 5, 0, "sdc sdc", "30 31", " illegal-pc"),
+            (section, 2, 5, 3, "timeout", "33", "")])
+        stored = _runs(campaign)
+        assert stored == {
+            (section, 2, 5, 0): ("sdc sdc", "30 31", " illegal-pc"),
+            (section, 2, 5, 3): ("timeout", "33", "")}
+        assert not _valid_run(stored[(section, 2, 5, 0)], 4)
+        assert journal.campaigns()[0]["stored_experiments"] == 3
 
     def test_a_run_whose_columns_disagree_yields_no_bits(self, journal):
         """Two outcomes, one end cycle: which bit it belongs to is not
-        knowable, so the class reads back as stored and fails
+        knowable, so the run reads back as stored and fails
         validation: it is re-executed, none of its bits trusted."""
-        campaign = _campaign(journal)
-        campaign.record_class(5, 2, ("sdc no-effect", "30 31", " "))
-        journal._write(
-            "INSERT INTO class_results VALUES (?, 6, 2, 0, 'sdc sdc', "
-            "'30', ' ')", [(campaign.campaign_id,)])
-        stored = campaign.completed_classes()
-        assert stored == {(5, 2): ("sdc no-effect", "30 31", " "),
-                          (6, 2): ("sdc sdc", "30", " ")}
+        campaign, section = _linked(journal)
+        journal.merge_section_runs([
+            (section, 2, 5, 0, "sdc no-effect", "30 31", " "),
+            (section, 2, 6, 0, "sdc sdc", "30", " ")])
+        stored = _runs(campaign)
+        assert list(stored.values()) == [("sdc no-effect", "30 31", " "),
+                                         ("sdc sdc", "30", " ")]
         assert [_valid_run(run, 2) for run in stored.values()] \
             == [True, False]
 
     def test_experiment_rows_round_trip(self, journal):
         """A sampled experiment reads back as its run of one, every
         value as stored."""
-        campaign = _campaign(journal, kind="sampling")
-        campaign.record_experiments([(2, 9, 3, "timeout"),
-                                     (2, 9, 4, "bogus")])
-        assert campaign.completed_experiments() == {
-            (2, 9, 3): ("timeout", "0", ""), (2, 9, 4): ("bogus", "0", "")}
+        campaign, section = _linked(journal, kind="sampling")
+        journal.merge_section_runs([(section, 9, 2, 3, "timeout", "0", ""),
+                                    (section, 9, 2, 4, "bogus", "0", "")])
+        assert _runs(campaign) == {
+            (section, 9, 2, 3): ("timeout", "0", ""),
+            (section, 9, 2, 4): ("bogus", "0", "")}
 
     def test_clear_discards_results_and_state(self, journal):
-        campaign = _campaign(journal)
-        campaign.record_class(1, 1, ("sdc", "5", ""))
+        """``clear()`` drops the campaign's links, sampler position and
+        status; the shared section rows survive for the next link."""
+        campaign, section = _linked(journal)
+        journal.merge_section_runs([(section, 1, 1, 0, "sdc", "5", "")])
         campaign.record_sampler_state(10, "[3,[1,2],null]")
         campaign.mark_complete()
         campaign.clear()
-        assert campaign.completed_classes() == {}
+        assert _runs(campaign) == {}
+        assert campaign.linked_sections() == []
         assert campaign.sampler_state() is None
         assert campaign.status == "running"
+        assert journal.size_report()["section_results"] == 1
+        campaign.link_sections([section])
+        assert list(_runs(campaign).values()) == [("sdc", "5", "")]
 
     def test_mark_complete_sets_status(self, journal):
         campaign = _campaign(journal)
@@ -258,9 +290,9 @@ class TestJournalDurability:
         (quick_check or the schema read), never as a silent bad read."""
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as handle:
-            campaign = _campaign(handle)
+            section = _section(handle)
             for axis in range(64):
-                campaign.record_class(axis, 1, RUN)
+                handle.merge_section_runs([(section, 1, axis, 0, *RUN)])
         raw = bytearray(path.read_bytes())
         assert len(raw) > 8192
         # Stomp a whole page's header: structural corruption that
@@ -269,31 +301,63 @@ class TestJournalDurability:
         path.write_bytes(bytes(raw))
         with pytest.raises((JournalError, sqlite3.DatabaseError)):
             with ExperimentJournal(path) as handle:
-                _campaign(handle).completed_classes()
+                _campaign(handle).stored_runs()
 
     def test_merge_class_is_first_wins_idempotent(self, journal):
-        campaign = _campaign(journal)
+        """A class merged again — the same run, or a late copy of its
+        length — keeps the first copy; only a longer run replaces a
+        shorter one at the same first bit."""
+        campaign, section = _linked(journal)
         run = ("sdc no-effect", "30 42", " ")
-        assert campaign.merge_class(5, 2, run) is True
-        assert campaign.merge_class(5, 2, run) is False
-        assert campaign.merge_class(
-            5, 2, ("timeout", "1", "")) is False  # late duplicate
-        stored = campaign.completed_classes()
-        assert stored[(5, 2)] == ("sdc no-effect", "30 42", " ")
+        for again in (run, run, ("timeout timeout", "1 1", " ")):
+            journal.merge_section_runs([(section, 2, 5, 0, *again)])
+            assert _runs(campaign) == {(section, 2, 5, 0): run}
+        longer = ("sdc no-effect sdc", "30 42 7", "  ")
+        journal.merge_section_runs([(section, 2, 5, 0, *longer)])
+        assert _runs(campaign) == {(section, 2, 5, 0): longer}
 
 
 #: An eight-bit class as its run: outcomes, end cycles, traps.
 RUN = (" ".join(["sdc"] * 8), " ".join(["30"] * 8), " " * 7)
 
 
+def _section(journal) -> int:
+    """One interned section of slots 1–9."""
+    return journal.section(fingerprint="s", program="p", domain="memory",
+                           first_slot=1, last_slot=9)
+
+
+def _runs(campaign) -> dict:
+    """The campaign's stored runs, ``(section_id, slot, axis, bit)`` →
+    run."""
+    return {row[:4]: row[4:] for row in campaign.stored_runs()}
+
+
+def _linked(journal, **overrides):
+    """``(campaign, section_id)``: a campaign linked to one section."""
+    campaign = _campaign(journal, **overrides)
+    section = _section(journal)
+    campaign.link_sections([section])
+    return campaign, section
+
+
+def _store(journal, *axes, run=RUN) -> None:
+    """One unit: a class stored at slot 1 of the first section (what
+    :func:`_section` interns in a fresh file) on each of ``axes`` — a
+    write alone, no read to commit the window."""
+    journal.merge_section_runs([(1, 1, axis, 0, *run) for axis in axes])
+
+
 def _committed(path) -> dict:
     """What a second connection — a crash survivor — sees: experiments
-    per class, plus the section store's experiment total."""
-    return {**class_experiments(path),
-            "section_results": stored_experiments(path, "section_results")}
-
-
-NOTHING = {"section_results": 0}
+    stored per axis, every bit counted."""
+    conn = sqlite3.connect(path)
+    try:
+        return dict(conn.execute(
+            f"SELECT axis, SUM({RUN_BITS}) FROM section_results "
+            f"GROUP BY axis ORDER BY axis"))
+    finally:
+        conn.close()
 
 
 class TestGroupCommit:
@@ -313,105 +377,103 @@ class TestGroupCommit:
     def test_window_semantics(self, tmp_path, clock):
         path = tmp_path / "journal.sqlite"
         journal = ExperimentJournal(path)
-        campaign = _campaign(journal)
-        section = journal.section(fingerprint="s", program="p",
-                                  domain="memory", first_slot=1,
-                                  last_slot=9)
-        campaign.record_class(1, 1, RUN)
-        campaign.record_experiments([(3, 1, 0, "sdc"), (3, 1, 1, "sdc")])
-        journal.merge_section_runs([(section, 1, 1, 0, "sdc", "30", "")])
+        section = _section(journal)
+        _store(journal, 1)
+        journal.merge_section_runs([(section, 1, 3, 0, "sdc", "30", ""),
+                                    (section, 1, 3, 1, "sdc", "30", "")])
         clock[0] += COMMIT_WINDOW_S * 0.9
-        campaign.record_experiments([(2, 1, 0, "sdc")])
-        assert _committed(path) == NOTHING  # all inside the window
+        journal.merge_section_runs([(section, 1, 2, 0, "sdc", "30", "")])
+        assert _committed(path) == {}  # all inside the window
         clock[0] += COMMIT_WINDOW_S * 0.1
-        campaign.record_class(4, 1, RUN)  # finds the window expired
-        everything = {(1, 1): 8, (2, 1): 1, (3, 1): 2, (4, 1): 8,
-                      "section_results": 1}
+        _store(journal, 4)  # finds the window expired
+        everything = {1: 8, 2: 1, 3: 2, 4: 8}
         assert _committed(path) == everything
-        campaign.record_class(5, 1, RUN)  # opens the next window
+        _store(journal, 5)  # opens the next window
         clock[0] += COMMIT_WINDOW_S * 0.5
-        campaign.record_class(6, 1, RUN)
+        _store(journal, 6)
         assert _committed(path) == everything
         journal.close()
-        assert _committed(path) == everything | {(5, 1): 8, (6, 1): 8}
+        assert _committed(path) == everything | {5: 8, 6: 8}
 
     @pytest.mark.parametrize("flush_point", [
         lambda campaign, other: campaign.mark_complete(),
         lambda campaign, other: other.clear(),
-        lambda campaign, other: campaign.discard_classes([(9, 9)]),
+        lambda campaign, other: campaign.journal.discard_section_runs(
+            [(9, 9, 9, 0)]),
         lambda campaign, other: campaign.record_event("probation"),
         lambda campaign, other: campaign.flush(),
         lambda campaign, other: campaign.close(),
         lambda campaign, other: campaign.journal.close(),
-    ], ids=["mark_complete", "clear", "discard_classes", "record_event",
-            "flush", "handle-close", "journal-close"])
+    ], ids=["mark_complete", "clear", "discard_section_runs",
+            "record_event", "flush", "handle-close", "journal-close"])
     def test_every_flush_point_commits_the_pending_rows(
             self, tmp_path, clock, flush_point):
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
             campaign = _campaign(journal)
             other = _campaign(journal, fingerprint="other")
-            campaign.record_class(1, 1, RUN)
-            campaign.record_class(2, 1, RUN)
-            assert _committed(path) == NOTHING
+            _section(journal)
+            _store(journal, 1)
+            _store(journal, 2)
+            assert _committed(path) == {}
             flush_point(campaign, other)
-            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
+            assert _committed(path) == {1: 8, 2: 8}
 
     def test_exception_and_interrupt_exits_commit(self, tmp_path, clock):
         path = tmp_path / "journal.sqlite"
         for axis, exc in enumerate((RuntimeError, KeyboardInterrupt)):
             with pytest.raises(exc):
                 with ExperimentJournal(path) as journal:
-                    with _campaign(journal) as campaign:
-                        campaign.record_class(axis, 1, RUN)
+                    with _campaign(journal):
+                        _store(journal, axis)
                         raise exc
-            assert _committed(path)[(axis, 1)] == 8
+            assert _committed(path)[axis] == 8
 
     def test_owned_handle_closes_twice(self, tmp_path, golden):
         path = tmp_path / "journal.sqlite"
         handle = open_campaign(path, golden, MEMORY, "full-scan", {})
-        handle.record_class(1, 1, RUN)
+        _store(handle.journal, 1)
         handle.close()
         handle.close()  # a runner's ``with`` after an explicit close
-        assert _committed(path)[(1, 1)] == 8
+        assert _committed(path)[1] == 8
 
     def test_a_writer_reads_its_own_pending_rows(self, tmp_path, clock):
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
-            campaign = _campaign(journal)
-            campaign.record_classes([(1, 1, RUN), (2, 1, RUN)])
-            assert _committed(path) == NOTHING
-            assert campaign.merge_class(2, 1, RUN) is False  # a read
-            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
-            assert sorted(campaign.completed_classes()) == [(1, 1), (2, 1)]
-            assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
-            # A discarded class merges again, even within one window.
-            campaign.record_class(3, 1, RUN)
-            assert campaign.discard_classes([(3, 1), (3, 1), (9, 9)]) == 1
-            assert campaign.merge_class(3, 1, RUN) is True
+            campaign, section = _linked(journal)
+            _store(journal, 1, 2)
+            assert _committed(path) == {}
+            # A read through the writer commits the window first.
+            assert sorted(_runs(campaign)) \
+                == [(section, 1, 1, 0), (section, 1, 2, 0)]
+            assert _committed(path) == {1: 8, 2: 8}
+            # A discarded class stores again, even within one window.
+            _store(journal, 3)
+            assert journal.discard_section_runs(
+                [(section, 1, 3, 0), (section, 1, 3, 0)]) == 1
+            assert _committed(path) == {1: 8, 2: 8}
+            _store(journal, 3)
+        assert _committed(path) == {1: 8, 2: 8, 3: 8}
 
     def test_merge_class_keeps_the_first_copy_wherever_it_is(
             self, tmp_path, clock):
         """A class is fresh unless an earlier copy is committed, still
-        in the uncommitted window or merged just before; a late copy
-        never replaces the first, which is stored exactly as
-        ``record_class`` would store it."""
+        in the uncommitted window or merged just before; a late copy of
+        its length never replaces the first."""
         path = tmp_path / "journal.sqlite"
         late = (" ".join(["timeout"] * 8), " ".join(["1"] * 8), " " * 7)
         with ExperimentJournal(path) as journal:
-            campaign = _campaign(journal)
-            campaign.record_class(1, 1, RUN)
+            campaign, section = _linked(journal)
+            _store(journal, 1)
             campaign.flush()  # (1, 1) committed
-            campaign.record_class(2, 1, RUN)  # (2, 1) uncommitted
-            assert campaign.merge_class(1, 1, late) is False
-            assert campaign.merge_class(2, 1, late) is False
-            assert campaign.merge_class(3, 1, RUN) is True
-            assert campaign.merge_class(3, 1, late) is False
-            stored = campaign.completed_classes()
+            _store(journal, 2)  # (1, 2) uncommitted
+            _store(journal, 1, 2, 3, run=late)
+            _store(journal, 3, run=late)
+            stored = _runs(campaign)
         # Every first copy, none of the late ones.
-        assert stored == {(axis, 1): RUN for axis in (1, 2, 3)}
-        assert _committed(path) == NOTHING | {(axis, 1): 8
-                                              for axis in (1, 2, 3)}
+        assert stored == {(section, 1, 1, 0): RUN, (section, 1, 2, 0): RUN,
+                          (section, 1, 3, 0): late}
+        assert _committed(path) == {1: 8, 2: 8, 3: 8}
 
     def test_an_open_window_locks_nobody_out(self, tmp_path, clock):
         """Two campaigns — two processes in real life — share one file.
@@ -422,18 +484,17 @@ class TestGroupCommit:
         with ExperimentJournal(path) as first, \
                 ExperimentJournal(path) as second:
             second._conn.execute("PRAGMA busy_timeout = 0")
-            ours = _campaign(first)
+            _section(first)
             theirs = _campaign(second, fingerprint="other")
-            ours.record_class(1, 1, RUN)
-            theirs.record_class(2, 1, RUN)
+            _store(first, 1)
+            _store(second, 2)
             theirs.flush()
-            assert _committed(path) == NOTHING | {(2, 1): 8}
+            assert _committed(path) == {2: 8}
             first._conn.execute("PRAGMA busy_timeout = 0")
-            ours.flush()
-            theirs.record_class(3, 1, RUN)
+            first.flush()
+            _store(second, 3)
             theirs.mark_complete()
-        assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8,
-                                              (3, 1): 8}
+        assert _committed(path) == {1: 8, 2: 8, 3: 8}
 
     def test_a_rejected_unit_is_dropped_whole_and_alone(self, tmp_path,
                                                         clock):
@@ -442,34 +503,32 @@ class TestGroupCommit:
         whole at the flush; the units around it commit."""
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
-            campaign = _campaign(journal)
-            campaign.record_class(6, 1, RUN)
-            campaign.record_experiments([(3, 1, 0, "sdc"),
-                                         (3, 1, 1, None)])
-            campaign.record_class(8, 1, RUN)
+            section = _section(journal)
+            _store(journal, 6)
+            journal.merge_section_runs([(section, 1, 3, 0, "sdc", "1", ""),
+                                        (section, 1, 3, 1, None, "1", "")])
+            _store(journal, 8)
             with pytest.raises(sqlite3.IntegrityError):
-                campaign.flush()
+                journal.flush()
             # Nothing of the failed transaction is visible; the classes
             # around the torn unit are still pending, not lost.
-            assert _committed(path) == NOTHING
-            assert campaign.merge_class(6, 1, RUN) is False
-            assert campaign.merge_class(7, 1, RUN) is True
-        assert _committed(path) == NOTHING | {(6, 1): 8, (7, 1): 8,
-                                              (8, 1): 8}
+            assert _committed(path) == {}
+            _store(journal, 7)
+        assert _committed(path) == {6: 8, 7: 8, 8: 8}
 
     def test_a_busy_database_keeps_the_window(self, tmp_path, clock):
         path = tmp_path / "journal.sqlite"
         with ExperimentJournal(path) as journal:
             journal._conn.execute("PRAGMA busy_timeout = 0")
-            campaign = _campaign(journal)
-            campaign.record_class(1, 1, RUN)
+            _section(journal)
+            _store(journal, 1)
             blocker = sqlite3.connect(path)
             blocker.execute("BEGIN IMMEDIATE")
             try:
                 with pytest.raises(sqlite3.OperationalError):
-                    campaign.flush()
+                    journal.flush()
             finally:
                 blocker.rollback()
                 blocker.close()
-            campaign.record_class(2, 1, RUN)
-        assert _committed(path) == NOTHING | {(1, 1): 8, (2, 1): 8}
+            _store(journal, 2)
+        assert _committed(path) == {1: 8, 2: 8}

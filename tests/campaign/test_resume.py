@@ -432,8 +432,7 @@ class TestDriverSigkill:
         conn = sqlite3.connect(path)
         try:
             return conn.execute(
-                "SELECT COUNT(*) FROM (SELECT DISTINCT axis, first_slot "
-                "FROM class_results)").fetchone()[0]
+                "SELECT COUNT(*) FROM section_results").fetchone()[0]
         except sqlite3.OperationalError:
             return 0  # schema not committed yet
         finally:
@@ -469,16 +468,20 @@ class TestDriverSigkill:
         assert victim.returncode == -signal.SIGKILL  # died mid-campaign
 
         dom = get_domain(domain)
-        expected = {dom.class_key(interval): dom.experiment_count(interval)
+        # A class is stored as its run from bit 0 at its injection slot.
+        expected = {(interval.injection_slot, dom.axis_of(interval)):
+                    dom.experiment_count(interval)
                     for interval in baseline.partition.live_classes()}
         # Opening runs quick_check and raises on a damaged file.
         with ExperimentJournal(journal) as handle:
             (listed,) = handle.campaigns()
             assert listed["status"] == "running"
-            survived = handle.campaign(
-                fingerprint=listed["fingerprint"], domain=listed["domain"],
-                kind=listed["kind"], params=listed["params"],
-                cycles=listed["cycles"]).completed_classes()
+            survived = {(slot, axis): tuple(stored)
+                        for _, slot, axis, _, *stored in handle.campaign(
+                            fingerprint=listed["fingerprint"],
+                            domain=listed["domain"], kind=listed["kind"],
+                            params=listed["params"],
+                            cycles=listed["cycles"]).stored_runs()}
         assert 0 < len(survived) < len(expected)
         assert set(survived) <= set(expected)
         assert all(_valid_run(stored, expected[key])

@@ -72,14 +72,13 @@ class TestSalvageTablesInSync:
             campaign = journal.campaign(fingerprint="f", domain="memory",
                                         kind="full-scan", params={},
                                         cycles=9)
-            campaign.record_class(0, 1, ("sdc", "3", ""))
             campaign.record_sampler_state(1, "[]")
             campaign.record_event("crc-reject")
             section = journal.section(fingerprint="s", program="p",
                                       domain="memory", first_slot=1,
                                       last_slot=9)
             journal.merge_section_runs([(section, 1, 0, 0, "sdc", "3", "")])
-            campaign.link_section(section)
+            campaign.link_sections([section])
             journal.flush()
             counts = {
                 table: journal._conn.execute(
@@ -143,7 +142,7 @@ class TestCorruptJournal:
             db = sqlite3.connect(path)
             try:
                 return db.execute(
-                    "SELECT count(*) FROM class_results").fetchone()[0]
+                    "SELECT count(*) FROM section_results").fetchone()[0]
             finally:
                 db.close()
 
@@ -195,16 +194,22 @@ class TestInvalidClasses:
 
     @staticmethod
     def _stored(runs) -> dict:
-        """What the class reader gives for class ``(5, 2)`` stored as
-        ``runs``, ``(first_bit, outcomes, end_cycles, traps)`` rows."""
+        """The run from bit 0 the store reader gives for the class at
+        slot 5, axis 2, stored as ``runs``, ``(first_bit, outcomes,
+        end_cycles, traps)`` rows of a section the campaign links."""
         with ExperimentJournal(":memory:") as journal:
             campaign = journal.campaign(
                 fingerprint="probe", domain="memory", kind="full-scan",
                 params={}, cycles=100)
-            journal._write(
-                "INSERT INTO class_results VALUES (?, 5, 2, ?, ?, ?, ?)",
-                [(campaign.campaign_id, *run) for run in runs])
-            return campaign.completed_classes()
+            section = journal.section(fingerprint="s", program="p",
+                                      domain="memory", first_slot=1,
+                                      last_slot=100)
+            campaign.link_sections([section])
+            journal.merge_section_runs([(section, 5, 2, *run)
+                                        for run in runs])
+            return {(slot, axis): tuple(run)
+                    for _, slot, axis, bit, *run in campaign.stored_runs()
+                    if bit == 0}
 
     def test_healthy_classes_pass(self):
         assert _valid_run(self.RUN, 3)
@@ -256,21 +261,19 @@ def hi_baseline(hi_golden):
     return run_full_scan(hi_golden, keep_records=True)
 
 
-def _spoil_first_value(path, table, column, value):
-    """Overwrite the first value of ``column`` in the first class of
-    ``table`` (``class_results`` or ``section_results``) with ``value``
-    — what no build writes — and mark the campaign unfinished."""
-    first, second = (("slot", "axis") if table == "section_results"
-                     else ("axis", "first_slot"))
+def _spoil_first_value(path, column, value):
+    """Overwrite the first value of ``column`` in the first stored class
+    with ``value`` — what no build writes — and mark the campaign
+    unfinished."""
     conn = sqlite3.connect(path)
     with conn:
-        major, minor, stored = conn.execute(
-            f"SELECT {first}, {second}, {column} FROM {table} "
-            f"WHERE bit = 0 ORDER BY {first}, {second} LIMIT 1").fetchone()
+        slot, axis, stored = conn.execute(
+            f"SELECT slot, axis, {column} FROM section_results "
+            f"WHERE bit = 0 ORDER BY slot, axis LIMIT 1").fetchone()
         conn.execute(
-            f"UPDATE {table} SET {column} = ? WHERE {first} = ? "
-            f"AND {second} = ? AND bit = 0",
-            (" ".join([value, *str(stored).split(" ")[1:]]), major, minor))
+            f"UPDATE section_results SET {column} = ? WHERE slot = ? "
+            f"AND axis = ? AND bit = 0",
+            (" ".join([value, *str(stored).split(" ")[1:]]), slot, axis))
         conn.execute("UPDATE campaigns SET status = 'running'")
     conn.close()
 
@@ -283,7 +286,7 @@ class TestMalformedValuesAreRedone:
     def test_a_bad_outcome_in_a_journaled_class_is_discarded(
             self, tmp_path, hi_golden, hi_baseline):
         path = journal_with_campaign(tmp_path, hi_golden)
-        _spoil_first_value(path, "class_results", "outcome", "bogus")
+        _spoil_first_value(path, "outcome", "bogus")
         result = run_full_scan(hi_golden, journal=path, keep_records=True)
         assert result == hi_baseline
         assert result.records == hi_baseline.records
@@ -297,7 +300,7 @@ class TestMalformedValuesAreRedone:
     def test_a_bad_end_cycle_in_a_section_row_does_not_compose(
             self, tmp_path, hi_golden, hi_baseline):
         path = journal_with_campaign(tmp_path, hi_golden)
-        _spoil_first_value(path, "section_results", "end_cycle", "x6")
+        _spoil_first_value(path, "end_cycle", "x6")
         result = run_full_scan(hi_golden, journal=path, resume=False,
                                keep_records=True)
         assert result == hi_baseline
@@ -307,21 +310,28 @@ class TestMalformedValuesAreRedone:
             == hi_baseline.experiments_conducted - hi_baseline.domain.bits
 
 
-    def test_a_class_outside_the_partition_is_discarded(
+    def test_a_class_outside_the_partition_is_left_alone(
             self, tmp_path, hi_golden, hi_baseline):
+        """A row at a coordinate no class of this campaign has — another
+        campaign's class in a shared section — is neither trusted nor
+        discarded."""
         path = journal_with_campaign(tmp_path, hi_golden)
         conn = sqlite3.connect(path)
         with conn:
             conn.execute(
-                "INSERT INTO class_results SELECT campaign_id, 999, "
-                "first_slot, bit, outcome, end_cycle, trap FROM "
-                "class_results ORDER BY axis, first_slot LIMIT 1")
+                "INSERT INTO section_results SELECT section_id, slot, 999, "
+                "bit, outcome, end_cycle, trap FROM section_results "
+                "ORDER BY section_id, slot, axis LIMIT 1")
             conn.execute("UPDATE campaigns SET status = 'running'")
         conn.close()
         result = run_full_scan(hi_golden, journal=path, keep_records=True)
         assert result == hi_baseline
-        assert result.execution.discarded_results == 1
+        assert result.execution.discarded_results == 0
         assert result.execution.executed == 0
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM section_results WHERE "
+                            "axis = 999").fetchone()[0] == 1
+        conn.close()
 
 
 class TestSampledResumeValidatesExperiments:
@@ -339,12 +349,10 @@ class TestSampledResumeValidatesExperiments:
         conn = sqlite3.connect(path)
         with conn:
             conn.execute(
-                "UPDATE class_results SET outcome = 'bogus' WHERE "
-                "(axis, first_slot, bit) = (SELECT axis, first_slot, bit "
-                "FROM class_results ORDER BY axis, first_slot, bit "
+                "UPDATE section_results SET outcome = 'bogus' WHERE "
+                "(section_id, slot, axis, bit) = (SELECT section_id, slot, "
+                "axis, bit FROM section_results ORDER BY 1, 2, 3, 4 "
                 "LIMIT 1)")
-            # Else the discarded experiment composes from the store.
-            conn.execute("DELETE FROM section_results")
             conn.execute("UPDATE campaigns SET status = 'running'")
         conn.close()
         result = run_sampling(hi_golden, 64, seed=7, sampler="live-only",
@@ -365,9 +373,9 @@ class TestEveryTransportPrunesPartialClasses:
     def test_truncated_class_is_discarded_and_redone(
             self, transport, tmp_path, memory_golden, memory_baseline):
         path = journal_with_campaign(tmp_path, memory_golden)
-        # Lose the tail of one journaled class (what losing the page
-        # holding it does) of a campaign that had not finished.
-        truncate_first_class(path, keep=5)
+        # Tear one stored class — its outcomes lose their tail, its end
+        # cycles and traps do not — in a campaign that had not finished.
+        truncate_first_class(path, keep=5, columns=1)
         conn = sqlite3.connect(path)
         with conn:
             conn.execute("UPDATE campaigns SET status = 'running'")
@@ -385,6 +393,27 @@ class TestEveryTransportPrunesPartialClasses:
         assert result.execution.discarded_results == 1
         assert result.execution.complete
 
+    @pytest.mark.parametrize("transport", [None, 2])
+    def test_a_short_class_is_redone_and_replaced(
+            self, transport, tmp_path, memory_golden, memory_baseline):
+        """A class stored shorter than it is, every column alike (a
+        sampled campaign's bit 0), is not used and not discarded: the
+        class re-executes and its whole run replaces the short one."""
+        path = journal_with_campaign(tmp_path, memory_golden)
+        truncate_first_class(path, keep=5)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        result = run_full_scan(memory_golden, jobs=transport, journal=path,
+                               keep_records=True)
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        assert (result.execution.executed,
+                result.execution.discarded_results) == (1, 0)
+        again = run_full_scan(memory_golden, journal=path)
+        assert again.execution.executed == 0
+
 
 class TestDistPrunesPartialClasses:
     def test_partial_resumed_class_is_discarded_and_reexecuted(
@@ -394,9 +423,9 @@ class TestDistPrunesPartialClasses:
         it, and re-execute — silently merging it would undercount that
         class's outcomes forever."""
         path = journal_with_campaign(tmp_path, memory_golden)
-        # Surgically truncate one journaled class: drop its last bits,
-        # exactly what losing the page holding them does.
-        truncate_first_class(path, keep=1)
+        # Surgically tear one stored class: drop the last bits of its
+        # outcomes, not of its end cycles and traps.
+        truncate_first_class(path, keep=1, columns=1)
         result, _, _ = run_dist(memory_golden, journal=path)
         execution = result.execution
         assert execution.discarded_results >= 1

@@ -116,13 +116,12 @@ def test_every_style_keeps_the_contract(transport, style, scenario, golden,
                     lambda result: result.samples)
 
 
-def _result_rows(path) -> dict:
-    """Every row of the two run tables, in key order."""
+def _result_rows(path) -> list:
+    """Every row of the result table, in key order."""
     conn = sqlite3.connect(path)
     try:
-        return {table: conn.execute(
-                    f"SELECT * FROM {table} ORDER BY 1, 2, 3, 4").fetchall()
-                for table in ("class_results", "section_results")}
+        return conn.execute(
+            "SELECT * FROM section_results ORDER BY 1, 2, 3, 4").fetchall()
     finally:
         conn.close()
 
@@ -130,8 +129,8 @@ def _result_rows(path) -> dict:
 @pytest.mark.parametrize("style", ["scan", "sampling"])
 def test_both_transports_write_identical_result_rows(style, golden,
                                                      tmp_path):
-    """In-process and on fabric workers, a campaign's journal and
-    section store rows are the same, every column."""
+    """In-process and on fabric workers, a campaign's section store
+    rows are the same, every column."""
     def campaign(**kw):
         if style == "scan":
             return run_full_scan(golden, **kw)
@@ -143,7 +142,7 @@ def test_both_transports_write_identical_result_rows(style, golden,
         campaign(jobs=jobs, journal=path)
         rows[name] = _result_rows(path)
     assert rows["in-process"] == rows["pool"]
-    assert rows["pool"]["class_results"]
+    assert rows["pool"]
 
 
 def test_a_local_fleet_attributes_nothing(golden):

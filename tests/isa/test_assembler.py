@@ -469,13 +469,17 @@ start:  la   r1, w
         _unmemoised(monkeypatch)
         assert assemble(source, ram_size=16) == program
 
-    def test_an_equ_shadowing_a_data_label(self, monkeypatch):
-        """An ``.equ`` may take a data label's name (constants are
-        looked up first): the repeat then means the constant."""
-        source = ".data\nx: .byte 5\n.text\nli r1, x\n.equ x, 9\nli r1, x\n"
-        program = assemble(source, ram_size=4)
-        _unmemoised(monkeypatch)
-        assert assemble(source, ram_size=4) == program
+    def test_an_equ_shadowing_a_data_label(self):
+        """An ``.equ`` may not take a label's name, as a label may not
+        take a constant's: the clash is refused in either order, so a
+        name never changes its meaning between two repeats."""
+        for source in (
+                ".data\nx: .byte 5\n.text\nli r1, x\n.equ x, 9\nli r1, x\n",
+                ".text\nx: nop\n.equ x, 9\n",
+                ".equ x, 9\n.data\nx: .byte 5\n",
+                ".equ x, 9\n.text\nx: nop\n"):
+            with pytest.raises(AssemblyError, match="duplicate"):
+                assemble(source, ram_size=4)
 
     def test_a_repeat_carries_its_own_line(self):
         assembler = Assembler()

@@ -1,17 +1,17 @@
 """Property-based tests of the journal's run rows.
 
-A ``class_results`` / ``section_results`` row holds a run of bits, its
-per-bit values space-separated (``repro.campaign.journal``).  A class
-is trusted only as one valid run from bit 0, read back as stored and
-written back as it was read.  These properties pin that: a class of any
-width, with any outcomes, end cycles and (empty or named) traps,
-round-trips; a section fed any interleaving of sampled single bits and
-whole classes composes a class exactly when it was stored whole and a
-bit exactly when it was stored; and whatever mix of whole, torn,
-gapped, short, shifted, per-bit and malformed rows a journal holds, a
-campaign resumed and composed from it equals the journal-free one, a
-class resuming or composing exactly when its stored run from bit 0 is
-valid.
+A ``section_results`` row holds a run of bits, its per-bit values
+space-separated (``repro.campaign.journal``).  A class is trusted only
+as one valid run from bit 0, read back as stored.  These properties pin
+that: a class of any width, with any outcomes, end cycles and (empty or
+named) traps, round-trips; a section fed any interleaving of sampled
+single bits and whole classes gives a scan a class exactly when it was
+stored whole and a sampled campaign a bit exactly when it was stored;
+and whatever mix of whole, torn, gapped, short, shifted, per-bit and
+malformed rows a section holds, a campaign resumed or composed from it
+equals the journal-free one, a class read back exactly when its stored
+run from bit 0 is valid and as long as the class, and discarded exactly
+when that run is malformed or longer.
 """
 
 import random
@@ -22,11 +22,11 @@ from hypothesis import (HealthCheck, example, given, settings,
 
 from repro.campaign import (ExperimentJournal, record_golden, run_full_scan,
                             run_sampling)
-from repro.campaign.compose import SectionComposer
+from repro.campaign.compose import SectionComposer, link_sections
 from repro.campaign.journal import _OUTCOME_VALUES, _valid_run, open_campaign
 from repro.campaign.outcomes import OUTCOME_BY_VALUE
-from repro.campaign.runner import ScanStyle
-from repro.faultspace import get_domain
+from repro.campaign.runner import SamplingStyle, ScanStyle
+from repro.faultspace import build_section_map, get_domain
 from repro.programs import micro
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -70,14 +70,20 @@ def classes(draw):
 class TestClassRoundTrip:
     @SETTINGS
     @given(stored=classes())
-    def test_record_class_then_completed_classes(self, stored):
+    def test_stored_then_read_back(self, stored):
         with ExperimentJournal(":memory:") as journal:
             campaign = _campaign(journal)
-            for (axis, first_slot), rows in stored.items():
-                campaign.record_class(axis, first_slot, _run(rows))
-            assert campaign.completed_classes() == {
-                key: _run(rows) for key, rows in sorted(stored.items())}
-            assert journal.campaigns()[0]["journaled_experiments"] \
+            section = journal.section(fingerprint="s", program="p",
+                                      domain="memory", first_slot=1,
+                                      last_slot=500)
+            campaign.link_sections([section])
+            journal.merge_section_runs([
+                (section, slot, axis, 0, *_run(rows))
+                for (axis, slot), rows in stored.items()])
+            assert {row[:4]: row[4:] for row in campaign.stored_runs()} == {
+                (section, slot, axis, 0): _run(rows)
+                for (axis, slot), rows in stored.items()}
+            assert journal.campaigns()[0]["stored_experiments"] \
                 == sum(map(len, stored.values()))
 
 
@@ -91,9 +97,7 @@ def _section(domain_name: str):
         golden = record_golden(micro.counter(2))
         style = ScanStyle(golden, get_domain(domain_name))
         domain, params = style.domain, style.params
-        with ExperimentJournal(":memory:") as journal:
-            owner = SectionComposer(_campaign(journal), golden, domain,
-                                    params).map.owner
+        owner = build_section_map(golden, domain, params).owner
         by_section: dict = {}
         for interval in style.partition.live_classes():
             by_section.setdefault(owner(interval.injection_slot).index,
@@ -136,16 +140,17 @@ class TestSectionInterleaving:
         stored = [set() for _ in intervals]
         whole = [False for _ in intervals]
         with ExperimentJournal(":memory:") as journal:
-            writer = SectionComposer(_campaign(journal), golden, domain,
-                                     params)
+            handle = _campaign(journal)
+            writer = SectionComposer(
+                handle, link_sections(handle, golden, domain, params))
             for index, bit in ops:
                 interval = intervals[index]
                 slot = interval.injection_slot
                 axis = domain.axis_of(interval)
                 width = domain.experiment_count(interval)
                 if bit is None:
-                    writer.store_class(interval, _run([
-                        _row(slot, axis, b) for b in range(width)]))
+                    writer.store_runs([(slot, axis, 0, _run([
+                        _row(slot, axis, b) for b in range(width)]))])
                     stored[index].update(range(width))
                     whole[index] = True
                 else:
@@ -153,26 +158,40 @@ class TestSectionInterleaving:
                     writer.store_runs([(slot, axis, bit,
                                         _run([_row(slot, axis, bit)]))])
                     stored[index].add(bit)
-            reader = SectionComposer(_campaign(journal, kind="sampling"),
-                                     golden, domain, params)
-            for interval, bits, is_whole in zip(intervals, stored, whole):
-                slot = interval.injection_slot
-                axis = domain.axis_of(interval)
-                width = domain.experiment_count(interval)
-                full = [_row(slot, axis, b) for b in range(width)]
-                # Every bit sampled one at a time is not a class.
-                assert reader.compose_class(interval) \
-                    == (_run(full) if is_whole else None)
-                for bit in range(width):
-                    assert reader.compose_experiment(slot, axis, bit) \
-                        == (full[bit][1:] if bit in bits else None)
+            rows = handle.stored_runs()
+        # A scan reads a class, a sampled campaign each of its bits.
+        scan = ScanStyle(golden, domain)
+        classes, bad = scan.match(rows)
+        assert bad == []
+        sampled = SamplingStyle(golden, domain, 1, 0, "live-only")
+        sampled.units = {
+            (*domain.class_key(interval), bit):
+                ((*domain.class_key(interval), bit),
+                 domain.experiment_coordinate(interval, bit))
+            for interval in intervals
+            for bit in range(domain.experiment_count(interval))}
+        bits, bad = sampled.match(rows)
+        assert bad == []
+        for interval, stored_bits, is_whole in zip(intervals, stored, whole):
+            slot = interval.injection_slot
+            axis = domain.axis_of(interval)
+            key = domain.class_key(interval)
+            width = domain.experiment_count(interval)
+            full = [_row(slot, axis, b) for b in range(width)]
+            # Every bit sampled one at a time is not a class.
+            assert classes.get(key) == (_run(full) if is_whole else None)
+            for bit in range(width):
+                assert bits.get((*key, bit)) \
+                    == (_run(full[bit:bit + 1]) if bit in stored_bits
+                        else None)
 
 
-#: What a journal may hold for one class, in the class table or the
-#: section store (see :func:`_shape_runs`); a whole class, what this
-#: build writes, is drawn twice as often.
+#: What the section store may hold for one class (see
+#: :func:`_shape_runs`); a whole class, what this build writes, is drawn
+#: twice as often.
 SHAPES = ("absent", "whole", "whole", "per-bit", "torn", "gapped", "short",
-          "shifted", "sampled", "overlap", "bad-outcome", "bad-cycle")
+          "long", "shifted", "sampled", "overlap", "bad-outcome",
+          "bad-cycle")
 
 _GOLDENS: dict = {}
 
@@ -210,6 +229,8 @@ def _shape_runs(shape: str, run: tuple[str, str, str],
                                         if cut + 1 < width else [])
     if shape == "short":
         return [stored(every[:-1])]
+    if shape == "long":  # a bit past the class
+        return [stored(every + [width])]
     if shape == "shifted":
         return [stored([bit + 1 for bit in every])]
     if shape == "sampled":
@@ -239,15 +260,26 @@ def _golden(domain_name: str):
 
 @st.composite
 def journal_states(draw):
-    """A domain, per live class of ``counter(2)`` a shape for the class
-    table and one for the section store, a seed for the shapes' cuts
-    and spoiled bits, and whether the scan resumes."""
+    """A domain, per live class of ``counter(2)`` a shape for the
+    section store, a seed for the shapes' cuts and spoiled bits, and
+    whether the scan resumes."""
     domain_name = draw(st.sampled_from(["memory", "register"]))
     count = len(_golden(domain_name)[3])
     shapes = st.lists(st.sampled_from(SHAPES), min_size=count,
                       max_size=count)
-    return (domain_name, draw(shapes), draw(shapes),
-            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+    return (domain_name, draw(shapes), draw(st.integers(0, 2 ** 16)),
+            draw(st.booleans()))
+
+
+def _first_runs(journal, live, domain) -> list:
+    """Per live class, its stored run from bit 0 or ``None``, read with
+    plain SQL."""
+    stored = {(slot, axis): (outcome, str(end_cycle), trap)
+              for slot, axis, outcome, end_cycle, trap in journal._conn.execute(
+                  "SELECT slot, axis, outcome, end_cycle, trap FROM "
+                  "section_results WHERE bit = 0")}
+    return [stored.get((interval.injection_slot, domain.axis_of(interval)))
+            for interval in live]
 
 
 class TestRunFormReaders:
@@ -255,56 +287,40 @@ class TestRunFormReaders:
     @given(state=journal_states())
     def test_resumed_and_composed_campaigns_equal_the_plain_ones(
             self, state):
-        """Sample, then scan, against a journal holding ``state``: both
-        equal their journal-free runs, records included, and a class
-        resumes exactly when its class-table row at bit 0 is a valid
-        run of the class, composes exactly when it did not resume and
-        its section-store row at bit 0 is, and is discarded exactly
-        when it resumes from an invalid row."""
-        domain_name, class_shapes, section_shapes, seed, resume = state
+        """Sample, then scan, against a section store holding ``state``
+        and linked to the scan's campaign: both equal their
+        journal-free runs, records included.  A class is read back
+        exactly when the run stored from bit 0 when the scan starts is
+        valid and as long as the class (a composition only when the
+        scan relinks, ``resume=False``), discarded exactly when that run
+        is malformed or longer, and executed otherwise."""
+        domain_name, shapes, seed, resume = state
         golden, domain, params, live, runs, plain_sampled, plain = \
             _golden(domain_name)
         rng = random.Random(seed)
-        expected = dict(executed=0, resumed=0, composed_hits=0,
-                        discarded_results=0)
         with ExperimentJournal(":memory:") as journal:
             handle = open_campaign(journal, golden, domain, "full-scan",
                                    params)
-            composer = SectionComposer(handle, golden, domain, params)
-            class_rows, section_rows = [], []
-            for interval, in_class, in_section in zip(live, class_shapes,
-                                                      section_shapes):
-                slot, axis = interval.injection_slot, domain.axis_of(interval)
-                key = domain.class_key(interval)
-                section = composer._ids[composer.map.owner(slot).index]
-                in_class = _shape_runs(in_class, runs[key], rng)
-                in_section = _shape_runs(in_section, runs[key], rng)
-                class_rows += [(handle.campaign_id, *key, *run)
-                               for run in in_class]
-                section_rows += [(section, slot, axis, *run)
-                                 for run in in_section]
-                width = domain.experiment_count(interval)
-                resumed = composed = False
-                if resume and in_class and in_class[0][0] == 0:
-                    resumed = _valid_run(in_class[0][1:], width)
-                    expected["discarded_results"] += not resumed
-                if not resumed and in_section and in_section[0][0] == 0:
-                    composed = _valid_run(in_section[0][1:], width)
-                # A composed class counts as resumed too: it was not
-                # executed.
-                expected["resumed"] += resumed or composed
-                expected["composed_hits"] += width * composed
-                expected["executed"] += not (resumed or composed)
-            marks = ", ".join("?" * 7)
-            with journal._conn:
-                journal._conn.executemany(
-                    f"INSERT INTO class_results VALUES ({marks})",
-                    class_rows)
-                journal._conn.executemany(
-                    f"INSERT INTO section_results VALUES ({marks})",
-                    section_rows)
+            SectionComposer(handle, link_sections(
+                handle, golden, domain, params)).store_runs([
+                (interval.injection_slot, domain.axis_of(interval), bit, run)
+                for interval, shape in zip(live, shapes)
+                for bit, *run in _shape_runs(
+                    shape, runs[domain.class_key(interval)], rng)])
             sampled = run_sampling(golden, 40, seed=3, sampler="live-only",
                                    domain=domain, journal=journal)
+            expected = dict(executed=0, resumed=0, composed_hits=0,
+                            discarded_results=0)
+            for interval, run in zip(live, _first_runs(journal, live,
+                                                       domain)):
+                width = domain.experiment_count(interval)
+                length = None if run is None else run[0].count(" ") + 1
+                trusted = length == width and _valid_run(run, width)
+                expected["discarded_results"] += run is not None and (
+                    not _valid_run(run, length) or length > width)
+                expected["resumed"] += trusted
+                expected["composed_hits"] += width * trusted * (not resume)
+                expected["executed"] += not trusted
             scanned = run_full_scan(golden, domain=domain, journal=journal,
                                     resume=resume, keep_records=True)
         assert sampled == plain_sampled

@@ -3,7 +3,10 @@
 Pitfall 1 is avoided only if every raw fault-space coordinate is
 counted once: each live class stands for its data lifetime times its
 experiments' slot weights, the dead classes for the rest.  These grid
-properties hold that over all six domains and several micro programs:
+properties hold that over all six domains and several micro programs,
+each scanned in process, and one program per domain also scanned by
+two forked fabric workers into a journal and then resumed from that
+journal's sections (both equal to the in-process scan):
 
 * the live classes' weights plus the known-benign weight are
   ``w = fault_space.size``;
@@ -28,27 +31,58 @@ PROGRAMS = {
     "checksum": lambda: micro.checksum_loop(1),
 }
 
+#: The routes a scan takes: in process; on two forked fabric workers
+#: into a journal; and resumed from that journal, nothing executed.
+ROUTES = ("in-process", "fabric", "resumed")
+
 _SCANS: dict = {}
 
 
-def _scan(program: str, domain: str):
-    """The complete scan of one grid cell, computed once per module."""
-    key = (program, domain)
-    if key not in _SCANS:
-        _SCANS[key] = run_full_scan(record_golden(PROGRAMS[program]()),
-                                    domain=domain)
-    return _SCANS[key]
+@pytest.fixture(scope="module")
+def journals(tmp_path_factory):
+    return tmp_path_factory.mktemp("journals")
 
+
+def _scan(program: str, domain: str, route: str, journals):
+    """The complete scan of one grid cell, computed once per module; a
+    fabric or resumed scan is checked against the in-process one."""
+    key = (program, domain, route)
+    if key in _SCANS:
+        return _SCANS[key]
+    golden = record_golden(PROGRAMS[program]())
+    if route == "in-process":
+        result = run_full_scan(golden, domain=domain)
+    else:
+        journal = journals / f"{program}-{domain}.sqlite"
+        if route == "resumed":
+            _scan(program, domain, "fabric", journals)
+        result = run_full_scan(golden, domain=domain, jobs=2,
+                               journal=journal)
+        report = result.execution
+        assert result == _scan(program, domain, "in-process", journals)
+        assert (report.executed, report.resumed) == (
+            (0, report.total_units) if route == "resumed"
+            else (report.total_units, 0))
+    _SCANS[key] = result
+    return result
+
+
+#: The program each domain's fabric and resumed scans run.
+FABRIC = dict(zip(sorted(DOMAINS), sorted(PROGRAMS) * 2))
 
 grid = pytest.mark.parametrize(
-    "program, domain",
-    [(program, domain) for domain in sorted(DOMAINS)
-     for program in sorted(PROGRAMS)])
+    "program, domain, route",
+    [pytest.param(program, domain, "in-process", id=f"{program}-{domain}")
+     for domain in sorted(DOMAINS) for program in sorted(PROGRAMS)]
+    + [pytest.param(program, domain, route,
+                    id=f"{program}-{domain}-{route}")
+       for domain, program in FABRIC.items() for route in ROUTES[1:]])
 
 
 @grid
-def test_live_class_weights_and_the_dead_weight_are_w(program, domain):
-    result = _scan(program, domain)
+def test_live_class_weights_and_the_dead_weight_are_w(program, domain, route,
+                                                      journals):
+    result = _scan(program, domain, route, journals)
     domain = result.domain
     partition = result.partition
     live = sum(interval.length
@@ -60,15 +94,17 @@ def test_live_class_weights_and_the_dead_weight_are_w(program, domain):
 
 
 @grid
-def test_weighted_counts_of_a_complete_scan_are_w(program, domain):
-    result = _scan(program, domain)
+def test_weighted_counts_of_a_complete_scan_are_w(program, domain, route,
+                                                  journals):
+    result = _scan(program, domain, route, journals)
     assert result.execution.complete
     assert sum(result.weighted_counts().values()) == result.fault_space_size
 
 
 @grid
-def test_the_failure_attribution_sums_to_f(program, domain):
-    result = _scan(program, domain)
+def test_the_failure_attribution_sums_to_f(program, domain, route,
+                                           journals):
+    result = _scan(program, domain, route, journals)
     attribution = failure_attribution(result, top=None)
     failures = result.weighted_failure_count()
     assert sum(weight for _, weight in attribution) == failures
@@ -82,9 +118,12 @@ def test_the_failure_attribution_sums_to_f(program, domain):
     assert all(weight > 0 for _, weight in attribution)
 
 
-def test_the_grid_holds_failures_in_every_domain():
+def test_the_grid_holds_failures_in_every_domain(journals):
     """The attribution identity is vacuous where ``F = 0``: each domain
-    has a grid program that fails."""
+    has a grid program that fails, and so does its fabric program."""
     for domain in DOMAINS:
-        assert any(_scan(program, domain).weighted_failure_count()
+        assert any(_scan(program, domain, "in-process",
+                         journals).weighted_failure_count()
                    for program in PROGRAMS), domain
+        assert _scan(FABRIC[domain], domain, "in-process",
+                     journals).weighted_failure_count(), domain
