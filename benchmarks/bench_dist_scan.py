@@ -84,10 +84,11 @@ def test_send_window_gate(monkeypatch):
     register scan (66 classes; a frame per class would be 66).
 
     A count, so it repeats exactly and needs no ratio floor.  The lease
-    term is what flushing before every ``lease_done`` costs — a window
-    never spans two leases.  Leases are counted as the coordinator
-    grants them (``lease`` frames answered): it may hang up before it
-    reads the last ``lease_done``.
+    term is what flushing at the end of every lease costs — a window
+    never spans two leases, since the worker's next ``request`` ends
+    its lease.  Leases are counted as the coordinator grants them
+    (``lease`` frames answered): it may hang up before it reads the
+    last ``request``.
     """
     golden = record_golden(micro.memcopy(6))
     serial = run_full_scan(golden, domain="register", keep_records=True)

@@ -6,9 +6,10 @@ variants) take minutes, so they are journaled in
 each complete campaign, executing nothing, and derives its summary from
 the journaled results.  The journal keys a campaign by program content,
 fault domain and executor parameters, so a changed program or timeout
-policy runs afresh instead of reading a stale summary.  Reports
-regenerated from the results are written to ``benchmarks/output/`` as
-plain-text artifacts.
+policy runs afresh instead of reading a stale summary; a cache file
+another schema version wrote is deleted and rebuilt (a busy one is
+never touched).  Reports regenerated from the results are written to
+``benchmarks/output/`` as plain-text artifacts.
 """
 
 from pathlib import Path
@@ -21,6 +22,7 @@ from repro.campaign import (
     record_golden,
     run_full_scan,
 )
+from repro.campaign.journal import JournalVersionError
 from repro.programs import bin_sem2, hi, sync2
 
 CACHE_DIR = Path(__file__).parent / ".cache"
@@ -29,8 +31,22 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 @pytest.fixture(scope="session")
 def campaign_cache():
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    with ExperimentJournal(CACHE_DIR / "campaigns.sqlite") as journal:
+    yield from _cache_journal(CACHE_DIR / "campaigns.sqlite")
+
+
+def _cache_journal(path: Path):
+    """The cache journal at ``path``, open for the session.  A file
+    another schema wrote is a stale cache: it is deleted and rebuilt.
+    Any other refusal — a busy file above all — is raised, and the file
+    is left as it is."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        journal = ExperimentJournal(path)
+    except JournalVersionError:
+        for stale in (path, Path(f"{path}-wal"), Path(f"{path}-shm")):
+            stale.unlink(missing_ok=True)
+        journal = ExperimentJournal(path)
+    with journal:
         yield journal
 
 

@@ -9,9 +9,12 @@ end of one socket pair.  A fork inherits
 the campaign — golden run, domain, units, executor config — as the
 style (:class:`~repro.campaign.pipeline.CampaignStyle`) holds it, so
 nothing about it crosses the wire; coordinator and fleet hold only how
-work moves.  Workers stream unit results back a send window at a time.
-A worker's end is the hang-up of its socket: the coordinator re-queues
-its lease at once, charged against the shard's retry budget, asks the
+work moves.  The wire has four frames: ``request`` and ``results``
+from a worker, ``lease`` and ``done`` from the coordinator
+(:mod:`~repro.campaign.dist.protocol`).  A lease lasts until its
+worker's next ``request`` or its hang-up, and workers stream unit
+results back a send window at a time.  A worker's end is the hang-up of
+its socket: the coordinator re-queues its lease at once, charged against the shard's retry budget, asks the
 fleet to replace it, takes each unit once (its lease board drops
 duplicate submissions), and degrades permanently lost shards into
 :class:`~repro.campaign.pipeline.ExecutionReport` completeness
@@ -22,10 +25,10 @@ bit-for-bit identical to a serial run — see
 
 Lease retry plus that one duplicate filter is the whole failure policy.
 On top of it sit only the checks on what a worker sends: the frame
-length cap, decoding and the typed-message check, each unit's shape,
-key and shard (a payload damaged between a worker's executor and the
-journal), and a malformed ``lease_done`` ending only its own
-connection.  No socket outside the program reaches the coordinator.
+length cap, decoding and the typed-message check, each unit's shape
+and key (a payload damaged between a worker's executor and the
+journal), and a frame of no known type, or results from a connection
+holding no lease, ending only its own connection.  No socket outside the program reaches the coordinator.
 
 Everything is stdlib (``socket``, ``selectors``, ``json``,
 ``multiprocessing``); there is no new dependency and no pickle on the
@@ -35,7 +38,7 @@ on import: a serial campaign never pays for it.
 
 from .coordinator import (DistCoordinator, LocalFabric, run_distributed_scan,
                           serve_scan)
-from .leases import LeaseBoard, ShardLease
+from .leases import LeaseBoard
 from .protocol import FrameStream, ProtocolError, decode_frame, encode_frame
 from .worker import DistWorker
 
@@ -46,7 +49,6 @@ __all__ = [
     "LeaseBoard",
     "LocalFabric",
     "ProtocolError",
-    "ShardLease",
     "decode_frame",
     "encode_frame",
     "run_distributed_scan",

@@ -7,9 +7,10 @@ progress and canonical-order assembly are the pipeline's.  It serves
 any campaign style and holds none of its own: its fleet's workers
 inherit ``run.style`` (golden run, units, config) when they fork.  It
 plans the style's shards over the units the prologue left to do
-(``run.todo``) and serves :class:`~.leases.ShardLease` grants on each
+(``run.todo``) and leases them, a shard per ``request``, on each
 socket pair its fleet hands it; workers stream unit results back one
-send window (one ``results`` frame) at a time.  A *fleet* is
+send window (one ``results`` frame) at a time, and a lease lasts until
+its worker's next ``request`` or its hang-up.  A *fleet* is
 :class:`LocalFabric`'s forked local workers (``jobs=N``, ``scan --jobs
 N``), or the tests' thread workers; it offers:
 
@@ -35,25 +36,26 @@ what that needs, and the style states each step for its units:
 
 * **One duplicate filter** (:meth:`~.leases.LeaseBoard.progress`).  A
   lease re-granted after a hang-up or a rejected unit repeats
-  submissions; a unit is fresh when the board takes its key off its
-  shard, and only fresh units go through the pipeline's sink
+  submissions; a unit is fresh when the board takes its key off the
+  shard its sender holds, and only fresh units go through the
+  pipeline's sink
   (:meth:`~repro.campaign.pipeline.CampaignRun.accept`), each window's
   as one batch.  A copy — of a unit taken, resumed or composed —
   finds its key gone and is dropped.
 * **Lease retry** (:class:`~.leases.LeaseBoard`): at a hang-up the
   worker's lease goes back to pending at once, charged an attempt, and
-  the fleet is asked to replace that worker; a lease that came back
-  with units undelivered is charged the same way.  Past its retry
+  the fleet is asked to replace that worker; a lease whose worker asks
+  again with units undelivered is charged the same way.  Past its retry
   budget a shard's keys degrade into ``ExecutionReport.missing``, and
   with no worker left at all, every unfinished shard's do.  The board
   is the fabric's only bookkeeping: results are journaled as they
   arrive, lease state is not, so a restarted coordinator loses only
   work in flight and starts every shard with a fresh budget.
 * **Checks on what a worker sends**, per unit, before any accounting:
-  its run's shape (``style.valid_run``), its key in the units and its
-  shard in the plan; a bad unit is rejected (not progress: its lease
-  re-grants it) and its neighbours are taken.  A malformed
-  ``lease_done``, or one naming no planned shard, is a
+  its run's shape (``style.valid_run``) and its key in the units; a
+  bad unit is rejected (not progress: its lease re-grants it) and its
+  neighbours are taken.  A frame of no known type, or ``results`` from
+  a connection that holds no lease, is a
   :class:`~.protocol.ProtocolError` on its connection: the coordinator
   hangs up on it, and the campaign goes on.
 
@@ -83,7 +85,6 @@ from __future__ import annotations
 
 import selectors
 import socket
-import time
 from collections import Counter
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
@@ -93,7 +94,7 @@ from ..journal import COMMIT_WINDOW_S
 from ..pipeline import (DEFAULT_MAX_RETRIES, CampaignRun, ProgressCallback,
                         run_campaign)
 from ..runner import ScanStyle
-from .leases import FAILED, LeaseBoard, ShardLease
+from .leases import FAILED, LeaseBoard
 from .protocol import FrameStream, ProtocolError
 from .worker import DistWorker
 
@@ -198,7 +199,6 @@ class DistCoordinator:
         for index, shard in enumerate(planned):
             board.add_shard(index, [key_of[item] for item in shard])
         self.board = board
-        self._planned_shards = len(planned)
         self._done = False
         self._maybe_finish()
 
@@ -235,12 +235,12 @@ class DistCoordinator:
     def _unpark(self) -> None:
         """Grant pending shards to the parked requests, oldest first."""
         while self._parked:
-            lease = self.board.acquire(self._parked[0])
-            if lease is None:
+            keys = self.board.acquire(self._parked[0])
+            if keys is None:
                 return
             name = self._parked.pop(0)
             try:
-                self._streams[name].send(_lease_frame(lease))
+                self._streams[name].send(_lease_frame(keys))
             except OSError:
                 pass  # its hang-up is on its way: the selector reports it
 
@@ -280,7 +280,7 @@ class DistCoordinator:
         self._streams.pop(name).close()
         if name in self._parked:
             self._parked.remove(name)
-        self.board.release_worker(name)
+        self.board.release(name)
         if not self.board.done():
             self.fleet.replace(name)
             self._adopt()
@@ -291,15 +291,16 @@ class DistCoordinator:
         worker ``name``; the frame to send back, if any."""
         kind = frame.get("type")
         if kind == "request":
-            lease = self.board.acquire(name)
-            if lease is not None:
-                return _lease_frame(lease)
+            # The request ends the lease its worker held: keys left
+            # undelivered (rejected units) are a failed attempt.
+            self.board.release(name)
+            self._maybe_finish()
+            keys = self.board.acquire(name)
+            if keys is not None:
+                return _lease_frame(keys)
             self._parked.append(name)  # answered by _unpark or at the end
         elif kind == "results":
             self._accept_results(name, frame)
-        elif kind == "lease_done":
-            self.board.finish(*self._lease_done(frame))
-            self._maybe_finish()
         else:
             raise ProtocolError(f"unexpected {kind!r} from {name!r}")
         return None
@@ -312,6 +313,9 @@ class DistCoordinator:
         what is fresh; the fresh units are journaled as one batch."""
         if self.stopped:
             return  # the crash hook fired: nothing after the k-th unit
+        if not self.board.holds(name):
+            raise ProtocolError(f"results from {name!r}, which holds no "
+                                f"lease")
         items = frame.get("items")
         if not isinstance(items, list):
             self._reject(name, None, reason="malformed results frame")
@@ -321,8 +325,7 @@ class DistCoordinator:
             checked = self._checked(name, item)
             if checked is None:
                 continue
-            key, shard, _run, _counts = checked
-            if self.board.progress(shard, key):
+            if self.board.progress(name, checked[0]):
                 fresh.append(checked)
         if self.stop_after_results is not None:
             # The crash hook's k-th unit is the last one taken.
@@ -332,12 +335,11 @@ class DistCoordinator:
         self._maybe_finish()
 
     def _checked(self, name: str, item):
-        """``(key, shard, run, counts)`` of one unit of a window whose
-        shape holds; otherwise the unit is rejected and the answer is
+        """``(key, run, counts)`` of one unit of a window whose shape
+        holds; otherwise the unit is rejected and the answer is
         ``None``."""
         try:
             key = tuple([int(v) for v in item["key"]])
-            shard = int(item["shard"])
             first, second, third = item["run"]
             run = (first, second, third)
             if not all(isinstance(part, str) for part in run):
@@ -350,30 +352,14 @@ class DistCoordinator:
             self._reject(name, key, reason="run disagrees with the unit's "
                                            "expected experiments")
             return None
-        if not 0 <= shard < self._planned_shards:
-            self._reject(name, key, reason=f"no shard {shard} in the plan")
-            return None
-        return key, shard, run, counts
-
-    def _lease_done(self, frame: dict) -> tuple[int, int]:
-        """``(shard, lease)`` of a ``lease_done`` frame naming a planned
-        shard; anything else ends the connection, not the campaign."""
-        try:
-            shard, lease = int(frame["shard"]), int(frame["lease"])
-        except (KeyError, TypeError, ValueError):
-            raise ProtocolError("malformed lease_done frame") from None
-        if not 0 <= shard < self._planned_shards:
-            raise ProtocolError(f"lease_done names no shard {shard} "
-                                f"in the plan")
-        return shard, lease
+        return key, run, counts
 
     def _take(self, name: str, fresh: list) -> None:
         """Journal, store and count the checked units the board took
         fresh, as one batch through the pipeline's sink."""
         for *_, counts in fresh:
             self.report.count(counts)
-        self.run.accept([(key, data) for key, _shard, data, _counts
-                         in fresh])
+        self.run.accept([(key, data) for key, data, _counts in fresh])
         self._worker_units[name] += len(fresh)
         self._accepted += len(fresh)
         if (self.stop_after_results is not None
@@ -391,7 +377,7 @@ class DistCoordinator:
         if self.handle is not None:
             detail = reason if key is None else f"{list(key)}: {reason}"
             self.handle.record_event("shape-reject", worker=name,
-                                     detail=detail, at=time.time())
+                                     detail=detail)
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -517,10 +503,9 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
                       keep_records=keep_records, progress=progress)
 
 
-def _lease_frame(lease: ShardLease) -> dict:
-    """The ``lease`` frame granting ``lease``."""
-    return {"type": "lease", "lease": lease.lease_id, "shard": lease.shard,
-            "keys": [list(key) for key in lease.keys]}
+def _lease_frame(keys) -> dict:
+    """The ``lease`` frame granting ``keys``."""
+    return {"type": "lease", "keys": [list(key) for key in keys]}
 
 
 __all__ = [

@@ -1,27 +1,30 @@
 """Work leases: who may execute which shard.
 
-The coordinator never *sends* work, it *leases* it: a shard grant names
-the worker that holds it until the worker finishes it or hangs up.  No
-clock is involved.  A worker is a fork of the campaign's own process on
-a socket pair, and every experiment it runs is bounded by its cycle
-budget, so the one way a lease ends early is its worker's end — a
-crash, a kill, a protocol break — which the coordinator sees as the
-hang-up of its socket.
+The coordinator never *sends* work, it *leases* it: a worker's
+``request`` is answered by a grant of one shard, which that worker
+holds until its next ``request`` or its hang-up — whichever comes
+first.  A worker holds at most one shard, so the connection that sends
+a unit names its shard; nothing on the wire does.  No clock is
+involved.  A worker is a fork of the campaign's own process on a
+socket pair, and every experiment it runs is bounded by its cycle
+budget, so a lease ends early only at its worker's end — a crash, a
+kill, a protocol break — which the coordinator sees as the hang-up of
+its socket.
 
 Failure handling is explicit state, not exceptions:
 
-* A lease whose worker **hung up**, or which came back with keys still
-  undelivered (rejected units), releases its shard back to the pending
-  pool at once, charged one attempt.
+* A lease that ends (:meth:`LeaseBoard.release`) with keys still
+  undelivered — its worker hung up, or asked again after units of it
+  were rejected — returns its shard to the pending pool at once,
+  charged one attempt.
 * A shard whose attempts exceed :attr:`LeaseBoard.max_retries` is
   marked **failed** — lost to this run; its remaining units surface
   in ``ExecutionReport.missing`` instead of failing the campaign.  That
   budget is what stops a unit whose execution kills every worker.
-* Results are accepted from *any* lease, current or released: work is
-  work (experiments are deterministic), and :meth:`LeaseBoard.progress`
-  — the fabric's one duplicate filter: it takes a key once and answers
-  ``False`` for every later copy — turns at-least-once delivery into
-  exactly-once accounting.
+* :meth:`LeaseBoard.progress` — the fabric's one duplicate filter —
+  takes a key off the sender's shard once and answers ``False`` for
+  every later copy, one that arrives after the shard is done included:
+  at-least-once delivery becomes exactly-once accounting.
 
 The board is the fabric's only bookkeeping, and nothing of it is
 journaled: a rerun on the same journal retries the lost keys, every
@@ -47,24 +50,12 @@ TERMINAL = (DONE, FAILED)
 
 
 @dataclass
-class ShardLease:
-    """One grant of a shard to a worker."""
-
-    lease_id: int
-    shard: int
-    worker: str
-    #: The keys still unfinished at grant time, in execution order.
-    keys: tuple[Key, ...]
-
-
-@dataclass
 class _Shard:
     index: int
     #: Keys not yet accounted, in execution order.
     remaining: list[Key]
     attempts: int = 0
     status: str = PENDING
-    lease: ShardLease | None = None
 
 
 @dataclass
@@ -78,7 +69,9 @@ class LeaseBoard:
     #: Shards abandoned after exhausting the retry budget.
     failed_shards: int = 0
     _shards: list[_Shard] = field(default_factory=list)
-    _next_lease_id: int = 0
+    #: The shard each worker holds, by worker name, until its next
+    #: request or its hang-up (done by then or not).
+    _held: dict[str, _Shard] = field(default_factory=dict)
 
     def add_shard(self, index: int, keys: list[Key]) -> None:
         """Append shard ``index`` (the next in plan order) of ``keys``,
@@ -94,71 +87,50 @@ class LeaseBoard:
         """True when no shard can ever produce more work."""
         return all(s.status in TERMINAL for s in self._shards)
 
+    def holds(self, worker: str) -> bool:
+        """True while ``worker`` holds a lease."""
+        return worker in self._held
+
     # -- transitions -----------------------------------------------------------
 
-    def acquire(self, worker: str) -> ShardLease | None:
-        """Grant the first pending shard to ``worker``; ``None`` when no
+    def acquire(self, worker: str) -> tuple[Key, ...] | None:
+        """Grant the first pending shard to ``worker``, which holds no
+        lease: the keys to lease, in execution order; ``None`` when no
         shard is pending."""
         for shard in self._shards:
             if shard.status == PENDING:
-                self._next_lease_id += 1
-                lease = ShardLease(
-                    lease_id=self._next_lease_id, shard=shard.index,
-                    worker=worker, keys=tuple(shard.remaining))
                 shard.status = LEASED
-                shard.lease = lease
-                return lease
+                self._held[worker] = shard
+                return tuple(shard.remaining)
         return None
 
-    def progress(self, shard_index: int, key: Key) -> bool:
-        """Account one submitted unit; False for a duplicate.
-
-        Accepts the key whether or not the submitting lease is still
-        current.
-        """
-        shard = self._shards[shard_index]
+    def progress(self, worker: str, key: Key) -> bool:
+        """Account one unit ``worker`` submitted against the shard it
+        holds; False for a copy (or a key of another shard)."""
+        shard = self._held[worker]
         try:
             shard.remaining.remove(key)
         except ValueError:
             return False
-        if not shard.remaining and shard.status in (PENDING, LEASED):
+        if not shard.remaining and shard.status == LEASED:
             shard.status = DONE
-            shard.lease = None
         return True
 
-    def finish(self, shard_index: int, lease_id: int) -> None:
-        """A worker claims its lease is exhausted.
-
-        Normally every key was already accounted and the shard is done;
-        a ``lease_done`` with keys still remaining means units were
-        rejected — a failed attempt, so the remainder is re-leased.
-        """
-        shard = self._shards[shard_index]
-        lease = shard.lease
-        if lease is None or lease.lease_id != lease_id:
-            return  # stale claim from a released lease; nothing to do
-        if shard.remaining:
+    def release(self, worker: str) -> None:
+        """``worker`` asked again or hung up: its lease, if any, ends.
+        Keys it left undelivered are a failed attempt."""
+        shard = self._held.pop(worker, None)
+        if shard is not None and shard.status == LEASED:
             self._charge(shard)
-        else:
-            shard.status = DONE
-            shard.lease = None
-
-    def release_worker(self, worker: str) -> None:
-        """A worker hung up; re-queue its active lease."""
-        for shard in self._shards:
-            if shard.status == LEASED and shard.lease.worker == worker:
-                self._charge(shard)
 
     def abandon(self) -> None:
         """No worker will ever come back: fail every unfinished shard."""
         for shard in self._shards:
             if shard.status not in TERMINAL:
                 shard.status = FAILED
-                shard.lease = None
                 self.failed_shards += 1
 
     def _charge(self, shard: _Shard) -> None:
-        shard.lease = None
         shard.attempts += 1
         if shard.attempts > self.max_retries:
             shard.status = FAILED

@@ -9,25 +9,27 @@ accounting.  A worker is a fork of the coordinator's process, so the
 campaign itself — program, golden run, style — never crosses the
 wire.
 
-Message vocabulary (``type`` field):
+Message vocabulary (``type`` field), four frames:
 
 ==================  =========  ==============================================
 type                direction  meaning
 ==================  =========  ==============================================
-``request``         w → c      give me work
-``lease``           c → w      a shard lease: id, shard, unit keys
+``request``         w → c      give me work; the lease I held, if any, ends
+``lease``           c → w      a shard lease: its unit ``keys``
+``results``         w → c      one send window of finished units of the
+                               lease its sender holds: ``items``, each a
+                               unit's ``key``, ``run`` and executor
+                               counters (``hits``, ``skips``) — checked
+                               per item, merged per window
 ``done``            c → w      campaign finished; disconnect
-``results``         w → c      one send window of finished units:
-                               ``items``, each a unit's ``shard``,
-                               ``key``, ``run`` and executor counters —
-                               checked per item, merged per window
-``lease_done``      w → c      every key of the lease was submitted
 ==================  =========  ==============================================
 
 A ``request`` is answered by a ``lease`` or by ``done``, whenever one
 is due: a request that finds no pending shard waits at the coordinator
 until a shard returns to pending or the campaign ends, and its worker
-waits reading.  Nothing on the wire carries a time.
+waits reading.  A lease lasts until its worker's next ``request`` or
+its hang-up, so the connection a unit arrives on names its shard, and
+nothing on the wire carries a shard, a lease id or a time.
 
 A unit crosses the wire as its key, a list of integers, and a ``run``
 of three space-joined strings, exactly as its campaign style's
@@ -37,7 +39,8 @@ the class's per-bit values from bit 0 — the three value columns of one
 ``section_results`` row (:mod:`repro.campaign.journal`), which nothing
 between the worker's executor and the journal converts.  A sampled
 experiment is a run of one value each.  Any type not in the table is
-a :class:`ProtocolError`.
+a :class:`ProtocolError`, and so are ``results`` from a worker that
+holds no lease.
 
 Coordinator and worker share one binding of the codec,
 :class:`FrameStream` over a blocking ``socket``: the worker reads its

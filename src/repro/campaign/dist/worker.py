@@ -13,16 +13,16 @@ so a full scan's classes that share an injection slot go to the
 executor as one group, in ascending slot order (preserving the
 executor's snapshot fast-forward) — and streams the finished units back
 in **send windows**: one ``results`` frame per :data:`WINDOW_CLASSES`
-units or :data:`WINDOW_S` seconds, whichever comes first, and always
-before ``lease_done``.  The coordinator journals progress continuously and a
-worker lost mid-shard forfeits only the window in flight (re-executed
-through the lease re-grant).  The worker is one thread and sends
-nothing but requests, results and ``lease_done``: a request it makes
-when no shard is pending is simply answered later, and nothing needs
-proof that it is alive — its end is the hang-up of its socket.  When
-its stream ends — the coordinator said ``done``, or hung up — the
-worker returns; there is no reconnect, and a worker that dies is the
-fleet's to replace.
+units or :data:`WINDOW_S` seconds, whichever comes first, the last
+window when the lease is run.  Its next ``request`` ends the lease.
+The coordinator journals progress continuously and a worker lost
+mid-shard forfeits only the window in flight (re-executed through the
+lease re-grant).  The worker is one thread and sends nothing but
+requests and results: a request it makes when no shard is pending is
+simply answered later, and nothing needs proof that it is alive — its
+end is the hang-up of its socket.  When its stream ends — the
+coordinator said ``done``, or hung up — the worker returns; there is
+no reconnect, and a worker that dies is the fleet's to replace.
 
 Every unit leaves as its own item of the window, as its style's
 ``execute`` yielded it — its ``run``, three space-joined strings in the
@@ -91,8 +91,6 @@ class DistWorker:
 
     def _run_lease(self, stream: FrameStream, lease: dict, executor,
                    style) -> None:
-        lease_id = int(lease["lease"])
-        shard = int(lease["shard"])
         units = style.units
         work = [units[tuple(int(v) for v in key)] for key in lease["keys"]]
         counters = ExecutorCounters(executor)
@@ -105,15 +103,13 @@ class DistWorker:
         for key, run in style.execute(executor, work):
             self.executed += 1
             hits, skips = counters.take()
-            window.append({"shard": shard, "key": list(key), "run": run,
-                           "hits": hits, "skips": skips})
+            window.append({"key": list(key), "run": run, "hits": hits,
+                           "skips": skips})
             if len(window) >= WINDOW_CLASSES \
                     or _clock() - opened >= WINDOW_S:
                 _flush(stream, window)
                 opened = _clock()
         _flush(stream, window)
-        stream.send({"type": "lease_done", "lease": lease_id,
-                     "shard": shard})
 
 
 def _flush(stream: FrameStream, window: list[dict]) -> None:

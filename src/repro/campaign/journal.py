@@ -211,6 +211,14 @@ class JournalCorruptError(JournalError):
     """
 
 
+class JournalVersionError(JournalError):
+    """The journal file is stamped with another schema version.
+
+    Refused before anything is written: there is no migration, so a
+    caller that holds the file as a pure cache may rebuild it.
+    """
+
+
 class JournalMismatchError(JournalError):
     """A resume does not match the journaled campaign.
 
@@ -326,7 +334,7 @@ class ExperimentJournal:
                 stamp = conn.execute("SELECT value FROM meta WHERE key = "
                                      "'schema_version'").fetchone()
             if stamp is not None and stamp[0] != str(SCHEMA_VERSION):
-                raise JournalError(
+                raise JournalVersionError(
                     f"journal {self.path!r} has schema version "
                     f"{stamp[0]}, this build expects {SCHEMA_VERSION}")
             conn.executescript(_SCHEMA)
@@ -728,8 +736,9 @@ class CampaignJournal:
     # -- fabric event log -----------------------------------------------------
 
     def record_event(self, kind: str, *, worker: str = "",
-                     detail: str = "", at: float = 0.0) -> None:
-        """Append one integrity incident to the fabric log.
+                     detail: str = "") -> None:
+        """Append one integrity incident to the fabric log, stamped
+        with the wall-clock time of the call (``at``, epoch seconds).
 
         Kinds written: ``shape-reject``, ``salvage-prune``.  A journal an older coordinator wrote may
         hold kinds of layers since removed; they are kept and listed
@@ -739,7 +748,7 @@ class CampaignJournal:
         self.journal._write(
             "INSERT INTO fabric_events (campaign_id, at, worker, "
             "kind, detail) VALUES (?, ?, ?, ?, ?)",
-            [(self.campaign_id, at, worker, kind, detail)])
+            [(self.campaign_id, time.time(), worker, kind, detail)])
         self.journal.flush()
 
     # Named by benchmarks/e2e/trace.py TARGETS only; the [benchmark] PR

@@ -49,7 +49,6 @@ and runs come back: :func:`in_process` here (``jobs=None`` and
 from __future__ import annotations
 
 import heapq
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
@@ -446,7 +445,7 @@ class CampaignStyle:
             discarded = handle.journal.discard_section_runs(bad)
             report.discarded_results += discarded
             handle.record_event(
-                "salvage-prune", at=time.time(),
+                "salvage-prune",
                 detail=f"{discarded} stored runs failed validation and "
                        f"were discarded")
         if relinked:

@@ -39,6 +39,7 @@ from .coverage import (
 )
 from .failure_counts import (
     FailureCount,
+    expected_biased_class_estimate,
     extrapolated_failure_count,
     failure_count,
     raw_sample_failure_count,
@@ -72,6 +73,7 @@ __all__ = [
     "comparison_table",
     "export_comparison_csv",
     "coverage_from_counts",
+    "expected_biased_class_estimate",
     "extrapolated_failure_count",
     "extrapolated_failure_interval",
     "failure_count",

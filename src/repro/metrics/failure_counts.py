@@ -115,6 +115,37 @@ def raw_sample_failure_count(result: SamplingResult) -> FailureCount:
                         population=result.population, exact=False)
 
 
+def expected_biased_class_estimate(result: CampaignResult):
+    """What a ``BiasedClassSampler`` campaign estimates, on average:
+    the Pitfall 2 anti-pattern's expectation, exactly, from a full scan.
+
+    The biased sampler draws a live class uniformly, whatever its size,
+    then one of the class's experiments uniformly, and its estimate is
+    extrapolated against ``w`` (:func:`extrapolated_failure_count`).
+    So at any sample count its expectation is::
+
+        E[F̂] = w · (1/L) · Σ_c f_c / n_c
+
+    over the ``L`` live classes, ``f_c`` of whose ``n_c`` experiments
+    fail — in every fault domain.  It reads the scan's outcomes only, no
+    executor; compare it with :func:`weighted_failure_count`, the
+    ``F`` the campaign set out to estimate.  The answer is an exact
+    :class:`fractions.Fraction`.
+    """
+    from fractions import Fraction  # loaded where used, like statistics
+
+    domain = result.domain
+    live = result.partition.live_classes()
+    if not live:
+        raise ValueError("no live classes to sample from")
+    total = Fraction(0)
+    for interval in live:
+        outcomes = result.class_outcomes[domain.class_key(interval)]
+        failing = sum(outcome.is_failure for outcome in outcomes)
+        total += Fraction(failing, domain.experiment_count(interval))
+    return result.fault_space_size * total / len(live)
+
+
 def failure_count(result) -> FailureCount:
     """Dispatch to the correct (pitfall-free) counter for a result type."""
     if isinstance(result, SamplingResult):

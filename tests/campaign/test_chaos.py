@@ -143,7 +143,7 @@ class TestChaosDeterminism:
 
         style = _scan_style(memory_golden)
         executor = style.config.build(style.golden)
-        lease = {"type": "lease", "lease": 1, "shard": 0,
+        lease = {"type": "lease",
                  "keys": [list(key) for key in style.units]}
         for window in (1, 5, 64):
             monkeypatch.setattr(worker_mod, "WINDOW_CLASSES", window)

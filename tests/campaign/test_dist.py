@@ -171,31 +171,39 @@ class TestLeaseBoard:
         """With every shard leased, a third worker gets nothing — its
         request waits at the coordinator — and none once all is done."""
         board = self._board()
-        lease_a = board.acquire("a")
-        lease_b = board.acquire("b")
-        assert lease_a.shard == 0 and lease_b.shard == 1
+        assert board.acquire("a") == ((0, 1), (0, 2))
+        assert board.acquire("b") == ((1, 1), (1, 2))
         assert board.acquire("c") is None
         for key in [(0, 1), (0, 2), (1, 1), (1, 2)]:
-            board.progress(0 if key[0] == 0 else 1, key)
+            board.progress("a" if key[0] == 0 else "b", key)
         assert board.done()
         assert board.acquire("c") is None
 
     def test_progress_deduplicates(self):
+        """A copy drops, one that arrives after its shard is done
+        included, and a unit counts only against its sender's shard."""
         board = self._board()
         board.acquire("a")
-        assert board.progress(0, (0, 1)) is True
-        assert board.progress(0, (0, 1)) is False
+        board.acquire("b")
+        assert board.progress("a", (0, 1)) is True
+        assert board.progress("a", (0, 1)) is False
+        assert board.progress("a", (1, 1)) is False  # b's shard
+        assert board.progress("a", (0, 2)) is True
+        first, second = board.shards()
+        assert first.status == "done" and second.remaining == [(1, 1),
+                                                                (1, 2)]
+        assert board.progress("a", (0, 2)) is False
+        assert board.holds("a")  # until its next request or hang-up
 
     def test_a_hang_up_requeues_at_once_then_fails(self):
         """A released shard is pending again at once — no embargo, no
         clock — and is failed once its attempts pass the budget."""
         board = self._board(max_retries=1, shards=1)
         board.acquire("a")
-        board.release_worker("a")
-        assert board.retries == 1
-        lease = board.acquire("b")
-        assert lease.shard == 0
-        board.release_worker("b")
+        board.release("a")
+        assert board.retries == 1 and not board.holds("a")
+        assert board.acquire("b") == ((0, 1), (0, 2))
+        board.release("b")
         assert board.failed_shards == 1
         assert [key for shard in board.shards() if shard.status == FAILED
                 for key in shard.remaining] == [(0, 1), (0, 2)]
@@ -207,25 +215,26 @@ class TestLeaseBoard:
         board = self._board()
         board.acquire("a")
         board.acquire("b")
-        board.release_worker("a")
+        board.release("a")
         first, second = board.shards()
-        assert first.lease is None and first.attempts == 1
-        assert second.lease.worker == "b" and second.attempts == 0
+        assert first.status == "pending" and first.attempts == 1
+        assert second.status == "leased" and second.attempts == 0
+        assert board.holds("b") and not board.holds("a")
 
-    def test_late_result_after_release_still_counts(self):
+    def test_a_request_with_undelivered_keys_is_a_failed_attempt(self):
+        """A worker's next request ends its lease: a shard it left
+        unfinished (a rejected unit) is charged an attempt and leased
+        again with only its unfinished keys; a finished one is not."""
         board = self._board()
         board.acquire("a")
-        board.release_worker("a")
-        assert board.progress(0, (0, 1)) is True
-        lease = board.acquire("b")
-        assert lease.keys == ((0, 2),)  # only the unfinished key
-
-    def test_lease_done_with_remaining_keys_is_a_failed_attempt(self):
-        board = self._board()
-        lease = board.acquire("a")
-        board.progress(0, (0, 1))
-        board.finish(0, lease.lease_id)
+        board.progress("a", (0, 1))
+        board.release("a")
         assert board.retries == 1  # (0, 2) was never submitted
+        assert board.acquire("a") == ((0, 2),)
+        board.progress("a", (0, 2))
+        board.release("a")
+        assert board.retries == 1
+        assert board.shards()[0].status == "done"
 
 
 class TestDistEquality:
@@ -415,10 +424,6 @@ class _RawWorker:
     def results(self, items) -> None:
         self._send({"type": "results", "items": list(items)})
 
-    def lease_done(self, lease: dict) -> None:
-        self._send({"type": "lease_done", "lease": lease["lease"],
-                    "shard": lease["shard"]})
-
     def _send(self, message: dict) -> None:
         """Send, as a worker does: a coordinator that finished the
         campaign on the frames before this one has hung up."""
@@ -452,55 +457,46 @@ class TestWorkerWait:
     and its worker waits reading: no ``wait`` frame, no clock."""
 
     def _two_peers(self, golden):
-        """Serve ``golden`` to two hand-driven peers, the plan's two
-        shards both leased to the first: ``(coordinator, thread, first,
-        second, leases)``."""
+        """Serve ``golden`` to two hand-driven peers, one shard each (a
+        peer holds one lease at a time); the second delivers its shard
+        whole and asks again, and the coordinator parks that request:
+        ``(thread, first, second, lease)``, ``lease`` the first's."""
         fleet = ThreadFleet()
         first, second = _RawWorker(fleet, "first"), _RawWorker(fleet, "second")
         coordinator = DistCoordinator(fleet, shards=1)
         thread = serve_in_thread(coordinator, golden, keep_records=True)
-        leases = [first.lease(), first.lease()]
-        assert [lease["shard"] for lease in leases] == [0, 1]
-        return coordinator, thread, first, second, leases
-
-    @staticmethod
-    def _park(coordinator, raw) -> None:
-        """Send ``raw``'s request and see the coordinator park it."""
-        raw.stream.send({"type": "request"})
+        lease, other = first.lease(), second.lease()
+        assert lease["type"] == other["type"] == "lease"
+        assert not set(map(tuple, lease["keys"])) \
+            & set(map(tuple, other["keys"]))
+        second.results(second.items(other))
+        second.stream.send({"type": "request"})
         deadline = time.monotonic() + 10.0
-        while coordinator._parked != [raw.stream_name]:
+        while coordinator._parked != ["second"]:
             assert time.monotonic() < deadline
             time.sleep(0.001)
+        return thread, first, second, lease
 
     def test_a_parked_request_gets_the_lease_a_hang_up_returns(
             self, memory_golden, memory_baseline):
-        """The holder of every shard hangs up: its leases go back to
-        pending at once, and the first answers the waiting request."""
-        coordinator, thread, first, second, leases = self._two_peers(
-            memory_golden)
-        self._park(coordinator, second)
+        """The holder of the other shard hangs up: its lease goes back
+        to pending at once, and answers the waiting request."""
+        thread, first, second, lease = self._two_peers(memory_golden)
         first.close()
         again = second.stream.read(timeout=5.0)
-        assert again["type"] == "lease"
-        assert again["keys"] == leases[0]["keys"]
-        for lease in (again, second.lease()):
-            second.results(second.items(lease))
-            second.lease_done(lease)
+        assert again == {"type": "lease", "keys": lease["keys"]}
+        second.results(second.items(again))
         result = thread.join_result(60)
         second.close()
         assert result == memory_baseline
         execution = result.execution
-        assert execution.shard_retries == 2
+        assert execution.shard_retries == 1
         assert execution.workers == (("second", execution.total_units),)
 
     def test_a_parked_request_is_answered_done_at_the_end(
             self, memory_golden, memory_baseline):
-        coordinator, thread, first, second, leases = self._two_peers(
-            memory_golden)
-        self._park(coordinator, second)
-        for lease in leases:
-            first.results(first.items(lease))
-            first.lease_done(lease)
+        thread, first, second, lease = self._two_peers(memory_golden)
+        first.results(first.items(lease))
         assert second.stream.read(timeout=5.0) == {"type": "done"}
         result = thread.join_result(60)
         first.close()
@@ -548,7 +544,7 @@ class TestWorkerWait:
         def coordinate():
             stream = FrameStream(ours)
             assert stream.read(timeout=5.0)["type"] == "request"
-            stream.send({"type": "lease", "lease": 1, "shard": 0,
+            stream.send({"type": "lease",
                          "keys": [list(key) for key in style.units]})
             ours.close()
             hung_up.set()
@@ -596,11 +592,9 @@ def _run_lease(style, lease: dict | None = None, calls=None):
         executor.run_many = lambda coords: (calls.append(len(coords)),
                                             run_many(coords))[1]
     if lease is None:
-        lease = {"lease": 1, "shard": 0,
-                 "keys": [list(key) for key in style.units]}
+        lease = {"keys": [list(key) for key in style.units]}
     worker._run_lease(stream, lease, executor, style)
-    assert stream.sent[-1]["type"] == "lease_done"
-    assert len(stream.windows()) == len(stream.sent) - 1
+    assert len(stream.windows()) == len(stream.sent)  # results alone
     return stream.windows()
 
 
@@ -611,8 +605,7 @@ class TestSendWindow:
     def test_results_frame_round_trip(self):
         run = ["sdc no-effect", "12 9", " "]
         message = {"type": "results", "items": [
-            {"shard": 3, "key": [0, 7], "run": run, "hits": 1,
-             "skips": 0}]}
+            {"key": [0, 7], "run": run, "hits": 1, "skips": 0}]}
         assert decode_frame(encode_frame(message)[4:]) == message
 
     def _serve(self, golden, standby=None, **kw):
@@ -643,12 +636,11 @@ class TestSendWindow:
         honest = dict(items[index])
         items[index] = spoil(honest)
         raw.results(items)
-        raw.lease_done(lease)
-        # Only the rejected class is re-leased.
+        # The next request ends the lease: only the rejected class is
+        # re-leased.
         again = raw.lease()
         assert again["keys"] == [honest["key"]]
-        raw.results([{**honest, "shard": again["shard"]}])
-        raw.lease_done(again)
+        raw.results([honest])
         result = thread.join_result(60)
         raw.close()
         assert result == baseline
@@ -687,41 +679,73 @@ class TestSendWindow:
             tmp_path, memory_golden, memory_baseline, 2, split_trap)
         assert [event["kind"] for event in rejects] == ["shape-reject"]
 
-    def test_an_item_naming_no_planned_shard_is_rejected(
-            self, tmp_path, memory_golden, memory_baseline):
-        """The shard an item names comes from the peer: one outside the
-        plan is a malformed class, rejected like any other, not an
-        error that ends the worker's session."""
-        _, rejects, honest, _ = self._one_item_spoiled(
-            tmp_path, memory_golden, memory_baseline, 1,
-            lambda item: {**item, "shard": 99})
-        assert [event["kind"] for event in rejects] == ["shape-reject"]
-        assert rejects[0]["detail"] == \
-            f"{honest['key']}: no shard 99 in the plan"
+    def test_a_lease_sends_only_results_frames(self, memory_golden):
+        """A lease ends with its last window: a worker running one sends
+        ``results`` frames and nothing else, each item a unit's key,
+        run and counters — no shard, no lease id."""
+        windows = _run_lease(_scan_style(memory_golden))  # results alone
+        assert {tuple(sorted(item)) for items in windows
+                for item in items} == {("hits", "key", "run", "skips")}
 
-    def test_an_item_naming_a_negative_shard_is_rejected(
-            self, tmp_path, memory_golden, memory_baseline):
-        """No lease names a negative shard (verify leases are gone), so
-        an item that does is rejected too, not read as the last
-        shard's."""
-        _, rejects, honest, _ = self._one_item_spoiled(
-            tmp_path, memory_golden, memory_baseline, 1,
-            lambda item: {**item, "shard": -1})
-        assert rejects[0]["detail"] == \
-            f"{honest['key']}: no shard -1 in the plan"
+    def test_a_request_that_fails_the_last_shard_ends_the_campaign(
+            self, memory_golden):
+        """With no retry left, the request that ends a lease with a
+        rejected unit fails its shard; that was the last unfinished
+        one, so the campaign ends there — answered ``done`` — and the
+        unit is missing, not waited for."""
+        _, thread, raw = self._serve(memory_golden, max_retries=0)
+        lease = raw.lease()
+        items = raw.items(lease)
+        spoiled = {**items[0], "run": ["sdc", "1", ""]}
+        raw.results([spoiled] + items[1:])
+        assert raw.lease() == {"type": "done"}
+        result = thread.join_result(60)
+        raw.close()
+        execution = result.execution
+        assert execution.failed_shards == 1
+        assert execution.missing == (tuple(items[0]["key"]),)
+        assert execution.executed == len(items) - 1
+
+    def test_results_from_a_peer_holding_no_lease_end_its_connection(
+            self, memory_golden, memory_baseline):
+        """A unit comes from the lease its sender holds: results from a
+        peer that asked for none are a protocol error on that
+        connection alone — nothing of them is taken, no shard is
+        charged — and the standby worker finishes the campaign."""
+        _, thread, raw = self._serve(memory_golden, standby="honest")
+        items = [item for window in _run_lease(_scan_style(memory_golden))
+                 for item in window]
+        raw.stream.send({"type": "results", "items": items})
+        try:
+            hung_up = raw.stream.read(timeout=5.0) is None
+        except ConnectionError:
+            hung_up = True
+        raw.close()
+        assert hung_up
+        result = thread.join_result(60)
+        raw.fleet.join()
+        assert not raw.fleet.errors
+        assert result == memory_baseline
+        assert result.records == memory_baseline.records
+        execution = result.execution
+        assert execution.shard_retries == 0
+        assert execution.workers == (("honest", execution.total_units),)
 
     @pytest.mark.parametrize("frame", [
         {"lease": 1, "shard": 99}, {"lease": 1, "shard": "x"},
-        {"lease": 1}, {"lease": 1, "shard": -1}],
-        ids=["out-of-plan", "not-a-number", "no-shard", "negative"])
+        {"lease": 1}, {"lease": 1, "shard": -1}, {"lease": 1, "shard": 0}],
+        ids=["out-of-plan", "not-a-number", "no-shard", "negative",
+             "as-workers-sent-it"])
     def test_a_malformed_lease_done_ends_only_its_connection(
             self, memory_golden, memory_baseline, frame):
-        """A ``lease_done`` comes from the peer too: one naming no
-        planned shard, or none at all, is a protocol error on that
-        connection.  Its lease is released, and an honest worker, its
-        replacement, then finishes the campaign to the serial result."""
+        """``lease_done`` is no frame of the protocol any more — a
+        worker's next request ends its lease — so every one, whatever
+        it names (the one workers once sent included), is an unknown
+        type: a protocol error on that connection.  Its lease is
+        released, and an honest worker, its replacement, then finishes
+        the campaign to the serial result."""
         _, thread, raw = self._serve(memory_golden, standby="honest")
-        assert raw.lease()["lease"] == 1
+        assert raw.lease()["type"] == "lease"
         raw.stream.send({"type": "lease_done", **frame})
         try:
             hung_up = raw.stream.read(timeout=5.0) is None
@@ -743,7 +767,6 @@ class TestSendWindow:
         items = raw.items(lease)
         raw.results([items[0], items[0], items[1]])
         raw.results([items[1]] + items[2:])
-        raw.lease_done(lease)
         result = thread.join_result(60)
         raw.close()
         assert result == memory_baseline
@@ -810,7 +833,6 @@ class TestSendWindow:
         items = raw.items(lease)
         raw.results(items[:6])
         raw.results(items[3:])  # three copies of uncommitted classes
-        raw.lease_done(lease)
         result = thread.join_result(60)
         raw.close()
         assert result == memory_baseline
@@ -915,17 +937,19 @@ class TestSendWindow:
         assert idled.wait(10)
         assert len(class_experiments(journal)) == 5
         raw.results(items[5:])
-        raw.lease_done(lease)
         result = thread.join_result(60)
         raw.close()
         assert result == memory_baseline
         assert len(class_experiments(journal)) == len(items)
 
 
-#: The child of the frozen-clock test: ``jobs=2`` on memcopy(6) with
-#: every clock the coordinator module reads frozen; ``worker-0`` stalls
-#: with its socket open after its second window, and the campaign's
-#: process SIGKILLs it once its first is taken: mid-shard either way.
+#: The child of the frozen-clock test: ``jobs=2`` on memcopy(6).  The
+#: coordinator module reads no clock at all (an event's stamp is the
+#: journal's); the child still freezes ``time`` and ``_clock`` on it, so
+#: a clock read brought back there would stand still.  ``worker-0``
+#: stalls with its socket open after its second window, and the
+#: campaign's process SIGKILLs it once its first is taken: mid-shard
+#: either way.
 _FROZEN_CLOCK_SIGKILL = """
 import os, signal
 import repro.campaign.dist.coordinator as coordinator_mod

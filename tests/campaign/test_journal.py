@@ -211,6 +211,21 @@ class TestCampaignJournal:
         campaign.link_sections([section])
         assert list(_runs(campaign).values()) == [("sdc", "5", "")]
 
+    def test_an_event_is_stamped_by_the_journal(self, journal):
+        """``record_event`` takes no time from its caller: the journal
+        stamps ``at`` with the wall clock of the call."""
+        import time
+
+        campaign = _campaign(journal)
+        before = time.time()
+        campaign.record_event("shape-reject", worker="w0", detail="x")
+        after = time.time()
+        (entry,) = journal.fabric_report()
+        (event,) = entry["events"]
+        assert before <= event["at"] <= after
+        assert (event["worker"], event["kind"], event["detail"]) \
+            == ("w0", "shape-reject", "x")
+
     def test_mark_complete_sets_status(self, journal):
         campaign = _campaign(journal)
         assert campaign.status == "running"

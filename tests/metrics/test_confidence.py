@@ -244,7 +244,7 @@ def _run_fresh(probe: str, *args: str) -> subprocess.CompletedProcess:
 #: journal runs process start alone: the fabric keeps its lease state
 #: on its board, so only ``--journal`` opens a database.
 HEAVY_LAYERS = ("asyncio", "ssl", "multiprocessing", "sqlite3",
-                "statistics")
+                "statistics", "fractions")
 
 
 class TestColdProcessImports:
