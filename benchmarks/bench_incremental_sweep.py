@@ -23,7 +23,12 @@ at most once per store it executed (plus the first rung) and takes one
 rung per block-boundary crossing (where an engine's probe can stop),
 the assembler parses each distinct instruction statement once, and a
 warm variant — resumed or composed — checks each distinct outcome
-string of its campaign against the outcome values once.  No wall time is taken:
+string of its campaign against the outcome values once.  A warm
+variant reads its stored runs once as well: it checks each distinct
+run in full once (one end-cycle ``fullmatch`` per distinct run, not
+per class), and its scan, summary and ΔF attribution call
+``class_key`` at most once per live class, all counted from the
+assembly's one walk.  No wall time is taken:
 both sweeps of this small family are mostly the fixed cost of a campaign
 (open + ``quick_check``, golden bookkeeping, commits), so their ratio
 would measure the executor as much as the store.
@@ -38,8 +43,10 @@ from repro.campaign import compose as compose_module
 from repro.campaign import golden as golden_module
 from repro.campaign import journal as journal_module
 from repro.campaign.database import CampaignSummary
+from repro.analysis.report import failure_attribution
 from repro.campaign.outcomes import Outcome
 from repro.faultspace import sections as sections_module
+from repro.faultspace.domain import FaultDomain
 from repro.isa import STORE_OPS
 from repro.isa.assembler import Assembler
 from repro.isa.blocks import block_leaders
@@ -113,19 +120,70 @@ def _distinct_outcome_strings(result) -> int:
     return len(set(result.class_outcomes.values()))
 
 
+class _CountedEndCycles:
+    """The journal's end-cycle pattern, counting its ``fullmatch``
+    calls (``checks``): one per run ``_valid_run`` checks in full."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.checks = 0
+
+    def fullmatch(self, string):
+        self.checks += 1
+        return self.pattern.fullmatch(string)
+
+
+def _counting_reads(patch):
+    """Under ``patch``, the end-cycle checks of ``_valid_run`` and the
+    ``FaultDomain.class_key`` calls: the returned ``(pattern, calls)``,
+    ``pattern.checks`` and ``calls["class_key"]``."""
+    pattern = _CountedEndCycles(journal_module._END_CYCLES)
+    patch.setattr(journal_module, "_END_CYCLES", pattern)
+    class_key = FaultDomain.class_key
+    calls = {"class_key": 0}
+
+    def counted_key(domain, interval):
+        calls["class_key"] += 1
+        return class_key(domain, interval)
+
+    patch.setattr(FaultDomain, "class_key", counted_key)
+    return pattern, calls
+
+
+def _distinct_runs(result) -> int:
+    """Distinct runs ``(outcomes, end_cycles, traps)`` of a campaign's
+    classes, read off its records (kept class by class, in order)."""
+    records = result.records
+    width = result.domain.bits
+    return len({tuple((record.outcome, record.end_cycle, record.trap)
+                      for record in records[start:start + width])
+                for start in range(0, len(records), width)})
+
+
+def _read_counts(result, pattern, calls) -> tuple[int, int]:
+    """``(end-cycle checks, class_key calls)`` a warm variant made, its
+    summary and ΔF attribution included."""
+    CampaignSummary.from_result(result)
+    failure_attribution(result)
+    return pattern.checks, calls["class_key"]
+
+
 def _resumed_sweep(goldens, path, monkeypatch):
     """A plain resume of the family against the filled journal; returns
-    (results, section maps built, outcome checks per variant)."""
+    (results, section maps built, outcome checks per variant, and per
+    variant its ``(end-cycle checks, class_key calls)``)."""
     counts = {"section_maps": 0, "section_cycles": 0}
-    results, checks = {}, {}
+    results, checks, reads = {}, {}, {}
     with monkeypatch.context() as patch:
         _counting_section_maps(patch, counts)
         for name in VARIANTS:
             outcomes = _counting_outcome_checks(patch)
+            pattern, calls = _counting_reads(patch)
             results[name] = run_full_scan(goldens[name], journal=path,
                                           keep_records=True)
             checks[name] = outcomes.checks
-    return results, counts["section_maps"], checks
+            reads[name] = _read_counts(results[name], pattern, calls)
+    return results, counts["section_maps"], checks, reads
 
 
 def _golden_ram_hashes(factories, monkeypatch):
@@ -217,6 +275,7 @@ def _counted_sweep(goldens, path, monkeypatch):
 
     results, commits, result_rows, statements = {}, {}, {}, []
     checks = counts["outcome_checks"] = {}
+    reads = counts["reads"] = {}
     with monkeypatch.context() as patch, \
             ExperimentJournal(path) as journal:
         patch.setattr(journal_module, "_clock", lambda: 0.0)
@@ -227,10 +286,11 @@ def _counted_sweep(goldens, path, monkeypatch):
         for name in VARIANTS:
             statements.clear()
             outcomes = _counting_outcome_checks(patch)
+            pattern, calls = _counting_reads(patch)
             results[name] = run_full_scan(goldens[name], journal=journal,
                                           resume=False, keep_records=True)
             checks[name] = outcomes.checks
-            CampaignSummary.from_result(results[name])
+            reads[name] = _read_counts(results[name], pattern, calls)
             commits[name] = statements.count("BEGIN IMMEDIATE")
             result_rows[name] = sum(
                 statement.lstrip().upper().startswith("INSERT")
@@ -263,7 +323,7 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     counted, commits, result_rows, counts = _counted_sweep(
         goldens, journal, monkeypatch)
     constructed = counts["constructed"]
-    resumed, resumed_maps, resumed_checks = _resumed_sweep(
+    resumed, resumed_maps, resumed_checks, resumed_reads = _resumed_sweep(
         goldens, journal, monkeypatch)
 
     composed = {}
@@ -318,6 +378,19 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
     assert counts["outcome_checks"] == distinct, (
         f"outcome strings checked while composing "
         f"{counts['outcome_checks']}, distinct per campaign {distinct}")
+    runs = {name: _distinct_runs(cold[name]) for name in VARIANTS}
+    live = {name: len(cold[name].class_outcomes) for name in VARIANTS}
+    for sweep, reads in (("resumed", resumed_reads),
+                         ("composed", counts["reads"])):
+        for name, (checked, keyed) in reads.items():
+            assert checked == runs[name] < live[name], (
+                f"{name} {sweep}: {checked} runs checked in full for "
+                f"{runs[name]} distinct runs at {live[name]} classes: "
+                f"each distinct run is checked once")
+            assert keyed <= live[name], (
+                f"{name} {sweep}: {keyed} class_key calls for "
+                f"{live[name]} live classes: the scan, its summary and "
+                f"its ΔF attribution read the assembly's one walk")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"
@@ -351,6 +424,12 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"outcome checks resumed  "
         f"{', '.join(f'{k}: {v}' for k, v in resumed_checks.items())} "
         f"(= distinct outcome strings)",
+        f"runs checked resumed    "
+        f"{', '.join(f'{k}: {c} of {live[k]} classes' for k, (c, _) in resumed_reads.items())} "
+        f"(= distinct runs)",
+        f"class_key calls resumed "
+        f"{', '.join(f'{k}: {n}' for k, (_, n) in resumed_reads.items())} "
+        f"(<= live classes)",
         "comparison CSV          byte-identical cold vs. warm",
     ]
     (output_dir / "incremental_sweep.txt").write_text(

@@ -168,16 +168,12 @@ def failure_attribution(result: CampaignResult, *,
     experiment weighs what it stands for, its class's data lifetime
     times its slot weight, so the weights sum to the failure count F.
     """
-    domain = result.domain
-    label = domain.location_label(result.golden)
+    label = result.domain.location_label(result.golden)
     weights: Counter = Counter()
-    for interval, outcomes in result.class_records():
-        failing = sum(weight for outcome, weight in zip(
-            outcomes, domain.experiment_slot_weights(interval))
-            if outcome.is_failure)
-        if failing:
-            weights[label(domain.axis_of(interval))] += \
-                interval.length * failing
+    # The scan's one walk (CampaignResult.class_tally) summed each
+    # axis's failures; labels follow, each from its first failing axis.
+    for axis, failing in result.class_tally().failing.items():
+        weights[label(axis)] += failing
     return weights.most_common(top)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
+from math import gcd, lcm
 from pathlib import Path
 
 from ..isa.assembler import Program
@@ -37,20 +38,34 @@ class CampaignSummary:
     raw_counts: dict[str, int]
     known_no_effect_weight: int
     domain: str
+    #: What a ``BiasedClassSampler`` campaign estimates on average — the
+    #: Pitfall 2 number — as an exact ``(numerator, denominator)`` in
+    #: lowest terms: :attr:`biased_class_estimate`.
+    biased_class_terms: tuple[int, int]
 
     @classmethod
     def from_result(cls, result: CampaignResult) -> "CampaignSummary":
-        """The summary of a full scan: its counts from one
-        :meth:`~.runner.CampaignResult.tally`, keyed by outcome value
-        (what :meth:`~.runner.CampaignResult.weighted_counts` and
-        ``raw_counts`` give, without a ``Counter`` in between)."""
+        """The summary of a full scan, read off its one walk
+        (:meth:`~.runner.CampaignResult.class_tally`): its counts keyed
+        by outcome value (what :meth:`~.runner.CampaignResult.
+        weighted_counts` and ``raw_counts`` give, without a ``Counter``
+        in between), and the biased-class estimate ``w · (1/L) · Σ
+        members · failing / width`` over the walk's outcome groups and
+        the ``L`` live classes, summed over a common denominator."""
         golden = result.golden
-        tally = result.tally()
+        walk = result.class_tally()
         known = result.partition.known_no_effect_weight
         weighted = {outcome.value: count
-                    for outcome, count, _ in tally if count}
+                    for outcome, count, _ in walk.counts if count}
         no_effect = Outcome.NO_EFFECT.value
         weighted[no_effect] = weighted.get(no_effect, 0) + known
+        common = lcm(*{width for _, _, width in walk.groups})
+        numerator = result.fault_space_size * sum(
+            members * fails * (common // width)
+            for members, fails, width in walk.groups)
+        # No live class: nothing fails, and nothing could be drawn.
+        denominator = common * len(result.partition.live_classes()) or 1
+        divisor = gcd(numerator, denominator)
         return cls(
             program_name=golden.program.name,
             cycles=golden.cycles,
@@ -58,10 +73,21 @@ class CampaignSummary:
             fault_space_size=result.fault_space_size,
             experiments=result.experiments_conducted,
             weighted_counts=weighted,
-            raw_counts={outcome.value: raw for outcome, _, raw in tally},
+            raw_counts={outcome.value: raw for outcome, _, raw in walk.counts},
             known_no_effect_weight=known,
             domain=result.domain.name,
+            biased_class_terms=(numerator // divisor,
+                                denominator // divisor),
         )
+
+    @property
+    def biased_class_estimate(self):
+        """:attr:`biased_class_terms` as a ``fractions.Fraction``:
+        :func:`~repro.metrics.failure_counts.
+        expected_biased_class_estimate` of the scan, exactly."""
+        from fractions import Fraction  # loaded where used
+
+        return Fraction(*self.biased_class_terms)
 
     def weighted(self) -> dict[Outcome, int]:
         return {Outcome(k): v for k, v in self.weighted_counts.items()}

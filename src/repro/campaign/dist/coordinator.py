@@ -196,8 +196,8 @@ class DistCoordinator:
         planned, _, _ = style.plan(run.todo, self.shards,
                                    self.fleet.workers)
         board = LeaseBoard(max_retries=self.max_retries)
-        for index, shard in enumerate(planned):
-            board.add_shard(index, [key_of[item] for item in shard])
+        for shard in planned:
+            board.add_shard([key_of[item] for item in shard])
         self.board = board
         self._done = False
         self._maybe_finish()

@@ -51,7 +51,6 @@ TERMINAL = (DONE, FAILED)
 
 @dataclass
 class _Shard:
-    index: int
     #: Keys not yet accounted, in execution order.
     remaining: list[Key]
     attempts: int = 0
@@ -73,10 +72,10 @@ class LeaseBoard:
     #: request or its hang-up (done by then or not).
     _held: dict[str, _Shard] = field(default_factory=dict)
 
-    def add_shard(self, index: int, keys: list[Key]) -> None:
-        """Append shard ``index`` (the next in plan order) of ``keys``,
-        in execution order."""
-        self._shards.append(_Shard(index=index, remaining=list(keys)))
+    def add_shard(self, keys: list[Key]) -> None:
+        """Append the next shard in plan order, of ``keys`` in
+        execution order."""
+        self._shards.append(_Shard(remaining=list(keys)))
 
     # -- queries ---------------------------------------------------------------
 

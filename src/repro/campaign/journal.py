@@ -241,12 +241,17 @@ def _valid_run(run, count: int, known=()) -> bool:
     malformed).  The one check a class passes before it is trusted:
     arriving from a fabric worker or read back from the section store.
 
-    ``known`` holds outcome strings this campaign already found valid,
-    whose values are not looked up again: a caller that keeps it —
-    :class:`~.runner.ScanStyle` its decoded strings, and a set of its
-    own while it reads the store — checks each distinct outcome string
-    once per campaign.  The counts and the end cycles are checked in C, a
-    ``str.count`` and one ``fullmatch`` a string."""
+    The check is a pure function of the run and ``count``, so a reader
+    of many runs makes it once per distinct pair:
+    :meth:`~.runner.ScanStyle.match` keeps each run's verdict for its
+    class's experiment count, and a stored run recurs at many classes
+    (a warm ``bin_sem2-sumdmr`` × memory: 134 distinct runs at 3 840
+    classes).  ``known`` holds outcome strings this campaign already
+    found valid, whose values are not looked up again: a caller that
+    keeps it — :class:`~.runner.ScanStyle` its decoded strings, and
+    ``match`` a set of its own — checks each distinct outcome string
+    once per campaign.  The counts and the end cycles are checked in C,
+    a ``str.count`` and one ``fullmatch`` a string."""
     outcomes, end_cycles, traps = run
     return (outcomes.count(" ") == end_cycles.count(" ")
             == traps.count(" ") == count - 1

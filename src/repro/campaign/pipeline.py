@@ -8,9 +8,10 @@ form and the transport table):
    and clear it (``resume=False``); link it to its sections in the
    cross-campaign section store when it has no links; read every run
    those sections hold — its own and other campaigns' — in one
-   ``SELECT``, *validate* them against the campaign's units (a
-   malformed run is discarded, counted in ``discarded_results`` and
-   re-executed), and list the units still to do, in canonical order.
+   ``SELECT``, *validate* them against the campaign's units (each
+   distinct run once; a malformed run is discarded, counted in
+   ``discarded_results`` and re-executed), and list the units still to
+   do, in canonical order.
 2. **Shard** (:meth:`CampaignStyle.plan`).  Split the unit list into
    cost-balanced shards, each in canonical order: a full scan deals
    whole fault-space cells (:func:`plan_class_shards`), sampling cuts
@@ -32,7 +33,8 @@ form and the transport table):
 5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
    canonical order over resumed + fresh units, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
-   identical however the runs arrived.
+   identical however the runs arrived.  A full scan counts its tally
+   (and with it the ΔF attribution) over the classes it assembled.
 
 A :class:`CampaignStyle` states what differs between full scan and
 sampling (both live in :mod:`repro.campaign.runner`, beside the

@@ -68,9 +68,108 @@ from .pipeline import (
 )
 
 
-#: The outcomes by position: :meth:`CampaignResult.tally` counts into
-#: lists.
+#: The outcomes by position: :func:`tally_classes` counts into lists.
 _OUTCOMES = tuple(Outcome)
+#: The benign outcomes, which :func:`tally_classes` counts out.
+_NO_EFFECT, _CORRECTED = Outcome.NO_EFFECT, Outcome.DETECTED_CORRECTED
+
+
+@dataclass(frozen=True)
+class ClassTally:
+    """What one walk over a scan's live classes counts
+    (:func:`tally_classes`)."""
+
+    #: ``(outcome, weighted, raw)`` for every outcome some experiment
+    #: had, in the order a walk of the classes bit by bit first meets
+    #: them (:meth:`CampaignResult.tally`).
+    counts: list
+    #: ``(members, failing, width)`` per distinct outcome tuple, first
+    #: seen first: the classes holding it, its failing experiments and
+    #: its experiments.
+    groups: list
+    #: ``axis → weighted failure count`` of the axes with a failing
+    #: experiment, in the order the walk first meets one
+    #: (:func:`~repro.analysis.report.failure_attribution`).
+    failing: dict
+
+
+def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
+    """The one walk that counts a scan: ``pairs`` are its live classes
+    with their per-bit outcomes, ``(interval, outcomes)`` in canonical
+    order (:meth:`CampaignResult.class_records`).
+
+    Classes are grouped by their outcome tuple — by identity: a scan's
+    classes with equal outcomes share one tuple (:meth:`ScanStyle.keep`),
+    and equal tuples that are distinct objects only make more groups —
+    and each group is counted once, with ``tuple.count`` per outcome
+    it holds (identity comparisons in C, never the enum's Python-level
+    ``__hash__``).  A class adds its members and its data lifetime
+    times its experiments' common slot weight to its group; a class
+    whose experiments weigh unequally (no built-in domain's do) is
+    weighed experiment by experiment.  ``weighted`` expands each
+    experiment by its class's data lifetime (without the dead classes),
+    ``raw`` counts experiments.
+    """
+    slot_weights = domain.experiment_slot_weights
+    axis_of = domain.axis_of
+    #: id(outcomes) → [outcomes, members, weight, failing experiments]
+    groups: dict[int, list] = {}
+    failing: dict[int, int] = {}
+    uneven = []  # (interval, outcomes, weights) weighed bit by bit
+    for interval, outcomes in pairs:
+        group = groups.get(id(outcomes))
+        if group is None:
+            group = groups[id(outcomes)] = [
+                outcomes, 0, 0, len(outcomes) - outcomes.count(_NO_EFFECT)
+                - outcomes.count(_CORRECTED)]
+        group[1] += 1
+        weights = slot_weights(interval)
+        if len(weights) == len(outcomes) == weights.count(weights[0]):
+            weight = interval.length * weights[0]
+            group[2] += weight
+            lost = weight * group[3]  # the class's weighted failures
+        else:
+            uneven.append((interval, outcomes, weights))
+            lost = interval.length * sum([
+                weight for kind, weight in zip(outcomes, weights)
+                if kind is not _NO_EFFECT and kind is not _CORRECTED])
+        if lost:
+            axis = axis_of(interval)
+            failing[axis] = failing.get(axis, 0) + lost
+    weighted = [0] * len(_OUTCOMES)
+    raw = [0] * len(_OUTCOMES)
+    order: list[int] = []  # positions, first seen first
+    for outcomes, members, weight, _ in groups.values():
+        seen = len(order)
+        left = len(outcomes)
+        for position, outcome in enumerate(_OUTCOMES):
+            count = outcomes.count(outcome)
+            if not count:
+                continue
+            if not raw[position]:
+                order.append(position)
+            raw[position] += members * count
+            weighted[position] += weight * count
+            left -= count
+            if not left:
+                break
+        if len(order) - seen > 1:
+            # Several outcomes first met in one group: in bit order.
+            order[seen:] = sorted(
+                order[seen:],
+                key=lambda position: outcomes.index(_OUTCOMES[position]))
+    for interval, outcomes, weights in uneven:
+        for position in order:
+            outcome = _OUTCOMES[position]
+            weighted[position] += interval.length * sum([
+                weight for kind, weight in zip(outcomes, weights)
+                if kind is outcome])
+    return ClassTally(
+        counts=[(_OUTCOMES[position], weighted[position], raw[position])
+                for position in order],
+        groups=[(members, fails, len(outcomes))
+                for outcomes, members, _, fails in groups.values()],
+        failing=failing)
 
 
 @dataclass
@@ -96,6 +195,11 @@ class CampaignResult:
     domain: FaultDomain = MEMORY
     execution: ExecutionReport | None = field(default=None, compare=False,
                                               repr=False)
+    #: :meth:`class_tally`'s walk: the assembly's (:meth:`ScanStyle.
+    #: result`), else made on first use.  Like ``execution``, outside
+    #: equality; not an argument, so ``dataclasses.replace`` drops it.
+    _tally: ClassTally | None = field(default=None, init=False,
+                                      compare=False, repr=False)
 
     @property
     def fault_space(self):
@@ -123,64 +227,19 @@ class CampaignResult:
         index = self.domain.experiment_index(interval, coordinate)
         return self.class_outcomes[key][index]
 
-    def tally(self) -> list[tuple[Outcome, int, int]]:
-        """One pass over the live classes: ``(outcome, weighted, raw)``
-        for every outcome some experiment had, in the order a walk of
-        the classes bit by bit first meets them (a ``Counter``'s).
+    def class_tally(self) -> ClassTally:
+        """:func:`tally_classes` of the live classes, walked once: by
+        the scan's assembly, or here over :meth:`class_records` on the
+        first call of a result built by hand."""
+        if self._tally is None:
+            self._tally = tally_classes(self.class_records(), self.domain)
+        return self._tally
 
-        ``weighted`` expands each experiment by its class's data
-        lifetime (:meth:`weighted_counts`, without the dead classes),
-        ``raw`` counts experiments (:meth:`raw_counts`).  A class is
-        counted with ``tuple.count`` — identity comparisons in C — per
-        outcome it holds, never bit by bit through a dict keyed by the
-        enum (whose ``__hash__`` is Python code), and nothing is
-        allocated per class that outlives it.
-        """
-        weighted = [0] * len(_OUTCOMES)
-        raw = [0] * len(_OUTCOMES)
-        order: list[int] = []  # positions, first seen first
-        class_key = self.domain.class_key
-        slot_weights = self.domain.experiment_slot_weights
-        get = self.class_outcomes.get
-        for interval in self.partition.live_classes():
-            outcomes = get(class_key(interval))
-            if outcomes is None:
-                continue  # degraded: shard abandoned, class missing
-            weights = slot_weights(interval)
-            length = interval.length
-            width = len(outcomes)
-            uniform = len(weights) == width == weights.count(weights[0])
-            if uniform and outcomes.count(outcomes[0]) == width:
-                # One outcome, like most classes: no walk of _OUTCOMES.
-                position = _OUTCOMES.index(outcomes[0])
-                if not raw[position]:
-                    order.append(position)
-                raw[position] += width
-                weighted[position] += length * width * weights[0]
-                continue
-            seen = len(order)
-            left = width
-            for position, outcome in enumerate(_OUTCOMES):
-                count = outcomes.count(outcome)
-                if not count:
-                    continue
-                if not raw[position]:
-                    order.append(position)
-                raw[position] += count
-                weighted[position] += length * (
-                    count * weights[0] if uniform else
-                    sum([weight for kind, weight in zip(outcomes, weights)
-                         if kind is outcome]))
-                left -= count
-                if not left:
-                    break
-            if len(order) - seen > 1:
-                # Several outcomes first met in one class: in bit order.
-                order[seen:] = sorted(
-                    order[seen:],
-                    key=lambda position: outcomes.index(_OUTCOMES[position]))
-        return [(_OUTCOMES[position], weighted[position], raw[position])
-                for position in order]
+    def tally(self) -> list[tuple[Outcome, int, int]]:
+        """``(outcome, weighted, raw)`` for every outcome some experiment
+        had, in the order a walk of the classes bit by bit first meets
+        them (a ``Counter``'s); see :func:`tally_classes`."""
+        return list(self.class_tally().counts)
 
     def weighted_counts(self) -> Counter:
         """Outcome counts expanded to the raw fault space (Pitfall 1 safe).
@@ -260,6 +319,26 @@ def _joined(facts) -> tuple[str, str, str]:
             " ".join(traps))
 
 
+#: What :meth:`ScanStyle.match` makes of a stored class run: trusted,
+#: discarded, or left (a shorter valid run, which the class replaces).
+_TRUSTED, _BAD, _SHORT = "trusted", "bad", "short"
+
+
+def _verdict(run, need: int, known: set) -> str:
+    """The fate of a stored ``run`` at a class of ``need`` experiments:
+    :data:`_TRUSTED` when :func:`~.journal._valid_run` passes it,
+    :data:`_BAD` when it is malformed for its own length or longer than
+    the class, else :data:`_SHORT`.  ``known`` collects the outcome
+    strings passed, whose values are then not looked up again."""
+    if _valid_run(run, need, known):
+        known.add(run[0])
+        return _TRUSTED
+    if (not _valid_run(run, run[0].count(" ") + 1, known)
+            or run[0].count(" ") >= need):
+        return _BAD
+    return _SHORT
+
+
 class ScanStyle(CampaignStyle):
     """Def/use-pruned full scan: one unit per live class, keyed
     ``(axis, first_slot)``, its run ``(outcomes, end_cycles, traps)``
@@ -282,22 +361,29 @@ class ScanStyle(CampaignStyle):
 
     def match(self, rows):
         # A class is the run from bit 0 at its injection slot; runs at
-        # other bits are sampled experiments, no unit of a scan.
+        # other bits are sampled experiments, no unit of a scan.  The
+        # check is a pure function of the run and the class's
+        # experiment count, and one stored run recurs at many classes,
+        # so it is made once per distinct pair: ``verdicts`` holds each
+        # run's last ``(count, _verdict)``, checked again at a class of
+        # another count.
         count = self.domain.experiment_count
         at = {(interval.injection_slot, key[0]): (key, interval)
               for key, interval in self.units.items()}
         runs, bad, known = {}, [], set()
+        verdicts: dict[tuple, tuple[int, str]] = {}
         for row in rows:
             unit = at.get(row[1:3]) if row[3] == 0 else None
             if unit is None:
                 continue  # not this campaign's: left alone
             key, interval = unit
             run, need = row[4:], count(interval)
-            if _valid_run(run, need, known):
-                known.add(run[0])
+            verdict = verdicts.get(run)
+            if verdict is None or verdict[0] != need:
+                verdict = verdicts[run] = need, _verdict(run, need, known)
+            if verdict[1] is _TRUSTED:
                 runs[key] = run
-            elif (not _valid_run(run, run[0].count(" ") + 1, known)
-                  or run[0].count(" ") >= need):
+            elif verdict[1] is _BAD:
                 bad.append(row[:4])  # malformed, or longer than the class
             # A shorter run (a sampled campaign's bit 0) is not used:
             # the class re-executes, and its whole run replaces it.
@@ -355,15 +441,24 @@ class ScanStyle(CampaignStyle):
                 run[1].split(" "), run[2].split(" "))]
 
     def result(self, kept, report):
-        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
-        records: list[ExperimentRecord] = []
-        for key in self.units:
-            if key in kept:  # else degraded: listed in report.missing
-                class_outcomes[key], unit_records = kept[key]
-                records.extend(unit_records)
-        return CampaignResult(golden=self.golden, partition=self.partition,
-                              class_outcomes=class_outcomes, records=records,
-                              domain=self.domain, execution=report)
+        # A key absent from ``kept`` is degraded: in report.missing.
+        class_outcomes = {key: kept[key][0] for key in self.units
+                          if key in kept}
+        records = ([record for key in class_outcomes
+                    for record in kept[key][1]]
+                   if self.keep_records else [])
+        result = CampaignResult(golden=self.golden, partition=self.partition,
+                                class_outcomes=class_outcomes,
+                                records=records, domain=self.domain,
+                                execution=report)
+        # The tally is counted here, over the classes just assembled:
+        # the live classes themselves when none is missing.
+        units = self.units
+        intervals = (units.values() if len(class_outcomes) == len(units)
+                     else [units[key] for key in class_outcomes])
+        result._tally = tally_classes(
+            zip(intervals, class_outcomes.values()), self.domain)
+        return result
 
 
 def resolve_jobs(jobs: int | None) -> int | None:

@@ -170,11 +170,13 @@ class IntervalPartition:
         return sum(iv.weight_bits for ivs in self.intervals.values()
                    for iv in ivs if iv.kind == LIVE)
 
-    @property
+    @cached_property
     def known_no_effect_weight(self) -> int:
-        """Coordinates known a priori to be "No Effect" (dead classes)."""
-        return sum(iv.weight_bits for ivs in self.intervals.values()
-                   for iv in ivs if iv.kind == DEAD)
+        """Coordinates known a priori to be "No Effect" (dead classes),
+        summed once per partition (it is not changed once built): every
+        class weighs its length in :attr:`units` (:meth:`validate`)."""
+        return self.units * sum(iv.length for ivs in self.intervals.values()
+                                for iv in ivs if iv.kind == DEAD)
 
     @property
     def total_weight(self) -> int:

@@ -208,9 +208,8 @@ class PCPartition:
     def live_weight(self) -> int:
         return self.total_weight
 
-    @property
-    def known_no_effect_weight(self) -> int:
-        return 0
+    #: No PC fault is known a priori to be benign (:meth:`dead_classes`).
+    known_no_effect_weight = 0
 
     @property
     def total_weight(self) -> int:

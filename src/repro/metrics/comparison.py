@@ -122,6 +122,17 @@ class ComparisonReport:
             return math.inf if hard > 0 else 1.0
         return hard / base
 
+    @property
+    def biased_class_ratio(self) -> float:
+        """Ratio of what a ``BiasedClassSampler`` campaign estimates on
+        average — Pitfall 2 numbers (``CampaignSummary.
+        biased_class_terms``; the int division rounds once)."""
+        base, base_denominator = self.baseline.biased_class_terms
+        hard, hard_denominator = self.hardened.biased_class_terms
+        if base == 0:
+            return math.inf if hard > 0 else 1.0
+        return hard * base_denominator / (hard_denominator * base)
+
     def verdicts(self) -> dict[str, bool]:
         """Would each metric call the hardened variant an improvement?"""
         return {
@@ -209,14 +220,19 @@ def comparison_table(reports: list[ComparisonReport]) -> str:
     """Render baseline + N hardened variants as one text table.
 
     All reports must share a baseline.  Columns are the sound metric
-    (F and the ratio r) next to the pitfall metrics, so a glance shows
-    where the unsound numbers would have flipped the verdict; variants
-    with misleading metrics are flagged on their row.
+    (F and the ratio r) next to the pitfall metrics — the CSV's, plus
+    the biased-class ratio (Pitfall 2), which the CSV leaves out — so a
+    glance shows where the unsound numbers would have flipped the
+    verdict; variants with misleading metrics are flagged on their row.
     """
-    rows = _table_rows(reports)
+    at = COMPARISON_COLUMNS.index("unweighted_ratio") + 1
+    biased = ["1"] + [f"{r.biased_class_ratio:.10g}" for r in reports]
+    rows = [row[:at] + [cell] + row[at:]
+            for row, cell in zip(_table_rows(reports), biased)]
     misleading = [""] + [", ".join(r.misleading_metrics())
                          for r in reports]
-    header = list(COMPARISON_COLUMNS)
+    header = [*COMPARISON_COLUMNS[:at], "biased_class_ratio",
+              *COMPARISON_COLUMNS[at:]]
     widths = [max(len(header[i]), *(len(row[i]) for row in rows))
               for i in range(len(header))]
     def fmt(cells):

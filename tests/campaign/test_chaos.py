@@ -265,12 +265,15 @@ class TestDyingKey:
         assert deadly in failed.remaining
         # Nothing at or after the deadly key in execution order was
         # ever delivered.  The plan is a pure function of its
-        # arguments: re-deriving it gives the failed shard's order.
+        # arguments: re-deriving it gives the failed shard's order, the
+        # one planned shard that holds the deadly key.
         style = coordinator.style
         key_of = {item: key for key, item in style.units.items()}
         planned, _, _ = style.plan(coordinator.run.todo, coordinator.shards,
                                    coordinator.fleet.workers)
-        order = [key_of[item] for item in planned[failed.index]]
+        (order,) = [keys for keys in ([key_of[item] for item in shard]
+                                      for shard in planned)
+                    if deadly in keys]
         position = order.index(deadly)
         assert set(order[position:]) <= set(failed.remaining)
         assert set(execution.missing) == set(failed.remaining)

@@ -164,7 +164,7 @@ class TestLeaseBoard:
         board = LeaseBoard(max_retries=max_retries)
         keys = [[(0, 1), (0, 2)], [(1, 1), (1, 2)]]
         for index in range(shards):
-            board.add_shard(index, list(keys[index]))
+            board.add_shard(list(keys[index]))
         return board
 
     def test_grants_then_waits_then_done(self):
@@ -1137,9 +1137,8 @@ class TestDistJournalInterop:
                           progress=interrupt)
         planned: list = []
         add_shard = LeaseBoard.add_shard
-        monkeypatch.setattr(LeaseBoard, "add_shard", lambda board, index,
-                            keys: (planned.extend(keys),
-                                   add_shard(board, index, keys)))
+        monkeypatch.setattr(LeaseBoard, "add_shard", lambda board, keys: (
+            planned.extend(keys), add_shard(board, keys)))
         result, coordinator, fleet = run_dist(memory_golden,
                                               journal=journal)
         assert not fleet.errors

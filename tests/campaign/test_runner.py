@@ -1,5 +1,6 @@
 """Tests for the campaign runners (full scan, brute force, sampling)."""
 
+import sqlite3
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
@@ -9,14 +10,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign import (
+    CampaignResult,
+    ExperimentJournal,
     Outcome,
     record_golden,
     run_brute_force,
     run_full_scan,
     run_sampling,
 )
+from repro.analysis.report import failure_attribution
 from repro.campaign.database import CampaignSummary
+from repro.campaign.pipeline import ExecutionReport
+from repro.campaign.runner import ScanStyle
 from repro.faultspace import DOMAINS
+from repro.faultspace.domain import PCDomain
+from repro.faultspace.pcreg import ILLEGAL_AXIS
+from repro.metrics import expected_biased_class_estimate
 from repro.programs import hi, micro
 
 
@@ -280,3 +289,154 @@ class TestMultiByteProgram:
         # Corrupting any live source/destination byte must fail somewhere.
         failures = sum(n for o, n in counts.items() if o.is_failure)
         assert failures > 0
+
+
+def reference_tally(result) -> list:
+    """``CampaignResult.tally`` walked bit by bit: every experiment of
+    every live class present, in canonical order, expanded by its
+    class's data lifetime and slot weight; outcomes in the order first
+    met."""
+    weighted: dict = {}
+    raw: dict = {}
+    domain = result.domain
+    for interval in result.partition.live_classes():
+        outcomes = result.class_outcomes.get(domain.class_key(interval))
+        if outcomes is None:
+            continue
+        weights = domain.experiment_slot_weights(interval)
+        for bit, outcome in enumerate(outcomes):
+            weight = weights[bit] if bit < len(weights) else 0
+            weighted[outcome] = weighted.get(outcome, 0) \
+                + interval.length * weight
+            raw[outcome] = raw.get(outcome, 0) + 1
+    return [(outcome, weighted[outcome], raw[outcome]) for outcome in raw]
+
+
+def reference_attribution(result) -> list:
+    """``failure_attribution`` as first written: a pass of its own over
+    ``class_records``, a ``Counter`` bumped per failing class."""
+    domain = result.domain
+    label = domain.location_label(result.golden)
+    weights: Counter = Counter()
+    for interval, outcomes in result.class_records():
+        failing = sum(weight for outcome, weight in zip(
+            outcomes, domain.experiment_slot_weights(interval))
+            if outcome.is_failure)
+        if failing:
+            weights[label(domain.axis_of(interval))] += \
+                interval.length * failing
+    return weights.most_common()
+
+
+#: Programs whose scans cover every domain in well under a second.
+_WALK_PROGRAMS = {"memcopy": lambda: micro.memcopy(3),
+                  "counter": micro.counter,
+                  "checksum": micro.checksum_loop,
+                  "stack_echo": micro.stack_echo}
+
+
+class TestOneWalk:
+    """A scan's tally, ΔF attribution and biased-class estimate come
+    from the one walk of its assembly (``ScanStyle.result``), or from
+    ``class_records`` for a result built by hand, and equal a walk of
+    the classes bit by bit — order included."""
+
+    @pytest.fixture(scope="class",
+                    params=[(program, domain) for program in _WALK_PROGRAMS
+                            for domain in sorted(DOMAINS)],
+                    ids="-".join)
+    def scan(self, request):
+        program, domain = request.param
+        return run_full_scan(record_golden(_WALK_PROGRAMS[program]()),
+                             domain=domain)
+
+    @staticmethod
+    def assert_walk_matches_the_references(result):
+        assert result.tally() == reference_tally(result)
+        assert failure_attribution(result, top=None) \
+            == reference_attribution(result)
+        if len(result.class_outcomes) \
+                == len(result.partition.live_classes()):
+            assert CampaignSummary.from_result(result) \
+                .biased_class_estimate \
+                == expected_biased_class_estimate(result)
+
+    def test_a_scan_is_counted_by_its_assembly(self, scan):
+        assert scan._tally is not None  # counted while assembling
+        self.assert_walk_matches_the_references(scan)
+
+    def test_a_degraded_assembly_counts_the_classes_present(self, scan):
+        """The assembly of a campaign missing every third class walks
+        the classes it has."""
+        style = ScanStyle(scan.golden, scan.domain, scan.partition)
+        kept = {key: (outcomes, ())
+                for index, (key, outcomes)
+                in enumerate(scan.class_outcomes.items()) if index % 3}
+        degraded = style.result(kept, ExecutionReport())
+        assert list(degraded.class_outcomes) == list(kept)
+        self.assert_walk_matches_the_references(degraded)
+
+    def test_a_hand_built_result_with_unshared_tuples(self, scan):
+        """Equal outcome tuples that are distinct objects (no
+        ``ScanStyle.keep`` decoded them) count as the shared ones do."""
+        copied = {key: tuple(list(outcomes))
+                  for key, outcomes in scan.class_outcomes.items()}
+        assert len(set(map(id, copied.values()))) == len(copied)
+        built = CampaignResult(golden=scan.golden, partition=scan.partition,
+                               class_outcomes=copied, domain=scan.domain)
+        assert built._tally is None
+        self.assert_walk_matches_the_references(built)
+        assert built.tally() == scan.tally()
+        assert built == scan
+
+
+class TestOneCheckPerDistinctRun:
+    """``ScanStyle.match`` checks each distinct (run, experiment count)
+    pair once; every row still gets that pair's verdict."""
+
+    def test_one_malformed_run_at_two_classes_is_discarded_at_both(
+            self, tmp_path, hi_golden, hi_scan):
+        path = tmp_path / "hi.sqlite"
+        run_full_scan(hi_golden, journal=path)
+        conn = sqlite3.connect(path)
+        with conn:
+            rows = conn.execute(
+                "SELECT section_id, slot, axis, end_cycle, trap FROM "
+                "section_results WHERE bit = 0 ORDER BY slot, axis "
+                "LIMIT 2").fetchall()
+            spoiled = (" ".join(["bogus"] * 8), rows[0][3], rows[0][4])
+            for section, slot, axis, _, _ in rows:
+                conn.execute(
+                    "UPDATE section_results SET outcome = ?, end_cycle = ?, "
+                    "trap = ? WHERE section_id = ? AND slot = ? AND axis = ? "
+                    "AND bit = 0", (*spoiled, section, slot, axis))
+            conn.execute("UPDATE campaigns SET status = 'running'")
+        conn.close()
+        result = run_full_scan(hi_golden, journal=path)
+        assert result == hi_scan
+        assert result.execution.discarded_results == 2
+        assert result.execution.executed == 2
+        with ExperimentJournal(path) as journal:
+            (campaign,) = journal.fabric_report()
+        assert [event["kind"] for event in campaign["events"]] \
+            == ["salvage-prune"]
+
+    def test_a_run_valid_at_one_count_is_refused_at_another(self):
+        """A PC domain whose grouped illegal-target class runs one
+        experiment per member bit: the one-value run a singleton class
+        trusts is too short for the group, so the group re-executes."""
+        class PerBitGroups(PCDomain):
+            def experiment_count(self, interval):
+                return len(interval.members)
+
+        golden = record_golden(micro.counter())
+        style = ScanStyle(golden, PerBitGroups())
+        single = next(key for key, interval in style.units.items()
+                      if len(interval.members) == 1)
+        group = next(key for key, interval in style.units.items()
+                     if key[0] == ILLEGAL_AXIS)
+        run = ("sdc", "12", "none")
+        rows = [(1, style.units[key].injection_slot, key[0], 0, *run)
+                for key in (single, group)]
+        assert style.match(rows) == ({single: run}, [])
+        assert style.match(rows[::-1]) == ({single: run}, [])

@@ -78,3 +78,44 @@ class TestComparisonReport:
         report = comparison_report("hi", baseline_scan, baseline_scan)
         assert report.unweighted_ratio == pytest.approx(1.0)
         assert report.coverage_delta_unweighted == pytest.approx(0.0)
+
+
+class TestBiasedClassRatio:
+    """Pitfall 2's number rides on the summary: the biased-class
+    estimate of each side, read off the scan's one walk."""
+
+    @pytest.fixture(scope="class", params=["memory", "register", "pc"])
+    def pair(self, request):
+        from repro.programs import all_programs
+
+        programs = all_programs()
+        return [run_full_scan(record_golden(programs[name]()),
+                              domain=request.param)
+                for name in ("guarded", "guarded-sumdmr")]
+
+    def test_each_side_is_the_expected_biased_estimate(self, pair):
+        from fractions import Fraction
+
+        from repro.metrics import expected_biased_class_estimate
+
+        baseline, hardened = pair
+        report = comparison_report("guarded-sumdmr", baseline, hardened)
+        expected = [expected_biased_class_estimate(scan) for scan in pair]
+        found = [report.baseline.biased_class_estimate,
+                 report.hardened.biased_class_estimate]
+        assert all(type(value) is Fraction for value in found)
+        assert found == expected
+        assert report.biased_class_ratio == float(expected[1] / expected[0])
+
+    def test_the_table_prints_it_and_the_csv_does_not(self, pair,
+                                                      tmp_path):
+        from repro.metrics import comparison_table, export_comparison_csv
+
+        report = comparison_report("guarded-sumdmr", *pair)
+        header, base, variant = comparison_table([report]).splitlines()
+        assert "biased_class_ratio" in header.split()
+        cell = f"{report.biased_class_ratio:.10g}"
+        assert cell in variant.split()
+        path = tmp_path / "comparison.csv"
+        export_comparison_csv([report], path)
+        assert "biased_class" not in path.read_text()
