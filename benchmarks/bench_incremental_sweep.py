@@ -45,6 +45,7 @@ from repro.campaign import journal as journal_module
 from repro.campaign.database import CampaignSummary
 from repro.analysis.report import failure_attribution
 from repro.campaign.outcomes import Outcome
+from repro.campaign.runner import ScanStyle
 from repro.faultspace import sections as sections_module
 from repro.faultspace.domain import FaultDomain
 from repro.isa import STORE_OPS
@@ -135,18 +136,31 @@ class _CountedEndCycles:
 
 def _counting_reads(patch):
     """Under ``patch``, the end-cycle checks of ``_valid_run`` and the
-    ``FaultDomain.class_key`` calls: the returned ``(pattern, calls)``,
-    ``pattern.checks`` and ``calls["class_key"]``."""
+    calls that a walk over the classes makes per class unless it can
+    help it: the returned ``(pattern, calls)``, ``pattern.checks`` and
+    ``calls[name]`` — ``"class_key"``, ``"weights"`` (the per-class
+    hooks ``FaultDomain.experiment_count`` and
+    ``experiment_slot_weights``, together) and ``"decode"``
+    (``ScanStyle.keep``, and ``ScanStyle._decode``, which decodes an
+    outcome string the campaign meets for the first time)."""
     pattern = _CountedEndCycles(journal_module._END_CYCLES)
     patch.setattr(journal_module, "_END_CYCLES", pattern)
-    class_key = FaultDomain.class_key
-    calls = {"class_key": 0}
+    calls = {"class_key": 0, "weights": 0, "decode": 0}
 
-    def counted_key(domain, interval):
-        calls["class_key"] += 1
-        return class_key(domain, interval)
+    def counted(owner, name, count):
+        method = getattr(owner, name)
 
-    patch.setattr(FaultDomain, "class_key", counted_key)
+        def wrapper(*args, **kwargs):
+            calls[count] += 1
+            return method(*args, **kwargs)
+
+        patch.setattr(owner, name, wrapper)
+
+    counted(FaultDomain, "class_key", "class_key")
+    counted(FaultDomain, "experiment_count", "weights")
+    counted(FaultDomain, "experiment_slot_weights", "weights")
+    counted(ScanStyle, "keep", "decode")
+    counted(ScanStyle, "_decode", "decode")
     return pattern, calls
 
 
@@ -160,18 +174,20 @@ def _distinct_runs(result) -> int:
                 for start in range(0, len(records), width)})
 
 
-def _read_counts(result, pattern, calls) -> tuple[int, int]:
-    """``(end-cycle checks, class_key calls)`` a warm variant made, its
-    summary and ΔF attribution included."""
+def _read_counts(result, pattern, calls) -> tuple[int, int, int, int]:
+    """``(end-cycle checks, class_key calls, per-class weight hook
+    calls, decodes)`` a warm variant made, its summary and ΔF
+    attribution included."""
     CampaignSummary.from_result(result)
     failure_attribution(result)
-    return pattern.checks, calls["class_key"]
+    return (pattern.checks, calls["class_key"], calls["weights"],
+            calls["decode"])
 
 
 def _resumed_sweep(goldens, path, monkeypatch):
     """A plain resume of the family against the filled journal; returns
     (results, section maps built, outcome checks per variant, and per
-    variant its ``(end-cycle checks, class_key calls)``)."""
+    variant its :func:`_read_counts`)."""
     counts = {"section_maps": 0, "section_cycles": 0}
     results, checks, reads = {}, {}, {}
     with monkeypatch.context() as patch:
@@ -380,9 +396,13 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"{counts['outcome_checks']}, distinct per campaign {distinct}")
     runs = {name: _distinct_runs(cold[name]) for name in VARIANTS}
     live = {name: len(cold[name].class_outcomes) for name in VARIANTS}
+    counts_per_class = {
+        name: len({result.domain.experiment_count(interval)
+                   for interval in result.partition.live_classes()})
+        for name, result in cold.items()}
     for sweep, reads in (("resumed", resumed_reads),
                          ("composed", counts["reads"])):
-        for name, (checked, keyed) in reads.items():
+        for name, (checked, keyed, weighed, decoded) in reads.items():
             assert checked == runs[name] < live[name], (
                 f"{name} {sweep}: {checked} runs checked in full for "
                 f"{runs[name]} distinct runs at {live[name]} classes: "
@@ -391,6 +411,15 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
                 f"{name} {sweep}: {keyed} class_key calls for "
                 f"{live[name]} live classes: the scan, its summary and "
                 f"its ΔF attribution read the assembly's one walk")
+            assert weighed <= counts_per_class[name], (
+                f"{name} {sweep}: {weighed} experiment_count and "
+                f"experiment_slot_weights calls for "
+                f"{counts_per_class[name]} distinct experiment counts: "
+                f"a def/use domain's classes weigh alike, said once")
+            assert decoded <= distinct[name], (
+                f"{name} {sweep}: {decoded} keep/_decode calls for "
+                f"{distinct[name]} distinct outcome strings: the walk "
+                f"pairs each class with its run's decoded tuple")
 
     cold_csv = tmp_path / "cold.csv"
     warm_csv = tmp_path / "warm.csv"
@@ -425,11 +454,17 @@ def test_warm_sweep_composes_everything_bit_identical(tmp_path, output_dir,
         f"{', '.join(f'{k}: {v}' for k, v in resumed_checks.items())} "
         f"(= distinct outcome strings)",
         f"runs checked resumed    "
-        f"{', '.join(f'{k}: {c} of {live[k]} classes' for k, (c, _) in resumed_reads.items())} "
+        f"{', '.join(f'{k}: {c} of {live[k]} classes' for k, (c, *_) in resumed_reads.items())} "
         f"(= distinct runs)",
         f"class_key calls resumed "
-        f"{', '.join(f'{k}: {n}' for k, (_, n) in resumed_reads.items())} "
+        f"{', '.join(f'{k}: {n}' for k, (_, n, _, _) in resumed_reads.items())} "
         f"(<= live classes)",
+        f"weight hooks resumed    "
+        f"{', '.join(f'{k}: {n}' for k, (_, _, n, _) in resumed_reads.items())} "
+        f"(<= distinct experiment counts)",
+        f"decodes resumed         "
+        f"{', '.join(f'{k}: {n}' for k, (_, _, _, n) in resumed_reads.items())} "
+        f"(<= distinct outcome strings)",
         "comparison CSV          byte-identical cold vs. warm",
     ]
     (output_dir / "incremental_sweep.txt").write_text(

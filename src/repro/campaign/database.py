@@ -116,15 +116,23 @@ def export_class_results_csv(result: CampaignResult,
 
     Columns: spatial axis index (byte address or register number),
     interval bounds, lifetime weight, and the domain's per-bit outcomes
-    (8 columns for memory, 32 for registers).
+    (8 columns for memory, 32 for registers).  The bytes are
+    ``csv.writer``'s (no value needs quoting: axes and slots are
+    integers, outcome values plain words); each row is written as text,
+    and the outcome columns of a tuple that classes share (a scan's
+    classes with equal outcomes share one) are joined once.
     """
     domain = result.domain
+    joined: dict[int, str] = {}  # id(outcomes) → its columns
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["addr", "first_slot", "last_slot", "length"]
-                        + [f"bit{b}" for b in range(domain.bits)])
+        csv.writer(handle).writerow(
+            ["addr", "first_slot", "last_slot", "length"]
+            + [f"bit{b}" for b in range(domain.bits)])
+        write = handle.write
         for interval, outcomes in result.class_records():
-            writer.writerow(
-                [domain.axis_of(interval), interval.first_slot,
-                 interval.last_slot, interval.length]
-                + [o.value for o in outcomes])
+            columns = joined.get(id(outcomes))
+            if columns is None:
+                columns = joined[id(outcomes)] = ",".join(
+                    [outcome.value for outcome in outcomes])
+            write(f"{domain.axis_of(interval)},{interval.first_slot},"
+                  f"{interval.last_slot},{interval.length},{columns}\r\n")

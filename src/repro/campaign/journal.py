@@ -248,9 +248,8 @@ def _valid_run(run, count: int, known=()) -> bool:
     (a warm ``bin_sem2-sumdmr`` × memory: 134 distinct runs at 3 840
     classes).  ``known`` holds outcome strings this campaign already
     found valid, whose values are not looked up again: a caller that
-    keeps it — :class:`~.runner.ScanStyle` its decoded strings, and
-    ``match`` a set of its own — checks each distinct outcome string
-    once per campaign.  The counts and the end cycles are checked in C,
+    keeps it — :class:`~.runner.ScanStyle` its decoded strings — checks
+    each distinct outcome string once per campaign.  The counts and the end cycles are checked in C,
     a ``str.count`` and one ``fullmatch`` a string."""
     outcomes, end_cycles, traps = run
     return (outcomes.count(" ") == end_cycles.count(" ")

@@ -8,10 +8,11 @@ form and the transport table):
    and clear it (``resume=False``); link it to its sections in the
    cross-campaign section store when it has no links; read every run
    those sections hold — its own and other campaigns' — in one
-   ``SELECT``, *validate* them against the campaign's units (each
-   distinct run once; a malformed run is discarded, counted in
-   ``discarded_results`` and re-executed), and list the units still to
-   do, in canonical order.
+   ``SELECT``; then one walk of the units in canonical order
+   (:meth:`CampaignStyle.trusted`; no rows without a journal) keeps
+   each stored run that is *valid* (each distinct run checked once; a
+   malformed run is discarded, counted in ``discarded_results`` and
+   re-executed) and lists the units still to do.
 2. **Shard** (:meth:`CampaignStyle.plan`).  Split the unit list into
    cost-balanced shards, each in canonical order: a full scan deals
    whole fault-space cells (:func:`plan_class_shards`), sampling cuts
@@ -23,18 +24,18 @@ form and the transport table):
    journal's and the wire's; it is the only code that calls an
    executor.
 4. **Merge** (:meth:`CampaignRun.accept`).  The one sink: stores each
-   batch in the section store (``style.journal``), then
-   :meth:`CampaignRun.count` updates the :class:`ExecutionReport` and
-   progress.  In process every unit is fresh; the fabric passes only
-   the units its lease board took fresh (its one duplicate filter).  A
-   transport calls
+   batch in the section store (``style.journal``), then keeps what
+   ``style.keep`` takes of each unit and updates the
+   :class:`ExecutionReport` and progress.  In process every unit is
+   fresh; the fabric passes only the units its lease board took fresh
+   (its one duplicate filter).  A transport calls
    :meth:`CampaignRun.idle` before it waits, so nothing sits in the
    journal's commit window idle.
-5. **Assembly** (:meth:`CampaignRun.assemble`).  Walk the units in
-   canonical order over resumed + fresh units, so results — dictionary
+5. **Assembly** (:meth:`CampaignRun.assemble`).  One walk of the units
+   in canonical order over the kept ones, so results — dictionary
    order, record lists and sample sequences included — are bit-for-bit
-   identical however the runs arrived.  A full scan counts its tally
-   (and with it the ΔF attribution) over the classes it assembled.
+   identical however the runs arrived; a full scan counts its tally
+   (and with it the ΔF attribution) in it.
 
 A :class:`CampaignStyle` states what differs between full scan and
 sampling (both live in :mod:`repro.campaign.runner`, beside the
@@ -108,11 +109,9 @@ class ExecutionReport:
     #: :attr:`convergence_hits`, a performance diagnostic only.
     slice_hits: int = 0
     #: Experiments trusted at a prologue that (re)linked the campaign to
-    #: its sections — its first run on a journal, or a ``resume=False``
-    #: re-run — so they come from rows another campaign (or this one's
-    #: earlier, cleared run) stored.  Their units are *also* counted in
-    #: :attr:`resumed`: a resume and a composition are the same read.
-    #: A plain resume, which relinks nothing, composes 0.
+    #: its sections (its first run on a journal, or ``resume=False``):
+    #: rows another campaign, or this one's cleared run, stored.  Their
+    #: units are *also* :attr:`resumed`; a plain resume composes 0.
     composed_hits: int = 0
     #: Per-worker attribution of executed work units, as sorted
     #: ``(worker_name, units)`` pairs.  Populated by a fabric
@@ -128,13 +127,11 @@ class ExecutionReport:
     #: units are simply re-executed — corruption can delay a campaign,
     #: never skew it.
     integrity_rejected: int = 0
-    #: Stored runs discarded at the prologue: runs at a unit of this
-    #: campaign whose values fail validation for their own length (a
-    #: salvaged journal's torn rows, any transport), or a class run
-    #: longer than its class.  They are deleted from the section store
-    #: and their units re-executed.  A run shorter than its class (a
-    #: sampled campaign's bit 0) is not discarded: the class
-    #: re-executes and its whole run replaces the short one.
+    #: Stored runs discarded at the prologue, deleted and their units
+    #: re-executed: runs at a unit of this campaign malformed for their
+    #: own length (a salvaged journal's torn rows), or longer than their
+    #: class.  A shorter run (a sampled campaign's bit 0) is kept until
+    #: the class's whole run replaces it.
     discarded_results: int = 0
 
     @property
@@ -167,17 +164,12 @@ class ExecutorCounters:
 
     def __init__(self, executor: ExperimentExecutor):
         self._executor = executor
-        self._last = self._read()
+        self._last = executor.convergence_hits, executor.slice_hits
 
-    def _read(self) -> tuple[int, int]:
-        executor = self._executor
-        return executor.convergence_hits, executor.slice_hits
-
-    def take(self) -> tuple[int, ...]:
-        now = self._read()
-        delta = tuple(new - old for new, old in zip(now, self._last))
-        self._last = now
-        return delta
+    def take(self) -> tuple[int, int]:
+        executor, (hits, skips) = self._executor, self._last
+        self._last = executor.convergence_hits, executor.slice_hits
+        return self._last[0] - hits, self._last[1] - skips
 
 
 def campaign_config(domain: FaultDomain, config: ExecutorConfig | None,
@@ -364,16 +356,21 @@ class CampaignStyle:
     three strings of space-joined per-experiment values, in the form
     the journal stores and the fabric carries — from the executor
     onward it has no other.  Besides the attributes and the default
-    :meth:`plan` and :meth:`keep` below, a style provides:
+    :meth:`plan` below, a style provides:
 
     ``match(rows)``
         maps the runs of the campaign's linked sections (rows
         ``(section_id, slot, axis, first_bit, *run)``, what
         :meth:`~.journal.CampaignJournal.stored_runs` returns) onto its
-        units: ``(runs, bad)``, ``key → run`` of every unit a stored run
-        holds whole and valid, and the keys ``(section_id, slot, axis,
-        first_bit)`` of malformed runs at its units (:meth:`trusted`
-        discards those);
+        units in one walk over them: ``(kept, todo, bad,
+        experiments)`` — ``key →`` ``keep`` value of every unit a
+        stored run holds whole and valid, and the work items of the
+        others, both in canonical order; the keys ``(section_id, slot,
+        axis, first_bit)`` of malformed runs at its units
+        (:meth:`trusted` discards those); and the experiments trusted;
+    ``keep(key, run)``
+        what ``result`` needs of a unit's run, all the campaign holds
+        of it once stored (a scan: outcomes; the run if records are);
     ``cost(item)``
         estimated post-injection cycles of one work item (styles that
         keep the default :meth:`plan`);
@@ -387,8 +384,9 @@ class CampaignStyle:
         the shape check a fabric worker's run passes before it is
         trusted;
     ``result(kept, report)``
-        canonical-order assembly of ``key →`` :meth:`keep` values into
-        the style's result type; keys absent from ``kept`` are missing.
+        canonical-order assembly of ``key →`` ``keep`` values into
+        the style's result type; the units absent from ``kept`` are
+        ``report.missing``.
     """
 
     #: Journal campaign kind.
@@ -419,30 +417,20 @@ class CampaignStyle:
         return plan_shards(items, [self.cost(item) for item in items],
                            parts, workers)
 
-    def keep(self, key, run):
-        """What :meth:`result` needs of one unit's run.  The campaign
-        holds only this once the run is journaled — a paper-scale scan
-        has 10⁵ experiments whose end cycles and traps assembly never
-        reads unless records were asked for."""
-        return run
-
-    def trusted(self, handle, report, rows: list,
-                relinked: bool = False) -> dict:
-        """``key →`` :meth:`keep` value of every unit that the stored
-        runs ``rows`` (:meth:`~.journal.CampaignJournal.stored_runs`)
-        hold whole and valid (:meth:`match`); ``relinked`` (the prologue
-        has just linked the campaign) counts their experiments in
+    def trusted(self, handle, report, rows, relinked: bool = False) \
+            -> tuple[dict, list]:
+        """``(kept, todo)`` of :meth:`match` over the stored runs
+        ``rows`` (none without a journal); ``relinked`` (the prologue
+        has just linked the campaign) counts the experiments trusted in
         ``composed_hits``.
 
         Never trust stored runs blindly: a salvaged journal can hold
-        partial runs (page loss truncates committed rows) and any file
-        can hold a value no build wrote.  A malformed run at one of the
-        campaign's units is deleted — counted in ``discarded_results``,
-        one ``salvage-prune`` event — and its unit re-executed.  Rows at
-        coordinates no unit has (another campaign's classes in a shared
-        section) are left alone.
+        partial runs and any file a value no build wrote.  A malformed
+        run at one of the campaign's units is deleted (counted in
+        ``discarded_results``, one ``salvage-prune`` event) and its unit
+        re-executed; rows where no unit is are left alone.
         """
-        runs, bad = self.match(rows)
+        kept, todo, bad, experiments = self.match(rows)
         if bad:
             discarded = handle.journal.discard_section_runs(bad)
             report.discarded_results += discarded
@@ -451,10 +439,8 @@ class CampaignStyle:
                 detail=f"{discarded} stored runs failed validation and "
                        f"were discarded")
         if relinked:
-            report.composed_hits = sum(run[0].count(" ") + 1
-                                       for run in runs.values())
-        keep = self.keep
-        return {key: keep(key, run) for key, run in runs.items()}
+            report.composed_hits = experiments
+        return kept, todo
 
 
 # -- the driver ---------------------------------------------------------------
@@ -474,12 +460,7 @@ class CampaignRun:
         self.handle = handle
         self.progress = progress
         self.report = report = ExecutionReport()
-        #: Units trusted before any transport ran (resumed or composed),
-        #: as ``key →`` :meth:`CampaignStyle.keep` values.
-        self.completed: dict = {}
-        #: Where fresh runs are stored: a journaled campaign's
-        #: :class:`~.compose.SectionComposer` while it has work left.
-        self.composer = None
+        rows, relinked = (), False
         if handle is not None:
             if not resume:
                 handle.clear()
@@ -488,35 +469,30 @@ class CampaignRun:
             if relinked:
                 sections = link_sections(handle, style.golden, style.domain,
                                          style.params)
-            self.completed = style.trusted(handle, report,
-                                           handle.stored_runs(), relinked)
-            if len(self.completed) < len(style.units):
-                self.composer = SectionComposer(handle, sections)
-        #: Work items still to execute, in canonical order.
-        self.todo = [item for key, item in style.units.items()
-                     if key not in self.completed]
-        #: ``key → kept`` of the units accepted from the transport.
-        self.fresh: dict = {}
+            rows = handle.stored_runs()
+        #: ``key → keep`` value of the units trusted, in canonical order,
+        #: then of those accepted; the work items left, in that order.
+        self.kept, self.todo = style.trusted(handle, report, rows, relinked)
+        #: Where fresh runs are stored: a journaled campaign's
+        #: :class:`~.compose.SectionComposer` while it has work left.
+        self.composer = (SectionComposer(handle, sections)
+                         if handle is not None and self.todo else None)
         report.total_units = len(style.units)
         report.resumed = self.done = report.total_units - len(self.todo)
         if self.done:
             self._report_progress()
 
     def accept(self, batch: Sequence[tuple[tuple, tuple]]) -> None:
-        """The sink: the section store, then :meth:`count`."""
+        """The sink of units run fresh, each key once (the transport
+        decides what is fresh: in process, every unit; on the fabric,
+        the lease board): the section store, then the ``keep``
+        values, report and progress."""
         if self.composer is not None:
             self.style.journal(self.composer, batch)
         keep = self.style.keep
-        self.count([(key, keep(key, run)) for key, run in batch])
-
-    def count(self, kept: Sequence[tuple[object, object]]) -> None:
-        """Account units journaled fresh, given as ``(key, kept)``
-        pairs (:meth:`CampaignStyle.keep` values): report, progress.
-        Each key once — the transport decides what is fresh (in
-        process, every unit; on the fabric, the lease board)."""
-        self.fresh.update(kept)
-        self.report.executed += len(kept)
-        self.done += len(kept)
+        self.kept.update([(key, keep(key, run)) for key, run in batch])
+        self.report.executed += len(batch)
+        self.done += len(batch)
         self._report_progress()
 
     def _report_progress(self) -> None:
@@ -530,14 +506,11 @@ class CampaignRun:
             self.handle.flush()
 
     def assemble(self):
-        """Merge resumed and fresh units in canonical order."""
-        kept = {**self.completed, **self.fresh}
-        report = self.report
-        report.missing = tuple(key for key in self.style.units
-                               if key not in kept)
-        if self.handle is not None and report.complete:
+        """The style's result of the units kept, in canonical order."""
+        result = self.style.result(self.kept, self.report)
+        if self.handle is not None and self.report.complete:
             self.handle.mark_complete()
-        return self.style.result(kept, report)
+        return result
 
 
 def run_campaign(style: CampaignStyle, transport: Callable[[CampaignRun],

@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 
@@ -96,7 +97,8 @@ class ClassTally:
 def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
     """The one walk that counts a scan: ``pairs`` are its live classes
     with their per-bit outcomes, ``(interval, outcomes)`` in canonical
-    order (:meth:`CampaignResult.class_records`).
+    order (the assembly's walk, :meth:`ScanStyle.result`, or
+    :meth:`CampaignResult.class_records`).
 
     Classes are grouped by their outcome tuple — by identity: a scan's
     classes with equal outcomes share one tuple (:meth:`ScanStyle.keep`),
@@ -106,13 +108,17 @@ def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
     ``__hash__``).  A class adds its members and its data lifetime
     times its experiments' common slot weight to its group; a class
     whose experiments weigh unequally (no built-in domain's do) is
-    weighed experiment by experiment.  ``weighted`` expands each
-    experiment by its class's data lifetime (without the dead classes),
-    ``raw`` counts experiments.
+    weighed experiment by experiment.  Weights are asked once if the
+    domain's classes share them (``FaultDomain.class_slot_weights``),
+    else per class.  ``weighted`` expands each experiment by its
+    class's data lifetime (without the dead classes), ``raw`` counts
+    experiments.
     """
+    shared = domain.class_slot_weights()
+    even = bool(shared) and shared.count(shared[0]) == len(shared)
     slot_weights = domain.experiment_slot_weights
     axis_of = domain.axis_of
-    #: id(outcomes) → [outcomes, members, weight, failing experiments]
+    #: id(outcomes) → [outcomes, members, weight, failing, shared fits]
     groups: dict[int, list] = {}
     failing: dict[int, int] = {}
     uneven = []  # (interval, outcomes, weights) weighed bit by bit
@@ -121,10 +127,12 @@ def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
         if group is None:
             group = groups[id(outcomes)] = [
                 outcomes, 0, 0, len(outcomes) - outcomes.count(_NO_EFFECT)
-                - outcomes.count(_CORRECTED)]
+                - outcomes.count(_CORRECTED),
+                even and len(outcomes) == len(shared)]
         group[1] += 1
-        weights = slot_weights(interval)
-        if len(weights) == len(outcomes) == weights.count(weights[0]):
+        weights = shared or slot_weights(interval)
+        if group[4] or len(weights) == len(outcomes) \
+                == weights.count(weights[0]):
             weight = interval.length * weights[0]
             group[2] += weight
             lost = weight * group[3]  # the class's weighted failures
@@ -139,7 +147,7 @@ def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
     weighted = [0] * len(_OUTCOMES)
     raw = [0] * len(_OUTCOMES)
     order: list[int] = []  # positions, first seen first
-    for outcomes, members, weight, _ in groups.values():
+    for outcomes, members, weight, *_ in groups.values():
         seen = len(order)
         left = len(outcomes)
         for position, outcome in enumerate(_OUTCOMES):
@@ -168,7 +176,7 @@ def tally_classes(pairs, domain: FaultDomain) -> ClassTally:
         counts=[(_OUTCOMES[position], weighted[position], raw[position])
                 for position in order],
         groups=[(members, fails, len(outcomes))
-                for outcomes, members, _, fails in groups.values()],
+                for outcomes, members, _, fails, _ in groups.values()],
         failing=failing)
 
 
@@ -213,9 +221,7 @@ class CampaignResult:
 
     @property
     def experiments_conducted(self) -> int:
-        # Derived from the stored outcome tuples rather than hardcoding
-        # the domain's bit width, so 8-bit memory classes and 32-bit
-        # register classes both report correct totals.
+        # Off the outcome tuples: 8 a memory class, 32 a register class.
         return sum(map(len, self.class_outcomes.values()))
 
     def outcome_of(self, coordinate) -> Outcome:
@@ -287,24 +293,21 @@ class CampaignResult:
         from ..faultspace.sections import section_weighted_counts
 
         live = self.partition.live_classes()
-        missing = [iv for iv in live
-                   if self.domain.class_key(iv) not in self.class_outcomes]
-        if missing:
+        if len(self.class_outcomes) < len(live):
             raise ValueError(
-                f"cannot split weighted counts by section: {len(missing)} "
-                f"live classes missing from a degraded campaign")
+                f"cannot split weighted counts by section: "
+                f"{len(live) - len(self.class_outcomes)} live classes "
+                f"missing from a degraded campaign")
         return section_weighted_counts(
             section_map, live, self.class_outcomes,
             domain=self.domain, space=self.partition.fault_space)
 
     def class_records(self) -> list[tuple[object, tuple[Outcome, ...]]]:
         """Live classes paired with their per-bit outcomes."""
-        out = []
-        for interval in self.partition.live_classes():
-            key = self.domain.class_key(interval)
-            if key in self.class_outcomes:
-                out.append((interval, self.class_outcomes[key]))
-        return out
+        get, class_key = self.class_outcomes.get, self.domain.class_key
+        return [(interval, outcomes)
+                for interval in self.partition.live_classes()
+                if (outcomes := get(class_key(interval))) is not None]
 
 
 _VALUE = attrgetter("_value_")  # Outcome.value without the property
@@ -319,30 +322,14 @@ def _joined(facts) -> tuple[str, str, str]:
             " ".join(traps))
 
 
-#: What :meth:`ScanStyle.match` makes of a stored class run: trusted,
-#: discarded, or left (a shorter valid run, which the class replaces).
-_TRUSTED, _BAD, _SHORT = "trusted", "bad", "short"
-
-
-def _verdict(run, need: int, known: set) -> str:
-    """The fate of a stored ``run`` at a class of ``need`` experiments:
-    :data:`_TRUSTED` when :func:`~.journal._valid_run` passes it,
-    :data:`_BAD` when it is malformed for its own length or longer than
-    the class, else :data:`_SHORT`.  ``known`` collects the outcome
-    strings passed, whose values are then not looked up again."""
-    if _valid_run(run, need, known):
-        known.add(run[0])
-        return _TRUSTED
-    if (not _valid_run(run, run[0].count(" ") + 1, known)
-            or run[0].count(" ") >= need):
-        return _BAD
-    return _SHORT
+#: A stored class run :meth:`ScanStyle.match` distrusts: discarded, or left.
+_BAD, _SHORT = "bad", "short"
 
 
 class ScanStyle(CampaignStyle):
     """Def/use-pruned full scan: one unit per live class, keyed
     ``(axis, first_slot)``, its run ``(outcomes, end_cycles, traps)``
-    from bit 0."""
+    from bit 0; what it keeps of a run is the class's outcome tuple."""
 
     kind = "full-scan"
 
@@ -352,42 +339,75 @@ class ScanStyle(CampaignStyle):
         self.partition = (partition if partition is not None
                           else domain.build_partition(golden))
         self.keep_records = keep_records
-        # live_classes() is sorted by injection slot: canonical order.
-        self.units = {domain.class_key(interval): interval
-                      for interval in self.partition.live_classes()}
-        #: ``outcomes → tuple of Outcome`` per distinct stored outcome
-        #: string of this campaign (:meth:`keep`).
+        #: ``outcomes → tuple of Outcome`` per distinct outcome string
+        #: this campaign trusted (:meth:`keep`).
         self._decoded: dict[str, tuple[Outcome, ...]] = {}
+        #: ``key → run`` of the classes kept, when records are.
+        self._runs: dict[tuple, tuple[str, str, str]] = {}
+
+    @cached_property
+    def units(self) -> dict:
+        """``key → live class`` in canonical order, set by :meth:`match`."""
+        self.match(())
+        return self.units
 
     def match(self, rows):
-        # A class is the run from bit 0 at its injection slot; runs at
-        # other bits are sampled experiments, no unit of a scan.  The
-        # check is a pure function of the run and the class's
-        # experiment count, and one stored run recurs at many classes,
-        # so it is made once per distinct pair: ``verdicts`` holds each
-        # run's last ``(count, _verdict)``, checked again at a class of
-        # another count.
-        count = self.domain.experiment_count
-        at = {(interval.injection_slot, key[0]): (key, interval)
-              for key, interval in self.units.items()}
-        runs, bad, known = {}, [], set()
-        verdicts: dict[tuple, tuple[int, str]] = {}
-        for row in rows:
-            unit = at.get(row[1:3]) if row[3] == 0 else None
-            if unit is None:
-                continue  # not this campaign's: left alone
-            key, interval = unit
-            run, need = row[4:], count(interval)
-            verdict = verdicts.get(run)
-            if verdict is None or verdict[0] != need:
-                verdict = verdicts[run] = need, _verdict(run, need, known)
-            if verdict[1] is _TRUSTED:
-                runs[key] = run
-            elif verdict[1] is _BAD:
-                bad.append(row[:4])  # malformed, or longer than the class
-            # A shorter run (a sampled campaign's bit 0) is not used:
-            # the class re-executes, and its whole run replaces it.
-        return runs, bad
+        # The one walk before the transport: each live class becomes a
+        # unit and meets the run stored from bit 0 at its injection slot
+        # (one at most: a campaign's sections' slot windows are
+        # disjoint; rows elsewhere are left alone).  A verdict is made
+        # once per distinct (run, experiment count) pair.
+        domain = self.domain
+        class_key, count = domain.class_key, domain.experiment_count
+        shared = domain.class_slot_weights()
+        width = shared and len(shared)
+        runs = self._runs if self.keep_records else None
+        at = {row[1:4]: row for row in rows}
+        units, kept, todo, bad = {}, {}, [], []
+        verdicts: dict[tuple, object] = {}
+        experiments = 0
+        for interval in self.partition.live_classes():
+            key = class_key(interval)
+            units[key] = interval
+            row = at.get((interval.injection_slot, key[0], 0))
+            if row is None:
+                todo.append(interval)
+                continue
+            need = width or count(interval)
+            run = row[4:]
+            verdict = verdicts.get((run, need))
+            if verdict is None:
+                verdict = verdicts[run, need] = self._verdict(run, need)
+            if verdict is _BAD:  # malformed, or longer than the class
+                bad.append(row[:4])
+                todo.append(interval)
+            elif verdict is _SHORT:  # re-executed, and replaced
+                todo.append(interval)
+            else:
+                kept[key] = verdict
+                experiments += need
+                if runs is not None:
+                    runs[key] = run
+        self.units = units
+        return kept, todo, bad, experiments
+
+    def _verdict(self, run, need: int):
+        """A stored ``run`` at a class of ``need`` experiments: its
+        outcomes if :func:`~.journal._valid_run` passes it, :data:`_BAD`
+        if malformed or longer than the class, else :data:`_SHORT`."""
+        if _valid_run(run, need, self._decoded):
+            return self._decoded.get(run[0]) or self._decode(run[0])
+        if (not _valid_run(run, run[0].count(" ") + 1, self._decoded)
+                or run[0].count(" ") >= need):
+            return _BAD
+        return _SHORT
+
+    def _decode(self, outcomes: str) -> tuple[Outcome, ...]:
+        """A valid outcome string met for the first time, decoded: once
+        per campaign, and its classes share the tuple."""
+        decoded = self._decoded[outcomes] = tuple(
+            map(OUTCOME_BY_VALUE.__getitem__, outcomes.split(" ")))
+        return decoded
 
     def plan(self, items, parts, workers):
         return plan_class_shards(items, self.golden.cycles,
@@ -422,43 +442,50 @@ class ScanStyle(CampaignStyle):
                           self._decoded)
 
     def keep(self, key, run):
-        """The class's outcomes, and its records when they are kept:
-        each distinct outcome string is decoded once per campaign, and
-        the classes that share it share its tuple; end cycles and traps
-        are decoded only when records are kept, and never for the
-        journal (:meth:`journal` stores the run as executed)."""
-        outcomes = self._decoded.get(run[0])
-        if outcomes is None:
-            outcomes = self._decoded[run[0]] = tuple(
-                map(OUTCOME_BY_VALUE.__getitem__, run[0].split(" ")))
-        if not self.keep_records:
-            return outcomes, ()
-        return outcomes, [
-            ExperimentRecord(coordinate=coordinate, outcome=outcome,
-                             end_cycle=int(end_cycle), trap=trap)
-            for coordinate, outcome, end_cycle, trap in zip(
-                self.units[key].experiments(), outcomes,
-                run[1].split(" "), run[2].split(" "))]
+        """The class's outcomes; its run too when records are kept."""
+        if self.keep_records:
+            self._runs[key] = run
+        return self._decoded.get(run[0]) or self._decode(run[0])
 
     def result(self, kept, report):
-        # A key absent from ``kept`` is degraded: in report.missing.
-        class_outcomes = {key: kept[key][0] for key in self.units
-                          if key in kept}
-        records = ([record for key in class_outcomes
-                    for record in kept[key][1]]
-                   if self.keep_records else [])
+        # The one walk after the transport, the tally's, also orders the
+        # units kept and lists the rest missing — unless all are trusted.
+        units = self.units
+        missing: list = []
+        if report.executed or len(kept) < len(units):
+            class_outcomes: dict = {}
+            pairs = _present(units, kept, class_outcomes, missing)
+        else:
+            class_outcomes = kept
+            pairs = zip(units.values(), kept.values())
+        tally = tally_classes(pairs, self.domain)
+        report.missing = tuple(missing)
+        # End cycles and traps are decoded only for records.
+        records = [] if not self.keep_records else [
+            ExperimentRecord(coordinate=coordinate, outcome=outcome,
+                             end_cycle=int(end_cycle), trap=trap)
+            for key, outcomes in class_outcomes.items()
+            for coordinate, outcome, end_cycle, trap in zip(
+                units[key].experiments(), outcomes,
+                *(column.split(" ") for column in self._runs[key][1:]))]
         result = CampaignResult(golden=self.golden, partition=self.partition,
                                 class_outcomes=class_outcomes,
                                 records=records, domain=self.domain,
                                 execution=report)
-        # The tally is counted here, over the classes just assembled:
-        # the live classes themselves when none is missing.
-        units = self.units
-        intervals = (units.values() if len(class_outcomes) == len(units)
-                     else [units[key] for key in class_outcomes])
-        result._tally = tally_classes(
-            zip(intervals, class_outcomes.values()), self.domain)
+        result._tally = tally
         return result
+
+
+def _present(units, kept, class_outcomes, missing):
+    """``(interval, outcomes)`` of the ``units`` kept, in order, entered
+    in ``class_outcomes``; the keys of the others go to ``missing``."""
+    for key, interval in units.items():
+        outcomes = kept.get(key)
+        if outcomes is None:
+            missing.append(key)
+        else:
+            class_outcomes[key] = outcomes
+            yield interval, outcomes
 
 
 def resolve_jobs(jobs: int | None) -> int | None:
@@ -700,32 +727,31 @@ class SamplingStyle(CampaignStyle):
     def trusted(self, handle, report, rows, relinked=False):
         # Nothing stored is trusted unless the re-drawn samples are the
         # journaled ones.
-        handle.verify_sampler_state(len(self.drawn), self._rng_state)
+        if handle is not None:
+            handle.verify_sampler_state(len(self.drawn), self._rng_state)
         return super().trusted(handle, report, rows, relinked)
 
     def match(self, rows):
         # An experiment reads the run of one stored at its bit, else its
         # value in the run stored from bit 0 (a class, whole or not).
         at = {row[1:4]: row for row in rows}
-        runs, bad = {}, {}
-        for key, (_, coord) in self.units.items():
-            axis, bit = key[0], key[2]
-            row = at.get((coord.slot, axis, bit))
-            if row is not None and " " not in row[4]:
-                if _valid_run(row[4:], 1):
-                    runs[key] = row[4:]
-                else:
+        kept, todo, bad = {}, [], {}
+        for key, item in self.units.items():
+            slot, axis, value = item[1].slot, key[0], None
+            row, index = at.get((slot, axis, key[2])), 0
+            if row is None or " " in row[4]:
+                row, index = at.get((slot, axis, 0)), key[2]
+            if row is not None:
+                columns = [column.split(" ") for column in row[4:]]
+                if not _valid_run(row[4:], len(columns[0])):
                     bad[row[:4]] = None
-                continue
-            row = at.get((coord.slot, axis, 0))
-            if row is None:
-                continue
-            columns = [column.split(" ") for column in row[4:]]
-            if not _valid_run(row[4:], len(columns[0])):
-                bad[row[:4]] = None
-            elif bit < len(columns[0]):
-                runs[key] = tuple(column[bit] for column in columns)
-        return runs, list(bad)
+                elif index < len(columns[0]):
+                    value = columns[0][index]
+            if value is None:
+                todo.append(item)
+            else:
+                kept[key] = OUTCOME_BY_VALUE[value]
+        return kept, todo, list(bad), len(kept)
 
     def cost(self, item):
         return max(1, self.golden.cycles - item[1].slot + 1)
@@ -750,6 +776,7 @@ class SamplingStyle(CampaignStyle):
         return _valid_run(run, 1)
 
     def result(self, kept, report):
+        report.missing = tuple(key for key in self.units if key not in kept)
         # A sample whose experiment is missing (degraded campaign: its
         # shard was abandoned) cannot be classified and is omitted from
         # the partial result.

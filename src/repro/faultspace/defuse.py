@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
+from operator import attrgetter
 
 from ..isa.tracing import READ, WRITE, MemoryTrace
 from .model import CellSpace, FaultSpace
@@ -39,6 +40,8 @@ DEAD = "dead"
 #: The class an access ends: a read activates the fault, a write
 #: overwrites it.
 _ENDS = {READ: LIVE, WRITE: DEAD}
+
+_LAST_SLOT = attrgetter("last_slot")
 
 #: :func:`trace_intervals`' message for a bad access, unless a
 #: partition names its own.
@@ -124,10 +127,12 @@ class IntervalPartition:
 
     @cached_property
     def _live(self) -> tuple:
-        axis = self.axis
         live = [iv for ivs in self.intervals.values() for iv in ivs
                 if iv.kind == LIVE]
-        live.sort(key=lambda iv: (iv.injection_slot, axis(iv)))
+        # By axis, then stably by injection slot (a class's last slot):
+        # two sorts on C-level keys.
+        live.sort(key=self.axis)
+        live.sort(key=_LAST_SLOT)
         return tuple(live)
 
     def dead_classes(self) -> list:

@@ -179,6 +179,17 @@ class FaultDomain:
         """
         return (1,) * self.experiment_count(interval)
 
+    def class_slot_weights(self) -> tuple[int, ...] | None:
+        """What :meth:`experiment_slot_weights` answers for *every*
+        live class, or ``None`` when classes differ.
+
+        Said once, so a walk over a scan's classes asks neither
+        per-class hook per class.  The classic def/use shape is the same
+        for all; a domain that overrides the per-class hooks says here
+        whether its classes still weigh alike.
+        """
+        return (1,) * self.bits
+
     def interval_coordinate(self, interval, offset: int):
         """The ``offset``-th raw coordinate covered by a class.
 
@@ -404,6 +415,10 @@ class PCDomain(FaultDomain):
     def experiment_slot_weights(self,
                                 interval: PCInterval) -> tuple[int, ...]:
         return (len(interval.members),)
+
+    def class_slot_weights(self) -> None:
+        # The grouped illegal-target class weighs each member bit.
+        return None
 
     def interval_coordinate(self, interval: PCInterval, offset: int):
         return PCFaultCoordinate(slot=interval.slot,

@@ -25,6 +25,7 @@ from repro.campaign import (
 )
 from repro.campaign import compose as compose_mod
 from repro.campaign.journal import SCHEMA_VERSION, CampaignJournal
+from repro.campaign.outcomes import OUTCOME_BY_VALUE
 from repro.campaign.runner import SamplingStyle, ScanStyle
 from repro.campaign.salvage import salvage_journal, schema_tables
 from repro.cli import main
@@ -811,10 +812,10 @@ class TestPartialClassesNeverCompose:
             (entry,) = handle.campaigns()
             rows = CampaignJournal(handle, entry["id"]).stored_runs()
         assert key not in ScanStyle(golden, dom).match(rows)[0]
-        runs, bad = sampled.match(rows)
+        kept, _, bad, _ = sampled.match(rows)
         assert bad == []
-        assert runs == {(*key, bit): (outcome, str(end_cycle), trap)
-                        for _, bit, outcome, end_cycle, trap in stored
+        assert kept == {(*key, bit): OUTCOME_BY_VALUE[outcome]
+                        for _, bit, outcome, _, _ in stored
                         if bit != missing}
 
         warm = run_full_scan(golden, domain=domain, journal=journal,

@@ -2,6 +2,7 @@
 the journal as the one summary cache."""
 
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,8 @@ from repro.campaign import (
     record_golden,
     run_full_scan,
 )
-from repro.programs import hi
+from repro.faultspace import DOMAINS
+from repro.programs import hi, micro
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +122,45 @@ class TestCsvExport:
             assert row["addr"] == interval.reg
             assert len(row["outcomes"]) == 32
             assert row["outcomes"] == outcomes
+
+
+def _reference_csv(result, path) -> None:
+    """The per-class CSV as ``csv.writer`` writes it, row by row."""
+    domain = result.domain
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["addr", "first_slot", "last_slot", "length"]
+                        + [f"bit{b}" for b in range(domain.bits)])
+        for interval, outcomes in result.class_records():
+            writer.writerow(
+                [domain.axis_of(interval), interval.first_slot,
+                 interval.last_slot, interval.length]
+                + [outcome.value for outcome in outcomes])
+
+
+class TestCsvBytes:
+    """The export writes rows as text; its bytes are ``csv.writer``'s."""
+
+    @pytest.fixture(scope="class", params=sorted(DOMAINS))
+    def scan(self, request):
+        return run_full_scan(record_golden(micro.counter()),
+                             domain=request.param)
+
+    def assert_bytes_match_the_reference(self, result, tmp_path):
+        path, reference = tmp_path / "classes.csv", tmp_path / "reference.csv"
+        export_class_results_csv(result, path)
+        _reference_csv(result, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes().count(b"\r\n") \
+            == len(result.class_outcomes) + 1
+
+    def test_a_scan(self, scan, tmp_path):
+        self.assert_bytes_match_the_reference(scan, tmp_path)
+
+    def test_a_degraded_result(self, scan, tmp_path):
+        """Every other class missing, and the tuples of the rest copied
+        so that none is shared."""
+        kept = {key: tuple(list(outcomes)) for index, (key, outcomes)
+                in enumerate(scan.class_outcomes.items()) if index % 2}
+        self.assert_bytes_match_the_reference(
+            replace(scan, class_outcomes=kept), tmp_path)

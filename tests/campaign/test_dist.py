@@ -1142,8 +1142,9 @@ class TestDistJournalInterop:
         result, coordinator, fleet = run_dist(memory_golden,
                                               journal=journal)
         assert not fleet.errors
-        units, completed = coordinator.style.units, coordinator.run.completed
-        todo = [key for key in units if key not in completed]
+        key_of = {item: key for key, item in coordinator.style.units.items()}
+        units = coordinator.style.units
+        todo = [key_of[item] for item in coordinator.run.todo]
         assert len(todo) == len(units) - k
         assert sorted(planned) == sorted(todo)
         assert result == memory_baseline

@@ -2,7 +2,7 @@
 
 import sqlite3
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from unittest import mock
 
@@ -148,14 +148,17 @@ def drawn_results(draw):
     return replace(scan, class_outcomes=class_outcomes), draw(st.booleans())
 
 
+@contextmanager
 def _skewed(domain):
     """The domain's per-experiment weights made unequal within a
-    class."""
+    class, which then no longer says that its classes weigh alike."""
     weights = domain.experiment_slot_weights
-    return mock.patch.object(
-        domain, "experiment_slot_weights",
-        lambda interval: tuple(weight + index % 3 for index, weight
-                               in enumerate(weights(interval))))
+    with mock.patch.object(
+            domain, "experiment_slot_weights",
+            lambda interval: tuple(weight + index % 3 for index, weight
+                                   in enumerate(weights(interval)))), \
+            mock.patch.object(domain, "class_slot_weights", lambda: None):
+        yield
 
 
 class TestOnePassCounts:
@@ -333,6 +336,32 @@ _WALK_PROGRAMS = {"memcopy": lambda: micro.memcopy(3),
                   "counter": micro.counter,
                   "checksum": micro.checksum_loop,
                   "stack_echo": micro.stack_echo}
+#: The programs each domain's journaled scans are compared on.
+_PARITY_PROGRAMS = ("memcopy", "counter", "checksum")
+_PLAIN: dict = {}
+
+
+def _plain_scan(program: str, domain: str):
+    """The journal-free scan of ``program`` in ``domain``, made once."""
+    if (program, domain) not in _PLAIN:
+        _PLAIN[program, domain] = run_full_scan(
+            record_golden(_WALK_PROGRAMS[program]()), domain=domain)
+    return _PLAIN[program, domain]
+
+
+def assert_same_scan(result, plain):
+    """What a scan reports equals the journal-free scan's: outcomes,
+    their canonical order, tally, ΔF by location and the biased-class
+    estimate (P2)."""
+    assert result == plain
+    assert list(result.class_outcomes) == list(plain.class_outcomes) == [
+        plain.domain.class_key(interval)
+        for interval in plain.partition.live_classes()]
+    assert result.tally() == plain.tally()
+    assert failure_attribution(result, top=None) \
+        == failure_attribution(plain, top=None)
+    assert CampaignSummary.from_result(result) \
+        == CampaignSummary.from_result(plain)
 
 
 class TestOneWalk:
@@ -369,12 +398,38 @@ class TestOneWalk:
         """The assembly of a campaign missing every third class walks
         the classes it has."""
         style = ScanStyle(scan.golden, scan.domain, scan.partition)
-        kept = {key: (outcomes, ())
-                for index, (key, outcomes)
+        kept = {key: outcomes for index, (key, outcomes)
                 in enumerate(scan.class_outcomes.items()) if index % 3}
         degraded = style.result(kept, ExecutionReport())
         assert list(degraded.class_outcomes) == list(kept)
+        assert degraded.execution.missing == tuple(
+            key for key in scan.class_outcomes if key not in kept)
         self.assert_walk_matches_the_references(degraded)
+
+    @pytest.mark.parametrize("program", _PARITY_PROGRAMS)
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_cold_resumed_and_composed_scans_equal_the_plain_one(
+            self, tmp_path, program, domain):
+        """A journaled cold scan, a warm resume and a composed re-sweep
+        (``resume=False``) each equal the scan without a journal:
+        outcomes in canonical order, tally, ΔF and P2 — and account
+        for what they read."""
+        plain = _plain_scan(program, domain)
+        experiments = plain.experiments_conducted
+        live = len(plain.class_outcomes)
+        path = tmp_path / "scan.sqlite"
+        for resume, resumed, composed in ((True, 0, 0),
+                                          (True, live, 0),
+                                          (False, live, experiments)):
+            result = run_full_scan(plain.golden, domain=domain,
+                                   journal=path, resume=resume)
+            assert_same_scan(result, plain)
+            execution = result.execution
+            assert (execution.resumed, execution.composed_hits,
+                    execution.executed, execution.discarded_results,
+                    execution.missing) \
+                == (resumed, composed, live - resumed, 0, ())
+            self.assert_walk_matches_the_references(result)
 
     def test_a_hand_built_result_with_unshared_tuples(self, scan):
         """Equal outcome tuples that are distinct objects (no
@@ -421,6 +476,64 @@ class TestOneCheckPerDistinctRun:
         assert [event["kind"] for event in campaign["events"]] \
             == ["salvage-prune"]
 
+    @pytest.mark.parametrize("program", _PARITY_PROGRAMS)
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_a_degraded_warm_read(self, tmp_path, program, domain):
+        """A warm resume of a section store that a sampled campaign
+        shares, less one class's row, with one malformed run stored at
+        two classes and one class's run cut short: the result is the
+        journal-free scan's; the malformed rows alone are discarded,
+        with one ``salvage-prune`` event; the four classes re-execute;
+        the sampled campaign's rows at other bits are left alone."""
+        plain = _plain_scan(program, domain)
+        path = tmp_path / "degraded.sqlite"
+        run_sampling(plain.golden, 40, seed=3, sampler="live-only",
+                     domain=domain, journal=path)
+        run_full_scan(plain.golden, domain=domain, journal=path)
+        conn = sqlite3.connect(path)
+        with conn:
+            rows = conn.execute(
+                "SELECT section_id, slot, axis, outcome, end_cycle, trap "
+                "FROM section_results WHERE bit = 0 "
+                "ORDER BY section_id, slot, axis LIMIT 4").fetchall()
+            where = ("WHERE section_id = ? AND slot = ? AND axis = ? "
+                     "AND bit = 0")
+            conn.execute(f"DELETE FROM section_results {where}", rows[0][:3])
+            spoiled = ("bogus", rows[1][4].split(" ")[0], "")
+            for row in rows[1:3]:
+                conn.execute("UPDATE section_results SET outcome = ?, "
+                             f"end_cycle = ?, trap = ? {where}",
+                             (*spoiled, *row[:3]))
+            values = [column.split(" ") for column in rows[3][3:]]
+            short = len(values[0]) > 1  # a PC class is one experiment
+            if short:
+                conn.execute("UPDATE section_results SET outcome = ?, "
+                             f"end_cycle = ?, trap = ? {where}",
+                             (*[" ".join(column[:-1]) for column in values],
+                              *rows[3][:3]))
+            others = conn.execute("SELECT * FROM section_results WHERE "
+                                  "bit > 0 ORDER BY 1, 2, 3, 4").fetchall()
+        conn.close()
+        # The sampled campaign's rows at other bits (a PC class has
+        # none: its one experiment is bit 0, what the scan reads).
+        assert bool(others) == short
+        warm = run_full_scan(plain.golden, domain=domain, journal=path)
+        assert_same_scan(warm, plain)
+        execution = warm.execution
+        touched = 3 + short
+        assert (execution.executed, execution.resumed,
+                execution.composed_hits, execution.discarded_results,
+                execution.missing) \
+            == (touched, len(plain.class_outcomes) - touched, 0, 2, ())
+        with ExperimentJournal(path) as journal:
+            events = [event["kind"] for campaign in journal.fabric_report()
+                      for event in campaign["events"]]
+        assert events == ["salvage-prune"]
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT * FROM section_results WHERE bit > 0 "
+                            "ORDER BY 1, 2, 3, 4").fetchall() == others
+        conn.close()
+
     def test_a_run_valid_at_one_count_is_refused_at_another(self):
         """A PC domain whose grouped illegal-target class runs one
         experiment per member bit: the one-value run a singleton class
@@ -438,5 +551,9 @@ class TestOneCheckPerDistinctRun:
         run = ("sdc", "12", "none")
         rows = [(1, style.units[key].injection_slot, key[0], 0, *run)
                 for key in (single, group)]
-        assert style.match(rows) == ({single: run}, [])
-        assert style.match(rows[::-1]) == ({single: run}, [])
+        for order in (rows, rows[::-1]):
+            kept, todo, bad, experiments = style.match(order)
+            assert (kept, bad, experiments) == ({single: (Outcome.SDC,)},
+                                                [], 1)
+            assert style.units[group] in todo
+            assert style.units[single] not in todo

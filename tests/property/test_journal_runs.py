@@ -160,8 +160,8 @@ class TestSectionInterleaving:
                     stored[index].add(bit)
             rows = handle.stored_runs()
         # A scan reads a class, a sampled campaign each of its bits.
-        scan = ScanStyle(golden, domain)
-        classes, bad = scan.match(rows)
+        scan = ScanStyle(golden, domain, keep_records=True)
+        classes, _, bad, _ = scan.match(rows)
         assert bad == []
         sampled = SamplingStyle(golden, domain, 1, 0, "live-only")
         sampled.units = {
@@ -170,7 +170,7 @@ class TestSectionInterleaving:
                  domain.experiment_coordinate(interval, bit))
             for interval in intervals
             for bit in range(domain.experiment_count(interval))}
-        bits, bad = sampled.match(rows)
+        bits, _, bad, _ = sampled.match(rows)
         assert bad == []
         for interval, stored_bits, is_whole in zip(intervals, stored, whole):
             slot = interval.injection_slot
@@ -178,11 +178,15 @@ class TestSectionInterleaving:
             key = domain.class_key(interval)
             width = domain.experiment_count(interval)
             full = [_row(slot, axis, b) for b in range(width)]
-            # Every bit sampled one at a time is not a class.
-            assert classes.get(key) == (_run(full) if is_whole else None)
+            # Every bit sampled one at a time is not a class.  A class
+            # read is its outcomes, and its run kept for its records.
+            assert classes.get(key, ()) == tuple(
+                OUTCOME_BY_VALUE[value] for _, value, _, _ in full
+                if is_whole)
+            assert scan._runs.get(key) == (_run(full) if is_whole else None)
             for bit in range(width):
                 assert bits.get((*key, bit)) \
-                    == (_run(full[bit:bit + 1]) if bit in stored_bits
+                    == (OUTCOME_BY_VALUE[full[bit][1]] if bit in stored_bits
                         else None)
 
 
